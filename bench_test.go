@@ -333,9 +333,10 @@ func BenchmarkCompileSQL(b *testing.B) {
 	}
 }
 
-// BenchmarkServiceCacheHit measures the warm service front door: lex →
-// normalize → fingerprint → cache hit → argument encoding, returning the
-// shared compiled artifact without touching the planner or backend. The
+// BenchmarkServiceCacheHit measures the warm service front door: parse →
+// canonicalize → print → fingerprint → cache hit → argument encoding,
+// returning the shared compiled artifact without touching the planner or
+// backend. The
 // contrast with BenchmarkCompileSQL (the identical statement, compiled
 // from scratch each time) is the compiled-query cache's headline number,
 // recorded in BENCH_qcache.json and gated by TestServiceCacheHitSpeedup.

@@ -100,7 +100,7 @@ func runBothWays(t *testing.T, se *Session, sql string) (rewritten bool) {
 	if err != nil {
 		t.Fatalf("run (view path) %q: %v", sql, err)
 	}
-	pb, err := se.svc.prepareOpt(sql, false)
+	pb, err := se.svc.prepare(sql, false)
 	if err != nil {
 		t.Fatalf("prepare (base path) %q: %v", sql, err)
 	}
@@ -243,7 +243,7 @@ func TestMViewPinnedSnapshotsNeverReadStale(t *testing.T) {
 	if se2.Stats().RewriteFallbacks != 1 {
 		t.Fatalf("mid-append snapshot must fall back, stats: %+v", se2.Stats())
 	}
-	pb, err := svc.prepareOpt(q, false)
+	pb, err := svc.prepare(q, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,5 +384,57 @@ func TestMViewAutoAdmissionThroughService(t *testing.T) {
 	}
 	if se.Stats().Rewrites == 0 {
 		t.Fatal("session stats must count the rewrites")
+	}
+}
+
+// TestMViewRefreshAcrossCapacityClass: the rewriter's incremental
+// refresh may push the view table past its reserved row capacity, which
+// bumps the catalog version in the middle of prepare. The cache key must
+// name the version AFTER that refresh — the artifact compiled for the
+// old capacity cannot stage the grown table (SnapshotCapacityError).
+func TestMViewRefreshAcrossCapacityClass(t *testing.T) {
+	r := xrand.New(0xca9ac17)
+	cat := mviewCatalog(r, 6000)
+	svc := NewService(cat, Options{}, 0)
+	v, err := svc.CreateView("mv", "select a, b, sum(v), count(*) from m group by a, b", mview.RefreshIncremental)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv, err := cat.Table(v.TableName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reserved := catalog.CapRowsFor(mv.Rows())
+	q := "select a, sum(v) as s, count(*) as n from m group by a order by a"
+	se := svc.NewSession()
+	// One batch per round with a row in every (a, b) group, so each
+	// refresh appends a full set of partial rows to the view table.
+	var batch [][]int64
+	for a := int64(0); a < 8; a++ {
+		for b := int64(0); b < 16; b++ {
+			batch = append(batch, []int64{a, b, 1})
+		}
+	}
+	for round := 0; mv.Rows() <= reserved; round++ {
+		if round > 2*reserved/len(batch) {
+			t.Fatalf("view table stuck at %d rows, reserved %d", mv.Rows(), reserved)
+		}
+		if _, err := svc.Append("m", batch); err != nil {
+			t.Fatal(err)
+		}
+		p, res, err := se.Execute(q, nil)
+		if err != nil {
+			t.Fatalf("round %d (view table at %d of %d rows): %v", round, mv.Rows(), reserved, err)
+		}
+		if p.Rewrite == nil {
+			t.Fatalf("round %d: statement was not served from the view", round)
+		}
+		base, err := svc.prepare(q, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refRows(t, base); !reflect.DeepEqual(res.Rows, want) {
+			t.Fatalf("round %d: view-served rows differ from the reference:\n%v\n%v", round, res.Rows, want)
+		}
 	}
 }

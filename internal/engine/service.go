@@ -5,12 +5,12 @@ package engine
 // A Service owns one catalog, one compiler configuration and one
 // compiled-query cache; Sessions are cheap per-client handles that share
 // all of it. Prepare normalizes a statement (sqlparse.Normalize), looks
-// the fingerprint up in the cache — compiling under single-flight on a
-// miss — and encodes the statement's lifted literals against the plan's
-// parameter manifest. The artifact that comes back is immutable and
-// shared; everything a run mutates lives in the per-call RunState and the
-// per-run VM, so any number of sessions can execute one artifact
-// concurrently.
+// the fingerprint up in the cache — compiling its canonical query under
+// single-flight on a miss — and encodes the statement's lifted literals
+// against the plan's parameter manifest. The artifact that comes back is
+// immutable and shared; everything a run mutates lives in the per-call
+// RunState and the per-run VM, so any number of sessions can execute one
+// artifact concurrently.
 //
 // Verification (Options.VerifyArtifacts) runs inside the compile path,
 // i.e. exactly once per cache insert: an artifact that was verified when
@@ -260,7 +260,7 @@ type RewriteInfo struct {
 
 // Prepare normalizes, caches/compiles and binds one statement.
 func (se *Session) Prepare(sql string) (*Prepared, error) {
-	p, err := se.svc.prepare(sql)
+	p, err := se.svc.prepare(sql, true)
 	if err != nil {
 		return nil, err
 	}
@@ -301,7 +301,7 @@ func (se *Session) Run(p *Prepared, cfg *pmu.Config) (*Result, error) {
 		if !se.svc.views.ConsistentUnder(snap, p.Rewrite.View) {
 			se.svc.views.NoteFallback()
 			se.stats.RewriteFallbacks++
-			base, err := se.svc.prepareOpt(p.Rewrite.Orig, false)
+			base, err := se.svc.prepare(p.Rewrite.Orig, false)
 			if err != nil {
 				return nil, err
 			}
@@ -340,42 +340,35 @@ func (se *Session) Execute(sql string, cfg *pmu.Config) (*Prepared, *Result, err
 
 // prepare is the service-side statement path: normalize → subsumption
 // rewrite → cache lookup (single-flight compile on miss) → argument
-// encoding.
-func (s *Service) prepare(sql string) (*Prepared, error) {
-	return s.prepareOpt(sql, true)
-}
-
-// prepareOpt is prepare with the rewrite hook gated: the run-time
-// consistency fallback re-prepares the *original* text with the
-// rewriter off, so a stale view can never bounce a statement back to
-// itself.
-func (s *Service) prepareOpt(sql string, allowRewrite bool) (*Prepared, error) {
+// encoding. The rewrite hook is gated: the run-time consistency fallback
+// re-prepares the *original* text with the rewriter off, so a stale view
+// can never bounce a statement back to itself.
+func (s *Service) prepare(sql string, allowRewrite bool) (*Prepared, error) {
 	t0 := time.Now()
 	fp, err := sqlparse.Normalize(sql)
 	if err != nil {
 		return nil, err
 	}
 	// Subsumption rewrite (internal/mview): with no views registered
-	// this is one atomic load. On a match the rewritten text replaces
-	// the statement and flows through the same normalize → cache →
-	// compile path, so every textual variant of a query family lands on
-	// ONE rewritten canonical form and ONE cached artifact. The view
-	// generation and catalog version are captured BEFORE the rewrite
-	// decision: a concurrent CreateView/DropView between the decision
-	// and the key read would otherwise cache a decision made under the
-	// old generation against the new generation's key, pinning it past
-	// the bump.
+	// this is one atomic load. On a match the rewritten statement's
+	// fingerprint replaces this one, so every textual variant of a query
+	// family lands on ONE canonical form and ONE cached artifact. The
+	// view generation is captured BEFORE the rewrite decision: a
+	// concurrent CreateView/DropView between the decision and the key
+	// read would otherwise cache a decision made under the old
+	// generation against the new generation's key, pinning it past the
+	// bump. The catalog version is read AFTER it: the rewriter's
+	// incremental refresh can grow the view table past its reserved
+	// capacity, which bumps the version, and the key must name the
+	// layout the artifact is compiled for.
 	viewGen := s.views.Generation()
-	catVer := s.cat.Version()
 	var rw *mview.Rewrite
 	if allowRewrite {
 		if r, ok := s.views.Rewrite(fp); ok {
-			if rfp, rerr := sqlparse.Normalize(r.SQL); rerr == nil {
-				rw = r
-				fp = rfp
-			}
+			rw, fp = r, r.Fingerprint
 		}
 	}
+	catVer := s.cat.Version()
 	key := qcache.Key{
 		Fingerprint: fp.Hash,
 		Canon:       fp.Canon,
@@ -386,10 +379,6 @@ func (s *Service) prepareOpt(sql string, allowRewrite bool) (*Prepared, error) {
 	}
 	comp := s.compiler()
 	cq, hit, err := s.cache.GetOrCompute(key, func() (*Compiled, error) {
-		q, err := sqlparse.Parse(fp.Canon)
-		if err != nil {
-			return nil, err
-		}
 		// Plan under the history-corrected estimator and let the cost
 		// model pick the physical knobs (bloom filters, partition count)
 		// for this statement. All of this happens inside the compute
@@ -398,7 +387,7 @@ func (s *Service) prepareOpt(sql string, allowRewrite bool) (*Prepared, error) {
 		// generations — Adapt bumps the generation when observed
 		// cardinalities shift materially, which changes the key and
 		// forces this compute to run again under the updated history.
-		pl, err := plan.PlanWith(s.cat, q, s.estimator())
+		pl, err := plan.PlanWith(s.cat, fp.Query, s.estimator())
 		if err != nil {
 			return nil, err
 		}

@@ -227,18 +227,12 @@ func (m *Manager) Create(name, defSQL string, policy RefreshPolicy) (*View, erro
 	if err != nil {
 		return nil, fmt.Errorf("mview: %w", err)
 	}
-	def, ok, err := Summarize(fp.Canon, fp.Args, m.cat)
-	if err != nil {
-		return nil, fmt.Errorf("mview: %w", err)
-	}
+	def, ok := Summarize(fp, m.cat)
 	if !ok {
 		return nil, fmt.Errorf("mview: definition is not a summarizable single-table aggregate: %s", defSQL)
 	}
 	if len(def.OrderBy) > 0 || def.Limit >= 0 {
 		return nil, fmt.Errorf("mview: view definitions cannot carry ORDER BY or LIMIT")
-	}
-	if len(def.Aggs) == 0 && len(def.Keys) == 0 {
-		return nil, fmt.Errorf("mview: view definition aggregates nothing")
 	}
 
 	m.mu.Lock()

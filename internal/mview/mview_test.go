@@ -53,10 +53,7 @@ func summarizeSQL(t *testing.T, c *catalog.Catalog, sql string) *Summary {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ok, err := Summarize(fp.Canon, fp.Args, c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, ok := Summarize(fp, c)
 	if !ok {
 		t.Fatalf("not summarizable: %s", sql)
 	}
@@ -103,7 +100,7 @@ func TestSummarizeRejectsOutsideFragment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok, _ := Summarize(fp.Canon, fp.Args, c); ok {
+		if _, ok := Summarize(fp, c); ok {
 			t.Fatalf("summarized but should not: %s", sql)
 		}
 	}

@@ -13,10 +13,11 @@ import (
 
 // The semantic rewriter: decide whether a normalized statement is
 // subsumed by a registered view and, if so, re-emit it as SQL text over
-// the view's partial-aggregate table. The rewritten text then flows
-// through the ordinary Normalize → plan → compile → cache stack, so
-// every textual variant of a dashboard query family converges onto ONE
-// rewritten canonical form and ONE cached artifact.
+// the view's partial-aggregate table. The rewritten text re-enters
+// Normalize once, here, and its fingerprint flows through the ordinary
+// cache → plan → compile stack, so every textual variant of a dashboard
+// query family converges onto ONE rewritten canonical form and ONE
+// cached artifact.
 //
 // Soundness ladder (every rung must hold before a rewrite is served):
 //
@@ -50,6 +51,8 @@ type Rewrite struct {
 	SQL  string // rewritten statement over the view table
 	View string // view name (for ConsistentUnder and attribution)
 	Base string // base table name
+
+	Fingerprint *sqlparse.Fingerprint // Normalize(SQL): what the engine caches and plans
 }
 
 // Rewrite tries to rewrite a normalized statement onto a registered
@@ -59,11 +62,8 @@ func (m *Manager) Rewrite(fp *sqlparse.Fingerprint) (*Rewrite, bool) {
 	if m.nviews.Load() == 0 {
 		return nil, false
 	}
-	qs, ok, err := Summarize(fp.Canon, fp.Args, m.cat)
-	if err != nil || !ok {
-		return nil, false
-	}
-	if len(qs.Aggs) == 0 && len(qs.Keys) == 0 {
+	qs, ok := Summarize(fp, m.cat)
+	if !ok {
 		return nil, false
 	}
 	if !qs.totalOrder() {
@@ -98,11 +98,12 @@ func (m *Manager) Rewrite(fp *sqlparse.Fingerprint) (*Rewrite, bool) {
 			}
 		}
 		sql := emit(qs, v, aggMap)
-		if !m.costGateOK(fp, v, sql) {
+		rfp, err := sqlparse.Normalize(sql)
+		if err != nil || !m.costGateOK(fp, v, rfp) {
 			continue
 		}
 		v.hits++
-		return &Rewrite{SQL: sql, View: v.Name, Base: v.def.Table}, true
+		return &Rewrite{SQL: sql, View: v.Name, Base: v.def.Table, Fingerprint: rfp}, true
 	}
 	return nil, false
 }
@@ -273,10 +274,10 @@ func (m *Manager) SetCostModel(f CostModel) {
 // version (DDL, over-capacity growth) or epoch (in-capacity appends,
 // refreshes) has advanced — a verdict computed on a tiny table must
 // not outlive the sizes it was priced on. Drop and SetCostModel clear
-// it too. The rewritten text must plan in any case — an emission the
-// planner rejects is never served. Without an installed model only
+// it too. The rewritten statement must plan in any case — an emission
+// the planner rejects is never served. Without an installed model only
 // that plannability check gates.
-func (m *Manager) costGateOK(fp *sqlparse.Fingerprint, v *View, rewritten string) bool {
+func (m *Manager) costGateOK(fp *sqlparse.Fingerprint, v *View, rfp *sqlparse.Fingerprint) bool {
 	if ver, ep := m.cat.Version(), m.cat.Epoch(); ver != m.costVer || ep != m.costEpoch {
 		m.costGate = map[[2]uint64]bool{}
 		m.costVer, m.costEpoch = ver, ep
@@ -286,38 +287,18 @@ func (m *Manager) costGateOK(fp *sqlparse.Fingerprint, v *View, rewritten string
 		return verdict
 	}
 	verdict := func() bool {
-		rfp, err := sqlparse.Normalize(rewritten)
+		viewPlan, err := plan.Plan(m.cat, rfp.Query)
 		if err != nil {
-			return false
-		}
-		viewPlan, ok := planCanon(m, rfp.Canon)
-		if !ok {
 			return false
 		}
 		if m.costFn == nil {
 			return true
 		}
-		basePlan, ok := planCanon(m, fp.Canon)
-		if !ok {
-			return false
-		}
-		return m.costFn(viewPlan) < m.costFn(basePlan)
+		basePlan, err := plan.Plan(m.cat, fp.Query)
+		return err == nil && m.costFn(viewPlan) < m.costFn(basePlan)
 	}()
 	m.costGate[key] = verdict
 	return verdict
-}
-
-// planCanon parses and plans a canonical text.
-func planCanon(m *Manager, canon string) (*plan.Output, bool) {
-	q, err := sqlparse.Parse(canon)
-	if err != nil {
-		return nil, false
-	}
-	pl, err := plan.Plan(m.cat, q)
-	if err != nil {
-		return nil, false
-	}
-	return pl, true
 }
 
 // AutoEnabled reports whether heat-based admission is on — the engine's
@@ -345,14 +326,9 @@ func (m *Manager) NoteHeat(fp *sqlparse.Fingerprint, histTouches uint64) {
 	if m.heat[fp.Hash]+histTouches < m.autoThreshold {
 		return
 	}
-	qs, ok, err := Summarize(fp.Canon, fp.Args, m.cat)
-	if err != nil || !ok || (len(qs.Aggs) == 0 && len(qs.Keys) == 0) {
-		delete(m.heat, fp.Hash) // never admittable; stop counting
-		return
-	}
-	defSQL, ok := generalize(qs)
+	qs, ok := Summarize(fp, m.cat)
 	if !ok {
-		delete(m.heat, fp.Hash)
+		delete(m.heat, fp.Hash) // never admittable; stop counting
 		return
 	}
 	name := fmt.Sprintf("auto_%x", fp.Hash)
@@ -364,7 +340,7 @@ func (m *Manager) NoteHeat(fp *sqlparse.Fingerprint, histTouches uint64) {
 	m.autoBudget--
 	delete(m.heat, fp.Hash)
 	m.mu.Unlock()
-	_, cerr := m.Create(name, defSQL, RefreshIncremental)
+	_, cerr := m.Create(name, generalize(qs), RefreshIncremental)
 	m.mu.Lock()
 	if cerr != nil {
 		m.autoBudget++
@@ -374,7 +350,7 @@ func (m *Manager) NoteHeat(fp *sqlparse.Fingerprint, histTouches uint64) {
 // generalize renders the admitted view definition for a hot statement:
 // group keys = the statement's keys plus its predicated columns (sorted
 // for determinism), no predicates, the statement's aggregates.
-func generalize(qs *Summary) (string, bool) {
+func generalize(qs *Summary) string {
 	keys := append([]string(nil), qs.Keys...)
 	var predCols []string
 	for c := range qs.Preds {
@@ -384,9 +360,6 @@ func generalize(qs *Summary) (string, bool) {
 	}
 	sort.Strings(predCols)
 	keys = append(keys, predCols...)
-	if len(keys) == 0 && len(qs.Aggs) == 0 {
-		return "", false
-	}
 	var b strings.Builder
 	b.WriteString("select ")
 	for i, k := range keys {
@@ -411,5 +384,5 @@ func generalize(qs *Summary) (string, bool) {
 		b.WriteString(" group by ")
 		b.WriteString(strings.Join(keys, ", "))
 	}
-	return b.String(), true
+	return b.String()
 }

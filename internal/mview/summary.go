@@ -160,44 +160,37 @@ func (s *Summary) totalOrder() bool {
 	return true
 }
 
-// Summarize digests a normalized statement (canonical text plus lifted
+// Summarize digests a normalized statement (canonical query plus lifted
 // literal values) against the catalog. ok=false means the statement is
-// outside the digest's fragment; err reports only lexical/parse errors
-// on text that should have been canonical.
-func Summarize(canon string, args []sqlparse.Literal, cat *catalog.Catalog) (*Summary, bool, error) {
-	q, err := sqlparse.Parse(canon)
-	if err != nil {
-		return nil, false, err
-	}
+// outside the digest's fragment.
+func Summarize(fp *sqlparse.Fingerprint, cat *catalog.Catalog) (*Summary, bool) {
+	q, args := fp.Query, fp.Args
 	if len(q.Tables) != 1 {
-		return nil, false, nil
+		return nil, false
 	}
-	if a := q.Tables[0].Alias; a != "" && a != q.Tables[0].Name {
+	alias := q.Tables[0].Name
+	if a := q.Tables[0].Alias; a != "" && a != alias {
 		// Aliased single tables are fine in principle, but the canonical
 		// re-emission drops quals; keep the fragment qual-free.
-		return nil, false, nil
+		return nil, false
 	}
-	t, err := cat.Table(q.Tables[0].Name)
+	t, err := cat.Table(alias)
 	if err != nil {
-		return nil, false, nil // unknown table: not ours to judge
-	}
-	alias := q.Tables[0].Alias
-	if alias == "" {
-		alias = q.Tables[0].Name
+		return nil, false // unknown table: not ours to judge
 	}
 	if q.NumParams > len(args) {
 		// Explicit $N placeholders without values: the rewriter needs
 		// concrete literals for interval math.
-		return nil, false, nil
+		return nil, false
 	}
 
-	s := &Summary{Table: q.Tables[0].Name, Preds: map[string]Interval{}, Limit: q.Limit}
+	s := &Summary{Table: alias, Preds: map[string]Interval{}, Limit: q.Limit}
 
 	// Predicates: top-level conjuncts of column-vs-literal comparisons.
-	for _, conj := range flattenConjuncts(q.Where) {
+	for _, conj := range plan.Flatten(plan.OpAnd, q.Where) {
 		col, iv, ok := conjunctInterval(conj, t, alias, args)
 		if !ok {
-			return nil, false, nil
+			return nil, false
 		}
 		if cur, exists := s.Preds[col]; exists {
 			s.Preds[col] = cur.intersect(iv)
@@ -210,7 +203,7 @@ func Summarize(canon string, args []sqlparse.Literal, cat *catalog.Catalog) (*Su
 	for _, ge := range q.GroupBy {
 		cr, ok := ge.(*plan.ColRef)
 		if !ok || !qualOK(cr, alias) || t.Col(cr.Name) == nil {
-			return nil, false, nil
+			return nil, false
 		}
 		s.Keys = append(s.Keys, cr.Name)
 	}
@@ -223,7 +216,7 @@ func Summarize(canon string, args []sqlparse.Literal, cat *catalog.Catalog) (*Su
 			hasAgg = true
 			term, ok := aggTerm(ag, t, alias, args)
 			if !ok {
-				return nil, false, nil
+				return nil, false
 			}
 			idx := s.aggIndex(term.Key)
 			if idx < 0 {
@@ -235,12 +228,12 @@ func Summarize(canon string, args []sqlparse.Literal, cat *catalog.Catalog) (*Su
 		}
 		cr, ok := it.Expr.(*plan.ColRef)
 		if !ok || !qualOK(cr, alias) || !s.hasKey(cr.Name) {
-			return nil, false, nil
+			return nil, false
 		}
 		s.Select = append(s.Select, SelItem{Kind: SelKey, Key: cr.Name, Alias: it.Alias})
 	}
 	if !hasAgg && len(s.Keys) == 0 {
-		return nil, false, nil // plain scan: a view of partials cannot answer it
+		return nil, false // plain scan: a view of partials cannot answer it
 	}
 
 	// ORDER BY: resolve to select ordinals exactly as the planner does.
@@ -259,30 +252,12 @@ func Summarize(canon string, args []sqlparse.Literal, cat *catalog.Catalog) (*Su
 			}
 		}
 		if idx < 0 {
-			return nil, false, nil
+			return nil, false
 		}
 		s.OrderBy = append(s.OrderBy, idx)
 		s.Desc = append(s.Desc, ob.Desc)
 	}
-	return s, true, nil
-}
-
-// flattenConjuncts splits nested AND trees into a conjunct list.
-func flattenConjuncts(conjs []plan.Expr) []plan.Expr {
-	var out []plan.Expr
-	var rec func(e plan.Expr)
-	rec = func(e plan.Expr) {
-		if b, ok := e.(*plan.Bin); ok && b.Op == plan.OpAnd {
-			rec(b.L)
-			rec(b.R)
-			return
-		}
-		out = append(out, e)
-	}
-	for _, c := range conjs {
-		rec(c)
-	}
-	return out
+	return s, true
 }
 
 // qualOK accepts an unqualified column or one qualified by the single
@@ -372,12 +347,9 @@ func litValue(e plan.Expr, args []sqlparse.Literal) (sqlparse.Literal, bool) {
 		}
 		return args[x.Idx], true
 	case *plan.Bin:
-		// Unary minus parses as (0 - e).
-		if x.Op == plan.OpSub {
-			if zc, ok := x.L.(*plan.Const); ok && zc.Val == 0 {
-				if v, ok := litValue(x.R, args); ok && v.Kind == sqlparse.LitNum {
-					return sqlparse.Literal{Kind: sqlparse.LitNum, Num: -v.Num}, true
-				}
+		if plan.IsNeg(x) {
+			if v, ok := litValue(x.R, args); ok && v.Kind == sqlparse.LitNum {
+				return sqlparse.Literal{Kind: sqlparse.LitNum, Num: -v.Num}, true
 			}
 		}
 	}

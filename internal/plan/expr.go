@@ -6,6 +6,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/catalog"
@@ -73,12 +74,14 @@ func (c *ColRef) String() string {
 // Const is an integer literal (dates are pre-encoded day numbers).
 type Const struct{ Val int64 }
 
-func (c *Const) String() string { return fmt.Sprintf("%d", c.Val) }
+func (c *Const) String() string { return strconv.FormatInt(c.Val, 10) }
 
 // StrConst is a string literal, resolved against a dictionary at binding.
 type StrConst struct{ S string }
 
-func (c *StrConst) String() string { return "'" + c.S + "'" }
+// String quotes the literal as SQL does, doubling embedded quotes: the
+// one quoting rule of EXPLAIN output, plan canons and statement text.
+func (c *StrConst) String() string { return "'" + strings.ReplaceAll(c.S, "'", "''") + "'" }
 
 // Param is a bound-parameter placeholder $N, produced by the parser for
 // explicit placeholders and by query normalization for lifted literals.
@@ -86,15 +89,15 @@ func (c *StrConst) String() string { return "'" + c.S + "'" }
 // dictionary of the column the parameter is compared with) in place, so
 // session-time argument encoding matches what a direct literal would have
 // compiled to. Because of that mutation, a Query containing Params must
-// not be planned concurrently — the cache's single-flight path parses a
-// fresh Query per compile, which satisfies this.
+// not be planned concurrently — sqlparse.Normalize returns a fresh Query
+// per call, planned only by its caller, which satisfies this.
 type Param struct {
 	Idx  int
 	Typ  catalog.Type  // encoding context, recorded at bind time
 	Dict *catalog.Dict // for TStr comparisons
 }
 
-func (p *Param) String() string { return fmt.Sprintf("$%d", p.Idx) }
+func (p *Param) String() string { return "$" + strconv.Itoa(p.Idx) }
 
 // Bin is a binary expression.
 type Bin struct {

@@ -283,7 +283,7 @@ func (p *planner) plan() (*Output, error) {
 	// 1. Classify WHERE conjuncts into per-table filters and join edges.
 	filters := map[string][]Expr{}
 	var edges []joinEdge
-	for _, conj := range flattenAnd(p.q.Where) {
+	for _, conj := range Flatten(OpAnd, p.q.Where) {
 		var refs []*ColRef
 		exprCols(conj, &refs)
 		seen := map[string]bool{}
@@ -409,19 +409,21 @@ func (p *planner) paramInfos() ([]ParamInfo, error) {
 	return infos, nil
 }
 
-func flattenAnd(conjs []Expr) []Expr {
+// Flatten splits nested chains of op (OpAnd, OpOr) into their operands,
+// left to right.
+func Flatten(op BinOp, es []Expr) []Expr {
 	var out []Expr
 	var rec func(e Expr)
 	rec = func(e Expr) {
-		if b, ok := e.(*Bin); ok && b.Op == OpAnd {
+		if b, ok := e.(*Bin); ok && b.Op == op {
 			rec(b.L)
 			rec(b.R)
 			return
 		}
 		out = append(out, e)
 	}
-	for _, c := range conjs {
-		rec(c)
+	for _, e := range es {
+		rec(e)
 	}
 	return out
 }

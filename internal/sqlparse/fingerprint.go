@@ -2,48 +2,29 @@ package sqlparse
 
 // Query fingerprinting: the front door of the compiled-query cache.
 //
-// Normalize lexes a statement and rewrites it into a canonical form in
-// which textually different but structurally identical queries collide:
-// keywords are upper-cased (the lexer already does this), identifiers are
-// folded to lower case, whitespace and comments disappear (the canonical
-// text is rebuilt from tokens), and literals are lifted out into bound
-// parameters written as $N placeholders. The literal values travel
-// alongside as Args, to be encoded and staged into the compiled
-// artifact's parameter region at execution time.
+// Normalize is parse → canonicalize the AST → print. Parse is the only
+// reader of statement text (and the only BETWEEN/IN desugar), the
+// canonical plan.Query the only form a statement has after it, and Canon
+// that query printed (plan.Query.SQL). Canonicalizing
 //
-// The lifting grammar, chosen to keep the canonical text plannable by the
-// existing planner (which matches GROUP BY and ORDER BY items against the
-// select list *textually*):
-//
-//   - numeric literals are lifted and deduplicated by value: every
-//     occurrence of the same number maps to the same $N, so an expression
-//     repeated across SELECT and GROUP BY keeps its textual identity;
-//   - string literals are lifted one parameter per occurrence: each
-//     occurrence takes its encoding (dictionary, date format) from the
-//     column it is compared with, and two occurrences of the same text
-//     may face different dictionaries;
-//   - nothing after the top-level ORDER or LIMIT keyword is lifted:
-//     ORDER BY ordinals ("ORDER BY 2") are positional, not values, and
-//     the parser requires LIMIT's argument to be a literal. (The engine's
-//     SQL subset has no subqueries, so ORDER/LIMIT can only introduce the
-//     statement tail.)
-//
-// Before lifting, two token-level canonicalization passes run (see
-// desugar.go): BETWEEN and IN predicates over simple column operands are
-// desugared into their comparison form (with IN-list items deduplicated),
-// and top-level WHERE conjuncts are sorted under a value-insensitive key,
-// so range syntax, IN spelling, and predicate order do not change the
-// fingerprint — the collisions the materialized-view rewriter (package
-// mview) relies on.
-//
-// A statement that already contains $N placeholders is passed through
-// verbatim (no lifting): it is somebody else's prepared form, and lifted
-// indices would collide with the explicit ones.
+//   - folds identifiers to lower case;
+//   - rebuilds AND/OR chains left-deep, drops repeated OR arms (IN lists
+//     with duplicate items) and stable-sorts the top-level WHERE conjuncts
+//     under a value-insensitive key, so range syntax, IN spelling,
+//     predicate order and redundant parentheses do not change the
+//     fingerprint — the collisions package mview relies on;
+//   - lifts literals into $N parameters in print order, values alongside
+//     as Args: numbers deduplicated by value (the planner matches GROUP BY
+//     against SELECT textually), strings one per occurrence (each is
+//     encoded by the column it faces), nothing in ORDER BY or LIMIT, and
+//     nothing in a statement that already carries $N.
 
 import (
 	"hash/fnv"
-	"strconv"
+	"sort"
 	"strings"
+
+	"repro/internal/plan"
 )
 
 // LitKind distinguishes lifted literal kinds.
@@ -66,89 +47,144 @@ type Literal struct {
 
 // Fingerprint is the normalized identity of a statement.
 type Fingerprint struct {
-	// Canon is the canonical parameterized text ($N placeholders); it
-	// reparses through Parse into a plan with NumParams parameters.
+	// Canon is the canonical parameterized text ($N placeholders):
+	// Query printed. Parse(Canon) rebuilds Query node for node.
 	Canon string
 	// Hash is the 64-bit FNV-1a hash of Canon.
 	Hash uint64
 	// Args holds the lifted literal values, indexed by parameter.
 	Args []Literal
+	// Query is the canonical statement, fresh per Normalize call and
+	// single-goroutine: planning records each parameter's encoding
+	// context in its plan.Param node in place, so only the caller plans
+	// it — in the service, inside its own single-flight compile closure.
+	Query *plan.Query
 }
 
-// Normalize computes a statement's fingerprint. The only errors are
-// lexical (the same ones Parse would report).
+// Normalize computes a statement's fingerprint; its errors are Parse's.
 func Normalize(src string) (*Fingerprint, error) {
-	toks, err := lex(src)
+	q, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	// Canonicalization pre-passes (desugar.go): BETWEEN/IN to comparison
-	// form, then top-level WHERE conjuncts into a value-insensitive sort
-	// order, both BEFORE lifting so parameter indices follow the sorted
-	// canonical text.
-	toks = desugarTokens(toks)
-	toks = sortWhereConjuncts(toks)
-
-	// Pre-scan: explicit $N placeholders disable lifting entirely.
-	lift := true
-	for _, t := range toks {
-		if t.kind == tkParam {
-			lift = false
-			break
-		}
+	fp := &Fingerprint{Query: q}
+	fold(q)
+	for i, c := range q.Where {
+		q.Where[i] = canonBool(c, true)
 	}
-
-	fp := &Fingerprint{}
-	numIdx := map[int64]int{} // value → parameter index (numeric dedup)
-	var parts []string
-	tail := false // inside the ORDER BY / LIMIT tail
-	for _, t := range toks {
-		switch t.kind {
-		case tkEOF:
-			// done below
-		case tkKeyword:
-			if t.text == "ORDER" || t.text == "LIMIT" {
-				tail = true
-			}
-			parts = append(parts, t.text)
-		case tkIdent:
-			parts = append(parts, strings.ToLower(t.text))
-		case tkParam:
-			parts = append(parts, "$"+t.text)
-		case tkNumber:
-			if !lift || tail {
-				parts = append(parts, t.text)
-				break
-			}
-			v, err := strconv.ParseInt(t.text, 10, 64)
-			if err != nil {
-				return nil, err
-			}
-			idx, ok := numIdx[v]
-			if !ok {
-				idx = len(fp.Args)
-				numIdx[v] = idx
-				fp.Args = append(fp.Args, Literal{Kind: LitNum, Num: v})
-			}
-			parts = append(parts, "$"+strconv.Itoa(idx))
-		case tkString:
-			if !lift || tail {
-				parts = append(parts, quoteSQL(t.text))
-				break
-			}
-			idx := len(fp.Args)
-			fp.Args = append(fp.Args, Literal{Kind: LitStr, Str: t.text})
-			parts = append(parts, "$"+strconv.Itoa(idx))
-		case tkSymbol:
-			if t.text == ";" {
-				break // statement separators are not identity
-			}
-			parts = append(parts, t.text)
-		}
+	if q.NumParams == 0 {
+		fp.lift(q)
 	}
-	fp.Canon = strings.Join(parts, " ")
+	fp.Canon = q.SQL()
 	fp.Hash = Hash64(fp.Canon)
 	return fp, nil
+}
+
+// fold lower-cases every identifier of q.
+func fold(q *plan.Query) {
+	for i := range q.Tables {
+		t := &q.Tables[i]
+		t.Name, t.Alias = strings.ToLower(t.Name), strings.ToLower(t.Alias)
+	}
+	for i := range q.Select {
+		q.Select[i].Alias = strings.ToLower(q.Select[i].Alias)
+	}
+	eachLeaf(q, true, func(e plan.Expr) plan.Expr {
+		if c, ok := e.(*plan.ColRef); ok {
+			c.Qual, c.Name = strings.ToLower(c.Qual), strings.ToLower(c.Name)
+		}
+		return e
+	})
+}
+
+// canonBool puts a boolean expression in canonical shape: AND/OR chains
+// left-deep, OR chains without repeated arms and, at the top of WHERE,
+// the AND chain stable-sorted by plan.SortKey (conjunction commutes, and
+// equal keys mean equal masked text, so input order may break ties).
+func canonBool(e plan.Expr, top bool) plan.Expr {
+	b, ok := e.(*plan.Bin)
+	if !ok || b.Op != plan.OpAnd && b.Op != plan.OpOr {
+		return e
+	}
+	var arms []plan.Expr
+	seen := map[string]bool{}
+	for _, a := range plan.Flatten(b.Op, []plan.Expr{e}) {
+		a = canonBool(a, false)
+		if b.Op == plan.OpOr {
+			k := a.String()
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+		}
+		arms = append(arms, a)
+	}
+	if top && b.Op == plan.OpAnd {
+		sort.SliceStable(arms, func(i, j int) bool { return plan.SortKey(arms[i]) < plan.SortKey(arms[j]) })
+	}
+	e = arms[0]
+	for _, a := range arms[1:] {
+		e = &plan.Bin{Op: b.Op, L: e, R: a}
+	}
+	return e
+}
+
+// lift replaces q's literals by parameters and records their values.
+func (fp *Fingerprint) lift(q *plan.Query) {
+	eachLeaf(q, false, func(e plan.Expr) plan.Expr {
+		var lit Literal
+		switch x := e.(type) {
+		case *plan.Const:
+			lit = Literal{Kind: LitNum, Num: x.Val}
+			for i, a := range fp.Args {
+				if a == lit {
+					return &plan.Param{Idx: i}
+				}
+			}
+		case *plan.StrConst:
+			lit = Literal{Kind: LitStr, Str: x.S}
+		default:
+			return e
+		}
+		fp.Args = append(fp.Args, lit)
+		return &plan.Param{Idx: len(fp.Args) - 1}
+	})
+	q.NumParams = len(fp.Args)
+}
+
+// eachLeaf replaces every leaf of q's expressions by f(leaf), in print
+// order; ORDER BY items only with tail. The zero of a unary minus
+// (plan.IsNeg) is spelling, not a leaf.
+func eachLeaf(q *plan.Query, tail bool, f func(plan.Expr) plan.Expr) {
+	var rec func(e plan.Expr) plan.Expr
+	rec = func(e plan.Expr) plan.Expr {
+		switch x := e.(type) {
+		case *plan.Bin:
+			if !plan.IsNeg(x) {
+				x.L = rec(x.L)
+			}
+			x.R = rec(x.R)
+		case *plan.Agg:
+			if x.Arg != nil {
+				x.Arg = rec(x.Arg)
+			}
+		default:
+			return f(e)
+		}
+		return e
+	}
+	for i := range q.Select {
+		q.Select[i].Expr = rec(q.Select[i].Expr)
+	}
+	for i := range q.Where {
+		q.Where[i] = rec(q.Where[i])
+	}
+	for i := range q.GroupBy {
+		q.GroupBy[i] = rec(q.GroupBy[i])
+	}
+	for i := 0; tail && i < len(q.OrderBy); i++ {
+		q.OrderBy[i].Expr = rec(q.OrderBy[i].Expr)
+	}
 }
 
 // Hash64 is the 64-bit FNV-1a hash of a canonical text. Normalize uses
@@ -159,9 +195,4 @@ func Hash64(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
 	return h.Sum64()
-}
-
-// quoteSQL re-quotes a string literal kept in the canonical text.
-func quoteSQL(s string) string {
-	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
 }

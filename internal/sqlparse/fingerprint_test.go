@@ -1,7 +1,7 @@
 package sqlparse
 
 import (
-	"strings"
+	"reflect"
 	"testing"
 )
 
@@ -189,52 +189,46 @@ func TestBetweenCollidesWithPairedComparisons(t *testing.T) {
 	}
 }
 
-// TestBetweenCompoundOperandBacksOff: the token-level desugar fires
-// only when the trailing column run is the WHOLE left operand. With a
-// compound operand (`a + b BETWEEN lo AND hi`) the naive rewrite would
-// bind the range to `b` alone and silently change the predicate, so
-// the pass must leave the statement for the parser's AST-level
-// desugar — and the conjunct sorter must keep the BETWEEN's own AND
-// attached instead of splitting (and then reordering) on it.
-func TestBetweenCompoundOperandBacksOff(t *testing.T) {
-	cases := []string{
-		"select count(*) from lineitem where l_quantity + l_tax between 2 and 3",
-		"select count(*) from lineitem where l_quantity + 1 between 5 and 20",
-		"select count(*) from lineitem where l_quantity + l_tax between 2 and 3 and l_tax = 1",
+// TestBetweenCompoundOperandCollides: a range or list over a compound
+// left operand (`a + b BETWEEN lo AND hi`) binds to the WHOLE operand —
+// it shares a fingerprint with its hand-written desugaring and not with
+// the one that binds the range to the trailing column alone (PR 10's
+// silent wrong-rows bug). TestFrontEndLaws (package engine) checks the
+// rows of the same statements against the reference executor.
+func TestBetweenCompoundOperandCollides(t *testing.T) {
+	same := [][2]string{
+		{"select count(*) from lineitem where l_quantity + l_tax between 2 and 3",
+			"select count(*) from lineitem where l_quantity + l_tax >= 2 and l_quantity + l_tax <= 3"},
+		{"select count(*) from lineitem where l_quantity + 1 between 5 and 20",
+			"select count(*) from lineitem where l_quantity + 1 >= 5 and l_quantity + 1 <= 20"},
+		{"select count(*) from lineitem where l_quantity + l_tax between 2 and 3 and l_tax = 1",
+			"select count(*) from lineitem where l_tax = 1 and l_quantity + l_tax <= 3 and l_quantity + l_tax >= 2"},
+		{"select count(*) from lineitem where l_quantity + l_tax in (2, 3)",
+			"select count(*) from lineitem where l_quantity + l_tax = 2 or l_quantity + l_tax = 3"},
+		{"select count(*) from lineitem where (l_quantity between 5 and 20)",
+			"select count(*) from lineitem where (l_quantity >= 5 and l_quantity <= 20)"},
 	}
-	for _, sql := range cases {
-		fp := norm(t, sql)
-		if !strings.Contains(fp.Canon, "BETWEEN") {
-			t.Errorf("compound-operand BETWEEN was token-desugared:\n  %q -> %q", sql, fp.Canon)
-			continue
+	for _, c := range same {
+		a, b := norm(t, c[0]), norm(t, c[1])
+		if a.Canon != b.Canon || !reflect.DeepEqual(a.Args, b.Args) {
+			t.Errorf("spellings do not collide:\n  %q -> %q %v\n  %q -> %q %v", c[0], a.Canon, a.Args, c[1], b.Canon, b.Args)
 		}
-		if _, err := Parse(fp.Canon); err != nil {
-			t.Errorf("canon of %q does not parse: %v\n  canon %q", sql, err, fp.Canon)
+	}
+	diff := [][2]string{
+		{"select count(*) from lineitem where l_quantity + l_tax between 2 and 3",
+			"select count(*) from lineitem where l_quantity + l_tax >= 2 and l_tax <= 3"},
+		{"select count(*) from lineitem where l_quantity + l_tax in (2, 3)",
+			"select count(*) from lineitem where l_quantity + l_tax = 2 or l_tax = 3"},
+	}
+	for _, c := range diff {
+		if a, b := norm(t, c[0]), norm(t, c[1]); a.Canon == b.Canon {
+			t.Errorf("compound operand collided with its mis-bound desugaring: %q", a.Canon)
 		}
-	}
-	// The compound spelling must NOT collide with the single-column one
-	// the broken rewrite would have produced.
-	a := norm(t, "select count(*) from lineitem where l_quantity + l_tax between 2 and 3")
-	b := norm(t, "select count(*) from lineitem where l_quantity + l_tax >= 2 and l_tax <= 3")
-	if a.Canon == b.Canon {
-		t.Fatalf("compound BETWEEN collided with mis-bound comparison pair: %q", a.Canon)
-	}
-	// Same back-off for IN: `a + b IN (...)` keeps its IN.
-	c := norm(t, "select count(*) from lineitem where l_quantity + l_tax in (2, 3)")
-	if !strings.Contains(c.Canon, " IN ") {
-		t.Fatalf("compound-operand IN was token-desugared: %q", c.Canon)
-	}
-	// A parenthesized simple operand is still a clause boundary, so the
-	// desugar fires there and collides with the paired-comparison form.
-	d := norm(t, "select count(*) from lineitem where (l_quantity between 5 and 20)")
-	e := norm(t, "select count(*) from lineitem where (l_quantity >= 5 and l_quantity <= 20)")
-	if d.Canon != e.Canon {
-		t.Fatalf("parenthesized BETWEEN did not desugar:\n  %q\n  %q", d.Canon, e.Canon)
 	}
 }
 
-// TestBetweenParses: the parser's own desugaring — BETWEEN statements
-// must parse even when Normalize left them alone.
+// TestBetweenParses: BETWEEN over a compound operand parses (the parser
+// holds the only desugar).
 func TestBetweenParses(t *testing.T) {
 	q, err := Parse("select count(*) from lineitem where l_quantity + 1 between 5 and 20")
 	if err != nil {
@@ -275,8 +269,7 @@ func TestInListDedupAndCollision(t *testing.T) {
 	}
 }
 
-// TestInParses: parser-level IN desugaring for operands Normalize's
-// token pass does not touch.
+// TestInParses: IN over a compound operand parses.
 func TestInParses(t *testing.T) {
 	q, err := Parse("select count(*) from lineitem where l_quantity % 10 in (1, 2)")
 	if err != nil {
@@ -315,9 +308,9 @@ func TestPredicateOrderInsensitive(t *testing.T) {
 	}
 }
 
-// TestPredicateOrderBacksOffUnderOr: a top-level OR makes AND-splitting
-// unsound; the sort pass must leave the clause alone (both spellings
-// still normalize and parse, they just need not collide).
+// TestPredicateOrderBacksOffUnderOr: under a top-level OR there is no
+// top-level conjunction to sort (both spellings still normalize and
+// parse, they just need not collide).
 func TestPredicateOrderBacksOffUnderOr(t *testing.T) {
 	fp := norm(t, "select count(*) from lineitem where l_quantity < 24 and l_tax > 2 or l_returnflag = 'R'")
 	if _, err := Parse(fp.Canon); err != nil {

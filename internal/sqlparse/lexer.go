@@ -37,10 +37,9 @@ type token struct {
 	pos  int
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"ORDER": true, "LIMIT": true, "AND": true, "OR": true, "AS": true,
-	"ASC": true, "DESC": true, "NOT": true, "BETWEEN": true, "IN": true,
+var keywords = []string{
+	"SELECT", "FROM", "WHERE", "GROUP", "BY", "ORDER", "LIMIT", "AND",
+	"OR", "AS", "ASC", "DESC", "NOT", "BETWEEN", "IN",
 }
 
 type lexer struct {
@@ -50,7 +49,7 @@ type lexer struct {
 }
 
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	l := &lexer{src: src, toks: make([]token, 0, len(src)/4+4)}
 	for {
 		l.skipSpace()
 		if l.pos >= len(l.src) {
@@ -60,7 +59,7 @@ func lex(src string) ([]token, error) {
 		start := l.pos
 		c := l.src[l.pos]
 		switch {
-		case isIdentStart(rune(c)):
+		case isIdentStart(c):
 			l.lexIdent(start)
 		case c >= '0' && c <= '9':
 			l.lexNumber(start)
@@ -96,19 +95,23 @@ func (l *lexer) skipSpace() {
 	}
 }
 
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
+// isIdentStart admits ASCII letters only: the lexer walks bytes, and a
+// byte above 0x7f is not a rune — folding one to lower case would print
+// a canon that no longer lexes.
+func isIdentStart(c byte) bool {
+	return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
 }
 
 func (l *lexer) lexIdent(start int) {
-	for l.pos < len(l.src) && (isIdentStart(rune(l.src[l.pos])) || l.src[l.pos] >= '0' && l.src[l.pos] <= '9') {
+	for l.pos < len(l.src) && (isIdentStart(l.src[l.pos]) || l.src[l.pos] >= '0' && l.src[l.pos] <= '9') {
 		l.pos++
 	}
 	text := l.src[start:l.pos]
-	up := strings.ToUpper(text)
-	if keywords[up] {
-		l.toks = append(l.toks, token{kind: tkKeyword, text: up, pos: start})
-		return
+	for _, kw := range keywords { // no allocation: every warm prepare lexes
+		if strings.EqualFold(kw, text) {
+			l.toks = append(l.toks, token{kind: tkKeyword, text: kw, pos: start})
+			return
+		}
 	}
 	l.toks = append(l.toks, token{kind: tkIdent, text: text, pos: start})
 }
@@ -166,7 +169,7 @@ func (l *lexer) lexSymbol(start int) error {
 	}
 	switch c := l.src[l.pos]; c {
 	case '(', ')', ',', '.', '*', '+', '-', '/', '%', '=', '<', '>', ';':
-		l.toks = append(l.toks, token{kind: tkSymbol, text: string(c), pos: start})
+		l.toks = append(l.toks, token{kind: tkSymbol, text: l.src[l.pos : l.pos+1], pos: start})
 		l.pos++
 		return nil
 	default:

@@ -9,6 +9,7 @@ import (
 )
 
 // Parse turns a SQL statement into a plan.Query ready for the optimizer.
+// It is the only reader of statement text; Normalize canonicalizes its AST.
 func Parse(src string) (*plan.Query, error) {
 	toks, err := lex(src)
 	if err != nil {
@@ -242,9 +243,9 @@ func (p *parser) parseCmp() (plan.Expr, error) {
 			return &plan.Bin{Op: op, L: l, R: r}, nil
 		}
 	}
-	// BETWEEN and IN desugar at parse time into the comparison form the
-	// planner handles (Normalize performs the same rewrite token-level so
-	// the spellings share a fingerprint, but raw statements parse too).
+	// BETWEEN and IN desugar here, and only here, into the comparison
+	// form the planner handles: a range becomes a >=/<= pair, a list an
+	// OR-chain of equalities, over clones of the left operand.
 	if p.accept(tkKeyword, "BETWEEN") {
 		lo, err := p.parseAdd()
 		if err != nil {

@@ -85,7 +85,14 @@ func (a *irAnnotator) BlockHeader(b *ir.Block) string {
 	for id, w := range byOp {
 		list = append(list, kv{id, w})
 	}
-	sort.Slice(list, func(i, j int) bool { return list[i].w > list[j].w })
+	// Ties break on component ID: the list comes out of a map, and the
+	// rendering must not depend on its iteration order.
+	sort.Slice(list, func(i, j int) bool {
+		if list[i].w != list[j].w {
+			return list[i].w > list[j].w
+		}
+		return list[i].id < list[j].id
+	})
 	parts := make([]string, len(list))
 	for i, e := range list {
 		parts[i] = fmt.Sprintf("%s %.1f%%", a.p.Registry.Name(e.id), 100*e.w/float64(a.p.TotalSamples))

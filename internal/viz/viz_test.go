@@ -14,7 +14,12 @@ import (
 // profiled compiles and runs a workload with sampling.
 func profiled(t *testing.T, name string, ev vm.Event) (*engine.Compiled, *engine.Result) {
 	t.Helper()
-	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.2, Seed: 11})
+	return profiledAt(t, 11, name, &pmu.Config{Event: ev, Period: 499, Format: pmu.FormatIPTimeRegs})
+}
+
+func profiledAt(t *testing.T, seed uint64, name string, cfg *pmu.Config) (*engine.Compiled, *engine.Result) {
+	t.Helper()
+	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.2, Seed: seed})
 	eng := engine.New(cat, engine.DefaultOptions())
 	w, ok := queries.ByName(name)
 	if !ok {
@@ -24,7 +29,7 @@ func profiled(t *testing.T, name string, ev vm.Event) (*engine.Compiled, *engine
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run(cq, &pmu.Config{Event: ev, Period: 499, Format: pmu.FormatIPTimeRegs})
+	res, err := eng.Run(cq, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +74,27 @@ func TestAnnotatedIRRendersSuffixes(t *testing.T) {
 	}
 	if !strings.Contains(out, "loopHashChain") {
 		t.Fatalf("block names missing:\n%s", out)
+	}
+}
+
+// TestAnnotatedIRReproducible: block headers list operators by weight,
+// and under sparse sampling operators tie exactly (q13 at seed 104 is
+// where the benchmark saw the listing change run to run); 20 renders of
+// one profile must be byte-equal.
+func TestAnnotatedIRReproducible(t *testing.T) {
+	cq, res := profiledAt(t, 104, "q13", &pmu.Config{Event: vm.EvCycles, Period: 5000, Format: pmu.FormatIPTimeRegs})
+	render := func() string {
+		var sb strings.Builder
+		for _, f := range cq.Pipe.Module.Funcs {
+			sb.WriteString(AnnotatedIR(f, cq.Pipe, res.Profile))
+		}
+		return sb.String()
+	}
+	first := render()
+	for i := 1; i < 20; i++ {
+		if again := render(); again != first {
+			t.Fatalf("render %d differs from the first", i)
+		}
 	}
 }
 
