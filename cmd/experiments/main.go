@@ -41,87 +41,47 @@ func main() {
 	sf := flag.Float64("sf", 0.2, "data scale factor (1.0 ≈ TPC-H SF 0.01)")
 	seed := flag.Uint64("seed", 42, "data generator seed")
 	root := flag.String("root", ".", "repository root (for -exp loc)")
-	out := flag.String("out", "", "write the ce report as JSON to this file")
+	out := flag.String("out", "", "write the ce, shard, ingest or mview report as JSON to this file")
 	normalize := flag.Bool("normalize", false, "zero host-time fields in the ingest report before writing (golden form)")
 	flag.Parse()
 
 	env := experiments.NewEnv(*sf, *seed)
 
+	// report is what -out writes: the runners that produce a BENCH_*.json.
+	type report interface{ JSON() ([]byte, error) }
 	type runner struct {
 		name string
-		run  func() (string, error)
+		run  func() (string, report, error)
+	}
+	text := func(f func() (string, error)) func() (string, report, error) {
+		return func() (string, report, error) { s, err := f(); return s, nil, err }
 	}
 	runners := []runner{
-		{"listing1", env.Listing1},
-		{"plan_costs", env.PlanCosts},
-		{"activity", env.Activity},
-		{"optimizer", env.Optimizer},
-		{"memory", env.Memory},
-		{"analyze", env.ExplainAnalyze},
-		{"overhead", func() (string, error) { s, _, err := env.Overhead(); return s, err }},
-		{"regreserve", func() (string, error) { s, _, err := env.RegReserve(); return s, err }},
-		{"attribution", func() (string, error) { s, _, err := env.Attribution(); return s, err }},
-		{"accuracy", func() (string, error) { s, _, err := env.Accuracy(); return s, err }},
-		{"table1", func() (string, error) { s, _, err := env.Table1(); return s, err }},
-		{"parallel", env.Parallel},
-		{"merge", func() (string, error) { s, _, err := env.Merge(); return s, err }},
-		{"pgo", func() (string, error) { s, _, err := env.PGO(); return s, err }},
-		{"ce", func() (string, error) {
-			s, rep, err := env.CE()
-			if err == nil && *out != "" {
-				b, jerr := rep.JSON()
-				if jerr == nil {
-					jerr = os.WriteFile(*out, b, 0o644)
-				}
-				if jerr != nil {
-					return s, jerr
-				}
-			}
-			return s, err
-		}},
-		{"shard", func() (string, error) {
-			s, rep, err := env.Shard()
-			if err == nil && *out != "" {
-				b, jerr := rep.JSON()
-				if jerr == nil {
-					jerr = os.WriteFile(*out, b, 0o644)
-				}
-				if jerr != nil {
-					return s, jerr
-				}
-			}
-			return s, err
-		}},
-		{"ingest", func() (string, error) {
+		{"listing1", text(env.Listing1)},
+		{"plan_costs", text(env.PlanCosts)},
+		{"activity", text(env.Activity)},
+		{"optimizer", text(env.Optimizer)},
+		{"memory", text(env.Memory)},
+		{"analyze", text(env.ExplainAnalyze)},
+		{"overhead", func() (string, report, error) { s, _, err := env.Overhead(); return s, nil, err }},
+		{"regreserve", func() (string, report, error) { s, _, err := env.RegReserve(); return s, nil, err }},
+		{"attribution", func() (string, report, error) { s, _, err := env.Attribution(); return s, nil, err }},
+		{"accuracy", func() (string, report, error) { s, _, err := env.Accuracy(); return s, nil, err }},
+		{"table1", func() (string, report, error) { s, _, err := env.Table1(); return s, nil, err }},
+		{"parallel", text(env.Parallel)},
+		{"merge", func() (string, report, error) { s, _, err := env.Merge(); return s, nil, err }},
+		{"pgo", func() (string, report, error) { s, _, err := env.PGO(); return s, nil, err }},
+		{"ce", func() (string, report, error) { return env.CE() }},
+		{"shard", func() (string, report, error) { return env.Shard() }},
+		{"ingest", func() (string, report, error) {
 			s, rep, err := env.Ingest()
-			if err == nil && *out != "" {
-				if *normalize {
-					rep.Normalize()
-				}
-				b, jerr := rep.JSON()
-				if jerr == nil {
-					jerr = os.WriteFile(*out, b, 0o644)
-				}
-				if jerr != nil {
-					return s, jerr
-				}
+			if err == nil && *normalize {
+				rep.Normalize()
 			}
-			return s, err
+			return s, rep, err
 		}},
-		{"mview", func() (string, error) {
-			s, rep, err := env.MView()
-			if err == nil && *out != "" {
-				b, jerr := rep.JSON()
-				if jerr == nil {
-					jerr = os.WriteFile(*out, b, 0o644)
-				}
-				if jerr != nil {
-					return s, jerr
-				}
-			}
-			return s, err
-		}},
-		{"loc", func() (string, error) { return experiments.LoC(*root) }},
+		{"mview", func() (string, report, error) { return env.MView() }},
+		{"loc", func() (string, report, error) { s, err := experiments.LoC(*root); return s, nil, err }},
 	}
 
 	ran := false
@@ -130,12 +90,18 @@ func main() {
 			continue
 		}
 		ran = true
-		out, err := r.run()
+		s, rep, err := r.run()
+		if err == nil && rep != nil && *out != "" {
+			var b []byte
+			if b, err = rep.JSON(); err == nil {
+				err = os.WriteFile(*out, b, 0o644)
+			}
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", r.name, err)
 			os.Exit(1)
 		}
-		fmt.Println(out)
+		fmt.Println(s)
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)

@@ -49,7 +49,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -453,7 +452,7 @@ func refCheck(p *engine.Prepared, rows [][]int64) error {
 	if err != nil {
 		return fmt.Errorf("reference executor: %w", err)
 	}
-	if !equalRows(rows, want, len(p.Compiled.Plan.OrderBy) > 0) {
+	if !ref.SameRows(rows, want, len(p.Compiled.Plan.OrderBy) > 0) {
 		return fmt.Errorf("VERIFICATION FAILED: compiled result differs from reference")
 	}
 	return nil
@@ -595,26 +594,4 @@ func oneLine(sql string) string {
 		s = s[:57] + "..."
 	}
 	return s
-}
-
-func equalRows(a, b [][]int64, ordered bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as := make([]string, len(a))
-	bs := make([]string, len(b))
-	for i := range a {
-		as[i] = fmt.Sprint(a[i])
-		bs[i] = fmt.Sprint(b[i])
-	}
-	if !ordered {
-		sort.Strings(as)
-		sort.Strings(bs)
-	}
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,309 +1,272 @@
 // Command tprofvet is the static verification driver for the Tailored
-// Profiling toolchain. It has two modes:
+// Profiling toolchain:
 //
-//	tprofvet check [-sf 0.05] [-workers 1,4] [-tv] [-absint] [-mutants] [-json] [-pgo] [-cache] [-merge] [-cost] [-shard] [-epoch] [-views] [-q name]
+//	tprofvet check [-sf 0.05] [-seed 42] [-workers 1,4] [-q name] [-json] [-<mode>]
 //	tprofvet lint [-json] [root]
 //
-// check compiles the full query corpus with Engine.VerifyArtifacts on,
-// so the cross-level suite (internal/verify) runs over every artifact:
-// after pipeline construction, after every optimizer pass, and after
-// native emit. With -pgo it additionally runs one adaptive cycle per
-// query, verifying the profile-guided recompilation's artifacts the same
-// way. With -cache it drives the SQL workload suite through the query
-// service instead: every artifact is verified once at cache-insert time,
-// and the cold compile, the cache hit, and every worker count must all
-// produce rows identical to the interpreted reference executor. With
-// -merge it verifies the partitioned parallel merge: the static
-// MergeInvariants battery (kernel lineage tags, bloom bounds, partition
-// slot-range disjointness) plus exact-row determinism against the serial
-// oracle and PMU attribution of the generated merge kernels. With -cost
-// it verifies the cost layer over the SQL suite: every plan node must
-// carry a consistent cardinality/cycle estimate (cost.CheckModel), and a
-// counter-instrumented run of every plan must yield true row counts that
-// all map to live Tagging Dictionary tags (cost.CheckObserved). With
-// -shard it verifies sharded execution: every workload runs profiled at
-// Shards ∈ {1,2,4,8} for every worker count with pruning on; rows and the
-// canonical profile must be identical across the whole grid, and each
-// run's per-shard lineage journals must replay cleanly against the
-// table's row counts and the profile's skip events (verify.CheckShards:
-// shards tile the table, no zone tag collisions, every pruned zone has
-// exactly one matching skip event). With -epoch it verifies
-// epoch-versioned storage: the SQL suite runs through one service while a
-// scripted ingest stream appends to the fact tables between workloads;
-// the catalog's append journal must replay cleanly against the per-epoch
-// snapshots (verify.CheckEpochs) and every warm re-prepare must hit the
-// cold artifact — appends cause zero recompiles and zero evictions. With
-// -views it verifies materialized views end to end: a probe family of
-// aggregate statements must rewrite onto registered views and return rows
-// byte-identical to the un-rewritten base execution, across scripted
-// appends and incremental refreshes with zero run-time fallbacks; the
-// refresh ledger must then replay byte-exactly against the base tables
-// (verify.CheckViews), and statements matching no view must carry no
-// rewrite.
-//
-// -tv reports translation-validation coverage: the per-pass validator
-// (internal/verify/tv) must have checked at least one optimizer pass
-// application per compile. -absint runs the abstract interpreter
-// (internal/verify/absint) over the emitted native code and reports how
-// many memory accesses it proved in-bounds and aligned; any definite
-// violation fails the check. -mutants runs the miscompilation-mutant
-// harness (internal/verify/mutate) over the corpus and enforces the 95%
-// catch-rate gate. -json switches the default check mode and lint mode to
-// machine-readable JSON on stdout.
-//
-// lint type-checks the repository and applies the source rules (no
-// math/rand outside internal/xrand, no fmt.Sprintf on the compile hot
-// path, no mutex-by-value, no time.Now in the VM/PMU, no panic outside
-// the bug/bugf helpers, no dropped errors on engine/service paths, and
-// the concurrency rules: lock ordering, WaitGroup.Add placement,
-// channel-close discipline, no mixed atomic/plain field access).
+// check runs one row of the checks table below over its workload suite;
+// `tprofvet check -h` describes every mode, and DESIGN.md §9 says how to add
+// one. lint type-checks the repository and applies the source rules of
+// verify.Lint.
 //
 // Exit status: 0 clean, 1 diagnostics or failures, 2 usage error.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
+	"path/filepath"
 	"strconv"
 	"strings"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/datagen"
-	"repro/internal/engine"
-	"repro/internal/mview"
-	"repro/internal/pipeline"
 	"repro/internal/plan"
-	"repro/internal/pmu"
-	"repro/internal/queries"
-	"repro/internal/ref"
-	"repro/internal/sqlparse"
 	"repro/internal/verify"
-	"repro/internal/verify/absint"
-	"repro/internal/verify/mutate"
-	"repro/internal/verify/tv"
-	"repro/internal/vm"
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	if len(os.Args) >= 2 {
+		switch os.Args[1] {
+		case "check":
+			os.Exit(runCheck(checks, os.Args[2:], os.Stdout, os.Stderr))
+		case "lint":
+			os.Exit(runLint(os.Args[2:], os.Stdout, os.Stderr))
+		}
 	}
-	switch os.Args[1] {
-	case "check":
-		os.Exit(runCheck(os.Args[2:]))
-	case "lint":
-		os.Exit(runLint(os.Args[2:]))
-	default:
-		usage()
-	}
-}
-
-func usage() {
 	fmt.Fprintln(os.Stderr, "usage: tprofvet check [flags] | tprofvet lint [root]")
 	os.Exit(2)
 }
 
-func runCheck(args []string) int {
+// A check is one mode of `tprofvet check`. The driver (runCheck) owns the
+// flags, the catalog, the loop over the suite, the ok/FAIL lines, the
+// counting, the summary and the exit code; a check supplies only what is
+// specific to it.
+type check struct {
+	flag string    // mode flag; "" on the first row, which runs when none is given
+	mods []flagDoc // modifier flags only this check reads (env.mod)
+	help string    // the mode's only description: its flag usage in `check -h`
+	noun string    // what the suite's units are, for the summary line
+	json bool      // supports -json (run.report is set)
+	// suite lists the units the driver loops over (-q keeps one name). It
+	// runs before any data is generated, so a bad -q costs nothing.
+	suite func(workers []int) []unit
+	setup func(env *env) (*run, error)
+}
+
+type flagDoc struct{ name, help string }
+
+// unit is one element of a suite: a hand-built plan (the default check's at
+// one worker count), a SQL statement, or a view probe over its base table.
+type unit struct {
+	name       string
+	query      *plan.Query
+	workers    int
+	sql, table string
+}
+
+// run is what a check's setup hands the driver.
+type run struct {
+	// each verifies unit i of the suite. A non-nil error is the unit's FAIL
+	// line; otherwise detail is its ok line (none when empty).
+	each func(i int, u unit) (detail string, err error)
+	// finish (optional) runs the whole-suite replays after the loop and
+	// words the clean-run summary for n units; every non-nil error is one
+	// more FAIL line.
+	finish func(n int) (summary string, errs []error)
+	report func(failures int) any // the -json document; runs after finish
+}
+
+// env is what the driver hands a check's setup.
+type env struct {
+	cat     *catalog.Catalog
+	workers []int
+	mod     map[string]bool // modifier flags, by name
+	text    io.Writer       // human-readable output; discarded under -json
+}
+
+// checks is the table: adding a mode is one row here, its body in
+// checks.go, and one `tprofvet check -<flag>` step in CI (a test holds the
+// last).
+var checks = []check{
+	{noun: "artifact sets", json: true, suite: artifactUnits, setup: artifactsCheck,
+		help: `With no mode flag, check compiles the plan suite at every -workers count with
+Engine.VerifyArtifacts on: the cross-level suite (internal/verify) runs over
+every artifact, after pipeline construction, every optimizer pass, and emit.`,
+		mods: []flagDoc{
+			{"pgo", "default check: also verify one profile-guided recompilation per query"},
+			{"tv", "default check: report translation-validation coverage; fail a compile that validated no optimizer pass"},
+			{"absint", "default check: abstract-interpret the emitted code; report proved memory accesses, fail a definite violation"},
+		}},
+	{flag: "mutants", noun: "workloads", json: true, suite: planUnits, setup: mutantsCheck,
+		help: `mode: seed miscompilation mutants into every plan's IR and native code; clean
+compiles must verify silently and the validators must catch >= 95% overall`},
+	{flag: "cache", noun: "workloads", suite: sqlUnits, setup: cacheCheck,
+		help: `mode: the SQL suite through the query service; the cold compile, the re-prepare
+(which must hit) and every -workers count must return the reference executor's rows`},
+	{flag: "merge", noun: "workloads", suite: planUnits, setup: mergeCheck,
+		help: `mode: the partitioned merge (DESIGN.md §11): static MergeInvariants at compile,
+serial rows in order at every -workers count, PMU samples on the merge kernels`},
+	{flag: "cost", noun: "workloads", suite: sqlUnits, setup: costCheck,
+		help: `mode: the cost layer: consistent estimates on every plan node (cost.CheckModel),
+true row counts that map to live dictionary tasks (cost.CheckObserved)`},
+	{flag: "shard", noun: "workloads", suite: planUnits, setup: shardCheck,
+		help: `mode: sharded execution (DESIGN.md §13) at Shards 1,2,4,8 x -workers, pruning on:
+serial rows in order, one canonical profile across the grid, and per-shard
+journals that replay against row counts and skip events (verify.CheckShards)`},
+	{flag: "epoch", noun: "workloads", suite: sqlUnits, setup: epochCheck,
+		help: `mode: epoch-versioned storage (DESIGN.md §15): a scripted append between each
+statement's cold and warm run must cause zero recompiles, evictions or version
+bumps, and the append journal must replay (verify.CheckEpochs)`},
+	{flag: "views", noun: "probes", setup: viewsCheck,
+		suite: func([]int) []unit { return viewProbes },
+		help: `mode: materialized views (DESIGN.md §16): probes must rewrite onto views and match
+a view-free service byte for byte across a scripted append, on one artifact with
+zero fallbacks; no-match statements pass through; the refresh ledger must
+replay against the base tables (verify.CheckViews)`},
+}
+
+// name is the invocation a check answers to, as the summary line spells it.
+func (c *check) name() string {
+	if c.flag == "" {
+		return "tprofvet check"
+	}
+	return "tprofvet check -" + c.flag
+}
+
+// runCheck is the driver of `tprofvet check`: it parses and validates the
+// flags, picks the table row, and only then generates data and runs it.
+func runCheck(table []check, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("check", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	sf := fs.Float64("sf", 0.05, "data scale factor for the corpus runs")
 	seed := fs.Uint64("seed", 42, "data generator seed")
 	workersCSV := fs.String("workers", "1,4", "comma-separated worker counts to verify")
-	pgo := fs.Bool("pgo", false, "additionally verify one profile-guided recompilation per query")
-	cache := fs.Bool("cache", false, "verify the service path: SQL suite through the compiled-query cache")
-	merge := fs.Bool("merge", false, "verify the partitioned merge: static invariants, cross-worker determinism, merge-task attribution")
-	costPass := fs.Bool("cost", false, "verify the cost layer: model consistency on every plan, true-count lineage on every counted run")
-	shard := fs.Bool("shard", false, "verify sharded execution: journal/skip lineage, row and profile invariance across shard counts")
-	epoch := fs.Bool("epoch", false, "verify epoch-versioned storage: replay the append journal against session snapshots, assert zero recompiles under ingest")
-	views := fs.Bool("views", false, "verify materialized views: subsumption rewrites byte-identical to base execution under ingest, ledger replay via verify.CheckViews")
-	tvFlag := fs.Bool("tv", false, "report translation-validation coverage; fail any compile that validated no optimizer pass")
-	absFlag := fs.Bool("absint", false, "run the abstract interpreter over the emitted code and report proof coverage")
-	mutants := fs.Bool("mutants", false, "run the miscompilation-mutant harness and enforce the 95% catch-rate gate")
-	jsonOut := fs.Bool("json", false, "emit machine-readable JSON (default check and -mutants modes only)")
-	only := fs.String("q", "", "restrict to one named workload")
+	jsonOut := fs.Bool("json", false, "emit machine-readable JSON (the default check and -mutants)")
+	only := fs.String("q", "", "restrict to one named unit of the mode's suite")
+	set := map[string]*bool{}
+	for _, c := range table {
+		if c.flag != "" {
+			set[c.flag] = fs.Bool(c.flag, false, c.help)
+		}
+		for _, m := range c.mods {
+			set[m.name] = fs.Bool(m.name, false, m.help)
+		}
+	}
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: tprofvet check [flags]\n\n%s\n\nflags:\n", table[0].help)
+		fs.PrintDefaults()
+	}
 	fs.Parse(args)
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "tprofvet: "+format+"\n", a...)
+		return 2
+	}
 
+	mode := &table[0]
+	var picked []string
+	for i := range table {
+		if f := table[i].flag; f != "" && *set[f] {
+			mode = &table[i]
+			picked = append(picked, "-"+f)
+		}
+	}
+	if len(picked) > 1 {
+		return usage("%s are separate modes; run one per invocation", strings.Join(picked, " and "))
+	}
+	mod := map[string]bool{}
+	for i := range table {
+		for _, m := range table[i].mods {
+			mod[m.name] = *set[m.name]
+			if mod[m.name] && mode != &table[i] {
+				return usage("-%s does not apply to %s", m.name, mode.name())
+			}
+		}
+	}
+	if *jsonOut && !mode.json {
+		return usage("-json supports the default check and -mutants modes only")
+	}
 	var workers []int
 	for _, s := range strings.Split(*workersCSV, ",") {
 		w, err := strconv.Atoi(strings.TrimSpace(s))
 		if err != nil || w < 0 {
-			fmt.Fprintf(os.Stderr, "tprofvet: bad -workers value %q\n", s)
-			return 2
+			return usage("bad -workers value %q", s)
 		}
 		workers = append(workers, w)
 	}
-
-	cat := datagen.Generate(datagen.Config{ScaleFactor: *sf, Seed: *seed})
-	if *jsonOut && (*cache || *merge || *costPass || *shard || *epoch || *views) {
-		fmt.Fprintln(os.Stderr, "tprofvet: -json supports the default check and -mutants modes only")
-		return 2
-	}
-	if *cache {
-		return runCacheCheck(cat, workers, *only)
-	}
-	if *merge {
-		return runMergeCheck(cat, workers, *only)
-	}
-	if *costPass {
-		return runCostCheck(cat, *only)
-	}
-	if *shard {
-		return runShardCheck(cat, workers, *only)
-	}
-	if *epoch {
-		return runEpochCheck(cat, *only)
-	}
-	if *views {
-		return runViewCheck(cat, *only)
-	}
-	if *mutants {
-		return runMutantCheck(cat, *only, *jsonOut)
-	}
-
-	suite := queries.Suite()
-	if *only != "" {
-		w, ok := queries.ByName(*only)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "tprofvet: no workload %q\n", *only)
-			return 2
-		}
-		suite = []queries.Workload{w}
-	}
-
-	var results []checkResult
-	failures := 0
-	checked := 0
-	for _, w := range suite {
-		for _, nw := range workers {
-			opts := engine.DefaultOptions()
-			opts.Workers = nw
-			opts.VerifyArtifacts = true
-			e := engine.New(cat, opts)
-
-			r := checkResult{Workload: w.Name, Workers: nw}
-			cq, err := e.CompileQuery(w.Query)
-			checked++
-			if err != nil {
-				failures++
-				r.Error = err.Error()
-				results = append(results, r)
-				if !*jsonOut {
-					fmt.Printf("FAIL  %-12s workers=%d: %v\n", w.Name, nw, err)
-				}
-				continue
-			}
-			r.OK = true
-			r.NativeInstrs = len(cq.Code.Program.Code)
-			r.TVSteps = cq.TVSteps
-
-			extra := ""
-			if *tvFlag {
-				if cq.TVSteps == 0 {
-					r.OK = false
-					r.Error = "translation validator checked no optimizer pass applications"
-				} else {
-					extra += fmt.Sprintf(", %d tv steps", cq.TVSteps)
-				}
-			}
-			if r.OK && *absFlag {
-				rep := absint.Analyze(cq.Code, cq.Mem, opts.RegisterTagging)
-				r.Absint = &absintResult{
-					Accesses: rep.Accesses, Proved: rep.Proved, Unproven: rep.Unproven,
-				}
-				for _, d := range rep.Diags {
-					r.Diags = append(r.Diags, jsonDiag(d))
-				}
-				if len(rep.Diags) > 0 {
-					r.OK = false
-					r.Error = fmt.Sprintf("%d abstract-interpretation diagnostic(s)", len(rep.Diags))
-				} else {
-					extra += fmt.Sprintf(", absint %d/%d proved", rep.Proved, rep.Accesses)
-				}
-			}
-			if !r.OK {
-				failures++
-				results = append(results, r)
-				if !*jsonOut {
-					fmt.Printf("FAIL  %-12s workers=%d: %s\n", w.Name, nw, r.Error)
-					for _, d := range r.Diags {
-						fmt.Printf("      %s: %s: %s\n", d.Check, d.Locus, d.Msg)
-					}
-				}
-				continue
-			}
-			if !*pgo {
-				results = append(results, r)
-				if !*jsonOut {
-					fmt.Printf("ok    %-12s workers=%d (%d native instrs%s)\n",
-						w.Name, nw, len(cq.Code.Program.Code), extra)
-				}
-				continue
-			}
-			// The adaptive cycle recompiles through the same verified
-			// compilePlan path, so the PGO artifacts (LICM/strength-
-			// reduced IR, inverted layout, scaled fusion) get the full
-			// suite too.
-			ar, err := e.RunAdaptive(cq, nil)
-			checked++
-			if err != nil {
-				failures++
-				r.OK = false
-				r.Error = "pgo: " + err.Error()
-				results = append(results, r)
-				if !*jsonOut {
-					fmt.Printf("FAIL  %-12s workers=%d pgo: %v\n", w.Name, nw, err)
-				}
-				continue
-			}
-			results = append(results, r)
-			if !*jsonOut {
-				fmt.Printf("ok    %-12s workers=%d pgo (%d -> %d cycles%s)\n",
-					w.Name, nw, ar.BaselineCycles, ar.TunedCycles, extra)
-			}
+	var units []unit
+	for _, u := range mode.suite(workers) {
+		if *only == "" || u.name == *only {
+			units = append(units, u)
 		}
 	}
+	if len(units) == 0 {
+		return usage("-q %q names no unit of %s", *only, mode.name())
+	}
+
+	e := &env{workers: workers, mod: mod, text: stdout}
 	if *jsonOut {
-		emitJSON(checkReport{Mode: "check", Checked: checked, Failures: failures, Results: results})
-		if failures > 0 {
-			return 1
-		}
-		return 0
+		e.text = io.Discard
 	}
-	if failures > 0 {
-		fmt.Printf("tprofvet check: %d of %d artifact sets FAILED\n", failures, checked)
+	e.cat = datagen.Generate(datagen.Config{ScaleFactor: *sf, Seed: *seed})
+	r, err := mode.setup(e)
+	if err != nil {
+		fmt.Fprintf(stderr, "tprofvet: %v\n", err)
 		return 1
 	}
-	fmt.Printf("tprofvet check: %d artifact sets verified, 0 diagnostics\n", checked)
+
+	failures := 0
+	fail := func(unit string, err error) {
+		failures++
+		fmt.Fprintf(e.text, "FAIL  %-14s %v\n", unit, err)
+	}
+	for i, u := range units {
+		detail, err := r.each(i, u)
+		if err != nil {
+			fail(u.name, err)
+		} else if detail != "" {
+			fmt.Fprintf(e.text, "ok    %-14s %s\n", u.name, detail)
+		}
+	}
+	summary := fmt.Sprintf("%d %s verified, 0 diagnostics", len(units), mode.noun)
+	if r.finish != nil {
+		var errs []error
+		summary, errs = r.finish(len(units))
+		for _, err := range errs {
+			if err != nil {
+				fail("(suite)", err)
+			}
+		}
+	}
+	if failures > 0 {
+		summary = fmt.Sprintf("%d of %d %s FAILED", failures, len(units), mode.noun)
+	}
+	fmt.Fprintf(e.text, "%s: %s\n", mode.name(), summary)
+	if *jsonOut {
+		emitJSON(stdout, stderr, r.report(failures))
+	}
+	if failures > 0 {
+		return 1
+	}
 	return 0
 }
 
-// checkReport is the machine-readable envelope for -json runs.
-type checkReport struct {
-	Mode     string        `json:"mode"`
-	Checked  int           `json:"checked"`
-	Failures int           `json:"failures"`
-	Results  []checkResult `json:"results"`
-}
-
-type checkResult struct {
-	Workload     string        `json:"workload"`
-	Workers      int           `json:"workers"`
-	OK           bool          `json:"ok"`
-	Error        string        `json:"error,omitempty"`
-	NativeInstrs int           `json:"nativeInstrs,omitempty"`
-	TVSteps      int           `json:"tvSteps,omitempty"`
-	Absint       *absintResult `json:"absint,omitempty"`
-	Diags        []diagJSON    `json:"diags,omitempty"`
-}
-
-type absintResult struct {
-	Accesses int `json:"accesses"`
-	Proved   int `json:"proved"`
-	Unproven int `json:"unproven"`
+// diagErr folds diagnostics into one error — every diagnostic on its own
+// indented line under the FAIL line — or nil when there are none.
+func diagErr(what string, ds []verify.Diag) error {
+	if len(ds) == 0 {
+		return nil
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%d %s diagnostic(s)", len(ds), what)
+	for _, d := range ds {
+		sb.WriteString("\n      " + d.String())
+	}
+	return errors.New(sb.String())
 }
 
 type diagJSON struct {
@@ -321,906 +284,64 @@ func jsonDiag(d verify.Diag) diagJSON {
 	}
 }
 
-func emitJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
+func emitJSON(stdout, stderr io.Writer, v any) {
+	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
-		fmt.Fprintf(os.Stderr, "tprofvet: encoding JSON: %v\n", err)
+		fmt.Fprintf(stderr, "tprofvet: encoding JSON: %v\n", err)
 	}
 }
 
-// runMutantCheck runs the miscompilation-mutant harness over the corpus:
-// every clean compile must verify silently, and the validators must catch
-// at least 95% of injected defects in aggregate (the same gate the
-// internal/verify/mutate tests enforce, exposed for CI).
-func runMutantCheck(cat *catalog.Catalog, only string, jsonOut bool) int {
-	suite := queries.Suite()
-	if only != "" {
-		w, ok := queries.ByName(only)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "tprofvet: no workload %q\n", only)
-			return 2
-		}
-		suite = []queries.Workload{w}
-	}
-
-	type tally struct{ Caught, Total int }
-	perClass := map[string]*tally{}
-	count := func(class string, caught bool) {
-		tl := perClass[class]
-		if tl == nil {
-			tl = &tally{}
-			perClass[class] = tl
-		}
-		tl.Total++
-		if caught {
-			tl.Caught++
-		}
-	}
-	gate := verify.NewSuite(append(verify.ArtifactSuite().Checkers, absint.Checker{})...)
-	var missed []string
-
-	for _, w := range suite {
-		opts := engine.DefaultOptions()
-		opts.VerifyArtifacts = true
-		c := engine.NewCompiler(cat, opts)
-		cq, err := c.CompileQuery(w.Query)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tprofvet: clean compile of %s flagged: %v\n", w.Name, err)
-			return 1
-		}
-
-		popts := pipeline.Options{RegisterTagging: opts.RegisterTagging}
-		fresh := func() *pipeline.Compiled {
-			pc, err := pipeline.Compile(cq.Plan, cq.Layout, popts)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "tprofvet: pipeline recompile of %s: %v\n", w.Name, err)
-				os.Exit(1)
-			}
-			return pc
-		}
-		it := tv.NewInterner()
-		pre := tv.Summarize(fresh().Module, it)
-		nIR := len(mutate.IR(fresh().Module))
-		for i := 0; i < nIR; i++ {
-			pc := fresh()
-			muts := mutate.IR(pc.Module)
-			muts[i].Apply()
-			caught := len(tv.Compare(pre, tv.Summarize(pc.Module, it), it)) > 0
-			count(muts[i].Class, caught)
-			if !caught {
-				missed = append(missed, w.Name+": "+muts[i].Class+" at "+muts[i].Site)
-			}
-		}
-
-		nNative := len(mutate.Native(mutate.CloneResult(cq.Code), cq.Mem))
-		for i := 0; i < nNative; i++ {
-			code := mutate.CloneResult(cq.Code)
-			muts := mutate.Native(code, cq.Mem)
-			muts[i].Apply()
-			ds := gate.Run(&verify.Artifact{
-				Phase: "emit", Module: cq.Pipe.Module, Dict: cq.Pipe.Dict,
-				Code: code, RegisterTagging: opts.RegisterTagging,
-				Pipelines: cq.Pipe.Pipelines, Layout: cq.Layout, Mem: cq.Mem,
-			})
-			caught := len(verify.Errs(ds)) > 0
-			count(muts[i].Class, caught)
-			if !caught {
-				missed = append(missed, w.Name+": "+muts[i].Class+" at "+muts[i].Site)
-			}
-		}
-	}
-
-	var caught, total int
-	classes := make([]string, 0, len(perClass))
-	for class := range perClass {
-		classes = append(classes, class)
-	}
-	sort.Strings(classes)
-	for _, class := range classes {
-		tl := perClass[class]
-		caught += tl.Caught
-		total += tl.Total
-		if !jsonOut {
-			fmt.Printf("%-26s %3d/%3d\n", class, tl.Caught, tl.Total)
-		}
-	}
-	if total == 0 {
-		fmt.Fprintln(os.Stderr, "tprofvet: no mutants enumerated")
-		return 1
-	}
-	rate := float64(caught) / float64(total)
-	pass := rate >= 0.95
-	if jsonOut {
-		emitJSON(struct {
-			Mode     string            `json:"mode"`
-			Caught   int               `json:"caught"`
-			Total    int               `json:"total"`
-			Rate     float64           `json:"rate"`
-			Pass     bool              `json:"pass"`
-			PerClass map[string]*tally `json:"perClass"`
-			Missed   []string          `json:"missed,omitempty"`
-		}{"mutants", caught, total, rate, pass, perClass, missed})
-	} else {
-		for _, m := range missed {
-			fmt.Printf("missed  %s\n", m)
-		}
-		fmt.Printf("tprofvet check -mutants: %d/%d caught = %.1f%% (gate 95%%)\n", caught, total, 100*rate)
-	}
-	if !pass {
-		return 1
-	}
-	return 0
-}
-
-// runCacheCheck verifies the service path end to end: every SQL workload
-// is compiled once through the cache with VerifyArtifacts on (so the full
-// cross-level suite runs at insert time), then re-prepared — which must be
-// a cache hit — and re-executed at every requested worker count. All runs
-// must match the interpreted reference executor row for row.
-func runCacheCheck(cat *catalog.Catalog, workers []int, only string) int {
-	suite := queries.SQLSuite()
-	if only != "" {
-		w, ok := queries.SQLByName(only)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "tprofvet: no SQL workload %q\n", only)
-			return 2
-		}
-		suite = []queries.SQLWorkload{w}
-	}
-	opts := engine.DefaultOptions()
-	opts.VerifyArtifacts = true
-	svc := engine.NewService(cat, opts, 0)
-	se := svc.NewSession()
-
-	failures, checked := 0, 0
-	fail := func(name, format string, a ...any) {
-		failures++
-		fmt.Printf("FAIL  %-14s %s\n", name, fmt.Sprintf(format, a...))
-	}
-	for _, w := range suite {
-		checked++
-		se.SetWorkers(0)
-		cold, res, err := se.Execute(w.SQL, nil)
-		if err != nil {
-			fail(w.Name, "cold: %v", err)
-			continue
-		}
-		if cold.Fallback {
-			fail(w.Name, "fell back to an uncached direct compile")
-			continue
-		}
-		var params []int64
-		if cold.State != nil {
-			params = cold.State.Params
-		}
-		want, err := ref.ExecuteWith(cold.Compiled.Plan, params)
-		if err != nil {
-			fail(w.Name, "reference executor: %v", err)
-			continue
-		}
-		ordered := len(cold.Compiled.Plan.OrderBy) > 0
-		if !rowsMatch(res.Rows, want, ordered) {
-			fail(w.Name, "cold rows differ from reference")
-			continue
-		}
-		ok := true
-		for _, nw := range workers {
-			se.SetWorkers(nw)
-			hot, hres, err := se.Execute(w.SQL, nil)
-			if err != nil {
-				fail(w.Name, "workers=%d: %v", nw, err)
-				ok = false
-				break
-			}
-			if !hot.CacheHit {
-				fail(w.Name, "workers=%d: expected a cache hit", nw)
-				ok = false
-				break
-			}
-			if !rowsMatch(hres.Rows, want, ordered) {
-				fail(w.Name, "workers=%d: cached rows differ from reference", nw)
-				ok = false
-				break
-			}
-		}
-		if ok {
-			fmt.Printf("ok    %-14s %d params, %d rows, hit at workers=%v\n",
-				w.Name, len(params), len(want), workers)
-		}
-	}
-	cs := svc.CacheStats()
-	if failures > 0 {
-		fmt.Printf("tprofvet check -cache: %d of %d workloads FAILED\n", failures, checked)
-		return 1
-	}
-	fmt.Printf("tprofvet check -cache: %d workloads verified (%d hits, %d misses, %d resident)\n",
-		checked, cs.Hits, cs.Misses, svc.CacheLen())
-	return 0
-}
-
-// runMergeCheck verifies the partitioned parallel merge end to end
-// (DESIGN.md §11). Every workload compiles with VerifyArtifacts on — which
-// includes the static MergeInvariants checker: merge-kernel lineage tags,
-// bloom-filter bounds, and partition-disjointness of the directory slot
-// ranges — then runs serially (workers=0, the determinism oracle) and at
-// every requested worker count. Rows must match the oracle exactly and in
-// order: the partitioned merge reconstructs the serial heap byte for byte,
-// so even unordered results may not move. Partitioned workloads
-// additionally run profiled: PMU samples must attribute to the generated
-// merge kernels' tasks and resolve to an operator through the Tagging
-// Dictionary.
-func runMergeCheck(cat *catalog.Catalog, workers []int, only string) int {
-	suite := queries.Suite()
-	if only != "" {
-		w, ok := queries.ByName(only)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "tprofvet: no workload %q\n", only)
-			return 2
-		}
-		suite = []queries.Workload{w}
-	}
-
-	failures, checked := 0, 0
-	fail := func(name, format string, a ...any) {
-		failures++
-		fmt.Printf("FAIL  %-12s %s\n", name, fmt.Sprintf(format, a...))
-	}
-	for _, w := range suite {
-		checked++
-		opts := engine.DefaultOptions()
-		opts.VerifyArtifacts = true
-		opts.MorselRows = 256 // several morsels per pipeline at check scale
-		e := engine.New(cat, opts)
-		cq, err := e.CompileQuery(w.Query)
-		if err != nil {
-			fail(w.Name, "compile: %v", err)
-			continue
-		}
-		oracle, err := e.Run(cq, nil)
-		if err != nil {
-			fail(w.Name, "serial oracle: %v", err)
-			continue
-		}
-		partitioned := false
-		for i := range cq.Pipe.Pipelines {
-			if cq.Pipe.Pipelines[i].Merge != nil {
-				partitioned = true
-			}
-		}
-
-		ok := true
-		var mergeTasks int
-		for _, nw := range workers {
-			if nw < 1 {
-				continue
-			}
-			po := opts
-			po.Workers = nw
-			pe := engine.New(cat, po)
-			pcq, err := pe.CompileQuery(w.Query)
-			if err != nil {
-				fail(w.Name, "workers=%d compile: %v", nw, err)
-				ok = false
-				break
-			}
-			res, err := pe.Run(pcq, &pmu.Config{Event: vm.EvInstRetired, Period: 97})
-			if err != nil {
-				fail(w.Name, "workers=%d: %v", nw, err)
-				ok = false
-				break
-			}
-			if !rowsMatch(res.Rows, oracle.Rows, true) {
-				fail(w.Name, "workers=%d: rows differ from the serial oracle", nw)
-				ok = false
-				break
-			}
-			if !partitioned {
-				continue
-			}
-			mergeTasks = 0
-			for id, wt := range res.Profile.TaskWeight {
-				comp, found := res.Profile.Registry.Lookup(id)
-				if !found || !pipeline.MergeRole(comp.Kind) || wt <= 0 {
-					continue
-				}
-				if res.Profile.Dict.OperatorOf(id) == core.NoComponent {
-					fail(w.Name, "workers=%d: merge task %q unresolvable to an operator", nw, comp.Name)
-					ok = false
-				}
-				mergeTasks++
-			}
-			if mergeTasks == 0 {
-				fail(w.Name, "workers=%d: no PMU samples attributed to merge-kernel tasks", nw)
-				ok = false
-			}
-			if !ok {
-				break
-			}
-		}
-		if ok {
-			kind := "host-merged"
-			if partitioned {
-				kind = fmt.Sprintf("partitioned, %d merge tasks sampled", mergeTasks)
-			}
-			fmt.Printf("ok    %-12s %d rows, workers=%v (%s)\n", w.Name, len(oracle.Rows), workers, kind)
-		}
-	}
-	if failures > 0 {
-		fmt.Printf("tprofvet check -merge: %d of %d workloads FAILED\n", failures, checked)
-		return 1
-	}
-	fmt.Printf("tprofvet check -merge: %d workloads verified, 0 diagnostics\n", checked)
-	return 0
-}
-
-// runShardCheck verifies sharded execution end to end (DESIGN.md §13).
-// Every workload first runs serially unsharded — the row oracle — then
-// profiled at every requested worker count × Shards ∈ {1,2,4,8} with
-// pruning on. Each sharded run must (a) reproduce the oracle's rows in
-// order (the canonical morsel list reconstructs the serial heap), (b)
-// produce a merged profile whose Canonical() bytes are identical across
-// the whole grid — the shard-count-invariance claim — and (c) leave
-// per-shard lineage journals that replay cleanly against the scanned
-// tables' row counts and the profile's skip events (verify.CheckShards).
-func runShardCheck(cat *catalog.Catalog, workers []int, only string) int {
-	suite := queries.Suite()
-	if only != "" {
-		w, ok := queries.ByName(only)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "tprofvet: no workload %q\n", only)
-			return 2
-		}
-		suite = []queries.Workload{w}
-	}
-	shardCounts := []int{1, 2, 4, 8}
-
-	failures, checked := 0, 0
-	fail := func(name, format string, a ...any) {
-		failures++
-		fmt.Printf("FAIL  %-12s %s\n", name, fmt.Sprintf(format, a...))
-	}
-	for _, w := range suite {
-		checked++
-		opts := engine.DefaultOptions()
-		opts.VerifyArtifacts = true
-		opts.MorselRows = 256 // several morsels (and zones) per pipeline at check scale
-		e := engine.New(cat, opts)
-		cq, err := e.CompileQuery(w.Query)
-		if err != nil {
-			fail(w.Name, "compile: %v", err)
-			continue
-		}
-		oracle, err := e.Run(cq, nil)
-		if err != nil {
-			fail(w.Name, "serial oracle: %v", err)
-			continue
-		}
-
-		ok := true
-		var baseCanon []byte
-		var zones, pruned int
-		for _, nw := range workers {
-			for _, ns := range shardCounts {
-				so := opts
-				so.Workers = nw
-				so.Shards = ns
-				so.ShardPruning = true
-				se := engine.New(cat, so)
-				scq, err := se.CompileQuery(w.Query)
-				if err != nil {
-					fail(w.Name, "workers=%d shards=%d compile: %v", nw, ns, err)
-					ok = false
-					break
-				}
-				res, err := se.Run(scq, &pmu.Config{Event: vm.EvInstRetired, Period: 487})
-				if err != nil {
-					fail(w.Name, "workers=%d shards=%d: %v", nw, ns, err)
-					ok = false
-					break
-				}
-				if res.Shards != ns {
-					fail(w.Name, "workers=%d shards=%d: ran with %d shards", nw, ns, res.Shards)
-					ok = false
-					break
-				}
-				// Shard-count invariance: same rows in the same order (the
-				// canonical morsel list rebuilds the serial heap), same
-				// canonical profile bytes across the whole grid.
-				if !rowsMatch(res.Rows, oracle.Rows, true) {
-					fail(w.Name, "workers=%d shards=%d: rows differ from the serial oracle", nw, ns)
-					ok = false
-					break
-				}
-				canon := res.Profile.Canonical()
-				if baseCanon == nil {
-					baseCanon = canon
-				} else if string(canon) != string(baseCanon) {
-					fail(w.Name, "workers=%d shards=%d: canonical profile differs across the grid", nw, ns)
-					ok = false
-					break
-				}
-				// Lineage replay: journals vs table row counts vs skips.
-				tableRows := map[string]int64{}
-				plan.Walk(scq.Plan, func(n plan.Node) {
-					if s, isScan := n.(*plan.Scan); isScan {
-						tableRows[s.Alias] = int64(s.Table.Rows())
-					}
-				})
-				journals := make([]verify.ShardJournal, len(res.ShardStates))
-				for i, st := range res.ShardStates {
-					j := verify.ShardJournal{
-						Pipeline: st.Pipeline, Alias: st.Alias, Shard: st.Shard,
-						Lo: st.Lo, Hi: st.Hi, Rows: st.Rows, Scanned: st.Scanned,
-						Pruned: st.Pruned,
-					}
-					for _, z := range st.Zones {
-						j.Zones = append(j.Zones, verify.ShardZone{
-							Zone: z.Zone, Lo: z.Lo, Hi: z.Hi, Pruned: z.Pruned, Cause: z.Cause,
-						})
-					}
-					journals[i] = j
-				}
-				if ds := verify.CheckShards(tableRows, journals, res.Skips); len(ds) > 0 {
-					fail(w.Name, "workers=%d shards=%d: %d journal diagnostic(s)", nw, ns, len(ds))
-					for _, d := range ds {
-						fmt.Printf("      %s\n", d.String())
-					}
-					ok = false
-					break
-				}
-				if ns == shardCounts[len(shardCounts)-1] && nw == workers[len(workers)-1] {
-					zones, pruned = 0, len(res.Skips)
-					for _, st := range res.ShardStates {
-						zones += len(st.Zones)
-					}
-				}
-			}
-			if !ok {
-				break
-			}
-		}
-		if ok {
-			fmt.Printf("ok    %-12s %d rows, workers=%v shards=%v (%d/%d zones pruned)\n",
-				w.Name, len(oracle.Rows), workers, shardCounts, pruned, zones)
-		}
-	}
-	if failures > 0 {
-		fmt.Printf("tprofvet check -shard: %d of %d workloads FAILED\n", failures, checked)
-		return 1
-	}
-	fmt.Printf("tprofvet check -shard: %d workloads verified, 0 diagnostics\n", checked)
-	return 0
-}
-
-// runEpochCheck verifies epoch-versioned storage end to end (DESIGN.md
-// §15). It drives the SQL suite through one query service while a
-// scripted ingest stream appends batches to the fact tables between
-// workloads, snapshotting the storage state at every epoch. The mode then
-// replays the catalog's append journal against those snapshots
-// (verify.CheckEpochs: strictly monotonic epochs, append windows tiling
-// each table's tail exactly once, zone granularity a pure function of the
-// visible rows, per-column zone bounds only widening) and enforces the
-// compiled-artifact contract: every warm re-prepare under ingest must hit
-// the cache — appends cause zero recompiles, zero evictions, zero
-// invalidations — while each run's result is stamped with the epoch it
-// actually bound.
-func runEpochCheck(cat *catalog.Catalog, only string) int {
-	suite := queries.SQLSuite()
-	if only != "" {
-		w, ok := queries.SQLByName(only)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "tprofvet: no SQL workload %q\n", only)
-			return 2
-		}
-		suite = []queries.SQLWorkload{w}
-	}
-	ingest := []string{"sales", "lineitem", "orders"}
-
-	opts := engine.DefaultOptions()
-	opts.VerifyArtifacts = true
-	svc := engine.NewService(cat, opts, 0)
-	se := svc.NewSession()
-	base := cat.BaseRows()
-	version0 := cat.Version()
-
-	failures, checked := 0, 0
-	fail := func(name, format string, a ...any) {
-		failures++
-		fmt.Printf("FAIL  %-14s %s\n", name, fmt.Sprintf(format, a...))
-	}
-
-	snaps := []verify.EpochSnapshot{verify.SnapshotEpochState(svc.Snapshot(), cat.Names())}
-	appended := int64(0)
-	for i, w := range suite {
-		checked++
-		cold, _, err := se.Execute(w.SQL, nil)
-		if err != nil {
-			fail(w.Name, "cold: %v", err)
-			continue
-		}
-		if cold.Fallback {
-			fail(w.Name, "fell back to an uncached direct compile")
-			continue
-		}
-		// Scripted ingest: append a deterministic batch to one fact table,
-		// snapshot the new epoch.
-		table := ingest[i%len(ingest)]
-		tb, err := cat.Table(table)
-		if err != nil {
-			fail(w.Name, "ingest table %s: %v", table, err)
-			continue
-		}
-		r, err := svc.AppendCols(table, datagen.AppendBatch(tb, 64, uint64(i+1)))
-		if err != nil {
-			fail(w.Name, "append to %s: %v", table, err)
-			continue
-		}
-		appended += r.Hi - r.Lo
-		snaps = append(snaps, verify.SnapshotEpochState(svc.Snapshot(), cat.Names()))
-
-		// The warm re-prepare must hit the very artifact the cold compile
-		// cached — in-capacity appends are invisible to the cache key.
-		warm, res, err := se.Execute(w.SQL, nil)
-		if err != nil {
-			fail(w.Name, "warm: %v", err)
-			continue
-		}
-		if !warm.CacheHit || warm.Compiled != cold.Compiled {
-			fail(w.Name, "re-prepare after append recompiled (hit=%v)", warm.CacheHit)
-			continue
-		}
-		if res.Epoch != r.Epoch {
-			fail(w.Name, "warm run stamped epoch %d, catalog at %d", res.Epoch, r.Epoch)
-			continue
-		}
-		fmt.Printf("ok    %-14s epoch %d (+%d rows to %s), warm hit on cold artifact\n",
-			w.Name, r.Epoch, r.Hi-r.Lo, table)
-	}
-
-	if cat.Version() != version0 {
-		fail("catalog", "scripted ingest bumped the catalog version (capacity growth at check scale)")
-	}
-	cs := svc.CacheStats()
-	if cs.Evictions != 0 || cs.Invalidations != 0 {
-		fail("qcache", "ingest evicted or invalidated artifacts: %+v", cs)
-	}
-	if ds := verify.CheckEpochs(base, cat.EpochJournal(), snaps); len(ds) > 0 {
-		fail("journal", "%d epoch-replay diagnostic(s)", len(ds))
-		for _, d := range ds {
-			fmt.Printf("      %s\n", d.String())
-		}
-	}
-	if failures > 0 {
-		fmt.Printf("tprofvet check -epoch: %d of %d workloads FAILED\n", failures, checked)
-		return 1
-	}
-	fmt.Printf("tprofvet check -epoch: %d workloads verified over %d epochs (+%d rows, %d hits, %d misses, 0 recompiles)\n",
-		checked, cat.Epoch(), appended, cs.Hits, cs.Misses)
-	return 0
-}
-
-// runViewCheck verifies materialized views end to end (DESIGN.md §16).
-// It registers one view per fact table, then drives a probe family of
-// aggregate statements through the service: every probe must rewrite onto
-// a view (prepare-time subsumption) and return rows byte-identical to a
-// second, view-free service executing the original text over the same
-// catalog. Between the cold and warm run of each probe a scripted batch
-// is appended to the probe's base table, so the warm prepare exercises
-// the incremental catch-up path — and must still hit the cold artifact
-// (refreshes bump neither the catalog version nor the view generation).
-// Afterwards the refresh ledger must replay byte-exactly against the base
-// tables (verify.CheckViews), the run-time consistency guard must have
-// fallen back zero times, and a statement matching no view must carry no
-// rewrite.
-func runViewCheck(cat *catalog.Catalog, only string) int {
-	type probe struct {
-		name  string
-		table string
-		sql   string
-	}
-	probes := []probe{
-		{"sales-all", "sales",
-			"select id, sum(price) as rev, count(*) as n from sales group by id order by id"},
-		{"sales-range", "sales",
-			"select id, sum(price) as rev from sales where id >= 3 and id <= 40 group by id order by id"},
-		{"sales-between", "sales",
-			"select id, sum(price) as rev from sales where id between 3 and 40 group by id order by id"},
-		{"sales-scalar", "sales",
-			"select sum(price) as rev, count(*) as n from sales"},
-		{"lineitem-flag", "lineitem",
-			"select l_returnflag, sum(l_extendedprice) as rev, min(l_quantity) as qmin from lineitem group by l_returnflag order by l_returnflag"},
-	}
-	if only != "" {
-		var kept []probe
-		for _, p := range probes {
-			if p.name == only {
-				kept = append(kept, p)
-			}
-		}
-		if len(kept) == 0 {
-			fmt.Fprintf(os.Stderr, "tprofvet: no view probe %q\n", only)
-			return 2
-		}
-		probes = kept
-	}
-
-	opts := engine.DefaultOptions()
-	opts.VerifyArtifacts = true
-	svc := engine.NewService(cat, opts, 0)
-	oracle := engine.NewService(cat, opts, 0) // view-free: always executes base text
-	if _, err := svc.CreateView("rev_by_prod",
-		"select id, sum(price), count(*) from sales group by id", mview.RefreshIncremental); err != nil {
-		fmt.Fprintf(os.Stderr, "tprofvet: create view rev_by_prod: %v\n", err)
-		return 1
-	}
-	if _, err := svc.CreateView("flag_totals",
-		"select l_returnflag, sum(l_extendedprice), count(*), min(l_quantity), max(l_quantity) from lineitem group by l_returnflag",
-		mview.RefreshIncremental); err != nil {
-		fmt.Fprintf(os.Stderr, "tprofvet: create view flag_totals: %v\n", err)
-		return 1
-	}
-	se := svc.NewSession()
-	ose := oracle.NewSession()
-
-	failures, checked := 0, 0
-	fail := func(name, format string, a ...any) {
-		failures++
-		fmt.Printf("FAIL  %-14s %s\n", name, fmt.Sprintf(format, a...))
-	}
-	same := func(a, b *engine.Result) bool {
-		if len(a.Rows) != len(b.Rows) || len(a.Cols) != len(b.Cols) {
-			return false
-		}
-		for i := range a.Cols {
-			if a.Cols[i].Name != b.Cols[i].Name {
-				return false
-			}
-		}
-		for i := range a.Rows {
-			if len(a.Rows[i]) != len(b.Rows[i]) {
-				return false
-			}
-			for j := range a.Rows[i] {
-				if a.Rows[i][j] != b.Rows[i][j] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-
-	appended := int64(0)
-	for i, pr := range probes {
-		checked++
-		cold, res, err := se.Execute(pr.sql, nil)
-		if err != nil {
-			fail(pr.name, "cold: %v", err)
-			continue
-		}
-		if cold.Rewrite == nil {
-			fail(pr.name, "did not rewrite onto a view")
-			continue
-		}
-		_, want, err := ose.Execute(pr.sql, nil)
-		if err != nil {
-			fail(pr.name, "oracle: %v", err)
-			continue
-		}
-		if !same(res, want) {
-			fail(pr.name, "cold rewrite rows differ from base execution (%d vs %d rows)",
-				len(res.Rows), len(want.Rows))
-			continue
-		}
-		// Scripted ingest to the probe's base table, then the warm pass:
-		// the incremental view catches up at prepare time, the artifact
-		// stays cached, and the rows stay byte-identical.
-		tb, err := cat.Table(pr.table)
-		if err != nil {
-			fail(pr.name, "ingest table %s: %v", pr.table, err)
-			continue
-		}
-		r, err := svc.AppendCols(pr.table, datagen.AppendBatch(tb, 64, uint64(i+1)))
-		if err != nil {
-			fail(pr.name, "append to %s: %v", pr.table, err)
-			continue
-		}
-		appended += r.Hi - r.Lo
-		warm, res2, err := se.Execute(pr.sql, nil)
-		if err != nil {
-			fail(pr.name, "warm: %v", err)
-			continue
-		}
-		if warm.Rewrite == nil || !warm.CacheHit || warm.Compiled != cold.Compiled {
-			fail(pr.name, "warm re-prepare after append lost the rewritten artifact (hit=%v)", warm.CacheHit)
-			continue
-		}
-		_, want2, err := ose.Execute(pr.sql, nil)
-		if err != nil {
-			fail(pr.name, "oracle warm: %v", err)
-			continue
-		}
-		if !same(res2, want2) {
-			fail(pr.name, "post-append rewrite rows differ from base execution")
-			continue
-		}
-		fmt.Printf("ok    %-14s via %s, +%d rows to %s, warm hit on cold artifact\n",
-			pr.name, cold.Rewrite.View, r.Hi-r.Lo, pr.table)
-	}
-
-	// A statement over a table with no registered view must pass through
-	// untouched — the rewriter's zero-tax contract.
-	if p, _, err := se.Execute("select count(*) as n from orders where o_totalprice >= 1000", nil); err != nil {
-		fail("no-match", "%v", err)
-	} else if p.Rewrite != nil {
-		fail("no-match", "statement with no matching view was rewritten onto %s", p.Rewrite.View)
-	}
-	if fb := svc.Views().Fallbacks(); fb != 0 {
-		fail("guard", "run-time consistency guard fell back %d time(s)", fb)
-	}
-	if ds := verify.CheckViews(cat, svc.Views()); len(ds) > 0 {
-		fail("ledger", "%d view-replay diagnostic(s)", len(ds))
-		for _, d := range ds {
-			fmt.Printf("      %s\n", d.String())
-		}
-	}
-	if failures > 0 {
-		fmt.Printf("tprofvet check -views: %d of %d probes FAILED\n", failures, checked)
-		return 1
-	}
-	fmt.Printf("tprofvet check -views: %d probes verified over %d views (+%d rows ingested, 0 fallbacks, ledger replay clean)\n",
-		checked, svc.Views().Len(), appended)
-	return 0
-}
-
-// runCostCheck verifies the cost layer over the SQL suite. Static half:
-// every plan annotates cleanly — every node carries a finite, positive,
-// model-consistent cardinality and cycle estimate (cost.CheckModel).
-// Dynamic half: a counter-instrumented run of the exact same plan yields
-// true row counts whose every counter belongs to a registered task with
-// live Tagging Dictionary lineage, and every operator-bearing plan node
-// was actually counted (cost.CheckObserved).
-func runCostCheck(cat *catalog.Catalog, only string) int {
-	suite := queries.SQLSuite()
-	if only != "" {
-		w, ok := queries.SQLByName(only)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "tprofvet: no SQL workload %q\n", only)
-			return 2
-		}
-		suite = []queries.SQLWorkload{w}
-	}
-	opts := engine.DefaultOptions()
-	opts.TupleCounters = true
-
-	failures, checked := 0, 0
-	fail := func(name, format string, a ...any) {
-		failures++
-		fmt.Printf("FAIL  %-14s %s\n", name, fmt.Sprintf(format, a...))
-	}
-	for _, w := range suite {
-		checked++
-		q, err := sqlparse.Parse(w.SQL)
-		if err != nil {
-			fail(w.Name, "parse: %v", err)
-			continue
-		}
-		pl, err := plan.Plan(cat, q)
-		if err != nil {
-			fail(w.Name, "plan: %v", err)
-			continue
-		}
-		m := cost.Annotate(pl)
-		ds := cost.CheckModel(m)
-		cq, err := (&engine.Compiler{Cat: cat, Opts: opts}).CompilePlanGuided(pl, nil)
-		if err != nil {
-			fail(w.Name, "compile: %v", err)
-			continue
-		}
-		res, err := (&engine.Executor{Opts: opts}).Run(cq, nil, nil)
-		if err != nil {
-			fail(w.Name, "run: %v", err)
-			continue
-		}
-		ds = append(ds, cost.CheckObserved(pl, cq.Pipe, res.TupleCounts)...)
-		if errs := verify.Errs(ds); len(errs) > 0 {
-			fail(w.Name, "%d diagnostic(s)", len(errs))
-			for _, d := range errs {
-				fmt.Printf("      %s\n", d.String())
-			}
-			continue
-		}
-		fmt.Printf("ok    %-14s %d nodes annotated, %d true counts, est %d cycles\n",
-			w.Name, len(m.PerNode), len(res.PlanRows), int64(m.TotalCycles))
-	}
-	if failures > 0 {
-		fmt.Printf("tprofvet check -cost: %d of %d workloads FAILED\n", failures, checked)
-		return 1
-	}
-	fmt.Printf("tprofvet check -cost: %d workloads verified, 0 diagnostics\n", checked)
-	return 0
-}
-
-// rowsMatch compares result sets, respecting row order only when the
-// query has an ORDER BY.
-func rowsMatch(a, b [][]int64, ordered bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as := make([]string, len(a))
-	bs := make([]string, len(b))
-	for i := range a {
-		as[i] = fmt.Sprint(a[i])
-		bs[i] = fmt.Sprint(b[i])
-	}
-	if !ordered {
-		sort.Strings(as)
-		sort.Strings(bs)
-	}
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func runLint(args []string) int {
+func runLint(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("lint", flag.ExitOnError)
+	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON")
 	fs.Parse(args)
-	args = fs.Args()
 
 	root := "."
-	if len(args) > 0 && args[0] != "./..." {
-		root = args[0]
-	}
-	// Locate the module root (the directory holding go.mod) so loci are
-	// repo-relative regardless of where the tool runs.
-	abs, err := os.Getwd()
-	if err == nil && root == "." {
-		for dir := abs; ; {
-			if _, statErr := os.Stat(dir + "/go.mod"); statErr == nil {
+	if fs.NArg() > 0 && fs.Arg(0) != "./..." {
+		root = fs.Arg(0)
+	} else if wd, err := os.Getwd(); err == nil {
+		// Lint from the module root (the nearest go.mod at or above the
+		// working directory) so loci are repo-relative wherever the tool runs.
+		for dir := wd; ; dir = filepath.Dir(dir) {
+			if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
 				root = dir
 				break
 			}
-			parent := dir[:strings.LastIndex(dir, "/")+1]
-			if parent == "" || parent == dir {
-				break
-			}
-			dir = strings.TrimSuffix(parent, "/")
-			if dir == "" {
+			if dir == filepath.Dir(dir) {
 				break
 			}
 		}
 	}
 	ds, err := verify.Lint(root)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tprofvet lint: %v\n", err)
+		fmt.Fprintf(stderr, "tprofvet lint: %v\n", err)
 		return 1
 	}
+	nerr := len(verify.Errs(ds))
 	if *jsonOut {
 		diags := make([]diagJSON, 0, len(ds))
 		for _, d := range ds {
 			diags = append(diags, jsonDiag(d))
 		}
-		emitJSON(struct {
+		emitJSON(stdout, stderr, struct {
 			Mode  string     `json:"mode"`
 			Clean bool       `json:"clean"`
 			Diags []diagJSON `json:"diags"`
-		}{"lint", len(verify.Errs(ds)) == 0, diags})
-		if len(verify.Errs(ds)) > 0 {
-			return 1
+		}{"lint", nerr == 0, diags})
+	} else {
+		for _, d := range ds {
+			fmt.Fprintln(stdout, d.String())
 		}
-		return 0
+		if nerr == 0 {
+			fmt.Fprintln(stdout, "tprofvet lint: clean")
+		} else {
+			fmt.Fprintf(stdout, "tprofvet lint: %d diagnostic(s)\n", nerr)
+		}
 	}
-	for _, d := range ds {
-		fmt.Println(d.String())
-	}
-	if n := len(verify.Errs(ds)); n > 0 {
-		fmt.Printf("tprofvet lint: %d diagnostic(s)\n", n)
+	if nerr > 0 {
 		return 1
 	}
-	fmt.Println("tprofvet lint: clean")
 	return 0
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/pgo"
 	"repro/internal/pmu"
+	"repro/internal/ref"
 	"repro/internal/vm"
 )
 
@@ -134,19 +135,4 @@ func runAdaptive(c *Compiler, x *Executor, cq *Compiled, rs *RunState, cfg *pmu.
 // included: every transformation the PGO pipeline applies preserves
 // tuple processing order, so even pre-ORDER-BY tie order must survive
 // recompilation.
-func RowsEqual(a, b [][]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
-}
+func RowsEqual(a, b [][]int64) bool { return ref.SameRows(a, b, true) }

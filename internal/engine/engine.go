@@ -734,17 +734,116 @@ func (x *Executor) Run(cq *Compiled, rs *RunState, cfg *pmu.Config) (*Result, er
 	return x.RunIterations(cq, rs, 1, cfg)
 }
 
-// paramValues validates a run's bound arguments against the artifact's
-// parameter manifest and returns the values to stage.
-func paramValues(cq *Compiled, rs *RunState) ([]int64, error) {
-	var got []int64
+// defaultMaxInstructions bounds one generated-code invocation when
+// Options.MaxInstructions is zero.
+const defaultMaxInstructions = 4_000_000_000
+
+// stagedRun is the machine a run executes on — the only CPU of a serial
+// run, the coordinator of a parallel one — with what was bound to it.
+type stagedRun struct {
+	cq     *Compiled
+	params []int64
+	snap   *catalog.Snapshot
+	cpu    *vm.CPU
+	pmu    *pmu.PMU // nil when unprofiled
+	budget uint64
+}
+
+// stage is the prologue every run shares: validate the sampling
+// configuration and the bound arguments against the artifact's parameter
+// manifest, bind the storage snapshot into a fresh heap, load the program
+// and arm the PMU.
+func (x *Executor) stage(cq *Compiled, rs *RunState, cfg *pmu.Config) (stagedRun, error) {
+	r := stagedRun{cq: cq, budget: x.Opts.MaxInstructions}
+	if r.budget == 0 {
+		r.budget = defaultMaxInstructions
+	}
+	if cfg != nil {
+		if err := cfg.Validate(); err != nil {
+			return r, err
+		}
+	}
 	if rs != nil {
-		got = rs.Params
+		r.params = rs.Params
 	}
-	if want := len(cq.Plan.Params); len(got) != want {
-		return nil, fmt.Errorf("engine: plan expects %d bound parameters, run state supplies %d", want, len(got))
+	if want := len(cq.Plan.Params); len(r.params) != want {
+		return r, fmt.Errorf("engine: plan expects %d bound parameters, run state supplies %d", want, len(r.params))
 	}
-	return got, nil
+	r.snap = cq.snapshotFor(rs)
+	r.cpu = vm.New(cq.heapSize)
+	if err := stageSnapshot(cq, r.cpu, r.snap); err != nil {
+		return r, err
+	}
+	r.cpu.Load(cq.Code.Program)
+	r.pmu = attachPMU(r.cpu, cfg, 0)
+	return r, nil
+}
+
+// attachPMU arms a core's private sample buffer, stamped with its worker
+// ID (0 for a serial run and for the coordinator); nil cfg runs unprofiled.
+func attachPMU(cpu *vm.CPU, cfg *pmu.Config, worker int) *pmu.PMU {
+	if cfg == nil {
+		return nil
+	}
+	c := *cfg
+	c.Worker = worker
+	p := pmu.New(c)
+	p.Attach(cpu)
+	return p
+}
+
+// restage writes a pass's mutable state: descriptors, cursors, bound
+// parameters, and zeroed tuple counters.
+func (r *stagedRun) restage() {
+	for _, w := range r.cq.writes {
+		r.cpu.WriteI64(w.addr, w.val)
+	}
+	lay := r.cq.Layout
+	for i, v := range r.params {
+		r.cpu.WriteI64(lay.ParamBase+int64(i)*8, v)
+	}
+	if lay.CounterBase != 0 {
+		for i := int64(0); i < counterSlots; i++ {
+			r.cpu.WriteI64(lay.CounterBase+i*8, 0)
+		}
+	}
+}
+
+// finish is the epilogue every run shares: it completes res — whose
+// statistics, clocks and samples the caller has set — with the rows read
+// back from the heap (host-side ORDER BY and LIMIT applied), the profile
+// attributed from res.Samples, and the tuple counters.
+func (r *stagedRun) finish(res *Result) *Result {
+	cq := r.cq
+	res.Cols, res.CPU, res.PMU, res.Epoch = cq.Plan.Out(), r.cpu, r.pmu, r.snap.Epoch
+	res.Rows = readRows(cq, r.cpu)
+	sortRows(res.Rows, cq.Plan)
+	if cq.Plan.Limit >= 0 && len(res.Rows) > cq.Plan.Limit {
+		res.Rows = res.Rows[:cq.Plan.Limit]
+	}
+	if r.pmu != nil {
+		att := core.NewAttributor(cq.Pipe.Dict, cq.Code.NMap)
+		res.Profile = core.BuildProfile(att, res.Samples)
+		// Pruned zones enter the profile as explicit zero-cost skip
+		// events, keeping attribution complete over every table row.
+		res.Profile.Skips = res.Skips
+	}
+	if cq.Layout.CounterBase != 0 {
+		res.TupleCounts = map[core.ComponentID]int64{}
+		for _, task := range cq.Pipe.Registry.ByLevel(core.LevelTask) {
+			if int64(task.ID) >= counterSlots {
+				continue
+			}
+			if n := r.cpu.ReadI64(cq.Layout.CounterBase + int64(task.ID)*8); n != 0 {
+				res.TupleCounts[task.ID] = n
+			}
+		}
+		// Parallel runs fold worker counter deltas into the canonical heap
+		// per phase (foldCounters), so the attributed per-operator truth is
+		// worker-count invariant.
+		res.PlanRows = cost.TrueRows(cq.Pipe, res.TupleCounts)
+	}
+	return res
 }
 
 // RunIterations executes a compiled query n times within one profiled
@@ -757,81 +856,26 @@ func (x *Executor) RunIterations(cq *Compiled, rs *RunState, n int, cfg *pmu.Con
 	if n < 1 {
 		n = 1
 	}
-	if cfg != nil {
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	params, err := paramValues(cq, rs)
+	r, err := x.stage(cq, rs, cfg)
 	if err != nil {
 		return nil, err
 	}
-	snap := cq.snapshotFor(rs)
-	cpu := vm.New(cq.heapSize)
-	if err := stageSnapshot(cq, cpu, snap); err != nil {
-		return nil, err
-	}
-	cpu.Load(cq.Code.Program)
-
-	var p *pmu.PMU
-	if cfg != nil {
-		p = pmu.New(*cfg)
-		p.Attach(cpu)
-	}
-
-	budget := x.Opts.MaxInstructions
-	if budget == 0 {
-		budget = 4_000_000_000
-	}
 	var stats vm.Stats
 	for it := 0; it < n; it++ {
-		// (Re-)stage mutable state: descriptors, cursors, counters,
-		// bound parameters.
-		for _, w := range cq.writes {
-			cpu.WriteI64(w.addr, w.val)
-		}
-		for i, v := range params {
-			cpu.WriteI64(cq.Layout.ParamBase+int64(i)*8, v)
-		}
-		if cq.Layout.CounterBase != 0 {
-			for i := int64(0); i < counterSlots; i++ {
-				cpu.WriteI64(cq.Layout.CounterBase+i*8, 0)
-			}
-		}
+		r.restage()
 		if it > 0 {
-			cpu.Restart()
+			r.cpu.Restart()
 		}
-		stats, err = cpu.Run(budget)
+		stats, err = r.cpu.Run(r.budget)
 		if err != nil {
 			return nil, fmt.Errorf("engine: execution failed (iteration %d): %w", it, err)
 		}
 	}
-
-	res := &Result{Cols: cq.Plan.Out(), Stats: stats, CPU: cpu, PMU: p, WallCycles: stats.TotalCycles(), Epoch: snap.Epoch}
-	res.Rows = readRows(cq, cpu)
-	sortRows(res.Rows, cq.Plan)
-	if cq.Plan.Limit >= 0 && len(res.Rows) > cq.Plan.Limit {
-		res.Rows = res.Rows[:cq.Plan.Limit]
+	res := &Result{Stats: stats, WallCycles: stats.TotalCycles()}
+	if r.pmu != nil {
+		res.Samples = r.pmu.Samples()
 	}
-
-	if p != nil {
-		res.Samples = p.Samples()
-		att := core.NewAttributor(cq.Pipe.Dict, cq.Code.NMap)
-		res.Profile = core.BuildProfile(att, res.Samples)
-	}
-	if cq.Layout.CounterBase != 0 {
-		res.TupleCounts = map[core.ComponentID]int64{}
-		for _, task := range cq.Pipe.Registry.ByLevel(core.LevelTask) {
-			if int64(task.ID) >= counterSlots {
-				continue
-			}
-			if n := cpu.ReadI64(cq.Layout.CounterBase + int64(task.ID)*8); n != 0 {
-				res.TupleCounts[task.ID] = n
-			}
-		}
-		res.PlanRows = cost.TrueRows(cq.Pipe, res.TupleCounts)
-	}
-	return res, nil
+	return r.finish(res), nil
 }
 
 func readRows(cq *Compiled, cpu *vm.CPU) [][]int64 {

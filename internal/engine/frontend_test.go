@@ -40,7 +40,7 @@ func TestFrontEndLaws(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference executor on %q: %v", sql, err)
 			}
-			if !sameRows(res.Rows, want, len(pl.OrderBy) > 0) {
+			if !ref.SameRows(res.Rows, want, len(pl.OrderBy) > 0) {
 				t.Errorf("%q (canon %q): %d rows differ from the reference's %d", sql, p.Canon, len(res.Rows), len(want))
 			}
 		}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/codegen"
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/plan"
@@ -91,22 +90,9 @@ func (x *Executor) RunParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 	if workers < 1 {
 		workers = 1
 	}
-	if cfg != nil {
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	params, err := paramValues(cq, rs)
-	if err != nil {
-		return nil, err
-	}
 	morselSize := int64(x.Opts.MorselRows)
 	if morselSize <= 0 {
 		morselSize = DefaultMorselRows
-	}
-	budget := x.Opts.MaxInstructions
-	if budget == 0 {
-		budget = 4_000_000_000
 	}
 	prog := cq.Code.Program
 	preludeEntry, err := funcEntry(prog, pipeline.PreludeFunc)
@@ -116,35 +102,14 @@ func (x *Executor) RunParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 
 	// Coordinator: owns the canonical heap, runs the kernel prelude
 	// (directory memsets) serially, then only merges. Its heap binds the
-	// run's storage snapshot — column prefixes and row counts staged like
-	// parameters — and workers inherit the binding with every per-barrier
-	// heap refresh.
-	snap := cq.snapshotFor(rs)
-	coord := vm.New(cq.heapSize)
-	if err := stageSnapshot(cq, coord, snap); err != nil {
+	// run's storage snapshot and parameters; workers inherit both with
+	// every per-barrier heap refresh.
+	r, err := x.stage(cq, rs, cfg)
+	if err != nil {
 		return nil, err
 	}
-	coord.Load(prog)
-	var coordPMU *pmu.PMU
-	if cfg != nil {
-		c0 := *cfg
-		c0.Worker = 0
-		coordPMU = pmu.New(c0)
-		coordPMU.Attach(coord)
-	}
-	for _, w := range cq.writes {
-		coord.WriteI64(w.addr, w.val)
-	}
-	// Parameters live in the canonical heap; workers inherit them with
-	// every per-barrier heap refresh.
-	for i, v := range params {
-		coord.WriteI64(cq.Layout.ParamBase+int64(i)*8, v)
-	}
-	if cq.Layout.CounterBase != 0 {
-		for i := int64(0); i < counterSlots; i++ {
-			coord.WriteI64(cq.Layout.CounterBase+i*8, 0)
-		}
-	}
+	coord, snap, params, budget := r.cpu, r.snap, r.params, r.budget
+	r.restage()
 	if _, err := coord.CallFunction(preludeEntry, budget); err != nil {
 		return nil, fmt.Errorf("engine: prelude failed: %w", err)
 	}
@@ -153,14 +118,7 @@ func (x *Executor) RunParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 	for i := range ws {
 		cpu := vm.New(cq.heapSize)
 		cpu.Load(prog)
-		w := &parWorker{id: i + 1, cpu: cpu}
-		if cfg != nil {
-			ci := *cfg
-			ci.Worker = w.id
-			w.pmu = pmu.New(ci)
-			w.pmu.Attach(cpu)
-		}
-		ws[i] = w
+		ws[i] = &parWorker{id: i + 1, cpu: cpu, pmu: attachPMU(cpu, cfg, i+1)}
 	}
 
 	wall := coord.TSC() // the prelude is serial coordinator work
@@ -293,46 +251,17 @@ func (x *Executor) RunParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 		addStats(&stats, &w.cpu.Stats)
 	}
 	res := &Result{
-		Cols: cq.Plan.Out(), Stats: stats, CPU: coord, PMU: coordPMU,
-		Workers: workers, WallCycles: wall, MergeCycles: mergeCycles,
+		Stats: stats, Workers: workers, WallCycles: wall, MergeCycles: mergeCycles,
 		Shards: shards, ShardStates: shardStates, Skips: skips,
-		Epoch: snap.Epoch,
 	}
-	res.Rows = readRows(cq, coord)
-	sortRows(res.Rows, cq.Plan)
-	if cq.Plan.Limit >= 0 && len(res.Rows) > cq.Plan.Limit {
-		res.Rows = res.Rows[:cq.Plan.Limit]
-	}
-
-	if cfg != nil {
-		buffers := [][]core.Sample{coordPMU.Samples()}
+	if r.pmu != nil {
+		res.WorkerSamples = [][]core.Sample{r.pmu.Samples()}
 		for _, w := range ws {
-			buffers = append(buffers, w.pmu.Samples())
+			res.WorkerSamples = append(res.WorkerSamples, w.pmu.Samples())
 		}
-		res.WorkerSamples = buffers
-		res.Samples = core.MergeSamples(buffers...)
-		att := core.NewAttributor(cq.Pipe.Dict, cq.Code.NMap)
-		res.Profile = core.BuildProfile(att, res.Samples)
-		// Pruned zones enter the merged profile as explicit zero-cost
-		// skip events, keeping attribution complete over every table row.
-		res.Profile.Skips = skips
+		res.Samples = core.MergeSamples(res.WorkerSamples...)
 	}
-	if cq.Layout.CounterBase != 0 {
-		res.TupleCounts = map[core.ComponentID]int64{}
-		for _, task := range cq.Pipe.Registry.ByLevel(core.LevelTask) {
-			if int64(task.ID) >= counterSlots {
-				continue
-			}
-			if n := coord.ReadI64(cq.Layout.CounterBase + int64(task.ID)*8); n != 0 {
-				res.TupleCounts[task.ID] = n
-			}
-		}
-		// Same collector as the serial path: worker counter deltas were
-		// folded into the canonical heap per phase (foldCounters), so the
-		// attributed per-operator truth is worker-count invariant.
-		res.PlanRows = cost.TrueRows(cq.Pipe, res.TupleCounts)
-	}
-	return res, nil
+	return r.finish(res), nil
 }
 
 // lptAssign distributes task costs over workers with the LPT heuristic

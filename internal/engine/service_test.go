@@ -333,7 +333,7 @@ func TestServiceConcurrentSessions(t *testing.T) {
 					return
 				}
 				ordered := len(p.Compiled.Plan.OrderBy) > 0
-				if !sameRows(res.Rows, v.want, ordered) {
+				if !ref.SameRows(res.Rows, v.want, ordered) {
 					errs <- fmt.Errorf("g%d: %s: rows diverge from reference", g, v.sql)
 					return
 				}
@@ -357,33 +357,4 @@ func TestServiceConcurrentSessions(t *testing.T) {
 	if st.Misses < uint64(len(variants)-1) || st.Hits == 0 {
 		t.Fatalf("implausible traffic: %+v", st)
 	}
-}
-
-// sameRows is rowsEqual without the Fatal: a bool for goroutine use.
-func sameRows(a, b [][]int64, ordered bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	key := func(r []int64) string { return fmt.Sprint(r) }
-	if ordered {
-		for i := range a {
-			if key(a[i]) != key(b[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	am := map[string]int{}
-	for _, r := range a {
-		am[key(r)]++
-	}
-	for _, r := range b {
-		am[key(r)]--
-	}
-	for _, n := range am {
-		if n != 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -586,7 +586,7 @@ func TestShardConcurrentSessions(t *testing.T) {
 					errs <- fmt.Errorf("g%d: %s: %w", g, sqls[k], err)
 					return
 				}
-				if !sameRows(res.Rows, want[k], false) {
+				if !ref.SameRows(res.Rows, want[k], false) {
 					errs <- fmt.Errorf("g%d: %s: rows diverge from reference", g, sqls[k])
 					return
 				}

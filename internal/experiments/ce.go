@@ -12,7 +12,6 @@ package experiments
 // the same loop Session.Adapt closes in production.
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -273,13 +272,7 @@ func (e *Env) CEReportRun() (*CEReport, error) {
 
 // JSON renders the report as stable, indented JSON (map keys sort, so
 // equal reports marshal byte-identically).
-func (r *CEReport) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
+func (r *CEReport) JSON() ([]byte, error) { return reportJSON(r) }
 
 // CE runs the cardinality-estimation harness and renders the report.
 func (e *Env) CE() (string, *CEReport, error) {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/pmu"
 	"repro/internal/queries"
+	"repro/internal/ref"
 	"repro/internal/vm"
 )
 
@@ -92,13 +92,7 @@ type IngestReport struct {
 }
 
 // JSON renders the report as stable, indented JSON.
-func (r *IngestReport) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
+func (r *IngestReport) JSON() ([]byte, error) { return reportJSON(r) }
 
 // Normalize zeroes the host-time-dependent fields, leaving only the
 // deterministic simulated measurements — the form the golden test pins.
@@ -226,7 +220,7 @@ func (e *Env) IngestReportRun() (*IngestReport, error) {
 			row := IngestTaxRow{
 				Query: name, Workers: c.workers, Shards: c.shards,
 				BulkCycles: bulkCycles, IncrementalCycles: incrCycles, TaxPct: tax,
-				RowsIdentical:    rowsIdentical(incrRes.Rows, bulkRes.Rows),
+				RowsIdentical:    ref.SameRows(incrRes.Rows, bulkRes.Rows, true),
 				ProfileInvariant: string(incrProf.Profile.Canonical()) == string(bulkProf.Profile.Canonical()),
 			}
 			if !row.RowsIdentical || !row.ProfileInvariant || tax != 0 {

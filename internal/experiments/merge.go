@@ -9,6 +9,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/pmu"
 	"repro/internal/queries"
+	"repro/internal/ref"
 	"repro/internal/viz"
 	"repro/internal/vm"
 )
@@ -92,7 +93,10 @@ func (e *Env) Merge() (string, []MergeRow, error) {
 				if err != nil {
 					return "", nil, fmt.Errorf("%s %s workers=%d: %w", name, mode, workers, err)
 				}
-				same := rowsIdentical(res.Rows, oracle.Rows)
+				// Compared in order: the partitioned merge reconstructs the
+				// serial heap byte for byte, so even rows without an ORDER BY
+				// may not move.
+				same := ref.SameRows(res.Rows, oracle.Rows, true)
 				rows = append(rows, MergeRow{
 					Query: name, Workers: workers, Mode: mode,
 					WallCycles: res.WallCycles, MergeCycles: res.MergeCycles,
@@ -140,24 +144,4 @@ func (e *Env) Merge() (string, []MergeRow, error) {
 	sb.WriteString("\nmerge-kernel samples overlaid '^' on the fig9 8-worker lanes:\n")
 	sb.WriteString(lanes)
 	return sb.String(), rows, nil
-}
-
-// rowsIdentical compares result sets exactly, in order — the partitioned
-// merge reconstructs the serial heap byte for byte, so even rows without
-// an ORDER BY may not move.
-func rowsIdentical(a, b [][]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
 }

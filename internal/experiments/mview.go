@@ -1,13 +1,13 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
 	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/mview"
+	"repro/internal/ref"
 )
 
 // The materialized-view benchmark (BENCH_mview.json, DESIGN.md §16):
@@ -72,13 +72,7 @@ type MViewReport struct {
 }
 
 // JSON renders the report as stable, indented JSON.
-func (r *MViewReport) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
+func (r *MViewReport) JSON() ([]byte, error) { return reportJSON(r) }
 
 // dashStatement is the i-th dashboard query: the same per-product revenue
 // aggregate with shifting predicate literals, so every statement lands in
@@ -147,7 +141,7 @@ func (e *Env) MViewReportRun() (*MViewReport, error) {
 		if p.CacheHit {
 			d.WarmHits++
 		}
-		if !rowsIdentical(res.Rows, want.Rows) {
+		if !ref.SameRows(res.Rows, want.Rows, true) {
 			d.RowsIdentical = false
 		}
 		d.ViewCycles += res.Stats.Cycles

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -10,6 +9,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/pmu"
 	"repro/internal/queries"
+	"repro/internal/ref"
 	"repro/internal/vm"
 )
 
@@ -85,13 +85,7 @@ type ShardReport struct {
 }
 
 // JSON renders the report as stable, indented JSON.
-func (r *ShardReport) JSON() ([]byte, error) {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
+func (r *ShardReport) JSON() ([]byte, error) { return reportJSON(r) }
 
 // shardScanQuery builds the 90%-prunable selective scan of the scaling
 // gate, generalized over the cut fraction: a range conjunct on the
@@ -222,7 +216,7 @@ func (e *Env) ShardReportRun() (*ShardReport, error) {
 			row := ShardRow{
 				Query: wl.name, Workers: c.workers, Shards: c.shards, Pruning: c.pruning,
 				WallCycles: res.WallCycles, Zones: zones, PrunedZones: pruned,
-				RowsIdentical:    rowsIdentical(res.Rows, oracle),
+				RowsIdentical:    ref.SameRows(res.Rows, oracle, true),
 				ProfileInvariant: string(canon) == string(canonBase[class]),
 			}
 			if c.workers == 0 {
@@ -250,7 +244,7 @@ func (e *Env) ShardReportRun() (*ShardReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sweep %.2f sharded: %w", frac, err)
 		}
-		if !rowsIdentical(res.Rows, base.Rows) {
+		if !ref.SameRows(res.Rows, base.Rows, true) {
 			rep.Pass = false
 		}
 		rep.Sweep = append(rep.Sweep, ShardSweepRow{

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
-	"sort"
 	"strings"
 
 	"repro/internal/engine"
@@ -68,7 +66,7 @@ func (e *Env) Table1() (string, []Table1Row, error) {
 		if err != nil {
 			return false, err.Error()
 		}
-		if !sameRows(res.Rows, want) {
+		if !ref.SameRows(res.Rows, want, false) {
 			return false, "results differ from reference"
 		}
 		att := res.Profile.Attribution()
@@ -118,19 +116,4 @@ func mark(b bool) string {
 		return "yes"
 	}
 	return "no"
-}
-
-func sameRows(a, b [][]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as := make([]string, len(a))
-	bs := make([]string, len(b))
-	for i := range a {
-		as[i] = fmt.Sprint(a[i])
-		bs[i] = fmt.Sprint(b[i])
-	}
-	sort.Strings(as)
-	sort.Strings(bs)
-	return reflect.DeepEqual(as, bs)
 }

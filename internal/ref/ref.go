@@ -7,6 +7,7 @@ package ref
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/catalog"
@@ -27,6 +28,30 @@ func ExecuteWith(pl *plan.Output, params []int64) ([][]int64, error) {
 	}
 	ex := &executor{params: params}
 	return ex.run(pl)
+}
+
+// SameRows reports whether two result sets hold the same rows: position by
+// position when ordered (the query has an ORDER BY, or the caller claims
+// byte-identical execution), as multisets otherwise.
+func SameRows(got, want [][]int64, ordered bool) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	if !ordered {
+		got, want = sortedRows(got), sortedRows(want)
+	}
+	for i := range got {
+		if !slices.Equal(got[i], want[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sortedRows(rows [][]int64) [][]int64 {
+	out := slices.Clone(rows)
+	slices.SortFunc(out, slices.Compare[[]int64])
+	return out
 }
 
 // executor threads the bound-parameter values through evaluation.

@@ -151,3 +151,34 @@ func TestBooleanOperators(t *testing.T) {
 		t.Fatalf("AND filter kept %d rows", len(got))
 	}
 }
+
+func TestSameRows(t *testing.T) {
+	a := [][]int64{{1, 2}, {3, 4}, {3, 4}}
+	cases := []struct {
+		name      string
+		got, want [][]int64
+		ordered   bool
+		same      bool
+	}{
+		{"identical ordered", a, [][]int64{{1, 2}, {3, 4}, {3, 4}}, true, true},
+		{"permuted ordered", a, [][]int64{{3, 4}, {1, 2}, {3, 4}}, true, false},
+		{"permuted unordered", a, [][]int64{{3, 4}, {1, 2}, {3, 4}}, false, true},
+		{"length mismatch", a, [][]int64{{1, 2}, {3, 4}}, false, false},
+		{"duplicate counts differ", a, [][]int64{{1, 2}, {1, 2}, {3, 4}}, false, false},
+		{"row width differs", [][]int64{{1, 2}}, [][]int64{{1, 2, 0}}, true, false},
+		{"value differs", [][]int64{{1, 2}}, [][]int64{{1, 3}}, false, false},
+		{"both empty", nil, [][]int64{}, true, true},
+	}
+	for _, c := range cases {
+		if got := SameRows(c.got, c.want, c.ordered); got != c.same {
+			t.Errorf("%s: SameRows = %v, want %v", c.name, got, c.same)
+		}
+		if got := SameRows(c.want, c.got, c.ordered); got != c.same {
+			t.Errorf("%s (swapped): SameRows = %v, want %v", c.name, got, c.same)
+		}
+	}
+	in := [][]int64{{9}, {1}}
+	if !SameRows(in, [][]int64{{1}, {9}}, false) || in[0][0] != 9 {
+		t.Errorf("unordered comparison must not reorder its input: %v", in)
+	}
+}
