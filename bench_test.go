@@ -275,12 +275,18 @@ func BenchmarkExecuteUnprofiled(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var instrs uint64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(cq, nil); err != nil {
+		res, err := eng.Run(cq, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
+		instrs += res.Stats.Instructions
 	}
+	// The whole run per simulated instruction: staging and read-back included.
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/inst")
 }
 
 // benchParallel runs one workload at Workers=1 and Workers=4 and reports

@@ -287,8 +287,9 @@ func stageSnapshot(cq *Compiled, cpu *vm.CPU, snap *catalog.Snapshot) error {
 	}
 	for _, b := range cq.binds {
 		data := snap.View(b.table).Col(b.col)
+		dst := cpu.Heap[b.addr : b.addr+8*int64(len(data))]
 		for i, v := range data {
-			cpu.WriteI64(b.addr+int64(i)*8, v)
+			codegen.PutHeapI64(dst, int64(8*i), v)
 		}
 	}
 	for _, rb := range cq.rowsBinds {
@@ -882,13 +883,16 @@ func readRows(cq *Compiled, cpu *vm.CPU) [][]int64 {
 	cursor := cpu.ReadI64(cq.Layout.ResultDesc + codegen.AllocDescCursor)
 	n := (cursor - cq.resultBase) / cq.rowBytes
 	w := int(cq.rowBytes / 8)
-	rows := make([][]int64, 0, n)
-	for i := int64(0); i < n; i++ {
-		row := make([]int64, w)
-		for j := 0; j < w; j++ {
-			row[j] = cpu.ReadI64(cq.resultBase + i*cq.rowBytes + int64(j)*8)
-		}
-		rows = append(rows, row)
+	// One backing array for all rows; each row's capacity stops at its
+	// end, so appending to a row never writes into the next.
+	vals := make([]int64, int(n)*w)
+	src := cpu.Heap[cq.resultBase : cq.resultBase+n*cq.rowBytes]
+	for i := range vals {
+		vals[i] = codegen.HeapI64(src, int64(8*i))
+	}
+	rows := make([][]int64, n)
+	for i := range rows {
+		rows[i] = vals[i*w : (i+1)*w : (i+1)*w]
 	}
 	return rows
 }

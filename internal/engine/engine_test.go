@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"errors"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -198,5 +200,30 @@ func TestOrderByLimit(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, prices[:10]) {
 		t.Fatalf("top-10 prices mismatch:\n got %v\nwant %v", got, prices[:10])
+	}
+}
+
+// TestBudgetErrorThroughRun: an exhausted instruction budget reaches the
+// caller of Executor.Run as a *vm.BudgetError, on the serial path (Run) and
+// on the morsel scheduler's (CallFunction per morsel).
+func TestBudgetErrorThroughRun(t *testing.T) {
+	cat := testCatalog(t)
+	for _, workers := range []int{0, 2} {
+		opts := DefaultOptions()
+		opts.Workers = workers
+		opts.MaxInstructions = 100
+		e := New(cat, opts)
+		cq, err := e.CompileQuery(introQuery(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = e.Run(cq, nil)
+		var be *vm.BudgetError
+		if !errors.As(err, &be) {
+			t.Fatalf("workers=%d: Run under a budget of 100 returned %v, want a *vm.BudgetError", workers, err)
+		}
+		if be.Budget < 100 || !strings.Contains(err.Error(), "instruction budget") {
+			t.Errorf("workers=%d: %v (budget %d)", workers, err, be.Budget)
+		}
 	}
 }

@@ -1,7 +1,5 @@
 package vm
 
-import "repro/internal/isa"
-
 // Cycle cost model. The absolute values are a deliberately simple in-order
 // approximation (the paper's phenomena are about *relative* costs: division
 // chains dominating aggregation, directory loads missing caches, branch
@@ -33,18 +31,5 @@ func loadCost(level int) uint64 {
 		return CostLoadL3
 	default:
 		return CostLoadMem
-	}
-}
-
-func aluCost(op isa.Op) uint64 {
-	switch op {
-	case isa.MUL:
-		return CostMul
-	case isa.DIV, isa.MOD:
-		return CostDiv
-	case isa.CRC32:
-		return CostCRC32
-	default:
-		return CostALU
 	}
 }

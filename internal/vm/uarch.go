@@ -15,108 +15,113 @@ const (
 	HitMem = 4
 )
 
-type cacheLevel struct {
-	sets      int
-	ways      int
-	lineShift uint
-	tags      []uint64 // sets*ways entries, 0 = empty
-	lru       []uint64 // per-line last-use stamp
-	clock     uint64
-}
+// Cache geometry: 32 KiB/8-way L1, 256 KiB/8-way L2, 8 MiB/16-way L3, all
+// with 64-byte lines.
+const (
+	lineShift = 6
 
-func newCacheLevel(sizeBytes, ways, lineBytes int) *cacheLevel {
-	sets := sizeBytes / (ways * lineBytes)
-	shift := uint(0)
-	for 1<<shift < lineBytes {
-		shift++
-	}
-	return &cacheLevel{
-		sets:      sets,
-		ways:      ways,
-		lineShift: shift,
-		tags:      make([]uint64, sets*ways),
-		lru:       make([]uint64, sets*ways),
-	}
-}
+	lineBytes = 1 << lineShift
 
-// access looks up addr; on miss the line is filled (LRU eviction).
-// It returns true on hit.
-func (c *cacheLevel) access(addr uint64) bool {
-	line := addr >> c.lineShift
-	set := int(line) & (c.sets - 1)
-	base := set * c.ways
-	c.clock++
-	// Tag 0 marks an empty way, so bias stored tags by 1.
-	tag := line + 1
-	victim := base
-	oldest := ^uint64(0)
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.tags[i] == tag {
-			c.lru[i] = c.clock
-			return true
-		}
-		if c.lru[i] < oldest {
-			oldest = c.lru[i]
-			victim = i
-		}
-	}
-	c.tags[victim] = tag
-	c.lru[victim] = c.clock
-	return false
-}
+	l1Ways, l1Sets = 8, (32 << 10) / (8 * lineBytes)
+	l2Ways, l2Sets = 8, (256 << 10) / (8 * lineBytes)
+	l3Ways, l3Sets = 16, (8 << 20) / (16 * lineBytes)
 
-// Hierarchy models L1/L2/L3 data caches.
+	// Tags are 32 bits wide (see tagOf), so line numbers stop short of
+	// maxLines; New enforces it for the heap.
+	maxLines = 1<<32 - 1
+)
+
+// Hierarchy models L1/L2/L3 data caches with true LRU replacement. Each set
+// is its ways' tags in recency order, most recently used first: a hit moves
+// the tag to the front, a miss inserts it there and drops the last. LRU
+// fixes the hit/miss sequence of an address stream whatever represents the
+// recency order, so this is the model that stamped every way with the time
+// of its last use, in a quarter of the memory. The zero value is an empty
+// hierarchy.
 type Hierarchy struct {
-	l1, l2, l3 *cacheLevel
+	l1 [l1Sets][l1Ways]uint32
+	l2 [l2Sets][l2Ways]uint32
+	l3 [l3Sets][l3Ways]uint32
 }
 
-// NewHierarchy builds the default cache hierarchy: 32 KiB/8-way L1,
-// 256 KiB/8-way L2, 8 MiB/16-way L3, all with 64-byte lines.
-func NewHierarchy() *Hierarchy {
-	return &Hierarchy{
-		l1: newCacheLevel(32<<10, 8, 64),
-		l2: newCacheLevel(256<<10, 8, 64),
-		l3: newCacheLevel(8<<20, 16, 64),
-	}
-}
+// NewHierarchy builds the default cache hierarchy.
+func NewHierarchy() *Hierarchy { return new(Hierarchy) }
 
 // Access classifies a memory access and updates cache state, returning the
-// level that served it (HitL1..HitMem).
+// level that served it (HitL1..HitMem). addr>>6 must be below maxLines.
 func (h *Hierarchy) Access(addr uint64) int {
-	if h.l1.access(addr) {
+	if h.front(addr) {
 		return HitL1
 	}
-	if h.l2.access(addr) {
+	return h.lookup(addr)
+}
+
+// front reports whether addr's line is the most recently used of its L1 set
+// — as the line the previous access touched always is. Such an access is an
+// L1 hit that changes nothing: the line is already in front, and an L1 hit
+// does not reach L2 or L3. The run loop asks this inline and calls lookup
+// only when the answer is no.
+func (h *Hierarchy) front(addr uint64) bool {
+	return h.l1[addr>>lineShift%l1Sets][0] == tagOf(addr)
+}
+
+// tagOf is what a way holding addr's line stores: the line number plus one,
+// 0 being an empty way.
+func tagOf(addr uint64) uint32 { return uint32(addr>>lineShift) + 1 }
+
+// lookup is Access without the shortcut.
+func (h *Hierarchy) lookup(addr uint64) int {
+	line, tag := addr>>lineShift, tagOf(addr)
+	if touch(h.l1[line%l1Sets][:], tag) {
+		return HitL1
+	}
+	if touch(h.l2[line%l2Sets][:], tag) {
 		return HitL2
 	}
-	if h.l3.access(addr) {
+	if touch(h.l3[line%l3Sets][:], tag) {
 		return HitL3
 	}
 	return HitMem
 }
 
+// touch looks tag up in one set and makes it the most recently used way,
+// shifting the ways before it (all of them on a miss, dropping the least
+// recently used) back by one as it scans. It reports whether tag was there.
+func touch(set []uint32, tag uint32) bool {
+	prev := tag
+	for i, t := range set {
+		set[i] = prev
+		if t == tag {
+			return true
+		}
+		prev = t
+	}
+	return false
+}
+
 // BranchPredictor is a table of 2-bit saturating counters indexed by the
 // branch instruction's address.
 type BranchPredictor struct {
-	counters []uint8
-	mask     int
+	counters [4096]uint8
 }
 
 // NewBranchPredictor builds a predictor with 4096 entries.
 func NewBranchPredictor() *BranchPredictor {
-	n := 4096
-	bp := &BranchPredictor{counters: make([]uint8, n), mask: n - 1}
+	bp := new(BranchPredictor)
+	bp.reset()
+	return bp
+}
+
+func (bp *BranchPredictor) reset() {
 	for i := range bp.counters {
 		bp.counters[i] = 1 // weakly not-taken
 	}
-	return bp
 }
 
 // Predict consumes the branch outcome and reports whether the prediction
 // was correct, updating the counter.
 func (bp *BranchPredictor) Predict(ip int, taken bool) bool {
-	c := &bp.counters[ip&bp.mask]
+	c := &bp.counters[uint(ip)%uint(len(bp.counters))]
 	predictedTaken := *c >= 2
 	if taken {
 		if *c < 3 {

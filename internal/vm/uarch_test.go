@@ -1,6 +1,9 @@
 package vm
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func TestCacheL1Hit(t *testing.T) {
 	h := NewHierarchy()
@@ -98,4 +101,69 @@ func TestBranchPredictorIndependentSlots(t *testing.T) {
 	if !bp.Predict(2, false) {
 		t.Fatal("slot 2 forgot its not-taken bias")
 	}
+}
+
+// TestCacheMatchesTimestampLRU: the recency-ordered sets serve every address
+// stream from the same levels as the reference's timestamped ways.
+func TestCacheMatchesTimestampLRU(t *testing.T) {
+	const span = 24 << 20 // beyond L3, so every level evicts
+	x := uint64(88172645463325252)
+	random := func() uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+	streams := map[string]func(i int) uint64{
+		"sequential":       func(i int) uint64 { return uint64(i) * 8 % span },
+		"same line":        func(i int) uint64 { return uint64(i/5)*4096 + uint64(i%5)*13%64 },
+		"strided conflict": func(i int) uint64 { return uint64(i%11) * (l1Sets << lineShift) }, // 11 lines, one L1 set
+		"l3 conflict":      func(i int) uint64 { return uint64(i%13) * (l3Sets << lineShift) }, // 13 lines, one set at every level
+		"random conflict":  func(int) uint64 { return random() % 20 * (l3Sets << lineShift) },  // 20 such lines
+		"two streams":      func(i int) uint64 { return uint64(i%2)*(8<<20) + uint64(i/2)*8 },
+		"random":           func(int) uint64 { return random() % span },
+		"random hot set":   func(int) uint64 { return random() % (48 << 10) },
+		"scan then reuse":  func(i int) uint64 { return uint64(i%70000) * 64 },
+	}
+	for name, next := range streams {
+		h, ref := NewHierarchy(), newRefHierarchy()
+		var served [HitMem + 1]int
+		for i := 0; i < 400_000; i++ {
+			addr := next(i)
+			got, want := h.Access(addr), ref.Access(addr)
+			if got != want {
+				t.Fatalf("%s: access %d (addr %#x) served by level %d, reference says %d", name, i, addr, got, want)
+			}
+			served[got]++
+		}
+		t.Logf("%-18s L1 %6d  L2 %6d  L3 %6d  mem %6d", name, served[HitL1], served[HitL2], served[HitL3], served[HitMem])
+	}
+}
+
+// TestNewCPUFootprint pins what building a CPU costs besides its heap: one
+// allocation holding the cache model's 530 KiB of tags. The timestamped
+// model took 2.1 MB in a dozen allocations, on every run.
+func TestNewCPUFootprint(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := New(0)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	if bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs; bytes > 640<<10 || mallocs > 6 {
+		t.Fatalf("vm.New(0) allocated %d bytes in %d mallocs, want at most 640 KiB in 6", bytes, mallocs)
+	} else {
+		t.Logf("vm.New(0): %d bytes, %d mallocs", bytes, mallocs)
+	}
+}
+
+// TestHeapLimit: a heap with more lines than a tag can name is refused
+// where it would be created.
+func TestHeapLimit(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a heap beyond the cache model's tag range")
+		}
+	}()
+	New(maxLines << lineShift)
 }

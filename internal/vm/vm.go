@@ -12,6 +12,7 @@ package vm
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/isa"
 )
@@ -62,7 +63,8 @@ func (e Event) String() string {
 // call stack, last accessed address) and returns the number of cycles the
 // act of sampling costs (PEBS record cost, buffer flushes, ...), which the
 // CPU adds to the TSC — this is how sampling overhead perturbs execution,
-// exactly like real PEBS.
+// exactly like real PEBS. The hook only reads the CPU: it must not write its
+// registers or heap, re-arm it or run it.
 type SampleHook interface {
 	Sample(c *CPU, ev Event, addr int64) (extraCycles uint64)
 }
@@ -88,6 +90,17 @@ type Stats struct {
 // experiments of Fig. 13 measure).
 func (s *Stats) TotalCycles() uint64 { return s.Cycles + s.SampleCycles }
 
+// BudgetError reports that a run stopped because it had retired Budget
+// instructions; IP is the instruction that would have executed next.
+type BudgetError struct {
+	Budget uint64
+	IP     int
+}
+
+func (e *BudgetError) Error() string {
+	return fmt.Sprintf("vm: instruction budget (%d) exhausted at ip=%d", e.Budget, e.IP)
+}
+
 // TrapError reports a runtime trap (bounds violation, division by zero,
 // arena overflow signalled by generated code).
 type TrapError struct {
@@ -106,14 +119,12 @@ type CPU struct {
 	Regs [isa.NumRegs]int64
 
 	prog      *isa.Program
+	code      []inst // prog.Code decoded by Load, index for index
 	ip        int
 	tsc       uint64
 	callStack []int // return addresses (instruction indices)
 	halted    bool
 	haltOnRet bool // CallFunction mode: RET at stack depth 0 halts
-
-	caches *Hierarchy
-	bp     *BranchPredictor
 
 	Stats Stats
 
@@ -142,6 +153,12 @@ type CPU struct {
 	lbr    [LBRDepth]BranchRecord
 	lbrPos int
 	lbrLen int
+
+	// The microarchitectural models sit by value behind every pointer
+	// field: one allocation builds the whole CPU, and the garbage
+	// collector stops scanning it before the tag arrays.
+	bp     BranchPredictor
+	caches Hierarchy
 }
 
 // LBRDepth is the capacity of the last-branch-record ring (x86: 16-32).
@@ -154,20 +171,113 @@ type BranchRecord struct {
 	Taken bool
 }
 
-// New creates a CPU with the given heap size in bytes.
+// New creates a CPU with the given heap size in bytes. It panics if the
+// heap has more 64-byte lines than the cache model's 32-bit tags can name
+// (256 GiB), the one place that limit is enforced.
 func New(heapSize int) *CPU {
-	return &CPU{
-		Heap:    make([]byte, heapSize),
-		caches:  NewHierarchy(),
-		bp:      NewBranchPredictor(),
-		FreqGHz: 3.5,
+	if uint64(heapSize)>>lineShift >= maxLines {
+		bug(fmt.Sprintf("heap of %d bytes exceeds the cache model's %d lines", heapSize, uint64(maxLines)))
 	}
+	c := &CPU{Heap: make([]byte, heapSize), FreqGHz: 3.5}
+	c.bp.reset()
+	return c
+}
+
+// inst is one decoded instruction. Load normalizes the operand forms so the
+// run loop selects nothing per step: a register slot the instruction does
+// not read names zeroReg, and an immediate it does not use is 0. The second
+// ALU/compare operand is then always R(s2)+imm and a memory address always
+// imm + R(s1) + R(s2)<<log2(width), whatever UseImm, Abs and Scaled said.
+//
+// Opcode and register slots share one word, op | dst<<8 | s1<<16 | s2<<24:
+// the loop fetches an instruction with three loads and takes it apart in
+// registers.
+type inst struct {
+	w      uint32
+	imm    int64
+	target int // taken branches and CALL: the next instruction; opIllegal: the opcode
+}
+
+func pack(op isa.Op, dst, s1, s2 isa.Reg) uint32 {
+	return uint32(op) | uint32(dst)<<8 | uint32(s1)<<16 | uint32(s2)<<24
+}
+
+const (
+	// zeroReg is a slot of the run loop's register file, past the
+	// architectural registers, that always holds 0.
+	zeroReg isa.Reg = isa.NumRegs
+	badReg  isa.Reg = 0xff // decode only: no such register
+
+	// Decoded opcodes beyond the instruction set.
+	opIllegal = isa.TRAP + 1 // not an opcode
+	opBadReg  = isa.TRAP + 2 // names a register outside the file
+)
+
+// decode translates one instruction; see inst. An instruction that names a
+// register outside the file decodes to a trap of its own.
+func decode(in *isa.Instr) inst {
+	// Which operand fields the instruction uses; target is in.Imm unless
+	// the immediate is an operand (Jcc), then in.Imm2.
+	var dst, s1, s2, imm bool
+	target := in.Imm
+	switch in.Op {
+	case isa.NOP, isa.RET, isa.HALT, isa.JMP, isa.CALL:
+	case isa.MOVRR:
+		dst, s1 = true, true
+	case isa.MOVRI:
+		dst, imm = true, true
+	case isa.LOAD8, isa.LOAD32, isa.LOAD64, isa.STORE8, isa.STORE32, isa.STORE64:
+		dst, s1, s2, imm = true, !in.Abs, in.Scaled, true
+	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.MOD, isa.AND, isa.OR,
+		isa.XOR, isa.SHL, isa.SHR, isa.ROTR, isa.CRC32,
+		isa.CMPEQ, isa.CMPNE, isa.CMPLT, isa.CMPLE, isa.CMPGT, isa.CMPGE:
+		dst, s1, s2, imm = true, true, !in.UseImm, in.UseImm
+	case isa.JNZ, isa.JZ:
+		s1 = true
+	case isa.JEQ, isa.JNE, isa.JLT, isa.JGE:
+		s1, s2, imm, target = true, !in.UseImm, in.UseImm, in.Imm2
+	case isa.TRAP:
+		imm = true
+	default:
+		return inst{w: pack(opIllegal, zeroReg, zeroReg, zeroReg), target: int(in.Op)}
+	}
+	rd, r1, r2 := slot(dst, in.Dst), slot(s1, in.Src1), slot(s2, in.Src2)
+	if rd == badReg || r1 == badReg || r2 == badReg {
+		return inst{w: pack(opBadReg, zeroReg, zeroReg, zeroReg)}
+	}
+	d := inst{w: pack(in.Op, rd, r1, r2), target: int(target)}
+	if imm {
+		d.imm = in.Imm
+	}
+	return d
+}
+
+// slot returns where the run loop finds a register operand: the register
+// itself, zeroReg for an operand the instruction does not use, badReg for
+// a register outside the file.
+func slot(used bool, r isa.Reg) isa.Reg {
+	switch {
+	case !used:
+		return zeroReg
+	case r > isa.SP:
+		return badReg
+	}
+	return r
 }
 
 // Load installs a program and resets execution state (registers, IP, TSC,
 // statistics); heap contents are preserved so the host can stage data first.
+// The program is decoded into the CPU's own buffer: the *isa.Program is
+// shared between concurrent sessions and never written.
 func (c *CPU) Load(p *isa.Program) {
 	c.prog = p
+	if cap(c.code) < len(p.Code) {
+		c.code = make([]inst, len(p.Code))
+	}
+	c.code = c.code[:len(p.Code)]
+	for i := range p.Code {
+		c.code[i] = decode(&p.Code[i])
+	}
 	c.ip = 0
 	c.tsc = 0
 	c.halted = false
@@ -293,27 +403,6 @@ func (c *CPU) CallStack() []int { return c.callStack }
 // LastAddr returns the effective address of the most recent memory access.
 func (c *CPU) LastAddr() int64 { return c.lastAddr }
 
-func (c *CPU) event(ev Event, addr int64) {
-	if !c.sampling || ev != c.armed {
-		return
-	}
-	c.countdown--
-	if c.countdown > 0 {
-		return
-	}
-	c.countdown = c.nextPeriod()
-	extra := c.hook.Sample(c, ev, addr)
-	c.tsc += extra
-	c.Stats.SampleCycles += extra
-}
-
-func (c *CPU) mem(addr, width int64) ([]byte, error) {
-	if addr < 0 || addr+width > int64(len(c.Heap)) {
-		return nil, &TrapError{IP: c.ip, Reason: fmt.Sprintf("memory access out of bounds: addr=%d width=%d heap=%d", addr, width, len(c.Heap))}
-	}
-	return c.Heap[addr : addr+width], nil
-}
-
 // ReadI64 reads a 64-bit value from the heap (host-side helper).
 func (c *CPU) ReadI64(addr int64) int64 {
 	return int64(binary.LittleEndian.Uint64(c.Heap[addr:]))
@@ -324,207 +413,323 @@ func (c *CPU) WriteI64(addr, v int64) {
 	binary.LittleEndian.PutUint64(c.Heap[addr:], uint64(v))
 }
 
+// widthShift is log2 of a memory instruction's access width: an access is in
+// bounds iff 0 <= addr <= len(heap)-width. (Sized so that any isa.Op indexes
+// it unchecked.)
+var widthShift = [1 << 8]uint8{
+	isa.LOAD8: 0, isa.LOAD32: 2, isa.LOAD64: 3,
+	isa.STORE8: 0, isa.STORE32: 2, isa.STORE64: 3,
+}
+
+// regFile is the run loop's working copy of the registers. It is indexed by
+// an isa.Reg without a bounds check; decode only ever names slots
+// 0..zeroReg.
+type regFile [1 << 8]int64
+
+// sample delivers one overflow of the armed counter: it draws the next
+// interval, publishes the state the hook may inspect — IP of the sampled
+// instruction, TSC, registers and the running totals; call stack, LBR, last
+// address and the other counters are kept in the CPU as the loop goes —
+// charges what the hook asks for and returns the new TSC. The hook must not
+// modify the CPU.
+func (c *CPU) sample(addr int64, ip int, tsc, instrs uint64, r *regFile) uint64 {
+	c.countdown = c.nextPeriod()
+	c.publish(ip, tsc, instrs, r)
+	extra := c.hook.Sample(c, c.armed, addr)
+	c.tsc += extra
+	c.Stats.SampleCycles += extra
+	return c.tsc
+}
+
+// publish stores the run loop's locals back into the CPU. The TSC has
+// advanced by the cost of the instructions executed since it was last
+// published, and so has the cycle total.
+func (c *CPU) publish(ip int, tsc, instrs uint64, r *regFile) {
+	c.Stats.Cycles += tsc - c.tsc
+	c.ip, c.tsc, c.Stats.Instructions = ip, tsc, instrs
+	copy(c.Regs[:], r[:])
+}
+
+func (c *CPU) outOfBounds(ip int, addr, width int64) error {
+	return &TrapError{IP: ip, Reason: fmt.Sprintf("memory access out of bounds: addr=%d width=%d heap=%d", addr, width, len(c.Heap))}
+}
+
 // Run executes the loaded program until HALT, a trap, or the instruction
 // budget is exhausted (0 means no budget). It returns the statistics of
 // the run.
+//
+// The loop keeps IP, TSC, the instruction total and the registers in
+// locals. They are published (see publish) before every call of the
+// sampling hook, with IP naming the instruction being sampled, and once on
+// the way out, whatever ended the run; every other piece of state is
+// updated in the CPU as it changes.
 func (c *CPU) Run(maxInstructions uint64) (Stats, error) {
 	if c.prog == nil {
 		return c.Stats, fmt.Errorf("vm: no program loaded")
 	}
-	code := c.prog.Code
-	for !c.halted {
-		if maxInstructions > 0 && c.Stats.Instructions >= maxInstructions {
-			return c.Stats, fmt.Errorf("vm: instruction budget (%d) exhausted at ip=%d", maxInstructions, c.ip)
-		}
-		if c.ip < 0 || c.ip >= len(code) {
-			return c.Stats, &TrapError{IP: c.ip, Reason: "instruction pointer out of range"}
-		}
-		in := &code[c.ip]
-		if err := c.step(in); err != nil {
-			return c.Stats, err
-		}
+	if c.halted {
+		return c.Stats, nil
 	}
-	return c.Stats, nil
-}
+	var (
+		code   = c.code
+		ip     = c.ip
+		tsc    = c.tsc
+		instrs = c.Stats.Instructions
+		err    error
+		r      regFile
+	)
+	copy(r[:], c.Regs[:])
 
-// step executes one instruction; on return c.ip points at the next
-// instruction to execute.
-func (c *CPU) step(in *isa.Instr) error {
-	ipBefore := c.ip
-	next := c.ip + 1
-	cost := uint64(CostALU)
+	// limit is the instruction total at which the loop stops. HALT (and
+	// the RET that ends a CallFunction) sets it to 0, so that the budget
+	// test is the only one made between instructions.
+	limit := maxInstructions
+	if limit == 0 {
+		limit = ^uint64(0)
+	}
 
-	switch in.Op {
-	case isa.NOP:
-		// nothing
+	// What is armed decides the sampling work: nothing — one test at
+	// retirement and one per load; cycles or retired instructions — a
+	// countdown at retirement; loads, L3 misses, branch misses — a
+	// countdown where they occur.
+	armed := NumEvents
+	if c.sampling {
+		armed = c.armed
+	}
 
-	case isa.MOVRR:
-		c.Regs[in.Dst] = c.Regs[in.Src1]
-	case isa.MOVRI:
-		c.Regs[in.Dst] = in.Imm
-
-	case isa.LOAD8, isa.LOAD32, isa.LOAD64:
-		w := in.Width()
-		addr := in.Imm
-		if !in.Abs {
-			addr += c.Regs[in.Src1]
-		}
-		if in.Scaled {
-			addr += c.Regs[in.Src2] * w
-		}
-		m, err := c.mem(addr, w)
-		if err != nil {
-			return err
-		}
-		var v int64
-		switch w {
-		case 1:
-			v = int64(m[0])
-		case 4:
-			v = int64(int32(binary.LittleEndian.Uint32(m)))
-		default:
-			v = int64(binary.LittleEndian.Uint64(m))
-		}
-		c.Regs[in.Dst] = v
-		c.lastAddr = addr
-		lvl := c.caches.Access(uint64(addr))
-		cost = loadCost(lvl)
-		c.noteAccess(lvl)
-		c.Stats.Loads++
-		c.event(EvMemLoads, addr)
-		if lvl == HitMem {
-			c.event(EvL3Miss, addr)
-		}
-
-	case isa.STORE8, isa.STORE32, isa.STORE64:
-		w := in.Width()
-		addr := in.Imm
-		if !in.Abs {
-			addr += c.Regs[in.Src1]
-		}
-		if in.Scaled {
-			addr += c.Regs[in.Src2] * w
-		}
-		m, err := c.mem(addr, w)
-		if err != nil {
-			return err
-		}
-		v := c.Regs[in.Dst]
-		switch w {
-		case 1:
-			m[0] = byte(v)
-		case 4:
-			binary.LittleEndian.PutUint32(m, uint32(v))
-		default:
-			binary.LittleEndian.PutUint64(m, uint64(v))
-		}
-		c.lastAddr = addr
-		lvl := c.caches.Access(uint64(addr))
-		c.noteAccess(lvl)
-		cost = CostStore
-		c.Stats.Stores++
-
-	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.MOD, isa.AND, isa.OR,
-		isa.XOR, isa.SHL, isa.SHR, isa.ROTR, isa.CRC32,
-		isa.CMPEQ, isa.CMPNE, isa.CMPLT, isa.CMPLE, isa.CMPGT, isa.CMPGE:
-		b := in.Imm
-		if !in.UseImm {
-			b = c.Regs[in.Src2]
-		}
-		v, err := alu(in.Op, c.Regs[in.Src1], b, c.ip)
-		if err != nil {
-			return err
-		}
-		c.Regs[in.Dst] = v
-		cost = aluCost(in.Op)
-
-	case isa.JMP:
-		next = int(in.Imm)
-		cost = CostBranch
-
-	case isa.JNZ, isa.JZ:
-		taken := c.Regs[in.Src1] != 0
-		if in.Op == isa.JZ {
-			taken = !taken
-		}
-		if taken {
-			next = int(in.Imm)
-		}
-		cost = c.branchCost(ipBefore, taken)
-
-	case isa.JEQ, isa.JNE, isa.JLT, isa.JGE:
-		b := in.Imm
-		if !in.UseImm {
-			b = c.Regs[in.Src2]
-		}
-		a := c.Regs[in.Src1]
-		var taken bool
-		switch in.Op {
-		case isa.JEQ:
-			taken = a == b
-		case isa.JNE:
-			taken = a != b
-		case isa.JLT:
-			taken = a < b
-		case isa.JGE:
-			taken = a >= b
-		}
-		if taken {
-			next = int(in.Imm2)
-		}
-		cost = c.branchCost(ipBefore, taken)
-
-	case isa.CALL:
-		c.callStack = append(c.callStack, next)
-		next = int(in.Imm)
-		cost = CostCall
-		c.Stats.Calls++
-
-	case isa.RET:
-		if len(c.callStack) == 0 {
-			if !c.haltOnRet {
-				return &TrapError{IP: c.ip, Reason: "ret with empty call stack"}
+loop:
+	for {
+		if instrs >= limit {
+			if !c.halted {
+				err = &BudgetError{Budget: maxInstructions, IP: ip}
 			}
-			// CallFunction mode: returning from the entry function ends
-			// the call like HALT ends a program.
-			c.halted = true
+			break
+		}
+		if uint(ip) >= uint(len(code)) {
+			err = &TrapError{IP: ip, Reason: "instruction pointer out of range"}
+			break
+		}
+		in := code[ip]
+		op, dst, s1, s2 := isa.Op(in.w), isa.Reg(in.w>>8), isa.Reg(in.w>>16), isa.Reg(in.w>>24)
+		next := ip + 1
+		cost := uint64(CostALU)
+		b := r[s2] + in.imm // the second operand of ALU instructions, compares and Jcc
+
+		switch op {
+		case isa.NOP:
+
+		case isa.MOVRR:
+			r[dst] = r[s1]
+		case isa.MOVRI:
+			r[dst] = in.imm
+
+		case isa.LOAD8, isa.LOAD32, isa.LOAD64:
+			heap, sh := c.Heap, widthShift[op]
+			addr := in.imm + r[s1] + r[s2]<<sh
+			if addr < 0 || addr > int64(len(heap))-1<<sh {
+				err = c.outOfBounds(ip, addr, 1<<sh)
+				break loop
+			}
+			var v int64
+			switch op {
+			case isa.LOAD64:
+				v = int64(binary.LittleEndian.Uint64(heap[addr:]))
+			case isa.LOAD32:
+				v = int64(int32(binary.LittleEndian.Uint32(heap[addr:])))
+			default:
+				v = int64(heap[addr])
+			}
+			r[dst] = v
+			c.lastAddr = addr
+			c.Stats.Loads++
+			lvl := HitL1
+			if c.caches.front(uint64(addr)) {
+				cost = CostLoadL1
+				c.Stats.L1Hits++
+			} else {
+				lvl = c.caches.lookup(uint64(addr))
+				cost = loadCost(lvl)
+				c.noteAccess(lvl)
+			}
+			if armed == EvMemLoads || armed == EvL3Miss && lvl == HitMem {
+				if c.countdown--; c.countdown <= 0 {
+					tsc = c.sample(addr, ip, tsc, instrs, &r)
+				}
+			}
+
+		case isa.STORE8, isa.STORE32, isa.STORE64:
+			heap, sh := c.Heap, widthShift[op]
+			addr := in.imm + r[s1] + r[s2]<<sh
+			if addr < 0 || addr > int64(len(heap))-1<<sh {
+				err = c.outOfBounds(ip, addr, 1<<sh)
+				break loop
+			}
+			switch v := r[dst]; op {
+			case isa.STORE64:
+				binary.LittleEndian.PutUint64(heap[addr:], uint64(v))
+			case isa.STORE32:
+				binary.LittleEndian.PutUint32(heap[addr:], uint32(v))
+			default:
+				heap[addr] = byte(v)
+			}
+			c.lastAddr = addr
+			c.Stats.Stores++
+			cost = CostStore
+			if c.caches.front(uint64(addr)) {
+				c.Stats.L1Hits++
+			} else {
+				c.noteAccess(c.caches.lookup(uint64(addr)))
+			}
+
+		case isa.ADD:
+			r[dst] = r[s1] + b
+		case isa.SUB:
+			r[dst] = r[s1] - b
+		case isa.MUL:
+			r[dst] = r[s1] * b
+			cost = CostMul
+		case isa.DIV:
+			if b == 0 {
+				err = &TrapError{IP: ip, Reason: "division by zero"}
+				break loop
+			}
+			r[dst] = r[s1] / b
+			cost = CostDiv
+		case isa.MOD:
+			if b == 0 {
+				err = &TrapError{IP: ip, Reason: "modulo by zero"}
+				break loop
+			}
+			r[dst] = r[s1] % b
+			cost = CostDiv
+		case isa.AND:
+			r[dst] = r[s1] & b
+		case isa.OR:
+			r[dst] = r[s1] | b
+		case isa.XOR:
+			r[dst] = r[s1] ^ b
+		case isa.SHL:
+			r[dst] = r[s1] << (uint64(b) & 63)
+		case isa.SHR:
+			r[dst] = int64(uint64(r[s1]) >> (uint64(b) & 63))
+		case isa.ROTR:
+			r[dst] = int64(bits.RotateLeft64(uint64(r[s1]), -int(uint64(b)&63)))
+		case isa.CRC32:
+			// One mixing step of the paper's hash pipeline (crc32 i64 const, v):
+			// a cheap, well-mixing combine, not the real CRC polynomial.
+			x := uint64(r[s1]) ^ uint64(b)*0x9e3779b97f4a7c15
+			x ^= x >> 32
+			x *= 0xd6e8feb86659fd93
+			x ^= x >> 32
+			r[dst] = int64(x)
+			cost = CostCRC32
+		case isa.CMPEQ:
+			r[dst] = b2i(r[s1] == b)
+		case isa.CMPNE:
+			r[dst] = b2i(r[s1] != b)
+		case isa.CMPLT:
+			r[dst] = b2i(r[s1] < b)
+		case isa.CMPLE:
+			r[dst] = b2i(r[s1] <= b)
+		case isa.CMPGT:
+			r[dst] = b2i(r[s1] > b)
+		case isa.CMPGE:
+			r[dst] = b2i(r[s1] >= b)
+
+		case isa.JMP:
+			next = in.target
+			cost = CostBranch
+
+		case isa.JNZ, isa.JZ, isa.JEQ, isa.JNE, isa.JLT, isa.JGE:
+			a := r[s1]
+			var taken bool
+			switch op {
+			case isa.JNZ:
+				taken = a != 0
+			case isa.JZ:
+				taken = a == 0
+			case isa.JEQ:
+				taken = a == b
+			case isa.JNE:
+				taken = a != b
+			case isa.JLT:
+				taken = a < b
+			default:
+				taken = a >= b
+			}
+			if taken {
+				next = in.target
+			}
+			c.Stats.Branches++
+			c.lbr[c.lbrPos] = BranchRecord{IP: ip, Taken: taken}
+			c.lbrPos = (c.lbrPos + 1) & (LBRDepth - 1)
+			if c.lbrLen < LBRDepth {
+				c.lbrLen++
+			}
+			cost = CostBranch
+			if !c.bp.Predict(ip, taken) {
+				cost += CostBranchMiss
+				c.Stats.BranchMisses++
+				if armed == EvBranchMiss {
+					if c.countdown--; c.countdown <= 0 {
+						tsc = c.sample(c.lastAddr, ip, tsc, instrs, &r)
+					}
+				}
+			}
+
+		case isa.CALL:
+			c.callStack = append(c.callStack, next)
+			next = in.target
 			cost = CostCall
-		} else {
-			next = c.callStack[len(c.callStack)-1]
-			c.callStack = c.callStack[:len(c.callStack)-1]
+			c.Stats.Calls++
+
+		case isa.RET:
 			cost = CostCall
+			if n := len(c.callStack); n > 0 {
+				next = c.callStack[n-1]
+				c.callStack = c.callStack[:n-1]
+			} else if c.haltOnRet {
+				// CallFunction mode: returning from the entry function ends
+				// the call like HALT ends a program.
+				c.halted, limit = true, 0
+			} else {
+				err = &TrapError{IP: ip, Reason: "ret with empty call stack"}
+				break loop
+			}
+
+		case isa.HALT:
+			c.halted, limit = true, 0
+		case isa.TRAP:
+			err = &TrapError{IP: ip, Reason: fmt.Sprintf("explicit trap (code %d)", in.imm)}
+			break loop
+		case opBadReg:
+			err = &TrapError{IP: ip, Reason: "register out of range"}
+			break loop
+		default:
+			err = &TrapError{IP: ip, Reason: fmt.Sprintf("illegal opcode %v", isa.Op(in.target))}
+			break loop
 		}
 
-	case isa.HALT:
-		c.halted = true
-	case isa.TRAP:
-		return &TrapError{IP: c.ip, Reason: fmt.Sprintf("explicit trap (code %d)", in.Imm)}
-
-	default:
-		return &TrapError{IP: c.ip, Reason: fmt.Sprintf("illegal opcode %v", in.Op)}
-	}
-
-	c.tsc += cost
-	c.Stats.Cycles += cost
-	c.Stats.Instructions++
-	c.ip = next
-	// Retirement events fire after the architectural effects are
-	// visible, with the sample's IP pointing at the retiring instruction
-	// — matching PEBS "precise distribution" semantics.
-	savedIP := c.ip
-	c.ip = ipBefore
-	c.event(EvInstRetired, c.lastAddr)
-	if c.sampling && c.armed == EvCycles {
-		c.countdown -= int64(cost)
-		if c.countdown <= 0 {
-			c.countdown = c.nextPeriod()
-			extra := c.hook.Sample(c, EvCycles, c.lastAddr)
-			c.tsc += extra
-			c.Stats.SampleCycles += extra
+		tsc += cost
+		instrs++
+		// Retirement events fire after the architectural effects are
+		// visible, with the sample's IP pointing at the retiring instruction
+		// — matching PEBS "precise distribution" semantics.
+		if armed == EvCycles || armed == EvInstRetired {
+			if armed == EvCycles {
+				c.countdown -= int64(cost)
+			} else {
+				c.countdown--
+			}
+			if c.countdown <= 0 {
+				tsc = c.sample(c.lastAddr, ip, tsc, instrs, &r)
+			}
 		}
+		ip = next
 	}
-	c.ip = savedIP
-	return nil
+
+	c.publish(ip, tsc, instrs, &r)
+	return c.Stats, err
 }
 
 func (c *CPU) noteAccess(lvl int) {
@@ -551,78 +756,6 @@ func (c *CPU) LBRSnapshot() []BranchRecord {
 		out = append(out, c.lbr[(start+i)%LBRDepth])
 	}
 	return out
-}
-
-func (c *CPU) branchCost(ip int, taken bool) uint64 {
-	c.Stats.Branches++
-	c.lbr[c.lbrPos] = BranchRecord{IP: ip, Taken: taken}
-	c.lbrPos = (c.lbrPos + 1) % LBRDepth
-	if c.lbrLen < LBRDepth {
-		c.lbrLen++
-	}
-	if c.bp.Predict(ip, taken) {
-		return CostBranch
-	}
-	c.Stats.BranchMisses++
-	c.ip = ip // event attribution: the miss belongs to the branch
-	c.event(EvBranchMiss, c.lastAddr)
-	return CostBranch + CostBranchMiss
-}
-
-func alu(op isa.Op, a, b int64, ip int) (int64, error) {
-	switch op {
-	case isa.ADD:
-		return a + b, nil
-	case isa.SUB:
-		return a - b, nil
-	case isa.MUL:
-		return a * b, nil
-	case isa.DIV:
-		if b == 0 {
-			return 0, &TrapError{IP: ip, Reason: "division by zero"}
-		}
-		return a / b, nil
-	case isa.MOD:
-		if b == 0 {
-			return 0, &TrapError{IP: ip, Reason: "modulo by zero"}
-		}
-		return a % b, nil
-	case isa.AND:
-		return a & b, nil
-	case isa.OR:
-		return a | b, nil
-	case isa.XOR:
-		return a ^ b, nil
-	case isa.SHL:
-		return a << (uint64(b) & 63), nil
-	case isa.SHR:
-		return int64(uint64(a) >> (uint64(b) & 63)), nil
-	case isa.ROTR:
-		s := uint64(b) & 63
-		u := uint64(a)
-		return int64(u>>s | u<<(64-s)), nil
-	case isa.CRC32:
-		// One mixing step of the paper's hash pipeline (crc32 i64 const, v):
-		// a cheap, well-mixing combine, not the real CRC polynomial.
-		x := uint64(a) ^ uint64(b)*0x9e3779b97f4a7c15
-		x ^= x >> 32
-		x *= 0xd6e8feb86659fd93
-		x ^= x >> 32
-		return int64(x), nil
-	case isa.CMPEQ:
-		return b2i(a == b), nil
-	case isa.CMPNE:
-		return b2i(a != b), nil
-	case isa.CMPLT:
-		return b2i(a < b), nil
-	case isa.CMPLE:
-		return b2i(a <= b), nil
-	case isa.CMPGT:
-		return b2i(a > b), nil
-	case isa.CMPGE:
-		return b2i(a >= b), nil
-	}
-	return 0, &TrapError{IP: ip, Reason: fmt.Sprintf("alu: bad op %v", op)}
 }
 
 func b2i(b bool) int64 {
