@@ -224,6 +224,7 @@ func BenchmarkRegisterReservation(b *testing.B) {
 func BenchmarkAttribution(b *testing.B) {
 	env := benchEnv(b)
 	var rows []experiments.AttributionRow
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var err error
 		_, rows, err = env.Attribution()

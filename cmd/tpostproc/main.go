@@ -1,8 +1,10 @@
 // Command tpostproc is the offline post-processing phase of Tailored
 // Profiling (Fig. 4 step 3–4, §5.2.2): it reads the Tagging Dictionary
 // meta-data file written at compile time and a sample log written at run
-// time — produced by `tprof -save <prefix>` — and generates reports
-// without access to the engine, the plan, or the data.
+// time — produced by `tprof -save <prefix>` as <prefix>.meta.bin and
+// <prefix>.samples.bin — and generates reports without access to the
+// engine, the plan, or the data. Both files are binary; -report samples
+// prints a log as text.
 //
 //	tprof -query fig9 -save /tmp/fig9
 //	tpostproc -prefix /tmp/fig9 -report operators,timeline,attribution
@@ -28,7 +30,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	mf, err := os.Open(*prefix + ".meta.json")
+	mf, err := os.Open(*prefix + ".meta.bin")
 	if err != nil {
 		fatal(err)
 	}
@@ -37,7 +39,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sf, err := os.Open(*prefix + ".samples.jsonl")
+	sf, err := os.Open(*prefix + ".samples.bin")
 	if err != nil {
 		fatal(err)
 	}

@@ -37,7 +37,7 @@ func main() {
 	noTagging := flag.Bool("no-register-tagging", false, "disable Register Tagging (shared-code samples resolve via call stacks only)")
 	analyze := flag.Bool("analyze", false, "instrument EXPLAIN ANALYZE tuple counters")
 	bins := flag.Int("bins", 60, "timeline bins")
-	save := flag.String("save", "", "write <prefix>.meta.json and <prefix>.samples.jsonl for offline post-processing (cmd/tpostproc)")
+	save := flag.String("save", "", "write the meta-data file <prefix>.meta.bin and the sample log <prefix>.samples.bin (binary, DESIGN.md §3) for offline post-processing: tpostproc -prefix <prefix>; -report samples there prints a log as text")
 	zoomFrom := flag.Float64("zoom-from-ms", -1, "restrict reports to samples after this time")
 	zoomTo := flag.Float64("zoom-to-ms", -1, "restrict reports to samples before this time")
 	flag.Parse()
@@ -97,7 +97,7 @@ func main() {
 		if err := saveArtifacts(*save, cq, res); err != nil {
 			fatalf("save: %v", err)
 		}
-		fmt.Printf("wrote %s.meta.json and %s.samples.jsonl\n", *save, *save)
+		fmt.Printf("wrote %s.meta.bin and %s.samples.bin\n", *save, *save)
 	}
 
 	p := res.Profile
@@ -191,7 +191,7 @@ func main() {
 // saveArtifacts writes the Tagging Dictionary meta-data file (§5.2.2) and
 // the sample log for offline post-processing.
 func saveArtifacts(prefix string, cq *engine.Compiled, res *engine.Result) error {
-	mf, err := os.Create(prefix + ".meta.json")
+	mf, err := os.Create(prefix + ".meta.bin")
 	if err != nil {
 		return err
 	}
@@ -199,7 +199,7 @@ func saveArtifacts(prefix string, cq *engine.Compiled, res *engine.Result) error
 	if err := core.WriteMetadata(mf, cq.Pipe.Dict, cq.Code.NMap); err != nil {
 		return err
 	}
-	sf, err := os.Create(prefix + ".samples.jsonl")
+	sf, err := os.Create(prefix + ".samples.bin")
 	if err != nil {
 		return err
 	}

@@ -1,5 +1,10 @@
 package core
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Class buckets a sample the way Table 2 of the paper reports attribution.
 type Class uint8
 
@@ -27,6 +32,8 @@ type IRCredit struct {
 }
 
 // Attribution is the result of mapping one sample bottom-up (§4.2.6).
+// Credits is a window of the Attributor's table, shared by every sample on
+// the same instruction: do not modify it.
 type Attribution struct {
 	Class     Class
 	Credits   []Credit
@@ -36,100 +43,190 @@ type Attribution struct {
 
 // Attributor maps samples to abstraction levels using the Tagging
 // Dictionary (Logs A and B) and the backend debug info (NativeMap). It is
-// the post-processing phase of Fig. 4/5.
+// the post-processing phase of Fig. 4/5: native IP → (debug info) → IR
+// instruction(s) → (Log B) → task(s) → (Log A) → operator(s). For almost
+// every native instruction that walk has one answer whatever the sample,
+// so NewAttributor performs it once per instruction and keeps the answers
+// as windows of one pooled credit array; only shared code and CSE'd
+// instructions, whose owner the sample names, repeat it per sample
+// (DESIGN.md §3, "Attribution table"). The Attributor is immutable once
+// built, and the Dictionary and NativeMap must not change while it is in
+// use.
 type Attributor struct {
 	Dict *Dictionary
 	NMap *NativeMap
+
+	table []ipEntry
+	// credits[t] is the one-credit list of registered task t, credits[0]
+	// the kernel credit; lists of several credits follow.
+	credits []Credit
+	// IR ids lie in [irLo, irLo+irSpan). Compiled modules number their IR
+	// densely, so BuildProfile accumulates IR weights in an array of
+	// irSpan sums; ids too sparse for that (a file may name any) leave
+	// irSpan zero and go through the map.
+	irLo, irSpan int
 }
 
-// NewAttributor returns an attributor over the given compile-time metadata.
+// ipEntry is one native instruction's precomputed attribution: its class
+// (or how a sample decides it) and its credit list.
+type ipEntry struct {
+	class      Class
+	routine    bool   // runtime-routine code: NMap.Routine names it, no IR does
+	cred, nCre uint32 // credits[cred : cred+nCre]
+}
+
+const (
+	// classShared marks a shared routine: the sample names the task.
+	classShared = ClassUnattributed + 1 + iota
+	// classWalk marks generated code with a CSE'd IR instruction: creditsOf
+	// per sample.
+	classWalk
+)
+
+// NewAttributor returns an attributor over the given compile-time
+// metadata, with the per-instruction table filled.
 func NewAttributor(dict *Dictionary, nmap *NativeMap) *Attributor {
-	return &Attributor{Dict: dict, NMap: nmap}
+	reg, refs, lo, hi := dict.Registry, 0, 0, 0
+	for _, irIDs := range nmap.IRs {
+		refs += len(irIDs)
+		for _, irID := range irIDs {
+			lo, hi = min(lo, irID), max(hi, irID)
+		}
+	}
+	a := &Attributor{
+		Dict: dict, NMap: nmap, irLo: lo,
+		table:   make([]ipEntry, len(nmap.Region)),
+		credits: make([]Credit, reg.Len()+1, reg.Len()+1+refs/4),
+	}
+	if hi-lo < 4*refs+1024 {
+		a.irSpan = hi - lo + 1
+	}
+	a.credits[0] = Credit{Task: reg.KernelTask, Operator: reg.KernelOperator, Weight: 1}
+	for t := ComponentID(1); int(t) <= reg.Len(); t++ {
+		a.credits[t] = Credit{Task: t, Operator: dict.OperatorOf(t), Weight: 1}
+	}
+	for ip := range a.table {
+		e := &a.table[ip]
+		switch nmap.Region[ip] {
+		case RegionKernel:
+			e.class, e.routine, e.nCre = ClassKernel, true, 1
+		case RegionLibrary:
+			e.class, e.routine = ClassUnattributed, true
+		case RegionShared:
+			e.class, e.routine = classShared, true
+		default: // generated code: resolve through debug info and Log B
+			irIDs := nmap.IRs[ip]
+			for _, irID := range irIDs {
+				if dict.IsShared(irID) {
+					e.class = classWalk
+				}
+			}
+			if e.class == classWalk {
+				continue
+			}
+			var owned bool
+			e.cred = uint32(len(a.credits))
+			if a.credits, owned = a.creditsOf(a.credits, irIDs, nil); !owned {
+				e.class = ClassUnattributed
+			} else if e.nCre = uint32(len(a.credits)) - e.cred; e.nCre == 1 {
+				// One owner has weight exactly 1: the task's own list.
+				e.cred = uint32(a.credits[e.cred].Task)
+				a.credits = a.credits[:len(a.credits)-1]
+			}
+		}
+	}
+	return a
 }
 
-// Attribute maps one sample. The mapping proceeds exactly as in the paper:
-// native IP → (debug info) → IR instruction(s) → (Log B) → task(s) →
-// (Log A) → operator(s). Samples on shared code locations are
-// disambiguated by the tag register (Register Tagging) or, failing that, by
-// walking the recorded call stack (call-stack sampling).
+// Attribute maps one sample. Samples on shared code locations are
+// disambiguated by the tag register (Register Tagging) or, failing that,
+// by walking the recorded call stack (call-stack sampling).
 func (a *Attributor) Attribute(s *Sample) Attribution {
-	if s.IP < 0 || s.IP >= len(a.NMap.Region) {
+	if uint(s.IP) >= uint(len(a.table)) {
 		return Attribution{Class: ClassUnattributed}
 	}
-	switch a.NMap.Region[s.IP] {
-	case RegionKernel:
-		return Attribution{
-			Class:   ClassKernel,
-			Routine: a.NMap.Routine[s.IP],
-			Credits: []Credit{{
-				Task:     a.Dict.Registry.KernelTask,
-				Operator: a.Dict.Registry.KernelOperator,
-				Weight:   1,
-			}},
-		}
-	case RegionLibrary:
-		return Attribution{Class: ClassUnattributed, Routine: a.NMap.Routine[s.IP]}
-	case RegionShared:
-		task := a.resolveShared(s)
-		if task == NoComponent {
-			return Attribution{Class: ClassUnattributed, Routine: a.NMap.Routine[s.IP]}
-		}
-		return Attribution{
-			Class:   ClassOperator,
-			Routine: a.NMap.Routine[s.IP],
-			Credits: []Credit{{Task: task, Operator: a.Dict.OperatorOf(task), Weight: 1}},
-		}
-	}
-
-	// Generated code: resolve through debug info and Log B.
-	irIDs := a.NMap.IRs[s.IP]
-	if len(irIDs) == 0 {
-		return Attribution{Class: ClassUnattributed}
-	}
-	att := Attribution{Class: ClassOperator}
-	irW := 1.0 / float64(len(irIDs))
-	taskW := make(map[ComponentID]float64)
-	for _, irID := range irIDs {
-		att.IRCredits = append(att.IRCredits, IRCredit{IRID: irID, Weight: irW})
-		var tasks []ComponentID
-		if a.Dict.IsShared(irID) {
-			// CSE'd instruction owned by several tasks: prefer runtime
-			// disambiguation; fall back to splitting across owners.
-			if t := a.resolveShared(s); t != NoComponent {
-				tasks = []ComponentID{t}
-			} else {
-				tasks = a.Dict.TasksOf(irID)
-			}
-		} else {
-			tasks = a.Dict.TasksOf(irID)
-		}
-		if len(tasks) == 0 {
-			continue
-		}
-		w := irW / float64(len(tasks))
-		for _, t := range tasks {
-			taskW[t] += w
-		}
-	}
-	if len(taskW) == 0 {
-		return Attribution{Class: ClassUnattributed}
-	}
-	// Deterministic order: tasks were registered in ascending ID order.
-	total := 0.0
-	for t := ComponentID(1); int(t) <= a.Dict.Registry.Len(); t++ {
-		if w, ok := taskW[t]; ok {
-			att.Credits = append(att.Credits, Credit{Task: t, Operator: a.Dict.OperatorOf(t), Weight: w})
-			total += w
-		}
-	}
-	// Normalize so each sample contributes weight 1 in aggregate even if
-	// some IR instructions had no links.
-	if total > 0 && total != 1 {
-		for i := range att.Credits {
-			att.Credits[i].Weight /= total
+	e, att := &a.table[s.IP], Attribution{}
+	att.Class, att.Credits = a.lookup(e, s)
+	if e.routine {
+		att.Routine = a.NMap.Routine[s.IP]
+	} else if att.Class == ClassOperator {
+		irIDs := a.NMap.IRs[s.IP]
+		att.IRCredits = make([]IRCredit, len(irIDs))
+		for i, irID := range irIDs {
+			att.IRCredits[i] = IRCredit{IRID: irID, Weight: 1 / float64(len(irIDs))}
 		}
 	}
 	return att
+}
+
+// lookup returns the class and the credit list of a sample on table entry e.
+func (a *Attributor) lookup(e *ipEntry, s *Sample) (Class, []Credit) {
+	switch e.class {
+	case ClassOperator, ClassKernel:
+		return e.class, a.credits[e.cred : e.cred+e.nCre : e.cred+e.nCre]
+	case classShared:
+		if task := a.resolveShared(s); task > 0 && int(task) <= a.Dict.Registry.Len() {
+			return ClassOperator, a.credits[task : task+1 : task+1]
+		} else if task != NoComponent {
+			return ClassOperator, []Credit{{Task: task, Operator: a.Dict.OperatorOf(task), Weight: 1}}
+		}
+	case classWalk:
+		if credits, owned := a.creditsOf(nil, a.NMap.IRs[s.IP], s); owned {
+			return ClassOperator, credits
+		}
+	}
+	return ClassUnattributed, nil
+}
+
+// creditsOf appends to dst the credit list of a native instruction lowered
+// from irIDs and reports whether any of them has an owner. Every IR
+// instruction carries an equal share of the sample, split evenly across
+// its owning tasks; the list names registered tasks in ascending id order,
+// normalized so the sample contributes weight 1 in aggregate even if some
+// IR instructions had no links. A CSE'd instruction owned by several tasks
+// prefers runtime disambiguation through s and falls back to the split;
+// the table build passes a nil s for instructions that have none.
+func (a *Attributor) creditsOf(dst []Credit, irIDs []int, s *Sample) ([]Credit, bool) {
+	base := len(dst)
+	irW := 1.0 / float64(len(irIDs))
+	for _, irID := range irIDs {
+		tasks := a.Dict.TasksOf(irID)
+		if s != nil && a.Dict.IsShared(irID) {
+			if t := a.resolveShared(s); t != NoComponent {
+				tasks = []ComponentID{t}
+			}
+		}
+		w := irW / float64(len(tasks))
+	owners:
+		for _, t := range tasks {
+			for i := base; i < len(dst); i++ {
+				if dst[i].Task == t {
+					dst[i].Weight += w
+					continue owners
+				}
+			}
+			dst = append(dst, Credit{Task: t, Weight: w})
+		}
+	}
+	if len(dst) == base {
+		return dst, false
+	}
+	list, total := dst[base:], 0.0
+	slices.SortFunc(list, func(x, y Credit) int { return cmp.Compare(x.Task, y.Task) })
+	kept := list[:0]
+	for _, c := range list {
+		if c.Task >= 1 && int(c.Task) <= a.Dict.Registry.Len() {
+			c.Operator = a.credits[c.Task].Operator
+			kept = append(kept, c)
+			total += c.Weight
+		}
+	}
+	if total > 0 && total != 1 {
+		for i := range kept {
+			kept[i].Weight /= total
+		}
+	}
+	return dst[:base+len(kept)], true
 }
 
 // resolveShared determines the active task for a sample taken inside a

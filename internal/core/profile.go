@@ -9,12 +9,31 @@ import (
 // SliceSamples returns the samples whose timestamps fall in [from, to] —
 // the paper's §4.3 drill-down: spot a temporal hotspot in the timeline,
 // then rebuild the profile for just that interval at a lower abstraction
-// level.
+// level. When the samples in the window are one contiguous run, as in any
+// single-worker log (TSC-ordered), the result is a capacity-capped window
+// of samples itself; a worker-merged log is ordered by worker first, so
+// its window is copied out. Either way, treat the result as read-only.
 func SliceSamples(samples []Sample, from, to uint64) []Sample {
-	var out []Sample
-	for _, s := range samples {
-		if s.TSC >= from && s.TSC <= to {
-			out = append(out, s)
+	in := func(i int) bool { return samples[i].TSC >= from && samples[i].TSC <= to }
+	first, last, n := 0, -1, 0
+	for i := range samples {
+		if in(i) {
+			if n == 0 {
+				first = i
+			}
+			last, n = i, n+1
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	if last-first+1 == n {
+		return samples[first : last+1 : last+1]
+	}
+	out := make([]Sample, 0, n)
+	for i := first; i <= last; i++ {
+		if in(i) {
+			out = append(out, samples[i])
 		}
 	}
 	return out
@@ -96,35 +115,43 @@ func (b *BranchStat) TakenFraction() (float64, bool) {
 	return b.Taken / b.Total, true
 }
 
-// BuildProfile attributes samples and aggregates them.
+// BuildProfile attributes samples and aggregates them. Weights accumulate
+// in arrays indexed by component id and IR id, in sample order — every
+// float sum is formed in the order a per-sample map update would form it,
+// so Canonical() does not depend on the representation — and move to the
+// exported maps at the end. Every credit weight is positive, so a non-zero
+// sum marks a touched key.
 func BuildProfile(att *Attributor, samples []Sample) *Profile {
+	reg := att.Dict.Registry
+	nIP, nComp := len(att.table), reg.Len()+1
+	acc := make([]float64, nIP+2*nComp+att.irSpan)
 	p := &Profile{
-		Registry:     att.Dict.Registry,
+		Registry:     reg,
 		Dict:         att.Dict,
 		OpWeight:     make(map[ComponentID]float64),
 		TaskWeight:   make(map[ComponentID]float64),
 		IRWeight:     make(map[int]float64),
-		NativeCount:  make([]float64, len(att.NMap.Region)),
+		NativeCount:  acc[:nIP:nIP],
 		RoutineCount: make(map[string]float64),
 		ByWorker:     make(map[int]float64),
 		ByShard:      make(map[int]float64),
 		BranchTaken:  make(map[int]*BranchStat),
 		MemByOp:      make(map[ComponentID][]MemPoint),
 		MinTSC:       ^uint64(0),
+		timed:        make([]timedCredit, 0, len(samples)),
 	}
+	taskW, opW, irW := acc[nIP:][:nComp], acc[nIP+nComp:][:nComp], acc[nIP+2*nComp:]
+	workers, shards := runCount{m: p.ByWorker}, runCount{m: p.ByShard}
 	for i := range samples {
 		s := &samples[i]
 		p.TotalSamples++
-		p.ByWorker[s.Worker]++
-		p.ByShard[s.Shard]++
+		workers.add(s.Worker)
+		shards.add(s.Shard)
 		if s.TSC < p.MinTSC {
 			p.MinTSC = s.TSC
 		}
 		if s.TSC > p.MaxTSC {
 			p.MaxTSC = s.TSC
-		}
-		if s.IP >= 0 && s.IP < len(p.NativeCount) {
-			p.NativeCount[s.IP]++
 		}
 		if s.HasLBR {
 			for _, r := range s.LBR {
@@ -143,37 +170,100 @@ func BuildProfile(att *Attributor, samples []Sample) *Profile {
 				st.Total++
 			}
 		}
-		a := att.Attribute(s)
-		if a.Routine != "" {
-			p.RoutineCount[a.Routine]++
-		}
-		if a.Class == ClassUnattributed {
+		if uint(s.IP) >= uint(nIP) {
 			p.Unattributed++
 			continue
 		}
-		for _, c := range a.Credits {
-			p.TaskWeight[c.Task] += c.Weight
-			p.OpWeight[c.Operator] += c.Weight
-			if c.Operator == p.Registry.KernelOperator {
+		p.NativeCount[s.IP]++
+		e := &att.table[s.IP]
+		class, credits := att.lookup(e, s)
+		if class == ClassUnattributed {
+			p.Unattributed++
+			continue
+		}
+		for _, c := range credits {
+			// An id outside the registry (only a sample-dependent walk can
+			// name one) never meets the arrays: it goes to its map directly,
+			// as every IR id does when the ids are too sparse for an array.
+			if uint(c.Task) < uint(nComp) {
+				taskW[c.Task] += c.Weight
+			} else {
+				p.TaskWeight[c.Task] += c.Weight
+			}
+			if uint(c.Operator) < uint(nComp) {
+				opW[c.Operator] += c.Weight
+			} else {
+				p.OpWeight[c.Operator] += c.Weight
+			}
+			if c.Operator == reg.KernelOperator {
 				p.KernelWeight += c.Weight
 			}
 		}
-		for _, ic := range a.IRCredits {
-			p.IRWeight[ic.IRID] += ic.Weight
+		if !e.routine { // generated code: an equal share to each IR instruction
+			irIDs := att.NMap.IRs[s.IP]
+			w := 1 / float64(len(irIDs))
+			for _, irID := range irIDs {
+				if len(irW) > 0 {
+					irW[irID-att.irLo] += w
+				} else {
+					p.IRWeight[irID] += w
+				}
+			}
 		}
-		p.timed = append(p.timed, timedCredit{tsc: s.TSC, credits: a.Credits})
+		p.timed = append(p.timed, timedCredit{tsc: s.TSC, credits: credits})
 		if s.Event == vm.EvMemLoads || s.Event == vm.EvL3Miss {
-			for _, c := range a.Credits {
+			for _, c := range credits {
 				if c.Weight >= 0.5 { // assign the point to the dominant owner
 					p.MemByOp[c.Operator] = append(p.MemByOp[c.Operator], MemPoint{TSC: s.TSC, Addr: s.Addr})
 				}
 			}
 		}
 	}
+	workers.flush()
+	shards.flush()
 	if p.TotalSamples == 0 {
 		p.MinTSC = 0
 	}
+	touched(p.TaskWeight, taskW, func(id int) ComponentID { return ComponentID(id) })
+	touched(p.OpWeight, opW, func(id int) ComponentID { return ComponentID(id) })
+	touched(p.IRWeight, irW, func(i int) int { return i + att.irLo })
+	for ip, n := range p.NativeCount { // whole-number counts: regrouping by routine is exact
+		if name := att.NMap.Routine[ip]; n != 0 && att.table[ip].routine && name != "" {
+			p.RoutineCount[name] += n
+		}
+	}
 	return p
+}
+
+// touched moves the non-zero sums of a dense accumulator into m.
+func touched[K comparable](m map[K]float64, acc []float64, key func(int) K) {
+	for i, w := range acc {
+		if w != 0 {
+			m[key(i)] = w
+		}
+	}
+}
+
+// runCount counts samples per worker or shard one run of equal keys at a
+// time: a log changes key rarely, and whole-number counts regroup exactly.
+type runCount struct {
+	m      map[int]float64
+	key, n int
+}
+
+func (r *runCount) add(key int) {
+	if key != r.key {
+		r.flush()
+		r.key = key
+	}
+	r.n++
+}
+
+func (r *runCount) flush() {
+	if r.n > 0 {
+		r.m[r.key] += float64(r.n)
+		r.n = 0
+	}
 }
 
 // OpCost is one row of a per-operator cost report.

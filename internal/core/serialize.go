@@ -1,9 +1,11 @@
 package core
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"sort"
 
 	"repro/internal/vm"
 )
@@ -11,183 +13,341 @@ import (
 // The paper's post-processing is offline: "at the end of the compilation
 // phase we write all logs into a meta-data file, which is read by the
 // post-processing phase" (§5.2.2), and samples arrive separately via perf
-// script. This file implements that split: Metadata bundles everything the
-// attribution needs (registry, Logs A and B, shared flags, native debug
-// info), serializable as JSON; SampleLog carries the raw samples. A
-// profile can then be built in a different process than the one that ran
-// the query.
+// script. This file is that split: two versioned little-endian binary
+// files with one writer and one reader each (layouts: DESIGN.md §3,
+// "Offline post-processing"). The meta-data file holds what attribution
+// needs — registry, Logs A and B, shared flags, native debug info; the
+// sample log holds the raw samples. Both are fixed-width sections whose
+// sizes the header declares, so a reader checks every count against the
+// input in one comparison before it allocates, decodes without per-record
+// allocation, and rejects what it does not know. The bytes written depend
+// only on the value written.
 
-// componentJSON mirrors Component for serialization.
-type componentJSON struct {
-	ID       ComponentID `json:"id"`
-	Level    Level       `json:"level"`
-	Name     string      `json:"name"`
-	Kind     string      `json:"kind"`
-	Pipeline int         `json:"pipeline"`
-	Parent   ComponentID `json:"parent"`
+const (
+	sampleMagic   = "TPSL"
+	metaMagic     = "TPMD"
+	formatVersion = 1
+
+	sampleHeader = 24 // magic, version u32, sample count u64, side words u64
+	sampleRecord = 42
+	metaCounts   = 10 // u32 counts after the meta-data magic and version
+
+	flagRegs, flagStack, flagLBR = 1, 2, 4
+)
+
+var le = binary.LittleEndian
+
+// open reads all of r and checks magic and version. A reader that knows
+// how much it holds (bytes.Reader, bytes.Buffer) costs one exact allocation.
+func open(r io.Reader, magic string, header int) (data []byte, err error) {
+	if l, ok := r.(interface{ Len() int }); ok {
+		data = make([]byte, l.Len())
+		_, err = io.ReadFull(r, data)
+	} else {
+		data, err = io.ReadAll(r)
+	}
+	switch {
+	case err != nil:
+	case len(data) < header || string(data[:4]) != magic:
+		err = fmt.Errorf("not a %s file", magic)
+	case le.Uint32(data[4:]) != formatVersion:
+		err = fmt.Errorf("version %d, this reader knows %d", le.Uint32(data[4:]), formatVersion)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: reading %s file: %w", magic, err)
+	}
+	return data, nil
 }
 
-// linkJSON is one Log B entry.
-type linkJSON struct {
-	IR     int           `json:"ir"`
-	Tasks  []ComponentID `json:"tasks"`
-	Shared bool          `json:"shared,omitempty"`
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
-// nativeJSON is one native instruction's debug info.
-type nativeJSON struct {
-	IRs      []int      `json:"irs,omitempty"`
-	Region   RegionKind `json:"region,omitempty"`
-	Routine  string     `json:"routine,omitempty"`
-	Inverted bool       `json:"inv,omitempty"`
-}
-
-// Metadata is the serializable compile-time profiling state.
-type Metadata struct {
-	Components []componentJSON        `json:"components"`
-	KernelOp   ComponentID            `json:"kernel_op"`
-	KernelTask ComponentID            `json:"kernel_task"`
-	LogA       map[string]ComponentID `json:"log_a"` // task id → operator id
-	LogB       []linkJSON             `json:"log_b"`
-	Native     []nativeJSON           `json:"native"`
-}
-
-// ExportMetadata captures a dictionary and native map as Metadata.
-func ExportMetadata(d *Dictionary, nm *NativeMap) *Metadata {
-	m := &Metadata{
-		KernelOp:   d.Registry.KernelOperator,
-		KernelTask: d.Registry.KernelTask,
-		LogA:       map[string]ComponentID{},
-	}
-	for i := 1; i <= d.Registry.Len(); i++ {
-		c := d.Registry.Get(ComponentID(i))
-		m.Components = append(m.Components, componentJSON{
-			ID: c.ID, Level: c.Level, Name: c.Name, Kind: c.Kind,
-			Pipeline: c.Pipeline, Parent: c.Parent,
-		})
-	}
-	for task, op := range d.taskToOp {
-		m.LogA[fmt.Sprint(task)] = op
-	}
-	for irID, tasks := range d.irToTask {
-		m.LogB = append(m.LogB, linkJSON{IR: irID, Tasks: tasks, Shared: d.sharedIR[irID]})
-	}
-	for i := range nm.IRs {
-		m.Native = append(m.Native, nativeJSON{
-			IRs: nm.IRs[i], Region: nm.Region[i], Routine: nm.Routine[i],
-			Inverted: nm.Inverted[i],
-		})
-	}
-	return m
-}
-
-// WriteMetadata serializes the compile-time state as JSON.
-func WriteMetadata(w io.Writer, d *Dictionary, nm *NativeMap) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(ExportMetadata(d, nm))
-}
-
-// ReadMetadata reconstructs a dictionary and native map from JSON.
-func ReadMetadata(r io.Reader) (*Dictionary, *NativeMap, error) {
-	var m Metadata
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return nil, nil, fmt.Errorf("core: reading metadata: %w", err)
-	}
-	reg := &Registry{}
-	for _, c := range m.Components {
-		got := reg.Add(c.Level, c.Name, c.Kind, c.Pipeline, c.Parent)
-		if got != c.ID {
-			return nil, nil, fmt.Errorf("core: component ids not dense (%d vs %d)", got, c.ID)
-		}
-	}
-	reg.KernelOperator = m.KernelOp
-	reg.KernelTask = m.KernelTask
-
-	d := NewDictionary(reg)
-	for taskStr, op := range m.LogA {
-		var task ComponentID
-		if _, err := fmt.Sscan(taskStr, &task); err != nil {
-			return nil, nil, fmt.Errorf("core: bad Log A key %q", taskStr)
-		}
-		d.LinkTask(task, op)
-	}
-	for _, l := range m.LogB {
-		d.irToTask[l.IR] = l.Tasks
-		if l.Shared {
-			d.sharedIR[l.IR] = true
-		}
-	}
-	nm := NewNativeMap(len(m.Native))
-	for i, n := range m.Native {
-		nm.IRs[i] = n.IRs
-		nm.Region[i] = n.Region
-		nm.Routine[i] = n.Routine
-		nm.Inverted[i] = n.Inverted
-	}
-	return d, nm, nil
-}
-
-// sampleJSON mirrors Sample compactly.
-type sampleJSON struct {
-	IP    int      `json:"ip"`
-	TSC   uint64   `json:"tsc"`
-	Event vm.Event `json:"ev"`
-	Addr  int64    `json:"addr,omitempty"`
-	Tag   int64    `json:"tag,omitempty"`
-	Regs  bool     `json:"regs,omitempty"`
-	// Stack must not be omitempty: an empty-but-present stack (sampled at
-	// top level in call-stack mode) is distinct from no stack captured.
-	Stack  []int `json:"stack"`
-	Worker int   `json:"worker,omitempty"`
-	// LBR follows the same present-vs-captured convention as Stack.
-	LBR []vm.BranchRecord `json:"lbr,omitempty"`
-	Has bool              `json:"has_lbr,omitempty"`
-}
-
-// WriteSamples serializes a sample log as JSON lines (one record per line,
-// like perf script output).
+// WriteSamples serializes a sample log. It refuses a sample whose fields
+// the record cannot hold rather than truncating them.
 func WriteSamples(w io.Writer, samples []Sample) error {
-	enc := json.NewEncoder(w)
+	buf := make([]byte, sampleHeader+len(samples)*sampleRecord)
+	var side []byte // the side section: stack, then LBR words of each sample
 	for i := range samples {
 		s := &samples[i]
-		rec := sampleJSON{IP: s.IP, TSC: s.TSC, Event: s.Event, Addr: s.Addr, Tag: s.Tag, Regs: s.HasRegs, Worker: s.Worker}
-		if s.HasStack {
-			rec.Stack = s.Stack
-			if rec.Stack == nil {
-				rec.Stack = []int{}
+		stack, lbr := s.Stack, s.LBR
+		if !s.HasStack {
+			stack = nil
+		}
+		if !s.HasLBR {
+			lbr = nil
+		}
+		if int(int32(s.IP)) != s.IP || uint(s.Worker) > math.MaxUint16 || uint(s.Shard) > math.MaxUint16 ||
+			len(stack) > math.MaxUint16 || len(lbr) > math.MaxUint16 || uint64(len(side)/4) > math.MaxUint32 {
+			return fmt.Errorf("core: sample %d does not fit the log record (ip %d, worker %d, shard %d, %d frames, %d LBR entries)",
+				i, s.IP, s.Worker, s.Shard, len(stack), len(lbr))
+		}
+		r := buf[sampleHeader+i*sampleRecord:][:sampleRecord]
+		le.PutUint64(r[0:], s.TSC)
+		le.PutUint64(r[8:], uint64(s.Addr))
+		le.PutUint64(r[16:], uint64(s.Tag))
+		le.PutUint32(r[24:], uint32(int32(s.IP)))
+		le.PutUint32(r[28:], uint32(len(side)/4))
+		le.PutUint16(r[32:], uint16(s.Worker))
+		le.PutUint16(r[34:], uint16(s.Shard))
+		le.PutUint16(r[36:], uint16(len(stack)))
+		le.PutUint16(r[38:], uint16(len(lbr)))
+		r[40] = uint8(s.Event)
+		r[41] = uint8(b2i(s.HasRegs)*flagRegs | b2i(s.HasStack)*flagStack | b2i(s.HasLBR)*flagLBR)
+		for _, ra := range stack {
+			if int(int32(ra)) != ra {
+				return fmt.Errorf("core: sample %d: return address %d beyond 32 bits", i, ra)
 			}
+			side = le.AppendUint32(side, uint32(int32(ra)))
 		}
-		if s.HasLBR {
-			rec.LBR = s.LBR
-			rec.Has = true
-		}
-		if err := enc.Encode(&rec); err != nil {
-			return err
+		for _, b := range lbr {
+			if b.IP < 0 || b.IP > math.MaxInt32 {
+				return fmt.Errorf("core: sample %d: branch ip %d beyond 31 bits", i, b.IP)
+			}
+			side = le.AppendUint32(side, uint32(b.IP)<<1|uint32(b2i(b.Taken)))
 		}
 	}
-	return nil
+	copy(buf, sampleMagic)
+	le.PutUint32(buf[4:], formatVersion)
+	le.PutUint64(buf[8:], uint64(len(samples)))
+	le.PutUint64(buf[16:], uint64(len(side)/4))
+	_, err := w.Write(append(buf, side...))
+	return err
 }
 
-// ReadSamples parses a JSON-lines sample log.
+// ReadSamples parses a sample log into one []Sample; every stack and every
+// LBR snapshot is a capacity-capped window of one shared array. A captured
+// but empty stack or snapshot decodes as empty and non-nil.
 func ReadSamples(r io.Reader) ([]Sample, error) {
-	dec := json.NewDecoder(r)
-	var out []Sample
-	for {
-		var rec sampleJSON
-		if err := dec.Decode(&rec); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("core: reading samples: %w", err)
-		}
-		s := Sample{IP: rec.IP, TSC: rec.TSC, Event: rec.Event, Addr: rec.Addr, Tag: rec.Tag, HasRegs: rec.Regs, Worker: rec.Worker}
-		if rec.Stack != nil {
-			s.Stack = rec.Stack
-			s.HasStack = true
-		}
-		if rec.Has {
-			s.LBR = rec.LBR
-			s.HasLBR = true
-		}
-		out = append(out, s)
+	data, err := open(r, sampleMagic, sampleHeader)
+	if err != nil {
+		return nil, err
 	}
+	count, side := le.Uint64(data[8:]), le.Uint64(data[16:])
+	body := uint64(len(data) - sampleHeader)
+	if count > body/sampleRecord || side > math.MaxUint32 || count*sampleRecord+4*side != body {
+		return nil, fmt.Errorf("core: reading samples: header declares %d samples and %d side words, file holds %d bytes", count, side, body)
+	}
+	recs, words := data[sampleHeader:], data[sampleHeader+count*sampleRecord:]
+	nStack, nLBR := 0, 0
+	for i := 0; i < int(count); i++ {
+		nStack += int(le.Uint16(recs[i*sampleRecord+36:]))
+		nLBR += int(le.Uint16(recs[i*sampleRecord+38:]))
+	}
+	if uint64(nStack+nLBR) != side {
+		return nil, fmt.Errorf("core: reading samples: records reference %d side words, section holds %d", nStack+nLBR, side)
+	}
+	out := make([]Sample, count)
+	stacks, lbrs := make([]int, 0, nStack), make([]vm.BranchRecord, 0, nLBR)
+	word := 0
+	for i := range out {
+		r := recs[i*sampleRecord:][:sampleRecord]
+		ns, nl, flags := int(le.Uint16(r[36:])), int(le.Uint16(r[38:])), r[41]
+		if int(le.Uint32(r[28:])) != word || flags&^(flagRegs|flagStack|flagLBR) != 0 ||
+			ns > 0 && flags&flagStack == 0 || nl > 0 && flags&flagLBR == 0 {
+			return nil, fmt.Errorf("core: reading samples: record %d: side offset or flags inconsistent", i)
+		}
+		s := &out[i]
+		s.TSC, s.Addr, s.Tag = le.Uint64(r[0:]), int64(le.Uint64(r[8:])), int64(le.Uint64(r[16:]))
+		s.IP, s.Event = int(int32(le.Uint32(r[24:]))), vm.Event(r[40])
+		s.Worker, s.Shard = int(le.Uint16(r[32:])), int(le.Uint16(r[34:]))
+		s.HasRegs, s.HasStack, s.HasLBR = flags&flagRegs != 0, flags&flagStack != 0, flags&flagLBR != 0
+		if s.HasStack {
+			for end := word + ns; word < end; word++ {
+				stacks = append(stacks, int(int32(le.Uint32(words[4*word:]))))
+			}
+			s.Stack = stacks[len(stacks)-ns : len(stacks) : len(stacks)]
+		}
+		if s.HasLBR {
+			for end := word + nl; word < end; word++ {
+				v := le.Uint32(words[4*word:])
+				lbrs = append(lbrs, vm.BranchRecord{IP: int(v >> 1), Taken: v&1 != 0})
+			}
+			s.LBR = lbrs[len(lbrs)-nl : len(lbrs) : len(lbrs)]
+		}
+	}
+	return out, nil
+}
+
+// WriteMetadata serializes the compile-time state, every field a u32
+// word. Log A is written in task order and Log B in IR-id order, so the
+// bytes do not depend on map iteration. It refuses a value beyond 32 bits.
+func WriteMetadata(w io.Writer, d *Dictionary, nm *NativeMap) error {
+	var bad error
+	var head, comps, logA, logB, owners, native, irs, rlens []uint32
+	var strs []byte
+	put := func(section *[]uint32, values ...int) {
+		for _, v := range values {
+			if v < 0 || int64(v) > math.MaxUint32 {
+				bad = fmt.Errorf("core: writing metadata: %d does not fit a 32-bit field", v)
+			}
+			*section = append(*section, uint32(v))
+		}
+	}
+	reg := d.Registry
+	for i := range reg.comps {
+		c := &reg.comps[i]
+		put(&comps, c.Pipeline+1, int(c.Parent), len(c.Name), len(c.Kind), int(c.Level))
+		strs = append(append(strs, c.Name...), c.Kind...)
+	}
+	for _, t := range d.Tasks() {
+		put(&logA, int(t), int(d.taskToOp[t]))
+	}
+	irIDs := d.IRIDs()
+	for _, id := range d.SharedIRIDs() {
+		if _, linked := d.irToTask[id]; !linked {
+			irIDs = append(irIDs, id)
+		}
+	}
+	sort.Ints(irIDs)
+	for _, id := range irIDs {
+		put(&logB, id, len(d.irToTask[id]), b2i(d.sharedIR[id]))
+		for _, t := range d.irToTask[id] {
+			put(&owners, int(t))
+		}
+	}
+	routines := map[string]int{"": 0} // name → index in the routine table, from 1
+	for i, name := range nm.Routine {
+		rt, seen := routines[name]
+		if !seen {
+			rt = len(routines)
+			routines[name] = rt
+			put(&rlens, len(name))
+			strs = append(strs, name...)
+		}
+		put(&native, rt, len(nm.IRs[i]), int(nm.Region[i]), b2i(nm.Inverted[i]))
+		put(&irs, nm.IRs[i]...)
+	}
+	put(&head, len(reg.comps), int(reg.KernelOperator), int(reg.KernelTask), len(logA)/2, len(irIDs),
+		len(owners), len(nm.Routine), len(irs), len(rlens), len(strs))
+	if bad != nil {
+		return bad
+	}
+	buf := le.AppendUint32([]byte(metaMagic), formatVersion)
+	for _, section := range [][]uint32{head, comps, logA, logB, owners, native, irs, rlens} {
+		for _, v := range section {
+			buf = le.AppendUint32(buf, v)
+		}
+	}
+	_, err := w.Write(append(buf, strs...))
+	return err
+}
+
+// ReadMetadata reconstructs a dictionary and native map. Every component
+// id in the file must be registered in it, so reports over the result
+// never meet an unknown id.
+func ReadMetadata(r io.Reader) (*Dictionary, *NativeMap, error) {
+	data, err := open(r, metaMagic, 8+4*metaCounts)
+	if err != nil {
+		return nil, nil, err
+	}
+	fail := func(format string, args ...interface{}) (*Dictionary, *NativeMap, error) {
+		return nil, nil, fmt.Errorf("core: reading metadata: "+format, args...)
+	}
+	word := func(i uint64) uint64 { return uint64(le.Uint32(data[8+4*i:])) }
+	nComp, kernelOp, kernelTask, nA, nB := word(0), word(1), word(2), word(3), word(4)
+	nOwner, nNative, nIR, nRoutine, nStr := word(5), word(6), word(7), word(8), word(9)
+	// Section starts, in words after magic and version.
+	comps := uint64(metaCounts)
+	logA := comps + 5*nComp
+	logB := logA + 2*nA
+	owners := logB + 3*nB
+	native := owners + nOwner
+	irs := native + 4*nNative
+	rlens := irs + nIR
+	strs := rlens + nRoutine
+	if nComp > math.MaxInt32 || 8+4*strs+nStr != uint64(len(data)) {
+		return fail("section sizes in the header do not add up to the file's %d bytes", len(data))
+	}
+	names, at := string(data[8+4*strs:]), uint64(0) // every name is a window of this one string
+	name := func(size uint64) (string, bool) {
+		if size > nStr-at {
+			return "", false
+		}
+		at += size
+		return names[at-size : at], true
+	}
+	registered := func(id uint64) bool { return id >= 1 && id <= nComp }
+
+	if !registered(kernelOp) || !registered(kernelTask) {
+		return fail("kernel components %d/%d not among the %d registered", kernelOp, kernelTask, nComp)
+	}
+	reg := &Registry{comps: make([]Component, nComp), KernelOperator: ComponentID(kernelOp), KernelTask: ComponentID(kernelTask)}
+	for i := range reg.comps {
+		c := comps + 5*uint64(i)
+		cname, ok1 := name(word(c + 2))
+		kind, ok2 := name(word(c + 3))
+		if word(c+1) > nComp || word(c+4) > uint64(LevelNative) || !ok1 || !ok2 {
+			return fail("component %d: parent, level or name out of range", i+1)
+		}
+		reg.comps[i] = Component{ID: ComponentID(i + 1), Level: Level(word(c + 4)), Name: cname, Kind: kind,
+			Pipeline: int(word(c)) - 1, Parent: ComponentID(word(c + 1))}
+	}
+	d := &Dictionary{Registry: reg, taskToOp: make(map[ComponentID]ComponentID, nA),
+		irToTask: make(map[int][]ComponentID, nB), sharedIR: make(map[int]bool)}
+	for i, last := uint64(0), uint64(0); i < nA; i++ {
+		task, op := word(logA+2*i), word(logA+2*i+1)
+		if task <= last || !registered(task) || !registered(op) {
+			return fail("Log A entry %d (%d => %d) out of order or unregistered", i, task, op)
+		}
+		d.taskToOp[ComponentID(task)], last = ComponentID(op), task
+	}
+	for i := range reg.comps { // a tag or an owner may name any task: each needs its operator
+		if _, linked := d.taskToOp[reg.comps[i].ID]; !linked && reg.comps[i].Level == LevelTask {
+			return fail("task %d has no Log A entry", i+1)
+		}
+	}
+	pool := make([]ComponentID, nOwner)
+	for i := range pool {
+		pool[i] = ComponentID(word(owners + uint64(i)))
+		if _, linked := d.taskToOp[pool[i]]; !linked {
+			return fail("Log B owner %d has no Log A entry", word(owners+uint64(i)))
+		}
+	}
+	used := uint64(0)
+	for i, next := uint64(0), uint64(0); i < nB; i++ {
+		id, n, shared := word(logB+3*i), word(logB+3*i+1), word(logB+3*i+2)
+		if id < next || n > nOwner-used || shared > 1 || n == 0 && shared == 0 {
+			return fail("Log B entry %d (IR %d) out of order, empty or beyond the owner section", i, id)
+		}
+		if n > 0 {
+			d.irToTask[int(id)] = pool[used : used+n : used+n]
+		}
+		if shared == 1 {
+			d.sharedIR[int(id)] = true
+		}
+		used, next = used+n, id+1
+	}
+	routines, ok := make([]string, nRoutine+1), true // routines[0] is "no routine"
+	for i := uint64(0); i < nRoutine && ok; i++ {
+		routines[i+1], ok = name(word(rlens + i))
+	}
+	if used != nOwner || !ok || at != nStr {
+		return fail("Log B owners or names do not fill their sections (%d of %d owners, %d of %d bytes)", used, nOwner, at, nStr)
+	}
+	irIDs := make([]int, nIR)
+	for i := range irIDs {
+		irIDs[i] = int(word(irs + uint64(i)))
+	}
+	nm := NewNativeMap(int(nNative))
+	used = 0
+	for i := range nm.Region {
+		c := native + 4*uint64(i)
+		rt, n, region, inverted := word(c), word(c+1), word(c+2), word(c+3)
+		if rt > nRoutine || n > nIR-used || region > uint64(RegionLibrary) || inverted > 1 {
+			return fail("native instruction %d: routine, IR list, region or flag out of range", i)
+		}
+		if n > 0 {
+			nm.IRs[i] = irIDs[used : used+n : used+n]
+		}
+		nm.Region[i], nm.Routine[i], nm.Inverted[i] = RegionKind(region), routines[rt], inverted == 1
+		used += n
+	}
+	if used != nIR {
+		return fail("native map references %d IR ids, section holds %d", used, nIR)
+	}
+	return d, nm, nil
 }

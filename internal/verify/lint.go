@@ -206,6 +206,7 @@ func (l *linter) lintDir(dir string) []Diag {
 	}
 
 	var out []Diag
+	imp := l
 	for _, unit := range [][]*ast.File{unitMain, unitXTest} {
 		if len(unit) == 0 {
 			continue
@@ -216,10 +217,16 @@ func (l *linter) lintDir(dir string) []Diag {
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 			Types:      map[ast.Expr]types.TypeAndValue{},
 		}
-		cfg := types.Config{Importer: l}
-		if _, err := cfg.Check(path, l.fset, unit, info); err != nil {
+		cfg := types.Config{Importer: imp}
+		pkg, err := cfg.Check(path, l.fset, unit, info)
+		if err != nil {
 			out = append(out, lintDiag("typecheck", dir, Error, "%v", err))
 			continue
+		}
+		if len(unitXTest) > 0 && imp == l {
+			// The external test unit imports the package as checked with
+			// its in-package tests.
+			imp = l.forExternalTests(path, pkg)
 		}
 		for _, f := range unit {
 			out = append(out, l.lintFile(path, f, info)...)
@@ -229,6 +236,39 @@ func (l *linter) lintDir(dir string) []Diag {
 		out = append(out, l.lintConcurrency(path, unit, info)...)
 	}
 	return out
+}
+
+// forExternalTests returns the importer the external test unit of path is
+// checked with. As in the test binary the go tool builds, path resolves to
+// pkg — the package together with its in-package tests, whose exported
+// helpers the unit may use (the export_test idiom) — and every package
+// that imports path is checked again, against pkg. Packages that do not
+// depend on path keep their cached identity.
+func (l *linter) forExternalTests(path string, pkg *types.Package) *linter {
+	x := &linter{fset: l.fset, root: l.root, std: l.std, cache: map[string]*types.Package{path: pkg}}
+	for p, cached := range l.cache {
+		if p != path && !dependsOn(cached, path, map[*types.Package]bool{}) {
+			x.cache[p] = cached
+		}
+	}
+	return x
+}
+
+// dependsOn reports whether pkg is, or transitively imports, path.
+func dependsOn(pkg *types.Package, path string, seen map[*types.Package]bool) bool {
+	if pkg.Path() == path {
+		return true
+	}
+	if seen[pkg] {
+		return false
+	}
+	seen[pkg] = true
+	for _, imported := range pkg.Imports() {
+		if dependsOn(imported, path, seen) {
+			return true
+		}
+	}
+	return false
 }
 
 // pos renders a token position as a root-relative file:line locus.

@@ -268,3 +268,46 @@ func bad() {
 		}
 	}
 }
+
+// TestLintExternalTestSeesTestHelpers: an external test package may use
+// what the package's in-package test files export (the export_test idiom),
+// through a dependent package too, as in the test binary the go tool
+// builds; a name no file declares is still a typecheck diagnostic.
+func TestLintExternalTestSeesTestHelpers(t *testing.T) {
+	files := map[string]string{
+		"internal/base/base.go": `package base
+
+type T struct{ n int }
+
+func New() *T { return &T{n: 1} }
+`,
+		"internal/base/export_test.go": `package base
+
+func N(t *T) int { return t.n }
+`,
+		"internal/user/user.go": `package user
+
+import "repro/internal/base"
+
+func Make() *base.T { return base.New() }
+`,
+		"internal/base/base_x_test.go": `package base_test
+
+import (
+	"testing"
+
+	"repro/internal/base"
+	"repro/internal/user"
+)
+
+func TestN(t *testing.T) {
+	if base.N(user.Make()) != 1 {
+		t.Fatal("n")
+	}
+}
+`,
+	}
+	wantChecks(t, lintFixture(t, files), map[string]int{})
+	files["internal/base/export_test.go"] = "package base\n"
+	wantChecks(t, lintFixture(t, files), map[string]int{"lint/typecheck": 1})
+}
