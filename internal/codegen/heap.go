@@ -17,3 +17,12 @@ func HeapI64(b []byte, off int64) int64 {
 func PutHeapI64(b []byte, off, v int64) {
 	binary.LittleEndian.PutUint64(b[off:], uint64(v))
 }
+
+// PutHeapI64s writes vals as consecutive little-endian int64s at the start
+// of b, which must hold them all.
+func PutHeapI64s(b []byte, vals []int64) {
+	b = b[:8*len(vals)]
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(b[8*i:8*i+8], uint64(v))
+	}
+}

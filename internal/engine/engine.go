@@ -124,11 +124,45 @@ func NewCompiler(cat *catalog.Catalog, opts Options) *Compiler {
 }
 
 // Executor is the run half of the engine. It owns no per-query state:
-// every run builds a fresh VM (and PMU buffers) around the immutable
-// artifact, and all per-session inputs travel in a RunState — so N
-// sessions may execute one shared Compiled concurrently.
+// every run stages a zeroed simulated machine (and fresh PMU buffers)
+// around the immutable artifact, and all per-session inputs travel in a
+// RunState — so N sessions may execute one shared Compiled concurrently.
+//
+// An Engine's or NewExecutor's executor builds its machines with vm.New and
+// forgets them: Result.CPU belongs to the result. A Session's executor
+// draws them from the session's pool and gets them back at the session's
+// next call (see Session).
 type Executor struct {
 	Opts Options
+
+	pool *cpuPool // nil: machines are built per run and owned by the Result
+}
+
+// cpuPool is the simulated machines a Session keeps between calls: free
+// ones, and the ones lent to the results of the call in progress.
+type cpuPool struct{ free, lent []*vm.CPU }
+
+// reclaim takes back every machine lent since the last reclaim.
+func (p *cpuPool) reclaim() {
+	p.free = append(p.free, p.lent...)
+	p.lent = p.lent[:0]
+}
+
+// machine returns a CPU in the state vm.New(heapSize) builds.
+func (x *Executor) machine(heapSize int) *vm.CPU {
+	p := x.pool
+	if p == nil {
+		return vm.New(heapSize)
+	}
+	var cpu *vm.CPU
+	if n := len(p.free); n > 0 {
+		cpu, p.free = p.free[n-1], p.free[:n-1]
+		cpu.Reset(heapSize)
+	} else {
+		cpu = vm.New(heapSize)
+	}
+	p.lent = append(p.lent, cpu)
+	return cpu
 }
 
 // NewExecutor creates an executor.
@@ -136,8 +170,8 @@ func NewExecutor(opts Options) *Executor { return &Executor{Opts: opts} }
 
 // RunState is the per-session mutable state of one execution: everything
 // a run needs beyond the shared artifact — the encoded bound-parameter
-// values and the storage snapshot the run binds against. VM heap,
-// counters and sample buffers are created per run and never shared.
+// values and the storage snapshot the run binds against. VM heap and
+// counters are zeroed and sample buffers created per run, never shared.
 type RunState struct {
 	// Params are the encoded bound-parameter values, staged into the
 	// artifact's parameter region before each run. Must hold exactly
@@ -286,11 +320,7 @@ func stageSnapshot(cq *Compiled, cpu *vm.CPU, snap *catalog.Snapshot) error {
 		}
 	}
 	for _, b := range cq.binds {
-		data := snap.View(b.table).Col(b.col)
-		dst := cpu.Heap[b.addr : b.addr+8*int64(len(data))]
-		for i, v := range data {
-			codegen.PutHeapI64(dst, int64(8*i), v)
-		}
+		codegen.PutHeapI64s(cpu.Heap[b.addr:], snap.View(b.table).Col(b.col))
 	}
 	for _, rb := range cq.rowsBinds {
 		cpu.WriteI64(rb.addr, int64(snap.View(rb.table).Rows))
@@ -298,8 +328,9 @@ func stageSnapshot(cq *Compiled, cpu *vm.CPU, snap *catalog.Snapshot) error {
 	return nil
 }
 
-// Memory layout constants (DESIGN.md: fixed low-memory regions, then
-// state, descriptors, table data, hash areas, result buffer).
+// Memory layout constants (DESIGN.md §5: fixed low-memory regions, then
+// state, descriptors, table data, hash areas, result buffer; the heap ends
+// where the result buffer does).
 const (
 	stagingAddr = 256
 	spillBase   = 512
@@ -634,7 +665,7 @@ func (c *Compiler) buildLayout(pl *plan.Output, cq *Compiled) (*pipeline.Layout,
 		slotWrite{lay.ResultDesc + codegen.AllocDescEnd, cq.resultEnd},
 	)
 
-	cq.heapSize = int(cur + (1 << 20))
+	cq.heapSize = int(cur)
 	return lay, nil
 }
 
@@ -644,7 +675,12 @@ type Result struct {
 	Cols []plan.ColMeta
 
 	Stats vm.Stats
-	CPU   *vm.CPU
+	// CPU is the machine the run executed on (the coordinator of a
+	// parallel run), heap included. A result of Engine.Run* or of a bare
+	// Executor owns it. A result of a Session borrows it: it is valid until
+	// that session's next Run, Execute or Adapt, which recycles it — copy
+	// what must outlive that. Every other field is the result's own.
+	CPU *vm.CPU
 
 	// Epoch is the storage epoch the run bound against: the pinned
 	// session snapshot's, or the catalog's current epoch at execute time.
@@ -752,7 +788,7 @@ type stagedRun struct {
 
 // stage is the prologue every run shares: validate the sampling
 // configuration and the bound arguments against the artifact's parameter
-// manifest, bind the storage snapshot into a fresh heap, load the program
+// manifest, bind the storage snapshot into a zeroed heap, load the program
 // and arm the PMU.
 func (x *Executor) stage(cq *Compiled, rs *RunState, cfg *pmu.Config) (stagedRun, error) {
 	r := stagedRun{cq: cq, budget: x.Opts.MaxInstructions}
@@ -771,7 +807,7 @@ func (x *Executor) stage(cq *Compiled, rs *RunState, cfg *pmu.Config) (stagedRun
 		return r, fmt.Errorf("engine: plan expects %d bound parameters, run state supplies %d", want, len(r.params))
 	}
 	r.snap = cq.snapshotFor(rs)
-	r.cpu = vm.New(cq.heapSize)
+	r.cpu = x.machine(cq.heapSize)
 	if err := stageSnapshot(cq, r.cpu, r.snap); err != nil {
 		return r, err
 	}
@@ -804,9 +840,7 @@ func (r *stagedRun) restage() {
 		r.cpu.WriteI64(lay.ParamBase+int64(i)*8, v)
 	}
 	if lay.CounterBase != 0 {
-		for i := int64(0); i < counterSlots; i++ {
-			r.cpu.WriteI64(lay.CounterBase+i*8, 0)
-		}
+		clear(r.cpu.Heap[lay.CounterBase : lay.CounterBase+counterSlots*8])
 	}
 }
 

@@ -116,7 +116,7 @@ func (x *Executor) RunParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 
 	ws := make([]*parWorker, workers)
 	for i := range ws {
-		cpu := vm.New(cq.heapSize)
+		cpu := x.machine(cq.heapSize)
 		cpu.Load(prog)
 		ws[i] = &parWorker{id: i + 1, cpu: cpu, pmu: attachPMU(cpu, cfg, i+1)}
 	}

@@ -9,8 +9,8 @@ package engine
 // single-flight on a miss — and encodes the statement's lifted literals
 // against the plan's parameter manifest. The artifact that comes back is
 // immutable and shared; everything a run mutates lives in the per-call
-// RunState and the per-run VM, so any number of sessions can execute one
-// artifact concurrently.
+// RunState and the session's own simulated machines, so any number of
+// sessions can execute one artifact concurrently.
 //
 // Verification (Options.VerifyArtifacts) runs inside the compile path,
 // i.e. exactly once per cache insert: an artifact that was verified when
@@ -167,6 +167,13 @@ type SessionStats struct {
 // Session is one client's handle on the service. A session is not
 // goroutine-safe (each concurrent client takes its own), but any number
 // of sessions may share the Service and its cached artifacts.
+//
+// A session keeps its simulated machines. The CPUs and heaps its runs
+// execute on are lent to the results of one Run, Execute or Adapt call and
+// taken back, reset, by the session's next such call: everything in a
+// Result stays valid forever except Result.CPU, which is valid until then.
+// A session therefore retains at most the machines its largest single call
+// used (one serially, 1+Workers in parallel, one per run inside Adapt).
 type Session struct {
 	ID    int64
 	svc   *Service
@@ -179,7 +186,7 @@ type Session struct {
 // per-session and do not affect the cache key — the same artifact serves
 // every execution configuration.
 func (s *Service) NewSession() *Session {
-	return &Session{ID: s.nextID.Add(1), svc: s, exec: Executor{Opts: s.opts}}
+	return &Session{ID: s.nextID.Add(1), svc: s, exec: Executor{Opts: s.opts, pool: new(cpuPool)}}
 }
 
 // SetWorkers selects this session's morsel-parallel worker count
@@ -290,6 +297,7 @@ func (se *Session) Prepare(sql string) (*Prepared, error) {
 // read half-covered partials.
 func (se *Session) Run(p *Prepared, cfg *pmu.Config) (*Result, error) {
 	t0 := time.Now()
+	se.exec.pool.reclaim()
 	if p.Rewrite != nil {
 		// Rewritten artifacts always bind an explicit snapshot: the one
 		// the consistency guard approved (pinned, or captured here).
@@ -501,6 +509,7 @@ func (se *Session) Adapt(sql string, cfg *pmu.Config) (*AdaptiveResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	se.exec.pool.reclaim()
 	ar, err := runAdaptive(se.svc.compiler(), &se.exec, p.Compiled, p.State, cfg)
 	if err != nil {
 		return nil, err

@@ -157,10 +157,10 @@ func (dc *diffCase) play(m machine, heap []byte, regs *[isa.NumRegs]int64, st *S
 	return out
 }
 
-// runBoth plays dc on the reference and on the CPU and compares. It reports
-// false when the reference itself panicked: the parent indexed registers
-// and sliced the heap unchecked, and what it did then is not a behaviour to
-// reproduce.
+// runBoth plays dc on the reference, on a new CPU and on a recycled one, and
+// compares both with the reference. It reports false when the reference
+// itself panicked: the parent indexed registers and sliced the heap
+// unchecked, and what it did then is not a behaviour to reproduce.
 func runBoth(t testing.TB, dc *diffCase) (defined bool) {
 	t.Helper()
 	code := append([]isa.Instr{}, dc.code...)
@@ -181,32 +181,49 @@ func runBoth(t testing.TB, dc *diffCase) (defined bool) {
 		return false
 	}
 
-	c := New(dc.heap)
-	got := dc.play(c, c.Heap, &c.Regs, &c.Stats, func(r *recorder) {
-		c.Arm(cpuHook{r}, dc.event, dc.period, dc.jitter)
-	})
+	// A new CPU, then the one every earlier case ran on, reset: a recycled
+	// machine must be as good as new whatever the last program left in it.
+	if recycled == nil {
+		recycled = New(1 << 20)
+		dirty(t, recycled)
+	}
+	for _, c := range []*CPU{New(dc.heap), recycled} {
+		who := "new CPU"
+		if c == recycled {
+			who = "recycled CPU"
+			c.Reset(dc.heap)
+		}
+		got := dc.play(c, c.Heap, &c.Regs, &c.Stats, func(r *recorder) {
+			c.Arm(cpuHook{r}, dc.event, dc.period, dc.jitter)
+		})
 
-	if !reflect.DeepEqual(code, dc.code) {
-		t.Fatalf("the shared program was written to\n%s", dc)
-	}
-	for i := range want.Samples {
-		if i >= len(got.Samples) || !reflect.DeepEqual(got.Samples[i], want.Samples[i]) {
-			t.Fatalf("sample %d of %d/%d differs\n got %+v\nwant %+v\n%s", i, len(got.Samples), len(want.Samples), at(got.Samples, i), want.Samples[i], dc)
+		if !reflect.DeepEqual(code, dc.code) {
+			t.Fatalf("%s: the shared program was written to\n%s", who, dc)
 		}
-	}
-	if len(got.Samples) != len(want.Samples) {
-		t.Fatalf("%d samples, reference took %d\n%s", len(got.Samples), len(want.Samples), dc)
-	}
-	for i := range want.Steps {
-		if !reflect.DeepEqual(got.Steps[i], want.Steps[i]) {
-			t.Fatalf("after action %d\n got %+v\nwant %+v\n%s", i, got.Steps[i], want.Steps[i], dc)
+		for i := range want.Samples {
+			if i >= len(got.Samples) || !reflect.DeepEqual(got.Samples[i], want.Samples[i]) {
+				t.Fatalf("%s: sample %d of %d/%d differs\n got %+v\nwant %+v\n%s", who, i, len(got.Samples), len(want.Samples), at(got.Samples, i), want.Samples[i], dc)
+			}
 		}
-	}
-	if !reflect.DeepEqual(got.Heap, want.Heap) {
-		t.Fatalf("heaps differ\n%s", dc)
+		if len(got.Samples) != len(want.Samples) {
+			t.Fatalf("%s: %d samples, reference took %d\n%s", who, len(got.Samples), len(want.Samples), dc)
+		}
+		for i := range want.Steps {
+			if !reflect.DeepEqual(got.Steps[i], want.Steps[i]) {
+				t.Fatalf("%s: after action %d\n got %+v\nwant %+v\n%s", who, i, got.Steps[i], want.Steps[i], dc)
+			}
+		}
+		if !reflect.DeepEqual(got.Heap, want.Heap) {
+			t.Fatalf("%s: heaps differ\n%s", who, dc)
+		}
 	}
 	return true
 }
+
+// recycled is the CPU runBoth resets for every case, so each case is the
+// dirtying program of the next (neither the tests nor a fuzz worker run
+// cases concurrently). It starts out as dirty as reset_test.go can make it.
+var recycled *CPU
 
 func at(s []sampleObs, i int) any {
 	if i < len(s) {

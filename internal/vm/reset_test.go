@@ -1,0 +1,136 @@
+package vm
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"repro/internal/isa"
+)
+
+// dirty leaves no field of c as New built it: a program that stores over
+// half a MiB twice (DRAM, then L3), loads 128 KiB twice (L2) and a line
+// twice (L1), mispredicts its loop branches, fills the LBR, runs under a
+// jittered load-event hook and traps inside a call; then the three fields
+// no program ending in a trap can reach are set by hand. c's heap must hold
+// 1 MiB.
+func dirty(t testing.TB, c *CPU) {
+	t.Helper()
+	const kib = 1 << 10
+	for i := range c.Heap {
+		c.Heap[i] = byte(i*7 + i>>8)
+	}
+	c.Load(&isa.Program{Code: []isa.Instr{
+		{Op: isa.MOVRI, Dst: 1, Imm: 2},                                  // 0
+		{Op: isa.MOVRI, Dst: 2, Imm: 0},                                  // 1: pass
+		{Op: isa.STORE64, Dst: 1, Src1: 2},                               // 2: line
+		{Op: isa.ADD, Dst: 2, Src1: 2, UseImm: true, Imm: lineBytes},     // 3
+		{Op: isa.JLT, Src1: 2, UseImm: true, Imm: 512 * kib, Imm2: 2},    // 4
+		{Op: isa.SUB, Dst: 1, Src1: 1, UseImm: true, Imm: 1},             // 5
+		{Op: isa.JNZ, Src1: 1, Imm: 1},                                   // 6
+		{Op: isa.MOVRI, Dst: 1, Imm: 2},                                  // 7
+		{Op: isa.MOVRI, Dst: 2, Imm: 512 * kib},                          // 8: pass
+		{Op: isa.LOAD64, Dst: 4, Src1: 2},                                // 9: line
+		{Op: isa.LOAD32, Dst: 5, Src1: 2, Imm: 8},                        // 10: same line, L1
+		{Op: isa.ADD, Dst: 2, Src1: 2, UseImm: true, Imm: lineBytes},     // 11
+		{Op: isa.JLT, Src1: 2, UseImm: true, Imm: 640 * kib, Imm2: 9},    // 12
+		{Op: isa.SUB, Dst: 1, Src1: 1, UseImm: true, Imm: 1},             // 13
+		{Op: isa.JNZ, Src1: 1, Imm: 8},                                   // 14
+		{Op: isa.CALL, Imm: 17},                                          // 15
+		{Op: isa.HALT},                                                   // 16
+		{Op: isa.STORE8, Dst: 2, Abs: true, Imm: int64(len(c.Heap)) - 1}, // 17: the last byte
+		{Op: isa.TRAP, Imm: 9},                                           // 18
+	}})
+	hook := &countingHook{}
+	c.Arm(hook, EvMemLoads, 97, 8)
+	_, err := c.Run(0)
+	var trap *TrapError
+	if !errors.As(err, &trap) || trap.IP != 18 {
+		t.Fatalf("the dirtying program ended with %v, want the trap at 18", err)
+	}
+	s := c.Stats
+	if s.L1Hits == 0 || s.L2Hits == 0 || s.L3Hits == 0 || s.MemAccesses == 0 || s.BranchMisses == 0 || s.Calls == 0 || s.SampleCycles == 0 || hook.n == 0 {
+		t.Fatalf("the dirtying program left a counter at zero: %+v, %d samples", s, hook.n)
+	}
+	c.halted, c.haltOnRet, c.FreqGHz = true, true, 2
+}
+
+// field returns field i of c, unexported ones included, as a value
+// reflect.DeepEqual accepts.
+func field(c *CPU, i int) any {
+	f := reflect.ValueOf(c).Elem().Field(i)
+	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().Interface()
+}
+
+// sameField compares one field of two CPUs; a buffer emptied and a buffer
+// never made are the same.
+func sameField(a, b *CPU, i int) bool {
+	x, y := field(a, i), field(b, i)
+	if v, w := reflect.ValueOf(x), reflect.ValueOf(y); v.Kind() == reflect.Slice && v.Len() == 0 && w.Len() == 0 {
+		return true
+	}
+	return reflect.DeepEqual(x, y)
+}
+
+// TestResetEqualsNew walks CPU's own field list: after dirty every field
+// must differ from a new CPU's — so a field added later fails here until
+// dirty reaches it — and after Reset every field must equal it again.
+func TestResetEqualsNew(t *testing.T) {
+	const n = 1 << 20
+	fresh, c := New(n), New(n)
+	dirty(t, c)
+	typ := reflect.TypeOf(CPU{})
+	for i := 0; i < typ.NumField(); i++ {
+		if sameField(c, fresh, i) {
+			t.Errorf("dirty leaves CPU.%s as New built it; extend it, or Reset is not tested for that field", typ.Field(i).Name)
+		}
+	}
+	c.Reset(n)
+	for i := 0; i < typ.NumField(); i++ {
+		if !sameField(c, fresh, i) {
+			t.Errorf("after Reset, CPU.%s differs from a new CPU's", typ.Field(i).Name)
+		}
+	}
+}
+
+// TestResetReslicesHeap: a smaller heap and then a larger one inside the old
+// capacity reuse the backing array, and every byte reads zero — also those
+// between the two sizes, which the smaller heap's run could not have
+// cleared; a heap beyond the capacity is a new one.
+func TestResetReslicesHeap(t *testing.T) {
+	const n = 1 << 20
+	c := New(n)
+	dirty(t, c)
+	base := &c.Heap[0]
+	for _, size := range []int{n / 4, n / 2, n, 0, 2 * n} {
+		c.Reset(size)
+		if len(c.Heap) != size {
+			t.Fatalf("Reset(%d): heap of %d bytes", size, len(c.Heap))
+		}
+		for i, b := range c.Heap {
+			if b != 0 {
+				t.Fatalf("Reset(%d): byte %d reads %d", size, i, b)
+			}
+		}
+		if reused := size > 0 && &c.Heap[0] == base; reused != (size > 0 && size <= n) {
+			t.Errorf("Reset(%d): backing array reused = %v", size, reused)
+		}
+		for i := range c.Heap {
+			c.Heap[i] = 0xa5
+		}
+	}
+}
+
+// TestResetAllocatesNothing: within the heap's capacity a reset is clearing
+// only.
+func TestResetAllocatesNothing(t *testing.T) {
+	c := New(1 << 16)
+	c.Load(&isa.Program{Code: []isa.Instr{{Op: isa.CALL, Imm: 1}, {Op: isa.HALT}}})
+	if _, err := c.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { c.Reset(1 << 12) }); allocs != 0 {
+		t.Fatalf("Reset allocated %v times", allocs)
+	}
+}

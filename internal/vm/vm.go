@@ -173,14 +173,37 @@ type BranchRecord struct {
 
 // New creates a CPU with the given heap size in bytes. It panics if the
 // heap has more 64-byte lines than the cache model's 32-bit tags can name
-// (256 GiB), the one place that limit is enforced.
+// (256 GiB); checkHeapSize is the one place that limit is enforced.
 func New(heapSize int) *CPU {
-	if uint64(heapSize)>>lineShift >= maxLines {
-		bug(fmt.Sprintf("heap of %d bytes exceeds the cache model's %d lines", heapSize, uint64(maxLines)))
-	}
+	checkHeapSize(heapSize)
 	c := &CPU{Heap: make([]byte, heapSize), FreqGHz: 3.5}
 	c.bp.reset()
 	return c
+}
+
+func checkHeapSize(heapSize int) {
+	if uint64(heapSize)>>lineShift >= maxLines {
+		bug(fmt.Sprintf("heap of %d bytes exceeds the cache model's %d lines", heapSize, uint64(maxLines)))
+	}
+}
+
+// Reset puts a used CPU back into the state New(heapSize) builds — zeroed
+// heap, no program, cold caches and predictor, nothing armed — so that no
+// run can tell the two apart (TestResetEqualsNew walks the field list). Only
+// memory survives: the heap's backing array when it is large enough, and the
+// call-stack and decoded-program buffers, emptied.
+func (c *CPU) Reset(heapSize int) {
+	checkHeapSize(heapSize)
+	heap, code, stack := c.Heap, c.code, c.callStack
+	if cap(heap) < heapSize {
+		heap = make([]byte, heapSize)
+	} else {
+		heap = heap[:heapSize]
+		clear(heap)
+	}
+	*c = CPU{} // the zero literal clears c where it is; no second CPU is built
+	c.Heap, c.code, c.callStack, c.FreqGHz = heap, code[:0], stack[:0], 3.5
+	c.bp.reset()
 }
 
 // inst is one decoded instruction. Load normalizes the operand forms so the
@@ -287,7 +310,10 @@ func (c *CPU) Load(p *isa.Program) {
 	for i := range c.Regs {
 		c.Regs[i] = 0
 	}
-	c.Regs[isa.SP] = int64(len(c.Heap)) // stack grows down from the top
+	// SP names the end of the heap by convention only: generated code keeps
+	// its call arguments and spills in fixed low-memory regions and never
+	// addresses through SP, so no layout reserves a stack.
+	c.Regs[isa.SP] = int64(len(c.Heap))
 }
 
 // Restart rewinds the instruction pointer for another pass over the same
