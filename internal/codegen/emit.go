@@ -81,8 +81,15 @@ type emitter struct {
 	res   *Result
 	slots int
 
-	callFix map[int]string // native pos → callee symbol
+	callFix []callSite     // CALLs awaiting their callee's entry
 	symbols map[string]int // symbol → entry
+}
+
+// callSite is one emitted CALL; its target is resolved by symbol once
+// every function and runtime routine has an entry.
+type callSite struct {
+	pos    int
+	callee string
 }
 
 // Compile lowers a module to native code. The function named "main" is
@@ -93,7 +100,6 @@ func Compile(m *ir.Module, cfg Config) (*Result, error) {
 		cfg:     cfg,
 		prog:    &isa.Program{},
 		nmap:    core.NewNativeMap(0),
-		callFix: map[int]string{},
 		symbols: map[string]int{},
 	}
 	e.res = &Result{Program: e.prog, NMap: e.nmap}
@@ -114,8 +120,9 @@ func Compile(m *ir.Module, cfg Config) (*Result, error) {
 	}
 
 	slotBase := 0
+	lo := newLowerer(m, &cfg)
 	for _, f := range funcs {
-		lf, err := lowerFunc(f, &cfg)
+		lf, err := lo.lowerFunc(f)
 		if err != nil {
 			return nil, err
 		}
@@ -141,12 +148,12 @@ func Compile(m *ir.Module, cfg Config) (*Result, error) {
 	emitRuntime(e)
 
 	// Resolve calls.
-	for pos, name := range e.callFix {
-		entry, ok := e.symbols[name]
+	for _, fix := range e.callFix {
+		entry, ok := e.symbols[fix.callee]
 		if !ok {
-			return nil, fmt.Errorf("codegen: undefined symbol %q", name)
+			return nil, fmt.Errorf("codegen: undefined symbol %q", fix.callee)
 		}
-		e.prog.Code[pos].Imm = int64(entry)
+		e.prog.Code[fix.pos].Imm = int64(entry)
 	}
 	return e.res, nil
 }
@@ -355,7 +362,7 @@ func (e *emitter) emitCall(a *allocation, l *lins) {
 		e.push(isa.Instr{Op: isa.LOAD64, Dst: isa.Reg(i), Abs: true, Imm: e.cfg.StagingAddr + int64(i)*8}, ids, core.RegionGenerated, "")
 	}
 	pos := e.push(isa.Instr{Op: isa.CALL}, ids, core.RegionGenerated, "")
-	e.callFix[pos] = l.callee
+	e.callFix = append(e.callFix, callSite{pos, l.callee})
 	if l.hasRes {
 		if r, slot, inReg := a.location(l.dst); inReg {
 			if r != 0 {

@@ -17,8 +17,9 @@ package codegen
 
 import "repro/internal/isa"
 
-// invertedOp maps each conditional branch to its negation.
-var invertedOp = map[isa.Op]isa.Op{
+// invertedOp maps each conditional branch to its negation (isa.NOP, the
+// zero value, for everything else).
+var invertedOp = [isa.TRAP + 1]isa.Op{
 	isa.JEQ: isa.JNE, isa.JNE: isa.JEQ,
 	isa.JLT: isa.JGE, isa.JGE: isa.JLT,
 	isa.JNZ: isa.JZ, isa.JZ: isa.JNZ,
@@ -108,8 +109,8 @@ func invertBranches(lf *lfunc, hot Hotness, weight []float64) {
 			continue
 		}
 		jcc := &b.ins[k-1]
-		inv, ok := invertedOp[jcc.op]
-		if !ok || jcc.pseudo != pNone {
+		inv := invertedOp[jcc.op]
+		if inv == isa.NOP || jcc.pseudo != pNone {
 			continue
 		}
 		hotThen := false

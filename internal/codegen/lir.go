@@ -65,9 +65,10 @@ const (
 
 // lblock is a basic block of LIR.
 type lblock struct {
-	name  string
-	ins   []lins
-	succs []int
+	name    string
+	ins     []lins
+	succs   []int
+	succBuf [2]int // backs succs: a block has at most two successors
 }
 
 // lfunc is a function being lowered.
@@ -82,42 +83,64 @@ func (f *lfunc) newVreg() vreg {
 	return f.nvreg
 }
 
-// lowerer translates one ir.Func into an lfunc.
+// lowerer translates the functions of one module into lfuncs. Its tables
+// are indexed by IR instruction ID — module-unique and dense, so one set
+// sized by Module.MaxID serves every function — and blocks are addressed
+// by Block.Index.
 type lowerer struct {
-	cfg     *Config
-	f       *ir.Func
-	out     *lfunc
-	blockIx map[*ir.Block]int
-	regOf   map[*ir.Instr]vreg
-	uses    map[*ir.Instr]int
-	fused   map[*ir.Instr]bool // compare instructions folded into branches
-	scaled  map[*ir.Instr]scaledAddr
+	cfg    *Config
+	f      *ir.Func
+	out    *lfunc
+	regOf  []vreg       // by ID; 0 = no vreg yet
+	uses   []int32      // by ID: operand slots naming the instruction
+	fused  ir.Bitset    // by ID: folded into a consumer, not lowered on its own
+	scaled []int32      // by load ID: 1 + index into plans; nil without a profile
+	plans  []scaledAddr // planned scaled-addressing fusions, in program order
+	ids    []int        // slab the irIDs debug lists are carved from
+	seq    []lins       // schedule's output buffer
 }
 
-// scaledAddr is a planned scaled-addressing fusion, keyed by a
-// profile-hot 8-byte load: the load bypasses its address Add — and the
-// Mul/Shl computing the index — using base+index*8 addressing directly,
+// scaledAddr is a planned scaled-addressing fusion of a profile-hot
+// 8-byte load: the load bypasses its address Add — and the Mul/Shl
+// computing the index — using base+index*8 addressing directly,
 // removing up to 4 cycles per execution once the address instructions'
 // other consumers are fused too and they can be elided.
 type scaledAddr struct {
+	add, idxe *ir.Instr // the address Add and its Mul/Shl
 	base, idx *ir.Instr
 	ids       []int // IR IDs of the folded address instructions
 }
 
-func lowerFunc(f *ir.Func, cfg *Config) (*lfunc, error) {
-	lo := &lowerer{
-		cfg:     cfg,
-		f:       f,
-		out:     &lfunc{name: f.Name},
-		blockIx: make(map[*ir.Block]int),
-		regOf:   make(map[*ir.Instr]vreg),
-		uses:    make(map[*ir.Instr]int),
-		fused:   make(map[*ir.Instr]bool),
-		scaled:  make(map[*ir.Instr]scaledAddr),
+func newLowerer(m *ir.Module, cfg *Config) *lowerer {
+	n := m.MaxID() + 1
+	return &lowerer{cfg: cfg, regOf: make([]vreg, n), uses: make([]int32, n), fused: ir.NewBitset(n)}
+}
+
+// irIDs returns a debug-info list holding ids, carved from a slab: the
+// lists live on in the native map, a few words each.
+func (lo *lowerer) irIDs(ids ...int) []int {
+	if len(lo.ids) < len(ids) {
+		lo.ids = make([]int, 256)
 	}
+	s := lo.ids[:len(ids):len(ids)]
+	lo.ids = lo.ids[len(ids):]
+	copy(s, ids)
+	return s
+}
+
+func (lo *lowerer) lowerFunc(f *ir.Func) (*lfunc, error) {
+	lo.f = f
+	lo.out = &lfunc{name: f.Name, blocks: make([]*lblock, len(f.Blocks))}
+	lblocks := make([]lblock, len(f.Blocks))
+	n := len(f.Blocks)
+	for _, b := range f.Blocks {
+		n += len(b.Instrs)
+	}
+	slab := make([]lins, n) // most IR instructions lower to one LIR instruction
 	for i, b := range f.Blocks {
-		lo.blockIx[b] = i
-		lo.out.blocks = append(lo.out.blocks, &lblock{name: b.Name})
+		k := len(b.Instrs) + 1
+		lblocks[i] = lblock{name: b.Name, ins: slab[:0:k]}
+		lo.out.blocks[i], slab = &lblocks[i], slab[k:]
 	}
 	lo.countUses()
 	lo.planFusion()
@@ -138,7 +161,7 @@ func (lo *lowerer) countUses() {
 	for _, b := range lo.f.Blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
-				lo.uses[a]++
+				lo.uses[a.ID]++
 			}
 		}
 	}
@@ -146,12 +169,10 @@ func (lo *lowerer) countUses() {
 
 // vregFor returns the virtual register holding an IR value.
 func (lo *lowerer) vregFor(in *ir.Instr) vreg {
-	v, ok := lo.regOf[in]
-	if !ok {
-		v = lo.out.newVreg()
-		lo.regOf[in] = v
+	if lo.regOf[in.ID] == 0 {
+		lo.regOf[in.ID] = lo.out.newVreg()
 	}
-	return v
+	return lo.regOf[in.ID]
 }
 
 func (lo *lowerer) emit(bi int, in lins) {
@@ -162,7 +183,9 @@ func (lo *lowerer) emit(bi int, in lins) {
 // their definition site (SSA dominance makes that always correct).
 func (lo *lowerer) opnd(a *ir.Instr) vreg { return lo.vregFor(a) }
 
-var binOps = map[ir.Op]isa.Op{
+// nativeOp maps the IR opcodes that lower one-to-one (binary ALU and
+// compares, loads, stores) to their native opcode.
+var nativeOp = [ir.OpStore64 + 1]isa.Op{
 	ir.OpAdd: isa.ADD, ir.OpSub: isa.SUB, ir.OpMul: isa.MUL,
 	ir.OpSDiv: isa.DIV, ir.OpSMod: isa.MOD,
 	ir.OpAnd: isa.AND, ir.OpOr: isa.OR, ir.OpXor: isa.XOR,
@@ -171,9 +194,11 @@ var binOps = map[ir.Op]isa.Op{
 	ir.OpCmpEq: isa.CMPEQ, ir.OpCmpNe: isa.CMPNE,
 	ir.OpCmpLt: isa.CMPLT, ir.OpCmpLe: isa.CMPLE,
 	ir.OpCmpGt: isa.CMPGT, ir.OpCmpGe: isa.CMPGE,
+	ir.OpLoad8: isa.LOAD8, ir.OpLoad32: isa.LOAD32, ir.OpLoad64: isa.LOAD64,
+	ir.OpStore8: isa.STORE8, ir.OpStore32: isa.STORE32, ir.OpStore64: isa.STORE64,
 }
 
-var commutative = map[ir.Op]bool{
+var commutative = [len(nativeOp)]bool{
 	ir.OpAdd: true, ir.OpMul: true, ir.OpAnd: true, ir.OpOr: true,
 	ir.OpXor: true, ir.OpCrc32: true, ir.OpCmpEq: true, ir.OpCmpNe: true,
 }
@@ -183,10 +208,10 @@ func (lo *lowerer) lowerBlock(bi int, b *ir.Block) error {
 	for _, in := range b.Instrs {
 		switch in.Op {
 		case ir.OpConst:
-			lo.emit(bi, lins{op: isa.MOVRI, dst: lo.vregFor(in), imm: in.Imm, irIDs: []int{in.ID}})
+			lo.emit(bi, lins{op: isa.MOVRI, dst: lo.vregFor(in), imm: in.Imm, irIDs: lo.irIDs(in.ID)})
 
 		case ir.OpParam:
-			lo.emit(bi, lins{pseudo: pParam, dst: lo.vregFor(in), imm: in.Imm, irIDs: []int{in.ID}})
+			lo.emit(bi, lins{pseudo: pParam, dst: lo.vregFor(in), imm: in.Imm, irIDs: lo.irIDs(in.ID)})
 
 		case ir.OpPhi:
 			lo.vregFor(in) // reserve; moves are inserted by lowerPhis
@@ -198,42 +223,40 @@ func (lo *lowerer) lowerBlock(bi int, b *ir.Block) error {
 			lo.lowerBin(bi, in)
 
 		case ir.OpLoad8, ir.OpLoad32, ir.OpLoad64:
-			if sc, ok := lo.scaled[in]; ok {
-				ids := append(append([]int(nil), sc.ids...), in.ID)
+			if lo.scaled != nil && lo.scaled[in.ID] != 0 {
+				sc := lo.plans[lo.scaled[in.ID]-1]
 				lo.emit(bi, lins{op: isa.LOAD64, dst: lo.vregFor(in),
-					a: lo.opnd(sc.base), b: lo.opnd(sc.idx), scaled: true, irIDs: ids})
+					a: lo.opnd(sc.base), b: lo.opnd(sc.idx), scaled: true, irIDs: lo.irIDs(append(sc.ids, in.ID)...)})
 				continue
 			}
-			base, off, extra := lo.addr(in.Args[0])
-			op := map[ir.Op]isa.Op{ir.OpLoad8: isa.LOAD8, ir.OpLoad32: isa.LOAD32, ir.OpLoad64: isa.LOAD64}[in.Op]
-			lo.emit(bi, lins{op: op, dst: lo.vregFor(in), a: base, imm: off, irIDs: appendID(extra, in.ID)})
+			base, off, ids := lo.addr(in)
+			lo.emit(bi, lins{op: nativeOp[in.Op], dst: lo.vregFor(in), a: base, imm: off, irIDs: ids})
 
 		case ir.OpStore8, ir.OpStore32, ir.OpStore64:
-			base, off, extra := lo.addr(in.Args[0])
+			base, off, ids := lo.addr(in)
 			val := lo.opnd(in.Args[1])
-			op := map[ir.Op]isa.Op{ir.OpStore8: isa.STORE8, ir.OpStore32: isa.STORE32, ir.OpStore64: isa.STORE64}[in.Op]
-			lo.emit(bi, lins{op: op, dst: val, a: base, imm: off, irIDs: appendID(extra, in.ID)})
+			lo.emit(bi, lins{op: nativeOp[in.Op], dst: val, a: base, imm: off, irIDs: ids})
 
 		case ir.OpBr:
-			t := lo.blockIx[in.Targets[0]]
-			lb.succs = []int{t}
-			lo.emit(bi, lins{op: isa.JMP, tgt: t, irIDs: []int{in.ID}})
+			t := in.Targets[0].Index
+			lb.succs = append(lb.succBuf[:0], t)
+			lo.emit(bi, lins{op: isa.JMP, tgt: t, irIDs: lo.irIDs(in.ID)})
 
 		case ir.OpCondBr:
 			lo.lowerCondBr(bi, in)
 
 		case ir.OpRet:
 			if len(in.Args) > 0 {
-				lo.emit(bi, lins{pseudo: pRetVal, a: lo.opnd(in.Args[0]), irIDs: []int{in.ID}})
+				lo.emit(bi, lins{pseudo: pRetVal, a: lo.opnd(in.Args[0]), irIDs: lo.irIDs(in.ID)})
 			}
-			lo.emit(bi, lins{op: isa.RET, irIDs: []int{in.ID}})
+			lo.emit(bi, lins{op: isa.RET, irIDs: lo.irIDs(in.ID)})
 
 		case ir.OpCall:
 			args := make([]vreg, len(in.Args))
 			for i, a := range in.Args {
 				args[i] = lo.opnd(a)
 			}
-			l := lins{pseudo: pCall, callee: in.Callee, args: args, irIDs: []int{in.ID}}
+			l := lins{pseudo: pCall, callee: in.Callee, args: args, irIDs: lo.irIDs(in.ID)}
 			if in.Type != ir.Void {
 				l.hasRes = true
 				l.dst = lo.vregFor(in)
@@ -243,19 +266,19 @@ func (lo *lowerer) lowerBlock(bi int, b *ir.Block) error {
 		case ir.OpSetTag:
 			arg := in.Args[0]
 			if arg.Op == ir.OpConst {
-				lo.emit(bi, lins{op: isa.MOVRI, tagWrite: true, imm: arg.Imm, irIDs: []int{in.ID}})
+				lo.emit(bi, lins{op: isa.MOVRI, tagWrite: true, imm: arg.Imm, irIDs: lo.irIDs(in.ID)})
 			} else {
-				lo.emit(bi, lins{op: isa.MOVRR, tagWrite: true, a: lo.opnd(arg), irIDs: []int{in.ID}})
+				lo.emit(bi, lins{op: isa.MOVRR, tagWrite: true, a: lo.opnd(arg), irIDs: lo.irIDs(in.ID)})
 			}
 
 		case ir.OpGetTag:
-			lo.emit(bi, lins{op: isa.MOVRR, tagRead: true, dst: lo.vregFor(in), irIDs: []int{in.ID}})
+			lo.emit(bi, lins{op: isa.MOVRR, tagRead: true, dst: lo.vregFor(in), irIDs: lo.irIDs(in.ID)})
 
 		case ir.OpHalt:
-			lo.emit(bi, lins{op: isa.HALT, irIDs: []int{in.ID}})
+			lo.emit(bi, lins{op: isa.HALT, irIDs: lo.irIDs(in.ID)})
 
 		case ir.OpTrap:
-			lo.emit(bi, lins{op: isa.TRAP, imm: in.Imm, irIDs: []int{in.ID}})
+			lo.emit(bi, lins{op: isa.TRAP, imm: in.Imm, irIDs: lo.irIDs(in.ID)})
 
 		default:
 			return fmt.Errorf("codegen: cannot lower %s", in.Op)
@@ -265,17 +288,17 @@ func (lo *lowerer) lowerBlock(bi int, b *ir.Block) error {
 }
 
 func (lo *lowerer) lowerBin(bi int, in *ir.Instr) {
-	if lo.fused[in] {
+	if lo.fused.Has(in.ID) {
 		return // folded into a branch
 	}
-	op := binOps[in.Op]
+	op := nativeOp[in.Op]
 	x, y := in.Args[0], in.Args[1]
 	// Fold a constant second operand into the immediate form; exploit
 	// commutativity to fold a constant first operand too.
 	if x.Op == ir.OpConst && y.Op != ir.OpConst && commutative[in.Op] {
 		x, y = y, x
 	}
-	l := lins{op: op, dst: lo.vregFor(in), a: lo.opnd(x), irIDs: []int{in.ID}}
+	l := lins{op: op, dst: lo.vregFor(in), a: lo.opnd(x), irIDs: lo.irIDs(in.ID)}
 	if y.Op == ir.OpConst {
 		l.useImm = true
 		l.imm = y.Imm
@@ -285,21 +308,22 @@ func (lo *lowerer) lowerBin(bi int, in *ir.Instr) {
 	lo.emit(bi, l)
 }
 
-// addr decomposes an address operand into base + constant displacement
-// (peephole address folding; the folded Add's IR ID joins the debug info).
-func (lo *lowerer) addr(a *ir.Instr) (base vreg, off int64, foldedIDs []int) {
-	if a.Op == ir.OpAdd {
+// addr decomposes the address operand of memory access mem into base +
+// constant displacement, and returns the access's debug info (peephole
+// address folding; the folded Add's IR ID joins it, first).
+func (lo *lowerer) addr(mem *ir.Instr) (base vreg, off int64, irIDs []int) {
+	a := mem.Args[0]
+	if a.Op == ir.OpAdd && lo.uses[a.ID] == 1 {
 		x, y := a.Args[0], a.Args[1]
-		if y.Op == ir.OpConst && lo.uses[a] == 1 && x.Op != ir.OpConst {
-			lo.fused[a] = true
-			return lo.opnd(x), y.Imm, []int{a.ID}
+		if x.Op == ir.OpConst {
+			x, y = y, x
 		}
-		if x.Op == ir.OpConst && lo.uses[a] == 1 && y.Op != ir.OpConst {
-			lo.fused[a] = true
-			return lo.opnd(y), x.Imm, []int{a.ID}
+		if y.Op == ir.OpConst && x.Op != ir.OpConst {
+			lo.fused.Set(a.ID)
+			return lo.opnd(x), y.Imm, lo.irIDs(a.ID, mem.ID)
 		}
 	}
-	return lo.opnd(a), 0, nil
+	return lo.opnd(a), 0, lo.irIDs(mem.ID)
 }
 
 // planFusion pre-marks comparisons that will fold into their (single)
@@ -315,11 +339,11 @@ func (lo *lowerer) planFusion() {
 				continue
 			}
 			cond := in.Args[0]
-			if cond.Block != in.Block || lo.uses[cond] != 1 {
+			if cond.Block != in.Block || lo.uses[cond.ID] != 1 {
 				continue
 			}
 			if fop, _, _, _ := fuseKind(cond); fop != isa.NOP {
-				lo.fused[cond] = true
+				lo.fused.Set(cond.ID)
 			}
 		}
 	}
@@ -347,8 +371,11 @@ func (lo *lowerer) planScaledFusion() {
 	if lo.cfg.Hot == nil {
 		return
 	}
-	addLoads := map[*ir.Instr][]*ir.Instr{} // address Add → fused loads over it
-	addIdxe := map[*ir.Instr]*ir.Instr{}    // address Add → its Mul/Shl
+	n := len(lo.regOf)
+	if lo.scaled == nil {
+		lo.scaled = make([]int32, n)
+	}
+	first := len(lo.plans) // earlier functions' plans stay addressable
 	for _, b := range lo.f.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op != ir.OpLoad64 {
@@ -358,7 +385,7 @@ func (lo *lowerer) planScaledFusion() {
 				continue
 			}
 			add := in.Args[0]
-			if add.Op != ir.OpAdd || lo.fused[add] {
+			if add.Op != ir.OpAdd || lo.fused.Has(add.ID) {
 				continue
 			}
 			base, idxe := add.Args[0], add.Args[1]
@@ -369,46 +396,36 @@ func (lo *lowerer) planScaledFusion() {
 			if idx == nil || base.Op == ir.OpConst {
 				continue
 			}
-			lo.scaled[in] = scaledAddr{base: base, idx: idx}
-			addLoads[add] = append(addLoads[add], in)
-			addIdxe[add] = idxe
+			lo.plans = append(lo.plans, scaledAddr{add: add, idxe: idxe, base: base, idx: idx})
+			lo.scaled[in.ID] = int32(len(lo.plans))
 		}
 	}
 	// Elide an Add when every one of its uses is a bypassing load.
-	for add, loads := range addLoads {
-		if len(loads) != lo.uses[add] {
+	loads := make([]int32, n) // by Add ID: bypassing loads over it
+	plans := lo.plans[first:]
+	for _, p := range plans {
+		loads[p.add.ID]++
+	}
+	adds := make([]int32, n) // by Mul/Shl ID: elided Adds over it
+	for i := range plans {
+		p := &plans[i]
+		if loads[p.add.ID] != lo.uses[p.add.ID] {
 			continue
 		}
-		lo.fused[add] = true
-		for _, ld := range loads {
-			sc := lo.scaled[ld]
-			sc.ids = append(sc.ids, add.ID)
-			lo.scaled[ld] = sc
+		// Each elided Add contributes one use of its Mul/Shl; count it
+		// once, not per load (one Add can feed several loads).
+		if !lo.fused.Has(p.add.ID) {
+			lo.fused.Set(p.add.ID)
+			adds[p.idxe.ID]++
 		}
+		p.ids = append(p.ids, p.add.ID)
 	}
-	// Elide a Mul/Shl when every one of its uses is an elided Add. (Each
-	// elided Add contributed one use; compare against the Add count, not
-	// the load count, since one Add can feed several loads.)
-	idxeAdds := map[*ir.Instr]int{}
-	for add := range addLoads {
-		if lo.fused[add] {
-			idxeAdds[addIdxe[add]]++
-		}
-	}
-	for idxe, n := range idxeAdds {
-		if n != lo.uses[idxe] {
-			continue
-		}
-		lo.fused[idxe] = true
-		for add, loads := range addLoads {
-			if addIdxe[add] != idxe || !lo.fused[add] {
-				continue
-			}
-			for _, ld := range loads {
-				sc := lo.scaled[ld]
-				sc.ids = append(sc.ids, idxe.ID)
-				lo.scaled[ld] = sc
-			}
+	// Elide a Mul/Shl when every one of its uses is an elided Add.
+	for i := range plans {
+		p := &plans[i]
+		if lo.fused.Has(p.add.ID) && adds[p.idxe.ID] == lo.uses[p.idxe.ID] {
+			lo.fused.Set(p.idxe.ID)
+			p.ids = append(p.ids, p.idxe.ID)
 		}
 	}
 }
@@ -442,14 +459,14 @@ func scaleIndex(e *ir.Instr) *ir.Instr {
 // debug info lists both the compare's and the branch's IR IDs).
 func (lo *lowerer) lowerCondBr(bi int, in *ir.Instr) {
 	lb := lo.out.blocks[bi]
-	then := lo.blockIx[in.Targets[0]]
-	els := lo.blockIx[in.Targets[1]]
-	lb.succs = []int{then, els}
+	then := in.Targets[0].Index
+	els := in.Targets[1].Index
+	lb.succs = append(lb.succBuf[:0], then, els)
 
 	cond := in.Args[0]
-	if lo.fused[cond] {
+	if lo.fused.Has(cond.ID) {
 		if fop, srcA, srcB, swap := fuseKind(cond); fop != isa.NOP {
-			l := lins{op: fop, tgt: then, tgt2: els, irIDs: []int{cond.ID, in.ID}}
+			l := lins{op: fop, tgt: then, tgt2: els, irIDs: lo.irIDs(cond.ID, in.ID)}
 			x, y := srcA, srcB
 			if swap {
 				x, y = y, x
@@ -462,12 +479,12 @@ func (lo *lowerer) lowerCondBr(bi int, in *ir.Instr) {
 				l.b = lo.opnd(y)
 			}
 			lo.emit(bi, l)
-			lo.emit(bi, lins{op: isa.JMP, tgt: els, irIDs: []int{in.ID}})
+			lo.emit(bi, lins{op: isa.JMP, tgt: els, irIDs: lo.irIDs(in.ID)})
 			return
 		}
 	}
-	lo.emit(bi, lins{op: isa.JNZ, a: lo.opnd(cond), tgt: then, tgt2: els, irIDs: []int{in.ID}})
-	lo.emit(bi, lins{op: isa.JMP, tgt: els, irIDs: []int{in.ID}})
+	lo.emit(bi, lins{op: isa.JNZ, a: lo.opnd(cond), tgt: then, tgt2: els, irIDs: lo.irIDs(in.ID)})
+	lo.emit(bi, lins{op: isa.JMP, tgt: els, irIDs: lo.irIDs(in.ID)})
 }
 
 // fuseKind maps a comparison to a fused branch opcode. swap indicates the
@@ -491,15 +508,15 @@ func fuseKind(cmp *ir.Instr) (op isa.Op, a, b *ir.Instr, swap bool) {
 	return isa.NOP, nil, nil, false
 }
 
-func appendID(ids []int, id int) []int { return append(ids, id) }
-
 // lowerPhis inserts the parallel copies that realize phi nodes. Copies are
 // placed at the end of each predecessor; when the predecessor has several
 // successors (a critical edge) a fresh edge block is spliced in so the
 // copies execute on the right path only.
 func (lo *lowerer) lowerPhis() error {
+	var phis []*ir.Instr // reused across blocks
+	var moves []phimove  // reused across edges
 	for bIdx, b := range lo.f.Blocks {
-		var phis []*ir.Instr
+		phis = phis[:0]
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpPhi {
 				phis = append(phis, in)
@@ -509,7 +526,7 @@ func (lo *lowerer) lowerPhis() error {
 			continue
 		}
 		for pi, pred := range b.Preds {
-			var moves []phimove
+			moves = moves[:0]
 			for _, phi := range phis {
 				arg := phi.Args[pi]
 				m := phimove{dst: lo.vregFor(phi), irID: phi.ID}
@@ -520,11 +537,12 @@ func (lo *lowerer) lowerPhis() error {
 				}
 				moves = append(moves, m)
 			}
-			predIx := lo.blockIx[pred]
+			predIx := pred.Index
 			target := predIx
 			if len(lo.out.blocks[predIx].succs) > 1 {
 				// Critical edge: splice in an edge block.
-				eb := &lblock{name: pred.Name + ".to." + b.Name, succs: []int{bIdx}}
+				eb := &lblock{name: pred.Name + ".to." + b.Name}
+				eb.succs = append(eb.succBuf[:0], bIdx)
 				lo.out.blocks = append(lo.out.blocks, eb)
 				ebIx := len(lo.out.blocks) - 1
 				retargetBranch(lo.out.blocks[predIx], bIdx, ebIx)
@@ -533,7 +551,7 @@ func (lo *lowerer) lowerPhis() error {
 			}
 			// Order the parallel copies so no source is clobbered before
 			// it is read; break cycles through a temporary.
-			seq, err := schedule(moves, lo.out)
+			seq, err := lo.schedule(moves)
 			if err != nil {
 				return fmt.Errorf("codegen: %s: %v", lo.f.Name, err)
 			}
@@ -551,8 +569,10 @@ type phimove struct {
 }
 
 // schedule orders parallel moves; cycles are broken with a fresh temp vreg.
-func schedule(moves []phimove, f *lfunc) ([]lins, error) {
-	var out []lins
+// The result is only valid until the next call (one buffer serves every
+// edge; insertBeforeTerminator copies it into the block).
+func (lo *lowerer) schedule(moves []phimove) ([]lins, error) {
+	out := lo.seq[:0]
 	pending := moves
 	for len(pending) > 0 {
 		progressed := false
@@ -570,7 +590,11 @@ func schedule(moves []phimove, f *lfunc) ([]lins, error) {
 			if !safe {
 				continue
 			}
-			out = append(out, moveIns(m.dst, m.src, m.srcConst, m.irID))
+			if m.srcConst != nil {
+				out = append(out, lins{op: isa.MOVRI, dst: m.dst, imm: m.srcConst.Imm, irIDs: lo.irIDs(m.irID)})
+			} else {
+				out = append(out, lins{op: isa.MOVRR, dst: m.dst, a: m.src, irIDs: lo.irIDs(m.irID)})
+			}
 			pending = append(pending[:i], pending[i+1:]...)
 			i--
 			progressed = true
@@ -581,8 +605,8 @@ func schedule(moves []phimove, f *lfunc) ([]lins, error) {
 			if m.srcConst != nil {
 				return nil, fmt.Errorf("phi move cycle through constant")
 			}
-			tmp := f.newVreg()
-			out = append(out, lins{op: isa.MOVRR, dst: tmp, a: m.src, irIDs: []int{m.irID}})
+			tmp := lo.out.newVreg()
+			out = append(out, lins{op: isa.MOVRR, dst: tmp, a: m.src, irIDs: lo.irIDs(m.irID)})
 			for i := range pending {
 				if pending[i].srcConst == nil && pending[i].src == m.src {
 					pending[i].src = tmp
@@ -590,14 +614,8 @@ func schedule(moves []phimove, f *lfunc) ([]lins, error) {
 			}
 		}
 	}
+	lo.seq = out // keep whatever it grew to
 	return out, nil
-}
-
-func moveIns(dst, src vreg, c *ir.Instr, irID int) lins {
-	if c != nil {
-		return lins{op: isa.MOVRI, dst: dst, imm: c.Imm, irIDs: []int{irID}}
-	}
-	return lins{op: isa.MOVRR, dst: dst, a: src, irIDs: []int{irID}}
 }
 
 // insertBeforeTerminator places code before the block's trailing branch
@@ -616,9 +634,9 @@ func insertBeforeTerminator(b *lblock, seq []lins) {
 			}
 		}
 	}
-	tail := make([]lins, len(b.ins)-cut)
-	copy(tail, b.ins[cut:])
-	b.ins = append(b.ins[:cut], append(seq, tail...)...)
+	b.ins = append(b.ins, seq...) // grow by len(seq); the tail moves up, seq lands in the gap
+	copy(b.ins[cut+len(seq):], b.ins[cut:])
+	copy(b.ins[cut:], seq)
 }
 
 func isTerminatorIns(l *lins) bool {
@@ -651,33 +669,20 @@ func retargetBranch(b *lblock, old, new int) {
 // sweepDeadMovi removes constant materializations whose value is never
 // consumed (every use was folded into an immediate operand).
 func (lo *lowerer) sweepDeadMovi() {
-	used := make(map[vreg]bool)
+	used := ir.NewBitset(int(lo.out.nvreg) + 1)
+	var buf [2]vreg
 	for _, b := range lo.out.blocks {
 		for i := range b.ins {
-			l := &b.ins[i]
-			if l.a != 0 {
-				used[l.a] = true
-			}
-			if !l.useImm && l.b != 0 {
-				used[l.b] = true
-			}
-			if l.op == isa.STORE8 || l.op == isa.STORE32 || l.op == isa.STORE64 {
-				used[l.dst] = true
-			}
-			if l.pseudo == pCall {
-				for _, a := range l.args {
-					used[a] = true
-				}
-			}
-			if l.pseudo == pRetVal {
-				used[l.a] = true
+			_, uses := b.ins[i].operands(&buf)
+			for _, u := range uses {
+				used.Set(int(u))
 			}
 		}
 	}
 	for _, b := range lo.out.blocks {
 		kept := b.ins[:0]
 		for _, l := range b.ins {
-			if l.op == isa.MOVRI && l.pseudo == pNone && !l.tagWrite && !used[l.dst] {
+			if l.op == isa.MOVRI && l.pseudo == pNone && !l.tagWrite && !used.Has(int(l.dst)) {
 				continue
 			}
 			kept = append(kept, l)

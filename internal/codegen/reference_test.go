@@ -1,0 +1,180 @@
+package codegen
+
+// Liveness as the register allocator computed it before the lowering
+// stack moved to dense indices, kept verbatim as the oracle: operand
+// lists allocated per instruction, a map[vreg]bool per block for gen,
+// kill, live-in and live-out, and a fixpoint that walks map keys. The
+// differential tests and FuzzLiveness hold liveness() to it.
+
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/ir"
+	"repro/internal/isa"
+)
+
+// refOperands returns the vregs defined and used by one LIR instruction.
+func (l *lins) refOperands() (defs, uses []vreg) {
+	switch l.pseudo {
+	case pParam:
+		return []vreg{l.dst}, nil
+	case pRetVal:
+		return nil, []vreg{l.a}
+	case pCall:
+		if l.hasRes {
+			defs = []vreg{l.dst}
+		}
+		return defs, l.args
+	}
+	switch l.op {
+	case isa.MOVRI:
+		if l.tagWrite {
+			return nil, nil
+		}
+		return []vreg{l.dst}, nil
+	case isa.MOVRR:
+		if l.tagWrite {
+			return nil, []vreg{l.a}
+		}
+		if l.tagRead {
+			return []vreg{l.dst}, nil
+		}
+		return []vreg{l.dst}, []vreg{l.a}
+	case isa.LOAD8, isa.LOAD32, isa.LOAD64:
+		if l.scaled {
+			return []vreg{l.dst}, []vreg{l.a, l.b}
+		}
+		return []vreg{l.dst}, []vreg{l.a}
+	case isa.STORE8, isa.STORE32, isa.STORE64:
+		return nil, []vreg{l.a, l.dst}
+	case isa.JMP, isa.RET, isa.HALT, isa.TRAP, isa.NOP, isa.CALL:
+		return nil, nil
+	case isa.JNZ, isa.JZ:
+		return nil, []vreg{l.a}
+	case isa.JEQ, isa.JNE, isa.JLT, isa.JGE:
+		if l.useImm {
+			return nil, []vreg{l.a}
+		}
+		return nil, []vreg{l.a, l.b}
+	default: // binary ALU / compare
+		if l.useImm {
+			return []vreg{l.dst}, []vreg{l.a}
+		}
+		return []vreg{l.dst}, []vreg{l.a, l.b}
+	}
+}
+
+// refLiveness returns each block's live-in and live-out vreg sets.
+func refLiveness(fn *lfunc) (liveIn, liveOut []map[vreg]bool) {
+	// Per-block gen/kill.
+	gen := make([]map[vreg]bool, len(fn.blocks))
+	kill := make([]map[vreg]bool, len(fn.blocks))
+	for bi, b := range fn.blocks {
+		g, k := map[vreg]bool{}, map[vreg]bool{}
+		for i := range b.ins {
+			defs, uses := b.ins[i].refOperands()
+			for _, u := range uses {
+				if u != 0 && !k[u] {
+					g[u] = true
+				}
+			}
+			for _, d := range defs {
+				if d != 0 {
+					k[d] = true
+				}
+			}
+		}
+		gen[bi], kill[bi] = g, k
+	}
+
+	// Backward fixpoint for live-in/out.
+	liveIn = make([]map[vreg]bool, len(fn.blocks))
+	liveOut = make([]map[vreg]bool, len(fn.blocks))
+	for i := range liveIn {
+		liveIn[i], liveOut[i] = map[vreg]bool{}, map[vreg]bool{}
+	}
+	for changed := true; changed; {
+		changed = false
+		for bi := len(fn.blocks) - 1; bi >= 0; bi-- {
+			out := liveOut[bi]
+			for _, s := range fn.blocks[bi].succs {
+				for v := range liveIn[s] {
+					if !out[v] {
+						out[v] = true
+						changed = true
+					}
+				}
+			}
+			in := liveIn[bi]
+			for v := range gen[bi] {
+				if !in[v] {
+					in[v] = true
+					changed = true
+				}
+			}
+			for v := range out {
+				if !kill[bi][v] && !in[v] {
+					in[v] = true
+					changed = true
+				}
+			}
+		}
+	}
+
+	return liveIn, liveOut
+}
+
+// diffLiveness holds the bit-matrix liveness of fn to the oracle's sets.
+func diffLiveness(fn *lfunc) error {
+	liveIn, liveOut, w := liveness(fn)
+	refIn, refOut := refLiveness(fn)
+	var buf [2]vreg
+	for bi, b := range fn.blocks {
+		for i := range b.ins {
+			def, uses := b.ins[i].operands(&buf)
+			refDefs, refUses := b.ins[i].refOperands()
+			if len(refDefs) > 1 || (len(refDefs) == 1 && refDefs[0] != def) || (len(refDefs) == 0 && def != 0) ||
+				!slices.Equal(uses, refUses) {
+				return fmt.Errorf("%s.%s[%d]: operands = v%d, %v; oracle has %v, %v", fn.name, b.name, i, def, uses, refDefs, refUses)
+			}
+		}
+		for _, side := range []struct {
+			name string
+			got  ir.Bitset
+			want map[vreg]bool
+		}{{"live-in", liveIn.Row(bi, w), refIn[bi]}, {"live-out", liveOut.Row(bi, w), refOut[bi]}} {
+			n := 0
+			side.got.ForEach(func(int) { n++ })
+			if n != len(side.want) {
+				return fmt.Errorf("%s.%s: %d vregs %s, oracle has %d", fn.name, b.name, n, side.name, len(side.want))
+			}
+			for v := range side.want {
+				if !side.got.Has(int(v)) {
+					return fmt.Errorf("%s.%s: v%d %s in the oracle only", fn.name, b.name, v, side.name)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// DiffLiveness lowers every function of m the way Compile does and holds
+// each one's liveness to the oracle. Exported (from a test file) for the
+// external suite test, which can reach compiled suite modules.
+func DiffLiveness(m *ir.Module, cfg Config) error {
+	lo := newLowerer(m, &cfg)
+	for _, f := range m.Funcs {
+		lf, err := lo.lowerFunc(f)
+		if err != nil {
+			return err
+		}
+		if cfg.Hot != nil {
+			layoutFunc(lf, cfg.Hot)
+		}
+		if err := diffLiveness(lf); err != nil {
+			return err
+		}
+	}
+	return nil
+}

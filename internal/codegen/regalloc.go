@@ -2,8 +2,9 @@ package codegen
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
+	"repro/internal/ir"
 	"repro/internal/isa"
 )
 
@@ -30,54 +31,57 @@ func allocatableRegs(registerTagging bool) []isa.Reg {
 	return regs
 }
 
-// operands returns the vregs defined and used by one LIR instruction.
-func (l *lins) operands() (defs, uses []vreg) {
+// operands returns the vreg one LIR instruction defines (0 for none) and
+// the vregs it uses. Only a call uses more than two; everything else is
+// returned in buf, which the caller owns, so nothing is allocated.
+func (l *lins) operands(buf *[2]vreg) (def vreg, uses []vreg) {
+	use := func(vs ...vreg) []vreg { return buf[:copy(buf[:], vs)] }
 	switch l.pseudo {
 	case pParam:
-		return []vreg{l.dst}, nil
+		return l.dst, nil
 	case pRetVal:
-		return nil, []vreg{l.a}
+		return 0, use(l.a)
 	case pCall:
 		if l.hasRes {
-			defs = []vreg{l.dst}
+			def = l.dst
 		}
-		return defs, l.args
+		return def, l.args
 	}
 	switch l.op {
 	case isa.MOVRI:
 		if l.tagWrite {
-			return nil, nil
+			return 0, nil
 		}
-		return []vreg{l.dst}, nil
+		return l.dst, nil
 	case isa.MOVRR:
 		if l.tagWrite {
-			return nil, []vreg{l.a}
+			return 0, use(l.a)
 		}
 		if l.tagRead {
-			return []vreg{l.dst}, nil
+			return l.dst, nil
 		}
-		return []vreg{l.dst}, []vreg{l.a}
+		return l.dst, use(l.a)
 	case isa.LOAD8, isa.LOAD32, isa.LOAD64:
 		if l.scaled {
-			return []vreg{l.dst}, []vreg{l.a, l.b}
+			return l.dst, use(l.a, l.b)
 		}
-		return []vreg{l.dst}, []vreg{l.a}
+		return l.dst, use(l.a)
 	case isa.STORE8, isa.STORE32, isa.STORE64:
-		return nil, []vreg{l.a, l.dst}
+		return 0, use(l.a, l.dst)
 	case isa.JMP, isa.RET, isa.HALT, isa.TRAP, isa.NOP, isa.CALL:
-		return nil, nil
+		return 0, nil
 	case isa.JNZ, isa.JZ:
-		return nil, []vreg{l.a}
+		return 0, use(l.a)
 	case isa.JEQ, isa.JNE, isa.JLT, isa.JGE:
 		if l.useImm {
-			return nil, []vreg{l.a}
+			return 0, use(l.a)
 		}
-		return nil, []vreg{l.a, l.b}
+		return 0, use(l.a, l.b)
 	default: // binary ALU / compare
 		if l.useImm {
-			return []vreg{l.dst}, []vreg{l.a}
+			return l.dst, use(l.a)
 		}
-		return []vreg{l.dst}, []vreg{l.a, l.b}
+		return l.dst, use(l.a, l.b)
 	}
 }
 
@@ -100,19 +104,72 @@ type interval struct {
 	weight float64
 }
 
-// allocation is the result of register allocation for one function.
+// allocation is the result of register allocation for one function:
+// where each vreg lives, indexed by vreg. 0 = not allocated, r+1 =
+// register r, -(s+1) = global spill slot s.
 type allocation struct {
-	regOf  map[vreg]isa.Reg
-	slotOf map[vreg]int // global spill-slot index
+	loc    []int32
 	spills int
 }
 
-// loc describes where a vreg lives.
+// location describes where a vreg lives.
 func (a *allocation) location(v vreg) (isa.Reg, int, bool) {
-	if r, ok := a.regOf[v]; ok {
-		return r, 0, true
+	if x := a.loc[v]; x > 0 {
+		return isa.Reg(x - 1), 0, true
+	} else if x < 0 {
+		return 0, int(-x - 1), false
 	}
-	return 0, a.slotOf[v], false
+	return 0, 0, false
+}
+
+// liveness solves the backward dataflow equations
+//
+//	out(b) = ⋃ in(succ)     in(b) = gen(b) ∪ (out(b) ∖ kill(b))
+//
+// to their least fixpoint over vreg bitsets, and returns the vregs live on
+// entry to and on exit from each block as the w-word rows of two bit
+// matrices (four nblocks × nvreg matrices in one allocation).
+func liveness(fn *lfunc) (liveIn, liveOut ir.Bitset, w int) {
+	nb := len(fn.blocks)
+	w = ir.BitsetWords(int(fn.nvreg) + 1)
+	all := make(ir.Bitset, 4*nb*w)
+	gen, kill := all[:nb*w], all[nb*w:2*nb*w]
+	liveIn, liveOut = all[2*nb*w:3*nb*w], all[3*nb*w:]
+
+	var buf [2]vreg
+	for bi, b := range fn.blocks {
+		g, k := gen.Row(bi, w), kill.Row(bi, w)
+		for i := range b.ins {
+			def, uses := b.ins[i].operands(&buf)
+			for _, u := range uses {
+				if u != 0 && !k.Has(int(u)) {
+					g.Set(int(u))
+				}
+			}
+			if def != 0 {
+				k.Set(int(def))
+			}
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for bi := nb - 1; bi >= 0; bi-- {
+			out := liveOut.Row(bi, w)
+			for _, s := range fn.blocks[bi].succs {
+				for k, sw := range liveIn.Row(s, w) {
+					out[k] |= sw
+				}
+			}
+			in, g, kl := liveIn.Row(bi, w), gen.Row(bi, w), kill.Row(bi, w)
+			for k := range in {
+				if v := in[k] | g[k] | out[k]&^kl[k]; v != in[k] {
+					in[k] = v
+					changed = true
+				}
+			}
+		}
+	}
+	return liveIn, liveOut, w
 }
 
 // allocate runs liveness + linear scan for fn. slotBase is the first free
@@ -122,74 +179,17 @@ func (a *allocation) location(v vreg) (isa.Reg, int, bool) {
 // frequency, so spill pressure lands on values the profile saw idle.
 func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allocation, int, error) {
 	// Linearize positions.
-	type posRef struct{ block, idx int }
-	var linear []posRef
 	blockStart := make([]int, len(fn.blocks))
 	blockEnd := make([]int, len(fn.blocks))
 	for bi, b := range fn.blocks {
-		blockStart[bi] = len(linear)
-		for i := range b.ins {
-			linear = append(linear, posRef{bi, i})
+		if bi > 0 {
+			blockStart[bi] = blockEnd[bi-1] + 1
 		}
-		blockEnd[bi] = len(linear) - 1
+		blockEnd[bi] = blockStart[bi] + len(b.ins) - 1
 	}
 
 	nv := int(fn.nvreg) + 1
-
-	// Per-block gen/kill.
-	gen := make([]map[vreg]bool, len(fn.blocks))
-	kill := make([]map[vreg]bool, len(fn.blocks))
-	for bi, b := range fn.blocks {
-		g, k := map[vreg]bool{}, map[vreg]bool{}
-		for i := range b.ins {
-			defs, uses := b.ins[i].operands()
-			for _, u := range uses {
-				if u != 0 && !k[u] {
-					g[u] = true
-				}
-			}
-			for _, d := range defs {
-				if d != 0 {
-					k[d] = true
-				}
-			}
-		}
-		gen[bi], kill[bi] = g, k
-	}
-
-	// Backward fixpoint for live-in/out.
-	liveIn := make([]map[vreg]bool, len(fn.blocks))
-	liveOut := make([]map[vreg]bool, len(fn.blocks))
-	for i := range liveIn {
-		liveIn[i], liveOut[i] = map[vreg]bool{}, map[vreg]bool{}
-	}
-	for changed := true; changed; {
-		changed = false
-		for bi := len(fn.blocks) - 1; bi >= 0; bi-- {
-			out := liveOut[bi]
-			for _, s := range fn.blocks[bi].succs {
-				for v := range liveIn[s] {
-					if !out[v] {
-						out[v] = true
-						changed = true
-					}
-				}
-			}
-			in := liveIn[bi]
-			for v := range gen[bi] {
-				if !in[v] {
-					in[v] = true
-					changed = true
-				}
-			}
-			for v := range out {
-				if !kill[bi][v] && !in[v] {
-					in[v] = true
-					changed = true
-				}
-			}
-		}
-	}
+	liveIn, liveOut, lw := liveness(fn)
 
 	// Build whole intervals.
 	starts := make([]int, nv)
@@ -242,27 +242,30 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allo
 		hotTotal = hot.TotalWeight()
 	}
 	var callPositions, genCallPositions []int
-	for p, ref := range linear {
-		l := &fn.blocks[ref.block].ins[ref.idx]
-		w := weightOf(ref.block)
-		if hotTotal > 0 {
-			// Measured frequency refines the static loop-depth estimate:
-			// an access the profile saw hot defends its register harder.
-			w *= 1 + 100*hot.WeightOf(l.irIDs)/hotTotal
-		}
-		defs, uses := l.operands()
-		for _, d := range defs {
-			extend(d, p)
-			weights[d] += w
-		}
-		for _, u := range uses {
-			extend(u, p)
-			weights[u] += w
-		}
-		if l.pseudo == pCall {
-			callPositions = append(callPositions, p)
-			if !runtimeSym(l.callee) {
-				genCallPositions = append(genCallPositions, p)
+	var buf [2]vreg
+	for bi, b := range fn.blocks {
+		for i := range b.ins {
+			l, p := &b.ins[i], blockStart[bi]+i
+			w := weightOf(bi)
+			if hotTotal > 0 {
+				// Measured frequency refines the static loop-depth estimate:
+				// an access the profile saw hot defends its register harder.
+				w *= 1 + 100*hot.WeightOf(l.irIDs)/hotTotal
+			}
+			def, uses := l.operands(&buf)
+			if def != 0 {
+				extend(def, p)
+				weights[def] += w
+			}
+			for _, u := range uses {
+				extend(u, p)
+				weights[u] += w
+			}
+			if l.pseudo == pCall {
+				callPositions = append(callPositions, p)
+				if !runtimeSym(l.callee) {
+					genCallPositions = append(genCallPositions, p)
+				}
 			}
 		}
 	}
@@ -270,20 +273,18 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allo
 		if len(fn.blocks[bi].ins) == 0 {
 			continue
 		}
-		for v := range liveIn[bi] {
-			extend(v, blockStart[bi])
-		}
-		for v := range liveOut[bi] {
-			extend(v, blockEnd[bi])
-		}
+		liveIn.Row(bi, lw).ForEach(func(v int) { extend(vreg(v), blockStart[bi]) })
+		liveOut.Row(bi, lw).ForEach(func(v int) { extend(vreg(v), blockEnd[bi]) })
 	}
 
-	var ivs []*interval
+	slab := make([]interval, 0, nv) // ivs and active point into it
+	ivs := make([]*interval, 0, nv)
 	for v := 1; v < nv; v++ {
 		if starts[v] == -1 {
 			continue
 		}
-		iv := &interval{v: vreg(v), start: starts[v], end: ends[v], weight: weights[v]}
+		slab = append(slab, interval{v: vreg(v), start: starts[v], end: ends[v], weight: weights[v]})
+		iv := &slab[len(slab)-1]
 		for _, cp := range callPositions {
 			if iv.start < cp && cp < iv.end {
 				iv.crossCall = true
@@ -298,11 +299,11 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allo
 		}
 		ivs = append(ivs, iv)
 	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].start != ivs[j].start {
-			return ivs[i].start < ivs[j].start
+	slices.SortFunc(ivs, func(a, b *interval) int {
+		if a.start != b.start {
+			return a.start - b.start
 		}
-		return ivs[i].v < ivs[j].v
+		return int(a.v - b.v)
 	})
 
 	// Linear scan.
@@ -313,7 +314,7 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allo
 		}
 		return !iv.crossCall || r > isa.LastClobbered
 	}
-	alloc := &allocation{regOf: map[vreg]isa.Reg{}, slotOf: map[vreg]int{}}
+	alloc := &allocation{loc: make([]int32, nv)}
 	nextSlot := slotBase
 	var active []*interval
 	for _, iv := range ivs {
@@ -326,15 +327,15 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allo
 		}
 		active = kept
 
-		inUse := map[isa.Reg]bool{}
+		inUse := uint32(0) // bit r: register r holds an active interval
 		for _, a := range active {
 			if !a.spilled {
-				inUse[a.reg] = true
+				inUse |= 1 << a.reg
 			}
 		}
 		assigned := false
 		for _, r := range regs {
-			if !inUse[r] && usable(iv, r) {
+			if inUse&(1<<r) == 0 && usable(iv, r) {
 				iv.reg = r
 				assigned = true
 				break
@@ -362,8 +363,7 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allo
 				victim.slot = nextSlot
 				nextSlot++
 				alloc.spills++
-				delete(alloc.regOf, victim.v)
-				alloc.slotOf[victim.v] = victim.slot
+				alloc.loc[victim.v] = -int32(victim.slot) - 1
 				assigned = true
 			} else {
 				iv.spilled = true
@@ -373,19 +373,17 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allo
 			}
 		}
 		if iv.spilled {
-			alloc.slotOf[iv.v] = iv.slot
+			alloc.loc[iv.v] = -int32(iv.slot) - 1
 		} else {
-			alloc.regOf[iv.v] = iv.reg
+			alloc.loc[iv.v] = int32(iv.reg) + 1
 		}
 		active = append(active, iv)
 	}
 
 	// Sanity: no vreg unmapped.
 	for _, iv := range ivs {
-		if _, okR := alloc.regOf[iv.v]; !okR {
-			if _, okS := alloc.slotOf[iv.v]; !okS {
-				return nil, 0, fmt.Errorf("codegen: vreg v%d unallocated in %s", iv.v, fn.name)
-			}
+		if alloc.loc[iv.v] == 0 {
+			return nil, 0, fmt.Errorf("codegen: vreg v%d unallocated in %s", iv.v, fn.name)
 		}
 	}
 	return alloc, nextSlot, nil

@@ -1,0 +1,109 @@
+package engine
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"io"
+	"os"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/queries"
+)
+
+var updateArtifactGolden = flag.Bool("update-artifact-golden", false,
+	"rewrite testdata/artifact_golden.txt from this build's compiles (only when an artifact change is intended)")
+
+// artifactDigest is one statement's line of the golden: an FNV-1a digest
+// of everything a compile hands downstream — the optimized module as
+// printed (instruction IDs included), what the optimizer counted, the
+// dictionary's lineage journal in report order, the native code, the
+// native→IR debug map and the spill count.
+func artifactDigest(name string, cq *Compiled) string {
+	sum := func(write func(w io.Writer)) uint64 {
+		h := fnv.New64a()
+		write(h)
+		return h.Sum64()
+	}
+	irSum := sum(func(w io.Writer) { io.WriteString(w, cq.Pipe.Module.Print(nil)) })
+	journal := sum(func(b io.Writer) {
+		for _, ev := range cq.Pipe.Dict.Journal() {
+			fmt.Fprintf(b, "%d %d %v\n", ev.Kind, ev.ID, ev.Srcs)
+		}
+	})
+	code := sum(func(b io.Writer) {
+		for _, in := range cq.Code.Program.Code {
+			fmt.Fprintf(b, "%+v\n", in)
+		}
+		fmt.Fprintf(b, "%+v\n", cq.Code.Program.Funcs)
+	})
+	nm := cq.Code.NMap
+	nmap := sum(func(b io.Writer) {
+		for i := range nm.IRs {
+			fmt.Fprintf(b, "%v %d %q %v\n", nm.IRs[i], nm.Region[i], nm.Routine[i], nm.Inverted[i])
+		}
+	})
+	return fmt.Sprintf("%s ir=%016x maxid=%d stats=%+v journal=%016x code=%016x nmap=%016x spills=%d slots=%d\n",
+		name, irSum, cq.Pipe.Module.MaxID(), cq.OptStats, journal, code, nmap, cq.Code.Spills, cq.Code.SpillSlots)
+}
+
+// TestArtifactGolden pins the compile path's output: every statement of
+// the programmatic suite and the SQL suite, plus the profile-guided
+// recompiles of the adaptive battery, must lower to exactly the artifact
+// recorded in testdata/artifact_golden.txt. A change to internal/ir,
+// internal/iropt or internal/codegen that is meant to be invisible
+// (host-speed work) passes this unchanged.
+func TestArtifactGolden(t *testing.T) {
+	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.05, Seed: 7})
+	e := New(cat, DefaultOptions())
+	var got bytes.Buffer
+	for _, w := range queries.Suite() {
+		cq, err := e.CompileQuery(w.Query)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		got.WriteString(artifactDigest("suite/"+w.Name, cq))
+	}
+	for _, w := range queries.SQLSuite() {
+		cq, err := e.CompileSQL(w.SQL)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		got.WriteString(artifactDigest("sql/"+w.Name, cq))
+	}
+	for _, name := range pgoWorkloads {
+		w, _ := queries.ByName(name)
+		cq, err := e.CompileQuery(w.Query)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ar, err := e.RunAdaptive(cq, nil)
+		if err != nil {
+			t.Fatalf("%s: adaptive: %v", name, err)
+		}
+		got.WriteString(artifactDigest("pgo/"+name, ar.Recompiled))
+	}
+
+	const path = "testdata/artifact_golden.txt"
+	if *updateArtifactGolden {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if !bytes.Equal(gl[i], wl[i]) {
+				t.Fatalf("artifact drifted from %s at line %d:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("artifact golden has %d lines, this build produced %d", len(wl), len(gl))
+	}
+}

@@ -22,19 +22,26 @@ func NewBuilder(f *Func) *Builder {
 // NewBlock appends a new block to the function (does not move the
 // insertion point).
 func (b *Builder) NewBlock(name string) *Block {
-	blk := &Block{Name: name, Func: b.Func}
-	b.Func.Blocks = append(b.Func.Blocks, blk)
-	return blk
+	return b.Func.newBlock(name)
 }
 
 // SetBlock moves the insertion point to blk.
 func (b *Builder) SetBlock(blk *Block) { b.Cur = blk }
 
+// instr carves a new instruction and its operand list from the module's
+// slabs; the caller sets whatever else the opcode carries and emits it.
+func (b *Builder) instr(op Op, t Type, args ...*Instr) *Instr {
+	m := b.Func.Module
+	in := m.newInstr()
+	in.ID, in.Op, in.Type = m.NewID(), op, t
+	in.Args = carve(&m.args, args)
+	return in
+}
+
 func (b *Builder) emit(in *Instr) *Instr {
 	if t := b.Cur.Terminator(); t != nil {
 		bugf("emitting %s into terminated block %s", in.Op, b.Cur.Name)
 	}
-	in.ID = b.Func.Module.NewID()
 	in.Block = b.Cur
 	b.Cur.Instrs = append(b.Cur.Instrs, in)
 	if b.OnCreate != nil {
@@ -45,7 +52,9 @@ func (b *Builder) emit(in *Instr) *Instr {
 
 // Const materializes an integer constant.
 func (b *Builder) Const(v int64) *Instr {
-	return b.emit(&Instr{Op: OpConst, Type: I64, Imm: v})
+	in := b.instr(OpConst, I64)
+	in.Imm = v
+	return b.emit(in)
 }
 
 // Param references function parameter i.
@@ -53,7 +62,9 @@ func (b *Builder) Param(i int) *Instr {
 	if i >= b.Func.NumParams {
 		bug("parameter index out of range")
 	}
-	return b.emit(&Instr{Op: OpParam, Type: I64, Imm: int64(i)})
+	in := b.instr(OpParam, I64)
+	in.Imm = int64(i)
+	return b.emit(in)
 }
 
 // Bin emits a binary arithmetic/logic instruction.
@@ -63,7 +74,7 @@ func (b *Builder) Bin(op Op, x, y *Instr) *Instr {
 	case OpCmpEq, OpCmpNe, OpCmpLt, OpCmpLe, OpCmpGt, OpCmpGe:
 		t = I1
 	}
-	return b.emit(&Instr{Op: op, Type: t, Args: []*Instr{x, y}})
+	return b.emit(b.instr(op, t, x, y))
 }
 
 func (b *Builder) Add(x, y *Instr) *Instr  { return b.Bin(OpAdd, x, y) }
@@ -93,7 +104,7 @@ func (b *Builder) Load(width int, addr *Instr) *Instr {
 	default:
 		bug("bad load width")
 	}
-	return b.emit(&Instr{Op: op, Type: I64, Args: []*Instr{addr}})
+	return b.emit(b.instr(op, I64, addr))
 }
 
 // Store emits a store of the given width to addr.
@@ -109,13 +120,13 @@ func (b *Builder) Store(width int, addr, val *Instr) *Instr {
 	default:
 		bug("bad store width")
 	}
-	return b.emit(&Instr{Op: op, Type: Void, Args: []*Instr{addr, val}})
+	return b.emit(b.instr(op, Void, addr, val))
 }
 
 // Phi emits a phi node; the caller appends incoming values with AddIncoming
 // as predecessor edges are created.
 func (b *Builder) Phi() *Instr {
-	return b.emit(&Instr{Op: OpPhi, Type: I64})
+	return b.emit(b.instr(OpPhi, I64))
 }
 
 // AddIncoming appends an incoming value to a phi, parallel to the owning
@@ -129,14 +140,18 @@ func AddIncoming(phi *Instr, v *Instr) {
 
 // Br terminates the current block with an unconditional branch.
 func (b *Builder) Br(target *Block) *Instr {
-	in := b.emit(&Instr{Op: OpBr, Type: Void, Targets: []*Block{target}})
+	in := b.instr(OpBr, Void)
+	in.Targets = carve(&b.Func.Module.targets, []*Block{target})
+	b.emit(in)
 	target.Preds = append(target.Preds, b.Cur)
 	return in
 }
 
 // CondBr terminates the current block with a conditional branch.
 func (b *Builder) CondBr(cond *Instr, then, els *Block) *Instr {
-	in := b.emit(&Instr{Op: OpCondBr, Type: Void, Args: []*Instr{cond}, Targets: []*Block{then, els}})
+	in := b.instr(OpCondBr, Void, cond)
+	in.Targets = carve(&b.Func.Module.targets, []*Block{then, els})
+	b.emit(in)
 	then.Preds = append(then.Preds, b.Cur)
 	els.Preds = append(els.Preds, b.Cur)
 	return in
@@ -144,11 +159,10 @@ func (b *Builder) CondBr(cond *Instr, then, els *Block) *Instr {
 
 // Ret terminates the current block with a return; v may be nil.
 func (b *Builder) Ret(v *Instr) *Instr {
-	in := &Instr{Op: OpRet, Type: Void}
-	if v != nil {
-		in.Args = []*Instr{v}
+	if v == nil {
+		return b.emit(b.instr(OpRet, Void))
 	}
-	return b.emit(in)
+	return b.emit(b.instr(OpRet, Void, v))
 }
 
 // Call emits a call to the named function. hasResult selects whether the
@@ -158,25 +172,29 @@ func (b *Builder) Call(callee string, hasResult bool, args ...*Instr) *Instr {
 	if hasResult {
 		t = I64
 	}
-	return b.emit(&Instr{Op: OpCall, Type: t, Callee: callee, Args: args})
+	in := b.instr(OpCall, t, args...)
+	in.Callee = callee
+	return b.emit(in)
 }
 
 // SetTag writes v into the reserved tag register (Register Tagging).
 func (b *Builder) SetTag(v *Instr) *Instr {
-	return b.emit(&Instr{Op: OpSetTag, Type: Void, Args: []*Instr{v}})
+	return b.emit(b.instr(OpSetTag, Void, v))
 }
 
 // GetTag reads the reserved tag register.
 func (b *Builder) GetTag() *Instr {
-	return b.emit(&Instr{Op: OpGetTag, Type: I64})
+	return b.emit(b.instr(OpGetTag, I64))
 }
 
 // Halt terminates the program (only valid in the driver main).
 func (b *Builder) Halt() *Instr {
-	return b.emit(&Instr{Op: OpHalt, Type: Void})
+	return b.emit(b.instr(OpHalt, Void))
 }
 
 // Trap emits a runtime error with the given code.
 func (b *Builder) Trap(code int64) *Instr {
-	return b.emit(&Instr{Op: OpTrap, Type: Void, Imm: code})
+	in := b.instr(OpTrap, Void)
+	in.Imm = code
+	return b.emit(in)
 }

@@ -83,7 +83,7 @@ const (
 	OpTrap // Imm = trap code
 )
 
-var opNames = map[Op]string{
+var opNames = [...]string{
 	OpConst: "const", OpParam: "param",
 	OpAdd: "add", OpSub: "sub", OpMul: "mul", OpSDiv: "sdiv", OpSMod: "smod",
 	OpAnd: "and", OpOr: "or", OpXor: "xor", OpShl: "shl", OpShr: "shr",
@@ -98,8 +98,8 @@ var opNames = map[Op]string{
 }
 
 func (o Op) String() string {
-	if s, ok := opNames[o]; ok {
-		return s
+	if int(o) < len(opNames) && opNames[o] != "" {
+		return opNames[o]
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -153,9 +153,13 @@ func (in *Instr) String() string {
 	return fmt.Sprintf("%%%d = %s", in.ID, in.Op)
 }
 
-// Block is a basic block.
+// Block is a basic block. Index is its position in Func.Blocks, fixed at
+// creation (no pass inserts, removes or reorders blocks); the verifier
+// checks it, and every per-block table of the lowering stack is a slice
+// or bitset indexed by it.
 type Block struct {
 	Name   string
+	Index  int
 	Instrs []*Instr
 	Preds  []*Block
 	Func   *Func
@@ -194,11 +198,62 @@ type Func struct {
 // Entry returns the function's entry block.
 func (f *Func) Entry() *Block { return f.Blocks[0] }
 
+// newBlock appends a block to f.
+func (f *Func) newBlock(name string) *Block {
+	b := &Block{Name: name, Index: len(f.Blocks), Func: f}
+	f.Blocks = append(f.Blocks, b)
+	return b
+}
+
+// Owns reports whether b is one of f's blocks, without trusting b: a
+// foreign (or nil) block whose Index happens to be in range is not owned.
+func (f *Func) Owns(b *Block) bool {
+	return b != nil && uint(b.Index) < uint(len(f.Blocks)) && f.Blocks[b.Index] == b
+}
+
 // Module is a compilation unit: all pipeline functions of one query plus
 // the driver main.
 type Module struct {
 	Funcs  []*Func
 	nextID int
+
+	// Slabs the Builder carves instructions and their operand and target
+	// lists from: a statement's few hundred instructions cost a handful
+	// of allocations, not three each. A chunk stays alive while any
+	// instruction in it does; nothing is ever handed out twice.
+	instrs  []Instr
+	args    []*Instr
+	targets []*Block
+}
+
+// Slab chunk sizes: small enough that the unused tail of the last chunk
+// (the only over-reservation) stays well under a statement's own IR.
+const instrChunk, listChunk = 64, 128
+
+// newInstr returns a zeroed instruction from the module's slab.
+func (m *Module) newInstr() *Instr {
+	if len(m.instrs) == 0 {
+		m.instrs = make([]Instr, instrChunk)
+	}
+	in := &m.instrs[0]
+	m.instrs = m.instrs[1:]
+	return in
+}
+
+// carve returns a list holding xs cut from *slab (nil for none), its
+// capacity clipped so a later append (AddIncoming) copies out instead of
+// overwriting a neighbour.
+func carve[T any](slab *[]T, xs []T) []T {
+	if len(xs) == 0 {
+		return nil
+	}
+	if len(*slab) < len(xs) {
+		*slab = make([]T, max(listChunk, len(xs)))
+	}
+	s := (*slab)[:len(xs):len(xs)]
+	*slab = (*slab)[len(xs):]
+	copy(s, xs)
+	return s
 }
 
 // NewModule returns an empty module.
@@ -207,8 +262,7 @@ func NewModule() *Module { return &Module{} }
 // NewFunc appends a new function with a single entry block.
 func (m *Module) NewFunc(name string, numParams int) *Func {
 	f := &Func{Name: name, NumParams: numParams, Module: m}
-	b := &Block{Name: "entry", Func: f}
-	f.Blocks = append(f.Blocks, b)
+	f.newBlock("entry")
 	m.Funcs = append(m.Funcs, f)
 	return f
 }

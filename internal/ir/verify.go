@@ -53,94 +53,100 @@ func (m *Module) Verify() error {
 // Problems are reported in deterministic order (function, block,
 // instruction position). Unreachable blocks are exempt from dominance
 // checking — dominator sets are only meaningful on reachable code.
+//
+// Check writes nothing into the module: its scratch is two ID-indexed
+// tables local to the call, so a finished module may be checked from
+// several goroutines at once.
 func (m *Module) Check() []Problem {
-	var ps []Problem
-	seen := make(map[int]*Instr, m.InstrCount())
+	c := checker{seen: make([]*Instr, m.nextID+1), pos: make([]int32, m.nextID+1)}
 	for _, f := range m.Funcs {
-		ps = append(ps, checkFunc(f, seen)...)
+		c.checkFunc(f)
 	}
-	return ps
+	return c.ps
 }
 
-func checkFunc(f *Func, seen map[int]*Instr) []Problem {
-	var ps []Problem
-	add := func(code string, b *Block, in *Instr, format string, args ...interface{}) {
-		p := Problem{Code: code, Func: f.Name, Msg: fmt.Sprintf(format, args...)}
-		if b != nil {
-			p.Block = b.Name
-		}
-		if in != nil {
-			p.Instr = in.ID
-		}
-		ps = append(ps, p)
-	}
+// checker is one Check call's state. seen[id] is the last instruction
+// visited carrying that ID and pos[id] its position in the block that
+// lists it — module-wide tables because IDs are module-unique.
+type checker struct {
+	ps   []Problem
+	seen []*Instr
+	pos  []int32
+}
 
+func (c *checker) add(f *Func, code string, b *Block, in *Instr, format string, args ...interface{}) {
+	p := Problem{Code: code, Func: f.Name, Msg: fmt.Sprintf(format, args...)}
+	if b != nil {
+		p.Block = b.Name
+	}
+	if in != nil {
+		p.Instr = in.ID
+	}
+	c.ps = append(c.ps, p)
+}
+
+func (c *checker) checkFunc(f *Func) {
 	if len(f.Blocks) == 0 {
-		add("no-blocks", nil, nil, "function has no blocks")
-		return ps
+		c.add(f, "no-blocks", nil, nil, "function has no blocks")
+		return
 	}
-	blockSet := make(map[*Block]bool, len(f.Blocks))
-	for _, b := range f.Blocks {
-		blockSet[b] = true
+	// Everything below (and every pass after the verifier) indexes
+	// per-block tables by Block.Index; a function whose blocks do not sit
+	// where they say cannot be checked further.
+	for i, b := range f.Blocks {
+		if b.Index != i {
+			c.add(f, "block-index", b, nil, "block at position %d records index %d", i, b.Index)
+			return
+		}
 	}
-
-	// Edge multiset: how many terminator edges point at each block from
-	// each predecessor.
-	type edge struct{ from, to *Block }
-	edges := map[edge]int{}
 
 	for _, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
-			add("empty-block", b, nil, "block is empty")
+			c.add(f, "empty-block", b, nil, "block is empty")
 			continue
 		}
 		if b.Terminator() == nil {
-			add("no-terminator", b, nil, "block lacks a terminator")
+			c.add(f, "no-terminator", b, nil, "block lacks a terminator")
 		}
-		pos := make(map[*Instr]int, len(b.Instrs))
 		for i, in := range b.Instrs {
-			pos[in] = i
-			if prev, dup := seen[in.ID]; dup {
-				add("dup-id", b, in, "duplicate instruction ID (%s and %s)", prev.Op, in.Op)
+			if in.ID < 0 || in.ID >= len(c.seen) {
+				c.add(f, "id-range", b, in, "instruction ID outside the module's 0..%d", len(c.seen)-1)
+			} else {
+				if prev := c.seen[in.ID]; prev != nil {
+					c.add(f, "dup-id", b, in, "duplicate instruction ID (%s and %s)", prev.Op, in.Op)
+				}
+				c.seen[in.ID], c.pos[in.ID] = in, int32(i)
 			}
-			seen[in.ID] = in
 			if in.Block != b {
-				add("wrong-owner", b, in, "instruction records wrong owner block")
+				c.add(f, "wrong-owner", b, in, "instruction records wrong owner block")
 			}
 			if in.Op.IsTerminator() && i != len(b.Instrs)-1 {
-				add("mid-terminator", b, in, "terminator %s mid-block", in.Op)
+				c.add(f, "mid-terminator", b, in, "terminator %s mid-block", in.Op)
 			}
 			if in.Op == OpPhi {
 				if i > 0 && b.Instrs[i-1].Op != OpPhi {
-					add("phi-not-at-head", b, in, "phi not at block head")
+					c.add(f, "phi-not-at-head", b, in, "phi not at block head")
 				}
 				if len(in.Args) != len(b.Preds) {
-					add("phi-arity", b, in, "%d incoming values for %d preds", len(in.Args), len(b.Preds))
+					c.add(f, "phi-arity", b, in, "%d incoming values for %d preds", len(in.Args), len(b.Preds))
 				}
 			}
 			for _, a := range in.Args {
 				if a == nil {
-					add("nil-operand", b, in, "nil operand")
+					c.add(f, "nil-operand", b, in, "nil operand")
 					continue
 				}
 				if a.Type == Void {
-					add("void-operand", b, in, "uses void value %%%d", a.ID)
+					c.add(f, "void-operand", b, in, "uses void value %%%d", a.ID)
 				}
 			}
 			for _, tgt := range in.Targets {
-				if !blockSet[tgt] {
-					add("foreign-target", b, in, "targets block %s outside function", tgt.Name)
+				if !f.Owns(tgt) {
+					c.add(f, "foreign-target", b, in, "targets block %s outside function", tgt.Name)
 				}
 			}
 			if msg := checkTypes(f, in); msg != "" {
-				add("type", b, in, "%s", msg)
-			}
-		}
-		if t := b.Terminator(); t != nil {
-			for _, tgt := range t.Targets {
-				if blockSet[tgt] {
-					edges[edge{b, tgt}]++
-				}
+				c.add(f, "type", b, in, "%s", msg)
 			}
 		}
 	}
@@ -148,22 +154,29 @@ func checkFunc(f *Func, seen map[int]*Instr) []Problem {
 	// Preds agreement: the recorded predecessor list must be exactly the
 	// incoming edge multiset (phi incoming values are parallel to Preds,
 	// so a missing or surplus entry silently misroutes dataflow).
+	recorded := make([]int32, len(f.Blocks))
 	for _, b := range f.Blocks {
-		recorded := map[*Block]int{}
 		for _, p := range b.Preds {
-			recorded[p]++
-		}
-		for _, p := range f.Blocks {
-			want := edges[edge{p, b}]
-			if recorded[p] != want {
-				add("pred-mismatch", b, nil,
-					"records %d preds from %s, CFG has %d edges", recorded[p], p.Name, want)
+			if f.Owns(p) {
+				recorded[p.Index]++
 			}
+		}
+		for pi, p := range f.Blocks {
+			want := int32(0)
+			for _, tgt := range p.Succs() {
+				if tgt == b {
+					want++
+				}
+			}
+			if recorded[pi] != want {
+				c.add(f, "pred-mismatch", b, nil,
+					"records %d preds from %s, CFG has %d edges", recorded[pi], p.Name, want)
+			}
+			recorded[pi] = 0
 		}
 	}
 
-	ps = append(ps, checkDominance(f)...)
-	return ps
+	c.checkDominance(f)
 }
 
 // checkTypes enforces the per-opcode operand/result shape. The type system
@@ -271,20 +284,26 @@ func checkTypes(f *Func, in *Instr) string {
 // definition. Non-phi uses in the same block must come after the
 // definition; phi incoming values must be defined in a block dominating
 // the corresponding predecessor (the value flows along that edge).
-func checkDominance(f *Func) []Problem {
-	var ps []Problem
+func (c *checker) checkDominance(f *Func) {
 	reach := f.Reachable()
 	dom := f.Dominators()
-	pos := map[*Instr]int{}
-	for _, b := range f.Blocks {
-		for i, in := range b.Instrs {
-			pos[in] = i
+	// posOf is a's position in b, the block it claims; an instruction the
+	// shape pass did not index under its own ID (a duplicate ID, a stale
+	// operand no block lists) is looked for the slow way.
+	posOf := func(a *Instr, b *Block) int {
+		if a.ID >= 0 && a.ID < len(c.seen) && c.seen[a.ID] == a {
+			return int(c.pos[a.ID])
 		}
+		for i, x := range b.Instrs {
+			if x == a {
+				return i
+			}
+		}
+		return 0
 	}
-	dominates := func(def *Block, use *Block) bool { return dom[use][def] }
 
-	for _, b := range f.Blocks {
-		if !reach[b] {
+	for bi, b := range f.Blocks {
+		if !reach.Has(bi) {
 			continue
 		}
 		for i, in := range b.Instrs {
@@ -297,105 +316,111 @@ func checkDominance(f *Func) []Problem {
 						continue // reported as phi-arity
 					}
 					pred := b.Preds[ai]
-					if !reach[pred] {
+					if !f.Owns(pred) || !reach.Has(pred.Index) {
 						continue
 					}
-					if a.Block != pred && !dominates(a.Block, pred) {
-						ps = append(ps, Problem{
-							Code: "dominance", Func: f.Name, Block: b.Name, Instr: in.ID,
-							Msg: fmt.Sprintf("phi incoming %%%d (block %s) does not dominate pred %s",
-								a.ID, a.Block.Name, pred.Name),
-						})
+					if a.Block != pred && !dom.Dominates(a.Block, pred) {
+						c.add(f, "dominance", b, in, "phi incoming %%%d (block %s) does not dominate pred %s",
+							a.ID, a.Block.Name, pred.Name)
 					}
 					continue
 				}
 				if a.Block == b {
-					if pos[a] >= i {
-						ps = append(ps, Problem{
-							Code: "use-before-def", Func: f.Name, Block: b.Name, Instr: in.ID,
-							Msg: fmt.Sprintf("uses %%%d before its definition", a.ID),
-						})
+					if posOf(a, b) >= i {
+						c.add(f, "use-before-def", b, in, "uses %%%d before its definition", a.ID)
 					}
-				} else if !dominates(a.Block, b) {
-					ps = append(ps, Problem{
-						Code: "dominance", Func: f.Name, Block: b.Name, Instr: in.ID,
-						Msg: fmt.Sprintf("definition %%%d in %s does not dominate use",
-							a.ID, a.Block.Name),
-					})
+				} else if !dom.Dominates(a.Block, b) {
+					c.add(f, "dominance", b, in, "definition %%%d in %s does not dominate use",
+						a.ID, a.Block.Name)
 				}
 			}
 		}
 	}
-	return ps
 }
 
-// Reachable returns the blocks reachable from the entry.
-func (f *Func) Reachable() map[*Block]bool {
-	reach := map[*Block]bool{}
-	var walk func(b *Block)
-	walk = func(b *Block) {
-		if reach[b] {
-			return
-		}
-		reach[b] = true
-		for _, s := range b.Succs() {
-			walk(s)
-		}
+// Reachable returns the set of block indices reachable from the entry.
+// Edges to blocks outside the function (a foreign-target problem) are not
+// followed.
+func (f *Func) Reachable() Bitset {
+	reach := NewBitset(len(f.Blocks))
+	if len(f.Blocks) == 0 {
+		return reach
 	}
-	if len(f.Blocks) > 0 {
-		walk(f.Entry())
+	reach.Set(0)
+	stack := []*Block{f.Entry()}
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range b.Succs() {
+			if f.Owns(s) && !reach.Has(s.Index) {
+				reach.Set(s.Index)
+				stack = append(stack, s)
+			}
+		}
 	}
 	return reach
 }
 
+// DomSets is a function's dominator relation as one bit matrix: row b is
+// the set of block indices that dominate f.Blocks[b].
+type DomSets struct {
+	f     *Func
+	words int
+	rows  Bitset
+}
+
+// Dominates reports whether block a dominates block b. A block that is
+// not one of the function's dominates nothing and is dominated by nothing.
+func (d DomSets) Dominates(a, b *Block) bool {
+	return d.f.Owns(a) && d.f.Owns(b) && d.rows.Row(b.Index, d.words).Has(a.Index)
+}
+
 // Dominators computes, for every block, the set of blocks that dominate it
-// (iterative dataflow; the CFGs here are tiny). Shared by the optimizer's
-// loop-invariant code motion and the IR verifier.
-func (f *Func) Dominators() map[*Block]map[*Block]bool {
-	entry := f.Entry()
-	dom := make(map[*Block]map[*Block]bool, len(f.Blocks))
-	for _, b := range f.Blocks {
-		if b == entry {
-			dom[b] = map[*Block]bool{b: true}
-			continue
-		}
-		s := make(map[*Block]bool, len(f.Blocks))
-		for _, x := range f.Blocks {
-			s[x] = true
-		}
-		dom[b] = s
+// by iterating dom(b) = {b} ∪ ⋂ dom(preds) down from the full set over
+// bitset rows, one allocation per function. Shared by the optimizer's
+// loop-invariant code motion and the IR verifier. A predecessor that is
+// not one of the function's blocks contributes the empty set.
+func (f *Func) Dominators() DomSets {
+	n := len(f.Blocks)
+	w := BitsetWords(n)
+	rows := make(Bitset, (n+1)*w) // row n is the intersection being built
+	d := DomSets{f: f, words: w, rows: rows}
+	if n == 0 {
+		return d
 	}
+	rows.Row(0, w).Set(0)
+	for bi := 1; bi < n; bi++ {
+		row := rows.Row(bi, w)
+		for i := 0; i < n; i++ {
+			row.Set(i)
+		}
+	}
+	inter := rows.Row(n, w)
 	for changed := true; changed; {
 		changed = false
-		for _, b := range f.Blocks {
-			if b == entry {
-				continue
-			}
-			var inter map[*Block]bool
-			for _, p := range b.Preds {
-				if inter == nil {
-					inter = make(map[*Block]bool, len(dom[p]))
-					for k := range dom[p] {
-						inter[k] = true
-					}
-					continue
-				}
-				for k := range inter {
-					if !dom[p][k] {
-						delete(inter, k)
+		for bi := 1; bi < n; bi++ {
+			clear(inter)
+			for pi, p := range f.Blocks[bi].Preds {
+				switch {
+				case !f.Owns(p):
+					clear(inter)
+				case pi == 0:
+					copy(inter, rows.Row(p.Index, w))
+				default:
+					for k, pw := range rows.Row(p.Index, w) {
+						inter[k] &= pw
 					}
 				}
 			}
-			if inter == nil {
-				inter = map[*Block]bool{}
-			}
-			inter[b] = true
-			// Sets only shrink, so a length change means a real change.
-			if len(inter) != len(dom[b]) {
-				dom[b] = inter
-				changed = true
+			inter.Set(bi)
+			row := rows.Row(bi, w)
+			for k := range inter {
+				if row[k] != inter[k] {
+					row[k] = inter[k]
+					changed = true
+				}
 			}
 		}
 	}
-	return dom
+	return d
 }

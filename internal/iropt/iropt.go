@@ -15,8 +15,6 @@
 package iropt
 
 import (
-	"strconv"
-
 	"repro/internal/core"
 	"repro/internal/ir"
 )
@@ -193,14 +191,15 @@ func ConstFold(m *ir.Module, lin core.Lineage) int {
 // Tagging Dictionary can drop their links.
 func DCE(m *ir.Module, lin core.Lineage) int {
 	removed := 0
+	uses := make([]int32, m.MaxID()+1) // by instruction ID, recounted per round
 	for {
-		uses := countUses(m)
+		countUses(m, uses)
 		n := 0
 		for _, f := range m.Funcs {
 			for _, b := range f.Blocks {
 				kept := b.Instrs[:0]
 				for _, in := range b.Instrs {
-					if removable(in) && uses[in] == 0 {
+					if removable(in) && uses[in.ID] == 0 {
 						lin.Removed(in.ID)
 						n++
 						continue
@@ -235,75 +234,120 @@ func removable(in *ir.Instr) bool {
 // uses rewired to the surviving instruction. The survivor inherits the
 // eliminated instruction's tasks (a shared source location; §4.2.7 treats
 // CSE exactly like shared code).
+//
+// A block sees the expressions of its unique predecessor, and through it
+// of that block's, as far as the chain of already-visited unique
+// predecessors reaches. One table holds every block's expressions, each
+// tagged with the block that numbered it; a hit counts only when that
+// block is on the current block's chain.
 func CSE(m *ir.Module, lin core.Lineage) int {
 	merged := 0
-	var keyBuf []byte // reused across instructions; see exprKey
+	table := map[exprKey]int32{} // expression → 1 + its latest entry; 0 = none
+	var entries []cseEntry
+	var chain []int32                      // by block: 1 + the block whose chain it was last marked on
+	repl := make([]*ir.Instr, m.MaxID()+1) // by ID: the survivor of an instruction merged in this block
+	var replaced []*ir.Instr
 	for _, f := range m.Funcs {
-		avail := make(map[*ir.Block]map[string]*ir.Instr, len(f.Blocks))
-		for _, b := range f.Blocks {
-			// Inherit available expressions from a unique predecessor
-			// (which, in a chain, dominates this block).
-			table := map[string]*ir.Instr{}
-			if len(b.Preds) == 1 {
-				for k, v := range avail[b.Preds[0]] {
-					table[k] = v
+		clear(table)
+		entries = entries[:0]
+		chain = append(chain[:0], make([]int32, len(f.Blocks))...)
+		for bi, b := range f.Blocks {
+			// Mark the chain: b, its unique predecessor if already
+			// visited (in a chain it dominates b), and so on up.
+			mark := int32(bi + 1)
+			for c := b; ; c = c.Preds[0] {
+				chain[c.Index] = mark
+				if len(c.Preds) != 1 || !f.Owns(c.Preds[0]) || c.Preds[0].Index >= c.Index {
+					break
 				}
 			}
 			kept := b.Instrs[:0]
-			var replaced []replacement
+			replaced = replaced[:0]
+		instrs:
 			for _, in := range b.Instrs {
-				if !in.Op.IsPure() {
+				key, ok := keyOf(in)
+				if !ok {
 					kept = append(kept, in)
 					continue
 				}
-				keyBuf = exprKey(keyBuf[:0], in)
-				// map[string([]byte)] lookups don't allocate; only a
-				// first-seen insert materializes the key as a string.
-				if prev, ok := table[string(keyBuf)]; ok {
-					replaced = append(replaced, replacement{old: in, new: prev})
-					lin.Replaced(in.ID, prev.ID)
-					merged++
-					continue
+				head := table[key]
+				for e := head; e != 0; e = entries[e-1].next {
+					if prev := entries[e-1]; chain[prev.block] == mark {
+						repl[in.ID] = prev.in
+						replaced = append(replaced, in)
+						lin.Replaced(in.ID, prev.in.ID)
+						merged++
+						continue instrs
+					}
 				}
-				table[string(keyBuf)] = in
+				entries = append(entries, cseEntry{in: in, block: int32(bi), next: head})
+				table[key] = int32(len(entries))
 				kept = append(kept, in)
 			}
 			b.Instrs = kept
-			avail[b] = table
-			for _, r := range replaced {
-				rewriteUses(f, r.old, r.new)
+			if len(replaced) == 0 {
+				continue
+			}
+			// One pass rewires every use of this block's merged
+			// instructions. Operands in the block itself were keyed
+			// before this pass, as value numbering within a block always
+			// was: a use of a merged value merges in the next round.
+			for _, ub := range f.Blocks {
+				for _, in := range ub.Instrs {
+					for i, a := range in.Args {
+						if r := repl[a.ID]; r != nil {
+							in.Args[i] = r
+						}
+					}
+				}
+			}
+			for _, in := range replaced {
+				repl[in.ID] = nil
 			}
 		}
 	}
 	return merged
 }
 
-type replacement struct{ old, new *ir.Instr }
+// cseEntry is one numbered expression: the instruction computing it, the
+// block that numbered it, and 1 + the previous entry for the same
+// expression (numbered on another chain), or 0.
+type cseEntry struct {
+	in    *ir.Instr
+	block int32
+	next  int32
+}
 
-// exprKey canonicalizes an expression for value numbering, appending the
-// key to buf and returning the extended slice. Constants are keyed by
-// value (distinct OpConst instructions holding the same literal are
-// equal), so repeated address computations like tid*8 merge even though
-// each occurrence materialized its own constant. The byte-slice form
-// exists so CSE can reuse one buffer for every instruction instead of
-// building throwaway strings — compilation shows up in the profiler too.
-func exprKey(buf []byte, in *ir.Instr) []byte {
+// exprKey canonicalizes an expression for value numbering. Constants are
+// keyed by value (distinct OpConst instructions holding the same literal
+// are equal), so repeated address computations like tid*8 merge even
+// though each occurrence materialized its own constant; every other
+// operand is keyed by its instruction ID. A comparable struct: looking an
+// expression up allocates nothing — compilation shows up in the profiler too.
+type exprKey struct {
+	op      ir.Op
+	nargs   uint8
+	isConst [2]bool
+	arg     [2]int64
+}
+
+// keyOf returns in's value-numbering key; ok is false for instructions
+// CSE leaves alone (impure ones; no pure opcode takes three operands).
+func keyOf(in *ir.Instr) (key exprKey, ok bool) {
+	if !in.Op.IsPure() || len(in.Args) > 2 {
+		return key, false
+	}
 	if in.Op == ir.OpConst {
-		buf = append(buf, 'k')
-		return strconv.AppendInt(buf, in.Imm, 10)
+		return exprKey{op: ir.OpConst, arg: [2]int64{in.Imm}}, true
 	}
-	buf = strconv.AppendInt(buf, int64(in.Op), 10)
-	buf = append(buf, ':')
-	for _, a := range in.Args {
-		if a.Op == ir.OpConst {
-			buf = append(buf, 'k')
-			buf = strconv.AppendInt(buf, a.Imm, 10)
-		} else {
-			buf = strconv.AppendInt(buf, int64(a.ID), 10)
+	key = exprKey{op: in.Op, nargs: uint8(len(in.Args))}
+	for i, a := range in.Args {
+		key.isConst[i], key.arg[i] = a.Op == ir.OpConst, int64(a.ID)
+		if key.isConst[i] {
+			key.arg[i] = a.Imm
 		}
-		buf = append(buf, ',')
 	}
-	return buf
+	return key, true
 }
 
 func rewriteUses(f *ir.Func, old, new *ir.Instr) {
@@ -318,14 +362,19 @@ func rewriteUses(f *ir.Func, old, new *ir.Instr) {
 	}
 }
 
-func countUses(m *ir.Module) map[*ir.Instr]int {
-	uses := make(map[*ir.Instr]int)
-	m.ForEachInstr(func(_ *ir.Func, _ *ir.Block, in *ir.Instr) {
-		for _, a := range in.Args {
-			uses[a]++
+// countUses counts, into uses (indexed by instruction ID, cleared first),
+// how many operand slots name each instruction.
+func countUses(m *ir.Module, uses []int32) {
+	clear(uses)
+	for _, f := range m.Funcs {
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				for _, a := range in.Args {
+					uses[a.ID]++
+				}
+			}
 		}
-	})
-	return uses
+	}
 }
 
 // EvalBin mirrors the VM's ALU semantics (cross-checked by tests). It is

@@ -31,7 +31,12 @@ const maxHoistPerLoop = 8
 // what counts as loop-invariant.
 type natLoop struct {
 	header *ir.Block
-	body   map[*ir.Block]bool
+	latch  int // index of the furthest latch block
+}
+
+// contains reports whether b is one of the loop's blocks.
+func (lp natLoop) contains(b *ir.Block) bool {
+	return lp.header.Func.Owns(b) && lp.header.Index <= b.Index && b.Index <= lp.latch
 }
 
 // hotLoops finds the natural loops of f whose bodies hold at least
@@ -43,31 +48,22 @@ func hotLoops(f *ir.Func, hot Hotness) []natLoop {
 	if total <= 0 {
 		return nil
 	}
-	idx := make(map[*ir.Block]int, len(f.Blocks))
-	for i, b := range f.Blocks {
-		idx[b] = i
-	}
-	latch := map[*ir.Block]int{} // header → furthest latch index
+	latch := make([]int, len(f.Blocks)) // header index → 1 + furthest latch index
 	for bi, b := range f.Blocks {
 		for _, s := range b.Succs() {
-			if hi, ok := idx[s]; ok && hi <= bi {
-				if cur, seen := latch[s]; !seen || bi > cur {
-					latch[s] = bi
-				}
+			if f.Owns(s) && s.Index <= bi { // bi only grows: the last write is the furthest
+				latch[s.Index] = bi + 1
 			}
 		}
 	}
 	var out []natLoop
-	for _, h := range f.Blocks { // deterministic order
-		li, ok := latch[h]
-		if !ok {
+	for hi, h := range f.Blocks { // deterministic order
+		if latch[hi] == 0 {
 			continue
 		}
-		lp := natLoop{header: h, body: map[*ir.Block]bool{}}
+		lp := natLoop{header: h, latch: latch[hi] - 1}
 		w := 0.0
-		for i := idx[h]; i <= li; i++ {
-			blk := f.Blocks[i]
-			lp.body[blk] = true
+		for _, blk := range f.Blocks[hi : lp.latch+1] {
 			for _, in := range blk.Instrs {
 				w += hot.InstrWeight(in.ID)
 			}
@@ -99,7 +95,7 @@ func LICM(m *ir.Module, lin core.Lineage, hot Hotness) int {
 			// outside the loop; bail if the CFG doesn't offer one.
 			var pre *ir.Block
 			for _, p := range lp.header.Preds {
-				if lp.body[p] {
+				if lp.contains(p) {
 					continue
 				}
 				if pre != nil {
@@ -137,12 +133,9 @@ func LICM(m *ir.Module, lin core.Lineage, hot Hotness) int {
 // (its materialization was folded away by the backend) or costs nothing
 // worth a loop-long live range — hoisting it would trade no cycles for
 // real register pressure.
-func findHoistable(lp natLoop, pre *ir.Block, dom map[*ir.Block]map[*ir.Block]bool, hot Hotness) (*ir.Instr, *ir.Block) {
+func findHoistable(lp natLoop, pre *ir.Block, dom ir.DomSets, hot Hotness) (*ir.Instr, *ir.Block) {
 	// Iterate blocks in function order for determinism.
-	for _, b := range lp.header.Func.Blocks {
-		if !lp.body[b] {
-			continue
-		}
+	for _, b := range lp.header.Func.Blocks[lp.header.Index : lp.latch+1] {
 		for _, in := range b.Instrs {
 			if !in.Op.IsPure() || in.Op.IsTerminator() {
 				continue
@@ -152,7 +145,7 @@ func findHoistable(lp natLoop, pre *ir.Block, dom map[*ir.Block]map[*ir.Block]bo
 			}
 			ok := true
 			for _, a := range in.Args {
-				if lp.body[a.Block] || !(a.Block == pre || dom[pre][a.Block]) {
+				if lp.contains(a.Block) || !(a.Block == pre || dom.Dominates(a.Block, pre)) {
 					ok = false
 					break
 				}
@@ -200,14 +193,14 @@ func StrengthReduce(m *ir.Module, lin core.Lineage, hot Hotness) int {
 		if len(loops) == 0 {
 			continue
 		}
-		hotBlocks := map[*ir.Block]bool{}
+		hotBlocks := ir.NewBitset(len(f.Blocks))
 		for _, lp := range loops {
-			for b := range lp.body {
-				hotBlocks[b] = true
+			for bi := lp.header.Index; bi <= lp.latch; bi++ {
+				hotBlocks.Set(bi)
 			}
 		}
-		for _, b := range f.Blocks {
-			if !hotBlocks[b] {
+		for bi, b := range f.Blocks {
+			if !hotBlocks.Has(bi) {
 				continue
 			}
 			for i := 0; i < len(b.Instrs); i++ {

@@ -12,6 +12,11 @@ package verify
 //   - compile speed: fmt.Sprintf allocates per call; the hot compile
 //     path (pipeline → iropt → codegen, the path BenchmarkCompileSQL
 //     guards) must build names by concatenation instead;
+//   - compile allocations: in the lowering stack (ir → iropt → codegen)
+//     instructions, blocks, virtual and machine registers all carry
+//     dense indices, so a map keyed by one of them is a slice or bitset
+//     paying for hashing, growth and GC on every cold statement
+//     (TestCompileFootprint guards the count; this guards the cause);
 //   - concurrency: a mutex copied by value guards nothing — signatures
 //     and receivers must take lock-bearing types by pointer.
 
@@ -42,6 +47,41 @@ var hotCompilePaths = map[string]bool{
 	modulePath + "/internal/pipeline": true,
 	modulePath + "/internal/iropt":    true,
 	modulePath + "/internal/codegen":  true,
+}
+
+// denseIndexPaths are the lowering-stack packages whose per-instruction,
+// per-block and per-register tables must be slices or bitsets over the
+// dense index the key already carries (Instr.ID, Block.Index, the vreg or
+// register number). internal/ir is on the compile hot path too but is
+// not in hotCompilePaths: its fmt.Sprintf calls are the printer and the
+// verifier's failure-path messages.
+var denseIndexPaths = map[string]bool{
+	modulePath + "/internal/ir":      true,
+	modulePath + "/internal/iropt":   true,
+	modulePath + "/internal/codegen": true,
+}
+
+// denseKey names t when it is one of the densely indexed key types of the
+// lowering stack: *ir.Instr, *ir.Block, codegen's vreg, isa.Reg.
+func denseKey(t types.Type) string {
+	ptr, isPtr := t.(*types.Pointer)
+	if isPtr {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return ""
+	}
+	pkg, name := named.Obj().Pkg().Path(), named.Obj().Name()
+	switch {
+	case isPtr && pkg == modulePath+"/internal/ir" && (name == "Instr" || name == "Block"):
+		return "*ir." + name
+	case !isPtr && pkg == modulePath+"/internal/codegen" && name == "vreg":
+		return "vreg"
+	case !isPtr && pkg == modulePath+"/internal/isa" && name == "Reg":
+		return "isa.Reg"
+	}
+	return ""
 }
 
 // deterministicPaths are the simulated-machine packages where wall-clock
@@ -359,6 +399,17 @@ func (l *linter) lintFile(pkgPath string, f *ast.File, info *types.Info) []Diag 
 			if deterministicPaths[pkgPath] && !isTest && isPkgFunc(x.Fun, info, "time", "Now") {
 				out = append(out, lintDiag("notimenow", pos(x.Pos()), Error,
 					"time.Now in a deterministic simulation package: use the simulated TSC"))
+			}
+		case *ast.MapType:
+			// Rule: no map keyed by a densely indexed type in the lowering
+			// stack (non-test code; the reference_test.go oracles keep theirs).
+			if denseIndexPaths[pkgPath] && !isTest {
+				if t := info.TypeOf(x.Key); t != nil {
+					if key := denseKey(t); key != "" {
+						out = append(out, lintDiag("nodensemap", pos(x.Pos()), Error,
+							"map keyed by %s in the lowering stack: index a slice or ir.Bitset by the key's dense index instead", key))
+					}
+				}
 			}
 		case *ast.FuncDecl:
 			// Rule: no mutex by value in signatures or receivers.

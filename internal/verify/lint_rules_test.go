@@ -107,6 +107,58 @@ func use() int {
 	wantChecks(t, ds, map[string]int{"lint/noerrdrop": 3})
 }
 
+// TestLintNoDenseMap: in the lowering stack a map keyed by an
+// instruction, a block, a vreg or a machine register is an error — the
+// key carries a dense index — while other maps, and test files, pass.
+func TestLintNoDenseMap(t *testing.T) {
+	ds := lintFixture(t, map[string]string{
+		"internal/isa/isa.go": `package isa
+
+type Reg uint8
+`,
+		"internal/ir/ir.go": `package ir
+
+type Instr struct{ ID int }
+type Block struct{ Index int }
+
+var pos = map[*Instr]int{}
+var names = map[string]*Block{}
+`,
+		"internal/codegen/x.go": `package codegen
+
+import (
+	"repro/internal/ir"
+	"repro/internal/isa"
+)
+
+type vreg int32
+
+type lowerer struct {
+	regOf   map[*ir.Instr]vreg
+	blockIx map[*ir.Block]int
+}
+
+func live() map[vreg]bool { return make(map[vreg]bool) }
+
+var inUse map[isa.Reg]bool
+
+var symbols = map[string]int{}
+var byID = map[int]*ir.Instr{}
+`,
+		"internal/codegen/reference_test.go": `package codegen
+
+var refLive = map[vreg]bool{}
+`,
+		"internal/engine/x.go": `package engine
+
+import "repro/internal/ir"
+
+var elsewhere = map[*ir.Instr]int{}
+`,
+	})
+	wantChecks(t, ds, map[string]int{"lint/nodensemap": 6})
+}
+
 func TestLintLockOrder(t *testing.T) {
 	inverted := map[string]string{
 		"internal/fix/fix.go": `package fix

@@ -52,3 +52,27 @@ func TestServiceCacheHitSpeedup(t *testing.T) {
 		t.Fatalf("cache-hit prepare is only %.1fx faster than a full compile (want >= 10x)", speedup)
 	}
 }
+
+// TestCompileFootprint is the deterministic gate on what a cache miss
+// allocates: compiling BENCH_qcache.json's statement from scratch took
+// 6945 allocations before the lowering stack (IR builder and verifier,
+// CSE/DCE, LIR lowering, liveness and linear scan) moved from
+// pointer-keyed maps to dense indices and slabs, and must stay under half
+// of that. Counts, unlike times, repeat exactly, so this fails on the
+// first map or per-instruction allocation that grows back.
+func TestCompileFootprint(t *testing.T) {
+	env := experiments.NewEnv(0.05, 42)
+	const sql = "select l_orderkey, sum(l_quantity), sum(l_extendedprice) " +
+		"from lineitem where l_quantity < 24 group by l_orderkey"
+	comp := engine.NewCompiler(env.Cat, engine.DefaultOptions())
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := comp.CompileSQL(sql); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per compile", allocs)
+	const limit = 6945 / 2
+	if allocs > limit {
+		t.Fatalf("a compile makes %.0f allocations, above the gate of %d", allocs, limit)
+	}
+}
