@@ -77,7 +77,7 @@ func main() {
 	workers := flag.Int("workers", 0, "morsel-driven parallel execution on N simulated cores (0 = single-CPU)")
 	morsel := flag.Int("morsel", 0, "morsel size in tuples (0 = default)")
 	partitions := flag.Int("partitions", engine.DefaultOptions().Partitions,
-		"radix partitions for the parallel sink merge (power of two; 0 = legacy host-side merge)")
+		"radix partitions for the parallel sink merge (rounded down to a power of two; below 1 = one partition)")
 	bloom := flag.Bool("bloom", true, "build per-join bloom filters probed before the hash directory (-bloom=off via -bloom=false)")
 	shards := flag.Int("shards", 0, "execute scans as N zone-aligned shards through the cross-shard coordinator (0 = unsharded)")
 	shardprune := flag.Bool("shardprune", true, "prune shard zones from bounds and shipped semi-join filters (with -shards)")

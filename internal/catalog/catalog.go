@@ -66,6 +66,28 @@ func (d *Dict) Lookup(s string) (int64, bool) {
 	return id, ok
 }
 
+// EncodeString encodes a string literal into the int64 value space of a
+// column of type t with dictionary d — the one rule the planner, bound
+// parameters and view matching share: a date parses to its day number, a
+// string resolves to its dictionary code, and a string the dictionary does
+// not hold (or any string when there is no dictionary) encodes as -1, a
+// code no row carries.
+func EncodeString(t Type, d *Dict, s string) (int64, error) {
+	switch t {
+	case TDate:
+		return ParseDate(s)
+	case TStr:
+		if d != nil {
+			if id, ok := d.Lookup(s); ok {
+				return id, nil
+			}
+		}
+		return -1, nil
+	default:
+		return 0, fmt.Errorf("catalog: string literal %q compared with %s column", s, t)
+	}
+}
+
 // String returns the string for a code.
 func (d *Dict) String(id int64) string {
 	d.mu.RLock()

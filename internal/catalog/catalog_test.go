@@ -29,6 +29,34 @@ func TestDictRoundTrip(t *testing.T) {
 	}
 }
 
+func TestEncodeString(t *testing.T) {
+	d := NewDict()
+	chip := d.ID("Chip")
+	for _, c := range []struct {
+		name string
+		typ  Type
+		dict *Dict
+		s    string
+		want int64
+		fail bool
+	}{
+		{"date", TDate, nil, "1995-03-15", DateOf(1995, 3, 15), false},
+		{"bad date", TDate, nil, "1995-3-15x", 0, true},
+		{"dictionary hit", TStr, d, "Chip", chip, false},
+		{"dictionary miss", TStr, d, "Board", -1, false},
+		{"nil dictionary", TStr, nil, "Chip", -1, false},
+		{"numeric column", TInt, nil, "Chip", 0, true},
+	} {
+		got, err := EncodeString(c.typ, c.dict, c.s)
+		if (err != nil) != c.fail || got != c.want {
+			t.Errorf("%s: EncodeString(%s, %q) = %d, %v; want %d, error %v", c.name, c.typ, c.s, got, err, c.want, c.fail)
+		}
+	}
+	if _, ok := d.Lookup("Board"); ok {
+		t.Error("a miss added the string to the dictionary")
+	}
+}
+
 func TestTableColumns(t *testing.T) {
 	tb := NewTable("t")
 	c1 := tb.AddCol("a", TInt)

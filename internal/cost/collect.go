@@ -38,6 +38,16 @@ func TrueRows(pc *pipeline.Compiled, counts map[core.ComponentID]int64) map[plan
 	return out
 }
 
+// QError is the q-error of an estimate against an observed row count, both
+// sides clamped to >= 1 row (1.0 = perfect).
+func QError(est float64, rows int64) float64 {
+	e, t := max(est, 1), max(float64(rows), 1)
+	if e > t {
+		return e / t
+	}
+	return t / e
+}
+
 // ObserveTrueRows feeds one run's observed cardinalities into the
 // history, keyed by each node's canonical plan expression, and reports
 // whether any entry changed materially (the caller's invalidation cue).

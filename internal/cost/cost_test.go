@@ -216,7 +216,7 @@ func TestDecideKnobs(t *testing.T) {
 		t.Errorf("partitions = %d, want 8 for a large build", parts)
 	}
 	if _, parts := Decide(mk(100, 1000, 100), true, 0); parts != 0 {
-		t.Errorf("partitions = %d, want 0 kept (knob disabled)", parts)
+		t.Errorf("partitions = %d, want 0 passed through", parts)
 	}
 }
 
@@ -317,5 +317,17 @@ func TestHistoryDefaultCap(t *testing.T) {
 	}
 	if h.Len() != DefaultHistoryCap {
 		t.Fatalf("len = %d, want %d", h.Len(), DefaultHistoryCap)
+	}
+}
+
+func TestQError(t *testing.T) {
+	for _, c := range []struct {
+		est  float64
+		rows int64
+		want float64
+	}{{100, 100, 1}, {200, 100, 2}, {50, 100, 2}, {0.25, 0, 1}, {0, 8, 8}, {4, -3, 4}} {
+		if got := QError(c.est, c.rows); got != c.want {
+			t.Errorf("QError(%v, %d) = %v, want %v", c.est, c.rows, got, c.want)
+		}
 	}
 }

@@ -165,7 +165,7 @@ func TestReplanDeterminism(t *testing.T) {
 		plB := planSQLWith(t, cat, w.SQL, nil)
 		plC := planSQLWith(t, cat, w.SQL, est)
 		var crossPartition [][]int64
-		for _, parts := range []int{0, 8} {
+		for _, parts := range []int{1, 8} {
 			opts := DefaultOptions()
 			opts.Partitions = parts
 			cq, err := (&Compiler{Cat: cat, Opts: opts}).CompilePlanGuided(plC, nil)

@@ -49,7 +49,7 @@ type Options struct {
 	MaxInstructions uint64
 	// Workers selects morsel-driven parallel execution: values >= 1 make
 	// Run dispatch every pipeline over fixed-size morsels on that many
-	// simulated worker CPUs (see RunParallel); 0 keeps the legacy
+	// simulated worker CPUs (see Executor.RunParallel); 0 keeps the legacy
 	// single-CPU path. Workers=1 is the morsel scheduler on one core —
 	// the baseline that parallel runs are sample-exact against.
 	Workers int
@@ -63,9 +63,10 @@ type Options struct {
 	// this many directory-disjoint partition-merge tasks, executed by
 	// generated merge kernels fanned out across the workers (DESIGN.md
 	// §11). Rounded down to a power of two and clamped to each table's
-	// directory size. 0 keeps the legacy host-side coordinator merge.
-	// Like MorselRows, the partition count never depends on Workers, so
-	// results and count-event sample streams stay worker-count invariant.
+	// directory size; anything below 1 is one partition, so every
+	// materializing sink of every compile has merge kernels. Like
+	// MorselRows, the partition count never depends on Workers, so results
+	// and count-event sample streams stay worker-count invariant.
 	Partitions int
 	// BloomFilters gives every join build a small bloom filter (two probe
 	// bits per key from the existing crc32 pair); the generated probe
@@ -97,7 +98,8 @@ type Options struct {
 }
 
 // DefaultOptions is the standard configuration: Register Tagging on, all
-// optimizations enabled.
+// optimizations enabled, sink merges in 8 radix partitions, bloom filters
+// on every join build.
 func DefaultOptions() Options {
 	return Options{
 		RegisterTagging: true,
@@ -244,6 +246,9 @@ type Compiled struct {
 	binds     []colBind
 	rowsBinds []rowsBind
 	tables    []tableBind
+
+	// regions is the heap as buildLayout carved it, in address order.
+	regions []verify.MemRegion
 }
 
 // colBind maps one heap column region to its source (table, column).
@@ -349,11 +354,8 @@ const DataFloor int64 = layoutStart
 
 func align(x int64, a int64) int64 { return (x + a - 1) &^ (a - 1) }
 
-// pow2Floor rounds x down to a power of two (0 for x <= 0).
+// pow2Floor rounds x down to a power of two (1 for x < 1).
 func pow2Floor(x int64) int64 {
-	if x <= 0 {
-		return 0
-	}
 	p := int64(1)
 	for p*2 <= x {
 		p *= 2
@@ -509,6 +511,25 @@ func (c *Compiler) compilePlan(pl *plan.Output, hot *pgo.Hotness) (*Compiled, er
 	return cq, nil
 }
 
+// carver hands out heap addresses in ascending order and records every
+// region it hands out. The record is the one description of the heap:
+// buildMemModel and the layout tests read it instead of re-deriving sizes.
+type carver struct {
+	cur     int64
+	regions []verify.MemRegion
+}
+
+// carve reserves size bytes under name and moves on to the next 64-byte
+// boundary; the padding in between belongs to no region.
+func (c *carver) carve(name string, size int64, writable bool) int64 {
+	lo := c.cur
+	if size > 0 {
+		c.regions = append(c.regions, verify.MemRegion{Name: name, Lo: lo, Hi: lo + size, Writable: writable})
+	}
+	c.cur = align(lo+size, 64)
+	return lo
+}
+
 // buildLayout assigns heap addresses for state slots, table columns, hash
 // tables and the result buffer, and records the staging writes.
 func (c *Compiler) buildLayout(pl *plan.Output, cq *Compiled) (*pipeline.Layout, error) {
@@ -543,49 +564,52 @@ func (c *Compiler) buildLayout(pl *plan.Output, cq *Compiled) (*pipeline.Layout,
 		slot++
 	}
 
-	cur := int64(layoutStart)
-	lay.StateBase = cur
-	cur = align(cur+int64(slot)*8, 64)
+	// At most 8 fixed regions, one per column and 11 per hash table.
+	h := carver{cur: stagingAddr, regions: make([]verify.MemRegion, 0, 8+slot+11*len(mats))}
 
-	// Hash-table descriptors and the result descriptor.
-	descBase := cur
-	for range mats {
-		cur += codegen.HTDescSize
-	}
-	lay.ResultDesc = cur
-	cur = align(cur+codegen.AllocDescSize, 64)
+	// The stack analogue: call-argument staging and spill slots.
+	h.carve("staging", spillBase-stagingAddr, true)
+	h.carve("spill", spillCap, true)
 
-	// Morsel-bound slots: one [start, end) pair per pipeline.
-	lay.MorselBase = cur
-	cur = align(cur+int64(pipeline.PipeCount(pl))*pipeline.MorselSlotBytes, 64)
+	// State slots are staged by the host and read-only to generated code.
+	lay.StateBase = h.carve("state", int64(slot)*8, false)
+
+	// Hash-table descriptors and the result descriptor. Generated code
+	// bumps the arena/result cursors, so the region is writable.
+	descBase := h.carve("desc", int64(len(mats))*codegen.HTDescSize+codegen.AllocDescSize, true)
+	lay.ResultDesc = descBase + int64(len(mats))*codegen.HTDescSize
+
+	// Morsel-bound slots: one [start, end) pair per pipeline, staged per
+	// morsel by the host in parallel runs and by the generated prologue
+	// (stageFullMorsel) in single-threaded ones.
+	lay.MorselBase = h.carve("morsel", int64(pipeline.PipeCount(pl))*pipeline.MorselSlotBytes, true)
 
 	// Bound-parameter slots: one per $N, staged by the executor per run.
 	if np := len(pl.Params); np > 0 {
-		lay.ParamBase = cur
-		cur = align(cur+int64(np)*8, 64)
+		lay.ParamBase = h.carve("params", int64(np)*8, false)
 	}
 
 	if c.Opts.TupleCounters {
-		lay.CounterBase = cur
-		cur = align(cur+counterSlots*8, 64)
+		lay.CounterBase = h.carve("counters", counterSlots*8, true)
 	}
 
 	// Table column regions, sized by the frozen row *capacity* so the same
 	// layout serves every epoch within capacity; the data itself is staged
-	// per run (stageSnapshot). Row counts are epoch-resolved too: their
-	// state slots are filled from the run's snapshot, not baked here.
+	// per run (stageSnapshot) and read-only to generated code. Row counts
+	// are epoch-resolved too: their state slots are filled from the run's
+	// snapshot, not baked here.
 	for _, s := range scans {
 		capRows := int64(s.Table.RowCap())
 		cq.tables = append(cq.tables, tableBind{
 			alias: s.Alias, table: s.Table.Name, cap: capRows, planned: int64(s.Table.Rows()),
 		})
 		for _, ci := range s.Cols {
-			cq.binds = append(cq.binds, colBind{addr: cur, table: s.Table.Name, col: ci, cap: capRows})
+			addr := h.carve("col", capRows*8, false)
+			cq.binds = append(cq.binds, colBind{addr: addr, table: s.Table.Name, col: ci, cap: capRows})
 			cq.writes = append(cq.writes, slotWrite{
 				addr: lay.StateBase + int64(lay.ColSlots[pipeline.ColKey{Alias: s.Alias, Col: ci}])*8,
-				val:  cur,
+				val:  addr,
 			})
-			cur = align(cur+capRows*8, 64)
 		}
 		cq.rowsBinds = append(cq.rowsBinds, rowsBind{
 			addr:  lay.StateBase + int64(lay.RowsSlots[s.Alias])*8,
@@ -593,79 +617,65 @@ func (c *Compiler) buildLayout(pl *plan.Output, cq *Compiled) (*pipeline.Layout,
 		})
 	}
 
-	// Hash tables: directory + arena per materializing node, plus the
-	// partitioned-merge staging regions and (joins) the bloom filter.
+	// Hash tables: directory + arena per materializing node, the
+	// partitioned-merge staging regions and (joins) the bloom filter, all
+	// written by generated code and runtime routines.
 	for i, n := range mats {
 		entries := pipeline.BuildBound(n)
 		dirSlots := pipeline.DirSlots(entries)
 		entrySize := pipeline.EntrySize(n)
-		desc := descBase + int64(i)*codegen.HTDescSize
+		arenaCap := int64(entries+16) * entrySize
+		vecBytes := int64(entries+16) * 8
 
-		dir := cur
-		cur = align(cur+dirSlots*8, 64)
-		arena := cur
-		arenaEnd := arena + int64(entries+16)*entrySize
-		cur = align(arenaEnd, 64)
-
+		// Options.Partitions < 1 rounds to one partition.
+		p := pow2Floor(int64(c.Opts.Partitions))
+		if p > dirSlots {
+			p = dirSlots
+		}
 		ht := &pipeline.HTLayout{
-			Desc: desc, Dir: dir, DirSlots: dirSlots,
-			Arena: arena, ArenaEnd: arenaEnd, EntrySize: entrySize,
+			Desc: descBase + int64(i)*codegen.HTDescSize, DirSlots: dirSlots, EntrySize: entrySize,
+			Partitions: p, SlotShift: log2(dirSlots / p),
 		}
-		if p := pow2Floor(int64(c.Opts.Partitions)); p > 0 {
-			if p > dirSlots {
-				p = dirSlots
-			}
-			ht.Partitions = p
-			ht.SlotShift = log2(dirSlots / p)
-			arenaCap := arenaEnd - arena
-			vecBytes := (arenaCap / entrySize) * 8
-			ht.ScatterOut = cur
-			cur = align(cur+arenaCap, 64)
-			ht.MergeCnt = cur
-			cur = align(cur+p*8, 64)
-			ht.MergeCur = cur
-			cur = align(cur+p*8, 64)
-			ht.MergeSrc = cur
-			cur = align(cur+arenaCap, 64)
-			ht.MergeVec = cur
-			cur = align(cur+vecBytes, 64)
-			if _, ok := n.(*plan.GroupBy); ok {
-				ht.MergeOut = cur
-				cur = align(cur+arenaCap, 64)
-				ht.MergeSeq = cur
-				cur = align(cur+vecBytes, 64)
-			}
-			ht.MergeParam = cur
-			cur = align(cur+pipeline.MergeParamSlots*8, 64)
+		ht.Dir = h.carve("ht.dir", dirSlots*8, true)
+		ht.Arena = h.carve("ht.arena", arenaCap, true)
+		ht.ArenaEnd = ht.Arena + arenaCap
+		ht.ScatterOut = h.carve("ht.scatter", arenaCap, true)
+		ht.MergeCnt = h.carve("ht.mergecnt", p*8, true)
+		ht.MergeCur = h.carve("ht.mergecur", p*8, true)
+		ht.MergeSrc = h.carve("ht.mergesrc", arenaCap, true)
+		ht.MergeVec = h.carve("ht.mergevec", vecBytes, true)
+		if _, ok := n.(*plan.GroupBy); ok {
+			ht.MergeOut = h.carve("ht.mergeout", arenaCap, true)
+			ht.MergeSeq = h.carve("ht.mergeseq", vecBytes, true)
 		}
+		ht.MergeParam = h.carve("ht.mergeparam", pipeline.MergeParamSlots*8, true)
 		if _, ok := n.(*plan.Join); ok && c.Opts.BloomFilters {
 			// DirSlots is a power of two, so BloomBits = 8·DirSlots is too;
 			// the filter occupies DirSlots bytes.
 			ht.BloomBits = dirSlots * 8
-			ht.BloomBase = cur
-			cur = align(cur+dirSlots, 64)
+			ht.BloomBase = h.carve("ht.bloom", dirSlots, true)
 		}
 		lay.HT[n] = ht
 		cq.writes = append(cq.writes,
-			slotWrite{desc + codegen.HTDescDir, dir},
-			slotWrite{desc + codegen.HTDescMask, dirSlots - 1},
-			slotWrite{desc + codegen.HTDescCursor, arena},
-			slotWrite{desc + codegen.HTDescEnd, arenaEnd},
+			slotWrite{ht.Desc + codegen.HTDescDir, ht.Dir},
+			slotWrite{ht.Desc + codegen.HTDescMask, dirSlots - 1},
+			slotWrite{ht.Desc + codegen.HTDescCursor, ht.Arena},
+			slotWrite{ht.Desc + codegen.HTDescEnd, ht.ArenaEnd},
 		)
 	}
 
 	// Result buffer.
 	cq.rowBytes = int64(len(pl.Exprs)) * 8
 	resRows := int64(pl.BoundRows() + 16)
-	cq.resultBase = cur
-	cq.resultEnd = cur + resRows*cq.rowBytes
-	cur = align(cq.resultEnd, 64)
+	cq.resultBase = h.carve("result", resRows*cq.rowBytes, true)
+	cq.resultEnd = cq.resultBase + resRows*cq.rowBytes
 	cq.writes = append(cq.writes,
 		slotWrite{lay.ResultDesc + codegen.AllocDescCursor, cq.resultBase},
 		slotWrite{lay.ResultDesc + codegen.AllocDescEnd, cq.resultEnd},
 	)
 
-	cq.heapSize = int(cur)
+	cq.heapSize = int(h.cur)
+	cq.regions = h.regions
 	return lay, nil
 }
 
@@ -697,10 +707,8 @@ type Result struct {
 	// MergeCycles is the simulated merge-phase makespan summed over all
 	// pipelines with partitioned sinks: per pipeline, the slowest
 	// worker's merge-kernel cycles in each round (partition merge, plus
-	// the placement round for group-by sinks). Zero for serial runs and
-	// for the legacy host-side merge, which runs outside the simulated
-	// machine and is therefore unmeasured — the blind spot the
-	// partitioned merge exists to remove.
+	// the placement round for group-by sinks). Zero for serial runs, and
+	// for parallel runs of a plan without a materializing sink.
 	MergeCycles uint64
 
 	// Profiling outputs (nil without sampling).
@@ -737,7 +745,7 @@ type Result struct {
 
 // Run executes a compiled query. cfg selects PMU sampling; pass nil to run
 // unprofiled (the overhead experiments' baseline). With Options.Workers >= 1
-// the run is morsel-driven parallel (RunParallel).
+// the run is morsel-driven parallel (Executor.RunParallel).
 func (e *Engine) Run(cq *Compiled, cfg *pmu.Config) (*Result, error) {
 	return e.executor().Run(cq, nil, cfg)
 }
@@ -746,12 +754,6 @@ func (e *Engine) Run(cq *Compiled, cfg *pmu.Config) (*Result, error) {
 // session (see Executor.RunIterations).
 func (e *Engine) RunIterations(cq *Compiled, n int, cfg *pmu.Config) (*Result, error) {
 	return e.executor().RunIterations(cq, nil, n, cfg)
-}
-
-// RunParallel executes a compiled query with morsel-driven parallelism
-// (see Executor.RunParallel).
-func (e *Engine) RunParallel(cq *Compiled, workers int, cfg *pmu.Config) (*Result, error) {
-	return e.executor().RunParallel(cq, nil, workers, cfg)
 }
 
 // Run executes a compiled query with the given per-session state (nil for

@@ -1,24 +1,20 @@
 package engine
 
 import (
-	"fmt"
-	"sort"
 	"testing"
 
+	"repro/internal/codegen"
 	"repro/internal/plan"
 	"repro/internal/queries"
 )
 
-// region is a named address range for the overlap check.
-type region struct {
-	name     string
-	from, to int64 // [from, to)
-}
-
 // TestLayoutRegionsDisjoint verifies, for every suite query, that the
-// engine's heap layout never overlaps: state slots, descriptors, counter
-// region, column data, directories, arenas, and the result buffer each own
-// their range. An overlap here would silently corrupt query results.
+// regions buildLayout carved — staging, spill, state slots, descriptors,
+// morsel bounds, counters, column data, every hash table's directory,
+// arena, merge staging and bloom filter, and the result buffer — are
+// non-empty, ascending, disjoint and inside [stagingAddr, heapSize).
+// Alignment padding belongs to no region. An overlap here would silently
+// corrupt query results.
 func TestLayoutRegionsDisjoint(t *testing.T) {
 	cat := testCatalog(t)
 	opts := DefaultOptions()
@@ -32,56 +28,67 @@ func TestLayoutRegionsDisjoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			end := int64(stagingAddr)
+			for _, r := range cq.regions {
+				if r.Hi <= r.Lo {
+					t.Fatalf("region %s empty or inverted: [%d, %d)", r.Name, r.Lo, r.Hi)
+				}
+				if r.Lo < end {
+					t.Fatalf("region %s [%d,%d) starts below %d, the end of its predecessor", r.Name, r.Lo, r.Hi, end)
+				}
+				end = r.Hi
+			}
+			if end > int64(cq.heapSize) {
+				t.Fatalf("last region ends at %d, beyond the heap (%d)", end, cq.heapSize)
+			}
+
+			// The record is complete: every address the layout publishes
+			// starts a region of the expected name.
+			at := func(name string, addr int64) {
+				t.Helper()
+				for _, r := range cq.regions {
+					if r.Lo == addr {
+						if r.Name != name {
+							t.Fatalf("address %d starts region %s, want %s", addr, r.Name, name)
+						}
+						return
+					}
+				}
+				t.Fatalf("no region %s starts at %d", name, addr)
+			}
 			lay := cq.Layout
-
-			var regions []region
-			add := func(name string, from, to int64) {
-				if to <= from {
-					t.Fatalf("region %s empty or inverted: [%d, %d)", name, from, to)
-				}
-				regions = append(regions, region{name, from, to})
+			if lay.StateBase != DataFloor {
+				t.Fatalf("state slots start at %d, want DataFloor %d", lay.StateBase, DataFloor)
 			}
-
-			nSlots := int64(len(lay.ColSlots) + len(lay.RowsSlots))
-			add("state", lay.StateBase, lay.StateBase+nSlots*8)
-			add("resultDesc", lay.ResultDesc, lay.ResultDesc+16)
-			if lay.CounterBase != 0 {
-				add("counters", lay.CounterBase, lay.CounterBase+1024*8)
+			at("state", lay.StateBase)
+			at("morsel", lay.MorselBase)
+			at("counters", lay.CounterBase)
+			at("result", cq.resultBase)
+			for _, b := range cq.binds {
+				at("col", b.addr)
 			}
-			for i, b := range cq.binds {
-				add(fmt.Sprintf("column%d", i), b.addr, b.addr+b.cap*8)
-			}
-			hti := 0
 			for n, ht := range lay.HT {
-				add(fmt.Sprintf("desc:%s", n.Kind()), ht.Desc, ht.Desc+32)
-				add(fmt.Sprintf("dir%d", hti), ht.Dir, ht.Dir+ht.DirSlots*8)
-				add(fmt.Sprintf("arena%d", hti), ht.Arena, ht.ArenaEnd)
-				hti++
-			}
-			add("result", cq.resultBase, cq.resultEnd)
-			add("staging+spill", stagingAddr, layoutStart)
-
-			sort.Slice(regions, func(i, j int) bool { return regions[i].from < regions[j].from })
-			for i := 1; i < len(regions); i++ {
-				a, b := regions[i-1], regions[i]
-				if b.from < a.to && a.name != b.name && !sameDescBlock(a, b) {
-					t.Fatalf("regions overlap: %s [%d,%d) and %s [%d,%d)",
-						a.name, a.from, a.to, b.name, b.from, b.to)
+				at("ht.dir", ht.Dir)
+				at("ht.arena", ht.Arena)
+				at("ht.scatter", ht.ScatterOut)
+				at("ht.mergecnt", ht.MergeCnt)
+				at("ht.mergecur", ht.MergeCur)
+				at("ht.mergesrc", ht.MergeSrc)
+				at("ht.mergevec", ht.MergeVec)
+				at("ht.mergeparam", ht.MergeParam)
+				if _, ok := n.(*plan.GroupBy); ok {
+					at("ht.mergeout", ht.MergeOut)
+					at("ht.mergeseq", ht.MergeSeq)
 				}
-			}
-			// Everything must fit in the heap.
-			last := regions[len(regions)-1]
-			if last.to > int64(cq.heapSize) {
-				t.Fatalf("region %s exceeds heap (%d > %d)", last.name, last.to, cq.heapSize)
+				if ht.BloomBits > 0 {
+					at("ht.bloom", ht.BloomBase)
+				}
+				if d := cq.Mem.RegionAt(ht.Desc, codegen.HTDescSize); d == nil || d.Name != "desc" {
+					t.Fatalf("hash-table descriptor at %d is not inside the desc region", ht.Desc)
+				}
 			}
 		})
 	}
-}
-
-// sameDescBlock tolerates descriptor blocks from the same contiguous
-// descriptor area (they are distinct 32-byte slots laid out back to back).
-func sameDescBlock(a, b region) bool {
-	return len(a.name) > 5 && len(b.name) > 5 && a.name[:5] == "desc:" && b.name[:5] == "desc:" && a.to <= b.from+32
 }
 
 // TestLayoutDeterministic: compiling the same query twice yields identical

@@ -1,15 +1,13 @@
 package engine
 
 import (
-	"sort"
-
 	"repro/internal/codegen"
 	"repro/internal/pipeline"
 	"repro/internal/verify"
 )
 
 // buildMemModel derives the abstract interpreter's memory model from the
-// layout buildLayout produced: every carved heap region with its store
+// layout buildLayout produced: the regions it carved, each with its store
 // permission, plus invariant facts for the staged cells generated code
 // only ever reads (column bases, row counts, descriptor dir/mask/end,
 // morsel bounds). The model is what lets internal/verify/absint prove
@@ -18,74 +16,9 @@ import (
 func buildMemModel(cq *Compiled, lay *pipeline.Layout, pc *pipeline.Compiled) *verify.MemModel {
 	mm := &verify.MemModel{
 		HeapSize: int64(cq.heapSize),
+		Regions:  cq.regions,
 		Cells:    map[int64]verify.CellFact{},
 	}
-	add := func(name string, lo, hi int64, writable bool) {
-		if hi > lo {
-			mm.Regions = append(mm.Regions, verify.MemRegion{Name: name, Lo: lo, Hi: hi, Writable: writable})
-		}
-	}
-
-	// The stack analogue: call-argument staging and spill slots.
-	add("staging", stagingAddr, spillBase, true)
-	add("spill", spillBase, spillBase+spillCap, true)
-
-	// State slots are staged by the host and read-only to generated code.
-	slots := int64(len(lay.ColSlots) + len(lay.RowsSlots))
-	add("state", lay.StateBase, lay.StateBase+slots*8, false)
-
-	// Descriptors: generated code bumps the arena/result cursors, so the
-	// region is writable; the dir/mask/end cells still carry exact facts
-	// (excluded from cq.writes-derived facts below).
-	descBase := align(lay.StateBase+slots*8, 64)
-	add("desc", descBase, lay.ResultDesc+codegen.AllocDescSize, true)
-
-	// Morsel bounds: staged per-morsel by the host in parallel runs, and by
-	// the generated prologue (stageFullMorsel) in single-threaded runs —
-	// both writers maintain the interval facts declared below.
-	add("morsel", lay.MorselBase, lay.MorselBase+int64(len(pc.Pipelines))*pipeline.MorselSlotBytes, true)
-
-	if lay.ParamBase != 0 {
-		add("params", lay.ParamBase, lay.ParamBase+int64(len(cq.Plan.Params))*8, false)
-	}
-	if lay.CounterBase != 0 {
-		add("counters", lay.CounterBase, lay.CounterBase+counterSlots*8, true)
-	}
-
-	// Table columns: host-staged, read-only. A provable store into one is
-	// a miscompile. Regions span the full reserved capacity — the addresses
-	// an execution at *any* epoch within capacity may touch — not just the
-	// compile-time row count.
-	for _, b := range cq.binds {
-		add("col", b.addr, b.addr+b.cap*8, false)
-	}
-
-	// Hash-table areas: all written by generated code and runtime routines.
-	for _, ht := range lay.HT {
-		add("ht.dir", ht.Dir, ht.Dir+ht.DirSlots*8, true)
-		add("ht.arena", ht.Arena, ht.ArenaEnd, true)
-		if ht.Partitions > 0 {
-			arenaCap := ht.ArenaEnd - ht.Arena
-			vecBytes := (arenaCap / ht.EntrySize) * 8
-			add("ht.scatter", ht.ScatterOut, ht.ScatterOut+arenaCap, true)
-			add("ht.mergecnt", ht.MergeCnt, ht.MergeCnt+ht.Partitions*8, true)
-			add("ht.mergecur", ht.MergeCur, ht.MergeCur+ht.Partitions*8, true)
-			add("ht.mergesrc", ht.MergeSrc, ht.MergeSrc+arenaCap, true)
-			add("ht.mergevec", ht.MergeVec, ht.MergeVec+vecBytes, true)
-			if ht.MergeOut != 0 {
-				add("ht.mergeout", ht.MergeOut, ht.MergeOut+arenaCap, true)
-				add("ht.mergeseq", ht.MergeSeq, ht.MergeSeq+vecBytes, true)
-			}
-			add("ht.mergeparam", ht.MergeParam, ht.MergeParam+pipeline.MergeParamSlots*8, true)
-		}
-		if ht.BloomBits > 0 {
-			add("ht.bloom", ht.BloomBase, ht.BloomBase+ht.BloomBits/8, true)
-		}
-	}
-
-	add("result", cq.resultBase, cq.resultEnd, true)
-
-	sort.Slice(mm.Regions, func(i, j int) bool { return mm.Regions[i].Lo < mm.Regions[j].Lo })
 
 	// Exact cell facts from the staging writes, minus the cursor cells the
 	// program itself advances.

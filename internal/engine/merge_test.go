@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -19,6 +20,11 @@ var mergeQueries = []string{"fig9", "q1", "q6", "intro"}
 
 func mergeRun(t *testing.T, name string, workers, partitions int, bloom bool) (*Compiled, *Result) {
 	t.Helper()
+	return mergeRunSampled(t, name, workers, partitions, bloom, nil)
+}
+
+func mergeRunSampled(t *testing.T, name string, workers, partitions int, bloom bool, cfg *pmu.Config) (*Compiled, *Result) {
+	t.Helper()
 	w, ok := queries.ByName(name)
 	if !ok {
 		t.Fatalf("no workload %s", name)
@@ -33,7 +39,7 @@ func mergeRun(t *testing.T, name string, workers, partitions int, bloom bool) (*
 	if err != nil {
 		t.Fatalf("%s compile: %v", name, err)
 	}
-	res, err := e.Run(cq, nil)
+	res, err := e.Run(cq, cfg)
 	if err != nil {
 		t.Fatalf("%s workers=%d: %v", name, workers, err)
 	}
@@ -41,48 +47,61 @@ func mergeRun(t *testing.T, name string, workers, partitions int, bloom bool) (*
 }
 
 // TestMergeDeterminism is the partitioned merge's property test: for every
-// worker count, the result rows are identical to the serial oracle *in
-// order*, and every partitioned hash table — directory, arena, cursor —
-// is byte-identical on the canonical heap. The merge does not merely
-// produce equivalent tables; it reconstructs the serial run's bytes.
+// partition and worker count, the result rows are identical to the serial
+// oracle *in order*, and every hash table — directory, arena, cursor — is
+// byte-identical on the canonical heap. The merge does not merely produce
+// equivalent tables; it reconstructs the serial run's bytes.
 func TestMergeDeterminism(t *testing.T) {
 	for _, name := range mergeQueries {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			ocq, oracle := mergeRun(t, name, 0, DefaultOptions().Partitions, true)
-			for _, workers := range []int{1, 2, 4, 8} {
-				cq, res := mergeRun(t, name, workers, DefaultOptions().Partitions, true)
-				rowsEqual(t, res.Rows, oracle.Rows, true)
-
-				// The layout is a pure function of catalog + options, so
-				// both compiles place every hash table at the same
-				// addresses; pair them by descriptor address.
-				hts, ohts := partitionedHTs(cq), partitionedHTs(ocq)
-				if len(hts) == 0 {
-					t.Fatalf("workers=%d: no partitioned sink in %s — battery is vacuous", workers, name)
-				}
-				if len(hts) != len(ohts) {
-					t.Fatalf("workers=%d: %d partitioned sinks, oracle has %d", workers, len(hts), len(ohts))
-				}
-				for i, ht := range hts {
-					if *ohts[i] != *ht {
-						t.Fatalf("workers=%d: hash-table layout %d differs from oracle", workers, i)
-					}
-					got, want := res.CPU.Heap, oracle.CPU.Heap
-					gc := codegen.HeapI64(got, ht.Desc+codegen.HTDescCursor)
-					wc := codegen.HeapI64(want, ht.Desc+codegen.HTDescCursor)
-					if gc != wc {
-						t.Fatalf("workers=%d ht %d: cursor %d, oracle %d", workers, i, gc, wc)
-					}
-					if !bytesEq(got, want, ht.Dir, ht.Dir+ht.DirSlots*8) {
-						t.Fatalf("workers=%d ht %d: directory differs from oracle", workers, i)
-					}
-					if !bytesEq(got, want, ht.Arena, gc) {
-						t.Fatalf("workers=%d ht %d: arena differs from oracle", workers, i)
-					}
+			for _, parts := range []int{1, DefaultOptions().Partitions} {
+				ocq, oracle := mergeRun(t, name, 0, parts, true)
+				for _, workers := range []int{1, 2, 4, 8} {
+					cq, res := mergeRun(t, name, workers, parts, true)
+					sameAsSerial(t, fmt.Sprintf("partitions=%d workers=%d", parts, workers), cq, res, ocq, oracle)
 				}
 			}
 		})
+	}
+}
+
+// sameAsSerial fails unless a parallel run's rows, in order, and every
+// hash table's cursor, directory and arena bytes equal the serial run's,
+// and the merge phase was measured.
+func sameAsSerial(t *testing.T, label string, cq *Compiled, res *Result, ocq *Compiled, oracle *Result) {
+	t.Helper()
+	rowsEqual(t, res.Rows, oracle.Rows, true)
+	if res.MergeCycles == 0 {
+		t.Fatalf("%s: merge phase unmeasured", label)
+	}
+
+	// The layout is a pure function of catalog + options, so both
+	// compiles place every hash table at the same addresses; pair them
+	// by descriptor address.
+	hts, ohts := hashTables(cq), hashTables(ocq)
+	if len(hts) == 0 {
+		t.Fatalf("%s: no materializing sink — battery is vacuous", label)
+	}
+	if len(hts) != len(ohts) {
+		t.Fatalf("%s: %d hash tables, oracle has %d", label, len(hts), len(ohts))
+	}
+	for i, ht := range hts {
+		if *ohts[i] != *ht {
+			t.Fatalf("%s: hash-table layout %d differs from oracle", label, i)
+		}
+		got, want := res.CPU.Heap, oracle.CPU.Heap
+		gc := codegen.HeapI64(got, ht.Desc+codegen.HTDescCursor)
+		wc := codegen.HeapI64(want, ht.Desc+codegen.HTDescCursor)
+		if gc != wc {
+			t.Fatalf("%s ht %d: cursor %d, oracle %d", label, i, gc, wc)
+		}
+		if !bytesEq(got, want, ht.Dir, ht.Dir+ht.DirSlots*8) {
+			t.Fatalf("%s ht %d: directory differs from oracle", label, i)
+		}
+		if !bytesEq(got, want, ht.Arena, gc) {
+			t.Fatalf("%s ht %d: arena differs from oracle", label, i)
+		}
 	}
 }
 
@@ -90,14 +109,12 @@ func bytesEq(a, b []byte, lo, hi int64) bool {
 	return string(a[lo:hi]) == string(b[lo:hi])
 }
 
-// partitionedHTs returns the compiled query's partitioned hash-table
-// layouts in ascending descriptor-address order.
-func partitionedHTs(cq *Compiled) []*pipeline.HTLayout {
+// hashTables returns the compiled query's hash-table layouts in ascending
+// descriptor-address order.
+func hashTables(cq *Compiled) []*pipeline.HTLayout {
 	var hts []*pipeline.HTLayout
 	for _, ht := range cq.Layout.HT {
-		if ht.Partitions > 0 {
-			hts = append(hts, ht)
-		}
+		hts = append(hts, ht)
 	}
 	sort.Slice(hts, func(i, j int) bool { return hts[i].Desc < hts[j].Desc })
 	return hts
@@ -120,23 +137,32 @@ func TestMergeScalingGate(t *testing.T) {
 	}
 }
 
-// TestMergeLegacyFallback: Partitions=0 selects the host-side merge — the
-// determinism oracle — and its rows stay identical to both the serial run
-// and the partitioned path's.
-func TestMergeLegacyFallback(t *testing.T) {
+// TestMergeZeroPartitions: Options.Partitions < 1 means one partition, not
+// an unprofiled host-side merge. Every materializing sink still gets its
+// generated kernels, the merge phase is measured, its samples attribute to
+// merge-role tasks, and rows and hash-table bytes equal the serial run's.
+func TestMergeZeroPartitions(t *testing.T) {
+	cfg := &pmu.Config{Event: vm.EvInstRetired, Period: 97, Format: pmu.FormatIPTimeRegs}
 	for _, name := range mergeQueries {
-		_, oracle := mergeRun(t, name, 0, DefaultOptions().Partitions, true)
-		for _, workers := range []int{1, 4} {
-			cq, res := mergeRun(t, name, workers, 0, true)
-			rowsEqual(t, res.Rows, oracle.Rows, true)
-			if res.MergeCycles != 0 {
-				t.Fatalf("%s: legacy merge reported %d merge cycles; it runs host-side, unmeasured", name, res.MergeCycles)
+		ocq, oracle := mergeRun(t, name, 0, 0, true)
+		cq, res := mergeRunSampled(t, name, 4, 0, true, cfg)
+		sameAsSerial(t, name+" partitions=0 workers=4", cq, res, ocq, oracle)
+		for _, ht := range hashTables(cq) {
+			if ht.Partitions != 1 {
+				t.Fatalf("%s: hash table has %d partitions, want 1", name, ht.Partitions)
 			}
-			for _, info := range cq.Pipe.Pipelines {
-				if info.Merge != nil {
-					t.Fatalf("%s: merge kernels generated with Partitions=0", name)
+		}
+		for i := range cq.Pipe.Pipelines {
+			info := &cq.Pipe.Pipelines[i]
+			switch info.Sink.Kind {
+			case pipeline.SinkJoinBuild, pipeline.SinkGJBuild, pipeline.SinkGroupAgg:
+				if info.Merge == nil {
+					t.Fatalf("%s: materializing sink of pipeline %q has no merge kernels", name, info.Name)
 				}
 			}
+		}
+		if mergeSamples(t, cq, res) == 0 {
+			t.Fatalf("%s: no PMU samples attributed to merge kernels", name)
 		}
 	}
 }
@@ -159,43 +185,38 @@ func TestMergeBloomToggle(t *testing.T) {
 // Dictionary. (The worker-lanes overlay built on this predicate is
 // rendered by viz.WorkerLanesTagged, tested in internal/viz.)
 func TestMergeSampleAttribution(t *testing.T) {
-	w, _ := queries.ByName("fig9")
-	opts := DefaultOptions()
-	opts.Workers = 4
-	opts.MorselRows = 256
-	e := New(testCatalog(t), opts)
-	cq, err := e.CompileQuery(w.Query)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
+	cq, res := mergeRunSampled(t, "fig9", 4, DefaultOptions().Partitions, true,
+		&pmu.Config{Event: vm.EvInstRetired, Period: 97, Format: pmu.FormatIPTimeRegs})
+	if mergeSamples(t, cq, res) == 0 {
+		t.Fatal("no PMU samples attributed to merge kernels — merge is invisible to the profiler")
 	}
-	res, err := e.Run(cq, &pmu.Config{Event: vm.EvInstRetired, Period: 97, Format: pmu.FormatIPTimeRegs})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
+}
 
+// mergeSamples counts the samples credited to a merge-role task, each of
+// which must resolve to its plan operator through the Tagging Dictionary.
+func mergeSamples(t *testing.T, cq *Compiled, res *Result) int {
+	t.Helper()
 	att := core.NewAttributor(cq.Pipe.Dict, cq.Code.NMap)
-	isMerge := func(s *core.Sample) bool {
-		for _, cr := range att.Attribute(s).Credits {
-			c, found := cq.Pipe.Registry.Lookup(cr.Task)
-			if !found || !pipeline.MergeRole(c.Kind) {
+	n := 0
+	for i := range res.Samples {
+		for _, cr := range att.Attribute(&res.Samples[i]).Credits {
+			if !isMergeTask(cq, cr.Task) {
 				continue
 			}
 			if cq.Pipe.Dict.OperatorOf(cr.Task) == core.NoComponent {
 				t.Fatalf("merge task %v has no operator in the Tagging Dictionary", cr.Task)
 			}
-			return true
-		}
-		return false
-	}
-	n := 0
-	for i := range res.Samples {
-		if isMerge(&res.Samples[i]) {
 			n++
+			break
 		}
 	}
-	if n == 0 {
-		t.Fatal("no PMU samples attributed to merge kernels — merge is invisible to the profiler")
-	}
+	return n
+}
+
+// isMergeTask reports whether a task is a scatter, merge or place kernel.
+func isMergeTask(cq *Compiled, task core.ComponentID) bool {
+	c, found := cq.Pipe.Registry.Lookup(task)
+	return found && pipeline.MergeRole(c.Kind)
 }
 
 // TestLPTBeatsGreedy: the scheduling model. On skewed costs, in-order

@@ -258,6 +258,19 @@ func TestMViewPinnedSnapshotsNeverReadStale(t *testing.T) {
 		t.Fatal("manager must count the consistency fallback")
 	}
 
+	// A fallback whose re-prepare fails still spent execution time.
+	bad, badRw := *pv, *pv.Rewrite
+	badRw.Orig = "select nope from m"
+	bad.Rewrite = &badRw
+	se4 := svc.NewSession()
+	se4.PinSnapshot()
+	if _, err := se4.Run(&bad, nil); err == nil {
+		t.Fatal("fallback onto an unpreparable statement must fail")
+	}
+	if st := se4.Stats(); st.RewriteFallbacks != 1 || st.Execute <= 0 {
+		t.Fatalf("failed fallback must count and be timed, stats: %+v", st)
+	}
+
 	// Catch the view up; the current snapshot pairs again.
 	if err := svc.RefreshView("mv"); err != nil {
 		t.Fatal(err)

@@ -24,17 +24,18 @@ import (
 // private heap that is refreshed from the canonical heap at every pipeline
 // barrier, so build-side structures are effectively shared read-only while
 // each morsel's writes land in a private partition. At the barrier the
-// coordinator merges the partitions back into the canonical heap *in
-// global morsel order*, which makes the canonical state — hash-table
-// arenas, chain links, result rows — independent of the worker count and
-// identical to what a single worker produces:
+// partitions are merged back into the canonical heap *in global morsel
+// order*, which makes the canonical state — hash-table arenas, chain
+// links, result rows — independent of the worker count and identical to
+// what a single worker produces:
 //
-//   - result rows and join/group-join build entries append in morsel order,
-//     relinked into the directory via the hash stored in each entry header
-//     (ht_insert persists it exactly so chains can be rebuilt);
-//   - group-by partitions upsert: a group seen before combines its
-//     aggregate state (sum/count add, min/max fold — all integer, so
-//     order-exact), an unseen group appends and head-inserts;
+//   - join/group-join build entries and group-by partial groups are radix-
+//     scattered by the hash stored in each entry header and merged by
+//     generated, profiled kernels fanned out across the workers
+//     (mergePartitioned, DESIGN.md §11): builds replay in morsel order,
+//     groups upsert (sum/count add, min/max fold — all integer, so
+//     order-exact) and are placed in first-occurrence order;
+//   - result rows append in morsel order;
 //   - group-join probes update build entries in place, so workers' deltas
 //     against the phase-start snapshot are folded commutatively.
 //
@@ -327,10 +328,10 @@ func pipeDomain(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo) int64 
 
 // runMorsel executes one morsel on a worker: stage the bounds, reset the
 // sink partition, re-arm sampling deterministically, call the pipeline
-// function, and snapshot the partition the morsel produced. For a
-// partitioned sink it additionally runs the generated scatter kernel on
-// the same worker and snapshots the radix-scattered copy plus the
-// per-partition entry counts instead of the raw segment.
+// function, and snapshot what the morsel produced: its result rows, or —
+// for a materializing sink, after running the generated scatter kernel on
+// the same worker — the radix-scattered segment plus the per-partition
+// entry counts.
 func runMorsel(cq *Compiled, w *parWorker, info *pipeline.PipelineInfo, entry, scatterEntry, pipeIdx int, sp Span, morsel, shardStamp int, budget uint64) ([]byte, []int64, error) {
 	lay := cq.Layout
 	heap := w.cpu.Heap
@@ -385,13 +386,9 @@ func runMorsel(cq *Compiled, w *parWorker, info *pipeline.PipelineInfo, entry, s
 		return seg, cn, nil
 	}
 
-	switch sink.Kind {
-	case pipeline.SinkOutput:
+	if sink.Kind == pipeline.SinkOutput {
 		cur := codegen.HeapI64(heap, lay.ResultDesc+codegen.AllocDescCursor)
 		return append([]byte(nil), heap[cq.resultBase:cur]...), nil, nil
-	case pipeline.SinkJoinBuild, pipeline.SinkGJBuild, pipeline.SinkGroupAgg:
-		cur := codegen.HeapI64(heap, sink.HT.Desc+codegen.HTDescCursor)
-		return append([]byte(nil), heap[sink.HT.Arena:cur]...), nil, nil
 	}
 	return nil, nil, nil // SinkGJProbe: in-place updates, merged from the heap
 }
@@ -597,10 +594,10 @@ func mergePartitioned(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, 
 	return mergeWall + placeWall, nil
 }
 
-// mergePhase folds the per-morsel partitions back into the canonical heap
-// in global morsel order. It serves the sinks that are always host-merged
-// (result output, group-join probes) and is the serial fallback — and
-// determinism oracle — for the partitioned sinks when Partitions is 0.
+// mergePhase folds a phase's output back into the canonical heap for the
+// two sinks that have no merge kernel: result rows append in global morsel
+// order, group-join probe updates fold commutatively. Materializing sinks
+// go through mergePartitioned.
 func mergePhase(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, segs [][]byte, ws []*parWorker) error {
 	sink := &info.Sink
 	switch sink.Kind {
@@ -620,90 +617,6 @@ func mergePhase(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, segs [
 		for _, seg := range segs {
 			copy(coord.Heap[cur:], seg)
 			cur += int64(len(seg))
-		}
-		coord.WriteI64(cursorAddr, cur)
-
-	case pipeline.SinkJoinBuild, pipeline.SinkGJBuild:
-		// Append each entry in morsel order and head-insert it via the
-		// hash ht_insert stored in the entry header — the exact insertion
-		// sequence the serial run performs, so arena bytes and chain
-		// links come out identical.
-		ht := sink.HT
-		mask := ht.DirSlots - 1
-		cursorAddr := ht.Desc + codegen.HTDescCursor
-		cur := coord.ReadI64(cursorAddr)
-		es := int(ht.EntrySize)
-		staged := int64(0)
-		for _, seg := range segs {
-			staged += int64(len(seg))
-		}
-		if cur+staged > ht.ArenaEnd {
-			return &SinkOverflowError{
-				Sink: info.Name, Region: "hash-table arena",
-				Needed: cur + staged - ht.Arena, Capacity: ht.ArenaEnd - ht.Arena,
-			}
-		}
-		for _, seg := range segs {
-			for off := 0; off+es <= len(seg); off += es {
-				copy(coord.Heap[cur:], seg[off:off+es])
-				h := codegen.HeapI64(seg, int64(off)+codegen.HTEntryHash)
-				slotAddr := ht.Dir + (h&mask)*8
-				coord.WriteI64(cur+codegen.HTEntryNext, coord.ReadI64(slotAddr))
-				coord.WriteI64(slotAddr, cur)
-				cur += ht.EntrySize
-			}
-		}
-		coord.WriteI64(cursorAddr, cur)
-
-	case pipeline.SinkGroupAgg:
-		// Upsert each partition entry: combine aggregate state into an
-		// existing group or append-and-link a new one. New groups appear
-		// in global first-occurrence order, matching the serial run.
-		ht := sink.HT
-		mask := ht.DirSlots - 1
-		cursorAddr := ht.Desc + codegen.HTDescCursor
-		cur := coord.ReadI64(cursorAddr)
-		es := int(ht.EntrySize)
-		// Worst-case headroom: every staged entry becomes a fresh group.
-		// Checked up front so the canonical heap is never left half-merged.
-		staged := int64(0)
-		for _, seg := range segs {
-			staged += int64(len(seg))
-		}
-		if cur+staged > ht.ArenaEnd {
-			return &SinkOverflowError{
-				Sink: info.Name, Region: "hash-table arena",
-				Needed: cur + staged - ht.Arena, Capacity: ht.ArenaEnd - ht.Arena,
-			}
-		}
-		for _, seg := range segs {
-			for off := 0; off+es <= len(seg); off += es {
-				h := codegen.HeapI64(seg, int64(off)+codegen.HTEntryHash)
-				slotAddr := ht.Dir + (h&mask)*8
-				addr := coord.ReadI64(slotAddr)
-				for addr != 0 {
-					match := true
-					for k := 0; k < sink.NKeys; k++ {
-						ko := sink.KeyOff + int64(k)*8
-						if coord.ReadI64(addr+ko) != codegen.HeapI64(seg, int64(off)+ko) {
-							match = false
-							break
-						}
-					}
-					if match {
-						break
-					}
-					addr = coord.ReadI64(addr + codegen.HTEntryNext)
-				}
-				if addr != 0 {
-					combineAggs(coord, addr, seg[off:off+es], sink)
-					continue
-				}
-				copy(coord.Heap[cur:], seg[off:off+es])
-				coord.WriteI64(cur+codegen.HTEntryNext, coord.ReadI64(slotAddr))
-				coord.WriteI64(slotAddr, cur)
-				cur += ht.EntrySize
-			}
 		}
 		coord.WriteI64(cursorAddr, cur)
 
@@ -765,32 +678,6 @@ func foldCounters(cq *Compiled, coord *vm.CPU, ws []*parWorker) {
 		}
 		if total != baseV {
 			coord.WriteI64(cb+s*8, total)
-		}
-	}
-}
-
-// combineAggs folds one partition entry's aggregate state into the
-// canonical group entry at dst. All state is integer, so the fold is
-// exact regardless of morsel boundaries.
-func combineAggs(coord *vm.CPU, dst int64, entry []byte, sink *pipeline.SinkInfo) {
-	for i, fn := range sink.Aggs {
-		off := sink.AggOffs[i]
-		v := codegen.HeapI64(entry, off)
-		switch fn {
-		case plan.AggSum, plan.AggCount:
-			coord.WriteI64(dst+off, coord.ReadI64(dst+off)+v)
-		case plan.AggAvg:
-			coord.WriteI64(dst+off, coord.ReadI64(dst+off)+v)
-			cnt := codegen.HeapI64(entry, off+8)
-			coord.WriteI64(dst+off+8, coord.ReadI64(dst+off+8)+cnt)
-		case plan.AggMin:
-			if v < coord.ReadI64(dst+off) {
-				coord.WriteI64(dst+off, v)
-			}
-		case plan.AggMax:
-			if v > coord.ReadI64(dst+off) {
-				coord.WriteI64(dst+off, v)
-			}
 		}
 	}
 }

@@ -137,7 +137,7 @@ func TestParallelSampleDeterminism(t *testing.T) {
 }
 
 // TestParallelProfileNearSerial compares the merged parallel profile
-// against the legacy single-CPU run. The morsel scheduler re-executes each
+// against the single-CPU run. The morsel scheduler re-executes each
 // pipeline's prologue (column-base loads, bound checks) once per morsel,
 // so instruction streams differ slightly; per-operator shares must still
 // agree within a few percent.
@@ -154,17 +154,12 @@ func TestParallelProfileNearSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := &pmu.Config{Event: vm.EvInstRetired, Period: 487}
+			cfg := &pmu.Config{Event: vm.EvInstRetired, Period: 487, Format: pmu.FormatCallStack}
 			sres, err := serial.RunIterations(cq, 1, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Legacy host merge: the partitioned merge runs generated
-			// scatter/merge kernels that exist only in parallel runs, so
-			// their (deliberate, profiled) samples would skew the shares
-			// this test compares; merge attribution has its own tests.
 			par := parallelEngine(t, 4)
-			par.Opts.Partitions = 0
 			pcq, err := par.CompileQuery(w.Query)
 			if err != nil {
 				t.Fatal(err)
@@ -173,8 +168,30 @@ func TestParallelProfileNearSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sOps, pOps := opWeights(sres.Profile), opWeights(pres.Profile)
-			sTot, pTot := float64(sres.Profile.TotalSamples), float64(pres.Profile.TotalSamples)
+			// The scatter/merge/place kernels run only in parallel runs;
+			// their (deliberate, profiled) samples would skew the shares
+			// this test compares, so a sample taken in one of them, or in a
+			// routine one of them called, is left out. Merge attribution
+			// has its own tests.
+			att := core.NewAttributor(pcq.Pipe.Dict, pcq.Code.NMap)
+			var kept []core.Sample
+			for _, s := range pres.Samples {
+				merge := false
+				for _, ip := range append([]int{s.IP}, s.Stack...) {
+					for _, cr := range att.Attribute(&core.Sample{IP: ip}).Credits {
+						merge = merge || isMergeTask(pcq, cr.Task)
+					}
+				}
+				if !merge {
+					kept = append(kept, s)
+				}
+			}
+			if len(kept) == len(pres.Samples) {
+				t.Fatal("no merge-kernel samples to leave out")
+			}
+			pprof := core.BuildProfile(att, kept)
+			sOps, pOps := opWeights(sres.Profile), opWeights(pprof)
+			sTot, pTot := float64(sres.Profile.TotalSamples), float64(pprof.TotalSamples)
 			if sTot == 0 || pTot == 0 {
 				t.Fatal("no samples")
 			}

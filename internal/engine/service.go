@@ -297,15 +297,15 @@ func (se *Session) Prepare(sql string) (*Prepared, error) {
 // read half-covered partials.
 func (se *Session) Run(p *Prepared, cfg *pmu.Config) (*Result, error) {
 	t0 := time.Now()
+	defer func() { se.stats.Execute += time.Since(t0) }()
 	se.exec.pool.reclaim()
+	snap := se.snap
 	if p.Rewrite != nil {
 		// Rewritten artifacts always bind an explicit snapshot: the one
 		// the consistency guard approved (pinned, or captured here).
-		snap := se.snap
 		if snap == nil {
 			snap = se.svc.Snapshot()
 		}
-		run := p
 		if !se.svc.views.ConsistentUnder(snap, p.Rewrite.View) {
 			se.svc.views.NoteFallback()
 			se.stats.RewriteFallbacks++
@@ -313,27 +313,18 @@ func (se *Session) Run(p *Prepared, cfg *pmu.Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			run = base
+			p = base
 		}
-		bound := RunState{Snap: snap}
-		if run.State != nil {
-			bound.Params = run.State.Params
-		}
-		res, err := se.exec.Run(run.Compiled, &bound, cfg)
-		se.stats.Execute += time.Since(t0)
-		return res, err
 	}
 	rs := p.State
-	if se.snap != nil {
-		bound := RunState{Snap: se.snap}
+	if snap != nil {
+		bound := RunState{Snap: snap}
 		if rs != nil {
 			bound.Params = rs.Params
 		}
 		rs = &bound
 	}
-	res, err := se.exec.Run(p.Compiled, rs, cfg)
-	se.stats.Execute += time.Since(t0)
-	return res, err
+	return se.exec.Run(p.Compiled, rs, cfg)
 }
 
 // Execute prepares and runs a statement in one call.
@@ -471,26 +462,11 @@ func EncodeParams(infos []plan.ParamInfo, args []sqlparse.Literal) ([]int64, err
 		case sqlparse.LitNum:
 			vals[i] = a.Num
 		case sqlparse.LitStr:
-			switch infos[i].Type {
-			case catalog.TDate:
-				v, err := catalog.ParseDate(a.Str)
-				if err != nil {
-					return nil, err
-				}
-				vals[i] = v
-			case catalog.TStr:
-				if infos[i].Dict == nil {
-					vals[i] = -1
-					break
-				}
-				if id, ok := infos[i].Dict.Lookup(a.Str); ok {
-					vals[i] = id
-				} else {
-					vals[i] = -1 // no row can match
-				}
-			default:
-				return nil, fmt.Errorf("engine: string literal %q compared with %s column", a.Str, infos[i].Type)
+			v, err := catalog.EncodeString(infos[i].Type, infos[i].Dict, a.Str)
+			if err != nil {
+				return nil, err
 			}
+			vals[i] = v
 		default:
 			return nil, fmt.Errorf("engine: unknown literal kind %d", a.Kind)
 		}

@@ -89,7 +89,7 @@ func TestShardDeterminism(t *testing.T) {
 
 // TestShardMatchesUnshardedParallel: with pruning off, a sharded run is
 // the unsharded parallel run plus attribution — one whole-table surviving
-// run morselizes to exactly the legacy span list, so heap and canonical
+// run morselizes to exactly the unsharded span list, so heap and canonical
 // profile match the Shards=0 run bit-for-bit at every worker count.
 func TestShardMatchesUnshardedParallel(t *testing.T) {
 	cat := testCatalog(t)
@@ -98,12 +98,12 @@ func TestShardMatchesUnshardedParallel(t *testing.T) {
 		w, _ := queries.ByName(name)
 		t.Run(name, func(t *testing.T) {
 			for _, workers := range []int{1, 4} {
-				legacy := shardRun(t, cat, w.Query, workers, 0, false, cfg)
+				unsharded := shardRun(t, cat, w.Query, workers, 0, false, cfg)
 				sharded := shardRun(t, cat, w.Query, workers, 4, false, cfg)
-				if !bytes.Equal(sharded.CPU.Heap, legacy.CPU.Heap) {
+				if !bytes.Equal(sharded.CPU.Heap, unsharded.CPU.Heap) {
 					t.Errorf("workers=%d: sharded heap differs from unsharded parallel", workers)
 				}
-				if !bytes.Equal(sharded.Profile.Canonical(), legacy.Profile.Canonical()) {
+				if !bytes.Equal(sharded.Profile.Canonical(), unsharded.Profile.Canonical()) {
 					t.Errorf("workers=%d: sharded canonical profile differs from unsharded parallel", workers)
 				}
 			}

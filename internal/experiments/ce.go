@@ -88,21 +88,6 @@ type ceObs struct {
 	joinHeavy bool
 }
 
-// qerr scores an estimate against a true row count.
-func qerr(est float64, true_ int64) float64 {
-	e, t := est, float64(true_)
-	if e < 1 {
-		e = 1
-	}
-	if t < 1 {
-		t = 1
-	}
-	if e > t {
-		return e / t
-	}
-	return t / e
-}
-
 // classOf buckets a node by its plan-expression class: the leading
 // constructor of its canonical expression (scan, join, agg — a
 // group-join canonicalizes as agg-over-join and lands in agg).
@@ -152,7 +137,7 @@ func ceEval(cat *catalog.Catalog, est plan.Estimator, w queries.SQLWorkload, h *
 		if !ok {
 			return
 		}
-		obs = append(obs, ceObs{class: classOf(n), q: qerr(n.EstRows(), t), joinHeavy: joinHeavy})
+		obs = append(obs, ceObs{class: classOf(n), q: cost.QError(n.EstRows(), t), joinHeavy: joinHeavy})
 	})
 	if h != nil {
 		cost.ObserveTrueRows(h, pl, cq.Pipe, res.TupleCounts)

@@ -20,14 +20,12 @@ type MergeRow struct {
 	Query string `json:"query"`
 	// Workers 0 is the serial executor (the determinism oracle).
 	Workers int `json:"workers"`
-	// Mode: "serial", "partitioned" (generated merge kernels), or
-	// "legacy" (host-side coordinator loop, merge time unmeasured —
-	// exactly the blind spot the partitioned merge removes).
+	// Mode: "serial" or "partitioned" (generated merge kernels).
 	Mode       string `json:"mode"`
 	WallCycles uint64 `json:"wall_cycles"`
 	// MergeCycles is the simulated merge-phase makespan: the slowest
 	// worker's partition-merge kernel cycles plus the coordinator's
-	// placement kernel. Zero for serial and legacy rows.
+	// placement kernel. Zero for serial rows.
 	MergeCycles uint64 `json:"merge_cycles"`
 	// RowsIdentical: results byte-compare equal to the workers=0 oracle.
 	RowsIdentical bool `json:"rows_identical"`
@@ -35,14 +33,13 @@ type MergeRow struct {
 
 // Merge measures the partitioned parallel merge (DESIGN.md §11): a
 // join-build-heavy workload (fig9) and two group-by workloads (q6, q1)
-// run at workers 0/1/2/4/8 with the generated merge kernels and, for
-// context, with the legacy host-side merge. Because the merge kernels are
-// profiled code, their cycles are simulated time — the table reports the
-// merge-phase makespan and the scaling gate the CI enforces: the 4-worker
-// merge phase must be at least 2x faster than the same kernels run
-// serially on one worker. Rows must be identical to the serial oracle in
-// every configuration. The lanes plot overlays merge-kernel samples ('^')
-// on the fig9 8-worker run.
+// run at workers 0/1/2/4/8 with the generated merge kernels. Because the
+// merge kernels are profiled code, their cycles are simulated time — the
+// table reports the merge-phase makespan and the scaling gate the CI
+// enforces: the 4-worker merge phase must be at least 2x faster than the
+// same kernels run serially on one worker. Rows must be identical to the
+// serial oracle in every configuration. The lanes plot overlays
+// merge-kernel samples ('^') on the fig9 8-worker run.
 func (e *Env) Merge() (string, []MergeRow, error) {
 	var sb strings.Builder
 	sb.WriteString("## Partitioned parallel merge scaling\n\n")
@@ -75,56 +72,47 @@ func (e *Env) Merge() (string, []MergeRow, error) {
 		fmt.Fprintf(&sb, "%-8s %-13s %8d %12d %12s %10s\n",
 			name, "serial", 0, oracle.Stats.Cycles, "-", "oracle")
 
-		for _, mode := range []string{"partitioned", "legacy"} {
-			for _, workers := range counts {
-				opts := engine.DefaultOptions()
-				opts.Workers = workers
-				if mode == "legacy" {
-					opts.Partitions = 0
-				}
-				peng := engine.New(e.Cat, opts)
-				pcq, err := peng.CompileQuery(w.Query)
-				if err != nil {
-					return "", nil, fmt.Errorf("%s %s: %w", name, mode, err)
-				}
-				res, err := peng.Run(pcq, &pmu.Config{
-					Event: vm.EvInstRetired, Period: DefaultPeriod, Format: pmu.FormatIPTimeRegs,
-				})
-				if err != nil {
-					return "", nil, fmt.Errorf("%s %s workers=%d: %w", name, mode, workers, err)
-				}
-				// Compared in order: the partitioned merge reconstructs the
-				// serial heap byte for byte, so even rows without an ORDER BY
-				// may not move.
-				same := ref.SameRows(res.Rows, oracle.Rows, true)
-				rows = append(rows, MergeRow{
-					Query: name, Workers: workers, Mode: mode,
-					WallCycles: res.WallCycles, MergeCycles: res.MergeCycles,
-					RowsIdentical: same,
-				})
-				mc := "-"
-				if mode == "partitioned" {
-					mc = fmt.Sprint(res.MergeCycles)
-				}
-				status := "identical"
-				if !same {
-					status = "DIFFER"
-				}
-				fmt.Fprintf(&sb, "%-8s %-13s %8d %12d %12s %10s\n",
-					name, mode, workers, res.WallCycles, mc, status)
+		for _, workers := range counts {
+			opts := engine.DefaultOptions()
+			opts.Workers = workers
+			peng := engine.New(e.Cat, opts)
+			pcq, err := peng.CompileQuery(w.Query)
+			if err != nil {
+				return "", nil, fmt.Errorf("%s: %w", name, err)
+			}
+			res, err := peng.Run(pcq, &pmu.Config{
+				Event: vm.EvInstRetired, Period: DefaultPeriod, Format: pmu.FormatIPTimeRegs,
+			})
+			if err != nil {
+				return "", nil, fmt.Errorf("%s workers=%d: %w", name, workers, err)
+			}
+			// Compared in order: the partitioned merge reconstructs the
+			// serial heap byte for byte, so even rows without an ORDER BY
+			// may not move.
+			same := ref.SameRows(res.Rows, oracle.Rows, true)
+			rows = append(rows, MergeRow{
+				Query: name, Workers: workers, Mode: "partitioned",
+				WallCycles: res.WallCycles, MergeCycles: res.MergeCycles,
+				RowsIdentical: same,
+			})
+			status := "identical"
+			if !same {
+				status = "DIFFER"
+			}
+			fmt.Fprintf(&sb, "%-8s %-13s %8d %12d %12d %10s\n",
+				name, "partitioned", workers, res.WallCycles, res.MergeCycles, status)
 
-				if name == "fig9" && mode == "partitioned" && workers == 8 {
-					att := core.NewAttributor(pcq.Pipe.Dict, pcq.Code.NMap)
-					isMerge := func(s *core.Sample) bool {
-						for _, cr := range att.Attribute(s).Credits {
-							if c, found := pcq.Pipe.Registry.Lookup(cr.Task); found && pipeline.MergeRole(c.Kind) {
-								return true
-							}
+			if name == "fig9" && workers == 8 {
+				att := core.NewAttributor(pcq.Pipe.Dict, pcq.Code.NMap)
+				isMerge := func(s *core.Sample) bool {
+					for _, cr := range att.Attribute(s).Credits {
+						if c, found := pcq.Pipe.Registry.Lookup(cr.Task); found && pipeline.MergeRole(c.Kind) {
+							return true
 						}
-						return false
 					}
-					lanes = viz.WorkerLanesTagged(res.Samples, 60, isMerge)
+					return false
 				}
+				lanes = viz.WorkerLanesTagged(res.Samples, 60, isMerge)
 			}
 		}
 	}

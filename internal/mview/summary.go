@@ -356,10 +356,9 @@ func litValue(e plan.Expr, args []sqlparse.Literal) (sqlparse.Literal, bool) {
 	return sqlparse.Literal{}, false
 }
 
-// encodeValue encodes a literal into a column's int64 value space,
-// exactly as the planner (encodeLiteral) and EncodeParams do: numbers
-// stay raw, strings resolve through the column's date format or
-// dictionary, a dictionary miss encodes as -1 (an ID no row carries).
+// encodeValue encodes a literal into a column's int64 value space, as the
+// planner and EncodeParams do: numbers stay raw, strings go through
+// catalog.EncodeString.
 func encodeValue(v sqlparse.Literal, col *catalog.Column) (int64, bool) {
 	if col == nil {
 		return 0, false
@@ -367,24 +366,8 @@ func encodeValue(v sqlparse.Literal, col *catalog.Column) (int64, bool) {
 	if v.Kind == sqlparse.LitNum {
 		return v.Num, true
 	}
-	switch col.Type {
-	case catalog.TDate:
-		d, err := catalog.ParseDate(v.Str)
-		if err != nil {
-			return 0, false
-		}
-		return d, true
-	case catalog.TStr:
-		if col.Dict == nil {
-			return -1, true
-		}
-		if id, ok := col.Dict.Lookup(v.Str); ok {
-			return id, true
-		}
-		return -1, true
-	default:
-		return 0, false
-	}
+	enc, err := catalog.EncodeString(col.Type, col.Dict, v.Str)
+	return enc, err == nil
 }
 
 // aggTerm digests one aggregate call: supported functions, literal-

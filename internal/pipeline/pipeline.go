@@ -65,12 +65,14 @@ type HTLayout struct {
 	ArenaEnd  int64
 	EntrySize int64
 
-	// Partitioned-merge regions (DESIGN.md §11). Partitions == 0 disables
-	// the partitioned merge for this table; otherwise Partitions is a
-	// power of two <= DirSlots and partition p owns the directory slot
-	// range [p<<SlotShift, (p+1)<<SlotShift) — the top bits of the slot
-	// index (equivalently, bits [SlotShift, log2(DirSlots)) of the entry
-	// hash), so partitions tile the directory disjointly.
+	// Partitioned-merge regions (DESIGN.md §11). The engine's layouts
+	// always have Partitions >= 1; Partitions == 0 — a layout built by
+	// hand, as this package's tests do — generates no merge kernels.
+	// Otherwise Partitions is a power of two <= DirSlots and partition p
+	// owns the directory slot range [p<<SlotShift, (p+1)<<SlotShift) — the
+	// top bits of the slot index (equivalently, bits [SlotShift,
+	// log2(DirSlots)) of the entry hash), so partitions tile the directory
+	// disjointly.
 	Partitions int64
 	SlotShift  int64 // log2(DirSlots / Partitions)
 	ScatterOut int64 // radix-scattered copy of one morsel's segment (arena-sized)

@@ -104,7 +104,7 @@ func bind(e Expr, s *schema) (PExpr, error) {
 				if !ok2 {
 					return nil, fmt.Errorf("plan: literal compared with non-column")
 				}
-				v, err := encodeLiteral(lit, s.cols[pc.Pos])
+				v, err := catalog.EncodeString(s.cols[pc.Pos].Type, s.cols[pc.Pos].Dict, lit.S)
 				if err != nil {
 					return nil, err
 				}
@@ -159,23 +159,6 @@ func litCmp(b *Bin) (lit *StrConst, col Expr, flip, ok bool) {
 		return s, b.L, false, true
 	}
 	return nil, nil, false, false
-}
-
-func encodeLiteral(lit *StrConst, meta ColMeta) (int64, error) {
-	switch meta.Type {
-	case catalog.TDate:
-		return catalog.ParseDate(lit.S)
-	case catalog.TStr:
-		if meta.Dict == nil {
-			return -1, nil
-		}
-		if id, ok := meta.Dict.Lookup(lit.S); ok {
-			return id, nil
-		}
-		return -1, nil // no row can match
-	default:
-		return 0, fmt.Errorf("plan: string literal %q compared with %s column", lit.S, meta.Type)
-	}
 }
 
 // exprCols collects all column references in an expression.

@@ -17,8 +17,15 @@ import (
 // an identical fresh fixture.
 func mergeArtifact(t *testing.T) *verify.Artifact {
 	t.Helper()
+	return mergeArtifactWith(t, engine.DefaultOptions().Partitions)
+}
+
+func mergeArtifactWith(t *testing.T, partitions int) *verify.Artifact {
+	t.Helper()
 	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.01, Seed: 42})
-	c := engine.NewCompiler(cat, engine.DefaultOptions())
+	opts := engine.DefaultOptions()
+	opts.Partitions = partitions
+	c := engine.NewCompiler(cat, opts)
 	cq, err := c.CompileQuery(queries.Fig9().Query)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -62,14 +69,18 @@ func mergeHasCheck(ds []verify.Diag, check string) bool {
 }
 
 func TestMergeInvariantsClean(t *testing.T) {
-	a := mergeArtifact(t)
-	if ds := (verify.MergeInvariants{}).Check(a); len(ds) != 0 {
-		t.Fatalf("clean fixture produced diagnostics: %v", ds)
-	}
-	// The fixture must actually exercise both sink shapes.
-	pickMerge(t, a, true)
-	if p := pickMerge(t, a, false); p.Merge == nil {
-		t.Fatal("no partitioned pipeline in fixture")
+	// Partitions 0 rounds to one partition: the same kernels, one slot
+	// range that is the whole directory.
+	for _, c := range []struct{ opt, want int }{{engine.DefaultOptions().Partitions, 8}, {0, 1}} {
+		a := mergeArtifactWith(t, c.opt)
+		if ds := (verify.MergeInvariants{}).Check(a); len(ds) != 0 {
+			t.Fatalf("Partitions=%d: clean fixture produced diagnostics: %v", c.opt, ds)
+		}
+		// The fixture must actually exercise both sink shapes.
+		pickMerge(t, a, true)
+		if p := pickMerge(t, a, false); p.Merge.Partitions != int64(c.want) {
+			t.Fatalf("Partitions=%d: sink merges in %d partitions, want %d", c.opt, p.Merge.Partitions, c.want)
+		}
 	}
 }
 

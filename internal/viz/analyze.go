@@ -35,29 +35,13 @@ func AnalyzedPlan(pl *plan.Output, pc *pipeline.Compiled, counts map[core.Compon
 			out += fmt.Sprintf(" [σ rows=%d]", rows[fid])
 		}
 		if t, ok := true_[n]; ok {
-			out += fmt.Sprintf(" [est=%.0f q=%.2f]", n.EstRows(), qErr(n.EstRows(), t))
+			out += fmt.Sprintf(" [est=%.0f q=%.2f]", n.EstRows(), cost.QError(n.EstRows(), t))
 		}
 		if p != nil && p.TotalSamples > 0 {
 			out += fmt.Sprintf(" (time %.1f%%)", p.OpPct(id))
 		}
 		return out
 	})
-}
-
-// qErr is the q-error of an estimate against an observed count, both
-// sides clamped to >= 1 row (1.0 = perfect).
-func qErr(est float64, true_ int64) float64 {
-	e, t := est, float64(true_)
-	if e < 1 {
-		e = 1
-	}
-	if t < 1 {
-		t = 1
-	}
-	if e > t {
-		return e / t
-	}
-	return t / e
 }
 
 // TaskRowTable renders the raw per-task counters.
