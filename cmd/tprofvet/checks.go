@@ -415,23 +415,11 @@ func shardCheck(env *env) (*run, error) {
 					tableRows[s.Alias] = int64(s.Table.Rows())
 				}
 			})
-			journals := make([]verify.ShardJournal, len(res.ShardStates))
 			zones, pruned = 0, len(res.Skips)
-			for i, st := range res.ShardStates {
-				j := verify.ShardJournal{
-					Pipeline: st.Pipeline, Alias: st.Alias, Shard: st.Shard,
-					Lo: st.Lo, Hi: st.Hi, Rows: st.Rows, Scanned: st.Scanned,
-					Pruned: st.Pruned,
-				}
-				for _, z := range st.Zones {
-					j.Zones = append(j.Zones, verify.ShardZone{
-						Zone: z.Zone, Lo: z.Lo, Hi: z.Hi, Pruned: z.Pruned, Cause: z.Cause,
-					})
-				}
-				journals[i] = j
+			for _, st := range res.ShardStates {
 				zones += len(st.Zones)
 			}
-			return diagErr("journal", verify.CheckShards(tableRows, journals, res.Skips))
+			return diagErr("journal", verify.CheckShards(tableRows, res.ShardStates, res.Skips))
 		}
 		for _, nw := range env.workers {
 			for _, ns := range shardCounts {

@@ -31,7 +31,7 @@ type Sample struct {
 
 	// Shard identifies the data shard whose morsel was executing when the
 	// sample fired: 0 for unsharded work (coordinator, merge kernels,
-	// legacy runs), shard s is recorded as s+1. The per-shard sub-buffers
+	// one-core runs), shard s is recorded as s+1. The per-shard sub-buffers
 	// this induces are a reporting lens — the merged profile's attribution
 	// aggregates are identical for every shard count (Profile.Canonical
 	// excludes the stamp, like Worker).

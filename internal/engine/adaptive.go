@@ -32,12 +32,6 @@ func DefaultPGOSampling() pmu.Config {
 // translated through cq's own native map, then steer hot-loop IR passes
 // (LICM, strength reduction), scaled-address fusion, basic-block layout
 // and spill priority in the fresh compilation.
-func (e *Engine) Recompile(cq *Compiled, prof *core.Profile) (*Compiled, error) {
-	return e.compiler().Recompile(cq, prof)
-}
-
-// Recompile compiles cq's plan again, guided by a profile collected from
-// running cq (see Engine.Recompile).
 func (c *Compiler) Recompile(cq *Compiled, prof *core.Profile) (*Compiled, error) {
 	if prof == nil {
 		return nil, fmt.Errorf("engine: Recompile needs a profile (run with sampling first)")

@@ -49,9 +49,11 @@ type Options struct {
 	MaxInstructions uint64
 	// Workers selects morsel-driven parallel execution: values >= 1 make
 	// Run dispatch every pipeline over fixed-size morsels on that many
-	// simulated worker CPUs (see Executor.RunParallel); 0 keeps the legacy
-	// single-CPU path. Workers=1 is the morsel scheduler on one core —
-	// the baseline that parallel runs are sample-exact against.
+	// simulated worker CPUs (see Executor.RunParallel); 0 is the one-core
+	// path: one CPU, one PMU buffer, no morsels, no merge. Workers=1 is
+	// the morsel scheduler on one core — the baseline that parallel runs
+	// are sample-exact against, and measurably dearer than 0 on joins
+	// (TestOneWorkerSchedulerCost), which is why both exist.
 	Workers int
 	// MorselRows is the morsel size in tuples (table scans) or entries
 	// (hash-table scans); 0 selects DefaultMorselRows. The partition
@@ -130,10 +132,10 @@ func NewCompiler(cat *catalog.Catalog, opts Options) *Compiler {
 // around the immutable artifact, and all per-session inputs travel in a
 // RunState — so N sessions may execute one shared Compiled concurrently.
 //
-// An Engine's or NewExecutor's executor builds its machines with vm.New and
-// forgets them: Result.CPU belongs to the result. A Session's executor
-// draws them from the session's pool and gets them back at the session's
-// next call (see Session).
+// An Engine's executor (any Executor without a pool) builds its machines
+// with vm.New and forgets them: Result.CPU belongs to the result. A
+// Session's executor draws them from the session's pool and gets them back
+// at the session's next call (see Session).
 type Executor struct {
 	Opts Options
 
@@ -166,9 +168,6 @@ func (x *Executor) machine(heapSize int) *vm.CPU {
 	p.lent = append(p.lent, cpu)
 	return cpu
 }
-
-// NewExecutor creates an executor.
-func NewExecutor(opts Options) *Executor { return &Executor{Opts: opts} }
 
 // RunState is the per-session mutable state of one execution: everything
 // a run needs beyond the shared artifact — the encoded bound-parameter
@@ -892,6 +891,10 @@ func (r *stagedRun) finish(res *Result) *Result {
 func (x *Executor) RunIterations(cq *Compiled, rs *RunState, n int, cfg *pmu.Config) (*Result, error) {
 	if n < 1 {
 		n = 1
+	}
+	if shards, _ := x.shardKnobs(cq); n > 1 && (x.Opts.Workers >= 1 || shards >= 1) {
+		return nil, fmt.Errorf("engine: RunIterations(n=%d) runs on the one-core path only (Workers=0, no shards): "+
+			"iteration detection needs one continuous PMU buffer, got Workers=%d, shards=%d", n, x.Opts.Workers, shards)
 	}
 	r, err := x.stage(cq, rs, cfg)
 	if err != nil {

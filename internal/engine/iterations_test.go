@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -104,6 +105,44 @@ func TestRunIterationsCountersReset(t *testing.T) {
 	for id, n := range one.TupleCounts {
 		if three.TupleCounts[id] != n {
 			t.Fatalf("counter %d = %d after 3 iterations, want %d", id, three.TupleCounts[id], n)
+		}
+	}
+}
+
+// TestRunIterationsRefusesParallel: n > 1 iterations exist only on the
+// one-core path — iteration detection needs one continuous PMU buffer.
+// Under Workers >= 1 or an effective shard count >= 1 the parent ran
+// serial and unsharded without saying so (Result.Workers == 0); that is an
+// error now, and n == 1 is what it was.
+func TestRunIterationsRefusesParallel(t *testing.T) {
+	cat := testCatalog(t)
+	for _, tc := range []struct {
+		name            string
+		workers, shards int
+		refused         bool
+	}{
+		{"one-core", 0, 0, false},
+		{"workers", 2, 0, true},
+		{"shards", 0, 2, true},
+	} {
+		opts := DefaultOptions()
+		opts.Workers, opts.Shards = tc.workers, tc.shards
+		e := New(cat, opts)
+		cq, err := e.CompileQuery(queries.Fig9().Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.RunIterations(cq, 1, nil); err != nil {
+			t.Fatalf("%s: n=1: %v", tc.name, err)
+		}
+		res, err := e.RunIterations(cq, 3, nil)
+		switch {
+		case tc.refused && err == nil:
+			t.Fatalf("%s: n=3 ran silently with Result.Workers=%d", tc.name, res.Workers)
+		case tc.refused && !strings.Contains(err.Error(), "one-core path"):
+			t.Fatalf("%s: n=3: error %q does not name the one-core path", tc.name, err)
+		case !tc.refused && err != nil:
+			t.Fatalf("%s: n=3: %v", tc.name, err)
 		}
 	}
 }

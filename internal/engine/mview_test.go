@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/mview"
+	"repro/internal/qcache"
+	"repro/internal/sqlparse"
 	"repro/internal/xrand"
 )
 
@@ -31,8 +33,8 @@ func mviewCatalog(r *xrand.Rand, rows int) *catalog.Catalog {
 }
 
 // randMViewQuery draws one summarizable aggregate statement over m:
-// a random group-key subset (possibly scalar), random interval or
-// equality predicates on the key columns, a random non-empty aggregate
+// a random group-key subset (possibly scalar), random interval, one-sided
+// or equality predicates on the key columns, a random non-empty aggregate
 // subset, ORDER BY covering all keys, and an occasional LIMIT.
 func randMViewQuery(r *xrand.Rand) string {
 	keySets := [][]string{{}, {"a"}, {"b"}, {"a", "b"}, {"b", "a"}}
@@ -56,7 +58,7 @@ func randMViewQuery(r *xrand.Rand) string {
 		col string
 		max int64
 	}{{"a", 8}, {"b", 16}} {
-		switch r.Intn(3) {
+		switch r.Intn(4) {
 		case 0: // no predicate on this column
 		case 1: // equality, sometimes outside the domain (empty result)
 			preds = append(preds, fmt.Sprintf("%s = %d", pc.col, r.Int64Range(0, pc.max+2)))
@@ -68,6 +70,9 @@ func randMViewQuery(r *xrand.Rand) string {
 			} else {
 				preds = append(preds, fmt.Sprintf("%s >= %d and %s <= %d", pc.col, lo, pc.col, hi))
 			}
+		case 3: // one-sided, the bound sometimes below the domain (negative)
+			op := []string{">=", ">", "<=", "<"}[r.Intn(4)]
+			preds = append(preds, fmt.Sprintf("%s %s %d", pc.col, op, r.Int64Range(-3, pc.max)))
 		}
 	}
 	if len(preds) > 0 {
@@ -99,6 +104,18 @@ func runBothWays(t *testing.T, se *Session, sql string) (rewritten bool) {
 	rv, err := se.Run(pv, nil)
 	if err != nil {
 		t.Fatalf("run (view path) %q: %v", sql, err)
+	}
+	if rw := pv.Rewrite; rw != nil {
+		// Text route = AST route: the rewriter never printed this
+		// statement for the parser, yet reading its printed form back
+		// lands on the fingerprint that was compiled.
+		text, err := sqlparse.Normalize(rw.SQL)
+		if err != nil {
+			t.Fatalf("rewrite of %q does not normalize: %v\n  %s", sql, err, rw.SQL)
+		}
+		if text.Canon != pv.fp.Canon || text.Hash != pv.fp.Hash || !reflect.DeepEqual(text.Args, pv.fp.Args) {
+			t.Fatalf("rewrite of %q: Normalize(%q) = %q %v, served %q %v", sql, rw.SQL, text.Canon, text.Args, pv.fp.Canon, pv.fp.Args)
+		}
 	}
 	pb, err := se.svc.prepare(sql, false)
 	if err != nil {
@@ -257,10 +274,26 @@ func TestMViewPinnedSnapshotsNeverReadStale(t *testing.T) {
 	if svc.Views().Fallbacks() == 0 {
 		t.Fatal("manager must count the consistency fallback")
 	}
+	// The same Prepared falls back again, twice onto an emptied cache:
+	// each time the original statement's kept fingerprint is planned and
+	// compiled anew, and must serve the same rows.
+	for n := 2; n <= 3; n++ {
+		svc.cache.Invalidate(func(qcache.Key) bool { return true })
+		again, err := se2.Run(pv, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if se2.Stats().RewriteFallbacks != n || !reflect.DeepEqual(again.Rows, rb.Rows) {
+			t.Fatalf("fallback %d of one Prepared: stats %+v\n%v\n%v", n, se2.Stats(), again.Rows, rb.Rows)
+		}
+	}
 
 	// A fallback whose re-prepare fails still spent execution time.
 	bad, badRw := *pv, *pv.Rewrite
 	badRw.Orig = "select nope from m"
+	if badRw.orig, err = sqlparse.Normalize(badRw.Orig); err != nil {
+		t.Fatal(err)
+	}
 	bad.Rewrite = &badRw
 	se4 := svc.NewSession()
 	se4.PinSnapshot()

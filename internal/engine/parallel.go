@@ -91,10 +91,7 @@ func (x *Executor) RunParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 	if workers < 1 {
 		workers = 1
 	}
-	morselSize := int64(x.Opts.MorselRows)
-	if morselSize <= 0 {
-		morselSize = DefaultMorselRows
-	}
+	morselSize := int64(x.Opts.MorselRows) // <= 0: PartitionMorsels' default
 	prog := cq.Code.Program
 	preludeEntry, err := funcEntry(prog, pipeline.PreludeFunc)
 	if err != nil {
@@ -316,10 +313,8 @@ func makespan(costs []uint64, workers int) uint64 {
 // the producing pipelines merged).
 func pipeDomain(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo) int64 {
 	if info.Driver.Kind == pipeline.DriverScan {
-		if slot, ok := cq.Layout.RowsSlots[info.Driver.Alias]; ok {
-			return coord.ReadI64(cq.Layout.StateBase + int64(slot)*8)
-		}
-		return int64(info.Driver.Rows)
+		// buildLayout gives every scan a row-count slot.
+		return coord.ReadI64(cq.Layout.StateBase + int64(cq.Layout.RowsSlots[info.Driver.Alias])*8)
 	}
 	ht := info.Driver.HT
 	cursor := coord.ReadI64(ht.Desc + codegen.HTDescCursor)

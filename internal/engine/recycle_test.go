@@ -47,7 +47,7 @@ func freshRun(se *Session, p *Prepared, snap *catalog.Snapshot, cfg *pmu.Config)
 	if p.State != nil {
 		rs.Params = p.State.Params
 	}
-	return NewExecutor(se.exec.Opts).Run(p.Compiled, rs, cfg)
+	return (&Executor{Opts: se.exec.Opts}).Run(p.Compiled, rs, cfg)
 }
 
 // matchesFresh reports the first difference between a session's result and

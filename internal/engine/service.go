@@ -190,7 +190,7 @@ func (s *Service) NewSession() *Session {
 }
 
 // SetWorkers selects this session's morsel-parallel worker count
-// (0 = legacy single-CPU path).
+// (0 = the one-core path, see Options.Workers).
 func (se *Session) SetWorkers(n int) { se.exec.Opts.Workers = n }
 
 // SetMorselRows selects this session's morsel size (0 = default).
@@ -225,9 +225,6 @@ func (se *Session) PinSnapshot() *catalog.Snapshot {
 	return se.snap
 }
 
-// Pinned returns the session's pinned snapshot, nil if unpinned.
-func (se *Session) Pinned() *catalog.Snapshot { return se.snap }
-
 // Unpin releases the session's pinned snapshot; subsequent runs bind the
 // catalog's current epoch at execute time.
 func (se *Session) Unpin() { se.snap = nil }
@@ -255,6 +252,10 @@ type Prepared struct {
 	PrepareTime time.Duration
 
 	key qcache.Key
+	// fp is the normalized statement behind Canon and Fingerprint. Its
+	// Query is re-planned in place (replanChanges), so like the Prepared
+	// itself it belongs to one goroutine at a time.
+	fp *sqlparse.Fingerprint
 }
 
 // RewriteInfo describes a subsumption rewrite riding on a Prepared.
@@ -263,6 +264,8 @@ type RewriteInfo struct {
 	Base string // base table the original statement scanned
 	SQL  string // rewritten statement text (what was compiled)
 	Orig string // original statement text (the run-time fallback path)
+
+	orig *sqlparse.Fingerprint // Orig normalized: what the fallback prepares
 }
 
 // Prepare normalizes, caches/compiles and binds one statement.
@@ -309,7 +312,7 @@ func (se *Session) Run(p *Prepared, cfg *pmu.Config) (*Result, error) {
 		if !se.svc.views.ConsistentUnder(snap, p.Rewrite.View) {
 			se.svc.views.NoteFallback()
 			se.stats.RewriteFallbacks++
-			base, err := se.svc.prepare(p.Rewrite.Orig, false)
+			base, err := se.svc.prepareNormalized(p.Rewrite.Orig, p.Rewrite.orig, false)
 			if err != nil {
 				return nil, err
 			}
@@ -339,15 +342,28 @@ func (se *Session) Execute(sql string, cfg *pmu.Config) (*Prepared, *Result, err
 
 // prepare is the service-side statement path: normalize → subsumption
 // rewrite → cache lookup (single-flight compile on miss) → argument
-// encoding. The rewrite hook is gated: the run-time consistency fallback
-// re-prepares the *original* text with the rewriter off, so a stale view
-// can never bounce a statement back to itself.
+// encoding. This is where a statement's text is read; everything behind
+// it takes the fingerprint.
 func (s *Service) prepare(sql string, allowRewrite bool) (*Prepared, error) {
 	t0 := time.Now()
 	fp, err := sqlparse.Normalize(sql)
 	if err != nil {
 		return nil, err
 	}
+	p, err := s.prepareNormalized(sql, fp, allowRewrite)
+	if err != nil {
+		return nil, err
+	}
+	p.PrepareTime = time.Since(t0)
+	return p, nil
+}
+
+// prepareNormalized is prepare behind Normalize; sql is kept for the
+// direct-compile error path and RewriteInfo only. The rewrite hook is
+// gated: the run-time consistency fallback re-prepares the *original*
+// statement's fingerprint with the rewriter off, so a stale view can
+// never bounce a statement back to itself.
+func (s *Service) prepareNormalized(sql string, fp *sqlparse.Fingerprint, allowRewrite bool) (*Prepared, error) {
 	// Subsumption rewrite (internal/mview): with no views registered
 	// this is one atomic load. On a match the rewritten statement's
 	// fingerprint replaces this one, so every textual variant of a query
@@ -362,6 +378,7 @@ func (s *Service) prepare(sql string, allowRewrite bool) (*Prepared, error) {
 	// layout the artifact is compiled for.
 	viewGen := s.views.Generation()
 	var rw *mview.Rewrite
+	orig := fp
 	if allowRewrite {
 		if r, ok := s.views.Rewrite(fp); ok {
 			rw, fp = r, r.Fingerprint
@@ -422,11 +439,11 @@ func (s *Service) prepare(sql string, allowRewrite bool) (*Prepared, error) {
 			return nil, derr
 		}
 		s.fallbacks.Add(1)
-		return &Prepared{Compiled: direct, Fallback: true, PrepareTime: time.Since(t0)}, nil
+		return &Prepared{Compiled: direct, Fallback: true}, nil
 	}
-	p := &Prepared{Compiled: cq, CacheHit: hit, Canon: fp.Canon, Fingerprint: fp.Hash, key: key}
+	p := &Prepared{Compiled: cq, CacheHit: hit, Canon: fp.Canon, Fingerprint: fp.Hash, key: key, fp: fp}
 	if rw != nil {
-		p.Rewrite = &RewriteInfo{View: rw.View, Base: rw.Base, SQL: rw.SQL, Orig: sql}
+		p.Rewrite = &RewriteInfo{View: rw.View, Base: rw.Base, SQL: rw.SQL, Orig: sql, orig: orig}
 	} else if allowRewrite && s.views.AutoEnabled() {
 		// Heat-based admission: a summarizable statement that missed the
 		// rewriter accumulates heat — its own miss count plus the
@@ -442,7 +459,6 @@ func (s *Service) prepare(sql string, allowRewrite bool) (*Prepared, error) {
 		}
 		p.State = &RunState{Params: vals}
 	}
-	p.PrepareTime = time.Since(t0)
 	return p, nil
 }
 
@@ -567,18 +583,14 @@ func staleByDrift(cq *Compiled, snap *catalog.Snapshot) bool {
 	return false
 }
 
-// replanChanges re-plans a prepared statement's canon under the current
+// replanChanges re-plans a prepared statement under the current
 // history and reports whether the result differs physically from the
 // cached artifact: a different plan.Shape (join order, build sides,
 // group-join fusion) or different cost-model knob decisions. The cached
 // plan's own frozen estimates reproduce its original knob decision, so
 // no extra state needs to ride in the cache.
 func (s *Service) replanChanges(p *Prepared) bool {
-	q, err := sqlparse.Parse(p.Canon)
-	if err != nil {
-		return false
-	}
-	pl, err := plan.PlanWith(s.cat, q, s.estimator())
+	pl, err := plan.PlanWith(s.cat, p.fp.Query, s.estimator())
 	if err != nil {
 		return false
 	}

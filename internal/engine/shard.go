@@ -56,31 +56,13 @@ func (x *Executor) shardKnobs(cq *Compiled) (int, bool) {
 	return x.Opts.Shards, x.Opts.ShardPruning
 }
 
-// ZoneDecision journals the coordinator's verdict on one zone.
-type ZoneDecision struct {
-	Zone   int   // zone index in the table's zone map
-	Lo, Hi int64 // row range [Lo, Hi)
-	Pruned bool
-	Cause  string // core.SkipFilter / SkipSemiJoin / SkipBloom; "" if surviving
-}
-
-// ShardState is the per-shard run state of one scan pipeline: which zones
-// the shard owns, which were pruned and why, and how much of it actually
-// ran. The states of one run are the lineage journal `tprofvet check
-// -shard` replays: shards must tile the table, zone verdicts must match
-// the skip events in the merged profile, and no two shards may claim the
-// same zone (tag collision).
-type ShardState struct {
-	Pipeline int    // pipeline index
-	Alias    string // driving scan alias
-	Shard    int    // shard ID (position in the n-way split)
-	Lo, Hi   int64  // row range [Lo, Hi)
-	Zones    []ZoneDecision
-	Rows     int64 // total rows the shard owns
-	Scanned  int64 // rows that survived pruning and were executed
-	Morsels  int   // morsels of this run that carried the shard's rows
-	Pruned   bool  // whole shard skipped (every zone pruned)
-}
+// ShardState and ZoneDecision are the shard lineage journal; the types
+// live in core beside SkipEvent, the other half of that lineage, so the
+// verifier reads them without importing the engine.
+type (
+	ShardState   = core.ShardState
+	ZoneDecision = core.ZoneDecision
+)
 
 // shardExec is one scan pipeline's sharded execution plan: the canonical
 // surviving-morsel list (identical for every shard count), the shard

@@ -227,9 +227,16 @@ func (m *Manager) Create(name, defSQL string, policy RefreshPolicy) (*View, erro
 	if err != nil {
 		return nil, fmt.Errorf("mview: %w", err)
 	}
+	return m.create(name, defSQL, fp, policy)
+}
+
+// create is Create behind the front end: heat-based admission enters here
+// with a definition it built as an AST. text is the definition as errors
+// should show it.
+func (m *Manager) create(name, text string, fp *sqlparse.Fingerprint, policy RefreshPolicy) (*View, error) {
 	def, ok := Summarize(fp, m.cat)
 	if !ok {
-		return nil, fmt.Errorf("mview: definition is not a summarizable single-table aggregate: %s", defSQL)
+		return nil, fmt.Errorf("mview: definition is not a summarizable single-table aggregate: %s", text)
 	}
 	if len(def.OrderBy) > 0 || def.Limit >= 0 {
 		return nil, fmt.Errorf("mview: view definitions cannot carry ORDER BY or LIMIT")

@@ -4,20 +4,18 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/plan"
 	"repro/internal/sqlparse"
 )
 
 // The semantic rewriter: decide whether a normalized statement is
-// subsumed by a registered view and, if so, re-emit it as SQL text over
-// the view's partial-aggregate table. The rewritten text re-enters
-// Normalize once, here, and its fingerprint flows through the ordinary
-// cache → plan → compile stack, so every textual variant of a dashboard
-// query family converges onto ONE rewritten canonical form and ONE
-// cached artifact.
+// subsumed by a registered view and, if so, rebuild it as a query over
+// the view's partial-aggregate table. The rewritten query is an AST from
+// the start — it enters the front end at sqlparse.NormalizeQuery, never
+// as text — and its fingerprint flows through the ordinary cache → plan →
+// compile stack, so every textual variant of a dashboard query family
+// converges onto ONE rewritten canonical form and ONE cached artifact.
 //
 // Soundness ladder (every rung must hold before a rewrite is served):
 //
@@ -48,11 +46,11 @@ import (
 
 // Rewrite is a successful subsumption decision.
 type Rewrite struct {
-	SQL  string // rewritten statement over the view table
+	SQL  string // rewritten statement over the view table, as plan.Query.SQL prints it
 	View string // view name (for ConsistentUnder and attribution)
 	Base string // base table name
 
-	Fingerprint *sqlparse.Fingerprint // Normalize(SQL): what the engine caches and plans
+	Fingerprint *sqlparse.Fingerprint // what the engine caches and plans; equals Normalize(SQL)
 }
 
 // Rewrite tries to rewrite a normalized statement onto a registered
@@ -97,9 +95,13 @@ func (m *Manager) Rewrite(fp *sqlparse.Fingerprint) (*Rewrite, bool) {
 				}
 			}
 		}
-		sql := emit(qs, v, aggMap)
-		rfp, err := sqlparse.Normalize(sql)
-		if err != nil || !m.costGateOK(fp, v, rfp) {
+		rq, ok := emit(qs, v, aggMap)
+		if !ok {
+			continue
+		}
+		sql := rq.SQL() // before NormalizeQuery lifts the literals out
+		rfp := sqlparse.NormalizeQuery(rq)
+		if !m.costGateOK(fp, v, rfp) {
 			continue
 		}
 		v.hits++
@@ -168,89 +170,71 @@ func subsume(q *Summary, v *View) ([]int, bool) {
 	return aggMap, true
 }
 
-// emit re-emits the query as SQL over the view table: rolled-up
-// aggregates, residual key predicates as raw encoded integer literals
-// (the planner accepts plain numerics against any column type — they
-// are already in encoded value space), Q's own group keys, ordinals for
-// ORDER BY, and the original LIMIT.
-func emit(q *Summary, v *View, aggMap []int) string {
-	var b strings.Builder
-	b.WriteString("select ")
-	for i, it := range q.Select {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		switch it.Kind {
-		case SelKey:
-			b.WriteString(it.Key)
-		case SelAgg:
-			fn := q.Aggs[it.AggIdx].Fn
-			roll := "sum" // SUM of sums, SUM of counts
-			if fn == plan.AggMin {
-				roll = "min"
-			} else if fn == plan.AggMax {
-				roll = "max"
+// emit rebuilds the query over the view table, node for node as the
+// parser would have read it: rolled-up aggregates, residual key predicates
+// as raw encoded integer literals (the planner accepts plain numerics
+// against any column type — they are already in encoded value space), Q's
+// own group keys, ordinals for ORDER BY, and the original LIMIT. ok=false
+// means a residual bound has no literal spelling.
+func emit(q *Summary, v *View, aggMap []int) (*plan.Query, bool) {
+	out := &plan.Query{Tables: []plan.TableRef{{Name: v.TableName}}, Limit: q.Limit}
+	for _, it := range q.Select {
+		var e plan.Expr
+		if it.Kind == SelAgg {
+			roll := plan.AggSum // SUM of sums, SUM of counts
+			if fn := q.Aggs[it.AggIdx].Fn; fn == plan.AggMin || fn == plan.AggMax {
+				roll = fn
 			}
-			fmt.Fprintf(&b, "%s(%s)", roll, aggCol(aggMap[it.AggIdx]))
+			e = &plan.Agg{Fn: roll, Arg: &plan.ColRef{Name: aggCol(aggMap[it.AggIdx])}}
+		} else {
+			e = &plan.ColRef{Name: it.Key}
 		}
-		if it.Alias != "" {
-			b.WriteString(" as ")
-			b.WriteString(it.Alias)
-		}
+		out.Select = append(out.Select, plan.SelectItem{Expr: e, Alias: it.Alias})
 	}
-	b.WriteString(" from ")
-	b.WriteString(v.TableName)
 
-	var residuals []string
 	cols := make([]string, 0, len(q.Preds))
 	for c := range q.Preds {
-		cols = append(cols, c)
+		if v.def.hasKey(c) { // else equal to the view's predicate; already applied
+			cols = append(cols, c)
+		}
 	}
 	sort.Strings(cols)
+	residual := func(c string, op plan.BinOp, bound int64) {
+		out.Where = append(out.Where, &plan.Bin{Op: op, L: &plan.ColRef{Name: c}, R: numLit(bound)})
+	}
 	for _, c := range cols {
 		qi := q.Preds[c]
-		if !v.def.hasKey(c) {
-			continue // equal to the view's predicate; already applied
-		}
-		if qi.Lo == qi.Hi {
-			residuals = append(residuals, fmt.Sprintf("%s = %s", c, numLit(qi.Lo)))
+		switch {
+		case qi.Hi == math.MinInt64:
+			return nil, false // the parser reads a literal's magnitude first
+		case qi.Lo == qi.Hi:
+			residual(c, plan.OpEq, qi.Lo)
 			continue
 		}
 		if qi.Lo != math.MinInt64 {
-			residuals = append(residuals, fmt.Sprintf("%s >= %s", c, numLit(qi.Lo)))
+			residual(c, plan.OpGe, qi.Lo)
 		}
 		if qi.Hi != math.MaxInt64 {
-			residuals = append(residuals, fmt.Sprintf("%s <= %s", c, numLit(qi.Hi)))
+			residual(c, plan.OpLe, qi.Hi)
 		}
 	}
-	if len(residuals) > 0 {
-		b.WriteString(" where ")
-		b.WriteString(strings.Join(residuals, " and "))
+	for _, k := range q.Keys {
+		out.GroupBy = append(out.GroupBy, &plan.ColRef{Name: k})
 	}
-	if len(q.Keys) > 0 {
-		b.WriteString(" group by ")
-		b.WriteString(strings.Join(q.Keys, ", "))
+	for i, oi := range q.OrderBy {
+		out.OrderBy = append(out.OrderBy, plan.OrderItem{Expr: plan.Num(int64(oi + 1)), Desc: q.Desc[i]})
 	}
-	if len(q.OrderBy) > 0 {
-		b.WriteString(" order by ")
-		for i, oi := range q.OrderBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(strconv.Itoa(oi + 1))
-			if q.Desc[i] {
-				b.WriteString(" desc")
-			}
-		}
-	}
-	if q.Limit >= 0 {
-		fmt.Fprintf(&b, " limit %d", q.Limit)
-	}
-	return b.String()
+	return out, true
 }
 
-// numLit renders an encoded value as a SQL integer literal.
-func numLit(v int64) string { return strconv.FormatInt(v, 10) }
+// numLit is an encoded value as the parser reads its literal: a negative
+// one is unary minus, 0 - |v|.
+func numLit(v int64) plan.Expr {
+	if v < 0 {
+		return &plan.Bin{Op: plan.OpSub, L: plan.Num(0), R: plan.Num(-v)}
+	}
+	return plan.Num(v)
+}
 
 // CostModel prices a physical plan; the engine installs its cycle cost
 // model (cost.Annotate) here. The indirection keeps mview free of a
@@ -336,53 +320,37 @@ func (m *Manager) NoteHeat(fp *sqlparse.Fingerprint, histTouches uint64) {
 		delete(m.heat, fp.Hash)
 		return
 	}
-	// Create takes the manager lock itself; release around it.
+	// create takes the manager lock itself; release around it.
 	m.autoBudget--
 	delete(m.heat, fp.Hash)
 	m.mu.Unlock()
-	_, cerr := m.Create(name, generalize(qs), RefreshIncremental)
+	def := sqlparse.NormalizeQuery(generalize(qs))
+	_, cerr := m.create(name, def.Canon, def, RefreshIncremental)
 	m.mu.Lock()
 	if cerr != nil {
 		m.autoBudget++
 	}
 }
 
-// generalize renders the admitted view definition for a hot statement:
+// generalize builds the admitted view definition for a hot statement:
 // group keys = the statement's keys plus its predicated columns (sorted
-// for determinism), no predicates, the statement's aggregates.
-func generalize(qs *Summary) string {
+// for determinism), no predicates, the statement's aggregates. It
+// consumes qs: the aggregate arguments become the definition's.
+func generalize(qs *Summary) *plan.Query {
 	keys := append([]string(nil), qs.Keys...)
-	var predCols []string
 	for c := range qs.Preds {
 		if !qs.hasKey(c) {
-			predCols = append(predCols, c)
+			keys = append(keys, c)
 		}
 	}
-	sort.Strings(predCols)
-	keys = append(keys, predCols...)
-	var b strings.Builder
-	b.WriteString("select ")
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(k)
+	sort.Strings(keys[len(qs.Keys):])
+	def := &plan.Query{Tables: []plan.TableRef{{Name: qs.Table}}, Limit: -1}
+	for _, k := range keys {
+		def.Select = append(def.Select, plan.SelectItem{Expr: &plan.ColRef{Name: k}})
+		def.GroupBy = append(def.GroupBy, &plan.ColRef{Name: k})
 	}
-	for i, a := range qs.Aggs {
-		if i > 0 || len(keys) > 0 {
-			b.WriteString(", ")
-		}
-		if a.Fn == plan.AggCount {
-			b.WriteString("count(*)")
-		} else {
-			fmt.Fprintf(&b, "%s(%s)", a.Fn.String(), exprKey(a.Arg))
-		}
+	for _, a := range qs.Aggs {
+		def.Select = append(def.Select, plan.SelectItem{Expr: &plan.Agg{Fn: a.Fn, Arg: a.Arg}})
 	}
-	b.WriteString(" from ")
-	b.WriteString(qs.Table)
-	if len(keys) > 0 {
-		b.WriteString(" group by ")
-		b.WriteString(strings.Join(keys, ", "))
-	}
-	return b.String()
+	return def
 }

@@ -9,9 +9,11 @@
 // a subset of the view's, and whose aggregates are derivable by rollup
 // (SUM of SUMs, SUM of counts for COUNT, MIN of MINs, MAX of MAXs) are
 // rewritten onto a re-aggregating scan of the view table — the rewritten
-// statement flows through the ordinary Normalize → plan → compile stack,
-// so attribution, profiling, parallel execution, and the compiled-query
-// cache all apply to it unchanged.
+// statement is built as a plan.Query (this package reads text only in
+// Create, where a person's DDL enters, and prints none) and flows through
+// the ordinary NormalizeQuery → plan → compile stack, so attribution,
+// profiling, parallel execution, and the compiled-query cache all apply
+// to it unchanged.
 //
 // Freshness rides the epoch axis: a view records which base-row prefix
 // each of its partial-row prefixes aggregates (RefreshState), refreshes

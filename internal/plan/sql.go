@@ -7,7 +7,10 @@ import (
 
 // Statement text: one spelling — upper-case keywords, single spaces,
 // parentheses only where precedence needs them, ''-escaped strings — such
-// that sqlparse.Parse(q.SQL()) rebuilds a parsed q node for node.
+// that sqlparse.Parse reading q.SQL() rebuilds a parsed q node for node. It is
+// the one printer: canons, the view rewriter's Rewrite.SQL and whatever a
+// tool shows a person all come from here, and no part of the system reads
+// its output back.
 
 // Binding strengths of the expression grammar, loosest first.
 const (

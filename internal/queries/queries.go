@@ -4,366 +4,188 @@
 // the overhead experiment) plus a TPC-H-inspired suite standing in for
 // "all 22 TPC-H queries" in the attribution experiment (Table 2) — scoped
 // to the engine's supported features (one- or two-key grouping, equi-joins).
+//
+// Every workload is the SQL statement its author would write, read by the
+// one parser; what has no SQL spelling (plan.Hints) rides beside the text.
+// Building a plan.Query by hand stays supported (examples/custom_dataflow
+// shows it), but nothing here does.
 package queries
 
-import "repro/internal/plan"
+import (
+	"repro/internal/plan"
+	"repro/internal/sqlparse"
+)
 
-// Workload is a named query.
+// Workload is a named statement: its text, and that text parsed.
 type Workload struct {
 	Name        string
 	Description string
-	Query       *plan.Query
+	SQL         string
+	// Query is SQL parsed, carrying the workload's hints, fresh per call
+	// (planning writes into a query's parameters).
+	Query *plan.Query
 }
 
-func q(name, desc string, query *plan.Query) Workload {
-	if query.Limit == 0 {
-		query.Limit = -1
+// row is one line of a workload table.
+type row struct {
+	name, desc, sql string
+	hints           plan.Hints
+}
+
+// bug reports a violated invariant of this package (lint/nopanic's one
+// exception): the tables are part of the program, so a statement the
+// parser rejects, or a paper query missing from the suite, is a bug here.
+func bug(msg string) { panic("queries: " + msg) }
+
+func (r row) workload() Workload {
+	query, err := sqlparse.Parse(r.sql)
+	if err != nil {
+		bug("workload " + r.name + ": " + err.Error())
 	}
-	return Workload{Name: name, Description: desc, Query: query}
+	query.Hints = r.hints
+	return Workload{Name: r.name, Description: r.desc, SQL: r.sql, Query: query}
 }
 
-// Intro is the paper's Fig. 3a query; noGroupJoin disables the fused
-// physical operator so the plain join+group-by pipeline of Listing 1 is
-// generated.
-func Intro(noGroupJoin bool) Workload {
-	name := "intro"
-	if noGroupJoin {
-		name = "intro-nogj"
-	}
-	return q(name, "Fig. 3a: avg margin per product sold as 'Chip'", &plan.Query{
-		Tables: []plan.TableRef{{Name: "sales", Alias: "s"}, {Name: "products", Alias: "p"}},
-		Where: []plan.Expr{
-			plan.Eq(plan.Col("s.id"), plan.Col("p.id")),
-			plan.Eq(plan.Col("p.category"), plan.Str("Chip")),
-		},
-		Select: []plan.SelectItem{
-			{Expr: plan.Col("s.id")},
-			{Expr: &plan.Agg{Fn: plan.AggAvg, Arg: &plan.Bin{
-				Op: plan.OpDiv,
-				L:  &plan.Bin{Op: plan.OpDiv, L: plan.Col("s.price"), R: plan.Col("s.vat_factor")},
-				R:  plan.Col("s.prod_costs"),
-			}}, Alias: "avg_margin"},
-		},
-		GroupBy: []plan.Expr{plan.Col("s.id")},
-		Hints:   plan.Hints{NoGroupJoin: noGroupJoin},
-	})
-}
-
-// Fig9 is the domain-expert use case (§6.1).
-func Fig9() Workload {
-	return q("fig9", "Fig. 9a: avg extended price per order before 1995-04-01", &plan.Query{
-		Tables: []plan.TableRef{{Name: "lineitem"}, {Name: "orders"}},
-		Where: []plan.Expr{
-			plan.Lt(plan.Col("o_orderdate"), plan.Str("1995-04-01")),
-			plan.Eq(plan.Col("o_orderkey"), plan.Col("l_orderkey")),
-		},
-		Select: []plan.SelectItem{
-			{Expr: plan.Col("l_orderkey")},
-			{Expr: &plan.Agg{Fn: plan.AggAvg, Arg: plan.Col("l_extendedprice")}, Alias: "avg_price"},
-		},
-		GroupBy: []plan.Expr{plan.Col("l_orderkey")},
-		Hints:   plan.Hints{NoGroupJoin: true},
-	})
-}
-
-// Fig10 builds the optimizer use case (§6.1): a three-way join of
-// lineitem with orders (date-filtered) and partsupp, aggregated globally.
-// alt selects the alternative (faster) probe order of Fig. 10b.
-func Fig10(alt bool) Workload {
-	order := []string{"partsupp", "orders"} // original plan (Fig. 10a)
-	name := "fig10-opt"
-	if alt {
-		order = []string{"orders", "partsupp"} // alternative plan (Fig. 10b)
-		name = "fig10-alt"
-	}
-	return q(name, "Fig. 10: three-way join, two probe orders", &plan.Query{
-		Tables: []plan.TableRef{{Name: "lineitem"}, {Name: "orders"}, {Name: "partsupp"}},
-		Where: []plan.Expr{
-			plan.Eq(plan.Col("o_orderkey"), plan.Col("l_orderkey")),
-			plan.Eq(plan.Col("ps_partkey"), plan.Col("l_partkey")),
-			plan.Lt(plan.Col("o_orderdate"), plan.Str("1995-06-17")),
-		},
-		Select: []plan.SelectItem{
-			{Expr: &plan.Agg{Fn: plan.AggSum, Arg: &plan.Bin{
-				Op: plan.OpMul, L: plan.Col("ps_supplycost"), R: plan.Col("l_quantity"),
-			}}, Alias: "total_cost"},
-		},
-		Hints: plan.Hints{ProbeBase: "lineitem", ProbeOrder: order},
-	})
-}
-
-// Q16 approximates TPC-H Q16 (the overhead experiment's workload, §6.2):
-// brands of sizeable parts counted across suppliers.
-func Q16() Workload {
-	return q("q16", "TPC-H Q16 analogue: supplier count per brand", &plan.Query{
-		Tables: []plan.TableRef{{Name: "partsupp"}, {Name: "part"}},
-		Where: []plan.Expr{
-			plan.Eq(plan.Col("p_partkey"), plan.Col("ps_partkey")),
-			&plan.Bin{Op: plan.OpGt, L: plan.Col("p_size"), R: plan.Num(15)},
-		},
-		Select: []plan.SelectItem{
-			{Expr: plan.Col("p_brand")},
-			{Expr: &plan.Agg{Fn: plan.AggCount}, Alias: "supplier_cnt"},
-		},
-		GroupBy: []plan.Expr{plan.Col("p_brand")},
-		OrderBy: []plan.OrderItem{{Expr: plan.Col("p_brand")}},
-	})
-}
-
-// Suite returns the full workload used for the attribution and
-// register-reservation experiments (the paper runs all TPC-H queries).
-func Suite() []Workload {
-	ws := []Workload{
-		Intro(true),
-		Intro(false),
-		Fig9(),
-		Fig10(false),
-		Fig10(true),
-		Q16(),
-
-		q("q1", "TPC-H Q1 analogue: pricing summary per returnflag/linestatus", &plan.Query{
-			Tables: []plan.TableRef{{Name: "lineitem"}},
-			Where: []plan.Expr{
-				&plan.Bin{Op: plan.OpLe, L: plan.Col("l_shipdate"), R: plan.Str("1998-09-02")},
-			},
-			Select: []plan.SelectItem{
-				{Expr: plan.Col("l_returnflag")},
-				{Expr: plan.Col("l_linestatus")},
-				{Expr: &plan.Agg{Fn: plan.AggSum, Arg: plan.Col("l_quantity")}, Alias: "sum_qty"},
-				{Expr: &plan.Agg{Fn: plan.AggSum, Arg: plan.Col("l_extendedprice")}, Alias: "sum_price"},
-				{Expr: &plan.Agg{Fn: plan.AggAvg, Arg: plan.Col("l_quantity")}, Alias: "avg_qty"},
-				{Expr: &plan.Agg{Fn: plan.AggAvg, Arg: plan.Col("l_extendedprice")}, Alias: "avg_price"},
-				{Expr: &plan.Agg{Fn: plan.AggCount}, Alias: "count_order"},
-			},
-			GroupBy: []plan.Expr{plan.Col("l_returnflag"), plan.Col("l_linestatus")},
-			OrderBy: []plan.OrderItem{{Expr: plan.Col("l_returnflag")}, {Expr: plan.Col("l_linestatus")}},
-		}),
-
-		q("q3", "TPC-H Q3 analogue: revenue per order for a market segment", &plan.Query{
-			Tables: []plan.TableRef{{Name: "customer"}, {Name: "orders"}, {Name: "lineitem"}},
-			Where: []plan.Expr{
-				plan.Eq(plan.Col("c_mktsegment"), plan.Str("BUILDING")),
-				plan.Eq(plan.Col("c_custkey"), plan.Col("o_custkey")),
-				plan.Eq(plan.Col("l_orderkey"), plan.Col("o_orderkey")),
-				plan.Lt(plan.Col("o_orderdate"), plan.Str("1995-03-15")),
-			},
-			Select: []plan.SelectItem{
-				{Expr: plan.Col("l_orderkey")},
-				{Expr: &plan.Agg{Fn: plan.AggSum, Arg: plan.Col("l_extendedprice")}, Alias: "revenue"},
-			},
-			GroupBy: []plan.Expr{plan.Col("l_orderkey")},
-		}),
-
-		q("q5", "TPC-H Q5 analogue: revenue per supplier nation", &plan.Query{
-			Tables: []plan.TableRef{
-				{Name: "customer"}, {Name: "orders"}, {Name: "lineitem"}, {Name: "supplier"},
-			},
-			Where: []plan.Expr{
-				plan.Eq(plan.Col("c_custkey"), plan.Col("o_custkey")),
-				plan.Eq(plan.Col("l_orderkey"), plan.Col("o_orderkey")),
-				plan.Eq(plan.Col("l_suppkey"), plan.Col("s_suppkey")),
-				&plan.Bin{Op: plan.OpGe, L: plan.Col("o_orderdate"), R: plan.Str("1994-01-01")},
-			},
-			Select: []plan.SelectItem{
-				{Expr: plan.Col("s_nationkey")},
-				{Expr: &plan.Agg{Fn: plan.AggSum, Arg: plan.Col("l_extendedprice")}, Alias: "revenue"},
-			},
-			GroupBy: []plan.Expr{plan.Col("s_nationkey")},
-			Hints:   plan.Hints{ProbeBase: "lineitem"},
-		}),
-
-		q("q6", "TPC-H Q6 analogue: forecast revenue change", &plan.Query{
-			Tables: []plan.TableRef{{Name: "lineitem"}},
-			Where: []plan.Expr{
-				&plan.Bin{Op: plan.OpGe, L: plan.Col("l_shipdate"), R: plan.Str("1994-01-01")},
-				plan.Lt(plan.Col("l_shipdate"), plan.Str("1995-01-01")),
-				&plan.Bin{Op: plan.OpGe, L: plan.Col("l_discount"), R: plan.Num(5)},
-				&plan.Bin{Op: plan.OpLe, L: plan.Col("l_discount"), R: plan.Num(7)},
-				plan.Lt(plan.Col("l_quantity"), plan.Num(24)),
-			},
-			Select: []plan.SelectItem{
-				{Expr: &plan.Agg{Fn: plan.AggSum, Arg: &plan.Bin{
-					Op: plan.OpMul, L: plan.Col("l_extendedprice"), R: plan.Col("l_discount"),
-				}}, Alias: "revenue"},
-			},
-		}),
-
-		q("q10", "TPC-H Q10 analogue: revenue per customer", &plan.Query{
-			Tables: []plan.TableRef{{Name: "customer"}, {Name: "orders"}, {Name: "lineitem"}},
-			Where: []plan.Expr{
-				plan.Eq(plan.Col("c_custkey"), plan.Col("o_custkey")),
-				plan.Eq(plan.Col("l_orderkey"), plan.Col("o_orderkey")),
-				&plan.Bin{Op: plan.OpGe, L: plan.Col("o_orderdate"), R: plan.Str("1993-10-01")},
-			},
-			Select: []plan.SelectItem{
-				{Expr: plan.Col("o_custkey")},
-				{Expr: &plan.Agg{Fn: plan.AggSum, Arg: plan.Col("l_extendedprice")}, Alias: "revenue"},
-			},
-			GroupBy: []plan.Expr{plan.Col("o_custkey")},
-		}),
-
-		q("q12", "TPC-H Q12 analogue: line counts per order in a ship window", &plan.Query{
-			Tables: []plan.TableRef{{Name: "orders"}, {Name: "lineitem"}},
-			Where: []plan.Expr{
-				plan.Eq(plan.Col("l_orderkey"), plan.Col("o_orderkey")),
-				&plan.Bin{Op: plan.OpGe, L: plan.Col("l_shipdate"), R: plan.Str("1994-01-01")},
-				plan.Lt(plan.Col("l_shipdate"), plan.Str("1995-01-01")),
-			},
-			Select: []plan.SelectItem{
-				{Expr: plan.Col("o_orderkey")},
-				{Expr: &plan.Agg{Fn: plan.AggCount}, Alias: "line_count"},
-			},
-			GroupBy: []plan.Expr{plan.Col("o_orderkey")},
-		}),
-
-		q("q14", "TPC-H Q14 analogue: revenue of large parts", &plan.Query{
-			Tables: []plan.TableRef{{Name: "lineitem"}, {Name: "part"}},
-			Where: []plan.Expr{
-				plan.Eq(plan.Col("l_partkey"), plan.Col("p_partkey")),
-				&plan.Bin{Op: plan.OpGe, L: plan.Col("l_shipdate"), R: plan.Str("1995-09-01")},
-				plan.Lt(plan.Col("l_shipdate"), plan.Str("1995-10-01")),
-			},
-			Select: []plan.SelectItem{
-				{Expr: &plan.Agg{Fn: plan.AggSum, Arg: plan.Col("l_extendedprice")}, Alias: "revenue"},
-				{Expr: &plan.Agg{Fn: plan.AggCount}, Alias: "lines"},
-			},
-		}),
-
-		q("q18", "TPC-H Q18 analogue: total quantity per order", &plan.Query{
-			Tables: []plan.TableRef{{Name: "lineitem"}},
-			Select: []plan.SelectItem{
-				{Expr: plan.Col("l_orderkey")},
-				{Expr: &plan.Agg{Fn: plan.AggSum, Arg: plan.Col("l_quantity")}, Alias: "total_qty"},
-				{Expr: &plan.Agg{Fn: plan.AggMax, Arg: plan.Col("l_quantity")}, Alias: "max_qty"},
-				{Expr: &plan.Agg{Fn: plan.AggMin, Arg: plan.Col("l_quantity")}, Alias: "min_qty"},
-			},
-			GroupBy: []plan.Expr{plan.Col("l_orderkey")},
-		}),
-
-		q("q19", "TPC-H Q19 analogue: discounted revenue of small shipments", &plan.Query{
-			Tables: []plan.TableRef{{Name: "lineitem"}, {Name: "part"}},
-			Where: []plan.Expr{
-				plan.Eq(plan.Col("l_partkey"), plan.Col("p_partkey")),
-				plan.Lt(plan.Col("p_size"), plan.Num(10)),
-				plan.Lt(plan.Col("l_quantity"), plan.Num(12)),
-			},
-			Select: []plan.SelectItem{
-				{Expr: &plan.Agg{Fn: plan.AggSum, Arg: plan.Col("l_extendedprice")}, Alias: "revenue"},
-			},
-		}),
-
-		q("q7", "TPC-H Q7 analogue: shipping volume per supplier nation", &plan.Query{
-			Tables: []plan.TableRef{{Name: "supplier"}, {Name: "lineitem"}, {Name: "orders"}},
-			Where: []plan.Expr{
-				plan.Eq(plan.Col("s_suppkey"), plan.Col("l_suppkey")),
-				plan.Eq(plan.Col("o_orderkey"), plan.Col("l_orderkey")),
-				&plan.Bin{Op: plan.OpGe, L: plan.Col("l_shipdate"), R: plan.Str("1995-01-01")},
-				&plan.Bin{Op: plan.OpLe, L: plan.Col("l_shipdate"), R: plan.Str("1996-12-31")},
-			},
-			Select: []plan.SelectItem{
-				{Expr: plan.Col("s_nationkey")},
-				{Expr: &plan.Agg{Fn: plan.AggSum, Arg: plan.Col("l_extendedprice")}, Alias: "volume"},
-			},
-			GroupBy: []plan.Expr{plan.Col("s_nationkey")},
-			Hints:   plan.Hints{ProbeBase: "lineitem"},
-		}),
-
-		q("q9", "TPC-H Q9 analogue: discounted profit per brand", &plan.Query{
-			Tables: []plan.TableRef{{Name: "part"}, {Name: "lineitem"}},
-			Where: []plan.Expr{
-				plan.Eq(plan.Col("p_partkey"), plan.Col("l_partkey")),
-			},
-			Select: []plan.SelectItem{
-				{Expr: plan.Col("p_brand")},
-				{Expr: &plan.Agg{Fn: plan.AggSum, Arg: &plan.Bin{
-					Op: plan.OpMul,
-					L:  plan.Col("l_extendedprice"),
-					R:  &plan.Bin{Op: plan.OpSub, L: plan.Num(100), R: plan.Col("l_discount")},
-				}}, Alias: "profit"},
-			},
-			GroupBy: []plan.Expr{plan.Col("p_brand")},
-		}),
-
-		q("q11", "TPC-H Q11 analogue: stock value per part", &plan.Query{
-			Tables: []plan.TableRef{{Name: "partsupp"}, {Name: "supplier"}},
-			Where: []plan.Expr{
-				plan.Eq(plan.Col("ps_suppkey"), plan.Col("s_suppkey")),
-				&plan.Bin{Op: plan.OpGe, L: plan.Col("s_acctbal"), R: plan.Num(0)},
-			},
-			Select: []plan.SelectItem{
-				{Expr: plan.Col("ps_partkey")},
-				{Expr: &plan.Agg{Fn: plan.AggSum, Arg: &plan.Bin{
-					Op: plan.OpMul, L: plan.Col("ps_supplycost"), R: plan.Col("ps_availqty"),
-				}}, Alias: "value"},
-			},
-			GroupBy: []plan.Expr{plan.Col("ps_partkey")},
-			Hints:   plan.Hints{ProbeBase: "partsupp"},
-		}),
-
-		q("q13", "TPC-H Q13 analogue: order count per customer", &plan.Query{
-			Tables: []plan.TableRef{{Name: "customer"}, {Name: "orders"}},
-			Where: []plan.Expr{
-				plan.Eq(plan.Col("c_custkey"), plan.Col("o_custkey")),
-			},
-			Select: []plan.SelectItem{
-				{Expr: plan.Col("o_custkey")},
-				{Expr: &plan.Agg{Fn: plan.AggCount}, Alias: "orders"},
-			},
-			GroupBy: []plan.Expr{plan.Col("o_custkey")},
-			Hints:   plan.Hints{ProbeBase: "orders"},
-		}),
-
-		q("q15", "TPC-H Q15 analogue: quarterly revenue per supplier", &plan.Query{
-			Tables: []plan.TableRef{{Name: "lineitem"}},
-			Where: []plan.Expr{
-				&plan.Bin{Op: plan.OpGe, L: plan.Col("l_shipdate"), R: plan.Str("1996-01-01")},
-				plan.Lt(plan.Col("l_shipdate"), plan.Str("1996-04-01")),
-			},
-			Select: []plan.SelectItem{
-				{Expr: plan.Col("l_suppkey")},
-				{Expr: &plan.Agg{Fn: plan.AggSum, Arg: plan.Col("l_extendedprice")}, Alias: "revenue"},
-			},
-			GroupBy: []plan.Expr{plan.Col("l_suppkey")},
-			OrderBy: []plan.OrderItem{{Expr: &plan.Agg{Fn: plan.AggSum, Arg: plan.Col("l_extendedprice")}, Desc: true}},
-			Limit:   10,
-		}),
-
-		q("q17", "TPC-H Q17 analogue: small-order revenue for one category", &plan.Query{
-			Tables: []plan.TableRef{{Name: "part"}, {Name: "lineitem"}},
-			Where: []plan.Expr{
-				plan.Eq(plan.Col("p_partkey"), plan.Col("l_partkey")),
-				plan.Eq(plan.Col("p_category"), plan.Str("Board")),
-				plan.Lt(plan.Col("l_quantity"), plan.Num(5)),
-			},
-			Select: []plan.SelectItem{
-				{Expr: &plan.Agg{Fn: plan.AggAvg, Arg: plan.Col("l_extendedprice")}, Alias: "avg_revenue"},
-				{Expr: &plan.Agg{Fn: plan.AggCount}, Alias: "lines"},
-			},
-		}),
-
-		q("topk", "top orders by total price (scan + host-side sort)", &plan.Query{
-			Tables: []plan.TableRef{{Name: "orders"}},
-			Where: []plan.Expr{
-				&plan.Bin{Op: plan.OpGt, L: plan.Col("o_totalprice"), R: plan.Num(400000)},
-			},
-			Select: []plan.SelectItem{
-				{Expr: plan.Col("o_orderkey")},
-				{Expr: plan.Col("o_orderdate")},
-				{Expr: plan.Col("o_totalprice")},
-			},
-			OrderBy: []plan.OrderItem{{Expr: plan.Col("o_totalprice"), Desc: true}},
-			Limit:   25,
-		}),
+func workloads(rows []row) []Workload {
+	ws := make([]Workload, len(rows))
+	for i, r := range rows {
+		ws[i] = r.workload()
 	}
 	return ws
 }
 
-// ByName finds a workload in the suite.
-func ByName(name string) (Workload, bool) {
-	for _, w := range Suite() {
-		if w.Name == name {
-			return w, true
+func byName(rows []row, name string) (Workload, bool) {
+	for _, r := range rows {
+		if r.name == name {
+			return r.workload(), true
 		}
 	}
 	return Workload{}, false
 }
+
+const (
+	introSQL = "select s.id, avg(s.price / s.vat_factor / s.prod_costs) as avg_margin from sales s, products p " +
+		"where s.id = p.id and p.category = 'Chip' group by s.id"
+	fig10SQL = "select sum(ps_supplycost * l_quantity) as total_cost from lineitem, orders, partsupp " +
+		"where o_orderkey = l_orderkey and ps_partkey = l_partkey and o_orderdate < '1995-06-17'"
+)
+
+// suite is the full workload of the attribution and register-reservation
+// experiments (the paper runs all TPC-H queries). The first six rows are
+// the queries the paper itself prints: intro-nogj turns the fused
+// group-join off so the plain join + group-by pipeline of Listing 1 is
+// generated; fig10-opt and fig10-alt are one statement under the original
+// (Fig. 10a) and the alternative, faster (Fig. 10b) probe order.
+var suite = []row{
+	{"intro-nogj", "Fig. 3a: avg margin per product sold as 'Chip'", introSQL, plan.Hints{NoGroupJoin: true}},
+	{"intro", "Fig. 3a: avg margin per product sold as 'Chip'", introSQL, plan.Hints{}},
+	{"fig9", "Fig. 9a: avg extended price per order before 1995-04-01",
+		"select l_orderkey, avg(l_extendedprice) as avg_price from lineitem, orders " +
+			"where o_orderdate < '1995-04-01' and o_orderkey = l_orderkey group by l_orderkey",
+		plan.Hints{NoGroupJoin: true}},
+	{"fig10-opt", "Fig. 10: three-way join, two probe orders", fig10SQL,
+		plan.Hints{ProbeBase: "lineitem", ProbeOrder: []string{"partsupp", "orders"}}},
+	{"fig10-alt", "Fig. 10: three-way join, two probe orders", fig10SQL,
+		plan.Hints{ProbeBase: "lineitem", ProbeOrder: []string{"orders", "partsupp"}}},
+	{"q16", "TPC-H Q16 analogue: supplier count per brand",
+		"select p_brand, count(*) as supplier_cnt from partsupp, part " +
+			"where p_partkey = ps_partkey and p_size > 15 group by p_brand order by p_brand", plan.Hints{}},
+
+	{"q1", "TPC-H Q1 analogue: pricing summary per returnflag/linestatus",
+		"select l_returnflag, l_linestatus, sum(l_quantity) as sum_qty, sum(l_extendedprice) as sum_price, " +
+			"avg(l_quantity) as avg_qty, avg(l_extendedprice) as avg_price, count(*) as count_order " +
+			"from lineitem where l_shipdate <= '1998-09-02' " +
+			"group by l_returnflag, l_linestatus order by l_returnflag, l_linestatus", plan.Hints{}},
+	{"q3", "TPC-H Q3 analogue: revenue per order for a market segment",
+		"select l_orderkey, sum(l_extendedprice) as revenue from customer, orders, lineitem " +
+			"where c_mktsegment = 'BUILDING' and c_custkey = o_custkey and l_orderkey = o_orderkey " +
+			"and o_orderdate < '1995-03-15' group by l_orderkey", plan.Hints{}},
+	{"q5", "TPC-H Q5 analogue: revenue per supplier nation",
+		"select s_nationkey, sum(l_extendedprice) as revenue from customer, orders, lineitem, supplier " +
+			"where c_custkey = o_custkey and l_orderkey = o_orderkey and l_suppkey = s_suppkey " +
+			"and o_orderdate >= '1994-01-01' group by s_nationkey", plan.Hints{ProbeBase: "lineitem"}},
+	{"q6", "TPC-H Q6 analogue: forecast revenue change",
+		"select sum(l_extendedprice * l_discount) as revenue from lineitem " +
+			"where l_shipdate >= '1994-01-01' and l_shipdate < '1995-01-01' " +
+			"and l_discount >= 5 and l_discount <= 7 and l_quantity < 24", plan.Hints{}},
+	{"q10", "TPC-H Q10 analogue: revenue per customer",
+		"select o_custkey, sum(l_extendedprice) as revenue from customer, orders, lineitem " +
+			"where c_custkey = o_custkey and l_orderkey = o_orderkey and o_orderdate >= '1993-10-01' " +
+			"group by o_custkey", plan.Hints{}},
+	{"q12", "TPC-H Q12 analogue: line counts per order in a ship window",
+		"select o_orderkey, count(*) as line_count from orders, lineitem " +
+			"where l_orderkey = o_orderkey and l_shipdate >= '1994-01-01' and l_shipdate < '1995-01-01' " +
+			"group by o_orderkey", plan.Hints{}},
+	{"q14", "TPC-H Q14 analogue: revenue of large parts",
+		"select sum(l_extendedprice) as revenue, count(*) as lines from lineitem, part " +
+			"where l_partkey = p_partkey and l_shipdate >= '1995-09-01' and l_shipdate < '1995-10-01'", plan.Hints{}},
+	{"q18", "TPC-H Q18 analogue: total quantity per order",
+		"select l_orderkey, sum(l_quantity) as total_qty, max(l_quantity) as max_qty, min(l_quantity) as min_qty " +
+			"from lineitem group by l_orderkey", plan.Hints{}},
+	{"q19", "TPC-H Q19 analogue: discounted revenue of small shipments",
+		"select sum(l_extendedprice) as revenue from lineitem, part " +
+			"where l_partkey = p_partkey and p_size < 10 and l_quantity < 12", plan.Hints{}},
+	{"q7", "TPC-H Q7 analogue: shipping volume per supplier nation",
+		"select s_nationkey, sum(l_extendedprice) as volume from supplier, lineitem, orders " +
+			"where s_suppkey = l_suppkey and o_orderkey = l_orderkey " +
+			"and l_shipdate >= '1995-01-01' and l_shipdate <= '1996-12-31' group by s_nationkey",
+		plan.Hints{ProbeBase: "lineitem"}},
+	{"q9", "TPC-H Q9 analogue: discounted profit per brand",
+		"select p_brand, sum(l_extendedprice * (100 - l_discount)) as profit from part, lineitem " +
+			"where p_partkey = l_partkey group by p_brand", plan.Hints{}},
+	{"q11", "TPC-H Q11 analogue: stock value per part",
+		"select ps_partkey, sum(ps_supplycost * ps_availqty) as value from partsupp, supplier " +
+			"where ps_suppkey = s_suppkey and s_acctbal >= 0 group by ps_partkey", plan.Hints{ProbeBase: "partsupp"}},
+	{"q13", "TPC-H Q13 analogue: order count per customer",
+		"select o_custkey, count(*) as orders from customer, orders " +
+			"where c_custkey = o_custkey group by o_custkey", plan.Hints{ProbeBase: "orders"}},
+	{"q15", "TPC-H Q15 analogue: quarterly revenue per supplier",
+		"select l_suppkey, sum(l_extendedprice) as revenue from lineitem " +
+			"where l_shipdate >= '1996-01-01' and l_shipdate < '1996-04-01' " +
+			"group by l_suppkey order by sum(l_extendedprice) desc limit 10", plan.Hints{}},
+	{"q17", "TPC-H Q17 analogue: small-order revenue for one category",
+		"select avg(l_extendedprice) as avg_revenue, count(*) as lines from part, lineitem " +
+			"where p_partkey = l_partkey and p_category = 'Board' and l_quantity < 5", plan.Hints{}},
+	{"topk", "top orders by total price (scan + host-side sort)",
+		"select o_orderkey, o_orderdate, o_totalprice from orders " +
+			"where o_totalprice > 400000 order by o_totalprice desc limit 25", plan.Hints{}},
+}
+
+// Suite returns the full workload, freshly parsed.
+func Suite() []Workload { return workloads(suite) }
+
+// ByName finds a workload in the suite.
+func ByName(name string) (Workload, bool) { return byName(suite, name) }
+
+func named(name string) Workload {
+	w, ok := ByName(name)
+	if !ok {
+		bug("no workload " + name)
+	}
+	return w
+}
+
+// Intro is the paper's Fig. 3a query, with or without the fused group-join.
+func Intro(noGroupJoin bool) Workload {
+	if noGroupJoin {
+		return named("intro-nogj")
+	}
+	return named("intro")
+}
+
+// Fig9 is the domain-expert use case (§6.1).
+func Fig9() Workload { return named("fig9") }
+
+// Fig10 is the optimizer use case (§6.1): a three-way join of lineitem
+// with orders (date-filtered) and partsupp, aggregated globally. alt
+// selects the alternative probe order of Fig. 10b.
+func Fig10(alt bool) Workload {
+	if alt {
+		return named("fig10-alt")
+	}
+	return named("fig10-opt")
+}
+
+// Q16 approximates TPC-H Q16 (the overhead experiment's workload, §6.2):
+// brands of sizeable parts counted across suppliers.
+func Q16() Workload { return named("q16") }

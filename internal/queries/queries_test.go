@@ -1,11 +1,37 @@
 package queries
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/plan"
+	"repro/internal/sqlparse"
 )
+
+// TestSuiteIsItsSQL: a workload's query is its statement read by the one
+// parser, plus hints — in both suites — and the printer/parser law holds
+// on it, so tools may show either form.
+func TestSuiteIsItsSQL(t *testing.T) {
+	for _, w := range append(Suite(), SQLSuite()...) {
+		q, err := sqlparse.Parse(w.SQL)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		q.Hints = w.Query.Hints
+		if !reflect.DeepEqual(q, w.Query) {
+			t.Errorf("%s: Query is not its SQL parsed:\n  %s\n  %s", w.Name, w.Query.SQL(), q.SQL())
+		}
+		back, err := sqlparse.Parse(w.Query.SQL())
+		if err != nil {
+			t.Fatalf("%s: printed form does not parse: %v", w.Name, err)
+		}
+		back.Hints = w.Query.Hints
+		if !reflect.DeepEqual(back, w.Query) {
+			t.Errorf("%s: %q re-parses to %q", w.Name, w.Query.SQL(), back.SQL())
+		}
+	}
+}
 
 func TestSuiteUniqueNames(t *testing.T) {
 	seen := map[string]bool{}

@@ -5,7 +5,8 @@ package sqlparse
 // Normalize is parse → canonicalize the AST → print. Parse is the only
 // reader of statement text (and the only BETWEEN/IN desugar), the
 // canonical plan.Query the only form a statement has after it, and Canon
-// that query printed (plan.Query.SQL). Canonicalizing
+// that query printed (plan.Query.SQL). A statement that starts life as
+// an AST enters at NormalizeQuery. Canonicalizing
 //
 //   - folds identifiers to lower case;
 //   - rebuilds AND/OR chains left-deep, drops repeated OR arms (IN lists
@@ -56,8 +57,9 @@ type Fingerprint struct {
 	Args []Literal
 	// Query is the canonical statement, fresh per Normalize call and
 	// single-goroutine: planning records each parameter's encoding
-	// context in its plan.Param node in place, so only the caller plans
-	// it — in the service, inside its own single-flight compile closure.
+	// context in its plan.Param node in place (the same one every time),
+	// so only the holder plans it — the service in its own single-flight
+	// compile closure, and again whenever it re-plans a kept statement.
 	Query *plan.Query
 }
 
@@ -67,17 +69,28 @@ func Normalize(src string) (*Fingerprint, error) {
 	if err != nil {
 		return nil, err
 	}
+	return NormalizeQuery(q), nil
+}
+
+// NormalizeQuery canonicalizes q in place and returns its fingerprint:
+// Normalize for a caller that holds the statement as an AST (the view
+// rewriter) and so has no text to read.
+func NormalizeQuery(q *plan.Query) *Fingerprint {
 	fp := &Fingerprint{Query: q}
 	fold(q)
-	for i, c := range q.Where {
-		q.Where[i] = canonBool(c, true)
+	if len(q.Where) > 0 { // the conjunction of its list; Parse's has one element
+		conj := q.Where[0]
+		for _, c := range q.Where[1:] {
+			conj = plan.And(conj, c)
+		}
+		q.Where = append(q.Where[:0], canonBool(conj, true))
 	}
 	if q.NumParams == 0 {
 		fp.lift(q)
 	}
 	fp.Canon = q.SQL()
 	fp.Hash = Hash64(fp.Canon)
-	return fp, nil
+	return fp
 }
 
 // fold lower-cases every identifier of q.

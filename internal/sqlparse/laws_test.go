@@ -1,24 +1,34 @@
-package sqlparse
+package sqlparse_test
 
 import (
 	"reflect"
 	"testing"
 
 	"repro/internal/queries"
+	"repro/internal/sqlparse"
 )
+
+func norm(t *testing.T, src string) *sqlparse.Fingerprint {
+	t.Helper()
+	fp, err := sqlparse.Normalize(src)
+	if err != nil {
+		t.Fatalf("Normalize(%q): %v", src, err)
+	}
+	return fp
+}
 
 // checkRoundTrip asserts the two laws every accepted statement obeys:
 // Normalize is idempotent, and Parse(Canon) rebuilds Query node for node.
-func checkRoundTrip(t *testing.T, src string, fp *Fingerprint) {
+func checkRoundTrip(t *testing.T, src string, fp *sqlparse.Fingerprint) {
 	t.Helper()
-	again, err := Normalize(fp.Canon)
+	again, err := sqlparse.Normalize(fp.Canon)
 	if err != nil {
 		t.Fatalf("canon of %q does not normalize: %v\n  canon %q", src, err, fp.Canon)
 	}
 	if again.Canon != fp.Canon || again.Hash != fp.Hash {
 		t.Fatalf("not idempotent:\n  src   %q\n  canon %q\n  again %q", src, fp.Canon, again.Canon)
 	}
-	q, err := Parse(fp.Canon)
+	q, err := sqlparse.Parse(fp.Canon)
 	if err != nil {
 		t.Fatalf("canon of %q does not parse: %v\n  canon %q", src, err, fp.Canon)
 	}
@@ -56,7 +66,8 @@ func TestNormalizeLaws(t *testing.T) {
 }
 
 // FuzzNormalize: on any input Normalize does not panic, fails exactly
-// when (and as) Parse fails, and otherwise obeys the round-trip laws.
+// when (and as) Parse fails, and otherwise obeys the round-trip laws and
+// equals NormalizeQuery of the parsed statement (the AST route in).
 func FuzzNormalize(f *testing.F) {
 	for _, c := range queries.FrontEndCases() {
 		f.Add(c.SQL)
@@ -64,16 +75,23 @@ func FuzzNormalize(f *testing.F) {
 			f.Add(s)
 		}
 	}
+	for _, w := range queries.Suite() {
+		f.Add(w.SQL)
+	}
 	f.Add("select count(*) from t where a < $0 and b = 'it''s' and c in ($1, 5) order by 1 desc limit 3")
 	f.Add("select -a * (0 - b) k, (a < b) = (c < d) from t x, u as y where not_a_keyword between -1 and +1")
 	f.Fuzz(func(t *testing.T, src string) {
-		fp, err := Normalize(src)
-		_, perr := Parse(src)
+		fp, err := sqlparse.Normalize(src)
+		q, perr := sqlparse.Parse(src)
 		if (err == nil) != (perr == nil) || err != nil && err.Error() != perr.Error() {
 			t.Fatalf("Normalize(%q) = %v, Parse = %v", src, err, perr)
 		}
-		if err == nil {
-			checkRoundTrip(t, src, fp)
+		if err != nil {
+			return
+		}
+		checkRoundTrip(t, src, fp)
+		if ast := sqlparse.NormalizeQuery(q); !reflect.DeepEqual(ast, fp) {
+			t.Fatalf("NormalizeQuery(Parse(%q)) = %q %v, Normalize = %q %v", src, ast.Canon, ast.Args, fp.Canon, fp.Args)
 		}
 	})
 }

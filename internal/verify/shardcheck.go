@@ -14,30 +14,9 @@ import (
 // attribution contract is that the two trails merge without collisions
 // and cover the table exactly — every table row is accounted for either
 // by a scanned zone or by a matching skip event. This checker replays the
-// journals structurally; the engine-independent input types keep the
-// package free of an engine import (the engine depends on verify, not the
-// other way around).
-
-// ShardZone is one zone verdict inside a shard journal.
-type ShardZone struct {
-	Zone   int
-	Lo, Hi int64
-	Pruned bool
-	Cause  string
-}
-
-// ShardJournal is one shard's run state for one scan pipeline, as
-// journaled by the engine's cross-shard coordinator.
-type ShardJournal struct {
-	Pipeline int
-	Alias    string
-	Shard    int
-	Lo, Hi   int64
-	Rows     int64
-	Scanned  int64
-	Pruned   bool
-	Zones    []ShardZone
-}
+// journals structurally; both trails are core types, so the package needs
+// no engine import (the engine depends on verify, not the other way
+// around).
 
 func shardDiag(check string, sev Severity, locus, format string, args ...interface{}) Diag {
 	return Diag{Check: check, Severity: sev, Level: core.LevelTask,
@@ -47,15 +26,15 @@ func shardDiag(check string, sev Severity, locus, format string, args ...interfa
 // CheckShards verifies one run's shard journals against the scanned
 // tables' row counts and the merged profile's skip events. tableRows maps
 // each journaled scan alias to its table's row count.
-func CheckShards(tableRows map[string]int64, journals []ShardJournal, skips []core.SkipEvent) []Diag {
+func CheckShards(tableRows map[string]int64, journals []core.ShardState, skips []core.SkipEvent) []Diag {
 	var out []Diag
 
 	type zkey struct {
 		pipe, zone int
 	}
 	zoneOwner := map[zkey]int{}
-	prunedZones := map[zkey]ShardZone{}
-	byPipe := map[int][]ShardJournal{}
+	prunedZones := map[zkey]core.ZoneDecision{}
+	byPipe := map[int][]core.ShardState{}
 
 	for _, j := range journals {
 		locus := fmt.Sprintf("%s shard %d", j.Alias, j.Shard)

@@ -9,16 +9,16 @@ import (
 // cleanShardRun builds a consistent two-shard fixture over one pipeline:
 // four zones of 100 rows, zone 1 filter-pruned and zone 2 bloom-pruned,
 // with the matching skip events.
-func cleanShardRun() (map[string]int64, []ShardJournal, []core.SkipEvent) {
+func cleanShardRun() (map[string]int64, []core.ShardState, []core.SkipEvent) {
 	rows := map[string]int64{"l": 400}
-	journals := []ShardJournal{
+	journals := []core.ShardState{
 		{Pipeline: 2, Alias: "l", Shard: 0, Lo: 0, Hi: 200, Rows: 200, Scanned: 100,
-			Zones: []ShardZone{
+			Zones: []core.ZoneDecision{
 				{Zone: 0, Lo: 0, Hi: 100},
 				{Zone: 1, Lo: 100, Hi: 200, Pruned: true, Cause: core.SkipFilter},
 			}},
 		{Pipeline: 2, Alias: "l", Shard: 1, Lo: 200, Hi: 400, Rows: 200, Scanned: 100,
-			Zones: []ShardZone{
+			Zones: []core.ZoneDecision{
 				{Zone: 2, Lo: 200, Hi: 300, Pruned: true, Cause: core.SkipBloom},
 				{Zone: 3, Lo: 300, Hi: 400},
 			}},
@@ -49,68 +49,68 @@ func TestCheckShardsClean(t *testing.T) {
 func TestCheckShardsCorruptions(t *testing.T) {
 	cases := []struct {
 		name    string
-		corrupt func(rows map[string]int64, js []ShardJournal, sk []core.SkipEvent) (map[string]int64, []ShardJournal, []core.SkipEvent)
+		corrupt func(rows map[string]int64, js []core.ShardState, sk []core.SkipEvent) (map[string]int64, []core.ShardState, []core.SkipEvent)
 		want    string
 	}{
-		{"zone collision", func(rows map[string]int64, js []ShardJournal, sk []core.SkipEvent) (map[string]int64, []ShardJournal, []core.SkipEvent) {
+		{"zone collision", func(rows map[string]int64, js []core.ShardState, sk []core.SkipEvent) (map[string]int64, []core.ShardState, []core.SkipEvent) {
 			js[1].Zones[1].Zone = 0 // shard 1 re-claims shard 0's zone tag
 			return rows, js, sk
 		}, "shard/zone-collision"},
-		{"zone gap", func(rows map[string]int64, js []ShardJournal, sk []core.SkipEvent) (map[string]int64, []ShardJournal, []core.SkipEvent) {
+		{"zone gap", func(rows map[string]int64, js []core.ShardState, sk []core.SkipEvent) (map[string]int64, []core.ShardState, []core.SkipEvent) {
 			js[0].Zones[1].Lo = 150
 			return rows, js, sk
 		}, "shard/zone-gap"},
-		{"rows mismatch", func(rows map[string]int64, js []ShardJournal, sk []core.SkipEvent) (map[string]int64, []ShardJournal, []core.SkipEvent) {
+		{"rows mismatch", func(rows map[string]int64, js []core.ShardState, sk []core.SkipEvent) (map[string]int64, []core.ShardState, []core.SkipEvent) {
 			js[0].Rows = 150
 			return rows, js, sk
 		}, "shard/rows-mismatch"},
-		{"scanned mismatch", func(rows map[string]int64, js []ShardJournal, sk []core.SkipEvent) (map[string]int64, []ShardJournal, []core.SkipEvent) {
+		{"scanned mismatch", func(rows map[string]int64, js []core.ShardState, sk []core.SkipEvent) (map[string]int64, []core.ShardState, []core.SkipEvent) {
 			js[1].Scanned = 200 // claims it scanned the pruned zone too
 			return rows, js, sk
 		}, "shard/scanned-mismatch"},
-		{"pruned flag", func(rows map[string]int64, js []ShardJournal, sk []core.SkipEvent) (map[string]int64, []ShardJournal, []core.SkipEvent) {
+		{"pruned flag", func(rows map[string]int64, js []core.ShardState, sk []core.SkipEvent) (map[string]int64, []core.ShardState, []core.SkipEvent) {
 			js[0].Pruned = true
 			return rows, js, sk
 		}, "shard/pruned-flag"},
-		{"cause missing", func(rows map[string]int64, js []ShardJournal, sk []core.SkipEvent) (map[string]int64, []ShardJournal, []core.SkipEvent) {
+		{"cause missing", func(rows map[string]int64, js []core.ShardState, sk []core.SkipEvent) (map[string]int64, []core.ShardState, []core.SkipEvent) {
 			js[0].Zones[1].Cause = ""
 			return rows, js, sk
 		}, "shard/cause-missing"},
-		{"cause unknown", func(rows map[string]int64, js []ShardJournal, sk []core.SkipEvent) (map[string]int64, []ShardJournal, []core.SkipEvent) {
+		{"cause unknown", func(rows map[string]int64, js []core.ShardState, sk []core.SkipEvent) (map[string]int64, []core.ShardState, []core.SkipEvent) {
 			js[0].Zones[1].Cause = "vibes"
 			return rows, js, sk
 		}, "shard/cause-unknown"},
-		{"tile gap", func(rows map[string]int64, js []ShardJournal, sk []core.SkipEvent) (map[string]int64, []ShardJournal, []core.SkipEvent) {
+		{"tile gap", func(rows map[string]int64, js []core.ShardState, sk []core.SkipEvent) (map[string]int64, []core.ShardState, []core.SkipEvent) {
 			js[1].Lo = 250
 			return rows, js, sk
 		}, "shard/tile-gap"},
-		{"tile short", func(rows map[string]int64, js []ShardJournal, sk []core.SkipEvent) (map[string]int64, []ShardJournal, []core.SkipEvent) {
+		{"tile short", func(rows map[string]int64, js []core.ShardState, sk []core.SkipEvent) (map[string]int64, []core.ShardState, []core.SkipEvent) {
 			rows["l"] = 500 // table larger than the journaled shards cover
 			return rows, js, sk
 		}, "shard/tile-short"},
-		{"unknown alias", func(rows map[string]int64, js []ShardJournal, sk []core.SkipEvent) (map[string]int64, []ShardJournal, []core.SkipEvent) {
+		{"unknown alias", func(rows map[string]int64, js []core.ShardState, sk []core.SkipEvent) (map[string]int64, []core.ShardState, []core.SkipEvent) {
 			delete(rows, "l")
 			return rows, js, sk
 		}, "shard/unknown-alias"},
-		{"skip missing", func(rows map[string]int64, js []ShardJournal, sk []core.SkipEvent) (map[string]int64, []ShardJournal, []core.SkipEvent) {
+		{"skip missing", func(rows map[string]int64, js []core.ShardState, sk []core.SkipEvent) (map[string]int64, []core.ShardState, []core.SkipEvent) {
 			return rows, js, sk[:1] // drop the bloom zone's skip event
 		}, "shard/skip-missing"},
-		{"skip orphan", func(rows map[string]int64, js []ShardJournal, sk []core.SkipEvent) (map[string]int64, []ShardJournal, []core.SkipEvent) {
+		{"skip orphan", func(rows map[string]int64, js []core.ShardState, sk []core.SkipEvent) (map[string]int64, []core.ShardState, []core.SkipEvent) {
 			sk = append(sk, core.SkipEvent{Pipeline: 2, Alias: "l", Zone: 9, Lo: 900, Hi: 950, Rows: 50, Cause: core.SkipFilter})
 			return rows, js, sk
 		}, "shard/skip-orphan"},
-		{"skip duplicate", func(rows map[string]int64, js []ShardJournal, sk []core.SkipEvent) (map[string]int64, []ShardJournal, []core.SkipEvent) {
+		{"skip duplicate", func(rows map[string]int64, js []core.ShardState, sk []core.SkipEvent) (map[string]int64, []core.ShardState, []core.SkipEvent) {
 			return rows, js, append(sk, sk[0])
 		}, "shard/skip-duplicate"},
-		{"skip range", func(rows map[string]int64, js []ShardJournal, sk []core.SkipEvent) (map[string]int64, []ShardJournal, []core.SkipEvent) {
+		{"skip range", func(rows map[string]int64, js []core.ShardState, sk []core.SkipEvent) (map[string]int64, []core.ShardState, []core.SkipEvent) {
 			sk[0].Hi = 180
 			return rows, js, sk
 		}, "shard/skip-range"},
-		{"skip cause", func(rows map[string]int64, js []ShardJournal, sk []core.SkipEvent) (map[string]int64, []ShardJournal, []core.SkipEvent) {
+		{"skip cause", func(rows map[string]int64, js []core.ShardState, sk []core.SkipEvent) (map[string]int64, []core.ShardState, []core.SkipEvent) {
 			sk[1].Cause = core.SkipSemiJoin
 			return rows, js, sk
 		}, "shard/skip-cause"},
-		{"skip shard", func(rows map[string]int64, js []ShardJournal, sk []core.SkipEvent) (map[string]int64, []ShardJournal, []core.SkipEvent) {
+		{"skip shard", func(rows map[string]int64, js []core.ShardState, sk []core.SkipEvent) (map[string]int64, []core.ShardState, []core.SkipEvent) {
 			sk[0].Shard = 1
 			return rows, js, sk
 		}, "shard/skip-shard"},
