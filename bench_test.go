@@ -12,6 +12,7 @@ package tprof
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -442,6 +443,51 @@ func TestSessionRunFootprint(t *testing.T) {
 			t.Errorf("%s: %d bytes allocated per warm Execute, want at most 64 KiB", sql, per)
 		} else {
 			t.Logf("%s: %d bytes, %d mallocs per warm Execute", sql, per, (after.Mallocs-before.Mallocs)/runs)
+		}
+	}
+}
+
+// TestEngineRunFootprint: an unprofiled Engine.Run pays for the one-core
+// heap — every byte the layout carves except the merge-only regions
+// (ht.scatter, ht.merge*), which only a parallel run's kernels address —
+// plus the vm.CPU (640 KiB) and 64 KiB of slack. While every heap carried
+// each hash table's merge staging, q1's heap alone was 7.94 MB.
+func TestEngineRunFootprint(t *testing.T) {
+	eng := engine.New(experiments.NewEnv(0.2, 42).Cat, engine.DefaultOptions())
+	for _, name := range []string{"q1", "fig10-opt"} {
+		w, ok := queries.ByName(name)
+		if !ok {
+			t.Fatalf("no workload %s", name)
+		}
+		cq, err := eng.CompileQuery(w.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regions := cq.Mem.Regions
+		heap := uint64(regions[len(regions)-1].Hi)
+		for _, r := range regions {
+			if r.Name == "ht.scatter" || strings.HasPrefix(r.Name, "ht.merge") {
+				heap -= uint64(r.Hi - r.Lo)
+			}
+		}
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			res, err := eng.Run(cq, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if uint64(len(res.CPU.Heap)) > heap {
+				t.Fatalf("%s: the run's heap has %d bytes, the one-core heap %d", name, len(res.CPU.Heap), heap)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		limit := heap + 640<<10 + 64<<10
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > limit {
+			t.Errorf("%s: %d bytes allocated per Engine.Run, want at most %d (a %d-byte heap + 704 KiB)", name, per, limit, heap)
+		} else {
+			t.Logf("%s: %d bytes per Engine.Run, heap %d", name, per, heap)
 		}
 	}
 }

@@ -228,7 +228,12 @@ type Compiled struct {
 	// artifacts execute with the executor's static Options knobs.
 	Shard *ShardDecision
 
-	heapSize   int
+	heapSize int
+	// mergeBase is where the merge area — every hash table's scatter and
+	// merge staging, addressed only by a parallel or sharded run — begins:
+	// the 64-byte-aligned end of the result buffer, and the heap size of a
+	// one-core run's machine.
+	mergeBase  int
 	writes     []slotWrite
 	resultBase int64
 	resultEnd  int64
@@ -333,8 +338,8 @@ func stageSnapshot(cq *Compiled, cpu *vm.CPU, snap *catalog.Snapshot) error {
 }
 
 // Memory layout constants (DESIGN.md §5: fixed low-memory regions, then
-// state, descriptors, table data, hash areas, result buffer; the heap ends
-// where the result buffer does).
+// state, descriptors, table data, hash tables, result buffer — where a
+// one-core run's heap ends — and the merge area only parallel runs address).
 const (
 	stagingAddr = 256
 	spillBase   = 512
@@ -616,15 +621,14 @@ func (c *Compiler) buildLayout(pl *plan.Output, cq *Compiled) (*pipeline.Layout,
 		})
 	}
 
-	// Hash tables: directory + arena per materializing node, the
-	// partitioned-merge staging regions and (joins) the bloom filter, all
-	// written by generated code and runtime routines.
+	// Hash tables: directory + arena per materializing node and (joins) the
+	// bloom filter, all written by generated code and runtime routines.
+	// Their partitioned-merge staging regions follow the result buffer.
 	for i, n := range mats {
 		entries := pipeline.BuildBound(n)
 		dirSlots := pipeline.DirSlots(entries)
 		entrySize := pipeline.EntrySize(n)
 		arenaCap := int64(entries+16) * entrySize
-		vecBytes := int64(entries+16) * 8
 
 		// Options.Partitions < 1 rounds to one partition.
 		p := pow2Floor(int64(c.Opts.Partitions))
@@ -638,16 +642,6 @@ func (c *Compiler) buildLayout(pl *plan.Output, cq *Compiled) (*pipeline.Layout,
 		ht.Dir = h.carve("ht.dir", dirSlots*8, true)
 		ht.Arena = h.carve("ht.arena", arenaCap, true)
 		ht.ArenaEnd = ht.Arena + arenaCap
-		ht.ScatterOut = h.carve("ht.scatter", arenaCap, true)
-		ht.MergeCnt = h.carve("ht.mergecnt", p*8, true)
-		ht.MergeCur = h.carve("ht.mergecur", p*8, true)
-		ht.MergeSrc = h.carve("ht.mergesrc", arenaCap, true)
-		ht.MergeVec = h.carve("ht.mergevec", vecBytes, true)
-		if _, ok := n.(*plan.GroupBy); ok {
-			ht.MergeOut = h.carve("ht.mergeout", arenaCap, true)
-			ht.MergeSeq = h.carve("ht.mergeseq", vecBytes, true)
-		}
-		ht.MergeParam = h.carve("ht.mergeparam", pipeline.MergeParamSlots*8, true)
 		if _, ok := n.(*plan.Join); ok && c.Opts.BloomFilters {
 			// DirSlots is a power of two, so BloomBits = 8·DirSlots is too;
 			// the filter occupies DirSlots bytes.
@@ -673,6 +667,25 @@ func (c *Compiler) buildLayout(pl *plan.Output, cq *Compiled) (*pipeline.Layout,
 		slotWrite{lay.ResultDesc + codegen.AllocDescEnd, cq.resultEnd},
 	)
 
+	// The merge area: regions only the morsel scheduler's scatter, merge
+	// and place kernels address, so a one-core machine ends before it.
+	cq.mergeBase = int(h.cur)
+	for _, n := range mats {
+		ht := lay.HT[n]
+		arenaCap := ht.ArenaEnd - ht.Arena
+		vecBytes := arenaCap / ht.EntrySize * 8
+		ht.ScatterOut = h.carve("ht.scatter", arenaCap, true)
+		ht.MergeCnt = h.carve("ht.mergecnt", ht.Partitions*8, true)
+		ht.MergeCur = h.carve("ht.mergecur", ht.Partitions*8, true)
+		ht.MergeSrc = h.carve("ht.mergesrc", arenaCap, true)
+		ht.MergeVec = h.carve("ht.mergevec", vecBytes, true)
+		if _, ok := n.(*plan.GroupBy); ok {
+			ht.MergeOut = h.carve("ht.mergeout", arenaCap, true)
+			ht.MergeSeq = h.carve("ht.mergeseq", vecBytes, true)
+		}
+		ht.MergeParam = h.carve("ht.mergeparam", pipeline.MergeParamSlots*8, true)
+	}
+
 	cq.heapSize = int(h.cur)
 	cq.regions = h.regions
 	return lay, nil
@@ -685,7 +698,8 @@ type Result struct {
 
 	Stats vm.Stats
 	// CPU is the machine the run executed on (the coordinator of a
-	// parallel run), heap included. A result of Engine.Run* or of a bare
+	// parallel run), heap included; a one-core run's heap ends where the
+	// merge area begins. A result of Engine.Run* or of a bare
 	// Executor owns it. A result of a Session borrows it: it is valid until
 	// that session's next Run, Execute or Adapt, which recycles it — copy
 	// what must outlive that. Every other field is the result's own.
@@ -789,9 +803,10 @@ type stagedRun struct {
 
 // stage is the prologue every run shares: validate the sampling
 // configuration and the bound arguments against the artifact's parameter
-// manifest, bind the storage snapshot into a zeroed heap, load the program
-// and arm the PMU.
-func (x *Executor) stage(cq *Compiled, rs *RunState, cfg *pmu.Config) (stagedRun, error) {
+// manifest, bind the storage snapshot into a zeroed heap of heapSize bytes
+// (cq.mergeBase on the one-core path, cq.heapSize for a coordinator), load
+// the program and arm the PMU.
+func (x *Executor) stage(cq *Compiled, rs *RunState, cfg *pmu.Config, heapSize int) (stagedRun, error) {
 	r := stagedRun{cq: cq, budget: x.Opts.MaxInstructions}
 	if r.budget == 0 {
 		r.budget = defaultMaxInstructions
@@ -808,7 +823,7 @@ func (x *Executor) stage(cq *Compiled, rs *RunState, cfg *pmu.Config) (stagedRun
 		return r, fmt.Errorf("engine: plan expects %d bound parameters, run state supplies %d", want, len(r.params))
 	}
 	r.snap = cq.snapshotFor(rs)
-	r.cpu = x.machine(cq.heapSize)
+	r.cpu = x.machine(heapSize)
 	if err := stageSnapshot(cq, r.cpu, r.snap); err != nil {
 		return r, err
 	}
@@ -896,11 +911,18 @@ func (x *Executor) RunIterations(cq *Compiled, rs *RunState, n int, cfg *pmu.Con
 		return nil, fmt.Errorf("engine: RunIterations(n=%d) runs on the one-core path only (Workers=0, no shards): "+
 			"iteration detection needs one continuous PMU buffer, got Workers=%d, shards=%d", n, x.Opts.Workers, shards)
 	}
-	r, err := x.stage(cq, rs, cfg)
+	r, err := x.stage(cq, rs, cfg, cq.mergeBase)
 	if err != nil {
 		return nil, err
 	}
+	return r.iterate(n)
+}
+
+// iterate runs the staged program n times on r's one machine and reads the
+// last pass back.
+func (r *stagedRun) iterate(n int) (*Result, error) {
 	var stats vm.Stats
+	var err error
 	for it := 0; it < n; it++ {
 		r.restage()
 		if it > 0 {

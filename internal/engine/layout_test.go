@@ -1,18 +1,31 @@
 package engine
 
 import (
+	"bytes"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/codegen"
+	"repro/internal/pipeline"
 	"repro/internal/plan"
+	"repro/internal/pmu"
 	"repro/internal/queries"
 )
+
+// mergeOnly names the regions only a parallel or sharded run's scatter,
+// merge and place kernels address: the merge area above Compiled.mergeBase.
+var mergeOnly = map[string]bool{
+	"ht.scatter": true, "ht.mergecnt": true, "ht.mergecur": true, "ht.mergesrc": true,
+	"ht.mergevec": true, "ht.mergeout": true, "ht.mergeseq": true, "ht.mergeparam": true,
+}
 
 // TestLayoutRegionsDisjoint verifies, for every suite query, that the
 // regions buildLayout carved — staging, spill, state slots, descriptors,
 // morsel bounds, counters, column data, every hash table's directory,
 // arena, merge staging and bloom filter, and the result buffer — are
-// non-empty, ascending, disjoint and inside [stagingAddr, heapSize).
+// non-empty, ascending, disjoint and inside [stagingAddr, heapSize), and
+// that the merge-only regions, and only they, lie at or above mergeBase.
 // Alignment padding belongs to no region. An overlap here would silently
 // corrupt query results.
 func TestLayoutRegionsDisjoint(t *testing.T) {
@@ -40,6 +53,20 @@ func TestLayoutRegionsDisjoint(t *testing.T) {
 			}
 			if end > int64(cq.heapSize) {
 				t.Fatalf("last region ends at %d, beyond the heap (%d)", end, cq.heapSize)
+			}
+
+			// The heap is the one-core heap, ending at the 64-byte-aligned
+			// end of the result buffer, followed by the merge area.
+			base := int64(cq.mergeBase)
+			for _, r := range cq.regions {
+				switch {
+				case r.Name == "result" && base != align(r.Hi, 64):
+					t.Fatalf("merge area begins at %d, want the aligned end of result [%d,%d)", base, r.Lo, r.Hi)
+				case mergeOnly[r.Name] && r.Lo < base:
+					t.Fatalf("merge-only region %s [%d,%d) lies below the merge base %d", r.Name, r.Lo, r.Hi, base)
+				case !mergeOnly[r.Name] && r.Hi > base:
+					t.Fatalf("region %s [%d,%d) reaches past the merge base %d", r.Name, r.Lo, r.Hi, base)
+				}
 			}
 
 			// The record is complete: every address the layout publishes
@@ -119,23 +146,110 @@ func TestLayoutDeterministic(t *testing.T) {
 	}
 }
 
-// TestHeapSizeScalesWithBounds: the arena for a non-unique build key gets
-// the paper-documented 4x fudge.
-func TestHeapSizeScalesWithBounds(t *testing.T) {
-	cat := testCatalog(t)
-	e := New(cat, DefaultOptions())
-	cq, err := e.CompileQuery(queries.Fig10(false).Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawNonUnique bool
-	for n, ht := range cq.Layout.HT {
-		if j, ok := n.(*plan.Join); ok && !j.BuildUnique {
-			sawNonUnique = true
-			_ = ht
+// TestHashTableRegionSizes: every suite hash table's regions are sized by
+// its build bound — the directory by DirSlots(BuildBound), the arena and
+// every arena-sized merge region by BuildBound+16 entries, the side vectors
+// by BuildBound+16 words — and the merge cursors by the partition count.
+func TestHashTableRegionSizes(t *testing.T) {
+	e := New(testCatalog(t), DefaultOptions())
+	for _, w := range queries.Suite() {
+		cq, err := e.CompileQuery(w.Query)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		sizeAt := func(addr int64) int64 {
+			for _, r := range cq.regions {
+				if r.Lo == addr {
+					return r.Hi - r.Lo
+				}
+			}
+			return -1
+		}
+		type sized struct {
+			name       string
+			addr, size int64
+		}
+		for n, ht := range cq.Layout.HT {
+			entries := int64(pipeline.BuildBound(n) + 16)
+			arena := entries * pipeline.EntrySize(n)
+			want := []sized{
+				{"ht.dir", ht.Dir, pipeline.DirSlots(pipeline.BuildBound(n)) * 8},
+				{"ht.arena", ht.Arena, arena},
+				{"ht.scatter", ht.ScatterOut, arena},
+				{"ht.mergesrc", ht.MergeSrc, arena},
+				{"ht.mergevec", ht.MergeVec, entries * 8},
+				{"ht.mergecnt", ht.MergeCnt, ht.Partitions * 8},
+				{"ht.mergecur", ht.MergeCur, ht.Partitions * 8},
+			}
+			if _, ok := n.(*plan.GroupBy); ok {
+				want = append(want, sized{"ht.mergeout", ht.MergeOut, arena}, sized{"ht.mergeseq", ht.MergeSeq, entries * 8})
+			}
+			for _, r := range want {
+				if got := sizeAt(r.addr); got != r.size {
+					t.Errorf("%s: %s at %d holds %d bytes, want %d", w.Name, r.name, r.addr, got, r.size)
+				}
+			}
 		}
 	}
-	if !sawNonUnique {
-		t.Skip("plan has no non-unique build (data changed?)")
+}
+
+// TestOneCorePathStaysInPrefix: a one-core run addresses nothing at or
+// above mergeBase. Every suite and SQL statement runs serially on a machine
+// of the full heap size — unprofiled, sampled with registers and LBR, three
+// iterations, with tuple counters — and must leave the merge area zero and
+// equal the run on the one-core machine in rows, statistics, clock,
+// samples and every prefix byte.
+func TestOneCorePathStaysInPrefix(t *testing.T) {
+	cat := testCatalog(t)
+	counters := DefaultOptions()
+	counters.TupleCounters = true
+	shapes := []struct {
+		name string
+		opts Options
+		cfg  *pmu.Config
+		n    int
+	}{
+		{"unprofiled", DefaultOptions(), nil, 1},
+		{"cycles-regs-lbr", DefaultOptions(), pgoSampling(), 1},
+		{"iterations3", DefaultOptions(), nil, 3},
+		{"tuple-counters", counters, nil, 1},
+	}
+	for _, w := range append(queries.Suite(), queries.SQLSuite()...) {
+		for _, sh := range shapes {
+			cq, err := (&Compiler{Cat: cat, Opts: sh.opts}).CompileQuery(w.Query)
+			if err != nil {
+				t.Fatalf("%s: %v", w.Name, err)
+			}
+			x := &Executor{Opts: sh.opts}
+			want, err := x.RunIterations(cq, nil, sh.n, sh.cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", w.Name, sh.name, err)
+			}
+			r, err := x.stage(cq, nil, sh.cfg, cq.heapSize)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", w.Name, sh.name, err)
+			}
+			got, err := r.iterate(sh.n)
+			if err != nil {
+				t.Fatalf("%s/%s on the full heap: %v", w.Name, sh.name, err)
+			}
+			base := cq.mergeBase
+			switch {
+			case len(want.CPU.Heap) != base:
+				t.Fatalf("%s/%s: the one-core machine has %d bytes of heap, want %d", w.Name, sh.name, len(want.CPU.Heap), base)
+			case slices.ContainsFunc(got.CPU.Heap[base:], func(b byte) bool { return b != 0 }):
+				t.Fatalf("%s/%s: the run wrote the merge area [%d, %d)", w.Name, sh.name, base, len(got.CPU.Heap))
+			case !reflect.DeepEqual(got.Rows, want.Rows):
+				t.Fatalf("%s/%s: rows differ", w.Name, sh.name)
+			case got.Stats != want.Stats || got.CPU.TSC() != want.CPU.TSC():
+				t.Fatalf("%s/%s: stats or clock differ:\n got %+v (tsc %d)\nwant %+v (tsc %d)", w.Name, sh.name, got.Stats, got.CPU.TSC(), want.Stats, want.CPU.TSC())
+			case !reflect.DeepEqual(got.Samples, want.Samples):
+				t.Fatalf("%s/%s: sample streams differ (%d vs %d)", w.Name, sh.name, len(got.Samples), len(want.Samples))
+			case !reflect.DeepEqual(got.TupleCounts, want.TupleCounts):
+				t.Fatalf("%s/%s: tuple counts differ", w.Name, sh.name)
+			case !bytes.Equal(got.CPU.Heap[:base], want.CPU.Heap):
+				t.Fatalf("%s/%s: heaps differ below the merge base", w.Name, sh.name)
+			}
+		}
 	}
 }

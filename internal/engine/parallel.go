@@ -21,13 +21,13 @@ import (
 // The engine splits every pipeline's input domain into fixed-size morsels
 // and runs them on N simulated worker CPUs. Each worker owns a *private*
 // CPU — registers, tag register, branch predictor, caches, TSC — and a
-// private heap that is refreshed from the canonical heap at every pipeline
-// barrier, so build-side structures are effectively shared read-only while
-// each morsel's writes land in a private partition. At the barrier the
-// partitions are merged back into the canonical heap *in global morsel
-// order*, which makes the canonical state — hash-table arenas, chain
-// links, result rows — independent of the worker count and identical to
-// what a single worker produces:
+// private heap whose prefix below the merge area is refreshed from the
+// canonical heap at every pipeline barrier, so build-side structures are
+// effectively shared read-only while each morsel's writes land in a
+// private partition. At the barrier the partitions are merged back into
+// the canonical heap *in global morsel order*, which makes the canonical
+// state — hash-table arenas, chain links, result rows — independent of
+// the worker count and identical to what a single worker produces:
 //
 //   - join/group-join build entries and group-by partial groups are radix-
 //     scattered by the hash stored in each entry header and merged by
@@ -102,7 +102,7 @@ func (x *Executor) RunParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 	// (directory memsets) serially, then only merges. Its heap binds the
 	// run's storage snapshot and parameters; workers inherit both with
 	// every per-barrier heap refresh.
-	r, err := x.stage(cq, rs, cfg)
+	r, err := x.stage(cq, rs, cfg, cq.heapSize)
 	if err != nil {
 		return nil, err
 	}
@@ -171,8 +171,10 @@ func (x *Executor) RunParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 
 		// Barrier entry: refresh every worker's private heap from the
 		// canonical one (build sides become visible; sinks start clean).
+		// Only the prefix below the merge area: every scatter, merge and
+		// place kernel writes its merge-area bytes before reading them.
 		for _, w := range ws {
-			copy(w.cpu.Heap, coord.Heap)
+			copy(w.cpu.Heap, coord.Heap[:cq.mergeBase])
 		}
 
 		// Morsels are striped round-robin over the workers: morsel m runs

@@ -85,7 +85,10 @@ const dashFamily = "select id, sum(price) as rev, count(*) as n from sales where
 // TestRecycledRunsMatchFresh: one long-lived session per configuration
 // runs the SQL suite with a view-served statement after each suite
 // statement — large heap, small heap, large heap — unprofiled and sampled,
-// and every result equals the one machines built for that run produce.
+// and every result equals the one machines built for that run produce. A
+// one-core run's heap ends at the merge base; one more session alternates
+// serial and Workers=2 runs, so a one-core machine grows to the full heap
+// and is resliced back.
 func TestRecycledRunsMatchFresh(t *testing.T) {
 	opts := DefaultOptions()
 	opts.TupleCounters = true
@@ -97,7 +100,19 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 	for i, w := range queries.SQLSuite() {
 		stmts = append(stmts, w.SQL, fmt.Sprintf(dashFamily, 1+i, 9+2*i))
 	}
+	type shape struct {
+		name  string
+		apply func(se *Session, stmt int)
+	}
+	shapes := []shape{{"serial-workers2-serial", func(se *Session, i int) { se.SetWorkers(2 * (i / 2 % 2)) }}}
 	for _, sc := range sessionConfigs {
+		shapes = append(shapes, shape{sc.name, func(se *Session, i int) {
+			if i == 0 {
+				sc.apply(se)
+			}
+		}})
+	}
+	for _, sc := range shapes {
 		for _, cfg := range []*pmu.Config{nil, pgoSampling()} {
 			name := sc.name + "/unprofiled"
 			if cfg != nil {
@@ -105,9 +120,9 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				se := svc.NewSession()
-				sc.apply(se)
 				sizes := map[int]bool{}
 				for i, sql := range stmts {
+					sc.apply(se, i)
 					p, res, err := se.Execute(sql, cfg)
 					if err != nil {
 						t.Fatalf("%s: %v", sql, err)
@@ -117,6 +132,13 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 					}
 					if err := matchesFresh(res, se, p, nil, cfg); err != nil {
 						t.Fatalf("statement %d (%s): %v", i, sql, err)
+					}
+					want := p.Compiled.heapSize
+					if shards, _ := se.exec.shardKnobs(p.Compiled); se.exec.Opts.Workers == 0 && shards < 1 {
+						want = p.Compiled.mergeBase
+					}
+					if len(res.CPU.Heap) != want {
+						t.Fatalf("statement %d (%s): the run's heap has %d bytes, want %d", i, sql, len(res.CPU.Heap), want)
 					}
 					sizes[len(res.CPU.Heap)] = true
 				}
