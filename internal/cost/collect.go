@@ -6,7 +6,7 @@ package cost
 // Result.TupleCounts for serial and parallel runs alike. This file walks
 // them up the attribution chain — task counter → Tagging Dictionary
 // Log A → operator → plan node — and turns them into the per-expression
-// truth the history cache and the CE harness consume.
+// truth the history cache consumes.
 
 import (
 	"repro/internal/core"

@@ -1,8 +1,8 @@
 package cost
 
 // Unit tests for the cost layer: history EWMA/versioning semantics and
-// concurrency safety (run under -race in CI), histogram estimates, the
-// cycle model, the knob decisions, and the model checker.
+// concurrency safety (run under -race in CI), the estimators, the cycle
+// model, the knob decisions, and the model checker.
 
 import (
 	"fmt"
@@ -101,40 +101,6 @@ func TestHistoryKeying(t *testing.T) {
 	}
 }
 
-func TestHistEquiDepth(t *testing.T) {
-	// 1..100 uniform: cdf(51) ≈ 0.5, eq(v) ≈ 0.01.
-	data := make([]int64, 100)
-	for i := range data {
-		data[i] = int64(i + 1)
-	}
-	h := NewHist(data, 10)
-	if h == nil {
-		t.Fatal("nil histogram")
-	}
-	if c := h.cdf(51); math.Abs(c-0.5) > 0.05 {
-		t.Fatalf("cdf(51) = %v, want ~0.5", c)
-	}
-	if e := h.eq(50); math.Abs(e-0.01) > 0.005 {
-		t.Fatalf("eq(50) = %v, want ~0.01", e)
-	}
-	// Heavily skewed data: equal values must not straddle buckets, so
-	// eq() of the hot value stays exact.
-	skew := make([]int64, 0, 120)
-	for i := 0; i < 100; i++ {
-		skew = append(skew, 7)
-	}
-	for i := 0; i < 20; i++ {
-		skew = append(skew, int64(10+i))
-	}
-	hs := NewHist(skew, 8)
-	if e := hs.eq(7); math.Abs(e-100.0/120.0) > 1e-9 {
-		t.Fatalf("eq(hot) = %v, want %v", e, 100.0/120.0)
-	}
-	if NewHist(nil, 8) != nil {
-		t.Fatal("histogram over no data must be nil")
-	}
-}
-
 func costCat() *catalog.Catalog {
 	return datagen.Generate(datagen.Config{ScaleFactor: 0.05, Seed: 42})
 }
@@ -228,35 +194,6 @@ func TestEstimatorStatsSources(t *testing.T) {
 	}
 	if _, ok := (FreshStats{}).ColStats(li, "l_quantity"); ok {
 		t.Error("FreshStats must decline (live table wins)")
-	}
-	if st, ok := (AbsentStats{}).ColStats(li, "l_quantity"); !ok || st.Distinct != 0 {
-		t.Errorf("AbsentStats = %+v,%v want zero stats, true", st, ok)
-	}
-	twin := datagen.Generate(datagen.Config{ScaleFactor: 0.0125, Seed: 99})
-	st, ok := StaleStats{Twin: twin}.ColStats(li, "l_quantity")
-	if !ok {
-		t.Fatal("StaleStats declined a column the twin has")
-	}
-	live := li.ColStats("l_quantity")
-	if st.Distinct == live.Distinct && st.Min == live.Min && st.Max == live.Max {
-		t.Log("twin stats coincide with live stats (possible but unexpected)")
-	}
-	// Histogram selectivity beats nothing it has no histogram for.
-	hg := &Histogram{Stats: FreshStats{}, H: NewHistograms(cat, 16)}
-	if _, ok := hg.Selectivity(li, "no_such_col", plan.OpLt, 10, 0.5); ok {
-		t.Error("histogram answered for a column without a histogram")
-	}
-	// The histogram must track the true fraction of qualifying rows.
-	lq := li.Col("l_quantity")
-	lt := 0
-	for _, v := range lq.Data {
-		if v < 26 {
-			lt++
-		}
-	}
-	truth := float64(lt) / float64(len(lq.Data))
-	if sel, ok := hg.Selectivity(li, "l_quantity", plan.OpLt, 26, 0.5); !ok || math.Abs(sel-truth) > 0.05 {
-		t.Errorf("hist selectivity(l_quantity < 26) = %v,%v want ~%v", sel, ok, truth)
 	}
 	// HistoryCorrected layers Rows over its base.
 	h := NewHistory()

@@ -1,15 +1,12 @@
 package cost
 
-// Estimator implementations for the planner's plan.Estimator hook, plus
-// the statistics-health sources the CE evaluation harness sweeps over.
-// The composition is: a StatsSource decides *which* statistics the
-// planner sees (fresh, stale, none), an estimator decides *how* they are
-// turned into selectivities (heuristics or histograms), and
-// HistoryCorrected layers observed true cardinalities on top of either.
+// Estimator implementations for the planner's plan.Estimator hook. The
+// composition is: a StatsSource decides *which* statistics the planner
+// sees, Naive turns them into selectivities with the planner's
+// heuristics, and HistoryCorrected layers observed true cardinalities on
+// top.
 
 import (
-	"sort"
-
 	"repro/internal/catalog"
 	"repro/internal/plan"
 )
@@ -28,33 +25,6 @@ func (FreshStats) ColStats(*catalog.Table, string) (catalog.Stats, bool) {
 	return catalog.Stats{}, false
 }
 
-// StaleStats serves statistics computed from an outdated twin of the
-// catalog (a smaller, differently-seeded generation of the same schema)
-// — the "statistics last ANALYZEd a while ago" regime.
-type StaleStats struct{ Twin *catalog.Catalog }
-
-// ColStats reads the twin's statistics for the same table and column.
-func (s StaleStats) ColStats(t *catalog.Table, col string) (catalog.Stats, bool) {
-	if s.Twin == nil {
-		return catalog.Stats{}, false
-	}
-	twin, err := s.Twin.Table(t.Name)
-	if err != nil || twin.Col(col) == nil {
-		return catalog.Stats{}, false
-	}
-	return twin.ColStats(col), true
-}
-
-// AbsentStats is the no-statistics regime: every column reports zero
-// stats, driving the planner onto its magic-constant fallbacks (0.1 for
-// equality, 0.5 for ranges, distinct=1 for join keys).
-type AbsentStats struct{}
-
-// ColStats returns zero statistics for every column.
-func (AbsentStats) ColStats(*catalog.Table, string) (catalog.Stats, bool) {
-	return catalog.Stats{}, true
-}
-
 // Naive is the planner's built-in heuristic estimator over a chosen
 // statistics source: it overrides nothing beyond where the stats come
 // from.
@@ -69,140 +39,6 @@ func (n *Naive) Selectivity(*catalog.Table, string, plan.BinOp, int64, float64) 
 }
 
 func (n *Naive) Rows(string, float64) (float64, bool) { return 0, false }
-
-// Hist is one column's equi-depth histogram: contiguous value ranges
-// holding (approximately) equal row counts, with a per-bucket distinct
-// count for equality estimates.
-type Hist struct {
-	lo, hi   []int64 // per-bucket value range (inclusive)
-	count    []int   // rows in bucket
-	distinct []int   // distinct values in bucket
-	n        int     // total rows
-}
-
-// NewHist builds an equi-depth histogram with approximately buckets
-// buckets. Buckets are cut by a moving cursor so every row lands in
-// exactly one bucket, and each cut extends to the end of a run: equal
-// values never straddle a bucket boundary, or equality estimates would
-// double-count.
-func NewHist(data []int64, buckets int) *Hist {
-	if len(data) == 0 || buckets < 1 {
-		return nil
-	}
-	sorted := append([]int64(nil), data...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	h := &Hist{n: len(sorted)}
-	target := (len(sorted) + buckets - 1) / buckets
-	for start := 0; start < len(sorted); {
-		end := start + target
-		if end > len(sorted) {
-			end = len(sorted)
-		}
-		for end < len(sorted) && sorted[end] == sorted[end-1] {
-			end++
-		}
-		d := 1
-		for i := start + 1; i < end; i++ {
-			if sorted[i] != sorted[i-1] {
-				d++
-			}
-		}
-		h.lo = append(h.lo, sorted[start])
-		h.hi = append(h.hi, sorted[end-1])
-		h.count = append(h.count, end-start)
-		h.distinct = append(h.distinct, d)
-		start = end
-	}
-	return h
-}
-
-// cdf estimates the fraction of rows with value < v.
-func (h *Hist) cdf(v int64) float64 {
-	rows := 0.0
-	for b := range h.lo {
-		switch {
-		case v > h.hi[b]:
-			rows += float64(h.count[b])
-		case v <= h.lo[b]:
-			// nothing from this bucket onward
-		default:
-			span := float64(h.hi[b] - h.lo[b])
-			rows += float64(h.count[b]) * float64(v-h.lo[b]) / span
-		}
-	}
-	return rows / float64(h.n)
-}
-
-// eq estimates the fraction of rows equal to v.
-func (h *Hist) eq(v int64) float64 {
-	for b := range h.lo {
-		if v >= h.lo[b] && v <= h.hi[b] {
-			return float64(h.count[b]) / float64(h.n) / float64(h.distinct[b])
-		}
-	}
-	return 0
-}
-
-// Histogram estimates predicate selectivities from per-column equi-depth
-// histograms built off a statistics source catalog; predicates without a
-// histogram (or operators outside its reach) fall back to the heuristic.
-type Histogram struct {
-	Stats StatsSource
-	H     map[string]*Hist // "table.column" → histogram
-}
-
-// DefaultHistogramBuckets is the bucket count NewHistograms uses.
-const DefaultHistogramBuckets = 64
-
-// NewHistograms builds histograms for every integer-valued column of
-// every table in cat (dictionary codes and dates included — both compare
-// as int64).
-func NewHistograms(cat *catalog.Catalog, buckets int) map[string]*Hist {
-	if buckets <= 0 {
-		buckets = DefaultHistogramBuckets
-	}
-	out := map[string]*Hist{}
-	for _, name := range cat.Names() {
-		t, err := cat.Table(name)
-		if err != nil {
-			continue
-		}
-		for _, c := range t.Cols {
-			if h := NewHist(c.Data, buckets); h != nil {
-				out[t.Name+"."+c.Name] = h
-			}
-		}
-	}
-	return out
-}
-
-func (hg *Histogram) ColStats(t *catalog.Table, col string) (catalog.Stats, bool) {
-	return hg.Stats.ColStats(t, col)
-}
-
-func (hg *Histogram) Selectivity(t *catalog.Table, col string, op plan.BinOp, val int64, heuristic float64) (float64, bool) {
-	h := hg.H[t.Name+"."+col]
-	if h == nil {
-		return 0, false
-	}
-	switch op {
-	case plan.OpLt:
-		return h.cdf(val), true
-	case plan.OpLe:
-		return h.cdf(val) + h.eq(val), true
-	case plan.OpGt:
-		return 1 - h.cdf(val) - h.eq(val), true
-	case plan.OpGe:
-		return 1 - h.cdf(val), true
-	case plan.OpEq:
-		return h.eq(val), true
-	case plan.OpNe:
-		return 1 - h.eq(val), true
-	}
-	return 0, false
-}
-
-func (hg *Histogram) Rows(string, float64) (float64, bool) { return 0, false }
 
 // HistoryCorrected layers the observed-cardinality history over a base
 // estimator: statistics and selectivities come from the base, but any

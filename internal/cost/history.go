@@ -1,11 +1,11 @@
 // Package cost is the profile-fed cost layer over the planner: a cycle
 // cost model annotating every plan node (Annotate), pluggable cardinality
-// estimators for the planner's Estimator hook (Naive, Histogram,
-// HistoryCorrected with fresh/stale/absent statistics sources), an
-// execution-side collector that reads true per-operator row counts out of
-// the attributed tuple counters (TrueRows), and the observed-cardinality
-// history cache that closes the loop (History): Session.Adapt feeds true
-// counts in, the next compile plans against them.
+// estimators for the planner's Estimator hook (Naive over a statistics
+// source, HistoryCorrected over any base), an execution-side collector
+// that reads true per-operator row counts out of the attributed tuple
+// counters (TrueRows), and the observed-cardinality history cache that
+// closes the loop (History): Session.Adapt feeds true counts in, the next
+// compile plans against them.
 package cost
 
 import (

@@ -359,3 +359,92 @@ func TestServiceHistoryConcurrent(t *testing.T) {
 		t.Error("no observations reached the shared history")
 	}
 }
+
+// staleStats serves statistics computed from an outdated twin of the
+// catalog (a smaller, differently-seeded generation of the same schema):
+// the "statistics last ANALYZEd a while ago" regime.
+type staleStats struct{ twin *catalog.Catalog }
+
+func (s staleStats) ColStats(t *catalog.Table, col string) (catalog.Stats, bool) {
+	twin, err := s.twin.Table(t.Name)
+	if err != nil || twin.Col(col) == nil {
+		return catalog.Stats{}, false
+	}
+	return twin.ColStats(col), true
+}
+
+// absentStats is the no-statistics regime: every column reports zero
+// stats, driving the planner onto its magic-constant fallbacks.
+type absentStats struct{}
+
+func (absentStats) ColStats(*catalog.Table, string) (catalog.Stats, bool) {
+	return catalog.Stats{}, true
+}
+
+// joinHeavyQErrors plans every SQL suite statement under est, runs the
+// planned artifact with tuple counters, and returns the q-error of every
+// operator of the plans that contain a join. A non-nil h learns every
+// plan's observed cardinalities, as the service's history does.
+func joinHeavyQErrors(t *testing.T, cat *catalog.Catalog, est plan.Estimator, h *cost.History) []float64 {
+	t.Helper()
+	opts := DefaultOptions()
+	opts.TupleCounters = true
+	var qs []float64
+	for _, w := range queries.SQLSuite() {
+		pl := planSQLWith(t, cat, w.SQL, est)
+		cq, err := (&Compiler{Cat: cat, Opts: opts}).CompilePlanGuided(pl, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		res, err := (&Executor{Opts: opts}).Run(cq, nil, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if strings.Contains(plan.Canon(pl), "join{") {
+			plan.Walk(pl, func(n plan.Node) {
+				if _, isOut := n.(*plan.Output); isOut {
+					return
+				}
+				if rows, ok := res.PlanRows[n]; ok {
+					qs = append(qs, cost.QError(n.EstRows(), rows))
+				}
+			})
+		}
+		if h != nil {
+			cost.ObserveTrueRows(h, pl, cq.Pipe, res.TupleCounts)
+		}
+	}
+	return qs
+}
+
+// TestCEHistoryBeatsNaive is the cardinality-estimation gate: on two
+// datasets under fresh, stale and absent statistics, the history
+// trained by the heuristic plans' runs must bring the median q-error of
+// join-heavy plans below the heuristic estimator's.
+func TestCEHistoryBeatsNaive(t *testing.T) {
+	median := func(qs []float64) float64 {
+		if len(qs) == 0 {
+			t.Fatal("no join-heavy operators observed")
+		}
+		sort.Float64s(qs)
+		return qs[len(qs)/2]
+	}
+	for _, ds := range []datagen.Config{{ScaleFactor: 0.02, Seed: 7}, {ScaleFactor: 0.01, Seed: 8}} {
+		cat := datagen.Generate(ds)
+		twin := datagen.Generate(datagen.Config{ScaleFactor: ds.ScaleFactor / 4, Seed: ds.Seed + 3})
+		for _, health := range []struct {
+			name string
+			src  cost.StatsSource
+		}{{"fresh", cost.FreshStats{}}, {"stale", staleStats{twin}}, {"absent", absentStats{}}} {
+			h := cost.NewHistory()
+			naive := median(joinHeavyQErrors(t, cat, &cost.Naive{Stats: health.src}, h))
+			corrected := median(joinHeavyQErrors(t, cat, &cost.HistoryCorrected{Base: &cost.Naive{Stats: health.src}, H: h}, nil))
+			t.Logf("sf=%g seed=%d %-6s naive median q-error %.2f, history %.2f",
+				ds.ScaleFactor, ds.Seed, health.name, naive, corrected)
+			if corrected >= naive {
+				t.Errorf("sf=%g seed=%d %s statistics: history median q-error %.2f not below naive %.2f",
+					ds.ScaleFactor, ds.Seed, health.name, corrected, naive)
+			}
+		}
+	}
+}

@@ -386,3 +386,73 @@ func TestAdaptStalenessBumpsGeneration(t *testing.T) {
 		t.Fatalf("recompile planned %d rows, want %d (drift baseline not re-frozen)", planned1, planned0+int64(grow))
 	}
 }
+
+// TestIngestGate is the streaming-ingest gate (DESIGN.md §15). A catalog
+// grown to its rows by appends runs q1 and fig9, serial and on 4 workers
+// × 2 shards, in exactly the bulk-loaded catalog's simulated cycles (0 %
+// tax) with identical rows and an identical canonical profile. Once the
+// SQL suite is warm, append batches between its rounds cost no
+// recompile, eviction or invalidation: every warm prepare hits.
+func TestIngestGate(t *testing.T) {
+	bulk, incr := incrementalPair(t)
+	cfg := &pmu.Config{Event: vm.EvInstRetired, Period: 487}
+	for _, name := range []string{"q1", "fig9"} {
+		w, ok := queries.ByName(name)
+		if !ok {
+			t.Fatalf("no workload %s", name)
+		}
+		for _, c := range []struct{ workers, shards int }{{0, 0}, {4, 2}} {
+			label := fmt.Sprintf("%s/w%d/s%d", name, c.workers, c.shards)
+			run := func(cat *catalog.Catalog, cfg *pmu.Config) *Result {
+				return shardRun(t, cat, w.Query, c.workers, c.shards, c.shards > 0, cfg)
+			}
+			cycles := func(r *Result) uint64 {
+				if c.workers == 0 {
+					return r.Stats.Cycles
+				}
+				return r.WallCycles
+			}
+			b, i := run(bulk, nil), run(incr, nil)
+			if cycles(b) == 0 || cycles(i) != cycles(b) {
+				t.Errorf("%s: %d cycles grown by appends vs %d bulk-loaded, want exactly equal", label, cycles(i), cycles(b))
+			}
+			rowsEqual(t, i.Rows, b.Rows, true)
+			if !bytes.Equal(run(incr, cfg).Profile.Canonical(), run(bulk, cfg).Profile.Canonical()) {
+				t.Errorf("%s: canonical profile differs between the grown and the bulk-loaded catalog", label)
+			}
+		}
+	}
+
+	const rounds, batch = 6, 64
+	suite := queries.SQLSuite()
+	svc := NewService(incr, DefaultOptions(), 0)
+	se := svc.NewSession()
+	for _, w := range suite {
+		if _, _, err := se.Execute(w.SQL, nil); err != nil {
+			t.Fatalf("cold %s: %v", w.Name, err)
+		}
+	}
+	cold := svc.CacheStats()
+	tb, err := incr.Table("lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < rounds; round++ {
+		if _, err := svc.AppendCols("lineitem", datagen.AppendBatch(tb, batch, uint64(round+1))); err != nil {
+			t.Fatalf("round %d append: %v", round, err)
+		}
+		for _, w := range suite {
+			if _, _, err := se.Execute(w.SQL, nil); err != nil {
+				t.Fatalf("round %d %s: %v", round, w.Name, err)
+			}
+		}
+	}
+	cs := svc.CacheStats()
+	warm := uint64(rounds * len(suite))
+	t.Logf("%d warm statements across %d appends: %d hits, %d recompiles, %d evictions, %d invalidations",
+		warm, rounds, cs.Hits-cold.Hits, cs.Misses-cold.Misses, cs.Evictions, cs.Invalidations)
+	if cs.Hits-cold.Hits != warm || cs.Misses != cold.Misses || cs.Evictions != 0 || cs.Invalidations != 0 {
+		t.Errorf("warm hit rate %d/%d under appends with %d recompiles, %d evictions, %d invalidations; want every prepare to hit",
+			cs.Hits-cold.Hits, warm, cs.Misses-cold.Misses, cs.Evictions, cs.Invalidations)
+	}
+}

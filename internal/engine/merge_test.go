@@ -131,6 +131,8 @@ func TestMergeScalingGate(t *testing.T) {
 	if r1.MergeCycles == 0 || r4.MergeCycles == 0 {
 		t.Fatalf("merge cycles unmeasured: 1w=%d 4w=%d", r1.MergeCycles, r4.MergeCycles)
 	}
+	t.Logf("fig9 merge phase: %d cycles at 1 worker, %d at 4 — %.2fx",
+		r1.MergeCycles, r4.MergeCycles, float64(r1.MergeCycles)/float64(r4.MergeCycles))
 	if r1.MergeCycles < 2*r4.MergeCycles {
 		t.Fatalf("merge phase scaled %.2fx at 4 workers (1w=%d, 4w=%d); gate requires >= 2x",
 			float64(r1.MergeCycles)/float64(r4.MergeCycles), r1.MergeCycles, r4.MergeCycles)

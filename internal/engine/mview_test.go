@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/datagen"
 	"repro/internal/mview"
 	"repro/internal/qcache"
 	"repro/internal/sqlparse"
@@ -482,5 +483,93 @@ func TestMViewRefreshAcrossCapacityClass(t *testing.T) {
 		if want := refRows(t, base); !reflect.DeepEqual(res.Rows, want) {
 			t.Fatalf("round %d: view-served rows differ from the reference:\n%v\n%v", round, res.Rows, want)
 		}
+	}
+}
+
+// TestMViewDashboardGate is the materialized-view gate (DESIGN.md §16).
+// A dashboard of 1000 per-product revenue statements with shifting
+// literals is served by one registered view: every statement is
+// rewritten onto one artifact with rows identical to a view-free
+// service's, across a mid-phase append, with no guard fallback, at
+// least 10x fewer simulated cycles. Statements no view matches pay
+// exactly zero cycles for the rewriter.
+func TestMViewDashboardGate(t *testing.T) {
+	const dashN, taxN = 1000, 100
+	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.2, Seed: 7})
+	opts := DefaultOptions()
+	opts.Workers = 0
+	svc := NewService(cat, opts, 0)
+	if _, err := svc.CreateView("rev_by_prod", "select id, sum(price), count(*) from sales group by id", mview.RefreshIncremental); err != nil {
+		t.Fatal(err)
+	}
+	se, base := svc.NewSession(), NewService(cat, opts, 0).NewSession()
+
+	// both runs sql on the view-bearing and the view-free service and
+	// returns whether it was rewritten and each side's simulated cycles.
+	both := func(sql string) (bool, uint64, uint64) {
+		t.Helper()
+		p, got, err := se.Execute(sql, nil)
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		_, want, err := base.Execute(sql, nil)
+		if err != nil {
+			t.Fatalf("%q on the view-free service: %v", sql, err)
+		}
+		rowsEqual(t, got.Rows, want.Rows, true)
+		return p.Rewrite != nil, got.Stats.Cycles, want.Stats.Cycles
+	}
+
+	rewritten := 0
+	var viewCycles, baseCycles uint64
+	misses := svc.CacheStats().Misses
+	for i := 0; i < dashN; i++ {
+		if i == dashN/2 {
+			tb, err := cat.Table("sales")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := svc.AppendCols("sales", datagen.AppendBatch(tb, 64, 1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lo := 1 + i%23
+		rw, vc, bc := both(fmt.Sprintf(
+			"select id, sum(price) as rev, count(*) as n from sales where id >= %d and id <= %d group by id order by id",
+			lo, lo+10+i%7))
+		if rw {
+			rewritten++
+		}
+		viewCycles += vc
+		baseCycles += bc
+	}
+	artifacts := svc.CacheStats().Misses - misses
+	speedup := float64(baseCycles) / float64(viewCycles)
+	t.Logf("dashboard: %d/%d rewritten onto %d artifact(s), %d vs %d cycles — %.2fx",
+		rewritten, dashN, artifacts, viewCycles, baseCycles, speedup)
+	if rewritten != dashN || artifacts != 1 {
+		t.Errorf("%d of %d dashboard statements rewritten onto %d artifacts, want all onto 1", rewritten, dashN, artifacts)
+	}
+	if f := svc.Views().Fallbacks(); f != 0 {
+		t.Errorf("run-time consistency guard fell back %d time(s)", f)
+	}
+	if speedup < 10 {
+		t.Errorf("dashboard speedup %.2fx, gate requires >= 10x", speedup)
+	}
+
+	rewritten, viewCycles, baseCycles = 0, 0, 0
+	for i := 0; i < taxN; i++ {
+		rw, vc, bc := both(fmt.Sprintf(
+			"select o_custkey, sum(o_totalprice) as t from orders where o_orderkey >= %d group by o_custkey order by o_custkey",
+			1+i%29))
+		if rw {
+			rewritten++
+		}
+		viewCycles += vc
+		baseCycles += bc
+	}
+	if rewritten != 0 || viewCycles != baseCycles {
+		t.Errorf("no-match statements: %d rewritten, %d cycles with views vs %d without; want 0 and exactly equal",
+			rewritten, viewCycles, baseCycles)
 	}
 }

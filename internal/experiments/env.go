@@ -5,7 +5,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/catalog"
@@ -53,16 +52,6 @@ func (e *Env) profileQuery(w queries.Workload, period int64) (*engine.Compiled, 
 		return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
 	return cq, res, nil
-}
-
-// reportJSON is the one serialization of every BENCH_*.json report:
-// two-space indent and a trailing newline.
-func reportJSON(v any) ([]byte, error) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
 }
 
 // ms converts cycles to milliseconds at the simulated clock.
