@@ -670,18 +670,20 @@ func (c *Compiler) buildLayout(pl *plan.Output, cq *Compiled) (*pipeline.Layout,
 	// The merge area: regions only the morsel scheduler's scatter, merge
 	// and place kernels address, so a one-core machine ends before it.
 	cq.mergeBase = int(h.cur)
+	// It is sized by the entries a merge can stage, which for a group-by is
+	// its input bound rather than its group bound.
 	for _, n := range mats {
 		ht := lay.HT[n]
-		arenaCap := ht.ArenaEnd - ht.Arena
-		vecBytes := arenaCap / ht.EntrySize * 8
-		ht.ScatterOut = h.carve("ht.scatter", arenaCap, true)
+		staged := int64(pipeline.StagedBound(n) + 16)
+		ht.MergeCap = staged * ht.EntrySize
+		ht.ScatterOut = h.carve("ht.scatter", ht.MergeCap, true)
 		ht.MergeCnt = h.carve("ht.mergecnt", ht.Partitions*8, true)
 		ht.MergeCur = h.carve("ht.mergecur", ht.Partitions*8, true)
-		ht.MergeSrc = h.carve("ht.mergesrc", arenaCap, true)
-		ht.MergeVec = h.carve("ht.mergevec", vecBytes, true)
+		ht.MergeSrc = h.carve("ht.mergesrc", ht.MergeCap, true)
+		ht.MergeVec = h.carve("ht.mergevec", staged*8, true)
 		if _, ok := n.(*plan.GroupBy); ok {
-			ht.MergeOut = h.carve("ht.mergeout", arenaCap, true)
-			ht.MergeSeq = h.carve("ht.mergeseq", vecBytes, true)
+			ht.MergeOut = h.carve("ht.mergeout", ht.MergeCap, true)
+			ht.MergeSeq = h.carve("ht.mergeseq", staged*8, true)
 		}
 		ht.MergeParam = h.carve("ht.mergeparam", pipeline.MergeParamSlots*8, true)
 	}

@@ -146,10 +146,11 @@ func TestLayoutDeterministic(t *testing.T) {
 	}
 }
 
-// TestHashTableRegionSizes: every suite hash table's regions are sized by
-// its build bound — the directory by DirSlots(BuildBound), the arena and
-// every arena-sized merge region by BuildBound+16 entries, the side vectors
-// by BuildBound+16 words — and the merge cursors by the partition count.
+// TestHashTableRegionSizes: every suite hash table's directory and arena
+// are sized by its build bound — DirSlots(BuildBound) slots, BuildBound+16
+// entries — its entry-sized merge regions by StagedBound+16 entries, its
+// side vectors by StagedBound+16 words, and its merge cursors by the
+// partition count.
 func TestHashTableRegionSizes(t *testing.T) {
 	e := New(testCatalog(t), DefaultOptions())
 	for _, w := range queries.Suite() {
@@ -170,19 +171,19 @@ func TestHashTableRegionSizes(t *testing.T) {
 			addr, size int64
 		}
 		for n, ht := range cq.Layout.HT {
-			entries := int64(pipeline.BuildBound(n) + 16)
-			arena := entries * pipeline.EntrySize(n)
+			es := pipeline.EntrySize(n)
+			staged := int64(pipeline.StagedBound(n) + 16)
 			want := []sized{
 				{"ht.dir", ht.Dir, pipeline.DirSlots(pipeline.BuildBound(n)) * 8},
-				{"ht.arena", ht.Arena, arena},
-				{"ht.scatter", ht.ScatterOut, arena},
-				{"ht.mergesrc", ht.MergeSrc, arena},
-				{"ht.mergevec", ht.MergeVec, entries * 8},
+				{"ht.arena", ht.Arena, int64(pipeline.BuildBound(n)+16) * es},
+				{"ht.scatter", ht.ScatterOut, staged * es},
+				{"ht.mergesrc", ht.MergeSrc, staged * es},
+				{"ht.mergevec", ht.MergeVec, staged * 8},
 				{"ht.mergecnt", ht.MergeCnt, ht.Partitions * 8},
 				{"ht.mergecur", ht.MergeCur, ht.Partitions * 8},
 			}
 			if _, ok := n.(*plan.GroupBy); ok {
-				want = append(want, sized{"ht.mergeout", ht.MergeOut, arena}, sized{"ht.mergeseq", ht.MergeSeq, entries * 8})
+				want = append(want, sized{"ht.mergeout", ht.MergeOut, staged * es}, sized{"ht.mergeseq", ht.MergeSeq, staged * 8})
 			}
 			for _, r := range want {
 				if got := sizeAt(r.addr); got != r.size {

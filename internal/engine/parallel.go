@@ -74,7 +74,7 @@ func epochSeed(pipeIdx, idx int, phase uint64) uint64 {
 // anything, so the canonical heap is untouched when this is returned.
 type SinkOverflowError struct {
 	Sink     string // pipeline name
-	Region   string // "result buffer" or "hash-table arena"
+	Region   string // "result buffer", "hash-table arena" or "hash-table merge source"
 	Needed   int64  // bytes the worst-case merge requires
 	Capacity int64  // bytes the region holds
 }
@@ -413,14 +413,18 @@ func mergePartitioned(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, 
 		total += int64(len(seg)) / es
 	}
 
-	// Pre-validate worst-case arena headroom — every staged entry a fresh
-	// group/entry — before staging anything, mirroring the SinkOutput
-	// check. Structured, so callers can name the overflowing sink.
-	if need := total * es; need > ht.ArenaEnd-ht.Arena {
-		return 0, &SinkOverflowError{
-			Sink: info.Name, Region: "hash-table arena",
-			Needed: need, Capacity: ht.ArenaEnd - ht.Arena,
-		}
+	// Pre-validate headroom before staging anything, mirroring the
+	// SinkOutput check. An insert sink places every staged entry in the
+	// arena; an upsert sink stages up to one partial entry per group per
+	// morsel, so its staged entries are bounded by the merge source and
+	// its groups are checked against the arena after round 1. Structured,
+	// so callers can name the overflowing sink.
+	region, capacity := "hash-table arena", ht.ArenaEnd-ht.Arena
+	if upsert {
+		region, capacity = "hash-table merge source", ht.MergeCap
+	}
+	if need := total * es; need > capacity {
+		return 0, &SinkOverflowError{Sink: info.Name, Region: region, Needed: need, Capacity: capacity}
 	}
 
 	// Stage each partition's entries in global sequence order (morsels are
@@ -571,6 +575,12 @@ func mergePartitioned(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, 
 	for p := 0; p < P; p++ {
 		for k, s := range seqs[p] {
 			refs = append(refs, gref{s, p, int64(k)})
+		}
+	}
+	if need := int64(len(refs)) * es; need > ht.ArenaEnd-ht.Arena {
+		return 0, &SinkOverflowError{
+			Sink: info.Name, Region: "hash-table arena",
+			Needed: need, Capacity: ht.ArenaEnd - ht.Arena,
 		}
 	}
 	sort.Slice(refs, func(a, b int) bool { return refs[a].seq < refs[b].seq })

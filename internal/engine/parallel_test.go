@@ -140,15 +140,20 @@ func TestParallelSampleDeterminism(t *testing.T) {
 // against the single-CPU run. The morsel scheduler re-executes each
 // pipeline's prologue (column-base loads, bound checks) once per morsel,
 // so instruction streams differ slightly; per-operator shares must still
-// agree within a few percent.
+// agree within a few percent. q6 merges one group per morsel, too cheap a
+// merge to be sampled at this period, so only the other three must have
+// merge-kernel samples to leave out.
 func TestParallelProfileNearSerial(t *testing.T) {
 	cat := testCatalog(t)
-	for _, name := range []string{"fig9", "q1", "q3", "q6"} {
-		w, ok := queries.ByName(name)
+	for _, tc := range []struct {
+		name         string
+		mergeSampled bool
+	}{{"fig9", true}, {"q1", true}, {"q3", true}, {"q6", false}} {
+		w, ok := queries.ByName(tc.name)
 		if !ok {
-			t.Fatalf("no query %s", name)
+			t.Fatalf("no query %s", tc.name)
 		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			serial := New(cat, DefaultOptions())
 			cq, err := serial.CompileQuery(w.Query)
 			if err != nil {
@@ -186,7 +191,7 @@ func TestParallelProfileNearSerial(t *testing.T) {
 					kept = append(kept, s)
 				}
 			}
-			if len(kept) == len(pres.Samples) {
+			if tc.mergeSampled && len(kept) == len(pres.Samples) {
 				t.Fatal("no merge-kernel samples to leave out")
 			}
 			pprof := core.BuildProfile(att, kept)

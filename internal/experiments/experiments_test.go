@@ -90,8 +90,12 @@ func TestAttributionRows(t *testing.T) {
 	if total.Query != "TOTAL" {
 		t.Fatal("missing TOTAL row")
 	}
-	if total.OperatorPct < 85 {
-		t.Fatalf("operators = %.1f%%", total.OperatorPct)
+	// Table 2's buckets within ±3 points of the paper's 95.4 / 2.6 %.
+	if total.OperatorPct < 92.4 {
+		t.Fatalf("operators = %.1f%%, want >= 92.4%% (paper 95.4%%)", total.OperatorPct)
+	}
+	if total.KernelPct > 5.6 {
+		t.Fatalf("kernel = %.1f%%, want <= 5.6%% (paper 2.6%%)", total.KernelPct)
 	}
 	if total.NoAttrib > 5 {
 		t.Fatalf("unattributed = %.1f%%", total.NoAttrib)

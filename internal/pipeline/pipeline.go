@@ -75,12 +75,13 @@ type HTLayout struct {
 	// disjointly.
 	Partitions int64
 	SlotShift  int64 // log2(DirSlots / Partitions)
-	ScatterOut int64 // radix-scattered copy of one morsel's segment (arena-sized)
+	MergeCap   int64 // bytes of each entry-sized merge region: StagedBound entries (+16)
+	ScatterOut int64 // radix-scattered copy of one morsel's segment (MergeCap bytes)
 	MergeCnt   int64 // Partitions slots: per-partition histogram counts
 	MergeCur   int64 // Partitions slots: scatter write cursors
-	MergeSrc   int64 // staged merge-kernel input (arena-sized)
+	MergeSrc   int64 // staged merge-kernel input (MergeCap bytes)
 	MergeVec   int64 // per-entry side vector: dst addresses / global seqs / place script
-	MergeOut   int64 // group-by only: per-partition deduped group output (arena-sized)
+	MergeOut   int64 // group-by only: per-partition deduped group output (MergeCap bytes)
 	MergeSeq   int64 // group-by only: per-group first-occurrence seq vector
 	MergeParam int64 // merge-kernel parameter block (MergeParamSlots slots)
 

@@ -66,17 +66,29 @@ func EntrySize(n plan.Node) int64 {
 func Materializes(n plan.Node) bool { return EntrySize(n) > 0 }
 
 // BuildBound returns the number of entries the node's hash table must be
-// able to hold (a safe upper bound).
+// able to hold (a safe upper bound): a group-by's groups, a join's build
+// rows.
 func BuildBound(n plan.Node) int {
 	switch x := n.(type) {
 	case *plan.Join:
 		return x.Build.BoundRows()
 	case *plan.GroupBy:
-		return x.Input.BoundRows()
+		return x.BoundRows()
 	case *plan.GroupJoin:
 		return x.Build.BoundRows()
 	}
 	return 0
+}
+
+// StagedBound returns the number of entries a morsel-parallel merge of the
+// node's hash table can stage. A group-by stages up to one partial entry
+// per group per morsel, so its bound is its input rows, not its groups;
+// every other table stages exactly the entries it holds.
+func StagedBound(n plan.Node) int {
+	if g, ok := n.(*plan.GroupBy); ok {
+		return g.Input.BoundRows()
+	}
+	return BuildBound(n)
 }
 
 // DirSlots returns the directory size (power of two) for an expected

@@ -150,7 +150,6 @@ func (g *GroupBy) Out() []ColMeta {
 }
 func (g *GroupBy) Children() []Node { return []Node{g.Input} }
 func (g *GroupBy) EstRows() float64 { return g.Est }
-func (g *GroupBy) BoundRows() int   { return g.Input.BoundRows() }
 func (g *GroupBy) Kind() string     { return "group by" }
 func (g *GroupBy) Describe() string {
 	parts := make([]string, len(g.Keys))
@@ -158,6 +157,60 @@ func (g *GroupBy) Describe() string {
 		parts[i] = PString(k)
 	}
 	return fmt.Sprintf("group by %s", strings.Join(parts, ", "))
+}
+
+// BoundRows bounds the number of groups: the product of the keys' domain
+// bounds, capped at the input's bound. It depends only on the plan and the
+// table capacities, so it holds in every epoch those capacities admit.
+func (g *GroupBy) BoundRows() int {
+	in := g.Input.BoundRows()
+	b := 1
+	for _, k := range g.Keys {
+		switch x := k.(type) {
+		case *PConst: // one value
+		case *PCol:
+			b = min(b*keyDomain(g.Input, x.Pos), in)
+		default:
+			return in
+		}
+	}
+	return b
+}
+
+// keyDomain bounds the number of distinct values in output column pos of
+// n. An inner equi-join keeps only the probe values that occur in its
+// build, so its probe key has at most as many values as the build has
+// rows; a build-payload column has the build's domain.
+func keyDomain(n Node, pos int) int {
+	j, ok := n.(*Join)
+	if !ok {
+		return n.BoundRows()
+	}
+	np := width(j.Probe)
+	if pos >= np {
+		return keyDomain(j.Build, j.Payload[pos-np])
+	}
+	d := keyDomain(j.Probe, pos)
+	if pk, ok := j.ProbeKey.(*PCol); ok && pk.Pos == pos {
+		d = min(d, j.Build.BoundRows())
+	}
+	return d
+}
+
+// width is len(n.Out()) without building the schema: bounds are computed
+// on every compile, and a cache miss should not allocate for them.
+func width(n Node) int {
+	switch x := n.(type) {
+	case *Scan:
+		return len(x.Cols)
+	case *Join:
+		return width(x.Probe) + len(x.Payload)
+	case *GroupBy:
+		return len(x.KeyMetas) + len(x.Aggs)
+	case *GroupJoin:
+		return 1 + len(x.Aggs)
+	}
+	return len(n.Out())
 }
 
 // GroupJoin is the fused group-by + join physical operator (§5.4, [31]):

@@ -221,7 +221,7 @@ func (p *planner) aggregate(cur Node, curSchema *schema) (Node, *schema, error) 
 	key, keyMeta := keys[0], keyMetas[0]
 
 	var aggs []AggSpec
-	for i, s := range p.q.Select {
+	for _, s := range p.q.Select {
 		a, ok := s.Expr.(*Agg)
 		if !ok {
 			continue
@@ -239,7 +239,6 @@ func (p *planner) aggregate(cur Node, curSchema *schema) (Node, *schema, error) 
 		} else if a.Fn != AggCount {
 			return nil, nil, fmt.Errorf("plan: %s requires an argument", a.Fn)
 		}
-		_ = i
 		aggs = append(aggs, spec)
 	}
 
@@ -262,8 +261,6 @@ func (p *planner) aggregate(cur Node, curSchema *schema) (Node, *schema, error) 
 		}
 	}
 
-	_ = key
-	_ = keyMeta
 	g := &GroupBy{Input: cur, Keys: keys, KeyMetas: keyMetas, Aggs: aggs}
 	g.Est = cur.EstRows() / 3
 	if g.Est < 1 {

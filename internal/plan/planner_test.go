@@ -354,3 +354,54 @@ func TestExprStrings(t *testing.T) {
 		t.Fatalf("agg = %s", a.String())
 	}
 }
+
+// TestGroupBoundFollowsKeys: a group-by is bounded by its keys' domains —
+// a probe key by its join's build, a build-payload column by the build it
+// comes from, a constant by one — and width counts every node's columns as
+// Out builds them.
+func TestGroupBoundFollowsKeys(t *testing.T) {
+	cat := testCatalog(t)
+	capOf := func(name string) int {
+		tb, err := cat.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tb.RowCap()
+	}
+	for _, tc := range []struct {
+		key  Expr // nil: a scalar aggregate
+		want int
+	}{
+		{Col("l_orderkey"), capOf("orders")},
+		{Col("c_seg"), capOf("customer")},
+		{Col("l_price"), capOf("lineitem")},
+		{nil, 1},
+	} {
+		q := &Query{
+			Tables: []TableRef{{Name: "orders"}, {Name: "lineitem"}, {Name: "customer"}},
+			Where: []Expr{
+				Eq(Col("o_orderkey"), Col("l_orderkey")),
+				Eq(Col("o_custkey"), Col("c_custkey")),
+			},
+			Select: []SelectItem{{Expr: &Agg{Fn: AggSum, Arg: Col("l_price")}, Alias: "s"}},
+			Hints:  Hints{ProbeBase: "lineitem", ProbeOrder: []string{"orders", "customer"}, NoGroupJoin: true},
+			Limit:  -1,
+		}
+		if tc.key != nil {
+			q.GroupBy = []Expr{tc.key}
+		}
+		out, err := Plan(cat, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := out.Input.(*GroupBy)
+		if got := g.BoundRows(); got != tc.want {
+			t.Errorf("group by %v: bound %d, want %d", tc.key, got, tc.want)
+		}
+		Walk(out, func(n Node) {
+			if got, want := width(n), len(n.Out()); got != want {
+				t.Errorf("%s: width %d, Out has %d columns", n.Describe(), got, want)
+			}
+		})
+	}
+}

@@ -75,7 +75,7 @@ func (MergeInvariants) Check(a *Artifact) []Diag {
 
 		// Staging regions: allocated and pairwise disjoint.
 		arenaCap := ht.ArenaEnd - ht.Arena
-		vecCap := (arenaCap / ht.EntrySize) * 8
+		vecCap := (ht.MergeCap / ht.EntrySize) * 8
 		type region struct {
 			name string
 			base int64
@@ -84,16 +84,16 @@ func (MergeInvariants) Check(a *Artifact) []Diag {
 		regions := []region{
 			{"directory", ht.Dir, ht.DirSlots * 8},
 			{"arena", ht.Arena, arenaCap},
-			{"scatter-out", ht.ScatterOut, arenaCap},
+			{"scatter-out", ht.ScatterOut, ht.MergeCap},
 			{"merge-cnt", ht.MergeCnt, p * 8},
 			{"merge-cur", ht.MergeCur, p * 8},
-			{"merge-src", ht.MergeSrc, arenaCap},
+			{"merge-src", ht.MergeSrc, ht.MergeCap},
 			{"merge-vec", ht.MergeVec, vecCap},
 			{"merge-param", ht.MergeParam, pipeline.MergeParamSlots * 8},
 		}
 		if info.Sink.Kind == pipeline.SinkGroupAgg {
 			regions = append(regions,
-				region{"merge-out", ht.MergeOut, arenaCap},
+				region{"merge-out", ht.MergeOut, ht.MergeCap},
 				region{"merge-seq", ht.MergeSeq, vecCap})
 		}
 		if ht.BloomBits > 0 {
