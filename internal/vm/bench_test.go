@@ -112,27 +112,33 @@ func BenchmarkVMRun(b *testing.B) {
 
 var sinkLevel int
 
-// BenchmarkHierarchyAccess times the cache model alone on the three address
+// BenchmarkHierarchyAccess times the cache model alone on the address
 // streams that bound it: the same line again (the fast path), a sequential
 // scan (one miss per eight accesses) and uniformly random lines over 16 MiB
-// (every level misses).
+// (every level misses), in a hierarchy for any address; and random lines in
+// one sized for a 1 MiB heap, whose L3 is the line bitmap.
 func BenchmarkHierarchyAccess(b *testing.B) {
-	streams := []struct {
-		name string
-		next func(i int, x *uint64) uint64
-	}{
-		{"sameline", func(i int, _ *uint64) uint64 { return 4096 + uint64(i&7)*8 }},
-		{"sequential", func(i int, _ *uint64) uint64 { return uint64(i) * 8 & (16<<20 - 1) }},
-		{"random", func(_ int, x *uint64) uint64 {
+	random := func(span uint64) func(int, *uint64) uint64 {
+		return func(_ int, x *uint64) uint64 {
 			*x ^= *x << 13
 			*x ^= *x >> 7
 			*x ^= *x << 17
-			return *x & (16<<20 - 1)
-		}},
+			return *x & (span - 1)
+		}
+	}
+	streams := []struct {
+		name  string
+		lines uint64
+		next  func(i int, x *uint64) uint64
+	}{
+		{"sameline", maxLines, func(i int, _ *uint64) uint64 { return 4096 + uint64(i&7)*8 }},
+		{"sequential", maxLines, func(i int, _ *uint64) uint64 { return uint64(i) * 8 & (16<<20 - 1) }},
+		{"random", maxLines, random(16 << 20)},
+		{"random1MiBheap", 1 << 20 >> lineShift, random(1 << 20)},
 	}
 	for _, s := range streams {
 		b.Run(s.name, func(b *testing.B) {
-			h := NewHierarchy()
+			h := newHierarchy(s.lines)
 			x := uint64(88172645463325252)
 			lvl := 0
 			for i := 0; i < b.N; i++ {

@@ -245,12 +245,22 @@ func genCase(data []byte) *diffCase {
 		pos++
 		return int(data[pos-1])
 	}
-	dc := &diffCase{
-		heap:   []int{0, 5, 64, 4096, 1 << 14}[next()%5],
-		event:  Event(next() % int(NumEvents+1)),
-		period: int64(1 + next()%97),
-		jitter: []int64{0, 0, 2, 8, 64}[next()%5],
+	hb := next()
+	dc := &diffCase{heap: []int{0, 5, 64, 4096, 1 << 14}[hb%5]}
+	// A heap just above 8 MiB reaches L3's tags (see Hierarchy). It is
+	// drawn rarely: every case fills and compares the whole heap.
+	if hb == 255 {
+		dc.heap = 8<<20 + 72
 	}
+	dc.event = Event(next() % int(NumEvents+1))
+	// Periods beyond a hundred are the ones a run meets in use (the
+	// profiler's default is 5000).
+	if p := next(); p < 192 {
+		dc.period = int64(1 + p%97)
+	} else {
+		dc.period = []int64{1499, 5000, 5003}[p%3]
+	}
+	dc.jitter = []int64{0, 0, 2, 8, 64}[next()%5]
 	n := (len(data) - pos - 12) / 6
 	if n < 1 {
 		n = 1
@@ -320,14 +330,24 @@ func TestRunMatchesReference(t *testing.T) {
 	if testing.Short() {
 		cases = 300
 	}
+	tagged := 0 // cases whose cache model answers L3 from its tags, not the bitmap
 	for i := 0; i < cases; i++ {
-		if !runBoth(t, genCase(randomBytes(rng, 24+rng.Intn(600)))) {
+		dc := genCase(randomBytes(rng, 24+rng.Intn(600)))
+		if !runBoth(t, dc) {
 			undefined++
+			continue
+		}
+		if heapLines(dc.heap) > l3Sets*l3Ways {
+			tagged++
 		}
 	}
 	if undefined*10 > cases {
 		t.Errorf("the reference panicked on %d of %d generated cases; the generator is not testing much", undefined, cases)
 	}
+	if !testing.Short() && tagged == 0 {
+		t.Errorf("no generated case has a heap above 8 MiB; L3's tags go untested")
+	}
+	t.Logf("%d of %d cases answer L3 from tags, the rest from the line bitmap", tagged, cases-undefined)
 
 	for name, code := range endings() {
 		for ev := EvCycles; ev <= NumEvents; ev++ {

@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -14,7 +15,8 @@ import (
 // twice (L1), mispredicts its loop branches, fills the LBR, runs under a
 // jittered load-event hook and traps inside a call; then the three fields
 // no program ending in a trap can reach are set by hand. c's heap must hold
-// 1 MiB.
+// 1 MiB; the cache model's L3 is the line bitmap up to 8 MiB and tags
+// beyond.
 func dirty(t testing.TB, c *CPU) {
 	t.Helper()
 	const kib = 1 << 10
@@ -64,8 +66,13 @@ func field(c *CPU, i int) any {
 }
 
 // sameField compares one field of two CPUs; a buffer emptied and a buffer
-// never made are the same.
+// never made are the same, and so are two cache models that answer every
+// access alike, whatever unused tags a recycled one keeps.
 func sameField(a, b *CPU, i int) bool {
+	if reflect.TypeOf(CPU{}).Field(i).Name == "caches" {
+		x, y := &a.caches, &b.caches
+		return x.l3Tags == y.l3Tags && x.l1 == y.l1 && x.l2 == y.l2 && slices.Equal(x.seen, y.seen) && (!x.l3Tags || *x.l3 == *y.l3)
+	}
 	x, y := field(a, i), field(b, i)
 	if v, w := reflect.ValueOf(x), reflect.ValueOf(y); v.Kind() == reflect.Slice && v.Len() == 0 && w.Len() == 0 {
 		return true
@@ -75,22 +82,35 @@ func sameField(a, b *CPU, i int) bool {
 
 // TestResetEqualsNew walks CPU's own field list: after dirty every field
 // must differ from a new CPU's — so a field added later fails here until
-// dirty reaches it — and after Reset every field must equal it again.
+// dirty reaches it — and after Reset every field must equal it again. One
+// machine goes back and forth between a 1 MiB heap (L3 the line bitmap) and
+// one above 8 MiB (L3's tags), so each reset finds the representation it
+// switches to dirtied by an earlier run.
 func TestResetEqualsNew(t *testing.T) {
-	const n = 1 << 20
-	fresh, c := New(n), New(n)
-	dirty(t, c)
+	const small, big = 1 << 20, 8<<20 + lineBytes
 	typ := reflect.TypeOf(CPU{})
-	for i := 0; i < typ.NumField(); i++ {
-		if sameField(c, fresh, i) {
-			t.Errorf("dirty leaves CPU.%s as New built it; extend it, or Reset is not tested for that field", typ.Field(i).Name)
+	c, n := New(small), small
+	for _, m := range []int{big, big, small, small, big, 0, small} {
+		if n > 0 {
+			fresh := New(n)
+			dirty(t, c)
+			for i := 0; i < typ.NumField(); i++ {
+				if sameField(c, fresh, i) {
+					t.Errorf("%d-byte heap: dirty leaves CPU.%s as New built it; extend it, or Reset is not tested for that field", n, typ.Field(i).Name)
+				}
+			}
+			if n == small && slices.Equal(c.caches.seen, fresh.caches.seen) || n == big && *c.caches.l3 == *fresh.caches.l3 {
+				t.Errorf("%d-byte heap: dirty leaves L3 as New built it", n)
+			}
 		}
-	}
-	c.Reset(n)
-	for i := 0; i < typ.NumField(); i++ {
-		if !sameField(c, fresh, i) {
-			t.Errorf("after Reset, CPU.%s differs from a new CPU's", typ.Field(i).Name)
+		c.Reset(m)
+		fresh := New(m)
+		for i := 0; i < typ.NumField(); i++ {
+			if !sameField(c, fresh, i) {
+				t.Errorf("%d-byte heap reset to %d bytes: CPU.%s differs from a new CPU's", n, m, typ.Field(i).Name)
+			}
 		}
+		n = m
 	}
 }
 
@@ -123,14 +143,26 @@ func TestResetReslicesHeap(t *testing.T) {
 }
 
 // TestResetAllocatesNothing: within the heap's capacity a reset is clearing
-// only.
+// only, whether the cache model answers L3 from the bitmap or from L3's
+// tags, and also across the 8 MiB boundary, as a session's machine crosses
+// it between a one-core heap and a parallel run's full heap: the machine
+// keeps both once built.
 func TestResetAllocatesNothing(t *testing.T) {
-	c := New(1 << 16)
-	c.Load(&isa.Program{Code: []isa.Instr{{Op: isa.CALL, Imm: 1}, {Op: isa.HALT}}})
-	if _, err := c.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(20, func() { c.Reset(1 << 12) }); allocs != 0 {
-		t.Fatalf("Reset allocated %v times", allocs)
+	const big = 8<<20 + lineBytes
+	for _, sizes := range [][]int{{1 << 12}, {1 << 20}, {big}, {1 << 20, big}, {big, 0, 8 << 20}} {
+		c := New(slices.Max(sizes) + 1<<12)
+		c.Load(&isa.Program{Code: []isa.Instr{{Op: isa.CALL, Imm: 1}, {Op: isa.HALT}}})
+		if _, err := c.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		// AllocsPerRun's warm-up run is the first reset to each size.
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, n := range sizes {
+				c.Reset(n)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Resets to %v allocated %v times", sizes, allocs)
+		}
 	}
 }

@@ -6,6 +6,12 @@ package vm
 // widespread hash-table accesses miss caches (Fig. 12's memory profiles,
 // cache-miss events) and data-dependent branch behaviour separates the two
 // query plans of Fig. 10/11.
+//
+// A CPU's hierarchy is sized for its heap. A level whose sets can each hold
+// every heap line that maps to them never evicts, so it holds exactly the
+// lines accessed before; one bit per heap line answers for it. A heap of up
+// to 8 MiB (131072 lines) answers L3 that way; only a larger heap needs L3's
+// tags. TestBoundedHierarchyMatchesReference holds both to the reference.
 
 // Cache memory-level results for a single access.
 const (
@@ -36,19 +42,59 @@ const (
 // the tag to the front, a miss inserts it there and drops the last. LRU
 // fixes the hit/miss sequence of an address stream whatever represents the
 // recency order, so this is the model that stamped every way with the time
-// of its last use, in a quarter of the memory. The zero value is an empty
-// hierarchy.
+// of its last use, in a quarter of the memory.
+//
+// A hierarchy for addresses below L lines answers L3 from seen when L3
+// cannot evict (see the file comment): a set receives at most ⌈L/sets⌉ ≤
+// ways distinct lines, a line's first access misses every level and inserts
+// it into each, and so "in L3" is "accessed before".
 type Hierarchy struct {
+	// The pointers come first, so the garbage collector stops scanning a
+	// CPU before the tag arrays. A CPU keeps L3's tags and the bitmap once
+	// built, whichever its next heap needs.
+	l3     *[l3Sets][l3Ways]uint32 // L3's tags, in use where l3Tags
+	seen   []uint64                // one bit per line, set on its first access; empty where l3Tags
+	l3Tags bool                    // the heap is too large for seen to answer L3
+
 	l1 [l1Sets][l1Ways]uint32
 	l2 [l2Sets][l2Ways]uint32
-	l3 [l3Sets][l3Ways]uint32
 }
 
-// NewHierarchy builds the default cache hierarchy.
-func NewHierarchy() *Hierarchy { return new(Hierarchy) }
+// NewHierarchy builds the default cache hierarchy, for any address.
+func NewHierarchy() *Hierarchy { return newHierarchy(maxLines) }
+
+// newHierarchy builds a hierarchy for addresses below lines<<lineShift.
+func newHierarchy(lines uint64) *Hierarchy {
+	h := new(Hierarchy)
+	h.size(lines, nil, nil)
+	return h
+}
+
+// size readies h, whose L1 and L2 are empty, for addresses below
+// lines<<lineShift. l3 and seen are what an earlier size built (nil if
+// nothing): size keeps both, clears the one lines uses, and builds it only
+// when they lack it — L3's tags, or a bitmap with more words.
+func (h *Hierarchy) size(lines uint64, l3 *[l3Sets][l3Ways]uint32, seen []uint64) {
+	h.l3, h.seen = l3, seen[:0]
+	if h.l3Tags = lines > l3Sets*l3Ways; h.l3Tags {
+		if h.l3 == nil {
+			h.l3 = new([l3Sets][l3Ways]uint32)
+		} else {
+			clear(h.l3[:])
+		}
+		return
+	}
+	if words := (lines + 63) / 64; uint64(cap(seen)) < words {
+		h.seen = make([]uint64, words)
+	} else {
+		h.seen = seen[:words]
+		clear(h.seen)
+	}
+}
 
 // Access classifies a memory access and updates cache state, returning the
-// level that served it (HitL1..HitMem). addr>>6 must be below maxLines.
+// level that served it (HitL1..HitMem). addr>>6 must be below the lines h
+// was sized for (maxLines for NewHierarchy).
 func (h *Hierarchy) Access(addr uint64) int {
 	if h.front(addr) {
 		return HitL1
@@ -78,7 +124,16 @@ func (h *Hierarchy) lookup(addr uint64) int {
 	if touch(h.l2[line%l2Sets][:], tag) {
 		return HitL2
 	}
-	if touch(h.l3[line%l3Sets][:], tag) {
+	if h.l3Tags {
+		if touch(h.l3[line%l3Sets][:], tag) {
+			return HitL3
+		}
+		return HitMem
+	}
+	w, bit := &h.seen[line/64], uint64(1)<<(line%64)
+	seen := *w&bit != 0
+	*w |= bit
+	if seen {
 		return HitL3
 	}
 	return HitMem

@@ -140,20 +140,83 @@ func TestCacheMatchesTimestampLRU(t *testing.T) {
 	}
 }
 
+// TestBoundedHierarchyMatchesReference: a hierarchy sized for L lines serves
+// every stream of addresses below L lines from the same levels as the
+// reference, on both sides of the threshold: L3 answered by the bitmap (L ≤
+// 131072) and by its tags.
+func TestBoundedHierarchyMatchesReference(t *testing.T) {
+	for _, lines := range []uint64{1, 4096, 131071, 131072, 131073, 200000} {
+		span := lines << lineShift
+		x := uint64(88172645463325252)
+		random := func() uint64 {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			return x
+		}
+		// conflict cycles at random through the heap's lines that share
+		// one set of a level with stride sets.
+		conflict := func(stride uint64) func(int) uint64 {
+			n := (lines + stride - 1) / stride
+			return func(int) uint64 { return random() % n * stride << lineShift }
+		}
+		streams := map[string]func(i int) uint64{
+			"sequential": func(i int) uint64 { return uint64(i)%lines<<lineShift | uint64(i)*8%lineBytes },
+			"random":     func(int) uint64 { return random() % span },
+			"l1 set":     conflict(l1Sets),
+			"l2 set":     conflict(l2Sets),
+			"l3 set":     conflict(l3Sets),
+			"hot set":    func(int) uint64 { return random() % min(span, 48<<10) },
+			"warm set":   func(int) uint64 { return random() % min(span, 512<<10) },
+		}
+		h := newHierarchy(lines)
+		if h.l3Tags != (lines > l3Sets*l3Ways) || h.l3Tags != (h.l3 != nil) {
+			t.Fatalf("%d lines: hierarchy answers L3 from tags = %v, has them = %v", lines, h.l3Tags, h.l3 != nil)
+		}
+		for name, next := range streams {
+			h, ref := newHierarchy(lines), newRefHierarchy()
+			var served [HitMem + 1]int
+			for i := 0; i < 50_000+2*int(lines); i++ {
+				addr := next(i)
+				got, want := h.Access(addr), ref.Access(addr)
+				if got != want {
+					t.Fatalf("%d lines, %s: access %d (addr %#x) served by level %d, reference says %d", lines, name, i, addr, got, want)
+				}
+				served[got]++
+			}
+			t.Logf("%6d lines %-10s L1 %6d  L2 %6d  L3 %6d  mem %6d", lines, name, served[HitL1], served[HitL2], served[HitL3], served[HitMem])
+		}
+	}
+}
+
 // TestNewCPUFootprint pins what building a CPU costs besides its heap: one
-// allocation holding the cache model's 530 KiB of tags. The timestamped
-// model took 2.1 MB in a dozen allocations, on every run.
+// allocation of ≈ 24 KiB (L1 and L2 tags, predictor, registers) and one bit
+// per heap line. Only a heap beyond 8 MiB adds L3's 512 KiB of tags. Before
+// the cache model was sized for the heap, every CPU carried 530 KiB of tags;
+// the timestamped model took 2.1 MB in a dozen allocations, on every run.
 func TestNewCPUFootprint(t *testing.T) {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	c := New(0)
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(c)
-	if bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs; bytes > 640<<10 || mallocs > 6 {
-		t.Fatalf("vm.New(0) allocated %d bytes in %d mallocs, want at most 640 KiB in 6", bytes, mallocs)
+	build := func(heap int) (c *CPU, bytes, mallocs uint64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c = New(heap)
+		runtime.ReadMemStats(&after)
+		return c, after.TotalAlloc - before.TotalAlloc - uint64(heap), after.Mallocs - before.Mallocs
+	}
+	for _, heap := range []int{0, 1 << 20, 8 << 20} {
+		c, bytes, mallocs := build(heap)
+		if limit := uint64(heap/512 + 32<<10); bytes > limit || mallocs > 6 || c.caches.l3 != nil {
+			t.Errorf("vm.New(%d) allocated %d bytes besides the heap in %d mallocs (L3 tags: %v), want at most %d in 6 and no L3 tags", heap, bytes, mallocs, c.caches.l3 != nil, limit)
+		} else {
+			t.Logf("vm.New(%d): %d bytes besides the heap, %d mallocs", heap, bytes, mallocs)
+		}
+	}
+	const big = 8<<20 + lineBytes
+	c, bytes, mallocs := build(big)
+	if tags := uint64(l3Sets * l3Ways * 4); c.caches.l3 == nil || bytes < tags || bytes > tags+32<<10 || mallocs > 6 {
+		t.Errorf("vm.New(%d) allocated %d bytes besides the heap in %d mallocs, want L3's %d bytes of tags + at most 32 KiB in 6", big, bytes, mallocs, tags)
 	} else {
-		t.Logf("vm.New(0): %d bytes, %d mallocs", bytes, mallocs)
+		t.Logf("vm.New(%d): %d bytes besides the heap, %d mallocs", big, bytes, mallocs)
 	}
 }
 

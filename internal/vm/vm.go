@@ -154,11 +154,12 @@ type CPU struct {
 	lbrPos int
 	lbrLen int
 
-	// The microarchitectural models sit by value behind every pointer
-	// field: one allocation builds the whole CPU, and the garbage
-	// collector stops scanning it before the tag arrays.
-	bp     BranchPredictor
+	// The microarchitectural models sit by value behind every other
+	// field: one allocation builds the CPU beside its heap and what the
+	// cache model sizes for it (see Hierarchy), and the garbage collector
+	// stops scanning it before the tag arrays.
 	caches Hierarchy
+	bp     BranchPredictor
 }
 
 // LBRDepth is the capacity of the last-branch-record ring (x86: 16-32).
@@ -177,6 +178,7 @@ type BranchRecord struct {
 func New(heapSize int) *CPU {
 	checkHeapSize(heapSize)
 	c := &CPU{Heap: make([]byte, heapSize), FreqGHz: 3.5}
+	c.caches.size(heapLines(heapSize), nil, nil)
 	c.bp.reset()
 	return c
 }
@@ -187,14 +189,20 @@ func checkHeapSize(heapSize int) {
 	}
 }
 
+// heapLines is the number of cache lines a heap of heapSize bytes spans.
+func heapLines(heapSize int) uint64 { return (uint64(heapSize) + lineBytes - 1) >> lineShift }
+
 // Reset puts a used CPU back into the state New(heapSize) builds — zeroed
 // heap, no program, cold caches and predictor, nothing armed — so that no
 // run can tell the two apart (TestResetEqualsNew walks the field list). Only
-// memory survives: the heap's backing array when it is large enough, and the
-// call-stack and decoded-program buffers, emptied.
+// memory survives: the heap's backing array when it is large enough, the
+// cache model's L3 tags and line bitmap, zeroed, and the call-stack and
+// decoded-program buffers, emptied. A reset allocates only what the machine
+// has never had: a larger heap or bitmap, or L3's tags.
 func (c *CPU) Reset(heapSize int) {
 	checkHeapSize(heapSize)
 	heap, code, stack := c.Heap, c.code, c.callStack
+	l3, seen := c.caches.l3, c.caches.seen
 	if cap(heap) < heapSize {
 		heap = make([]byte, heapSize)
 	} else {
@@ -203,6 +211,7 @@ func (c *CPU) Reset(heapSize int) {
 	}
 	*c = CPU{} // the zero literal clears c where it is; no second CPU is built
 	c.Heap, c.code, c.callStack, c.FreqGHz = heap, code[:0], stack[:0], 3.5
+	c.caches.size(heapLines(heapSize), l3, seen)
 	c.bp.reset()
 }
 
