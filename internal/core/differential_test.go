@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/engine"
+	"repro/internal/iropt"
 	"repro/internal/pmu"
 	"repro/internal/queries"
 	"repro/internal/vm"
+	"repro/internal/xrand"
 )
 
 // recording is one armed run of a suite plan: what the offline files hold.
@@ -194,5 +197,143 @@ func TestOfflineMatchesInline(t *testing.T) {
 	}
 	if !sharded {
 		t.Fatal("no run recorded a sample on a data shard: the ByShard comparison is vacuous")
+	}
+}
+
+// replay applies one journal event to l.
+func replay(l core.Lineage, ev core.LineageEvent) {
+	switch ev.Kind {
+	case core.LineageDerived:
+		l.Derived(ev.ID, ev.Srcs...)
+	case core.LineageReplaced:
+		l.Replaced(ev.Srcs[0], ev.ID)
+	default:
+		l.Removed(ev.ID)
+	}
+}
+
+// TestDictionaryMatchesReference replays every suite compile into the
+// table dictionary and the map-based oracle of reference_test.go — Log A
+// and every Log B link as the lowering made them (read off the unoptimized
+// compile, whose IR the optimizer starts from), then the optimizer's
+// lineage journal — and compares the two after each stage, and the result
+// with the compiled dictionary. Random operation sequences over dense,
+// negative and far IR ids follow.
+func TestDictionaryMatchesReference(t *testing.T) {
+	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.01, Seed: 7})
+	lowering := engine.DefaultOptions()
+	lowering.Optimize = iropt.Options{}
+	lowEng, optEng := engine.New(cat, lowering), engine.New(cat, engine.DefaultOptions())
+	for _, w := range queries.Suite() {
+		lowered, err := lowEng.CompileQuery(w.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled, err := optEng.CompileQuery(w.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, reg := lowered.Pipe.Dict, lowered.Pipe.Registry
+		d, r := core.NewDictionary(reg), core.NewRefDictionary(reg)
+		for _, task := range src.Tasks() {
+			d.LinkTask(task, src.OperatorOf(task))
+			r.LinkTask(task, src.OperatorOf(task))
+		}
+		for _, id := range src.IRIDs() {
+			for _, task := range src.TasksOf(id) {
+				d.LinkIR(id, task)
+				r.LinkIR(id, task)
+			}
+		}
+		var ids []int
+		for id := -1; id <= compiled.Pipe.Module.MaxID()+1; id++ {
+			ids = append(ids, id)
+		}
+		if err := core.DiffDictionary(d, r, ids); err != nil {
+			t.Fatalf("%s, as lowered: %v", w.Name, err)
+		}
+		journal := compiled.Pipe.Dict.Journal()
+		for _, ev := range journal {
+			replay(d, ev)
+			replay(r, ev)
+		}
+		if err := core.DiffDictionary(d, r, ids); err != nil {
+			t.Fatalf("%s, after %d lineage events: %v", w.Name, len(journal), err)
+		}
+		if d.Dump() != compiled.Pipe.Dict.Dump() || !slices.Equal(d.SharedIRIDs(), compiled.Pipe.Dict.SharedIRIDs()) {
+			t.Fatalf("%s: the replay does not rebuild the compiled dictionary", w.Name)
+		}
+	}
+
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := xrand.New(seed)
+		reg := core.NewRegistry()
+		var tasks []core.ComponentID
+		for o := 0; o < 3; o++ {
+			op := reg.Add(core.LevelOperator, "op", "op", -1, core.NoComponent)
+			for k := 0; k < 2; k++ {
+				tasks = append(tasks, reg.Add(core.LevelTask, fmt.Sprintf("task %d.%d", o, k), "task", o, op))
+			}
+		}
+		d, r := core.NewDictionary(reg), core.NewRefDictionary(reg)
+		owner := func() core.ComponentID { // a task, or none
+			if rng.Intn(10) == 0 {
+				return core.NoComponent
+			}
+			return tasks[rng.Intn(len(tasks))]
+		}
+		touched := map[int]bool{}
+		id := func() int { // dense, negative, beyond doubling, or near 2^31
+			var v int
+			switch rng.Intn(8) {
+			case 0:
+				v = -1 - rng.Intn(4)
+			case 1:
+				v = 1<<31 - rng.Intn(4)
+			case 2:
+				v = 5000 + rng.Intn(9000)
+			default:
+				v = rng.Intn(200)
+			}
+			touched[v] = true
+			return v
+		}
+		for step := 0; step < 400; step++ {
+			switch rng.Intn(9) {
+			case 0:
+				task := tasks[rng.Intn(len(tasks))]
+				d.LinkTask(task, reg.Get(task).Parent)
+				r.LinkTask(task, reg.Get(task).Parent)
+			case 1:
+				v := id()
+				d.MarkShared(v)
+				r.MarkShared(v)
+			case 2:
+				v, srcs := id(), []int{id(), id()}
+				d.Derived(v, srcs...)
+				r.Derived(v, srcs...)
+			case 3:
+				old, v := id(), id()
+				d.Replaced(old, v)
+				r.Replaced(old, v)
+			case 4:
+				v := id()
+				d.Removed(v)
+				r.Removed(v)
+			default:
+				v, task := id(), owner()
+				d.LinkIR(v, task)
+				r.LinkIR(v, task)
+			}
+			if step%20 == 19 {
+				var ids []int
+				for v := range touched {
+					ids = append(ids, v)
+				}
+				if err := core.DiffDictionary(d, r, ids); err != nil {
+					t.Fatalf("seed %d, step %d: %v", seed, step, err)
+				}
+			}
+		}
 	}
 }

@@ -58,6 +58,23 @@ func seedFiles(tb testing.TB) (logs, metas map[string][]byte) {
 		}
 		metas[w.Name] = meta.Bytes()
 	}
+	// A few-hundred-byte file whose Log B names an IR id near 2^31: the
+	// reader must place it without a table that large.
+	reg := core.NewRegistry()
+	task := reg.Add(core.LevelTask, "scan", "scan", 0, reg.Add(core.LevelOperator, "tablescan", "tablescan", -1, core.NoComponent))
+	dict := core.NewDictionary(reg)
+	dict.LinkTask(task, reg.Get(task).Parent)
+	nmap := core.NewNativeMap(2)
+	for i, id := range []int{1, 1<<31 - 5} {
+		dict.LinkIR(id, task)
+		nmap.IRs[i] = []int{id}
+	}
+	dict.MarkShared(1<<31 - 4)
+	var far bytes.Buffer
+	if err := core.WriteMetadata(&far, dict, nmap); err != nil {
+		tb.Fatal(err)
+	}
+	metas["far-ir"] = far.Bytes()
 	return logs, metas
 }
 

@@ -9,7 +9,14 @@ package core
 // (TestTableMatchesReference, TestProfileMatchesReference); nothing
 // outside the tests uses it.
 
-import "repro/internal/vm"
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
+
+	"repro/internal/vm"
+)
 
 // RefAttribute and RefBuildProfile hand the oracle to the external test
 // package, which can import the engine to record real logs.
@@ -205,4 +212,195 @@ func refBuildProfile(att *Attributor, samples []Sample) *Profile {
 		p.MinTSC = 0
 	}
 	return p
+}
+
+// refDictionary is the Tagging Dictionary as it stood before its logs
+// became tables, kept as the oracle with only its names changed: Log A and
+// Log B as maps, the shared flags as a map, derive deduplicating through a
+// map. TestDictionaryMatchesReference replays every suite compile into both.
+type refDictionary struct {
+	Registry *Registry
+	taskToOp map[ComponentID]ComponentID
+	irToTask map[int][]ComponentID
+	sharedIR map[int]bool
+	journal  []LineageEvent
+}
+
+// NewRefDictionary hands the oracle to the external test package.
+func NewRefDictionary(reg *Registry) *refDictionary {
+	d := &refDictionary{
+		Registry: reg,
+		taskToOp: make(map[ComponentID]ComponentID),
+		irToTask: make(map[int][]ComponentID),
+		sharedIR: make(map[int]bool),
+	}
+	d.LinkTask(reg.KernelTask, reg.KernelOperator)
+	return d
+}
+
+func (d *refDictionary) LinkTask(task, operator ComponentID) { d.taskToOp[task] = operator }
+
+func (d *refDictionary) OperatorOf(task ComponentID) ComponentID { return d.taskToOp[task] }
+
+func (d *refDictionary) LinkIR(irID int, task ComponentID) {
+	if task == NoComponent {
+		return
+	}
+	d.irToTask[irID] = append(d.irToTask[irID], task)
+}
+
+func (d *refDictionary) TasksOf(irID int) []ComponentID { return d.irToTask[irID] }
+
+func (d *refDictionary) MarkShared(irID int) { d.sharedIR[irID] = true }
+
+func (d *refDictionary) IsShared(irID int) bool { return d.sharedIR[irID] }
+
+func (d *refDictionary) IRIDs() []int {
+	ids := make([]int, 0, len(d.irToTask))
+	for id := range d.irToTask {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
+}
+
+func (d *refDictionary) SharedIRIDs() []int {
+	ids := make([]int, 0, len(d.sharedIR))
+	for id := range d.sharedIR {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
+}
+
+func (d *refDictionary) Tasks() []ComponentID {
+	ts := make([]ComponentID, 0, len(d.taskToOp))
+	for t := range d.taskToOp {
+		ts = append(ts, t)
+	}
+	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	return ts
+}
+
+func (d *refDictionary) Entries() int {
+	n := len(d.taskToOp)
+	for _, ts := range d.irToTask {
+		n += len(ts)
+	}
+	return n
+}
+
+func (d *refDictionary) StorageBytes() int {
+	n := 0
+	for _, ts := range d.irToTask {
+		n += len(ts) * 24
+	}
+	return n
+}
+
+func (d *refDictionary) Dump() string {
+	var sb strings.Builder
+	sb.WriteString("Log A: Task -> Operator\n")
+	tasks := make([]int, 0, len(d.taskToOp))
+	for t := range d.taskToOp {
+		tasks = append(tasks, int(t))
+	}
+	sort.Ints(tasks)
+	for _, t := range tasks {
+		task := ComponentID(t)
+		fmt.Fprintf(&sb, "  %-28s => %s\n", d.Registry.Name(task), d.Registry.Name(d.taskToOp[task]))
+	}
+	sb.WriteString("Log B: IR Instruction -> Task\n")
+	irs := make([]int, 0, len(d.irToTask))
+	for id := range d.irToTask {
+		irs = append(irs, id)
+	}
+	sort.Ints(irs)
+	for _, id := range irs {
+		names := make([]string, 0, len(d.irToTask[id]))
+		for _, t := range d.irToTask[id] {
+			names = append(names, d.Registry.Name(t))
+		}
+		shared := ""
+		if d.sharedIR[id] {
+			shared = " (shared)"
+		}
+		fmt.Fprintf(&sb, "  %%%-6d => %s%s\n", id, strings.Join(names, ", "), shared)
+	}
+	return sb.String()
+}
+
+func (d *refDictionary) Derived(newID int, srcIDs ...int) {
+	d.journal = append(d.journal, LineageEvent{Kind: LineageDerived, ID: newID, Srcs: append([]int(nil), srcIDs...)})
+	d.derive(newID, srcIDs...)
+}
+
+func (d *refDictionary) derive(newID int, srcIDs ...int) {
+	seen := make(map[ComponentID]bool)
+	for _, t := range d.irToTask[newID] {
+		seen[t] = true
+	}
+	for _, src := range srcIDs {
+		for _, t := range d.irToTask[src] {
+			if !seen[t] {
+				seen[t] = true
+				d.irToTask[newID] = append(d.irToTask[newID], t)
+			}
+		}
+		if d.sharedIR[src] {
+			d.sharedIR[newID] = true
+		}
+	}
+}
+
+func (d *refDictionary) Replaced(oldID, newID int) {
+	d.journal = append(d.journal, LineageEvent{Kind: LineageReplaced, ID: newID, Srcs: []int{oldID}})
+	before := len(d.irToTask[newID])
+	d.derive(newID, oldID)
+	if len(d.irToTask[newID]) > before {
+		d.sharedIR[newID] = true
+	}
+	d.remove(oldID)
+}
+
+func (d *refDictionary) Removed(id int) {
+	d.journal = append(d.journal, LineageEvent{Kind: LineageRemoved, ID: id})
+	d.remove(id)
+}
+
+func (d *refDictionary) remove(id int) {
+	delete(d.irToTask, id)
+	delete(d.sharedIR, id)
+}
+
+// DiffDictionary holds d to the oracle r: the same owners and shared flag
+// for every IR id in ids, the same operator for every task id from -1 to
+// two past the registry, and the same ordered scans, counts and dump.
+func DiffDictionary(d *Dictionary, r *refDictionary, ids []int) error {
+	for _, id := range ids {
+		if got, want := d.TasksOf(id), r.TasksOf(id); !slices.Equal(got, want) {
+			return fmt.Errorf("TasksOf(%d) = %v, oracle %v", id, got, want)
+		}
+		if got, want := d.IsShared(id), r.IsShared(id); got != want {
+			return fmt.Errorf("IsShared(%d) = %v, oracle %v", id, got, want)
+		}
+	}
+	for t := ComponentID(-1); int(t) <= d.Registry.Len()+2; t++ {
+		if got, want := d.OperatorOf(t), r.OperatorOf(t); got != want {
+			return fmt.Errorf("OperatorOf(%d) = %d, oracle %d", t, got, want)
+		}
+	}
+	switch {
+	case !slices.Equal(d.IRIDs(), r.IRIDs()):
+		return fmt.Errorf("IRIDs = %v, oracle %v", d.IRIDs(), r.IRIDs())
+	case !slices.Equal(d.SharedIRIDs(), r.SharedIRIDs()):
+		return fmt.Errorf("SharedIRIDs = %v, oracle %v", d.SharedIRIDs(), r.SharedIRIDs())
+	case !slices.Equal(d.Tasks(), r.Tasks()):
+		return fmt.Errorf("Tasks = %v, oracle %v", d.Tasks(), r.Tasks())
+	case d.Entries() != r.Entries() || d.StorageBytes() != r.StorageBytes():
+		return fmt.Errorf("Entries, StorageBytes = %d, %d, oracle %d, %d", d.Entries(), d.StorageBytes(), r.Entries(), r.StorageBytes())
+	case d.Dump() != r.Dump():
+		return fmt.Errorf("Dump:\n%s\noracle:\n%s", d.Dump(), r.Dump())
+	}
+	return nil
 }

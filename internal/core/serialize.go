@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"repro/internal/vm"
 )
@@ -174,7 +173,7 @@ func ReadSamples(r io.Reader) ([]Sample, error) {
 
 // WriteMetadata serializes the compile-time state, every field a u32
 // word. Log A is written in task order and Log B in IR-id order, so the
-// bytes do not depend on map iteration. It refuses a value beyond 32 bits.
+// bytes depend only on the logs' content. It refuses a value beyond 32 bits.
 func WriteMetadata(w io.Writer, d *Dictionary, nm *NativeMap) error {
 	var bad error
 	var head, comps, logA, logB, owners, native, irs, rlens []uint32
@@ -194,21 +193,16 @@ func WriteMetadata(w io.Writer, d *Dictionary, nm *NativeMap) error {
 		strs = append(append(strs, c.Name...), c.Kind...)
 	}
 	for _, t := range d.Tasks() {
-		put(&logA, int(t), int(d.taskToOp[t]))
+		put(&logA, int(t), int(d.OperatorOf(t)))
 	}
-	irIDs := d.IRIDs()
-	for _, id := range d.SharedIRIDs() {
-		if _, linked := d.irToTask[id]; !linked {
-			irIDs = append(irIDs, id)
-		}
-	}
-	sort.Ints(irIDs)
-	for _, id := range irIDs {
-		put(&logB, id, len(d.irToTask[id]), b2i(d.sharedIR[id]))
-		for _, t := range d.irToTask[id] {
+	nB := 0
+	d.eachIR(func(id int, tasks []ComponentID, shared bool) {
+		put(&logB, id, len(tasks), b2i(shared))
+		for _, t := range tasks {
 			put(&owners, int(t))
 		}
-	}
+		nB++
+	})
 	routines := map[string]int{"": 0} // name → index in the routine table, from 1
 	for i, name := range nm.Routine {
 		rt, seen := routines[name]
@@ -221,7 +215,7 @@ func WriteMetadata(w io.Writer, d *Dictionary, nm *NativeMap) error {
 		put(&native, rt, len(nm.IRs[i]), int(nm.Region[i]), b2i(nm.Inverted[i]))
 		put(&irs, nm.IRs[i]...)
 	}
-	put(&head, len(reg.comps), int(reg.KernelOperator), int(reg.KernelTask), len(logA)/2, len(irIDs),
+	put(&head, len(reg.comps), int(reg.KernelOperator), int(reg.KernelTask), len(logA)/2, nB,
 		len(owners), len(nm.Routine), len(irs), len(rlens), len(strs))
 	if bad != nil {
 		return bad
@@ -286,26 +280,31 @@ func ReadMetadata(r io.Reader) (*Dictionary, *NativeMap, error) {
 		reg.comps[i] = Component{ID: ComponentID(i + 1), Level: Level(word(c + 4)), Name: cname, Kind: kind,
 			Pipeline: int(word(c)) - 1, Parent: ComponentID(word(c + 1))}
 	}
-	d := &Dictionary{Registry: reg, taskToOp: make(map[ComponentID]ComponentID, nA),
-		irToTask: make(map[int][]ComponentID, nB), sharedIR: make(map[int]bool)}
+	d := &Dictionary{Registry: reg, taskToOp: make([]ComponentID, nComp+1)}
 	for i, last := uint64(0), uint64(0); i < nA; i++ {
 		task, op := word(logA+2*i), word(logA+2*i+1)
 		if task <= last || !registered(task) || !registered(op) {
 			return fail("Log A entry %d (%d => %d) out of order or unregistered", i, task, op)
 		}
-		d.taskToOp[ComponentID(task)], last = ComponentID(op), task
+		d.taskToOp[task], last = ComponentID(op), task
 	}
 	for i := range reg.comps { // a tag or an owner may name any task: each needs its operator
-		if _, linked := d.taskToOp[reg.comps[i].ID]; !linked && reg.comps[i].Level == LevelTask {
+		if d.taskToOp[i+1] == NoComponent && reg.comps[i].Level == LevelTask {
 			return fail("task %d has no Log A entry", i+1)
 		}
 	}
 	pool := make([]ComponentID, nOwner)
 	for i := range pool {
-		pool[i] = ComponentID(word(owners + uint64(i)))
-		if _, linked := d.taskToOp[pool[i]]; !linked {
-			return fail("Log B owner %d has no Log A entry", word(owners+uint64(i)))
+		t := word(owners + uint64(i))
+		if !registered(t) || d.taskToOp[t] == NoComponent {
+			return fail("Log B owner %d has no Log A entry", t)
 		}
+		pool[i] = ComponentID(t)
+	}
+	// The dense range ends at the largest IR id, but reaches no further
+	// than the entry count allows: an id beyond goes to far.
+	if nB > 0 {
+		d.resize(int(min(word(logB+3*(nB-1))+1, 2*nB+denseSlack)))
 	}
 	used := uint64(0)
 	for i, next := uint64(0), uint64(0); i < nB; i++ {
@@ -313,11 +312,23 @@ func ReadMetadata(r io.Reader) (*Dictionary, *NativeMap, error) {
 		if id < next || n > nOwner-used || shared > 1 || n == 0 && shared == 0 {
 			return fail("Log B entry %d (IR %d) out of order, empty or beyond the owner section", i, id)
 		}
-		if n > 0 {
-			d.irToTask[int(id)] = pool[used : used+n : used+n]
-		}
-		if shared == 1 {
-			d.sharedIR[int(id)] = true
+		if tasks := pool[used : used+n : used+n]; id >= uint64(len(d.owner)) {
+			e := d.farAt(int(id))
+			e.shared = shared == 1
+			if n > 0 {
+				e.tasks = tasks
+			}
+		} else {
+			if n > 1 {
+				d.lists = append(d.lists, tasks)
+				d.more[id] = int32(len(d.lists))
+			}
+			if n > 0 {
+				d.owner[id] = tasks[0]
+			}
+			if shared == 1 {
+				d.MarkShared(int(id))
+			}
 		}
 		used, next = used+n, id+1
 	}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -98,8 +100,8 @@ func TestMetadataRoundTripIsExact(t *testing.T) {
 	if !reflect.DeepEqual(d.Registry, d2.Registry) {
 		t.Fatalf("registry:\n%+v\n%+v", d.Registry, d2.Registry)
 	}
-	if !reflect.DeepEqual(d.taskToOp, d2.taskToOp) || !reflect.DeepEqual(d.irToTask, d2.irToTask) || !reflect.DeepEqual(d.sharedIR, d2.sharedIR) {
-		t.Fatalf("logs:\n%v %v %v\n%v %v %v", d.taskToOp, d.irToTask, d.sharedIR, d2.taskToOp, d2.irToTask, d2.sharedIR)
+	if logs(d) != logs(d2) {
+		t.Fatalf("logs:\n%s\n%s", logs(d), logs(d2))
 	}
 	if !reflect.DeepEqual(nm, nm2) {
 		t.Fatalf("native map:\n%+v\n%+v", nm, nm2)
@@ -109,6 +111,18 @@ func TestMetadataRoundTripIsExact(t *testing.T) {
 	if got := d2.TasksOf(2); len(got) != 1 || got[0] != t1 {
 		t.Fatalf("LinkIR on IR 1 changed IR 2's owners to %v", got)
 	}
+}
+
+// logs renders Log A, Log B and the shared flags by id, in order.
+func logs(d *Dictionary) string {
+	var sb strings.Builder
+	for _, t := range d.Tasks() {
+		fmt.Fprintf(&sb, "A %d => %d\n", t, d.OperatorOf(t))
+	}
+	d.eachIR(func(id int, tasks []ComponentID, shared bool) {
+		fmt.Fprintf(&sb, "B %d => %v shared=%v\n", id, tasks, shared)
+	})
+	return sb.String()
 }
 
 func TestSampleLogRoundTrip(t *testing.T) {
@@ -231,6 +245,34 @@ func TestWriteMetadataRefusesWhatAWordCannotHold(t *testing.T) {
 	nm.IRs[0] = []int{-3}
 	if err := WriteMetadata(io.Discard, d, nm); err == nil {
 		t.Fatal("negative IR id written without error")
+	}
+}
+
+// TestReadMetadataFarIRID: an IR id near 2^31 is kept in far, in memory
+// and when read back, and reading the file allocates nothing near a table
+// of that size.
+func TestReadMetadataFarIRID(t *testing.T) {
+	_, d, nm, _, _, t1, t2 := testSetup()
+	const far = 1<<31 - 5
+	d.LinkIR(far, t1)
+	d.LinkIR(far, t2)
+	d.MarkShared(far + 1)
+	data := encodeMeta(t, d, nm)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d2, _, err := ReadMetadata(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("reading a %d-byte file allocated %d bytes", len(data), grew)
+	}
+	if len(d.owner) > 1<<10 || len(d2.owner) > 1<<10 {
+		t.Fatalf("dense ranges of %d and %d ids", len(d.owner), len(d2.owner))
+	}
+	if logs(d) != logs(d2) || len(d2.TasksOf(far)) != 2 || !d2.IsShared(far+1) {
+		t.Fatalf("logs:\n%s\n%s", logs(d), logs(d2))
 	}
 }
 

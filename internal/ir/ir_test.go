@@ -178,9 +178,11 @@ func TestPrinterAnnotations(t *testing.T) {
 
 type testAnnotator struct{}
 
-func (testAnnotator) Prefix(in *Instr) string     { return "42.0%" }
-func (testAnnotator) Suffix(in *Instr) string     { return "hash join" }
-func (testAnnotator) BlockHeader(b *Block) string { return "(hot)" }
+func (testAnnotator) AppendPrefix(dst []byte, in *Instr) []byte { return append(dst, "42.0%"...) }
+func (testAnnotator) AppendSuffix(dst []byte, in *Instr) []byte { return append(dst, "hash join"...) }
+func (testAnnotator) AppendBlockHeader(dst []byte, b *Block) []byte {
+	return append(dst, "(hot)"...)
+}
 
 func TestFormatInstrVariants(t *testing.T) {
 	m := NewModule()

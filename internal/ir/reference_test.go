@@ -6,7 +6,10 @@ package ir
 // differential tests and FuzzDominators below hold Check, Reachable and
 // Dominators to it — same Problems in the same order, same sets.
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 func refCheck(m *Module) []Problem {
 	var ps []Problem
@@ -285,6 +288,155 @@ func DiffCheck(m *Module) error {
 			return fmt.Errorf("problem %d surplus: %s", i, got[i])
 		case got[i] != want[i]:
 			return fmt.Errorf("problem %d: got %s, oracle reports %s", i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+// The listing printer as it stood before it appended into one buffer,
+// kept verbatim as the oracle (only its names changed): fmt.Sprintf per
+// instruction and fmt's rune-counted padding. TestPrintMatchesReference
+// holds Func.Print, Module.Print, AppendTo and FormatInstr to it.
+
+// RefAnnotator is the string-returning Annotator the oracle printer takes.
+type RefAnnotator interface {
+	Prefix(in *Instr) string
+	Suffix(in *Instr) string
+	BlockHeader(b *Block) string
+}
+
+func refPrintFunc(f *Func, a RefAnnotator) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "func %s(%d args):\n", f.Name, f.NumParams)
+	for _, b := range f.Blocks {
+		hdr := ""
+		if a != nil {
+			hdr = a.BlockHeader(b)
+		}
+		if hdr != "" {
+			fmt.Fprintf(&sb, "%s: %s\n", b.Name, hdr)
+		} else {
+			fmt.Fprintf(&sb, "%s:\n", b.Name)
+		}
+		for _, in := range b.Instrs {
+			prefix, suffix := "", ""
+			if a != nil {
+				prefix = a.Prefix(in)
+				suffix = a.Suffix(in)
+			}
+			line := refFormatInstr(in)
+			if in.Comment != "" {
+				line += " ; " + in.Comment
+			}
+			if suffix != "" {
+				fmt.Fprintf(&sb, "  %8s %-60s %s\n", prefix, line, suffix)
+			} else if prefix != "" {
+				fmt.Fprintf(&sb, "  %8s %s\n", prefix, line)
+			} else {
+				fmt.Fprintf(&sb, "  %s\n", line)
+			}
+		}
+	}
+	return sb.String()
+}
+
+func refPrintModule(m *Module, a RefAnnotator) string {
+	var sb strings.Builder
+	for _, f := range m.Funcs {
+		sb.WriteString(refPrintFunc(f, a))
+		sb.WriteString("\n")
+	}
+	return sb.String()
+}
+
+func refFormatInstr(in *Instr) string {
+	ref := func(a *Instr) string { return fmt.Sprintf("%%%d", a.ID) }
+	args := make([]string, len(in.Args))
+	for i, a := range in.Args {
+		args[i] = ref(a)
+	}
+	switch in.Op {
+	case OpConst:
+		return fmt.Sprintf("%%%d = const i64 %d", in.ID, in.Imm)
+	case OpParam:
+		return fmt.Sprintf("%%%d = param %d", in.ID, in.Imm)
+	case OpPhi:
+		parts := make([]string, len(in.Args))
+		for i, a := range in.Args {
+			name := "?"
+			if i < len(in.Block.Preds) {
+				name = in.Block.Preds[i].Name
+			}
+			parts[i] = fmt.Sprintf("[%s, %%%s]", ref(a), name)
+		}
+		return fmt.Sprintf("%%%d = phi %s", in.ID, strings.Join(parts, " "))
+	case OpBr:
+		return fmt.Sprintf("br %%%s", in.Targets[0].Name)
+	case OpCondBr:
+		return fmt.Sprintf("condbr %s %%%s %%%s", args[0], in.Targets[0].Name, in.Targets[1].Name)
+	case OpRet:
+		if len(in.Args) == 0 {
+			return "ret"
+		}
+		return fmt.Sprintf("ret %s", args[0])
+	case OpCall:
+		if in.Type == Void {
+			return fmt.Sprintf("call @%s(%s)", in.Callee, strings.Join(args, ", "))
+		}
+		return fmt.Sprintf("%%%d = call @%s(%s)", in.ID, in.Callee, strings.Join(args, ", "))
+	case OpStore8, OpStore32, OpStore64:
+		return fmt.Sprintf("%s %s, %s", in.Op, args[0], args[1])
+	case OpSetTag:
+		return fmt.Sprintf("settag %s", args[0])
+	case OpGetTag:
+		return fmt.Sprintf("%%%d = gettag", in.ID)
+	case OpHalt:
+		return "halt"
+	case OpTrap:
+		return fmt.Sprintf("trap %d", in.Imm)
+	default:
+		return fmt.Sprintf("%%%d = %s %s %s", in.ID, in.Op, in.Type, strings.Join(args, ", "))
+	}
+}
+
+// appending adapts a RefAnnotator to the appending Annotator.
+type appending struct{ a RefAnnotator }
+
+func (s appending) AppendPrefix(dst []byte, in *Instr) []byte { return append(dst, s.a.Prefix(in)...) }
+func (s appending) AppendSuffix(dst []byte, in *Instr) []byte { return append(dst, s.a.Suffix(in)...) }
+func (s appending) AppendBlockHeader(dst []byte, b *Block) []byte {
+	return append(dst, s.a.BlockHeader(b)...)
+}
+
+// GenModule exports dense_test.go's generator of one-function modules to
+// the external suite test.
+var GenModule = cfgFromBytes
+
+// DiffPrint holds every printer entry point to the oracle on m, under a
+// (nil for a plain listing): Module.Print, each Func.Print, AppendTo onto
+// a non-empty buffer, and FormatInstr of every instruction.
+func DiffPrint(m *Module, a RefAnnotator) error {
+	var ann Annotator
+	if a != nil {
+		ann = appending{a}
+	}
+	if got, want := m.Print(ann), refPrintModule(m, a); got != want {
+		return fmt.Errorf("Module.Print differs from the oracle:\n got %q\nwant %q", got, want)
+	}
+	for _, f := range m.Funcs {
+		want := refPrintFunc(f, a)
+		if got := f.Print(ann); got != want {
+			return fmt.Errorf("%s: Func.Print differs from the oracle:\n got %q\nwant %q", f.Name, got, want)
+		}
+		if got := string(f.AppendTo([]byte("kept"), ann)); got != "kept"+want {
+			return fmt.Errorf("%s: AppendTo does not append the listing to what dst holds:\n got %q", f.Name, got)
+		}
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if got, want := FormatInstr(in), refFormatInstr(in); got != want {
+					return fmt.Errorf("%s: FormatInstr = %q, oracle %q", f.Name, got, want)
+				}
+			}
 		}
 	}
 	return nil

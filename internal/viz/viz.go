@@ -5,9 +5,13 @@
 package viz
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -31,39 +35,55 @@ func AnnotatedPlan(pl *plan.Output, pc *pipeline.Compiled, p *core.Profile) stri
 	})
 }
 
-// irAnnotator implements ir.Annotator over a profile.
+// irAnnotator implements ir.Annotator over a profile. AnnotatedIR takes
+// one from annotators and puts it back, so the listing's buffer and the
+// block headers' per-operator sums are reused from call to call.
 type irAnnotator struct {
-	p  *core.Profile
-	pc *pipeline.Compiled
+	p    *core.Profile
+	buf  []byte
+	byOp []opWeight
 }
 
-func (a *irAnnotator) Prefix(in *ir.Instr) string {
+type opWeight struct {
+	op core.ComponentID
+	w  float64
+}
+
+var annotators = sync.Pool{New: func() any { return new(irAnnotator) }}
+
+// appendPct appends x as fmt's "%.1f%%" does.
+func appendPct(dst []byte, x float64) []byte {
+	return append(strconv.AppendFloat(dst, x, 'f', 1, 64), '%')
+}
+
+func (a *irAnnotator) AppendPrefix(dst []byte, in *ir.Instr) []byte {
 	w := a.p.IRWeight[in.ID]
 	if w == 0 {
-		return ""
+		return dst
 	}
-	return fmt.Sprintf("%.1f%%", 100*w/float64(a.p.TotalSamples))
+	return appendPct(dst, 100*w/float64(a.p.TotalSamples))
 }
 
-func (a *irAnnotator) Suffix(in *ir.Instr) string {
-	tasks := a.p.Dict.TasksOf(in.ID)
-	if len(tasks) == 0 {
-		return ""
-	}
-	names := make([]string, 0, len(tasks))
-	for _, t := range tasks {
-		op := a.p.Dict.OperatorOf(t)
-		if op != core.NoComponent {
-			names = append(names, a.p.Registry.Name(op))
+// AppendSuffix appends the operators owning in's tasks (Log B, then Log A),
+// separated by ", ".
+func (a *irAnnotator) AppendSuffix(dst []byte, in *ir.Instr) []byte {
+	n := 0
+	for _, t := range a.p.Dict.TasksOf(in.ID) {
+		if op := a.p.Dict.OperatorOf(t); op != core.NoComponent {
+			if n++; n > 1 {
+				dst = append(dst, ", "...)
+			}
+			dst = append(dst, a.p.Registry.Name(op)...)
 		}
 	}
-	return strings.Join(names, ", ")
+	return dst
 }
 
-func (a *irAnnotator) BlockHeader(b *ir.Block) string {
-	// Aggregate the block's samples per operator (the "(tablescan 2.4%
-	// hash join 45.7%)" headers of Fig. 6b).
-	byOp := map[core.ComponentID]float64{}
+// AppendBlockHeader aggregates the block's samples per operator (the
+// "(tablescan 2.4% hash join 45.7%)" headers of Fig. 6b), heaviest first and
+// ties on component id, so the rendering is a function of the profile.
+func (a *irAnnotator) AppendBlockHeader(dst []byte, b *ir.Block) []byte {
+	byOp := a.byOp[:0]
 	for _, in := range b.Instrs {
 		w := a.p.IRWeight[in.ID]
 		if w == 0 {
@@ -71,39 +91,46 @@ func (a *irAnnotator) BlockHeader(b *ir.Block) string {
 		}
 		tasks := a.p.Dict.TasksOf(in.ID)
 		for _, t := range tasks {
-			byOp[a.p.Dict.OperatorOf(t)] += w / float64(len(tasks))
+			op, i := a.p.Dict.OperatorOf(t), 0
+			for i < len(byOp) && byOp[i].op != op {
+				i++
+			}
+			if i == len(byOp) {
+				byOp = append(byOp, opWeight{op: op})
+			}
+			byOp[i].w += w / float64(len(tasks))
 		}
 	}
+	a.byOp = byOp
 	if len(byOp) == 0 {
-		return ""
+		return dst
 	}
-	type kv struct {
-		id core.ComponentID
-		w  float64
-	}
-	var list []kv
-	for id, w := range byOp {
-		list = append(list, kv{id, w})
-	}
-	// Ties break on component ID: the list comes out of a map, and the
-	// rendering must not depend on its iteration order.
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].w != list[j].w {
-			return list[i].w > list[j].w
+	slices.SortFunc(byOp, func(x, y opWeight) int {
+		if x.w != y.w {
+			return cmp.Compare(y.w, x.w)
 		}
-		return list[i].id < list[j].id
+		return cmp.Compare(x.op, y.op)
 	})
-	parts := make([]string, len(list))
-	for i, e := range list {
-		parts[i] = fmt.Sprintf("%s %.1f%%", a.p.Registry.Name(e.id), 100*e.w/float64(a.p.TotalSamples))
+	dst = append(dst, '(')
+	for i, e := range byOp {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = appendPct(append(append(dst, a.p.Registry.Name(e.op)...), ' '), 100*e.w/float64(a.p.TotalSamples))
 	}
-	return "(" + strings.Join(parts, " ") + ")"
+	return append(dst, ')')
 }
 
 // AnnotatedIR renders one pipeline function with per-instruction sample
 // shares and owning operators — the operator developer's view (Fig. 6b).
 func AnnotatedIR(f *ir.Func, pc *pipeline.Compiled, p *core.Profile) string {
-	return f.Print(&irAnnotator{p: p, pc: pc})
+	a := annotators.Get().(*irAnnotator)
+	a.p = p
+	a.buf = f.AppendTo(a.buf[:0], a)
+	s := string(a.buf)
+	a.p = nil
+	annotators.Put(a)
+	return s
 }
 
 // OperatorTable renders per-operator costs.
