@@ -27,7 +27,7 @@ type Config struct {
 	// Hot supplies profile guidance for a recompilation: scaled-address
 	// fusion of hot loads, profile-guided block layout with branch-sense
 	// inversion, and hotness-weighted spill priority. Nil (the default)
-	// compiles exactly as the seed backend does.
+	// compiles from the IR alone, spill weights from its block counts.
 	Hot Hotness
 }
 
@@ -71,6 +71,31 @@ type Result struct {
 	Spills int
 	// FusedBranches counts fused compare-and-branch instructions.
 	FusedBranches int
+	// GenCallSlots lists the spill slots of values live across a call to
+	// a generated function, which no register survives; every other slot
+	// holds a value register pressure evicted.
+	GenCallSlots []int
+
+	spillBase int64
+}
+
+// SpillAccess reports whether native instruction pos moves a value between
+// a register and its spill slot: a reload, or a spill store when store is
+// set.
+func (r *Result) SpillAccess(pos int) (slot int, store, ok bool) {
+	in := &r.Program.Code[pos]
+	off := in.Imm - r.spillBase
+	if !in.Abs || off < 0 || off >= 8*int64(r.SpillSlots) {
+		return 0, false, false
+	}
+	switch in.Op {
+	case isa.LOAD64:
+	case isa.STORE64:
+		store = true
+	default:
+		return 0, false, false
+	}
+	return int(off / 8), store, true
 }
 
 // emitter assembles the final program.
@@ -102,7 +127,7 @@ func Compile(m *ir.Module, cfg Config) (*Result, error) {
 		nmap:    core.NewNativeMap(0),
 		symbols: map[string]int{},
 	}
-	e.res = &Result{Program: e.prog, NMap: e.nmap}
+	e.res = &Result{Program: e.prog, NMap: e.nmap, spillBase: cfg.SpillBase}
 
 	funcs := make([]*ir.Func, 0, len(m.Funcs))
 	for _, f := range m.Funcs {
@@ -135,6 +160,7 @@ func Compile(m *ir.Module, cfg Config) (*Result, error) {
 		}
 		slotBase = next
 		e.res.Spills += alloc.spills
+		e.res.GenCallSlots = append(e.res.GenCallSlots, alloc.genCallSlots...)
 		if err := e.emitFunc(lf, alloc); err != nil {
 			return nil, err
 		}

@@ -68,7 +68,8 @@ type lblock struct {
 	name    string
 	ins     []lins
 	succs   []int
-	succBuf [2]int // backs succs: a block has at most two successors
+	succBuf [2]int  // backs succs: a block has at most two successors
+	freq    float64 // estimated execution count (ir.Block.Freq)
 }
 
 // lfunc is a function being lowered.
@@ -139,7 +140,7 @@ func (lo *lowerer) lowerFunc(f *ir.Func) (*lfunc, error) {
 	slab := make([]lins, n) // most IR instructions lower to one LIR instruction
 	for i, b := range f.Blocks {
 		k := len(b.Instrs) + 1
-		lblocks[i] = lblock{name: b.Name, ins: slab[:0:k]}
+		lblocks[i] = lblock{name: b.Name, ins: slab[:0:k], freq: b.Freq}
 		lo.out.blocks[i], slab = &lblocks[i], slab[k:]
 	}
 	lo.countUses()
@@ -540,8 +541,9 @@ func (lo *lowerer) lowerPhis() error {
 			predIx := pred.Index
 			target := predIx
 			if len(lo.out.blocks[predIx].succs) > 1 {
-				// Critical edge: splice in an edge block.
-				eb := &lblock{name: pred.Name + ".to." + b.Name}
+				// Critical edge: splice in an edge block, which runs at
+				// most as often as either of its ends.
+				eb := &lblock{name: pred.Name + ".to." + b.Name, freq: min(pred.Freq, b.Freq)}
 				eb.succs = append(eb.succBuf[:0], bIdx)
 				lo.out.blocks = append(lo.out.blocks, eb)
 				ebIx := len(lo.out.blocks) - 1

@@ -99,8 +99,9 @@ type interval struct {
 	reg          isa.Reg
 	spilled      bool
 	slot         int
-	// weight estimates dynamic access frequency (uses and defs scaled by
-	// loop depth); the allocator prefers spilling cold intervals.
+	// weight estimates dynamic access frequency (uses and defs, each
+	// weighted by its block's estimated execution count); the allocator
+	// prefers spilling cold intervals.
 	weight float64
 }
 
@@ -108,8 +109,9 @@ type interval struct {
 // where each vreg lives, indexed by vreg. 0 = not allocated, r+1 =
 // register r, -(s+1) = global spill slot s.
 type allocation struct {
-	loc    []int32
-	spills int
+	loc          []int32
+	spills       int
+	genCallSlots []int // slots of values live across a generated-function call
 }
 
 // location describes where a vreg lives.
@@ -212,30 +214,6 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allo
 			ends[v] = p
 		}
 	}
-	// Approximate loop depth per block: a backward branch from block b to
-	// target t nests every block in [t, b]. Our lowering emits loop
-	// bodies between header and latch, so this recovers nesting well
-	// enough to weight spill decisions.
-	depth := make([]int, len(fn.blocks))
-	for bi, b := range fn.blocks {
-		for _, tgt := range b.succs {
-			if tgt <= bi {
-				for j := tgt; j <= bi; j++ {
-					if depth[j] < 3 {
-						depth[j]++
-					}
-				}
-			}
-		}
-	}
-	weightOf := func(bi int) float64 {
-		w := 1.0
-		for d := 0; d < depth[bi]; d++ {
-			w *= 10
-		}
-		return w
-	}
-
 	weights := make([]float64, nv)
 	var hotTotal float64
 	if hot != nil {
@@ -246,9 +224,9 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allo
 	for bi, b := range fn.blocks {
 		for i := range b.ins {
 			l, p := &b.ins[i], blockStart[bi]+i
-			w := weightOf(bi)
+			w := b.freq
 			if hotTotal > 0 {
-				// Measured frequency refines the static loop-depth estimate:
+				// Measured frequency refines the static block-count estimate:
 				// an access the profile saw hot defends its register harder.
 				w *= 1 + 100*hot.WeightOf(l.irIDs)/hotTotal
 			}
@@ -370,6 +348,9 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allo
 				iv.slot = nextSlot
 				nextSlot++
 				alloc.spills++
+				if iv.crossGenCall {
+					alloc.genCallSlots = append(alloc.genCallSlots, iv.slot)
+				}
 			}
 		}
 		if iv.spilled {

@@ -18,6 +18,7 @@ func buildPressureLoop(hot, cold int) *ir.Module {
 	head := b.NewBlock("head")
 	body := b.NewBlock("body")
 	done := b.NewBlock("done")
+	head.Freq, body.Freq = 1000, 1000 // the trip count, as a plan would estimate it
 
 	var colds []*ir.Instr
 	for i := 0; i < cold; i++ {

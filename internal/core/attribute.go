@@ -184,15 +184,17 @@ func (a *Attributor) lookup(e *ipEntry, s *Sample) (Class, []Credit) {
 // its owning tasks; the list names registered tasks in ascending id order,
 // normalized so the sample contributes weight 1 in aggregate even if some
 // IR instructions had no links. A CSE'd instruction owned by several tasks
-// prefers runtime disambiguation through s and falls back to the split;
-// the table build passes a nil s for instructions that have none.
+// prefers runtime disambiguation through s when it names one of the
+// owners, and falls back to the split: a pipeline's caller frame (main's
+// call, tagged kernel, in a one-core run) owns none of its instructions.
+// The table build passes a nil s for instructions that have none.
 func (a *Attributor) creditsOf(dst []Credit, irIDs []int, s *Sample) ([]Credit, bool) {
 	base := len(dst)
 	irW := 1.0 / float64(len(irIDs))
 	for _, irID := range irIDs {
 		tasks := a.Dict.TasksOf(irID)
 		if s != nil && a.Dict.IsShared(irID) {
-			if t := a.resolveShared(s); t != NoComponent {
+			if t := a.resolveShared(s); slices.Contains(tasks, t) {
 				tasks = []ComponentID{t}
 			}
 		}

@@ -67,8 +67,9 @@ func refAttribute(a *Attributor, s *Sample) Attribution {
 		var tasks []ComponentID
 		if a.Dict.IsShared(irID) {
 			// CSE'd instruction owned by several tasks: prefer runtime
-			// disambiguation; fall back to splitting across owners.
-			if t := refResolveShared(a, s); t != NoComponent {
+			// disambiguation when it names an owner; fall back to
+			// splitting across owners.
+			if t := refResolveShared(a, s); slices.Contains(a.Dict.TasksOf(irID), t) {
 				tasks = []ComponentID{t}
 			} else {
 				tasks = a.Dict.TasksOf(irID)

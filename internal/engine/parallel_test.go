@@ -88,7 +88,27 @@ func TestParallelSampleDeterminism(t *testing.T) {
 	for _, w := range queries.Suite() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
+			// The countdown restarts with every morsel, so a period longer
+			// than a morsel's loads samples nothing: the load period is a
+			// share of the run's own loads, and never longer than 487.
+			opts := DefaultOptions()
+			opts.Workers = 1
+			opts.MorselRows = 256
+			e := New(cat, opts)
+			cq, err := e.CompileQuery(w.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unarmed, err := e.Run(cq, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loadPeriod := min(487, max(1, int64(unarmed.Stats.Loads/256)))
 			for _, evt := range events {
+				period := int64(487)
+				if evt.ev == vm.EvMemLoads {
+					period = loadPeriod
+				}
 				var baseTotal int
 				var baseOps map[string]float64
 				for _, workers := range workerCounts {
@@ -100,7 +120,7 @@ func TestParallelSampleDeterminism(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, err := e.Run(cq, &pmu.Config{Event: evt.ev, Period: 487})
+					res, err := e.Run(cq, &pmu.Config{Event: evt.ev, Period: period})
 					if err != nil {
 						t.Fatal(err)
 					}

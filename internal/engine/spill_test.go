@@ -1,0 +1,158 @@
+package engine
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/cost"
+	"repro/internal/datagen"
+	"repro/internal/ir"
+	"repro/internal/plan"
+	"repro/internal/pmu"
+	"repro/internal/queries"
+	"repro/internal/sqlparse"
+	"repro/internal/vm"
+)
+
+// maxReloadShare is the ceiling on the share of retired instructions that
+// reload a spilled value, over the suite at the test scale. Recorded when
+// spill weights became the plan's block counts; lower it when the
+// allocator improves.
+const maxReloadShare = 0.070
+
+// spillDefClass names what defines the value a spill store writes: the
+// last IR instruction of the store's debug info is the value's definition.
+func spillDefClass(def *ir.Instr) string {
+	switch {
+	case def.Op == ir.OpConst:
+		return "constant"
+	case def.Op == ir.OpPhi:
+		return "phi"
+	case (def.Op == ir.OpLoad64 || def.Op == ir.OpLoad32 || def.Op == ir.OpLoad8) && def.Args[0].Op == ir.OpConst:
+		return "state-slot load" // column bases, row counts, morsel bounds
+	}
+	return "other"
+}
+
+// TestSpillReloadShare measures the backend with the profiler: it samples
+// every suite plan with instructions retired at a small prime period and
+// counts the samples that land on a spill reload, split by what defined
+// the reloaded value and by why it lives in a slot.
+func TestSpillReloadShare(t *testing.T) {
+	e := New(testCatalog(t), DefaultOptions())
+	var total, reloads int
+	byDef, byCause := map[string]int{}, map[string]int{}
+	for _, w := range queries.Suite() {
+		cq, err := e.CompileQuery(w.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run(cq, &pmu.Config{Event: vm.EvInstRetired, Period: 31})
+		if err != nil {
+			t.Fatal(err)
+		}
+		byID := make([]*ir.Instr, cq.Pipe.Module.MaxID()+1)
+		cq.Pipe.Module.ForEachInstr(func(_ *ir.Func, _ *ir.Block, in *ir.Instr) { byID[in.ID] = in })
+		defs := make([]string, cq.Code.SpillSlots)
+		for pos := range cq.Code.Program.Code {
+			if slot, store, ok := cq.Code.SpillAccess(pos); ok && store {
+				ids := cq.Code.NMap.IRs[pos]
+				defs[slot] = spillDefClass(byID[ids[len(ids)-1]])
+			}
+		}
+		n := 0
+		for _, s := range res.Samples {
+			slot, store, ok := cq.Code.SpillAccess(s.IP)
+			if !ok || store {
+				continue
+			}
+			n++
+			byDef[defs[slot]]++
+			if slices.Contains(cq.Code.GenCallSlots, slot) {
+				byCause["live across a generated call"]++
+			} else {
+				byCause["register pressure"]++
+			}
+		}
+		t.Logf("%-12s %5.1f%% of %d samples", w.Name, 100*float64(n)/float64(len(res.Samples)), len(res.Samples))
+		total += len(res.Samples)
+		reloads += n
+	}
+	if total == 0 {
+		t.Fatal("no samples")
+	}
+	share := float64(reloads) / float64(total)
+	for _, split := range []map[string]int{byDef, byCause} {
+		keys := make([]string, 0, len(split))
+		for k := range split {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			t.Logf("  %-28s %5.2f%% of retired instructions", k, 100*float64(split[k])/float64(total))
+		}
+	}
+	t.Logf("spill reloads: %.2f%% of %d samples (ceiling %.1f%%)", 100*share, total, 100*maxReloadShare)
+	if share > maxReloadShare {
+		t.Errorf("spill reloads are %.2f%% of retired instructions, above the %.1f%% ceiling", 100*share, 100*maxReloadShare)
+	}
+}
+
+// TestSpillWeightsUnderSkewedStats evaluates the allocator's use of the
+// plan's row estimates: compiled from stale or absent column statistics,
+// no statement of either suite may run more than 5% slower in simulated
+// cycles than its fresh-statistics compile.
+func TestSpillWeightsUnderSkewedStats(t *testing.T) {
+	cat := testCatalog(t)
+	twin := datagen.Generate(datagen.Config{ScaleFactor: 0.05 / 4, Seed: 10})
+	opts := DefaultOptions()
+	cycles := func(q *plan.Query, src cost.StatsSource) uint64 {
+		t.Helper()
+		pl, err := plan.PlanWith(cat, q, &cost.Naive{Stats: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cq, err := (&Compiler{Cat: cat, Opts: opts}).CompilePlanGuided(pl, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := (&Executor{Opts: opts}).Run(cq, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats.TotalCycles()
+	}
+	type stmt struct {
+		name string
+		q    *plan.Query
+	}
+	var stmts []stmt
+	for _, w := range queries.Suite() {
+		stmts = append(stmts, stmt{w.Name, w.Query})
+	}
+	for _, w := range queries.SQLSuite() {
+		q, err := sqlparse.Parse(w.SQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stmts = append(stmts, stmt{"sql/" + w.Name, q})
+	}
+	worst, worstAt := 0.0, ""
+	for _, s := range stmts {
+		fresh := cycles(s.q, cost.FreshStats{})
+		for _, skew := range []struct {
+			name string
+			src  cost.StatsSource
+		}{{"stale", staleStats{twin}}, {"absent", absentStats{}}} {
+			slower := float64(cycles(s.q, skew.src))/float64(fresh) - 1
+			if slower > worst {
+				worst, worstAt = slower, fmt.Sprintf("%s under %s statistics", s.name, skew.name)
+			}
+			if slower > 0.05 {
+				t.Errorf("%s: %.1f%% slower under %s statistics than fresh", s.name, 100*slower, skew.name)
+			}
+		}
+	}
+	t.Logf("worst: %+.2f%% (%s)", 100*worst, worstAt)
+}

@@ -20,9 +20,11 @@ func NewBuilder(f *Func) *Builder {
 }
 
 // NewBlock appends a new block to the function (does not move the
-// insertion point).
+// insertion point). It inherits the current block's Freq.
 func (b *Builder) NewBlock(name string) *Block {
-	return b.Func.newBlock(name)
+	blk := b.Func.newBlock(name)
+	blk.Freq = b.Cur.Freq
+	return blk
 }
 
 // SetBlock moves the insertion point to blk.

@@ -163,6 +163,12 @@ type Block struct {
 	Instrs []*Instr
 	Preds  []*Block
 	Func   *Func
+
+	// Freq estimates how often the block runs relative to its function's
+	// entry, which counts 1. The register allocator weights spills by it. The pipeline generator stamps it from the
+	// plan's row estimates; a block nobody stamps counts as often as the
+	// block the Builder stood in when it was created.
+	Freq float64
 }
 
 // Terminator returns the block's final instruction, or nil if the block is
@@ -200,7 +206,7 @@ func (f *Func) Entry() *Block { return f.Blocks[0] }
 
 // newBlock appends a block to f.
 func (f *Func) newBlock(name string) *Block {
-	b := &Block{Name: name, Index: len(f.Blocks), Func: f}
+	b := &Block{Name: name, Index: len(f.Blocks), Func: f, Freq: 1}
 	f.Blocks = append(f.Blocks, b)
 	return b
 }

@@ -53,6 +53,7 @@ func (c *Compiler) genScanLoop(s *plan.Scan, pipeIdx int) {
 	body := c.b.NewBlock("tupleBody")
 	next := c.b.NewBlock("nextTuple")
 	exit := c.b.NewBlock("scanDone")
+	stamp(max(s.RowsEst, s.Est), loopHead, body, next)
 
 	var bases []*ir.Instr
 	var nrows, start, tid *ir.Instr
@@ -110,6 +111,7 @@ func (c *Compiler) genScanLoop(s *plan.Scan, pipeIdx int) {
 			filterTask := c.task(s, roleFilter)
 			pass := c.evalExpr(s.Filter, r)
 			cont := c.b.NewBlock("filterPass")
+			cont.Freq = min(s.Est, c.b.Cur.Freq)
 			c.b.CondBr(pass, cont, next)
 			c.b.SetBlock(cont)
 			c.bump(filterTask)
@@ -237,8 +239,18 @@ func (c *Compiler) genJoinProbe(j *plan.Join, r row) {
 		head.Comment = "hash-table directory lookup"
 
 		chainHead = c.b.NewBlock("loopHashChain")
+		// A probe row matches at most fanout times: under a unique build
+		// key only if the build kept its key, else up to the plan's own
+		// bound on the join's output.
+		fanout := keyShare(j.Build)
+		if !j.BuildUnique {
+			fanout = float64(j.BoundRows()) / float64(max(1, j.Probe.BoundRows()))
+		}
 		match = c.b.NewBlock("chainMatch")
+		match.Freq = min(j.Est, c.b.Cur.Freq*fanout)
 		cont = c.b.NewBlock("contProbe")
+		// The chain walk visits every matching entry at least.
+		stamp(max(c.b.Cur.Freq, match.Freq), chainHead, cont)
 
 		nonNull := c.b.Bin(ir.OpCmpNe, head, c.b.Const(0))
 		c.b.CondBr(nonNull, chainHead, c.skipBlock)
@@ -311,6 +323,7 @@ func (c *Compiler) genGroupByAgg(g *plan.GroupBy, r row) {
 		findCont := c.b.NewBlock("contFind")
 		found := c.b.NewBlock("groupFound")
 		insert := c.b.NewBlock("groupInsert")
+		insert.Freq = min(entries(g), c.b.Cur.Freq)
 		done := c.b.NewBlock("groupDone")
 
 		nonNull := c.b.Bin(ir.OpCmpNe, head, c.b.Const(0))
@@ -398,6 +411,7 @@ func (c *Compiler) genGroupJoinProbe(gj *plan.GroupJoin, r row) {
 		chainHead := c.b.NewBlock("gjChain")
 		cont := c.b.NewBlock("gjCont")
 		found = c.b.NewBlock("gjFound")
+		found.Freq = c.b.Cur.Freq * keyShare(gj.Build)
 
 		nonNull := c.b.Bin(ir.OpCmpNe, head, c.b.Const(0))
 		c.b.CondBr(nonNull, chainHead, c.skipBlock)
@@ -451,6 +465,7 @@ func (c *Compiler) genArenaScan(n plan.Node, pipeIdx int, ht *HTLayout, offs []i
 	body := c.b.NewBlock("groupBody")
 	next := c.b.NewBlock("nextGroup")
 	exit := c.b.NewBlock("groupsDone")
+	stamp(entries(n), loopHead, body, next)
 
 	var ptr *ir.Instr
 	c.withTask(opID, task, func() {
@@ -474,6 +489,7 @@ func (c *Compiler) genArenaScan(n plan.Node, pipeIdx int, ht *HTLayout, offs []i
 			mc := c.b.Load(64, c.b.Add(ptr, c.b.Const(entryValOff)))
 			nz := c.b.Bin(ir.OpCmpNe, mc, c.b.Const(0))
 			matched := c.b.NewBlock("matchedGroup")
+			matched.Freq = min(n.EstRows(), c.b.Cur.Freq)
 			c.b.CondBr(nz, matched, next)
 			c.b.SetBlock(matched)
 		}
@@ -515,6 +531,37 @@ func (c *Compiler) genArenaScan(n plan.Node, pipeIdx int, ht *HTLayout, offs []i
 		c.b.SetBlock(exit)
 		c.b.Ret(nil)
 	})
+}
+
+// entries estimates the hash-table entries sink n makes: a join or group
+// join inserts its build rows, a group-by one entry per group.
+func entries(n plan.Node) float64 {
+	switch x := n.(type) {
+	case *plan.GroupBy:
+		return min(x.Est, float64(x.BoundRows()))
+	case *plan.Join:
+		return x.Build.EstRows()
+	case *plan.GroupJoin:
+		return x.Build.EstRows()
+	}
+	return n.EstRows()
+}
+
+// keyShare estimates the share of a unique build key's values that the
+// build side keeps: a probe row finds its key only if the build's filter
+// passed the key's row. It needs no column statistics.
+func keyShare(build plan.Node) float64 {
+	if s, ok := build.(*plan.Scan); ok {
+		return min(1, s.Est/max(1, s.RowsEst))
+	}
+	return 1
+}
+
+// stamp sets the estimated execution count (ir.Block.Freq) of blocks.
+func stamp(freq float64, blocks ...*ir.Block) {
+	for _, b := range blocks {
+		b.Freq = freq
+	}
 }
 
 // genBloomSet sets the bloom-filter bit indexed by probe value g: one

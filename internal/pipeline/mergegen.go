@@ -49,26 +49,27 @@ func (c *Compiler) genMergeKernels(p *pipe) *MergeInfo {
 		return nil
 	}
 	opID := c.ops[p.sinkNode]
+	n := entries(p.sinkNode) // the kernels' loops walk the sink's entries
 	idx := strconv.Itoa(p.index)
 	mi := &MergeInfo{Partitions: ht.Partitions, PlaceTask: core.NoComponent}
 
 	mi.ScatterFunc = "scatter" + idx
 	mi.ScatterTask = c.registerTask(p, p.sinkNode, roleMergeScatter, opID)
-	c.genScatterKernel(mi.ScatterFunc, opID, mi.ScatterTask, ht)
+	c.genScatterKernel(mi.ScatterFunc, opID, mi.ScatterTask, ht, n)
 
 	mi.MergeFunc = "merge" + idx
 	if p.sinkKind == SinkGroupAgg {
 		mi.MergeTask = c.registerTask(p, p.sinkNode, roleMergeUpsert, opID)
-		c.genMergeUpsert(mi.MergeFunc, opID, mi.MergeTask, ht, c.sinkInfo(p))
+		c.genMergeUpsert(mi.MergeFunc, opID, mi.MergeTask, ht, c.sinkInfo(p), n)
 		// Placement reuses the insert-kernel body: staged entries are the
 		// deduplicated groups (seq-ascending within a partition) and the
 		// destination vector carries their rank-derived arena addresses.
 		mi.PlaceFunc = "place" + idx
 		mi.PlaceTask = c.registerTask(p, p.sinkNode, roleMergePlace, opID)
-		c.genMergeInsert(mi.PlaceFunc, opID, mi.PlaceTask, ht)
+		c.genMergeInsert(mi.PlaceFunc, opID, mi.PlaceTask, ht, n)
 	} else {
 		mi.MergeTask = c.registerTask(p, p.sinkNode, roleMergeInsert, opID)
-		c.genMergeInsert(mi.MergeFunc, opID, mi.MergeTask, ht)
+		c.genMergeInsert(mi.MergeFunc, opID, mi.MergeTask, ht, n)
 	}
 	return mi
 }
@@ -98,7 +99,7 @@ func (c *Compiler) copyEntryWords(dst, src *ir.Instr, es int64) {
 // write cursors, then a packed scatter into ScatterOut with the local
 // entry index stamped into the copied entry's next word. ScatterOut is
 // exactly segment-sized, so overflow is impossible by construction.
-func (c *Compiler) genScatterKernel(name string, opID, task core.ComponentID, ht *HTLayout) {
+func (c *Compiler) genScatterKernel(name string, opID, task core.ComponentID, ht *HTLayout, n float64) {
 	c.startFunc(name)
 	es := ht.EntrySize
 	c.withTask(opID, task, func() {
@@ -119,6 +120,8 @@ func (c *Compiler) genScatterKernel(name string, opID, task core.ComponentID, ht
 		scatHead := b.NewBlock("scatterHead")
 		scatBody := b.NewBlock("scatterBody")
 		exit := b.NewBlock("scatterDone")
+		stamp(n, histHead, histBody, scatHead, scatBody)
+		stamp(float64(ht.Partitions), prefHead, prefBody)
 		b.Br(histHead)
 
 		b.SetBlock(histHead)
@@ -187,7 +190,7 @@ func (c *Compiler) genScatterKernel(name string, opID, task core.ComponentID, ht
 // head-inserting it — the identical insertion sequence the serial run
 // performs for this slot range, so chains and directory come out
 // byte-identical.
-func (c *Compiler) genMergeInsert(name string, opID, task core.ComponentID, ht *HTLayout) {
+func (c *Compiler) genMergeInsert(name string, opID, task core.ComponentID, ht *HTLayout, n float64) {
 	c.startFunc(name)
 	es := ht.EntrySize
 	c.withTask(opID, task, func() {
@@ -207,6 +210,7 @@ func (c *Compiler) genMergeInsert(name string, opID, task core.ComponentID, ht *
 		loopHead := b.NewBlock("mergeHead")
 		body := b.NewBlock("mergeBody")
 		exit := b.NewBlock("mergeDone")
+		stamp(n, loopHead, body)
 		b.Br(loopHead)
 
 		b.SetBlock(loopHead)
@@ -243,7 +247,7 @@ func (c *Compiler) genMergeInsert(name string, opID, task core.ComponentID, ht *
 // host sorts by to schedule the placement round). The final output cursor
 // is written back through the parameter block so the host learns the
 // deduplicated group count.
-func (c *Compiler) genMergeUpsert(name string, opID, task core.ComponentID, ht *HTLayout, si SinkInfo) {
+func (c *Compiler) genMergeUpsert(name string, opID, task core.ComponentID, ht *HTLayout, si SinkInfo, n float64) {
 	c.startFunc(name)
 	es := ht.EntrySize
 	c.withTask(opID, task, func() {
@@ -270,6 +274,7 @@ func (c *Compiler) genMergeUpsert(name string, opID, task core.ComponentID, ht *
 		insertBlk := b.NewBlock("groupInsert")
 		nextBlk := b.NewBlock("nextStaged")
 		exit := b.NewBlock("upsertDone")
+		stamp(n, loopHead, body, findHead, findCont, foundBlk, insertBlk, nextBlk)
 		b.Br(loopHead)
 
 		b.SetBlock(loopHead)

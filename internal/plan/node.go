@@ -47,7 +47,9 @@ type Scan struct {
 	// Cols are the table column indices this scan outputs (pruned).
 	Cols []int
 
-	Est float64
+	// RowsEst is the pre-filter row estimate (the rows the scan loop
+	// visits); Est is what passes the filter.
+	RowsEst, Est float64
 }
 
 func (s *Scan) Out() []ColMeta {

@@ -473,7 +473,8 @@ func (p *planner) buildScan(alias string, cols map[string]bool, filterExprs []Ex
 		sel *= p.selectivity(s, pf)
 	}
 	s.Filter = filter
-	s.Est = float64(t.Rows()) * sel
+	s.RowsEst = float64(t.Rows())
+	s.Est = s.RowsEst * sel
 	if s.Est < 1 {
 		s.Est = 1
 	}
