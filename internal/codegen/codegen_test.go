@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ir"
@@ -253,4 +254,35 @@ func TestDebugInfoCoverage(t *testing.T) {
 			t.Errorf("native instr %d (%s) has no debug info", i, res.Program.Code[i].String())
 		}
 	}
+}
+
+// DeadDefs lowers every function of m the way Compile does and reports the
+// first pure LIR def whose register no instruction reads. Exported (from a
+// test file) for the external suite test.
+func DeadDefs(m *ir.Module, cfg Config) error {
+	lo := newLowerer(m, &cfg)
+	for _, f := range m.Funcs {
+		lf, err := lo.lowerFunc(f)
+		if err != nil {
+			return err
+		}
+		read := map[vreg]bool{}
+		var buf [2]vreg
+		for _, b := range lf.blocks {
+			for i := range b.ins {
+				_, uses := b.ins[i].operands(&buf)
+				for _, u := range uses {
+					read[u] = true
+				}
+			}
+		}
+		for _, b := range lf.blocks {
+			for i := range b.ins {
+				if l := &b.ins[i]; l.pure() && !read[l.dst] {
+					return fmt.Errorf("%s/%s: %s into v%d (IR %v) is never read", f.Name, b.name, l.op, l.dst, l.irIDs)
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -154,7 +154,7 @@ func (lo *lowerer) lowerFunc(f *ir.Func) (*lfunc, error) {
 	if err := lo.lowerPhis(); err != nil {
 		return nil, err
 	}
-	lo.sweepDeadMovi()
+	lo.sweepDeadDefs()
 	return lo.out, nil
 }
 
@@ -668,27 +668,46 @@ func retargetBranch(b *lblock, old, new int) {
 	}
 }
 
-// sweepDeadMovi removes constant materializations whose value is never
-// consumed (every use was folded into an immediate operand).
-func (lo *lowerer) sweepDeadMovi() {
-	used := ir.NewBitset(int(lo.out.nvreg) + 1)
+// sweepDeadDefs removes pure definitions — constant materializations and
+// ALU results, never tag writes or trapping divisions — whose value
+// nothing reads: constants folded into immediates, and address Adds that
+// addr folded into a later load after lowering them. A removed def may
+// orphan its operands' defs, so the sweep repeats until nothing is removed.
+func (lo *lowerer) sweepDeadDefs() {
+	reads := make([]int32, lo.out.nvreg+1)
 	var buf [2]vreg
 	for _, b := range lo.out.blocks {
 		for i := range b.ins {
 			_, uses := b.ins[i].operands(&buf)
 			for _, u := range uses {
-				used.Set(int(u))
+				reads[u]++
 			}
 		}
 	}
-	for _, b := range lo.out.blocks {
-		kept := b.ins[:0]
-		for _, l := range b.ins {
-			if l.op == isa.MOVRI && l.pseudo == pNone && !l.tagWrite && !used.Has(int(l.dst)) {
-				continue
+	for swept := true; swept; {
+		swept = false
+		for _, b := range lo.out.blocks {
+			kept := b.ins[:0]
+			for _, l := range b.ins {
+				if l.pure() && reads[l.dst] == 0 {
+					_, uses := l.operands(&buf)
+					for _, u := range uses {
+						reads[u]--
+					}
+					swept = true
+					continue
+				}
+				kept = append(kept, l)
 			}
-			kept = append(kept, l)
+			b.ins = kept
 		}
-		b.ins = kept
 	}
+}
+
+// pure reports whether l only defines its destination register.
+func (l *lins) pure() bool {
+	if l.pseudo != pNone || l.tagWrite {
+		return false
+	}
+	return l.op == isa.MOVRI || l.op >= isa.ADD && l.op <= isa.CMPGE && l.op != isa.DIV && l.op != isa.MOD
 }

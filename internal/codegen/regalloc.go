@@ -323,7 +323,7 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allo
 			// Spill the coldest candidate: the active interval with the
 			// lowest estimated access frequency (ties: furthest end)
 			// whose register this interval can use. Frequency weighting
-			// keeps loop-resident values (column bases, cursors) in
+			// keeps loop-resident values (morsel bounds, cursors) in
 			// registers; the furthest-end-only policy would evict them.
 			var victim *interval
 			for _, a := range active {

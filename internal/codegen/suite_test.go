@@ -32,3 +32,22 @@ func TestSuiteLivenessMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestSuiteLIRHasNoDeadDefs: after lowering, no constant or ALU result of
+// any suite or SQL-suite statement is left unread — in particular no
+// address Add that was folded into its load's displacement.
+func TestSuiteLIRHasNoDeadDefs(t *testing.T) {
+	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.01, Seed: 7})
+	e := engine.New(cat, engine.DefaultOptions())
+	for _, w := range append(queries.Suite(), queries.SQLSuite()...) {
+		cq, err := e.CompileQuery(w.Query)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		cfg := codegen.DefaultConfig(0, 0, 1<<20)
+		cfg.RegisterTagging = e.Opts.RegisterTagging
+		if err := codegen.DeadDefs(cq.Pipe.Module, cfg); err != nil {
+			t.Errorf("%s: %v", w.Name, err)
+		}
+	}
+}

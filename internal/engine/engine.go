@@ -538,7 +538,7 @@ func (c *carver) carve(name string, size int64, writable bool) int64 {
 // tables and the result buffer, and records the staging writes.
 func (c *Compiler) buildLayout(pl *plan.Output, cq *Compiled) (*pipeline.Layout, error) {
 	lay := &pipeline.Layout{
-		ColSlots:  map[pipeline.ColKey]int{},
+		ColAddrs:  map[pipeline.ColKey]int64{},
 		RowsSlots: map[string]int{},
 		HT:        map[plan.Node]*pipeline.HTLayout{},
 	}
@@ -557,26 +557,23 @@ func (c *Compiler) buildLayout(pl *plan.Output, cq *Compiled) (*pipeline.Layout,
 		}
 	})
 
-	// State slots: one per scanned column plus one row count per scan.
-	slot := 0
-	for _, s := range scans {
-		for _, ci := range s.Cols {
-			lay.ColSlots[pipeline.ColKey{Alias: s.Alias, Col: ci}] = slot
-			slot++
-		}
-		lay.RowsSlots[s.Alias] = slot
-		slot++
+	// State slots: one row count per scan. Column bases are not state:
+	// generated code addresses each column region as a layout constant.
+	ncols := 0
+	for i, s := range scans {
+		lay.RowsSlots[s.Alias] = i
+		ncols += len(s.Cols)
 	}
 
 	// At most 8 fixed regions, one per column and 11 per hash table.
-	h := carver{cur: stagingAddr, regions: make([]verify.MemRegion, 0, 8+slot+11*len(mats))}
+	h := carver{cur: stagingAddr, regions: make([]verify.MemRegion, 0, 8+ncols+11*len(mats))}
 
 	// The stack analogue: call-argument staging and spill slots.
 	h.carve("staging", spillBase-stagingAddr, true)
 	h.carve("spill", spillCap, true)
 
 	// State slots are staged by the host and read-only to generated code.
-	lay.StateBase = h.carve("state", int64(slot)*8, false)
+	lay.StateBase = h.carve("state", int64(len(scans))*8, false)
 
 	// Hash-table descriptors and the result descriptor. Generated code
 	// bumps the arena/result cursors, so the region is writable.
@@ -609,11 +606,8 @@ func (c *Compiler) buildLayout(pl *plan.Output, cq *Compiled) (*pipeline.Layout,
 		})
 		for _, ci := range s.Cols {
 			addr := h.carve("col", capRows*8, false)
+			lay.ColAddrs[pipeline.ColKey{Alias: s.Alias, Col: ci}] = addr
 			cq.binds = append(cq.binds, colBind{addr: addr, table: s.Table.Name, col: ci, cap: capRows})
-			cq.writes = append(cq.writes, slotWrite{
-				addr: lay.StateBase + int64(lay.ColSlots[pipeline.ColKey{Alias: s.Alias, Col: ci}])*8,
-				val:  addr,
-			})
 		}
 		cq.rowsBinds = append(cq.rowsBinds, rowsBind{
 			addr:  lay.StateBase + int64(lay.RowsSlots[s.Alias])*8,

@@ -9,10 +9,10 @@ import (
 // buildMemModel derives the abstract interpreter's memory model from the
 // layout buildLayout produced: the regions it carved, each with its store
 // permission, plus invariant facts for the staged cells generated code
-// only ever reads (column bases, row counts, descriptor dir/mask/end,
-// morsel bounds). The model is what lets internal/verify/absint prove
-// column accesses in-bounds and catch provably wild or read-only-region
-// stores at compile time.
+// only ever reads (row counts, descriptor dir/mask/end, morsel bounds).
+// The model is what lets internal/verify/absint prove column accesses
+// in-bounds and catch provably wild or read-only-region stores at
+// compile time.
 func buildMemModel(cq *Compiled, lay *pipeline.Layout, pc *pipeline.Compiled) *verify.MemModel {
 	mm := &verify.MemModel{
 		HeapSize: int64(cq.heapSize),

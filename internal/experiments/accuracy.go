@@ -59,26 +59,12 @@ func (e *Env) Accuracy() (string, *AccuracyStats, error) {
 		if s.IP >= len(nmap.Region) || nmap.Region[s.IP] != core.RegionGenerated {
 			continue
 		}
-		irs := nmap.IRs[s.IP]
-		if len(irs) != 1 {
-			continue // fused instructions are legitimately multi-owner
-		}
-		in := instrByID[irs[0]]
-		if in == nil {
-			continue
-		}
-		switch in.Op {
-		case ir.OpPhi, ir.OpSetTag, ir.OpGetTag, ir.OpConst:
-			// Tag-transition code and edge copies execute while the tag
-			// register still holds the previous section's tag.
-			continue
-		}
-		tasks := dict.TasksOf(irs[0])
-		if len(tasks) != 1 {
+		task, ok := soleTask(nmap.IRs[s.IP], instrByID, dict)
+		if !ok {
 			continue
 		}
 		st.TagChecked++
-		if s.Tag != int64(tasks[0]) {
+		if s.Tag != int64(task) {
 			st.TagMismatches++
 		}
 	}
@@ -147,4 +133,30 @@ func (e *Env) Accuracy() (string, *AccuracyStats, error) {
 	fmt.Fprintf(&sb, "(c) %.1f%% of %d MEM_LOADS samples point at loads; %.1f%% of %d BRANCH_MISS samples at branches (paper: all plausible)\n",
 		100*st.LoadSamplesOnLoads, st.LoadSamples, 100*st.BranchMissOnBranches, st.BranchMis)
 	return sb.String(), st, nil
+}
+
+// soleTask returns the one task owning every IR instruction a native
+// instruction descends from. A fused instruction (a load with its folded
+// address Add, a compare-and-branch) counts when its parts share a task;
+// parts of different tasks are legitimately multi-owner. Tag-transition
+// code and edge copies never count: they execute while the tag register
+// still holds the previous section's tag.
+func soleTask(irs []int, instrByID map[int]*ir.Instr, dict *core.Dictionary) (core.ComponentID, bool) {
+	task := core.NoComponent
+	for _, id := range irs {
+		in := instrByID[id]
+		if in == nil {
+			return core.NoComponent, false
+		}
+		switch in.Op {
+		case ir.OpPhi, ir.OpSetTag, ir.OpGetTag, ir.OpConst:
+			return core.NoComponent, false
+		}
+		tasks := dict.TasksOf(id)
+		if len(tasks) != 1 || task != core.NoComponent && tasks[0] != task {
+			return core.NoComponent, false
+		}
+		task = tasks[0]
+	}
+	return task, task != core.NoComponent
 }

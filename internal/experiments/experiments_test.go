@@ -107,7 +107,9 @@ func TestAccuracyZeroMismatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.TagChecked < 100 {
+	// A load carries its folded address Add's IR ID; counting only
+	// single-ID instructions would check about a third of these.
+	if st.TagChecked < 500 {
 		t.Fatalf("checked only %d samples", st.TagChecked)
 	}
 	if st.TagMismatches != 0 {

@@ -55,21 +55,17 @@ func (c *Compiler) genScanLoop(s *plan.Scan, pipeIdx int) {
 	exit := c.b.NewBlock("scanDone")
 	stamp(max(s.RowsEst, s.Est), loopHead, body, next)
 
-	var bases []*ir.Instr
+	bases := make([]int64, len(s.Cols))
+	for j, ci := range s.Cols {
+		addr, ok := c.lay.ColAddrs[ColKey{Alias: s.Alias, Col: ci}]
+		if !ok {
+			bug("no layout address for " + s.Alias + " column " + strconv.Itoa(ci))
+		}
+		bases[j] = addr
+	}
 	var nrows, start, tid *ir.Instr
 
 	c.withTask(opID, scanTask, func() {
-		state := c.b.Const(c.lay.StateBase)
-		for _, ci := range s.Cols {
-			slot, ok := c.lay.ColSlots[ColKey{Alias: s.Alias, Col: ci}]
-			if !ok {
-				bug("no layout slot for " + s.Alias + " column " + strconv.Itoa(ci))
-			}
-			addr := c.b.Add(state, c.b.Const(int64(slot)*8))
-			base := c.b.Load(64, addr)
-			base.Comment = "column base " + s.Alias + "." + s.Table.Cols[ci].Name
-			bases = append(bases, base)
-		}
 		start = c.b.Load(64, c.b.Const(c.lay.MorselStart(pipeIdx)))
 		start.Comment = "morsel start " + s.Alias
 		nrows = c.b.Load(64, c.b.Const(c.lay.MorselEnd(pipeIdx)))
@@ -86,21 +82,30 @@ func (c *Compiler) genScanLoop(s *plan.Scan, pipeIdx int) {
 
 	c.b.SetBlock(body)
 	c.withTask(opID, scanTask, func() { c.bump(scanTask) })
+	load := func(j int) *ir.Instr {
+		v := c.b.Load(64, c.b.Add(c.b.Const(bases[j]), c.b.Mul(tid, c.b.Const(8))))
+		v.Comment = "column " + s.Alias + "." + s.Table.Cols[s.Cols[j]].Name
+		return v
+	}
 	r := row{}
 	if c.opts.EagerColumnLoads {
 		c.withTask(opID, scanTask, func() {
 			for j := range s.Cols {
-				addr := c.b.Add(bases[j], c.b.Mul(tid, c.b.Const(8)))
-				v := c.b.Load(64, addr)
+				v := load(j)
 				r.cols = append(r.cols, func() *ir.Instr { return v })
 			}
 		})
 	} else {
+		// A column read twice in one block under one task is loaded once;
+		// another task reloads it, so each load stays its consumer's.
 		for j := range s.Cols {
-			base := bases[j]
+			var last *ir.Instr
+			var lastTask core.ComponentID
 			r.cols = append(r.cols, func() *ir.Instr {
-				addr := c.b.Add(base, c.b.Mul(tid, c.b.Const(8)))
-				return c.b.Load(64, addr)
+				if last == nil || last.Block != c.b.Cur || lastTask != c.taskTracker.Active() {
+					last, lastTask = load(j), c.taskTracker.Active()
+				}
+				return last
 			})
 		}
 	}

@@ -110,10 +110,13 @@ const (
 )
 
 // Layout is the heap layout the engine prepared: where the state area,
-// column bases, hash tables and the result buffer live.
+// table columns, hash tables and the result buffer live.
 type Layout struct {
 	StateBase int64
-	ColSlots  map[ColKey]int
+	// ColAddrs holds each scanned column's region address. Regions are
+	// sized by frozen capacity, so the address is a layout constant the
+	// scan loop addresses directly; only row counts are state slots.
+	ColAddrs  map[ColKey]int64
 	RowsSlots map[string]int
 	HT        map[plan.Node]*HTLayout
 

@@ -52,19 +52,20 @@ func fixture(t *testing.T) (*plan.Output, *Layout) {
 
 	lay := &Layout{
 		StateBase:  1 << 16,
-		ColSlots:   map[ColKey]int{},
+		ColAddrs:   map[ColKey]int64{},
 		RowsSlots:  map[string]int{},
 		HT:         map[plan.Node]*HTLayout{},
 		ResultDesc: 1 << 17,
 	}
 	slot := 0
+	cols := int64(1 << 20)
 	hts := int64(1 << 18)
 	plan.Walk(out, func(n plan.Node) {
 		switch x := n.(type) {
 		case *plan.Scan:
 			for _, ci := range x.Cols {
-				lay.ColSlots[ColKey{Alias: x.Alias, Col: ci}] = slot
-				slot++
+				lay.ColAddrs[ColKey{Alias: x.Alias, Col: ci}] = cols
+				cols += 1 << 14
 			}
 			lay.RowsSlots[x.Alias] = slot
 			slot++

@@ -38,9 +38,9 @@ func (r *MemRegion) Contains(lo, w int64) bool {
 }
 
 // CellFact is an invariant interval on a staged 64-bit cell's value
-// (Lo == Hi for exact facts like column base pointers). Align, when > 1,
-// additionally promises the value is a multiple of it (morsel bounds of
-// an arena scan are entry-aligned addresses, for example).
+// (Lo == Hi for exact facts like a descriptor's directory base). Align,
+// when > 1, additionally promises the value is a multiple of it (morsel
+// bounds of an arena scan are entry-aligned addresses, for example).
 type CellFact struct {
 	Lo, Hi int64
 	Align  int64
