@@ -194,7 +194,7 @@ func appendCmd(svc *engine.Service, stmt string) (string, bool, error) {
 	}
 	grew := ""
 	if r.Grew {
-		grew = "; capacity grew, compiled artifacts invalidated"
+		grew = "; capacity or a column width grew, compiled artifacts invalidated"
 	}
 	return fmt.Sprintf("epoch %d: appended rows [%d,%d) to %s%s", r.Epoch, r.Lo, r.Hi, table, grew), true, nil
 }

@@ -1,7 +1,11 @@
 // Package catalog holds schemas and in-memory columnar tables. All values
 // are int64: dates are day numbers, strings are dictionary-encoded at load
 // time (see DESIGN.md §6) — keeping the generated code and the simulated
-// machine purely integer, like the paper's examples.
+// machine purely integer, like the paper's examples. A column is stored at
+// the narrowest width that holds all of its values — 1 byte (every value in
+// [0, 255]), 4 (int32) or 8 — a pure function of its contents, frozen
+// beside the table's row capacity (Table.ColWidth, TableView.ColWidth);
+// the simulated machine loads it back into an int64 register.
 package catalog
 
 import (
@@ -168,6 +172,11 @@ type Table struct {
 
 	mu     sync.RWMutex
 	rowCap int // frozen row capacity of the column backing arrays
+	// widths holds each column's bytes per value (WidthFor), computed over
+	// the first widthRows rows. The slice is replaced on change, never
+	// written in place: views hold it.
+	widths    []int
+	widthRows int
 
 	stats     map[string]Stats
 	statsRows map[string]int // row count each cached stat was computed over
@@ -274,12 +283,14 @@ func (t *Table) ColStats(name string) Stats {
 	return s
 }
 
-// flushDerived drops the cached statistics and zone maps (Catalog.Bump —
-// an in-place data mutation invalidates both).
+// flushDerived drops the cached statistics and zone maps and recomputes
+// the column widths (Catalog.Bump — an in-place data mutation invalidates
+// all three).
 func (t *Table) flushDerived() {
 	t.mu.Lock()
 	t.stats = make(map[string]Stats)
 	t.statsRows = make(map[string]int)
+	t.resetWidthsLocked()
 	t.mu.Unlock()
 	t.zc.flush()
 }
@@ -345,7 +356,7 @@ func (c *Catalog) Remove(name string) {
 
 // Version identifies the catalog's current schema state. It changes on
 // every Add, on explicit Bump calls, and when an append outgrows a table's
-// row capacity; cached compilation artifacts are only valid for the
+// row capacity or widens one of its columns; cached compilation artifacts are only valid for the
 // version they were compiled under. Appends within capacity do NOT change
 // it — that is the qcache key contract that keeps compiled artifacts warm
 // under streaming ingest.
@@ -359,8 +370,8 @@ func (c *Catalog) Version() uint64 {
 // callers that mutate table data *in place* (compiled artifacts bake
 // column base addresses into their memory layout, and zone maps /
 // statistics describe the old values). It also flushes every table's
-// derived caches. Appends never need it: they go through Append/
-// AppendCols, which advance the epoch instead.
+// derived caches and recomputes its column widths. Appends never need it:
+// they go through Append/AppendCols, which advance the epoch instead.
 func (c *Catalog) Bump() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -43,8 +43,28 @@ func CapRowsFor(n int) int {
 	return c
 }
 
-// reserveTail freezes the table's row capacity and reallocates each
-// column's backing array to it (called under the catalog lock at Add).
+// WidthFor returns the bytes per value a column region stores for a
+// column holding vals: 1 when every value lies in [0, 255] (LOAD8 reads it
+// back zero-extended), 4 when every value fits an int32 (LOAD32
+// sign-extends), else 8. A pure function of the values; an empty column is
+// 1 byte wide.
+func WidthFor(vals []int64) int {
+	w := 1
+	for _, v := range vals {
+		switch {
+		case uint64(v) <= 0xff:
+		case v == int64(int32(v)):
+			w = 4
+		default:
+			return 8
+		}
+	}
+	return w
+}
+
+// reserveTail freezes the table's row capacity and column widths and
+// reallocates each column's backing array to the capacity (called under the
+// catalog lock at Add).
 func (t *Table) reserveTail() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -59,13 +79,50 @@ func (t *Table) reserveTail() {
 			c.Data = nd
 		}
 	}
+	t.resetWidthsLocked()
+}
+
+// resetWidthsLocked recomputes every column's width from its contents. The
+// slice is replaced, never written in place: views hold the old one.
+func (t *Table) resetWidthsLocked() {
+	t.widths, t.widthRows = widthsOf(t.Cols), t.rowsLocked()
+}
+
+func widthsOf(cols []*Column) []int {
+	ws := make([]int, len(cols))
+	for i, c := range cols {
+		ws[i] = WidthFor(c.Data)
+	}
+	return ws
+}
+
+// widthsLocked returns the column widths of the table's current rows,
+// recomputing them after direct Data mutation (loaders, tests); Add,
+// AppendCols and Bump maintain them themselves. Caller holds t.mu.Lock.
+func (t *Table) widthsLocked() []int {
+	if t.widthRows != t.rowsLocked() || len(t.widths) != len(t.Cols) {
+		t.resetWidthsLocked()
+	}
+	return t.widths
+}
+
+// ColWidth returns the bytes per value (1, 4 or 8) that table column i
+// stores: WidthFor over its contents, frozen beside the row capacity. A
+// compiled artifact reserves RowCap() × ColWidth(i) bytes for the column.
+// It only changes when an append brings a value the width cannot hold —
+// which, like outgrowing the capacity, bumps the catalog version — or on
+// Bump.
+func (t *Table) ColWidth(i int) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.widthsLocked()[i]
 }
 
 // AppendResult reports one append batch.
 type AppendResult struct {
 	Epoch  uint64 // storage epoch the append created
 	Lo, Hi int64  // appended row window [Lo, Hi)
-	Grew   bool   // capacity exceeded: arrays reallocated, version bumped
+	Grew   bool   // capacity exceeded or a column widened: version bumped
 }
 
 // Append appends row tuples (one []int64 per row, one value per column,
@@ -96,9 +153,11 @@ func (c *Catalog) Append(table string, rows [][]int64) (AppendResult, error) {
 
 // AppendCols appends one batch in columnar form: cols[i] holds the new
 // values of table column i, all the same length. Within the frozen
-// capacity the values land in the preallocated tail (zero-copy); beyond
-// it the backing arrays grow to the next capacity class and the catalog
-// version is bumped — the one append path that invalidates artifacts.
+// capacity and widths the values land in the preallocated tail
+// (zero-copy). Beyond the capacity the backing arrays grow to the next
+// capacity class; a value a column's width cannot hold widens the column
+// (WidthFor). Either is growth: Grew is set and the catalog version is
+// bumped — the one append path that invalidates artifacts.
 func (c *Catalog) AppendCols(table string, cols [][]int64) (AppendResult, error) {
 	t, err := c.Table(table)
 	if err != nil {
@@ -134,6 +193,10 @@ func (c *Catalog) AppendCols(table string, cols [][]int64) (AppendResult, error)
 		t.rowCap = CapRowsFor(int(hi))
 		grew = true
 	}
+	if ws, wider := widened(t.widthsLocked(), cols); wider {
+		t.widths = ws
+		grew = true
+	}
 	for i, col := range t.Cols {
 		if cap(col.Data) < t.rowCap {
 			nd := make([]int64, len(col.Data), t.rowCap)
@@ -142,6 +205,7 @@ func (c *Catalog) AppendCols(table string, cols [][]int64) (AppendResult, error)
 		}
 		col.Data = append(col.Data, cols[i]...)
 	}
+	t.widthRows = int(hi)
 	t.mu.Unlock()
 
 	c.epoch++
@@ -153,14 +217,31 @@ func (c *Catalog) AppendCols(table string, cols [][]int64) (AppendResult, error)
 	return AppendResult{Epoch: ev.Epoch, Lo: lo, Hi: hi, Grew: grew}, nil
 }
 
+// widened returns ws with each column widened to hold its new values, and
+// whether any column widened; ws itself is never written.
+func widened(ws []int, cols [][]int64) ([]int, bool) {
+	var out []int
+	for i, vals := range cols {
+		if w := WidthFor(vals); w > ws[i] {
+			if out == nil {
+				out = append([]int(nil), ws...)
+			}
+			out[i] = w
+		}
+	}
+	return out, out != nil
+}
+
 // TableView is the immutable per-table face of a snapshot: the first Rows
-// rows of every column, captured as slice-header prefixes (zero-copy).
+// rows of every column, captured as slice-header prefixes (zero-copy),
+// and the width of every column at that moment.
 // Its zone map and shards are pure functions of (table contents, Rows) —
 // never of the snapshot, session, worker count, or shard count.
 type TableView struct {
-	Table *Table
-	Rows  int
-	cols  [][]int64
+	Table  *Table
+	Rows   int
+	cols   [][]int64
+	widths []int
 }
 
 // View captures an immutable view of the table's current rows.
@@ -176,11 +257,21 @@ func (t *Table) viewLocked() *TableView {
 	for i, c := range t.Cols {
 		v.cols[i] = c.Data[:rows:rows]
 	}
+	v.widths = t.widths
+	if t.widthRows != rows || len(t.widths) != len(t.Cols) {
+		// Direct Data mutation since the last Add/Append/Bump: the view's
+		// own widths, left unrecorded (readers hold only t.mu.RLock).
+		v.widths = widthsOf(t.Cols)
+	}
 	return v
 }
 
 // Col returns the view's data prefix for table column i.
 func (v *TableView) Col(i int) []int64 { return v.cols[i] }
+
+// ColWidth returns the width of table column i when the view was taken:
+// every value of Col(i) fits it.
+func (v *TableView) ColWidth(i int) int { return v.widths[i] }
 
 // ColByName returns the view's data prefix for a named column, or nil.
 func (v *TableView) ColByName(name string) []int64 {

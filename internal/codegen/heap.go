@@ -1,6 +1,9 @@
 package codegen
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"strconv"
+)
 
 // Heap word accessors, shared by every host component that peeks into raw
 // simulated-heap bytes (the engine's morsel scheduler, the partitioned
@@ -18,11 +21,28 @@ func PutHeapI64(b []byte, off, v int64) {
 	binary.LittleEndian.PutUint64(b[off:], uint64(v))
 }
 
-// PutHeapI64s writes vals as consecutive little-endian int64s at the start
-// of b, which must hold them all.
-func PutHeapI64s(b []byte, vals []int64) {
-	b = b[:8*len(vals)]
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b[8*i:8*i+8], uint64(v))
+// PutHeapCol writes vals as consecutive little-endian values of width
+// bytes (1, 4 or 8) at the start of b, which must hold them all. Every value
+// must fit the width (catalog.WidthFor): LOAD8 reads a byte back
+// zero-extended, LOAD32 four bytes sign-extended.
+func PutHeapCol(b []byte, vals []int64, width int64) {
+	switch width {
+	case 1:
+		b = b[:len(vals)]
+		for i, v := range vals {
+			b[i] = byte(v)
+		}
+	case 4:
+		b = b[:4*len(vals)]
+		for i, v := range vals {
+			binary.LittleEndian.PutUint32(b[4*i:4*i+4], uint32(v))
+		}
+	case 8:
+		b = b[:8*len(vals)]
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(b[8*i:8*i+8], uint64(v))
+		}
+	default:
+		bug("column width " + strconv.FormatInt(width, 10))
 	}
 }

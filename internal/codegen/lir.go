@@ -102,12 +102,12 @@ type lowerer struct {
 }
 
 // scaledAddr is a planned scaled-addressing fusion of a profile-hot
-// 8-byte load: the load bypasses its address Add — and the Mul/Shl
-// computing the index — using base+index*8 addressing directly,
+// load: the load bypasses its address Add — and the Mul/Shl computing the
+// index — using base+index*width addressing directly,
 // removing up to 4 cycles per execution once the address instructions'
 // other consumers are fused too and they can be elided.
 type scaledAddr struct {
-	add, idxe *ir.Instr // the address Add and its Mul/Shl
+	add, idxe *ir.Instr // the address Add and its Mul/Shl (nil for 1-byte loads)
 	base, idx *ir.Instr
 	ids       []int // IR IDs of the folded address instructions
 }
@@ -226,7 +226,7 @@ func (lo *lowerer) lowerBlock(bi int, b *ir.Block) error {
 		case ir.OpLoad8, ir.OpLoad32, ir.OpLoad64:
 			if lo.scaled != nil && lo.scaled[in.ID] != 0 {
 				sc := lo.plans[lo.scaled[in.ID]-1]
-				lo.emit(bi, lins{op: isa.LOAD64, dst: lo.vregFor(in),
+				lo.emit(bi, lins{op: nativeOp[in.Op], dst: lo.vregFor(in),
 					a: lo.opnd(sc.base), b: lo.opnd(sc.idx), scaled: true, irIDs: lo.irIDs(append(sc.ids, in.ID)...)})
 				continue
 			}
@@ -350,11 +350,13 @@ func (lo *lowerer) planFusion() {
 	}
 }
 
-// planScaledFusion pre-marks profile-hot 8-byte loads that fit the
-// machine's scaled addressing mode:
+// planScaledFusion pre-marks profile-hot loads that fit the machine's
+// scaled addressing mode, which scales the index by the access width:
 //
 //	Load64( Add(base, Mul(idx, 8)) )   →  LOAD64 dst, [base + idx*8]
 //	Load64( Add(base, Shl(idx, 3)) )   →  (same; strength-reduced form)
+//	Load32( Add(base, Mul(idx, 4)) )   →  LOAD32 dst, [base + idx*4]
+//	Load8 ( Add(base, idx) )           →  LOAD8  dst, [base + idx]
 //
 // Like planFusion this must run before lowering: the Add and Mul/Shl
 // appear earlier in the block than the load, so by the time the load is
@@ -379,10 +381,8 @@ func (lo *lowerer) planScaledFusion() {
 	first := len(lo.plans) // earlier functions' plans stay addressable
 	for _, b := range lo.f.Blocks {
 		for _, in := range b.Instrs {
-			if in.Op != ir.OpLoad64 {
-				continue
-			}
-			if lo.cfg.Hot.InstrWeight(in.ID) <= 0 {
+			shift, ok := loadShift[in.Op]
+			if !ok || lo.cfg.Hot.InstrWeight(in.ID) <= 0 {
 				continue
 			}
 			add := in.Args[0]
@@ -390,10 +390,19 @@ func (lo *lowerer) planScaledFusion() {
 				continue
 			}
 			base, idxe := add.Args[0], add.Args[1]
-			if scaleIndex(idxe) == nil {
-				base, idxe = idxe, base
+			var idx *ir.Instr
+			if shift == 0 {
+				// Unscaled: the Add's operands are base and index.
+				idx, idxe = idxe, nil
+				if idx.Op == ir.OpConst {
+					continue // lo.addr folds a constant displacement
+				}
+			} else {
+				if scaleIndex(idxe, shift) == nil {
+					base, idxe = idxe, base
+				}
+				idx = scaleIndex(idxe, shift)
 			}
-			idx := scaleIndex(idxe)
 			if idx == nil || base.Op == ir.OpConst {
 				continue
 			}
@@ -417,38 +426,44 @@ func (lo *lowerer) planScaledFusion() {
 		// once, not per load (one Add can feed several loads).
 		if !lo.fused.Has(p.add.ID) {
 			lo.fused.Set(p.add.ID)
-			adds[p.idxe.ID]++
+			if p.idxe != nil {
+				adds[p.idxe.ID]++
+			}
 		}
 		p.ids = append(p.ids, p.add.ID)
 	}
 	// Elide a Mul/Shl when every one of its uses is an elided Add.
 	for i := range plans {
 		p := &plans[i]
-		if lo.fused.Has(p.add.ID) && adds[p.idxe.ID] == lo.uses[p.idxe.ID] {
+		if p.idxe != nil && lo.fused.Has(p.add.ID) && adds[p.idxe.ID] == lo.uses[p.idxe.ID] {
 			lo.fused.Set(p.idxe.ID)
 			p.ids = append(p.ids, p.idxe.ID)
 		}
 	}
 }
 
-// scaleIndex recognizes an index expression scaled by the 8-byte access
-// width — Mul(i, 8) (either operand order) or Shl(i, 3) — and returns the
-// unscaled index value, or nil.
-func scaleIndex(e *ir.Instr) *ir.Instr {
+// loadShift is each load's log2 access width: the scaled addressing mode
+// multiplies the index by the width.
+var loadShift = map[ir.Op]int64{ir.OpLoad8: 0, ir.OpLoad32: 2, ir.OpLoad64: 3}
+
+// scaleIndex recognizes an index expression scaled by an access width of
+// 1<<shift bytes — Mul(i, 1<<shift) (either operand order) or Shl(i,
+// shift) — and returns the unscaled index value, or nil.
+func scaleIndex(e *ir.Instr, shift int64) *ir.Instr {
 	if len(e.Args) != 2 {
 		return nil
 	}
 	x, y := e.Args[0], e.Args[1]
 	switch e.Op {
 	case ir.OpMul:
-		if y.Op == ir.OpConst && y.Imm == 8 && x.Op != ir.OpConst {
+		if y.Op == ir.OpConst && y.Imm == 1<<shift && x.Op != ir.OpConst {
 			return x
 		}
-		if x.Op == ir.OpConst && x.Imm == 8 && y.Op != ir.OpConst {
+		if x.Op == ir.OpConst && x.Imm == 1<<shift && y.Op != ir.OpConst {
 			return y
 		}
 	case ir.OpShl:
-		if y.Op == ir.OpConst && y.Imm == 3 && x.Op != ir.OpConst {
+		if y.Op == ir.OpConst && y.Imm == shift && x.Op != ir.OpConst {
 			return x
 		}
 	}

@@ -1,0 +1,147 @@
+package codegen
+
+import (
+	"encoding/binary"
+	"strings"
+	"testing"
+
+	"repro/internal/ir"
+	"repro/internal/isa"
+	"repro/internal/vm"
+)
+
+// allHot weighs every IR instruction 1: every load the loop executes is
+// profile-hot.
+type allHot struct{}
+
+func (allHot) InstrWeight(int) float64             { return 1 }
+func (allHot) TotalWeight() float64                { return 1 }
+func (allHot) WeightOf(ids []int) float64          { return float64(len(ids)) }
+func (allHot) TakenFraction([]int) (float64, bool) { return 0, false }
+
+// scaledSumModule sums n values of width bytes from an array whose base is
+// read from memory (so it is no constant lowering could fold):
+// sum += load<width>(base + i*width), the shape of a column scan. A 1-byte
+// element's address is Add(base, i), with no multiply.
+func scaledSumModule(width int64, n int64) *ir.Module {
+	m := ir.NewModule()
+	f := m.NewFunc("main", 0)
+	b := ir.NewBuilder(f)
+	head := b.NewBlock("head")
+	body := b.NewBlock("body")
+	done := b.NewBlock("done")
+
+	base := b.Load(64, b.Const(testData))
+	zero := b.Const(0)
+	b.Br(head)
+
+	b.SetBlock(head)
+	i := b.Phi()
+	sum := b.Phi()
+	ir.AddIncoming(i, zero)
+	ir.AddIncoming(sum, zero)
+	b.CondBr(b.Bin(ir.OpCmpLt, i, b.Const(n)), body, done)
+
+	b.SetBlock(body)
+	off := i
+	if width > 1 {
+		off = b.Mul(i, b.Const(width))
+	}
+	v := b.Load(int(width)*8, b.Add(base, off))
+	sum2 := b.Add(sum, v)
+	i2 := b.Add(i, b.Const(1))
+	ir.AddIncoming(i, i2)
+	ir.AddIncoming(sum, sum2)
+	b.Br(head)
+
+	b.SetBlock(done)
+	b.Store(64, b.Const(testData+8), sum)
+	b.Halt()
+	return m
+}
+
+// TestScaledFusionEveryWidth: under a profile, a hot load of every width
+// fuses its address into the scaled addressing mode — LOAD32 [base +
+// i*4] and LOAD8 [base + i] as well as LOAD64 [base + i*8] — leaving no
+// multiply or add for the address in the loop, and the fused program
+// computes what the unprofiled one does, sign- and zero-extension
+// included.
+func TestScaledFusionEveryWidth(t *testing.T) {
+	const n = 50
+	for _, tc := range []struct {
+		width int64
+		op    isa.Op
+		val   func(k int) int64
+	}{
+		{8, isa.LOAD64, func(k int) int64 { return int64(k)<<40 - 7 }},
+		{4, isa.LOAD32, func(k int) int64 { return int64(k)*1000 - 20000 }},
+		{1, isa.LOAD8, func(k int) int64 { return int64(200 + k) }},
+	} {
+		arr := int64(testData + 64)
+		var want int64
+		setup := func(c *vm.CPU) {
+			c.WriteI64(testData, arr)
+			for k := 0; k < n; k++ {
+				v, at := tc.val(k), arr+int64(k)*tc.width
+				switch tc.width {
+				case 8:
+					binary.LittleEndian.PutUint64(c.Heap[at:], uint64(v))
+				case 4:
+					binary.LittleEndian.PutUint32(c.Heap[at:], uint32(v))
+				case 1:
+					c.Heap[at] = byte(v)
+				}
+			}
+		}
+		for k := 0; k < n; k++ {
+			want += tc.val(k)
+		}
+		for _, hot := range []Hotness{nil, allHot{}} {
+			m := scaledSumModule(tc.width, n)
+			if err := m.Verify(); err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig(testStaging, testSpill, testSpillSz)
+			cfg.Hot = hot
+			res, err := Compile(m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := vm.New(testHeap)
+			setup(c)
+			c.Load(res.Program)
+			if _, err := c.Run(1_000_000); err != nil {
+				t.Fatalf("width %d: run: %v", tc.width, err)
+			}
+			if got := c.ReadI64(testData + 8); got != want {
+				t.Errorf("width %d, profiled %v: sum = %d, want %d", tc.width, hot != nil, got, want)
+			}
+			scaled, mul := 0, 0
+			fn := res.Program.Funcs[0]
+			if fn.Name != "main" {
+				t.Fatalf("first function is %s", fn.Name)
+			}
+			for _, in := range res.Program.Code[fn.Entry:fn.End] {
+				if in.Op == tc.op && in.Scaled {
+					scaled++
+				}
+				if in.Op == isa.MUL || in.Op == isa.SHL {
+					mul++
+				}
+			}
+			dis := res.Program.Disasm()
+			if hot == nil {
+				if scaled != 0 {
+					t.Errorf("width %d: an unprofiled compile fused a scaled load:\n%s", tc.width, dis)
+				}
+				continue
+			}
+			if scaled != 1 || mul != 0 {
+				t.Errorf("width %d: %d scaled %s, %d multiplies; want 1 and 0:\n%s", tc.width, scaled, tc.op, mul, dis)
+			}
+			if tc.width == 4 && !strings.Contains(dis, "*4]") {
+				t.Errorf("no [base + idx*4] operand:\n%s", dis)
+			}
+		}
+	}
+}

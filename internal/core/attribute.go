@@ -146,7 +146,8 @@ func (a *Attributor) Attribute(s *Sample) Attribution {
 		return Attribution{Class: ClassUnattributed}
 	}
 	e, att := &a.table[s.IP], Attribution{}
-	att.Class, att.Credits = a.lookup(e, s)
+	var own []Credit
+	att.Class, att.Credits = a.lookup(e, s, &own)
 	if e.routine {
 		att.Routine = a.NMap.Routine[s.IP]
 	} else if att.Class == ClassOperator {
@@ -160,7 +161,13 @@ func (a *Attributor) Attribute(s *Sample) Attribution {
 }
 
 // lookup returns the class and the credit list of a sample on table entry e.
-func (a *Attributor) lookup(e *ipEntry, s *Sample) (Class, []Credit) {
+// A list the sample decides (a walk, or a task outside the registry) is
+// appended to *arena — BuildProfile keeps one per profile, so such samples
+// cost no allocation each. The returned list is capped: later appends
+// never reach it.
+func (a *Attributor) lookup(e *ipEntry, s *Sample, arena *[]Credit) (Class, []Credit) {
+	dst := *arena
+	base := len(dst)
 	switch e.class {
 	case ClassOperator, ClassKernel:
 		return e.class, a.credits[e.cred : e.cred+e.nCre : e.cred+e.nCre]
@@ -168,14 +175,20 @@ func (a *Attributor) lookup(e *ipEntry, s *Sample) (Class, []Credit) {
 		if task := a.resolveShared(s); task > 0 && int(task) <= a.Dict.Registry.Len() {
 			return ClassOperator, a.credits[task : task+1 : task+1]
 		} else if task != NoComponent {
-			return ClassOperator, []Credit{{Task: task, Operator: a.Dict.OperatorOf(task), Weight: 1}}
+			dst = append(dst, Credit{Task: task, Operator: a.Dict.OperatorOf(task), Weight: 1})
+		} else {
+			return ClassUnattributed, nil
 		}
 	case classWalk:
-		if credits, owned := a.creditsOf(nil, a.NMap.IRs[s.IP], s); owned {
-			return ClassOperator, credits
+		var owned bool
+		if dst, owned = a.creditsOf(dst, a.NMap.IRs[s.IP], s); !owned {
+			return ClassUnattributed, nil
 		}
+	default:
+		return ClassUnattributed, nil
 	}
-	return ClassUnattributed, nil
+	*arena = dst
+	return ClassOperator, dst[base:len(dst):len(dst)]
 }
 
 // creditsOf appends to dst the credit list of a native instruction lowered

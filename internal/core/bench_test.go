@@ -136,3 +136,46 @@ func TestNewAttributorFootprint(t *testing.T) {
 		t.Errorf("NewAttributor made %.0f allocations, want <= 12", allocs)
 	}
 }
+
+// TestBuildProfileAllocs: a sample on CSE'd code decides its own credit
+// list, and BuildProfile appends every such list to one arena per profile
+// instead of allocating it. A dense log of q14 has hundreds of such
+// samples; the profile's allocations must not grow with them (a list
+// allocated per such sample would make about 590 here).
+func TestBuildProfileAllocs(t *testing.T) {
+	eng := engine.New(datagen.Generate(datagen.Config{ScaleFactor: 0.2, Seed: 1}), engine.DefaultOptions())
+	w, ok := queries.ByName("q14")
+	if !ok {
+		t.Fatal("q14 not in the suite")
+	}
+	cq, err := eng.CompileQuery(w.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(cq, &pmu.Config{Event: vm.EvCycles, Period: 97, Format: pmu.FormatIPTimeRegs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict, nmap := cq.Pipe.Dict, cq.Code.NMap
+	walks := 0
+	for _, s := range res.Samples {
+		if s.IP < 0 || s.IP >= len(nmap.Region) || nmap.Region[s.IP] != core.RegionGenerated {
+			continue
+		}
+		for _, id := range nmap.IRs[s.IP] {
+			if dict.IsShared(id) {
+				walks++
+				break
+			}
+		}
+	}
+	att := core.NewAttributor(dict, nmap)
+	allocs := testing.AllocsPerRun(5, func() { sink = core.BuildProfile(att, res.Samples) })
+	t.Logf("BuildProfile: %.0f allocations for %d samples, %d on CSE'd code", allocs, len(res.Samples), walks)
+	if walks < 200 {
+		t.Fatalf("only %d of %d samples on CSE'd code; the test needs a walk-heavy log", walks, len(res.Samples))
+	}
+	if allocs > 64 {
+		t.Errorf("BuildProfile made %.0f allocations, want <= 64", allocs)
+	}
+}

@@ -17,9 +17,10 @@ type EpochEvent struct {
 	// Lo, Hi is the appended row window [Lo, Hi): Lo is the table's row
 	// count before the append, Hi after.
 	Lo, Hi int64
-	// Grew reports that the append exceeded the table's row capacity, so
-	// the backing arrays were reallocated and the catalog version bumped —
-	// the one append path that invalidates compiled artifacts.
+	// Grew reports that the append exceeded the table's row capacity (the
+	// backing arrays were reallocated) or widened a column, so the catalog
+	// version was bumped — the one append path that invalidates compiled
+	// artifacts.
 	Grew bool
 }
 

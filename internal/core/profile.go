@@ -141,6 +141,9 @@ func BuildProfile(att *Attributor, samples []Sample) *Profile {
 		timed:        make([]timedCredit, 0, len(samples)),
 	}
 	taskW, opW, irW := acc[nIP:][:nComp], acc[nIP+nComp:][:nComp], acc[nIP+2*nComp:]
+	// Credit lists a sample decides (CSE'd code walks) live here; p.timed
+	// keeps windows of it.
+	var arena []Credit
 	workers, shards := runCount{m: p.ByWorker}, runCount{m: p.ByShard}
 	for i := range samples {
 		s := &samples[i]
@@ -176,7 +179,7 @@ func BuildProfile(att *Attributor, samples []Sample) *Profile {
 		}
 		p.NativeCount[s.IP]++
 		e := &att.table[s.IP]
-		class, credits := att.lookup(e, s)
+		class, credits := att.lookup(e, s, &arena)
 		if class == ClassUnattributed {
 			p.Unattributed++
 			continue

@@ -241,11 +241,12 @@ type Compiled struct {
 
 	// Epoch-resolved data binding (DESIGN.md §15). The artifact bakes only
 	// schema-derived facts: region addresses sized by each table's frozen
-	// row capacity, plus which (table, column) fills each region and which
-	// state slot holds each scan's row count. The data itself — column
-	// prefixes and row counts — is staged per execution from a
-	// catalog.Snapshot, exactly like bound parameters, so one artifact
-	// serves every epoch its capacities admit without recompiling.
+	// row capacity and column widths, plus which (table, column) fills each
+	// region and which state slot holds each scan's row count. The data
+	// itself — column prefixes and row counts — is staged per execution
+	// from a catalog.Snapshot, exactly like bound parameters, so one
+	// artifact serves every epoch its capacities and widths admit without
+	// recompiling.
 	cat       *catalog.Catalog
 	binds     []colBind
 	rowsBinds []rowsBind
@@ -261,6 +262,7 @@ type colBind struct {
 	table string // source table name
 	col   int    // column position in the table
 	cap   int64  // region capacity in rows
+	width int64  // bytes per value the region stores
 }
 
 // rowsBind maps one scan's row-count state slot to its source table.
@@ -304,6 +306,21 @@ func (e *SnapshotCapacityError) Error() string {
 		e.Table, e.Rows, e.Capacity)
 }
 
+// SnapshotWidthError reports a snapshot column wider than the region an
+// artifact reserved for it: an append brought a value the column's old
+// width cannot hold, widened the column and bumped the catalog version.
+// The artifact is stale; narrowing the values would truncate them.
+type SnapshotWidthError struct {
+	Table, Column string
+	Width         int64 // the snapshot's bytes per value
+	Reserved      int64 // the artifact's bytes per value
+}
+
+func (e *SnapshotWidthError) Error() string {
+	return fmt.Sprintf("engine: snapshot column %s.%s is %d bytes wide, artifact reserved %d (stale artifact; recompile under current catalog version)",
+		e.Table, e.Column, e.Width, e.Reserved)
+}
+
 // snapshotFor resolves the storage snapshot one run binds against: the
 // session-pinned snapshot when the run state carries one, else the
 // catalog's current epoch captured at execute time.
@@ -314,10 +331,12 @@ func (cq *Compiled) snapshotFor(rs *RunState) *catalog.Snapshot {
 	return cq.cat.Snapshot()
 }
 
-// stageSnapshot writes the snapshot's column prefixes and row counts into
-// the artifact's data regions and row-count slots — the epoch-resolution
-// step of every execution. It fails with SnapshotCapacityError if any
-// view outgrew the capacity the layout reserved.
+// stageSnapshot writes the snapshot's column prefixes, each at its
+// region's width, and row counts into the artifact's data regions and
+// row-count slots — the epoch-resolution step of every execution. It fails
+// with SnapshotCapacityError if any view outgrew the capacity the layout
+// reserved, and with SnapshotWidthError if any column is wider than its
+// region; it writes nothing then.
 func stageSnapshot(cq *Compiled, cpu *vm.CPU, snap *catalog.Snapshot) error {
 	for _, tb := range cq.tables {
 		v := snap.View(tb.table)
@@ -329,7 +348,13 @@ func stageSnapshot(cq *Compiled, cpu *vm.CPU, snap *catalog.Snapshot) error {
 		}
 	}
 	for _, b := range cq.binds {
-		codegen.PutHeapI64s(cpu.Heap[b.addr:], snap.View(b.table).Col(b.col))
+		v := snap.View(b.table)
+		if w := int64(v.ColWidth(b.col)); w > b.width {
+			return &SnapshotWidthError{Table: b.table, Column: v.Table.Cols[b.col].Name, Width: w, Reserved: b.width}
+		}
+	}
+	for _, b := range cq.binds {
+		codegen.PutHeapCol(cpu.Heap[b.addr:], snap.View(b.table).Col(b.col), b.width)
 	}
 	for _, rb := range cq.rowsBinds {
 		cpu.WriteI64(rb.addr, int64(snap.View(rb.table).Rows))
@@ -538,7 +563,7 @@ func (c *carver) carve(name string, size int64, writable bool) int64 {
 // tables and the result buffer, and records the staging writes.
 func (c *Compiler) buildLayout(pl *plan.Output, cq *Compiled) (*pipeline.Layout, error) {
 	lay := &pipeline.Layout{
-		ColAddrs:  map[pipeline.ColKey]int64{},
+		Cols:      map[pipeline.ColKey]pipeline.ColRegion{},
 		RowsSlots: map[string]int{},
 		HT:        map[plan.Node]*pipeline.HTLayout{},
 	}
@@ -594,20 +619,21 @@ func (c *Compiler) buildLayout(pl *plan.Output, cq *Compiled) (*pipeline.Layout,
 		lay.CounterBase = h.carve("counters", counterSlots*8, true)
 	}
 
-	// Table column regions, sized by the frozen row *capacity* so the same
-	// layout serves every epoch within capacity; the data itself is staged
-	// per run (stageSnapshot) and read-only to generated code. Row counts
-	// are epoch-resolved too: their state slots are filled from the run's
-	// snapshot, not baked here.
+	// Table column regions, sized by the frozen row *capacity* times the
+	// column's frozen width so the same layout serves every epoch within
+	// both; the data itself is staged per run (stageSnapshot) and
+	// read-only to generated code. Row counts are epoch-resolved too: their
+	// state slots are filled from the run's snapshot, not baked here.
 	for _, s := range scans {
 		capRows := int64(s.Table.RowCap())
 		cq.tables = append(cq.tables, tableBind{
 			alias: s.Alias, table: s.Table.Name, cap: capRows, planned: int64(s.Table.Rows()),
 		})
 		for _, ci := range s.Cols {
-			addr := h.carve("col", capRows*8, false)
-			lay.ColAddrs[pipeline.ColKey{Alias: s.Alias, Col: ci}] = addr
-			cq.binds = append(cq.binds, colBind{addr: addr, table: s.Table.Name, col: ci, cap: capRows})
+			w := int64(s.Table.ColWidth(ci))
+			addr := h.carve("col", capRows*w, false)
+			lay.Cols[pipeline.ColKey{Alias: s.Alias, Col: ci}] = pipeline.ColRegion{Addr: addr, Width: w}
+			cq.binds = append(cq.binds, colBind{addr: addr, table: s.Table.Name, col: ci, cap: capRows, width: w})
 		}
 		cq.rowsBinds = append(cq.rowsBinds, rowsBind{
 			addr:  lay.StateBase + int64(lay.RowsSlots[s.Alias])*8,

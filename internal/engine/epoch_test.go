@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -266,7 +267,9 @@ func TestSessionSnapshotPinning(t *testing.T) {
 // TestConcurrentAppendExecute races streaming appends against executing
 // sessions (the CI -race job runs this package): every observed count must
 // be exactly one of the epoch-boundary row counts — never a torn read —
-// and a pinned session must observe its own epoch repeatably.
+// and a pinned session must observe its own epoch repeatably. The last
+// batch widens the price column: a run whose artifact predates it is
+// refused with a *SnapshotWidthError, and a fresh prepare serves it.
 func TestConcurrentAppendExecute(t *testing.T) {
 	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.02, Seed: 7})
 	svc := NewService(cat, DefaultOptions(), 0)
@@ -281,15 +284,27 @@ func TestConcurrentAppendExecute(t *testing.T) {
 		valid[base+int64(k*batch)] = true
 	}
 	sql := "select count(*) from sales where price >= 0"
+	price := tb.ColIndex("price")
+	if w := tb.ColWidth(price); w == 8 {
+		t.Fatalf("price is already %d bytes wide", w)
+	}
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < nBatches; i++ {
-			if _, err := svc.AppendCols("sales", datagen.AppendBatch(tb, batch, uint64(i+1))); err != nil {
+			cols := datagen.AppendBatch(tb, batch, uint64(i+1))
+			if i == nBatches-1 {
+				cols[price][0] = 1 << 40
+			}
+			r, err := svc.AppendCols("sales", cols)
+			if err != nil {
 				t.Errorf("append %d: %v", i, err)
 				return
+			}
+			if r.Grew != (i == nBatches-1) {
+				t.Errorf("append %d: Grew %v", i, r.Grew)
 			}
 		}
 	}()
@@ -314,6 +329,14 @@ func TestConcurrentAppendExecute(t *testing.T) {
 					return
 				}
 				res, err := se.Run(p, nil)
+				var wide *SnapshotWidthError
+				if errors.As(err, &wide) {
+					// Widened after the prepare: the catalog version moved,
+					// so preparing again compiles for the new width.
+					if p, err = se.Prepare(sql); err == nil {
+						res, err = se.Run(p, nil)
+					}
+				}
 				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return
@@ -331,6 +354,16 @@ func TestConcurrentAppendExecute(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
+	if w := tb.ColWidth(price); w != 8 {
+		t.Fatalf("price is %d bytes wide after the widening append, want 8", w)
+	}
+	_, res, err := svc.NewSession().Execute(sql, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Rows[0][0], base+nBatches*batch; got != want {
+		t.Fatalf("after the widening: count %d, want %d", got, want)
+	}
 }
 
 // TestAdaptStalenessBumpsGeneration: row-count drift past the threshold is

@@ -1,0 +1,212 @@
+package engine
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/ref"
+)
+
+// widthRow is row i of n of the width-boundary table w: its columns
+// straddle every width boundary, and the values that force a column wider
+// sit in the last rows, so a table grown by appends widens on the way.
+// Columns: w_k (group key, 1 byte), w_u8 (0..255, 1 byte), w_i32 (both
+// int32 extremes, 4 bytes), w_neg (small negatives, 4 bytes), w_big
+// (past int32, 8 bytes).
+func widthRow(i, n int) []int64 {
+	r := []int64{int64(i % 8), int64(i % 200), int64(i*7919%1000 - 500*(i%2)), int64(i % 4), int64(i)}
+	switch n - i {
+	case 1:
+		r[1], r[2], r[3], r[4] = 255, math.MaxInt32, -3, 1<<40
+	case 2:
+		r[1], r[2], r[3], r[4] = 0, math.MinInt32, -1, -(1 << 40)
+	case 3:
+		r[2], r[4] = math.MaxInt32-1, math.MaxInt32+1
+	}
+	return r
+}
+
+var widthCols = []string{"w_k", "w_u8", "w_i32", "w_neg", "w_big"}
+
+// widthCatalog holds w's first rows of n, and d, a dimension keyed like
+// w_k but 4 bytes wide (one key is 1000).
+func widthCatalog(rows, n int) *catalog.Catalog {
+	c := catalog.New()
+	w := catalog.NewTable("w")
+	for _, name := range widthCols {
+		w.AddCol(name, catalog.TInt)
+	}
+	for i := 0; i < rows; i++ {
+		for j, v := range widthRow(i, n) {
+			w.Cols[j].Data = append(w.Cols[j].Data, v)
+		}
+	}
+	c.Add(w)
+	d := catalog.NewTable("d")
+	dk, dv := d.AddCol("d_k", catalog.TInt), d.AddCol("d_v", catalog.TInt)
+	for k := int64(0); k < 8; k++ {
+		dk.Data = append(dk.Data, k)
+		dv.Data = append(dv.Data, 250+k%3)
+	}
+	dk.Data = append(dk.Data, 1000)
+	dv.Data = append(dv.Data, 7)
+	c.Add(d)
+	return c
+}
+
+// widthQueries read every column of w at its width: as group keys,
+// aggregate inputs, filter operands at the boundaries, and a join key
+// matched against a wider column.
+var widthQueries = []string{
+	"select w_k, sum(w_u8), sum(w_i32), sum(w_neg), sum(w_big), count(*) from w group by w_k order by w_k",
+	"select count(*), sum(w_i32) from w where w_u8 >= 199 and w_i32 < 0",
+	"select min(w_i32), max(w_i32), min(w_neg), max(w_big), min(w_big) from w where w_neg < 1",
+	"select w_u8, count(*) from w where w_big > 2147483647 or w_big < -2147483648 group by w_u8 order by w_u8",
+	"select d_v, count(*), sum(w_i32) from w, d where w_k = d_k group by d_v order by d_v",
+}
+
+const widthRows = 3000
+
+// TestWidthBoundariesMatchReference: a catalog whose columns straddle
+// every width boundary returns the reference rows across Workers × Shards.
+func TestWidthBoundariesMatchReference(t *testing.T) {
+	cat := widthCatalog(widthRows, widthRows)
+	w, err := cat.Table("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{1, 1, 4, 4, 8} {
+		if got := w.ColWidth(i); got != want {
+			t.Fatalf("%s is %d bytes wide, want %d", widthCols[i], got, want)
+		}
+	}
+	for _, workers := range []int{0, 2, 4} {
+		for _, shards := range []int{0, 3} {
+			opts := DefaultOptions()
+			opts.Workers, opts.Shards, opts.ShardPruning = workers, shards, shards > 0
+			e := New(cat, opts)
+			for qi, sql := range widthQueries {
+				t.Run(fmt.Sprintf("q%d/workers=%d/shards=%d", qi, workers, shards), func(t *testing.T) {
+					cq, err := e.CompileSQL(sql)
+					if err != nil {
+						t.Fatalf("compile: %v", err)
+					}
+					want, err := ref.Execute(cq.Plan)
+					if err != nil {
+						t.Fatalf("reference: %v", err)
+					}
+					res, err := e.Run(cq, nil)
+					if err != nil {
+						t.Fatalf("run: %v", err)
+					}
+					rowsEqual(t, res.Rows, want, true)
+				})
+			}
+		}
+	}
+}
+
+// TestWidthBulkEqualsIncremental: a table loaded whole and one grown to the
+// same rows by appends that widen its columns freeze equal widths, and
+// every statement leaves byte-identical heaps on both.
+func TestWidthBulkEqualsIncremental(t *testing.T) {
+	bulk := widthCatalog(widthRows, widthRows)
+	const n0 = widthRows - 500
+	incr := widthCatalog(n0, widthRows)
+	v0 := incr.Version()
+	for lo := n0; lo < widthRows; lo += 100 {
+		cols := make([][]int64, len(widthCols))
+		for i := lo; i < lo+100; i++ {
+			for j, v := range widthRow(i, widthRows) {
+				cols[j] = append(cols[j], v)
+			}
+		}
+		if _, err := incr.AppendCols("w", cols); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if incr.Version() == v0 {
+		t.Fatal("no append widened a column")
+	}
+	wb, _ := bulk.Table("w")
+	wi, _ := incr.Table("w")
+	for i := range widthCols {
+		if wb.ColWidth(i) != wi.ColWidth(i) {
+			t.Fatalf("%s: bulk %d bytes, incremental %d", widthCols[i], wb.ColWidth(i), wi.ColWidth(i))
+		}
+	}
+	for _, workers := range []int{0, 2} {
+		opts := DefaultOptions()
+		opts.Workers = workers
+		for qi, sql := range widthQueries {
+			var heaps [2][]byte
+			for k, cat := range []*catalog.Catalog{bulk, incr} {
+				e := New(cat, opts)
+				cq, err := e.CompileSQL(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := e.Run(cq, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				heaps[k] = res.CPU.Heap
+			}
+			if !bytes.Equal(heaps[0], heaps[1]) {
+				t.Errorf("q%d workers=%d: heaps differ between bulk and incremental load", qi, workers)
+			}
+		}
+	}
+}
+
+// TestStaleArtifactRefusesWiderColumn: an artifact compiled before an
+// append widened a column refuses the widened snapshot with a
+// *SnapshotWidthError — it never truncates — and a recompile under the
+// bumped version serves it.
+func TestStaleArtifactRefusesWiderColumn(t *testing.T) {
+	cat := widthCatalog(widthRows, widthRows)
+	e := New(cat, DefaultOptions())
+	sql := widthQueries[0]
+	stale, err := e.CompileSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(stale, nil); err != nil {
+		t.Fatal(err)
+	}
+	v0 := cat.Version()
+	row := widthRow(0, widthRows)
+	row[1] = 256 // w_u8 no longer fits a byte
+	r, err := cat.Append("w", [][]int64{row})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Grew || cat.Version() == v0 {
+		t.Fatalf("widening append: Grew %v, version %d -> %d", r.Grew, v0, cat.Version())
+	}
+	_, err = e.Run(stale, nil)
+	var wide *SnapshotWidthError
+	if !errors.As(err, &wide) {
+		t.Fatalf("stale artifact over the widened column: %v, want a *SnapshotWidthError", err)
+	}
+	if wide.Column != "w_u8" || wide.Width != 4 || wide.Reserved != 1 {
+		t.Fatalf("error %+v, want w_u8 4 bytes over a 1-byte region", wide)
+	}
+	fresh, err := e.CompileSQL(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Execute(fresh.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(fresh, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsEqual(t, res.Rows, want, true)
+}

@@ -26,6 +26,11 @@ type AccuracyStats struct {
 	LoadSamples, BranchMis int
 }
 
+// crossCheckPeriod is §6.3(a)'s sampling period in cycles: a prime, and
+// short enough that the cross-check of the intro-nogj run sees ≥ 500
+// samples at sf 0.15 (TestAccuracyZeroMismatches).
+const crossCheckPeriod = 499
+
 // Accuracy reproduces the §6.3 validation: (a) cross-check sampled
 // instruction pointers against Register Tagging applied to *all* generated
 // code, (b) verify TSC timestamps reflect the sampling distance, and
@@ -45,7 +50,7 @@ func (e *Env) Accuracy() (string, *AccuracyStats, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	res, err := eng.Run(cq, &pmu.Config{Event: vm.EvCycles, Period: 997, Format: pmu.FormatIPTimeRegs})
+	res, err := eng.Run(cq, &pmu.Config{Event: vm.EvCycles, Period: crossCheckPeriod, Format: pmu.FormatIPTimeRegs})
 	if err != nil {
 		return "", nil, err
 	}

@@ -55,13 +55,13 @@ func (c *Compiler) genScanLoop(s *plan.Scan, pipeIdx int) {
 	exit := c.b.NewBlock("scanDone")
 	stamp(max(s.RowsEst, s.Est), loopHead, body, next)
 
-	bases := make([]int64, len(s.Cols))
+	regions := make([]ColRegion, len(s.Cols))
 	for j, ci := range s.Cols {
-		addr, ok := c.lay.ColAddrs[ColKey{Alias: s.Alias, Col: ci}]
+		reg, ok := c.lay.Cols[ColKey{Alias: s.Alias, Col: ci}]
 		if !ok {
-			bug("no layout address for " + s.Alias + " column " + strconv.Itoa(ci))
+			bug("no layout region for " + s.Alias + " column " + strconv.Itoa(ci))
 		}
-		bases[j] = addr
+		regions[j] = reg
 	}
 	var nrows, start, tid *ir.Instr
 
@@ -82,8 +82,15 @@ func (c *Compiler) genScanLoop(s *plan.Scan, pipeIdx int) {
 
 	c.b.SetBlock(body)
 	c.withTask(opID, scanTask, func() { c.bump(scanTask) })
+	// Row tid of a column is at Addr + tid×Width, loaded at its width: a
+	// 1-byte column needs no multiply.
 	load := func(j int) *ir.Instr {
-		v := c.b.Load(64, c.b.Add(c.b.Const(bases[j]), c.b.Mul(tid, c.b.Const(8))))
+		reg := regions[j]
+		off := tid
+		if reg.Width > 1 {
+			off = c.b.Mul(tid, c.b.Const(reg.Width))
+		}
+		v := c.b.Load(int(reg.Width)*8, c.b.Add(c.b.Const(reg.Addr), off))
 		v.Comment = "column " + s.Alias + "." + s.Table.Cols[s.Cols[j]].Name
 		return v
 	}

@@ -48,7 +48,7 @@ func gjFixture(t *testing.T) (*plan.Output, *Layout) {
 
 	lay := &Layout{
 		StateBase:  1 << 16,
-		ColAddrs:   map[ColKey]int64{},
+		Cols:       map[ColKey]ColRegion{},
 		RowsSlots:  map[string]int{},
 		HT:         map[plan.Node]*HTLayout{},
 		ResultDesc: 1 << 17,
@@ -60,7 +60,7 @@ func gjFixture(t *testing.T) (*plan.Output, *Layout) {
 		switch x := n.(type) {
 		case *plan.Scan:
 			for _, ci := range x.Cols {
-				lay.ColAddrs[ColKey{Alias: x.Alias, Col: ci}] = cols
+				lay.Cols[ColKey{Alias: x.Alias, Col: ci}] = ColRegion{Addr: cols, Width: 8}
 				cols += 1 << 14
 			}
 			lay.RowsSlots[x.Alias] = slot

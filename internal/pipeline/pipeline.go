@@ -55,6 +55,13 @@ type ColKey struct {
 	Col   int
 }
 
+// ColRegion is where one scanned column lives: the region's address and
+// the bytes per value it stores (catalog.Table.ColWidth: 1, 4 or 8). The
+// scan loop loads row i from Addr + i×Width, at that width.
+type ColRegion struct {
+	Addr, Width int64
+}
+
 // HTLayout is the memory layout of one hash table (join build, group-by,
 // or group-join state), prepared by the engine before compilation.
 type HTLayout struct {
@@ -113,10 +120,10 @@ const (
 // table columns, hash tables and the result buffer live.
 type Layout struct {
 	StateBase int64
-	// ColAddrs holds each scanned column's region address. Regions are
-	// sized by frozen capacity, so the address is a layout constant the
+	// Cols holds each scanned column's region. Regions are sized by
+	// frozen capacity and width, so the address is a layout constant the
 	// scan loop addresses directly; only row counts are state slots.
-	ColAddrs  map[ColKey]int64
+	Cols      map[ColKey]ColRegion
 	RowsSlots map[string]int
 	HT        map[plan.Node]*HTLayout
 

@@ -12,7 +12,9 @@ import (
 
 // TestScanLoopLoadsColumnOnce: in q6's generated scan loop every column
 // is addressed from its layout constant — no column base is loaded from
-// the state region — and no block loads the same column twice.
+// the state region — no block loads the same column twice, every column is
+// loaded at its region's width, and a 1-byte column's address needs no
+// multiply.
 func TestScanLoopLoadsColumnOnce(t *testing.T) {
 	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.01, Seed: 7})
 	e := engine.New(cat, engine.DefaultOptions())
@@ -27,18 +29,19 @@ func TestScanLoopLoadsColumnOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	lay := cq.Layout
-	cols := map[int64]bool{}
-	for _, addr := range lay.ColAddrs {
-		cols[addr] = true
+	cols := map[int64]int64{} // region address → width
+	for _, reg := range lay.Cols {
+		cols[reg.Addr] = reg.Width
 	}
 	stateEnd := lay.StateBase + int64(len(lay.RowsSlots))*8
 
 	scan := pc.Module.FuncByName("pipeline0")
-	loads := 0
+	loads, narrow := 0, 0
 	for _, b := range scan.Blocks {
 		seen := map[int64]bool{}
 		for _, in := range b.Instrs {
-			if in.Op != ir.OpLoad64 {
+			width, isLoad := loadWidth[in.Op]
+			if !isLoad {
 				continue
 			}
 			if a, ok := constValue(in.Args[0]); ok && a >= lay.StateBase && a < stateEnd {
@@ -53,12 +56,29 @@ func TestScanLoopLoadsColumnOnce(t *testing.T) {
 			}
 			seen[col] = true
 			loads++
+			if width != cols[col] {
+				t.Errorf("%s: %%%d loads %d bytes of a %d-byte column", b.Name, in.ID, width, cols[col])
+			}
+			if cols[col] == 1 {
+				narrow++
+				for _, a := range in.Args[0].Args {
+					if a.Op == ir.OpMul || a.Op == ir.OpShl {
+						t.Errorf("%s: %%%d scales the index of a 1-byte column", b.Name, in.ID)
+					}
+				}
+			}
 		}
 	}
-	if loads < len(lay.ColAddrs) {
-		t.Fatalf("found %d column loads for %d columns:\n%s", loads, len(lay.ColAddrs), scan.Print(nil))
+	if loads < len(lay.Cols) {
+		t.Fatalf("found %d column loads for %d columns:\n%s", loads, len(lay.Cols), scan.Print(nil))
+	}
+	if narrow == 0 {
+		t.Fatalf("q6 loads no 1-byte column:\n%s", scan.Print(nil))
 	}
 }
+
+// loadWidth is each load opcode's access width in bytes.
+var loadWidth = map[ir.Op]int64{ir.OpLoad8: 1, ir.OpLoad32: 4, ir.OpLoad64: 8}
 
 // constValue folds a constant or a sum of constants.
 func constValue(in *ir.Instr) (int64, bool) {
@@ -75,12 +95,12 @@ func constValue(in *ir.Instr) (int64, bool) {
 
 // colAddr recognizes a column access, Add(Const(region), index), and
 // returns the region's address.
-func colAddr(addr *ir.Instr, cols map[int64]bool) (int64, bool) {
+func colAddr(addr *ir.Instr, cols map[int64]int64) (int64, bool) {
 	if addr.Op != ir.OpAdd {
 		return 0, false
 	}
 	for _, a := range addr.Args {
-		if a.Op == ir.OpConst && cols[a.Imm] {
+		if _, ok := cols[a.Imm]; a.Op == ir.OpConst && ok {
 			return a.Imm, true
 		}
 	}
