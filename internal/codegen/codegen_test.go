@@ -11,7 +11,6 @@ import (
 
 const (
 	testHeap    = 1 << 20
-	testStaging = 64
 	testSpill   = 128
 	testSpillSz = 4096
 	testData    = 8192
@@ -22,7 +21,7 @@ func compileAndRun(t *testing.T, m *ir.Module, setup func(c *vm.CPU)) *vm.CPU {
 	if err := m.Verify(); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
-	res, err := Compile(m, DefaultConfig(testStaging, testSpill, testSpillSz))
+	res, err := Compile(m, DefaultConfig(0, testSpill, testSpillSz))
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -154,7 +153,7 @@ func TestRegisterPressureSpills(t *testing.T) {
 	if err := m.Verify(); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
-	res, err := Compile(m, DefaultConfig(testStaging, testSpill, testSpillSz))
+	res, err := Compile(m, DefaultConfig(0, testSpill, testSpillSz))
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -198,7 +197,7 @@ func TestTagRegisterReserved(t *testing.T) {
 	b.SetTag(prev)
 	b.Halt()
 
-	cfg := DefaultConfig(testStaging, testSpill, testSpillSz)
+	cfg := DefaultConfig(0, testSpill, testSpillSz)
 	cfg.RegisterTagging = true
 	res, err := Compile(m, cfg)
 	if err != nil {
@@ -241,7 +240,7 @@ func TestDebugInfoCoverage(t *testing.T) {
 	b.Store(64, b.Const(testData+8), y)
 	b.Halt()
 
-	res, err := Compile(m, DefaultConfig(testStaging, testSpill, testSpillSz))
+	res, err := Compile(m, DefaultConfig(0, testSpill, testSpillSz))
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

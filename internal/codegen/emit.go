@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/ir"
@@ -17,9 +18,6 @@ type Config struct {
 	// FuseCmpBranch enables compare-and-branch peephole fusion (Table 1
 	// "instruction fusing"); on by default via DefaultConfig.
 	FuseCmpBranch bool
-	// StagingAddr is the heap address of the 4-slot call-argument staging
-	// area.
-	StagingAddr int64
 	// SpillBase is the heap address where spill slots start; SpillCap is
 	// the region size in bytes.
 	SpillBase int64
@@ -48,12 +46,13 @@ type Hotness interface {
 	TakenFraction(irIDs []int) (float64, bool)
 }
 
-// DefaultConfig returns the standard backend configuration for the given
-// memory layout.
-func DefaultConfig(stagingAddr, spillBase, spillCap int64) Config {
+// DefaultConfig returns the standard backend configuration for a spill
+// region of spillCap bytes at spillBase. The first parameter is unused —
+// call arguments travel in registers and need no heap address — and stays
+// only so that existing callers keep compiling.
+func DefaultConfig(_, spillBase, spillCap int64) Config {
 	return Config{
 		FuseCmpBranch: true,
-		StagingAddr:   stagingAddr,
 		SpillBase:     spillBase,
 		SpillCap:      spillCap,
 	}
@@ -108,6 +107,36 @@ type emitter struct {
 
 	callFix []callSite     // CALLs awaiting their callee's entry
 	symbols map[string]int // symbol → entry
+
+	// held is the spill slot scratchA and scratchB each hold a copy of
+	// (noSlot: none), so a reload of that slot into that register can be
+	// left out. Generated code addresses spill slots only through the
+	// emitter's own absolute accesses, which push tracks.
+	held [2]int32
+	blk  []blockEmit // by block of the function being emitted; reused
+	fix  []branchFix // branches awaiting their target block's position
+}
+
+// noSlot marks a scratch register that holds no spill slot.
+const noSlot = -1
+
+var heldNothing = [2]int32{noSlot, noSlot}
+
+// blockEmit is what emitFunc knows about one block: its position, its
+// predecessor edges, and the meet of the held slots at the exits of the
+// predecessors laid out before it.
+type blockEmit struct {
+	pos           int
+	preds, before int32 // predecessor edges; those from blocks laid out earlier
+	met           bool  // held is the meet of at least one exit
+	held          [2]int32
+}
+
+// branchFix is an emitted branch whose target is patched once every
+// block of its function has a position.
+type branchFix struct {
+	pos, block int
+	imm2       bool // the target is Imm2 (Jcc), not Imm
 }
 
 // callSite is one emitted CALL; its target is resolved by symbol once
@@ -185,6 +214,7 @@ func Compile(m *ir.Module, cfg Config) (*Result, error) {
 }
 
 func (e *emitter) push(in isa.Instr, irIDs []int, region core.RegionKind, routine string) int {
+	e.track(&in)
 	pos := len(e.prog.Code)
 	e.prog.Code = append(e.prog.Code, in)
 	e.nmap.IRs = append(e.nmap.IRs, irIDs)
@@ -196,14 +226,41 @@ func (e *emitter) push(in isa.Instr, irIDs []int, region core.RegionKind, routin
 
 func (e *emitter) spillAddr(slot int) int64 { return e.cfg.SpillBase + int64(slot)*8 }
 
+// track forgets what instruction in, about to be emitted, invalidates: a
+// call or return clobbers both scratch registers, a write to one ends what
+// it held, and a store to a spill slot ends every copy of the slot.
+func (e *emitter) track(in *isa.Instr) {
+	switch {
+	case in.Op == isa.CALL || in.Op == isa.RET:
+		e.held = heldNothing
+	case in.Op >= isa.STORE8 && in.Op <= isa.STORE64:
+		if off := in.Imm - e.cfg.SpillBase; in.Abs && !in.Scaled && off >= 0 && off < e.cfg.SpillCap {
+			for k, s := range e.held {
+				if int64(s) == off/8 {
+					e.held[k] = noSlot
+				}
+			}
+		}
+	case in.Op == isa.MOVRR || in.Op == isa.MOVRI || in.Op >= isa.LOAD8 && in.Op <= isa.LOAD64 ||
+		in.Op >= isa.ADD && in.Op <= isa.CMPGE:
+		if in.Dst == scratchA || in.Dst == scratchB {
+			e.held[in.Dst-scratchA] = noSlot
+		}
+	}
+}
+
 // readInto materializes vreg v into a physical register: either its
-// assigned register, or a load from its spill slot into scratch.
+// assigned register, or its spill slot in scratch — loaded, unless
+// scratch still holds it.
 func (e *emitter) readInto(a *allocation, v vreg, scratch isa.Reg, irIDs []int) isa.Reg {
 	r, slot, inReg := a.location(v)
 	if inReg {
 		return r
 	}
-	e.push(isa.Instr{Op: isa.LOAD64, Dst: scratch, Abs: true, Imm: e.spillAddr(slot)}, irIDs, core.RegionGenerated, "")
+	if e.held[scratch-scratchA] != int32(slot) {
+		e.push(isa.Instr{Op: isa.LOAD64, Dst: scratch, Abs: true, Imm: e.spillAddr(slot)}, irIDs, core.RegionGenerated, "")
+		e.held[scratch-scratchA] = int32(slot)
+	}
 	return scratch
 }
 
@@ -217,25 +274,73 @@ func (e *emitter) destReg(a *allocation, v vreg) (isa.Reg, int) {
 	return scratchA, slot
 }
 
+// flushDest stores a spilled destination computed into from, which then
+// holds the slot.
 func (e *emitter) flushDest(slot int, from isa.Reg, irIDs []int) {
 	if slot < 0 {
 		return
 	}
 	e.push(isa.Instr{Op: isa.STORE64, Dst: from, Abs: true, Imm: e.spillAddr(slot)}, irIDs, core.RegionGenerated, "")
+	if from == scratchA || from == scratchB {
+		e.held[from-scratchA] = int32(slot)
+	}
 }
 
+// enterBlocks readies e.blk for fn: it counts each block's predecessor
+// edges and those from blocks laid out before it.
+func (e *emitter) enterBlocks(fn *lfunc) {
+	n := len(fn.blocks)
+	if cap(e.blk) < n {
+		e.blk = make([]blockEmit, n)
+	}
+	e.blk = e.blk[:n]
+	clear(e.blk)
+	for bi, b := range fn.blocks {
+		for _, s := range b.succs {
+			e.blk[s].preds++
+			if bi < s {
+				e.blk[s].before++
+			}
+		}
+	}
+}
+
+// leaveBlock meets the held slots at block bi's exit into the entry state
+// of each successor laid out after it.
+func (e *emitter) leaveBlock(bi int, b *lblock) {
+	for _, s := range b.succs {
+		if s <= bi {
+			continue
+		}
+		next := &e.blk[s]
+		if !next.met {
+			next.held, next.met = e.held, true
+			continue
+		}
+		for k := range next.held {
+			if next.held[k] != e.held[k] {
+				next.held[k] = noSlot
+			}
+		}
+	}
+}
+
+// emitFunc emits fn in layout order. Reload forwarding is one pass in that
+// order: a block starts from the meet of its predecessors' exits when
+// every predecessor is laid out before it, and from nothing otherwise (the
+// entry, a loop header).
 func (e *emitter) emitFunc(fn *lfunc, a *allocation) error {
 	entry := len(e.prog.Code)
-	blockPos := make([]int, len(fn.blocks))
-	type fix struct {
-		pos   int
-		block int
-		imm2  bool
-	}
-	var fixes []fix
+	e.enterBlocks(fn)
+	e.fix = e.fix[:0]
 
 	for bi, b := range fn.blocks {
-		blockPos[bi] = len(e.prog.Code)
+		fl := &e.blk[bi]
+		fl.pos = len(e.prog.Code)
+		e.held = heldNothing
+		if bi > 0 && fl.preds > 0 && fl.before == fl.preds {
+			e.held = fl.held
+		}
 		for ii := range b.ins {
 			l := &b.ins[ii]
 			ids := l.irIDs
@@ -293,34 +398,36 @@ func (e *emitter) emitFunc(fn *lfunc, a *allocation) error {
 				}
 
 			case isa.LOAD8, isa.LOAD32, isa.LOAD64:
-				base := e.readInto(a, l.a, scratchA, ids)
-				in := isa.Instr{Op: l.op, Src1: base, Imm: l.imm}
-				if l.scaled {
-					in.Scaled = true
-					in.Src2 = e.readInto(a, l.b, scratchB, ids)
-				}
+				in := e.memOperand(a, l, ids)
 				dst, slot := e.destReg(a, l.dst)
 				in.Dst = dst
 				e.push(in, ids, core.RegionGenerated, "")
 				e.flushDest(slot, dst, ids)
 
 			case isa.STORE8, isa.STORE32, isa.STORE64:
-				base := e.readInto(a, l.a, scratchA, ids)
-				val := e.readInto(a, l.dst, scratchB, ids)
-				e.push(isa.Instr{Op: l.op, Dst: val, Src1: base, Imm: l.imm}, ids, core.RegionGenerated, "")
+				in := e.memOperand(a, l, ids)
+				val := scratchB
+				if l.scaled {
+					if !in.Abs {
+						bug("scaled store with a base register")
+					}
+					val = scratchA // the index took scratchB
+				}
+				in.Dst = e.readInto(a, l.dst, val, ids)
+				e.push(in, ids, core.RegionGenerated, "")
 
 			case isa.JMP:
 				if l.tgt == bi+1 {
 					continue // fallthrough
 				}
 				pos := e.push(isa.Instr{Op: isa.JMP}, ids, core.RegionGenerated, "")
-				fixes = append(fixes, fix{pos, l.tgt, false})
+				e.fix = append(e.fix, branchFix{pos, l.tgt, false})
 
 			case isa.JNZ, isa.JZ:
 				cond := e.readInto(a, l.a, scratchA, ids)
 				pos := e.push(isa.Instr{Op: l.op, Src1: cond}, ids, core.RegionGenerated, "")
 				e.nmap.Inverted[pos] = l.inverted
-				fixes = append(fixes, fix{pos, l.tgt, false})
+				e.fix = append(e.fix, branchFix{pos, l.tgt, false})
 
 			case isa.JEQ, isa.JNE, isa.JLT, isa.JGE:
 				x := e.readInto(a, l.a, scratchA, ids)
@@ -333,7 +440,7 @@ func (e *emitter) emitFunc(fn *lfunc, a *allocation) error {
 				}
 				pos := e.push(in, ids, core.RegionGenerated, "")
 				e.nmap.Inverted[pos] = l.inverted
-				fixes = append(fixes, fix{pos, l.tgt, true})
+				e.fix = append(e.fix, branchFix{pos, l.tgt, true})
 				e.res.FusedBranches++
 
 			case isa.RET, isa.HALT, isa.NOP:
@@ -357,10 +464,11 @@ func (e *emitter) emitFunc(fn *lfunc, a *allocation) error {
 				e.flushDest(slot, dst, ids)
 			}
 		}
+		e.leaveBlock(bi, b)
 	}
 
-	for _, f := range fixes {
-		target := int64(blockPos[f.block])
+	for _, f := range e.fix {
+		target := int64(e.blk[f.block].pos)
 		if f.imm2 {
 			e.prog.Code[f.pos].Imm2 = target
 		} else {
@@ -372,20 +480,71 @@ func (e *emitter) emitFunc(fn *lfunc, a *allocation) error {
 	return nil
 }
 
-// emitCall expands a call: stage argument values through memory (so
-// argument-register shuffling can never clobber a source), load them into
-// r0..r3, call, and store the result.
+// memOperand reads a load's or store's address operands into registers:
+// [base + imm], [base + imm + idx*width], or [imm + idx*width] for a
+// constant base.
+func (e *emitter) memOperand(a *allocation, l *lins, ids []int) isa.Instr {
+	in := isa.Instr{Op: l.op, Imm: l.imm, Scaled: l.scaled, Abs: l.scaled && l.a == 0}
+	if !in.Abs {
+		in.Src1 = e.readInto(a, l.a, scratchA, ids)
+	}
+	if l.scaled {
+		in.Src2 = e.readInto(a, l.b, scratchB, ids)
+	}
+	return in
+}
+
+// emitCall expands a call: move the arguments into r0..r3, call, and
+// store the result. Arguments in registers move first, as one parallel
+// move — no source is overwritten before it is read, and a cycle is broken
+// through scratchA — and spilled arguments then load straight from their
+// slots, which no move writes.
 func (e *emitter) emitCall(a *allocation, l *lins) {
 	ids := l.irIDs
 	if len(l.args) > isa.NumArgRegs {
 		bug("too many call arguments")
 	}
+	var src [isa.NumArgRegs]isa.Reg
+	pending := 0 // bit i: argument i still has to move into ri
 	for i, arg := range l.args {
-		src := e.readInto(a, arg, scratchA, ids)
-		e.push(isa.Instr{Op: isa.STORE64, Dst: src, Abs: true, Imm: e.cfg.StagingAddr + int64(i)*8}, ids, core.RegionGenerated, "")
+		if r, _, inReg := a.location(arg); inReg && r != isa.Reg(i) {
+			src[i] = r
+			pending |= 1 << i
+		}
 	}
-	for i := range l.args {
-		e.push(isa.Instr{Op: isa.LOAD64, Dst: isa.Reg(i), Abs: true, Imm: e.cfg.StagingAddr + int64(i)*8}, ids, core.RegionGenerated, "")
+	for pending != 0 {
+		moved := false
+		for i := range l.args {
+			if pending&(1<<i) == 0 || isSource(src[:], pending, isa.Reg(i)) {
+				continue
+			}
+			e.push(isa.Instr{Op: isa.MOVRR, Dst: isa.Reg(i), Src1: src[i]}, ids, core.RegionGenerated, "")
+			pending &^= 1 << i
+			moved = true
+		}
+		if !moved {
+			// Every pending destination is another move's source: a
+			// cycle. Save the lowest one in scratchA and read it there.
+			r := isa.Reg(bits.TrailingZeros(uint(pending)))
+			e.push(isa.Instr{Op: isa.MOVRR, Dst: scratchA, Src1: r}, ids, core.RegionGenerated, "")
+			for j := range l.args {
+				if pending&(1<<j) != 0 && src[j] == r {
+					src[j] = scratchA
+				}
+			}
+		}
+	}
+	for i, arg := range l.args {
+		_, slot, inReg := a.location(arg)
+		switch {
+		case inReg:
+		case e.held[0] == int32(slot):
+			e.push(isa.Instr{Op: isa.MOVRR, Dst: isa.Reg(i), Src1: scratchA}, ids, core.RegionGenerated, "")
+		case e.held[1] == int32(slot):
+			e.push(isa.Instr{Op: isa.MOVRR, Dst: isa.Reg(i), Src1: scratchB}, ids, core.RegionGenerated, "")
+		default:
+			e.push(isa.Instr{Op: isa.LOAD64, Dst: isa.Reg(i), Abs: true, Imm: e.spillAddr(slot)}, ids, core.RegionGenerated, "")
+		}
 	}
 	pos := e.push(isa.Instr{Op: isa.CALL}, ids, core.RegionGenerated, "")
 	e.callFix = append(e.callFix, callSite{pos, l.callee})
@@ -398,4 +557,14 @@ func (e *emitter) emitCall(a *allocation, l *lins) {
 			e.push(isa.Instr{Op: isa.STORE64, Dst: 0, Abs: true, Imm: e.spillAddr(slot)}, ids, core.RegionGenerated, "")
 		}
 	}
+}
+
+// isSource reports whether r is the source of a pending move.
+func isSource(src []isa.Reg, pending int, r isa.Reg) bool {
+	for j, s := range src {
+		if pending&(1<<j) != 0 && s == r {
+			return true
+		}
+	}
+	return false
 }

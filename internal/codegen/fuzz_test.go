@@ -130,7 +130,7 @@ func TestRandomExpressionsCompileCorrectly(t *testing.T) {
 		}
 
 		for _, tagging := range []bool{false, true} {
-			cfg := DefaultConfig(testStaging, testSpill, testSpillSz)
+			cfg := DefaultConfig(0, testSpill, testSpillSz)
 			cfg.RegisterTagging = tagging
 			out, err := Compile(m, cfg)
 			if err != nil {
@@ -183,7 +183,7 @@ func TestRandomBranchTrees(t *testing.T) {
 		b.Store(64, b.Const(outAt), b.Const(2))
 		b.Halt()
 
-		out, err := Compile(m, DefaultConfig(testStaging, testSpill, testSpillSz))
+		out, err := Compile(m, DefaultConfig(0, testSpill, testSpillSz))
 		if err != nil {
 			t.Fatal(err)
 		}

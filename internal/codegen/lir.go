@@ -36,6 +36,8 @@ type lins struct {
 
 	// scaled marks a memory operation using base+index scaled addressing:
 	// a is the base, b the index register (address = a + imm + b*width).
+	// a is 0 for a constant base, which imm holds (address = imm +
+	// b*width); a scaled store always has one.
 	scaled bool
 	// inverted marks a conditional branch whose sense the profile-guided
 	// layout flipped; recorded in the native map so re-profiles normalize
@@ -94,37 +96,49 @@ type lowerer struct {
 	out    *lfunc
 	regOf  []vreg       // by ID; 0 = no vreg yet
 	uses   []int32      // by ID: operand slots naming the instruction
+	scaled []int32      // by access ID: 1 + index into plans
+	bypass []int32      // by Add ID: scaled accesses that bypass it
+	elided []int32      // by Mul/Shl ID: elided Adds over it
 	fused  ir.Bitset    // by ID: folded into a consumer, not lowered on its own
-	scaled []int32      // by load ID: 1 + index into plans; nil without a profile
-	plans  []scaledAddr // planned scaled-addressing fusions, in program order
+	plans  []scaledAddr // the current function's scaled-addressing fusions, in program order
 	ids    []int        // slab the irIDs debug lists are carved from
 	seq    []lins       // schedule's output buffer
 }
 
-// scaledAddr is a planned scaled-addressing fusion of a profile-hot
-// load: the load bypasses its address Add — and the Mul/Shl computing the
-// index — using base+index*width addressing directly,
-// removing up to 4 cycles per execution once the address instructions'
-// other consumers are fused too and they can be elided.
+// scaledAddr is a planned scaled-addressing fusion of a load or store: the
+// access bypasses its address Add — and the Mul/Shl computing the index —
+// using base+index*width addressing directly, where the base is a
+// register or, when it is a constant, the immediate. Once the address
+// instructions' other consumers bypass them too they are elided, removing
+// up to 4 cycles per execution.
 type scaledAddr struct {
 	add, idxe *ir.Instr // the address Add and its Mul/Shl (nil for 1-byte loads)
 	base, idx *ir.Instr
-	ids       []int // IR IDs of the folded address instructions
+	ids       [2]int // IR IDs of the elided address instructions: ids[:n]
+	n         int
 }
 
 func newLowerer(m *ir.Module, cfg *Config) *lowerer {
 	n := m.MaxID() + 1
-	return &lowerer{cfg: cfg, regOf: make([]vreg, n), uses: make([]int32, n), fused: ir.NewBitset(n)}
+	tabs := make([]int32, 4*n)
+	return &lowerer{cfg: cfg, regOf: make([]vreg, n), fused: ir.NewBitset(n),
+		uses: tabs[:n:n], scaled: tabs[n : 2*n : 2*n], bypass: tabs[2*n : 3*n : 3*n], elided: tabs[3*n:]}
 }
 
-// irIDs returns a debug-info list holding ids, carved from a slab: the
-// lists live on in the native map, a few words each.
-func (lo *lowerer) irIDs(ids ...int) []int {
-	if len(lo.ids) < len(ids) {
+// carve returns an n-entry debug-info list carved from a slab: the lists
+// live on in the native map, a few words each.
+func (lo *lowerer) carve(n int) []int {
+	if len(lo.ids) < n {
 		lo.ids = make([]int, 256)
 	}
-	s := lo.ids[:len(ids):len(ids)]
-	lo.ids = lo.ids[len(ids):]
+	s := lo.ids[:n:n]
+	lo.ids = lo.ids[n:]
+	return s
+}
+
+// irIDs returns a debug-info list holding ids.
+func (lo *lowerer) irIDs(ids ...int) []int {
+	s := lo.carve(len(ids))
 	copy(s, ids)
 	return s
 }
@@ -224,16 +238,22 @@ func (lo *lowerer) lowerBlock(bi int, b *ir.Block) error {
 			lo.lowerBin(bi, in)
 
 		case ir.OpLoad8, ir.OpLoad32, ir.OpLoad64:
-			if lo.scaled != nil && lo.scaled[in.ID] != 0 {
-				sc := lo.plans[lo.scaled[in.ID]-1]
-				lo.emit(bi, lins{op: nativeOp[in.Op], dst: lo.vregFor(in),
-					a: lo.opnd(sc.base), b: lo.opnd(sc.idx), scaled: true, irIDs: lo.irIDs(append(sc.ids, in.ID)...)})
+			if lo.scaled[in.ID] != 0 {
+				l := lo.scaledIns(in)
+				l.dst = lo.vregFor(in)
+				lo.emit(bi, l)
 				continue
 			}
 			base, off, ids := lo.addr(in)
 			lo.emit(bi, lins{op: nativeOp[in.Op], dst: lo.vregFor(in), a: base, imm: off, irIDs: ids})
 
 		case ir.OpStore8, ir.OpStore32, ir.OpStore64:
+			if lo.scaled[in.ID] != 0 {
+				l := lo.scaledIns(in)
+				l.dst = lo.opnd(in.Args[1])
+				lo.emit(bi, l)
+				continue
+			}
 			base, off, ids := lo.addr(in)
 			val := lo.opnd(in.Args[1])
 			lo.emit(bi, lins{op: nativeOp[in.Op], dst: val, a: base, imm: off, irIDs: ids})
@@ -350,39 +370,38 @@ func (lo *lowerer) planFusion() {
 	}
 }
 
-// planScaledFusion pre-marks profile-hot loads that fit the machine's
+// planScaledFusion pre-marks the memory accesses that fit the machine's
 // scaled addressing mode, which scales the index by the access width:
 //
 //	Load64( Add(base, Mul(idx, 8)) )   →  LOAD64 dst, [base + idx*8]
 //	Load64( Add(base, Shl(idx, 3)) )   →  (same; strength-reduced form)
 //	Load32( Add(base, Mul(idx, 4)) )   →  LOAD32 dst, [base + idx*4]
 //	Load8 ( Add(base, idx) )           →  LOAD8  dst, [base + idx]
+//	Store64( Add(c, Mul(idx, 8)), v )  →  STORE64 [c + idx*8], v
+//
+// A constant base c — a column region, a hash directory, a bloom filter,
+// all layout constants — is the immediate, so every compile fuses those
+// loads and stores ([c + idx*w], no base register; a 1-byte access needs
+// no multiply and lo.addr already folds c). A register base is fused only
+// for loads a profile (cfg.Hot) observed executing: that is the backend
+// half of profile-guided recompilation. A store never takes a register
+// base: with its value it would read three registers.
 //
 // Like planFusion this must run before lowering: the Add and Mul/Shl
-// appear earlier in the block than the load, so by the time the load is
-// lowered they would already have been emitted. Each matching load
+// appear earlier in the block than the access, so by the time the access
+// is lowered they would already have been emitted. Each matching access
 // independently bypasses the address computation (the scaled operand is
 // the raw index); the Add itself — CSE typically shares one Add across
-// several lazy column loads — is elided once *every* consumer bypasses
-// it, and likewise the Mul/Shl once every consumer Add is elided. Elided
-// instructions credit their IR IDs to the fused loads' debug info.
-// Runs only under a profile (cfg.Hot) and only for loads the profile
-// observed executing: this is the backend half of profile-guided
-// recompilation, and unprofiled compiles must be byte-identical to the
-// seed backend's output.
+// several lazy column loads, and a bloom update's load and store — is
+// elided once *every* consumer bypasses it, and likewise the Mul/Shl once
+// every consumer Add is elided. Elided instructions credit their IR IDs
+// to the fused accesses' debug info.
 func (lo *lowerer) planScaledFusion() {
-	if lo.cfg.Hot == nil {
-		return
-	}
-	n := len(lo.regOf)
-	if lo.scaled == nil {
-		lo.scaled = make([]int32, n)
-	}
-	first := len(lo.plans) // earlier functions' plans stay addressable
+	lo.plans = lo.plans[:0]
 	for _, b := range lo.f.Blocks {
 		for _, in := range b.Instrs {
-			shift, ok := loadShift[in.Op]
-			if !ok || lo.cfg.Hot.InstrWeight(in.ID) <= 0 {
+			shift, store := memShift(in.Op)
+			if shift < 0 {
 				continue
 			}
 			add := in.Args[0]
@@ -394,7 +413,7 @@ func (lo *lowerer) planScaledFusion() {
 			if shift == 0 {
 				// Unscaled: the Add's operands are base and index.
 				idx, idxe = idxe, nil
-				if idx.Op == ir.OpConst {
+				if idx.Op == ir.OpConst || base.Op == ir.OpConst {
 					continue // lo.addr folds a constant displacement
 				}
 			} else {
@@ -403,48 +422,80 @@ func (lo *lowerer) planScaledFusion() {
 				}
 				idx = scaleIndex(idxe, shift)
 			}
-			if idx == nil || base.Op == ir.OpConst {
+			if idx == nil {
+				continue
+			}
+			if base.Op != ir.OpConst && (store || lo.cfg.Hot == nil || lo.cfg.Hot.InstrWeight(in.ID) <= 0) {
 				continue
 			}
 			lo.plans = append(lo.plans, scaledAddr{add: add, idxe: idxe, base: base, idx: idx})
 			lo.scaled[in.ID] = int32(len(lo.plans))
+			lo.bypass[add.ID]++
 		}
 	}
-	// Elide an Add when every one of its uses is a bypassing load.
-	loads := make([]int32, n) // by Add ID: bypassing loads over it
-	plans := lo.plans[first:]
-	for _, p := range plans {
-		loads[p.add.ID]++
-	}
-	adds := make([]int32, n) // by Mul/Shl ID: elided Adds over it
-	for i := range plans {
-		p := &plans[i]
-		if loads[p.add.ID] != lo.uses[p.add.ID] {
+	// Elide an Add when every one of its uses is a bypassing access.
+	for i := range lo.plans {
+		p := &lo.plans[i]
+		if lo.bypass[p.add.ID] != lo.uses[p.add.ID] {
 			continue
 		}
 		// Each elided Add contributes one use of its Mul/Shl; count it
-		// once, not per load (one Add can feed several loads).
+		// once, not per access (one Add can feed several).
 		if !lo.fused.Has(p.add.ID) {
 			lo.fused.Set(p.add.ID)
 			if p.idxe != nil {
-				adds[p.idxe.ID]++
+				lo.elided[p.idxe.ID]++
 			}
 		}
-		p.ids = append(p.ids, p.add.ID)
+		p.ids[p.n], p.n = p.add.ID, p.n+1
 	}
 	// Elide a Mul/Shl when every one of its uses is an elided Add.
-	for i := range plans {
-		p := &plans[i]
-		if p.idxe != nil && lo.fused.Has(p.add.ID) && adds[p.idxe.ID] == lo.uses[p.idxe.ID] {
+	for i := range lo.plans {
+		p := &lo.plans[i]
+		if p.idxe != nil && lo.fused.Has(p.add.ID) && lo.elided[p.idxe.ID] == lo.uses[p.idxe.ID] {
 			lo.fused.Set(p.idxe.ID)
-			p.ids = append(p.ids, p.idxe.ID)
+			p.ids[p.n], p.n = p.idxe.ID, p.n+1
 		}
 	}
 }
 
-// loadShift is each load's log2 access width: the scaled addressing mode
-// multiplies the index by the width.
-var loadShift = map[ir.Op]int64{ir.OpLoad8: 0, ir.OpLoad32: 2, ir.OpLoad64: 3}
+// scaledIns returns the scaled access planned for the load or store mem,
+// less the register it loads into or stores: [base + idx*width], or [c +
+// idx*width] for a constant base c. Its debug info lists the elided
+// address instructions, then mem.
+func (lo *lowerer) scaledIns(mem *ir.Instr) lins {
+	p := &lo.plans[lo.scaled[mem.ID]-1]
+	l := lins{op: nativeOp[mem.Op], b: lo.opnd(p.idx), scaled: true, irIDs: lo.carve(p.n + 1)}
+	if p.base.Op == ir.OpConst {
+		l.imm = p.base.Imm
+	} else {
+		l.a = lo.opnd(p.base)
+	}
+	copy(l.irIDs, p.ids[:p.n])
+	l.irIDs[p.n] = mem.ID
+	return l
+}
+
+// memShift returns a load's or store's log2 access width — the scaled
+// addressing mode multiplies the index by the width — and whether it
+// stores; the shift is -1 for every other instruction.
+func memShift(op ir.Op) (shift int64, store bool) {
+	switch op {
+	case ir.OpLoad8:
+		return 0, false
+	case ir.OpLoad32:
+		return 2, false
+	case ir.OpLoad64:
+		return 3, false
+	case ir.OpStore8:
+		return 0, true
+	case ir.OpStore32:
+		return 2, true
+	case ir.OpStore64:
+		return 3, true
+	}
+	return -1, false
+}
 
 // scaleIndex recognizes an index expression scaled by an access width of
 // 1<<shift bytes — Mul(i, 1<<shift) (either operand order) or Shl(i,

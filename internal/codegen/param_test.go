@@ -39,7 +39,7 @@ func TestParamOutOfRangeRejected(t *testing.T) {
 	p := b.Param(4) // only r0..r3 carry arguments
 	b.Store(64, b.Const(testData), p)
 	b.Halt()
-	if _, err := Compile(m, DefaultConfig(testStaging, testSpill, testSpillSz)); err == nil {
+	if _, err := Compile(m, DefaultConfig(0, testSpill, testSpillSz)); err == nil {
 		t.Fatal("expected error for parameter 4")
 	}
 }
@@ -55,7 +55,7 @@ func TestLoadCostLevels(t *testing.T) {
 	b.Load(64, addr)
 	b.Load(64, addr)
 	b.Halt()
-	res, err := Compile(m, DefaultConfig(testStaging, testSpill, testSpillSz))
+	res, err := Compile(m, DefaultConfig(0, testSpill, testSpillSz))
 	if err != nil {
 		t.Fatal(err)
 	}

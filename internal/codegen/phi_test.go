@@ -214,7 +214,7 @@ func TestSpillCapEnforced(t *testing.T) {
 	}
 	b.Store(64, b.Const(testData), acc)
 	b.Halt()
-	cfg := DefaultConfig(testStaging, testSpill, 64) // 8 slots only
+	cfg := DefaultConfig(0, testSpill, 64) // 8 slots only
 	if _, err := Compile(m, cfg); err == nil {
 		t.Fatal("expected spill-cap error")
 	}
@@ -226,7 +226,7 @@ func TestCompileErrors(t *testing.T) {
 	f := m.NewFunc("notmain", 0)
 	b := ir.NewBuilder(f)
 	b.Ret(nil)
-	if _, err := Compile(m, DefaultConfig(testStaging, testSpill, testSpillSz)); err == nil {
+	if _, err := Compile(m, DefaultConfig(0, testSpill, testSpillSz)); err == nil {
 		t.Fatal("missing main accepted")
 	}
 
@@ -235,7 +235,7 @@ func TestCompileErrors(t *testing.T) {
 	b2 := ir.NewBuilder(f2)
 	b2.Call("no_such_symbol", false)
 	b2.Halt()
-	if _, err := Compile(m2, DefaultConfig(testStaging, testSpill, testSpillSz)); err == nil {
+	if _, err := Compile(m2, DefaultConfig(0, testSpill, testSpillSz)); err == nil {
 		t.Fatal("undefined symbol accepted")
 	}
 }
@@ -272,7 +272,7 @@ func TestBumpAllocExhaustionTraps(t *testing.T) {
 	b.Call(SymBumpAlloc, true, b.Const(desc), b.Const(64))
 	b.Call(SymBumpAlloc, true, b.Const(desc), b.Const(64))
 	b.Halt()
-	res, err := Compile(m, DefaultConfig(testStaging, testSpill, testSpillSz))
+	res, err := Compile(m, DefaultConfig(0, testSpill, testSpillSz))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@ package codegen
 // stack moved to dense indices, kept verbatim as the oracle: operand
 // lists allocated per instruction, a map[vreg]bool per block for gen,
 // kill, live-in and live-out, and a fixpoint that walks map keys. The
-// differential tests and FuzzLiveness hold liveness() to it.
+// differential tests and FuzzLiveness hold liveness() to it. Since
+// constant bases became immediates, refOperands also knows the scaled
+// memory operands without a base register.
 
 import (
 	"fmt"
@@ -42,11 +44,17 @@ func (l *lins) refOperands() (defs, uses []vreg) {
 		}
 		return []vreg{l.dst}, []vreg{l.a}
 	case isa.LOAD8, isa.LOAD32, isa.LOAD64:
+		if l.scaled && l.a == 0 { // constant base: no base register
+			return []vreg{l.dst}, []vreg{l.b}
+		}
 		if l.scaled {
 			return []vreg{l.dst}, []vreg{l.a, l.b}
 		}
 		return []vreg{l.dst}, []vreg{l.a}
 	case isa.STORE8, isa.STORE32, isa.STORE64:
+		if l.scaled { // always a constant base
+			return nil, []vreg{l.b, l.dst}
+		}
 		return nil, []vreg{l.a, l.dst}
 	case isa.JMP, isa.RET, isa.HALT, isa.TRAP, isa.NOP, isa.CALL:
 		return nil, nil

@@ -62,11 +62,17 @@ func (l *lins) operands(buf *[2]vreg) (def vreg, uses []vreg) {
 		}
 		return l.dst, use(l.a)
 	case isa.LOAD8, isa.LOAD32, isa.LOAD64:
-		if l.scaled {
-			return l.dst, use(l.a, l.b)
+		switch {
+		case !l.scaled:
+			return l.dst, use(l.a)
+		case l.a == 0: // constant base
+			return l.dst, use(l.b)
 		}
-		return l.dst, use(l.a)
+		return l.dst, use(l.a, l.b)
 	case isa.STORE8, isa.STORE32, isa.STORE64:
+		if l.scaled { // constant base
+			return 0, use(l.b, l.dst)
+		}
 		return 0, use(l.a, l.dst)
 	case isa.JMP, isa.RET, isa.HALT, isa.TRAP, isa.NOP, isa.CALL:
 		return 0, nil

@@ -66,7 +66,7 @@ func buildPressureLoop(hot, cold int) *ir.Module {
 func TestSpillChoicePrefersColdValues(t *testing.T) {
 	run := func(hot, cold int) uint64 {
 		m := buildPressureLoop(hot, cold)
-		res, err := Compile(m, DefaultConfig(testStaging, testSpill, testSpillSz))
+		res, err := Compile(m, DefaultConfig(0, testSpill, testSpillSz))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestSpillChoicePrefersColdValues(t *testing.T) {
 func TestPressureLoopCorrectness(t *testing.T) {
 	for _, tagging := range []bool{false, true} {
 		m := buildPressureLoop(8, 12)
-		cfg := DefaultConfig(testStaging, testSpill, testSpillSz)
+		cfg := DefaultConfig(0, testSpill, testSpillSz)
 		cfg.RegisterTagging = tagging
 		res, err := Compile(m, cfg)
 		if err != nil {
@@ -120,11 +120,11 @@ func TestPressureLoopCorrectness(t *testing.T) {
 // granularity.
 func TestReservedRegisterIncreasesSpills(t *testing.T) {
 	m := buildPressureLoop(12, 4)
-	free, err := Compile(m, DefaultConfig(testStaging, testSpill, testSpillSz))
+	free, err := Compile(m, DefaultConfig(0, testSpill, testSpillSz))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(testStaging, testSpill, testSpillSz)
+	cfg := DefaultConfig(0, testSpill, testSpillSz)
 	cfg.RegisterTagging = true
 	reserved, err := Compile(m, cfg)
 	if err != nil {

@@ -24,6 +24,11 @@ func (allHot) TakenFraction([]int) (float64, bool) { return 0, false }
 // sum += load<width>(base + i*width), the shape of a column scan. A 1-byte
 // element's address is Add(base, i), with no multiply.
 func scaledSumModule(width int64, n int64) *ir.Module {
+	return sumModule(width, n, func(b *ir.Builder) *ir.Instr { return b.Load(64, b.Const(testData)) })
+}
+
+// sumModule is scaledSumModule over the array whose base base emits.
+func sumModule(width int64, n int64, base func(*ir.Builder) *ir.Instr) *ir.Module {
 	m := ir.NewModule()
 	f := m.NewFunc("main", 0)
 	b := ir.NewBuilder(f)
@@ -31,7 +36,7 @@ func scaledSumModule(width int64, n int64) *ir.Module {
 	body := b.NewBlock("body")
 	done := b.NewBlock("done")
 
-	base := b.Load(64, b.Const(testData))
+	arr := base(b)
 	zero := b.Const(0)
 	b.Br(head)
 
@@ -47,7 +52,7 @@ func scaledSumModule(width int64, n int64) *ir.Module {
 	if width > 1 {
 		off = b.Mul(i, b.Const(width))
 	}
-	v := b.Load(int(width)*8, b.Add(base, off))
+	v := b.Load(int(width)*8, b.Add(arr, off))
 	sum2 := b.Add(sum, v)
 	i2 := b.Add(i, b.Const(1))
 	ir.AddIncoming(i, i2)
@@ -101,7 +106,7 @@ func TestScaledFusionEveryWidth(t *testing.T) {
 			if err := m.Verify(); err != nil {
 				t.Fatal(err)
 			}
-			cfg := DefaultConfig(testStaging, testSpill, testSpillSz)
+			cfg := DefaultConfig(0, testSpill, testSpillSz)
 			cfg.Hot = hot
 			res, err := Compile(m, cfg)
 			if err != nil {
@@ -142,6 +147,59 @@ func TestScaledFusionEveryWidth(t *testing.T) {
 			if tc.width == 4 && !strings.Contains(dis, "*4]") {
 				t.Errorf("no [base + idx*4] operand:\n%s", dis)
 			}
+		}
+	}
+}
+
+// TestConstantBaseScanHasNoMul: a scan over an array at a layout constant
+// — a column region — addresses each element as [c + i*width] in every
+// compile, profiled or not: the loop keeps no multiply, shift or address
+// add, and sums what the array holds.
+func TestConstantBaseScanHasNoMul(t *testing.T) {
+	const n = 50
+	arr := int64(testData + 64)
+	for _, tc := range []struct {
+		width int64
+		op    isa.Op
+	}{{8, isa.LOAD64}, {4, isa.LOAD32}} {
+		m := sumModule(tc.width, n, func(b *ir.Builder) *ir.Instr { return b.Const(arr) })
+		if err := m.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Compile(m, DefaultConfig(0, testSpill, testSpillSz))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := vm.New(testHeap)
+		var want int64
+		for k := int64(0); k < n; k++ {
+			v := k*k - 300
+			want += v
+			if tc.width == 8 {
+				binary.LittleEndian.PutUint64(c.Heap[arr+k*8:], uint64(v))
+			} else {
+				binary.LittleEndian.PutUint32(c.Heap[arr+k*4:], uint32(v))
+			}
+		}
+		c.Load(res.Program)
+		if _, err := c.Run(1_000_000); err != nil {
+			t.Fatalf("width %d: run: %v", tc.width, err)
+		}
+		if got := c.ReadI64(testData + 8); got != want {
+			t.Errorf("width %d: sum = %d, want %d", tc.width, got, want)
+		}
+		scaled, addr := 0, 0
+		for _, in := range res.Program.Code {
+			switch {
+			case in.Op == tc.op && in.Abs && in.Scaled && in.Imm == arr:
+				scaled++
+			case in.Op == isa.MUL || in.Op == isa.SHL || in.Op == isa.MOVRI && in.Imm == arr:
+				addr++
+			}
+		}
+		if scaled != 1 || addr != 0 {
+			t.Errorf("width %d: %d loads [%d + i*%d], %d address instructions; want 1 and 0:\n%s",
+				tc.width, scaled, arr, tc.width, addr, res.Program.Disasm())
 		}
 	}
 }

@@ -72,7 +72,7 @@ type Attributor struct {
 type ipEntry struct {
 	class      Class
 	routine    bool   // runtime-routine code: NMap.Routine names it, no IR does
-	cred, nCre uint32 // credits[cred : cred+nCre]
+	cred, nCre uint32 // credits[cred : cred+nCre]; a walk: nCre bounds its list
 }
 
 const (
@@ -122,6 +122,11 @@ func NewAttributor(dict *Dictionary, nmap *NativeMap) *Attributor {
 				}
 			}
 			if e.class == classWalk {
+				// A walk's list names each owner at most once: nCre bounds
+				// it, and BuildProfile sizes its arena by the bound.
+				for _, irID := range irIDs {
+					e.nCre += uint32(len(dict.TasksOf(irID)))
+				}
 				continue
 			}
 			var owned bool

@@ -419,3 +419,53 @@ func TestSliceSamples(t *testing.T) {
 		t.Fatal("out-of-range slice not empty")
 	}
 }
+
+// TestProfileSumsIndependentOfOrder: a sample on an instruction fused from
+// three IR instructions credits each a third, which no float represents.
+// One credit list summed in two orders — as a merge of two workers' logs
+// may present it — gives one profile, byte for byte, with every weight the
+// float nearest its exact value.
+func TestProfileSumsIndependentOfOrder(t *testing.T) {
+	_, d, nm, op1, op2, _, _ := testSetup()
+	nm.IRs[7] = []int{1, 2, 3} // ⅔ op1, ⅓ op2
+	a := NewAttributor(d, nm)
+	var fwd []Sample
+	for i := 0; i < 229+33; i++ {
+		ip := 7
+		if i >= 229 {
+			ip = 2 // op2's own instruction, weight 1
+		}
+		fwd = append(fwd, Sample{IP: ip, TSC: uint64(10 * i)})
+	}
+	rev := make([]Sample, len(fwd))
+	for i, s := range fwd {
+		rev[len(fwd)-1-i] = s
+	}
+	// Summed as floats the two orders disagree: the case is a real one.
+	naive := func(ss []Sample) (sum float64) {
+		for _, s := range ss {
+			if s.IP == 7 {
+				sum += 1.0 / 3
+			} else {
+				sum++
+			}
+		}
+		return sum
+	}
+	if naive(fwd) == naive(rev) {
+		t.Fatal("the two orders sum to one float: the test does not exercise order")
+	}
+	pf, pr := BuildProfile(a, fwd), BuildProfile(a, rev)
+	if cf, cr := pf.Canonical(), pr.Canonical(); string(cf) != string(cr) {
+		t.Fatalf("profiles differ by order:\n%s\nreversed:\n%s", cf, cr)
+	}
+	if got, want := pf.OpWeight[op2], 229.0/3+33; got != want {
+		t.Errorf("op2 weight %v, want %v", got, want)
+	}
+	if got, want := pf.OpWeight[op1], 2*229.0/3; got != want {
+		t.Errorf("op1 weight %v, want %v", got, want)
+	}
+	if got, want := pf.IRWeight[3], 229.0/3+33; got != want {
+		t.Errorf("IR 3 weight %v, want %v", got, want)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/vm"
@@ -115,12 +116,23 @@ func (b *BranchStat) TakenFraction() (float64, bool) {
 	return b.Taken / b.Total, true
 }
 
+// Weights sum in fixed point: whole units of 1/weightScale of a sample,
+// held in float64s, which add whole numbers below 2^53 — 1.2e10 samples
+// on one key — exactly. An exact sum does not depend on the order of its
+// terms, so a profile has the same weights whatever order its samples
+// arrive in: merged from any number of workers or shards. The scale is
+// the least multiple of every n ≤ 16: the 1/n share of an instruction
+// fused from n IR instructions is exact, and a sum converts back to the
+// float nearest its exact value.
+const weightScale = 720720
+
+// units converts a credit weight to fixed point.
+func units(w float64) float64 { return math.Round(w * weightScale) }
+
 // BuildProfile attributes samples and aggregates them. Weights accumulate
-// in arrays indexed by component id and IR id, in sample order — every
-// float sum is formed in the order a per-sample map update would form it,
-// so Canonical() does not depend on the representation — and move to the
-// exported maps at the end. Every credit weight is positive, so a non-zero
-// sum marks a touched key.
+// in fixed point (units), in arrays indexed by component id and IR id, and
+// move to the exported maps as weights at the end. Every credit weight is
+// positive, so a non-zero sum marks a touched key.
 func BuildProfile(att *Attributor, samples []Sample) *Profile {
 	reg := att.Dict.Registry
 	nIP, nComp := len(att.table), reg.Len()+1
@@ -142,8 +154,18 @@ func BuildProfile(att *Attributor, samples []Sample) *Profile {
 	}
 	taskW, opW, irW := acc[nIP:][:nComp], acc[nIP+nComp:][:nComp], acc[nIP+2*nComp:]
 	// Credit lists a sample decides (CSE'd code walks) live here; p.timed
-	// keeps windows of it.
+	// keeps windows of it. It is sized for every walk's bound up front, so
+	// it is allocated once, if at all.
+	walks := 0
+	for i := range samples {
+		if ip := samples[i].IP; uint(ip) < uint(nIP) && att.table[ip].class == classWalk {
+			walks += int(att.table[ip].nCre)
+		}
+	}
 	var arena []Credit
+	if walks > 0 {
+		arena = make([]Credit, 0, walks)
+	}
 	workers, shards := runCount{m: p.ByWorker}, runCount{m: p.ByShard}
 	for i := range samples {
 		s := &samples[i]
@@ -188,28 +210,29 @@ func BuildProfile(att *Attributor, samples []Sample) *Profile {
 			// An id outside the registry (only a sample-dependent walk can
 			// name one) never meets the arrays: it goes to its map directly,
 			// as every IR id does when the ids are too sparse for an array.
+			u := units(c.Weight)
 			if uint(c.Task) < uint(nComp) {
-				taskW[c.Task] += c.Weight
+				taskW[c.Task] += u
 			} else {
-				p.TaskWeight[c.Task] += c.Weight
+				p.TaskWeight[c.Task] += u
 			}
 			if uint(c.Operator) < uint(nComp) {
-				opW[c.Operator] += c.Weight
+				opW[c.Operator] += u
 			} else {
-				p.OpWeight[c.Operator] += c.Weight
+				p.OpWeight[c.Operator] += u
 			}
 			if c.Operator == reg.KernelOperator {
-				p.KernelWeight += c.Weight
+				p.KernelWeight += u
 			}
 		}
 		if !e.routine { // generated code: an equal share to each IR instruction
 			irIDs := att.NMap.IRs[s.IP]
-			w := 1 / float64(len(irIDs))
+			u := units(1 / float64(len(irIDs)))
 			for _, irID := range irIDs {
 				if len(irW) > 0 {
-					irW[irID-att.irLo] += w
+					irW[irID-att.irLo] += u
 				} else {
-					p.IRWeight[irID] += w
+					p.IRWeight[irID] += u
 				}
 			}
 		}
@@ -227,6 +250,11 @@ func BuildProfile(att *Attributor, samples []Sample) *Profile {
 	if p.TotalSamples == 0 {
 		p.MinTSC = 0
 	}
+	// The maps hold units so far (the ids the arrays do not reach).
+	p.KernelWeight /= weightScale
+	weighUnits(p.TaskWeight)
+	weighUnits(p.OpWeight)
+	weighUnits(p.IRWeight)
 	touched(p.TaskWeight, taskW, func(id int) ComponentID { return ComponentID(id) })
 	touched(p.OpWeight, opW, func(id int) ComponentID { return ComponentID(id) })
 	touched(p.IRWeight, irW, func(i int) int { return i + att.irLo })
@@ -238,12 +266,20 @@ func BuildProfile(att *Attributor, samples []Sample) *Profile {
 	return p
 }
 
-// touched moves the non-zero sums of a dense accumulator into m.
+// touched moves the non-zero fixed-point sums of a dense accumulator into
+// m as weights.
 func touched[K comparable](m map[K]float64, acc []float64, key func(int) K) {
-	for i, w := range acc {
-		if w != 0 {
-			m[key(i)] = w
+	for i, u := range acc {
+		if u != 0 {
+			m[key(i)] = u / weightScale
 		}
+	}
+}
+
+// weighUnits converts m's fixed-point sums to weights in place.
+func weighUnits[K comparable](m map[K]float64) {
+	for k, u := range m {
+		m[k] = u / weightScale
 	}
 }
 

@@ -3,11 +3,11 @@ package core
 // The previous implementation of attribution, kept as the differential
 // oracle with only its names changed (ref*): Attribute walks NativeMap →
 // Log B → Log A for every sample through a per-sample map, and
-// BuildProfile updates the exported maps once per credit. The table in
-// attribute.go and the dense accumulators in profile.go must reproduce it
-// field for field and, in every float sum, bit for bit
-// (TestTableMatchesReference, TestProfileMatchesReference); nothing
-// outside the tests uses it.
+// BuildProfile updates a map per key once per credit — in fixed-point
+// units since weights became order-independent sums, its one change. The
+// table in attribute.go and the dense accumulators in profile.go must
+// reproduce it field for field and bit for bit (TestTableMatchesReference,
+// TestProfileMatchesReference); nothing outside the tests uses it.
 
 import (
 	"fmt"
@@ -151,6 +151,9 @@ func refBuildProfile(att *Attributor, samples []Sample) *Profile {
 		MemByOp:      make(map[ComponentID][]MemPoint),
 		MinTSC:       ^uint64(0),
 	}
+	// Weights sum in BuildProfile's fixed point, per sample, by map.
+	taskU, opU, irU := map[ComponentID]float64{}, map[ComponentID]float64{}, map[int]float64{}
+	var kernelU float64
 	for i := range samples {
 		s := &samples[i]
 		p.TotalSamples++
@@ -191,14 +194,14 @@ func refBuildProfile(att *Attributor, samples []Sample) *Profile {
 			continue
 		}
 		for _, c := range a.Credits {
-			p.TaskWeight[c.Task] += c.Weight
-			p.OpWeight[c.Operator] += c.Weight
+			taskU[c.Task] += units(c.Weight)
+			opU[c.Operator] += units(c.Weight)
 			if c.Operator == p.Registry.KernelOperator {
-				p.KernelWeight += c.Weight
+				kernelU += units(c.Weight)
 			}
 		}
 		for _, ic := range a.IRCredits {
-			p.IRWeight[ic.IRID] += ic.Weight
+			irU[ic.IRID] += units(ic.Weight)
 		}
 		p.timed = append(p.timed, timedCredit{tsc: s.TSC, credits: a.Credits})
 		if s.Event == vm.EvMemLoads || s.Event == vm.EvL3Miss {
@@ -212,6 +215,16 @@ func refBuildProfile(att *Attributor, samples []Sample) *Profile {
 	if p.TotalSamples == 0 {
 		p.MinTSC = 0
 	}
+	for id, u := range taskU {
+		p.TaskWeight[id] = u / weightScale
+	}
+	for id, u := range opU {
+		p.OpWeight[id] = u / weightScale
+	}
+	for id, u := range irU {
+		p.IRWeight[id] = u / weightScale
+	}
+	p.KernelWeight = kernelU / weightScale
 	return p
 }
 

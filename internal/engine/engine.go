@@ -366,7 +366,6 @@ func stageSnapshot(cq *Compiled, cpu *vm.CPU, snap *catalog.Snapshot) error {
 // state, descriptors, table data, hash tables, result buffer — where a
 // one-core run's heap ends — and the merge area only parallel runs address).
 const (
-	stagingAddr = 256
 	spillBase   = 512
 	spillCap    = 64 << 10
 	layoutStart = spillBase + spillCap
@@ -377,7 +376,7 @@ const (
 const counterSlots = 1024
 
 // DataFloor is the lowest heap address holding query data; everything
-// below it is call staging and spill slots (the stack analogue). Memory
+// below it is spill slots (the stack analogue) and unused low memory. Memory
 // profiles filter below this address.
 const DataFloor int64 = layoutStart
 
@@ -523,7 +522,7 @@ func (c *Compiler) compilePlan(pl *plan.Output, hot *pgo.Hotness) (*Compiled, er
 		return nil, fmt.Errorf("engine: IR invalid after optimization: %w", err)
 	}
 
-	ccfg := codegen.DefaultConfig(stagingAddr, spillBase, spillCap)
+	ccfg := codegen.DefaultConfig(0, spillBase, spillCap)
 	ccfg.RegisterTagging = c.Opts.RegisterTagging
 	ccfg.FuseCmpBranch = c.Opts.FuseCmpBranch
 	if hot != nil {
@@ -590,11 +589,10 @@ func (c *Compiler) buildLayout(pl *plan.Output, cq *Compiled) (*pipeline.Layout,
 		ncols += len(s.Cols)
 	}
 
-	// At most 8 fixed regions, one per column and 11 per hash table.
-	h := carver{cur: stagingAddr, regions: make([]verify.MemRegion, 0, 8+ncols+11*len(mats))}
+	// At most 7 fixed regions, one per column and 11 per hash table.
+	h := carver{cur: spillBase, regions: make([]verify.MemRegion, 0, 7+ncols+11*len(mats))}
 
-	// The stack analogue: call-argument staging and spill slots.
-	h.carve("staging", spillBase-stagingAddr, true)
+	// The stack analogue: spill slots. Call arguments travel in registers.
 	h.carve("spill", spillCap, true)
 
 	// State slots are staged by the host and read-only to generated code.

@@ -21,10 +21,10 @@ var mergeOnly = map[string]bool{
 }
 
 // TestLayoutRegionsDisjoint verifies, for every suite query, that the
-// regions buildLayout carved — staging, spill, state slots, descriptors,
+// regions buildLayout carved — spill, state slots, descriptors,
 // morsel bounds, counters, column data, every hash table's directory,
 // arena, merge staging and bloom filter, and the result buffer — are
-// non-empty, ascending, disjoint and inside [stagingAddr, heapSize), and
+// non-empty, ascending, disjoint and inside [spillBase, heapSize), and
 // that the merge-only regions, and only they, lie at or above mergeBase.
 // Alignment padding belongs to no region. An overlap here would silently
 // corrupt query results.
@@ -41,7 +41,7 @@ func TestLayoutRegionsDisjoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			end := int64(stagingAddr)
+			end := int64(spillBase)
 			for _, r := range cq.regions {
 				if r.Hi <= r.Lo {
 					t.Fatalf("region %s empty or inverted: [%d, %d)", r.Name, r.Lo, r.Hi)

@@ -161,7 +161,7 @@ func TestPGOLineagePreservation(t *testing.T) {
 						t.Fatalf("order %v: surviving instr %%%d (%v) has no tasks", order, in.ID, in.Op)
 					}
 				})
-				ccfg := codegen.DefaultConfig(stagingAddr, spillBase, spillCap)
+				ccfg := codegen.DefaultConfig(0, spillBase, spillCap)
 				ccfg.RegisterTagging = e.Opts.RegisterTagging
 				ccfg.FuseCmpBranch = e.Opts.FuseCmpBranch
 				ccfg.Hot = hot

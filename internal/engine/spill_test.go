@@ -17,9 +17,10 @@ import (
 
 // maxReloadShare is the ceiling on the share of retired instructions that
 // reload a spilled value, over the suite at the test scale. Recorded at
-// 4.55 % when scan loops began addressing columns as layout constants;
-// lower it when the allocator improves.
-const maxReloadShare = 0.048
+// 4.55 % when scan loops began addressing columns as layout constants, and
+// at 2.65 % once the emitter stopped reloading a slot its scratch register
+// still held; lower it when the allocator improves.
+const maxReloadShare = 0.030
 
 // spillDefClass names what defines the value a spill store writes: the
 // last IR instruction of the store's debug info is the value's definition.

@@ -96,7 +96,7 @@ func TestVerifierNoFalsePositivesUnderPassFuzz(t *testing.T) {
 						t.Fatalf("order %v: false positive(s) on a legally-mutated module:\n%v", order, ds)
 					}
 				}
-				ccfg := codegen.DefaultConfig(stagingAddr, spillBase, spillCap)
+				ccfg := codegen.DefaultConfig(0, spillBase, spillCap)
 				ccfg.RegisterTagging = e.Opts.RegisterTagging
 				ccfg.FuseCmpBranch = e.Opts.FuseCmpBranch
 				ccfg.Hot = hot

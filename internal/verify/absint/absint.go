@@ -739,6 +739,18 @@ func (a *analyzer) checkAccess(pos int, in *isa.Instr, addr aval, isStore bool) 
 		return
 	}
 
+	// A constant-base scaled access indexes the region its base names:
+	// generated code addresses an array from its first element. A store
+	// whose base lies in read-only data is therefore a definite violation
+	// whatever its index, even one too abstract to bound the address.
+	if isStore && in.Abs && in.Scaled {
+		if r := a.mem.RegionAt(in.Imm, w); r != nil && !r.Writable {
+			a.bad("readonly-store", pos, "%s indexes from %d inside read-only region %q",
+				in.Op, in.Imm, r.Name)
+			return
+		}
+	}
+
 	if addr.exact() {
 		r := a.mem.RegionAt(addr.lo, w)
 		if r == nil {
