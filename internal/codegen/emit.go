@@ -23,9 +23,9 @@ type Config struct {
 	SpillBase int64
 	SpillCap  int64
 	// Hot supplies profile guidance for a recompilation: scaled-address
-	// fusion of hot loads, profile-guided block layout with branch-sense
-	// inversion, and hotness-weighted spill priority. Nil (the default)
-	// compiles from the IR alone, spill weights from its block counts.
+	// fusion of hot loads and hotness-weighted spill priority. Nil (the
+	// default) compiles from the IR alone. Block layout and spill weights
+	// come from the IR's block counts either way.
 	Hot Hotness
 }
 
@@ -40,10 +40,6 @@ type Hotness interface {
 	// WeightOf sums the weight of the IR instructions fused into one
 	// native instruction.
 	WeightOf(irIDs []int) float64
-	// TakenFraction returns a branch's observed taken fraction,
-	// normalized to the source branch's then-direction; ok is false
-	// without outcome observations.
-	TakenFraction(irIDs []int) (float64, bool)
 }
 
 // DefaultConfig returns the standard backend configuration for a spill
@@ -180,9 +176,7 @@ func Compile(m *ir.Module, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Hot != nil {
-			layoutFunc(lf, cfg.Hot)
-		}
+		lo.layoutFunc(lf)
 		alloc, next, err := allocate(lf, cfg.RegisterTagging, slotBase, cfg.Hot)
 		if err != nil {
 			return nil, err
@@ -250,12 +244,16 @@ func (e *emitter) track(in *isa.Instr) {
 }
 
 // readInto materializes vreg v into a physical register: either its
-// assigned register, or its spill slot in scratch — loaded, unless
-// scratch still holds it.
+// assigned register, a re-materialized constant in scratch, or its spill
+// slot in scratch — loaded, unless scratch still holds it.
 func (e *emitter) readInto(a *allocation, v vreg, scratch isa.Reg, irIDs []int) isa.Reg {
 	r, slot, inReg := a.location(v)
 	if inReg {
 		return r
+	}
+	if imm, ok := a.remat(v); ok {
+		e.push(isa.Instr{Op: isa.MOVRI, Dst: scratch, Imm: imm}, irIDs, core.RegionGenerated, "")
+		return scratch
 	}
 	if e.held[scratch-scratchA] != int32(slot) {
 		e.push(isa.Instr{Op: isa.LOAD64, Dst: scratch, Abs: true, Imm: e.spillAddr(slot)}, irIDs, core.RegionGenerated, "")
@@ -372,6 +370,9 @@ func (e *emitter) emitFunc(fn *lfunc, a *allocation) error {
 				dst := isa.TagReg
 				slot := -1
 				if !l.tagWrite {
+					if _, ok := a.remat(l.dst); ok {
+						continue // materialized at each use instead
+					}
 					dst, slot = e.destReg(a, l.dst)
 				}
 				e.push(isa.Instr{Op: isa.MOVRI, Dst: dst, Imm: l.imm}, ids, core.RegionGenerated, "")
@@ -498,7 +499,7 @@ func (e *emitter) memOperand(a *allocation, l *lins, ids []int) isa.Instr {
 // store the result. Arguments in registers move first, as one parallel
 // move — no source is overwritten before it is read, and a cycle is broken
 // through scratchA — and spilled arguments then load straight from their
-// slots, which no move writes.
+// slots, which no move writes, and re-materialized constants are set.
 func (e *emitter) emitCall(a *allocation, l *lins) {
 	ids := l.irIDs
 	if len(l.args) > isa.NumArgRegs {
@@ -536,8 +537,11 @@ func (e *emitter) emitCall(a *allocation, l *lins) {
 	}
 	for i, arg := range l.args {
 		_, slot, inReg := a.location(arg)
+		imm, remat := a.remat(arg)
 		switch {
 		case inReg:
+		case remat:
+			e.push(isa.Instr{Op: isa.MOVRI, Dst: isa.Reg(i), Imm: imm}, ids, core.RegionGenerated, "")
 		case e.held[0] == int32(slot):
 			e.push(isa.Instr{Op: isa.MOVRR, Dst: isa.Reg(i), Src1: scratchA}, ids, core.RegionGenerated, "")
 		case e.held[1] == int32(slot):

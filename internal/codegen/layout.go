@@ -1,19 +1,23 @@
 package codegen
 
-// Profile-guided basic-block layout. The emitter elides an uncondi-
-// tional JMP whose target is the next block in layout order, so the goal
-// is to chain each hot block directly into its hottest successor: one
-// cycle saved per elided JMP per iteration, and cold blocks (trap
-// paths, flush tails) sink to the end of the function.
+// Basic-block layout from the plan's block counts. The emitter elides an
+// unconditional JMP whose target is the next block in layout order, so the
+// goal is to chain each block directly into its most frequent successor:
+// one cycle saved per elided JMP per execution, and cold blocks (trap
+// paths, flush tails, phi edges off the hot path) sink to the end of the
+// function. Every compile runs it, guided or not; the weights are the
+// estimated execution counts the pipeline generator stamps on each IR
+// block (ir.Block.Freq, lblock.freq), never a profile's cycle samples —
+// one block with a DRAM load must not outweigh a loop header that runs a
+// hundred times more often.
 //
-// Conditional branches lower as a Jcc-then / JMP-else pair where only
-// the JMP can become a fallthrough. When the profile's branch-outcome
-// statistics (LBR) say the Jcc side is the common one, the branch sense
-// is inverted — the condition is negated and the targets swap — so the
-// hot successor moves to the JMP and can be laid out next. Inverted
-// branches are flagged in the native map: a re-profile of the recompiled
-// binary flips their recorded outcomes back, keeping taken fractions
-// normalized to the source branch's then-direction across generations.
+// Conditional branches lower as a Jcc-then / JMP-else pair where only the
+// JMP can become a fallthrough. When the Jcc target's count exceeds the
+// JMP target's, the branch sense is inverted — the condition is negated
+// and the targets swap — so the frequent successor moves to the JMP and
+// can be laid out next. Inverted branches are flagged in the native map:
+// a profile of the binary flips their recorded outcomes back, keeping
+// taken fractions normalized to the source branch's then-direction.
 
 import "repro/internal/isa"
 
@@ -25,84 +29,69 @@ var invertedOp = [isa.TRAP + 1]isa.Op{
 	isa.JNZ: isa.JZ, isa.JZ: isa.JNZ,
 }
 
-// layoutFunc reorders lf's blocks and inverts branch senses using the
-// profile. It runs after phi lowering (so edge blocks participate) and
+// layoutFunc inverts lf's branches and reorders its blocks by their
+// counts. It runs after phi lowering (so edge blocks participate) and
 // before register allocation (which re-derives liveness from the new
 // order). Purely a code-motion pass: no instruction is added or removed
-// and all irIDs are preserved.
-func layoutFunc(lf *lfunc, hot Hotness) {
-	weight := blockWeights(lf, hot)
-	invertBranches(lf, hot, weight)
-
+// and all irIDs are preserved. Its scratch is the lowerer's, sized for
+// the module's largest function, so it allocates nothing.
+func (lo *lowerer) layoutFunc(lf *lfunc) {
+	invertBranches(lf)
 	n := len(lf.blocks)
 	if n <= 2 {
 		return
 	}
+	if len(lo.lay) < n {
+		lo.lay = make([]int32, n)
+	}
+	remap := lo.lay[:n] // old index → new index, -1 while unplaced
+	for i := range remap {
+		remap[i] = -1
+	}
 	// Greedy chaining: start at the entry, repeatedly follow the current
-	// block's preferred (fallthrough) successor; when the chain closes,
-	// restart from the heaviest unplaced block.
-	order := make([]int, 0, n)
-	placed := make([]bool, n)
-	cur := 0
-	for {
-		order = append(order, cur)
-		placed[cur] = true
-		next := -1
-		if t := chainNext(lf.blocks[cur]); t >= 0 && !placed[t] {
-			next = t
+	// block's fallthrough successor; when the chain closes, restart from
+	// the most frequent unplaced block (ties: the lowest index).
+	placed := int32(0)
+	for cur := 0; cur >= 0; placed++ {
+		remap[cur] = placed
+		next := chainNext(lf.blocks[cur])
+		if next >= 0 && remap[next] >= 0 {
+			next = -1
 		}
 		if next < 0 {
-			for bi := range lf.blocks { // heaviest unplaced, ties by index
-				if !placed[bi] && (next < 0 || weight[bi] > weight[next]) {
+			for bi, b := range lf.blocks {
+				if remap[bi] < 0 && (next < 0 || b.freq > lf.blocks[next].freq) {
 					next = bi
 				}
-			}
-			if next < 0 {
-				break
 			}
 		}
 		cur = next
 	}
 
-	remap := make([]int, n) // old index → new index
-	for newIx, oldIx := range order {
-		remap[oldIx] = newIx
-	}
-	blocks := make([]*lblock, n)
-	for newIx, oldIx := range order {
-		blocks[newIx] = lf.blocks[oldIx]
-	}
-	lf.blocks = blocks
 	for _, b := range lf.blocks {
 		for i := range b.ins {
 			l := &b.ins[i]
 			if isTerminatorIns(l) {
-				l.tgt = remap[l.tgt]
-				l.tgt2 = remap[l.tgt2]
+				l.tgt = int(remap[l.tgt])
+				l.tgt2 = int(remap[l.tgt2])
 			}
 		}
 		for i, s := range b.succs {
-			b.succs[i] = remap[s]
+			b.succs[i] = int(remap[s])
 		}
 	}
-}
-
-// blockWeights sums the profile weight of each block's instructions.
-func blockWeights(lf *lfunc, hot Hotness) []float64 {
-	w := make([]float64, len(lf.blocks))
-	for bi, b := range lf.blocks {
-		for i := range b.ins {
-			w[bi] += hot.WeightOf(b.ins[i].irIDs)
+	// Permute the blocks in place, one cycle of remap at a time.
+	for i := range lf.blocks {
+		for j := int(remap[i]); j != i; j = int(remap[i]) {
+			lf.blocks[i], lf.blocks[j] = lf.blocks[j], lf.blocks[i]
+			remap[i], remap[j] = remap[j], remap[i]
 		}
 	}
-	return w
 }
 
 // invertBranches flips the sense of each conditional branch whose Jcc
-// side is the common one. The outcome statistics decide when available;
-// otherwise the successors' own weights do (an LBR-less profile still
-// knows which side's block burned cycles).
-func invertBranches(lf *lfunc, hot Hotness, weight []float64) {
+// target runs more often than its JMP target.
+func invertBranches(lf *lfunc) {
 	for _, b := range lf.blocks {
 		k := len(b.ins) - 1
 		if k < 1 || b.ins[k].op != isa.JMP || b.ins[k].pseudo != pNone {
@@ -113,18 +102,12 @@ func invertBranches(lf *lfunc, hot Hotness, weight []float64) {
 		if inv == isa.NOP || jcc.pseudo != pNone {
 			continue
 		}
-		hotThen := false
-		if frac, known := hot.TakenFraction(jcc.irIDs); known {
-			hotThen = frac > 0.5
-		} else {
-			hotThen = weight[jcc.tgt] > weight[jcc.tgt2]
-		}
-		if !hotThen {
+		if lf.blocks[jcc.tgt].freq <= lf.blocks[jcc.tgt2].freq {
 			continue
 		}
 		jcc.op = inv
 		jcc.tgt, jcc.tgt2 = jcc.tgt2, jcc.tgt
-		jcc.inverted = !jcc.inverted
+		jcc.inverted = true
 		b.ins[k].tgt = jcc.tgt2
 	}
 }

@@ -39,9 +39,9 @@ type lins struct {
 	// a is 0 for a constant base, which imm holds (address = imm +
 	// b*width); a scaled store always has one.
 	scaled bool
-	// inverted marks a conditional branch whose sense the profile-guided
-	// layout flipped; recorded in the native map so re-profiles normalize
-	// outcome statistics back to the source branch's then-direction.
+	// inverted marks a conditional branch whose sense the layout flipped;
+	// recorded in the native map so profiles normalize outcome statistics
+	// back to the source branch's then-direction.
 	inverted bool
 
 	callee string
@@ -103,6 +103,7 @@ type lowerer struct {
 	plans  []scaledAddr // the current function's scaled-addressing fusions, in program order
 	ids    []int        // slab the irIDs debug lists are carved from
 	seq    []lins       // schedule's output buffer
+	lay    []int32      // layoutFunc's scratch, one entry per block
 }
 
 // scaledAddr is a planned scaled-addressing fusion of a load or store: the
@@ -120,9 +121,26 @@ type scaledAddr struct {
 
 func newLowerer(m *ir.Module, cfg *Config) *lowerer {
 	n := m.MaxID() + 1
-	tabs := make([]int32, 4*n)
+	tabs := make([]int32, 4*n+maxLBlocks(m))
 	return &lowerer{cfg: cfg, regOf: make([]vreg, n), fused: ir.NewBitset(n),
-		uses: tabs[:n:n], scaled: tabs[n : 2*n : 2*n], bypass: tabs[2*n : 3*n : 3*n], elided: tabs[3*n:]}
+		uses: tabs[:n:n], scaled: tabs[n : 2*n : 2*n], bypass: tabs[2*n : 3*n : 3*n], elided: tabs[3*n : 4*n : 4*n],
+		lay: tabs[4*n:]}
+}
+
+// maxLBlocks bounds the LIR blocks of m's functions: each IR block, plus
+// at most one phi edge block per incoming edge of a block with phis.
+func maxLBlocks(m *ir.Module) int {
+	most := 0
+	for _, f := range m.Funcs {
+		n := len(f.Blocks)
+		for _, b := range f.Blocks {
+			if len(b.Instrs) > 0 && b.Instrs[0].Op == ir.OpPhi {
+				n += len(b.Preds)
+			}
+		}
+		most = max(most, n)
+	}
+	return most
 }
 
 // carve returns an n-entry debug-info list carved from a slab: the lists

@@ -177,9 +177,7 @@ func DiffLiveness(m *ir.Module, cfg Config) error {
 		if err != nil {
 			return err
 		}
-		if cfg.Hot != nil {
-			layoutFunc(lf, cfg.Hot)
-		}
+		lo.layoutFunc(lf)
 		if err := diffLiveness(lf); err != nil {
 			return err
 		}

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/ir"
@@ -105,30 +106,54 @@ type interval struct {
 	reg          isa.Reg
 	spilled      bool
 	slot         int
+	// remat marks a constant: its one definition is a MOVRI, so when it
+	// loses its register the emitter re-materializes it at each use
+	// instead of storing it to a slot and reloading it.
+	remat bool
 	// weight estimates dynamic access frequency (uses and defs, each
 	// weighted by its block's estimated execution count); the allocator
-	// prefers spilling cold intervals.
+	// prefers spilling cold intervals. A constant's weight is what a
+	// register saves it, scaled by rematCost.
 	weight float64
 }
 
 // allocation is the result of register allocation for one function:
 // where each vreg lives, indexed by vreg. 0 = not allocated, r+1 =
-// register r, -(s+1) = global spill slot s.
+// register r, -(s+1) = global spill slot s, inRemat = a constant
+// re-materialized at each use from imm.
 type allocation struct {
 	loc          []int32
+	imm          []int64 // by vreg: a constant's value
 	spills       int
 	genCallSlots []int // slots of values live across a generated-function call
 }
+
+// inRemat is the loc of a constant that lost its register.
+const inRemat = math.MinInt32
 
 // location describes where a vreg lives.
 func (a *allocation) location(v vreg) (isa.Reg, int, bool) {
 	if x := a.loc[v]; x > 0 {
 		return isa.Reg(x - 1), 0, true
-	} else if x < 0 {
+	} else if x < 0 && x != inRemat {
 		return 0, int(-x - 1), false
 	}
 	return 0, 0, false
 }
+
+// remat reports whether v is a constant re-materialized at each use, and
+// its value.
+func (a *allocation) remat(v vreg) (int64, bool) {
+	if a.loc[v] == inRemat {
+		return a.imm[v], true
+	}
+	return 0, false
+}
+
+// rematCost scales a constant's gain to a spill weight: re-materializing
+// costs one ALU cycle per use, where a spilled value pays an L1 reload
+// per use (vm.CostALU, vm.CostLoadL1).
+const rematCost = 0.25
 
 // liveness solves the backward dataflow equations
 //
@@ -187,8 +212,9 @@ func liveness(fn *lfunc) (liveIn, liveOut ir.Bitset, w int) {
 // frequency, so spill pressure lands on values the profile saw idle.
 func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allocation, int, error) {
 	// Linearize positions.
-	blockStart := make([]int, len(fn.blocks))
-	blockEnd := make([]int, len(fn.blocks))
+	nb := len(fn.blocks)
+	bounds := make([]int, 2*nb)
+	blockStart, blockEnd := bounds[:nb:nb], bounds[nb:]
 	for bi, b := range fn.blocks {
 		if bi > 0 {
 			blockStart[bi] = blockEnd[bi-1] + 1
@@ -199,9 +225,27 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allo
 	nv := int(fn.nvreg) + 1
 	liveIn, liveOut, lw := liveness(fn)
 
+	// Find the constants first: defs counts a vreg's definitions, 1 per
+	// MOVRI and 2 per other, so exactly 1 is a constant, whose value imm
+	// holds.
+	tabs := make([]int32, 3*nv)
+	starts, ends, defs := tabs[:nv:nv], tabs[nv:2*nv:2*nv], tabs[2*nv:]
+	imm := make([]int64, nv)
+	var buf [2]vreg
+	for _, b := range fn.blocks {
+		for i := range b.ins {
+			l := &b.ins[i]
+			if def, _ := l.operands(&buf); def != 0 {
+				defs[def] += 2
+				if l.op == isa.MOVRI && l.pseudo == pNone {
+					defs[def]--
+					imm[def] = l.imm
+				}
+			}
+		}
+	}
+
 	// Build whole intervals.
-	starts := make([]int, nv)
-	ends := make([]int, nv)
 	for i := range starts {
 		starts[i] = -1
 	}
@@ -209,24 +253,24 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allo
 		if v == 0 {
 			return
 		}
+		q := int32(p)
 		if starts[v] == -1 {
-			starts[v], ends[v] = p, p
+			starts[v], ends[v] = q, q
 			return
 		}
-		if p < starts[v] {
-			starts[v] = p
-		}
-		if p > ends[v] {
-			ends[v] = p
-		}
+		starts[v] = min(starts[v], q)
+		ends[v] = max(ends[v], q)
 	}
+	// A constant's weight is what a register saves it: the MOVRI each use
+	// other than a call argument would re-materialize (moving a register
+	// into an argument register costs as much), less the MOVRI at its
+	// definition.
 	weights := make([]float64, nv)
 	var hotTotal float64
 	if hot != nil {
 		hotTotal = hot.TotalWeight()
 	}
 	var callPositions, genCallPositions []int
-	var buf [2]vreg
 	for bi, b := range fn.blocks {
 		for i := range b.ins {
 			l, p := &b.ins[i], blockStart[bi]+i
@@ -239,11 +283,17 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allo
 			def, uses := l.operands(&buf)
 			if def != 0 {
 				extend(def, p)
-				weights[def] += w
+				if defs[def] == 1 {
+					weights[def] -= w
+				} else {
+					weights[def] += w
+				}
 			}
 			for _, u := range uses {
 				extend(u, p)
-				weights[u] += w
+				if defs[u] != 1 || l.pseudo != pCall {
+					weights[u] += w
+				}
 			}
 			if l.pseudo == pCall {
 				callPositions = append(callPositions, p)
@@ -267,8 +317,11 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allo
 		if starts[v] == -1 {
 			continue
 		}
-		slab = append(slab, interval{v: vreg(v), start: starts[v], end: ends[v], weight: weights[v]})
+		slab = append(slab, interval{v: vreg(v), start: int(starts[v]), end: int(ends[v]), weight: weights[v], remat: defs[v] == 1})
 		iv := &slab[len(slab)-1]
+		if iv.remat {
+			iv.weight *= rematCost
+		}
 		for _, cp := range callPositions {
 			if iv.start < cp && cp < iv.end {
 				iv.crossCall = true
@@ -298,10 +351,14 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allo
 		}
 		return !iv.crossCall || r > isa.LastClobbered
 	}
-	alloc := &allocation{loc: make([]int32, nv)}
+	alloc := &allocation{loc: make([]int32, nv), imm: imm}
 	nextSlot := slotBase
 	var active []*interval
 	for _, iv := range ivs {
+		if iv.remat && iv.weight <= 0 {
+			alloc.loc[iv.v] = inRemat // a register would save nothing
+			continue
+		}
 		// Expire finished intervals.
 		kept := active[:0]
 		for _, a := range active {
@@ -344,23 +401,14 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allo
 			if victim != nil && victim.weight < iv.weight {
 				iv.reg = victim.reg
 				victim.spilled = true
-				victim.slot = nextSlot
-				nextSlot++
-				alloc.spills++
-				alloc.loc[victim.v] = -int32(victim.slot) - 1
+				alloc.loc[victim.v] = alloc.spill(victim, &nextSlot)
 				assigned = true
 			} else {
 				iv.spilled = true
-				iv.slot = nextSlot
-				nextSlot++
-				alloc.spills++
-				if iv.crossGenCall {
-					alloc.genCallSlots = append(alloc.genCallSlots, iv.slot)
-				}
 			}
 		}
 		if iv.spilled {
-			alloc.loc[iv.v] = -int32(iv.slot) - 1
+			alloc.loc[iv.v] = alloc.spill(iv, &nextSlot)
 		} else {
 			alloc.loc[iv.v] = int32(iv.reg) + 1
 		}
@@ -374,4 +422,19 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allo
 		}
 	}
 	return alloc, nextSlot, nil
+}
+
+// spill gives iv, which lost its register, its loc: inRemat for a
+// constant, else the next spill slot.
+func (a *allocation) spill(iv *interval, nextSlot *int) int32 {
+	if iv.remat {
+		return inRemat
+	}
+	iv.slot = *nextSlot
+	*nextSlot++
+	a.spills++
+	if iv.crossGenCall {
+		a.genCallSlots = append(a.genCallSlots, iv.slot)
+	}
+	return -int32(iv.slot) - 1
 }

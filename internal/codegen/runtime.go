@@ -117,13 +117,21 @@ var htInsertCode = []isa.Instr{
 }
 
 // memset64Code: r0 = address, r1 = value, r2 = byte count (multiple of 8).
+// After an odd word, the loop stores two words per iteration and is
+// rotated — its test sits at the bottom and branches back — so a word
+// costs a store plus half an add and half a taken branch.
 var memset64Code = []isa.Instr{
-	{Op: isa.ADD, Dst: 3, Src1: 0, Src2: 2},              // 0: end = addr + n
-	{Op: isa.JGE, Src1: 0, Src2: 3, Imm2: 5},             // 1: while addr < end
-	{Op: isa.STORE64, Dst: 1, Src1: 0},                   // 2:   *addr = value
-	{Op: isa.ADD, Dst: 0, Src1: 0, UseImm: true, Imm: 8}, // 3: addr += 8
-	{Op: isa.JMP, Imm: 1},                                // 4
-	{Op: isa.RET},                                        // 5
+	{Op: isa.ADD, Dst: 3, Src1: 0, Src2: 2},               // 0: end = addr + n
+	{Op: isa.AND, Dst: 4, Src1: 2, UseImm: true, Imm: 8},  // 1: odd = n & 8
+	{Op: isa.JZ, Src1: 4, Imm: 5},                         // 2: if odd == 0 goto 5
+	{Op: isa.STORE64, Dst: 1, Src1: 0},                    // 3: *addr = value
+	{Op: isa.ADD, Dst: 0, Src1: 0, UseImm: true, Imm: 8},  // 4: addr += 8
+	{Op: isa.JGE, Src1: 0, Src2: 3, Imm2: 10},             // 5: if addr >= end goto 10
+	{Op: isa.STORE64, Dst: 1, Src1: 0},                    // 6: *addr = value
+	{Op: isa.STORE64, Dst: 1, Src1: 0, Imm: 8},            // 7: *(addr+8) = value
+	{Op: isa.ADD, Dst: 0, Src1: 0, UseImm: true, Imm: 16}, // 8: addr += 16
+	{Op: isa.JLT, Src1: 0, Src2: 3, Imm2: 6},              // 9: if addr < end goto 6
+	{Op: isa.RET},                                         // 10
 }
 
 // bumpAllocCode: r0 = allocator descriptor, r1 = size; returns r0 = block.

@@ -14,10 +14,9 @@ import (
 // profile-hot.
 type allHot struct{}
 
-func (allHot) InstrWeight(int) float64             { return 1 }
-func (allHot) TotalWeight() float64                { return 1 }
-func (allHot) WeightOf(ids []int) float64          { return float64(len(ids)) }
-func (allHot) TakenFraction([]int) (float64, bool) { return 0, false }
+func (allHot) InstrWeight(int) float64    { return 1 }
+func (allHot) TotalWeight() float64       { return 1 }
+func (allHot) WeightOf(ids []int) float64 { return float64(len(ids)) }
 
 // scaledSumModule sums n values of width bytes from an array whose base is
 // read from memory (so it is no constant lowering could fold):

@@ -1,12 +1,14 @@
 package codegen_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/codegen"
 	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/ir"
+	"repro/internal/pgo"
 	"repro/internal/queries"
 )
 
@@ -31,6 +33,48 @@ func TestSuiteLivenessMatchesReference(t *testing.T) {
 				t.Errorf("%s: %v", w.Name, err)
 			}
 		}
+	}
+}
+
+// TestGuidedLayoutMatchesUnguided: a profile does not reorder blocks —
+// the layout reads only the plan's block counts, so the guided and the
+// unguided compile of every suite plan lay out the same blocks in the
+// same order.
+func TestGuidedLayoutMatchesUnguided(t *testing.T) {
+	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.01, Seed: 7})
+	e := engine.New(cat, engine.DefaultOptions())
+	profiled := 0
+	for _, w := range queries.Suite() {
+		cq, err := e.CompileQuery(w.Query)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		ar, err := e.RunAdaptive(cq, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		cfg := codegen.DefaultConfig(0, 0, 1<<20)
+		cfg.RegisterTagging = e.Opts.RegisterTagging
+		cfg.FuseCmpBranch = e.Opts.FuseCmpBranch
+		unguided, err := codegen.BlockOrder(cq.Pipe.Module, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		hot := pgo.FromProfile(ar.ProfileRun.Profile, cq.Code.NMap)
+		if hot.TotalWeight() > 0 {
+			profiled++
+		}
+		cfg.Hot = hot
+		guided, err := codegen.BlockOrder(ar.Recompiled.Pipe.Module, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if !slices.Equal(unguided, guided) {
+			t.Errorf("%s: block order differs:\n unguided %v\n guided   %v", w.Name, unguided, guided)
+		}
+	}
+	if profiled == 0 {
+		t.Fatal("no plan's profile attributes any weight")
 	}
 }
 

@@ -90,11 +90,11 @@ type NativeMap struct {
 	Region []RegionKind
 	// Routine names the runtime routine for non-generated regions.
 	Routine []string
-	// Inverted marks conditional branches whose sense the backend
-	// flipped during profile-guided layout: the native taken-direction
-	// is the opposite of the source branch's then-direction. Profile
-	// post-processing consults it so taken fractions recorded from a
-	// PGO'd binary still describe the source branch.
+	// Inverted marks conditional branches whose sense the backend's
+	// block layout flipped: the native taken-direction is the opposite
+	// of the source branch's then-direction. Profile post-processing
+	// consults it so recorded taken fractions still describe the source
+	// branch.
 	Inverted []bool
 }
 

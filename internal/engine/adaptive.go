@@ -6,9 +6,9 @@ package engine
 // optimizer and backend. One adaptive cycle is: run sampled → build the
 // profile → recompile guided by it → re-run → compare cycles. The
 // recompiled binary must produce row-identical results, and because the
-// backend records layout inversions in the native map, profiling the
-// recompiled binary yields another valid, normalized profile — the cycle
-// can repeat.
+// backend records its layout's branch inversions in the native map,
+// profiling the recompiled binary yields another valid, normalized
+// profile — the cycle can repeat.
 
 import (
 	"fmt"
@@ -28,10 +28,10 @@ func DefaultPGOSampling() pmu.Config {
 }
 
 // Recompile compiles cq's plan again, guided by a profile collected from
-// running cq. The profile's IR weights and branch statistics are
-// translated through cq's own native map, then steer hot-loop IR passes
-// (LICM, strength reduction), scaled-address fusion, basic-block layout
-// and spill priority in the fresh compilation.
+// running cq. The profile's IR weights are translated through cq's own
+// native map, then steer hot-loop IR passes (LICM, strength reduction),
+// scaled-address fusion and spill priority in the fresh compilation; its
+// block layout is the unguided one.
 func (c *Compiler) Recompile(cq *Compiled, prof *core.Profile) (*Compiled, error) {
 	if prof == nil {
 		return nil, fmt.Errorf("engine: Recompile needs a profile (run with sampling first)")

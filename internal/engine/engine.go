@@ -482,7 +482,6 @@ func (c *Compiler) compilePlan(pl *plan.Output, hot *pgo.Hotness) (*Compiled, er
 			Dict:            pc.Dict,
 			Code:            code,
 			RegisterTagging: c.Opts.RegisterTagging,
-			PGO:             hot != nil,
 			Pipelines:       pc.Pipelines,
 			Layout:          lay,
 			Mem:             cq.Mem,

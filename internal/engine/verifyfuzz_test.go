@@ -84,7 +84,6 @@ func TestVerifierNoFalsePositivesUnderPassFuzz(t *testing.T) {
 					Module:          pc.Module,
 					Dict:            pc.Dict,
 					RegisterTagging: e.Opts.RegisterTagging,
-					PGO:             true,
 				}
 				var order []string
 				for i := 0; i < 8; i++ {

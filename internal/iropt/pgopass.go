@@ -132,10 +132,16 @@ func LICM(m *ir.Module, lin core.Lineage, hot Hotness) int {
 // qualify: a zero-weight instruction inside a hot loop either never runs
 // (its materialization was folded away by the backend) or costs nothing
 // worth a loop-long live range — hoisting it would trade no cycles for
-// real register pressure.
+// real register pressure. Neither does a block that, by the plan's
+// estimates (ir.Block.Freq), runs no more often than the preheader: the
+// contiguous-range loop can include a conditional block beside the loop
+// (a second bloom probe), where hoisting runs an instruction more often.
 func findHoistable(lp natLoop, pre *ir.Block, dom ir.DomSets, hot Hotness) (*ir.Instr, *ir.Block) {
 	// Iterate blocks in function order for determinism.
 	for _, b := range lp.header.Func.Blocks[lp.header.Index : lp.latch+1] {
+		if b.Freq <= pre.Freq {
+			continue // hoisting would not run it less often
+		}
 		for _, in := range b.Instrs {
 			if !in.Op.IsPure() || in.Op.IsTerminator() {
 				continue

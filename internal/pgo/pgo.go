@@ -2,8 +2,9 @@
 // compiler: it consumes a core.Profile from a sampling run and derives
 // per-task, per-IR-instruction and per-branch hotness that the optimizer
 // (internal/iropt) and the backend (internal/codegen) use to recompile the
-// query — hot-loop transformations, profile-guided basic-block layout with
-// branch-sense inversion, and hotness-weighted spill priority.
+// query — hot-loop transformations, scaled-address fusion of hot loads,
+// and hotness-weighted spill priority. Block layout is not among them:
+// every compile lays out its blocks from the plan's estimated counts.
 //
 // Everything here is only as good as the Tagging Dictionary's lineage: a
 // profile keys weights by IR instruction ID, and recompilation reuses those

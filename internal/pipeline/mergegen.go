@@ -60,7 +60,7 @@ func (c *Compiler) genMergeKernels(p *pipe) *MergeInfo {
 	mi.MergeFunc = "merge" + idx
 	if p.sinkKind == SinkGroupAgg {
 		mi.MergeTask = c.registerTask(p, p.sinkNode, roleMergeUpsert, opID)
-		c.genMergeUpsert(mi.MergeFunc, opID, mi.MergeTask, ht, c.sinkInfo(p), n)
+		c.genMergeUpsert(mi.MergeFunc, opID, mi.MergeTask, ht, c.sinkInfo(p), n, stagedGroups(p.sinkNode))
 		// Placement reuses the insert-kernel body: staged entries are the
 		// deduplicated groups (seq-ascending within a partition) and the
 		// destination vector carries their rank-derived arena addresses.
@@ -247,7 +247,7 @@ func (c *Compiler) genMergeInsert(name string, opID, task core.ComponentID, ht *
 // host sorts by to schedule the placement round). The final output cursor
 // is written back through the parameter block so the host learns the
 // deduplicated group count.
-func (c *Compiler) genMergeUpsert(name string, opID, task core.ComponentID, ht *HTLayout, si SinkInfo, n float64) {
+func (c *Compiler) genMergeUpsert(name string, opID, task core.ComponentID, ht *HTLayout, si SinkInfo, n, staged float64) {
 	c.startFunc(name)
 	es := ht.EntrySize
 	c.withTask(opID, task, func() {
@@ -274,7 +274,13 @@ func (c *Compiler) genMergeUpsert(name string, opID, task core.ComponentID, ht *
 		insertBlk := b.NewBlock("groupInsert")
 		nextBlk := b.NewBlock("nextStaged")
 		exit := b.NewBlock("upsertDone")
-		stamp(n, loopHead, body, findHead, findCont, foundBlk, insertBlk, nextBlk)
+		// The loop walks every staged partial group: the first partial of
+		// a group inserts it and every later one finds it, and a lookup
+		// steps past about as many chain entries as a slot holds groups.
+		stamp(staged, loopHead, body, nextBlk)
+		stamp(staged-n, findHead, foundBlk)
+		stamp(staged*min(1, n/float64(ht.DirSlots)), findCont)
+		stamp(n, insertBlk)
 		b.Br(loopHead)
 
 		b.SetBlock(loopHead)
@@ -381,4 +387,12 @@ func (c *Compiler) genAggCombine(entry, src *ir.Instr, si SinkInfo) {
 			c.genMinMax(addr, c.b.Load(64, srcAddr), ir.OpCmpGt)
 		}
 	}
+}
+
+// stagedGroups estimates the partial groups a group-by's morsels stage
+// for the merge: each morsel stages one per group it saw, so at least the
+// groups and at most the input rows. The estimate is the latter.
+func stagedGroups(n plan.Node) float64 {
+	g := n.(*plan.GroupBy)
+	return max(entries(g), g.Input.EstRows())
 }

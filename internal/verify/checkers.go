@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/ir"
@@ -244,8 +245,9 @@ func checkJournal(events []core.LineageEvent) []Diag {
 //     and never touched inside hand-written runtime routines,
 //   - every call into shared-region code is bracketed by the tag
 //     protocol: a tag write before the CALL and a restore after it,
-//   - NativeMap.Inverted bits appear only on conditional branches in
-//     generated code, and only in profile-guided compiles,
+//   - NativeMap.Inverted bits sit exactly on the conditional branches
+//     whose taken target is the IR branch's else successor (the layout
+//     inverted them), and on nothing else,
 //   - control flow stays sane: branch targets land inside the owning
 //     function, CALL targets are function entries, every function's last
 //     instruction cannot fall through into the next function.
@@ -276,16 +278,17 @@ func (NativeInvariants) Check(a *Artifact) []Diag {
 		return out // positional checks below would index out of range
 	}
 
-	// IR ID → opcode, for provenance-sensitive register rules.
-	irOp := map[int]ir.Op{}
+	// IR ID → instruction, for provenance-sensitive register rules and
+	// the branch-sense check.
+	byID := map[int]*ir.Instr{}
 	if a.Module != nil {
 		a.Module.ForEachInstr(func(_ *ir.Func, _ *ir.Block, in *ir.Instr) {
-			irOp[in.ID] = in.Op
+			byID[in.ID] = in
 		})
 	}
 	hasOp := func(ids []int, op ir.Op) bool {
 		for _, id := range ids {
-			if irOp[id] == op {
+			if in := byID[id]; in != nil && in.Op == op {
 				return true
 			}
 		}
@@ -339,19 +342,28 @@ func (NativeInvariants) Check(a *Artifact) []Diag {
 			}
 		}
 
-		// Inverted exactness: only the PGO layout pass sets these bits,
-		// and only on conditional branches it actually flipped.
+		// Inverted exactness: the bit marks the conditional branches the
+		// layout flipped — those taken towards the IR branch's else
+		// successor — in both directions, and nothing else.
+		cond := in.IsBranch() && in.Op != isa.JMP
 		if nmap.Inverted[pos] {
-			if !a.PGO {
-				bad("stale-inverted", pos,
-					"Inverted bit set in a non-PGO compile: no layout pass ran")
-			}
-			if !in.IsBranch() || in.Op == isa.JMP {
+			if !cond {
 				bad("stale-inverted", pos,
 					"Inverted bit on %s, which is not a conditional branch", in.Op)
 			}
 			if !gen {
 				bad("stale-inverted", pos, "Inverted bit outside generated code")
+			}
+		}
+		if cond && gen {
+			if br, want, known := branchSense(prog, nmap, byID, pos); known && want != nmap.Inverted[pos] {
+				if want {
+					bad("stale-inverted", pos,
+						"Inverted bit missing: %s is taken towards %%%d's else successor %s", in.Op, br.ID, br.Targets[1].Name)
+				} else {
+					bad("stale-inverted", pos,
+						"Inverted bit set, but %s is taken towards %%%d's then successor %s", in.Op, br.ID, br.Targets[0].Name)
+				}
 			}
 		}
 
@@ -416,6 +428,89 @@ func (NativeInvariants) Check(a *Artifact) []Diag {
 		}
 	}
 	return out
+}
+
+// branchSense decides whether the conditional branch at pos is inverted:
+// whether it is taken towards the else successor of the IR OpCondBr it
+// lowers (br). It resolves the taken target and, failing that, the
+// fallthrough side (the paired JMP's target, or the next instruction) to
+// IR blocks; known is false when neither side tells the successors apart.
+func branchSense(prog *isa.Program, nmap *core.NativeMap, byID map[int]*ir.Instr, pos int) (br *ir.Instr, inverted, known bool) {
+	for _, id := range nmap.IRs[pos] {
+		if in := byID[id]; in != nil && in.Op == ir.OpCondBr {
+			br = in
+		}
+	}
+	if br == nil {
+		return nil, false, false
+	}
+	in := &prog.Code[pos]
+	taken := in.Imm2
+	if in.Op == isa.JNZ || in.Op == isa.JZ {
+		taken = in.Imm
+	}
+	other := int64(pos + 1)
+	if next := pos + 1; next < len(prog.Code) && prog.Code[next].Op == isa.JMP && slices.Contains(nmap.IRs[next], br.ID) {
+		other = prog.Code[next].Imm
+	}
+	then, els := br.Targets[0], br.Targets[1]
+	for _, side := range [2]struct {
+		pos     int64
+		flipped bool
+	}{{taken, false}, {other, true}} {
+		b := blockAt(prog, nmap, byID, side.pos)
+		if b == nil {
+			continue
+		}
+		toThen, toElse := reaches(then, b), reaches(els, b)
+		if toThen != toElse {
+			return br, toElse != side.flipped, true
+		}
+	}
+	return br, false, false
+}
+
+// blockAt resolves the native position p to the IR block whose code
+// starts there: the block of the first instruction that is not a phi move,
+// where a phi edge block — moves and a JMP with no IR provenance — is
+// resolved through its JMP. Nil when p leads nowhere it can name.
+func blockAt(prog *isa.Program, nmap *core.NativeMap, byID map[int]*ir.Instr, p int64) *ir.Block {
+	for steps := 0; p >= 0 && p < int64(len(prog.Code)) && steps < len(prog.Code); steps++ {
+		ids := nmap.IRs[p]
+		if len(ids) == 0 {
+			if prog.Code[p].Op != isa.JMP {
+				return nil
+			}
+			p = prog.Code[p].Imm
+			continue
+		}
+		in := byID[ids[len(ids)-1]] // the instruction it lowers; fused operands come first
+		if in == nil {
+			return nil
+		}
+		if in.Op != ir.OpPhi {
+			return in.Block
+		}
+		p++
+	}
+	return nil
+}
+
+// reaches reports whether b is s or a block s reaches through
+// unconditional branches alone: a block whose code is empty or only phi
+// moves falls through into its successor.
+func reaches(s, b *ir.Block) bool {
+	for steps := 0; s != nil && steps <= len(s.Func.Blocks); steps++ {
+		if s == b {
+			return true
+		}
+		t := s.Terminator()
+		if t == nil || t.Op != ir.OpBr {
+			return false
+		}
+		s = t.Targets[0]
+	}
+	return false
 }
 
 // tagProtocolWindow bounds the scan for the tag write bracketing a shared

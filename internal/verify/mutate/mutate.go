@@ -2,7 +2,8 @@
 // deterministic defects into compilation artifacts so the verification
 // stack can be measured instead of trusted. Each mutant models a realistic
 // compiler bug — swapped operands, a dropped store, a perturbed constant,
-// a clobbered or stale tag register, a wild or misaligned address — at one
+// a clobbered or stale tag register, a wild or misaligned address, a
+// branch whose Inverted bit disagrees with its sense — at one
 // of the two levels the validators watch:
 //
 //   - IR mutants corrupt an ir.Module the way a broken optimizer pass
@@ -147,7 +148,8 @@ func IR(m *ir.Module) []Mutant {
 }
 
 // CloneResult deep-copies the parts of a codegen.Result that native
-// mutants corrupt (the instruction stream); debug info is shared.
+// mutants corrupt (the instruction stream and the Inverted bits); the
+// rest of the debug info is shared.
 func CloneResult(res *codegen.Result) *codegen.Result {
 	out := *res
 	prog := &isa.Program{
@@ -155,6 +157,9 @@ func CloneResult(res *codegen.Result) *codegen.Result {
 		Funcs: append([]isa.FuncSym(nil), res.Program.Funcs...),
 	}
 	out.Program = prog
+	nmap := *res.NMap
+	nmap.Inverted = append([]bool(nil), res.NMap.Inverted...)
+	out.NMap = &nmap
 	return &out
 }
 
@@ -221,6 +226,13 @@ func Native(res *codegen.Result, mem *verify.MemModel) []Mutant {
 	class("native/drop-tag-write", collect(func(pos int, in *isa.Instr) bool {
 		return gen(pos) && in.Op == isa.MOVRI && in.Dst == isa.TagReg
 	}), func(pos int) { prog.Code[pos] = isa.Instr{Op: isa.NOP} })
+
+	// An Inverted bit dropped from a branch the layout flipped, or set on
+	// one it did not: profiles would then record the branch's outcomes
+	// against the wrong source direction.
+	class("native/stale-inverted", collect(func(pos int, in *isa.Instr) bool {
+		return gen(pos) && in.IsBranch() && in.Op != isa.JMP
+	}), func(pos int) { nmap.Inverted[pos] = !nmap.Inverted[pos] })
 
 	// A branch retargeted into a different function.
 	class("native/branch-escape", collect(func(pos int, in *isa.Instr) bool {

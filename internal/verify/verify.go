@@ -82,9 +82,6 @@ type Artifact struct {
 	// RegisterTagging mirrors the engine option: the tag-register checks
 	// only apply when the backend actually reserved isa.TagReg.
 	RegisterTagging bool
-	// PGO marks a profile-guided compile: only then may NativeMap.Inverted
-	// carry set bits (the layout pass is the only writer).
-	PGO bool
 
 	// Pipelines and Layout carry the lowering's pipeline metadata for the
 	// partitioned-merge checks (MergeInvariants); nil disables them.

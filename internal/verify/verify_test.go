@@ -244,27 +244,31 @@ func TestRoutineTouchesTagRegister(t *testing.T) {
 
 // --- stale Inverted records ------------------------------------------------
 
-func TestStaleInvertedNonPGO(t *testing.T) {
-	a := fixture(t, "q6") // RegisterTagging on, PGO off
-	nm := a.Code.NMap
-	pos := -1
-	for i := range a.Code.Program.Code {
-		in := &a.Code.Program.Code[i]
-		if nm.Region[i] == core.RegionGenerated && in.IsBranch() && in.Op != isa.JMP {
-			pos = i
-			break
+// TestStaleInvertedExact: the Inverted bit must sit on exactly the
+// conditional branches the layout flipped. Setting it on an unflipped
+// branch and dropping it from a flipped one are both caught.
+func TestStaleInvertedExact(t *testing.T) {
+	for _, flipped := range []bool{false, true} {
+		a := fixture(t, "fig9") // the layout inverts some of its branches, not all
+		nm := a.Code.NMap
+		pos := -1
+		for i := range a.Code.Program.Code {
+			in := &a.Code.Program.Code[i]
+			if nm.Region[i] == core.RegionGenerated && in.IsBranch() && in.Op != isa.JMP && nm.Inverted[i] == flipped {
+				pos = i
+				break
+			}
 		}
+		if pos < 0 {
+			t.Fatalf("fixture has no conditional branch with Inverted=%v", flipped)
+		}
+		nm.Inverted[pos] = !flipped
+		wantDiag(t, a, "native/stale-inverted")
 	}
-	if pos < 0 {
-		t.Fatal("fixture has no conditional branch")
-	}
-	nm.Inverted[pos] = true
-	wantDiag(t, a, "native/stale-inverted")
 }
 
 func TestStaleInvertedOnNonBranch(t *testing.T) {
 	a := fixture(t, "q6")
-	a.PGO = true // even in a PGO compile, Inverted must sit on a branch
 	nm := a.Code.NMap
 	pos := -1
 	for i := range a.Code.Program.Code {
