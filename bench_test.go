@@ -520,13 +520,14 @@ func benchPGO(b *testing.B, workload string) {
 }
 
 // BenchmarkPGOScanAgg measures profile-guided recompilation on TPC-H Q6:
-// one tight scan loop, where scaled-address fusion and layout dominate.
+// one tight scan loop.
 func BenchmarkPGOScanAgg(b *testing.B) {
 	benchPGO(b, "q6")
 }
 
 // BenchmarkPGOJoin measures profile-guided recompilation on the Fig. 9
-// join+group-by query: LICM and spill weighting matter alongside fusion.
+// join+group-by query, whose pipelines put more values under register
+// pressure, where the profile-weighted spill priority acts.
 func BenchmarkPGOJoin(b *testing.B) {
 	benchPGO(b, "fig9")
 }

@@ -398,7 +398,7 @@ func runOne(se *engine.Session, sql string, cfg config) error {
 		fmt.Println()
 	}
 	if cfg.pgo {
-		return runAdaptive(se, sql, cfg.maxRows)
+		return runAdaptive(se, sql, p.Compiled, cfg.maxRows)
 	}
 	res, err := se.Run(p, nil)
 	if err != nil {
@@ -462,17 +462,18 @@ func refCheck(p *engine.Prepared, rows [][]int64) error {
 // the simulated-cycle delta; the recompiled query's rows (printed) are
 // verified identical to the original's by the adaptive cycle itself. A
 // winning profile is promoted into the service's cache, so subsequent
-// prepares of the same fingerprint serve the tuned binary.
-func runAdaptive(se *engine.Session, sql string, maxRows int) error {
+// prepares of the same fingerprint serve the tuned binary. cq is the
+// artifact the statement was prepared to; the spilled intervals it and
+// the recompile have show what the profile changed.
+func runAdaptive(se *engine.Session, sql string, cq *engine.Compiled, maxRows int) error {
 	ar, err := se.Adapt(sql, nil)
 	if err != nil {
 		return err
 	}
 	fmt.Print(viz.ResultTable(ar.Tuned, maxRows))
-	st := ar.Recompiled.OptStats
 	fmt.Printf("(%d rows; results identical before/after recompilation)\n", len(ar.Tuned.Rows))
-	fmt.Printf("pgo: %d samples; hoisted %d, strength-reduced %d\n",
-		len(ar.ProfileRun.Samples), st.Hoisted, st.Reduced)
+	fmt.Printf("pgo: %d samples; spilled intervals %d -> %d\n",
+		len(ar.ProfileRun.Samples), cq.Code.Spills, ar.Recompiled.Code.Spills)
 	fmt.Printf("pgo: %d cycles -> %d cycles (%.1f%% reduction, %.2fx)\n",
 		ar.BaselineCycles, ar.TunedCycles, ar.CycleReduction()*100, ar.Speedup())
 	return nil

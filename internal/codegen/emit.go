@@ -22,24 +22,12 @@ type Config struct {
 	// the region size in bytes.
 	SpillBase int64
 	SpillCap  int64
-	// Hot supplies profile guidance for a recompilation: scaled-address
-	// fusion of hot loads and hotness-weighted spill priority. Nil (the
-	// default) compiles from the IR alone. Block layout and spill weights
-	// come from the IR's block counts either way.
-	Hot Hotness
-}
-
-// Hotness is the profile guidance the backend consumes; *pgo.Hotness
-// satisfies it (declared locally so codegen does not depend on the pgo
-// package).
-type Hotness interface {
-	// InstrWeight returns one IR instruction's profile weight.
-	InstrWeight(id int) float64
-	// TotalWeight returns the total attributed weight.
-	TotalWeight() float64
-	// WeightOf sums the weight of the IR instructions fused into one
-	// native instruction.
-	WeightOf(irIDs []int) float64
+	// Hot holds a profile's per-IR-instruction weights (core.Profile's
+	// IRWeight) for a recompilation: a register defends an access the
+	// profile saw hot harder against spilling. Nil (the default) compiles
+	// from the IR alone. Block layout and spill weights come from the IR's
+	// block counts either way.
+	Hot map[int]float64
 }
 
 // DefaultConfig returns the standard backend configuration for a spill

@@ -15,9 +15,8 @@ package codegen
 // JMP can become a fallthrough. When the Jcc target's count exceeds the
 // JMP target's, the branch sense is inverted — the condition is negated
 // and the targets swap — so the frequent successor moves to the JMP and
-// can be laid out next. Inverted branches are flagged in the native map:
-// a profile of the binary flips their recorded outcomes back, keeping
-// taken fractions normalized to the source branch's then-direction.
+// can be laid out next. Inverted branches are flagged in the native map,
+// where native/stale-inverted checks the flag against the emitted code.
 
 import "repro/internal/isa"
 

@@ -34,14 +34,12 @@ type lins struct {
 
 	tgt, tgt2 int // successor lblock indices for branches
 
-	// scaled marks a memory operation using base+index scaled addressing:
-	// a is the base, b the index register (address = a + imm + b*width).
-	// a is 0 for a constant base, which imm holds (address = imm +
-	// b*width); a scaled store always has one.
+	// scaled marks a memory operation using scaled addressing at a
+	// constant base: imm holds the base, b the index register (address =
+	// imm + b*width), and a is 0.
 	scaled bool
 	// inverted marks a conditional branch whose sense the layout flipped;
-	// recorded in the native map so profiles normalize outcome statistics
-	// back to the source branch's then-direction.
+	// recorded in the native map (NativeMap.Inverted).
 	inverted bool
 
 	callee string
@@ -108,13 +106,13 @@ type lowerer struct {
 
 // scaledAddr is a planned scaled-addressing fusion of a load or store: the
 // access bypasses its address Add — and the Mul/Shl computing the index —
-// using base+index*width addressing directly, where the base is a
-// register or, when it is a constant, the immediate. Once the address
-// instructions' other consumers bypass them too they are elided, removing
-// up to 4 cycles per execution.
+// using c+index*width addressing directly, with the constant base c as the
+// immediate. Once the address instructions' other consumers bypass them
+// too they are elided, removing up to 4 cycles per execution.
 type scaledAddr struct {
-	add, idxe *ir.Instr // the address Add and its Mul/Shl (nil for 1-byte loads)
-	base, idx *ir.Instr
+	add, idxe *ir.Instr // the address Add and its Mul/Shl
+	idx       *ir.Instr
+	c         int64  // the constant base
 	ids       [2]int // IR IDs of the elided address instructions: ids[:n]
 	n         int
 }
@@ -388,22 +386,20 @@ func (lo *lowerer) planFusion() {
 	}
 }
 
-// planScaledFusion pre-marks the memory accesses that fit the machine's
-// scaled addressing mode, which scales the index by the access width:
+// planScaledFusion pre-marks the memory accesses at a constant base that
+// fit the machine's scaled addressing mode, which scales the index by the
+// access width:
 //
-//	Load64( Add(base, Mul(idx, 8)) )   →  LOAD64 dst, [base + idx*8]
-//	Load64( Add(base, Shl(idx, 3)) )   →  (same; strength-reduced form)
-//	Load32( Add(base, Mul(idx, 4)) )   →  LOAD32 dst, [base + idx*4]
-//	Load8 ( Add(base, idx) )           →  LOAD8  dst, [base + idx]
+//	Load64( Add(c, Mul(idx, 8)) )   →  LOAD64 dst, [c + idx*8]
+//	Load64( Add(c, Shl(idx, 3)) )   →  (same)
+//	Load32( Add(c, Mul(idx, 4)) )   →  LOAD32 dst, [c + idx*4]
 //	Store64( Add(c, Mul(idx, 8)), v )  →  STORE64 [c + idx*8], v
 //
-// A constant base c — a column region, a hash directory, a bloom filter,
-// all layout constants — is the immediate, so every compile fuses those
-// loads and stores ([c + idx*w], no base register; a 1-byte access needs
-// no multiply and lo.addr already folds c). A register base is fused only
-// for loads a profile (cfg.Hot) observed executing: that is the backend
-// half of profile-guided recompilation. A store never takes a register
-// base: with its value it would read three registers.
+// The constant base c — a column region, a hash directory, a bloom filter,
+// all layout constants — is the immediate, so the access needs no base
+// register. A 1-byte access needs no multiply, and lo.addr already folds
+// its constant. A register base is never fused: no plan's cycles moved
+// when it was.
 //
 // Like planFusion this must run before lowering: the Add and Mul/Shl
 // appear earlier in the block than the access, so by the time the access
@@ -418,8 +414,8 @@ func (lo *lowerer) planScaledFusion() {
 	lo.plans = lo.plans[:0]
 	for _, b := range lo.f.Blocks {
 		for _, in := range b.Instrs {
-			shift, store := memShift(in.Op)
-			if shift < 0 {
+			shift := memShift(in.Op)
+			if shift <= 0 {
 				continue
 			}
 			add := in.Args[0]
@@ -427,26 +423,14 @@ func (lo *lowerer) planScaledFusion() {
 				continue
 			}
 			base, idxe := add.Args[0], add.Args[1]
-			var idx *ir.Instr
-			if shift == 0 {
-				// Unscaled: the Add's operands are base and index.
-				idx, idxe = idxe, nil
-				if idx.Op == ir.OpConst || base.Op == ir.OpConst {
-					continue // lo.addr folds a constant displacement
-				}
-			} else {
-				if scaleIndex(idxe, shift) == nil {
-					base, idxe = idxe, base
-				}
-				idx = scaleIndex(idxe, shift)
+			if scaleIndex(idxe, shift) == nil {
+				base, idxe = idxe, base
 			}
-			if idx == nil {
+			idx := scaleIndex(idxe, shift)
+			if idx == nil || base.Op != ir.OpConst {
 				continue
 			}
-			if base.Op != ir.OpConst && (store || lo.cfg.Hot == nil || lo.cfg.Hot.InstrWeight(in.ID) <= 0) {
-				continue
-			}
-			lo.plans = append(lo.plans, scaledAddr{add: add, idxe: idxe, base: base, idx: idx})
+			lo.plans = append(lo.plans, scaledAddr{add: add, idxe: idxe, idx: idx, c: base.Imm})
 			lo.scaled[in.ID] = int32(len(lo.plans))
 			lo.bypass[add.ID]++
 		}
@@ -461,16 +445,14 @@ func (lo *lowerer) planScaledFusion() {
 		// once, not per access (one Add can feed several).
 		if !lo.fused.Has(p.add.ID) {
 			lo.fused.Set(p.add.ID)
-			if p.idxe != nil {
-				lo.elided[p.idxe.ID]++
-			}
+			lo.elided[p.idxe.ID]++
 		}
 		p.ids[p.n], p.n = p.add.ID, p.n+1
 	}
 	// Elide a Mul/Shl when every one of its uses is an elided Add.
 	for i := range lo.plans {
 		p := &lo.plans[i]
-		if p.idxe != nil && lo.fused.Has(p.add.ID) && lo.elided[p.idxe.ID] == lo.uses[p.idxe.ID] {
+		if lo.fused.Has(p.add.ID) && lo.elided[p.idxe.ID] == lo.uses[p.idxe.ID] {
 			lo.fused.Set(p.idxe.ID)
 			p.ids[p.n], p.n = p.idxe.ID, p.n+1
 		}
@@ -478,41 +460,29 @@ func (lo *lowerer) planScaledFusion() {
 }
 
 // scaledIns returns the scaled access planned for the load or store mem,
-// less the register it loads into or stores: [base + idx*width], or [c +
-// idx*width] for a constant base c. Its debug info lists the elided
-// address instructions, then mem.
+// less the register it loads into or stores: [c + idx*width]. Its debug
+// info lists the elided address instructions, then mem.
 func (lo *lowerer) scaledIns(mem *ir.Instr) lins {
 	p := &lo.plans[lo.scaled[mem.ID]-1]
-	l := lins{op: nativeOp[mem.Op], b: lo.opnd(p.idx), scaled: true, irIDs: lo.carve(p.n + 1)}
-	if p.base.Op == ir.OpConst {
-		l.imm = p.base.Imm
-	} else {
-		l.a = lo.opnd(p.base)
-	}
+	l := lins{op: nativeOp[mem.Op], b: lo.opnd(p.idx), imm: p.c, scaled: true, irIDs: lo.carve(p.n + 1)}
 	copy(l.irIDs, p.ids[:p.n])
 	l.irIDs[p.n] = mem.ID
 	return l
 }
 
 // memShift returns a load's or store's log2 access width — the scaled
-// addressing mode multiplies the index by the width — and whether it
-// stores; the shift is -1 for every other instruction.
-func memShift(op ir.Op) (shift int64, store bool) {
+// addressing mode multiplies the index by the width — and -1 for every
+// other instruction.
+func memShift(op ir.Op) int64 {
 	switch op {
-	case ir.OpLoad8:
-		return 0, false
-	case ir.OpLoad32:
-		return 2, false
-	case ir.OpLoad64:
-		return 3, false
-	case ir.OpStore8:
-		return 0, true
-	case ir.OpStore32:
-		return 2, true
-	case ir.OpStore64:
-		return 3, true
+	case ir.OpLoad8, ir.OpStore8:
+		return 0
+	case ir.OpLoad32, ir.OpStore32:
+		return 2
+	case ir.OpLoad64, ir.OpStore64:
+		return 3
 	}
-	return -1, false
+	return -1
 }
 
 // scaleIndex recognizes an index expression scaled by an access width of

@@ -208,9 +208,10 @@ func liveness(fn *lfunc) (liveIn, liveOut ir.Bitset, w int) {
 // allocate runs liveness + linear scan for fn. slotBase is the first free
 // global spill-slot index; the returned next value continues the counter
 // so functions never share slots (main's spilled values survive pipeline
-// calls). A non-nil hot scales interval weights by measured execution
-// frequency, so spill pressure lands on values the profile saw idle.
-func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allocation, int, error) {
+// calls). A non-nil hot (IR instruction → profile weight) scales interval
+// weights by measured execution frequency, so spill pressure lands on
+// values the profile saw idle.
+func allocate(fn *lfunc, registerTagging bool, slotBase int, hot map[int]float64) (*allocation, int, error) {
 	// Linearize positions.
 	nb := len(fn.blocks)
 	bounds := make([]int, 2*nb)
@@ -267,8 +268,8 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allo
 	// definition.
 	weights := make([]float64, nv)
 	var hotTotal float64
-	if hot != nil {
-		hotTotal = hot.TotalWeight()
+	for _, w := range hot {
+		hotTotal += w
 	}
 	var callPositions, genCallPositions []int
 	for bi, b := range fn.blocks {
@@ -278,7 +279,11 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot Hotness) (*allo
 			if hotTotal > 0 {
 				// Measured frequency refines the static block-count estimate:
 				// an access the profile saw hot defends its register harder.
-				w *= 1 + 100*hot.WeightOf(l.irIDs)/hotTotal
+				hw := 0.0
+				for _, id := range l.irIDs {
+					hw += hot[id]
+				}
+				w *= 1 + 100*hw/hotTotal
 			}
 			def, uses := l.operands(&buf)
 			if def != 0 {

@@ -2,21 +2,12 @@ package codegen
 
 import (
 	"encoding/binary"
-	"strings"
 	"testing"
 
 	"repro/internal/ir"
 	"repro/internal/isa"
 	"repro/internal/vm"
 )
-
-// allHot weighs every IR instruction 1: every load the loop executes is
-// profile-hot.
-type allHot struct{}
-
-func (allHot) InstrWeight(int) float64    { return 1 }
-func (allHot) TotalWeight() float64       { return 1 }
-func (allHot) WeightOf(ids []int) float64 { return float64(len(ids)) }
 
 // scaledSumModule sums n values of width bytes from an array whose base is
 // read from memory (so it is no constant lowering could fold):
@@ -64,12 +55,11 @@ func sumModule(width int64, n int64, base func(*ir.Builder) *ir.Instr) *ir.Modul
 	return m
 }
 
-// TestScaledFusionEveryWidth: under a profile, a hot load of every width
-// fuses its address into the scaled addressing mode — LOAD32 [base +
-// i*4] and LOAD8 [base + i] as well as LOAD64 [base + i*8] — leaving no
-// multiply or add for the address in the loop, and the fused program
-// computes what the unprofiled one does, sign- and zero-extension
-// included.
+// TestScaledFusionEveryWidth: a load of every width from an array whose
+// base is a register — LOAD64, LOAD32 and LOAD8 — keeps its address
+// arithmetic instead of taking the scaled addressing mode, and the program
+// computes the sum, sign- and zero-extension included. Only a constant
+// base fuses (TestConstantBaseScanHasNoMul).
 func TestScaledFusionEveryWidth(t *testing.T) {
 	const n = 50
 	for _, tc := range []struct {
@@ -83,68 +73,43 @@ func TestScaledFusionEveryWidth(t *testing.T) {
 	} {
 		arr := int64(testData + 64)
 		var want int64
-		setup := func(c *vm.CPU) {
-			c.WriteI64(testData, arr)
-			for k := 0; k < n; k++ {
-				v, at := tc.val(k), arr+int64(k)*tc.width
-				switch tc.width {
-				case 8:
-					binary.LittleEndian.PutUint64(c.Heap[at:], uint64(v))
-				case 4:
-					binary.LittleEndian.PutUint32(c.Heap[at:], uint32(v))
-				case 1:
-					c.Heap[at] = byte(v)
-				}
-			}
+		m := scaledSumModule(tc.width, n)
+		if err := m.Verify(); err != nil {
+			t.Fatal(err)
 		}
+		res, err := Compile(m, DefaultConfig(0, testSpill, testSpillSz))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := vm.New(testHeap)
+		c.WriteI64(testData, arr)
 		for k := 0; k < n; k++ {
-			want += tc.val(k)
+			v, at := tc.val(k), arr+int64(k)*tc.width
+			want += v
+			switch tc.width {
+			case 8:
+				binary.LittleEndian.PutUint64(c.Heap[at:], uint64(v))
+			case 4:
+				binary.LittleEndian.PutUint32(c.Heap[at:], uint32(v))
+			case 1:
+				c.Heap[at] = byte(v)
+			}
 		}
-		for _, hot := range []Hotness{nil, allHot{}} {
-			m := scaledSumModule(tc.width, n)
-			if err := m.Verify(); err != nil {
-				t.Fatal(err)
-			}
-			cfg := DefaultConfig(0, testSpill, testSpillSz)
-			cfg.Hot = hot
-			res, err := Compile(m, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := vm.New(testHeap)
-			setup(c)
-			c.Load(res.Program)
-			if _, err := c.Run(1_000_000); err != nil {
-				t.Fatalf("width %d: run: %v", tc.width, err)
-			}
-			if got := c.ReadI64(testData + 8); got != want {
-				t.Errorf("width %d, profiled %v: sum = %d, want %d", tc.width, hot != nil, got, want)
-			}
-			scaled, mul := 0, 0
-			fn := res.Program.Funcs[0]
-			if fn.Name != "main" {
-				t.Fatalf("first function is %s", fn.Name)
-			}
-			for _, in := range res.Program.Code[fn.Entry:fn.End] {
-				if in.Op == tc.op && in.Scaled {
-					scaled++
-				}
-				if in.Op == isa.MUL || in.Op == isa.SHL {
-					mul++
-				}
-			}
-			dis := res.Program.Disasm()
-			if hot == nil {
-				if scaled != 0 {
-					t.Errorf("width %d: an unprofiled compile fused a scaled load:\n%s", tc.width, dis)
-				}
-				continue
-			}
-			if scaled != 1 || mul != 0 {
-				t.Errorf("width %d: %d scaled %s, %d multiplies; want 1 and 0:\n%s", tc.width, scaled, tc.op, mul, dis)
-			}
-			if tc.width == 4 && !strings.Contains(dis, "*4]") {
-				t.Errorf("no [base + idx*4] operand:\n%s", dis)
+		c.Load(res.Program)
+		if _, err := c.Run(1_000_000); err != nil {
+			t.Fatalf("width %d: run: %v", tc.width, err)
+		}
+		if got := c.ReadI64(testData + 8); got != want {
+			t.Errorf("width %d: sum = %d, want %d", tc.width, got, want)
+		}
+		fn := res.Program.Funcs[0]
+		if fn.Name != "main" {
+			t.Fatalf("first function is %s", fn.Name)
+		}
+		for _, in := range res.Program.Code[fn.Entry:fn.End] {
+			if in.Op == tc.op && in.Scaled {
+				t.Errorf("width %d: a register-base load took the scaled mode:\n%s", tc.width, res.Program.Disasm())
+				break
 			}
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/ir"
-	"repro/internal/pgo"
 	"repro/internal/queries"
 )
 
@@ -36,10 +35,11 @@ func TestSuiteLivenessMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGuidedLayoutMatchesUnguided: a profile does not reorder blocks —
-// the layout reads only the plan's block counts, so the guided and the
-// unguided compile of every suite plan lay out the same blocks in the
-// same order.
+// TestGuidedLayoutMatchesUnguided: a profile steers spill priority and
+// nothing else. For every suite plan the guided compile's optimized IR
+// and optimizer counts equal the unguided compile's, and its layout —
+// which reads only the plan's block counts — lays out the same blocks in
+// the same order; only the allocation may differ.
 func TestGuidedLayoutMatchesUnguided(t *testing.T) {
 	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.01, Seed: 7})
 	e := engine.New(cat, engine.DefaultOptions())
@@ -53,6 +53,12 @@ func TestGuidedLayoutMatchesUnguided(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
+		if got, want := ar.Recompiled.Pipe.Module.Print(nil), cq.Pipe.Module.Print(nil); got != want {
+			t.Errorf("%s: the guided compile's optimized IR differs from the unguided one's", w.Name)
+		}
+		if got, want := ar.Recompiled.OptStats, cq.OptStats; got != want {
+			t.Errorf("%s: guided optimizer counts %+v, unguided %+v", w.Name, got, want)
+		}
 		cfg := codegen.DefaultConfig(0, 0, 1<<20)
 		cfg.RegisterTagging = e.Opts.RegisterTagging
 		cfg.FuseCmpBranch = e.Opts.FuseCmpBranch
@@ -60,11 +66,10 @@ func TestGuidedLayoutMatchesUnguided(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		hot := pgo.FromProfile(ar.ProfileRun.Profile, cq.Code.NMap)
-		if hot.TotalWeight() > 0 {
+		if len(ar.ProfileRun.Profile.IRWeight) > 0 {
 			profiled++
 		}
-		cfg.Hot = hot
+		cfg.Hot = ar.ProfileRun.Profile.IRWeight
 		guided, err := codegen.BlockOrder(ar.Recompiled.Pipe.Module, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)

@@ -87,33 +87,11 @@ type Profile struct {
 	// when sharded execution proves work unnecessary and never runs it.
 	Skips []SkipEvent
 
-	// BranchTaken aggregates captured LBR records per native branch IP.
-	// When the native map marks a branch as sense-inverted (PGO'd
-	// binaries), the outcome is flipped during aggregation so Taken
-	// always counts executions that followed the *source* branch's
-	// then-direction, regardless of which binary recorded the samples.
-	BranchTaken map[int]*BranchStat
-
 	MemByOp map[ComponentID][]MemPoint
 
 	MinTSC, MaxTSC uint64
 
 	timed []timedCredit
-}
-
-// BranchStat accumulates observed outcomes of one conditional branch.
-type BranchStat struct {
-	Taken float64 // executions following the source then-direction
-	Total float64
-}
-
-// TakenFraction returns the fraction of observed executions that were
-// taken (in source sense); ok is false without observations.
-func (b *BranchStat) TakenFraction() (float64, bool) {
-	if b == nil || b.Total == 0 {
-		return 0, false
-	}
-	return b.Taken / b.Total, true
 }
 
 // Weights sum in fixed point: whole units of 1/weightScale of a sample,
@@ -147,7 +125,6 @@ func BuildProfile(att *Attributor, samples []Sample) *Profile {
 		RoutineCount: make(map[string]float64),
 		ByWorker:     make(map[int]float64),
 		ByShard:      make(map[int]float64),
-		BranchTaken:  make(map[int]*BranchStat),
 		MemByOp:      make(map[ComponentID][]MemPoint),
 		MinTSC:       ^uint64(0),
 		timed:        make([]timedCredit, 0, len(samples)),
@@ -177,23 +154,6 @@ func BuildProfile(att *Attributor, samples []Sample) *Profile {
 		}
 		if s.TSC > p.MaxTSC {
 			p.MaxTSC = s.TSC
-		}
-		if s.HasLBR {
-			for _, r := range s.LBR {
-				st := p.BranchTaken[r.IP]
-				if st == nil {
-					st = &BranchStat{}
-					p.BranchTaken[r.IP] = st
-				}
-				taken := r.Taken
-				if r.IP >= 0 && r.IP < len(att.NMap.Inverted) && att.NMap.Inverted[r.IP] {
-					taken = !taken
-				}
-				if taken {
-					st.Taken++
-				}
-				st.Total++
-			}
 		}
 		if uint(s.IP) >= uint(nIP) {
 			p.Unattributed++

@@ -147,7 +147,6 @@ func refBuildProfile(att *Attributor, samples []Sample) *Profile {
 		RoutineCount: make(map[string]float64),
 		ByWorker:     make(map[int]float64),
 		ByShard:      make(map[int]float64),
-		BranchTaken:  make(map[int]*BranchStat),
 		MemByOp:      make(map[ComponentID][]MemPoint),
 		MinTSC:       ^uint64(0),
 	}
@@ -167,23 +166,6 @@ func refBuildProfile(att *Attributor, samples []Sample) *Profile {
 		}
 		if s.IP >= 0 && s.IP < len(p.NativeCount) {
 			p.NativeCount[s.IP]++
-		}
-		if s.HasLBR {
-			for _, r := range s.LBR {
-				st := p.BranchTaken[r.IP]
-				if st == nil {
-					st = &BranchStat{}
-					p.BranchTaken[r.IP] = st
-				}
-				taken := r.Taken
-				if r.IP >= 0 && r.IP < len(att.NMap.Inverted) && att.NMap.Inverted[r.IP] {
-					taken = !taken
-				}
-				if taken {
-					st.Taken++
-				}
-				st.Total++
-			}
 		}
 		a := refAttribute(att, s)
 		if a.Routine != "" {

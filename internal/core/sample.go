@@ -92,9 +92,8 @@ type NativeMap struct {
 	Routine []string
 	// Inverted marks conditional branches whose sense the backend's
 	// block layout flipped: the native taken-direction is the opposite
-	// of the source branch's then-direction. Profile post-processing
-	// consults it so recorded taken fractions still describe the source
-	// branch.
+	// of the source branch's then-direction. A reader of LBR outcomes
+	// consults it to describe the source branch.
 	Inverted []bool
 }
 

@@ -1,43 +1,39 @@
 package engine
 
 // Profile-guided recompilation: the Tagging Dictionary's lineage lets
-// samples flow bottom-up to tasks and operators; this file closes the
-// loop by feeding the same attributed profile back down into the
-// optimizer and backend. One adaptive cycle is: run sampled → build the
+// samples flow bottom-up to IR instructions, tasks and operators; this
+// file closes the loop by feeding the profile's IR weights back down into
+// the spill allocator. One adaptive cycle is: run sampled → build the
 // profile → recompile guided by it → re-run → compare cycles. The
-// recompiled binary must produce row-identical results, and because the
-// backend records its layout's branch inversions in the native map,
-// profiling the recompiled binary yields another valid, normalized
-// profile — the cycle can repeat.
+// recompiled binary must produce row-identical results, and it lays out
+// and optimizes exactly like the unguided one, so profiling it yields
+// another valid, normalized profile — the cycle can repeat.
 
 import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/pgo"
 	"repro/internal/pmu"
 	"repro/internal/ref"
 	"repro/internal/vm"
 )
 
 // DefaultPGOSampling is the sampling configuration RunAdaptive uses when
-// none is given: the cycles event at the paper's default period, in the
-// PEBS+registers+LBR format the PGO consumers need.
+// none is given: the cycles event at the paper's default period, with
+// timestamps and registers (for Register Tagging).
 func DefaultPGOSampling() pmu.Config {
-	return pmu.Config{Event: vm.EvCycles, Period: 5000, Format: pmu.FormatPGO}
+	return pmu.Config{Event: vm.EvCycles, Period: 5000, Format: pmu.FormatIPTimeRegs}
 }
 
 // Recompile compiles cq's plan again, guided by a profile collected from
-// running cq. The profile's IR weights are translated through cq's own
-// native map, then steer hot-loop IR passes (LICM, strength reduction),
-// scaled-address fusion and spill priority in the fresh compilation; its
-// block layout is the unguided one.
+// running cq. The profile's per-IR-instruction weights raise the spill
+// priority of the values hot instructions touch; the optimized IR and the
+// block layout are the unguided compile's.
 func (c *Compiler) Recompile(cq *Compiled, prof *core.Profile) (*Compiled, error) {
 	if prof == nil {
 		return nil, fmt.Errorf("engine: Recompile needs a profile (run with sampling first)")
 	}
-	hot := pgo.FromProfile(prof, cq.Code.NMap)
-	return c.compilePlan(cq.Plan, hot)
+	return c.compilePlan(cq.Plan, prof.IRWeight)
 }
 
 // AdaptiveResult reports one profile → recompile → re-run cycle.
@@ -126,7 +122,7 @@ func runAdaptive(c *Compiler, x *Executor, cq *Compiled, rs *RunState, cfg *pmu.
 }
 
 // RowsEqual reports exact equality of two result sets, row order
-// included: every transformation the PGO pipeline applies preserves
-// tuple processing order, so even pre-ORDER-BY tie order must survive
-// recompilation.
+// included: a guided recompile differs only in register allocation,
+// which preserves tuple processing order, so even pre-ORDER-BY tie order
+// must survive recompilation.
 func RowsEqual(a, b [][]int64) bool { return ref.SameRows(a, b, true) }

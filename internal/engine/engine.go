@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/iropt"
-	"repro/internal/pgo"
 	"repro/internal/pipeline"
 	"repro/internal/plan"
 	"repro/internal/pmu"
@@ -437,19 +436,19 @@ func (c *Compiler) CompilePlan(pl *plan.Output) (*Compiled, error) {
 	return c.compilePlan(pl, nil)
 }
 
-// CompilePlanGuided compiles a plan under profile guidance: a non-nil
-// hot enables the PGO optimizer passes and backend transformations. With
-// nil hot it is identical to CompilePlan.
-func (c *Compiler) CompilePlanGuided(pl *plan.Output, hot *pgo.Hotness) (*Compiled, error) {
+// CompilePlanGuided compiles a plan under profile guidance: hot holds a
+// profile's per-IR-instruction weights (core.Profile.IRWeight), which
+// steer spill priority. With nil hot it is identical to CompilePlan.
+func (c *Compiler) CompilePlanGuided(pl *plan.Output, hot map[int]float64) (*Compiled, error) {
 	return c.compilePlan(pl, hot)
 }
 
 // compilePlan compiles a plan, optionally profile-guided: a non-nil hot
-// enables the PGO optimizer passes and backend transformations. The
-// unguided compilation path is deterministic — recompiling the same plan
+// weighs spill priority by the profile's IR weights, and changes nothing
+// else. The compilation path is deterministic — recompiling the same plan
 // reproduces every IR instruction ID and task component ID — which is
 // what lets a profile keyed by IR ID steer a fresh compilation.
-func (c *Compiler) compilePlan(pl *plan.Output, hot *pgo.Hotness) (*Compiled, error) {
+func (c *Compiler) compilePlan(pl *plan.Output, hot map[int]float64) (*Compiled, error) {
 	cq := &Compiled{Plan: pl, cat: c.Cat}
 	lay, err := c.buildLayout(pl, cq)
 	if err != nil {
@@ -506,9 +505,6 @@ func (c *Compiler) compilePlan(pl *plan.Output, hot *pgo.Hotness) (*Compiled, er
 		}
 	}
 
-	if hot != nil {
-		opt.LICM, opt.StrengthReduce, opt.Hot = true, true, hot
-	}
 	st, err := iropt.Optimize(pc.Module, pc.Dict, opt)
 	if err != nil {
 		return nil, err
@@ -524,9 +520,7 @@ func (c *Compiler) compilePlan(pl *plan.Output, hot *pgo.Hotness) (*Compiled, er
 	ccfg := codegen.DefaultConfig(0, spillBase, spillCap)
 	ccfg.RegisterTagging = c.Opts.RegisterTagging
 	ccfg.FuseCmpBranch = c.Opts.FuseCmpBranch
-	if hot != nil {
-		ccfg.Hot = hot
-	}
+	ccfg.Hot = hot
 	code, err := codegen.Compile(pc.Module, ccfg)
 	if err != nil {
 		return nil, err

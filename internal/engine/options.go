@@ -57,10 +57,10 @@ func digestValue(h hashWriter, name string, v reflect.Value) {
 			digestValue(h, t.Field(i).Name, v.Field(i))
 		}
 	case reflect.Ptr, reflect.Interface, reflect.Func, reflect.Map, reflect.Chan:
-		// Reference kinds (e.g. iropt's Hot profile, AfterPass hook)
-		// contribute presence only: their pointees aren't comparable, and
-		// cache users must not set them anyway — Service compiles guided
-		// artifacts under a distinct PGO generation instead.
+		// Reference kinds (e.g. iropt's AfterPass hook) contribute
+		// presence only: their pointees aren't comparable. A profile is no
+		// option: Service compiles guided artifacts under a distinct PGO
+		// generation instead.
 		if v.IsNil() {
 			hwrite(h, []byte{0})
 		} else {

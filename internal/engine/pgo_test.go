@@ -1,14 +1,12 @@
 package engine
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/iropt"
-	"repro/internal/pgo"
 	"repro/internal/pipeline"
 	"repro/internal/plan"
 	"repro/internal/queries"
@@ -22,10 +20,9 @@ import (
 var pgoWorkloads = []string{"q6", "fig9"}
 
 // TestPGONoCycleRegression is the CI gate: profile-guided recompilation
-// must never make a query slower in simulated cycles. It logs guided
-// against unguided cycles for every suite plan and fails on the gated
-// ones (pgoWorkloads). RunAdaptive itself fails the test if the rows
-// change.
+// must never make a query slower in simulated cycles. Every suite plan is
+// gated on guided ≤ unguided cycles; the log shows the difference.
+// RunAdaptive itself fails the test if the rows change.
 func TestPGONoCycleRegression(t *testing.T) {
 	cat := testCatalog(t)
 	for _, w := range queries.Suite() {
@@ -41,7 +38,7 @@ func TestPGONoCycleRegression(t *testing.T) {
 			}
 			t.Logf("%s: %d -> %d cycles (%+.2f%%)", w.Name, ar.BaselineCycles, ar.TunedCycles,
 				100*(float64(ar.TunedCycles)/float64(ar.BaselineCycles)-1))
-			if ar.TunedCycles > ar.BaselineCycles && slices.Contains(pgoWorkloads, w.Name) {
+			if ar.TunedCycles > ar.BaselineCycles {
 				t.Fatalf("recompilation regressed: %d cycles -> %d cycles",
 					ar.BaselineCycles, ar.TunedCycles)
 			}
@@ -96,8 +93,7 @@ func TestRecompileDeterministicAcrossWorkers(t *testing.T) {
 					t.Fatalf("workers=%d: re-profile produced no profile", workers)
 				}
 				checkNativeLineage(t, ar.Recompiled.Code.NMap, ar.Recompiled.Pipe.Dict)
-				hot2 := pgo.FromProfile(res.Profile, ar.Recompiled.Code.NMap)
-				if hot2.TotalWeight() <= 0 {
+				if len(res.Profile.IRWeight) == 0 {
 					t.Fatalf("workers=%d: second-generation profile attributes no weight", workers)
 				}
 			}
@@ -106,8 +102,9 @@ func TestRecompileDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestPGOLineagePreservation fuzzes the pass order: constant folding,
-// CSE, DCE, LICM and strength reduction applied in arbitrary sequences
-// (not just the fixpoint order Optimize uses) must leave a valid module
+// CSE and DCE applied in arbitrary sequences (not just the fixpoint order
+// Optimize uses), then a compile guided by a profile's IR weights, must
+// leave a valid module
 // where every surviving IR instruction — and every IR instruction a
 // generated native instruction claims to implement — still resolves to
 // at least one task through the Tagging Dictionary.
@@ -130,7 +127,6 @@ func TestPGOLineagePreservation(t *testing.T) {
 			if res.Profile == nil {
 				t.Fatal("no profile")
 			}
-			hot := pgo.FromProfile(res.Profile, cq.Code.NMap)
 
 			type pass struct {
 				name string
@@ -140,8 +136,6 @@ func TestPGOLineagePreservation(t *testing.T) {
 				{"fold", func(m *ir.Module, lin core.Lineage) { iropt.ConstFold(m, lin) }},
 				{"cse", func(m *ir.Module, lin core.Lineage) { iropt.CSE(m, lin) }},
 				{"dce", func(m *ir.Module, lin core.Lineage) { iropt.DCE(m, lin) }},
-				{"licm", func(m *ir.Module, lin core.Lineage) { iropt.LICM(m, lin, hot) }},
-				{"sr", func(m *ir.Module, lin core.Lineage) { iropt.StrengthReduce(m, lin, hot) }},
 			}
 
 			for trial := 0; trial < 5; trial++ {
@@ -163,7 +157,7 @@ func TestPGOLineagePreservation(t *testing.T) {
 				ccfg := codegen.DefaultConfig(0, spillBase, spillCap)
 				ccfg.RegisterTagging = e.Opts.RegisterTagging
 				ccfg.FuseCmpBranch = e.Opts.FuseCmpBranch
-				ccfg.Hot = hot
+				ccfg.Hot = res.Profile.IRWeight
 				code, err := codegen.Compile(pc.Module, ccfg)
 				if err != nil {
 					t.Fatalf("order %v: codegen: %v", order, err)

@@ -36,6 +36,7 @@ var sessionConfigs = []struct {
 func pgoSampling() *pmu.Config {
 	c := DefaultPGOSampling()
 	c.Period = 1500
+	c.Format.LBR = true
 	return &c
 }
 

@@ -410,9 +410,9 @@ func (s *Service) prepareNormalized(sql string, fp *sqlparse.Fingerprint, allowR
 		eff := s.opts
 		model := cost.Annotate(pl)
 		eff.BloomFilters, eff.Partitions = cost.Decide(model, eff.BloomFilters, eff.Partitions)
-		var hot *pgo.Hotness
+		var hot map[int]float64
 		if key.Generation > 0 {
-			hot = s.gens.Hotness(fp.Hash)
+			hot = s.gens.Weights(fp.Hash)
 		}
 		cq, err := (&Compiler{Cat: s.cat, Opts: eff}).CompilePlanGuided(pl, hot)
 		if err != nil {
@@ -507,8 +507,7 @@ func (se *Session) Adapt(sql string, cfg *pmu.Config) (*AdaptiveResult, error) {
 		return nil, err
 	}
 	if !p.Fallback && ar.Speedup() > 1 {
-		hot := pgo.FromProfile(ar.ProfileRun.Profile, p.Compiled.Code.NMap)
-		gen := se.svc.gens.Promote(p.Fingerprint, hot)
+		gen := se.svc.gens.Promote(p.Fingerprint, ar.ProfileRun.Profile.IRWeight)
 		nk := p.key
 		nk.Generation = gen
 		se.svc.cache.Put(nk, ar.Recompiled)

@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/iropt"
-	"repro/internal/pgo"
 	"repro/internal/queries"
 	"repro/internal/verify"
 	"repro/internal/xrand"
@@ -64,7 +63,6 @@ func TestVerifierNoFalsePositivesUnderPassFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("profiling run: %v", err)
 			}
-			hot := pgo.FromProfile(res.Profile, cq.Code.NMap)
 
 			type pass struct {
 				name string
@@ -74,8 +72,6 @@ func TestVerifierNoFalsePositivesUnderPassFuzz(t *testing.T) {
 				{"fold", func(m *ir.Module, lin core.Lineage) { iropt.ConstFold(m, lin) }},
 				{"cse", func(m *ir.Module, lin core.Lineage) { iropt.CSE(m, lin) }},
 				{"dce", func(m *ir.Module, lin core.Lineage) { iropt.DCE(m, lin) }},
-				{"licm", func(m *ir.Module, lin core.Lineage) { iropt.LICM(m, lin, hot) }},
-				{"sr", func(m *ir.Module, lin core.Lineage) { iropt.StrengthReduce(m, lin, hot) }},
 			}
 
 			for trial := 0; trial < 3; trial++ {
@@ -98,7 +94,7 @@ func TestVerifierNoFalsePositivesUnderPassFuzz(t *testing.T) {
 				ccfg := codegen.DefaultConfig(0, spillBase, spillCap)
 				ccfg.RegisterTagging = e.Opts.RegisterTagging
 				ccfg.FuseCmpBranch = e.Opts.FuseCmpBranch
-				ccfg.Hot = hot
+				ccfg.Hot = res.Profile.IRWeight
 				code, err := codegen.Compile(pc.Module, ccfg)
 				if err != nil {
 					t.Fatalf("order %v: codegen: %v", order, err)

@@ -19,28 +19,11 @@ import (
 	"repro/internal/ir"
 )
 
-// Hotness is the profile guidance the PGO passes consume; *pgo.Hotness
-// satisfies it (declared here so iropt does not depend on the pgo
-// package).
-type Hotness interface {
-	// InstrWeight returns one IR instruction's profile weight.
-	InstrWeight(id int) float64
-	// TotalWeight returns the total attributed weight.
-	TotalWeight() float64
-}
-
 // Options selects passes; the zero value runs nothing.
 type Options struct {
 	ConstFold bool
 	DCE       bool
 	CSE       bool
-
-	// LICM and StrengthReduce are the profile-guided passes: they apply
-	// only inside loops the profile marks hot, and only run when Hot is
-	// set. An unprofiled compile is byte-identical with or without them.
-	LICM           bool
-	StrengthReduce bool
-	Hot            Hotness
 
 	// AfterPass, when set, runs after every individual pass application
 	// (including each fixpoint round) with the pass name. Returning an
@@ -50,31 +33,22 @@ type Options struct {
 	AfterPass func(pass string) error
 }
 
-// AllOptions enables every implemented profile-independent pass.
+// AllOptions enables every implemented pass.
 func AllOptions() Options { return Options{ConstFold: true, DCE: true, CSE: true} }
-
-// PGOOptions enables everything, guided by hot.
-func PGOOptions(hot Hotness) Options {
-	o := AllOptions()
-	o.LICM, o.StrengthReduce, o.Hot = true, true, hot
-	return o
-}
 
 // Stats reports what the optimizer did.
 type Stats struct {
 	Folded     int
 	Eliminated int
 	CSEMerged  int
-	Hoisted    int // LICM: instructions moved to loop preheaders
-	Reduced    int // strength reduction: instructions rewritten cheaper
+	Hoisted    int // always zero: no pass hoists out of loops
+	Reduced    int // always zero: no pass strength-reduces
 }
 
-// Optimize runs the enabled passes. The base passes (fold/CSE/DCE) run to
-// a fixpoint first: they are deterministic, so the module then matches —
-// instruction for instruction, ID for ID — the state the profiled binary
-// was compiled from, and the profile's IR instruction IDs line up. Only
-// then do the profile-guided passes transform it, re-running the base
-// fixpoint after each round to clean up what they expose.
+// Optimize runs the enabled passes to a fixpoint. They are
+// deterministic, so compiling the same plan again reproduces the module
+// instruction for instruction, ID for ID, and a profile's IR instruction
+// IDs line up with the recompile's.
 //
 // The returned error is non-nil only when an AfterPass hook rejected a
 // pass's output; the module is left in the state that hook saw.
@@ -88,67 +62,36 @@ func Optimize(m *ir.Module, lin core.Lineage, opts Options) (Stats, error) {
 		hookErr = opts.AfterPass(pass)
 		return hookErr == nil
 	}
-	base := func() bool {
-		for {
-			changed := 0
-			if opts.ConstFold {
-				n := ConstFold(m, lin)
-				st.Folded += n
-				changed += n
-				if !after("fold") {
-					return false
-				}
-			}
-			if opts.CSE {
-				n := CSE(m, lin)
-				st.CSEMerged += n
-				changed += n
-				if !after("cse") {
-					return false
-				}
-			}
-			if opts.DCE {
-				n := DCE(m, lin)
-				st.Eliminated += n
-				changed += n
-				if !after("dce") {
-					return false
-				}
-			}
-			if changed == 0 {
-				return true
-			}
-		}
-	}
-	if !base() {
-		return st, hookErr
-	}
-	for opts.Hot != nil && (opts.LICM || opts.StrengthReduce) {
+	for {
 		changed := 0
-		if opts.LICM {
-			n := LICM(m, lin, opts.Hot)
-			st.Hoisted += n
+		if opts.ConstFold {
+			n := ConstFold(m, lin)
+			st.Folded += n
 			changed += n
-			if !after("licm") {
+			if !after("fold") {
 				return st, hookErr
 			}
 		}
-		if opts.StrengthReduce {
-			n := StrengthReduce(m, lin, opts.Hot)
-			st.Reduced += n
+		if opts.CSE {
+			n := CSE(m, lin)
+			st.CSEMerged += n
 			changed += n
-			if !after("sr") {
+			if !after("cse") {
+				return st, hookErr
+			}
+		}
+		if opts.DCE {
+			n := DCE(m, lin)
+			st.Eliminated += n
+			changed += n
+			if !after("dce") {
 				return st, hookErr
 			}
 		}
 		if changed == 0 {
-			break
-		}
-		if !base() {
-			return st, hookErr
+			return st, nil
 		}
 	}
-	return st, nil
 }
 
 // ConstFold evaluates pure instructions whose operands are all constants,
@@ -348,18 +291,6 @@ func keyOf(in *ir.Instr) (key exprKey, ok bool) {
 		}
 	}
 	return key, true
-}
-
-func rewriteUses(f *ir.Func, old, new *ir.Instr) {
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for i, a := range in.Args {
-				if a == old {
-					in.Args[i] = new
-				}
-			}
-		}
-	}
 }
 
 // countUses counts, into uses (indexed by instruction ID, cleared first),

@@ -136,3 +136,15 @@ func DiffCountUses(m *ir.Module) error {
 	})
 	return err
 }
+
+func rewriteUses(f *ir.Func, old, new *ir.Instr) {
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			for i, a := range in.Args {
+				if a == old {
+					in.Args[i] = new
+				}
+			}
+		}
+	}
+}

@@ -29,8 +29,7 @@ type Format struct {
 	Registers bool
 	CallStack bool
 	// LBR captures the CPU's last-branch-record ring with each sample
-	// (conditional branches and their outcomes), the input for
-	// profile-guided branch-sense and layout decisions.
+	// (conditional branches and their outcomes).
 	LBR bool
 }
 
@@ -39,9 +38,6 @@ var (
 	FormatIPTime     = Format{Timestamp: true}
 	FormatIPTimeRegs = Format{Timestamp: true, Registers: true}
 	FormatCallStack  = Format{Timestamp: true, CallStack: true}
-	// FormatPGO is the profile-guided-recompilation format: PEBS with
-	// registers (for Register Tagging) plus the LBR ring.
-	FormatPGO = Format{Timestamp: true, Registers: true, LBR: true}
 )
 
 // RecordBytes returns the storage footprint of one sample record, matching

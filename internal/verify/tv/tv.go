@@ -13,9 +13,8 @@
 //
 // The summary is sound against the passes the repo actually runs:
 //
-//   - no pass adds, removes or renames functions or blocks (LICM reuses an
-//     existing unique predecessor as the preheader), so blocks are matched
-//     by name;
+//   - no pass adds, removes or renames functions or blocks, so blocks are
+//     matched by name;
 //   - loads, calls and tag reads are never moved or merged, so they are
 //     named by their block plus the count of may-write events (stores and
 //     calls for memory, tag writes and calls for the tag register)
@@ -25,9 +24,9 @@
 //     obligations (restricted to phis the observable events depend on, so
 //     dead-phi elimination does not raise a false alarm);
 //   - pure expressions canonicalize by hash-consed structural value
-//     numbering with constant folding (iropt.EvalBin), the exact algebraic
-//     identities StrengthReduce applies (x+0, x*1, x*2^k→x<<k, x-0, x<<0,
-//     x/1, x%1, x*0, x|0, x^0, x>>0), and commutative-operand sorting —
+//     numbering with constant folding (iropt.EvalBin), the algebraic
+//     identities a rewrite may legally use (x+0, x*1, x*2^k→x<<k, x-0,
+//     x<<0, x/1, x%1, x*0, x|0, x^0, x>>0), and commutative-operand sorting —
 //     so every legal rewrite maps pre and post onto the same expression,
 //     and anything else does not.
 //
@@ -388,7 +387,7 @@ func (s *summarizer) canon1(in *ir.Instr) int {
 }
 
 // binop folds and normalizes a binary expression with exactly the algebra
-// ConstFold and StrengthReduce are allowed to use.
+// an optimizer pass is allowed to use.
 func (s *summarizer) binop(op ir.Op, a, b int) int {
 	it := s.it
 	av, aConst := it.constVal(a)
