@@ -78,7 +78,6 @@ func main() {
 	morsel := flag.Int("morsel", 0, "morsel size in tuples (0 = default)")
 	partitions := flag.Int("partitions", engine.DefaultOptions().Partitions,
 		"radix partitions for the parallel sink merge (rounded down to a power of two; below 1 = one partition)")
-	bloom := flag.Bool("bloom", true, "build per-join bloom filters probed before the hash directory (-bloom=off via -bloom=false)")
 	shards := flag.Int("shards", 0, "execute scans as N zone-aligned shards through the cross-shard coordinator (0 = unsharded)")
 	shardprune := flag.Bool("shardprune", true, "prune shard zones from bounds and shipped semi-join filters (with -shards)")
 	pgo := flag.Bool("pgo", false, "profile-guided recompilation: run sampled, recompile from the profile, report the cycle delta")
@@ -96,7 +95,6 @@ func main() {
 	opts.Workers = *workers
 	opts.MorselRows = *morsel
 	opts.Partitions = *partitions
-	opts.BloomFilters = *bloom
 	opts.Shards = *shards
 	opts.ShardPruning = *shardprune
 	svc := engine.NewService(cat, opts, *cacheN)

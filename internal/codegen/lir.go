@@ -395,20 +395,19 @@ func (lo *lowerer) planFusion() {
 //	Load32( Add(c, Mul(idx, 4)) )   →  LOAD32 dst, [c + idx*4]
 //	Store64( Add(c, Mul(idx, 8)), v )  →  STORE64 [c + idx*8], v
 //
-// The constant base c — a column region, a hash directory, a bloom filter,
-// all layout constants — is the immediate, so the access needs no base
-// register. A 1-byte access needs no multiply, and lo.addr already folds
-// its constant. A register base is never fused: no plan's cycles moved
-// when it was.
+// The constant base c — a column region or a hash directory, both layout
+// constants — is the immediate, so the access needs no base register. A
+// 1-byte access needs no multiply, and lo.addr already folds its
+// constant. A register base is never fused: no plan's cycles moved when
+// it was.
 //
 // Like planFusion this must run before lowering: the Add and Mul/Shl
 // appear earlier in the block than the access, so by the time the access
 // is lowered they would already have been emitted. Each matching access
 // independently bypasses the address computation (the scaled operand is
 // the raw index); the Add itself — CSE typically shares one Add across
-// several lazy column loads, and a bloom update's load and store — is
-// elided once *every* consumer bypasses it, and likewise the Mul/Shl once
-// every consumer Add is elided. Elided instructions credit their IR IDs
+// several lazy column loads — is elided once *every* consumer bypasses
+// it, and likewise the Mul/Shl once every consumer Add is elided. Elided instructions credit their IR IDs
 // to the fused accesses' debug info.
 func (lo *lowerer) planScaledFusion() {
 	lo.plans = lo.plans[:0]

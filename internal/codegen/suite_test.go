@@ -103,10 +103,9 @@ func TestSuiteLIRHasNoDeadDefs(t *testing.T) {
 }
 
 // TestSuiteConstantBaseAccessesAreScaled: in every suite plan, a load or
-// store at Add(c, i*width) — a column, a hash directory slot, a bloom
-// filter word — is one native instruction [c + i*width], spill traffic
-// aside: no instruction carries its address Add on its own.
-// Directory lookups and bloom words are among them.
+// store at Add(c, i*width) — a column, a hash directory slot — is one
+// native instruction [c + i*width], spill traffic aside: no instruction
+// carries its address Add on its own. Directory lookups are among them.
 func TestSuiteConstantBaseAccessesAreScaled(t *testing.T) {
 	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.01, Seed: 7})
 	e := engine.New(cat, engine.DefaultOptions())
@@ -147,7 +146,7 @@ func TestSuiteConstantBaseAccessesAreScaled(t *testing.T) {
 			}
 		})
 	}
-	for _, c := range []string{"hash-table directory lookup", "group directory lookup", "bloom filter word"} {
+	for _, c := range []string{"hash-table directory lookup", "group directory lookup"} {
 		if byComment[c] == 0 {
 			t.Errorf("no %q access in the suite", c)
 		}

@@ -27,7 +27,7 @@ type SkipEvent struct {
 const (
 	SkipFilter   = "filter"   // zone bounds cannot satisfy the scan filter
 	SkipSemiJoin = "semijoin" // probe-key bounds miss every build-side key
-	SkipBloom    = "bloom"    // every candidate key misses the join bloom filter
+	SkipAbsent   = "absent"   // no candidate key is in the build's hash table
 )
 
 // ZoneDecision journals the coordinator's verdict on one zone.
@@ -35,7 +35,7 @@ type ZoneDecision struct {
 	Zone   int   // zone index in the table's zone map
 	Lo, Hi int64 // row range [Lo, Hi)
 	Pruned bool
-	Cause  string // SkipFilter / SkipSemiJoin / SkipBloom; "" if surviving
+	Cause  string // SkipFilter / SkipSemiJoin / SkipAbsent; "" if surviving
 }
 
 // ShardState is the per-shard run state of one scan pipeline: which zones

@@ -162,18 +162,6 @@ func TestDecideKnobs(t *testing.T) {
 		j := &plan.Join{Build: b, Probe: p, BuildKey: &plan.PCol{}, ProbeKey: &plan.PCol{}, Est: joinEst}
 		return Annotate(&plan.Output{Input: j})
 	}
-	// High match fraction: the bloom filter rejects almost nothing.
-	if bloom, _ := Decide(mk(100, 1000, 950), true, 8); bloom {
-		t.Error("bloom kept although probes nearly always match")
-	}
-	// Low match fraction: keep it.
-	if bloom, _ := Decide(mk(100, 1000, 100), true, 8); !bloom {
-		t.Error("bloom dropped although most probes miss")
-	}
-	// Never enable a disabled knob.
-	if bloom, _ := Decide(mk(100, 1000, 100), false, 8); bloom {
-		t.Error("Decide enabled bloom filters the configuration disabled")
-	}
 	// Tiny hash tables shrink the partition count; big ones keep it.
 	if _, parts := Decide(mk(100, 1000, 100), true, 8); parts != 2 {
 		t.Errorf("partitions = %d, want 2 for a tiny build", parts)

@@ -5,8 +5,8 @@ package cost
 // simulated CPU's instruction costs for the generated kernels (compare
 // DESIGN.md §5): they are not meant to predict absolute wall cycles, but
 // to *rank* alternative physical shapes and to drive the physical knob
-// decisions (Decide) — bloom filters off when probes mostly hit,
-// partition counts down when hash tables are small.
+// decisions (Decide, DecideShards) — partition counts down when hash
+// tables are small, shard counts down when scans are small.
 
 import "repro/internal/plan"
 
@@ -75,31 +75,20 @@ func Annotate(root *plan.Output) *Model {
 	return m
 }
 
-// bloomMatchThreshold: above this estimated probe match fraction a bloom
-// filter rejects too few probes to pay for its per-probe test.
-const bloomMatchThreshold = 0.75
-
 // smallBuildRows: hash tables at or below this size radix-partition into
 // fewer partitions — per-partition merge overhead dominates tiny tables.
 const smallBuildRows = 1024
 
-// Decide picks the per-statement physical knobs from an annotated model,
-// never *enabling* anything the configuration disabled: bloom filters
-// are kept only when some join's estimated probe-miss fraction pays for
-// the extra test, and the partition count shrinks when every hash table
-// is small. Returns the effective (bloom, partitions) pair.
+// Decide picks the per-statement partition count from an annotated model,
+// never raising it above the configuration's: it shrinks when every hash
+// table is small. The bool is returned unchanged; no compile reads it
+// (engine.Options.BloomFilters), and it stays so that existing callers
+// keep compiling.
 func Decide(m *Model, bloom bool, partitions int) (bool, int) {
-	anyJoin := false
-	worthBloom := false
 	maxBuild := 0.0
 	plan.Walk(m.Root, func(n plan.Node) {
 		switch x := n.(type) {
 		case *plan.Join:
-			anyJoin = true
-			probe := x.Probe.EstRows()
-			if probe > 0 && x.Est/probe < bloomMatchThreshold {
-				worthBloom = true
-			}
 			if b := x.Build.EstRows(); b > maxBuild {
 				maxBuild = b
 			}
@@ -113,9 +102,6 @@ func Decide(m *Model, bloom bool, partitions int) (bool, int) {
 			}
 		}
 	})
-	if bloom && anyJoin && !worthBloom {
-		bloom = false
-	}
 	if partitions > 2 && maxBuild <= smallBuildRows {
 		partitions = 2
 	}
@@ -138,10 +124,11 @@ const shardSelectivityThreshold = 0.95
 // the shard count never exceeds the request and shrinks to what the
 // largest driving scan supports, and pruning is kept only when the
 // observed-cardinality history suggests it can fire — a selective scan
-// filter, or a join/group-join whose build side can ship bounds and bloom
-// filters to the probe scans. Because the model's estimates come from the
-// history-corrected planner, a statement whose filters *looked* opaque at
-// first run gains pruning after Adapt observes its true cardinalities.
+// filter, or a join/group-join whose build side can ship its key bounds
+// and hash table to the probe scans. Because the model's estimates come
+// from the history-corrected planner, a statement whose filters *looked*
+// opaque at first run gains pruning after Adapt observes its true
+// cardinalities.
 func DecideShards(m *Model, shards int, pruning bool) (int, bool) {
 	if shards < 1 {
 		return 0, false

@@ -69,10 +69,9 @@ type Options struct {
 	// MorselRows, the partition count never depends on Workers, so results
 	// and count-event sample streams stay worker-count invariant.
 	Partitions int
-	// BloomFilters gives every join build a small bloom filter (two probe
-	// bits per key from the existing crc32 pair); the generated probe
-	// code tests it before touching the directory, cutting cache misses
-	// on low-selectivity joins.
+	// BloomFilters is read by nothing: joins probe their directory
+	// directly (DESIGN.md §11). It stays only so that existing callers
+	// keep compiling.
 	BloomFilters bool
 	// Shards >= 1 executes every table scan through the cross-shard
 	// coordinator: the table's zone map is grouped into that many
@@ -86,7 +85,8 @@ type Options struct {
 	// ShardPruning skips zones (and thereby whole shards) that provably
 	// contribute no rows: zone bounds that cannot satisfy the scan filter,
 	// and probe-side zones whose key range misses every build-side join
-	// key (bounds or bloom-filter semi-join shipping). Every pruned zone
+	// key (bounds, or an exact lookup of each candidate key in the build's
+	// hash table — semi-join shipping). Every pruned zone
 	// becomes an explicit zero-cost skip event in the merged profile.
 	// Requires Shards >= 1.
 	ShardPruning bool
@@ -99,15 +99,13 @@ type Options struct {
 }
 
 // DefaultOptions is the standard configuration: Register Tagging on, all
-// optimizations enabled, sink merges in 8 radix partitions, bloom filters
-// on every join build.
+// optimizations enabled, sink merges in 8 radix partitions.
 func DefaultOptions() Options {
 	return Options{
 		RegisterTagging: true,
 		Optimize:        iropt.AllOptions(),
 		FuseCmpBranch:   true,
 		Partitions:      8,
-		BloomFilters:    true,
 	}
 }
 
@@ -632,8 +630,8 @@ func (c *Compiler) buildLayout(pl *plan.Output, cq *Compiled) (*pipeline.Layout,
 		})
 	}
 
-	// Hash tables: directory + arena per materializing node and (joins) the
-	// bloom filter, all written by generated code and runtime routines.
+	// Hash tables: directory + arena per materializing node, both written
+	// by generated code and runtime routines.
 	// Their partitioned-merge staging regions follow the result buffer.
 	for i, n := range mats {
 		entries := pipeline.BuildBound(n)
@@ -653,12 +651,6 @@ func (c *Compiler) buildLayout(pl *plan.Output, cq *Compiled) (*pipeline.Layout,
 		ht.Dir = h.carve("ht.dir", dirSlots*8, true)
 		ht.Arena = h.carve("ht.arena", arenaCap, true)
 		ht.ArenaEnd = ht.Arena + arenaCap
-		if _, ok := n.(*plan.Join); ok && c.Opts.BloomFilters {
-			// DirSlots is a power of two, so BloomBits = 8·DirSlots is too;
-			// the filter occupies DirSlots bytes.
-			ht.BloomBits = dirSlots * 8
-			ht.BloomBase = h.carve("ht.bloom", dirSlots, true)
-		}
 		lay.HT[n] = ht
 		cq.writes = append(cq.writes,
 			slotWrite{ht.Desc + codegen.HTDescDir, ht.Dir},

@@ -23,7 +23,7 @@ var mergeOnly = map[string]bool{
 // TestLayoutRegionsDisjoint verifies, for every suite query, that the
 // regions buildLayout carved — spill, state slots, descriptors,
 // morsel bounds, counters, column data, every hash table's directory,
-// arena, merge staging and bloom filter, and the result buffer — are
+// arena and merge staging, and the result buffer — are
 // non-empty, ascending, disjoint and inside [spillBase, heapSize), and
 // that the merge-only regions, and only they, lie at or above mergeBase.
 // Alignment padding belongs to no region. An overlap here would silently
@@ -106,9 +106,6 @@ func TestLayoutRegionsDisjoint(t *testing.T) {
 				if _, ok := n.(*plan.GroupBy); ok {
 					at("ht.mergeout", ht.MergeOut)
 					at("ht.mergeseq", ht.MergeSeq)
-				}
-				if ht.BloomBits > 0 {
-					at("ht.bloom", ht.BloomBase)
 				}
 				if d := cq.Mem.RegionAt(ht.Desc, codegen.HTDescSize); d == nil || d.Name != "desc" {
 					t.Fatalf("hash-table descriptor at %d is not inside the desc region", ht.Desc)

@@ -18,12 +18,12 @@ import (
 // group-by (q6), and a group-join (intro) — one per partitioned sink kind.
 var mergeQueries = []string{"fig9", "q1", "q6", "intro"}
 
-func mergeRun(t *testing.T, name string, workers, partitions int, bloom bool) (*Compiled, *Result) {
+func mergeRun(t *testing.T, name string, workers, partitions int) (*Compiled, *Result) {
 	t.Helper()
-	return mergeRunSampled(t, name, workers, partitions, bloom, nil)
+	return mergeRunSampled(t, name, workers, partitions, nil)
 }
 
-func mergeRunSampled(t *testing.T, name string, workers, partitions int, bloom bool, cfg *pmu.Config) (*Compiled, *Result) {
+func mergeRunSampled(t *testing.T, name string, workers, partitions int, cfg *pmu.Config) (*Compiled, *Result) {
 	t.Helper()
 	w, ok := queries.ByName(name)
 	if !ok {
@@ -33,7 +33,6 @@ func mergeRunSampled(t *testing.T, name string, workers, partitions int, bloom b
 	opts.Workers = workers
 	opts.MorselRows = 256
 	opts.Partitions = partitions
-	opts.BloomFilters = bloom
 	e := New(testCatalog(t), opts)
 	cq, err := e.CompileQuery(w.Query)
 	if err != nil {
@@ -56,9 +55,9 @@ func TestMergeDeterminism(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			for _, parts := range []int{1, DefaultOptions().Partitions} {
-				ocq, oracle := mergeRun(t, name, 0, parts, true)
+				ocq, oracle := mergeRun(t, name, 0, parts)
 				for _, workers := range []int{1, 2, 4, 8} {
-					cq, res := mergeRun(t, name, workers, parts, true)
+					cq, res := mergeRun(t, name, workers, parts)
 					sameAsSerial(t, fmt.Sprintf("partitions=%d workers=%d", parts, workers), cq, res, ocq, oracle)
 				}
 			}
@@ -126,8 +125,8 @@ func hashTables(cq *Compiled) []*pipeline.HTLayout {
 // this is simulated time — the gate catches any serial coordinator work
 // creeping back into the merge path.
 func TestMergeScalingGate(t *testing.T) {
-	_, r1 := mergeRun(t, "fig9", 1, DefaultOptions().Partitions, true)
-	_, r4 := mergeRun(t, "fig9", 4, DefaultOptions().Partitions, true)
+	_, r1 := mergeRun(t, "fig9", 1, DefaultOptions().Partitions)
+	_, r4 := mergeRun(t, "fig9", 4, DefaultOptions().Partitions)
 	if r1.MergeCycles == 0 || r4.MergeCycles == 0 {
 		t.Fatalf("merge cycles unmeasured: 1w=%d 4w=%d", r1.MergeCycles, r4.MergeCycles)
 	}
@@ -146,8 +145,8 @@ func TestMergeScalingGate(t *testing.T) {
 func TestMergeZeroPartitions(t *testing.T) {
 	cfg := &pmu.Config{Event: vm.EvInstRetired, Period: 97, Format: pmu.FormatIPTimeRegs}
 	for _, name := range mergeQueries {
-		ocq, oracle := mergeRun(t, name, 0, 0, true)
-		cq, res := mergeRunSampled(t, name, 4, 0, true, cfg)
+		ocq, oracle := mergeRun(t, name, 0, 0)
+		cq, res := mergeRunSampled(t, name, 4, 0, cfg)
 		sameAsSerial(t, name+" partitions=0 workers=4", cq, res, ocq, oracle)
 		for _, ht := range hashTables(cq) {
 			if ht.Partitions != 1 {
@@ -169,25 +168,13 @@ func TestMergeZeroPartitions(t *testing.T) {
 	}
 }
 
-// TestMergeBloomToggle: the bloom filter is a pure probe accelerator —
-// switching it off must not change a single row, serial or parallel.
-func TestMergeBloomToggle(t *testing.T) {
-	for _, name := range mergeQueries {
-		_, on := mergeRun(t, name, 4, DefaultOptions().Partitions, true)
-		_, off := mergeRun(t, name, 4, DefaultOptions().Partitions, false)
-		rowsEqual(t, off.Rows, on.Rows, true)
-		_, serialOff := mergeRun(t, name, 0, DefaultOptions().Partitions, false)
-		rowsEqual(t, serialOff.Rows, on.Rows, true)
-	}
-}
-
 // TestMergeSampleAttribution: merge kernels are profiled code. A sampled
 // parallel run must attribute PMU samples to merge-role tasks, and every
 // such task must resolve to its plan operator through the Tagging
 // Dictionary. (The worker-lanes overlay built on this predicate is
 // rendered by viz.WorkerLanesTagged, tested in internal/viz.)
 func TestMergeSampleAttribution(t *testing.T) {
-	cq, res := mergeRunSampled(t, "fig9", 4, DefaultOptions().Partitions, true,
+	cq, res := mergeRunSampled(t, "fig9", 4, DefaultOptions().Partitions,
 		&pmu.Config{Event: vm.EvInstRetired, Period: 97, Format: pmu.FormatIPTimeRegs})
 	if mergeSamples(t, cq, res) == 0 {
 		t.Fatal("no PMU samples attributed to merge kernels — merge is invisible to the profiler")

@@ -230,19 +230,6 @@ func (x *Executor) RunParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 			return nil, err
 		}
 
-		// Join bloom filters: each worker accumulated bits for its own
-		// morsels; the canonical filter is their union, which is the same
-		// bit set for any worker count (and identical to a serial run).
-		if info.Sink.Kind == pipeline.SinkJoinBuild && info.Sink.HT.BloomBits > 0 {
-			bb, n := info.Sink.HT.BloomBase, info.Sink.HT.BloomBits/8
-			for _, w := range ws {
-				for off := int64(0); off < n; off += 8 {
-					v := codegen.HeapI64(coord.Heap, bb+off) | codegen.HeapI64(w.cpu.Heap, bb+off)
-					codegen.PutHeapI64(coord.Heap, bb+off, v)
-				}
-			}
-		}
-
 		foldCounters(cq, coord, ws)
 	}
 

@@ -396,8 +396,8 @@ func (s *Service) prepareNormalized(sql string, fp *sqlparse.Fingerprint, allowR
 	comp := s.compiler()
 	cq, hit, err := s.cache.GetOrCompute(key, func() (*Compiled, error) {
 		// Plan under the history-corrected estimator and let the cost
-		// model pick the physical knobs (bloom filters, partition count)
-		// for this statement. All of this happens inside the compute
+		// model pick the physical knob (partition count) for this
+		// statement. All of this happens inside the compute
 		// function only: the cache key is untouched, so the hit path
 		// stays a pure lookup, and staleness is routed through PGO
 		// generations — Adapt bumps the generation when observed
@@ -409,7 +409,7 @@ func (s *Service) prepareNormalized(sql string, fp *sqlparse.Fingerprint, allowR
 		}
 		eff := s.opts
 		model := cost.Annotate(pl)
-		eff.BloomFilters, eff.Partitions = cost.Decide(model, eff.BloomFilters, eff.Partitions)
+		_, eff.Partitions = cost.Decide(model, false, eff.Partitions)
 		var hot map[int]float64
 		if key.Generation > 0 {
 			hot = s.gens.Weights(fp.Hash)
@@ -520,7 +520,7 @@ func (se *Session) Adapt(sql string, cfg *pmu.Config) (*AdaptiveResult, error) {
 	// Close the cardinality loop: feed this run's observed per-operator
 	// row counts into the shared history. When the corrected estimates
 	// would actually change the served artifact — a different physical
-	// plan shape or different bloom/partition decisions — the
+	// plan shape or different partition or shard decisions — the
 	// fingerprint's generation is bumped (after any promotion above, so
 	// a tuned artifact cannot pin a plan shape the history now
 	// contradicts) and the next Prepare re-plans under the history.
@@ -597,11 +597,11 @@ func (s *Service) replanChanges(p *Prepared) bool {
 		return true
 	}
 	om, nm := cost.Annotate(p.Compiled.Plan), cost.Annotate(pl)
-	ob, op := cost.Decide(om, s.opts.BloomFilters, s.opts.Partitions)
-	nb, np := cost.Decide(nm, s.opts.BloomFilters, s.opts.Partitions)
+	_, op := cost.Decide(om, false, s.opts.Partitions)
+	_, np := cost.Decide(nm, false, s.opts.Partitions)
 	os, oprune := cost.DecideShards(om, s.opts.Shards, s.opts.ShardPruning)
 	ns, nprune := cost.DecideShards(nm, s.opts.Shards, s.opts.ShardPruning)
-	return ob != nb || op != np || os != ns || oprune != nprune
+	return op != np || os != ns || oprune != nprune
 }
 
 // observeTrue collects a prepared statement's true per-operator

@@ -31,8 +31,9 @@ import (
 //   - Pruning is certain, not probabilistic: a zone is skipped only when
 //     interval evaluation of the filter over the zone's bounds proves no row
 //     can pass, or when the probe-key range provably misses every build-side
-//     key (bounds check, or an exhaustive bloom-filter membership replay for
-//     narrow ranges). The property suite compares pruned vs unpruned rows.
+//     key (bounds check, or an exact lookup of every candidate key in the
+//     build's hash table for narrow ranges). The property suite compares
+//     pruned vs unpruned rows.
 //   - Every pruned zone becomes an explicit zero-cost skip event attached to
 //     the merged profile, so attribution stays complete: each table row is
 //     covered either by executed-task samples or by a skip.
@@ -76,19 +77,19 @@ type shardExec struct {
 }
 
 // semiProbe is one join this scan's pipeline probes with a bare column of
-// the scanned table: build-side key bounds plus the build's bloom filter,
-// "shipped" to the probe-side shard scans for semi-join pruning.
+// the scanned table: build-side key bounds plus the build's finished hash
+// table, "shipped" to the probe-side shard scans for semi-join pruning.
 type semiProbe struct {
 	col    int // table column position of the probe key
 	ht     *pipeline.HTLayout
 	bounds catalog.Bound // over the build side's inserted keys
 }
 
-// bloomProbeMaxKeys bounds the exhaustive bloom membership replay: a
-// zone's probe-key range [lo, hi] is tested value-by-value only when it
-// spans at most this many candidates (clustered keys — the case where
-// zone ranges are narrow — is exactly where this wins).
-const bloomProbeMaxKeys = 64
+// semiProbeMaxKeys bounds the exact membership test: a zone's probe-key
+// range [lo, hi] is looked up value by value only when it spans at most
+// this many candidates (clustered keys — the case where zone ranges are
+// narrow — is exactly where this wins).
+const semiProbeMaxKeys = 64
 
 // buildShardExec computes one scan pipeline's sharded execution plan
 // against the canonical heap (build sides of already-executed pipelines
@@ -136,16 +137,16 @@ func buildShardExec(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, sn
 					cause[zi] = core.SkipSemiJoin
 					break
 				}
-				if p.ht != nil && p.ht.BloomBits > 0 && kb.Max-kb.Min < bloomProbeMaxKeys {
+				// The span is counted in uint64 so that neither a zone
+				// over the whole int64 range nor one ending at MaxInt64
+				// overflows.
+				if span := uint64(kb.Max) - uint64(kb.Min); span < semiProbeMaxKeys {
 					hit := false
-					for k := kb.Min; k <= kb.Max; k++ {
-						if pipeline.BloomMayContain(coord.Heap, p.ht, k) {
-							hit = true
-							break
-						}
+					for i := uint64(0); i <= span && !hit; i++ {
+						hit = pipeline.BuildContains(coord.Heap, p.ht, kb.Min+int64(i))
 					}
 					if !hit {
-						cause[zi] = core.SkipBloom
+						cause[zi] = core.SkipAbsent
 						break
 					}
 				}
@@ -267,7 +268,7 @@ func probeColToTable(n plan.Node, pos int, scan *plan.Scan) int {
 // collectSemiProbes gathers the joins (and group-joins) whose probe side
 // is driven by scan and whose probe key is a bare column of the scanned
 // table. Their builds finished before this pipeline starts (pipelines run
-// in topological order), so the build-side key bounds and bloom filter in
+// in topological order), so the build-side key bounds and hash table in
 // the canonical heap are final — the "shipped" semi-join state.
 func collectSemiProbes(cq *Compiled, coord *vm.CPU, scan *plan.Scan) []semiProbe {
 	var out []semiProbe

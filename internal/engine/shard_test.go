@@ -3,12 +3,17 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/codegen"
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/datagen"
+	"repro/internal/pipeline"
 	"repro/internal/plan"
 	"repro/internal/pmu"
 	"repro/internal/queries"
@@ -118,7 +123,7 @@ func TestShardMatchesUnshardedParallel(t *testing.T) {
 // sample lanes are populated. fig9 exercises both pruning rules: the
 // orders scan prunes on its date filter (the column is correlated with
 // position), and the lineitem scan prunes via the shipped build-side
-// bounds/bloom of the join (clustered l_orderkey).
+// bounds or hash table of the join (clustered l_orderkey).
 func TestShardSkipCompleteness(t *testing.T) {
 	cat := testCatalog(t)
 	w, _ := queries.ByName("fig9")
@@ -211,7 +216,7 @@ func TestShardSkipCompleteness(t *testing.T) {
 	if causes["filter"] == 0 {
 		t.Error("fig9 pruned no zone on the orders date filter — battery is vacuous")
 	}
-	if causes["semijoin"]+causes["bloom"] == 0 {
+	if causes["semijoin"]+causes["absent"] == 0 {
 		t.Error("fig9 pruned no lineitem zone via the shipped build side — battery is vacuous")
 	}
 	// The profile carries the same skips, and per-shard sample lanes exist.
@@ -597,5 +602,184 @@ func TestShardConcurrentSessions(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestBuildContainsMatchesBuildKeys pins the semi-join membership test
+// against the generated build: for every join and group-join of every
+// suite plan, run on 1 and 4 workers (each merges its partitions into the
+// canonical directory), pipeline.BuildContains is true exactly for the
+// keys the build inserted, over every key in [min-8, max+8].
+func TestBuildContainsMatchesBuildKeys(t *testing.T) {
+	cat := testCatalog(t)
+	checked := 0
+	for _, w := range queries.Suite() {
+		for _, workers := range []int{1, 4} {
+			opts := DefaultOptions()
+			opts.Workers = workers
+			opts.MorselRows = 256
+			e := New(cat, opts)
+			cq, err := e.CompileQuery(w.Query)
+			if err != nil {
+				t.Fatalf("%s: %v", w.Name, err)
+			}
+			builds := map[plan.Node]pipeline.SinkKind{}
+			plan.Walk(cq.Plan, func(n plan.Node) {
+				switch n.(type) {
+				case *plan.Join:
+					builds[n] = pipeline.SinkJoinBuild
+				case *plan.GroupJoin:
+					builds[n] = pipeline.SinkGJBuild
+				}
+			})
+			if len(builds) == 0 {
+				break
+			}
+			res, err := e.Run(cq, nil)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", w.Name, workers, err)
+			}
+			heap := res.CPU.Heap
+			for n, kind := range builds {
+				ht := cq.Layout.HT[n]
+				keyOff, ok := buildKeyOff(cq, ht, kind)
+				if !ok {
+					t.Fatalf("%s: build of %T has no sink", w.Name, n)
+				}
+				inserted := map[int64]bool{}
+				cursor := codegen.HeapI64(heap, ht.Desc+codegen.HTDescCursor)
+				for e := ht.Arena; e < cursor; e += ht.EntrySize {
+					inserted[codegen.HeapI64(heap, e+keyOff)] = true
+				}
+				b := buildKeyBounds(res.CPU, ht, keyOff)
+				if b.Empty() {
+					continue
+				}
+				for k := b.Min - 8; k <= b.Max+8; k++ {
+					if got := pipeline.BuildContains(heap, ht, k); got != inserted[k] {
+						t.Fatalf("%s workers=%d: BuildContains(%d) = %v, inserted %v", w.Name, workers, k, got, inserted[k])
+					}
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no suite plan has a join build — test is vacuous")
+	}
+	t.Logf("%d join builds checked", checked)
+}
+
+// extremeKeyCatalog is a probe table p of four 256-row zones joined to a
+// four-row build table b on 8-byte keys. Zone 0 matches the build; zone
+// 1 holds keys in [MaxInt64-3, MaxInt64] and zone 2 spans the whole int64
+// range, both overlapping the build's key bounds with keys absent from
+// it; zone 3 is a narrow key range inside those bounds that holds no
+// build key.
+func extremeKeyCatalog() *catalog.Catalog {
+	const zone = 256
+	build := []int64{-7, 11, 1000, math.MaxInt64 - 2}
+	zones := [][]int64{
+		{-7, 11, 1000},
+		{math.MaxInt64 - 3, math.MaxInt64 - 1, math.MaxInt64},
+		{math.MinInt64, 11, math.MaxInt64},
+		{100, 110, 120},
+	}
+	c := catalog.New()
+	b := catalog.NewTable("b")
+	kb := b.AddCol("k", catalog.TInt)
+	kb.Unique = true
+	kb.Data = build
+	b.AddCol("w", catalog.TInt).Data = []int64{1, 2, 3, 4}
+	p := catalog.NewTable("p")
+	kp := p.AddCol("k", catalog.TInt)
+	vp := p.AddCol("v", catalog.TInt)
+	for _, keys := range zones {
+		for i := 0; i < zone; i++ {
+			kp.Data = append(kp.Data, keys[i%len(keys)])
+			vp.Data = append(vp.Data, int64(len(vp.Data)))
+		}
+	}
+	c.Add(b)
+	c.Add(p)
+	return c
+}
+
+func extremeKeyQuery() *plan.Query {
+	return &plan.Query{
+		Tables: []plan.TableRef{{Name: "p"}, {Name: "b"}},
+		Where:  []plan.Expr{plan.Eq(plan.Col("p.k"), plan.Col("b.k"))},
+		Select: []plan.SelectItem{{Expr: plan.Col("v")}, {Expr: plan.Col("w")}},
+		Limit:  -1,
+	}
+}
+
+// TestSemiJoinExtremeKeyZones: a probe zone ending at MaxInt64 and one
+// spanning the whole int64 range must neither overflow the candidate
+// count nor wrap the candidate loop. The pruned run returns, well within
+// the test's limit, the unpruned run's rows.
+func TestSemiJoinExtremeKeyZones(t *testing.T) {
+	cat := extremeKeyCatalog()
+	q := extremeKeyQuery()
+	if tb, err := cat.Table("p"); err != nil || tb.ColWidth(0) != 8 {
+		t.Fatalf("probe key column is not 8 bytes wide (%v)", err)
+	}
+	opts := DefaultOptions()
+	opts.Shards, opts.ShardPruning = 1, true
+	e := New(cat, opts)
+	cq, err := e.CompileQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	var pruned *Result
+	go func() {
+		var err error
+		pruned, err = e.Run(cq, nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("pruned run did not return within a minute")
+	}
+	plain := shardRun(t, cat, q, 0, 1, false, nil)
+	rowsEqual(t, pruned.Rows, plain.Rows, false)
+	if len(plain.Rows) == 0 {
+		t.Fatal("no rows — fixture is degenerate")
+	}
+	for _, st := range pruned.ShardStates {
+		for _, z := range st.Zones {
+			if st.Alias == "p" && z.Zone < 3 && z.Pruned {
+				t.Errorf("zone %d pruned as %q, but it holds a build key or spans too many candidates", z.Zone, z.Cause)
+			}
+		}
+	}
+}
+
+// TestAbsentZonePruned: a narrow probe zone inside the build's key bounds
+// that holds no build key is pruned with cause "absent", and the pruned
+// run's rows equal the unpruned run's at every shard count.
+func TestAbsentZonePruned(t *testing.T) {
+	cat := extremeKeyCatalog()
+	q := extremeKeyQuery()
+	for _, shards := range []int{1, 2, 4, 8} {
+		pruned := shardRun(t, cat, q, 2, shards, true, nil)
+		plain := shardRun(t, cat, q, 2, shards, false, nil)
+		rowsEqual(t, pruned.Rows, plain.Rows, false)
+		causes := map[int]string{}
+		for _, st := range pruned.ShardStates {
+			for _, z := range st.Zones {
+				if st.Alias == "p" {
+					causes[z.Zone] = z.Cause
+				}
+			}
+		}
+		if causes[3] != core.SkipAbsent {
+			t.Errorf("shards=%d: zone 3 has cause %q, want %q", shards, causes[3], core.SkipAbsent)
+		}
 	}
 }

@@ -207,11 +207,7 @@ func (c *Compiler) genJoinBuild(j *plan.Join, r row) {
 	c.withTask(c.ops[j], c.task(j, roleBuild), func() {
 		c.bump(c.task(j, roleBuild))
 		key := c.evalExpr(j.BuildKey, r)
-		h, g1, g2 := c.hashParts(key)
-		if ht.BloomBits > 0 {
-			c.genBloomSet(ht, g1)
-			c.genBloomSet(ht, g2)
-		}
+		h := c.hashOf(key)
 		desc := c.b.Const(ht.Desc)
 		entry := c.sharedCall(codegen.SymHTInsert, desc, h, c.b.Const(ht.EntrySize))
 		c.b.Store(64, c.b.Add(entry, c.b.Const(entryKeyOff)), key)
@@ -233,13 +229,7 @@ func (c *Compiler) genJoinProbe(j *plan.Join, r row) {
 
 	c.withTask(opID, probeTask, func() {
 		key := c.evalExpr(j.ProbeKey, r)
-		h, g1, g2 := c.hashParts(key)
-		if ht.BloomBits > 0 {
-			// Test both bloom bits before touching the directory: a miss
-			// abandons the tuple without paying the directory cache miss.
-			c.genBloomTest(ht, g1, c.skipBlock)
-			c.genBloomTest(ht, g2, c.skipBlock)
-		}
+		h := c.hashOf(key)
 		// Directory base and mask are compile-time constants, exactly as
 		// the paper's generated code addresses the directory relative to
 		// the query state without extra loads (Listing 1).
@@ -576,30 +566,6 @@ func stamp(freq float64, blocks ...*ir.Block) {
 	}
 }
 
-// genBloomSet sets the bloom-filter bit indexed by probe value g: one
-// 64-bit word or-update in the BloomBits-bit region at BloomBase.
-func (c *Compiler) genBloomSet(ht *HTLayout, g *ir.Instr) {
-	idx := c.b.And(g, c.b.Const(ht.BloomBits-1))
-	addr := c.b.Add(c.b.Const(ht.BloomBase), c.b.Shl(c.b.Shr(idx, c.b.Const(6)), c.b.Const(3)))
-	word := c.b.Load(64, addr)
-	bit := c.b.Shl(c.b.Const(1), c.b.And(idx, c.b.Const(63)))
-	c.b.Store(64, addr, c.b.Bin(ir.OpOr, word, bit))
-}
-
-// genBloomTest branches to fail when the bloom bit indexed by g is clear,
-// and falls through into a fresh block when it is set.
-func (c *Compiler) genBloomTest(ht *HTLayout, g *ir.Instr, fail *ir.Block) {
-	idx := c.b.And(g, c.b.Const(ht.BloomBits-1))
-	addr := c.b.Add(c.b.Const(ht.BloomBase), c.b.Shl(c.b.Shr(idx, c.b.Const(6)), c.b.Const(3)))
-	word := c.b.Load(64, addr)
-	word.Comment = "bloom filter word"
-	bit := c.b.And(c.b.Shr(word, c.b.And(idx, c.b.Const(63))), c.b.Const(1))
-	set := c.b.Bin(ir.OpCmpNe, bit, c.b.Const(0))
-	cont := c.b.NewBlock("bloomPass")
-	c.b.CondBr(set, cont, fail)
-	c.b.SetBlock(cont)
-}
-
 // genOutput writes one result row through the (untagged) bumpalloc
 // library routine.
 func (c *Compiler) genOutput(o *plan.Output, r row) {
@@ -636,10 +602,6 @@ func (c *Compiler) genPrelude() {
 			ht := c.lay.HT[n]
 			c.b.Call(codegen.SymMemset64, false,
 				c.b.Const(ht.Dir), c.b.Const(0), c.b.Const(ht.DirSlots*8))
-			if ht.BloomBits > 0 {
-				c.b.Call(codegen.SymMemset64, false,
-					c.b.Const(ht.BloomBase), c.b.Const(0), c.b.Const(ht.BloomBits/8))
-			}
 		}
 		c.b.Ret(nil)
 	})

@@ -16,22 +16,13 @@ const (
 	hashMul = 2685821657736338717
 )
 
-// hashParts emits the key-hashing sequence and returns the mixed hash
-// along with the two raw crc32 results — the "existing crc32 pair" the
-// bloom filter derives its two probe indices from, at no extra hashing
-// cost (DESIGN.md §11).
-func (c *Compiler) hashParts(key *ir.Instr) (h, g1, g2 *ir.Instr) {
-	g1 = c.b.Crc32(c.b.Const(hashC1), key)
-	g2 = c.b.Crc32(c.b.Const(hashC2), key)
+// hashOf emits the key-hashing sequence; hashKey is its host mirror.
+func (c *Compiler) hashOf(key *ir.Instr) *ir.Instr {
+	g1 := c.b.Crc32(c.b.Const(hashC1), key)
+	g2 := c.b.Crc32(c.b.Const(hashC2), key)
 	r := c.b.Rotr(g2, c.b.Const(32))
 	x := c.b.Xor(g1, r)
-	return c.b.Mul(x, c.b.Const(hashMul)), g1, g2
-}
-
-// hashOf emits the key-hashing sequence.
-func (c *Compiler) hashOf(key *ir.Instr) *ir.Instr {
-	h, _, _ := c.hashParts(key)
-	return h
+	return c.b.Mul(x, c.b.Const(hashMul))
 }
 
 var planToIR = map[plan.BinOp]ir.Op{

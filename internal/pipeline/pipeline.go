@@ -91,13 +91,6 @@ type HTLayout struct {
 	MergeOut   int64 // group-by only: per-partition deduped group output (MergeCap bytes)
 	MergeSeq   int64 // group-by only: per-group first-occurrence seq vector
 	MergeParam int64 // merge-kernel parameter block (MergeParamSlots slots)
-
-	// Bloom filter (join builds only; BloomBits == 0 disables it). The
-	// filter spans BloomBits bits (a power of two, BloomBits/8 bytes at
-	// BloomBase); build code sets two bits per entry from the crc32 pair,
-	// probe code tests both before touching the directory.
-	BloomBase int64
-	BloomBits int64
 }
 
 // Merge-kernel parameter block slots (offsets from HTLayout.MergeParam).

@@ -186,7 +186,7 @@ func exprCols(e Expr, into *[]*ColRef) {
 // Corrected estimates feed the same decisions the heuristic ones do:
 // probe-base and greedy build-order selection in joinTree, group-join
 // fusion by way of the shapes those choices produce, and the engine's
-// physical knobs (bloom filters, partition counts) via the cost model.
+// physical knobs (partition and shard counts) via the cost model.
 type Estimator interface {
 	// ColStats overrides the statistics the planner reads for a
 	// base-table column; ok=false uses the table's own (fresh) stats.

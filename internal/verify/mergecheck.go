@@ -23,9 +23,7 @@ import (
 //   - merge kernels are first-class profiled code: each generated
 //     function exists in the module, every one of its instructions
 //     resolves through Log B to the registered merge task, the task's
-//     kind is a merge role, and Log A links it to the sink's operator;
-//   - bloom filters: bit counts are powers of two sized to the directory,
-//     and the bit array does not overlap the structures it guards.
+//     kind is a merge role, and Log A links it to the sink's operator.
 type MergeInvariants struct{}
 
 // Name implements Checker.
@@ -96,9 +94,6 @@ func (MergeInvariants) Check(a *Artifact) []Diag {
 				region{"merge-out", ht.MergeOut, ht.MergeCap},
 				region{"merge-seq", ht.MergeSeq, vecCap})
 		}
-		if ht.BloomBits > 0 {
-			regions = append(regions, region{"bloom", ht.BloomBase, ht.BloomBits / 8})
-		}
 		for _, r := range regions[2:] { // dir and arena are always allocated
 			if r.base == 0 {
 				diag("region", core.LevelTask, locus, "%s region not allocated", r.name)
@@ -112,20 +107,6 @@ func (MergeInvariants) Check(a *Artifact) []Diag {
 						"%s region [%d,%d) overlaps %s region [%d,%d)",
 						ri.name, ri.base, ri.base+ri.size, rj.name, rj.base, rj.base+rj.size)
 				}
-			}
-		}
-
-		// Bloom bounds (join builds only; the probe side indexes with
-		// idx & (BloomBits-1), so the count must be a power of two).
-		if ht.BloomBits > 0 {
-			if ht.BloomBits&(ht.BloomBits-1) != 0 {
-				diag("bloom", core.LevelTask, locus,
-					"bloom bit count %d is not a power of two", ht.BloomBits)
-			}
-			if ht.BloomBits != ht.DirSlots*8 {
-				diag("bloom", core.LevelTask, locus,
-					"bloom bit count %d not sized to directory (%d slots × 8)",
-					ht.BloomBits, ht.DirSlots)
 			}
 		}
 

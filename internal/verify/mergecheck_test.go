@@ -10,11 +10,10 @@ import (
 	"repro/internal/verify"
 )
 
-// mergeArtifact compiles the fig9 workload — which carries both a
-// bloom-guarded join build and a place-kernel group sink under the
-// default partitioned configuration — and returns the emit-phase
-// artifact. Compilation is deterministic, so each corruption case gets
-// an identical fresh fixture.
+// mergeArtifact compiles the fig9 workload — which carries both a join
+// build and a place-kernel group sink under the default partitioned
+// configuration — and returns the emit-phase artifact. Compilation is
+// deterministic, so each corruption case gets an identical fresh fixture.
 func mergeArtifact(t *testing.T) *verify.Artifact {
 	t.Helper()
 	return mergeArtifactWith(t, engine.DefaultOptions().Partitions)
@@ -41,19 +40,14 @@ func mergeArtifactWith(t *testing.T, partitions int) *verify.Artifact {
 	}
 }
 
-// pickMerge returns a partitioned pipeline from the artifact; with
-// needBloom it returns one whose hash table carries a bloom filter.
-func pickMerge(t *testing.T, a *verify.Artifact, needBloom bool) *pipeline.PipelineInfo {
+// pickMerge returns the first partitioned pipeline of the artifact whose
+// sink is of the given kind.
+func pickMerge(t *testing.T, a *verify.Artifact, kind pipeline.SinkKind) *pipeline.PipelineInfo {
 	t.Helper()
 	for i := range a.Pipelines {
-		p := &a.Pipelines[i]
-		if p.Merge == nil {
-			continue
+		if p := &a.Pipelines[i]; p.Merge != nil && p.Sink.Kind == kind {
+			return p
 		}
-		if needBloom && p.Sink.HT.BloomBits == 0 {
-			continue
-		}
-		return p
 	}
 	t.Fatal("fixture has no matching partitioned pipeline")
 	return nil
@@ -77,8 +71,10 @@ func TestMergeInvariantsClean(t *testing.T) {
 			t.Fatalf("Partitions=%d: clean fixture produced diagnostics: %v", c.opt, ds)
 		}
 		// The fixture must actually exercise both sink shapes.
-		pickMerge(t, a, true)
-		if p := pickMerge(t, a, false); p.Merge.Partitions != int64(c.want) {
+		if p := pickMerge(t, a, pipeline.SinkGroupAgg); p.Merge.PlaceFunc == "" {
+			t.Fatalf("Partitions=%d: group sink has no place kernel", c.opt)
+		}
+		if p := pickMerge(t, a, pipeline.SinkJoinBuild); p.Merge.Partitions != int64(c.want) {
 			t.Fatalf("Partitions=%d: sink merges in %d partitions, want %d", c.opt, p.Merge.Partitions, c.want)
 		}
 	}
@@ -89,42 +85,35 @@ func TestMergeInvariantsClean(t *testing.T) {
 // and every diagnostic the checker emits must be an error.
 func TestMergeInvariantsCorruptions(t *testing.T) {
 	cases := []struct {
-		name  string
-		bloom bool // corrupt the bloom-carrying pipeline
-		corr  func(p *pipeline.PipelineInfo)
-		want  string
+		name string
+		corr func(p *pipeline.PipelineInfo)
+		want string
 	}{
-		{"partition count not a power of two", false, func(p *pipeline.PipelineInfo) {
+		{"partition count not a power of two", func(p *pipeline.PipelineInfo) {
 			p.Sink.HT.Partitions = 3
 		}, "merge/partitions"},
-		{"merge info partition mismatch", false, func(p *pipeline.PipelineInfo) {
+		{"merge info partition mismatch", func(p *pipeline.PipelineInfo) {
 			p.Merge.Partitions = p.Sink.HT.Partitions * 2
 		}, "merge/partitions"},
-		{"slot ranges do not tile the directory", false, func(p *pipeline.PipelineInfo) {
+		{"slot ranges do not tile the directory", func(p *pipeline.PipelineInfo) {
 			p.Sink.HT.SlotShift++
 		}, "merge/slot-ranges"},
-		{"staging region unallocated", false, func(p *pipeline.PipelineInfo) {
+		{"staging region unallocated", func(p *pipeline.PipelineInfo) {
 			p.Sink.HT.MergeCnt = 0
 		}, "merge/region"},
-		{"staging region overlaps the arena", false, func(p *pipeline.PipelineInfo) {
+		{"staging region overlaps the arena", func(p *pipeline.PipelineInfo) {
 			p.Sink.HT.MergeSrc = p.Sink.HT.Arena
 		}, "merge/region-overlap"},
-		{"bloom bit count not a power of two", true, func(p *pipeline.PipelineInfo) {
-			p.Sink.HT.BloomBits = 24
-		}, "merge/bloom"},
-		{"bloom bit count not sized to directory", true, func(p *pipeline.PipelineInfo) {
-			p.Sink.HT.BloomBits *= 2
-		}, "merge/bloom"},
-		{"merge task unregistered", false, func(p *pipeline.PipelineInfo) {
+		{"merge task unregistered", func(p *pipeline.PipelineInfo) {
 			p.Merge.ScatterTask = 999999
 		}, "merge/task"},
-		{"merge task has a non-merge kind", false, func(p *pipeline.PipelineInfo) {
+		{"merge task has a non-merge kind", func(p *pipeline.PipelineInfo) {
 			p.Merge.MergeTask = p.Tasks[0] // the scan task
 		}, "merge/task"},
-		{"generated merge function missing", false, func(p *pipeline.PipelineInfo) {
+		{"generated merge function missing", func(p *pipeline.PipelineInfo) {
 			p.Merge.ScatterFunc = "nosuchfunc"
 		}, "merge/func"},
-		{"kernel instructions linked to the wrong task", false, func(p *pipeline.PipelineInfo) {
+		{"kernel instructions linked to the wrong task", func(p *pipeline.PipelineInfo) {
 			// Point the merge slot at the scatter kernel: the function
 			// exists, but its instructions carry the scatter task's
 			// lineage, not the merge task's.
@@ -134,7 +123,7 @@ func TestMergeInvariantsCorruptions(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a := mergeArtifact(t)
-			tc.corr(pickMerge(t, a, tc.bloom))
+			tc.corr(pickMerge(t, a, pipeline.SinkJoinBuild))
 			ds := verify.MergeInvariants{}.Check(a)
 			if !mergeHasCheck(ds, tc.want) {
 				t.Errorf("expected a %s diagnostic, got %v", tc.want, ds)

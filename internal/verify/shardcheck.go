@@ -60,7 +60,7 @@ func CheckShards(tableRows map[string]int64, journals []core.ShardState, skips [
 				out = append(out, shardDiag("shard/cause-missing", Error, locus,
 					"pruned zone %d carries no skip cause", z.Zone))
 			case z.Pruned:
-				if z.Cause != core.SkipFilter && z.Cause != core.SkipSemiJoin && z.Cause != core.SkipBloom {
+				if z.Cause != core.SkipFilter && z.Cause != core.SkipSemiJoin && z.Cause != core.SkipAbsent {
 					out = append(out, shardDiag("shard/cause-unknown", Error, locus,
 						"pruned zone %d has unknown cause %q", z.Zone, z.Cause))
 				}

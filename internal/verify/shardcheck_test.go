@@ -7,7 +7,7 @@ import (
 )
 
 // cleanShardRun builds a consistent two-shard fixture over one pipeline:
-// four zones of 100 rows, zone 1 filter-pruned and zone 2 bloom-pruned,
+// four zones of 100 rows, zone 1 filter-pruned and zone 2 pruned as absent,
 // with the matching skip events.
 func cleanShardRun() (map[string]int64, []core.ShardState, []core.SkipEvent) {
 	rows := map[string]int64{"l": 400}
@@ -19,13 +19,13 @@ func cleanShardRun() (map[string]int64, []core.ShardState, []core.SkipEvent) {
 			}},
 		{Pipeline: 2, Alias: "l", Shard: 1, Lo: 200, Hi: 400, Rows: 200, Scanned: 100,
 			Zones: []core.ZoneDecision{
-				{Zone: 2, Lo: 200, Hi: 300, Pruned: true, Cause: core.SkipBloom},
+				{Zone: 2, Lo: 200, Hi: 300, Pruned: true, Cause: core.SkipAbsent},
 				{Zone: 3, Lo: 300, Hi: 400},
 			}},
 	}
 	skips := []core.SkipEvent{
 		{Pipeline: 2, Alias: "l", Shard: 0, Zone: 1, Lo: 100, Hi: 200, Rows: 100, Cause: core.SkipFilter},
-		{Pipeline: 2, Alias: "l", Shard: 1, Zone: 2, Lo: 200, Hi: 300, Rows: 100, Cause: core.SkipBloom},
+		{Pipeline: 2, Alias: "l", Shard: 1, Zone: 2, Lo: 200, Hi: 300, Rows: 100, Cause: core.SkipAbsent},
 	}
 	return rows, journals, skips
 }
@@ -93,7 +93,7 @@ func TestCheckShardsCorruptions(t *testing.T) {
 			return rows, js, sk
 		}, "shard/unknown-alias"},
 		{"skip missing", func(rows map[string]int64, js []core.ShardState, sk []core.SkipEvent) (map[string]int64, []core.ShardState, []core.SkipEvent) {
-			return rows, js, sk[:1] // drop the bloom zone's skip event
+			return rows, js, sk[:1] // drop the absent zone's skip event
 		}, "shard/skip-missing"},
 		{"skip orphan", func(rows map[string]int64, js []core.ShardState, sk []core.SkipEvent) (map[string]int64, []core.ShardState, []core.SkipEvent) {
 			sk = append(sk, core.SkipEvent{Pipeline: 2, Alias: "l", Zone: 9, Lo: 900, Hi: 950, Rows: 50, Cause: core.SkipFilter})

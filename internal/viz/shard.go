@@ -75,14 +75,14 @@ func ShardSummary(res *engine.Result) string {
 }
 
 // causeList renders a pipeline's skip-cause tally as " (a filter, b
-// semijoin, c bloom)", omitting absent causes; empty when nothing was
-// pruned.
+// semijoin, c absent)", omitting causes with no zone; empty when nothing
+// was pruned.
 func causeList(tally map[string]int) string {
 	if len(tally) == 0 {
 		return ""
 	}
 	var parts []string
-	for _, c := range []string{core.SkipFilter, core.SkipSemiJoin, core.SkipBloom} {
+	for _, c := range []string{core.SkipFilter, core.SkipSemiJoin, core.SkipAbsent} {
 		if n := tally[c]; n > 0 {
 			parts = append(parts, fmt.Sprintf("%d %s", n, c))
 		}

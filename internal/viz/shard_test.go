@@ -23,20 +23,20 @@ func TestShardSummary(t *testing.T) {
 				}},
 			{Pipeline: 0, Alias: "l", Shard: 1, Lo: 200, Hi: 400, Rows: 200, Scanned: 0, Pruned: true,
 				Zones: []engine.ZoneDecision{
-					{Zone: 2, Lo: 200, Hi: 300, Pruned: true, Cause: core.SkipBloom},
+					{Zone: 2, Lo: 200, Hi: 300, Pruned: true, Cause: core.SkipAbsent},
 					{Zone: 3, Lo: 300, Hi: 400, Pruned: true, Cause: core.SkipFilter},
 				}},
 		},
 		Skips: []core.SkipEvent{
 			{Pipeline: 0, Alias: "l", Zone: 1, Cause: core.SkipFilter},
-			{Pipeline: 0, Alias: "l", Zone: 2, Cause: core.SkipBloom},
+			{Pipeline: 0, Alias: "l", Zone: 2, Cause: core.SkipAbsent},
 			{Pipeline: 0, Alias: "l", Zone: 3, Cause: core.SkipFilter},
 		},
 	}
 	got := ShardSummary(res)
 	for _, want := range []string{
 		"shard pruning (2 shards):",
-		"pipeline 0 scan l: 3/4 zones pruned (2 filter, 1 bloom); 100/400 rows scanned",
+		"pipeline 0 scan l: 3/4 zones pruned (2 filter, 1 absent); 100/400 rows scanned",
 		"shard 0 [0,200): 1/2 zones pruned, 100 rows scanned, 1 morsels",
 		"shard 1 [200,400): 2/2 zones pruned, 0 rows scanned, 0 morsels  [whole shard skipped]",
 	} {
