@@ -152,7 +152,7 @@ func artifactsCheck(env *env) (*run, error) {
 			return fmt.Sprintf("workers=%d (%d native instrs%s)", nw, r.NativeInstrs, extra), nil
 		}
 		// The adaptive cycle recompiles through the same verified
-		// compilePlan path, so the PGO artifacts (the profile-weighted
+		// CompilePlanGuided path, so the PGO artifacts (the profile-weighted
 		// spill allocation) get the full suite too.
 		sets++
 		ar, err := e.RunAdaptive(cq, nil)

@@ -1,0 +1,158 @@
+package engine
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/mview"
+	"repro/internal/plan"
+	"repro/internal/xrand"
+)
+
+// TestAdaptHonoursPinnedSnapshot: Session.Adapt binds like Session.Run. A
+// session pinned before an append adapts over the pinned epoch — the
+// sampled run, the baseline, the tuned run and the tuple-counter twin all
+// see its rows — and a rewritten statement whose view the guard rejects
+// under the pin adapts over the base statement, as Run executes it.
+func TestAdaptHonoursPinnedSnapshot(t *testing.T) {
+	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.02, Seed: 7})
+	svc := NewService(cat, DefaultOptions(), 0)
+	se := svc.NewSession()
+	snap := se.PinSnapshot()
+	pinnedRows := int64(snap.View("sales").Rows)
+	tb, err := cat.Table("sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.AppendCols("sales", datagen.AppendBatch(tb, 64, 99)); err != nil {
+		t.Fatal(err)
+	}
+	if svc.Epoch() == snap.Epoch {
+		t.Fatal("the append did not advance the epoch")
+	}
+
+	const sql = "select count(*) from sales where price >= 0"
+	ar, err := se.Adapt(sql, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		name string
+		res  *Result
+	}{{"profile run", ar.ProfileRun}, {"baseline", ar.Baseline}, {"tuned", ar.Tuned}} {
+		if r.res.Epoch != snap.Epoch || len(r.res.Rows) != 1 || r.res.Rows[0][0] != pinnedRows {
+			t.Errorf("%s read epoch %d, rows %v; pinned epoch %d has %d sales rows",
+				r.name, r.res.Epoch, r.res.Rows, snap.Epoch, pinnedRows)
+		}
+	}
+	// The tuple-counter twin observed the pinned table too.
+	p, err := se.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Walk(p.Compiled.Plan, func(n plan.Node) {
+		if _, ok := n.(*plan.Scan); !ok {
+			return
+		}
+		if got, ok := svc.History().Lookup(plan.Canon(n)); !ok || got != float64(pinnedRows) {
+			t.Errorf("the twin observed %v sales rows (recorded %v), the pinned epoch has %d", got, ok, pinnedRows)
+		}
+	})
+
+	// A rewritten statement under a pin the view's ledger does not know —
+	// base grown, view refreshed only after the pin — adapts over the base
+	// statement under that pin, exactly as Run falls back.
+	msvc := NewService(mviewCatalog(xrand.New(0xada7), 6000), Options{}, 0)
+	if _, err := msvc.CreateView("mv", "select a, sum(v), min(v), max(v) from m group by a", mview.RefreshLazy); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := msvc.Append("m", [][]int64{{1, 2, 3}, {4, 5, 6}}); err != nil {
+		t.Fatal(err)
+	}
+	ms := msvc.NewSession()
+	msnap := ms.PinSnapshot()
+	if err := msvc.RefreshView("mv"); err != nil {
+		t.Fatal(err)
+	}
+	const q = "select a, sum(v) as s, min(v) as mn from m group by a order by a"
+	mar, err := ms.Adapt(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := ms.Stats(); st.Rewrites != 1 || st.RewriteFallbacks != 1 {
+		t.Fatalf("Adapt of a rewrite the guard rejects must prepare the rewrite and fall back once, stats: %+v", st)
+	}
+	pb, err := msvc.prepare(q, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := ms.Run(pb, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Result{mar.ProfileRun, mar.Baseline, mar.Tuned} {
+		if r.Epoch != msnap.Epoch || !reflect.DeepEqual(r.Rows, rb.Rows) {
+			t.Fatalf("adapted run read epoch %d (pinned %d), rows %v; base execution under the pin: %v",
+				r.Epoch, msnap.Epoch, r.Rows, rb.Rows)
+		}
+	}
+}
+
+// partitionsOf lists the merge partition count of every hash table of an
+// artifact, in plan order.
+func partitionsOf(cq *Compiled) []int64 {
+	var ps []int64
+	plan.Walk(cq.Plan, func(n plan.Node) {
+		if ht := cq.Layout.HT[n]; ht != nil {
+			ps = append(ps, ht.Partitions)
+		}
+	})
+	return ps
+}
+
+// TestAdaptRecompileIsTheMissCompile: one cache key, one build. Adapt's
+// guided recompile makes the cost model's decisions exactly as the cache
+// miss that compiled the statement did — the same partition count per hash
+// table and the same shard decision — so the tuned artifact Adapt may cache
+// under the key's next generation differs from the miss compile only by
+// the profile.
+func TestAdaptRecompileIsTheMissCompile(t *testing.T) {
+	cat := testCatalog(t)
+	const sql = "select l_returnflag, count(*) from lineitem group by l_returnflag"
+	for _, shards := range []int{0, 4} {
+		opts := DefaultOptions()
+		opts.Shards, opts.ShardPruning = shards, shards >= 1
+		se := NewService(cat, opts, 0).NewSession()
+		miss, err := se.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if miss.CacheHit || miss.Fallback {
+			t.Fatalf("shards=%d: the first prepare must be a cached miss compile", shards)
+		}
+		static, err := (&Compiler{Cat: cat, Opts: opts}).CompilePlanGuided(miss.Compiled.Plan, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := partitionsOf(miss.Compiled)
+		if slices.Equal(want, partitionsOf(static)) {
+			t.Fatalf("shards=%d: the cost model kept the static partitions %v; pick a statement it decides on", shards, want)
+		}
+		if (miss.Compiled.Shard != nil) != (shards >= 1) {
+			t.Fatalf("shards=%d: miss compile carries shard decision %+v", shards, miss.Compiled.Shard)
+		}
+
+		ar, err := se.Adapt(sql, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := partitionsOf(ar.Recompiled); !slices.Equal(got, want) {
+			t.Errorf("shards=%d: guided recompile has partitions %v, the miss compile %v", shards, got, want)
+		}
+		if !reflect.DeepEqual(ar.Recompiled.Shard, miss.Compiled.Shard) {
+			t.Errorf("shards=%d: guided recompile has shard decision %+v, the miss compile %+v", shards, ar.Recompiled.Shard, miss.Compiled.Shard)
+		}
+	}
+}

@@ -25,17 +25,6 @@ func DefaultPGOSampling() pmu.Config {
 	return pmu.Config{Event: vm.EvCycles, Period: 5000, Format: pmu.FormatIPTimeRegs}
 }
 
-// Recompile compiles cq's plan again, guided by a profile collected from
-// running cq. The profile's per-IR-instruction weights raise the spill
-// priority of the values hot instructions touch; the optimized IR and the
-// block layout are the unguided compile's.
-func (c *Compiler) Recompile(cq *Compiled, prof *core.Profile) (*Compiled, error) {
-	if prof == nil {
-		return nil, fmt.Errorf("engine: Recompile needs a profile (run with sampling first)")
-	}
-	return c.compilePlan(cq.Plan, prof.IRWeight)
-}
-
 // AdaptiveResult reports one profile → recompile → re-run cycle.
 type AdaptiveResult struct {
 	// ProfileRun is the sampled execution of the original binary that
@@ -76,34 +65,37 @@ func (r *AdaptiveResult) CycleReduction() float64 {
 // way — profile-guided recompilation is only an optimization if it is
 // invisible.
 func (e *Engine) RunAdaptive(cq *Compiled, cfg *pmu.Config) (*AdaptiveResult, error) {
-	return runAdaptive(e.compiler(), e.executor(), cq, nil, cfg)
+	return runAdaptive(&executor{Opts: e.Opts}, cq, nil, cfg, func(prof *core.Profile) (*Compiled, error) {
+		return e.CompilePlanGuided(cq.Plan, prof.IRWeight)
+	})
 }
 
-// runAdaptive is the adaptive cycle over the split engine halves, with
-// per-session run state (nil for parameterless plans). The tuned artifact
-// is compiled for the same parameterized plan, so it remains valid for
-// any future binding of the same fingerprint.
-func runAdaptive(c *Compiler, x *Executor, cq *Compiled, rs *RunState, cfg *pmu.Config) (*AdaptiveResult, error) {
+// runAdaptive is the adaptive cycle with per-session run state (nil for
+// parameterless plans). recompile builds cq's plan again exactly as cq was
+// built, plus the profile's IR weights in the spill allocator. The tuned
+// artifact is compiled for the same parameterized plan, so it remains
+// valid for any future binding of the same fingerprint.
+func runAdaptive(x *executor, cq *Compiled, rs *RunState, cfg *pmu.Config, recompile func(*core.Profile) (*Compiled, error)) (*AdaptiveResult, error) {
 	if cfg == nil {
 		d := DefaultPGOSampling()
 		cfg = &d
 	}
-	profRun, err := x.Run(cq, rs, cfg)
+	profRun, err := x.run(cq, rs, 1, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("engine: adaptive profiling run: %w", err)
 	}
 	if profRun.Profile == nil {
 		return nil, fmt.Errorf("engine: adaptive profiling run produced no profile")
 	}
-	tunedCq, err := c.Recompile(cq, profRun.Profile)
+	tunedCq, err := recompile(profRun.Profile)
 	if err != nil {
 		return nil, fmt.Errorf("engine: recompile: %w", err)
 	}
-	baseline, err := x.Run(cq, rs, nil)
+	baseline, err := x.run(cq, rs, 1, nil)
 	if err != nil {
 		return nil, fmt.Errorf("engine: baseline run: %w", err)
 	}
-	tuned, err := x.Run(tunedCq, rs, nil)
+	tuned, err := x.run(tunedCq, rs, 1, nil)
 	if err != nil {
 		return nil, fmt.Errorf("engine: tuned run: %w", err)
 	}

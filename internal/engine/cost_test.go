@@ -80,7 +80,7 @@ func TestCostModelNoRegression(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		res, err := (&Executor{Opts: copts}).Run(cq, nil, nil)
+		res, err := (&executor{Opts: copts}).run(cq, nil, 1, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
@@ -96,7 +96,7 @@ func TestCostModelNoRegression(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res, err := (&Executor{Opts: opts}).Run(cq, nil, nil)
+		res, err := (&executor{Opts: opts}).run(cq, nil, 1, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -152,7 +152,7 @@ func TestReplanDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := (&Executor{Opts: copts}).Run(cq, nil, nil)
+		res, err := (&executor{Opts: copts}).run(cq, nil, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestReplanDeterminism(t *testing.T) {
 			for _, workers := range []int{0, 1, 2, 4, 8} {
 				ro := opts
 				ro.Workers = workers
-				res, err := (&Executor{Opts: ro}).Run(cq, nil, nil)
+				res, err := (&executor{Opts: ro}).run(cq, nil, 1, nil)
 				if err != nil {
 					t.Fatalf("%s parts=%d workers=%d: %v", name, parts, workers, err)
 				}
@@ -201,7 +201,7 @@ func TestReplanDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bres, err := (&Executor{Opts: DefaultOptions()}).Run(bq, nil, nil)
+		bres, err := (&executor{Opts: DefaultOptions()}).run(bq, nil, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestTrueCardinalityWorkerInvariance(t *testing.T) {
 	for _, workers := range []int{0, 1, 4} {
 		ro := opts
 		ro.Workers = workers
-		res, err := (&Executor{Opts: ro}).Run(cq, nil, nil)
+		res, err := (&executor{Opts: ro}).run(cq, nil, 1, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -396,7 +396,7 @@ func joinHeavyQErrors(t *testing.T, cat *catalog.Catalog, est plan.Estimator, h 
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
-		res, err := (&Executor{Opts: opts}).Run(cq, nil, nil)
+		res, err := (&executor{Opts: opts}).run(cq, nil, 1, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}

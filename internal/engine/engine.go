@@ -48,7 +48,7 @@ type Options struct {
 	MaxInstructions uint64
 	// Workers selects morsel-driven parallel execution: values >= 1 make
 	// Run dispatch every pipeline over fixed-size morsels on that many
-	// simulated worker CPUs (see Executor.RunParallel); 0 is the one-core
+	// simulated worker CPUs (see executor.runParallel); 0 is the one-core
 	// path: one CPU, one PMU buffer, no morsels, no merge. Workers=1 is
 	// the morsel scheduler on one core — the baseline that parallel runs
 	// are sample-exact against, and measurably dearer than 0 on joins
@@ -124,16 +124,16 @@ func NewCompiler(cat *catalog.Catalog, opts Options) *Compiler {
 	return &Compiler{Cat: cat, Opts: opts}
 }
 
-// Executor is the run half of the engine. It owns no per-query state:
+// executor is the run half of the engine. It owns no per-query state:
 // every run stages a zeroed simulated machine (and fresh PMU buffers)
 // around the immutable artifact, and all per-session inputs travel in a
 // RunState — so N sessions may execute one shared Compiled concurrently.
 //
-// An Engine's executor (any Executor without a pool) builds its machines
+// An Engine's executor (any executor without a pool) builds its machines
 // with vm.New and forgets them: Result.CPU belongs to the result. A
 // Session's executor draws them from the session's pool and gets them back
 // at the session's next call (see Session).
-type Executor struct {
+type executor struct {
 	Opts Options
 
 	pool *cpuPool // nil: machines are built per run and owned by the Result
@@ -150,7 +150,7 @@ func (p *cpuPool) reclaim() {
 }
 
 // machine returns a CPU in the state vm.New(heapSize) builds.
-func (x *Executor) machine(heapSize int) *vm.CPU {
+func (x *executor) machine(heapSize int) *vm.CPU {
 	p := x.pool
 	if p == nil {
 		return vm.New(heapSize)
@@ -182,21 +182,17 @@ type RunState struct {
 	Snap *catalog.Snapshot
 }
 
-// Engine is the classic single-tenant façade over Compiler + Executor:
-// one catalog, one options set, no cache, no parameters. Callers may
+// Engine is the classic single-tenant face of the engine: a Compiler plus
+// runs — one catalog, one options set, no cache, no parameters. Callers may
 // mutate Opts between calls; every call reads the fields afresh.
 type Engine struct {
-	Cat  *catalog.Catalog
-	Opts Options
+	Compiler
 }
 
 // New creates an engine.
 func New(cat *catalog.Catalog, opts Options) *Engine {
-	return &Engine{Cat: cat, Opts: opts}
+	return &Engine{Compiler{Cat: cat, Opts: opts}}
 }
-
-func (e *Engine) compiler() *Compiler { return &Compiler{Cat: e.Cat, Opts: e.Opts} }
-func (e *Engine) executor() *Executor { return &Executor{Opts: e.Opts} }
 
 // slotWrite stages one 64-bit value into the heap before execution.
 type slotWrite struct {
@@ -399,19 +395,6 @@ func log2(x int64) int64 {
 }
 
 // CompileSQL parses, plans and compiles a SQL statement.
-func (e *Engine) CompileSQL(sql string) (*Compiled, error) { return e.compiler().CompileSQL(sql) }
-
-// CompileQuery plans and compiles a query.
-func (e *Engine) CompileQuery(q *plan.Query) (*Compiled, error) {
-	return e.compiler().CompileQuery(q)
-}
-
-// CompilePlan compiles an already-built plan.
-func (e *Engine) CompilePlan(pl *plan.Output) (*Compiled, error) {
-	return e.compiler().CompilePlan(pl)
-}
-
-// CompileSQL parses, plans and compiles a SQL statement.
 func (c *Compiler) CompileSQL(sql string) (*Compiled, error) {
 	q, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -426,27 +409,16 @@ func (c *Compiler) CompileQuery(q *plan.Query) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.CompilePlan(pl)
+	return c.CompilePlanGuided(pl, nil)
 }
 
-// CompilePlan compiles an already-built plan.
-func (c *Compiler) CompilePlan(pl *plan.Output) (*Compiled, error) {
-	return c.compilePlan(pl, nil)
-}
-
-// CompilePlanGuided compiles a plan under profile guidance: hot holds a
-// profile's per-IR-instruction weights (core.Profile.IRWeight), which
-// steer spill priority. With nil hot it is identical to CompilePlan.
+// CompilePlanGuided compiles an already-built plan, optionally under
+// profile guidance: a non-nil hot holds a profile's per-IR-instruction
+// weights (core.Profile.IRWeight), which weigh spill priority, and changes
+// nothing else. The compilation path is deterministic — recompiling the
+// same plan reproduces every IR instruction ID and task component ID —
+// which is what lets a profile keyed by IR ID steer a fresh compilation.
 func (c *Compiler) CompilePlanGuided(pl *plan.Output, hot map[int]float64) (*Compiled, error) {
-	return c.compilePlan(pl, hot)
-}
-
-// compilePlan compiles a plan, optionally profile-guided: a non-nil hot
-// weighs spill priority by the profile's IR weights, and changes nothing
-// else. The compilation path is deterministic — recompiling the same plan
-// reproduces every IR instruction ID and task component ID — which is
-// what lets a profile keyed by IR ID steer a fresh compilation.
-func (c *Compiler) compilePlan(pl *plan.Output, hot map[int]float64) (*Compiled, error) {
 	cq := &Compiled{Plan: pl, cat: c.Cat}
 	lay, err := c.buildLayout(pl, cq)
 	if err != nil {
@@ -704,10 +676,10 @@ type Result struct {
 	Stats vm.Stats
 	// CPU is the machine the run executed on (the coordinator of a
 	// parallel run), heap included; a one-core run's heap ends where the
-	// merge area begins. A result of Engine.Run* or of a bare
-	// Executor owns it. A result of a Session borrows it: it is valid until
-	// that session's next Run, Execute or Adapt, which recycles it — copy
-	// what must outlive that. Every other field is the result's own.
+	// merge area begins. A result of Engine.Run* owns it. A result of a
+	// Session borrows it: it is valid until that session's next Run,
+	// Execute or Adapt, which recycles it — copy what must outlive that.
+	// Every other field is the result's own.
 	CPU *vm.CPU
 
 	// Epoch is the storage epoch the run bound against: the pinned
@@ -763,32 +735,41 @@ type Result struct {
 
 // Run executes a compiled query. cfg selects PMU sampling; pass nil to run
 // unprofiled (the overhead experiments' baseline). With Options.Workers >= 1
-// the run is morsel-driven parallel (Executor.RunParallel).
+// the run is morsel-driven parallel (see executor.run).
 func (e *Engine) Run(cq *Compiled, cfg *pmu.Config) (*Result, error) {
-	return e.executor().Run(cq, nil, cfg)
+	return (&executor{Opts: e.Opts}).run(cq, nil, 1, cfg)
 }
 
 // RunIterations executes a compiled query n times within one profiled
-// session (see Executor.RunIterations).
+// session, modelling an iterative dataflow: the TSC and sample stream run
+// continuously across iterations (mutable state — hash tables, result
+// buffer, counters — is re-staged between passes), so the profile's
+// DetectIterations can split them by timestamp, the paper's §4.2.6
+// mechanism. The returned rows are the last iteration's. n > 1 runs on the
+// one-core path only; RunIterations(cq, 1, cfg) is Run(cq, cfg).
 func (e *Engine) RunIterations(cq *Compiled, n int, cfg *pmu.Config) (*Result, error) {
-	return e.executor().RunIterations(cq, nil, n, cfg)
+	return (&executor{Opts: e.Opts}).run(cq, nil, n, cfg)
 }
 
-// Run executes a compiled query with the given per-session state (nil for
-// parameterless plans). With Options.Workers >= 1 the run is morsel-driven
-// parallel.
-func (x *Executor) Run(cq *Compiled, rs *RunState, cfg *pmu.Config) (*Result, error) {
-	if shards, _ := x.shardKnobs(cq); x.Opts.Workers >= 1 || shards >= 1 {
-		// Sharded execution always runs through the cross-shard
-		// coordinator (on one worker when Workers is 0): the serial
-		// driver stages whole-table bounds and cannot skip zones.
-		workers := x.Opts.Workers
-		if workers < 1 {
-			workers = 1
+// run is where every execution starts: n passes of cq with per-session
+// state rs (nil for parameterless plans). Workers = 0 and no effective shard
+// count take the one-core path; anything else the morsel scheduler, sharded
+// runs on one worker when Workers is 0 (the serial driver cannot skip
+// zones). n > 1 needs one continuous PMU buffer, so only the one-core path.
+func (x *executor) run(cq *Compiled, rs *RunState, n int, cfg *pmu.Config) (*Result, error) {
+	shards, _ := x.shardKnobs(cq)
+	if x.Opts.Workers < 1 && shards < 1 {
+		r, err := x.stage(cq, rs, cfg, cq.mergeBase)
+		if err != nil {
+			return nil, err
 		}
-		return x.RunParallel(cq, rs, workers, cfg)
+		return r.iterate(max(n, 1))
 	}
-	return x.RunIterations(cq, rs, 1, cfg)
+	if n > 1 {
+		return nil, fmt.Errorf("engine: RunIterations(n=%d) runs on the one-core path only (Workers=0, no shards): "+
+			"iteration detection needs one continuous PMU buffer, got Workers=%d, shards=%d", n, x.Opts.Workers, shards)
+	}
+	return x.runParallel(cq, rs, max(x.Opts.Workers, 1), cfg)
 }
 
 // defaultMaxInstructions bounds one generated-code invocation when
@@ -811,7 +792,7 @@ type stagedRun struct {
 // manifest, bind the storage snapshot into a zeroed heap of heapSize bytes
 // (cq.mergeBase on the one-core path, cq.heapSize for a coordinator), load
 // the program and arm the PMU.
-func (x *Executor) stage(cq *Compiled, rs *RunState, cfg *pmu.Config, heapSize int) (stagedRun, error) {
+func (x *executor) stage(cq *Compiled, rs *RunState, cfg *pmu.Config, heapSize int) (stagedRun, error) {
 	r := stagedRun{cq: cq, budget: x.Opts.MaxInstructions}
 	if r.budget == 0 {
 		r.budget = defaultMaxInstructions
@@ -900,27 +881,6 @@ func (r *stagedRun) finish(res *Result) *Result {
 		res.PlanRows = cost.TrueRows(cq.Pipe, res.TupleCounts)
 	}
 	return res
-}
-
-// RunIterations executes a compiled query n times within one profiled
-// session, modelling an iterative dataflow: the TSC and sample stream run
-// continuously across iterations (mutable state — hash tables, result
-// buffer, counters — is re-staged between passes), so the profile's
-// DetectIterations can split them by timestamp, the paper's §4.2.6
-// mechanism. The returned rows are the last iteration's.
-func (x *Executor) RunIterations(cq *Compiled, rs *RunState, n int, cfg *pmu.Config) (*Result, error) {
-	if n < 1 {
-		n = 1
-	}
-	if shards, _ := x.shardKnobs(cq); n > 1 && (x.Opts.Workers >= 1 || shards >= 1) {
-		return nil, fmt.Errorf("engine: RunIterations(n=%d) runs on the one-core path only (Workers=0, no shards): "+
-			"iteration detection needs one continuous PMU buffer, got Workers=%d, shards=%d", n, x.Opts.Workers, shards)
-	}
-	r, err := x.stage(cq, rs, cfg, cq.mergeBase)
-	if err != nil {
-		return nil, err
-	}
-	return r.iterate(n)
 }
 
 // iterate runs the staged program n times on r's one machine and reads the

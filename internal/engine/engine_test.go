@@ -204,7 +204,7 @@ func TestOrderByLimit(t *testing.T) {
 }
 
 // TestBudgetErrorThroughRun: an exhausted instruction budget reaches the
-// caller of Executor.Run as a *vm.BudgetError, on the serial path (Run) and
+// caller of Engine.Run as a *vm.BudgetError, on the serial path (Run) and
 // on the morsel scheduler's (CallFunction per morsel).
 func TestBudgetErrorThroughRun(t *testing.T) {
 	cat := testCatalog(t)

@@ -111,9 +111,8 @@ func TestRunIterationsCountersReset(t *testing.T) {
 
 // TestRunIterationsRefusesParallel: n > 1 iterations exist only on the
 // one-core path — iteration detection needs one continuous PMU buffer.
-// Under Workers >= 1 or an effective shard count >= 1 the parent ran
-// serial and unsharded without saying so (Result.Workers == 0); that is an
-// error now, and n == 1 is what it was.
+// Under Workers >= 1 or an effective shard count >= 1, n > 1 is an error,
+// and n == 1 is Run: the same path, workers and wall clock.
 func TestRunIterationsRefusesParallel(t *testing.T) {
 	cat := testCatalog(t)
 	for _, tc := range []struct {
@@ -132,8 +131,17 @@ func TestRunIterationsRefusesParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.RunIterations(cq, 1, nil); err != nil {
+		one, err := e.RunIterations(cq, 1, nil)
+		if err != nil {
 			t.Fatalf("%s: n=1: %v", tc.name, err)
+		}
+		run, err := e.Run(cq, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one.Workers != run.Workers || one.Shards != run.Shards || one.WallCycles != run.WallCycles {
+			t.Fatalf("%s: n=1 ran Workers=%d Shards=%d in %d wall cycles, Run Workers=%d Shards=%d in %d",
+				tc.name, one.Workers, one.Shards, one.WallCycles, run.Workers, run.Shards, run.WallCycles)
 		}
 		res, err := e.RunIterations(cq, 3, nil)
 		switch {

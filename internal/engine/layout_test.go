@@ -218,8 +218,8 @@ func TestOneCorePathStaysInPrefix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", w.Name, err)
 			}
-			x := &Executor{Opts: sh.opts}
-			want, err := x.RunIterations(cq, nil, sh.n, sh.cfg)
+			x := &executor{Opts: sh.opts}
+			want, err := x.run(cq, nil, sh.n, sh.cfg)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", w.Name, sh.name, err)
 			}

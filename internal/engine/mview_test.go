@@ -304,6 +304,15 @@ func TestMViewPinnedSnapshotsNeverReadStale(t *testing.T) {
 	if st := se4.Stats(); st.RewriteFallbacks != 1 || st.Execute <= 0 {
 		t.Fatalf("failed fallback must count and be timed, stats: %+v", st)
 	}
+	// Adapt's runs are execution time too: a session that only adapts
+	// splits its time between Prepare and Execute like one that runs.
+	se5 := svc.NewSession()
+	if _, err := se5.Adapt(q, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := se5.Stats(); st.Queries != 1 || st.Prepare <= 0 || st.Execute <= 0 {
+		t.Fatalf("an Adapt-only session must time its prepare and its runs, stats: %+v", st)
+	}
 
 	// Catch the view up; the current snapshot pairs again.
 	if err := svc.RefreshView("mv"); err != nil {

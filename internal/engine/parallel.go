@@ -84,13 +84,10 @@ func (e *SinkOverflowError) Error() string {
 		e.Region, e.Sink, e.Needed, e.Capacity)
 }
 
-// RunParallel executes a compiled query with morsel-driven parallelism on
-// the given number of worker CPUs. workers < 1 is clamped to 1. cfg arms
+// runParallel executes a compiled query with morsel-driven parallelism on
+// the given number of worker CPUs (at least 1; see executor.run). cfg arms
 // one PMU per core (plus the coordinator's), merged into Result.Samples.
-func (x *Executor) RunParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu.Config) (*Result, error) {
-	if workers < 1 {
-		workers = 1
-	}
+func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu.Config) (*Result, error) {
 	morselSize := int64(x.Opts.MorselRows) // <= 0: PartitionMorsels' default
 	prog := cq.Code.Program
 	preludeEntry, err := funcEntry(prog, pipeline.PreludeFunc)

@@ -173,7 +173,7 @@ func TestPGOLineagePreservation(t *testing.T) {
 func compileUnoptimized(t *testing.T, e *Engine, pl *plan.Output) *pipeline.Compiled {
 	t.Helper()
 	cq := &Compiled{Plan: pl}
-	lay, err := e.compiler().buildLayout(pl, cq)
+	lay, err := e.buildLayout(pl, cq)
 	if err != nil {
 		t.Fatalf("layout: %v", err)
 	}

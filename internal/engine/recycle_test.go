@@ -18,7 +18,7 @@ import (
 	"repro/internal/xrand"
 )
 
-// A session recycles its simulated machines; an Engine or a bare Executor
+// A session recycles its simulated machines; an Engine or a bare executor
 // builds one per run. These tests hold the first to the second: whatever a
 // machine ran before, a run on it is the run a new machine would have made.
 
@@ -48,7 +48,7 @@ func freshRun(se *Session, p *Prepared, snap *catalog.Snapshot, cfg *pmu.Config)
 	if p.State != nil {
 		rs.Params = p.State.Params
 	}
-	return (&Executor{Opts: se.exec.Opts}).Run(p.Compiled, rs, cfg)
+	return (&executor{Opts: se.exec.Opts}).run(p.Compiled, rs, 1, cfg)
 }
 
 // matchesFresh reports the first difference between a session's result and

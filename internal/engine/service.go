@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/mview"
 	"repro/internal/pgo"
@@ -95,8 +96,6 @@ func (s *Service) DropView(name string) error { return s.views.Drop(name) }
 // RefreshView catches a view up to the base table's current prefix.
 func (s *Service) RefreshView(name string) error { return s.views.Refresh(name) }
 
-func (s *Service) compiler() *Compiler { return &Compiler{Cat: s.cat, Opts: s.opts} }
-
 // History exposes the service's observed-cardinality cache (shared by
 // all sessions; Adapt is its writer).
 func (s *Service) History() *cost.History { return s.history }
@@ -107,6 +106,36 @@ func (s *Service) History() *cost.History { return s.history }
 // exactly the classic planner.
 func (s *Service) estimator() plan.Estimator {
 	return &cost.HistoryCorrected{Base: &cost.Naive{Stats: cost.FreshStats{}}, H: s.history}
+}
+
+// compile builds pl under opts (guided by hot when non-nil) with the cost
+// model's per-statement knobs (decide); the shard decision rides on the
+// artifact, read by every executing session. A cache miss, Adapt's guided
+// recompile and the tuple-counter twin all compile here, so a guided
+// artifact differs from the miss compile of its key only by the profile.
+// Only prepare's uncached text fallback compiles with the static knobs.
+func (s *Service) compile(pl *plan.Output, hot map[int]float64, opts Options) (*Compiled, error) {
+	var shard *ShardDecision
+	opts.Partitions, shard = decide(pl, opts)
+	cq, err := (&Compiler{Cat: s.cat, Opts: opts}).CompilePlanGuided(pl, hot)
+	if err != nil {
+		return nil, err
+	}
+	cq.Shard = shard
+	return cq, nil
+}
+
+// decide is the cost model's per-statement physical decision for a plan:
+// the merge partition count and, under opts.Shards >= 1, the shard count
+// and pruning switch (nil otherwise: the session's static knobs apply).
+func decide(pl *plan.Output, opts Options) (int, *ShardDecision) {
+	model := cost.Annotate(pl)
+	_, parts := cost.Decide(model, false, opts.Partitions)
+	if opts.Shards < 1 {
+		return parts, nil
+	}
+	n, prune := cost.DecideShards(model, opts.Shards, opts.ShardPruning)
+	return parts, &ShardDecision{Shards: n, Pruning: prune}
 }
 
 // Options returns the service's compiler configuration.
@@ -159,7 +188,8 @@ type SessionStats struct {
 	Rewrites         int
 	RewriteFallbacks int
 	// Prepare is wall time spent in Prepare (cache lookups, compiles,
-	// argument encoding); Execute is wall time spent running artifacts.
+	// argument encoding); Execute is wall time spent running artifacts —
+	// for Adapt, everything after its prepare, recompiles included.
 	Prepare time.Duration
 	Execute time.Duration
 }
@@ -177,7 +207,7 @@ type SessionStats struct {
 type Session struct {
 	ID    int64
 	svc   *Service
-	exec  Executor
+	exec  executor
 	stats SessionStats
 	snap  *catalog.Snapshot
 }
@@ -186,7 +216,7 @@ type Session struct {
 // per-session and do not affect the cache key — the same artifact serves
 // every execution configuration.
 func (s *Service) NewSession() *Session {
-	return &Session{ID: s.nextID.Add(1), svc: s, exec: Executor{Opts: s.opts, pool: new(cpuPool)}}
+	return &Session{ID: s.nextID.Add(1), svc: s, exec: executor{Opts: s.opts, pool: new(cpuPool)}}
 }
 
 // SetWorkers selects this session's morsel-parallel worker count
@@ -302,10 +332,22 @@ func (se *Session) Run(p *Prepared, cfg *pmu.Config) (*Result, error) {
 	t0 := time.Now()
 	defer func() { se.stats.Execute += time.Since(t0) }()
 	se.exec.pool.reclaim()
+	p, rs, err := se.bind(p)
+	if err != nil {
+		return nil, err
+	}
+	return se.exec.run(p.Compiled, rs, 1, cfg)
+}
+
+// bind resolves what one execution of p runs under this session: the
+// statement itself, or — when p carries a rewrite the guard rejects under
+// the bound snapshot — the original statement prepared against its base
+// tables; and the run state, p's bound parameters with the session's
+// pinned snapshot. Rewritten artifacts always bind an explicit snapshot:
+// the one the consistency guard approved (pinned, or captured here).
+func (se *Session) bind(p *Prepared) (*Prepared, *RunState, error) {
 	snap := se.snap
 	if p.Rewrite != nil {
-		// Rewritten artifacts always bind an explicit snapshot: the one
-		// the consistency guard approved (pinned, or captured here).
 		if snap == nil {
 			snap = se.svc.Snapshot()
 		}
@@ -314,7 +356,7 @@ func (se *Session) Run(p *Prepared, cfg *pmu.Config) (*Result, error) {
 			se.stats.RewriteFallbacks++
 			base, err := se.svc.prepareNormalized(p.Rewrite.Orig, p.Rewrite.orig, false)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			p = base
 		}
@@ -327,7 +369,7 @@ func (se *Session) Run(p *Prepared, cfg *pmu.Config) (*Result, error) {
 		}
 		rs = &bound
 	}
-	return se.exec.Run(p.Compiled, rs, cfg)
+	return p, rs, nil
 }
 
 // Execute prepares and runs a statement in one call.
@@ -393,39 +435,23 @@ func (s *Service) prepareNormalized(sql string, fp *sqlparse.Fingerprint, allowR
 		Generation:  s.gens.Current(fp.Hash),
 		View:        viewGen,
 	}
-	comp := s.compiler()
 	cq, hit, err := s.cache.GetOrCompute(key, func() (*Compiled, error) {
 		// Plan under the history-corrected estimator and let the cost
-		// model pick the physical knob (partition count) for this
-		// statement. All of this happens inside the compute
-		// function only: the cache key is untouched, so the hit path
-		// stays a pure lookup, and staleness is routed through PGO
-		// generations — Adapt bumps the generation when observed
-		// cardinalities shift materially, which changes the key and
-		// forces this compute to run again under the updated history.
+		// model pick the physical knobs for this statement. All of this
+		// happens inside the compute function only: the cache key is
+		// untouched, so the hit path stays a pure lookup, and staleness is
+		// routed through PGO generations — Adapt bumps the generation when
+		// observed cardinalities shift materially, which changes the key
+		// and forces this compute to run again under the updated history.
 		pl, err := plan.PlanWith(s.cat, fp.Query, s.estimator())
 		if err != nil {
 			return nil, err
 		}
-		eff := s.opts
-		model := cost.Annotate(pl)
-		_, eff.Partitions = cost.Decide(model, false, eff.Partitions)
 		var hot map[int]float64
 		if key.Generation > 0 {
 			hot = s.gens.Weights(fp.Hash)
 		}
-		cq, err := (&Compiler{Cat: s.cat, Opts: eff}).CompilePlanGuided(pl, hot)
-		if err != nil {
-			return nil, err
-		}
-		if s.opts.Shards >= 1 {
-			// Per-statement shard knobs ride on the artifact: decided
-			// once per compile from the history-corrected model, read by
-			// every executing session (warm prepares stay a pure lookup).
-			sh, prune := cost.DecideShards(model, s.opts.Shards, s.opts.ShardPruning)
-			cq.Shard = &ShardDecision{Shards: sh, Pruning: prune}
-		}
-		return cq, nil
+		return s.compile(pl, hot, s.opts)
 	})
 	if err != nil {
 		// The parameterized form didn't compile — typically a literal in
@@ -434,7 +460,7 @@ func (s *Service) prepareNormalized(sql string, fp *sqlparse.Fingerprint, allowR
 		// messages match the classic path exactly; if that also fails,
 		// the direct error is the one the user should see (it names the
 		// original literals, not $N placeholders).
-		direct, derr := comp.CompileSQL(sql)
+		direct, derr := (&Compiler{Cat: s.cat, Opts: s.opts}).CompileSQL(sql)
 		if derr != nil {
 			return nil, derr
 		}
@@ -491,18 +517,29 @@ func EncodeParams(infos []plan.ParamInfo, args []sqlparse.Literal) ([]int64, err
 }
 
 // Adapt runs one adaptive profile → recompile → re-run cycle for a
-// statement through this session. When the tuned binary wins, its
-// guiding profile is promoted to a new PGO generation: the tuned
-// artifact is cached under the new generation's key and every older
-// generation of the fingerprint is invalidated, so the next Prepare —
-// from any session — serves the faster binary.
+// statement through this session. Its runs bind exactly like Run's — the
+// pinned snapshot, and the base statement when the rewrite guard rejects
+// it — and count toward SessionStats.Execute; its guided recompile is the
+// miss compile of the statement's cache key plus the profile. When the
+// tuned binary wins, its guiding profile is promoted to a new PGO
+// generation: the tuned artifact is cached under the new generation's key
+// and every older generation of the fingerprint is invalidated, so the
+// next Prepare — from any session — serves the faster binary.
 func (se *Session) Adapt(sql string, cfg *pmu.Config) (*AdaptiveResult, error) {
 	p, err := se.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
+	t0 := time.Now()
+	defer func() { se.stats.Execute += time.Since(t0) }()
 	se.exec.pool.reclaim()
-	ar, err := runAdaptive(se.svc.compiler(), &se.exec, p.Compiled, p.State, cfg)
+	p, rs, err := se.bind(p)
+	if err != nil {
+		return nil, err
+	}
+	ar, err := runAdaptive(&se.exec, p.Compiled, rs, cfg, func(prof *core.Profile) (*Compiled, error) {
+		return se.svc.compile(p.Compiled.Plan, prof.IRWeight, se.svc.opts)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -535,7 +572,7 @@ func (se *Session) Adapt(sql string, cfg *pmu.Config) (*AdaptiveResult, error) {
 	// statistics (ColStats are per-row-count) and re-freezes the planned
 	// row counts, resetting the drift baseline.
 	if !p.Fallback {
-		material, err := se.observeTrue(p, ar)
+		material, err := se.observeTrue(p, rs, ar)
 		if err != nil {
 			return nil, err
 		}
@@ -596,26 +633,24 @@ func (s *Service) replanChanges(p *Prepared) bool {
 	if plan.Shape(pl) != plan.Shape(p.Compiled.Plan) {
 		return true
 	}
-	om, nm := cost.Annotate(p.Compiled.Plan), cost.Annotate(pl)
-	_, op := cost.Decide(om, false, s.opts.Partitions)
-	_, np := cost.Decide(nm, false, s.opts.Partitions)
-	os, oprune := cost.DecideShards(om, s.opts.Shards, s.opts.ShardPruning)
-	ns, nprune := cost.DecideShards(nm, s.opts.Shards, s.opts.ShardPruning)
-	return op != np || os != ns || oprune != nprune
+	op, osh := decide(p.Compiled.Plan, s.opts)
+	np, nsh := decide(pl, s.opts)
+	return op != np || (osh != nil && *osh != *nsh)
 }
 
 // observeTrue collects a prepared statement's true per-operator
 // cardinalities and feeds them into the service history. When the service
 // already compiles with TupleCounters the adaptive baseline run carried
 // the counts; otherwise a counter-instrumented twin of the same plan is
-// compiled and run once under this session's options. Counter folding
-// makes the counts worker-count-invariant either way.
-func (se *Session) observeTrue(p *Prepared, ar *AdaptiveResult) (bool, error) {
+// compiled (Service.compile) and run once under this session's options and
+// the run state Adapt bound. Counter folding makes the counts
+// worker-count-invariant either way.
+func (se *Session) observeTrue(p *Prepared, rs *RunState, ar *AdaptiveResult) (bool, error) {
 	cq, counts := p.Compiled, ar.Baseline.TupleCounts
 	if len(counts) == 0 {
 		opts := se.svc.opts
 		opts.TupleCounters = true
-		twin, err := (&Compiler{Cat: se.svc.cat, Opts: opts}).CompilePlanGuided(p.Compiled.Plan, nil)
+		twin, err := se.svc.compile(p.Compiled.Plan, nil, opts)
 		if err != nil {
 			return false, err
 		}
@@ -623,7 +658,7 @@ func (se *Session) observeTrue(p *Prepared, ar *AdaptiveResult) (bool, error) {
 		// semi-join pruning cannot shrink a scan's observed row count
 		// below what the planner should estimate for it.
 		twin.Shard = &ShardDecision{}
-		res, err := se.exec.Run(twin, p.State, nil)
+		res, err := se.exec.run(twin, rs, 1, nil)
 		if err != nil {
 			return false, err
 		}

@@ -50,7 +50,7 @@ type ShardDecision struct {
 // shardKnobs returns the effective (shard count, pruning) pair for one
 // artifact under this executor: the artifact's compile-time decision when
 // present, the executor's static options otherwise.
-func (x *Executor) shardKnobs(cq *Compiled) (int, bool) {
+func (x *executor) shardKnobs(cq *Compiled) (int, bool) {
 	if cq.Shard != nil {
 		return cq.Shard.Shards, cq.Shard.Pruning
 	}

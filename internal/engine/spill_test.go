@@ -118,7 +118,7 @@ func TestSpillWeightsUnderSkewedStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := (&Executor{Opts: opts}).Run(cq, nil, nil)
+		res, err := (&executor{Opts: opts}).run(cq, nil, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
