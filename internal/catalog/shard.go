@@ -1,9 +1,6 @@
 package catalog
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // Zone maps and shards.
 //
@@ -217,15 +214,6 @@ func shardsOf(t *Table, zones []Zone, cols [][]int64, rows int64, n int) []Shard
 		out = append(out, makeShard(t, cols, len(out), group, group[0].Lo, group[len(group)-1].Hi))
 	}
 	return out
-}
-
-// Shard returns shard i of an n-way partitioning.
-func (t *Table) Shard(i, n int) (Shard, error) {
-	sh := t.Shards(n)
-	if i < 0 || i >= len(sh) {
-		return Shard{}, fmt.Errorf("catalog: shard %d of %d-way split of %s (have %d shards)", i, n, t.Name, len(sh))
-	}
-	return sh[i], nil
 }
 
 func makeShard(t *Table, data [][]int64, id int, zones []Zone, lo, hi int64) Shard {

@@ -24,18 +24,13 @@ type recording struct {
 	samples []core.Sample
 }
 
-// lbrFormat records every field a sample log holds but the call stack:
-// timestamps, registers and the LBR ring, whose words the file formats
-// must carry.
-var lbrFormat = pmu.Format{Timestamp: true, Registers: true, LBR: true}
-
 var samplings = []struct {
 	name string
 	cfg  pmu.Config
 }{
 	{"regs", pmu.Config{Event: vm.EvCycles, Period: 997, Format: pmu.FormatIPTimeRegs}},
 	{"callstack", pmu.Config{Event: vm.EvCycles, Period: 997, Format: pmu.FormatCallStack}},
-	{"pgo", pmu.Config{Event: vm.EvCycles, Period: 997, Format: lbrFormat}},
+	{"pgo", engine.DefaultPGOSampling()},
 	{"loads", pmu.Config{Event: vm.EvMemLoads, Period: 211, Format: pmu.FormatIPTimeRegs}},
 }
 
@@ -164,7 +159,7 @@ func TestOfflineMatchesInline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Run(cq, &pmu.Config{Event: vm.EvCycles, Period: 997, Format: lbrFormat})
+		res, err := eng.Run(cq, &pmu.Config{Event: vm.EvCycles, Period: 997, Format: pmu.FormatIPTimeRegs})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,13 +36,6 @@ type Sample struct {
 	// aggregates are identical for every shard count (Profile.Canonical
 	// excludes the stamp, like Worker).
 	Shard int
-
-	// LBR is the captured last-branch-record snapshot (valid when
-	// HasLBR): the most recently retired conditional branches and their
-	// outcomes, oldest first. Profile-guided recompilation aggregates
-	// these into per-branch taken fractions.
-	LBR    []vm.BranchRecord
-	HasLBR bool
 }
 
 // RegionKind classifies native code regions for attribution.
@@ -92,8 +85,8 @@ type NativeMap struct {
 	Routine []string
 	// Inverted marks conditional branches whose sense the backend's
 	// block layout flipped: the native taken-direction is the opposite
-	// of the source branch's then-direction. A reader of LBR outcomes
-	// consults it to describe the source branch.
+	// of the source branch's then-direction. The native/stale-inverted
+	// checker (internal/verify) reads it to check the layout's flips.
 	Inverted []bool
 }
 

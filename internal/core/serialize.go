@@ -31,7 +31,7 @@ const (
 	sampleRecord = 42
 	metaCounts   = 10 // u32 counts after the meta-data magic and version
 
-	flagRegs, flagStack, flagLBR = 1, 2, 4
+	flagRegs, flagStack = 1, 2
 )
 
 var le = binary.LittleEndian
@@ -69,20 +69,17 @@ func b2i(b bool) int {
 // the record cannot hold rather than truncating them.
 func WriteSamples(w io.Writer, samples []Sample) error {
 	buf := make([]byte, sampleHeader+len(samples)*sampleRecord)
-	var side []byte // the side section: stack, then LBR words of each sample
+	var side []byte // the side section: the stack words of each sample
 	for i := range samples {
 		s := &samples[i]
-		stack, lbr := s.Stack, s.LBR
+		stack := s.Stack
 		if !s.HasStack {
 			stack = nil
 		}
-		if !s.HasLBR {
-			lbr = nil
-		}
 		if int(int32(s.IP)) != s.IP || uint(s.Worker) > math.MaxUint16 || uint(s.Shard) > math.MaxUint16 ||
-			len(stack) > math.MaxUint16 || len(lbr) > math.MaxUint16 || uint64(len(side)/4) > math.MaxUint32 {
-			return fmt.Errorf("core: sample %d does not fit the log record (ip %d, worker %d, shard %d, %d frames, %d LBR entries)",
-				i, s.IP, s.Worker, s.Shard, len(stack), len(lbr))
+			len(stack) > math.MaxUint16 || uint64(len(side)/4) > math.MaxUint32 {
+			return fmt.Errorf("core: sample %d does not fit the log record (ip %d, worker %d, shard %d, %d frames)",
+				i, s.IP, s.Worker, s.Shard, len(stack))
 		}
 		r := buf[sampleHeader+i*sampleRecord:][:sampleRecord]
 		le.PutUint64(r[0:], s.TSC)
@@ -93,20 +90,14 @@ func WriteSamples(w io.Writer, samples []Sample) error {
 		le.PutUint16(r[32:], uint16(s.Worker))
 		le.PutUint16(r[34:], uint16(s.Shard))
 		le.PutUint16(r[36:], uint16(len(stack)))
-		le.PutUint16(r[38:], uint16(len(lbr)))
+		// r[38:40] is reserved and stays zero.
 		r[40] = uint8(s.Event)
-		r[41] = uint8(b2i(s.HasRegs)*flagRegs | b2i(s.HasStack)*flagStack | b2i(s.HasLBR)*flagLBR)
+		r[41] = uint8(b2i(s.HasRegs)*flagRegs | b2i(s.HasStack)*flagStack)
 		for _, ra := range stack {
 			if int(int32(ra)) != ra {
 				return fmt.Errorf("core: sample %d: return address %d beyond 32 bits", i, ra)
 			}
 			side = le.AppendUint32(side, uint32(int32(ra)))
-		}
-		for _, b := range lbr {
-			if b.IP < 0 || b.IP > math.MaxInt32 {
-				return fmt.Errorf("core: sample %d: branch ip %d beyond 31 bits", i, b.IP)
-			}
-			side = le.AppendUint32(side, uint32(b.IP)<<1|uint32(b2i(b.Taken)))
 		}
 	}
 	copy(buf, sampleMagic)
@@ -117,9 +108,9 @@ func WriteSamples(w io.Writer, samples []Sample) error {
 	return err
 }
 
-// ReadSamples parses a sample log into one []Sample; every stack and every
-// LBR snapshot is a capacity-capped window of one shared array. A captured
-// but empty stack or snapshot decodes as empty and non-nil.
+// ReadSamples parses a sample log into one []Sample; every stack is a
+// capacity-capped window of one shared array. A captured but empty stack
+// decodes as empty and non-nil.
 func ReadSamples(r io.Reader) ([]Sample, error) {
 	data, err := open(r, sampleMagic, sampleHeader)
 	if err != nil {
@@ -131,41 +122,33 @@ func ReadSamples(r io.Reader) ([]Sample, error) {
 		return nil, fmt.Errorf("core: reading samples: header declares %d samples and %d side words, file holds %d bytes", count, side, body)
 	}
 	recs, words := data[sampleHeader:], data[sampleHeader+count*sampleRecord:]
-	nStack, nLBR := 0, 0
+	nStack := 0
 	for i := 0; i < int(count); i++ {
 		nStack += int(le.Uint16(recs[i*sampleRecord+36:]))
-		nLBR += int(le.Uint16(recs[i*sampleRecord+38:]))
 	}
-	if uint64(nStack+nLBR) != side {
-		return nil, fmt.Errorf("core: reading samples: records reference %d side words, section holds %d", nStack+nLBR, side)
+	if uint64(nStack) != side {
+		return nil, fmt.Errorf("core: reading samples: records reference %d side words, section holds %d", nStack, side)
 	}
 	out := make([]Sample, count)
-	stacks, lbrs := make([]int, 0, nStack), make([]vm.BranchRecord, 0, nLBR)
+	stacks := make([]int, 0, nStack)
 	word := 0
 	for i := range out {
 		r := recs[i*sampleRecord:][:sampleRecord]
-		ns, nl, flags := int(le.Uint16(r[36:])), int(le.Uint16(r[38:])), r[41]
-		if int(le.Uint32(r[28:])) != word || flags&^(flagRegs|flagStack|flagLBR) != 0 ||
-			ns > 0 && flags&flagStack == 0 || nl > 0 && flags&flagLBR == 0 {
-			return nil, fmt.Errorf("core: reading samples: record %d: side offset or flags inconsistent", i)
+		ns, flags := int(le.Uint16(r[36:])), r[41]
+		if int(le.Uint32(r[28:])) != word || le.Uint16(r[38:]) != 0 || flags&^(flagRegs|flagStack) != 0 ||
+			ns > 0 && flags&flagStack == 0 {
+			return nil, fmt.Errorf("core: reading samples: record %d: side offset, reserved word or flags inconsistent", i)
 		}
 		s := &out[i]
 		s.TSC, s.Addr, s.Tag = le.Uint64(r[0:]), int64(le.Uint64(r[8:])), int64(le.Uint64(r[16:]))
 		s.IP, s.Event = int(int32(le.Uint32(r[24:]))), vm.Event(r[40])
 		s.Worker, s.Shard = int(le.Uint16(r[32:])), int(le.Uint16(r[34:]))
-		s.HasRegs, s.HasStack, s.HasLBR = flags&flagRegs != 0, flags&flagStack != 0, flags&flagLBR != 0
+		s.HasRegs, s.HasStack = flags&flagRegs != 0, flags&flagStack != 0
 		if s.HasStack {
 			for end := word + ns; word < end; word++ {
 				stacks = append(stacks, int(int32(le.Uint32(words[4*word:]))))
 			}
 			s.Stack = stacks[len(stacks)-ns : len(stacks) : len(stacks)]
-		}
-		if s.HasLBR {
-			for end := word + nl; word < end; word++ {
-				v := le.Uint32(words[4*word:])
-				lbrs = append(lbrs, vm.BranchRecord{IP: int(v >> 1), Taken: v&1 != 0})
-			}
-			s.LBR = lbrs[len(lbrs)-nl : len(lbrs) : len(lbrs)]
 		}
 	}
 	return out, nil

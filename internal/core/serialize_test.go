@@ -132,11 +132,10 @@ func TestSampleLogRoundTrip(t *testing.T) {
 		{IP: 30, TSC: 300, Event: vm.EvCycles, Stack: []int{5, 9}, HasStack: true},
 		{IP: 40, TSC: 400, Event: vm.EvBranchMiss, Stack: []int{}, HasStack: true},
 		{IP: 50, TSC: math.MaxUint64, Event: vm.EvL3Miss, Addr: -8, Tag: math.MinInt64, HasRegs: true, Worker: 3, Shard: 2},
-		{IP: 60, TSC: 600, LBR: []vm.BranchRecord{{IP: 7, Taken: true}, {IP: 9}, {IP: math.MaxInt32, Taken: true}}, HasLBR: true,
-			Stack: []int{1, -1}, HasStack: true, Worker: math.MaxUint16, Shard: math.MaxUint16},
-		{IP: -1, TSC: 700, LBR: []vm.BranchRecord{}, HasLBR: true},
-		// Lists without their Has flag are not part of the sample.
-		{IP: 70, TSC: 800, Stack: []int{4}, LBR: []vm.BranchRecord{{IP: 1}}},
+		{IP: 60, TSC: 600, Stack: []int{1, -1}, HasStack: true, Worker: math.MaxUint16, Shard: math.MaxUint16},
+		{IP: -1, TSC: 700, HasRegs: true},
+		// A stack without its flag is not part of the sample.
+		{IP: 70, TSC: 800, Stack: []int{4}},
 	}
 	var buf bytes.Buffer
 	if err := WriteSamples(&buf, in); err != nil {
@@ -153,9 +152,6 @@ func TestSampleLogRoundTrip(t *testing.T) {
 		a, b := in[i], out[i]
 		if !a.HasStack {
 			a.Stack = nil
-		}
-		if !a.HasLBR {
-			a.LBR = nil
 		}
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("sample %d round trip:\n%+v\n%+v", i, a, b)
@@ -192,9 +188,6 @@ func TestSampleFieldsRoundTrip(t *testing.T) {
 			switch e := f.Index(1); e.Kind() {
 			case reflect.Int:
 				e.SetInt(n)
-			case reflect.Struct: // vm.BranchRecord
-				e.Field(0).SetInt(n)
-				e.Field(1).SetBool(true)
 			default:
 				t.Fatalf("field %s: no rule for a slice of %s", v.Type().Field(i).Name, e.Kind())
 			}
@@ -219,15 +212,13 @@ func TestSampleFieldsRoundTrip(t *testing.T) {
 
 func TestWriteSamplesRefusesWhatTheRecordCannotHold(t *testing.T) {
 	for name, s := range map[string]Sample{
-		"ip beyond 32 bits":        {IP: math.MaxInt32 + 1},
-		"negative ip beyond":       {IP: math.MinInt32 - 1},
-		"worker beyond the field":  {Worker: math.MaxUint16 + 1},
-		"negative worker":          {Worker: -1},
-		"shard beyond the field":   {Shard: math.MaxUint16 + 1},
-		"return address beyond":    {Stack: []int{1 << 40}, HasStack: true},
-		"negative branch ip":       {LBR: []vm.BranchRecord{{IP: -1}}, HasLBR: true},
-		"branch ip beyond 31 bits": {LBR: []vm.BranchRecord{{IP: math.MaxInt32 + 1}}, HasLBR: true},
-		"stack deeper than 65535":  {Stack: make([]int, math.MaxUint16+1), HasStack: true},
+		"ip beyond 32 bits":       {IP: math.MaxInt32 + 1},
+		"negative ip beyond":      {IP: math.MinInt32 - 1},
+		"worker beyond the field": {Worker: math.MaxUint16 + 1},
+		"negative worker":         {Worker: -1},
+		"shard beyond the field":  {Shard: math.MaxUint16 + 1},
+		"return address beyond":   {Stack: []int{1 << 40}, HasStack: true},
+		"stack deeper than 65535": {Stack: make([]int, math.MaxUint16+1), HasStack: true},
 	} {
 		if err := WriteSamples(io.Discard, []Sample{{}, s}); err == nil {
 			t.Errorf("%s: written without error", name)
@@ -309,7 +300,7 @@ func put32(data []byte, off int, v uint32) []byte {
 func TestReadSamplesRejects(t *testing.T) {
 	good := encodeSamples(t, []Sample{
 		{IP: 1, TSC: 10, Stack: []int{3, 4}, HasStack: true},
-		{IP: 2, TSC: 20, LBR: []vm.BranchRecord{{IP: 5, Taken: true}}, HasLBR: true, HasRegs: true},
+		{IP: 2, TSC: 20, HasRegs: true},
 	})
 	read := func(r io.Reader) error { _, err := ReadSamples(r); return err }
 	if err := read(iotest.OneByteReader(bytes.NewReader(good))); err != nil {
@@ -330,11 +321,11 @@ func TestReadSamplesRejects(t *testing.T) {
 		"side words of 2^60":             put32(good, 20, 1<<28),
 		"side offset out of range":       put32(good, rec(1, 28), 7),
 		"side offset overlapping":        put32(good, rec(1, 28), 1),
-		"stack length without the flag":  put32(good, rec(1, 36), 1|1<<16),
+		"stack length without the flag":  put32(put32(put32(good, rec(0, 36), 1), rec(1, 28), 1), rec(1, 36), 1),
 		"lengths beyond the section":     put32(good, rec(0, 36), 0xffff),
-		"lengths shifted between lists":  put32(put32(good, rec(0, 36), 3), rec(1, 36), 0),
 		"unknown flag bit":               append(append([]byte(nil), good[:rec(0, 41)]...), append([]byte{0x80 | flagStack}, good[rec(0, 42):]...)...),
-		"LBR length without the flag":    append(append([]byte(nil), good[:rec(1, 41)]...), append([]byte{flagRegs}, good[rec(1, 42):]...)...),
+		"flag bit 4":                     append(append([]byte(nil), good[:rec(1, 41)]...), append([]byte{4 | flagRegs}, good[rec(1, 42):]...)...),
+		"non-zero reserved word":         put32(good, rec(1, 36), 1<<16),
 		"empty input":                    nil,
 		"header only, count of one":      put32(good[:sampleHeader], 8, 1),
 		"header only, side word":         put32(put32(good[:sampleHeader], 8, 0), 16, 1),

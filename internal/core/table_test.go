@@ -145,12 +145,6 @@ func randomSamples(rng *xrand.Rand, d *Dictionary, nm *NativeMap, n int) []Sampl
 				s.Stack = append(s.Stack, rng.Intn(len(nm.Region)+2))
 			}
 		}
-		if rng.Intn(4) == 0 {
-			s.HasLBR = true
-			for k := rng.Intn(4); k > 0; k-- {
-				s.LBR = append(s.LBR, vm.BranchRecord{IP: rng.Intn(len(nm.Region) + 2), Taken: rng.Intn(2) == 0})
-			}
-		}
 	}
 	return out
 }

@@ -218,9 +218,6 @@ func TestHistoryCapacityCap(t *testing.T) {
 	if _, ok := h.Lookup(hot); !ok {
 		t.Fatalf("hot entry evicted despite constant touches")
 	}
-	if n := h.Touches(hot); n < 100 {
-		t.Fatalf("hot touches = %d, want >= 100", n)
-	}
 	// The earliest churn entries must be gone; the latest resident.
 	if _, ok := h.Lookup("churn-expression-0"); ok {
 		t.Fatalf("oldest churn entry still resident past the cap")

@@ -33,9 +33,8 @@ const DefaultHistoryCap = 4096
 
 // histEntry is one LRU-tracked observation.
 type histEntry struct {
-	fp      uint64
-	rows    float64
-	touches uint64 // Observe count — the admission heat signal
+	fp   uint64
+	rows float64
 }
 
 // History is the observed-cardinality cache: canonical plan-expression
@@ -79,7 +78,6 @@ func (h *History) Observe(canon string, rows int64) bool {
 	if el, ok := h.m[fp]; ok {
 		e := el.Value.(*histEntry)
 		h.lru.MoveToFront(el)
-		e.touches++
 		old := e.rows
 		e.rows = old*(1-ewmaAlpha) + float64(rows)*ewmaAlpha
 		rel := (e.rows - old) / old
@@ -92,7 +90,7 @@ func (h *History) Observe(canon string, rows int64) bool {
 		}
 		return false
 	}
-	h.m[fp] = h.lru.PushFront(&histEntry{fp: fp, rows: float64(rows), touches: 1})
+	h.m[fp] = h.lru.PushFront(&histEntry{fp: fp, rows: float64(rows)})
 	for len(h.m) > h.cap {
 		back := h.lru.Back()
 		h.lru.Remove(back)
@@ -114,19 +112,6 @@ func (h *History) Lookup(canon string) (float64, bool) {
 	}
 	h.lru.MoveToFront(el)
 	return el.Value.(*histEntry).rows, true
-}
-
-// Touches returns how many times a plan expression has been observed —
-// the heat signal the materialized-view admission policy reads.
-func (h *History) Touches(canon string) uint64 {
-	fp := sqlparse.Hash64(canon)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	el, ok := h.m[fp]
-	if !ok {
-		return 0
-	}
-	return el.Value.(*histEntry).touches
 }
 
 // Len returns the number of remembered plan expressions.

@@ -113,46 +113,56 @@ func partitionsOf(cq *Compiled) []int64 {
 }
 
 // TestAdaptRecompileIsTheMissCompile: one cache key, one build. Adapt's
-// guided recompile makes the cost model's decisions exactly as the cache
-// miss that compiled the statement did — the same partition count per hash
-// table and the same shard decision — so the tuned artifact Adapt may cache
-// under the key's next generation differs from the miss compile only by
-// the profile.
+// guided recompile makes the cost model's decisions exactly as the
+// compile that prepared the statement did — the same partition count per
+// hash table and the same shard decision — so the tuned artifact Adapt
+// may cache under the key's next generation differs from the miss compile
+// only by the profile. A statement prepare cannot parameterize (a literal
+// inside ORDER BY is not lifted) takes the uncached text fallback, which
+// builds the same way.
 func TestAdaptRecompileIsTheMissCompile(t *testing.T) {
 	cat := testCatalog(t)
-	const sql = "select l_returnflag, count(*) from lineitem group by l_returnflag"
-	for _, shards := range []int{0, 4} {
-		opts := DefaultOptions()
-		opts.Shards, opts.ShardPruning = shards, shards >= 1
-		se := NewService(cat, opts, 0).NewSession()
-		miss, err := se.Prepare(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if miss.CacheHit || miss.Fallback {
-			t.Fatalf("shards=%d: the first prepare must be a cached miss compile", shards)
-		}
-		static, err := (&Compiler{Cat: cat, Opts: opts}).CompilePlanGuided(miss.Compiled.Plan, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := partitionsOf(miss.Compiled)
-		if slices.Equal(want, partitionsOf(static)) {
-			t.Fatalf("shards=%d: the cost model kept the static partitions %v; pick a statement it decides on", shards, want)
-		}
-		if (miss.Compiled.Shard != nil) != (shards >= 1) {
-			t.Fatalf("shards=%d: miss compile carries shard decision %+v", shards, miss.Compiled.Shard)
-		}
+	for _, c := range []struct {
+		sql      string
+		fallback bool
+	}{
+		{"select l_returnflag, count(*) from lineitem group by l_returnflag", false},
+		{"select l_quantity * 2, sum(l_quantity) from lineitem group by l_quantity * 2 order by l_quantity * 2 desc limit 4", true},
+	} {
+		for _, shards := range []int{0, 4} {
+			opts := DefaultOptions()
+			opts.Shards, opts.ShardPruning = shards, shards >= 1
+			se := NewService(cat, opts, 0).NewSession()
+			miss, err := se.Prepare(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if miss.CacheHit || miss.Fallback != c.fallback {
+				t.Fatalf("shards=%d, %s: first prepare has CacheHit %v, Fallback %v; want a miss compile, Fallback %v",
+					shards, c.sql, miss.CacheHit, miss.Fallback, c.fallback)
+			}
+			static, err := (&Compiler{Cat: cat, Opts: opts}).CompilePlanGuided(miss.Compiled.Plan, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := partitionsOf(miss.Compiled)
+			if slices.Equal(want, partitionsOf(static)) {
+				t.Fatalf("shards=%d, %s: the cost model kept the static partitions %v; pick a statement it decides on", shards, c.sql, want)
+			}
+			if (miss.Compiled.Shard != nil) != (shards >= 1) {
+				t.Fatalf("shards=%d, %s: miss compile carries shard decision %+v", shards, c.sql, miss.Compiled.Shard)
+			}
 
-		ar, err := se.Adapt(sql, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := partitionsOf(ar.Recompiled); !slices.Equal(got, want) {
-			t.Errorf("shards=%d: guided recompile has partitions %v, the miss compile %v", shards, got, want)
-		}
-		if !reflect.DeepEqual(ar.Recompiled.Shard, miss.Compiled.Shard) {
-			t.Errorf("shards=%d: guided recompile has shard decision %+v, the miss compile %+v", shards, ar.Recompiled.Shard, miss.Compiled.Shard)
+			ar, err := se.Adapt(c.sql, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := partitionsOf(ar.Recompiled); !slices.Equal(got, want) {
+				t.Errorf("shards=%d, %s: guided recompile has partitions %v, the miss compile %v", shards, c.sql, got, want)
+			}
+			if !reflect.DeepEqual(ar.Recompiled.Shard, miss.Compiled.Shard) {
+				t.Errorf("shards=%d, %s: guided recompile has shard decision %+v, the miss compile %+v", shards, c.sql, ar.Recompiled.Shard, miss.Compiled.Shard)
+			}
 		}
 	}
 }

@@ -706,10 +706,6 @@ type Result struct {
 	Samples []core.Sample
 	Profile *core.Profile
 
-	// WorkerSamples holds each core's private sample buffer before the
-	// merge (parallel runs with sampling; index 0 is the coordinator).
-	WorkerSamples [][]core.Sample
-
 	// Shards is the effective shard count of a cross-shard run (0 for
 	// unsharded execution).
 	Shards int

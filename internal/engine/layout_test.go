@@ -193,7 +193,7 @@ func TestHashTableRegionSizes(t *testing.T) {
 
 // TestOneCorePathStaysInPrefix: a one-core run addresses nothing at or
 // above mergeBase. Every suite and SQL statement runs serially on a machine
-// of the full heap size — unprofiled, sampled with registers and LBR, three
+// of the full heap size — unprofiled, sampled with registers, three
 // iterations, with tuple counters — and must leave the merge area zero and
 // equal the run on the one-core machine in rows, statistics, clock,
 // samples and every prefix byte.
@@ -208,7 +208,7 @@ func TestOneCorePathStaysInPrefix(t *testing.T) {
 		n    int
 	}{
 		{"unprofiled", DefaultOptions(), nil, 1},
-		{"cycles-regs-lbr", DefaultOptions(), pgoSampling(), 1},
+		{"cycles-regs", DefaultOptions(), pgoSampling(), 1},
 		{"iterations3", DefaultOptions(), nil, 3},
 		{"tuple-counters", counters, nil, 1},
 	}

@@ -407,42 +407,6 @@ func TestMViewQCacheKeyContract(t *testing.T) {
 	}
 }
 
-// TestMViewAutoAdmissionThroughService drives heat-based admission end
-// to end: a hot summarizable family crosses the threshold, a
-// generalizing view appears, and the family starts rewriting.
-func TestMViewAutoAdmissionThroughService(t *testing.T) {
-	r := xrand.New(0x60a1)
-	cat := mviewCatalog(r, 6000)
-	svc := NewService(cat, Options{}, 0)
-	svc.Views().SetAutoAdmit(4, 1)
-	se := svc.NewSession()
-	family := func(lo int64) string {
-		return fmt.Sprintf("select b, sum(v) as s from m where b >= %d and b <= %d group by b order by b", lo, lo+5)
-	}
-	sawRewrite := false
-	for i := int64(0); i < 10; i++ {
-		p, err := se.Prepare(family(i % 6))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := se.Run(p, nil); err != nil {
-			t.Fatal(err)
-		}
-		if p.Rewrite != nil {
-			sawRewrite = true
-		}
-	}
-	if svc.Views().Len() != 1 {
-		t.Fatalf("auto admission created %d views, want 1", svc.Views().Len())
-	}
-	if !sawRewrite {
-		t.Fatal("the hot family never rewrote after admission")
-	}
-	if se.Stats().Rewrites == 0 {
-		t.Fatal("session stats must count the rewrites")
-	}
-}
-
 // TestMViewRefreshAcrossCapacityClass: the rewriter's incremental
 // refresh may push the view table past its reserved row capacity, which
 // bumps the catalog version in the middle of prepare. The cache key must

@@ -239,11 +239,11 @@ func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 		Shards: shards, ShardStates: shardStates, Skips: skips,
 	}
 	if r.pmu != nil {
-		res.WorkerSamples = [][]core.Sample{r.pmu.Samples()}
+		bufs := [][]core.Sample{r.pmu.Samples()}
 		for _, w := range ws {
-			res.WorkerSamples = append(res.WorkerSamples, w.pmu.Samples())
+			bufs = append(bufs, w.pmu.Samples())
 		}
-		res.Samples = core.MergeSamples(res.WorkerSamples...)
+		res.Samples = core.MergeSamples(bufs...)
 	}
 	return r.finish(res), nil
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"maps"
 	"math"
 	"testing"
 
@@ -230,9 +231,9 @@ func TestParallelProfileNearSerial(t *testing.T) {
 	}
 }
 
-// TestParallelWorkerStamping: per-worker buffers arrive stamped with the
-// recording core's ID, survive the merge, and show up in the profile's
-// per-worker breakdown.
+// TestParallelWorkerStamping: merged samples carry the recording core's ID
+// (coordinator 0, workers 1..4), and the per-worker counts are the
+// profile's per-worker breakdown.
 func TestParallelWorkerStamping(t *testing.T) {
 	e := parallelEngine(t, 4)
 	w, _ := queries.ByName("fig9")
@@ -244,34 +245,24 @@ func TestParallelWorkerStamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.WorkerSamples) != 5 { // coordinator + 4 workers
-		t.Fatalf("WorkerSamples buffers = %d, want 5", len(res.WorkerSamples))
-	}
-	for id, buf := range res.WorkerSamples {
-		for _, s := range buf {
-			if s.Worker != id {
-				t.Fatalf("buffer %d contains sample stamped worker %d", id, s.Worker)
-			}
+	counts := map[int]float64{}
+	for _, s := range res.Samples {
+		if s.Worker < 0 || s.Worker > 4 {
+			t.Fatalf("sample stamped with unknown worker %d", s.Worker)
 		}
+		counts[s.Worker]++
+	}
+	if !maps.Equal(counts, res.Profile.ByWorker) {
+		t.Fatalf("per-worker sample counts %v, profile's ByWorker %v", counts, res.Profile.ByWorker)
 	}
 	busy := 0
-	for id, n := range res.Profile.ByWorker {
-		if id < 0 || id > 4 {
-			t.Fatalf("sample from unknown worker %d", id)
-		}
+	for id, n := range counts {
 		if id > 0 && n > 0 {
 			busy++
 		}
 	}
 	if busy < 2 {
 		t.Fatalf("only %d workers recorded samples", busy)
-	}
-	total := 0
-	for _, buf := range res.WorkerSamples {
-		total += len(buf)
-	}
-	if total != len(res.Samples) {
-		t.Fatalf("merged %d samples from %d buffered", len(res.Samples), total)
 	}
 }
 

@@ -32,11 +32,11 @@ var sessionConfigs = []struct {
 	{"workers2-shards2-pruning", func(se *Session) { se.SetWorkers(2); se.SetShards(2); se.SetShardPruning(true) }},
 }
 
-// pgoSampling is cycles sampling with registers and LBR in every record.
+// pgoSampling is the PGO sampling (cycles, timestamps and registers) at a
+// shorter period.
 func pgoSampling() *pmu.Config {
 	c := DefaultPGOSampling()
 	c.Period = 1500
-	c.Format.LBR = true
 	return &c
 }
 

@@ -110,10 +110,10 @@ func (s *Service) estimator() plan.Estimator {
 
 // compile builds pl under opts (guided by hot when non-nil) with the cost
 // model's per-statement knobs (decide); the shard decision rides on the
-// artifact, read by every executing session. A cache miss, Adapt's guided
-// recompile and the tuple-counter twin all compile here, so a guided
-// artifact differs from the miss compile of its key only by the profile.
-// Only prepare's uncached text fallback compiles with the static knobs.
+// artifact, read by every executing session. A cache miss, prepare's
+// uncached text fallback, Adapt's guided recompile and the tuple-counter
+// twin all compile here, so a guided artifact differs from the miss
+// compile of its statement only by the profile.
 func (s *Service) compile(pl *plan.Output, hot map[int]float64, opts Options) (*Compiled, error) {
 	var shard *ShardDecision
 	opts.Partitions, shard = decide(pl, opts)
@@ -123,6 +123,21 @@ func (s *Service) compile(pl *plan.Output, hot map[int]float64, opts Options) (*
 	}
 	cq.Shard = shard
 	return cq, nil
+}
+
+// compileText builds a statement's original text as a cache miss builds
+// its fingerprint: planned under the service's estimator, compiled with
+// the cost model's knobs.
+func (s *Service) compileText(sql string) (*Compiled, error) {
+	q, err := sqlparse.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	pl, err := plan.PlanWith(s.cat, q, s.estimator())
+	if err != nil {
+		return nil, err
+	}
+	return s.compile(pl, nil, s.opts)
 }
 
 // decide is the cost model's per-statement physical decision for a plan:
@@ -460,7 +475,7 @@ func (s *Service) prepareNormalized(sql string, fp *sqlparse.Fingerprint, allowR
 		// messages match the classic path exactly; if that also fails,
 		// the direct error is the one the user should see (it names the
 		// original literals, not $N placeholders).
-		direct, derr := (&Compiler{Cat: s.cat, Opts: s.opts}).CompileSQL(sql)
+		direct, derr := s.compileText(sql)
 		if derr != nil {
 			return nil, derr
 		}
@@ -470,13 +485,6 @@ func (s *Service) prepareNormalized(sql string, fp *sqlparse.Fingerprint, allowR
 	p := &Prepared{Compiled: cq, CacheHit: hit, Canon: fp.Canon, Fingerprint: fp.Hash, key: key, fp: fp}
 	if rw != nil {
 		p.Rewrite = &RewriteInfo{View: rw.View, Base: rw.Base, SQL: rw.SQL, Orig: sql, orig: orig}
-	} else if allowRewrite && s.views.AutoEnabled() {
-		// Heat-based admission: a summarizable statement that missed the
-		// rewriter accumulates heat — its own miss count plus the
-		// cardinality history's touch count for its plan (the profile
-		// signal Adapt feeds). Crossing the threshold admits a
-		// generalizing view automatically.
-		s.views.NoteHeat(fp, s.history.Touches(plan.Canon(cq.Plan)))
 	}
 	if len(cq.Plan.Params) > 0 || len(fp.Args) > 0 {
 		vals, err := EncodeParams(cq.Plan.Params, fp.Args)

@@ -99,10 +99,10 @@ type Info struct {
 // coverage.
 func (i Info) Stale() bool { return i.BaseRows > i.Covered }
 
-// Manager owns a catalog's materialized views: creation (manual and
-// heat-admitted), refresh, subsumption rewriting, and the consistency
-// ledger executions check snapshots against. One Manager serves one
-// engine Service; all methods are safe for concurrent use.
+// Manager owns a catalog's materialized views: creation, refresh,
+// subsumption rewriting, and the consistency ledger executions check
+// snapshots against. One Manager serves one engine Service; all methods
+// are safe for concurrent use.
 type Manager struct {
 	cat *catalog.Catalog
 
@@ -120,11 +120,6 @@ type Manager struct {
 	// NOT on refresh (refreshes append rows; compiled artifacts remain
 	// valid and snapshot pairing handles freshness).
 	gen atomic.Uint64
-
-	// Heat-based auto-admission (off unless SetAutoAdmit enables it).
-	heat          map[uint64]uint64 // fingerprint hash → misses seen
-	autoThreshold uint64
-	autoBudget    int
 
 	// costGate caches the plan-cost verdict per (query canon, view):
 	// true = the rewritten plan is cheaper, serve it. Verdicts are
@@ -145,7 +140,6 @@ func NewManager(cat *catalog.Catalog) *Manager {
 	return &Manager{
 		cat:      cat,
 		views:    map[string]*View{},
-		heat:     map[uint64]uint64{},
 		costGate: map[[2]uint64]bool{},
 	}
 }
@@ -164,17 +158,6 @@ func (m *Manager) Fallbacks() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.fallbacks
-}
-
-// SetAutoAdmit enables heat-based admission: after a summarizable
-// aggregate statement misses the rewriter `threshold` times, a view
-// generalizing it is created automatically, up to `budget` views.
-// threshold 0 disables (the default).
-func (m *Manager) SetAutoAdmit(threshold uint64, budget int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.autoThreshold = threshold
-	m.autoBudget = budget
 }
 
 // Names returns the registered view names in registration order.
@@ -227,16 +210,9 @@ func (m *Manager) Create(name, defSQL string, policy RefreshPolicy) (*View, erro
 	if err != nil {
 		return nil, fmt.Errorf("mview: %w", err)
 	}
-	return m.create(name, defSQL, fp, policy)
-}
-
-// create is Create behind the front end: heat-based admission enters here
-// with a definition it built as an AST. text is the definition as errors
-// should show it.
-func (m *Manager) create(name, text string, fp *sqlparse.Fingerprint, policy RefreshPolicy) (*View, error) {
 	def, ok := Summarize(fp, m.cat)
 	if !ok {
-		return nil, fmt.Errorf("mview: definition is not a summarizable single-table aggregate: %s", text)
+		return nil, fmt.Errorf("mview: definition is not a summarizable single-table aggregate: %s", defSQL)
 	}
 	if len(def.OrderBy) > 0 || def.Limit >= 0 {
 		return nil, fmt.Errorf("mview: view definitions cannot carry ORDER BY or LIMIT")

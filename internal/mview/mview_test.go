@@ -1,7 +1,6 @@
 package mview
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -373,43 +372,6 @@ func TestLazyViewStopsMatchingWhenStale(t *testing.T) {
 	}
 	if _, ok := rewriteSQL(t, m, q); !ok {
 		t.Fatal("refreshed lazy view must serve again")
-	}
-}
-
-func TestAutoAdmission(t *testing.T) {
-	c := mvCatalog(t, 4000)
-	m := NewManager(c)
-	m.SetAutoAdmit(3, 1)
-	if !m.AutoEnabled() {
-		t.Fatal("auto admission should be on")
-	}
-	q := "select id, sum(price) as r from sales where id >= 1 and id <= 4 group by id order by id"
-	fp, _ := sqlparse.Normalize(q)
-	for i := 0; i < 3; i++ {
-		if _, ok := m.Rewrite(fp); ok {
-			t.Fatalf("iteration %d: no view exists yet", i)
-		}
-		m.NoteHeat(fp, 0)
-	}
-	if m.Len() != 1 {
-		t.Fatalf("threshold reached: want 1 auto view, have %d", m.Len())
-	}
-	// The generalized view answers the whole family: same shape,
-	// different constants.
-	for lo := int64(0); lo < 5; lo++ {
-		fam := fmt.Sprintf("select id, sum(price) as r from sales where id >= %d and id <= %d group by id order by id", lo, lo+4)
-		if _, ok := rewriteSQL(t, m, fam); !ok {
-			t.Fatalf("family member lo=%d must rewrite onto the auto view", lo)
-		}
-	}
-	// Budget exhausted: a different hot family does not admit another.
-	q2 := "select category, count(*) as n from sales group by category order by category"
-	fp2, _ := sqlparse.Normalize(q2)
-	for i := 0; i < 5; i++ {
-		m.NoteHeat(fp2, 0)
-	}
-	if m.Len() != 1 {
-		t.Fatalf("budget 1: want 1 view, have %d", m.Len())
 	}
 }
 

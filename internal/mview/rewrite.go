@@ -1,7 +1,6 @@
 package mview
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -283,74 +282,4 @@ func (m *Manager) costGateOK(fp *sqlparse.Fingerprint, v *View, rfp *sqlparse.Fi
 	}()
 	m.costGate[key] = verdict
 	return verdict
-}
-
-// AutoEnabled reports whether heat-based admission is on — the engine's
-// cheap guard before computing the plan-canon heat signal.
-func (m *Manager) AutoEnabled() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.autoThreshold > 0 && m.autoBudget > 0
-}
-
-// NoteHeat records a rewriter miss for a summarizable statement, folds
-// in the cardinality-history touch count for its plan (the cost.History
-// heat signal), and auto-admits a generalizing view once the combined
-// heat crosses the threshold. The admitted view drops the statement's
-// predicates and instead promotes the predicated columns to group keys,
-// so the whole query family (same shape, different constants) lands on
-// it via residual predicates.
-func (m *Manager) NoteHeat(fp *sqlparse.Fingerprint, histTouches uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.autoThreshold == 0 || m.autoBudget <= 0 {
-		return
-	}
-	m.heat[fp.Hash]++
-	if m.heat[fp.Hash]+histTouches < m.autoThreshold {
-		return
-	}
-	qs, ok := Summarize(fp, m.cat)
-	if !ok {
-		delete(m.heat, fp.Hash) // never admittable; stop counting
-		return
-	}
-	name := fmt.Sprintf("auto_%x", fp.Hash)
-	if _, dup := m.views[name]; dup {
-		delete(m.heat, fp.Hash)
-		return
-	}
-	// create takes the manager lock itself; release around it.
-	m.autoBudget--
-	delete(m.heat, fp.Hash)
-	m.mu.Unlock()
-	def := sqlparse.NormalizeQuery(generalize(qs))
-	_, cerr := m.create(name, def.Canon, def, RefreshIncremental)
-	m.mu.Lock()
-	if cerr != nil {
-		m.autoBudget++
-	}
-}
-
-// generalize builds the admitted view definition for a hot statement:
-// group keys = the statement's keys plus its predicated columns (sorted
-// for determinism), no predicates, the statement's aggregates. It
-// consumes qs: the aggregate arguments become the definition's.
-func generalize(qs *Summary) *plan.Query {
-	keys := append([]string(nil), qs.Keys...)
-	for c := range qs.Preds {
-		if !qs.hasKey(c) {
-			keys = append(keys, c)
-		}
-	}
-	sort.Strings(keys[len(qs.Keys):])
-	def := &plan.Query{Tables: []plan.TableRef{{Name: qs.Table}}, Limit: -1}
-	for _, k := range keys {
-		def.Select = append(def.Select, plan.SelectItem{Expr: &plan.ColRef{Name: k}})
-		def.GroupBy = append(def.GroupBy, &plan.ColRef{Name: k})
-	}
-	for _, a := range qs.Aggs {
-		def.Select = append(def.Select, plan.SelectItem{Expr: &plan.Agg{Fn: a.Fn, Arg: a.Arg}})
-	}
-	return def
 }

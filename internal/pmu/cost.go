@@ -25,8 +25,4 @@ const (
 	CostCallStackRecord = 26000
 	// CostPerFrame is added per call-stack frame walked.
 	CostPerFrame = 150
-	// CostLBRCapture is the extra cost of dumping the last-branch-record
-	// ring into a sample (like PEBS + LBR on x86: a modest addition, the
-	// ring is hardware-maintained).
-	CostLBRCapture = 120
 )

@@ -28,9 +28,6 @@ type Format struct {
 	Timestamp bool
 	Registers bool
 	CallStack bool
-	// LBR captures the CPU's last-branch-record ring with each sample
-	// (conditional branches and their outcomes).
-	LBR bool
 }
 
 // Standard formats used throughout the experiments.
@@ -53,9 +50,6 @@ func RecordBytes(f Format) int {
 	}
 	if f.CallStack {
 		n += 249 // call-stack frames (paper: 265 B total)
-	}
-	if f.LBR {
-		n += 9 * vm.LBRDepth // (ip, outcome) per LBR slot
 	}
 	return n
 }
@@ -170,11 +164,6 @@ func (p *PMU) Sample(c *vm.CPU, ev vm.Event, addr int64) uint64 {
 			s.Tag = c.Regs[p.cfg.TagReg] // captured with the register file
 			s.HasRegs = true
 			cost += CostRegisterCapture
-		}
-		if p.cfg.Format.LBR {
-			s.LBR = c.LBRSnapshot()
-			s.HasLBR = true
-			cost += CostLBRCapture
 		}
 		p.buffered++
 		if p.buffered >= p.cfg.BufferSamples {

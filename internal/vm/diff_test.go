@@ -28,7 +28,6 @@ type machine interface {
 	TSC() uint64
 	CallStack() []int
 	LastAddr() int64
-	LBRSnapshot() []BranchRecord
 }
 
 // observed is the state of a CPU as a hook or a caller sees it.
@@ -38,7 +37,6 @@ type observed struct {
 	LastAddr int64
 	Regs     [isa.NumRegs]int64
 	Stack    []int
-	LBR      []BranchRecord
 	Stats    Stats
 }
 
@@ -85,7 +83,7 @@ func (h refHook) Sample(_ *refCPU, ev Event, addr int64) uint64 { return h.sampl
 func observe(m machine, regs *[isa.NumRegs]int64, st *Stats) observed {
 	return observed{
 		IP: m.IP(), TSC: m.TSC(), LastAddr: m.LastAddr(), Regs: *regs,
-		Stack: append([]int{}, m.CallStack()...), LBR: m.LBRSnapshot(), Stats: *st,
+		Stack: append([]int{}, m.CallStack()...), Stats: *st,
 	}
 }
 

@@ -46,15 +46,6 @@ type refCPU struct {
 	jitterRNG  uint64
 
 	lastAddr int64 // address of the in-flight memory access, for samples
-
-	// Last Branch Record: a small hardware ring of the most recently
-	// retired conditional branches (ip, outcome), the x86 LBR facility.
-	// The PMU can include a snapshot in each sample, which is how a
-	// profile learns per-branch taken fractions for profile-guided
-	// branch-sense decisions.
-	lbr    [LBRDepth]BranchRecord
-	lbrPos int
-	lbrLen int
 }
 
 // newRefCPU creates a reference CPU with the given heap size in bytes.
@@ -75,7 +66,6 @@ func (c *refCPU) Load(p *isa.Program) {
 	c.halted = false
 	c.callStack = c.callStack[:0]
 	c.Stats = Stats{}
-	c.lbrPos, c.lbrLen = 0, 0
 	for i := range c.Regs {
 		c.Regs[i] = 0
 	}
@@ -429,26 +419,8 @@ func (c *refCPU) noteAccess(lvl int) {
 	}
 }
 
-// LBRSnapshot copies the last-branch-record ring, oldest entry first.
-func (c *refCPU) LBRSnapshot() []BranchRecord {
-	out := make([]BranchRecord, 0, c.lbrLen)
-	start := c.lbrPos - c.lbrLen
-	if start < 0 {
-		start += LBRDepth
-	}
-	for i := 0; i < c.lbrLen; i++ {
-		out = append(out, c.lbr[(start+i)%LBRDepth])
-	}
-	return out
-}
-
 func (c *refCPU) branchCost(ip int, taken bool) uint64 {
 	c.Stats.Branches++
-	c.lbr[c.lbrPos] = BranchRecord{IP: ip, Taken: taken}
-	c.lbrPos = (c.lbrPos + 1) % LBRDepth
-	if c.lbrLen < LBRDepth {
-		c.lbrLen++
-	}
 	if c.bp.Predict(ip, taken) {
 		return CostBranch
 	}

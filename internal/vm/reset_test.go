@@ -12,9 +12,9 @@ import (
 
 // dirty leaves no field of c as New built it: a program that stores over
 // half a MiB twice (DRAM, then L3), loads 128 KiB twice (L2) and a line
-// twice (L1), mispredicts its loop branches, fills the LBR, runs under a
-// jittered load-event hook and traps inside a call; then the three fields
-// no program ending in a trap can reach are set by hand. c's heap must hold
+// twice (L1), mispredicts its loop branches, runs under a jittered
+// load-event hook and traps inside a call; then the three fields no
+// program ending in a trap can reach are set by hand. c's heap must hold
 // 1 MiB; the cache model's L3 is the line bitmap up to 8 MiB and tags
 // beyond.
 func dirty(t testing.TB, c *CPU) {

@@ -145,31 +145,12 @@ type CPU struct {
 
 	lastAddr int64 // address of the in-flight memory access, for samples
 
-	// Last Branch Record: a small hardware ring of the most recently
-	// retired conditional branches (ip, outcome), the x86 LBR facility.
-	// The PMU can include a snapshot in each sample, which is how a
-	// profile learns per-branch taken fractions for profile-guided
-	// branch-sense decisions.
-	lbr    [LBRDepth]BranchRecord
-	lbrPos int
-	lbrLen int
-
 	// The microarchitectural models sit by value behind every other
 	// field: one allocation builds the CPU beside its heap and what the
 	// cache model sizes for it (see Hierarchy), and the garbage collector
 	// stops scanning it before the tag arrays.
 	caches Hierarchy
 	bp     BranchPredictor
-}
-
-// LBRDepth is the capacity of the last-branch-record ring (x86: 16-32).
-const LBRDepth = 16
-
-// BranchRecord is one LBR entry: a retired conditional branch and whether
-// it was taken.
-type BranchRecord struct {
-	IP    int
-	Taken bool
 }
 
 // New creates a CPU with the given heap size in bytes. It panics if the
@@ -315,7 +296,6 @@ func (c *CPU) Load(p *isa.Program) {
 	c.halted = false
 	c.callStack = c.callStack[:0]
 	c.Stats = Stats{}
-	c.lbrPos, c.lbrLen = 0, 0
 	for i := range c.Regs {
 		c.Regs[i] = 0
 	}
@@ -427,9 +407,6 @@ func (c *CPU) IP() int { return c.ip }
 // TSC returns the timestamp counter in cycles.
 func (c *CPU) TSC() uint64 { return c.tsc }
 
-// TSCNanos converts a cycle count to nanoseconds at the CPU frequency.
-func (c *CPU) TSCNanos(cycles uint64) float64 { return float64(cycles) / c.FreqGHz }
-
 // CallStack returns the current return-address stack (innermost last).
 // The returned slice aliases internal state; callers must copy it if they
 // retain it (the PMU does).
@@ -463,8 +440,7 @@ type regFile [1 << 8]int64
 
 // sample delivers one overflow of the armed counter: it draws the next
 // interval, publishes the state the hook may inspect — IP of the sampled
-// instruction, TSC, registers and the running totals; call stack, LBR, last
-// address and the other counters are kept in the CPU as the loop goes —
+// instruction, TSC, registers and the running totals; call stack, last address and the other counters are kept in the CPU as the loop goes —
 // charges what the hook asks for and returns the new TSC. The hook must not
 // modify the CPU.
 func (c *CPU) sample(addr int64, ip int, tsc, instrs uint64, r *regFile) uint64 {
@@ -696,11 +672,6 @@ loop:
 				next = in.target
 			}
 			c.Stats.Branches++
-			c.lbr[c.lbrPos] = BranchRecord{IP: ip, Taken: taken}
-			c.lbrPos = (c.lbrPos + 1) & (LBRDepth - 1)
-			if c.lbrLen < LBRDepth {
-				c.lbrLen++
-			}
 			cost = CostBranch
 			if !c.bp.Predict(ip, taken) {
 				cost += CostBranchMiss
@@ -778,19 +749,6 @@ func (c *CPU) noteAccess(lvl int) {
 	default:
 		c.Stats.MemAccesses++
 	}
-}
-
-// LBRSnapshot copies the last-branch-record ring, oldest entry first.
-func (c *CPU) LBRSnapshot() []BranchRecord {
-	out := make([]BranchRecord, 0, c.lbrLen)
-	start := c.lbrPos - c.lbrLen
-	if start < 0 {
-		start += LBRDepth
-	}
-	for i := 0; i < c.lbrLen; i++ {
-		out = append(out, c.lbr[(start+i)%LBRDepth])
-	}
-	return out
 }
 
 func b2i(b bool) int64 {
