@@ -13,8 +13,8 @@
 // against the interpreted reference executor, -serve to drive a batch of
 // statements from stdin across -sessions concurrent sessions and report
 // cache traffic plus the compile-vs-execute time split. With -shards N
-// scans run through the cross-shard coordinator (the cost model may trim
-// the count per statement); -shardprune=false disables zone pruning, and
+// scans run through the cross-shard coordinator as N zone-aligned shards
+// (at most one per zone); -shardprune=false disables zone pruning, and
 // -analyze then also prints the per-shard pruning summary — which zones
 // were proven unnecessary and why.
 //

@@ -127,9 +127,6 @@ type Stats struct {
 	Distinct int // estimate, capped
 }
 
-// ComputeStats scans the column.
-func (c *Column) ComputeStats() Stats { return computeStats(c.Data, c.Unique) }
-
 func computeStats(data []int64, unique bool) Stats {
 	s := Stats{}
 	if len(data) == 0 {

@@ -286,11 +286,9 @@ func (v *TableView) ColByName(name string) []int64 {
 // the immutable prefix).
 func (v *TableView) Zones() []Zone { return v.Table.zc.zonesFor(v) }
 
-// Shards partitions the view into n contiguous zone-aligned shards, the
-// epoch-resolved analogue of Table.Shards.
-func (v *TableView) Shards(n int) []Shard {
-	return shardsOf(v.Table, v.Zones(), v.cols, int64(v.Rows), n)
-}
+// Shards partitions the view's rows into n contiguous zone-aligned shards
+// (see shardsOf).
+func (v *TableView) Shards(n int) []Shard { return shardsOf(v.Zones(), n) }
 
 // Snapshot is an epoch-stamped, immutable view of every table: what one
 // execution binds against. Concurrent appends land in rows the snapshot
@@ -317,12 +315,3 @@ func (c *Catalog) Snapshot() *Snapshot {
 // View returns the snapshot's view of a table, or nil if the table was
 // registered after the snapshot was taken.
 func (s *Snapshot) View(name string) *TableView { return s.views[name] }
-
-// TableRows returns the snapshot's visible row count per table.
-func (s *Snapshot) TableRows() map[string]int64 {
-	out := make(map[string]int64, len(s.views))
-	for name, v := range s.views {
-		out[name] = int64(v.Rows)
-	}
-	return out
-}

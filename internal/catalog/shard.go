@@ -14,9 +14,8 @@ import "sync"
 // those zones are grouped into 1, 2, 4, or 8 shards.
 //
 // A shard is a contiguous, zone-aligned group of rows: shard k of n covers
-// zones [k*Z/n, (k+1)*Z/n). Shards carry per-shard column slices (views into
-// the table columns — no copying), folded min/max bounds, and row counts.
-// A shard is prunable wholesale exactly when all of its zones are pruned.
+// zones [k*Z/n, (k+1)*Z/n). A shard is only a row range and the zones it
+// owns; it is prunable wholesale exactly when all of its zones are pruned.
 
 // zoneRowsMin/zoneRowsMax clamp the per-table zone granularity.
 const (
@@ -58,13 +57,11 @@ type Zone struct {
 // Rows returns the number of rows the zone covers.
 func (z Zone) Rows() int64 { return z.Hi - z.Lo }
 
-// Shard is a contiguous zone-aligned row group with column-slice views.
+// Shard is a contiguous zone-aligned row group.
 type Shard struct {
 	ID     int
-	Lo, Hi int64     // row range [Lo, Hi)
-	Zones  []Zone    // the zones the shard owns (views into Table.Zones())
-	Cols   []*Column // per-shard column slices (Data windows, shared dicts)
-	Bounds []Bound   // per-column bounds folded over the shard's zones
+	Lo, Hi int64  // row range [Lo, Hi)
+	Zones  []Zone // the zones the shard owns (views into TableView.Zones())
 }
 
 // Rows returns the shard's row count.
@@ -124,11 +121,6 @@ func (zc *zoneCache) flush() {
 	zc.byRows = nil
 }
 
-// Zones returns the zone map of the table's current rows. The result is
-// shared — callers must not mutate it. Under streaming ingest prefer a
-// view's Zones (TableView.Zones), which pins the row count.
-func (t *Table) Zones() []Zone { return t.View().Zones() }
-
 func buildZones(cols [][]int64, n int64) []Zone {
 	if n == 0 {
 		return []Zone{}
@@ -159,50 +151,15 @@ func buildZones(cols [][]int64, n int64) []Zone {
 	return zones
 }
 
-// foldBounds folds per-zone bounds into one bound per column.
-func foldBounds(zones []Zone, ncols int) []Bound {
-	out := make([]Bound, ncols)
-	for i := range out {
-		out[i] = Bound{Min: 1, Max: 0} // empty
-	}
-	for _, z := range zones {
-		for ci, b := range z.Bounds {
-			if out[ci].Empty() {
-				out[ci] = b
-				continue
-			}
-			if b.Min < out[ci].Min {
-				out[ci].Min = b.Min
-			}
-			if b.Max > out[ci].Max {
-				out[ci].Max = b.Max
-			}
-		}
-	}
-	return out
-}
-
-// Shards partitions the table's current rows into n contiguous
-// zone-aligned shards. Shard k receives zones [k*Z/n, (k+1)*Z/n) — the
-// same arithmetic as morsel striping, so shard boundaries are a pure
-// function of (zone count, n). n <= 1 yields a single shard covering the
-// whole table. Every shard carries column Data slice views; no row data
-// is copied. Under streaming ingest prefer a view's Shards
-// (TableView.Shards), which pins the row count.
-func (t *Table) Shards(n int) []Shard { return t.View().Shards(n) }
-
-// shardsOf groups a zone map into n contiguous shards over the given
-// column prefixes (a TableView's, or the full table's).
-func shardsOf(t *Table, zones []Zone, cols [][]int64, rows int64, n int) []Shard {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(zones) && len(zones) > 0 {
-		n = len(zones)
-	}
+// shardsOf groups a zone map into n contiguous shards: shard k receives
+// zones [k*Z/n, (k+1)*Z/n) — the same arithmetic as morsel striping, so
+// shard boundaries are a pure function of (zone count, n). n <= 1 yields a
+// single shard covering every row, and n never exceeds the zone count.
+func shardsOf(zones []Zone, n int) []Shard {
 	if len(zones) == 0 {
-		return []Shard{makeShard(t, cols, 0, nil, 0, 0)}
+		return []Shard{{}}
 	}
+	n = min(max(n, 1), len(zones))
 	out := make([]Shard, 0, n)
 	z := len(zones)
 	for k := 0; k < n; k++ {
@@ -211,15 +168,7 @@ func shardsOf(t *Table, zones []Zone, cols [][]int64, rows int64, n int) []Shard
 			continue
 		}
 		group := zones[zlo:zhi]
-		out = append(out, makeShard(t, cols, len(out), group, group[0].Lo, group[len(group)-1].Hi))
+		out = append(out, Shard{ID: len(out), Lo: group[0].Lo, Hi: group[len(group)-1].Hi, Zones: group})
 	}
 	return out
-}
-
-func makeShard(t *Table, data [][]int64, id int, zones []Zone, lo, hi int64) Shard {
-	cols := make([]*Column, len(t.Cols))
-	for i, c := range t.Cols {
-		cols[i] = &Column{Name: c.Name, Type: c.Type, Data: data[i][lo:hi], Dict: c.Dict, Unique: c.Unique}
-	}
-	return Shard{ID: id, Lo: lo, Hi: hi, Zones: zones, Cols: cols, Bounds: foldBounds(zones, len(t.Cols))}
 }

@@ -25,7 +25,7 @@ func testTable(t *testing.T, rows int) *Table {
 func TestZonesTileTable(t *testing.T) {
 	for _, rows := range []int{0, 1, 255, 256, 257, 1024, 10000, 70000} {
 		tb := testTable(t, rows)
-		zones := tb.Zones()
+		zones := tb.View().Zones()
 		want := int64(0)
 		for i, z := range zones {
 			if z.Index != i {
@@ -47,7 +47,7 @@ func TestZonesTileTable(t *testing.T) {
 
 func TestZoneBoundsExact(t *testing.T) {
 	tb := testTable(t, 3000)
-	for _, z := range tb.Zones() {
+	for _, z := range tb.View().Zones() {
 		for ci, c := range tb.Cols {
 			min, max := c.Data[z.Lo], c.Data[z.Lo]
 			for _, v := range c.Data[z.Lo:z.Hi] {
@@ -68,9 +68,9 @@ func TestZoneBoundsExact(t *testing.T) {
 
 func TestShardsPartition(t *testing.T) {
 	tb := testTable(t, 10000)
-	zones := tb.Zones()
+	zones := tb.View().Zones()
 	for _, n := range []int{1, 2, 3, 4, 8, 16, 1000} {
-		shards := tb.Shards(n)
+		shards := tb.View().Shards(n)
 		rowCursor, zoneCount := int64(0), 0
 		for _, sh := range shards {
 			if sh.Lo != rowCursor {
@@ -80,22 +80,16 @@ func TestShardsPartition(t *testing.T) {
 				t.Fatalf("n=%d shard %d empty", n, sh.ID)
 			}
 			zoneCount += len(sh.Zones)
-			// Column slices window the right rows.
-			for ci, c := range sh.Cols {
-				if int64(len(c.Data)) != sh.Rows() {
-					t.Fatalf("n=%d shard %d col %d has %d rows, want %d", n, sh.ID, ci, len(c.Data), sh.Rows())
+			// The shard's zones tile exactly its row range.
+			zoneCursor := sh.Lo
+			for _, z := range sh.Zones {
+				if z.Lo != zoneCursor {
+					t.Fatalf("n=%d shard %d zone %d starts at %d, want %d", n, sh.ID, z.Index, z.Lo, zoneCursor)
 				}
-				if sh.Rows() > 0 && &c.Data[0] != &tb.Cols[ci].Data[sh.Lo] {
-					t.Fatalf("n=%d shard %d col %d is a copy, want a view", n, sh.ID, ci)
-				}
+				zoneCursor = z.Hi
 			}
-			// Folded bounds contain every zone bound.
-			for ci := range tb.Cols {
-				for _, z := range sh.Zones {
-					if z.Bounds[ci].Min < sh.Bounds[ci].Min || z.Bounds[ci].Max > sh.Bounds[ci].Max {
-						t.Fatalf("n=%d shard %d col %d bounds don't cover zone %d", n, sh.ID, ci, z.Index)
-					}
-				}
+			if zoneCursor != sh.Hi {
+				t.Fatalf("n=%d shard %d zones end at %d, shard at %d", n, sh.ID, zoneCursor, sh.Hi)
 			}
 			rowCursor = sh.Hi
 		}
@@ -112,10 +106,10 @@ func TestShardsPartition(t *testing.T) {
 // backs every n-way split.
 func TestZonesShardInvariant(t *testing.T) {
 	tb := testTable(t, 20000)
-	z1 := tb.Zones()
+	z1 := tb.View().Zones()
 	for _, n := range []int{1, 2, 4, 8} {
 		total := 0
-		for _, sh := range tb.Shards(n) {
+		for _, sh := range tb.View().Shards(n) {
 			for _, z := range sh.Zones {
 				if z.Lo != z1[z.Index].Lo || z.Hi != z1[z.Index].Hi {
 					t.Fatalf("n=%d zone %d moved", n, z.Index)

@@ -34,10 +34,6 @@ func (n *Naive) ColStats(t *catalog.Table, col string) (catalog.Stats, bool) {
 	return n.Stats.ColStats(t, col)
 }
 
-func (n *Naive) Selectivity(*catalog.Table, string, plan.BinOp, int64, float64) (float64, bool) {
-	return 0, false
-}
-
 func (n *Naive) Rows(string, float64) (float64, bool) { return 0, false }
 
 // HistoryCorrected layers the observed-cardinality history over a base
@@ -52,10 +48,6 @@ type HistoryCorrected struct {
 
 func (hc *HistoryCorrected) ColStats(t *catalog.Table, col string) (catalog.Stats, bool) {
 	return hc.Base.ColStats(t, col)
-}
-
-func (hc *HistoryCorrected) Selectivity(t *catalog.Table, col string, op plan.BinOp, val int64, heuristic float64) (float64, bool) {
-	return hc.Base.Selectivity(t, col, op, val, heuristic)
 }
 
 func (hc *HistoryCorrected) Rows(canon string, est float64) (float64, bool) {

@@ -4,9 +4,9 @@ package cost
 // for a whole plan. The per-row constants are calibrated against the
 // simulated CPU's instruction costs for the generated kernels (compare
 // DESIGN.md §5): they are not meant to predict absolute wall cycles, but
-// to *rank* alternative physical shapes and to drive the physical knob
-// decisions (Decide, DecideShards) — partition counts down when hash
-// tables are small, shard counts down when scans are small.
+// to *rank* alternative physical shapes and to drive the one physical
+// knob decision (Decide): partition counts down when hash tables are
+// small.
 
 import "repro/internal/plan"
 
@@ -106,53 +106,4 @@ func Decide(m *Model, bloom bool, partitions int) (bool, int) {
 		partitions = 2
 	}
 	return bloom, partitions
-}
-
-// shardMinRows: a driving scan below this size fits a handful of zones —
-// splitting it further buys no pruning resolution and no attribution
-// detail, so the shard count is clamped toward 1.
-const shardMinRows = 4096
-
-// shardSelectivityThreshold: a scan whose history-corrected output
-// estimate is below this fraction of its table makes zone pruning
-// worthwhile (some zones can be expected to fall entirely outside the
-// predicate).
-const shardSelectivityThreshold = 0.95
-
-// DecideShards picks the per-statement sharded-execution knobs from an
-// annotated model, never enabling anything the configuration disabled:
-// the shard count never exceeds the request and shrinks to what the
-// largest driving scan supports, and pruning is kept only when the
-// observed-cardinality history suggests it can fire — a selective scan
-// filter, or a join/group-join whose build side can ship its key bounds
-// and hash table to the probe scans. Because the model's estimates come
-// from the history-corrected planner, a statement whose filters *looked*
-// opaque at first run gains pruning after Adapt observes its true
-// cardinalities.
-func DecideShards(m *Model, shards int, pruning bool) (int, bool) {
-	if shards < 1 {
-		return 0, false
-	}
-	maxScan := 0
-	selective := false
-	semiJoin := false
-	plan.Walk(m.Root, func(n plan.Node) {
-		switch x := n.(type) {
-		case *plan.Scan:
-			rows := x.Table.Rows()
-			if rows > maxScan {
-				maxScan = rows
-			}
-			if x.Filter != nil && rows > 0 &&
-				m.PerNode[n].Rows < shardSelectivityThreshold*float64(rows) {
-				selective = true
-			}
-		case *plan.Join, *plan.GroupJoin:
-			semiJoin = true
-		}
-	})
-	for shards > 1 && maxScan < shardMinRows*shards {
-		shards /= 2
-	}
-	return shards, pruning && (selective || semiJoin)
 }

@@ -113,9 +113,9 @@ func partitionsOf(cq *Compiled) []int64 {
 }
 
 // TestAdaptRecompileIsTheMissCompile: one cache key, one build. Adapt's
-// guided recompile makes the cost model's decisions exactly as the
-// compile that prepared the statement did — the same partition count per
-// hash table and the same shard decision — so the tuned artifact Adapt
+// guided recompile makes the cost model's decision exactly as the compile
+// that prepared the statement did — the same partition count per hash
+// table, whatever the shard count — so the tuned artifact Adapt
 // may cache under the key's next generation differs from the miss compile
 // only by the profile. A statement prepare cannot parameterize (a literal
 // inside ORDER BY is not lifted) takes the uncached text fallback, which
@@ -149,9 +149,6 @@ func TestAdaptRecompileIsTheMissCompile(t *testing.T) {
 			if slices.Equal(want, partitionsOf(static)) {
 				t.Fatalf("shards=%d, %s: the cost model kept the static partitions %v; pick a statement it decides on", shards, c.sql, want)
 			}
-			if (miss.Compiled.Shard != nil) != (shards >= 1) {
-				t.Fatalf("shards=%d, %s: miss compile carries shard decision %+v", shards, c.sql, miss.Compiled.Shard)
-			}
 
 			ar, err := se.Adapt(c.sql, nil)
 			if err != nil {
@@ -160,9 +157,51 @@ func TestAdaptRecompileIsTheMissCompile(t *testing.T) {
 			if got := partitionsOf(ar.Recompiled); !slices.Equal(got, want) {
 				t.Errorf("shards=%d, %s: guided recompile has partitions %v, the miss compile %v", shards, c.sql, got, want)
 			}
-			if !reflect.DeepEqual(ar.Recompiled.Shard, miss.Compiled.Shard) {
-				t.Errorf("shards=%d, %s: guided recompile has shard decision %+v, the miss compile %+v", shards, c.sql, ar.Recompiled.Shard, miss.Compiled.Shard)
-			}
 		}
+	}
+}
+
+// TestAdaptObservesUnprunedRows: the history Adapt feeds holds what each
+// operator produces over the whole table, not what a pruned run scanned.
+// A session that prunes zones adapts a join whose build side ships a
+// narrow key range to the lineitem scan; with or without tuple counters
+// compiled into the service's artifacts, the history must record every
+// lineitem row for the scan.
+func TestAdaptObservesUnprunedRows(t *testing.T) {
+	cat := gateCatalog(t)
+	lineitem, err := cat.Table("lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sql = "select l_orderkey, sum(l_quantity) as q from lineitem, orders " +
+		"where o_orderkey = l_orderkey and o_orderkey < 300 group by l_orderkey order by l_orderkey"
+	for _, counters := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.TupleCounters = counters
+		svc := NewService(cat, opts, 0)
+		se := svc.NewSession()
+		se.SetWorkers(2)
+		se.SetShards(4)
+		se.SetShardPruning(true)
+		ar, err := se.Adapt(sql, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ar.Baseline.Skips) == 0 {
+			t.Fatalf("counters=%v: the baseline pruned no zone; pick a statement that prunes", counters)
+		}
+		p, err := se.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan.Walk(p.Compiled.Plan, func(n plan.Node) {
+			if s, ok := n.(*plan.Scan); !ok || s.Table != lineitem {
+				return
+			}
+			if got, ok := svc.History().Lookup(plan.Canon(n)); !ok || got != float64(lineitem.Rows()) {
+				t.Errorf("counters=%v: the history records %v lineitem rows (found %v), the table has %d",
+					counters, got, ok, lineitem.Rows())
+			}
+		})
 	}
 }

@@ -75,12 +75,13 @@ type Options struct {
 	BloomFilters bool
 	// Shards >= 1 executes every table scan through the cross-shard
 	// coordinator: the table's zone map is grouped into that many
-	// contiguous shards with per-shard column slices, bounds, and row
-	// counts, and pruned/surviving zones are journaled per shard
-	// (DESIGN.md §13). Zone granularity is a function of the table alone,
-	// so results, count-event sample streams, and the merged profile are
-	// identical for every shard count — only the per-shard attribution
-	// lens changes. 0 keeps the unsharded path.
+	// contiguous shards (at most one per zone), and pruned/surviving zones
+	// are journaled per shard (DESIGN.md §13). Zone granularity is a
+	// function of the table alone, so results, count-event sample streams,
+	// and the merged profile are identical for every shard count — only
+	// the per-shard attribution lens changes. 0 keeps the unsharded path.
+	// Like Workers it is a run knob: a session sets its own
+	// (Session.SetShards).
 	Shards int
 	// ShardPruning skips zones (and thereby whole shards) that provably
 	// contribute no rows: zone bounds that cannot satisfy the scan filter,
@@ -215,11 +216,6 @@ type Compiled struct {
 	// TVSteps counts the optimizer pass applications the translation
 	// validator (internal/verify/tv) checked; zero unless VerifyArtifacts.
 	TVSteps int
-
-	// Shard is the per-statement sharded-execution decision the service's
-	// cost model attaches at compile time (cost.DecideShards); nil
-	// artifacts execute with the executor's static Options knobs.
-	Shard *ShardDecision
 
 	heapSize int
 	// mergeBase is where the merge area — every hash table's scatter and
@@ -706,8 +702,9 @@ type Result struct {
 	Samples []core.Sample
 	Profile *core.Profile
 
-	// Shards is the effective shard count of a cross-shard run (0 for
-	// unsharded execution).
+	// Shards is the shard count a cross-shard run was given (0 for
+	// unsharded execution); a table with fewer zones splits into one
+	// shard per zone (ShardStates).
 	Shards int
 	// ShardStates are the per-shard run-state journals of every scan
 	// pipeline (sharded runs only): zone verdicts, scanned rows, morsel
@@ -748,13 +745,12 @@ func (e *Engine) RunIterations(cq *Compiled, n int, cfg *pmu.Config) (*Result, e
 }
 
 // run is where every execution starts: n passes of cq with per-session
-// state rs (nil for parameterless plans). Workers = 0 and no effective shard
-// count take the one-core path; anything else the morsel scheduler, sharded
+// state rs (nil for parameterless plans). Workers = 0 and Shards = 0 take
+// the one-core path; anything else the morsel scheduler, sharded
 // runs on one worker when Workers is 0 (the serial driver cannot skip
 // zones). n > 1 needs one continuous PMU buffer, so only the one-core path.
 func (x *executor) run(cq *Compiled, rs *RunState, n int, cfg *pmu.Config) (*Result, error) {
-	shards, _ := x.shardKnobs(cq)
-	if x.Opts.Workers < 1 && shards < 1 {
+	if x.Opts.Workers < 1 && x.Opts.Shards < 1 {
 		r, err := x.stage(cq, rs, cfg, cq.mergeBase)
 		if err != nil {
 			return nil, err
@@ -763,7 +759,7 @@ func (x *executor) run(cq *Compiled, rs *RunState, n int, cfg *pmu.Config) (*Res
 	}
 	if n > 1 {
 		return nil, fmt.Errorf("engine: RunIterations(n=%d) runs on the one-core path only (Workers=0, no shards): "+
-			"iteration detection needs one continuous PMU buffer, got Workers=%d, shards=%d", n, x.Opts.Workers, shards)
+			"iteration detection needs one continuous PMU buffer, got Workers=%d, shards=%d", n, x.Opts.Workers, x.Opts.Shards)
 	}
 	return x.runParallel(cq, rs, max(x.Opts.Workers, 1), cfg)
 }

@@ -122,7 +122,6 @@ func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 	// Cross-shard coordination (DESIGN.md §13): scan pipelines execute
 	// the canonical surviving-morsel list of their table's zone map, with
 	// per-shard journals and zero-cost skip events for pruned zones.
-	shards, shardPruning := x.shardKnobs(cq)
 	var shardStates []ShardState
 	var skips []core.SkipEvent
 
@@ -148,8 +147,8 @@ func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 		}
 		var spans []Span
 		var shardOf []int
-		if shards >= 1 && info.Driver.Kind == pipeline.DriverScan {
-			se, err := buildShardExec(cq, coord, info, snap, params, shards, shardPruning, morselSize)
+		if x.Opts.Shards >= 1 && info.Driver.Kind == pipeline.DriverScan {
+			se, err := buildShardExec(cq, coord, info, snap, params, x.Opts.Shards, x.Opts.ShardPruning, morselSize)
 			if err != nil {
 				return nil, err
 			}
@@ -236,7 +235,7 @@ func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 	}
 	res := &Result{
 		Stats: stats, Workers: workers, WallCycles: wall, MergeCycles: mergeCycles,
-		Shards: shards, ShardStates: shardStates, Skips: skips,
+		Shards: x.Opts.Shards, ShardStates: shardStates, Skips: skips,
 	}
 	if r.pmu != nil {
 		bufs := [][]core.Sample{r.pmu.Samples()}

@@ -135,7 +135,7 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 						t.Fatalf("statement %d (%s): %v", i, sql, err)
 					}
 					want := p.Compiled.heapSize
-					if shards, _ := se.exec.shardKnobs(p.Compiled); se.exec.Opts.Workers == 0 && shards < 1 {
+					if se.exec.Opts.Workers == 0 && se.exec.Opts.Shards < 1 {
 						want = p.Compiled.mergeBase
 					}
 					if len(res.CPU.Heap) != want {

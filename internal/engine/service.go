@@ -109,25 +109,18 @@ func (s *Service) estimator() plan.Estimator {
 }
 
 // compile builds pl under opts (guided by hot when non-nil) with the cost
-// model's per-statement knobs (decide); the shard decision rides on the
-// artifact, read by every executing session. A cache miss, prepare's
-// uncached text fallback, Adapt's guided recompile and the tuple-counter
-// twin all compile here, so a guided artifact differs from the miss
-// compile of its statement only by the profile.
+// model's partition count (decide). A cache miss, prepare's uncached text
+// fallback, Adapt's guided recompile and the tuple-counter twin all
+// compile here, so a guided artifact differs from the miss compile of its
+// statement only by the profile.
 func (s *Service) compile(pl *plan.Output, hot map[int]float64, opts Options) (*Compiled, error) {
-	var shard *ShardDecision
-	opts.Partitions, shard = decide(pl, opts)
-	cq, err := (&Compiler{Cat: s.cat, Opts: opts}).CompilePlanGuided(pl, hot)
-	if err != nil {
-		return nil, err
-	}
-	cq.Shard = shard
-	return cq, nil
+	opts.Partitions = decide(pl, opts.Partitions)
+	return (&Compiler{Cat: s.cat, Opts: opts}).CompilePlanGuided(pl, hot)
 }
 
 // compileText builds a statement's original text as a cache miss builds
 // its fingerprint: planned under the service's estimator, compiled with
-// the cost model's knobs.
+// the cost model's partition count.
 func (s *Service) compileText(sql string) (*Compiled, error) {
 	q, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -141,16 +134,10 @@ func (s *Service) compileText(sql string) (*Compiled, error) {
 }
 
 // decide is the cost model's per-statement physical decision for a plan:
-// the merge partition count and, under opts.Shards >= 1, the shard count
-// and pruning switch (nil otherwise: the session's static knobs apply).
-func decide(pl *plan.Output, opts Options) (int, *ShardDecision) {
-	model := cost.Annotate(pl)
-	_, parts := cost.Decide(model, false, opts.Partitions)
-	if opts.Shards < 1 {
-		return parts, nil
-	}
-	n, prune := cost.DecideShards(model, opts.Shards, opts.ShardPruning)
-	return parts, &ShardDecision{Shards: n, Pruning: prune}
+// the merge partition count, never above the configured one.
+func decide(pl *plan.Output, partitions int) int {
+	_, parts := cost.Decide(cost.Annotate(pl), false, partitions)
+	return parts
 }
 
 // Options returns the service's compiler configuration.
@@ -241,13 +228,14 @@ func (se *Session) SetWorkers(n int) { se.exec.Opts.Workers = n }
 // SetMorselRows selects this session's morsel size (0 = default).
 func (se *Session) SetMorselRows(n int) { se.exec.Opts.MorselRows = n }
 
-// SetShards selects this session's shard count for artifacts compiled
-// without a per-statement decision; service-cached artifacts carry their
-// own cost-model decision (cost.DecideShards), which wins.
+// SetShards selects this session's shard count (0 = unsharded, see
+// Options.Shards). Like the worker count it is a run knob: it does not
+// affect the cache key, and rows and canonical profiles are the same at
+// every shard count.
 func (se *Session) SetShards(n int) { se.exec.Opts.Shards = n }
 
 // SetShardPruning toggles zone pruning for this session's sharded runs
-// (same per-statement-decision precedence as SetShards).
+// (see Options.ShardPruning).
 func (se *Session) SetShardPruning(on bool) { se.exec.Opts.ShardPruning = on }
 
 // Stats returns the session's accumulated counters.
@@ -565,7 +553,7 @@ func (se *Session) Adapt(sql string, cfg *pmu.Config) (*AdaptiveResult, error) {
 	// Close the cardinality loop: feed this run's observed per-operator
 	// row counts into the shared history. When the corrected estimates
 	// would actually change the served artifact — a different physical
-	// plan shape or different partition or shard decisions — the
+	// plan shape or a different partition count — the
 	// fingerprint's generation is bumped (after any promotion above, so
 	// a tuned artifact cannot pin a plan shape the history now
 	// contradicts) and the next Prepare re-plans under the history.
@@ -630,9 +618,9 @@ func staleByDrift(cq *Compiled, snap *catalog.Snapshot) bool {
 // replanChanges re-plans a prepared statement under the current
 // history and reports whether the result differs physically from the
 // cached artifact: a different plan.Shape (join order, build sides,
-// group-join fusion) or different cost-model knob decisions. The cached
-// plan's own frozen estimates reproduce its original knob decision, so
-// no extra state needs to ride in the cache.
+// group-join fusion) or a different partition count. The cached plan's
+// own frozen estimates reproduce its original decision, so no extra state
+// needs to ride in the cache.
 func (s *Service) replanChanges(p *Prepared) bool {
 	pl, err := plan.PlanWith(s.cat, p.fp.Query, s.estimator())
 	if err != nil {
@@ -641,36 +629,40 @@ func (s *Service) replanChanges(p *Prepared) bool {
 	if plan.Shape(pl) != plan.Shape(p.Compiled.Plan) {
 		return true
 	}
-	op, osh := decide(p.Compiled.Plan, s.opts)
-	np, nsh := decide(pl, s.opts)
-	return op != np || (osh != nil && *osh != *nsh)
+	return decide(p.Compiled.Plan, s.opts.Partitions) != decide(pl, s.opts.Partitions)
 }
 
 // observeTrue collects a prepared statement's true per-operator
 // cardinalities and feeds them into the service history. When the service
 // already compiles with TupleCounters the adaptive baseline run carried
 // the counts; otherwise a counter-instrumented twin of the same plan is
-// compiled (Service.compile) and run once under this session's options and
-// the run state Adapt bound. Counter folding makes the counts
-// worker-count-invariant either way.
+// compiled (Service.compile) and run once under the run state Adapt bound.
+// Counter folding makes the counts worker- and shard-count-invariant, but
+// a pruned zone is never counted: when the baseline skipped zones, the
+// counts come from an unsharded run, so a scan's observed row count is
+// what the planner should estimate for it.
 func (se *Session) observeTrue(p *Prepared, rs *RunState, ar *AdaptiveResult) (bool, error) {
 	cq, counts := p.Compiled, ar.Baseline.TupleCounts
-	if len(counts) == 0 {
-		opts := se.svc.opts
-		opts.TupleCounters = true
-		twin, err := se.svc.compile(p.Compiled.Plan, nil, opts)
+	pruned := len(ar.Baseline.Skips) > 0
+	if len(counts) == 0 || pruned {
+		if len(counts) == 0 {
+			opts := se.svc.opts
+			opts.TupleCounters = true
+			twin, err := se.svc.compile(p.Compiled.Plan, nil, opts)
+			if err != nil {
+				return false, err
+			}
+			cq = twin
+		}
+		x := se.exec
+		if pruned {
+			x.Opts.Shards = 0
+		}
+		res, err := x.run(cq, rs, 1, nil)
 		if err != nil {
 			return false, err
 		}
-		// The twin observes *full* cardinalities: pin it unsharded so
-		// semi-join pruning cannot shrink a scan's observed row count
-		// below what the planner should estimate for it.
-		twin.Shard = &ShardDecision{}
-		res, err := se.exec.run(twin, rs, 1, nil)
-		if err != nil {
-			return false, err
-		}
-		cq, counts = twin, res.TupleCounts
+		counts = res.TupleCounts
 	}
 	return cost.ObserveTrueRows(se.svc.history, cq.Plan, cq.Pipe, counts), nil
 }

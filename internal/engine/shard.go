@@ -38,25 +38,6 @@ import (
 //     the merged profile, so attribution stays complete: each table row is
 //     covered either by executed-task samples or by a skip.
 
-// ShardDecision is a per-statement sharded-execution choice, made by the
-// profile-fed cost model at compile time (service path; see
-// cost.DecideShards). Artifacts without a decision run with the executor's
-// static Options — engine-direct callers keep exact knob control.
-type ShardDecision struct {
-	Shards  int
-	Pruning bool
-}
-
-// shardKnobs returns the effective (shard count, pruning) pair for one
-// artifact under this executor: the artifact's compile-time decision when
-// present, the executor's static options otherwise.
-func (x *executor) shardKnobs(cq *Compiled) (int, bool) {
-	if cq.Shard != nil {
-		return cq.Shard.Shards, cq.Shard.Pruning
-	}
-	return x.Opts.Shards, x.Opts.ShardPruning
-}
-
 // ShardState and ZoneDecision are the shard lineage journal; the types
 // live in core beside SkipEvent, the other half of that lineage, so the
 // verifier reads them without importing the engine.
@@ -113,10 +94,7 @@ func buildShardExec(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, sn
 	// canonical build state) only — never on the shard grouping.
 	cause := make([]string, len(zones))
 	if pruning {
-		var probes []semiProbe
-		for _, p := range collectSemiProbes(cq, coord, scan) {
-			probes = append(probes, p)
-		}
+		probes := collectSemiProbes(cq, coord, scan)
 		for zi, z := range zones {
 			// Scan.Filter's column positions index the scan's output row
 			// (see pipeline.evalExpr and ref.scan), so project the zone's

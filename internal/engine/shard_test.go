@@ -11,7 +11,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/codegen"
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/datagen"
 	"repro/internal/pipeline"
 	"repro/internal/plan"
@@ -446,55 +445,11 @@ func TestShardScalingGate(t *testing.T) {
 	}
 }
 
-// TestDecideShards pins the cost model's shard knob: the count shrinks to
-// what the largest driving scan supports, and pruning survives only when
-// the model sees something for it to bite on (a selective filter or a
-// join build to ship).
-func TestDecideShards(t *testing.T) {
-	small := testCatalog(t) // lineitem ~3k rows: below shardMinRows*2
-	big := gateCatalog(t)   // lineitem ~12k rows: supports 2 shards
-
-	annotate := func(cat *catalog.Catalog, q *plan.Query) *cost.Model {
-		e := New(cat, DefaultOptions())
-		cq, err := e.CompileQuery(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cost.Annotate(cq.Plan)
-	}
-	fig9, _ := queries.ByName("fig9")
-	fullScan := &plan.Query{
-		Tables: []plan.TableRef{{Name: "lineitem"}},
-		Select: []plan.SelectItem{{Expr: plan.Col("l_orderkey")}},
-		Limit:  -1,
-	}
-
-	if s, p := cost.DecideShards(annotate(small, fig9.Query), 0, true); s != 0 || p {
-		t.Errorf("shards=0 request: got (%d,%v), want disabled", s, p)
-	}
-	if s, p := cost.DecideShards(annotate(small, fig9.Query), 8, true); s != 1 || !p {
-		t.Errorf("tiny fig9: got (%d,%v), want (1,true) — scan too small to split, join still ships bounds", s, p)
-	}
-	if s, _ := cost.DecideShards(annotate(big, fig9.Query), 4, true); s != 2 {
-		t.Errorf("sf0.2 fig9: got %d shards, want 2 (12k-row scan supports 2)", s)
-	}
-	if _, p := cost.DecideShards(annotate(big, fullScan), 4, true); p {
-		t.Error("unfiltered joinless scan: pruning kept with nothing to prune on")
-	}
-	if _, p := cost.DecideShards(annotate(big, selectiveScanQuery(t, big)), 4, true); !p {
-		t.Error("selective scan: pruning dropped despite a selective filter")
-	}
-	if _, p := cost.DecideShards(annotate(big, selectiveScanQuery(t, big)), 4, false); p {
-		t.Error("pruning enabled against the configuration")
-	}
-}
-
-// TestShardServiceDecision covers the service path: with shard options
-// set, the compile closure attaches a per-statement ShardDecision to the
-// artifact, warm prepares stay pure cache hits on the same artifact, and
-// execution honors the artifact's decision (not the session's static
-// knobs).
-func TestShardServiceDecision(t *testing.T) {
+// TestShardSessionKnobs: the shard count and pruning are run knobs of the
+// session, like the worker count. On a service built with Shards 4 and
+// pruning on, a session switched to 8 unpruned shards keeps hitting the
+// cached artifact, runs 8 shards with no skips, and returns the same rows.
+func TestShardSessionKnobs(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Workers = 2
 	opts.MorselRows = 256
@@ -508,45 +463,24 @@ func TestShardServiceDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := p.Compiled.Shard
-	if d == nil {
-		t.Fatal("artifact carries no shard decision under shard options")
-	}
-	if d.Shards < 1 || d.Shards > opts.Shards {
-		t.Fatalf("decision shards = %d, want in [1,%d]", d.Shards, opts.Shards)
-	}
-	if !d.Pruning {
-		t.Fatal("selective filter: decision should keep pruning")
-	}
-	if res.Shards != d.Shards {
-		t.Fatalf("run used %d shards, artifact decided %d", res.Shards, d.Shards)
+	if res.Shards != opts.Shards || len(res.Skips) == 0 {
+		t.Fatalf("first run: %d shards, %d skips; want %d shards and a pruned zone", res.Shards, len(res.Skips), opts.Shards)
 	}
 	rowsEqual(t, res.Rows, refRows(t, p), false)
 
-	warm, res2, err := se.Execute(sql, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.CacheHit || warm.Compiled != p.Compiled {
-		t.Fatal("warm prepare must hit the same artifact")
-	}
-	rowsEqual(t, res2.Rows, res.Rows, false)
-
-	// The artifact's decision wins over session knobs: cranking the
-	// session to 8 unpruned shards must not change this statement.
 	se.SetShards(8)
 	se.SetShardPruning(false)
-	p3, res3, err := se.Execute(sql, nil)
+	p2, res2, err := se.Execute(sql, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p3.CacheHit {
+	if !p2.CacheHit || p2.Compiled != p.Compiled {
 		t.Fatal("session shard knobs must not invalidate the cache")
 	}
-	if res3.Shards != d.Shards {
-		t.Fatalf("artifact decision overridden: ran %d shards, want %d", res3.Shards, d.Shards)
+	if res2.Shards != 8 || len(res2.Skips) != 0 {
+		t.Fatalf("after SetShards(8), SetShardPruning(false): %d shards, %d skips; want 8 shards and none", res2.Shards, len(res2.Skips))
 	}
-	rowsEqual(t, res3.Rows, res.Rows, false)
+	rowsEqual(t, res2.Rows, res.Rows, false)
 }
 
 // TestShardConcurrentSessions hammers one service from sessions that

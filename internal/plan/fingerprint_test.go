@@ -110,9 +110,6 @@ func TestFingerprintInvariance(t *testing.T) {
 type stubEst struct{ rows map[string]float64 }
 
 func (stubEst) ColStats(*catalog.Table, string) (catalog.Stats, bool) { return catalog.Stats{}, false }
-func (stubEst) Selectivity(*catalog.Table, string, plan.BinOp, int64, float64) (float64, bool) {
-	return 0, false
-}
 func (s stubEst) Rows(canon string, est float64) (float64, bool) {
 	r, ok := s.rows[canon]
 	return r, ok

@@ -178,22 +178,19 @@ func exprCols(e Expr, into *[]*ColRef) {
 
 // Estimator hooks external cardinality knowledge into planning. The
 // planner's own heuristics stay the backbone; an estimator can swap the
-// statistics they read (stats-health experiments), refine a predicate's
-// selectivity (histograms), or correct a whole plan expression's output
-// estimate (the observed-cardinality history, keyed by Canon). Every
-// method may decline (ok=false) to fall back to the built-in behavior.
+// statistics they read (stats-health experiments) or correct a whole plan
+// expression's output estimate (the observed-cardinality history, keyed
+// by Canon). Every method may decline (ok=false) to fall back to the
+// built-in behavior.
 //
 // Corrected estimates feed the same decisions the heuristic ones do:
 // probe-base and greedy build-order selection in joinTree, group-join
 // fusion by way of the shapes those choices produce, and the engine's
-// physical knobs (partition and shard counts) via the cost model.
+// partition count via the cost model.
 type Estimator interface {
 	// ColStats overrides the statistics the planner reads for a
 	// base-table column; ok=false uses the table's own (fresh) stats.
 	ColStats(t *catalog.Table, col string) (catalog.Stats, bool)
-	// Selectivity overrides one pushed-down predicate's estimated pass
-	// fraction; heuristic is the stats-based estimate already computed.
-	Selectivity(t *catalog.Table, col string, op BinOp, val int64, heuristic float64) (float64, bool)
 	// Rows corrects a plan expression's estimated output cardinality;
 	// canon is the node's canonical expression text (Canon).
 	Rows(canon string, est float64) (float64, bool)
@@ -528,31 +525,21 @@ func (p *planner) selectivity(s *Scan, f PExpr) float64 {
 	if !okc || !okv {
 		return 0.33
 	}
-	name := s.Out()[col.Pos].Name
-	st := p.colStats(s.Table, name)
-	var sel float64
+	st := p.colStats(s.Table, s.Out()[col.Pos].Name)
 	switch b.Op {
 	case OpEq:
 		if st.Distinct > 0 {
-			sel = 1.0 / float64(st.Distinct)
-		} else {
-			sel = 0.1
+			return 1.0 / float64(st.Distinct)
 		}
+		return 0.1
 	case OpLt, OpLe:
-		sel = rangeFraction(st, c.Val, true)
+		return rangeFraction(st, c.Val, true)
 	case OpGt, OpGe:
-		sel = rangeFraction(st, c.Val, false)
+		return rangeFraction(st, c.Val, false)
 	case OpNe:
-		sel = 0.9
-	default:
-		sel = 0.33
+		return 0.9
 	}
-	if p.est != nil {
-		if s2, ok := p.est.Selectivity(s.Table, name, b.Op, c.Val, sel); ok {
-			return s2
-		}
-	}
-	return sel
+	return 0.33
 }
 
 func rangeFraction(st catalog.Stats, v int64, below bool) float64 {
