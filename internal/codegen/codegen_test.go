@@ -256,14 +256,36 @@ func TestDebugInfoCoverage(t *testing.T) {
 }
 
 // DeadDefs lowers every function of m the way Compile does and reports the
-// first pure LIR def whose register no instruction reads. Exported (from a
-// test file) for the external suite test.
+// first pure LIR def whose register no instruction reads, self-copy, or
+// block the entry does not reach. Exported (from a test file) for the
+// external suite test.
 func DeadDefs(m *ir.Module, cfg Config) error {
 	lo := newLowerer(m, &cfg)
 	for _, f := range m.Funcs {
 		lf, err := lo.lowerFunc(f)
 		if err != nil {
 			return err
+		}
+		reached := map[int]bool{0: true}
+		for work := []int{0}; len(work) > 0; {
+			b := lf.blocks[work[len(work)-1]]
+			work = work[:len(work)-1]
+			for _, s := range b.succs {
+				if !reached[s] {
+					reached[s] = true
+					work = append(work, s)
+				}
+			}
+		}
+		for bi, b := range lf.blocks {
+			if !reached[bi] {
+				return fmt.Errorf("%s/%s: no path from the entry reaches the block", f.Name, b.name)
+			}
+			for i := range b.ins {
+				if l := &b.ins[i]; l.isCopy() && l.dst == l.a {
+					return fmt.Errorf("%s/%s: self-copy of v%d (IR %v)", f.Name, b.name, l.dst, l.irIDs)
+				}
+			}
 		}
 		read := map[vreg]bool{}
 		var buf [2]vreg

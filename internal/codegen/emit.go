@@ -165,7 +165,7 @@ func Compile(m *ir.Module, cfg Config) (*Result, error) {
 			return nil, err
 		}
 		lo.layoutFunc(lf)
-		alloc, next, err := allocate(lf, cfg.RegisterTagging, slotBase, cfg.Hot)
+		alloc, next, err := allocate(lf, &lo.live, cfg.RegisterTagging, slotBase, cfg.Hot)
 		if err != nil {
 			return nil, err
 		}
@@ -470,10 +470,10 @@ func (e *emitter) emitFunc(fn *lfunc, a *allocation) error {
 }
 
 // memOperand reads a load's or store's address operands into registers:
-// [base + imm], [base + imm + idx*width], or [imm + idx*width] for a
-// constant base.
+// [base + imm], [base + imm + idx*width], [imm + idx*width] for a
+// constant base, or the absolute [imm].
 func (e *emitter) memOperand(a *allocation, l *lins, ids []int) isa.Instr {
-	in := isa.Instr{Op: l.op, Imm: l.imm, Scaled: l.scaled, Abs: l.scaled && l.a == 0}
+	in := isa.Instr{Op: l.op, Imm: l.imm, Scaled: l.scaled, Abs: l.a == 0}
 	if !in.Abs {
 		in.Src1 = e.readInto(a, l.a, scratchA, ids)
 	}

@@ -175,7 +175,7 @@ func TestCallArgumentMoves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ca, _, err := allocate(lf, false, 8, nil)
+		ca, _, err := allocate(lf, &lo.live, false, 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,11 @@
 package codegen
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/isa"
 	"repro/internal/vm"
 	"repro/internal/xrand"
 )
@@ -215,6 +217,85 @@ func TestRandomBranchTrees(t *testing.T) {
 		}
 		if got := c.ReadI64(outAt); got != want {
 			t.Fatalf("trial %d: %v(%d,%d) took branch %d, want %d", trial, op, a, bv, got, want)
+		}
+	}
+}
+
+// TestConstantOperandBranches: a fused compare-and-branch with a constant
+// on either side takes the branch exactly when the comparison holds — at
+// the constant, next to it and at both ends of int64 — and the constant
+// is an immediate, never a register, except where the branch compares c
+// < x or c >= x (x > c and x <= c too) at c = MaxInt64: there is no c+1,
+// and the register form stays.
+func TestConstantOperandBranches(t *testing.T) {
+	const inAt, outAt = int64(4096), int64(8192)
+	ops := []ir.Op{ir.OpCmpEq, ir.OpCmpNe, ir.OpCmpLt, ir.OpCmpLe, ir.OpCmpGt, ir.OpCmpGe}
+	holds := func(op ir.Op, a, b int64) bool {
+		switch op {
+		case ir.OpCmpEq:
+			return a == b
+		case ir.OpCmpNe:
+			return a != b
+		case ir.OpCmpLt:
+			return a < b
+		case ir.OpCmpLe:
+			return a <= b
+		case ir.OpCmpGt:
+			return a > b
+		}
+		return a >= b
+	}
+	for _, op := range ops {
+		for _, c := range []int64{math.MinInt64, -7, 0, 41, math.MaxInt64} {
+			for _, constLeft := range []bool{false, true} {
+				m := ir.NewModule()
+				b := ir.NewBuilder(m.NewFunc("main", 0))
+				then, els := b.NewBlock("then"), b.NewBlock("els")
+				x := b.Load(64, b.Const(inAt))
+				k := b.Const(c)
+				cond := b.Bin(op, x, k)
+				if constLeft {
+					cond = b.Bin(op, k, x)
+				}
+				b.CondBr(cond, then, els)
+				b.SetBlock(then)
+				b.Store(64, b.Const(outAt), b.Const(1))
+				b.Halt()
+				b.SetBlock(els)
+				b.Store(64, b.Const(outAt), b.Const(2))
+				b.Halt()
+				res, err := Compile(m, DefaultConfig(0, testSpill, testSpillSz))
+				if err != nil {
+					t.Fatal(err)
+				}
+				// x <= c and x > c branch as c >= x and c < x.
+				lessOrAtLeast := op == ir.OpCmpLt || op == ir.OpCmpGe
+				register := c == math.MaxInt64 && lessOrAtLeast == constLeft && op != ir.OpCmpEq && op != ir.OpCmpNe
+				for _, in := range res.Program.Code {
+					if in.Op == isa.MOVRI && in.Imm == c && !register {
+						t.Errorf("%v(const first %v) at c=%d materializes the constant:\n%s", op, constLeft, c, res.Program.Disasm())
+					}
+				}
+				for _, v := range []int64{math.MinInt64, c - 1, c, c + 1, math.MaxInt64} {
+					vm := vm.New(1 << 16)
+					vm.WriteI64(inAt, v)
+					vm.Load(res.Program)
+					if _, err := vm.Run(1000); err != nil {
+						t.Fatal(err)
+					}
+					a, bv := v, c
+					if constLeft {
+						a, bv = c, v
+					}
+					want := int64(2)
+					if holds(op, a, bv) {
+						want = 1
+					}
+					if got := vm.ReadI64(outAt); got != want {
+						t.Errorf("%v(%d, %d) took branch %d, want %d:\n%s", op, a, bv, got, want, res.Program.Disasm())
+					}
+				}
+			}
 		}
 	}
 }

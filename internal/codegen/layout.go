@@ -67,18 +67,7 @@ func (lo *lowerer) layoutFunc(lf *lfunc) {
 		cur = next
 	}
 
-	for _, b := range lf.blocks {
-		for i := range b.ins {
-			l := &b.ins[i]
-			if isTerminatorIns(l) {
-				l.tgt = int(remap[l.tgt])
-				l.tgt2 = int(remap[l.tgt2])
-			}
-		}
-		for i, s := range b.succs {
-			b.succs[i] = int(remap[s])
-		}
-	}
+	mapTargets(lf, func(t int) int { return int(remap[t]) })
 	// Permute the blocks in place, one cycle of remap at a time.
 	for i := range lf.blocks {
 		for j := int(remap[i]); j != i; j = int(remap[i]) {
@@ -89,7 +78,8 @@ func (lo *lowerer) layoutFunc(lf *lfunc) {
 }
 
 // invertBranches flips the sense of each conditional branch whose Jcc
-// target runs more often than its JMP target.
+// target runs more often than its JMP target, except a loop's bottom
+// test, which is taken back into the loop on purpose.
 func invertBranches(lf *lfunc) {
 	for _, b := range lf.blocks {
 		k := len(b.ins) - 1
@@ -98,7 +88,7 @@ func invertBranches(lf *lfunc) {
 		}
 		jcc := &b.ins[k-1]
 		inv := invertedOp[jcc.op]
-		if inv == isa.NOP || jcc.pseudo != pNone {
+		if inv == isa.NOP || jcc.pseudo != pNone || jcc.keep {
 			continue
 		}
 		if lf.blocks[jcc.tgt].freq <= lf.blocks[jcc.tgt2].freq {

@@ -9,59 +9,90 @@ import (
 	"repro/internal/vm"
 )
 
-// TestScanLoopFallsIntoBody: in an unguided compile, a scan loop's header
-// branch is inverted from the block counts alone — it is taken to the
-// loop exit, marked Inverted, and falls through into the loop body.
-func TestScanLoopFallsIntoBody(t *testing.T) {
+// TestScanLoopIsBottomTested: a scan loop whose header only compares and
+// branches runs one conditional branch per iteration. The header's test
+// is copied into the preheader, as a guard taken to the exit, and into
+// the latch, as the bottom test taken back to the body; the header itself
+// is gone, the induction copies are coalesced, and no JMP or register
+// copy runs inside the loop. The Inverted flags are exact for both IR
+// branch senses — body as the then and as the else successor — and the
+// program computes the host's sum.
+func TestScanLoopIsBottomTested(t *testing.T) {
 	const n = 50
 	arr := int64(testData + 64)
-	m := sumModule(8, n, func(b *ir.Builder) *ir.Instr { return b.Const(arr) })
-	f := m.Funcs[0]
-	head, body, done := f.Blocks[1], f.Blocks[2], f.Blocks[3]
-	head.Freq, body.Freq = n, n // the trip count, as a plan would estimate it
-	res, err := Compile(m, DefaultConfig(0, testSpill, testSpillSz))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blockOf := func(pos int) *ir.Block {
-		ids := res.NMap.IRs[pos]
-		var b *ir.Block
-		m.ForEachInstr(func(_ *ir.Func, blk *ir.Block, in *ir.Instr) {
-			if len(ids) > 0 && in.ID == ids[len(ids)-1] {
-				b = blk
+	for _, bodyIsElse := range []bool{false, true} {
+		m := sumModule(8, n, func(b *ir.Builder) *ir.Instr { return b.Const(arr) })
+		f := m.Funcs[0]
+		head, body, done := f.Blocks[1], f.Blocks[2], f.Blocks[3]
+		head.Freq, body.Freq = n, n // the trip count, as a plan would estimate it
+		br := head.Terminator()
+		if bodyIsElse { // i < n → body  becomes  i >= n → done, else body
+			br.Args[0].Op = ir.OpCmpGe
+			br.Targets[0], br.Targets[1] = done, body
+		}
+		if err := m.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Compile(m, DefaultConfig(0, testSpill, testSpillSz))
+		if err != nil {
+			t.Fatal(err)
+		}
+		code := res.Program.Code
+		blockOf := func(pos int) *ir.Block {
+			ids := res.NMap.IRs[pos]
+			var b *ir.Block
+			m.ForEachInstr(func(_ *ir.Func, blk *ir.Block, in *ir.Instr) {
+				if len(ids) > 0 && in.ID == ids[len(ids)-1] {
+					b = blk
+				}
+			})
+			return b
+		}
+		// The header's test appears twice: the guard and the bottom test.
+		var tests []int
+		for pos, ids := range res.NMap.IRs {
+			if slices.Contains(ids, br.ID) && code[pos].Op != isa.JMP {
+				tests = append(tests, pos)
 			}
-		})
-		return b
-	}
-	br := head.Terminator()
-	pos := slices.IndexFunc(res.NMap.IRs, func(ids []int) bool { return slices.Contains(ids, br.ID) })
-	if pos < 0 {
-		t.Fatal("header branch not emitted")
-	}
-	in := res.Program.Code[pos]
-	if !in.IsBranch() || in.Op == isa.JMP {
-		t.Fatalf("header lowers to %s, not a conditional branch:\n%s", in.Op, res.Program.Disasm())
-	}
-	if got := blockOf(int(in.Imm2)); got != done || !res.NMap.Inverted[pos] {
-		t.Errorf("header branch taken to %v (Inverted %v), want the exit, inverted:\n%s",
-			got, res.NMap.Inverted[pos], res.Program.Disasm())
-	}
-	if got := blockOf(pos + 1); got != body {
-		t.Errorf("header falls through into %v, want the body:\n%s", got, res.Program.Disasm())
-	}
+		}
+		if len(tests) != 2 {
+			t.Fatalf("bodyIsElse=%v: the header's test is at %v, want a guard and a bottom test:\n%s", bodyIsElse, tests, res.Program.Disasm())
+		}
+		guard, bottom := tests[0], tests[1]
+		start := int(code[bottom].Imm2)
+		if blockOf(int(code[guard].Imm2)) != done || blockOf(start) != body || start > bottom || start != guard+1 {
+			t.Errorf("bodyIsElse=%v: guard at %d taken to %d, bottom test at %d taken to %d; want the guard taken to the exit and falling into the body, and the bottom test taken back to it:\n%s",
+				bodyIsElse, guard, code[guard].Imm2, bottom, start, res.Program.Disasm())
+		}
+		// Inverted marks a branch taken towards the IR branch's else successor.
+		if got, want := res.NMap.Inverted[guard], !bodyIsElse; got != want {
+			t.Errorf("bodyIsElse=%v: guard Inverted = %v, want %v", bodyIsElse, got, want)
+		}
+		if got, want := res.NMap.Inverted[bottom], bodyIsElse; got != want {
+			t.Errorf("bodyIsElse=%v: bottom test Inverted = %v, want %v", bodyIsElse, got, want)
+		}
+		for pos := start; pos < bottom; pos++ {
+			if op := code[pos].Op; op == isa.JMP || op == isa.MOVRR || code[pos].IsBranch() {
+				t.Errorf("bodyIsElse=%v: the loop runs %s at %d:\n%s", bodyIsElse, op, pos, res.Program.Disasm())
+			}
+		}
 
-	c := vm.New(testHeap)
-	var want int64
-	for k := int64(0); k < n; k++ {
-		want += 3*k - 7
-		c.WriteI64(arr+8*k, 3*k-7)
-	}
-	c.Load(res.Program)
-	if _, err := c.Run(1_000_000); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.ReadI64(testData + 8); got != want {
-		t.Errorf("sum = %d, want %d", got, want)
+		c := vm.New(testHeap)
+		var want int64
+		for k := int64(0); k < n; k++ {
+			want += 3*k - 7
+			c.WriteI64(arr+8*k, 3*k-7)
+		}
+		c.Load(res.Program)
+		if _, err := c.Run(1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.ReadI64(testData + 8); got != want {
+			t.Errorf("bodyIsElse=%v: sum = %d, want %d", bodyIsElse, got, want)
+		}
+		if got := c.Stats.Branches; got != n+1 {
+			t.Errorf("bodyIsElse=%v: %d conditional branches ran, want %d: the guard and one per iteration", bodyIsElse, got, n+1)
+		}
 	}
 }
 
@@ -171,7 +202,7 @@ func TestHoistedConstantRematerialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo.layoutFunc(lf)
-	a, _, err := allocate(lf, false, 0, nil)
+	a, _, err := allocate(lf, &lo.live, false, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

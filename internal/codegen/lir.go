@@ -14,6 +14,7 @@ package codegen
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ir"
 	"repro/internal/isa"
@@ -28,6 +29,7 @@ type lins struct {
 	op     isa.Op
 	pseudo pseudo
 
+	// A load or store with a == 0 and !scaled is absolute: address imm.
 	dst, a, b vreg
 	useImm    bool
 	imm, imm2 int64
@@ -38,9 +40,13 @@ type lins struct {
 	// constant base: imm holds the base, b the index register (address =
 	// imm + b*width), and a is 0.
 	scaled bool
-	// inverted marks a conditional branch whose sense the layout flipped;
-	// recorded in the native map (NativeMap.Inverted).
+	// inverted marks a conditional branch taken towards its IR branch's
+	// else successor — the layout or bottomTest flipped it; recorded in the
+	// native map (NativeMap.Inverted).
 	inverted bool
+	// keep marks a loop's bottom test: taken back into the loop, which the
+	// layout must not invert away.
+	keep bool
 
 	callee string
 	args   []vreg
@@ -96,12 +102,19 @@ type lowerer struct {
 	uses   []int32      // by ID: operand slots naming the instruction
 	scaled []int32      // by access ID: 1 + index into plans
 	bypass []int32      // by Add ID: scaled accesses that bypass it
+	folds  []int32      // by Add ID: accesses that fold it into their displacement
 	elided []int32      // by Mul/Shl ID: elided Adds over it
 	fused  ir.Bitset    // by ID: folded into a consumer, not lowered on its own
 	plans  []scaledAddr // the current function's scaled-addressing fusions, in program order
 	ids    []int        // slab the irIDs debug lists are carved from
 	seq    []lins       // schedule's output buffer
-	lay    []int32      // layoutFunc's scratch, one entry per block
+	lay    []int32      // layoutFunc's and the CFG rewrites' scratch, four entries per block
+	live   ir.Bitset    // liveness matrices, for coalesce and allocate
+	copies []phiCopy    // coalesce's candidates
+	cands  []vreg       // coalesce's copy-related vregs, by compact index
+	cidx   []int32      // by vreg: 1 + compact index among cands, 0 for none
+	root   []int32      // by compact index: union-find parent
+	inter  ir.Bitset    // coalesce's interference matrix over cands
 }
 
 // scaledAddr is a planned scaled-addressing fusion of a load or store: the
@@ -119,26 +132,42 @@ type scaledAddr struct {
 
 func newLowerer(m *ir.Module, cfg *Config) *lowerer {
 	n := m.MaxID() + 1
-	tabs := make([]int32, 4*n+maxLBlocks(m))
-	return &lowerer{cfg: cfg, regOf: make([]vreg, n), fused: ir.NewBitset(n),
+	nb, nv, nc := moduleBounds(m)
+	tabs := make([]int32, 5*n+4*nb+nv+2*nc)
+	lo := &lowerer{cfg: cfg, regOf: make([]vreg, n), fused: ir.NewBitset(n),
 		uses: tabs[:n:n], scaled: tabs[n : 2*n : 2*n], bypass: tabs[2*n : 3*n : 3*n], elided: tabs[3*n : 4*n : 4*n],
-		lay: tabs[4*n:]}
+		folds: tabs[4*n : 5*n : 5*n]}
+	tabs = tabs[5*n:]
+	lo.lay, lo.cidx, lo.root = tabs[:4*nb:4*nb], tabs[4*nb:4*nb+nv:4*nb+nv], tabs[4*nb+nv:]
+	if nc > 0 {
+		lo.copies, lo.cands = make([]phiCopy, 0, nc), make([]vreg, 0, 2*nc)
+	}
+	return lo
 }
 
-// maxLBlocks bounds the LIR blocks of m's functions: each IR block, plus
-// at most one phi edge block per incoming edge of a block with phis.
-func maxLBlocks(m *ir.Module) int {
-	most := 0
+// moduleBounds sizes the lowerer's per-function tables for m's largest
+// function: its LIR blocks — each IR block, plus at most one phi edge
+// block per incoming edge of a block with phis — its vregs, at most one
+// per IR instruction plus a cycle-breaking temporary per phi move, and
+// its phi moves, each naming at most two vregs. A table a function
+// outgrows is reallocated.
+func moduleBounds(m *ir.Module) (blocks, vregs, copies int) {
 	for _, f := range m.Funcs {
-		n := len(f.Blocks)
+		nb, ni, nc := len(f.Blocks), 0, 0
 		for _, b := range f.Blocks {
+			ni += len(b.Instrs)
 			if len(b.Instrs) > 0 && b.Instrs[0].Op == ir.OpPhi {
-				n += len(b.Preds)
+				nb += len(b.Preds)
+			}
+			for _, in := range b.Instrs {
+				if in.Op == ir.OpPhi {
+					nc += len(in.Args)
+				}
 			}
 		}
-		most = max(most, n)
+		blocks, vregs, copies = max(blocks, nb), max(vregs, ni+nc+1), max(copies, nc)
 	}
-	return most
+	return blocks, vregs, copies
 }
 
 // carve returns an n-entry debug-info list carved from a slab: the lists
@@ -176,6 +205,7 @@ func (lo *lowerer) lowerFunc(f *ir.Func) (*lfunc, error) {
 	lo.countUses()
 	lo.planFusion()
 	lo.planScaledFusion()
+	lo.planDisplacements()
 	for i, b := range f.Blocks {
 		if err := lo.lowerBlock(i, b); err != nil {
 			return nil, err
@@ -185,6 +215,9 @@ func (lo *lowerer) lowerFunc(f *ir.Func) (*lfunc, error) {
 		return nil, err
 	}
 	lo.sweepDeadDefs()
+	lo.coalesce(lo.out)
+	lo.threadJumps(lo.out)
+	lo.bottomTest(lo.out)
 	return lo.out, nil
 }
 
@@ -346,21 +379,66 @@ func (lo *lowerer) lowerBin(bi int, in *ir.Instr) {
 }
 
 // addr decomposes the address operand of memory access mem into base +
-// constant displacement, and returns the access's debug info (peephole
-// address folding; the folded Add's IR ID joins it, first).
+// constant displacement, and returns the access's debug info. A constant
+// address is absolute (base 0: no register), and Add(x, c) folds into
+// every access it addresses, whatever its use count; its IR ID joins the
+// access's debug info, first, when every use folds it and it is elided
+// (planDisplacements).
 func (lo *lowerer) addr(mem *ir.Instr) (base vreg, off int64, irIDs []int) {
 	a := mem.Args[0]
-	if a.Op == ir.OpAdd && lo.uses[a.ID] == 1 {
-		x, y := a.Args[0], a.Args[1]
-		if x.Op == ir.OpConst {
-			x, y = y, x
+	if a.Op == ir.OpConst {
+		return 0, a.Imm, lo.irIDs(mem.ID)
+	}
+	if x, c, ok := displacement(a); ok {
+		if lo.fused.Has(a.ID) {
+			return lo.opnd(x), c, lo.irIDs(a.ID, mem.ID)
 		}
-		if y.Op == ir.OpConst && x.Op != ir.OpConst {
-			lo.fused.Set(a.ID)
-			return lo.opnd(x), y.Imm, lo.irIDs(a.ID, mem.ID)
-		}
+		return lo.opnd(x), c, lo.irIDs(mem.ID)
 	}
 	return lo.opnd(a), 0, lo.irIDs(mem.ID)
+}
+
+// displacement reports whether address a is Add(x, c) — either operand
+// order, x not a constant — and returns x and c.
+func displacement(a *ir.Instr) (x *ir.Instr, c int64, ok bool) {
+	if a.Op != ir.OpAdd {
+		return nil, 0, false
+	}
+	x, y := a.Args[0], a.Args[1]
+	if x.Op == ir.OpConst {
+		x, y = y, x
+	}
+	if y.Op != ir.OpConst || x.Op == ir.OpConst {
+		return nil, 0, false
+	}
+	return x, y.Imm, true
+}
+
+// planDisplacements elides an address Add(x, c) every use of which is a
+// load or store that folds it into its displacement (lo.addr): CSE shares
+// one Add across an aggregate's read-modify-write, and each access then
+// runs [x + c] without it. Like the other plans this runs before lowering,
+// which reaches the Add first.
+func (lo *lowerer) planDisplacements() {
+	for _, b := range lo.f.Blocks {
+		for _, in := range b.Instrs {
+			if memShift(in.Op) < 0 || lo.scaled[in.ID] != 0 {
+				continue
+			}
+			if a := in.Args[0]; !lo.fused.Has(a.ID) {
+				if _, _, ok := displacement(a); ok {
+					lo.folds[a.ID]++
+				}
+			}
+		}
+	}
+	for _, b := range lo.f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpAdd && lo.folds[in.ID] > 0 && lo.folds[in.ID] == lo.uses[in.ID] {
+				lo.fused.Set(in.ID)
+			}
+		}
+	}
 }
 
 // planFusion pre-marks comparisons that will fold into their (single)
@@ -525,10 +603,22 @@ func (lo *lowerer) lowerCondBr(bi int, in *ir.Instr) {
 			if swap {
 				x, y = y, x
 			}
+			k, imm := y.Imm, y.Op == ir.OpConst
+			if x.Op == ir.OpConst && !imm {
+				// A constant left operand would need a register: c == y and
+				// c != y commute, c < y is y >= c+1 and c >= y is y < c+1
+				// (at c = MaxInt64 the register form stays).
+				switch {
+				case fop == isa.JEQ || fop == isa.JNE:
+					x, y, k, imm = y, x, x.Imm, true
+				case x.Imm < math.MaxInt64:
+					l.op = invertedOp[fop]
+					x, y, k, imm = y, x, x.Imm+1, true
+				}
+			}
 			l.a = lo.opnd(x)
-			if y.Op == ir.OpConst && !swap {
-				l.useImm = true
-				l.imm = y.Imm
+			if imm {
+				l.useImm, l.imm = true, k
 			} else {
 				l.b = lo.opnd(y)
 			}
@@ -723,9 +813,9 @@ func retargetBranch(b *lblock, old, new int) {
 
 // sweepDeadDefs removes pure definitions — constant materializations and
 // ALU results, never tag writes or trapping divisions — whose value
-// nothing reads: constants folded into immediates, and address Adds that
-// addr folded into a later load after lowering them. A removed def may
-// orphan its operands' defs, so the sweep repeats until nothing is removed.
+// nothing reads: constants folded into immediates and absolute addresses.
+// A removed def may orphan its operands' defs, so the sweep repeats until
+// nothing is removed.
 func (lo *lowerer) sweepDeadDefs() {
 	reads := make([]int32, lo.out.nvreg+1)
 	var buf [2]vreg

@@ -78,7 +78,7 @@ func lirFromBytes(data []byte) *lfunc {
 
 // FuzzLiveness: on random LIR the bit-matrix liveness fixpoint and the
 // non-allocating operands() agree with the map-based oracle in
-// reference_test.go.
+// reference_test.go, and so does every copy coalescing merges.
 func FuzzLiveness(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 3, 2, 2, 1, 2, 0, 1, 0})                         // one block looping on itself
@@ -88,13 +88,18 @@ func FuzzLiveness(f *testing.F) {
 		if err := diffLiveness(lirFromBytes(data)); err != nil {
 			t.Fatal(err)
 		}
+		if err := diffCoalesce(lirFromBytes(data)); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 
 // TestLivenessMatchesReference walks a deterministic spread of generated
-// LIR (the fuzz target's generator, driven by a counter).
+// LIR (the fuzz target's generator, driven by a counter), and coalesces
+// each one against the oracle too.
 func TestLivenessMatchesReference(t *testing.T) {
 	r := xrand.New(19)
+	merged := 0
 	for i := 0; i < 3000; i++ {
 		data := make([]byte, 160)
 		for k := range data {
@@ -103,7 +108,30 @@ func TestLivenessMatchesReference(t *testing.T) {
 		if err := diffLiveness(lirFromBytes(data)); err != nil {
 			t.Fatalf("lir %d: %v", i, err)
 		}
+		fn := lirFromBytes(data)
+		before := countCopies(fn)
+		if err := diffCoalesce(fn); err != nil {
+			t.Fatalf("lir %d: %v", i, err)
+		}
+		merged += before - countCopies(fn)
 	}
+	if merged == 0 {
+		t.Fatal("coalescing deleted no copy of the generated LIR")
+	}
+	t.Logf("%d copies deleted", merged)
+}
+
+// countCopies counts fn's register copies.
+func countCopies(fn *lfunc) int {
+	n := 0
+	for _, b := range fn.blocks {
+		for i := range b.ins {
+			if b.ins[i].isCopy() {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // TestOperandsDoesNotAllocate pins what the rewrite was for.

@@ -67,8 +67,8 @@ func TestLoadCostLevels(t *testing.T) {
 	if c.Stats.MemAccesses != 1 || c.Stats.L1Hits != 1 {
 		t.Fatalf("cache classification: %+v", c.Stats)
 	}
-	// movi + load(DRAM 180) + load(L1 4) + halt.
-	want := uint64(1 + vm.CostLoadMem + vm.CostLoadL1 + 1)
+	// load(DRAM 180) + load(L1 4) + halt: a constant address is absolute.
+	want := uint64(vm.CostLoadMem + vm.CostLoadL1 + 1)
 	if c.Stats.Cycles != want {
 		t.Fatalf("cycles = %d, want %d", c.Stats.Cycles, want)
 	}

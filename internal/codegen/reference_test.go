@@ -6,7 +6,7 @@ package codegen
 // kill, live-in and live-out, and a fixpoint that walks map keys. The
 // differential tests and FuzzLiveness hold liveness() to it. Since
 // constant bases became immediates, refOperands also knows the scaled
-// memory operands without a base register.
+// memory operands without a base register, and the absolute ones.
 
 import (
 	"fmt"
@@ -50,10 +50,16 @@ func (l *lins) refOperands() (defs, uses []vreg) {
 		if l.scaled {
 			return []vreg{l.dst}, []vreg{l.a, l.b}
 		}
+		if l.a == 0 { // absolute address: no register
+			return []vreg{l.dst}, nil
+		}
 		return []vreg{l.dst}, []vreg{l.a}
 	case isa.STORE8, isa.STORE32, isa.STORE64:
 		if l.scaled { // always a constant base
 			return nil, []vreg{l.b, l.dst}
+		}
+		if l.a == 0 { // absolute address
+			return nil, []vreg{l.dst}
 		}
 		return nil, []vreg{l.a, l.dst}
 	case isa.JMP, isa.RET, isa.HALT, isa.TRAP, isa.NOP, isa.CALL:
@@ -135,7 +141,8 @@ func refLiveness(fn *lfunc) (liveIn, liveOut []map[vreg]bool) {
 
 // diffLiveness holds the bit-matrix liveness of fn to the oracle's sets.
 func diffLiveness(fn *lfunc) error {
-	liveIn, liveOut, w := liveness(fn)
+	var scratch ir.Bitset
+	liveIn, liveOut, w := liveness(fn, &scratch)
 	refIn, refOut := refLiveness(fn)
 	var buf [2]vreg
 	for bi, b := range fn.blocks {
@@ -183,4 +190,90 @@ func DiffLiveness(m *ir.Module, cfg Config) error {
 		}
 	}
 	return nil
+}
+
+// diffCoalesce coalesces a copy of fn's LIR and holds every merge to the
+// oracle, which walks each block of the original backwards from the map
+// liveness above: wherever an instruction defines v, no other vreg merged
+// with v may be live afterwards unless the instruction is the copy from
+// it (then both hold one value). Apart from the deleted self-copies the
+// coalesced code must be the original renamed, and its liveness must
+// still match the oracle's.
+func diffCoalesce(fn *lfunc) error {
+	orig := cloneLIR(fn)
+	lo := &lowerer{}
+	lo.coalesce(fn)
+	rep := func(v vreg) vreg {
+		if v == 0 || int(v) >= len(lo.cidx) || lo.cidx[v] == 0 || len(lo.root) < len(lo.cands) {
+			return v
+		}
+		return lo.cands[lo.find(lo.cidx[v]-1)]
+	}
+	_, refOut := refLiveness(orig)
+	for bi, b := range orig.blocks {
+		live := map[vreg]bool{}
+		for v := range refOut[bi] {
+			live[v] = true
+		}
+		for i := len(b.ins) - 1; i >= 0; i-- {
+			l := &b.ins[i]
+			defs, uses := l.refOperands()
+			for _, d := range defs {
+				if d == 0 {
+					continue
+				}
+				for y := range live {
+					if y != d && rep(y) == rep(d) && !(l.isCopy() && l.a == y) {
+						return fmt.Errorf("%s.%s[%d]: v%d and v%d share v%d, but v%d is live with another value where v%d is defined",
+							fn.name, b.name, i, d, y, rep(d), y, d)
+					}
+				}
+				delete(live, d)
+			}
+			for _, u := range uses {
+				if u != 0 {
+					live[u] = true
+				}
+			}
+		}
+	}
+	for bi, b := range orig.blocks {
+		got := fn.blocks[bi].ins
+		k := 0
+		for i := range b.ins {
+			want := b.ins[i]
+			for _, v := range []*vreg{&want.dst, &want.a, &want.b} {
+				*v = rep(*v)
+			}
+			want.args = slices.Clone(want.args)
+			for j := range want.args {
+				want.args[j] = rep(want.args[j])
+			}
+			if want.isCopy() && want.dst == want.a {
+				continue // a merged copy is deleted
+			}
+			if k >= len(got) || got[k].op != want.op || got[k].dst != want.dst || got[k].a != want.a ||
+				got[k].b != want.b || !slices.Equal(got[k].args, want.args) {
+				return fmt.Errorf("%s.%s[%d]: coalesced code differs from the renamed original", fn.name, b.name, i)
+			}
+			k++
+		}
+		if k != len(got) {
+			return fmt.Errorf("%s.%s: coalesced block has %d instructions, the renamed original %d", fn.name, b.name, len(got), k)
+		}
+	}
+	return diffLiveness(fn)
+}
+
+// cloneLIR deep-copies fn's blocks, instructions and call arguments.
+func cloneLIR(fn *lfunc) *lfunc {
+	out := &lfunc{name: fn.name, nvreg: fn.nvreg}
+	for _, b := range fn.blocks {
+		nb := &lblock{name: b.name, freq: b.freq, succs: slices.Clone(b.succs), ins: slices.Clone(b.ins)}
+		for i := range nb.ins {
+			nb.ins[i].args = slices.Clone(nb.ins[i].args)
+		}
+		out.blocks = append(out.blocks, nb)
+	}
+	return out
 }

@@ -64,6 +64,8 @@ func (l *lins) operands(buf *[2]vreg) (def vreg, uses []vreg) {
 		return l.dst, use(l.a)
 	case isa.LOAD8, isa.LOAD32, isa.LOAD64:
 		switch {
+		case l.a == 0 && !l.scaled: // absolute
+			return l.dst, nil
 		case !l.scaled:
 			return l.dst, use(l.a)
 		case l.a == 0: // constant base
@@ -71,8 +73,11 @@ func (l *lins) operands(buf *[2]vreg) (def vreg, uses []vreg) {
 		}
 		return l.dst, use(l.a, l.b)
 	case isa.STORE8, isa.STORE32, isa.STORE64:
-		if l.scaled { // constant base
+		switch {
+		case l.scaled: // constant base
 			return 0, use(l.b, l.dst)
+		case l.a == 0: // absolute
+			return 0, use(l.dst)
 		}
 		return 0, use(l.a, l.dst)
 	case isa.JMP, isa.RET, isa.HALT, isa.TRAP, isa.NOP, isa.CALL:
@@ -110,10 +115,10 @@ type interval struct {
 	// loses its register the emitter re-materializes it at each use
 	// instead of storing it to a slot and reloading it.
 	remat bool
-	// weight estimates dynamic access frequency (uses and defs, each
-	// weighted by its block's estimated execution count); the allocator
-	// prefers spilling cold intervals. A constant's weight is what a
-	// register saves it, scaled by rematCost.
+	// weight estimates what spilling would cost: uses and defs, each
+	// weighted by its block's estimated execution count, a def by
+	// storeCost; the allocator prefers spilling cold intervals. A
+	// constant's weight is what a register saves it, scaled by rematCost.
 	weight float64
 }
 
@@ -150,10 +155,14 @@ func (a *allocation) remat(v vreg) (int64, bool) {
 	return 0, false
 }
 
-// rematCost scales a constant's gain to a spill weight: re-materializing
-// costs one ALU cycle per use, where a spilled value pays an L1 reload
-// per use (vm.CostALU, vm.CostLoadL1).
-const rematCost = 0.25
+// Spill weights are in L1 reloads: a spilled value pays one per use
+// (vm.CostLoadL1) and a spill store per def (vm.CostStore), so a def
+// weighs storeCost. rematCost scales a constant's gain the same way:
+// re-materializing costs one ALU cycle per use (vm.CostALU).
+const (
+	storeCost = 0.25
+	rematCost = 0.25
+)
 
 // liveness solves the backward dataflow equations
 //
@@ -161,11 +170,14 @@ const rematCost = 0.25
 //
 // to their least fixpoint over vreg bitsets, and returns the vregs live on
 // entry to and on exit from each block as the w-word rows of two bit
-// matrices (four nblocks × nvreg matrices in one allocation).
-func liveness(fn *lfunc) (liveIn, liveOut ir.Bitset, w int) {
+// matrices. The four nblocks × nvreg matrices are carved from *scratch,
+// which grows when it is too small.
+func liveness(fn *lfunc, scratch *ir.Bitset) (liveIn, liveOut ir.Bitset, w int) {
 	nb := len(fn.blocks)
 	w = ir.BitsetWords(int(fn.nvreg) + 1)
-	all := make(ir.Bitset, 4*nb*w)
+	*scratch = grow(*scratch, 4*nb*w)
+	all := *scratch
+	clear(all)
 	gen, kill := all[:nb*w], all[nb*w:2*nb*w]
 	liveIn, liveOut = all[2*nb*w:3*nb*w], all[3*nb*w:]
 
@@ -205,13 +217,13 @@ func liveness(fn *lfunc) (liveIn, liveOut ir.Bitset, w int) {
 	return liveIn, liveOut, w
 }
 
-// allocate runs liveness + linear scan for fn. slotBase is the first free
-// global spill-slot index; the returned next value continues the counter
-// so functions never share slots (main's spilled values survive pipeline
-// calls). A non-nil hot (IR instruction → profile weight) scales interval
+// allocate runs liveness (into the scratch *live) + linear scan for fn.
+// slotBase is the first free global spill-slot index; the returned next
+// value continues the counter so functions never share slots (main's
+// spilled values survive pipeline calls). A non-nil hot (IR instruction → profile weight) scales interval
 // weights by measured execution frequency, so spill pressure lands on
 // values the profile saw idle.
-func allocate(fn *lfunc, registerTagging bool, slotBase int, hot map[int]float64) (*allocation, int, error) {
+func allocate(fn *lfunc, live *ir.Bitset, registerTagging bool, slotBase int, hot map[int]float64) (*allocation, int, error) {
 	// Linearize positions.
 	nb := len(fn.blocks)
 	bounds := make([]int, 2*nb)
@@ -224,7 +236,7 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot map[int]float64
 	}
 
 	nv := int(fn.nvreg) + 1
-	liveIn, liveOut, lw := liveness(fn)
+	liveIn, liveOut, lw := liveness(fn, live)
 
 	// Find the constants first: defs counts a vreg's definitions, 1 per
 	// MOVRI and 2 per other, so exactly 1 is a constant, whose value imm
@@ -291,7 +303,7 @@ func allocate(fn *lfunc, registerTagging bool, slotBase int, hot map[int]float64
 				if defs[def] == 1 {
 					weights[def] -= w
 				} else {
-					weights[def] += w
+					weights[def] += w * storeCost
 				}
 			}
 			for _, u := range uses {

@@ -85,7 +85,9 @@ func TestGuidedLayoutMatchesUnguided(t *testing.T) {
 
 // TestSuiteLIRHasNoDeadDefs: after lowering, no constant or ALU result of
 // any suite or SQL-suite statement is left unread — in particular no
-// address Add that was folded into its load's displacement.
+// address Add that was folded into its load's displacement — no coalesced
+// copy is left as a self-copy, and no block is left that the entry does
+// not reach (a threaded edge block, a bottom-tested header).
 func TestSuiteLIRHasNoDeadDefs(t *testing.T) {
 	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.01, Seed: 7})
 	e := engine.New(cat, engine.DefaultOptions())

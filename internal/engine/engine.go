@@ -11,7 +11,7 @@ package engine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/codegen"
@@ -924,7 +924,15 @@ func sortRows(rows [][]int64, pl *plan.Output) {
 	}
 	metas := pl.Out()
 	less := plan.RowLess(pl.OrderBy, pl.Desc, metas)
-	sort.SliceStable(rows, func(i, j int) bool { return less(rows[i], rows[j]) })
+	slices.SortStableFunc(rows, func(a, b []int64) int {
+		switch {
+		case less(a, b):
+			return -1
+		case less(b, a):
+			return 1
+		}
+		return 0
+	})
 }
 
 // FormatValue renders a result value using column metadata (decoding
