@@ -9,6 +9,10 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/core"
+	"repro/internal/sqlparse"
 )
 
 // fakeTable has three modes whose checks never touch the catalog: the
@@ -159,5 +163,40 @@ func TestEveryCheckIsGated(t *testing.T) {
 				t.Errorf("modifier -%s is registered but no CI step passes it", m.name)
 			}
 		}
+	}
+}
+
+// TestMergeCheckRequiresOnlyDueSamples: a count whose filter passes none of
+// a dozen rows merges one empty partial group, through kernel calls too
+// short to retire a sampling interval, so no merge sample is due and
+// -merge passes the plan, saying why it saw none. Requiring a sample
+// regardless failed this plan though nothing was wrong with it.
+func TestMergeCheckRequiresOnlyDueSamples(t *testing.T) {
+	cat := catalog.New()
+	tb := catalog.NewTable("t")
+	k, v := tb.AddCol("t_k", catalog.TInt), tb.AddCol("t_v", catalog.TInt)
+	for i := int64(0); i < 12; i++ {
+		k.Data = append(k.Data, i%3)
+		v.Data = append(v.Data, i)
+	}
+	cat.Add(tb)
+	q, err := sqlparse.Parse("select count(*) from t where t_v > 100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := mergeCheck(&env{cat: cat, workers: []int{1, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	detail, err := r.each(0, unit{name: "tiny", query: q})
+	if err != nil {
+		t.Fatalf("-merge failed a fault-free plan: %v", err)
+	}
+	if want := "partitioned, 0 merge tasks sampled, no call long enough to be due one"; !strings.Contains(detail, want) {
+		t.Errorf("detail %q does not say %q", detail, want)
+	}
+	// A profile without merge samples still fails once a sample was due.
+	if _, err := sampledMergeTasks(&core.Profile{}, true); err == nil {
+		t.Error("a due merge sample that never landed passed")
 	}
 }

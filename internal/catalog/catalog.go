@@ -3,7 +3,8 @@
 // time (see DESIGN.md §6) — keeping the generated code and the simulated
 // machine purely integer, like the paper's examples. A column is stored at
 // the narrowest width that holds all of its values — 1 byte (every value in
-// [0, 255]), 4 (int32) or 8 — a pure function of its contents, frozen
+// [0, 255]), 2 (every value in [0, 65535]), 4 (int32) or 8 — a pure
+// function of its contents, frozen
 // beside the table's row capacity (Table.ColWidth, TableView.ColWidth);
 // the simulated machine loads it back into an int64 register.
 package catalog

@@ -44,15 +44,18 @@ func CapRowsFor(n int) int {
 }
 
 // WidthFor returns the bytes per value a column region stores for a
-// column holding vals: 1 when every value lies in [0, 255] (LOAD8 reads it
-// back zero-extended), 4 when every value fits an int32 (LOAD32
-// sign-extends), else 8. A pure function of the values; an empty column is
-// 1 byte wide.
+// column holding vals: 1 when every value lies in [0, 255] and 2 when every
+// value lies in [0, 65535] (LOAD8 and LOAD16 read it back zero-extended), 4
+// when every value fits an int32 (LOAD32 sign-extends), else 8. A negative
+// value therefore takes 4 bytes however small. A pure function of the
+// values; an empty column is 1 byte wide.
 func WidthFor(vals []int64) int {
 	w := 1
 	for _, v := range vals {
 		switch {
 		case uint64(v) <= 0xff:
+		case uint64(v) <= 0xffff:
+			w = max(w, 2)
 		case v == int64(int32(v)):
 			w = 4
 		default:
@@ -106,7 +109,7 @@ func (t *Table) widthsLocked() []int {
 	return t.widths
 }
 
-// ColWidth returns the bytes per value (1, 4 or 8) that table column i
+// ColWidth returns the bytes per value (1, 2, 4 or 8) that table column i
 // stores: WidthFor over its contents, frozen beside the row capacity. A
 // compiled artifact reserves RowCap() × ColWidth(i) bytes for the column.
 // It only changes when an append brings a value the width cannot hold —

@@ -13,8 +13,13 @@ func TestWidthFor(t *testing.T) {
 	}{
 		{nil, 1},
 		{[]int64{0, 255}, 1},
-		{[]int64{0, 256}, 4},
+		{[]int64{0, 256}, 2},
+		{[]int64{255, 256}, 2},
+		{[]int64{0, 65535}, 2},
+		{[]int64{0, 65536}, 4},
+		{[]int64{65535, 65536, 255}, 4},
 		{[]int64{-1}, 4},
+		{[]int64{255, -1}, 4},
 		{[]int64{math.MaxInt32, math.MinInt32}, 4},
 		{[]int64{math.MaxInt32 + 1}, 8},
 		{[]int64{math.MinInt32 - 1}, 8},
@@ -27,16 +32,18 @@ func TestWidthFor(t *testing.T) {
 }
 
 // widthTable registers a table whose columns sit just below each width
-// boundary: u8 at 255, i32 at 2³¹−1, i64 past int32.
+// boundary: u8 at 255, i32 at 2³¹−1, i64 past int32, u16 at 65535.
 func widthTable(t *testing.T, rows int) (*Catalog, *Table) {
 	t.Helper()
 	c := New()
 	tb := NewTable("w")
 	u8, i32, i64 := tb.AddCol("u8", TInt), tb.AddCol("i32", TInt), tb.AddCol("i64", TInt)
+	u16 := tb.AddCol("u16", TInt)
 	for i := 0; i < rows; i++ {
 		u8.Data = append(u8.Data, int64(255-i%256))
 		i32.Data = append(i32.Data, math.MaxInt32-int64(i))
 		i64.Data = append(i64.Data, int64(i)<<40)
+		u16.Data = append(u16.Data, int64(65535-i%65536))
 	}
 	c.Add(tb)
 	return c, tb
@@ -54,11 +61,11 @@ func colWidths(tb *Table) []int {
 // contents, and a view carries the widths of its moment.
 func TestWidthsFrozenAtAdd(t *testing.T) {
 	_, tb := widthTable(t, 300)
-	if got, want := colWidths(tb), []int{1, 4, 8}; !slices.Equal(got, want) {
+	if got, want := colWidths(tb), []int{1, 4, 8, 2}; !slices.Equal(got, want) {
 		t.Fatalf("widths %v, want %v", got, want)
 	}
 	v := tb.View()
-	for i, w := range []int{1, 4, 8} {
+	for i, w := range []int{1, 4, 8, 2} {
 		if v.ColWidth(i) != w {
 			t.Errorf("view column %d width %d, want %d", i, v.ColWidth(i), w)
 		}
@@ -73,16 +80,20 @@ func TestWidthsFrozenAtAdd(t *testing.T) {
 func TestAppendWidensAndBumps(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
-		row       []int64 // u8, i32, i64
+		row       []int64 // u8, i32, i64, u16
 		col, want int
 	}{
-		{"255", []int64{255, 0, 0}, 0, 1},
-		{"255->256", []int64{256, 0, 0}, 0, 4},
-		{"negative into 1 byte", []int64{-1, 0, 0}, 0, 4},
-		{"2^31-1", []int64{0, math.MaxInt32, 0}, 1, 4},
-		{"-2^31", []int64{0, math.MinInt32, 0}, 1, 4},
-		{"2^31-1->2^31", []int64{0, math.MaxInt32 + 1, 0}, 1, 8},
-		{"1 byte past int32", []int64{math.MaxInt32 + 1, 0, 0}, 0, 8},
+		{"255", []int64{255, 0, 0, 0}, 0, 1},
+		{"255->256", []int64{256, 0, 0, 0}, 0, 2},
+		{"1 byte past 2", []int64{65536, 0, 0, 0}, 0, 4},
+		{"negative into 1 byte", []int64{-1, 0, 0, 0}, 0, 4},
+		{"65535", []int64{0, 0, 0, 65535}, 3, 2},
+		{"65535->65536", []int64{0, 0, 0, 65536}, 3, 4},
+		{"negative into 2 bytes", []int64{0, 0, 0, -1}, 3, 4},
+		{"2^31-1", []int64{0, math.MaxInt32, 0, 0}, 1, 4},
+		{"-2^31", []int64{0, math.MinInt32, 0, 0}, 1, 4},
+		{"2^31-1->2^31", []int64{0, math.MaxInt32 + 1, 0, 0}, 1, 8},
+		{"1 byte past int32", []int64{math.MaxInt32 + 1, 0, 0, 0}, 0, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, tb := widthTable(t, 300)
@@ -126,7 +137,7 @@ func TestWidthsBulkEqualsIncremental(t *testing.T) {
 		incr.AddCol(col.Name, col.Type)
 	}
 	c.Add(incr)
-	if got := colWidths(incr); !slices.Equal(got, []int{1, 1, 1}) {
+	if got := colWidths(incr); !slices.Equal(got, []int{1, 1, 1, 1}) {
 		t.Fatalf("empty table widths %v, want all 1", got)
 	}
 	// Append back to front so the narrow values come first and every
@@ -165,7 +176,7 @@ func TestBumpRecomputesWidths(t *testing.T) {
 	}
 	tb.Cols[0].Data[0] = -3
 	c.Bump()
-	if got, want := colWidths(tb), []int{4, 4, 1}; !slices.Equal(got, want) {
+	if got, want := colWidths(tb), []int{4, 4, 1, 2}; !slices.Equal(got, want) {
 		t.Fatalf("widths after Bump %v, want %v", got, want)
 	}
 }
@@ -179,10 +190,10 @@ func TestWidthsFollowDirectMutation(t *testing.T) {
 	for _, c := range tb.Cols {
 		c.Data = append(c.Data, 1000)
 	}
-	if got := tb.View().ColWidth(0); got != 4 {
-		t.Fatalf("view width %d after a direct append of 1000, want 4", got)
+	if got := tb.View().ColWidth(0); got != 2 {
+		t.Fatalf("view width %d after a direct append of 1000, want 2", got)
 	}
-	if got := tb.ColWidth(0); got != 4 {
-		t.Fatalf("width %d after a direct append of 1000, want 4", got)
+	if got := tb.ColWidth(0); got != 2 {
+		t.Fatalf("width %d after a direct append of 1000, want 2", got)
 	}
 }

@@ -386,7 +386,7 @@ func (e *emitter) emitFunc(fn *lfunc, a *allocation) error {
 					}
 				}
 
-			case isa.LOAD8, isa.LOAD32, isa.LOAD64:
+			case isa.LOAD8, isa.LOAD16, isa.LOAD32, isa.LOAD64:
 				in := e.memOperand(a, l, ids)
 				dst, slot := e.destReg(a, l.dst)
 				in.Dst = dst

@@ -22,15 +22,20 @@ func PutHeapI64(b []byte, off, v int64) {
 }
 
 // PutHeapCol writes vals as consecutive little-endian values of width
-// bytes (1, 4 or 8) at the start of b, which must hold them all. Every value
-// must fit the width (catalog.WidthFor): LOAD8 reads a byte back
-// zero-extended, LOAD32 four bytes sign-extended.
+// bytes (1, 2, 4 or 8) at the start of b, which must hold them all. Every
+// value must fit the width (catalog.WidthFor): LOAD8 and LOAD16 read one or
+// two bytes back zero-extended, LOAD32 four bytes sign-extended.
 func PutHeapCol(b []byte, vals []int64, width int64) {
 	switch width {
 	case 1:
 		b = b[:len(vals)]
 		for i, v := range vals {
 			b[i] = byte(v)
+		}
+	case 2:
+		b = b[:2*len(vals)]
+		for i, v := range vals {
+			binary.LittleEndian.PutUint16(b[2*i:2*i+2], uint16(v))
 		}
 	case 4:
 		b = b[:4*len(vals)]

@@ -258,7 +258,7 @@ var nativeOp = [ir.OpStore64 + 1]isa.Op{
 	ir.OpCmpEq: isa.CMPEQ, ir.OpCmpNe: isa.CMPNE,
 	ir.OpCmpLt: isa.CMPLT, ir.OpCmpLe: isa.CMPLE,
 	ir.OpCmpGt: isa.CMPGT, ir.OpCmpGe: isa.CMPGE,
-	ir.OpLoad8: isa.LOAD8, ir.OpLoad32: isa.LOAD32, ir.OpLoad64: isa.LOAD64,
+	ir.OpLoad8: isa.LOAD8, ir.OpLoad16: isa.LOAD16, ir.OpLoad32: isa.LOAD32, ir.OpLoad64: isa.LOAD64,
 	ir.OpStore8: isa.STORE8, ir.OpStore32: isa.STORE32, ir.OpStore64: isa.STORE64,
 }
 
@@ -286,7 +286,7 @@ func (lo *lowerer) lowerBlock(bi int, b *ir.Block) error {
 			ir.OpCmpGt, ir.OpCmpGe:
 			lo.lowerBin(bi, in)
 
-		case ir.OpLoad8, ir.OpLoad32, ir.OpLoad64:
+		case ir.OpLoad8, ir.OpLoad16, ir.OpLoad32, ir.OpLoad64:
 			if lo.scaled[in.ID] != 0 {
 				l := lo.scaledIns(in)
 				l.dst = lo.vregFor(in)
@@ -471,6 +471,7 @@ func (lo *lowerer) planFusion() {
 //	Load64( Add(c, Mul(idx, 8)) )   →  LOAD64 dst, [c + idx*8]
 //	Load64( Add(c, Shl(idx, 3)) )   →  (same)
 //	Load32( Add(c, Mul(idx, 4)) )   →  LOAD32 dst, [c + idx*4]
+//	Load16( Add(c, Shl(idx, 1)) )   →  LOAD16 dst, [c + idx*2]
 //	Store64( Add(c, Mul(idx, 8)), v )  →  STORE64 [c + idx*8], v
 //
 // The constant base c — a column region or a hash directory, both layout
@@ -554,6 +555,8 @@ func memShift(op ir.Op) int64 {
 	switch op {
 	case ir.OpLoad8, ir.OpStore8:
 		return 0
+	case ir.OpLoad16:
+		return 1
 	case ir.OpLoad32, ir.OpStore32:
 		return 2
 	case ir.OpLoad64, ir.OpStore64:

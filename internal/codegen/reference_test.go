@@ -43,7 +43,7 @@ func (l *lins) refOperands() (defs, uses []vreg) {
 			return []vreg{l.dst}, nil
 		}
 		return []vreg{l.dst}, []vreg{l.a}
-	case isa.LOAD8, isa.LOAD32, isa.LOAD64:
+	case isa.LOAD8, isa.LOAD16, isa.LOAD32, isa.LOAD64:
 		if l.scaled && l.a == 0 { // constant base: no base register
 			return []vreg{l.dst}, []vreg{l.b}
 		}

@@ -62,7 +62,7 @@ func (l *lins) operands(buf *[2]vreg) (def vreg, uses []vreg) {
 			return l.dst, nil
 		}
 		return l.dst, use(l.a)
-	case isa.LOAD8, isa.LOAD32, isa.LOAD64:
+	case isa.LOAD8, isa.LOAD16, isa.LOAD32, isa.LOAD64:
 		switch {
 		case l.a == 0 && !l.scaled: // absolute
 			return l.dst, nil

@@ -56,9 +56,9 @@ func sumModule(width int64, n int64, base func(*ir.Builder) *ir.Instr) *ir.Modul
 }
 
 // TestScaledFusionEveryWidth: a load of every width from an array whose
-// base is a register — LOAD64, LOAD32 and LOAD8 — keeps its address
-// arithmetic instead of taking the scaled addressing mode, and the program
-// computes the sum, sign- and zero-extension included. Only a constant
+// base is a register — LOAD64, LOAD32, LOAD16 and LOAD8 — keeps its
+// address arithmetic instead of taking the scaled addressing mode, and the
+// program computes the sum, sign- and zero-extension included. Only a constant
 // base fuses (TestConstantBaseScanHasNoMul).
 func TestScaledFusionEveryWidth(t *testing.T) {
 	const n = 50
@@ -69,6 +69,7 @@ func TestScaledFusionEveryWidth(t *testing.T) {
 	}{
 		{8, isa.LOAD64, func(k int) int64 { return int64(k)<<40 - 7 }},
 		{4, isa.LOAD32, func(k int) int64 { return int64(k)*1000 - 20000 }},
+		{2, isa.LOAD16, func(k int) int64 { return int64(65535 - k) }},
 		{1, isa.LOAD8, func(k int) int64 { return int64(200 + k) }},
 	} {
 		arr := int64(testData + 64)
@@ -91,6 +92,8 @@ func TestScaledFusionEveryWidth(t *testing.T) {
 				binary.LittleEndian.PutUint64(c.Heap[at:], uint64(v))
 			case 4:
 				binary.LittleEndian.PutUint32(c.Heap[at:], uint32(v))
+			case 2:
+				binary.LittleEndian.PutUint16(c.Heap[at:], uint16(v))
 			case 1:
 				c.Heap[at] = byte(v)
 			}
@@ -125,7 +128,7 @@ func TestConstantBaseScanHasNoMul(t *testing.T) {
 	for _, tc := range []struct {
 		width int64
 		op    isa.Op
-	}{{8, isa.LOAD64}, {4, isa.LOAD32}} {
+	}{{8, isa.LOAD64}, {4, isa.LOAD32}, {2, isa.LOAD16}} {
 		m := sumModule(tc.width, n, func(b *ir.Builder) *ir.Instr { return b.Const(arr) })
 		if err := m.Verify(); err != nil {
 			t.Fatal(err)
@@ -138,11 +141,17 @@ func TestConstantBaseScanHasNoMul(t *testing.T) {
 		var want int64
 		for k := int64(0); k < n; k++ {
 			v := k*k - 300
+			if tc.width == 2 {
+				v = 65535 - k*k // zero-extended: 2 bytes hold no negative
+			}
 			want += v
-			if tc.width == 8 {
+			switch tc.width {
+			case 8:
 				binary.LittleEndian.PutUint64(c.Heap[arr+k*8:], uint64(v))
-			} else {
+			case 4:
 				binary.LittleEndian.PutUint32(c.Heap[arr+k*4:], uint32(v))
+			default:
+				binary.LittleEndian.PutUint16(c.Heap[arr+k*2:], uint16(v))
 			}
 		}
 		c.Load(res.Program)

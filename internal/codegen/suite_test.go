@@ -165,6 +165,8 @@ func constantBaseAccess(in *ir.Instr) (c, width int64, ok bool) {
 		width = 8
 	case ir.OpLoad32, ir.OpStore32:
 		width = 4
+	case ir.OpLoad16:
+		width = 2
 	default:
 		return 0, 0, false
 	}

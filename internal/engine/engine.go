@@ -517,6 +517,14 @@ func (c *carver) carve(name string, size int64, writable bool) int64 {
 	return lo
 }
 
+// carveCol reserves a read-only column region of capRows values, w bytes
+// each, and records the width every access into it must use.
+func (c *carver) carveCol(capRows, w int64) int64 {
+	lo := c.carve("col", capRows*w, false)
+	c.regions[len(c.regions)-1].Width = w
+	return lo
+}
+
 // buildLayout assigns heap addresses for state slots, table columns, hash
 // tables and the result buffer, and records the staging writes.
 func (c *Compiler) buildLayout(pl *plan.Output, cq *Compiled) (*pipeline.Layout, error) {
@@ -588,7 +596,7 @@ func (c *Compiler) buildLayout(pl *plan.Output, cq *Compiled) (*pipeline.Layout,
 		})
 		for _, ci := range s.Cols {
 			w := int64(s.Table.ColWidth(ci))
-			addr := h.carve("col", capRows*w, false)
+			addr := h.carveCol(capRows, w)
 			lay.Cols[pipeline.ColKey{Alias: s.Alias, Col: ci}] = pipeline.ColRegion{Addr: addr, Width: w}
 			cq.binds = append(cq.binds, colBind{addr: addr, table: s.Table.Name, col: ci, cap: capRows, width: w})
 		}
@@ -696,6 +704,11 @@ type Result struct {
 	// the placement round for group-by sinks). Zero for serial runs, and
 	// for parallel runs of a plan without a materializing sink.
 	MergeCycles uint64
+	// MergePeakInstrs is the most instructions any one scatter, merge or
+	// place kernel call of a parallel run retired. Every call re-arms
+	// sampling, so a count event samples a call only if it retires a whole
+	// interval (tprofvet check -merge). Zero for serial runs.
+	MergePeakInstrs uint64
 
 	// Profiling outputs (nil without sampling).
 	PMU     *pmu.PMU

@@ -31,6 +31,17 @@ func buildMemModel(cq *Compiled, lay *pipeline.Layout, pc *pipeline.Compiled) *v
 			mm.Cells[w.addr] = verify.CellFact{Lo: w.val, Hi: w.val}
 		}
 	}
+	// A parallel morsel stages a build's mask as 0 (runMorsel), so its fact
+	// is a range: every insert then links into slot 0.
+	for i := range pc.Pipelines {
+		switch s := &pc.Pipelines[i].Sink; s.Kind {
+		case pipeline.SinkJoinBuild, pipeline.SinkGJBuild:
+			addr := s.HT.Desc + codegen.HTDescMask
+			f := mm.Cells[addr]
+			f.Lo = 0
+			mm.Cells[addr] = f
+		}
+	}
 
 	// Row-count slots are epoch-resolved — staged from the run's snapshot,
 	// not baked into cq.writes — so their fact is the range of visible row

@@ -52,6 +52,18 @@ type parWorker struct {
 	cpu *vm.CPU
 	pmu *pmu.PMU
 	err error
+	// kernelPeak is the most instructions one scatter, merge or place
+	// kernel call retired on this core (Result.MergePeakInstrs).
+	kernelPeak uint64
+}
+
+// callKernel calls a merge-phase kernel (re-armed by the caller) and
+// notes how many instructions it retired.
+func (w *parWorker) callKernel(entry int, budget uint64) error {
+	i0 := w.cpu.Stats.Instructions
+	_, err := w.cpu.CallFunction(entry, budget)
+	w.kernelPeak = max(w.kernelPeak, w.cpu.Stats.Instructions-i0)
+	return err
 }
 
 // Sampling-epoch phases: each generated-code invocation re-arms the PMU
@@ -229,13 +241,13 @@ func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 		foldCounters(cq, coord, ws)
 	}
 
-	stats := coord.Stats
-	for _, w := range ws {
-		addStats(&stats, &w.cpu.Stats)
-	}
 	res := &Result{
-		Stats: stats, Workers: workers, WallCycles: wall, MergeCycles: mergeCycles,
+		Stats: coord.Stats, Workers: workers, WallCycles: wall, MergeCycles: mergeCycles,
 		Shards: x.Opts.Shards, ShardStates: shardStates, Skips: skips,
+	}
+	for _, w := range ws {
+		addStats(&res.Stats, &w.cpu.Stats)
+		res.MergePeakInstrs = max(res.MergePeakInstrs, w.kernelPeak)
 	}
 	if r.pmu != nil {
 		bufs := [][]core.Sample{r.pmu.Samples()}
@@ -333,7 +345,12 @@ func runMorsel(cq *Compiled, w *parWorker, info *pipeline.PipelineInfo, entry, s
 	case pipeline.SinkOutput:
 		codegen.PutHeapI64(heap, lay.ResultDesc+codegen.AllocDescCursor, cq.resultBase)
 	case pipeline.SinkJoinBuild, pipeline.SinkGJBuild:
+		// Nothing reads the worker's directory of a build: the scatter
+		// kernel reads the arena and each merge kernel clears and rebuilds
+		// its partition's slot range. A zero mask links every insert into
+		// slot 0, one hot line, instead of a cold slot per entry.
 		codegen.PutHeapI64(heap, sink.HT.Desc+codegen.HTDescCursor, sink.HT.Arena)
+		codegen.PutHeapI64(heap, sink.HT.Desc+codegen.HTDescMask, 0)
 	case pipeline.SinkGroupAgg:
 		// Per-morsel private group table: clean directory + empty arena.
 		codegen.PutHeapI64(heap, sink.HT.Desc+codegen.HTDescCursor, sink.HT.Arena)
@@ -354,7 +371,7 @@ func runMorsel(cq *Compiled, w *parWorker, info *pipeline.PipelineInfo, entry, s
 		// TSC window, so the run-phase makespan includes it).
 		ht := sink.HT
 		w.cpu.ReArm(epochSeed(pipeIdx, morsel, phaseScatter))
-		if _, err := w.cpu.CallFunction(scatterEntry, budget); err != nil {
+		if err := w.callKernel(scatterEntry, budget); err != nil {
 			return nil, nil, fmt.Errorf("pipeline %d morsel %d scatter (worker %d): %w", pipeIdx, morsel, w.id, err)
 		}
 		cur := codegen.HeapI64(heap, ht.Desc+codegen.HTDescCursor)
@@ -474,7 +491,7 @@ func mergePartitioned(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, 
 					codegen.PutHeapI64(heap, ht.MergeParam+pipeline.MPPart, int64(p))
 					w.cpu.ReArm(epochSeed(pipeIdx, p, phase))
 					t0 := w.cpu.TSC()
-					if _, err := w.cpu.CallFunction(entry, budget); err != nil {
+					if err := w.callKernel(entry, budget); err != nil {
 						errs[wi] = fmt.Errorf("pipeline %d partition %d merge (worker %d): %w", pipeIdx, p, w.id, err)
 						return
 					}

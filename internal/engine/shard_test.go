@@ -445,6 +445,33 @@ func TestShardScalingGate(t *testing.T) {
 	}
 }
 
+// TestParallelBuildInsertsStayHot: a build morsel's worker-side directory
+// is never read — the scatter kernel reads the arena and every merge kernel
+// rebuilds its own slot range — so workers link every insert into one hot
+// slot instead of loading a cold one. At fig9 with 4 workers × 4 shards the
+// workers' ht_insert cycles, summed, stay within 1.5× the serial run's.
+// Cycles are sampled at a period far above any one instruction's cost — an
+// instruction takes at most one sample, so a short period undercounts a
+// cold load — and estimated as samples × period.
+func TestParallelBuildInsertsStayHot(t *testing.T) {
+	cat := gateCatalog(t)
+	w, _ := queries.ByName("fig9")
+	cfg := pmu.Config{Event: vm.EvCycles, Period: 499}
+	insert := func(workers, shards int) float64 {
+		c := cfg
+		res := shardRun(t, cat, w.Query, workers, shards, shards > 0, &c)
+		return res.Profile.RoutineCount[codegen.SymHTInsert] * float64(cfg.Period)
+	}
+	serial, sharded := insert(0, 0), insert(4, 4)
+	if serial == 0 {
+		t.Fatal("no ht_insert samples in the serial run")
+	}
+	t.Logf("fig9 ht_insert: serial ≈ %.0f cycles, 4 workers x 4 shards ≈ %.0f summed — %.2fx", serial, sharded, sharded/serial)
+	if sharded > 1.5*serial {
+		t.Errorf("parallel ht_insert costs %.2fx the serial run's, want <= 1.5x", sharded/serial)
+	}
+}
+
 // TestShardSessionKnobs: the shard count and pruning are run knobs of the
 // session, like the worker count. On a service built with Shards 4 and
 // pruning on, a session switched to 8 unpruned shards keeps hitting the

@@ -30,7 +30,7 @@ func spillDefClass(def *ir.Instr) string {
 		return "constant"
 	case def.Op == ir.OpPhi:
 		return "phi"
-	case (def.Op == ir.OpLoad64 || def.Op == ir.OpLoad32 || def.Op == ir.OpLoad8) && def.Args[0].Op == ir.OpConst:
+	case def.Op >= ir.OpLoad8 && def.Op <= ir.OpLoad64 && def.Args[0].Op == ir.OpConst:
 		return "state-slot load" // row counts, morsel bounds
 	}
 	return "other"

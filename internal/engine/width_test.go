@@ -16,21 +16,21 @@ import (
 // sit in the last rows, so a table grown by appends widens on the way.
 // Columns: w_k (group key, 1 byte), w_u8 (0..255, 1 byte), w_i32 (both
 // int32 extremes, 4 bytes), w_neg (small negatives, 4 bytes), w_big
-// (past int32, 8 bytes).
+// (past int32, 8 bytes), w_u16 (0..65535, 2 bytes).
 func widthRow(i, n int) []int64 {
-	r := []int64{int64(i % 8), int64(i % 200), int64(i*7919%1000 - 500*(i%2)), int64(i % 4), int64(i)}
+	r := []int64{int64(i % 8), int64(i % 200), int64(i*7919%1000 - 500*(i%2)), int64(i % 4), int64(i), int64(i % 251)}
 	switch n - i {
 	case 1:
-		r[1], r[2], r[3], r[4] = 255, math.MaxInt32, -3, 1<<40
+		r[1], r[2], r[3], r[4], r[5] = 255, math.MaxInt32, -3, 1<<40, 65535
 	case 2:
-		r[1], r[2], r[3], r[4] = 0, math.MinInt32, -1, -(1 << 40)
+		r[1], r[2], r[3], r[4], r[5] = 0, math.MinInt32, -1, -(1 << 40), 0
 	case 3:
-		r[2], r[4] = math.MaxInt32-1, math.MaxInt32+1
+		r[2], r[4], r[5] = math.MaxInt32-1, math.MaxInt32+1, 256
 	}
 	return r
 }
 
-var widthCols = []string{"w_k", "w_u8", "w_i32", "w_neg", "w_big"}
+var widthCols = []string{"w_k", "w_u8", "w_i32", "w_neg", "w_big", "w_u16"}
 
 // widthCatalog holds w's first rows of n, and d, a dimension keyed like
 // w_k but 4 bytes wide (one key is 1000).
@@ -62,9 +62,10 @@ func widthCatalog(rows, n int) *catalog.Catalog {
 // aggregate inputs, filter operands at the boundaries, and a join key
 // matched against a wider column.
 var widthQueries = []string{
-	"select w_k, sum(w_u8), sum(w_i32), sum(w_neg), sum(w_big), count(*) from w group by w_k order by w_k",
+	"select w_k, sum(w_u8), sum(w_i32), sum(w_neg), sum(w_big), sum(w_u16), count(*) from w group by w_k order by w_k",
 	"select count(*), sum(w_i32) from w where w_u8 >= 199 and w_i32 < 0",
-	"select min(w_i32), max(w_i32), min(w_neg), max(w_big), min(w_big) from w where w_neg < 1",
+	"select min(w_i32), max(w_i32), min(w_neg), max(w_big), min(w_big), max(w_u16) from w where w_neg < 1",
+	"select w_k, count(*), min(w_u16) from w where w_u16 >= 255 and w_u16 <= 65535 group by w_k order by w_k",
 	"select w_u8, count(*) from w where w_big > 2147483647 or w_big < -2147483648 group by w_u8 order by w_u8",
 	"select d_v, count(*), sum(w_i32) from w, d where w_k = d_k group by d_v order by d_v",
 }
@@ -79,7 +80,7 @@ func TestWidthBoundariesMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []int{1, 1, 4, 4, 8} {
+	for i, want := range []int{1, 1, 4, 4, 8, 2} {
 		if got := w.ColWidth(i); got != want {
 			t.Fatalf("%s is %d bytes wide, want %d", widthCols[i], got, want)
 		}
@@ -165,8 +166,9 @@ func TestWidthBulkEqualsIncremental(t *testing.T) {
 
 // TestStaleArtifactRefusesWiderColumn: an artifact compiled before an
 // append widened a column refuses the widened snapshot with a
-// *SnapshotWidthError — it never truncates — and a recompile under the
-// bumped version serves it.
+// *SnapshotWidthError naming the width it reserved — it never truncates —
+// and a recompile under the bumped version serves it. w_u8 widens 1 → 2,
+// then the recompiled artifact goes stale as it widens 2 → 4.
 func TestStaleArtifactRefusesWiderColumn(t *testing.T) {
 	cat := widthCatalog(widthRows, widthRows)
 	e := New(cat, DefaultOptions())
@@ -178,35 +180,44 @@ func TestStaleArtifactRefusesWiderColumn(t *testing.T) {
 	if _, err := e.Run(stale, nil); err != nil {
 		t.Fatal(err)
 	}
-	v0 := cat.Version()
-	row := widthRow(0, widthRows)
-	row[1] = 256 // w_u8 no longer fits a byte
-	r, err := cat.Append("w", [][]int64{row})
-	if err != nil {
-		t.Fatal(err)
+	for _, step := range []struct {
+		val             int64
+		width, reserved int64
+	}{
+		{256, 2, 1},   // w_u8 no longer fits a byte
+		{65536, 4, 2}, // nor two
+	} {
+		v0 := cat.Version()
+		row := widthRow(0, widthRows)
+		row[1] = step.val
+		r, err := cat.Append("w", [][]int64{row})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Grew || cat.Version() == v0 {
+			t.Fatalf("widening append of %d: Grew %v, version %d -> %d", step.val, r.Grew, v0, cat.Version())
+		}
+		_, err = e.Run(stale, nil)
+		var wide *SnapshotWidthError
+		if !errors.As(err, &wide) {
+			t.Fatalf("stale artifact over the widened column: %v, want a *SnapshotWidthError", err)
+		}
+		if wide.Column != "w_u8" || wide.Width != step.width || wide.Reserved != step.reserved {
+			t.Fatalf("error %+v, want w_u8 %d bytes over a %d-byte region", wide, step.width, step.reserved)
+		}
+		fresh, err := e.CompileSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Execute(fresh.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run(fresh, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowsEqual(t, res.Rows, want, true)
+		stale = fresh
 	}
-	if !r.Grew || cat.Version() == v0 {
-		t.Fatalf("widening append: Grew %v, version %d -> %d", r.Grew, v0, cat.Version())
-	}
-	_, err = e.Run(stale, nil)
-	var wide *SnapshotWidthError
-	if !errors.As(err, &wide) {
-		t.Fatalf("stale artifact over the widened column: %v, want a *SnapshotWidthError", err)
-	}
-	if wide.Column != "w_u8" || wide.Width != 4 || wide.Reserved != 1 {
-		t.Fatalf("error %+v, want w_u8 4 bytes over a 1-byte region", wide)
-	}
-	fresh, err := e.CompileSQL(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.Execute(fresh.Plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(fresh, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowsEqual(t, res.Rows, want, true)
 }

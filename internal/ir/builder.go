@@ -93,12 +93,14 @@ func (b *Builder) Rotr(x, y *Instr) *Instr { return b.Bin(OpRotr, x, y) }
 // the paper's generated hash pipelines (Listing 1 lines %7, %8).
 func (b *Builder) Crc32(c *Instr, v *Instr) *Instr { return b.Bin(OpCrc32, c, v) }
 
-// Load emits a load of the given width (8, 32 or 64 bits) from addr.
+// Load emits a load of the given width (8, 16, 32 or 64 bits) from addr.
 func (b *Builder) Load(width int, addr *Instr) *Instr {
 	var op Op
 	switch width {
 	case 8:
 		op = OpLoad8
+	case 16:
+		op = OpLoad16
 	case 32:
 		op = OpLoad32
 	case 64:

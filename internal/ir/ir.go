@@ -64,6 +64,7 @@ const (
 	OpCmpGe
 
 	OpLoad8
+	OpLoad16 // zero-extends, as OpLoad8 does; OpLoad32 sign-extends
 	OpLoad32
 	OpLoad64
 	OpStore8 // Args[0]=addr, Args[1]=value
@@ -90,7 +91,7 @@ var opNames = [...]string{
 	OpRotr: "rotr", OpCrc32: "crc32",
 	OpCmpEq: "cmpeq", OpCmpNe: "cmpne", OpCmpLt: "cmplt", OpCmpLe: "cmple",
 	OpCmpGt: "cmpgt", OpCmpGe: "cmpge",
-	OpLoad8: "load8", OpLoad32: "load32", OpLoad64: "load64",
+	OpLoad8: "load8", OpLoad16: "load16", OpLoad32: "load32", OpLoad64: "load64",
 	OpStore8: "store8", OpStore32: "store32", OpStore64: "store64",
 	OpPhi: "phi", OpBr: "br", OpCondBr: "condbr", OpRet: "ret", OpCall: "call",
 	OpSetTag: "settag", OpGetTag: "gettag",

@@ -228,7 +228,7 @@ func checkTypes(f *Func, in *Instr) string {
 		if in.Type != I1 {
 			return fmt.Sprintf("%s must produce i1, produces %s", in.Op, in.Type)
 		}
-	case OpLoad8, OpLoad32, OpLoad64:
+	case OpLoad8, OpLoad16, OpLoad32, OpLoad64:
 		if msg := argc(1); msg != "" {
 			return msg
 		}

@@ -161,7 +161,7 @@ func DCE(m *ir.Module, lin core.Lineage) int {
 
 func removable(in *ir.Instr) bool {
 	switch in.Op {
-	case ir.OpLoad8, ir.OpLoad32, ir.OpLoad64:
+	case ir.OpLoad8, ir.OpLoad16, ir.OpLoad32, ir.OpLoad64:
 		return true // loads are side-effect free in this machine model
 	case ir.OpPhi:
 		return true

@@ -59,7 +59,9 @@ type Op uint8
 
 // The instruction set. Loads and stores address memory as base register +
 // signed immediate displacement, optionally plus an index register scaled
-// by the access width (Scaled flag); widths are 1, 4 or 8 bytes.
+// by the access width (Scaled flag). Loads read 1, 2, 4 or 8 bytes (LOAD8
+// and LOAD16 zero-extend, LOAD32 sign-extends); stores write 1, 4 or 8:
+// generated code never writes a 2-byte column, so there is no STORE16.
 const (
 	NOP Op = iota
 
@@ -69,6 +71,7 @@ const (
 
 	// Memory. Address = R(Src1) + Imm [+ R(Src2)*width if Scaled].
 	LOAD8
+	LOAD16
 	LOAD32
 	LOAD64
 	STORE8 // mem[addr] = R(Src2value) — see Instr docs
@@ -117,7 +120,7 @@ const (
 
 var opNames = [...]string{
 	NOP: "nop", MOVRR: "mov", MOVRI: "movi",
-	LOAD8: "load8", LOAD32: "load32", LOAD64: "load64",
+	LOAD8: "load8", LOAD16: "load16", LOAD32: "load32", LOAD64: "load64",
 	STORE8: "store8", STORE32: "store32", STORE64: "store64",
 	ADD: "add", SUB: "sub", MUL: "mul", DIV: "div", MOD: "mod",
 	AND: "and", OR: "or", XOR: "xor", SHL: "shl", SHR: "shr", ROTR: "rotr",
@@ -163,7 +166,7 @@ type Instr struct {
 
 // IsLoad reports whether the instruction reads memory.
 func (in *Instr) IsLoad() bool {
-	return in.Op == LOAD8 || in.Op == LOAD32 || in.Op == LOAD64
+	return in.Op >= LOAD8 && in.Op <= LOAD64
 }
 
 // IsStore reports whether the instruction writes memory.
@@ -186,6 +189,8 @@ func (in *Instr) Width() int64 {
 	switch in.Op {
 	case LOAD8, STORE8:
 		return 1
+	case LOAD16:
+		return 2
 	case LOAD32, STORE32:
 		return 4
 	case LOAD64, STORE64:
@@ -203,7 +208,7 @@ func (in *Instr) String() string {
 		return fmt.Sprintf("mov %s, %s", in.Dst, in.Src1)
 	case MOVRI:
 		return fmt.Sprintf("movi %s, %d", in.Dst, in.Imm)
-	case LOAD8, LOAD32, LOAD64:
+	case LOAD8, LOAD16, LOAD32, LOAD64:
 		return fmt.Sprintf("%s %s, [%s]", in.Op, in.Dst, in.memOperand())
 	case STORE8, STORE32, STORE64:
 		return fmt.Sprintf("%s [%s], %s", in.Op, in.memOperand(), in.Dst)

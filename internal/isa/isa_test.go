@@ -19,7 +19,7 @@ func TestWidths(t *testing.T) {
 		op   Op
 		want int64
 	}{
-		{LOAD8, 1}, {LOAD32, 4}, {LOAD64, 8},
+		{LOAD8, 1}, {LOAD16, 2}, {LOAD32, 4}, {LOAD64, 8},
 		{STORE8, 1}, {STORE32, 4}, {STORE64, 8},
 		{ADD, 0}, {JMP, 0},
 	}
@@ -32,7 +32,7 @@ func TestWidths(t *testing.T) {
 }
 
 func TestClassifiers(t *testing.T) {
-	if !(&Instr{Op: LOAD64}).IsLoad() || (&Instr{Op: STORE64}).IsLoad() {
+	if !(&Instr{Op: LOAD64}).IsLoad() || !(&Instr{Op: LOAD16}).IsLoad() || (&Instr{Op: STORE64}).IsLoad() {
 		t.Error("IsLoad misclassifies")
 	}
 	if !(&Instr{Op: STORE8}).IsStore() || (&Instr{Op: LOAD8}).IsStore() {
@@ -59,6 +59,7 @@ func TestInstrString(t *testing.T) {
 		{Instr{Op: MOVRR, Dst: 1, Src1: 2}, "mov r1, r2"},
 		{Instr{Op: LOAD64, Dst: 0, Src1: 1, Imm: 16}, "load64 r0, [r1+16]"},
 		{Instr{Op: LOAD64, Dst: 0, Abs: true, Imm: 512}, "load64 r0, [512]"},
+		{Instr{Op: LOAD16, Dst: 5, Src2: 2, Abs: true, Scaled: true, Imm: 640}, "load16 r5, [640+r2*2]"},
 		{Instr{Op: STORE64, Dst: 3, Src1: 4, Src2: 2, Scaled: true}, "store64 [r4+0+r2*8], r3"},
 		{Instr{Op: ADD, Dst: 0, Src1: 1, UseImm: true, Imm: 8}, "add r0, r1, 8"},
 		{Instr{Op: ADD, Dst: 0, Src1: 1, Src2: 2}, "add r0, r1, r2"},

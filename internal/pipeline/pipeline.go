@@ -56,7 +56,7 @@ type ColKey struct {
 }
 
 // ColRegion is where one scanned column lives: the region's address and
-// the bytes per value it stores (catalog.Table.ColWidth: 1, 4 or 8). The
+// the bytes per value it stores (catalog.Table.ColWidth: 1, 2, 4 or 8). The
 // scan loop loads row i from Addr + i×Width, at that width.
 type ColRegion struct {
 	Addr, Width int64

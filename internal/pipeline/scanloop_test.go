@@ -13,8 +13,9 @@ import (
 // TestScanLoopLoadsColumnOnce: in q6's generated scan loop every column
 // is addressed from its layout constant — no column base is loaded from
 // the state region — no block loads the same column twice, every column is
-// loaded at its region's width, and a 1-byte column's address needs no
-// multiply.
+// loaded at its region's width, a 1-byte column's address needs no
+// multiply, and the 2-byte class is among the widths loaded (l_shipdate's
+// day numbers fit 16 bits).
 func TestScanLoopLoadsColumnOnce(t *testing.T) {
 	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.01, Seed: 7})
 	e := engine.New(cat, engine.DefaultOptions())
@@ -36,7 +37,7 @@ func TestScanLoopLoadsColumnOnce(t *testing.T) {
 	stateEnd := lay.StateBase + int64(len(lay.RowsSlots))*8
 
 	scan := pc.Module.FuncByName("pipeline0")
-	loads, narrow := 0, 0
+	loads, narrow, half := 0, 0, 0
 	for _, b := range scan.Blocks {
 		seen := map[int64]bool{}
 		for _, in := range b.Instrs {
@@ -59,6 +60,9 @@ func TestScanLoopLoadsColumnOnce(t *testing.T) {
 			if width != cols[col] {
 				t.Errorf("%s: %%%d loads %d bytes of a %d-byte column", b.Name, in.ID, width, cols[col])
 			}
+			if cols[col] == 2 {
+				half++
+			}
 			if cols[col] == 1 {
 				narrow++
 				for _, a := range in.Args[0].Args {
@@ -75,10 +79,13 @@ func TestScanLoopLoadsColumnOnce(t *testing.T) {
 	if narrow == 0 {
 		t.Fatalf("q6 loads no 1-byte column:\n%s", scan.Print(nil))
 	}
+	if half == 0 {
+		t.Fatalf("q6 loads no 2-byte column:\n%s", scan.Print(nil))
+	}
 }
 
 // loadWidth is each load opcode's access width in bytes.
-var loadWidth = map[ir.Op]int64{ir.OpLoad8: 1, ir.OpLoad32: 4, ir.OpLoad64: 8}
+var loadWidth = map[ir.Op]int64{ir.OpLoad8: 1, ir.OpLoad16: 2, ir.OpLoad32: 4, ir.OpLoad64: 8}
 
 // constValue folds a constant or a sum of constants.
 func constValue(in *ir.Instr) (int64, bool) {

@@ -122,13 +122,21 @@ func New(cfg Config) *PMU {
 	return &PMU{cfg: cfg}
 }
 
+// jitter is the randomization Attach arms a CPU with.
+func (c Config) jitter() int64 {
+	if c.NoJitter {
+		return 0
+	}
+	return c.Period / 8
+}
+
+// LongestInterval is the most events an attached CPU counts between a
+// (re-)arm or a sample and the next sample (vm.LongestInterval).
+func (c Config) LongestInterval() int64 { return vm.LongestInterval(c.Period, c.jitter()) }
+
 // Attach arms the CPU with this PMU's event and period.
 func (p *PMU) Attach(c *vm.CPU) {
-	jitter := p.cfg.Period / 8
-	if p.cfg.NoJitter {
-		jitter = 0
-	}
-	c.Arm(p, p.cfg.Event, p.cfg.Period, jitter)
+	c.Arm(p, p.cfg.Event, p.cfg.Period, p.cfg.jitter())
 }
 
 // Samples returns the collected samples.

@@ -20,7 +20,8 @@
 // declared region, aligned to its width), unproven (too abstract to
 // decide — never an error, the runtime bounds checks still guard it), or
 // a definite violation (constant or fully bounded address outside every
-// region / crossing a region it may not touch / misaligned congruence).
+// region / crossing a region it may not touch / misaligned congruence /
+// a column region read at a width other than the one it is staged at).
 // Only definite violations produce diagnostics, so a clean compile
 // reports nothing: the gate for wiring this into VerifyArtifacts.
 package absint
@@ -576,7 +577,7 @@ func (a *analyzer) transfer(st state, pos int, record bool) state {
 		setReg(in.Dst, reg(in.Src1))
 	case isa.MOVRI:
 		setReg(in.Dst, cst(in.Imm))
-	case isa.LOAD8, isa.LOAD32, isa.LOAD64:
+	case isa.LOAD8, isa.LOAD16, isa.LOAD32, isa.LOAD64:
 		addr := a.memAddr(st, in)
 		if record {
 			a.checkAccess(pos, in, addr, false)
@@ -721,10 +722,31 @@ func (a *analyzer) loadVal(in *isa.Instr, addr aval) aval {
 	switch in.Op {
 	case isa.LOAD8:
 		return aval{lo: 0, hi: 255}
+	case isa.LOAD16:
+		return aval{lo: 0, hi: 65535}
 	case isa.LOAD32:
 		return aval{lo: math.MinInt32, hi: math.MaxInt32}
 	}
 	return top()
+}
+
+// colRegion returns the column region an access provably addresses, or
+// nil: the region a constant-base scaled access indexes from, else the one
+// holding every address the access may reach.
+func (a *analyzer) colRegion(in *isa.Instr, addr aval) *verify.MemRegion {
+	var r *verify.MemRegion
+	switch {
+	case in.Abs && in.Scaled:
+		r = a.mem.RegionAt(in.Imm, 1)
+	case addr.bounded():
+		if r = a.mem.RegionAt(addr.lo, 1); r != nil && !r.Contains(addr.hi, 1) {
+			r = nil
+		}
+	}
+	if r == nil || r.Width == 0 {
+		return nil
+	}
+	return r
 }
 
 // checkAccess classifies one memory access.
@@ -736,6 +758,15 @@ func (a *analyzer) checkAccess(pos int, in *isa.Instr, addr aval, isStore bool) 
 	if w > 1 && addr.bits > 0 && int64(1)<<addr.bits >= w && addr.res%w != 0 {
 		a.bad("misaligned", pos, "%s address ≡ %d (mod %d), not %d-byte aligned",
 			in.Op, addr.res, int64(1)<<addr.bits, w)
+		return
+	}
+
+	// A column region holds values of one width, so a load from it at
+	// another reads half a value or a neighbour's bytes whatever its index.
+	// (A store into one is a readonly-store, below.)
+	if r := a.colRegion(in, addr); !isStore && r != nil && r.Width != w {
+		a.bad("access-width", pos, "%s reads %d bytes from column region [%d,%d), staged at %d bytes per value",
+			in.Op, w, r.Lo, r.Hi, r.Width)
 		return
 	}
 

@@ -157,6 +157,40 @@ func TestDefiniteViolations(t *testing.T) {
 	}
 }
 
+// TestDefiniteAccessWidth: a column region is read at the width it is
+// staged at. A constant-base scaled load at another width is a definite
+// violation whatever its index — 2 bytes read from a 4-byte column stay in
+// bounds, so only the region's width exposes it — and so is an exact
+// address inside the region; the right width is proved.
+func TestDefiniteAccessWidth(t *testing.T) {
+	mem := &verify.MemModel{
+		HeapSize: 8192,
+		Regions: []verify.MemRegion{
+			{Name: "col", Lo: 1024, Hi: 2048, Width: 4},
+			{Name: "col", Lo: 2048, Hi: 3072, Width: 2},
+		},
+	}
+	for _, tc := range []struct {
+		name string
+		in   isa.Instr
+		want string // "" = clean
+	}{
+		{"2 bytes of a 4-byte column", isa.Instr{Op: isa.LOAD16, Dst: 0, Src2: 1, Abs: true, Scaled: true, Imm: 1024}, "absint/access-width"},
+		{"4 bytes of a 2-byte column", isa.Instr{Op: isa.LOAD32, Dst: 0, Src2: 1, Abs: true, Scaled: true, Imm: 2048}, "absint/access-width"},
+		{"1 byte at an exact address", isa.Instr{Op: isa.LOAD8, Dst: 0, Abs: true, Imm: 2050}, "absint/access-width"},
+		{"2 bytes of a 2-byte column", isa.Instr{Op: isa.LOAD16, Dst: 0, Abs: true, Imm: 2050}, ""},
+	} {
+		code := []isa.Instr{tc.in, {Op: isa.HALT}}
+		rep := Analyze(makeRes(code, []isa.FuncSym{{Name: "main", Entry: 0, End: len(code)}}), mem, true)
+		if got := diagChecks(rep.Diags); got != tc.want {
+			t.Errorf("%s: diagnostics %q, want %q", tc.name, got, tc.want)
+		}
+		if tc.want == "" && rep.Proved != 1 {
+			t.Errorf("%s: %d of %d accesses proved, want 1", tc.name, rep.Proved, rep.Accesses)
+		}
+	}
+}
+
 // TestTagDataflow checks the flow-sensitive shared-call protocol: a call
 // into a shared routine is flagged only when some path reaches it without
 // a tag-register write.

@@ -542,7 +542,7 @@ func tagWriteNear(prog *isa.Program, nmap *core.NativeMap, pos, dir int) bool {
 func defReg(in *isa.Instr) (isa.Reg, bool) {
 	switch in.Op {
 	case isa.MOVRR, isa.MOVRI,
-		isa.LOAD8, isa.LOAD32, isa.LOAD64,
+		isa.LOAD8, isa.LOAD16, isa.LOAD32, isa.LOAD64,
 		isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.MOD,
 		isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR, isa.ROTR, isa.CRC32,
 		isa.CMPEQ, isa.CMPNE, isa.CMPLT, isa.CMPLE, isa.CMPGT, isa.CMPGE:
@@ -557,7 +557,7 @@ func useRegs(in *isa.Instr) []isa.Reg {
 	switch in.Op {
 	case isa.MOVRR:
 		uses = append(uses, in.Src1)
-	case isa.LOAD8, isa.LOAD32, isa.LOAD64:
+	case isa.LOAD8, isa.LOAD16, isa.LOAD32, isa.LOAD64:
 		if !in.Abs {
 			uses = append(uses, in.Src1)
 		}

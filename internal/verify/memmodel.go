@@ -30,6 +30,10 @@ type MemRegion struct {
 	// the host and read-only to the program; a provable store into one
 	// is a miscompile.
 	Writable bool
+	// Width is the bytes per value of a column region (1, 2, 4 or 8): the
+	// host stages every value at that width, so every access into the
+	// region must use it. 0 for regions of mixed-width cells.
+	Width int64
 }
 
 // Contains reports whether [lo, lo+w) lies inside the region.

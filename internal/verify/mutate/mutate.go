@@ -3,7 +3,8 @@
 // stack can be measured instead of trusted. Each mutant models a realistic
 // compiler bug — swapped operands, a dropped store, a perturbed constant,
 // a clobbered or stale tag register, a wild or misaligned address, a
-// branch whose Inverted bit disagrees with its sense — at one
+// column read at the wrong width, a branch whose Inverted bit disagrees
+// with its sense — at one
 // of the two levels the validators watch:
 //
 //   - IR mutants corrupt an ir.Module the way a broken optimizer pass
@@ -214,6 +215,29 @@ func Native(res *codegen.Result, mem *verify.MemModel) []Mutant {
 			return gen(pos) && in.Op == isa.STORE64 && in.Abs
 		}), func(pos int) { prog.Code[pos].Imm = roBase })
 	}
+
+	// A scaled column load at the wrong width, 2 bytes read as 4 or 4 as
+	// 2: the kind of slip a backend makes when widths grow a new class.
+	// Each direction contributes its own sites.
+	colLoad := func(op isa.Op) []int {
+		return collect(func(pos int, in *isa.Instr) bool {
+			if !gen(pos) || in.Op != op || !in.Abs || !in.Scaled {
+				return false
+			}
+			r := mem.RegionAt(in.Imm, 1)
+			return r != nil && r.Name == "col"
+		})
+	}
+	swapWidth := func(pos int) {
+		in := &prog.Code[pos]
+		if in.Op == isa.LOAD16 {
+			in.Op = isa.LOAD32
+		} else {
+			in.Op = isa.LOAD16
+		}
+	}
+	class("native/load-width", colLoad(isa.LOAD16), swapWidth)
+	class("native/load-width", colLoad(isa.LOAD32), swapWidth)
 
 	// A scratch move retargeted to the reserved tag register: a stale tag
 	// write far from any shared call.

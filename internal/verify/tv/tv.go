@@ -214,7 +214,7 @@ func Summarize(m *ir.Module, it *Interner) *Summary {
 			mem, tag, calls := 0, 0, 0
 			for _, in := range b.Instrs {
 				switch in.Op {
-				case ir.OpLoad8, ir.OpLoad32, ir.OpLoad64:
+				case ir.OpLoad8, ir.OpLoad16, ir.OpLoad32, ir.OpLoad64:
 					sz.memEpoch[in] = mem
 				case ir.OpGetTag:
 					sz.tagEpoch[in] = tag
@@ -348,7 +348,7 @@ func (s *summarizer) canon1(in *ir.Instr) int {
 		return it.intern("p"+strconv.FormatInt(in.Imm, 10), nil)
 	case ir.OpPhi:
 		return it.intern("phi"+strconv.Itoa(in.ID), []int{in.ID})
-	case ir.OpLoad8, ir.OpLoad32, ir.OpLoad64:
+	case ir.OpLoad8, ir.OpLoad16, ir.OpLoad32, ir.OpLoad64:
 		a := s.canon(in.Args[0])
 		key := fmt.Sprintf("(%s %d @%s/%s#%d)", in.Op, a, s.fn, in.Block.Name, s.memEpoch[in])
 		return it.intern(key, it.deps[a])

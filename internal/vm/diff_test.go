@@ -403,13 +403,14 @@ func endings() map[string][]isa.Instr {
 		"div by zero":  {{Op: isa.DIV, Dst: 1, Src1: 1, Src2: 9}},
 		"mod by zero":  {{Op: isa.MOD, Dst: 1, Src1: 1, UseImm: true}},
 		"load8 oob":    {{Op: isa.LOAD8, Dst: 1, Abs: true, Imm: 4096}},
+		"load16 oob":   {{Op: isa.LOAD16, Dst: 1, Src2: 2, Abs: true, Scaled: true, Imm: 4095}},
 		"load32 oob":   {{Op: isa.LOAD32, Dst: 1, Abs: true, Imm: 4093}},
 		"load64 oob":   {{Op: isa.LOAD64, Dst: 1, Src1: 1, Imm: 4096 - 512 - 7}},
 		"load64 neg":   {{Op: isa.LOAD64, Dst: 1, Abs: true, Imm: -1}},
 		"store8 oob":   {{Op: isa.STORE8, Dst: 1, Abs: true, Imm: -1}},
 		"store32 oob":  {{Op: isa.STORE32, Dst: 1, Src1: 1, Src2: 1, Scaled: true}},
 		"store64 oob":  {{Op: isa.STORE64, Dst: 1, Abs: true, Imm: 4089}},
-		"last bytes":   {{Op: isa.STORE64, Dst: 1, Abs: true, Imm: 4088}, {Op: isa.LOAD32, Dst: 1, Abs: true, Imm: 4092}, {Op: isa.LOAD8, Dst: 2, Abs: true, Imm: 4095}, {Op: isa.HALT}},
+		"last bytes":   {{Op: isa.STORE64, Dst: 1, Abs: true, Imm: 4088}, {Op: isa.LOAD32, Dst: 1, Abs: true, Imm: 4092}, {Op: isa.LOAD16, Dst: 3, Abs: true, Imm: 4094}, {Op: isa.LOAD8, Dst: 2, Abs: true, Imm: 4095}, {Op: isa.HALT}},
 		"endless loop": {{Op: isa.JMP, Imm: 2}},
 	}
 	out := map[string][]isa.Instr{}

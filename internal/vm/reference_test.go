@@ -242,7 +242,7 @@ func (c *refCPU) step(in *isa.Instr) error {
 	case isa.MOVRI:
 		c.Regs[in.Dst] = in.Imm
 
-	case isa.LOAD8, isa.LOAD32, isa.LOAD64:
+	case isa.LOAD8, isa.LOAD16, isa.LOAD32, isa.LOAD64:
 		w := in.Width()
 		addr := in.Imm
 		if !in.Abs {
@@ -259,6 +259,8 @@ func (c *refCPU) step(in *isa.Instr) error {
 		switch w {
 		case 1:
 			v = int64(m[0])
+		case 2:
+			v = int64(binary.LittleEndian.Uint16(m))
 		case 4:
 			v = int64(int32(binary.LittleEndian.Uint32(m)))
 		default:

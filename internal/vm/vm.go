@@ -239,7 +239,7 @@ func decode(in *isa.Instr) inst {
 		dst, s1 = true, true
 	case isa.MOVRI:
 		dst, imm = true, true
-	case isa.LOAD8, isa.LOAD32, isa.LOAD64, isa.STORE8, isa.STORE32, isa.STORE64:
+	case isa.LOAD8, isa.LOAD16, isa.LOAD32, isa.LOAD64, isa.STORE8, isa.STORE32, isa.STORE64:
 		dst, s1, s2, imm = true, !in.Abs, in.Scaled, true
 	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.MOD, isa.AND, isa.OR,
 		isa.XOR, isa.SHL, isa.SHR, isa.ROTR, isa.CRC32,
@@ -351,15 +351,29 @@ func (c *CPU) Arm(hook SampleHook, ev Event, period, jitter int64) {
 	c.period = period
 	c.countdown = period
 	c.sampling = hook != nil && period > 0
-	c.jitterMask = 0
-	if jitter > 1 {
-		mask := int64(1)
-		for mask < jitter {
-			mask <<= 1
-		}
-		c.jitterMask = mask - 1
-	}
+	c.jitterMask = jitterMask(jitter)
 	c.jitterRNG = 0x9e3779b97f4a7c15 ^ uint64(period)
+}
+
+// jitterMask is the mask Arm draws an interval's jitter with: one less
+// than the least power of two ≥ jitter, 0 for no jitter.
+func jitterMask(jitter int64) int64 {
+	if jitter <= 1 {
+		return 0
+	}
+	mask := int64(1)
+	for mask < jitter {
+		mask <<= 1
+	}
+	return mask - 1
+}
+
+// LongestInterval is the most events a CPU armed with period and jitter
+// counts between an arm, a re-arm or a sample and the next sample: code
+// that counts that many events after a ReArm is certainly sampled.
+func LongestInterval(period, jitter int64) int64 {
+	m := jitterMask(jitter)
+	return period + m - m/2
 }
 
 // ReArm restarts the sampling countdown at a deterministic epoch derived
@@ -429,7 +443,7 @@ func (c *CPU) WriteI64(addr, v int64) {
 // bounds iff 0 <= addr <= len(heap)-width. (Sized so that any isa.Op indexes
 // it unchecked.)
 var widthShift = [1 << 8]uint8{
-	isa.LOAD8: 0, isa.LOAD32: 2, isa.LOAD64: 3,
+	isa.LOAD8: 0, isa.LOAD16: 1, isa.LOAD32: 2, isa.LOAD64: 3,
 	isa.STORE8: 0, isa.STORE32: 2, isa.STORE64: 3,
 }
 
@@ -534,7 +548,7 @@ loop:
 		case isa.MOVRI:
 			r[dst] = in.imm
 
-		case isa.LOAD8, isa.LOAD32, isa.LOAD64:
+		case isa.LOAD8, isa.LOAD16, isa.LOAD32, isa.LOAD64:
 			heap, sh := c.Heap, widthShift[op]
 			addr := in.imm + r[s1] + r[s2]<<sh
 			if addr < 0 || addr > int64(len(heap))-1<<sh {
@@ -547,6 +561,8 @@ loop:
 				v = int64(binary.LittleEndian.Uint64(heap[addr:]))
 			case isa.LOAD32:
 				v = int64(int32(binary.LittleEndian.Uint32(heap[addr:])))
+			case isa.LOAD16:
+				v = int64(binary.LittleEndian.Uint16(heap[addr:]))
 			default:
 				v = int64(heap[addr])
 			}

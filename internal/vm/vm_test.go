@@ -107,7 +107,8 @@ func TestMemoryBoundsTrap(t *testing.T) {
 	for _, in := range []isa.Instr{
 		{Op: isa.LOAD64, Dst: 0, Abs: true, Imm: 1 << 30},
 		{Op: isa.STORE64, Dst: 0, Abs: true, Imm: -8},
-		{Op: isa.LOAD8, Dst: 0, Abs: true, Imm: int64(1<<12) - 0}, // one past end
+		{Op: isa.LOAD8, Dst: 0, Abs: true, Imm: int64(1<<12) - 0},  // one past end
+		{Op: isa.LOAD16, Dst: 0, Abs: true, Imm: int64(1<<12) - 1}, // straddles the end
 	} {
 		c := New(1 << 12)
 		c.Load(&isa.Program{Code: []isa.Instr{in, {Op: isa.HALT}}})
@@ -124,6 +125,7 @@ func TestLoadStoreWidths(t *testing.T) {
 		{Op: isa.LOAD8, Dst: 1, Abs: true, Imm: 256},  // 0xfe = 254 unsigned
 		{Op: isa.LOAD32, Dst: 2, Abs: true, Imm: 256}, // sign-extended
 		{Op: isa.LOAD64, Dst: 3, Abs: true, Imm: 256},
+		{Op: isa.LOAD16, Dst: 4, Abs: true, Imm: 256}, // 0xfffe = 65534 unsigned
 		{Op: isa.HALT},
 	}, nil)
 	if c.Regs[1] != 254 {
@@ -134,6 +136,9 @@ func TestLoadStoreWidths(t *testing.T) {
 	}
 	if c.Regs[3] != -2 {
 		t.Errorf("LOAD64 = %d, want -2", c.Regs[3])
+	}
+	if c.Regs[4] != 65534 {
+		t.Errorf("LOAD16 = %d, want 65534 (zero-extended)", c.Regs[4])
 	}
 }
 
@@ -346,5 +351,27 @@ func TestBranchMissEvent(t *testing.T) {
 	}
 	if uint64(misses) != c.Stats.BranchMisses {
 		t.Fatalf("event count %d != stats %d", misses, c.Stats.BranchMisses)
+	}
+}
+
+// TestLongestIntervalBoundsEveryDraw: no interval a re-armed CPU draws
+// exceeds LongestInterval, and some draw reaches it — code that counts
+// that many events after a ReArm is sampled, and no shorter bound says so.
+func TestLongestIntervalBoundsEveryDraw(t *testing.T) {
+	for _, tc := range []struct{ period, jitter int64 }{{97, 12}, {97, 0}, {5000, 625}, {2, 2}} {
+		c := New(64)
+		c.Arm(nil, EvInstRetired, tc.period, tc.jitter)
+		c.sampling = true // ReArm draws only for an armed CPU
+		longest, reached := LongestInterval(tc.period, tc.jitter), false
+		for seed := uint64(0); seed < 4096; seed++ {
+			c.ReArm(seed)
+			if c.countdown > longest {
+				t.Fatalf("period %d jitter %d: drew %d, longest %d", tc.period, tc.jitter, c.countdown, longest)
+			}
+			reached = reached || c.countdown == longest
+		}
+		if !reached {
+			t.Errorf("period %d jitter %d: no draw reached %d", tc.period, tc.jitter, longest)
+		}
 	}
 }
