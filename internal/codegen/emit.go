@@ -233,7 +233,8 @@ func (e *emitter) track(in *isa.Instr) {
 
 // readInto materializes vreg v into a physical register: either its
 // assigned register, a re-materialized constant in scratch, or its spill
-// slot in scratch — loaded, unless scratch still holds it.
+// slot in scratch — loaded, unless scratch still holds it or the other
+// scratch register does (then copied from there).
 func (e *emitter) readInto(a *allocation, v vreg, scratch isa.Reg, irIDs []int) isa.Reg {
 	r, slot, inReg := a.location(v)
 	if inReg {
@@ -244,7 +245,13 @@ func (e *emitter) readInto(a *allocation, v vreg, scratch isa.Reg, irIDs []int) 
 		return scratch
 	}
 	if e.held[scratch-scratchA] != int32(slot) {
-		e.push(isa.Instr{Op: isa.LOAD64, Dst: scratch, Abs: true, Imm: e.spillAddr(slot)}, irIDs, core.RegionGenerated, "")
+		// The other scratch register may hold the slot: copy it instead of
+		// reloading.
+		if other := scratchA + scratchB - scratch; e.held[other-scratchA] == int32(slot) {
+			e.push(isa.Instr{Op: isa.MOVRR, Dst: scratch, Src1: other}, irIDs, core.RegionGenerated, "")
+		} else {
+			e.push(isa.Instr{Op: isa.LOAD64, Dst: scratch, Abs: true, Imm: e.spillAddr(slot)}, irIDs, core.RegionGenerated, "")
+		}
 		e.held[scratch-scratchA] = int32(slot)
 	}
 	return scratch

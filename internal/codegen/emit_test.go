@@ -69,8 +69,10 @@ func TestReloadForwarding(t *testing.T) {
 		{"scratch computes another slot", one, [][]lins{{use(1), {op: isa.ADD, dst: 3, a: 5, useImm: true, imm: 1}, use(1), ret}}, 2},
 		{"scratch copies another slot", one, [][]lins{{use(1), {op: isa.MOVRR, dst: 3, a: 5}, use(1), ret}}, 2},
 		// v1 is read into scratchB, redefined through scratchA, read into
-		// scratchB again: the old copy is stale.
-		{"redefined", one, [][]lins{{useB(1), {op: isa.ADD, dst: 1, a: 5, useImm: true, imm: 1}, useB(1), ret}}, 2},
+		// scratchB again: the old copy is stale, and scratchA's new one is
+		// copied (TestSpilledValueCopiedAcrossScratch).
+		{"redefined", one, [][]lins{{useB(1), {op: isa.ADD, dst: 1, a: 5, useImm: true, imm: 1}, useB(1), ret}}, 1},
+		{"held by the other scratch", one, [][]lins{{useB(1), use(1), ret}}, 1},
 		{"stored over by a parameter", one, [][]lins{{use(1), {pseudo: pParam, dst: 1}, use(1), ret}}, 2},
 		{"spill store forwards", one, [][]lins{{{op: isa.MOVRI, dst: 1, imm: 9}, use(1), ret}}, 0},
 		{"join, predecessors agree", [][]int{{1, 2}, {3}, {3}, nil}, [][]lins{
@@ -99,6 +101,42 @@ func TestReloadForwarding(t *testing.T) {
 		}
 		if got := reloads(e, 0); got != tc.want {
 			t.Errorf("%s: %d reloads of slot 0, want %d:\n%s", tc.name, got, tc.want, e.prog.Disasm())
+		}
+	}
+}
+
+// TestSpilledValueCopiedAcrossScratch: a spilled value read through one
+// scratch register and then through the other is copied between them
+// (MOVRR), not loaded twice; after a redefinition the copy comes from the
+// register holding the new value, never from the stale one.
+func TestSpilledValueCopiedAcrossScratch(t *testing.T) {
+	loc := []int32{0, inSlot(0), 0, 0, 0, inReg(5)}
+	for _, tc := range []struct {
+		name   string
+		ins    []lins
+		from   isa.Reg // the register the second read copies from
+		loaded int     // loads of slot 0
+	}{
+		{"B then A", []lins{useB(1), use(1), {op: isa.RET}}, scratchB, 1},
+		{"A then B", []lins{use(1), useB(1), {op: isa.RET}}, scratchA, 1},
+		{"redefined", []lins{useB(1), {op: isa.ADD, dst: 1, a: 5, useImm: true, imm: 1}, useB(1), {op: isa.RET}}, scratchA, 1},
+	} {
+		fn, a := handFunc(loc, [][]int{nil}, tc.ins)
+		e := newTestEmitter()
+		if err := e.emitFunc(fn, a); err != nil {
+			t.Fatal(err)
+		}
+		moves := 0
+		for _, in := range e.prog.Code {
+			if in.Op == isa.MOVRR && (in.Dst == scratchA || in.Dst == scratchB) {
+				moves++
+				if in.Src1 != tc.from || in.Dst == tc.from {
+					t.Errorf("%s: copied %s from %s, want from %s:\n%s", tc.name, in.Dst, in.Src1, tc.from, e.prog.Disasm())
+				}
+			}
+		}
+		if got := reloads(e, 0); got != tc.loaded || moves != 1 {
+			t.Errorf("%s: %d loads of slot 0 and %d scratch copies, want %d and 1:\n%s", tc.name, got, moves, tc.loaded, e.prog.Disasm())
 		}
 	}
 }

@@ -5,9 +5,11 @@ import (
 	"math"
 	"strings"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/ir"
+	"repro/internal/plan"
 	"repro/internal/pmu"
 	"repro/internal/queries"
 	"repro/internal/vm"
@@ -42,36 +44,10 @@ func (e *Env) Accuracy() (string, *AccuracyStats, error) {
 	sb.WriteString("=== §6.3: accuracy ===\n\n")
 
 	// (a) Tag-everything cross-check.
-	opts := engine.DefaultOptions()
-	opts.TagEverything = true
-	eng := engine.New(e.Cat, opts)
-	w := queries.Intro(true)
-	cq, err := eng.CompileQuery(w.Query)
+	var err error
+	st.TagChecked, st.TagMismatches, err = tagCrossCheck(e.Cat, queries.Intro(true).Query)
 	if err != nil {
 		return "", nil, err
-	}
-	res, err := eng.Run(cq, &pmu.Config{Event: vm.EvCycles, Period: crossCheckPeriod, Format: pmu.FormatIPTimeRegs})
-	if err != nil {
-		return "", nil, err
-	}
-	instrByID := map[int]*ir.Instr{}
-	cq.Pipe.Module.ForEachInstr(func(_ *ir.Func, _ *ir.Block, in *ir.Instr) {
-		instrByID[in.ID] = in
-	})
-	nmap := cq.Code.NMap
-	dict := cq.Pipe.Dict
-	for _, s := range res.Samples {
-		if s.IP >= len(nmap.Region) || nmap.Region[s.IP] != core.RegionGenerated {
-			continue
-		}
-		task, ok := soleTask(nmap.IRs[s.IP], instrByID, dict)
-		if !ok {
-			continue
-		}
-		st.TagChecked++
-		if s.Tag != int64(task) {
-			st.TagMismatches++
-		}
 	}
 	fmt.Fprintf(&sb, "(a) IP vs tag-everywhere cross-check: %d samples checked, %d mismatches (paper: 0)\n",
 		st.TagChecked, st.TagMismatches)
@@ -138,6 +114,44 @@ func (e *Env) Accuracy() (string, *AccuracyStats, error) {
 	fmt.Fprintf(&sb, "(c) %.1f%% of %d MEM_LOADS samples point at loads; %.1f%% of %d BRANCH_MISS samples at branches (paper: all plausible)\n",
 		100*st.LoadSamplesOnLoads, st.LoadSamples, 100*st.BranchMissOnBranches, st.BranchMis)
 	return sb.String(), st, nil
+}
+
+// tagCrossCheck compiles q with the tag register kept on the owning task
+// through all generated code (Options.TagEverything), runs it sampling
+// cycles at crossCheckPeriod, and compares each generated-code sample
+// whose instruction has one owning task against the sampled tag: checked
+// counts those samples, mismatches the ones whose tag names another task.
+func tagCrossCheck(cat *catalog.Catalog, q *plan.Query) (checked, mismatches int, err error) {
+	opts := engine.DefaultOptions()
+	opts.TagEverything = true
+	eng := engine.New(cat, opts)
+	cq, err := eng.CompileQuery(q)
+	if err != nil {
+		return 0, 0, err
+	}
+	res, err := eng.Run(cq, &pmu.Config{Event: vm.EvCycles, Period: crossCheckPeriod, Format: pmu.FormatIPTimeRegs})
+	if err != nil {
+		return 0, 0, err
+	}
+	instrByID := map[int]*ir.Instr{}
+	cq.Pipe.Module.ForEachInstr(func(_ *ir.Func, _ *ir.Block, in *ir.Instr) {
+		instrByID[in.ID] = in
+	})
+	nmap := cq.Code.NMap
+	for _, s := range res.Samples {
+		if s.IP >= len(nmap.Region) || nmap.Region[s.IP] != core.RegionGenerated {
+			continue
+		}
+		task, ok := soleTask(nmap.IRs[s.IP], instrByID, cq.Pipe.Dict)
+		if !ok {
+			continue
+		}
+		checked++
+		if s.Tag != int64(task) {
+			mismatches++
+		}
+	}
+	return checked, mismatches, nil
 }
 
 // soleTask returns the one task owning every IR instruction a native

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/queries"
 )
 
 // smallEnv keeps the integration smoke tests fast.
@@ -102,6 +104,29 @@ func TestAttributionRows(t *testing.T) {
 	}
 }
 
+// TestTagEverythingSuiteZeroMismatches extends §6.3(a)'s cross-check from
+// intro-nogj to all 22 suite plans: every sampled tag must name the task
+// owning the sampled instruction, in code the optimizer moved (fig10-opt,
+// fig10-alt) and after a pipeline call returns to main (q3).
+func TestTagEverythingSuiteZeroMismatches(t *testing.T) {
+	env := NewEnv(0.2, 1)
+	total := 0
+	for _, w := range queries.Suite() {
+		checked, mismatches, err := tagCrossCheck(env.Cat, w.Query)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if mismatches != 0 {
+			t.Errorf("%s: %d of %d cross-checked samples carry another task's tag", w.Name, mismatches, checked)
+		}
+		total += checked
+	}
+	if total < 10000 {
+		t.Fatalf("checked only %d samples over the suite", total)
+	}
+	t.Logf("%d samples cross-checked over %d plans", total, len(queries.Suite()))
+}
+
 func TestAccuracyZeroMismatches(t *testing.T) {
 	_, st, err := smallEnv(t).Accuracy()
 	if err != nil {
@@ -128,10 +153,15 @@ func TestTable1AllImplementedVerified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	motion := false
 	for _, r := range rows {
 		if r.Implemented && !r.Verified {
 			t.Errorf("%s: implemented but failed verification (%s)", r.Optimization, r.Note)
 		}
+		motion = motion || r.Optimization == "Code motion" && r.Verified
+	}
+	if !motion {
+		t.Error("no verified Code motion row")
 	}
 }
 

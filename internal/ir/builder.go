@@ -111,6 +111,14 @@ func (b *Builder) Load(width int, addr *Instr) *Instr {
 	return b.emit(b.instr(op, I64, addr))
 }
 
+// InvariantLoad emits a load the caller vouches reads host-staged memory
+// no generated code writes (Instr.Invariant).
+func (b *Builder) InvariantLoad(width int, addr *Instr) *Instr {
+	in := b.Load(width, addr)
+	in.Invariant = true
+	return in
+}
+
 // Store emits a store of the given width to addr.
 func (b *Builder) Store(width int, addr, val *Instr) *Instr {
 	var op Op

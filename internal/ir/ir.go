@@ -129,18 +129,28 @@ func (o Op) IsPure() bool {
 	return false
 }
 
+// IsLoad reports whether the op reads memory.
+func (o Op) IsLoad() bool { return o >= OpLoad8 && o <= OpLoad64 }
+
 // Instr is one IR instruction. Instructions are identified by ID; the
 // ID namespace is per Module and never reused, so the Tagging Dictionary
 // can key links by ID across optimization passes.
 type Instr struct {
-	ID      int
-	Op      Op
-	Type    Type
-	Args    []*Instr
-	Imm     int64
-	Callee  string   // for OpCall: runtime routine or function symbol
-	Targets []*Block // for terminators
-	Block   *Block
+	ID   int
+	Op   Op
+	Type Type
+	// Invariant marks a load of host-staged memory that no generated code
+	// writes (a column, a row-count slot, a query parameter): every
+	// execution of the function reads the same value at the same address.
+	// The pipeline generator sets it where it emits the load; code motion
+	// may move only such loads, and the translation validator names them
+	// by address alone.
+	Invariant bool
+	Args      []*Instr
+	Imm       int64
+	Callee    string   // for OpCall: runtime routine or function symbol
+	Targets   []*Block // for terminators
+	Block     *Block
 
 	// Comment carries a human-readable note rendered by the printer
 	// (e.g. "directory lookup"), purely cosmetic.
@@ -223,6 +233,12 @@ func (f *Func) Owns(b *Block) bool {
 type Module struct {
 	Funcs  []*Func
 	nextID int
+
+	// TagEverything asks for §6.3's validation mode: the tag register
+	// follows the owning task through all generated code, not only
+	// through shared calls. The pipeline generator sets it;
+	// iropt.Optimize places the tag writes after its last pass.
+	TagEverything bool
 
 	// Slabs the Builder carves instructions and their operand and target
 	// lists from: a statement's few hundred instructions cost a handful

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Problem is one structural defect found by (*Module).Check. The Code is a
 // stable identifier the verification framework (internal/verify) keys its
@@ -144,6 +147,9 @@ func (c *checker) checkFunc(f *Func) {
 				if !f.Owns(tgt) {
 					c.add(f, "foreign-target", b, in, "targets block %s outside function", tgt.Name)
 				}
+			}
+			if in.Invariant && !in.Op.IsLoad() {
+				c.add(f, "invariant-non-load", b, in, "%s marked invariant", in.Op)
 			}
 			if msg := checkTypes(f, in); msg != "" {
 				c.add(f, "type", b, in, "%s", msg)
@@ -378,15 +384,30 @@ func (d DomSets) Dominates(a, b *Block) bool {
 // Dominators computes, for every block, the set of blocks that dominate it
 // by iterating dom(b) = {b} ∪ ⋂ dom(preds) down from the full set over
 // bitset rows, one allocation per function. Shared by the optimizer's
-// loop-invariant code motion and the IR verifier. A predecessor that is
-// not one of the function's blocks contributes the empty set.
+// code motion and the IR verifier. A predecessor that is not one of the
+// function's blocks contributes the empty set.
 func (f *Func) Dominators() DomSets {
+	var d DomSets
+	d.Compute(f)
+	return d
+}
+
+// Compute recomputes d as f's dominator relation, reusing d's rows when
+// they are large enough: a pass that visits every function of a module
+// allocates them once.
+func (d *DomSets) Compute(f *Func) {
 	n := len(f.Blocks)
 	w := BitsetWords(n)
-	rows := make(Bitset, (n+1)*w) // row n is the intersection being built
-	d := DomSets{f: f, words: w, rows: rows}
+	rows := d.rows[:0]
+	if need := (n + 1) * w; cap(rows) >= need { // row n is the intersection being built
+		rows = rows[:need]
+		clear(rows)
+	} else {
+		rows = make(Bitset, need)
+	}
+	*d = DomSets{f: f, words: w, rows: rows}
 	if n == 0 {
-		return d
+		return
 	}
 	rows.Row(0, w).Set(0)
 	for bi := 1; bi < n; bi++ {
@@ -422,5 +443,32 @@ func (f *Func) Dominators() DomSets {
 			}
 		}
 	}
-	return d
+}
+
+// Row returns the set of block indices that dominate f.Blocks[b].
+func (d DomSets) Row(b int) Bitset { return d.rows.Row(b, d.words) }
+
+// Tree fills depth and idom, both indexed by block and at least as long
+// as the function's block list: depth[b] is the number of blocks
+// dominating b (the entry's is 1), idom[b] the index of b's immediate
+// dominator, or -1 for the entry and for unreachable blocks.
+func (d DomSets) Tree(depth, idom []int32) {
+	n := len(d.f.Blocks)
+	for b := range n {
+		c := 0
+		for _, w := range d.Row(b) {
+			c += bits.OnesCount64(w)
+		}
+		depth[b] = int32(c)
+	}
+	for b := range n {
+		idom[b] = -1
+		for wi, w := range d.Row(b) {
+			for ; w != 0; w &= w - 1 {
+				if x := wi<<6 + bits.TrailingZeros64(w); x != b && depth[x] == depth[b]-1 {
+					idom[b] = int32(x)
+				}
+			}
+		}
+	}
 }

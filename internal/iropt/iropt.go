@@ -1,11 +1,13 @@
 // Package iropt implements the IR-level optimizations of Table 1 that the
 // engine applies between code generation and backend lowering: constant
-// folding, dead-code elimination (the paper's "code elimination"), and
-// common-subexpression elimination. Every transformation is reported to a
-// core.Lineage (implemented by the Tagging Dictionary) so profiling
-// attribution stays correct across optimization:
+// folding, code motion, dead-code elimination (the paper's "code
+// elimination"), and common-subexpression elimination. Every
+// transformation is reported to a core.Lineage (implemented by the
+// Tagging Dictionary) so profiling attribution stays correct across
+// optimization:
 //
 //   - folding/elimination drop instructions that can never be sampled;
+//   - code motion keeps the moved instruction's ID, so its links stay;
 //   - CSE makes the surviving instruction a *shared source location*
 //     owned by every task whose expression it now computes (§4.2.7).
 //
@@ -22,6 +24,7 @@ import (
 // Options selects passes; the zero value runs nothing.
 type Options struct {
 	ConstFold bool
+	Hoist     bool
 	DCE       bool
 	CSE       bool
 
@@ -34,14 +37,14 @@ type Options struct {
 }
 
 // AllOptions enables every implemented pass.
-func AllOptions() Options { return Options{ConstFold: true, DCE: true, CSE: true} }
+func AllOptions() Options { return Options{ConstFold: true, Hoist: true, DCE: true, CSE: true} }
 
 // Stats reports what the optimizer did.
 type Stats struct {
 	Folded     int
 	Eliminated int
 	CSEMerged  int
-	Hoisted    int // always zero: no pass hoists out of loops
+	Hoisted    int
 	Reduced    int // always zero: no pass strength-reduces
 }
 
@@ -50,10 +53,15 @@ type Stats struct {
 // instruction for instruction, ID for ID, and a profile's IR instruction
 // IDs line up with the recompile's.
 //
-// The returned error is non-nil only when an AfterPass hook rejected a
-// pass's output; the module is left in the state that hook saw.
+// A module marked TagEverything gets its tag writes after the last pass
+// (tagEverything), so they follow the code's final placement.
+//
+// The returned error is non-nil when an AfterPass hook rejected a pass's
+// output, the module left in the state that hook saw, or when a module
+// marked TagEverything comes with a lineage that cannot name tasks.
 func Optimize(m *ir.Module, lin core.Lineage, opts Options) (Stats, error) {
 	var st Stats
+	var h hoister
 	var hookErr error
 	after := func(pass string) bool {
 		if opts.AfterPass == nil {
@@ -69,6 +77,14 @@ func Optimize(m *ir.Module, lin core.Lineage, opts Options) (Stats, error) {
 			st.Folded += n
 			changed += n
 			if !after("fold") {
+				return st, hookErr
+			}
+		}
+		if opts.Hoist {
+			n := h.run(m)
+			st.Hoisted += n
+			changed += n
+			if !after("hoist") {
 				return st, hookErr
 			}
 		}
@@ -89,9 +105,13 @@ func Optimize(m *ir.Module, lin core.Lineage, opts Options) (Stats, error) {
 			}
 		}
 		if changed == 0 {
-			return st, nil
+			break
 		}
 	}
+	if m.TagEverything {
+		return st, tagEverything(m, lin)
+	}
+	return st, nil
 }
 
 // ConstFold evaluates pure instructions whose operands are all constants,

@@ -90,7 +90,7 @@ func (c *Compiler) genScanLoop(s *plan.Scan, pipeIdx int) {
 		if reg.Width > 1 {
 			off = c.b.Mul(tid, c.b.Const(reg.Width))
 		}
-		v := c.b.Load(int(reg.Width)*8, c.b.Add(c.b.Const(reg.Addr), off))
+		v := c.b.InvariantLoad(int(reg.Width)*8, c.b.Add(c.b.Const(reg.Addr), off))
 		v.Comment = "column " + s.Alias + "." + s.Table.Cols[s.Cols[j]].Name
 		return v
 	}
@@ -637,7 +637,7 @@ func (c *Compiler) stageFullMorsel(p *pipe) {
 	case *plan.Scan:
 		c.b.Store(64, c.b.Const(c.lay.MorselStart(p.index)), c.b.Const(0))
 		rslot := c.lay.RowsSlots[d.Alias]
-		n := c.b.Load(64, c.b.Const(c.lay.StateBase+int64(rslot)*8))
+		n := c.b.InvariantLoad(64, c.b.Const(c.lay.StateBase+int64(rslot)*8))
 		n.Comment = "row count " + d.Alias
 		c.b.Store(64, c.b.Const(c.lay.MorselEnd(p.index)), n)
 	default:

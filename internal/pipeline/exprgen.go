@@ -52,7 +52,7 @@ func (c *Compiler) evalExpr(e plan.PExpr, r row) *ir.Instr {
 		if c.lay.ParamBase == 0 {
 			bug("parameter $" + strconv.Itoa(x.Idx) + " but layout has no parameter region")
 		}
-		return c.b.Load(64, c.b.Const(c.lay.ParamBase+int64(x.Idx)*8))
+		return c.b.InvariantLoad(64, c.b.Const(c.lay.ParamBase+int64(x.Idx)*8))
 	case *plan.PCol:
 		if x.Pos < 0 || x.Pos >= len(r.cols) {
 			bug("column position " + strconv.Itoa(x.Pos) +

@@ -31,7 +31,9 @@ type Options struct {
 	// TagEverything additionally tags every generated code section, the
 	// validation mode of §6.3 ("applying the tagging not only for shared
 	// code locations but also for all instructions in generated code").
-	// Requires RegisterTagging.
+	// Requires RegisterTagging. Compile only marks the module
+	// (ir.Module.TagEverything); iropt.Optimize places the tag writes
+	// after its last pass, so moved code runs under its own task's tag.
 	TagEverything bool
 	// EagerColumnLoads makes scans load their columns at the top of the
 	// tuple loop, so column accesses are attributed to the tablescan
@@ -374,9 +376,9 @@ func Compile(out *plan.Output, lay *Layout, opts Options) (*Compiled, error) {
 	if err := c.module.Verify(); err != nil {
 		return nil, fmt.Errorf("pipeline: generated invalid IR: %w", err)
 	}
-	if opts.TagEverything {
-		c.tagEverything()
-	}
+	// The tag writes are placed after optimization, where the code
+	// stays (iropt.Optimize).
+	c.module.TagEverything = opts.TagEverything
 
 	cd := &Compiled{
 		Module:      c.module,

@@ -8,6 +8,7 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/iropt"
 	"repro/internal/plan"
 )
 
@@ -196,7 +197,9 @@ func TestRegisterTaggingEmission(t *testing.T) {
 	}
 }
 
-// TestTagEverythingInsertsBoundaries checks the §6.3 validation mode.
+// TestTagEverythingInsertsBoundaries checks the §6.3 validation mode:
+// Compile marks the module, and the optimizer, passes or none, places the
+// tag writes after its last pass.
 func TestTagEverythingInsertsBoundaries(t *testing.T) {
 	out, lay := fixture(t)
 	plain, err := Compile(out, lay, Options{RegisterTagging: true})
@@ -206,6 +209,14 @@ func TestTagEverythingInsertsBoundaries(t *testing.T) {
 	tagged, err := Compile(out, lay, Options{RegisterTagging: true, TagEverything: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !tagged.Module.TagEverything || plain.Module.TagEverything {
+		t.Fatal("Compile did not mark only the tag-everything module")
+	}
+	for _, cd := range []*Compiled{plain, tagged} {
+		if _, err := iropt.Optimize(cd.Module, cd.Dict, iropt.Options{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	countSetTags := func(cd *Compiled) int {
 		n := 0

@@ -142,8 +142,9 @@ func (c *Cache[V]) Get(k Key) (V, bool) {
 
 // Put inserts a resolved value directly (used for adaptive artifacts
 // produced outside the single-flight path). It replaces any resolved
-// entry under the same key; a pending compute for the key keeps running
-// and publishes over it when done.
+// entry under the same key with a fresh one, so a resolved entry's value
+// never changes and a hit may read it after dropping the lock; a pending
+// compute for the key keeps running and publishes over it when done.
 func (c *Cache[V]) Put(k Key, v V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -151,9 +152,7 @@ func (c *Cache[V]) Put(k Key, v V) {
 		if e.elem == nil {
 			return // pending compute owns the key; let it publish
 		}
-		e.val = v
-		c.lru.MoveToFront(e.elem)
-		return
+		c.lru.Remove(e.elem)
 	}
 	e := &entry[V]{key: k, val: v}
 	c.m[k] = e

@@ -48,6 +48,76 @@ func (IRWellFormed) Check(a *Artifact) []Diag {
 	return out
 }
 
+// InvariantLoads proves every load the pipeline generator marked
+// invariant (ir.Instr.Invariant) reads a region no generated code writes:
+// its address is a layout constant, or a layout constant plus an index,
+// and that constant lies in a read-only region of the memory model. Code
+// motion moves such loads and the translation validator names them by
+// address alone, so a mark on a load of writable memory would let a
+// miscompiled move through both; this check refuses the mark itself.
+// That the index stays inside the region is the abstract interpreter's
+// proof (absint, on the emitted access). Needs the memory model.
+type InvariantLoads struct{}
+
+// Name implements Checker.
+func (InvariantLoads) Name() string { return "ir" }
+
+// Check implements Checker.
+func (InvariantLoads) Check(a *Artifact) []Diag {
+	if a.Module == nil || a.Mem == nil {
+		return nil
+	}
+	var out []Diag
+	for _, f := range a.Module.Funcs {
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if !in.Invariant || !in.Op.IsLoad() || len(in.Args) != 1 {
+					continue
+				}
+				msg := ""
+				switch base, ok := constBase(in.Args[0]); {
+				case !ok:
+					msg = "address is not a layout constant plus an index"
+				default:
+					r := a.Mem.RegionAt(base, 1)
+					switch {
+					case r == nil:
+						msg = fmt.Sprintf("base %d lies in no region", base)
+					case r.Writable:
+						msg = fmt.Sprintf("base %d lies in writable region %s", base, r.Name)
+					}
+				}
+				if msg != "" {
+					out = append(out, Diag{
+						Check:    "ir/invariant-load",
+						Severity: Error,
+						Level:    core.LevelIR,
+						Locus:    fmt.Sprintf("%s.%s %%%d", f.Name, b.Name, in.ID),
+						Msg:      "load marked invariant: " + msg,
+					})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// constBase returns the constant an address is based at: the address
+// itself, or the constant operand of an Add.
+func constBase(addr *ir.Instr) (int64, bool) {
+	switch {
+	case addr.Op == ir.OpConst:
+		return addr.Imm, true
+	case addr.Op == ir.OpAdd && len(addr.Args) == 2:
+		for _, x := range addr.Args {
+			if x.Op == ir.OpConst {
+				return x.Imm, true
+			}
+		}
+	}
+	return 0, false
+}
+
 // ---------------------------------------------------------------------------
 // Tagging Dictionary soundness
 // ---------------------------------------------------------------------------

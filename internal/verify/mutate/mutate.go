@@ -4,7 +4,7 @@
 // compiler bug — swapped operands, a dropped store, a perturbed constant,
 // a clobbered or stale tag register, a wild or misaligned address, a
 // column read at the wrong width, a branch whose Inverted bit disagrees
-// with its sense — at one
+// with its sense, a load of writable memory hoisted as if invariant — at one
 // of the two levels the validators watch:
 //
 //   - IR mutants corrupt an ir.Module the way a broken optimizer pass
@@ -145,7 +145,89 @@ func IR(m *ir.Module) []Mutant {
 		s.in.Args[0], s.in.Args[1] = s.in.Args[1], s.in.Args[0]
 	})
 
+	// A code-motion bug: a load of writable memory (one not marked
+	// invariant) hoisted to its block's immediate dominator, with the
+	// address arithmetic it computes in its block, as if it were
+	// invariant. It then reads before the stores and calls of the path
+	// it left.
+	idomOf := func(f *ir.Func) []int32 {
+		depth, idom := make([]int32, len(f.Blocks)), make([]int32, len(f.Blocks))
+		f.Dominators().Tree(depth, idom)
+		return idom
+	}
+	var hoistable []site
+	for _, f := range m.Funcs {
+		idom := idomOf(f)
+		for _, b := range f.Blocks {
+			for i, in := range b.Instrs {
+				if in.Op.IsLoad() && !in.Invariant && idom[b.Index] >= 0 && addressMovable(in) {
+					hoistable = append(hoistable, site{in, f.Name, b, i})
+				}
+			}
+		}
+	}
+	class("ir/hoist-writable-load", hoistable, func(s site) {
+		f := s.blk.Func
+		to := f.Blocks[idomOf(f)[s.blk.Index]]
+		var group, kept []*ir.Instr
+		for _, in := range s.blk.Instrs {
+			if in == s.in || feedsAddress(in, s.in) {
+				group = append(group, in)
+			} else {
+				kept = append(kept, in)
+			}
+		}
+		s.blk.Instrs = kept
+		term := to.Instrs[len(to.Instrs)-1]
+		to.Instrs = append(append(to.Instrs[:len(to.Instrs)-1:len(to.Instrs)-1], group...), term)
+		for _, in := range group {
+			in.Block = to
+		}
+	})
+
 	return muts
+}
+
+// addressMovable reports whether a load's address is computed from values
+// defined outside its block, through pure arithmetic inside it.
+func addressMovable(ld *ir.Instr) bool {
+	var ok func(x *ir.Instr) bool
+	ok = func(x *ir.Instr) bool {
+		if x.Block != ld.Block {
+			return true
+		}
+		if !x.Op.IsPure() {
+			return false
+		}
+		for _, a := range x.Args {
+			if !ok(a) {
+				return false
+			}
+		}
+		return true
+	}
+	return ok(ld.Args[0])
+}
+
+// feedsAddress reports whether x is part of ld's in-block address
+// arithmetic.
+func feedsAddress(x, ld *ir.Instr) bool {
+	var reach func(y *ir.Instr) bool
+	reach = func(y *ir.Instr) bool {
+		if y == x {
+			return true
+		}
+		if y.Block != ld.Block {
+			return false
+		}
+		for _, a := range y.Args {
+			if reach(a) {
+				return true
+			}
+		}
+		return false
+	}
+	return x.Op.IsPure() && reach(ld.Args[0])
 }
 
 // CloneResult deep-copies the parts of a codegen.Result that native

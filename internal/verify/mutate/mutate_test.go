@@ -161,3 +161,39 @@ func TestMutantsAreDeterministic(t *testing.T) {
 		t.Fatalf("non-deterministic enumeration:\n%s\nvs\n%s", a, b)
 	}
 }
+
+// TestHoistedLoadMutantsStayWellFormed: every ir/hoist-writable-load
+// mutant leaves valid SSA — the address arithmetic moves with the load —
+// so the translation validator, not the IR verifier, is what catches it.
+func TestHoistedLoadMutantsStayWellFormed(t *testing.T) {
+	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.01, Seed: 42})
+	c := engine.NewCompiler(cat, engine.DefaultOptions())
+	n := 0
+	for _, w := range queries.Suite() {
+		cq, err := c.CompileQuery(w.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := func() *pipeline.Compiled {
+			pc, err := pipeline.Compile(cq.Plan, cq.Layout, pipeline.Options{RegisterTagging: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pc
+		}
+		for i, mu := range IR(fresh().Module) {
+			if mu.Class != "ir/hoist-writable-load" {
+				continue
+			}
+			pc := fresh()
+			IR(pc.Module)[i].Apply()
+			if err := pc.Module.Verify(); err != nil {
+				t.Errorf("%s: %s at %s: %v", w.Name, mu.Class, mu.Site, err)
+			}
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("no ir/hoist-writable-load mutants enumerated")
+	}
+}

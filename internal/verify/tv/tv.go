@@ -15,10 +15,17 @@
 //
 //   - no pass adds, removes or renames functions or blocks, so blocks are
 //     matched by name;
-//   - loads, calls and tag reads are never moved or merged, so they are
-//     named by their block plus the count of may-write events (stores and
-//     calls for memory, tag writes and calls for the tag register)
-//     preceding them — a stable "memory epoch";
+//   - pure instructions are named by their canonical expression, not
+//     their block, so code motion (iropt.Hoist) may move them;
+//   - calls, tag reads and unmarked loads are never moved or merged, so
+//     they are named by their block plus the count of may-write events
+//     (stores and calls for memory, tag writes and calls for the tag
+//     register) preceding them — a stable "memory epoch";
+//   - a load marked invariant (ir.Instr.Invariant) reads host-staged
+//     memory no generated code writes, so code motion may move it and it
+//     is named by its canonical address alone; the artifact suite's
+//     ir/invariant-load check proves every marked load's region
+//     read-only, which is what makes that name sound;
 //   - phis are opaque symbols named by their never-reused instruction ID,
 //     with their incoming edges checked as separate per-predecessor proof
 //     obligations (restricted to phis the observable events depend on, so
@@ -350,6 +357,12 @@ func (s *summarizer) canon1(in *ir.Instr) int {
 		return it.intern("phi"+strconv.Itoa(in.ID), []int{in.ID})
 	case ir.OpLoad8, ir.OpLoad16, ir.OpLoad32, ir.OpLoad64:
 		a := s.canon(in.Args[0])
+		if in.Invariant {
+			// No generated code writes what it reads (the verify suite's
+			// invariant-load check proves its region read-only), so its
+			// value is its address's wherever it runs.
+			return it.intern(fmt.Sprintf("(%s %d inv)", in.Op, a), it.deps[a])
+		}
 		key := fmt.Sprintf("(%s %d @%s/%s#%d)", in.Op, a, s.fn, in.Block.Name, s.memEpoch[in])
 		return it.intern(key, it.deps[a])
 	case ir.OpGetTag:

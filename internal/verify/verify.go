@@ -10,6 +10,7 @@
 // analyses that run over every compilation artifact:
 //
 //   - IR well-formedness (ir.(*Module).Check: SSA dominance, types, CFG),
+//     and every load marked invariant reading a read-only region,
 //   - Tagging Dictionary soundness (every instruction resolves to an
 //     operator, lineage journal acyclic, no orphan or dangling links),
 //   - native-code invariants (tag register discipline, shared-call tag
@@ -113,10 +114,11 @@ type Suite struct {
 func NewSuite(cs ...Checker) *Suite { return &Suite{Checkers: cs} }
 
 // ArtifactSuite returns the standard artifact battery: IR well-formedness,
-// dictionary soundness, native invariants, partitioned-merge invariants.
+// invariant-load regions, dictionary soundness, native invariants,
+// partitioned-merge invariants.
 // (The source linter is not an artifact checker; see Lint.)
 func ArtifactSuite() *Suite {
-	return NewSuite(IRWellFormed{}, DictSoundness{}, NativeInvariants{}, MergeInvariants{})
+	return NewSuite(IRWellFormed{}, InvariantLoads{}, DictSoundness{}, NativeInvariants{}, MergeInvariants{})
 }
 
 // Run executes every checker and returns all diagnostics, tagged with the

@@ -337,3 +337,44 @@ func TestProvenanceStripped(t *testing.T) {
 	nm.IRs[pos] = nil
 	wantDiag(t, a, "native/no-provenance")
 }
+
+// TestInvariantLoadsReadOnlyRegions: every load the pipeline marks
+// invariant reads a read-only region of fig10-opt's memory model, and a
+// mark on a hash-directory load — writable memory the build fills — is
+// refused, as is one on an address that is not a layout constant plus an
+// index.
+func TestInvariantLoadsReadOnlyRegions(t *testing.T) {
+	w, _ := queries.ByName("fig10-opt")
+	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.01, Seed: 42})
+	cq, err := engine.New(cat, engine.DefaultOptions()).CompileQuery(w.Query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &verify.Artifact{Module: cq.Pipe.Module, Mem: cq.Mem}
+	if ds := (verify.InvariantLoads{}).Check(a); len(ds) != 0 {
+		t.Fatalf("clean artifact flagged:\n%s", renderDiags(ds))
+	}
+	marked := 0
+	var dirLoad, chainLoad *ir.Instr
+	cq.Pipe.Module.ForEachInstr(func(_ *ir.Func, _ *ir.Block, in *ir.Instr) {
+		switch {
+		case in.Invariant:
+			marked++
+		case in.Op.IsLoad() && strings.Contains(in.Comment, "directory lookup") && dirLoad == nil:
+			dirLoad = in
+		case in.Op.IsLoad() && in.Args[0].Op == ir.OpPhi && chainLoad == nil:
+			chainLoad = in
+		}
+	})
+	if marked == 0 || dirLoad == nil || chainLoad == nil {
+		t.Fatalf("fixture lacks the loads: %d marked, directory %v, chain %v", marked, dirLoad, chainLoad)
+	}
+	for _, in := range []*ir.Instr{dirLoad, chainLoad} {
+		in.Invariant = true
+		ds := (verify.InvariantLoads{}).Check(a)
+		in.Invariant = false
+		if len(ds) != 1 || ds[0].Check != "ir/invariant-load" {
+			t.Errorf("marking %%%d (%s) invariant: got\n%s", in.ID, in.Comment, renderDiags(ds))
+		}
+	}
+}
