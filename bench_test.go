@@ -492,46 +492,6 @@ func TestEngineRunFootprint(t *testing.T) {
 	}
 }
 
-// benchPGO runs one profile → recompile → re-run cycle and reports the
-// simulated cycles of the original and profile-guided binaries plus the
-// achieved reduction. RunAdaptive fails the benchmark if the recompiled
-// query's rows differ.
-func benchPGO(b *testing.B, workload string) {
-	env := benchEnv(b)
-	wl, ok := queries.ByName(workload)
-	if !ok {
-		b.Fatalf("no workload %s", workload)
-	}
-	eng := engine.New(env.Cat, engine.DefaultOptions())
-	cq, err := eng.CompileQuery(wl.Query)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ar *engine.AdaptiveResult
-	for i := 0; i < b.N; i++ {
-		ar, err = eng.RunAdaptive(cq, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(ar.BaselineCycles), "baseline_cycles")
-	b.ReportMetric(float64(ar.TunedCycles), "tuned_cycles")
-	b.ReportMetric(100*ar.CycleReduction(), "reduction_pct")
-}
-
-// BenchmarkPGOScanAgg measures profile-guided recompilation on TPC-H Q6:
-// one tight scan loop.
-func BenchmarkPGOScanAgg(b *testing.B) {
-	benchPGO(b, "q6")
-}
-
-// BenchmarkPGOJoin measures profile-guided recompilation on the Fig. 9
-// join+group-by query, whose pipelines put more values under register
-// pressure, where the profile-weighted spill priority acts.
-func BenchmarkPGOJoin(b *testing.B) {
-	benchPGO(b, "fig9")
-}
-
 // BenchmarkParallelScanAgg measures morsel-driven scaling on a scan-heavy
 // aggregation (TPC-H Q6): one scan pipeline, near-perfect morsel balance.
 func BenchmarkParallelScanAgg(b *testing.B) {

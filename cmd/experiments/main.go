@@ -16,8 +16,8 @@
 //	experiments -exp parallel     morsel-driven scaling on simulated cores
 //	experiments -exp loc          Table 3 implementation effort
 //
-// The gates of the features beyond the paper (PGO, cardinality
-// estimation, merge, shards, ingest, views) are asserted by one test each
+// The gates of the features beyond the paper (cardinality estimation,
+// merge, shards, ingest, views) are asserted by one test each
 // next to the feature; see DESIGN.md.
 package main
 

@@ -63,8 +63,8 @@ import (
 )
 
 type config struct {
-	explain, verify, analyze, pgo bool
-	maxRows                       int
+	explain, verify, analyze bool
+	maxRows                  int
 }
 
 func main() {
@@ -80,7 +80,6 @@ func main() {
 		"radix partitions for the parallel sink merge (rounded down to a power of two; below 1 = one partition)")
 	shards := flag.Int("shards", 0, "execute scans as N zone-aligned shards through the cross-shard coordinator (0 = unsharded)")
 	shardprune := flag.Bool("shardprune", true, "prune shard zones from bounds and shipped semi-join filters (with -shards)")
-	pgo := flag.Bool("pgo", false, "profile-guided recompilation: run sampled, recompile from the profile, report the cycle delta")
 	serve := flag.Bool("serve", false, "batch mode: execute stdin statements across -sessions concurrent sessions")
 	sessions := flag.Int("sessions", 4, "concurrent sessions in -serve mode")
 	cacheN := flag.Int("cache", 0, "compiled-query cache capacity in entries (0 = default)")
@@ -88,7 +87,7 @@ func main() {
 	flag.Parse()
 
 	// One catalog, one service: sessions are cheap handles that share the
-	// compiled-query cache and the PGO generation table.
+	// compiled-query cache and the generation table.
 	cat := datagen.Generate(datagen.Config{ScaleFactor: *sf, Seed: *seed})
 	opts := engine.DefaultOptions()
 	opts.TupleCounters = *analyze
@@ -108,7 +107,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := config{explain: *explain, verify: *verify, analyze: *analyze, pgo: *pgo, maxRows: *maxRows}
+	cfg := config{explain: *explain, verify: *verify, analyze: *analyze, maxRows: *maxRows}
 	var stopIngest func() (int64, uint64)
 	if *ingest != "" {
 		ic, err := parseIngest(*ingest)
@@ -395,9 +394,6 @@ func runOne(se *engine.Session, sql string, cfg config) error {
 		}))
 		fmt.Println()
 	}
-	if cfg.pgo {
-		return runAdaptive(se, sql, p.Compiled, cfg.maxRows)
-	}
 	res, err := se.Run(p, nil)
 	if err != nil {
 		return err
@@ -453,27 +449,6 @@ func refCheck(p *engine.Prepared, rows [][]int64) error {
 	if !ref.SameRows(rows, want, len(p.Compiled.Plan.OrderBy) > 0) {
 		return fmt.Errorf("VERIFICATION FAILED: compiled result differs from reference")
 	}
-	return nil
-}
-
-// runAdaptive runs one profile → recompile → re-run cycle and reports
-// the simulated-cycle delta; the recompiled query's rows (printed) are
-// verified identical to the original's by the adaptive cycle itself. A
-// winning profile is promoted into the service's cache, so subsequent
-// prepares of the same fingerprint serve the tuned binary. cq is the
-// artifact the statement was prepared to; the spilled intervals it and
-// the recompile have show what the profile changed.
-func runAdaptive(se *engine.Session, sql string, cq *engine.Compiled, maxRows int) error {
-	ar, err := se.Adapt(sql, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Print(viz.ResultTable(ar.Tuned, maxRows))
-	fmt.Printf("(%d rows; results identical before/after recompilation)\n", len(ar.Tuned.Rows))
-	fmt.Printf("pgo: %d samples; spilled intervals %d -> %d\n",
-		len(ar.ProfileRun.Samples), cq.Code.Spills, ar.Recompiled.Code.Spills)
-	fmt.Printf("pgo: %d cycles -> %d cycles (%.1f%% reduction, %.2fx)\n",
-		ar.BaselineCycles, ar.TunedCycles, ar.CycleReduction()*100, ar.Speedup())
 	return nil
 }
 

@@ -108,7 +108,7 @@ type absintResult struct {
 
 func artifactsCheck(env *env) (*run, error) {
 	var results []checkResult
-	sets := 0 // artifact sets verified: one per compile, one more per adaptive cycle
+	sets := 0 // artifact sets verified: one per compile
 	each := func(_ int, u unit) (detail string, err error) {
 		nw := u.workers
 		r := checkResult{Workload: u.name, Workers: nw}
@@ -148,18 +148,7 @@ func artifactsCheck(env *env) (*run, error) {
 			}
 			extra += fmt.Sprintf(", absint %d/%d proved", rep.Proved, rep.Accesses)
 		}
-		if !env.mod["pgo"] {
-			return fmt.Sprintf("workers=%d (%d native instrs%s)", nw, r.NativeInstrs, extra), nil
-		}
-		// The adaptive cycle recompiles through the same verified
-		// CompilePlanGuided path, so the PGO artifacts (the profile-weighted
-		// spill allocation) get the full suite too.
-		sets++
-		ar, err := e.RunAdaptive(cq, nil)
-		if err != nil {
-			return "", fmt.Errorf("pgo: %w", err)
-		}
-		return fmt.Sprintf("workers=%d pgo (%d -> %d cycles%s)", nw, ar.BaselineCycles, ar.TunedCycles, extra), nil
+		return fmt.Sprintf("workers=%d (%d native instrs%s)", nw, r.NativeInstrs, extra), nil
 	}
 	finish := func(int) (string, []error) {
 		return fmt.Sprintf("%d artifact sets verified, 0 diagnostics", sets), nil

@@ -98,7 +98,6 @@ var checks = []check{
 Engine.VerifyArtifacts on: the cross-level suite (internal/verify) runs over
 every artifact, after pipeline construction, every optimizer pass, and emit.`,
 		mods: []flagDoc{
-			{"pgo", "default check: also verify one profile-guided recompilation per query"},
 			{"tv", "default check: report translation-validation coverage; fail a compile that validated no optimizer pass"},
 			{"absint", "default check: abstract-interpret the emitted code; report proved memory accesses, fail a definite violation"},
 		}},

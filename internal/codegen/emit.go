@@ -22,12 +22,6 @@ type Config struct {
 	// the region size in bytes.
 	SpillBase int64
 	SpillCap  int64
-	// Hot holds a profile's per-IR-instruction weights (core.Profile's
-	// IRWeight) for a recompilation: a register defends an access the
-	// profile saw hot harder against spilling. Nil (the default) compiles
-	// from the IR alone. Block layout and spill weights come from the IR's
-	// block counts either way.
-	Hot map[int]float64
 }
 
 // DefaultConfig returns the standard backend configuration for a spill
@@ -165,7 +159,7 @@ func Compile(m *ir.Module, cfg Config) (*Result, error) {
 			return nil, err
 		}
 		lo.layoutFunc(lf)
-		alloc, next, err := allocate(lf, &lo.live, cfg.RegisterTagging, slotBase, cfg.Hot)
+		alloc, next, err := allocate(lf, &lo.live, cfg.RegisterTagging, slotBase)
 		if err != nil {
 			return nil, err
 		}

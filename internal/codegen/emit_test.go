@@ -213,7 +213,7 @@ func TestCallArgumentMoves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ca, _, err := allocate(lf, &lo.live, false, 8, nil)
+		ca, _, err := allocate(lf, &lo.live, false, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

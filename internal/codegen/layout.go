@@ -5,7 +5,7 @@ package codegen
 // goal is to chain each block directly into its most frequent successor:
 // one cycle saved per elided JMP per execution, and cold blocks (trap
 // paths, flush tails, phi edges off the hot path) sink to the end of the
-// function. Every compile runs it, guided or not; the weights are the
+// function. Every compile runs it; the weights are the
 // estimated execution counts the pipeline generator stamps on each IR
 // block (ir.Block.Freq, lblock.freq), never a profile's cycle samples —
 // one block with a DRAM load must not outweigh a loop header that runs a

@@ -202,7 +202,7 @@ func TestHoistedConstantRematerialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo.layoutFunc(lf)
-	a, _, err := allocate(lf, &lo.live, false, 0, nil)
+	a, _, err := allocate(lf, &lo.live, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,23 +223,4 @@ func TestHoistedConstantRematerialized(t *testing.T) {
 	if remats == 0 {
 		t.Errorf("no MOVRI re-materializes the constant at its use:\n%s", res.Program.Disasm())
 	}
-}
-
-// BlockOrder lowers every function of m the way Compile does and returns
-// its blocks' names ("func/block") in layout order. Exported (from a test
-// file) for the external suite test.
-func BlockOrder(m *ir.Module, cfg Config) ([]string, error) {
-	lo := newLowerer(m, &cfg)
-	var out []string
-	for _, f := range m.Funcs {
-		lf, err := lo.lowerFunc(f)
-		if err != nil {
-			return nil, err
-		}
-		lo.layoutFunc(lf)
-		for _, b := range lf.blocks {
-			out = append(out, f.Name+"/"+b.name)
-		}
-	}
-	return out, nil
 }

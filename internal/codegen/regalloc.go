@@ -220,10 +220,8 @@ func liveness(fn *lfunc, scratch *ir.Bitset) (liveIn, liveOut ir.Bitset, w int) 
 // allocate runs liveness (into the scratch *live) + linear scan for fn.
 // slotBase is the first free global spill-slot index; the returned next
 // value continues the counter so functions never share slots (main's
-// spilled values survive pipeline calls). A non-nil hot (IR instruction → profile weight) scales interval
-// weights by measured execution frequency, so spill pressure lands on
-// values the profile saw idle.
-func allocate(fn *lfunc, live *ir.Bitset, registerTagging bool, slotBase int, hot map[int]float64) (*allocation, int, error) {
+// spilled values survive pipeline calls).
+func allocate(fn *lfunc, live *ir.Bitset, registerTagging bool, slotBase int) (*allocation, int, error) {
 	// Linearize positions.
 	nb := len(fn.blocks)
 	bounds := make([]int, 2*nb)
@@ -279,24 +277,11 @@ func allocate(fn *lfunc, live *ir.Bitset, registerTagging bool, slotBase int, ho
 	// into an argument register costs as much), less the MOVRI at its
 	// definition.
 	weights := make([]float64, nv)
-	var hotTotal float64
-	for _, w := range hot {
-		hotTotal += w
-	}
 	var callPositions, genCallPositions []int
 	for bi, b := range fn.blocks {
 		for i := range b.ins {
 			l, p := &b.ins[i], blockStart[bi]+i
 			w := b.freq
-			if hotTotal > 0 {
-				// Measured frequency refines the static block-count estimate:
-				// an access the profile saw hot defends its register harder.
-				hw := 0.0
-				for _, id := range l.irIDs {
-					hw += hot[id]
-				}
-				w *= 1 + 100*hw/hotTotal
-			}
 			def, uses := l.operands(&buf)
 			if def != 0 {
 				extend(def, p)

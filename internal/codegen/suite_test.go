@@ -1,7 +1,6 @@
 package codegen_test
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/codegen"
@@ -32,54 +31,6 @@ func TestSuiteLivenessMatchesReference(t *testing.T) {
 				t.Errorf("%s: %v", w.Name, err)
 			}
 		}
-	}
-}
-
-// TestGuidedLayoutMatchesUnguided: a profile steers spill priority and
-// nothing else. For every suite plan the guided compile's optimized IR
-// and optimizer counts equal the unguided compile's, and its layout —
-// which reads only the plan's block counts — lays out the same blocks in
-// the same order; only the allocation may differ.
-func TestGuidedLayoutMatchesUnguided(t *testing.T) {
-	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.01, Seed: 7})
-	e := engine.New(cat, engine.DefaultOptions())
-	profiled := 0
-	for _, w := range queries.Suite() {
-		cq, err := e.CompileQuery(w.Query)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
-		ar, err := e.RunAdaptive(cq, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
-		if got, want := ar.Recompiled.Pipe.Module.Print(nil), cq.Pipe.Module.Print(nil); got != want {
-			t.Errorf("%s: the guided compile's optimized IR differs from the unguided one's", w.Name)
-		}
-		if got, want := ar.Recompiled.OptStats, cq.OptStats; got != want {
-			t.Errorf("%s: guided optimizer counts %+v, unguided %+v", w.Name, got, want)
-		}
-		cfg := codegen.DefaultConfig(0, 0, 1<<20)
-		cfg.RegisterTagging = e.Opts.RegisterTagging
-		cfg.FuseCmpBranch = e.Opts.FuseCmpBranch
-		unguided, err := codegen.BlockOrder(cq.Pipe.Module, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
-		if len(ar.ProfileRun.Profile.IRWeight) > 0 {
-			profiled++
-		}
-		cfg.Hot = ar.ProfileRun.Profile.IRWeight
-		guided, err := codegen.BlockOrder(ar.Recompiled.Pipe.Module, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
-		if !slices.Equal(unguided, guided) {
-			t.Errorf("%s: block order differs:\n unguided %v\n guided   %v", w.Name, unguided, guided)
-		}
-	}
-	if profiled == 0 {
-		t.Fatal("no plan's profile attributes any weight")
 	}
 }
 

@@ -100,6 +100,54 @@ func TestAdaptHonoursPinnedSnapshot(t *testing.T) {
 	}
 }
 
+// TestAdaptCompilesNothing: Adapt runs the artifact Prepare served and
+// puts none into the cache. On a warm statement — with tuple counters
+// compiled into the service's artifacts or not, sharded and pruned or
+// not — Adapt leaves the cache's miss count alone, the next Prepare, from
+// another session, hits the same artifact under generation 0, Tuned is
+// Baseline, and the rows are the reference executor's.
+func TestAdaptCompilesNothing(t *testing.T) {
+	cat := testCatalog(t)
+	const sql = "select l_orderkey, sum(l_quantity), sum(l_extendedprice) from lineitem where l_quantity < 24 group by l_orderkey"
+	for _, counters := range []bool{false, true} {
+		for _, shards := range []int{0, 4} {
+			opts := DefaultOptions()
+			opts.TupleCounters = counters
+			svc := NewService(cat, opts, 0)
+			se := svc.NewSession()
+			se.SetShards(shards)
+			se.SetShardPruning(shards >= 1)
+			warm, err := se.Prepare(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := svc.CacheStats()
+			ar, err := se.Adapt(sql, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ar.Tuned != ar.Baseline || ar.TunedCycles != ar.BaselineCycles {
+				t.Errorf("counters=%v shards=%d: Tuned is not Baseline (%d vs %d cycles)",
+					counters, shards, ar.TunedCycles, ar.BaselineCycles)
+			}
+			if after := svc.CacheStats(); after.Misses != before.Misses || after.Invalidations != before.Invalidations {
+				t.Errorf("counters=%v shards=%d: Adapt moved the cache from %+v to %+v", counters, shards, before, after)
+			}
+			p, err := svc.NewSession().Prepare(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !p.CacheHit || p.Compiled != warm.Compiled {
+				t.Errorf("counters=%v shards=%d: Prepare after Adapt serves another artifact (hit %v)", counters, shards, p.CacheHit)
+			}
+			if gen := svc.gens.Current(p.Fingerprint); gen != 0 {
+				t.Errorf("counters=%v shards=%d: Adapt bumped the generation to %d", counters, shards, gen)
+			}
+			rowsEqual(t, ar.Baseline.Rows, refRows(t, p), false)
+		}
+	}
+}
+
 // partitionsOf lists the merge partition count of every hash table of an
 // artifact, in plan order.
 func partitionsOf(cq *Compiled) []int64 {
@@ -112,14 +160,13 @@ func partitionsOf(cq *Compiled) []int64 {
 	return ps
 }
 
-// TestAdaptRecompileIsTheMissCompile: one cache key, one build. Adapt's
-// guided recompile makes the cost model's decision exactly as the compile
-// that prepared the statement did — the same partition count per hash
-// table, whatever the shard count — so the tuned artifact Adapt
-// may cache under the key's next generation differs from the miss compile
-// only by the profile. A statement prepare cannot parameterize (a literal
-// inside ORDER BY is not lifted) takes the uncached text fallback, which
-// builds the same way.
+// TestAdaptRecompileIsTheMissCompile: one cache key, one build. Adapt
+// builds no binary of its own: it runs the artifact its Prepare serves,
+// whose cost-model decisions — the partition count per hash table,
+// whatever the shard count — are exactly the miss compile's. A statement
+// prepare cannot parameterize (a literal inside ORDER BY is not lifted)
+// takes the uncached text fallback, which builds the same way on every
+// Prepare, Adapt's included.
 func TestAdaptRecompileIsTheMissCompile(t *testing.T) {
 	cat := testCatalog(t)
 	for _, c := range []struct {
@@ -150,12 +197,30 @@ func TestAdaptRecompileIsTheMissCompile(t *testing.T) {
 				t.Fatalf("shards=%d, %s: the cost model kept the static partitions %v; pick a statement it decides on", shards, c.sql, want)
 			}
 
+			// The Prepare Adapt starts with serves the miss compile's build.
+			again, err := se.Prepare(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := partitionsOf(again.Compiled); !slices.Equal(got, want) {
+				t.Errorf("shards=%d, %s: a second prepare has partitions %v, the miss compile %v", shards, c.sql, got, want)
+			}
+			if !c.fallback && again.Compiled != miss.Compiled {
+				t.Errorf("shards=%d, %s: a second prepare serves another artifact than the miss compile", shards, c.sql)
+			}
+
+			run, err := se.Run(miss, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCycles, wantRows := run.WallCycles, run.Rows
 			ar, err := se.Adapt(c.sql, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := partitionsOf(ar.Recompiled); !slices.Equal(got, want) {
-				t.Errorf("shards=%d, %s: guided recompile has partitions %v, the miss compile %v", shards, c.sql, got, want)
+			if ar.Baseline.WallCycles != wantCycles || !RowsEqual(ar.Baseline.Rows, wantRows) {
+				t.Errorf("shards=%d, %s: Adapt ran %d cycles, rows %v; the miss compile runs %d cycles, rows %v",
+					shards, c.sql, ar.Baseline.WallCycles, ar.Baseline.Rows, wantCycles, wantRows)
 			}
 		}
 	}

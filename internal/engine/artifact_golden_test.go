@@ -7,9 +7,11 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/ir"
 	"repro/internal/queries"
 )
 
@@ -20,7 +22,9 @@ var updateArtifactGolden = flag.Bool("update-artifact-golden", false,
 // of everything a compile hands downstream — the optimized module as
 // printed (instruction IDs included), what the optimizer counted, the
 // dictionary's lineage journal in report order, the native code, the
-// native→IR debug map and the spill count.
+// native→IR debug map, the spill count, and the IDs of the loads marked
+// ir.Instr.Invariant (the printer does not show the mark, and code motion
+// reads it).
 func artifactDigest(name string, cq *Compiled) string {
 	sum := func(write func(w io.Writer)) uint64 {
 		h := fnv.New64a()
@@ -45,13 +49,22 @@ func artifactDigest(name string, cq *Compiled) string {
 			fmt.Fprintf(b, "%v %d %q %v\n", nm.IRs[i], nm.Region[i], nm.Routine[i], nm.Inverted[i])
 		}
 	})
-	return fmt.Sprintf("%s ir=%016x maxid=%d stats=%+v journal=%016x code=%016x nmap=%016x spills=%d slots=%d\n",
-		name, irSum, cq.Pipe.Module.MaxID(), cq.OptStats, journal, code, nmap, cq.Code.Spills, cq.Code.SpillSlots)
+	inv := sum(func(b io.Writer) {
+		var ids []int
+		cq.Pipe.Module.ForEachInstr(func(_ *ir.Func, _ *ir.Block, in *ir.Instr) {
+			if in.Invariant {
+				ids = append(ids, in.ID)
+			}
+		})
+		slices.Sort(ids)
+		fmt.Fprintln(b, ids)
+	})
+	return fmt.Sprintf("%s ir=%016x maxid=%d stats=%+v journal=%016x code=%016x nmap=%016x spills=%d slots=%d inv=%016x\n",
+		name, irSum, cq.Pipe.Module.MaxID(), cq.OptStats, journal, code, nmap, cq.Code.Spills, cq.Code.SpillSlots, inv)
 }
 
 // TestArtifactGolden pins the compile path's output: every statement of
-// the programmatic suite and the SQL suite, plus the profile-guided
-// recompiles of the adaptive battery, must lower to exactly the artifact
+// the programmatic suite and the SQL suite must lower to exactly the artifact
 // recorded in testdata/artifact_golden.txt. A change to internal/ir,
 // internal/iropt or internal/codegen that is meant to be invisible
 // (host-speed work) passes this unchanged.
@@ -72,18 +85,6 @@ func TestArtifactGolden(t *testing.T) {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
 		got.WriteString(artifactDigest("sql/"+w.Name, cq))
-	}
-	for _, name := range pgoWorkloads {
-		w, _ := queries.ByName(name)
-		cq, err := e.CompileQuery(w.Query)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		ar, err := e.RunAdaptive(cq, nil)
-		if err != nil {
-			t.Fatalf("%s: adaptive: %v", name, err)
-		}
-		got.WriteString(artifactDigest("pgo/"+name, ar.Recompiled))
 	}
 
 	const path = "testdata/artifact_golden.txt"

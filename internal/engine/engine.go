@@ -408,13 +408,13 @@ func (c *Compiler) CompileQuery(q *plan.Query) (*Compiled, error) {
 	return c.CompilePlanGuided(pl, nil)
 }
 
-// CompilePlanGuided compiles an already-built plan, optionally under
-// profile guidance: a non-nil hot holds a profile's per-IR-instruction
-// weights (core.Profile.IRWeight), which weigh spill priority, and changes
-// nothing else. The compilation path is deterministic — recompiling the
-// same plan reproduces every IR instruction ID and task component ID —
-// which is what lets a profile keyed by IR ID steer a fresh compilation.
-func (c *Compiler) CompilePlanGuided(pl *plan.Output, hot map[int]float64) (*Compiled, error) {
+// CompilePlanGuided compiles an already-built plan. The second parameter
+// is unused — no profile steers a compile; block layout and spill weights
+// come from the plan's estimated counts — and stays only so that existing
+// callers keep compiling. The compilation path is deterministic:
+// recompiling the same plan reproduces every IR instruction ID and task
+// component ID.
+func (c *Compiler) CompilePlanGuided(pl *plan.Output, _ map[int]float64) (*Compiled, error) {
 	cq := &Compiled{Plan: pl, cat: c.Cat}
 	lay, err := c.buildLayout(pl, cq)
 	if err != nil {
@@ -486,7 +486,6 @@ func (c *Compiler) CompilePlanGuided(pl *plan.Output, hot map[int]float64) (*Com
 	ccfg := codegen.DefaultConfig(0, spillBase, spillCap)
 	ccfg.RegisterTagging = c.Opts.RegisterTagging
 	ccfg.FuseCmpBranch = c.Opts.FuseCmpBranch
-	ccfg.Hot = hot
 	code, err := codegen.Compile(pc.Module, ccfg)
 	if err != nil {
 		return nil, err

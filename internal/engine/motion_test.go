@@ -8,6 +8,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/plan"
 	"repro/internal/pmu"
+	"repro/internal/queries"
 	"repro/internal/ref"
 	"repro/internal/sqlparse"
 	"repro/internal/vm"
@@ -143,4 +144,35 @@ func movedInvariantLoads(t *testing.T, cq *Compiled) map[int]int64 {
 		}
 	})
 	return moved
+}
+
+// TestParameterLoadsAreInvariant: every load of a bound parameter carries
+// the ir.Instr.Invariant mark, which lets code motion move it. The
+// artifact golden compiles statements with their literals inline, so this
+// test prepares the SQL suite through a service, which lifts literals into
+// parameters, and checks each parameter load of each artifact.
+func TestParameterLoadsAreInvariant(t *testing.T) {
+	se := NewService(testCatalog(t), DefaultOptions(), 0).NewSession()
+	loads := 0
+	for _, w := range queries.SQLSuite() {
+		p, err := se.Prepare(w.SQL)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		cq := p.Compiled
+		lo, hi := cq.Layout.ParamBase, cq.Layout.ParamBase+8*int64(len(cq.Plan.Params))
+		cq.Pipe.Module.ForEachInstr(func(_ *ir.Func, _ *ir.Block, in *ir.Instr) {
+			if !in.Op.IsLoad() || in.Args[0].Op != ir.OpConst || in.Args[0].Imm < lo || in.Args[0].Imm >= hi {
+				return
+			}
+			loads++
+			if !in.Invariant {
+				t.Errorf("%s: parameter load %%%d of [%d] is not marked invariant", w.Name, in.ID, in.Args[0].Imm)
+			}
+		})
+	}
+	if loads == 0 {
+		t.Fatal("no SQL suite statement loads a bound parameter")
+	}
+	t.Logf("%d parameter loads, all marked", loads)
 }

@@ -58,9 +58,7 @@ func digestValue(h hashWriter, name string, v reflect.Value) {
 		}
 	case reflect.Ptr, reflect.Interface, reflect.Func, reflect.Map, reflect.Chan:
 		// Reference kinds (e.g. iropt's AfterPass hook) contribute
-		// presence only: their pointees aren't comparable. A profile is no
-		// option: Service compiles guided artifacts under a distinct PGO
-		// generation instead.
+		// presence only: their pointees aren't comparable.
 		if v.IsNil() {
 			hwrite(h, []byte{0})
 		} else {

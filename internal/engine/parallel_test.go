@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"fmt"
 	"maps"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -157,13 +160,20 @@ func TestParallelSampleDeterminism(t *testing.T) {
 	}
 }
 
+// nearSerialPeriods are the sampling periods TestParallelProfileNearSerial
+// pools: co-prime, so a short loop whose instruction count aliases with
+// one of them cannot tilt the pooled shares. They are fixed here, never
+// tuned to a change.
+var nearSerialPeriods = []int64{487, 491, 499, 503, 997}
+
 // TestParallelProfileNearSerial compares the merged parallel profile
 // against the single-CPU run. The morsel scheduler re-executes each
 // pipeline's prologue (column-base loads, bound checks) once per morsel,
-// so instruction streams differ slightly; per-operator shares must still
-// agree within a few percent. q6 merges one group per morsel, too cheap a
-// merge to be sampled at this period, so only the other three must have
-// merge-kernel samples to leave out.
+// so instruction streams differ slightly; per-operator shares, pooled
+// over nearSerialPeriods, must still agree within a few percent. q6
+// merges one group per morsel, too cheap a merge to be sampled at these
+// periods, so only the other three must have merge-kernel samples to
+// leave out.
 func TestParallelProfileNearSerial(t *testing.T) {
 	cat := testCatalog(t)
 	for _, tc := range []struct {
@@ -180,47 +190,62 @@ func TestParallelProfileNearSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := &pmu.Config{Event: vm.EvInstRetired, Period: 487, Format: pmu.FormatCallStack}
-			sres, err := serial.RunIterations(cq, 1, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			par := parallelEngine(t, 4)
 			pcq, err := par.CompileQuery(w.Query)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pres, err := par.Run(pcq, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The scatter/merge/place kernels run only in parallel runs;
-			// their (deliberate, profiled) samples would skew the shares
-			// this test compares, so a sample taken in one of them, or in a
-			// routine one of them called, is left out. Merge attribution
-			// has its own tests.
 			att := core.NewAttributor(pcq.Pipe.Dict, pcq.Code.NMap)
-			var kept []core.Sample
-			for _, s := range pres.Samples {
-				merge := false
-				for _, ip := range append([]int{s.IP}, s.Stack...) {
-					for _, cr := range att.Attribute(&core.Sample{IP: ip}).Credits {
-						merge = merge || isMergeTask(pcq, cr.Task)
+			sOps, pOps := map[string]float64{}, map[string]float64{}
+			var sTot, pTot float64
+			merged := 0
+			for _, period := range nearSerialPeriods {
+				cfg := &pmu.Config{Event: vm.EvInstRetired, Period: period, Format: pmu.FormatCallStack}
+				sres, err := serial.RunIterations(cq, 1, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pres, err := par.Run(pcq, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The scatter/merge/place kernels run only in parallel runs;
+				// their (deliberate, profiled) samples would skew the shares
+				// this test compares, so a sample taken in one of them, or in
+				// a routine one of them called, is left out. Merge
+				// attribution has its own tests.
+				var kept []core.Sample
+				for _, s := range pres.Samples {
+					merge := false
+					for _, ip := range append([]int{s.IP}, s.Stack...) {
+						for _, cr := range att.Attribute(&core.Sample{IP: ip}).Credits {
+							merge = merge || isMergeTask(pcq, cr.Task)
+						}
+					}
+					if !merge {
+						kept = append(kept, s)
 					}
 				}
-				if !merge {
-					kept = append(kept, s)
+				merged += len(pres.Samples) - len(kept)
+				pprof := core.BuildProfile(att, kept)
+				sw, pw := opWeights(sres.Profile), opWeights(pprof)
+				st, pt := float64(sres.Profile.TotalSamples), float64(pprof.TotalSamples)
+				t.Logf("period %d: %s", period, shareDiffs(sw, pw, st, pt))
+				for op, w := range sw {
+					sOps[op] += w
 				}
+				for op, w := range pw {
+					pOps[op] += w
+				}
+				sTot, pTot = sTot+st, pTot+pt
 			}
-			if tc.mergeSampled && len(kept) == len(pres.Samples) {
+			if tc.mergeSampled && merged == 0 {
 				t.Fatal("no merge-kernel samples to leave out")
 			}
-			pprof := core.BuildProfile(att, kept)
-			sOps, pOps := opWeights(sres.Profile), opWeights(pprof)
-			sTot, pTot := float64(sres.Profile.TotalSamples), float64(pprof.TotalSamples)
 			if sTot == 0 || pTot == 0 {
 				t.Fatal("no samples")
 			}
+			t.Logf("pooled: %s", shareDiffs(sOps, pOps, sTot, pTot))
 			for op, sw := range sOps {
 				sShare, pShare := sw/sTot, pOps[op]/pTot
 				if math.Abs(sShare-pShare) > 0.10+5/sTot {
@@ -229,6 +254,21 @@ func TestParallelProfileNearSerial(t *testing.T) {
 			}
 		})
 	}
+}
+
+// shareDiffs formats each serial operator's share against the parallel
+// one, in operator-name order.
+func shareDiffs(sOps, pOps map[string]float64, sTot, pTot float64) string {
+	ops := make([]string, 0, len(sOps))
+	for op := range sOps {
+		ops = append(ops, op)
+	}
+	slices.Sort(ops)
+	var b strings.Builder
+	for _, op := range ops {
+		fmt.Fprintf(&b, " %s %.3f/%.3f", op, sOps[op]/sTot, pOps[op]/pTot)
+	}
+	return b.String()
 }
 
 // TestParallelWorkerStamping: merged samples carry the recording core's ID

@@ -17,23 +17,23 @@ package engine
 // it entered the cache cannot become invalid later, because it is never
 // mutated — re-verifying per hit would only re-check the same bytes.
 //
-// Adaptive execution (Session.Adapt) ties the PGO loop into the cache:
-// when a profile-guided recompile beats the baseline, the profile is
-// promoted to a new generation (pgo.Generations), the tuned artifact is
-// cached under the new generation's key, and older generations of the
-// fingerprint are invalidated — so the next Prepare from any session
-// returns the faster binary.
+// Adaptive execution (Session.Adapt) closes the cardinality loop: a
+// sampled run returns the statement's profile, the run's true row counts
+// feed the shared history, and when they would change the served plan —
+// or appends have drifted its tables — the fingerprint's generation is
+// bumped, so the next Prepare from any session re-plans it. Adapt
+// compiles no artifact into the cache: every entry enters through the
+// cache's single-flight miss compile.
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/mview"
-	"repro/internal/pgo"
 	"repro/internal/plan"
 	"repro/internal/pmu"
 	"repro/internal/qcache"
@@ -45,13 +45,13 @@ import (
 const DefaultCacheEntries = 128
 
 // Service is a shared, concurrency-safe query service: catalog +
-// compiler options + compiled-query cache + PGO generation table.
+// compiler options + compiled-query cache + generation table.
 type Service struct {
 	cat       *catalog.Catalog
 	opts      Options
 	optDigest uint64
 	cache     *qcache.Cache[*Compiled]
-	gens      *pgo.Generations
+	gens      generations
 	history   *cost.History
 	views     *mview.Manager
 	nextID    atomic.Int64
@@ -69,7 +69,6 @@ func NewService(cat *catalog.Catalog, opts Options, cacheEntries int) *Service {
 		opts:      opts,
 		optDigest: opts.Digest(),
 		cache:     qcache.New[*Compiled](cacheEntries),
-		gens:      pgo.NewGenerations(),
 		history:   cost.NewHistory(),
 		views:     mview.NewManager(cat),
 	}
@@ -96,6 +95,33 @@ func (s *Service) DropView(name string) error { return s.views.Drop(name) }
 // RefreshView catches a view up to the base table's current prefix.
 func (s *Service) RefreshView(name string) error { return s.views.Refresh(name) }
 
+// generations counts, per fingerprint, the times Session.Adapt found the
+// served artifact stale. The count is part of the cache key, so a bump
+// routes the next Prepare to a fresh compile under the current history
+// and statistics.
+type generations struct {
+	mu sync.Mutex
+	m  map[uint64]uint64
+}
+
+// Current returns a fingerprint's generation; 0 until its first bump.
+func (g *generations) Current(fp uint64) uint64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.m[fp]
+}
+
+// Bump advances a fingerprint's generation and returns the new one.
+func (g *generations) Bump(fp uint64) uint64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.m == nil {
+		g.m = map[uint64]uint64{}
+	}
+	g.m[fp]++
+	return g.m[fp]
+}
+
 // History exposes the service's observed-cardinality cache (shared by
 // all sessions; Adapt is its writer).
 func (s *Service) History() *cost.History { return s.history }
@@ -108,14 +134,12 @@ func (s *Service) estimator() plan.Estimator {
 	return &cost.HistoryCorrected{Base: &cost.Naive{Stats: cost.FreshStats{}}, H: s.history}
 }
 
-// compile builds pl under opts (guided by hot when non-nil) with the cost
-// model's partition count (decide). A cache miss, prepare's uncached text
-// fallback, Adapt's guided recompile and the tuple-counter twin all
-// compile here, so a guided artifact differs from the miss compile of its
-// statement only by the profile.
-func (s *Service) compile(pl *plan.Output, hot map[int]float64, opts Options) (*Compiled, error) {
+// compile builds pl under opts with the cost model's partition count
+// (decide). A cache miss, prepare's uncached text fallback and Adapt's
+// tuple-counter twin all compile here.
+func (s *Service) compile(pl *plan.Output, opts Options) (*Compiled, error) {
 	opts.Partitions = decide(pl, opts.Partitions)
-	return (&Compiler{Cat: s.cat, Opts: opts}).CompilePlanGuided(pl, hot)
+	return (&Compiler{Cat: s.cat, Opts: opts}).CompilePlanGuided(pl, nil)
 }
 
 // compileText builds a statement's original text as a cache miss builds
@@ -130,7 +154,7 @@ func (s *Service) compileText(sql string) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.compile(pl, nil, s.opts)
+	return s.compile(pl, s.opts)
 }
 
 // decide is the cost model's per-statement physical decision for a plan:
@@ -191,7 +215,8 @@ type SessionStats struct {
 	RewriteFallbacks int
 	// Prepare is wall time spent in Prepare (cache lookups, compiles,
 	// argument encoding); Execute is wall time spent running artifacts —
-	// for Adapt, everything after its prepare, recompiles included.
+	// for Adapt, everything after its prepare, the tuple-counter twin's
+	// compile included.
 	Prepare time.Duration
 	Execute time.Duration
 }
@@ -443,18 +468,14 @@ func (s *Service) prepareNormalized(sql string, fp *sqlparse.Fingerprint, allowR
 		// model pick the physical knobs for this statement. All of this
 		// happens inside the compute function only: the cache key is
 		// untouched, so the hit path stays a pure lookup, and staleness is
-		// routed through PGO generations — Adapt bumps the generation when
+		// routed through generations — Adapt bumps the generation when
 		// observed cardinalities shift materially, which changes the key
 		// and forces this compute to run again under the updated history.
 		pl, err := plan.PlanWith(s.cat, fp.Query, s.estimator())
 		if err != nil {
 			return nil, err
 		}
-		var hot map[int]float64
-		if key.Generation > 0 {
-			hot = s.gens.Weights(fp.Hash)
-		}
-		return s.compile(pl, hot, s.opts)
+		return s.compile(pl, s.opts)
 	})
 	if err != nil {
 		// The parameterized form didn't compile — typically a literal in
@@ -512,15 +533,14 @@ func EncodeParams(infos []plan.ParamInfo, args []sqlparse.Literal) ([]int64, err
 	return vals, nil
 }
 
-// Adapt runs one adaptive profile → recompile → re-run cycle for a
-// statement through this session. Its runs bind exactly like Run's — the
-// pinned snapshot, and the base statement when the rewrite guard rejects
-// it — and count toward SessionStats.Execute; its guided recompile is the
-// miss compile of the statement's cache key plus the profile. When the
-// tuned binary wins, its guiding profile is promoted to a new PGO
-// generation: the tuned artifact is cached under the new generation's key
-// and every older generation of the fingerprint is invalidated, so the
-// next Prepare — from any session — serves the faster binary.
+// Adapt runs a statement sampled under cfg (nil selects
+// DefaultPGOSampling) and once unprofiled through this session, and
+// closes the cardinality loop with the run's true row counts. Its runs
+// bind exactly like Run's — the pinned snapshot, and the base statement
+// when the rewrite guard rejects it — and count toward
+// SessionStats.Execute. It compiles nothing into the cache: the artifact
+// the next Prepare serves is the one this Prepare served, unless the
+// history or drift bump below routes the fingerprint to a fresh compile.
 func (se *Session) Adapt(sql string, cfg *pmu.Config) (*AdaptiveResult, error) {
 	p, err := se.Prepare(sql)
 	if err != nil {
@@ -533,33 +553,36 @@ func (se *Session) Adapt(sql string, cfg *pmu.Config) (*AdaptiveResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	ar, err := runAdaptive(&se.exec, p.Compiled, rs, cfg, func(prof *core.Profile) (*Compiled, error) {
-		return se.svc.compile(p.Compiled.Plan, prof.IRWeight, se.svc.opts)
-	})
-	if err != nil {
-		return nil, err
+	if cfg == nil {
+		d := DefaultPGOSampling()
+		cfg = &d
 	}
-	if !p.Fallback && ar.Speedup() > 1 {
-		gen := se.svc.gens.Promote(p.Fingerprint, ar.ProfileRun.Profile.IRWeight)
-		nk := p.key
-		nk.Generation = gen
-		se.svc.cache.Put(nk, ar.Recompiled)
-		se.svc.cache.Invalidate(func(k qcache.Key) bool {
-			return k.Fingerprint == nk.Fingerprint && k.Canon == nk.Canon &&
-				k.Options == nk.Options && k.Catalog == nk.Catalog &&
-				k.Generation < gen
-		})
+	profRun, err := se.exec.run(p.Compiled, rs, 1, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("engine: adaptive profiling run: %w", err)
+	}
+	if profRun.Profile == nil {
+		return nil, fmt.Errorf("engine: adaptive profiling run produced no profile")
+	}
+	baseline, err := se.exec.run(p.Compiled, rs, 1, nil)
+	if err != nil {
+		return nil, fmt.Errorf("engine: baseline run: %w", err)
+	}
+	ar := &AdaptiveResult{
+		ProfileRun:     profRun,
+		Baseline:       baseline,
+		Tuned:          baseline,
+		BaselineCycles: baseline.WallCycles,
+		TunedCycles:    baseline.WallCycles,
 	}
 	// Close the cardinality loop: feed this run's observed per-operator
 	// row counts into the shared history. When the corrected estimates
 	// would actually change the served artifact — a different physical
-	// plan shape or a different partition count — the
-	// fingerprint's generation is bumped (after any promotion above, so
-	// a tuned artifact cannot pin a plan shape the history now
-	// contradicts) and the next Prepare re-plans under the history.
-	// Materially shifted observations that change nothing physical leave
-	// the generation alone: the cached artifact is still the plan the
-	// history would pick.
+	// plan shape or a different partition count — the fingerprint's
+	// generation is bumped and the next Prepare re-plans under the
+	// history. Materially shifted observations that change nothing
+	// physical leave the generation alone: the cached artifact is still
+	// the plan the history would pick.
 	//
 	// Epoch staleness rides the same path: when streaming appends have
 	// drifted any scanned table's visible rows past the threshold relative
@@ -568,7 +591,7 @@ func (se *Session) Adapt(sql string, cfg *pmu.Config) (*AdaptiveResult, error) {
 	// statistics (ColStats are per-row-count) and re-freezes the planned
 	// row counts, resetting the drift baseline.
 	if !p.Fallback {
-		material, err := se.observeTrue(p, rs, ar)
+		material, err := se.observeTrue(p, rs, baseline)
 		if err != nil {
 			return nil, err
 		}
@@ -586,7 +609,7 @@ func (se *Session) Adapt(sql string, cfg *pmu.Config) (*AdaptiveResult, error) {
 
 // StalenessDriftThreshold is the relative row-count drift — per scanned
 // table, |visible − planned| / planned — past which Session.Adapt declares
-// an artifact stale and bumps its PGO generation.
+// an artifact stale and bumps its generation.
 const StalenessDriftThreshold = 0.3
 
 // staleByDrift reports whether any table an artifact scans has drifted
@@ -634,21 +657,21 @@ func (s *Service) replanChanges(p *Prepared) bool {
 
 // observeTrue collects a prepared statement's true per-operator
 // cardinalities and feeds them into the service history. When the service
-// already compiles with TupleCounters the adaptive baseline run carried
-// the counts; otherwise a counter-instrumented twin of the same plan is
+// already compiles with TupleCounters Adapt's unprofiled run, baseline,
+// carried the counts; otherwise a counter-instrumented twin of the same plan is
 // compiled (Service.compile) and run once under the run state Adapt bound.
 // Counter folding makes the counts worker- and shard-count-invariant, but
 // a pruned zone is never counted: when the baseline skipped zones, the
 // counts come from an unsharded run, so a scan's observed row count is
 // what the planner should estimate for it.
-func (se *Session) observeTrue(p *Prepared, rs *RunState, ar *AdaptiveResult) (bool, error) {
-	cq, counts := p.Compiled, ar.Baseline.TupleCounts
-	pruned := len(ar.Baseline.Skips) > 0
+func (se *Session) observeTrue(p *Prepared, rs *RunState, baseline *Result) (bool, error) {
+	cq, counts := p.Compiled, baseline.TupleCounts
+	pruned := len(baseline.Skips) > 0
 	if len(counts) == 0 || pruned {
 		if len(counts) == 0 {
 			opts := se.svc.opts
 			opts.TupleCounters = true
-			twin, err := se.svc.compile(p.Compiled.Plan, nil, opts)
+			twin, err := se.svc.compile(p.Compiled.Plan, opts)
 			if err != nil {
 				return false, err
 			}

@@ -235,18 +235,17 @@ func TestEncodeParams(t *testing.T) {
 	}
 }
 
-// TestServicePGOGenerationInvalidation: when Adapt's tuned binary wins,
-// the profile is promoted to a new generation, the tuned artifact lands
-// in the cache under the new key, older generations are invalidated, and
-// the very next Prepare — from a *different* session — serves the tuned
-// artifact as a cache hit.
+// TestServicePGOGenerationInvalidation: a profile promotes nothing. Adapt
+// on a cold statement compiles it once, through the cache; the profile it
+// returns starts no new generation and invalidates no entry, so the very
+// next Prepare — from a *different* session — is a cache hit on that
+// artifact under generation 0, and its rows match the reference.
 func TestServicePGOGenerationInvalidation(t *testing.T) {
 	svc := testService(t)
 	se := svc.NewSession()
 	const sql = "select l_orderkey, sum(l_quantity), sum(l_extendedprice) from lineitem where l_quantity < 24 group by l_orderkey"
 
-	ar, err := se.Adapt(sql, nil)
-	if err != nil {
+	if _, err := se.Adapt(sql, nil); err != nil {
 		t.Fatal(err)
 	}
 	p2, err := svc.NewSession().Prepare(sql)
@@ -260,24 +259,12 @@ func TestServicePGOGenerationInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ar.Speedup() > 1 {
-		// The win was promoted: new generation, tuned artifact served.
-		if gen := svc.gens.Current(fp.Hash); gen == 0 {
-			t.Fatal("winning profile was not promoted to a new generation")
-		}
-		if p2.Compiled != ar.Recompiled {
-			t.Fatal("prepare after promotion must serve the tuned artifact")
-		}
-		if st := svc.CacheStats(); st.Invalidations == 0 {
-			t.Fatalf("stale generation not invalidated: %+v", st)
-		}
-	} else {
-		// No win, no promotion: the original artifact stays current.
-		if gen := svc.gens.Current(fp.Hash); gen != 0 {
-			t.Fatalf("generation bumped (%d) without a speedup", gen)
-		}
+	if gen := svc.gens.Current(fp.Hash); gen != 0 {
+		t.Fatalf("Adapt started generation %d", gen)
 	}
-	// Either way the served artifact's rows must match the reference.
+	if st := svc.CacheStats(); st.Misses != 1 || st.Invalidations != 0 {
+		t.Fatalf("Adapt compiled or invalidated beyond the one miss compile: %+v", st)
+	}
 	res, err := se.Run(p2, nil)
 	if err != nil {
 		t.Fatal(err)

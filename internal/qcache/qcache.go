@@ -4,8 +4,8 @@
 // Keys are the full identity of a compilation (DESIGN.md §10): the query
 // fingerprint (hash + canonical text, so hash collisions cannot alias
 // artifacts), a digest of the compiler options, the catalog version the
-// plan was bound against, the PGO generation, and the materialized-view
-// generation. Values are opaque to the cache; the engine stores
+// plan was bound against, the staleness generation, and the
+// materialized-view generation. Values are opaque to the cache; the engine stores
 // *engine.Compiled.
 //
 // Single-flight: when N goroutines ask for the same absent key, exactly
@@ -30,9 +30,10 @@ type Key struct {
 	Options uint64
 	// Catalog is the catalog version the plan binds against.
 	Catalog uint64
-	// Generation is the artifact's PGO generation: 0 for unguided
-	// compilations, bumped every time adaptive recompilation promotes a
-	// hotter profile for this fingerprint.
+	// Generation is the fingerprint's staleness generation: 0 until
+	// adaptive execution first finds the served plan stale (observed
+	// cardinalities that change it, or row-count drift), bumped on each
+	// such finding.
 	Generation uint64
 	// View is the materialized-view generation the statement was
 	// rewritten (or not rewritten) under: it changes exactly when the
@@ -51,7 +52,7 @@ type Stats struct {
 	Misses    uint64
 	Evictions uint64
 	// Invalidations counts entries dropped by Invalidate (e.g. a stale
-	// PGO generation), as opposed to capacity evictions.
+	// generation), as opposed to capacity evictions.
 	Invalidations uint64
 }
 
@@ -115,9 +116,9 @@ func (c *Cache[V]) GetOrCompute(k Key, compute func() (V, error)) (V, bool, erro
 
 	c.mu.Lock()
 	e.val, e.err = v, err
-	if c.m[k] == e && (err != nil || e.dropped) {
+	if err != nil || e.dropped {
 		delete(c.m, k)
-	} else if c.m[k] == e {
+	} else {
 		e.elem = c.lru.PushFront(e)
 		c.evictLocked()
 	}
@@ -138,26 +139,6 @@ func (c *Cache[V]) Get(k Key) (V, bool) {
 	c.stats.Misses++
 	var zero V
 	return zero, false
-}
-
-// Put inserts a resolved value directly (used for adaptive artifacts
-// produced outside the single-flight path). It replaces any resolved
-// entry under the same key with a fresh one, so a resolved entry's value
-// never changes and a hit may read it after dropping the lock; a pending
-// compute for the key keeps running and publishes over it when done.
-func (c *Cache[V]) Put(k Key, v V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.m[k]; ok {
-		if e.elem == nil {
-			return // pending compute owns the key; let it publish
-		}
-		c.lru.Remove(e.elem)
-	}
-	e := &entry[V]{key: k, val: v}
-	c.m[k] = e
-	e.elem = c.lru.PushFront(e)
-	c.evictLocked()
 }
 
 // Invalidate removes every entry whose key matches pred. Pending entries
