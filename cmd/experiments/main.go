@@ -29,20 +29,19 @@ import (
 	"repro/internal/experiments"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment to run (see -help)")
-	sf := flag.Float64("sf", 0.2, "data scale factor (1.0 ≈ TPC-H SF 0.01)")
-	seed := flag.Uint64("seed", 42, "data generator seed")
-	root := flag.String("root", ".", "repository root (for -exp loc)")
-	flag.Parse()
+// runner is one experiment of the report: its -exp name and what prints
+// it.
+type runner struct {
+	name string
+	run  func() (string, error)
+}
 
-	env := experiments.NewEnv(*sf, *seed)
+// runners lists the report's experiments in print order over env; root is
+// the repository root -exp loc counts.
+func runners(env *experiments.Env, root string) []runner {
 	// first drops an experiment's structured result; the text is the report.
 	first := func(s string, _ any, err error) (string, error) { return s, err }
-	runners := []struct {
-		name string
-		run  func() (string, error)
-	}{
+	return []runner{
 		{"listing1", env.Listing1},
 		{"plan_costs", env.PlanCosts},
 		{"activity", env.Activity},
@@ -55,11 +54,19 @@ func main() {
 		{"accuracy", func() (string, error) { return first(env.Accuracy()) }},
 		{"table1", func() (string, error) { return first(env.Table1()) }},
 		{"parallel", env.Parallel},
-		{"loc", func() (string, error) { return experiments.LoC(*root) }},
+		{"loc", func() (string, error) { return experiments.LoC(root) }},
 	}
+}
+
+func main() {
+	exp := flag.String("exp", "all", "experiment to run (see -help)")
+	sf := flag.Float64("sf", 0.2, "data scale factor (1.0 ≈ TPC-H SF 0.01)")
+	seed := flag.Uint64("seed", 42, "data generator seed")
+	root := flag.String("root", ".", "repository root (for -exp loc)")
+	flag.Parse()
 
 	ran := false
-	for _, r := range runners {
+	for _, r := range runners(experiments.NewEnv(*sf, *seed), *root) {
 		if *exp != "all" && *exp != r.name {
 			continue
 		}

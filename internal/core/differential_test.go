@@ -30,7 +30,7 @@ var samplings = []struct {
 }{
 	{"regs", pmu.Config{Event: vm.EvCycles, Period: 997, Format: pmu.FormatIPTimeRegs}},
 	{"callstack", pmu.Config{Event: vm.EvCycles, Period: 997, Format: pmu.FormatCallStack}},
-	{"pgo", engine.DefaultPGOSampling()},
+	{"pgo", engine.DefaultAdaptSampling()},
 	{"loads", pmu.Config{Event: vm.EvMemLoads, Period: 211, Format: pmu.FormatIPTimeRegs}},
 }
 

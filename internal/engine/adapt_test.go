@@ -8,14 +8,16 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/mview"
 	"repro/internal/plan"
+	"repro/internal/queries"
 	"repro/internal/xrand"
 )
 
 // TestAdaptHonoursPinnedSnapshot: Session.Adapt binds like Session.Run. A
-// session pinned before an append adapts over the pinned epoch — the
-// sampled run, the baseline, the tuned run and the tuple-counter twin all
-// see its rows — and a rewritten statement whose view the guard rejects
-// under the pin adapts over the base statement, as Run executes it.
+// session pinned before an append adapts over the pinned epoch — its one
+// sampled run (which Baseline and Tuned name too) and its counter run, the
+// tuple-counter twin's, both see its rows — and a rewritten statement
+// whose view the guard rejects under the pin adapts over the base
+// statement, as Run executes it.
 func TestAdaptHonoursPinnedSnapshot(t *testing.T) {
 	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.02, Seed: 7})
 	svc := NewService(cat, DefaultOptions(), 0)
@@ -166,7 +168,8 @@ func partitionsOf(cq *Compiled) []int64 {
 // whatever the shard count — are exactly the miss compile's. A statement
 // prepare cannot parameterize (a literal inside ORDER BY is not lifted)
 // takes the uncached text fallback, which builds the same way on every
-// Prepare, Adapt's included.
+// Prepare, Adapt's included. Adapt's sampled run is a sampled Run of the
+// miss compile: the same rows in the same wall cycles.
 func TestAdaptRecompileIsTheMissCompile(t *testing.T) {
 	cat := testCatalog(t)
 	for _, c := range []struct {
@@ -209,7 +212,8 @@ func TestAdaptRecompileIsTheMissCompile(t *testing.T) {
 				t.Errorf("shards=%d, %s: a second prepare serves another artifact than the miss compile", shards, c.sql)
 			}
 
-			run, err := se.Run(miss, nil)
+			cfg := DefaultAdaptSampling()
+			run, err := se.Run(miss, &cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,9 +222,9 @@ func TestAdaptRecompileIsTheMissCompile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ar.Baseline.WallCycles != wantCycles || !RowsEqual(ar.Baseline.Rows, wantRows) {
-				t.Errorf("shards=%d, %s: Adapt ran %d cycles, rows %v; the miss compile runs %d cycles, rows %v",
-					shards, c.sql, ar.Baseline.WallCycles, ar.Baseline.Rows, wantCycles, wantRows)
+			if ar.ProfileRun.WallCycles != wantCycles || !RowsEqual(ar.ProfileRun.Rows, wantRows) {
+				t.Errorf("shards=%d, %s: Adapt ran %d cycles, rows %v; the miss compile runs %d cycles, rows %v sampled",
+					shards, c.sql, ar.ProfileRun.WallCycles, ar.ProfileRun.Rows, wantCycles, wantRows)
 			}
 		}
 	}
@@ -268,5 +272,108 @@ func TestAdaptObservesUnprunedRows(t *testing.T) {
 					counters, got, ok, lineitem.Rows())
 			}
 		})
+	}
+}
+
+// TestAdaptRunsOnceSampled: an Adapt runs the statement once, sampled,
+// plus at most one counter run on one machine. On a serial session it
+// lends one machine when the service compiles tuple counters (the sampled
+// run carries the counts) and two when it does not (the twin's run).
+// When a sharded run pruned zones, the counts come from one unsharded
+// counter run: the Adapt lends a sampled Run's machines plus one.
+func TestAdaptRunsOnceSampled(t *testing.T) {
+	cat := testCatalog(t)
+	const sql = "select l_orderkey, sum(l_quantity), sum(l_extendedprice) from lineitem where l_quantity < 24 group by l_orderkey"
+	for _, counters := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.TupleCounters = counters
+		se := NewService(cat, opts, 0).NewSession()
+		if _, err := se.Adapt(sql, nil); err != nil {
+			t.Fatal(err)
+		}
+		want := 2
+		if counters {
+			want = 1
+		}
+		if got := len(se.exec.pool.lent); got != want {
+			t.Errorf("counters=%v: a serial Adapt lent %d machines, want %d", counters, got, want)
+		}
+	}
+
+	const pruned = "select l_orderkey, sum(l_quantity) as q from lineitem, orders " +
+		"where o_orderkey = l_orderkey and o_orderkey < 300 group by l_orderkey order by l_orderkey"
+	cat = gateCatalog(t)
+	for _, counters := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.TupleCounters = counters
+		se := NewService(cat, opts, 0).NewSession()
+		se.SetWorkers(2)
+		se.SetShards(4)
+		se.SetShardPruning(true)
+		ar, err := se.Adapt(pruned, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ar.ProfileRun.Skips) == 0 {
+			t.Fatalf("counters=%v: the sampled run pruned no zone; pick a statement that prunes", counters)
+		}
+		adapted := len(se.exec.pool.lent)
+		p, err := se.Prepare(pruned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultAdaptSampling()
+		if _, err := se.Run(p, &cfg); err != nil {
+			t.Fatal(err)
+		}
+		if sampled := len(se.exec.pool.lent); adapted != sampled+1 {
+			t.Errorf("counters=%v: a pruned Adapt lent %d machines, a sampled Run %d; want the Run's plus one", counters, adapted, sampled)
+		}
+	}
+}
+
+// TestAdaptHistoryIndependentOfCounterSource: the counts Adapt feeds the
+// history do not depend on where they come from — the sampled run, when
+// the service compiles tuple counters, or the counter run of the twin,
+// when it does not. After the same Adapts of every service-path statement,
+// sharded and pruning or not, both services' histories read the same
+// value for every plan node.
+func TestAdaptHistoryIndependentOfCounterSource(t *testing.T) {
+	cat := testCatalog(t)
+	for _, shards := range []int{0, 4} {
+		var svcs [2]*Service
+		for i, counters := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.TupleCounters = counters
+			svcs[i] = NewService(cat, opts, 0)
+			se := svcs[i].NewSession()
+			se.SetShards(shards)
+			se.SetShardPruning(shards >= 1)
+			for _, w := range queries.SQLSuite() {
+				if _, err := se.Adapt(w.SQL, nil); err != nil {
+					t.Fatalf("counters=%v shards=%d, %s: %v", counters, shards, w.Name, err)
+				}
+			}
+		}
+		nodes := 0
+		for _, w := range queries.SQLSuite() {
+			p, err := svcs[0].NewSession().Prepare(w.SQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan.Walk(p.Compiled.Plan, func(n plan.Node) {
+				nodes++
+				canon := plan.Canon(n)
+				off, okOff := svcs[0].History().Lookup(canon)
+				on, okOn := svcs[1].History().Lookup(canon)
+				if off != on || okOff != okOn {
+					t.Errorf("shards=%d, %s: the twin's counter run records %v (found %v), the sampled run %v (found %v) for %s",
+						shards, w.Name, off, okOff, on, okOn, canon)
+				}
+			})
+		}
+		if nodes == 0 {
+			t.Fatalf("shards=%d: no plan node compared", shards)
+		}
 	}
 }

@@ -1,11 +1,11 @@
 package engine
 
-// Adaptive execution: Session.Adapt runs a statement sampled, hands back
-// the profile, and feeds the run's true cardinalities into the service's
-// history (see service.go). No profile steers a compile: a guided
-// recompile must beat the estimate-driven one it refines, and the last
-// one (spill priority) ran the same cycles on every suite plan (DESIGN.md
-// §8).
+// Adaptive execution: Session.Adapt runs a statement once, sampled, hands
+// back the profile, and feeds the true cardinalities — from that run, or
+// from one counter run — into the service's history (see service.go). No
+// profile steers a compile: a guided recompile must beat the
+// estimate-driven one it refines, and the last one (spill priority) ran
+// the same cycles on every suite plan (DESIGN.md §8).
 
 import (
 	"repro/internal/pmu"
@@ -13,21 +13,21 @@ import (
 	"repro/internal/vm"
 )
 
-// DefaultPGOSampling is the sampling configuration Session.Adapt uses when
-// none is given: the cycles event at the paper's default period, with
+// DefaultAdaptSampling is the sampling configuration Session.Adapt uses
+// when none is given: the cycles event at the paper's default period, with
 // timestamps and registers (for Register Tagging).
-func DefaultPGOSampling() pmu.Config {
+func DefaultAdaptSampling() pmu.Config {
 	return pmu.Config{Event: vm.EvCycles, Period: 5000, Format: pmu.FormatIPTimeRegs}
 }
 
-// AdaptiveResult reports one Session.Adapt: the sampled run and one
-// unprofiled run of the same artifact.
+// AdaptiveResult reports one Session.Adapt: its one sampled run.
 type AdaptiveResult struct {
 	// ProfileRun is the sampled execution; its Profile is the statement's
 	// profile.
 	ProfileRun *Result
-	// Baseline is the unprofiled execution. Tuned is the same *Result:
-	// Adapt compiles nothing, so there is no second binary to run.
+	// Baseline and Tuned are ProfileRun, and BaselineCycles and
+	// TunedCycles its WallCycles. They are kept only for the benchmark's
+	// dashboard workload (bench/dashboard_ingest.go), until it may change.
 	Baseline *Result
 	Tuned    *Result
 
@@ -35,14 +35,8 @@ type AdaptiveResult struct {
 	TunedCycles    uint64
 }
 
-// CycleReduction returns the fractional wall-cycle reduction of Tuned
-// against Baseline, which is 0 since both are one run.
-func (r *AdaptiveResult) CycleReduction() float64 {
-	if r.BaselineCycles == 0 {
-		return 0
-	}
-	return 1 - float64(r.TunedCycles)/float64(r.BaselineCycles)
-}
+// CycleReduction is 0: Baseline and Tuned are one run.
+func (r *AdaptiveResult) CycleReduction() float64 { return 0 }
 
 // RowsEqual reports exact equality of two result sets, row order
 // included.

@@ -35,7 +35,7 @@ var sessionConfigs = []struct {
 // pgoSampling is the PGO sampling (cycles, timestamps and registers) at a
 // shorter period.
 func pgoSampling() *pmu.Config {
-	c := DefaultPGOSampling()
+	c := DefaultAdaptSampling()
 	c.Period = 1500
 	return &c
 }

@@ -17,9 +17,10 @@ package engine
 // it entered the cache cannot become invalid later, because it is never
 // mutated — re-verifying per hit would only re-check the same bytes.
 //
-// Adaptive execution (Session.Adapt) closes the cardinality loop: a
-// sampled run returns the statement's profile, the run's true row counts
-// feed the shared history, and when they would change the served plan —
+// Adaptive execution (Session.Adapt) closes the cardinality loop with one
+// sampled run, plus at most one counter run: the sampled run returns the
+// statement's profile, the true row counts (of that run or of the counter
+// run) feed the shared history, and when they would change the served plan —
 // or appends have drifted its tables — the fingerprint's generation is
 // bumped, so the next Prepare from any session re-plans it. Adapt
 // compiles no artifact into the cache: every entry enters through the
@@ -135,8 +136,8 @@ func (s *Service) estimator() plan.Estimator {
 }
 
 // compile builds pl under opts with the cost model's partition count
-// (decide). A cache miss, prepare's uncached text fallback and Adapt's
-// tuple-counter twin all compile here.
+// (decide). A cache miss, prepare's uncached text fallback and the
+// tuple-counter twin of Adapt's counter run all compile here.
 func (s *Service) compile(pl *plan.Output, opts Options) (*Compiled, error) {
 	opts.Partitions = decide(pl, opts.Partitions)
 	return (&Compiler{Cat: s.cat, Opts: opts}).CompilePlanGuided(pl, nil)
@@ -215,8 +216,8 @@ type SessionStats struct {
 	RewriteFallbacks int
 	// Prepare is wall time spent in Prepare (cache lookups, compiles,
 	// argument encoding); Execute is wall time spent running artifacts —
-	// for Adapt, everything after its prepare, the tuple-counter twin's
-	// compile included.
+	// for Adapt, everything after its prepare: its one sampled run, plus
+	// at most one counter run, the tuple-counter twin's compile included.
 	Prepare time.Duration
 	Execute time.Duration
 }
@@ -230,7 +231,8 @@ type SessionStats struct {
 // taken back, reset, by the session's next such call: everything in a
 // Result stays valid forever except Result.CPU, which is valid until then.
 // A session therefore retains at most the machines its largest single call
-// used (one serially, 1+Workers in parallel, one per run inside Adapt).
+// used (one serially, 1+Workers in parallel; for Adapt, its sampled run's
+// and one more for a counter run).
 type Session struct {
 	ID    int64
 	svc   *Service
@@ -533,14 +535,15 @@ func EncodeParams(infos []plan.ParamInfo, args []sqlparse.Literal) ([]int64, err
 	return vals, nil
 }
 
-// Adapt runs a statement sampled under cfg (nil selects
-// DefaultPGOSampling) and once unprofiled through this session, and
-// closes the cardinality loop with the run's true row counts. Its runs
-// bind exactly like Run's — the pinned snapshot, and the base statement
-// when the rewrite guard rejects it — and count toward
-// SessionStats.Execute. It compiles nothing into the cache: the artifact
-// the next Prepare serves is the one this Prepare served, unless the
-// history or drift bump below routes the fingerprint to a fresh compile.
+// Adapt runs a statement once, sampled under cfg (nil selects
+// DefaultAdaptSampling), through this session, and closes the cardinality
+// loop with the run's true row counts: one sampled run, plus at most one
+// counter run (see observeTrue). Its runs bind exactly like Run's — the
+// pinned snapshot, and the base statement when the rewrite guard rejects
+// it — and count toward SessionStats.Execute. It compiles nothing into the
+// cache: the artifact the next Prepare serves is the one this Prepare
+// served, unless the history or drift bump below routes the fingerprint to
+// a fresh compile.
 func (se *Session) Adapt(sql string, cfg *pmu.Config) (*AdaptiveResult, error) {
 	p, err := se.Prepare(sql)
 	if err != nil {
@@ -554,26 +557,15 @@ func (se *Session) Adapt(sql string, cfg *pmu.Config) (*AdaptiveResult, error) {
 		return nil, err
 	}
 	if cfg == nil {
-		d := DefaultPGOSampling()
+		d := DefaultAdaptSampling()
 		cfg = &d
 	}
-	profRun, err := se.exec.run(p.Compiled, rs, 1, cfg)
+	run, err := se.exec.run(p.Compiled, rs, 1, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("engine: adaptive profiling run: %w", err)
 	}
-	if profRun.Profile == nil {
+	if run.Profile == nil {
 		return nil, fmt.Errorf("engine: adaptive profiling run produced no profile")
-	}
-	baseline, err := se.exec.run(p.Compiled, rs, 1, nil)
-	if err != nil {
-		return nil, fmt.Errorf("engine: baseline run: %w", err)
-	}
-	ar := &AdaptiveResult{
-		ProfileRun:     profRun,
-		Baseline:       baseline,
-		Tuned:          baseline,
-		BaselineCycles: baseline.WallCycles,
-		TunedCycles:    baseline.WallCycles,
 	}
 	// Close the cardinality loop: feed this run's observed per-operator
 	// row counts into the shared history. When the corrected estimates
@@ -591,7 +583,7 @@ func (se *Session) Adapt(sql string, cfg *pmu.Config) (*AdaptiveResult, error) {
 	// statistics (ColStats are per-row-count) and re-freezes the planned
 	// row counts, resetting the drift baseline.
 	if !p.Fallback {
-		material, err := se.observeTrue(p, rs, baseline)
+		material, err := se.observeTrue(p, rs, run)
 		if err != nil {
 			return nil, err
 		}
@@ -604,7 +596,8 @@ func (se *Session) Adapt(sql string, cfg *pmu.Config) (*AdaptiveResult, error) {
 			})
 		}
 	}
-	return ar, nil
+	return &AdaptiveResult{ProfileRun: run, Baseline: run, Tuned: run,
+		BaselineCycles: run.WallCycles, TunedCycles: run.WallCycles}, nil
 }
 
 // StalenessDriftThreshold is the relative row-count drift — per scanned
@@ -656,18 +649,18 @@ func (s *Service) replanChanges(p *Prepared) bool {
 }
 
 // observeTrue collects a prepared statement's true per-operator
-// cardinalities and feeds them into the service history. When the service
-// already compiles with TupleCounters Adapt's unprofiled run, baseline,
-// carried the counts; otherwise a counter-instrumented twin of the same plan is
-// compiled (Service.compile) and run once under the run state Adapt bound.
-// Counter folding makes the counts worker- and shard-count-invariant, but
-// a pruned zone is never counted: when the baseline skipped zones, the
-// counts come from an unsharded run, so a scan's observed row count is
-// what the planner should estimate for it.
-func (se *Session) observeTrue(p *Prepared, rs *RunState, baseline *Result) (bool, error) {
-	cq, counts := p.Compiled, baseline.TupleCounts
-	pruned := len(baseline.Skips) > 0
-	if len(counts) == 0 || pruned {
+// cardinalities and feeds them into the service history. Adapt's sampled
+// run, run, carries them when the service compiles with TupleCounters and
+// the run pruned no zone. Otherwise one counter run supplies them, under
+// the run state Adapt bound: of a counter-instrumented twin of the same
+// plan (compiled by Service.compile) when the service compiles no
+// counters. Counter folding makes the counts worker- and shard-count-
+// invariant, so the counter run is serial, on one machine; and it is
+// unsharded, because a pruned zone is never counted and a scan's observed
+// row count must be what the planner should estimate for it.
+func (se *Session) observeTrue(p *Prepared, rs *RunState, run *Result) (bool, error) {
+	cq, counts := p.Compiled, run.TupleCounts
+	if len(counts) == 0 || len(run.Skips) > 0 {
 		if len(counts) == 0 {
 			opts := se.svc.opts
 			opts.TupleCounters = true
@@ -678,9 +671,7 @@ func (se *Session) observeTrue(p *Prepared, rs *RunState, baseline *Result) (boo
 			cq = twin
 		}
 		x := se.exec
-		if pruned {
-			x.Opts.Shards = 0
-		}
+		x.Opts.Workers, x.Opts.Shards = 0, 0
 		res, err := x.run(cq, rs, 1, nil)
 		if err != nil {
 			return false, err
