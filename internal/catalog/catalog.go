@@ -117,8 +117,11 @@ type Column struct {
 	Data []int64
 	Dict *Dict // for TStr columns
 
-	// Unique marks primary-key-like columns (enables group-join fusion
-	// and tight hash-table sizing).
+	// Unique marks primary-key-like columns: no two rows hold the same
+	// value. It enables group-join fusion, tight hash-table sizing and a
+	// join probe that leaves its hash chain at the first match, so the
+	// catalog keeps it true: an append that would repeat a key is refused
+	// with a *UniqueKeyError. The loader must supply distinct values.
 	Unique bool
 }
 
@@ -170,10 +173,12 @@ type Table struct {
 
 	mu     sync.RWMutex
 	rowCap int // frozen row capacity of the column backing arrays
-	// widths holds each column's bytes per value (WidthFor), computed over
-	// the first widthRows rows. The slice is replaced on change, never
-	// written in place: views hold it.
+	// widths holds each column's bytes per value (WidthFor), and keyMax
+	// each Unique column's largest value (math.MinInt64 when empty or not
+	// Unique), both computed over the first widthRows rows. The widths slice
+	// is replaced on change, never written in place: views hold it.
 	widths    []int
+	keyMax    []int64
 	widthRows int
 
 	stats     map[string]Stats

@@ -2,6 +2,8 @@ package catalog
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -88,7 +90,22 @@ func (t *Table) reserveTail() {
 // resetWidthsLocked recomputes every column's width from its contents. The
 // slice is replaced, never written in place: views hold the old one.
 func (t *Table) resetWidthsLocked() {
-	t.widths, t.widthRows = widthsOf(t.Cols), t.rowsLocked()
+	t.widths, t.keyMax, t.widthRows = widthsOf(t.Cols), keyMaxOf(t.Cols), t.rowsLocked()
+}
+
+// keyMaxOf returns each Unique column's largest value, math.MinInt64 for
+// an empty or non-Unique column.
+func keyMaxOf(cols []*Column) []int64 {
+	ms := make([]int64, len(cols))
+	for i, c := range cols {
+		ms[i] = math.MinInt64
+		if c.Unique {
+			for _, v := range c.Data {
+				ms[i] = max(ms[i], v)
+			}
+		}
+	}
+	return ms
 }
 
 func widthsOf(cols []*Column) []int {
@@ -154,13 +171,27 @@ func (c *Catalog) Append(table string, rows [][]int64) (AppendResult, error) {
 	return c.AppendCols(table, cols)
 }
 
+// UniqueKeyError refuses an append that would give a Unique column a key
+// it already holds, in the table or earlier in the same batch.
+type UniqueKeyError struct {
+	Table, Column string
+	Key           int64
+}
+
+func (e *UniqueKeyError) Error() string {
+	return fmt.Sprintf("catalog: append to %s repeats key %d of unique column %s", e.Table, e.Key, e.Column)
+}
+
 // AppendCols appends one batch in columnar form: cols[i] holds the new
 // values of table column i, all the same length. Within the frozen
 // capacity and widths the values land in the preallocated tail
 // (zero-copy). Beyond the capacity the backing arrays grow to the next
 // capacity class; a value a column's width cannot hold widens the column
 // (WidthFor). Either is growth: Grew is set and the catalog version is
-// bumped — the one append path that invalidates artifacts.
+// bumped — the one append path that invalidates artifacts. A batch that
+// would repeat a key of a Unique column fails with a *UniqueKeyError
+// before anything changes: epoch, version, rows and journal stay as they
+// were.
 func (c *Catalog) AppendCols(table string, cols [][]int64) (AppendResult, error) {
 	t, err := c.Table(table)
 	if err != nil {
@@ -189,6 +220,10 @@ func (c *Catalog) AppendCols(table string, cols [][]int64) (AppendResult, error)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t.mu.Lock()
+	if err := t.checkKeysLocked(cols); err != nil {
+		t.mu.Unlock()
+		return AppendResult{}, err
+	}
 	lo := int64(t.rowsLocked())
 	hi := lo + int64(k)
 	grew := false
@@ -207,6 +242,9 @@ func (c *Catalog) AppendCols(table string, cols [][]int64) (AppendResult, error)
 			col.Data = nd
 		}
 		col.Data = append(col.Data, cols[i]...)
+		if col.Unique {
+			t.keyMax[i] = max(t.keyMax[i], slices.Max(cols[i]))
+		}
 	}
 	t.widthRows = int(hi)
 	t.mu.Unlock()
@@ -218,6 +256,41 @@ func (c *Catalog) AppendCols(table string, cols [][]int64) (AppendResult, error)
 	ev := core.EpochEvent{Epoch: c.epoch, Table: table, Lo: lo, Hi: hi, Grew: grew}
 	c.journal = append(c.journal, ev)
 	return AppendResult{Epoch: ev.Epoch, Lo: lo, Hi: hi, Grew: grew}, nil
+}
+
+// checkKeysLocked returns a *UniqueKeyError when cols would repeat a key of
+// a Unique column. A strictly increasing batch above the column's maximum
+// is accepted without allocating; any other batch is checked against a
+// set of the column's keys. Caller holds t.mu.Lock.
+func (t *Table) checkKeysLocked(cols [][]int64) error {
+	t.widthsLocked() // refreshes keyMax after direct Data mutation
+	for i, c := range t.Cols {
+		if !c.Unique {
+			continue
+		}
+		prev, rising := t.keyMax[i], true
+		for _, v := range cols[i] {
+			if v <= prev {
+				rising = false
+				break
+			}
+			prev = v
+		}
+		if rising {
+			continue
+		}
+		seen := make(map[int64]struct{}, len(c.Data)+len(cols[i]))
+		for _, v := range c.Data {
+			seen[v] = struct{}{}
+		}
+		for _, v := range cols[i] {
+			if _, dup := seen[v]; dup {
+				return &UniqueKeyError{Table: t.Name, Column: c.Name, Key: v}
+			}
+			seen[v] = struct{}{}
+		}
+	}
+	return nil
 }
 
 // widened returns ws with each column widened to hold its new values, and

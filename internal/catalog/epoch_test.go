@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -235,5 +236,119 @@ func TestShardsFromViewPinRows(t *testing.T) {
 		if total != int64(v.Rows) {
 			t.Fatalf("%d-way shards cover %d rows, view has %d", n, total, v.Rows)
 		}
+	}
+}
+
+// uniqueTestCatalog holds table "u" with a Unique key column k = 0..rows-1
+// and a plain column v.
+func uniqueTestCatalog(t *testing.T, rows int) *Catalog {
+	t.Helper()
+	c := New()
+	tb := NewTable("u")
+	k := tb.AddCol("k", TInt)
+	k.Unique = true
+	v := tb.AddCol("v", TInt)
+	for i := 0; i < rows; i++ {
+		k.Data = append(k.Data, int64(i))
+		v.Data = append(v.Data, int64(i%3))
+	}
+	c.Add(tb)
+	return c
+}
+
+// TestAppendRefusesRepeatedUniqueKey pins the catalog's Unique contract:
+// a batch that repeats a key of a Unique column, against the table or
+// within itself, fails with a *UniqueKeyError naming the key, and leaves
+// the epoch, version, rows and journal as they were. A repeated value in a
+// plain column is accepted.
+func TestAppendRefusesRepeatedUniqueKey(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		keys []int64
+		dup  int64
+	}{
+		{"against the table", []int64{100, 7, 101}, 7},
+		{"within the batch", []int64{100, 102, 100}, 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := uniqueTestCatalog(t, 100)
+			if _, err := c.AppendCols("u", [][]int64{{150}, {1}}); err != nil {
+				t.Fatal(err)
+			}
+			tb, _ := c.Table("u")
+			e0, v0, r0, j0 := c.Epoch(), c.Version(), tb.Rows(), len(c.EpochJournal())
+			vals := make([]int64, len(tc.keys)) // v repeats 0: not Unique
+			_, err := c.AppendCols("u", [][]int64{tc.keys, vals})
+			var ue *UniqueKeyError
+			if !errors.As(err, &ue) {
+				t.Fatalf("append of keys %v: err = %v, want *UniqueKeyError", tc.keys, err)
+			}
+			if *ue != (UniqueKeyError{Table: "u", Column: "k", Key: tc.dup}) {
+				t.Fatalf("error = %+v, want key %d of u.k", *ue, tc.dup)
+			}
+			if c.Epoch() != e0 || c.Version() != v0 || tb.Rows() != r0 || len(c.EpochJournal()) != j0 {
+				t.Fatalf("refused append changed the catalog: epoch %d→%d, version %d→%d, rows %d→%d, journal %d→%d",
+					e0, c.Epoch(), v0, c.Version(), r0, tb.Rows(), j0, len(c.EpochJournal()))
+			}
+			if _, err := c.Append("u", [][]int64{{150, 0}}); !errors.As(err, &ue) || ue.Key != 150 {
+				t.Fatalf("row append of key 150: err = %v, want *UniqueKeyError", err)
+			}
+		})
+	}
+}
+
+// TestAppendAcceptsDistinctUniqueKeys: a batch of new keys is accepted
+// whether or not it rises above the table's maximum, and the keys it adds
+// count for the next batch.
+func TestAppendAcceptsDistinctUniqueKeys(t *testing.T) {
+	c := uniqueTestCatalog(t, 10)
+	tb, _ := c.Table("u")
+	k := tb.Col("k")
+	for i := range 10 { // free the keys 0, 2, 4, 6, 8
+		k.Data[i] = int64(2*i + 1)
+	}
+	c.Bump()
+	for _, keys := range [][]int64{
+		{20, 21, 22},  // rising above the maximum
+		{8, 0, 30, 4}, // distinct, not monotone, some below the maximum
+		{23},
+	} {
+		if _, err := c.AppendCols("u", [][]int64{keys, make([]int64, len(keys))}); err != nil {
+			t.Fatalf("append of keys %v: %v", keys, err)
+		}
+	}
+	if tb.Rows() != 18 {
+		t.Fatalf("rows = %d, want 18", tb.Rows())
+	}
+	var ue *UniqueKeyError
+	for _, key := range []int64{30, 8, 23} {
+		if _, err := c.Append("u", [][]int64{{key, 0}}); !errors.As(err, &ue) || ue.Key != key {
+			t.Fatalf("append of key %d: err = %v, want *UniqueKeyError", key, err)
+		}
+	}
+}
+
+// TestUniqueAppendAllocatesNothing: a rising batch above the key column's
+// maximum, the shape of every datagen.AppendBatch, is checked without
+// allocating.
+func TestUniqueAppendAllocatesNothing(t *testing.T) {
+	c := uniqueTestCatalog(t, 100)
+	tb, _ := c.Table("u")
+	keys, vals := make([]int64, 4), make([]int64, 4)
+	next := int64(100)
+	allocs := testing.AllocsPerRun(50, func() {
+		for i := range keys {
+			keys[i] = next
+			next++
+		}
+		tb.mu.Lock()
+		err := tb.checkKeysLocked([][]int64{keys, vals})
+		tb.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("rising key check allocated %.1f times per batch", allocs)
 	}
 }

@@ -489,3 +489,35 @@ func TestIngestGate(t *testing.T) {
 			cs.Hits-cold.Hits, warm, cs.Misses-cold.Misses, cs.Evictions, cs.Invalidations)
 	}
 }
+
+// TestRepeatedKeyAppendRefused: the probe of a join on a unique build key
+// leaves its chain at the first match, and a group join keeps one entry
+// per build key, so both are sound only while the catalog keeps Unique
+// true. An append that repeats products.id is refused with a
+// *catalog.UniqueKeyError, and a group join and a plain join over the key
+// still return the reference executor's rows.
+func TestRepeatedKeyAppendRefused(t *testing.T) {
+	svc := testService(t)
+	se := svc.NewSession()
+	rows := make([][]int64, 5)
+	for i := range rows {
+		rows[i] = []int64{int64(i + 1), 0, 0} // ids 1..5 exist already
+	}
+	_, err := se.Append("products", rows)
+	var ue *catalog.UniqueKeyError
+	if !errors.As(err, &ue) {
+		t.Errorf("append repeating products.id: err = %v, want *catalog.UniqueKeyError", err)
+	} else if ue.Table != "products" || ue.Column != "id" || ue.Key != 1 {
+		t.Errorf("error = %+v, want key 1 of products.id", *ue)
+	}
+	for _, sql := range []string{
+		"select s.id, count(*) from sales s, products p where s.id = p.id group by s.id",
+		"select sum(s.price) from sales s, products p where s.id = p.id",
+	} {
+		p, res, err := se.Execute(sql, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		rowsEqual(t, res.Rows, refRows(t, p), false)
+	}
+}

@@ -275,17 +275,24 @@ func (c *Compiler) genJoinProbe(j *plan.Join, r row) {
 			return c.b.Load(64, c.b.Add(entry, c.b.Const(off)))
 		})
 	}
-	// Within the match, "this row is done" must resume the chain walk at
-	// contProbe, not jump to the next tuple: a non-unique build side can
-	// still have matches pending on this chain.
-	outerSkip := c.skipBlock
-	c.skipBlock = cont
+	// Within the match, "this row is done" goes where no further entry can
+	// match. A non-unique build side can still have matches pending on this
+	// chain, so the walk resumes at contProbe. A unique build key matches
+	// once (the catalog refuses an append that would repeat it), so the
+	// probe row is finished: the walk exits to the outer continuation, the
+	// next tuple or an enclosing join's contProbe, and contProbe is reached
+	// only on a key mismatch.
+	outerSkip, done := c.skipBlock, cont
+	if j.BuildUnique {
+		done = outerSkip
+	}
+	c.skipBlock = done
 	c.consumeUp(j, merged)
 	c.skipBlock = outerSkip
 
 	c.withTask(opID, probeTask, func() {
 		if c.b.Cur.Terminator() == nil {
-			c.b.Br(cont)
+			c.b.Br(done)
 		}
 		c.b.SetBlock(cont)
 		next := c.b.Load(64, c.b.Add(entry, c.b.Const(codegen.HTEntryNext)))
@@ -321,38 +328,48 @@ func (c *Compiler) genGroupByAgg(g *plan.GroupBy, r row) {
 		head := c.b.Load(64, slotAddr)
 		head.Comment = "group directory lookup"
 
-		findHead := c.b.NewBlock("findGroup")
-		findCont := c.b.NewBlock("contFind")
+		// Constant keys make one group: a non-null slot is that group, and
+		// there is no chain to walk.
+		var findHead, findCont *ir.Block
+		if !constKeys(g) {
+			findHead = c.b.NewBlock("findGroup")
+			findCont = c.b.NewBlock("contFind")
+		}
 		found := c.b.NewBlock("groupFound")
 		insert := c.b.NewBlock("groupInsert")
 		insert.Freq = min(entries(g), c.b.Cur.Freq)
 		done := c.b.NewBlock("groupDone")
 
 		nonNull := c.b.Bin(ir.OpCmpNe, head, c.b.Const(0))
-		c.b.CondBr(nonNull, findHead, insert)
+		entry := head
+		if findHead == nil {
+			c.b.CondBr(nonNull, found, insert)
+		} else {
+			c.b.CondBr(nonNull, findHead, insert)
 
-		c.b.SetBlock(findHead)
-		entry := c.b.Phi()
-		entry.Comment = "groupEntry"
-		ir.AddIncoming(entry, head)
-		// Compare all key parts; any mismatch continues the chain walk.
-		for i, k := range keys {
-			ekey := c.b.Load(64, c.b.Add(entry, c.b.Const(entryKeyOff+8*int64(i))))
-			eq := c.b.Bin(ir.OpCmpEq, ekey, k)
-			if i == nKeys-1 {
-				c.b.CondBr(eq, found, findCont)
-			} else {
-				more := c.b.NewBlock("cmpKey" + strconv.Itoa(i+1))
-				c.b.CondBr(eq, more, findCont)
-				c.b.SetBlock(more)
+			c.b.SetBlock(findHead)
+			entry = c.b.Phi()
+			entry.Comment = "groupEntry"
+			ir.AddIncoming(entry, head)
+			// Compare all key parts; any mismatch continues the chain walk.
+			for i, k := range keys {
+				ekey := c.b.Load(64, c.b.Add(entry, c.b.Const(entryKeyOff+8*int64(i))))
+				eq := c.b.Bin(ir.OpCmpEq, ekey, k)
+				if i == nKeys-1 {
+					c.b.CondBr(eq, found, findCont)
+				} else {
+					more := c.b.NewBlock("cmpKey" + strconv.Itoa(i+1))
+					c.b.CondBr(eq, more, findCont)
+					c.b.SetBlock(more)
+				}
 			}
-		}
 
-		c.b.SetBlock(findCont)
-		next := c.b.Load(64, c.b.Add(entry, c.b.Const(codegen.HTEntryNext)))
-		ir.AddIncoming(entry, next)
-		nz := c.b.Bin(ir.OpCmpNe, next, c.b.Const(0))
-		c.b.CondBr(nz, findHead, insert)
+			c.b.SetBlock(findCont)
+			next := c.b.Load(64, c.b.Add(entry, c.b.Const(codegen.HTEntryNext)))
+			ir.AddIncoming(entry, next)
+			nz := c.b.Bin(ir.OpCmpNe, next, c.b.Const(0))
+			c.b.CondBr(nz, findHead, insert)
+		}
 
 		c.b.SetBlock(found)
 		c.genAggUpdate(entry, aggBase, g.Aggs, offs, vals)
@@ -547,6 +564,17 @@ func entries(n plan.Node) float64 {
 		return x.Build.EstRows()
 	}
 	return n.EstRows()
+}
+
+// constKeys reports whether every grouping key of g is a literal: the
+// group-by then has exactly one group.
+func constKeys(g *plan.GroupBy) bool {
+	for _, k := range g.Keys {
+		if _, ok := k.(*plan.PConst); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // keyShare estimates the share of a unique build key's values that the

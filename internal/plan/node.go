@@ -90,8 +90,11 @@ type Join struct {
 	BuildKey, ProbeKey PExpr
 	Payload            []int // positions in Build.Out()
 
-	// BuildUnique marks a unique build key (primary key), enabling
-	// group-join fusion and tighter arena bounds.
+	// BuildUnique marks a unique build key (a catalog.Column.Unique column,
+	// which the catalog keeps distinct under appends). Each probe row then
+	// matches at most one build entry: it enables group-join fusion, a
+	// probe that leaves its hash chain at the first match, and the output
+	// bound of BoundRows.
 	BuildUnique bool
 
 	// Label distinguishes joins in reports, e.g. "join ord.".
@@ -110,6 +113,11 @@ func (j *Join) Out() []ColMeta {
 }
 func (j *Join) Children() []Node { return []Node{j.Build, j.Probe} }
 func (j *Join) EstRows() float64 { return j.Est }
+
+// BoundRows bounds the join's output rows. On a unique build key each
+// probe row matches at most once, so the probe side's bound holds; it holds
+// in every epoch, because the catalog refuses an append that would repeat a
+// Unique key.
 func (j *Join) BoundRows() int {
 	b := j.Probe.BoundRows()
 	if !j.BuildUnique {
