@@ -128,8 +128,17 @@ type Column struct {
 // Stats summarizes a column for the optimizer.
 type Stats struct {
 	Min, Max int64
-	Distinct int // estimate, capped
+	Distinct int // estimate, capped at DistinctCap (exact for a Unique column)
 }
+
+// DistinctCap caps the values Stats.Distinct counts: a count at the cap
+// says only that the column holds at least that many.
+const DistinctCap = 1 << 16
+
+// seenSets recycles computeStats' distinct-value sets: an append makes the
+// next compile recompute the statistics of every column it reads, and a
+// recycled set allocates nothing once it has grown.
+var seenSets = sync.Pool{New: func() any { return make(map[int64]struct{}, 1024) }}
 
 func computeStats(data []int64, unique bool) Stats {
 	s := Stats{}
@@ -137,8 +146,11 @@ func computeStats(data []int64, unique bool) Stats {
 		return s
 	}
 	s.Min, s.Max = data[0], data[0]
-	const cap = 1 << 16
-	seen := make(map[int64]struct{}, 1024)
+	seen := seenSets.Get().(map[int64]struct{})
+	defer func() {
+		clear(seen)
+		seenSets.Put(seen)
+	}()
 	for _, v := range data {
 		if v < s.Min {
 			s.Min = v
@@ -146,7 +158,7 @@ func computeStats(data []int64, unique bool) Stats {
 		if v > s.Max {
 			s.Max = v
 		}
-		if len(seen) < cap {
+		if len(seen) < DistinctCap {
 			seen[v] = struct{}{}
 		}
 	}

@@ -606,11 +606,13 @@ func (c *Compiler) buildLayout(pl *plan.Output, cq *Compiled) (*pipeline.Layout,
 	}
 
 	// Hash tables: directory + arena per materializing node, both written
-	// by generated code and runtime routines.
+	// by generated code and runtime routines. The arena holds the build
+	// bound; a group-by's directory is sized from its keys' distinct
+	// values, because a full directory only makes chains longer.
 	// Their partitioned-merge staging regions follow the result buffer.
 	for i, n := range mats {
 		entries := pipeline.BuildBound(n)
-		dirSlots := pipeline.DirSlots(entries)
+		dirSlots := pipeline.TableDirSlots(n)
 		entrySize := pipeline.EntrySize(n)
 		arenaCap := int64(entries+16) * entrySize
 
@@ -899,7 +901,7 @@ func (r *stagedRun) iterate(n int) (*Result, error) {
 		}
 		stats, err = r.cpu.Run(r.budget)
 		if err != nil {
-			return nil, fmt.Errorf("engine: execution failed (iteration %d): %w", it, err)
+			return nil, fmt.Errorf("engine: execution failed (iteration %d): %w", it, regionFull(r.cq, r.cpu, err))
 		}
 	}
 	res := &Result{Stats: stats, WallCycles: stats.TotalCycles()}

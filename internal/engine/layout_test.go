@@ -143,11 +143,12 @@ func TestLayoutDeterministic(t *testing.T) {
 	}
 }
 
-// TestHashTableRegionSizes: every suite hash table's directory and arena
-// are sized by its build bound — DirSlots(BuildBound) slots, BuildBound+16
-// entries — its entry-sized merge regions by StagedBound+16 entries, its
-// side vectors by StagedBound+16 words, and its merge cursors by the
-// partition count.
+// TestHashTableRegionSizes: every suite hash table's arena is sized by its
+// build bound — BuildBound+16 entries — and its directory by
+// TableDirSlots, which for a join or group join is DirSlots(BuildBound)
+// and for a group-by never more; its entry-sized merge regions by
+// StagedBound+16 entries, its side vectors by StagedBound+16 words, and
+// its merge cursors by the partition count.
 func TestHashTableRegionSizes(t *testing.T) {
 	e := New(testCatalog(t), DefaultOptions())
 	for _, w := range queries.Suite() {
@@ -170,8 +171,14 @@ func TestHashTableRegionSizes(t *testing.T) {
 		for n, ht := range cq.Layout.HT {
 			es := pipeline.EntrySize(n)
 			staged := int64(pipeline.StagedBound(n) + 16)
+			dirSlots := pipeline.TableDirSlots(n)
+			if bound := pipeline.DirSlots(pipeline.BuildBound(n)); dirSlots > bound {
+				t.Errorf("%s: %d directory slots, more than the bound's %d", w.Name, dirSlots, bound)
+			} else if _, ok := n.(*plan.GroupBy); !ok && dirSlots != bound {
+				t.Errorf("%s: %s has %d directory slots, want the bound's %d", w.Name, n.Kind(), dirSlots, bound)
+			}
 			want := []sized{
-				{"ht.dir", ht.Dir, pipeline.DirSlots(pipeline.BuildBound(n)) * 8},
+				{"ht.dir", ht.Dir, dirSlots * 8},
 				{"ht.arena", ht.Arena, int64(pipeline.BuildBound(n)+16) * es},
 				{"ht.scatter", ht.ScatterOut, staged * es},
 				{"ht.mergesrc", ht.MergeSrc, staged * es},

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -94,6 +95,57 @@ type SinkOverflowError struct {
 func (e *SinkOverflowError) Error() string {
 	return fmt.Sprintf("engine: %s overflow merging sink of pipeline %q: need %d bytes, capacity %d",
 		e.Region, e.Sink, e.Needed, e.Capacity)
+}
+
+// RegionFullError reports that generated code trapped because a region
+// sized at compile time was full: a hash-table arena (ht_insert's
+// codegen.TrapHTArenaFull) or the result buffer (bumpalloc's
+// codegen.TrapAllocFull). It wraps the trap, so errors.As still finds the
+// *vm.TrapError.
+type RegionFullError struct {
+	Region   string // "hash-table arena" or "result buffer"
+	Operator string // the hash table's operator; "" for the result buffer
+	Capacity int64  // bytes the region holds
+	Trap     *vm.TrapError
+}
+
+func (e *RegionFullError) Error() string {
+	region := e.Region
+	if e.Operator != "" {
+		region += " of " + e.Operator
+	}
+	return fmt.Sprintf("engine: %s full at %d bytes (%v)", region, e.Capacity, e.Trap)
+}
+
+func (e *RegionFullError) Unwrap() error { return e.Trap }
+
+// regionFull maps an arena-full or result-full trap of cq's code on cpu to
+// a *RegionFullError; every other error passes through. ht_insert traps
+// before it writes r0, so r0 still names the full table's descriptor.
+func regionFull(cq *Compiled, cpu *vm.CPU, err error) error {
+	var trap *vm.TrapError
+	if !errors.As(err, &trap) || trap.IP < 0 || trap.IP >= len(cq.Code.Program.Code) {
+		return err
+	}
+	in := cq.Code.Program.Code[trap.IP]
+	if in.Op != isa.TRAP {
+		return err
+	}
+	// The capacity is the end the routine compared against, read from the
+	// staged descriptor.
+	switch in.Imm {
+	case codegen.TrapHTArenaFull:
+		for n, ht := range cq.Layout.HT {
+			if ht.Desc == cpu.Regs[0] {
+				end := cpu.ReadI64(ht.Desc + codegen.HTDescEnd)
+				return &RegionFullError{Region: "hash-table arena", Operator: n.Describe(), Capacity: end - ht.Arena, Trap: trap}
+			}
+		}
+	case codegen.TrapAllocFull:
+		end := cpu.ReadI64(cq.Layout.ResultDesc + codegen.AllocDescEnd)
+		return &RegionFullError{Region: "result buffer", Capacity: end - cq.resultBase, Trap: trap}
+	}
+	return err
 }
 
 // runParallel executes a compiled query with morsel-driven parallelism on
@@ -208,7 +260,7 @@ func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 					t0 := w.cpu.TSC()
 					seg, cn, err := runMorsel(cq, w, info, entry, scatterEntry, pi, spans[m], m, stamp, budget)
 					if err != nil {
-						w.err = err
+						w.err = regionFull(cq, w.cpu, err)
 						return
 					}
 					segs[m], cnts[m] = seg, cn
@@ -629,8 +681,9 @@ func mergePhase(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, segs [
 
 	case pipeline.SinkGJProbe:
 		// Workers updated build entries in place; fold each worker's
-		// delta against the phase-start snapshot (additive state) or the
-		// value itself (min/max, which already include the base).
+		// delta against the phase-start snapshot state slot by state slot:
+		// sums and counts (the match count among them) add their deltas,
+		// min/max fold the value itself, which already includes the base.
 		ht := sink.HT
 		cursor := coord.ReadI64(ht.Desc + codegen.HTDescCursor)
 		n := cursor - ht.Arena
@@ -638,28 +691,20 @@ func mergePhase(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, segs [
 		for _, w := range ws {
 			for off := int64(0); off < n; off += ht.EntrySize {
 				addr := ht.Arena + off
-				mo := sink.MatchOff
-				d := codegen.HeapI64(w.cpu.Heap, addr+mo) - codegen.HeapI64(base, off+mo)
-				if d != 0 {
-					coord.WriteI64(addr+mo, coord.ReadI64(addr+mo)+d)
-				}
-				for i, fn := range sink.Aggs {
-					ao := sink.AggOffs[i]
-					wv := codegen.HeapI64(w.cpu.Heap, addr+ao)
-					switch fn {
+				for _, s := range sink.Slots {
+					wv := codegen.HeapI64(w.cpu.Heap, addr+s.Off)
+					switch s.Fn {
 					case plan.AggSum, plan.AggCount:
-						coord.WriteI64(addr+ao, coord.ReadI64(addr+ao)+wv-codegen.HeapI64(base, off+ao))
-					case plan.AggAvg:
-						coord.WriteI64(addr+ao, coord.ReadI64(addr+ao)+wv-codegen.HeapI64(base, off+ao))
-						wc := codegen.HeapI64(w.cpu.Heap, addr+ao+8)
-						coord.WriteI64(addr+ao+8, coord.ReadI64(addr+ao+8)+wc-codegen.HeapI64(base, off+ao+8))
+						if d := wv - codegen.HeapI64(base, off+s.Off); d != 0 {
+							coord.WriteI64(addr+s.Off, coord.ReadI64(addr+s.Off)+d)
+						}
 					case plan.AggMin:
-						if wv < coord.ReadI64(addr+ao) {
-							coord.WriteI64(addr+ao, wv)
+						if wv < coord.ReadI64(addr+s.Off) {
+							coord.WriteI64(addr+s.Off, wv)
 						}
 					case plan.AggMax:
-						if wv > coord.ReadI64(addr+ao) {
-							coord.WriteI64(addr+ao, wv)
+						if wv > coord.ReadI64(addr+s.Off) {
+							coord.WriteI64(addr+s.Off, wv)
 						}
 					}
 				}

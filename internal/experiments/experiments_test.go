@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -92,15 +93,20 @@ func TestAttributionRows(t *testing.T) {
 	if total.Query != "TOTAL" {
 		t.Fatal("missing TOTAL row")
 	}
-	// Table 2's buckets within ±3 points of the paper's 95.4 / 2.6 %.
-	if total.OperatorPct < 92.4 {
-		t.Fatalf("operators = %.1f%%, want >= 92.4%% (paper 95.4%%)", total.OperatorPct)
-	}
-	if total.KernelPct > 5.6 {
-		t.Fatalf("kernel = %.1f%%, want <= 5.6%% (paper 2.6%%)", total.KernelPct)
-	}
-	if total.NoAttrib > 5 {
-		t.Fatalf("unattributed = %.1f%%", total.NoAttrib)
+	// Table 2's three buckets within ±3 points of the paper's
+	// 95.4 / 2.6 / 2.0 %, from above and from below.
+	for _, b := range []struct {
+		name       string
+		got, paper float64
+	}{
+		{"operators", total.OperatorPct, 95.4},
+		{"kernel", total.KernelPct, 2.6},
+		{"unattributed", total.NoAttrib, 2.0},
+	} {
+		t.Logf("%s: %.1f%% (paper %.1f%%)", b.name, b.got, b.paper)
+		if math.Abs(b.got-b.paper) > 3 {
+			t.Errorf("%s = %.1f%%, want within ±3 points of the paper's %.1f%%", b.name, b.got, b.paper)
+		}
 	}
 }
 

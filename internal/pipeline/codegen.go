@@ -307,11 +307,10 @@ func (c *Compiler) genJoinProbe(j *plan.Join, r row) {
 // and the insert path calling the shared ht_insert under Register Tagging.
 func (c *Compiler) genGroupByAgg(g *plan.GroupBy, r row) {
 	ht := c.lay.HT[g]
-	offs := aggOffsets(g.Aggs)
+	st := c.state(g)
 	nKeys := len(g.Keys)
-	aggBase := entryKeyOff + 8*int64(nKeys)
 	c.withTask(c.ops[g], c.task(g, roleAgg), func() {
-		vals := c.evalAggArgs(g.Aggs, r)
+		vals := c.evalStateArgs(st, r)
 		keys := make([]*ir.Instr, nKeys)
 		for i, ke := range g.Keys {
 			keys[i] = c.evalExpr(ke, r)
@@ -372,7 +371,7 @@ func (c *Compiler) genGroupByAgg(g *plan.GroupBy, r row) {
 		}
 
 		c.b.SetBlock(found)
-		c.genAggUpdate(entry, aggBase, g.Aggs, offs, vals)
+		c.genAggUpdate(entry, st, vals)
 		c.b.Br(done)
 
 		c.b.SetBlock(insert)
@@ -381,7 +380,7 @@ func (c *Compiler) genGroupByAgg(g *plan.GroupBy, r row) {
 		for i, k := range keys {
 			c.b.Store(64, c.b.Add(entry2, c.b.Const(entryKeyOff+8*int64(i))), k)
 		}
-		c.genAggInitFirst(entry2, aggBase, g.Aggs, offs, vals)
+		c.genAggInitFirst(entry2, st, vals)
 		c.b.Br(done)
 
 		c.b.SetBlock(done)
@@ -389,10 +388,10 @@ func (c *Compiler) genGroupByAgg(g *plan.GroupBy, r row) {
 }
 
 // genGroupJoinBuild materializes the build side of a group join with
-// zero-initialized aggregate state and a match counter.
+// zero-initialized aggregate state, its match count included.
 func (c *Compiler) genGroupJoinBuild(gj *plan.GroupJoin, r row) {
 	ht := c.lay.HT[gj]
-	offs := aggOffsets(gj.Aggs)
+	st := c.state(gj)
 	c.withTask(c.ops[gj], c.task(gj, roleBuild), func() {
 		c.bump(c.task(gj, roleBuild))
 		key := c.evalExpr(gj.BuildKey, r)
@@ -400,8 +399,7 @@ func (c *Compiler) genGroupJoinBuild(gj *plan.GroupJoin, r row) {
 		desc := c.b.Const(ht.Desc)
 		entry := c.sharedCall(codegen.SymHTInsert, desc, h, c.b.Const(ht.EntrySize))
 		c.b.Store(64, c.b.Add(entry, c.b.Const(entryKeyOff)), key)
-		c.b.Store(64, c.b.Add(entry, c.b.Const(entryValOff)), c.b.Const(0)) // match count
-		c.genAggInitZero(entry, entryValOff+8, gj.Aggs, offs)
+		c.genAggInitZero(entry, st)
 	})
 }
 
@@ -411,7 +409,7 @@ func (c *Compiler) genGroupJoinBuild(gj *plan.GroupJoin, r row) {
 // operators.
 func (c *Compiler) genGroupJoinProbe(gj *plan.GroupJoin, r row) {
 	ht := c.lay.HT[gj]
-	offs := aggOffsets(gj.Aggs)
+	st := c.state(gj)
 	opID := c.ops[gj]
 	joinTask, aggTask := c.task(gj, roleGJJoin), c.task(gj, roleGJAgg)
 
@@ -452,11 +450,8 @@ func (c *Compiler) genGroupJoinProbe(gj *plan.GroupJoin, r row) {
 	c.b.SetBlock(found)
 	c.withTask(opID, joinTask, func() { c.bump(joinTask) })
 	c.withTask(opID, aggTask, func() {
-		vals := c.evalAggArgs(gj.Aggs, r)
-		mcAddr := c.b.Add(entry, c.b.Const(entryValOff))
-		mc := c.b.Load(64, mcAddr)
-		c.b.Store(64, mcAddr, c.b.Add(mc, c.b.Const(1)))
-		c.genAggUpdate(entry, entryValOff+8, gj.Aggs, offs, vals)
+		// The match count is the state's count slot.
+		c.genAggUpdate(entry, st, c.evalStateArgs(st, r))
 	})
 	// The build key is unique: one match per probe tuple, done.
 	c.withTask(opID, joinTask, func() {
@@ -467,17 +462,19 @@ func (c *Compiler) genGroupJoinProbe(gj *plan.GroupJoin, r row) {
 // genGroupScanLoop drives the output pipeline of a group-by: a linear scan
 // over the contiguous entry arena.
 func (c *Compiler) genGroupScanLoop(g *plan.GroupBy, pipeIdx int) {
-	nKeys := len(g.Keys)
-	c.genArenaScan(g, pipeIdx, c.lay.HT[g], aggOffsets(g.Aggs), g.Aggs, nKeys, entryKeyOff+8*int64(nKeys), false)
+	c.genArenaScan(g, pipeIdx, c.lay.HT[g], c.state(g), g.Aggs, len(g.Keys), false)
 }
 
 // genGroupJoinScanLoop drives the output pipeline of a group join,
 // skipping unmatched build entries (inner-join semantics).
 func (c *Compiler) genGroupJoinScanLoop(gj *plan.GroupJoin, pipeIdx int) {
-	c.genArenaScan(gj, pipeIdx, c.lay.HT[gj], aggOffsets(gj.Aggs), gj.Aggs, 1, entryValOff+8, true)
+	c.genArenaScan(gj, pipeIdx, c.lay.HT[gj], c.state(gj), gj.Aggs, 1, true)
 }
 
-func (c *Compiler) genArenaScan(n plan.Node, pipeIdx int, ht *HTLayout, offs []int64, aggs []plan.AggSpec, nKeys int, aggBase int64, skipUnmatched bool) {
+// genArenaScan emits the loop over a hash table's entries that passes each
+// group upward: its keys, then each aggregate read from its state slots
+// (an avg divides the shared sum by the shared count).
+func (c *Compiler) genArenaScan(n plan.Node, pipeIdx int, ht *HTLayout, st []StateSlot, aggs []plan.AggSpec, nKeys int, skipUnmatched bool) {
 	opID, task := c.ops[n], c.task(n, roleHTScan)
 
 	loopHead := c.b.NewBlock("loopGroups")
@@ -505,7 +502,7 @@ func (c *Compiler) genArenaScan(n plan.Node, pipeIdx int, ht *HTLayout, offs []i
 
 		c.b.SetBlock(body)
 		if skipUnmatched {
-			mc := c.b.Load(64, c.b.Add(ptr, c.b.Const(entryValOff)))
+			mc := c.b.Load(64, c.b.Add(ptr, c.b.Const(st[slotOf(st, plan.AggCount, nil)].Off)))
 			nz := c.b.Bin(ir.OpCmpNe, mc, c.b.Const(0))
 			matched := c.b.NewBlock("matchedGroup")
 			matched.Freq = min(n.EstRows(), c.b.Cur.Freq)
@@ -522,16 +519,20 @@ func (c *Compiler) genArenaScan(n plan.Node, pipeIdx int, ht *HTLayout, offs []i
 			return c.b.Load(64, c.b.Add(ptr, c.b.Const(off)))
 		})
 	}
-	for i, a := range aggs {
-		off := aggBase + offs[i]
-		fn := a.Fn
+	for _, a := range aggs {
+		fn, arg := piece(a)
+		off := st[slotOf(st, fn, arg)].Off
+		if a.Fn != plan.AggAvg {
+			r.cols = append(r.cols, func() *ir.Instr {
+				return c.b.Load(64, c.b.Add(ptr, c.b.Const(off)))
+			})
+			continue
+		}
+		cntOff := st[slotOf(st, plan.AggCount, nil)].Off
 		r.cols = append(r.cols, func() *ir.Instr {
-			if fn == plan.AggAvg {
-				sum := c.b.Load(64, c.b.Add(ptr, c.b.Const(off)))
-				cnt := c.b.Load(64, c.b.Add(ptr, c.b.Const(off+8)))
-				return c.b.SDiv(sum, cnt)
-			}
-			return c.b.Load(64, c.b.Add(ptr, c.b.Const(off)))
+			sum := c.b.Load(64, c.b.Add(ptr, c.b.Const(off)))
+			cnt := c.b.Load(64, c.b.Add(ptr, c.b.Const(cntOff)))
+			return c.b.SDiv(sum, cnt)
 		})
 	}
 

@@ -72,40 +72,36 @@ func (c *Compiler) evalExpr(e plan.PExpr, r row) *ir.Instr {
 	return nil
 }
 
-// evalAggArgs evaluates every aggregate input (nil for count(*)).
-// The paper's Listing 1 evaluates aggregation inputs — including the
-// expensive division chain — before the group lookup; we keep that order.
-func (c *Compiler) evalAggArgs(aggs []plan.AggSpec, r row) []*ir.Instr {
-	vals := make([]*ir.Instr, len(aggs))
-	for i, a := range aggs {
-		if a.Arg != nil {
-			vals[i] = c.evalExpr(a.Arg, r)
+// evalStateArgs evaluates the input of every state slot that has one
+// (nil for the count). The paper's Listing 1 evaluates aggregation inputs
+// — including the expensive division chain — before the group lookup; we
+// keep that order.
+func (c *Compiler) evalStateArgs(st []StateSlot, r row) []*ir.Instr {
+	vals := make([]*ir.Instr, len(st))
+	for k, s := range st {
+		if s.Arg != nil {
+			vals[k] = c.evalExpr(s.Arg, r)
 		}
 	}
 	return vals
 }
 
-// genAggUpdate updates aggregate state in place for an existing group.
-func (c *Compiler) genAggUpdate(entry *ir.Instr, base int64, aggs []plan.AggSpec, offs []int64, vals []*ir.Instr) {
-	for i, a := range aggs {
-		addr := c.b.Add(entry, c.b.Const(base+offs[i]))
-		switch a.Fn {
+// genAggUpdate updates every state slot once, in place, for an existing
+// group.
+func (c *Compiler) genAggUpdate(entry *ir.Instr, st []StateSlot, vals []*ir.Instr) {
+	for k, s := range st {
+		addr := c.b.Add(entry, c.b.Const(s.Off))
+		switch s.Fn {
 		case plan.AggSum:
 			cur := c.b.Load(64, addr)
-			c.b.Store(64, addr, c.b.Add(cur, vals[i]))
+			c.b.Store(64, addr, c.b.Add(cur, vals[k]))
 		case plan.AggCount:
 			cur := c.b.Load(64, addr)
 			c.b.Store(64, addr, c.b.Add(cur, c.b.Const(1)))
-		case plan.AggAvg:
-			sum := c.b.Load(64, addr)
-			c.b.Store(64, addr, c.b.Add(sum, vals[i]))
-			cntAddr := c.b.Add(entry, c.b.Const(base+offs[i]+8))
-			cnt := c.b.Load(64, cntAddr)
-			c.b.Store(64, cntAddr, c.b.Add(cnt, c.b.Const(1)))
 		case plan.AggMin:
-			c.genMinMax(addr, vals[i], ir.OpCmpLt)
+			c.genMinMax(addr, vals[k], ir.OpCmpLt)
 		case plan.AggMax:
-			c.genMinMax(addr, vals[i], ir.OpCmpGt)
+			c.genMinMax(addr, vals[k], ir.OpCmpGt)
 		}
 	}
 }
@@ -123,37 +119,29 @@ func (c *Compiler) genMinMax(addr, val *ir.Instr, cmp ir.Op) {
 	c.b.SetBlock(skip)
 }
 
-// genAggInitFirst initializes aggregate state from the group's first row.
-func (c *Compiler) genAggInitFirst(entry *ir.Instr, base int64, aggs []plan.AggSpec, offs []int64, vals []*ir.Instr) {
-	for i, a := range aggs {
-		addr := c.b.Add(entry, c.b.Const(base+offs[i]))
-		switch a.Fn {
-		case plan.AggCount:
-			c.b.Store(64, addr, c.b.Const(1))
-		case plan.AggAvg:
-			c.b.Store(64, addr, vals[i])
-			c.b.Store(64, c.b.Add(entry, c.b.Const(base+offs[i]+8)), c.b.Const(1))
-		default: // sum, min, max
-			c.b.Store(64, addr, vals[i])
+// genAggInitFirst initializes the state slots from the group's first row.
+func (c *Compiler) genAggInitFirst(entry *ir.Instr, st []StateSlot, vals []*ir.Instr) {
+	for k, s := range st {
+		addr := c.b.Add(entry, c.b.Const(s.Off))
+		v := vals[k]
+		if s.Fn == plan.AggCount {
+			v = c.b.Const(1)
 		}
+		c.b.Store(64, addr, v)
 	}
 }
 
-// genAggInitZero initializes aggregate state for a group join's build
-// entries (no probe row seen yet).
-func (c *Compiler) genAggInitZero(entry *ir.Instr, base int64, aggs []plan.AggSpec, offs []int64) {
-	for i, a := range aggs {
-		addr := c.b.Add(entry, c.b.Const(base+offs[i]))
-		switch a.Fn {
+// genAggInitZero initializes the state slots of a group join's build
+// entries (no probe row seen yet): the match count and sums at zero.
+func (c *Compiler) genAggInitZero(entry *ir.Instr, st []StateSlot) {
+	for _, s := range st {
+		v := int64(0)
+		switch s.Fn {
 		case plan.AggMin:
-			c.b.Store(64, addr, c.b.Const(minInit))
+			v = minInit
 		case plan.AggMax:
-			c.b.Store(64, addr, c.b.Const(maxInit))
-		case plan.AggAvg:
-			c.b.Store(64, addr, c.b.Const(0))
-			c.b.Store(64, c.b.Add(entry, c.b.Const(base+offs[i]+8)), c.b.Const(0))
-		default:
-			c.b.Store(64, addr, c.b.Const(0))
+			v = maxInit
 		}
+		c.b.Store(64, c.b.Add(entry, c.b.Const(s.Off)), c.b.Const(v))
 	}
 }

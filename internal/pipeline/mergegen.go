@@ -366,21 +366,17 @@ func (c *Compiler) genMergeUpsert(name string, opID, task core.ComponentID, ht *
 }
 
 // genAggCombine folds a staged entry's partial aggregate state into an
-// existing group entry. Both sides share the sink's entry layout, so
-// sum/count/avg add the partial states and min/max fold — associative and
-// commutative, hence exact regardless of how morsels were split.
+// existing group entry, one state slot at a time. Both sides share the
+// sink's entry layout, so sums and counts add and min/max fold —
+// associative and commutative, hence exact regardless of how morsels were
+// split.
 func (c *Compiler) genAggCombine(entry, src *ir.Instr, si SinkInfo) {
-	for i, fn := range si.Aggs {
-		addr := c.b.Add(entry, c.b.Const(si.AggOffs[i]))
-		srcAddr := c.b.Add(src, c.b.Const(si.AggOffs[i]))
-		switch fn {
+	for _, s := range si.Slots {
+		addr := c.b.Add(entry, c.b.Const(s.Off))
+		srcAddr := c.b.Add(src, c.b.Const(s.Off))
+		switch s.Fn {
 		case plan.AggSum, plan.AggCount:
 			c.b.Store(64, addr, c.b.Add(c.b.Load(64, addr), c.b.Load(64, srcAddr)))
-		case plan.AggAvg:
-			c.b.Store(64, addr, c.b.Add(c.b.Load(64, addr), c.b.Load(64, srcAddr)))
-			cAddr := c.b.Add(entry, c.b.Const(si.AggOffs[i]+8))
-			cSrc := c.b.Add(src, c.b.Const(si.AggOffs[i]+8))
-			c.b.Store(64, cAddr, c.b.Add(c.b.Load(64, cAddr), c.b.Load(64, cSrc)))
 		case plan.AggMin:
 			c.genMinMax(addr, c.b.Load(64, srcAddr), ir.OpCmpLt)
 		case plan.AggMax:

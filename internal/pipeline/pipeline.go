@@ -205,17 +205,15 @@ const (
 
 // SinkInfo describes a pipeline's terminal materialization: which hash
 // table (if any) it writes and the entry layout the merge needs — key
-// slots for group lookup, the match counter and the aggregate state zone.
-// All offsets are relative to the entry base.
+// slots for group lookup and the aggregate state slots (a group join's
+// include its match count). All offsets are relative to the entry base.
 type SinkInfo struct {
 	Kind SinkKind
 	HT   *HTLayout // nil for SinkOutput
 
-	NKeys    int
-	KeyOff   int64
-	MatchOff int64 // SinkGJProbe/SinkGJBuild: match-count slot
-	Aggs     []plan.AggFn
-	AggOffs  []int64 // per-aggregate offset within the entry
+	NKeys  int
+	KeyOff int64
+	Slots  []StateSlot // group-by and group-join sinks: the state slots
 }
 
 // MergeInfo describes a sink pipeline's generated merge kernels (nil when
@@ -305,6 +303,10 @@ type pipe struct {
 	// stream is consumed (build/aggregate/output).
 	sinkNode plan.Node
 	sinkKind SinkKind
+
+	// state is the aggregate state layout of the group-by or group join
+	// whose hash table drives the pipeline (set by pass1).
+	state []StateSlot
 }
 
 // Compiler lowers one plan.
@@ -417,26 +419,25 @@ func (c *Compiler) sinkInfo(p *pipe) SinkInfo {
 	case *plan.GroupBy:
 		si.HT = c.lay.HT[n]
 		si.NKeys, si.KeyOff = len(n.Keys), entryKeyOff
-		si.Aggs, si.AggOffs = aggLayout(n.Aggs, entryKeyOff+8*int64(len(n.Keys)))
+		si.Slots = c.state(n)
 	case *plan.GroupJoin:
 		si.HT = c.lay.HT[n]
 		si.NKeys, si.KeyOff = 1, entryKeyOff
-		si.MatchOff = entryValOff
-		si.Aggs, si.AggOffs = aggLayout(n.Aggs, entryValOff+8)
+		si.Slots = c.state(n)
 	}
 	return si
 }
 
-// aggLayout returns the aggregate functions and their absolute offsets
-// within a hash-table entry whose state zone starts at base.
-func aggLayout(aggs []plan.AggSpec, base int64) ([]plan.AggFn, []int64) {
-	fns := make([]plan.AggFn, len(aggs))
-	offs := aggOffsets(aggs)
-	for i, a := range aggs {
-		fns[i] = a.Fn
-		offs[i] += base
+// state returns the aggregate state layout of a group-by or group join,
+// laid out once per compile by pass1 on the pipeline its table drives.
+func (c *Compiler) state(n plan.Node) []StateSlot {
+	for _, p := range c.pipes {
+		if p.driver == n {
+			return p.state
+		}
 	}
-	return fns, offs
+	bug("no aggregate state for " + n.Describe())
+	return nil
 }
 
 func funcName(i int) string { return "pipeline" + strconv.Itoa(i) }
@@ -533,6 +534,7 @@ func (c *Compiler) pass1(n plan.Node) *pipe {
 		pi.sinkNode, pi.sinkKind = x, SinkGroupAgg
 		c.htOrder = append(c.htOrder, x)
 		po := c.newPipe(x, "scan group-by")
+		po.state = newStateSlots(x.Aggs, entryKeyOff+8*int64(len(x.Keys)), false)
 		c.registerTask(po, x, roleHTScan, c.ops[x])
 		return po
 
@@ -546,6 +548,7 @@ func (c *Compiler) pass1(n plan.Node) *pipe {
 		c.registerTask(pp, x, roleGJAgg, c.ops[x])
 		pp.sinkNode, pp.sinkKind = x, SinkGJProbe
 		po := c.newPipe(x, "scan groupjoin")
+		po.state = newStateSlots(x.Aggs, entryValOff, true)
 		c.registerTask(po, x, roleHTScan, c.ops[x])
 		return po
 

@@ -191,3 +191,24 @@ func ColsUsed(p PExpr, into map[int]bool) {
 		ColsUsed(e.R, into)
 	}
 }
+
+// SameExpr reports whether two resolved expressions compute the same
+// value: the same tree of operators over the same positions, literals and
+// parameters.
+func SameExpr(a, b PExpr) bool {
+	switch x := a.(type) {
+	case *PCol:
+		y, ok := b.(*PCol)
+		return ok && x.Pos == y.Pos
+	case *PConst:
+		y, ok := b.(*PConst)
+		return ok && x.Val == y.Val
+	case *PParam:
+		y, ok := b.(*PParam)
+		return ok && x.Idx == y.Idx
+	case *PBin:
+		y, ok := b.(*PBin)
+		return ok && x.Op == y.Op && SameExpr(x.L, y.L) && SameExpr(x.R, y.R)
+	}
+	return a == nil && b == nil
+}

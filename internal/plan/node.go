@@ -172,14 +172,24 @@ func (g *GroupBy) Describe() string {
 // BoundRows bounds the number of groups: the product of the keys' domain
 // bounds, capped at the input's bound. It depends only on the plan and the
 // table capacities, so it holds in every epoch those capacities admit.
-func (g *GroupBy) BoundRows() int {
+func (g *GroupBy) BoundRows() int { return g.groups(false) }
+
+// DistinctGroups bounds the groups the keys' values form in the epoch the
+// plan is compiled at: like BoundRows, but a scan column counts its
+// distinct values (catalog.Table.ColStats) instead of the table's
+// capacity. A count that reads the statistics' cap is unknown and counts
+// the capacity. Later appends can exceed it, so it may size only what
+// stays correct when exceeded, such as a chained directory.
+func (g *GroupBy) DistinctGroups() int { return g.groups(true) }
+
+func (g *GroupBy) groups(distinct bool) int {
 	in := g.Input.BoundRows()
 	b := 1
 	for _, k := range g.Keys {
 		switch x := k.(type) {
 		case *PConst: // one value
 		case *PCol:
-			b = min(b*keyDomain(g.Input, x.Pos), in)
+			b = min(b*keyDomain(g.Input, x.Pos, distinct), in)
 		default:
 			return in
 		}
@@ -190,21 +200,28 @@ func (g *GroupBy) BoundRows() int {
 // keyDomain bounds the number of distinct values in output column pos of
 // n. An inner equi-join keeps only the probe values that occur in its
 // build, so its probe key has at most as many values as the build has
-// rows; a build-payload column has the build's domain.
-func keyDomain(n Node, pos int) int {
-	j, ok := n.(*Join)
-	if !ok {
-		return n.BoundRows()
+// rows; a build-payload column has the build's domain. With distinct set,
+// a scan column's domain is its distinct count at compile time.
+func keyDomain(n Node, pos int, distinct bool) int {
+	switch x := n.(type) {
+	case *Scan:
+		if distinct {
+			if d := x.Table.ColStats(x.Table.Cols[x.Cols[pos]].Name).Distinct; d < catalog.DistinctCap {
+				return d
+			}
+		}
+	case *Join:
+		np := width(x.Probe)
+		if pos >= np {
+			return keyDomain(x.Build, x.Payload[pos-np], distinct)
+		}
+		d := keyDomain(x.Probe, pos, distinct)
+		if pk, ok := x.ProbeKey.(*PCol); ok && pk.Pos == pos {
+			d = min(d, x.Build.BoundRows())
+		}
+		return d
 	}
-	np := width(j.Probe)
-	if pos >= np {
-		return keyDomain(j.Build, j.Payload[pos-np])
-	}
-	d := keyDomain(j.Probe, pos)
-	if pk, ok := j.ProbeKey.(*PCol); ok && pk.Pos == pos {
-		d = min(d, j.Build.BoundRows())
-	}
-	return d
+	return n.BoundRows()
 }
 
 // width is len(n.Out()) without building the schema: bounds are computed

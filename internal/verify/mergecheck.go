@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pipeline"
+	"repro/internal/plan"
 )
 
 // ---------------------------------------------------------------------------
@@ -20,6 +21,10 @@ import (
 //   - staging regions: every heap region the merge protocol uses is
 //     allocated, sized, and mutually disjoint (and disjoint from the
 //     directory and arena they feed);
+//   - state slots: a group sink's aggregate state slots are 8-byte words
+//     that tile the entry from its last key to its end, each a sum, a
+//     count, a min or a max, so the upsert kernel's combine folds every
+//     state word once and nothing else;
 //   - merge kernels are first-class profiled code: each generated
 //     function exists in the module, every one of its instructions
 //     resolves through Log B to the registered merge task, the task's
@@ -107,6 +112,28 @@ func (MergeInvariants) Check(a *Artifact) []Diag {
 						"%s region [%d,%d) overlaps %s region [%d,%d)",
 						ri.name, ri.base, ri.base+ri.size, rj.name, rj.base, rj.base+rj.size)
 				}
+			}
+		}
+
+		// State slots tile the entry after the keys.
+		if len(info.Sink.Slots) > 0 {
+			off := info.Sink.KeyOff + 8*int64(info.Sink.NKeys)
+			for k, s := range info.Sink.Slots {
+				if s.Off != off {
+					diag("state-slots", core.LevelTask, locus,
+						"state slot %d at entry offset %d, want %d", k, s.Off, off)
+				}
+				switch s.Fn {
+				case plan.AggSum, plan.AggCount, plan.AggMin, plan.AggMax:
+				default:
+					diag("state-slots", core.LevelTask, locus,
+						"state slot %d holds %s, not a sum, count, min or max", k, s.Fn)
+				}
+				off = s.Off + 8
+			}
+			if off != ht.EntrySize {
+				diag("state-slots", core.LevelTask, locus,
+					"state slots end at entry offset %d, entry is %d bytes", off, ht.EntrySize)
 			}
 		}
 

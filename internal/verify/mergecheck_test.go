@@ -6,6 +6,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/pipeline"
+	"repro/internal/plan"
 	"repro/internal/queries"
 	"repro/internal/verify"
 )
@@ -132,6 +133,36 @@ func TestMergeInvariantsCorruptions(t *testing.T) {
 				if d.Severity != verify.Error {
 					t.Errorf("diagnostic %s not an error", d.Check)
 				}
+			}
+		})
+	}
+}
+
+// TestMergeStateSlotCorruptions: a group sink whose state slots leave a
+// word of the entry uncombined, fold one twice or hold an avg is flagged.
+func TestMergeStateSlotCorruptions(t *testing.T) {
+	cases := []struct {
+		name string
+		corr func(si *pipeline.SinkInfo)
+	}{
+		{"last state word left out", func(si *pipeline.SinkInfo) {
+			si.Slots = si.Slots[:len(si.Slots)-1]
+		}},
+		{"state word folded twice", func(si *pipeline.SinkInfo) {
+			si.Slots = append(si.Slots, si.Slots[0])
+		}},
+		{"an avg slot", func(si *pipeline.SinkInfo) {
+			si.Slots = append([]pipeline.StateSlot(nil), si.Slots...)
+			si.Slots[0].Fn = plan.AggAvg
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := mergeArtifact(t)
+			tc.corr(&pickMerge(t, a, pipeline.SinkGroupAgg).Sink)
+			ds := verify.MergeInvariants{}.Check(a)
+			if !mergeHasCheck(ds, "merge/state-slots") {
+				t.Errorf("expected a merge/state-slots diagnostic, got %v", ds)
 			}
 		})
 	}
