@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/catalog"
@@ -21,7 +20,6 @@ import (
 	"repro/internal/verify"
 	"repro/internal/verify/absint"
 	"repro/internal/verify/mutate"
-	"repro/internal/verify/tv"
 	"repro/internal/vm"
 )
 
@@ -97,7 +95,6 @@ type checkResult struct {
 	NativeInstrs int           `json:"nativeInstrs,omitempty"`
 	TVSteps      int           `json:"tvSteps,omitempty"`
 	Absint       *absintResult `json:"absint,omitempty"`
-	Diags        []diagJSON    `json:"diags,omitempty"`
 }
 
 type absintResult struct {
@@ -114,8 +111,7 @@ func artifactsCheck(env *env) (*run, error) {
 		r := checkResult{Workload: u.name, Workers: nw}
 		defer func() {
 			if r.OK = err == nil; err != nil {
-				// Diagnostics travel in r.Diags; the error keeps the headline.
-				r.Error, _, _ = strings.Cut(err.Error(), "\n")
+				r.Error = err.Error()
 				err = fmt.Errorf("workers=%d: %w", nw, err)
 			}
 			results = append(results, r)
@@ -138,14 +134,10 @@ func artifactsCheck(env *env) (*run, error) {
 			extra += fmt.Sprintf(", %d tv steps", cq.TVSteps)
 		}
 		if env.mod["absint"] {
+			// A definite violation already failed the compile: the gate runs
+			// the abstract interpreter after emit.
 			rep := absint.Analyze(cq.Code, cq.Mem, opts.RegisterTagging)
 			r.Absint = &absintResult{Accesses: rep.Accesses, Proved: rep.Proved, Unproven: rep.Unproven}
-			for _, d := range rep.Diags {
-				r.Diags = append(r.Diags, jsonDiag(d))
-			}
-			if err := diagErr("abstract-interpretation", rep.Diags); err != nil {
-				return "", err
-			}
 			extra += fmt.Sprintf(", absint %d/%d proved", rep.Proved, rep.Accesses)
 		}
 		return fmt.Sprintf("workers=%d (%d native instrs%s)", nw, r.NativeInstrs, extra), nil
@@ -160,81 +152,21 @@ func artifactsCheck(env *env) (*run, error) {
 }
 
 func mutantsCheck(env *env) (*run, error) {
-	type tally struct{ Caught, Total int }
 	// rep is the running score and, under -json, the document.
 	rep := &struct {
-		Mode     string            `json:"mode"`
-		Caught   int               `json:"caught"`
-		Total    int               `json:"total"`
-		Rate     float64           `json:"rate"`
-		Pass     bool              `json:"pass"`
-		PerClass map[string]*tally `json:"perClass"`
-		Missed   []string          `json:"missed,omitempty"`
-	}{Mode: "mutants", PerClass: map[string]*tally{}}
-	count := func(workload string, m mutate.Mutant, caught bool) {
-		tl := rep.PerClass[m.Class]
-		if tl == nil {
-			tl = &tally{}
-			rep.PerClass[m.Class] = tl
-		}
-		tl.Total++
-		rep.Total++
-		if caught {
-			tl.Caught++
-			rep.Caught++
-		} else {
-			rep.Missed = append(rep.Missed, workload+": "+m.Class+" at "+m.Site)
-		}
-	}
-	gate := verify.NewSuite(append(verify.ArtifactSuite().Checkers, absint.Checker{})...)
-
+		Mode string `json:"mode"`
+		*mutate.Score
+		Rate float64 `json:"rate"`
+		Pass bool    `json:"pass"`
+	}{Mode: "mutants", Score: mutate.NewScore()}
 	each := func(_ int, u unit) (string, error) {
-		opts := verifying()
-		cq, err := engine.NewCompiler(env.cat, opts).CompileQuery(u.query)
-		if err != nil {
-			return "", fmt.Errorf("clean compile flagged: %w", err)
-		}
-		// Every mutant is applied to a fresh artifact. IR mutants: translation
-		// validation must refute equivalence with the clean module's summary.
-		popts := pipeline.Options{RegisterTagging: opts.RegisterTagging}
-		clean, err := pipeline.Compile(cq.Plan, cq.Layout, popts)
-		if err != nil {
-			return "", fmt.Errorf("pipeline recompile: %w", err)
-		}
-		it := tv.NewInterner()
-		pre := tv.Summarize(clean.Module, it)
-		for i, n := 0, len(mutate.IR(clean.Module)); i < n; i++ {
-			pc, err := pipeline.Compile(cq.Plan, cq.Layout, popts)
-			if err != nil {
-				return "", fmt.Errorf("pipeline recompile: %w", err)
-			}
-			m := mutate.IR(pc.Module)[i]
-			m.Apply()
-			count(u.name, m, len(tv.Compare(pre, tv.Summarize(pc.Module, it), it)) > 0)
-		}
-		// Native mutants: the artifact suite plus the abstract interpreter
-		// must flag the mutated program.
-		for i, n := 0, len(mutate.Native(mutate.CloneResult(cq.Code), cq.Mem)); i < n; i++ {
-			code := mutate.CloneResult(cq.Code)
-			m := mutate.Native(code, cq.Mem)[i]
-			m.Apply()
-			ds := gate.Run(&verify.Artifact{
-				Phase: "emit", Module: cq.Pipe.Module, Dict: cq.Pipe.Dict,
-				Code: code, RegisterTagging: opts.RegisterTagging,
-				Pipelines: cq.Pipe.Pipelines, Layout: cq.Layout, Mem: cq.Mem,
-			})
-			count(u.name, m, len(verify.Errs(ds)) > 0)
-		}
-		return "", nil
+		vs, err := mutate.Judge(env.cat, u.query)
+		rep.Add(u.name, vs)
+		return "", err
 	}
 	finish := func(int) (string, []error) {
-		classes := make([]string, 0, len(rep.PerClass))
-		for class := range rep.PerClass {
-			classes = append(classes, class)
-		}
-		sort.Strings(classes)
-		for _, class := range classes {
-			fmt.Fprintf(env.text, "%-26s %3d/%3d\n", class, rep.PerClass[class].Caught, rep.PerClass[class].Total)
+		for _, line := range rep.Lines() {
+			fmt.Fprintln(env.text, line)
 		}
 		for _, m := range rep.Missed {
 			fmt.Fprintf(env.text, "missed  %s\n", m)
@@ -243,12 +175,17 @@ func mutantsCheck(env *env) (*run, error) {
 			return "no mutants enumerated", []error{errors.New("gate: no mutants enumerated")}
 		}
 		rep.Rate = float64(rep.Caught) / float64(rep.Total)
-		rep.Pass = rep.Rate >= 0.95
-		var gateErr error
-		if !rep.Pass {
-			gateErr = fmt.Errorf("gate: catch rate %.1f%% is below 95%%", 100*rep.Rate)
+		idle := rep.Idle()
+		rep.Pass = rep.Caught == rep.Total && len(idle) == 0
+		var rateErr, idleErr error
+		if rep.Caught < rep.Total {
+			rateErr = fmt.Errorf("gate: %d of %d mutants got through", rep.Total-rep.Caught, rep.Total)
 		}
-		return fmt.Sprintf("%d/%d caught = %.1f%% (gate 95%%)", rep.Caught, rep.Total, 100*rep.Rate), []error{gateErr}
+		if len(idle) > 0 {
+			idleErr = fmt.Errorf("gate: rules that caught no mutant alone: %s", strings.Join(idle, ", "))
+		}
+		return fmt.Sprintf("%d/%d caught = %.1f%%, every rule the sole catcher of some mutant", rep.Caught, rep.Total, 100*rep.Rate),
+			[]error{rateErr, idleErr}
 	}
 	return &run{each: each, finish: finish, report: func(int) any { return rep }}, nil
 }

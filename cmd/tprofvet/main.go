@@ -95,15 +95,16 @@ type env struct {
 var checks = []check{
 	{noun: "artifact sets", json: true, suite: artifactUnits, setup: artifactsCheck,
 		help: `With no mode flag, check compiles the plan suite at every -workers count with
-Engine.VerifyArtifacts on: the cross-level suite (internal/verify) runs over
-every artifact, after pipeline construction, every optimizer pass, and emit.`,
+Engine.VerifyArtifacts on: the artifact gate (verify.Check, absint included) runs
+over every artifact, after pipeline construction, every optimizer pass, and emit.`,
 		mods: []flagDoc{
 			{"tv", "default check: report translation-validation coverage; fail a compile that validated no optimizer pass"},
 			{"absint", "default check: abstract-interpret the emitted code; report proved memory accesses, fail a definite violation"},
 		}},
 	{flag: "mutants", noun: "workloads", json: true, suite: planUnits, setup: mutantsCheck,
-		help: `mode: seed miscompilation mutants into every plan's IR and native code; clean
-compiles must verify silently and the validators must catch >= 95% overall`},
+		help: `mode: seed miscompilation mutants into every plan's IR, lineage, merge metadata
+and native code; clean compiles must verify silently, every mutant must be caught,
+and every rule of the artifact gate must be the sole catcher of some mutant`},
 	{flag: "cache", noun: "workloads", suite: sqlUnits, setup: cacheCheck,
 		help: `mode: the SQL suite through the query service; the cold compile, the re-prepare
 (which must hit) and every -workers count must return the reference executor's rows`},

@@ -115,7 +115,7 @@ func TestJSONEnvelopes(t *testing.T) {
 		keys string
 	}{
 		{[]string{"-sf", "0.02", "-q", "fig9", "-tv", "-absint", "-json"}, "checked failures mode results"},
-		{[]string{"-sf", "0.02", "-q", "fig9", "-mutants", "-json"}, "caught mode pass perClass rate total"},
+		{[]string{"-sf", "0.02", "-q", "fig9", "-mutants", "-json"}, "caught mode pass perClass perRule rate total"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if exit := runCheck(checks, c.args, &stdout, &stderr); exit != 0 {

@@ -50,8 +50,11 @@ type Dictionary struct {
 	// journal is the append-only record of every lineage report. Log B
 	// holds only the result of the reports, so it cannot answer "was this
 	// Derived chain acyclic?" or "did a pass derive from an already-removed
-	// ID?" after the fact; the verifier replays this instead.
+	// ID?" after the fact; the verifier replays this instead. Every
+	// event's Srcs is a capacity-capped window of srcs, so reporting an
+	// event allocates only when that shared backing grows.
 	journal []LineageEvent
+	srcs    []int
 }
 
 // farIR is the Log B entry of an id outside the dense range.
@@ -347,8 +350,15 @@ var _ Lineage = (*Dictionary)(nil)
 
 // Derived implements Lineage.
 func (d *Dictionary) Derived(newID int, srcIDs ...int) {
-	d.journal = append(d.journal, LineageEvent{Kind: LineageDerived, ID: newID, Srcs: append([]int(nil), srcIDs...)})
+	d.record(LineageDerived, newID, srcIDs...)
 	d.derive(newID, srcIDs...)
+}
+
+// record appends one event to the journal, its sources copied into srcs.
+func (d *Dictionary) record(kind LineageKind, id int, srcIDs ...int) {
+	lo := len(d.srcs)
+	d.srcs = append(d.srcs, srcIDs...)
+	d.journal = append(d.journal, LineageEvent{Kind: kind, ID: id, Srcs: d.srcs[lo:len(d.srcs):len(d.srcs)]})
 }
 
 // derive merges the sources' owners into newID, each owner once, without
@@ -371,7 +381,7 @@ func (d *Dictionary) derive(newID int, srcIDs ...int) {
 // instruction's owners (multi-link), and if the owners differ the survivor
 // becomes a shared location.
 func (d *Dictionary) Replaced(oldID, newID int) {
-	d.journal = append(d.journal, LineageEvent{Kind: LineageReplaced, ID: newID, Srcs: []int{oldID}})
+	d.record(LineageReplaced, newID, oldID)
 	before := len(d.TasksOf(newID))
 	d.derive(newID, oldID)
 	if len(d.TasksOf(newID)) > before {
@@ -384,7 +394,7 @@ func (d *Dictionary) Replaced(oldID, newID int) {
 
 // Removed implements Lineage.
 func (d *Dictionary) Removed(id int) {
-	d.journal = append(d.journal, LineageEvent{Kind: LineageRemoved, ID: id})
+	d.record(LineageRemoved, id)
 	d.remove(id)
 }
 

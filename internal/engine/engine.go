@@ -212,7 +212,7 @@ type Compiled struct {
 	// Mem is the heap layout and staged-cell model handed to the abstract
 	// interpreter (internal/verify/absint); built on every compile so
 	// tooling (tprofvet) can verify finished artifacts.
-	Mem *verify.MemModel
+	Mem *absint.MemModel
 	// TVSteps counts the optimizer pass applications the translation
 	// validator (internal/verify/tv) checked; zero unless VerifyArtifacts.
 	TVSteps int
@@ -242,7 +242,7 @@ type Compiled struct {
 	tables    []tableBind
 
 	// regions is the heap as buildLayout carved it, in address order.
-	regions []verify.MemRegion
+	regions []absint.MemRegion
 }
 
 // colBind maps one heap column region to its source (table, column).
@@ -434,29 +434,25 @@ func (c *Compiler) CompilePlanGuided(pl *plan.Output, _ map[int]float64) (*Compi
 	cq.Pipe = pc
 	cq.Mem = buildMemModel(cq, lay, pc)
 
-	// VerifyArtifacts: run the invariant suite on every lowering artifact,
+	// VerifyArtifacts: run the artifact gate on every lowering artifact,
 	// so a violation names the exact phase that introduced it.
-	var suite *verify.Suite
 	check := func(phase string, code *codegen.Result) error {
-		if suite == nil {
+		if !c.Opts.VerifyArtifacts {
 			return nil
 		}
-		ds := suite.Run(&verify.Artifact{
+		return verify.AsError(verify.Check(&verify.Artifact{
 			Phase:           phase,
 			Module:          pc.Module,
 			Dict:            pc.Dict,
 			Code:            code,
 			RegisterTagging: c.Opts.RegisterTagging,
 			Pipelines:       pc.Pipelines,
-			Layout:          lay,
 			Mem:             cq.Mem,
-		})
-		return verify.AsError(ds)
+		}))
 	}
 	opt := c.Opts.Optimize
 	var tval *tv.Validator
 	if c.Opts.VerifyArtifacts {
-		suite = verify.NewSuite(append(verify.ArtifactSuite().Checkers, absint.Checker{})...)
 		if err := check("pipeline", nil); err != nil {
 			return nil, err
 		}
@@ -502,7 +498,7 @@ func (c *Compiler) CompilePlanGuided(pl *plan.Output, _ map[int]float64) (*Compi
 // buildMemModel and the layout tests read it instead of re-deriving sizes.
 type carver struct {
 	cur     int64
-	regions []verify.MemRegion
+	regions []absint.MemRegion
 }
 
 // carve reserves size bytes under name and moves on to the next 64-byte
@@ -510,7 +506,7 @@ type carver struct {
 func (c *carver) carve(name string, size int64, writable bool) int64 {
 	lo := c.cur
 	if size > 0 {
-		c.regions = append(c.regions, verify.MemRegion{Name: name, Lo: lo, Hi: lo + size, Writable: writable})
+		c.regions = append(c.regions, absint.MemRegion{Name: name, Lo: lo, Hi: lo + size, Writable: writable})
 	}
 	c.cur = align(lo+size, 64)
 	return lo
@@ -556,7 +552,7 @@ func (c *Compiler) buildLayout(pl *plan.Output, cq *Compiled) (*pipeline.Layout,
 	}
 
 	// At most 7 fixed regions, one per column and 11 per hash table.
-	h := carver{cur: spillBase, regions: make([]verify.MemRegion, 0, 7+ncols+11*len(mats))}
+	h := carver{cur: spillBase, regions: make([]absint.MemRegion, 0, 7+ncols+11*len(mats))}
 
 	// The stack analogue: spill slots. Call arguments travel in registers.
 	h.carve("spill", spillCap, true)

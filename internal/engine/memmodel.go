@@ -3,7 +3,7 @@ package engine
 import (
 	"repro/internal/codegen"
 	"repro/internal/pipeline"
-	"repro/internal/verify"
+	"repro/internal/verify/absint"
 )
 
 // buildMemModel derives the abstract interpreter's memory model from the
@@ -13,11 +13,11 @@ import (
 // The model is what lets internal/verify/absint prove column accesses
 // in-bounds and catch provably wild or read-only-region stores at
 // compile time.
-func buildMemModel(cq *Compiled, lay *pipeline.Layout, pc *pipeline.Compiled) *verify.MemModel {
-	mm := &verify.MemModel{
+func buildMemModel(cq *Compiled, lay *pipeline.Layout, pc *pipeline.Compiled) *absint.MemModel {
+	mm := &absint.MemModel{
 		HeapSize: int64(cq.heapSize),
 		Regions:  cq.regions,
-		Cells:    map[int64]verify.CellFact{},
+		Cells:    map[int64]absint.CellFact{},
 	}
 
 	// Exact cell facts from the staging writes, minus the cursor cells the
@@ -28,7 +28,7 @@ func buildMemModel(cq *Compiled, lay *pipeline.Layout, pc *pipeline.Compiled) *v
 	}
 	for _, w := range cq.writes {
 		if !cursors[w.addr] {
-			mm.Cells[w.addr] = verify.CellFact{Lo: w.val, Hi: w.val}
+			mm.Cells[w.addr] = absint.CellFact{Lo: w.val, Hi: w.val}
 		}
 	}
 	// A parallel morsel stages a build's mask as 0 (runMorsel), so its fact
@@ -58,7 +58,7 @@ func buildMemModel(cq *Compiled, lay *pipeline.Layout, pc *pipeline.Compiled) *v
 				break
 			}
 		}
-		mm.Cells[rb.addr] = verify.CellFact{Lo: 0, Hi: c}
+		mm.Cells[rb.addr] = absint.CellFact{Lo: 0, Hi: c}
 	}
 
 	// Morsel-bound facts: interval invariants over every morsel the host
@@ -68,19 +68,19 @@ func buildMemModel(cq *Compiled, lay *pipeline.Layout, pc *pipeline.Compiled) *v
 	// arena).
 	for i := range pc.Pipelines {
 		p := &pc.Pipelines[i]
-		var f verify.CellFact
+		var f absint.CellFact
 		switch d := p.Driver; d.Kind {
 		case pipeline.DriverScan:
 			hi := int64(d.Rows)
 			if c, ok := capOf[d.Alias]; ok && c > hi {
 				hi = c
 			}
-			f = verify.CellFact{Lo: 0, Hi: hi}
+			f = absint.CellFact{Lo: 0, Hi: hi}
 		case pipeline.DriverArena:
 			if d.HT == nil {
 				continue
 			}
-			f = verify.CellFact{Lo: d.HT.Arena, Hi: d.HT.ArenaEnd}
+			f = absint.CellFact{Lo: d.HT.Arena, Hi: d.HT.ArenaEnd}
 			if d.HT.Arena%8 == 0 && d.HT.EntrySize%8 == 0 {
 				f.Align = 8
 			}

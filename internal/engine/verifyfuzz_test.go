@@ -1,12 +1,13 @@
 package engine
 
-// Fuzzing the verifier itself: the suite must never panic and never
-// report a false positive on a module mutated through arbitrary *legal*
-// pass orders. This is the dual of TestPGOLineagePreservation (which
-// fuzzes the passes against hand-rolled assertions): here the same
-// harness drives the pass orders, and the verification suite is the
-// oracle under test — after every single pass application the artifact
-// must come back clean, and so must the final emitted program.
+// Fuzzing the verifier itself: the artifact gate (verify.Check, absint
+// included) must never panic and never report a false positive on a
+// module mutated through arbitrary *legal* pass orders. This is the dual
+// of TestPGOLineagePreservation (which fuzzes the passes against
+// hand-rolled assertions): here the same harness drives the pass orders,
+// and the gate is the oracle under test — after every single pass
+// application the artifact must come back clean, and so must the final
+// emitted program.
 
 import (
 	"testing"
@@ -27,7 +28,7 @@ var verifiedWorkloads = []string{"q6", "fig9"}
 
 // TestVerifyArtifactsOption compiles with the in-engine verification
 // gate enabled: pipeline, every optimizer pass, and emit each run the
-// suite.
+// artifact gate.
 func TestVerifyArtifactsOption(t *testing.T) {
 	cat := testCatalog(t)
 	for _, name := range verifiedWorkloads {
@@ -49,7 +50,6 @@ func TestVerifyArtifactsOption(t *testing.T) {
 func TestVerifierNoFalsePositivesUnderPassFuzz(t *testing.T) {
 	cat := testCatalog(t)
 	rng := xrand.New(0x7e7a11ed)
-	suite := verify.ArtifactSuite()
 	for _, w := range queries.Suite() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
@@ -74,6 +74,8 @@ func TestVerifierNoFalsePositivesUnderPassFuzz(t *testing.T) {
 					Module:          pc.Module,
 					Dict:            pc.Dict,
 					RegisterTagging: e.Opts.RegisterTagging,
+					Pipelines:       pc.Pipelines,
+					Mem:             cq.Mem,
 				}
 				var order []string
 				for i := 0; i < 8; i++ {
@@ -81,7 +83,7 @@ func TestVerifierNoFalsePositivesUnderPassFuzz(t *testing.T) {
 					order = append(order, p.name)
 					p.run(pc.Module, pc.Dict)
 					art.Phase = "fuzz/" + p.name
-					if ds := suite.Run(art); len(ds) != 0 {
+					if ds := verify.Check(art); len(ds) != 0 {
 						t.Fatalf("order %v: false positive(s) on a legally-mutated module:\n%v", order, ds)
 					}
 				}
@@ -94,7 +96,7 @@ func TestVerifierNoFalsePositivesUnderPassFuzz(t *testing.T) {
 				}
 				art.Phase = "fuzz/emit"
 				art.Code = code
-				if ds := suite.Run(art); len(ds) != 0 {
+				if ds := verify.Check(art); len(ds) != 0 {
 					t.Fatalf("order %v: false positive(s) on the emitted program:\n%v", order, ds)
 				}
 			}

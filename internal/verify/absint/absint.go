@@ -1,6 +1,9 @@
 // Package absint abstractly interprets emitted native code against the
-// declared heap layout, proving memory safety and tag-register discipline
-// properties the structural checks in internal/verify cannot see.
+// declared heap layout (MemModel), proving memory safety and tag-register
+// properties the structural rules of internal/verify cannot see. The
+// artifact gate (verify.Check) runs it after emit and reports its
+// diagnostics at the native level; this package depends on no verifier
+// type, so the gate can include it without an import cycle.
 //
 // The analysis walks each function of the ISA stream with a forward
 // dataflow fixpoint over three domains per register:
@@ -12,9 +15,9 @@
 //   - alignment: a congruence value ≡ res (mod 2^bits), which proves
 //     8-byte accesses aligned even when the interval is unknown;
 //   - tag dataflow: whether the reserved tag register definitely holds a
-//     freshly written task tag on every path — the flow-sensitive form of
-//     the shared-call protocol that checkers.go approximates with a
-//     fixed-window scan.
+//     freshly written task tag on every path — the shared-call protocol's
+//     tag write, checked path-sensitively (untagged-shared-call); the
+//     gate's only rule for it.
 //
 // Every memory access is classified: proved (address provably inside one
 // declared region, aligned to its width), unproven (too abstract to
@@ -34,7 +37,6 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/verify"
 )
 
 const (
@@ -259,20 +261,29 @@ type Report struct {
 	Accesses int // memory operands inspected in generated + routine code
 	Proved   int // provably in-bounds, in-region and aligned
 	Unproven int // too abstract to decide (guarded by the VM at runtime)
-	Diags    []verify.Diag
+	Diags    []Diag
+}
+
+// Diag is one definite violation: the rule it breaks (e.g. "absint/oob"),
+// the native position, and what is wrong there. The artifact gate
+// (verify.Check) reports it at the native level.
+type Diag struct {
+	Check string
+	Pos   int
+	Msg   string
 }
 
 type analyzer struct {
 	prog   *isa.Program
 	nmap   *core.NativeMap
-	mem    *verify.MemModel
+	mem    *MemModel
 	regTag bool
 	rep    *Report
 }
 
 // Analyze interprets the program against the memory model and returns the
 // report. Diagnostics are definite violations only.
-func Analyze(code *codegen.Result, mem *verify.MemModel, registerTagging bool) *Report {
+func Analyze(code *codegen.Result, mem *MemModel, registerTagging bool) *Report {
 	rep := &Report{}
 	if code == nil || code.Program == nil || code.NMap == nil || mem == nil {
 		return rep
@@ -289,28 +300,8 @@ func Analyze(code *codegen.Result, mem *verify.MemModel, registerTagging bool) *
 	return rep
 }
 
-// Checker adapts Analyze to the verify suite.
-type Checker struct{}
-
-// Name implements verify.Checker.
-func (Checker) Name() string { return "absint" }
-
-// Check implements verify.Checker.
-func (Checker) Check(art *verify.Artifact) []verify.Diag {
-	if art.Code == nil || art.Mem == nil {
-		return nil
-	}
-	return Analyze(art.Code, art.Mem, art.RegisterTagging).Diags
-}
-
 func (a *analyzer) bad(rule string, pos int, format string, args ...interface{}) {
-	a.rep.Diags = append(a.rep.Diags, verify.Diag{
-		Check:    "absint/" + rule,
-		Severity: verify.Error,
-		Level:    core.LevelNative,
-		Locus:    fmt.Sprintf("native@%d", pos),
-		Msg:      fmt.Sprintf(format, args...),
-	})
+	a.rep.Diags = append(a.rep.Diags, Diag{Check: "absint/" + rule, Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
 // blockOf maps instruction positions to block leader positions.
@@ -733,8 +724,8 @@ func (a *analyzer) loadVal(in *isa.Instr, addr aval) aval {
 // colRegion returns the column region an access provably addresses, or
 // nil: the region a constant-base scaled access indexes from, else the one
 // holding every address the access may reach.
-func (a *analyzer) colRegion(in *isa.Instr, addr aval) *verify.MemRegion {
-	var r *verify.MemRegion
+func (a *analyzer) colRegion(in *isa.Instr, addr aval) *MemRegion {
+	var r *MemRegion
 	switch {
 	case in.Abs && in.Scaled:
 		r = a.mem.RegionAt(in.Imm, 1)

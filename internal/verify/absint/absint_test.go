@@ -7,7 +7,6 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/verify"
 )
 
 func makeRes(code []isa.Instr, funcs []isa.FuncSym) *codegen.Result {
@@ -18,7 +17,7 @@ func makeRes(code []isa.Instr, funcs []isa.FuncSym) *codegen.Result {
 	}
 }
 
-func diagChecks(ds []verify.Diag) string {
+func diagChecks(ds []Diag) string {
 	var out []string
 	for _, d := range ds {
 		out = append(out, d.Check)
@@ -48,14 +47,14 @@ func TestLoopAccessesProved(t *testing.T) {
 		{Op: isa.HALT},
 	}
 	res := makeRes(code, []isa.FuncSym{{Name: "main", Entry: 0, End: len(code)}})
-	mem := &verify.MemModel{
+	mem := &MemModel{
 		HeapSize: 16384,
-		Regions: []verify.MemRegion{
+		Regions: []MemRegion{
 			{Name: "state", Lo: 256, Hi: 272},
 			{Name: "result", Lo: 2048, Hi: 2112, Writable: true},
 			{Name: "col", Lo: colBase, Hi: colBase + 8*rows},
 		},
-		Cells: map[int64]verify.CellFact{
+		Cells: map[int64]CellFact{
 			256: {Lo: colBase, Hi: colBase, Align: 8},
 			264: {Lo: rows, Hi: rows},
 		},
@@ -86,14 +85,14 @@ func TestLoopWithoutBoundFactIsUnprovenNotFlagged(t *testing.T) {
 		{Op: isa.HALT},
 	}
 	res := makeRes(code, []isa.FuncSym{{Name: "main", Entry: 0, End: len(code)}})
-	mem := &verify.MemModel{
+	mem := &MemModel{
 		HeapSize: 16384,
-		Regions: []verify.MemRegion{
+		Regions: []MemRegion{
 			{Name: "state", Lo: 256, Hi: 272},
 			{Name: "result", Lo: 2048, Hi: 2112, Writable: true},
 			{Name: "col", Lo: 4096, Hi: 4896},
 		},
-		Cells: map[int64]verify.CellFact{
+		Cells: map[int64]CellFact{
 			256: {Lo: 4096, Hi: 4096, Align: 8},
 			// no fact for 264: rows unknown
 		},
@@ -108,9 +107,9 @@ func TestLoopWithoutBoundFactIsUnprovenNotFlagged(t *testing.T) {
 }
 
 func TestDefiniteViolations(t *testing.T) {
-	mem := &verify.MemModel{
+	mem := &MemModel{
 		HeapSize: 8192,
-		Regions: []verify.MemRegion{
+		Regions: []MemRegion{
 			{Name: "col", Lo: 4096, Hi: 8192},
 			{Name: "scratch", Lo: 512, Hi: 1024, Writable: true},
 		},
@@ -163,9 +162,9 @@ func TestDefiniteViolations(t *testing.T) {
 // bounds, so only the region's width exposes it — and so is an exact
 // address inside the region; the right width is proved.
 func TestDefiniteAccessWidth(t *testing.T) {
-	mem := &verify.MemModel{
+	mem := &MemModel{
 		HeapSize: 8192,
-		Regions: []verify.MemRegion{
+		Regions: []MemRegion{
 			{Name: "col", Lo: 1024, Hi: 2048, Width: 4},
 			{Name: "col", Lo: 2048, Hi: 3072, Width: 2},
 		},
@@ -195,7 +194,7 @@ func TestDefiniteAccessWidth(t *testing.T) {
 // into a shared routine is flagged only when some path reaches it without
 // a tag-register write.
 func TestTagDataflow(t *testing.T) {
-	mem := &verify.MemModel{HeapSize: 8192}
+	mem := &MemModel{HeapSize: 8192}
 	build := func(tagged bool) *codegen.Result {
 		var code []isa.Instr
 		if tagged {
@@ -238,7 +237,7 @@ func TestTagDataflow(t *testing.T) {
 // one branch writes the tag and the other does not, the join is untagged
 // and a following shared call is flagged.
 func TestTagKilledOnOnePath(t *testing.T) {
-	mem := &verify.MemModel{HeapSize: 8192}
+	mem := &MemModel{HeapSize: 8192}
 	code := []isa.Instr{
 		{Op: isa.JZ, Src1: 0, Imm: 2},            // 0: skip tag write if r0 == 0
 		{Op: isa.MOVRI, Dst: isa.TagReg, Imm: 7}, // 1: tag write on one path only
@@ -262,9 +261,9 @@ func TestTagKilledOnOnePath(t *testing.T) {
 // preservation promise, so facts must not survive them — in particular an
 // address proved before the call must become unproven after it.
 func TestGeneratedCalleeClobbersEverything(t *testing.T) {
-	mem := &verify.MemModel{
+	mem := &MemModel{
 		HeapSize: 8192,
-		Regions:  []verify.MemRegion{{Name: "scratch", Lo: 512, Hi: 1024, Writable: true}},
+		Regions:  []MemRegion{{Name: "scratch", Lo: 512, Hi: 1024, Writable: true}},
 	}
 	code := []isa.Instr{
 		{Op: isa.MOVRI, Dst: 5, Imm: 512},  // r5 = scratch base (preserved reg)
@@ -297,12 +296,14 @@ func TestGeneratedCalleeClobbersEverything(t *testing.T) {
 	}
 }
 
+// TestCheckerGating: the analysis needs emitted code and a memory model;
+// given neither it interprets nothing and reports nothing, so the artifact
+// gate may run it on every phase, before the backend has run too.
 func TestCheckerGating(t *testing.T) {
-	var c Checker
-	if got := c.Check(&verify.Artifact{}); got != nil {
-		t.Fatalf("checker ran without code+mem: %v", got)
-	}
-	if c.Name() != "absint" {
-		t.Fatalf("bad name %q", c.Name())
+	res := makeRes([]isa.Instr{{Op: isa.HALT}}, []isa.FuncSym{{Name: "main", Entry: 0, End: 1}})
+	for _, rep := range []*Report{Analyze(nil, &MemModel{HeapSize: 64}, true), Analyze(res, nil, true)} {
+		if rep.Funcs != 0 || rep.Accesses != 0 || len(rep.Diags) != 0 {
+			t.Fatalf("analysis ran without code+mem: %+v", rep)
+		}
 	}
 }

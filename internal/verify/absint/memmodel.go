@@ -1,10 +1,10 @@
-package verify
+package absint
 
 // MemModel declares the compiled query's heap layout for the abstract
-// interpreter (internal/verify/absint): every region the engine's
-// buildLayout carved out of the heap, plus invariant facts about
-// individual 64-bit cells the host stages before execution. The engine
-// attaches one to each emit-phase Artifact when VerifyArtifacts is on.
+// interpreter and the gate's invariant-load rule: every region the
+// engine's buildLayout carved out of the heap, plus invariant facts about
+// individual 64-bit cells the host stages before execution. Every compile
+// builds one (engine.Compiled.Mem).
 type MemModel struct {
 	// HeapSize is the VM heap size in bytes; any access at or beyond it
 	// (or below zero) traps at runtime.

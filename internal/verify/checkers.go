@@ -13,18 +13,12 @@ import (
 // IR well-formedness
 // ---------------------------------------------------------------------------
 
-// IRWellFormed adapts the structural IR battery (ir.(*Module).Check: SSA
+// irWellFormed adapts the structural IR battery (ir.(*Module).Check: SSA
 // dominance, use-before-def, type consistency, phi/pred agreement, CFG
-// shape) into suite diagnostics. The implementation lives in package ir so
+// shape) into gate diagnostics. The implementation lives in package ir so
 // that (*Module).Verify — which engine and pipeline call on every compile —
 // is the same code with an error-shaped return.
-type IRWellFormed struct{}
-
-// Name implements Checker.
-func (IRWellFormed) Name() string { return "ir" }
-
-// Check implements Checker.
-func (IRWellFormed) Check(a *Artifact) []Diag {
+func irWellFormed(a *Artifact) []Diag {
 	if a.Module == nil {
 		return nil
 	}
@@ -48,7 +42,7 @@ func (IRWellFormed) Check(a *Artifact) []Diag {
 	return out
 }
 
-// InvariantLoads proves every load the pipeline generator marked
+// invariantLoads proves every load the pipeline generator marked
 // invariant (ir.Instr.Invariant) reads a region no generated code writes:
 // its address is a layout constant, or a layout constant plus an index,
 // and that constant lies in a read-only region of the memory model. Code
@@ -57,13 +51,7 @@ func (IRWellFormed) Check(a *Artifact) []Diag {
 // miscompiled move through both; this check refuses the mark itself.
 // That the index stays inside the region is the abstract interpreter's
 // proof (absint, on the emitted access). Needs the memory model.
-type InvariantLoads struct{}
-
-// Name implements Checker.
-func (InvariantLoads) Name() string { return "ir" }
-
-// Check implements Checker.
-func (InvariantLoads) Check(a *Artifact) []Diag {
+func invariantLoads(a *Artifact) []Diag {
 	if a.Module == nil || a.Mem == nil {
 		return nil
 	}
@@ -122,24 +110,19 @@ func constBase(addr *ir.Instr) (int64, bool) {
 // Tagging Dictionary soundness
 // ---------------------------------------------------------------------------
 
-// DictSoundness checks that the Tagging Dictionary still supports
+// dictSoundness checks that the Tagging Dictionary still supports
 // bottom-up attribution after whatever passes have run:
 //
 //   - every surviving IR instruction resolves to ≥1 task (orphan-instr),
-//   - every Log B entry points at an instruction that still exists
-//     (dangling-tag: a pass deleted code without reporting Removed),
-//   - every task a Log B entry names has a Log A operator, and both ends
-//     are registered at the right abstraction level,
-//   - shared markings refer to live Log B entries,
-//   - the lineage journal is sane: no self-derivation, no derivation from
-//     an already-removed instruction, no Derived/Replaced cycles.
-type DictSoundness struct{}
-
-// Name implements Checker.
-func (DictSoundness) Name() string { return "dict" }
-
-// Check implements Checker.
-func (DictSoundness) Check(a *Artifact) []Diag {
+//   - every Log B entry or shared marking names an instruction that still
+//     exists (dangling-tag: a pass deleted code without reporting Removed),
+//   - every task a Log B entry names is a registered task that Log A maps
+//     to a registered operator (no-operator: attribution dead-ends),
+//   - the lineage journal is sane (checkJournal).
+//
+// A shared marking on a live instruction without a Log B entry is an
+// orphan; on a deleted one, a dangling tag.
+func dictSoundness(a *Artifact) []Diag {
 	if a.Dict == nil || a.Module == nil {
 		return nil
 	}
@@ -172,35 +155,12 @@ func (DictSoundness) Check(a *Artifact) []Diag {
 		}
 		for _, task := range d.TasksOf(id) {
 			c, ok := reg.Lookup(task)
-			if !ok {
-				bad("unknown-task", fmt.Sprintf("task %d", task),
-					"Log B names a task missing from the registry")
-				continue
-			}
-			if c.Level != core.LevelTask {
-				bad("level-mismatch", fmt.Sprintf("task %d", task),
-					"Log B names %q, a %s-level component", c.Name, c.Level)
-			}
 			op := d.OperatorOf(task)
-			if op == core.NoComponent {
+			oc, opOK := reg.Lookup(op)
+			if !ok || c.Level != core.LevelTask || !opOK || oc.Level != core.LevelOperator {
 				bad("no-operator", fmt.Sprintf("task %d", task),
-					"task %q has no Log A operator: attribution dead-ends", c.Name)
-				continue
+					"Log B names component %d, which Log A does not resolve to a registered operator: attribution dead-ends", task)
 			}
-			oc, ok := reg.Lookup(op)
-			if !ok {
-				bad("unknown-operator", fmt.Sprintf("operator %d", op),
-					"Log A names an operator missing from the registry")
-			} else if oc.Level != core.LevelOperator {
-				bad("level-mismatch", fmt.Sprintf("operator %d", op),
-					"Log A maps task %q to %q, a %s-level component", c.Name, oc.Name, oc.Level)
-			}
-		}
-	}
-	for _, id := range d.SharedIRIDs() {
-		if len(d.TasksOf(id)) == 0 {
-			bad("shared-no-tasks", fmt.Sprintf("%%%d", id),
-				"shared marking on an instruction with no Log B entry")
 		}
 	}
 
@@ -210,11 +170,12 @@ func (DictSoundness) Check(a *Artifact) []Diag {
 
 // checkJournal replays the lineage event log. The flattened maps cannot
 // distinguish "pass ordering X leaves lineage sound" from "two bugs
-// cancelled out", so the journal is verified as a history: derivation must
-// flow from live instructions, never from removed ones, never from itself,
-// and the derivation graph over all events must be acyclic (a cycle means
-// two instructions each claim to inherit the other's owners — bottom-up
-// resolution has no ground truth to start from).
+// cancelled out", so the journal is verified as a history: no event may
+// name an instruction an earlier event removed (use-after-remove: deriving
+// from one inherits nothing, and IDs are never reused), and the derivation
+// graph over all events must be acyclic (derive-cycle, a self-derivation
+// included: two instructions each claiming to inherit the other's owners
+// leave bottom-up resolution no ground truth to start from).
 func checkJournal(events []core.LineageEvent) []Diag {
 	var out []Diag
 	bad := func(rule, locus, format string, args ...interface{}) {
@@ -227,38 +188,24 @@ func checkJournal(events []core.LineageEvent) []Diag {
 	removed := map[int]bool{}
 	edges := map[int][]int{} // derived ID → source IDs
 	for _, ev := range events {
+		if removed[ev.ID] {
+			bad("use-after-remove", fmt.Sprintf("%%%d", ev.ID),
+				"%s event names an instruction that was already removed", ev.Kind)
+		}
+		for _, src := range ev.Srcs {
+			if removed[src] {
+				bad("use-after-remove", fmt.Sprintf("%%%d", ev.ID),
+					"%s from %%%d, which was already removed", ev.Kind, src)
+			}
+			edges[ev.ID] = append(edges[ev.ID], src)
+		}
 		switch ev.Kind {
-		case core.LineageDerived, core.LineageReplaced:
+		case core.LineageReplaced:
+			// Replaced removes the old instruction as part of the event.
 			for _, src := range ev.Srcs {
-				if src == ev.ID {
-					bad("self-derive", fmt.Sprintf("%%%d", ev.ID),
-						"instruction reported as %s from itself", ev.Kind)
-					continue
-				}
-				if removed[src] {
-					bad("derive-from-removed", fmt.Sprintf("%%%d", ev.ID),
-						"%s from %%%d, which was already removed", ev.Kind, src)
-				}
-				edges[ev.ID] = append(edges[ev.ID], src)
-			}
-			if ev.Kind == core.LineageReplaced {
-				// Replaced removes the old instruction as part of the event.
-				for _, src := range ev.Srcs {
-					removed[src] = true
-				}
-			}
-			// A Derived/Replaced target is live again even if a previous
-			// event removed it (IDs are never reused, so this would itself
-			// be a bug — flag it).
-			if removed[ev.ID] {
-				bad("resurrect", fmt.Sprintf("%%%d", ev.ID),
-					"%s targets an instruction that was previously removed", ev.Kind)
+				removed[src] = true
 			}
 		case core.LineageRemoved:
-			if removed[ev.ID] {
-				bad("double-remove", fmt.Sprintf("%%%d", ev.ID),
-					"instruction removed twice")
-			}
 			removed[ev.ID] = true
 		}
 	}
@@ -304,30 +251,28 @@ func checkJournal(events []core.LineageEvent) []Diag {
 // Native-code invariants
 // ---------------------------------------------------------------------------
 
-// NativeInvariants checks the emitted program against its debug info:
+// nativeInvariants checks the emitted program against its debug info:
 //
-//   - the NativeMap parallel arrays cover the program exactly,
-//   - every generated-region instruction carries IR provenance (except
-//     JMP: phi edge blocks legitimately compile to a bare jump), and that
-//     provenance resolves to ≥1 task,
-//   - tag-register discipline (with RegisterTagging): isa.TagReg is
-//     written only by OpSetTag lowering, read only by OpGetTag lowering,
-//     and never touched inside hand-written runtime routines,
-//   - every call into shared-region code is bracketed by the tag
-//     protocol: a tag write before the CALL and a restore after it,
+//   - the NativeMap parallel arrays cover the program exactly
+//     (nmap-misaligned),
+//   - every instruction is attributable (no-provenance): generated code
+//     carries IR provenance that resolves to ≥1 task (except JMP: phi edge
+//     blocks legitimately compile to a bare jump), runtime code a routine
+//     name,
+//   - the reserved tag register (with RegisterTagging) is written only by
+//     OpSetTag lowering, never inside hand-written runtime routines
+//     (tagreg-clobber),
+//   - every call into shared-region code is followed by the restore of the
+//     previous tag (shared-call-unrestored); the tag write before it is
+//     absint's path-sensitive untagged-shared-call,
 //   - NativeMap.Inverted bits sit exactly on the conditional branches
 //     whose taken target is the IR branch's else successor (the layout
-//     inverted them), and on nothing else,
-//   - control flow stays sane: branch targets land inside the owning
-//     function, CALL targets are function entries, every function's last
-//     instruction cannot fall through into the next function.
-type NativeInvariants struct{}
-
-// Name implements Checker.
-func (NativeInvariants) Name() string { return "native" }
-
-// Check implements Checker.
-func (NativeInvariants) Check(a *Artifact) []Diag {
+//     inverted them), and on nothing else (stale-inverted),
+//   - control stays inside functions: branch targets land inside the owning
+//     function symbol and CALL targets on function entries (branch-escape),
+//     and every function symbol spans code ending in an instruction that
+//     cannot fall through into the next function (fallthrough).
+func nativeInvariants(a *Artifact) []Diag {
 	if a.Code == nil || a.Code.Program == nil || a.Code.NMap == nil {
 		return nil
 	}
@@ -356,59 +301,35 @@ func (NativeInvariants) Check(a *Artifact) []Diag {
 			byID[in.ID] = in
 		})
 	}
-	hasOp := func(ids []int, op ir.Op) bool {
-		for _, id := range ids {
-			if in := byID[id]; in != nil && in.Op == op {
-				return true
-			}
-		}
-		return false
-	}
-
+	setsTag := func(id int) bool { return byID[id] != nil && byID[id].Op == ir.OpSetTag }
 	for pos := range prog.Code {
 		in := &prog.Code[pos]
 		gen := nmap.Region[pos] == core.RegionGenerated
 
-		// Provenance: generated code must be attributable.
-		if gen {
-			if len(nmap.IRs[pos]) == 0 && in.Op != isa.JMP {
-				bad("no-provenance", pos,
-					"generated %s carries no IR IDs: samples here are unattributable", in.Op)
-			}
-			if a.Dict != nil {
-				for _, irID := range nmap.IRs[pos] {
-					if len(a.Dict.TasksOf(irID)) == 0 {
-						bad("unresolvable", pos,
-							"IR %%%d resolves to no task through Log B", irID)
-					}
+		// Provenance: every instruction must be attributable.
+		switch {
+		case gen && len(nmap.IRs[pos]) == 0 && in.Op != isa.JMP:
+			bad("no-provenance", pos,
+				"generated %s carries no IR IDs: samples here are unattributable", in.Op)
+		case gen && a.Dict != nil:
+			for _, irID := range nmap.IRs[pos] {
+				if len(a.Dict.TasksOf(irID)) == 0 {
+					bad("no-provenance", pos,
+						"IR %%%d resolves to no task through Log B", irID)
 				}
 			}
-		} else if nmap.Routine[pos] == "" {
-			bad("unnamed-routine", pos, "non-generated instruction has no routine name")
+		case !gen && nmap.Routine[pos] == "":
+			bad("no-provenance", pos, "non-generated instruction has no routine name")
 		}
 
 		// Tag-register discipline.
-		if a.RegisterTagging {
-			if r, writes := defReg(in); writes && r == isa.TagReg {
-				if !gen {
-					bad("tagreg-clobber", pos,
-						"runtime routine %q writes the reserved tag register", nmap.Routine[pos])
-				} else if a.Module != nil && !hasOp(nmap.IRs[pos], ir.OpSetTag) {
-					bad("tagreg-clobber", pos,
-						"%s writes the tag register without OpSetTag provenance", in.Op)
-				}
-			}
-			for _, r := range useRegs(in) {
-				if r != isa.TagReg {
-					continue
-				}
-				if !gen {
-					bad("tagreg-read", pos,
-						"runtime routine %q reads the tag register", nmap.Routine[pos])
-				} else if a.Module != nil && !hasOp(nmap.IRs[pos], ir.OpGetTag) {
-					bad("tagreg-read", pos,
-						"%s reads the tag register without OpGetTag provenance", in.Op)
-				}
+		if r, writes := defReg(in); a.RegisterTagging && writes && r == isa.TagReg {
+			if !gen {
+				bad("tagreg-clobber", pos,
+					"runtime routine %q writes the reserved tag register", nmap.Routine[pos])
+			} else if a.Module != nil && !slices.ContainsFunc(nmap.IRs[pos], setsTag) {
+				bad("tagreg-clobber", pos,
+					"%s writes the tag register without OpSetTag provenance", in.Op)
 			}
 		}
 
@@ -437,7 +358,7 @@ func (NativeInvariants) Check(a *Artifact) []Diag {
 			}
 		}
 
-		// Control flow sanity.
+		// Control flow stays inside functions.
 		if in.IsBranch() {
 			tgt := in.Imm
 			if in.Imm2 != 0 || (in.Op != isa.JMP && in.Op != isa.JNZ && in.Op != isa.JZ) {
@@ -445,38 +366,23 @@ func (NativeInvariants) Check(a *Artifact) []Diag {
 			}
 			sym := prog.FuncAt(pos)
 			if sym == nil {
-				bad("no-symbol", pos, "branch outside any function symbol")
+				bad("branch-escape", pos, "branch outside any function symbol")
 			} else if tgt < int64(sym.Entry) || tgt >= int64(sym.End) {
 				bad("branch-escape", pos,
 					"%s targets %d, outside %s [%d,%d)", in.Op, tgt, sym.Name, sym.Entry, sym.End)
 			}
 		}
 		if in.Op == isa.CALL {
-			entry := false
-			for i := range prog.Funcs {
-				if int64(prog.Funcs[i].Entry) == in.Imm {
-					entry = true
-					break
-				}
+			if !slices.ContainsFunc(prog.Funcs, func(f isa.FuncSym) bool { return int64(f.Entry) == in.Imm }) {
+				bad("branch-escape", pos, "call targets %d, not a function entry", in.Imm)
 			}
-			if !entry {
-				bad("call-mid-function", pos, "call targets %d, not a function entry", in.Imm)
-			}
-			// Shared-region calls must follow the tag protocol (§4.2.5):
-			// set the tag register to the active task before transferring
-			// into shared code, restore it after.
+			// A shared-region call restores the previous tag after it
+			// (§4.2.5, Listing 2).
 			if a.RegisterTagging && gen && in.Imm >= 0 && in.Imm < int64(n) &&
-				nmap.Region[in.Imm] == core.RegionShared {
-				if !tagWriteNear(prog, nmap, pos, -1) {
-					bad("shared-call-untagged", pos,
-						"call into shared routine %q without a preceding tag write",
-						nmap.Routine[in.Imm])
-				}
-				if !tagWriteNear(prog, nmap, pos, +1) {
-					bad("shared-call-unrestored", pos,
-						"tag register not restored after call into shared routine %q",
-						nmap.Routine[in.Imm])
-				}
+				nmap.Region[in.Imm] == core.RegionShared && !tagRestoredAfter(prog, pos) {
+				bad("shared-call-unrestored", pos,
+					"tag register not restored after call into shared routine %q",
+					nmap.Routine[in.Imm])
 			}
 		}
 	}
@@ -486,7 +392,7 @@ func (NativeInvariants) Check(a *Artifact) []Diag {
 	for i := range prog.Funcs {
 		sym := &prog.Funcs[i]
 		if sym.End <= sym.Entry || sym.End > n {
-			bad("bad-extent", sym.Entry, "function %q has extent [%d,%d)", sym.Name, sym.Entry, sym.End)
+			bad("fallthrough", sym.Entry, "function %q has extent [%d,%d)", sym.Name, sym.Entry, sym.End)
 			continue
 		}
 		last := &prog.Code[sym.End-1]
@@ -583,17 +489,16 @@ func reaches(s, b *ir.Block) bool {
 	return false
 }
 
-// tagProtocolWindow bounds the scan for the tag write bracketing a shared
-// call. emitCall stages up to 4 arguments through memory (two instructions
-// each) between the tag write and the CALL; 24 leaves generous slack.
-const tagProtocolWindow = 24
+// tagRestoreWindow bounds the scan for the restore after a shared call:
+// the call's result moves come between the CALL and the restore; 24
+// leaves generous slack.
+const tagRestoreWindow = 24
 
-// tagWriteNear reports whether a write to the tag register appears within
-// the protocol window before (dir=-1) or after (dir=+1) pos, without
-// crossing a control-flow transfer (the protocol is straight-line code
-// emitted by sharedCall).
-func tagWriteNear(prog *isa.Program, nmap *core.NativeMap, pos, dir int) bool {
-	for i, steps := pos+dir, 0; i >= 0 && i < len(prog.Code) && steps < tagProtocolWindow; i, steps = i+dir, steps+1 {
+// tagRestoredAfter reports whether a write to the tag register follows the
+// CALL at pos within the window, without crossing a control-flow transfer
+// (the protocol is straight-line code emitted by sharedCall).
+func tagRestoredAfter(prog *isa.Program, pos int) bool {
+	for i := pos + 1; i < len(prog.Code) && i <= pos+tagRestoreWindow; i++ {
 		in := &prog.Code[i]
 		if r, writes := defReg(in); writes && r == isa.TagReg {
 			return true
@@ -619,43 +524,4 @@ func defReg(in *isa.Instr) (isa.Reg, bool) {
 		return in.Dst, true
 	}
 	return 0, false
-}
-
-// useRegs returns the registers an instruction reads.
-func useRegs(in *isa.Instr) []isa.Reg {
-	var uses []isa.Reg
-	switch in.Op {
-	case isa.MOVRR:
-		uses = append(uses, in.Src1)
-	case isa.LOAD8, isa.LOAD16, isa.LOAD32, isa.LOAD64:
-		if !in.Abs {
-			uses = append(uses, in.Src1)
-		}
-		if in.Scaled {
-			uses = append(uses, in.Src2)
-		}
-	case isa.STORE8, isa.STORE32, isa.STORE64:
-		uses = append(uses, in.Dst) // stored value
-		if !in.Abs {
-			uses = append(uses, in.Src1)
-		}
-		if in.Scaled {
-			uses = append(uses, in.Src2)
-		}
-	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.MOD,
-		isa.AND, isa.OR, isa.XOR, isa.SHL, isa.SHR, isa.ROTR, isa.CRC32,
-		isa.CMPEQ, isa.CMPNE, isa.CMPLT, isa.CMPLE, isa.CMPGT, isa.CMPGE:
-		uses = append(uses, in.Src1)
-		if !in.UseImm {
-			uses = append(uses, in.Src2)
-		}
-	case isa.JNZ, isa.JZ:
-		uses = append(uses, in.Src1)
-	case isa.JEQ, isa.JNE, isa.JLT, isa.JGE:
-		uses = append(uses, in.Src1)
-		if !in.UseImm {
-			uses = append(uses, in.Src2)
-		}
-	}
-	return uses
 }

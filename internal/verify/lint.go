@@ -16,9 +16,10 @@ package verify
 //     instructions, blocks, virtual and machine registers all carry
 //     dense indices, so a map keyed by one of them is a slice or bitset
 //     paying for hashing, growth and GC on every cold statement
-//     (TestCompileFootprint guards the count; this guards the cause);
-//   - concurrency: a mutex copied by value guards nothing — signatures
-//     and receivers must take lock-bearing types by pointer.
+//     (TestCompileFootprint guards the count; this guards the cause).
+//
+// A lock copied by value is go vet's copylocks check, which CI runs; the
+// concurrency rules of concurrency.go cover what vet does not.
 
 import (
 	"fmt"
@@ -411,25 +412,6 @@ func (l *linter) lintFile(pkgPath string, f *ast.File, info *types.Info) []Diag 
 					}
 				}
 			}
-		case *ast.FuncDecl:
-			// Rule: no mutex by value in signatures or receivers.
-			check := func(fl *ast.FieldList, what string) {
-				if fl == nil {
-					return
-				}
-				for _, field := range fl.List {
-					t := info.TypeOf(field.Type)
-					if t != nil && containsLock(t, nil) {
-						out = append(out, lintDiag("nomutexcopy", pos(field.Pos()), Error,
-							"%s of %s copies a sync lock by value; pass a pointer", what, x.Name.Name))
-					}
-				}
-			}
-			if x.Recv != nil {
-				check(x.Recv, "receiver")
-			}
-			check(x.Type.Params, "parameter")
-			check(x.Type.Results, "result")
 		}
 		return true
 	})
@@ -513,36 +495,4 @@ func isPkgFunc(fun ast.Expr, info *types.Info, pkg, name string) bool {
 	}
 	pn, ok := info.Uses[id].(*types.PkgName)
 	return ok && pn.Imported().Path() == pkg
-}
-
-// containsLock reports whether a value of type t embeds a sync.Mutex or
-// sync.RWMutex (at any struct/array nesting) — i.e. whether copying the
-// value copies lock state. Pointers, slices, maps and channels stop the
-// descent: copying those shares the lock instead.
-func containsLock(t types.Type, seen map[types.Type]bool) bool {
-	if seen == nil {
-		seen = map[types.Type]bool{}
-	}
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	switch x := t.(type) {
-	case *types.Named:
-		obj := x.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-			(obj.Name() == "Mutex" || obj.Name() == "RWMutex" || obj.Name() == "WaitGroup" || obj.Name() == "Once") {
-			return true
-		}
-		return containsLock(x.Underlying(), seen)
-	case *types.Struct:
-		for i := 0; i < x.NumFields(); i++ {
-			if containsLock(x.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(x.Elem(), seen)
-	}
-	return false
 }

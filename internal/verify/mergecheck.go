@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/pipeline"
@@ -12,30 +13,26 @@ import (
 // Partitioned-merge invariants
 // ---------------------------------------------------------------------------
 
-// MergeInvariants checks every partitioned sink's merge artifacts
+// mergeInvariants checks every partitioned sink's merge artifacts
 // (DESIGN.md §11) before any kernel runs:
 //
-//   - partition arithmetic: the partition count is a power of two and the
-//     per-partition directory slot ranges [p<<shift, (p+1)<<shift) tile
-//     the directory exactly — disjointness and coverage in one equation;
-//   - staging regions: every heap region the merge protocol uses is
-//     allocated, sized, and mutually disjoint (and disjoint from the
+//   - partition arithmetic (partitions): the partition count is a power of
+//     two, agrees with the merge info, and the per-partition directory slot
+//     ranges [p<<shift, (p+1)<<shift) tile the directory exactly —
+//     disjointness and coverage in one equation;
+//   - staging regions (region): every heap region the merge protocol uses
+//     is allocated, and all are mutually disjoint (and disjoint from the
 //     directory and arena they feed);
-//   - state slots: a group sink's aggregate state slots are 8-byte words
-//     that tile the entry from its last key to its end, each a sum, a
-//     count, a min or a max, so the upsert kernel's combine folds every
-//     state word once and nothing else;
-//   - merge kernels are first-class profiled code: each generated
-//     function exists in the module, every one of its instructions
-//     resolves through Log B to the registered merge task, the task's
-//     kind is a merge role, and Log A links it to the sink's operator.
-type MergeInvariants struct{}
-
-// Name implements Checker.
-func (MergeInvariants) Name() string { return "merge" }
-
-// Check implements Checker.
-func (MergeInvariants) Check(a *Artifact) []Diag {
+//   - state slots (state-slots): a group sink's aggregate state slots are
+//     8-byte words that tile the entry from its last key to its end, each
+//     a sum, a count, a min or a max, so the upsert kernel's combine folds
+//     every state word once and nothing else;
+//   - merge kernels are first-class profiled code (kernel): each
+//     generated function exists in the module, every one of its
+//     instructions resolves through Log B to the registered merge task,
+//     the task's kind is a merge role, and Log A links it to the sink's
+//     operator.
+func mergeInvariants(a *Artifact) []Diag {
 	if a.Pipelines == nil {
 		return nil
 	}
@@ -71,7 +68,7 @@ func (MergeInvariants) Check(a *Artifact) []Diag {
 				"layout has %d partitions but merge info says %d", p, mi.Partitions)
 		}
 		if got := p << ht.SlotShift; got != ht.DirSlots {
-			diag("slot-ranges", core.LevelTask, locus,
+			diag("partitions", core.LevelTask, locus,
 				"partition slot ranges do not tile the directory: %d partitions × 2^%d slots = %d, directory has %d",
 				p, ht.SlotShift, got, ht.DirSlots)
 		}
@@ -108,15 +105,16 @@ func (MergeInvariants) Check(a *Artifact) []Diag {
 			for j := i + 1; j < len(regions); j++ {
 				ri, rj := regions[i], regions[j]
 				if ri.base < rj.base+rj.size && rj.base < ri.base+ri.size {
-					diag("region-overlap", core.LevelTask, locus,
+					diag("region", core.LevelTask, locus,
 						"%s region [%d,%d) overlaps %s region [%d,%d)",
 						ri.name, ri.base, ri.base+ri.size, rj.name, rj.base, rj.base+rj.size)
 				}
 			}
 		}
 
-		// State slots tile the entry after the keys.
-		if len(info.Sink.Slots) > 0 {
+		// State slots tile the entry after the keys — also when the slot
+		// list is empty, which leaves every state word uncombined.
+		if k := info.Sink.Kind; k == pipeline.SinkGroupAgg || k == pipeline.SinkGJBuild {
 			off := info.Sink.KeyOff + 8*int64(info.Sink.NKeys)
 			for k, s := range info.Sink.Slots {
 				if s.Off != off {
@@ -138,32 +136,27 @@ func (MergeInvariants) Check(a *Artifact) []Diag {
 		}
 
 		// Merge kernels: generated, registered, and attributable.
-		kernels := []struct {
+		type kernel struct {
 			fn   string
 			task core.ComponentID
-		}{
-			{mi.ScatterFunc, mi.ScatterTask},
-			{mi.MergeFunc, mi.MergeTask},
 		}
+		kernels := []kernel{{mi.ScatterFunc, mi.ScatterTask}, {mi.MergeFunc, mi.MergeTask}}
 		if mi.PlaceFunc != "" {
-			kernels = append(kernels, struct {
-				fn   string
-				task core.ComponentID
-			}{mi.PlaceFunc, mi.PlaceTask})
+			kernels = append(kernels, kernel{mi.PlaceFunc, mi.PlaceTask})
 		}
 		for _, k := range kernels {
 			klocus := locus + " func " + k.fn
 			comp, ok := a.Dict.Registry.Lookup(k.task)
 			if !ok {
-				diag("task", core.LevelTask, klocus, "merge task %d not registered", k.task)
+				diag("kernel", core.LevelTask, klocus, "merge task %d not registered", k.task)
 				continue
 			}
 			if !pipeline.MergeRole(comp.Kind) {
-				diag("task", core.LevelTask, klocus,
+				diag("kernel", core.LevelTask, klocus,
 					"task %q has kind %q, not a merge role", comp.Name, comp.Kind)
 			}
 			if a.Dict.OperatorOf(k.task) == core.NoComponent {
-				diag("task", core.LevelTask, klocus,
+				diag("kernel", core.LevelTask, klocus,
 					"merge task %q has no Log A operator link", comp.Name)
 			}
 			if a.Module == nil {
@@ -171,20 +164,13 @@ func (MergeInvariants) Check(a *Artifact) []Diag {
 			}
 			f := a.Module.FuncByName(k.fn)
 			if f == nil {
-				diag("func", core.LevelIR, klocus, "generated merge function missing from module")
+				diag("kernel", core.LevelIR, klocus, "generated merge function missing from module")
 				continue
 			}
 			for _, b := range f.Blocks {
 				for _, in := range b.Instrs {
-					linked := false
-					for _, t := range a.Dict.TasksOf(in.ID) {
-						if t == k.task {
-							linked = true
-							break
-						}
-					}
-					if !linked {
-						diag("lineage", core.LevelIR,
+					if !slices.Contains(a.Dict.TasksOf(in.ID), k.task) {
+						diag("kernel", core.LevelIR,
 							fmt.Sprintf("%s.%s %%%d", k.fn, b.Name, in.ID),
 							"merge-kernel instruction not linked to task %q", comp.Name)
 					}

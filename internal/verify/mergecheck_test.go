@@ -36,7 +36,6 @@ func mergeArtifactWith(t *testing.T, partitions int) *verify.Artifact {
 		Dict:      cq.Pipe.Dict,
 		Code:      cq.Code,
 		Pipelines: cq.Pipe.Pipelines,
-		Layout:    cq.Layout,
 		Mem:       cq.Mem,
 	}
 }
@@ -68,7 +67,7 @@ func TestMergeInvariantsClean(t *testing.T) {
 	// range that is the whole directory.
 	for _, c := range []struct{ opt, want int }{{engine.DefaultOptions().Partitions, 8}, {0, 1}} {
 		a := mergeArtifactWith(t, c.opt)
-		if ds := (verify.MergeInvariants{}).Check(a); len(ds) != 0 {
+		if ds := verify.Check(a); len(ds) != 0 {
 			t.Fatalf("Partitions=%d: clean fixture produced diagnostics: %v", c.opt, ds)
 		}
 		// The fixture must actually exercise both sink shapes.
@@ -83,7 +82,7 @@ func TestMergeInvariantsClean(t *testing.T) {
 
 // TestMergeInvariantsCorruptions mirrors the shardcheck battery: every
 // corruption of the merge artifacts must surface as the named diagnostic,
-// and every diagnostic the checker emits must be an error.
+// and every diagnostic the gate emits must be an error.
 func TestMergeInvariantsCorruptions(t *testing.T) {
 	cases := []struct {
 		name string
@@ -98,34 +97,34 @@ func TestMergeInvariantsCorruptions(t *testing.T) {
 		}, "merge/partitions"},
 		{"slot ranges do not tile the directory", func(p *pipeline.PipelineInfo) {
 			p.Sink.HT.SlotShift++
-		}, "merge/slot-ranges"},
+		}, "merge/partitions"},
 		{"staging region unallocated", func(p *pipeline.PipelineInfo) {
 			p.Sink.HT.MergeCnt = 0
 		}, "merge/region"},
 		{"staging region overlaps the arena", func(p *pipeline.PipelineInfo) {
 			p.Sink.HT.MergeSrc = p.Sink.HT.Arena
-		}, "merge/region-overlap"},
+		}, "merge/region"},
 		{"merge task unregistered", func(p *pipeline.PipelineInfo) {
 			p.Merge.ScatterTask = 999999
-		}, "merge/task"},
+		}, "merge/kernel"},
 		{"merge task has a non-merge kind", func(p *pipeline.PipelineInfo) {
 			p.Merge.MergeTask = p.Tasks[0] // the scan task
-		}, "merge/task"},
+		}, "merge/kernel"},
 		{"generated merge function missing", func(p *pipeline.PipelineInfo) {
 			p.Merge.ScatterFunc = "nosuchfunc"
-		}, "merge/func"},
+		}, "merge/kernel"},
 		{"kernel instructions linked to the wrong task", func(p *pipeline.PipelineInfo) {
 			// Point the merge slot at the scatter kernel: the function
 			// exists, but its instructions carry the scatter task's
 			// lineage, not the merge task's.
 			p.Merge.MergeFunc = p.Merge.ScatterFunc
-		}, "merge/lineage"},
+		}, "merge/kernel"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a := mergeArtifact(t)
 			tc.corr(pickMerge(t, a, pipeline.SinkJoinBuild))
-			ds := verify.MergeInvariants{}.Check(a)
+			ds := verify.Check(a)
 			if !mergeHasCheck(ds, tc.want) {
 				t.Errorf("expected a %s diagnostic, got %v", tc.want, ds)
 			}
@@ -160,7 +159,7 @@ func TestMergeStateSlotCorruptions(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a := mergeArtifact(t)
 			tc.corr(&pickMerge(t, a, pipeline.SinkGroupAgg).Sink)
-			ds := verify.MergeInvariants{}.Check(a)
+			ds := verify.Check(a)
 			if !mergeHasCheck(ds, "merge/state-slots") {
 				t.Errorf("expected a merge/state-slots diagnostic, got %v", ds)
 			}

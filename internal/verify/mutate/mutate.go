@@ -1,40 +1,57 @@
 // Package mutate is the miscompilation-mutant harness: it injects seeded,
 // deterministic defects into compilation artifacts so the verification
 // stack can be measured instead of trusted. Each mutant models a realistic
-// compiler bug — swapped operands, a dropped store, a perturbed constant,
-// a clobbered or stale tag register, a wild or misaligned address, a
-// column read at the wrong width, a branch whose Inverted bit disagrees
-// with its sense, a load of writable memory hoisted as if invariant — at one
-// of the two levels the validators watch:
+// bug of one lowering step, and the harness judges it the way the engine's
+// VerifyArtifacts mode judges that step:
 //
-//   - IR mutants corrupt an ir.Module the way a broken optimizer pass
-//     would; the translation validator (internal/verify/tv) must refute
-//     observational equivalence against the clean module's summary.
-//   - Native mutants corrupt an emitted codegen.Result the way a broken
-//     backend would; the artifact suite (NativeInvariants) plus the
-//     abstract interpreter (internal/verify/absint) must flag the program.
+//   - optimizer-pass defects corrupt an ir.Module or the lineage the pass
+//     reports (swapped operands, a dropped store, a perturbed constant, a
+//     load of writable memory hoisted as if invariant, a derive cycle);
+//     translation validation (internal/verify/tv) against the clean
+//     module plus the artifact gate (verify.Check) judge them;
+//   - generator defects corrupt what the pipeline generator hands on (a
+//     writable load marked invariant, the merge metadata); translation
+//     validation takes the generator's output as its baseline, so the
+//     artifact gate alone judges them;
+//   - backend defects corrupt an emitted codegen.Result (a clobbered or
+//     unrestored tag register, a wild or misaligned address, a column read
+//     at the wrong width, a stale Inverted bit, a lost debug-map entry);
+//     the artifact gate over the emitted program judges them.
 //
 // The harness enumerates candidate sites deterministically (module and
 // program iteration order is deterministic) and caps each class at a few
-// spread-out sites so the gate stays fast. The gate itself lives in this
-// package's tests and in `tprofvet check -mutants`: across the query
-// corpus the validators must catch at least 95% of mutants while staying
-// completely silent on the unmutated artifacts.
+// spread-out sites so the gate stays fast. Judge applies every mutant to a
+// fresh artifact and returns the rules that fired on it; the gate —
+// TestMutantGate and `tprofvet check -mutants` — requires every mutant
+// caught, zero diagnostics on the clean compiles, and every rule of the
+// artifact gate the sole catcher of some mutant.
 package mutate
 
 import (
+	"errors"
 	"fmt"
+	"slices"
+	"sort"
+	"strings"
 
+	"repro/internal/catalog"
 	"repro/internal/codegen"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/ir"
 	"repro/internal/isa"
+	"repro/internal/pipeline"
+	"repro/internal/plan"
 	"repro/internal/verify"
+	"repro/internal/verify/absint"
+	"repro/internal/verify/tv"
 )
 
 // Mutant is one seeded defect. Apply corrupts the artifact it was
 // enumerated from, in place; enumerate from a fresh artifact for each
-// mutant, apply exactly one, then discard the artifact.
+// mutant, apply exactly one, then discard the artifact. The class's prefix
+// names the step whose bug it models: "ir/" and "dict/" an optimizer
+// pass, "gen/" the pipeline generator, "native/" the backend.
 type Mutant struct {
 	// Class identifies the defect model, e.g. "ir/swap-operands".
 	Class string
@@ -52,18 +69,16 @@ const sitesPerClass = 3
 // spread picks up to sitesPerClass indices evenly across n candidates.
 func spread(n int) []int {
 	if n <= sitesPerClass {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
+		return []int{0, 1, 2}[:n]
 	}
 	return []int{0, n / 2, n - 1}
 }
 
-// IR enumerates mutants over a module. The module must be freshly built;
-// every returned Apply closure corrupts it in place.
-func IR(m *ir.Module) []Mutant {
+// IR enumerates mutants over a pipeline compile: its module, its
+// dictionary and its pipeline metadata. The compile must be fresh; every
+// returned Apply closure corrupts it in place.
+func IR(pc *pipeline.Compiled) []Mutant {
+	m, dict := pc.Module, pc.Dict
 	type site struct {
 		in  *ir.Instr
 		fn  string
@@ -117,21 +132,11 @@ func IR(m *ir.Module) []Mutant {
 			!(in.Args[1].Op == ir.OpConst && in.Args[1].Imm == 0)
 	}), func(s site) { s.in.Op = ir.OpSub })
 
+	drop := func(s site) { s.blk.Instrs = append(s.blk.Instrs[:s.idx:s.idx], s.blk.Instrs[s.idx+1:]...) }
 	class("ir/drop-store", collect(func(in *ir.Instr) bool {
-		switch in.Op {
-		case ir.OpStore8, ir.OpStore32, ir.OpStore64:
-			return true
-		}
-		return false
-	}), func(s site) {
-		s.blk.Instrs = append(s.blk.Instrs[:s.idx:s.idx], s.blk.Instrs[s.idx+1:]...)
-	})
-
-	class("ir/drop-settag", collect(func(in *ir.Instr) bool {
-		return in.Op == ir.OpSetTag
-	}), func(s site) {
-		s.blk.Instrs = append(s.blk.Instrs[:s.idx:s.idx], s.blk.Instrs[s.idx+1:]...)
-	})
+		return in.Op == ir.OpStore8 || in.Op == ir.OpStore32 || in.Op == ir.OpStore64
+	}), drop)
+	class("ir/drop-settag", collect(func(in *ir.Instr) bool { return in.Op == ir.OpSetTag }), drop)
 
 	class("ir/swap-branch-targets", collect(func(in *ir.Instr) bool {
 		return in.Op == ir.OpCondBr
@@ -185,6 +190,64 @@ func IR(m *ir.Module) []Mutant {
 		}
 	})
 
+	// Lineage a pass reports wrongly. The module is left as it is.
+	all := collect(func(*ir.Instr) bool { return true })
+	class("dict/drop-link", all, func(s site) { dict.Removed(s.in.ID) })
+	class("dict/link-operator", all, func(s site) {
+		dict.LinkIR(s.in.ID, dict.OperatorOf(dict.TasksOf(s.in.ID)[0]))
+	})
+	class("dict/derive-cycle", collect(func(in *ir.Instr) bool {
+		return in.Block.Terminator() != in
+	}), func(s site) {
+		next := s.blk.Instrs[s.idx+1].ID
+		dict.Derived(s.in.ID, next)
+		dict.Derived(next, s.in.ID)
+	})
+	class("dict/derive-discarded", all, func(s site) {
+		// Lineage for an instruction the pass then never inserts.
+		dict.Derived(m.NewID(), s.in.ID)
+	})
+	class("dict/derive-from-removed", all, func(s site) {
+		gone := m.NewID() // an instruction the pass deleted earlier
+		dict.Removed(gone)
+		dict.Derived(s.in.ID, gone)
+	})
+
+	// The generator marks a load of writable memory invariant.
+	class("gen/mark-invariant", collect(func(in *ir.Instr) bool {
+		return in.Op.IsLoad() && !in.Invariant
+	}), func(s site) { s.in.Invariant = true })
+
+	// Merge metadata the generator gets wrong. HTLayout is shared with the
+	// compile's layout, so a defect in it goes into a copy.
+	var merged, grouped []int
+	for i, p := range pc.Pipelines {
+		if p.Merge != nil {
+			merged = append(merged, i)
+			if len(p.Sink.Slots) > 0 {
+				grouped = append(grouped, i)
+			}
+		}
+	}
+	meta := func(name string, sites []int, apply func(p *pipeline.PipelineInfo, ht *pipeline.HTLayout)) {
+		for _, i := range spread(len(sites)) {
+			p := &pc.Pipelines[sites[i]]
+			muts = append(muts, Mutant{Class: name, Site: "pipeline " + p.Name, Apply: func() {
+				ht := *p.Sink.HT
+				p.Sink.HT = &ht
+				apply(p, &ht)
+			}})
+		}
+	}
+	meta("gen/slot-shift", merged, func(_ *pipeline.PipelineInfo, ht *pipeline.HTLayout) { ht.SlotShift++ })
+	meta("gen/staging-overlap", merged, func(_ *pipeline.PipelineInfo, ht *pipeline.HTLayout) { ht.MergeSrc = ht.Arena })
+	meta("gen/drop-state-slot", grouped, func(p *pipeline.PipelineInfo, _ *pipeline.HTLayout) {
+		p.Sink.Slots = p.Sink.Slots[:len(p.Sink.Slots)-1]
+	})
+	meta("gen/kernel-swap", merged, func(p *pipeline.PipelineInfo, _ *pipeline.HTLayout) {
+		p.Merge.MergeFunc = p.Merge.ScatterFunc
+	})
+
 	return muts
 }
 
@@ -231,24 +294,20 @@ func feedsAddress(x, ld *ir.Instr) bool {
 }
 
 // CloneResult deep-copies the parts of a codegen.Result that native
-// mutants corrupt (the instruction stream and the Inverted bits); the
-// rest of the debug info is shared.
+// mutants corrupt (the instruction stream, the IR provenance lists and the
+// Inverted bits); the rest of the debug info is shared.
 func CloneResult(res *codegen.Result) *codegen.Result {
 	out := *res
-	prog := &isa.Program{
-		Code:  append([]isa.Instr(nil), res.Program.Code...),
-		Funcs: append([]isa.FuncSym(nil), res.Program.Funcs...),
-	}
-	out.Program = prog
+	out.Program = &isa.Program{Code: slices.Clone(res.Program.Code), Funcs: res.Program.Funcs}
 	nmap := *res.NMap
-	nmap.Inverted = append([]bool(nil), res.NMap.Inverted...)
+	nmap.IRs, nmap.Inverted = slices.Clone(nmap.IRs), slices.Clone(nmap.Inverted)
 	out.NMap = &nmap
 	return &out
 }
 
 // Native enumerates mutants over an emitted program. Clone the result
 // (CloneResult) before enumerating; every Apply corrupts it in place.
-func Native(res *codegen.Result, mem *verify.MemModel) []Mutant {
+func Native(res *codegen.Result, mem *absint.MemModel) []Mutant {
 	prog, nmap := res.Program, res.NMap
 	gen := func(pos int) bool {
 		return pos < len(nmap.Region) && nmap.Region[pos] == core.RegionGenerated
@@ -328,10 +387,38 @@ func Native(res *codegen.Result, mem *verify.MemModel) []Mutant {
 			in.Dst > isa.LastClobbered
 	}), func(pos int) { prog.Code[pos].Dst = isa.TagReg })
 
-	// The tag write preceding a shared call dropped (NOPed out).
+	// The tag write preceding a shared call dropped (NOPed out), and the
+	// restore of the previous tag after it.
+	nop := func(pos int) { prog.Code[pos] = isa.Instr{Op: isa.NOP} }
 	class("native/drop-tag-write", collect(func(pos int, in *isa.Instr) bool {
 		return gen(pos) && in.Op == isa.MOVRI && in.Dst == isa.TagReg
-	}), func(pos int) { prog.Code[pos] = isa.Instr{Op: isa.NOP} })
+	}), nop)
+	class("native/drop-tag-restore", collect(func(pos int, in *isa.Instr) bool {
+		return gen(pos) && in.Op == isa.MOVRR && in.Dst == isa.TagReg
+	}), nop)
+
+	// A divisor operand folded into the constant zero.
+	class("native/div-zero", collect(func(pos int, in *isa.Instr) bool {
+		return gen(pos) && (in.Op == isa.DIV || in.Op == isa.MOD)
+	}), func(pos int) { prog.Code[pos].UseImm, prog.Code[pos].Imm = true, 0 })
+
+	// Debug info the emitter loses: one instruction's map entry, shifting
+	// every later one; or its IR provenance.
+	class("native/drop-nmap-entry", collect(func(pos int, _ *isa.Instr) bool { return gen(pos) }), func(pos int) {
+		nmap.IRs = append(nmap.IRs[:pos:pos], nmap.IRs[pos+1:]...)
+	})
+	class("native/strip-provenance", collect(func(pos int, in *isa.Instr) bool {
+		return gen(pos) && len(nmap.IRs[pos]) > 0 && in.Op != isa.JMP
+	}), func(pos int) { nmap.IRs[pos] = nil })
+
+	// A function's final RET or HALT dropped: it falls through.
+	var ends []int
+	for _, f := range prog.Funcs {
+		if last := f.End - 1; f.End > f.Entry && gen(last) && (prog.Code[last].Op == isa.RET || prog.Code[last].Op == isa.HALT) {
+			ends = append(ends, last)
+		}
+	}
+	class("native/drop-ret", ends, nop)
 
 	// An Inverted bit dropped from a branch the layout flipped, or set on
 	// one it did not: profiles would then record the branch's outcomes
@@ -364,4 +451,152 @@ func Native(res *codegen.Result, mem *verify.MemModel) []Mutant {
 	})
 
 	return muts
+}
+
+// Verdict is one mutant's judgement: the distinct rules (Diag.Check) that
+// fired on it, sorted. A verdict with no rules is a mutant that got
+// through.
+type Verdict struct {
+	Class, Site string
+	Rules       []string
+}
+
+// Judge compiles q with VerifyArtifacts on — the clean compile must pass
+// the artifact gate at every phase and translation validation at every
+// optimizer pass — then applies every mutant of the compile to a fresh
+// artifact and judges it.
+func Judge(cat *catalog.Catalog, q *plan.Query) ([]Verdict, error) {
+	opts := engine.DefaultOptions()
+	opts.VerifyArtifacts = true
+	cq, err := engine.NewCompiler(cat, opts).CompileQuery(q)
+	if err != nil {
+		return nil, fmt.Errorf("clean compile flagged: %w", err)
+	}
+	if cq.TVSteps == 0 {
+		return nil, errors.New("translation validator checked no pass applications")
+	}
+	fresh := func() (*pipeline.Compiled, error) {
+		return pipeline.Compile(cq.Plan, cq.Layout, pipeline.Options{RegisterTagging: opts.RegisterTagging})
+	}
+	clean, err := fresh()
+	if err != nil {
+		return nil, fmt.Errorf("pipeline recompile: %w", err)
+	}
+	it := tv.NewInterner()
+	pre := tv.Summarize(clean.Module, it)
+
+	var out []Verdict
+	judge := func(m Mutant, art *verify.Artifact) {
+		m.Apply()
+		ds := verify.Check(art)
+		if art.Code == nil && !strings.HasPrefix(m.Class, "gen/") {
+			ds = append(ds, tv.Diags("mutant", "pipeline", tv.Compare(pre, tv.Summarize(art.Module, it), it))...)
+		}
+		v := Verdict{Class: m.Class, Site: m.Site}
+		for _, d := range ds {
+			v.Rules = append(v.Rules, d.Check)
+		}
+		slices.Sort(v.Rules)
+		v.Rules = slices.Compact(v.Rules)
+		out = append(out, v)
+	}
+	for i, n := 0, len(IR(clean)); i < n; i++ {
+		pc, err := fresh()
+		if err != nil {
+			return nil, fmt.Errorf("pipeline recompile: %w", err)
+		}
+		judge(IR(pc)[i], &verify.Artifact{Module: pc.Module, Dict: pc.Dict,
+			RegisterTagging: opts.RegisterTagging, Pipelines: pc.Pipelines, Mem: cq.Mem})
+	}
+	for i, n := 0, len(Native(CloneResult(cq.Code), cq.Mem)); i < n; i++ {
+		code := CloneResult(cq.Code)
+		judge(Native(code, cq.Mem)[i], &verify.Artifact{Module: cq.Pipe.Module, Dict: cq.Pipe.Dict, Code: code,
+			RegisterTagging: opts.RegisterTagging, Pipelines: cq.Pipe.Pipelines, Mem: cq.Mem})
+	}
+	return out, nil
+}
+
+// exempt reports whether a rule need not be the sole catcher of any
+// mutant: translation validation judges optimizer passes but is not a rule
+// of the artifact gate, and the structural codes of ir.(*Module).Check also
+// run as Module.Verify on every compile.
+func exempt(rule string) bool {
+	return strings.HasPrefix(rule, "tv/") || strings.HasPrefix(rule, "ir/") && rule != "ir/invariant-load"
+}
+
+// Score tallies verdicts: per class how many mutants were caught, per rule
+// on how many it fired and how many it caught alone.
+type Score struct {
+	Caught   int              `json:"caught"`
+	Total    int              `json:"total"`
+	PerClass map[string]Tally `json:"perClass"`
+	PerRule  map[string]Fired `json:"perRule"`
+	Missed   []string         `json:"missed,omitempty"`
+}
+
+// Tally is one class's score.
+type Tally struct{ Caught, Total int }
+
+// Fired is one rule's score.
+type Fired struct {
+	Fired int `json:"fired"`
+	Sole  int `json:"sole"` // mutants no other rule caught
+}
+
+// NewScore returns an empty score.
+func NewScore() *Score {
+	return &Score{PerClass: map[string]Tally{}, PerRule: map[string]Fired{}}
+}
+
+// Add tallies one workload's verdicts.
+func (s *Score) Add(workload string, vs []Verdict) {
+	for _, v := range vs {
+		tl := s.PerClass[v.Class]
+		tl.Total++
+		s.Total++
+		if len(v.Rules) == 0 {
+			s.Missed = append(s.Missed, workload+": "+v.Class+" at "+v.Site)
+		} else {
+			tl.Caught++
+			s.Caught++
+		}
+		s.PerClass[v.Class] = tl
+		for _, r := range v.Rules {
+			f := s.PerRule[r]
+			f.Fired++
+			if len(v.Rules) == 1 {
+				f.Sole++
+			}
+			s.PerRule[r] = f
+		}
+	}
+}
+
+// Lines renders the score for a reader: one line per class, then one per
+// rule, each sorted by name.
+func (s *Score) Lines() []string {
+	var classes, rules []string
+	for class, tl := range s.PerClass {
+		classes = append(classes, fmt.Sprintf("%-28s %3d/%3d", class, tl.Caught, tl.Total))
+	}
+	for rule, f := range s.PerRule {
+		rules = append(rules, fmt.Sprintf("%-34s fired %3d  sole %3d", rule, f.Fired, f.Sole))
+	}
+	sort.Strings(classes)
+	sort.Strings(rules)
+	return append(classes, rules...)
+}
+
+// Idle lists, sorted, the gate rules that fired but never caught a mutant
+// alone: each must get a class of its own, or merge into the rule that
+// catches its class, or go.
+func (s *Score) Idle() []string {
+	var idle []string
+	for r, f := range s.PerRule {
+		if f.Sole == 0 && !exempt(r) {
+			idle = append(idle, r)
+		}
+	}
+	sort.Strings(idle)
+	return idle
 }

@@ -2,134 +2,125 @@ package mutate
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/pipeline"
 	"repro/internal/queries"
-	"repro/internal/verify"
-	"repro/internal/verify/absint"
-	"repro/internal/verify/tv"
 )
 
-// catchRate is the gate: the validators must catch at least this fraction
-// of injected mutants across the corpus, with zero diagnostics on the
-// clean artifacts.
-const catchRate = 0.95
-
-func gateSuite() *verify.Suite {
-	return verify.NewSuite(append(verify.ArtifactSuite().Checkers, absint.Checker{})...)
+type judgement struct {
+	vs  []Verdict
+	err error
 }
 
+// judged holds every workload's verdicts, computed once for the gate tests
+// below.
+var judged = sync.OnceValue(func() map[string]judgement {
+	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.01, Seed: 42})
+	out := map[string]judgement{}
+	for _, w := range queries.Suite() {
+		vs, err := Judge(cat, w.Query)
+		out[w.Name] = judgement{vs, err}
+	}
+	return out
+})
+
 // TestMutantGate runs the full harness over the query corpus: every clean
-// compile must verify silently (false-positive gate), and the aggregate
-// mutant catch rate must clear 95% (sensitivity gate). Per-class rates are
-// logged so a regression names the weakened validator.
+// compile must verify silently (false-positive gate), every mutant must be
+// caught, and every rule of the artifact gate that fires must be the sole
+// catcher of some mutant. Per-class and per-rule scores are logged so a
+// regression names the weakened validator.
 func TestMutantGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mutant corpus gate is not a -short test")
 	}
-	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.01, Seed: 42})
-
-	type tally struct{ caught, total int }
-	perClass := map[string]*tally{}
-	count := func(class string, caught bool) {
-		tl := perClass[class]
-		if tl == nil {
-			tl = &tally{}
-			perClass[class] = tl
-		}
-		tl.total++
-		if caught {
-			tl.caught++
-		}
-	}
-
+	score := NewScore()
 	for _, w := range queries.Suite() {
-		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			opts := engine.DefaultOptions()
-			opts.VerifyArtifacts = true
-			c := engine.NewCompiler(cat, opts)
-
-			// False-positive gate: the clean compile runs the whole stack —
-			// artifact suite + absint after every phase, translation
-			// validation after every optimizer pass — and must stay silent.
-			cq, err := c.CompileQuery(w.Query)
-			if err != nil {
-				t.Fatalf("clean compile flagged: %v", err)
+			j := judged()[w.Name]
+			if j.err != nil {
+				t.Fatal(j.err)
 			}
-			if cq.TVSteps == 0 {
-				t.Fatal("translation validator checked no pass applications")
-			}
-
-			popts := pipeline.Options{RegisterTagging: opts.RegisterTagging}
-			freshModule := func() *pipeline.Compiled {
-				pc, err := pipeline.Compile(cq.Plan, cq.Layout, popts)
-				if err != nil {
-					t.Fatalf("pipeline recompile: %v", err)
-				}
-				return pc
-			}
-
-			// IR mutants: the translation validator must refute equivalence
-			// between the clean module's summary and the mutated one.
-			it := tv.NewInterner()
-			pre := tv.Summarize(freshModule().Module, it)
-			nIR := len(IR(freshModule().Module))
-			for i := 0; i < nIR; i++ {
-				pc := freshModule()
-				muts := IR(pc.Module)
-				muts[i].Apply()
-				post := tv.Summarize(pc.Module, it)
-				caught := len(tv.Compare(pre, post, it)) > 0
-				count(muts[i].Class, caught)
-				if !caught {
-					t.Logf("missed %s at %s", muts[i].Class, muts[i].Site)
-				}
-			}
-
-			// Native mutants: the artifact suite + abstract interpreter
-			// must flag the mutated program.
-			suite := gateSuite()
-			nNative := len(Native(CloneResult(cq.Code), cq.Mem))
-			for i := 0; i < nNative; i++ {
-				code := CloneResult(cq.Code)
-				muts := Native(code, cq.Mem)
-				muts[i].Apply()
-				ds := suite.Run(&verify.Artifact{
-					Phase:           "emit",
-					Module:          cq.Pipe.Module,
-					Dict:            cq.Pipe.Dict,
-					Code:            code,
-					RegisterTagging: opts.RegisterTagging,
-					Pipelines:       cq.Pipe.Pipelines,
-					Layout:          cq.Layout,
-					Mem:             cq.Mem,
-				})
-				caught := len(verify.Errs(ds)) > 0
-				count(muts[i].Class, caught)
-				if !caught {
-					t.Logf("missed %s at %s", muts[i].Class, muts[i].Site)
+			score.Add(w.Name, j.vs)
+			for _, v := range j.vs {
+				if len(v.Rules) == 0 {
+					t.Errorf("missed %s at %s", v.Class, v.Site)
 				}
 			}
 		})
 	}
-
-	var caught, total int
-	for class, tl := range perClass {
-		caught += tl.caught
-		total += tl.total
-		t.Logf("%-26s %3d/%3d", class, tl.caught, tl.total)
+	for _, line := range score.Lines() {
+		t.Log(line)
 	}
-	if total == 0 {
+	if score.Total == 0 {
 		t.Fatal("no mutants enumerated")
 	}
-	rate := float64(caught) / float64(total)
-	t.Logf("aggregate: %d/%d = %.1f%%", caught, total, 100*rate)
-	if rate < catchRate {
-		t.Fatalf("mutant catch rate %.1f%% below the %.0f%% gate", 100*rate, 100*catchRate)
+	t.Logf("aggregate: %d/%d", score.Caught, score.Total)
+	if idle := score.Idle(); len(idle) > 0 {
+		t.Errorf("rules that caught no mutant alone: %v", idle)
+	}
+}
+
+// soleClass pins, for every rule of the artifact gate, a mutant class some
+// mutant of which that rule alone catches. Translation validation and the
+// structural IR codes are exempt (exempt).
+var soleClass = map[string]string{
+	"ir/invariant-load":             "gen/mark-invariant",
+	"dict/orphan-instr":             "dict/drop-link",
+	"dict/dangling-tag":             "dict/derive-discarded",
+	"dict/no-operator":              "dict/link-operator",
+	"dict/derive-cycle":             "dict/derive-cycle",
+	"dict/use-after-remove":         "dict/derive-from-removed",
+	"merge/partitions":              "gen/slot-shift",
+	"merge/region":                  "gen/staging-overlap",
+	"merge/state-slots":             "gen/drop-state-slot",
+	"merge/kernel":                  "gen/kernel-swap",
+	"native/nmap-misaligned":        "native/drop-nmap-entry",
+	"native/no-provenance":          "native/strip-provenance",
+	"native/tagreg-clobber":         "native/tag-clobber",
+	"native/shared-call-unrestored": "native/drop-tag-restore",
+	"native/stale-inverted":         "native/stale-inverted",
+	"native/branch-escape":          "native/branch-escape",
+	"native/fallthrough":            "native/drop-ret",
+	"absint/untagged-shared-call":   "native/drop-tag-write",
+	"absint/div-zero":               "native/div-zero",
+	"absint/misaligned":             "native/store-misalign",
+	"absint/oob":                    "native/load-oob",
+	"absint/readonly-store":         "native/readonly-store",
+	"absint/access-width":           "native/load-width",
+}
+
+// TestEveryRuleCatchesAClassAlone: each rule of soleClass is the only rule
+// that fires on some mutant of its class, and the gate emits no rule the
+// table does not name. A rule that stops catching its class alone must get
+// a class of its own, merge into the rule that catches its class, or go.
+func TestEveryRuleCatchesAClassAlone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mutant corpus gate is not a -short test")
+	}
+	alone := map[[2]string]bool{}
+	for name, j := range judged() {
+		if j.err != nil {
+			t.Fatalf("%s: %v", name, j.err)
+		}
+		for _, v := range j.vs {
+			for _, rule := range v.Rules {
+				if _, known := soleClass[rule]; !known && !exempt(rule) {
+					t.Errorf("%s: the gate emits %s (on %s at %s), which the table does not name", name, rule, v.Class, v.Site)
+				}
+			}
+			if len(v.Rules) == 1 {
+				alone[[2]string{v.Rules[0], v.Class}] = true
+			}
+		}
+	}
+	for rule, class := range soleClass {
+		if !alone[[2]string{rule, class}] {
+			t.Errorf("%s catches no %s mutant alone", rule, class)
+		}
 	}
 }
 
@@ -152,7 +143,7 @@ func TestMutantsAreDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mu := range IR(pc.Module) {
+		for _, mu := range IR(pc) {
 			s += fmt.Sprintf("%s@%s\n", mu.Class, mu.Site)
 		}
 		return s
@@ -181,12 +172,12 @@ func TestHoistedLoadMutantsStayWellFormed(t *testing.T) {
 			}
 			return pc
 		}
-		for i, mu := range IR(fresh().Module) {
+		for i, mu := range IR(fresh()) {
 			if mu.Class != "ir/hoist-writable-load" {
 				continue
 			}
 			pc := fresh()
-			IR(pc.Module)[i].Apply()
+			IR(pc)[i].Apply()
 			if err := pc.Module.Verify(); err != nil {
 				t.Errorf("%s: %s at %s: %v", w.Name, mu.Class, mu.Site, err)
 			}

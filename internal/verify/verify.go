@@ -1,24 +1,31 @@
-// Package verify is the cross-level static verification suite (tprofvet).
+// Package verify is the cross-level static verification gate (tprofvet).
 //
 // Tailored Profiling attributes samples bottom-up: native instruction →
 // IR instruction (NativeMap) → task (Tagging Dictionary Log B) → operator
 // (Log A). A single optimizer rewrite that forgets a lineage link, a
 // backend path that clobbers the reserved tag register, or a block-layout
 // inversion that desynchronizes from NativeMap.Inverted silently
-// misattributes cycles — the profile still renders, it just lies. This
-// package encodes the attribution chain's invariants as machine-checked
-// analyses that run over every compilation artifact:
+// misattributes cycles — the profile still renders, it just lies. Check is
+// the artifact gate that encodes the attribution chain's invariants as
+// rules over every compilation artifact:
 //
 //   - IR well-formedness (ir.(*Module).Check: SSA dominance, types, CFG),
 //     and every load marked invariant reading a read-only region,
 //   - Tagging Dictionary soundness (every instruction resolves to an
-//     operator, lineage journal acyclic, no orphan or dangling links),
-//   - native-code invariants (tag register discipline, shared-call tag
-//     protocol, Inverted exactness, branch-target sanity),
+//     operator, no orphan or dangling links, lineage journal acyclic and
+//     free of uses after removal),
+//   - native-code invariants (debug map coverage and provenance, tag
+//     register discipline, the tag restore after a shared call, Inverted
+//     exactness, control staying inside functions),
+//   - partitioned-merge invariants, and
+//   - the abstract interpreter's definite violations (internal/verify/absint).
 //
-// plus a go/ast+go/types source linter for repository rules (lint.go).
+// Every rule is the sole catcher of some mutant class of the harness in
+// internal/verify/mutate, which pins the table. The package also holds the
+// replay checkers of sharded runs, epochs and views, and a go/ast+go/types
+// source linter for repository rules (lint.go).
 //
-// The suite runs in three places: inside the engine after every lowering
+// The gate runs in three places: inside the engine after every lowering
 // step when Options.VerifyArtifacts is set, in the tprofvet CLI over the
 // whole query corpus, and in CI.
 package verify
@@ -31,6 +38,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/pipeline"
+	"repro/internal/verify/absint"
 )
 
 // Severity ranks a diagnostic.
@@ -66,10 +74,10 @@ func (d Diag) String() string {
 	return fmt.Sprintf("%s: %s: [%s] %s: %s", d.Severity, d.Check, d.Level, d.Locus, d.Msg)
 }
 
-// Artifact is one compilation state snapshot handed to the checkers. The
+// Artifact is one compilation state snapshot handed to the gate. The
 // engine builds these after pipeline construction (Code nil), after each
 // optimizer pass (Code nil), and after emit (Code set); nil fields simply
-// disable the checkers that need them.
+// disable the rules that need them.
 type Artifact struct {
 	// Phase names the lowering step that just produced this state, e.g.
 	// "pipeline", "iropt/cse", "emit". Diagnostics embed it so a failure
@@ -84,54 +92,44 @@ type Artifact struct {
 	// only apply when the backend actually reserved isa.TagReg.
 	RegisterTagging bool
 
-	// Pipelines and Layout carry the lowering's pipeline metadata for the
-	// partitioned-merge checks (MergeInvariants); nil disables them.
+	// Pipelines carries the lowering's pipeline metadata for the
+	// partitioned-merge rules; nil disables them.
 	Pipelines []pipeline.PipelineInfo
-	Layout    *pipeline.Layout
 
 	// Mem declares the heap layout and staged-cell invariants for the
-	// abstract interpreter (internal/verify/absint); nil disables it.
-	Mem *MemModel
+	// abstract interpreter and the invariant-load rule; nil disables both.
+	Mem *absint.MemModel
 }
 
-// Checker is one analysis pass over an artifact.
-type Checker interface {
-	// Name is the stable checker identifier (the prefix of Diag.Check).
-	Name() string
-	// Check inspects the artifact and returns its diagnostics. A checker
-	// whose inputs are absent (e.g. native checks before emit) returns nil.
-	Check(a *Artifact) []Diag
-}
-
-// Suite is the pass manager: an ordered list of checkers run over each
-// artifact. Order matters only for readability of output — checkers are
-// independent.
-type Suite struct {
-	Checkers []Checker
-}
-
-// NewSuite returns a suite over the given checkers.
-func NewSuite(cs ...Checker) *Suite { return &Suite{Checkers: cs} }
-
-// ArtifactSuite returns the standard artifact battery: IR well-formedness,
-// invariant-load regions, dictionary soundness, native invariants,
-// partitioned-merge invariants.
-// (The source linter is not an artifact checker; see Lint.)
-func ArtifactSuite() *Suite {
-	return NewSuite(IRWellFormed{}, InvariantLoads{}, DictSoundness{}, NativeInvariants{}, MergeInvariants{})
-}
-
-// Run executes every checker and returns all diagnostics, tagged with the
-// artifact's phase.
-func (s *Suite) Run(a *Artifact) []Diag {
+// Check is the artifact gate: every rule of this package over one
+// artifact, in a fixed order — IR well-formedness, invariant-load regions,
+// dictionary soundness, native invariants, partitioned-merge invariants —
+// and then the abstract interpreter (internal/verify/absint) over the
+// emitted code. Each diagnostic is tagged with the artifact's phase. Rules
+// whose inputs the artifact lacks (native code before emit, the memory
+// model, the pipeline metadata) report nothing.
+func Check(a *Artifact) []Diag {
 	var out []Diag
-	for _, c := range s.Checkers {
-		for _, d := range c.Check(a) {
+	for _, rules := range [...]func(*Artifact) []Diag{irWellFormed, invariantLoads, dictSoundness, nativeInvariants, mergeInvariants, absintViolations} {
+		for _, d := range rules(a) {
 			if a.Phase != "" {
 				d.Msg = d.Msg + " (after " + a.Phase + ")"
 			}
 			out = append(out, d)
 		}
+	}
+	return out
+}
+
+// absintViolations reports the abstract interpreter's definite violations
+// as native-level diagnostics.
+func absintViolations(a *Artifact) []Diag {
+	var out []Diag
+	for _, v := range absint.Analyze(a.Code, a.Mem, a.RegisterTagging).Diags {
+		out = append(out, Diag{
+			Check: v.Check, Severity: Error, Level: core.LevelNative,
+			Locus: fmt.Sprintf("native@%d", v.Pos), Msg: v.Msg,
+		})
 	}
 	return out
 }
@@ -148,7 +146,7 @@ func Errs(ds []Diag) []Diag {
 }
 
 // AsError folds diagnostics into a single error (nil when no errors are
-// present), for callers that gate on the suite — like the engine's
+// present), for callers that gate on Check — like the engine's
 // VerifyArtifacts mode.
 func AsError(ds []Diag) error {
 	errs := Errs(ds)

@@ -1,10 +1,11 @@
 package verify_test
 
 // Corrupted-fixture tests: each test compiles a real query, breaks one
-// specific invariant in the artifact, and asserts the suite produces
-// exactly the expected diagnostic — proving the checkers are not vacuous.
-// The clean-artifact test is the other half of the contract: real
-// compiler output must produce zero diagnostics (no false positives).
+// specific invariant in the artifact, and asserts the artifact gate
+// (verify.Check, absint included) produces the expected diagnostic —
+// proving the rules are not vacuous. The clean-artifact test is the other
+// half of the contract: real compiler output must produce zero
+// diagnostics (no false positives).
 
 import (
 	"strings"
@@ -37,14 +38,16 @@ func fixture(t *testing.T, name string) *verify.Artifact {
 		Dict:            cq.Pipe.Dict,
 		Code:            cq.Code,
 		RegisterTagging: true,
+		Pipelines:       cq.Pipe.Pipelines,
+		Mem:             cq.Mem,
 	}
 }
 
-// wantDiag asserts that running the suite yields at least one diagnostic
+// wantDiag asserts that running the gate yields at least one diagnostic
 // with the given check code, and returns it.
 func wantDiag(t *testing.T, a *verify.Artifact, check string) verify.Diag {
 	t.Helper()
-	ds := verify.ArtifactSuite().Run(a)
+	ds := verify.Check(a)
 	for _, d := range ds {
 		if d.Check == check {
 			return d
@@ -65,7 +68,7 @@ func renderDiags(ds []verify.Diag) string {
 func TestCleanArtifactNoDiagnostics(t *testing.T) {
 	for _, name := range []string{"q6", "fig9"} {
 		a := fixture(t, name)
-		if ds := verify.ArtifactSuite().Run(a); len(ds) != 0 {
+		if ds := verify.Check(a); len(ds) != 0 {
 			t.Fatalf("%s: clean artifact produced diagnostics:\n%s", name, renderDiags(ds))
 		}
 	}
@@ -174,8 +177,8 @@ func TestDanglingTag(t *testing.T) {
 func TestJournalSelfDerivation(t *testing.T) {
 	a := fixture(t, "q6")
 	id := a.Module.Funcs[0].Entry().Instrs[0].ID
-	a.Dict.Derived(id, id)
-	wantDiag(t, a, "dict/self-derive")
+	a.Dict.Derived(id, id) // a cycle of one
+	wantDiag(t, a, "dict/derive-cycle")
 }
 
 func TestJournalDeriveCycle(t *testing.T) {
@@ -198,7 +201,7 @@ func TestJournalDeriveFromRemoved(t *testing.T) {
 	live := a.Module.Funcs[0].Entry().Instrs[0].ID
 	a.Dict.Removed(dead)
 	a.Dict.Derived(live, dead)
-	wantDiag(t, a, "dict/derive-from-removed")
+	wantDiag(t, a, "dict/use-after-remove")
 }
 
 // --- clobbered tag register ------------------------------------------------
@@ -286,6 +289,8 @@ func TestStaleInvertedOnNonBranch(t *testing.T) {
 
 // --- shared-call tag protocol ----------------------------------------------
 
+// TestSharedCallWithoutTagWrite: a shared call reached without a tag write
+// is absint's path-sensitive untagged-shared-call.
 func TestSharedCallWithoutTagWrite(t *testing.T) {
 	a := fixture(t, "fig9") // joins insert into hash tables via ht_insert
 	prog := a.Code.Program
@@ -304,7 +309,7 @@ func TestSharedCallWithoutTagWrite(t *testing.T) {
 			w := &prog.Code[i]
 			if (w.Op == isa.MOVRI || w.Op == isa.MOVRR) && w.Dst == isa.TagReg {
 				w.Dst = 13 // scratchA: the tag is never set
-				wantDiag(t, a, "native/shared-call-untagged")
+				wantDiag(t, a, "absint/untagged-shared-call")
 				return
 			}
 		}
@@ -351,7 +356,7 @@ func TestInvariantLoadsReadOnlyRegions(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := &verify.Artifact{Module: cq.Pipe.Module, Mem: cq.Mem}
-	if ds := (verify.InvariantLoads{}).Check(a); len(ds) != 0 {
+	if ds := verify.Check(a); len(ds) != 0 {
 		t.Fatalf("clean artifact flagged:\n%s", renderDiags(ds))
 	}
 	marked := 0
@@ -371,7 +376,7 @@ func TestInvariantLoadsReadOnlyRegions(t *testing.T) {
 	}
 	for _, in := range []*ir.Instr{dirLoad, chainLoad} {
 		in.Invariant = true
-		ds := (verify.InvariantLoads{}).Check(a)
+		ds := verify.Check(a)
 		in.Invariant = false
 		if len(ds) != 1 || ds[0].Check != "ir/invariant-load" {
 			t.Errorf("marking %%%d (%s) invariant: got\n%s", in.ID, in.Comment, renderDiags(ds))
