@@ -125,7 +125,17 @@ func artifactsCheck(env *env) (*run, error) {
 		if err != nil {
 			return "", err
 		}
-		r.NativeInstrs, r.TVSteps = len(cq.Code.Program.Code), cq.TVSteps
+		// A parallel run's program is the serial one with the merge
+		// kernels, verified phase by phase as Parallel compiles them.
+		code := cq.Code
+		if nw >= 1 {
+			par, err := cq.Parallel()
+			if err != nil {
+				return "", err
+			}
+			code = par.Code
+		}
+		r.NativeInstrs, r.TVSteps = len(code.Program.Code), cq.TVSteps
 		extra := ""
 		if env.mod["tv"] {
 			if cq.TVSteps == 0 {
@@ -136,7 +146,7 @@ func artifactsCheck(env *env) (*run, error) {
 		if env.mod["absint"] {
 			// A definite violation already failed the compile: the gate runs
 			// the abstract interpreter after emit.
-			rep := absint.Analyze(cq.Code, cq.Mem, opts.RegisterTagging)
+			rep := absint.Analyze(code, cq.Mem, opts.RegisterTagging)
 			r.Absint = &absintResult{Accesses: rep.Accesses, Proved: rep.Proved, Unproven: rep.Unproven}
 			extra += fmt.Sprintf(", absint %d/%d proved", rep.Proved, rep.Accesses)
 		}
@@ -552,7 +562,7 @@ func costCheck(env *env) (*run, error) {
 			return "", fmt.Errorf("run: %w", err)
 		}
 		ds := append(cost.CheckModel(m), cost.CheckObserved(cq.Plan, cq.Pipe, res.TupleCounts)...)
-		if err := diagErr("cost", verify.Errs(ds)); err != nil {
+		if err := diagErr("cost", ds); err != nil {
 			return "", err
 		}
 		return fmt.Sprintf("%d nodes annotated, %d true counts, est %d cycles",

@@ -3,6 +3,7 @@ package codegen
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/ir"
@@ -150,35 +151,78 @@ func Compile(m *ir.Module, cfg Config) (*Result, error) {
 	if len(funcs) == 0 || funcs[0].Name != "main" {
 		return nil, fmt.Errorf("codegen: module has no main function")
 	}
+	if err := e.emitFuncs(m, funcs); err != nil {
+		return nil, err
+	}
+	emitRuntime(e)
+	return e.resolve()
+}
 
-	slotBase := 0
-	lo := newLowerer(m, &cfg)
+// Extend lowers m, a module of functions generated after base's
+// (ir.Module.Extension), and appends them to base's program after its
+// runtime routines; their calls resolve against every symbol of both.
+// base is left as it is: the result has its own program and debug map, of
+// which base's are an exact prefix, so every instruction of base keeps its
+// address, spill slot and IR IDs. cfg must be the one base was built with.
+func Extend(base *Result, m *ir.Module, cfg Config) (*Result, error) {
+	n := len(base.Program.Code) + 2*m.InstrCount() // room for the usual expansion
+	bm := base.NMap
+	e := &emitter{
+		cfg: cfg,
+		prog: &isa.Program{
+			Code:  append(make([]isa.Instr, 0, n), base.Program.Code...),
+			Funcs: slices.Clip(base.Program.Funcs),
+		},
+		nmap: &core.NativeMap{
+			IRs:      append(make([][]int, 0, n), bm.IRs...),
+			Region:   append(make([]core.RegionKind, 0, n), bm.Region...),
+			Routine:  append(make([]string, 0, n), bm.Routine...),
+			Inverted: append(make([]bool, 0, n), bm.Inverted...),
+		},
+		symbols: make(map[string]int, len(base.Program.Funcs)+len(m.Funcs)),
+		slots:   base.SpillSlots,
+	}
+	e.res = &Result{Program: e.prog, NMap: e.nmap, spillBase: cfg.SpillBase,
+		Spills: base.Spills, FusedBranches: base.FusedBranches, GenCallSlots: slices.Clip(base.GenCallSlots)}
+	for _, f := range base.Program.Funcs {
+		e.symbols[f.Name] = f.Entry
+	}
+	if err := e.emitFuncs(m, m.Funcs); err != nil {
+		return nil, err
+	}
+	return e.resolve()
+}
+
+// emitFuncs lowers, allocates and emits funcs of m in order, their spill
+// slots numbered on from e.slots.
+func (e *emitter) emitFuncs(m *ir.Module, funcs []*ir.Func) error {
+	lo := newLowerer(m, &e.cfg)
 	for _, f := range funcs {
 		lf, err := lo.lowerFunc(f)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		lo.layoutFunc(lf)
-		alloc, next, err := allocate(lf, &lo.live, cfg.RegisterTagging, slotBase)
+		alloc, next, err := allocate(lf, &lo.live, e.cfg.RegisterTagging, e.slots)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		slotBase = next
+		e.slots = next
 		e.res.Spills += alloc.spills
 		e.res.GenCallSlots = append(e.res.GenCallSlots, alloc.genCallSlots...)
 		if err := e.emitFunc(lf, alloc); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	e.slots = slotBase
-	e.res.SpillSlots = slotBase
-	if int64(slotBase*8) > cfg.SpillCap {
-		return nil, fmt.Errorf("codegen: %d spill slots exceed spill region (%d bytes)", slotBase, cfg.SpillCap)
+	e.res.SpillSlots = e.slots
+	if int64(e.slots*8) > e.cfg.SpillCap {
+		return fmt.Errorf("codegen: %d spill slots exceed spill region (%d bytes)", e.slots, e.cfg.SpillCap)
 	}
+	return nil
+}
 
-	emitRuntime(e)
-
-	// Resolve calls.
+// resolve patches every emitted call with its callee's entry.
+func (e *emitter) resolve() (*Result, error) {
 	for _, fix := range e.callFix {
 		entry, ok := e.symbols[fix.callee]
 		if !ok {

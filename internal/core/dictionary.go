@@ -106,6 +106,33 @@ func NewDictionary(reg *Registry) *Dictionary {
 	return d
 }
 
+// Clone returns a copy of d over the same registry that can be extended —
+// linked, journaled, optimized — without changing d, which other readers
+// may use meanwhile. Every table the extension writes is copied; what it
+// only appends to is capped, so an append moves it out of d's backing.
+func (d *Dictionary) Clone() *Dictionary {
+	c := &Dictionary{
+		Registry: d.Registry,
+		taskToOp: slices.Clone(d.taskToOp),
+		owner:    slices.Clone(d.owner),
+		more:     slices.Clone(d.more),
+		lists:    make([][]ComponentID, len(d.lists)),
+		shared:   slices.Clone(d.shared),
+		journal:  slices.Clip(d.journal),
+		srcs:     slices.Clip(d.srcs),
+	}
+	for i, l := range d.lists {
+		c.lists[i] = slices.Clip(l)
+	}
+	if d.far != nil {
+		c.far = make(map[int]*farIR, len(d.far))
+		for id, e := range d.far {
+			c.far[id] = &farIR{tasks: slices.Clip(e.tasks), shared: e.shared}
+		}
+	}
+	return c
+}
+
 // LinkTask records a Log A entry: task belongs to operator. Called by the
 // pipeline lowering when an operator registers a task (§5.2). Linking a
 // task to NoComponent removes its entry.

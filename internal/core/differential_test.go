@@ -46,6 +46,12 @@ func eachRecording(t *testing.T, f func(t *testing.T, r recording)) {
 			if err != nil {
 				t.Fatalf("compile %s: %v", w.Name, err)
 			}
+			prog := &engine.Program{Module: cq.Pipe.Module, Dict: cq.Pipe.Dict, Code: cq.Code}
+			if workers > 0 {
+				if prog, err = cq.Parallel(); err != nil {
+					t.Fatalf("merge kernels of %s: %v", w.Name, err)
+				}
+			}
 			for _, sm := range samplings {
 				cfg := sm.cfg
 				res, err := eng.Run(cq, &cfg)
@@ -53,7 +59,7 @@ func eachRecording(t *testing.T, f func(t *testing.T, r recording)) {
 					t.Fatalf("run %s: %v", w.Name, err)
 				}
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", w.Name, sm.name, workers), func(t *testing.T) {
-					f(t, recording{dict: cq.Pipe.Dict, nmap: cq.Code.NMap, samples: res.Samples})
+					f(t, recording{dict: prog.Dict, nmap: prog.Code.NMap, samples: res.Samples})
 				})
 			}
 		}
@@ -163,11 +169,15 @@ func TestOfflineMatchesInline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var meta, meta2, meta3, log bytes.Buffer
-		if err := core.WriteMetadata(&meta, cq.Pipe.Dict, cq.Code.NMap); err != nil {
+		par, err := cq.Parallel()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := core.WriteMetadata(&meta2, cq.Pipe.Dict, cq.Code.NMap); err != nil {
+		var meta, meta2, meta3, log bytes.Buffer
+		if err := core.WriteMetadata(&meta, par.Dict, par.Code.NMap); err != nil {
+			t.Fatal(err)
+		}
+		if err := core.WriteMetadata(&meta2, par.Dict, par.Code.NMap); err != nil {
 			t.Fatal(err)
 		}
 		if err := core.WriteSamples(&log, res.Samples); err != nil {

@@ -52,8 +52,12 @@ func seedFiles(tb testing.TB) (logs, metas map[string][]byte) {
 		if w.Name == "q6" {
 			continue // a 13 KB meta-data seed leaves the fuzzer minimizing instead of mutating
 		}
+		par, err := cq.Parallel()
+		if err != nil {
+			tb.Fatal(err)
+		}
 		var meta bytes.Buffer
-		if err := core.WriteMetadata(&meta, cq.Pipe.Dict, cq.Code.NMap); err != nil {
+		if err := core.WriteMetadata(&meta, par.Dict, par.Code.NMap); err != nil {
 			tb.Fatal(err)
 		}
 		metas[w.Name] = meta.Bytes()

@@ -24,11 +24,10 @@ func CheckModel(m *Model) []verify.Diag {
 	var ds []verify.Diag
 	bad := func(locus, msg string, args ...any) {
 		ds = append(ds, verify.Diag{
-			Check:    "cost/model",
-			Severity: verify.Error,
-			Level:    core.LevelOperator,
-			Locus:    locus,
-			Msg:      fmt.Sprintf(msg, args...),
+			Check: "cost/model",
+			Level: core.LevelOperator,
+			Locus: locus,
+			Msg:   fmt.Sprintf(msg, args...),
 		})
 	}
 	plan.Walk(m.Root, func(n plan.Node) {
@@ -72,11 +71,10 @@ func CheckObserved(root *plan.Output, pc *pipeline.Compiled, counts map[core.Com
 	var ds []verify.Diag
 	bad := func(level core.Level, locus, msg string, args ...any) {
 		ds = append(ds, verify.Diag{
-			Check:    "cost/observed",
-			Severity: verify.Error,
-			Level:    level,
-			Locus:    locus,
-			Msg:      fmt.Sprintf(msg, args...),
+			Check: "cost/observed",
+			Level: level,
+			Locus: locus,
+			Msg:   fmt.Sprintf(msg, args...),
 		})
 	}
 	for id := range counts {

@@ -230,7 +230,7 @@ func TestOneCorePathStaysInPrefix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", w.Name, sh.name, err)
 			}
-			r, err := x.stage(cq, nil, sh.cfg, cq.heapSize)
+			r, err := x.stage(cq, cq.serial(), nil, sh.cfg, cq.heapSize)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", w.Name, sh.name, err)
 			}

@@ -185,14 +185,18 @@ func TestMergeSampleAttribution(t *testing.T) {
 // which must resolve to its plan operator through the Tagging Dictionary.
 func mergeSamples(t *testing.T, cq *Compiled, res *Result) int {
 	t.Helper()
-	att := core.NewAttributor(cq.Pipe.Dict, cq.Code.NMap)
+	par, err := cq.Parallel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	att := core.NewAttributor(par.Dict, par.Code.NMap)
 	n := 0
 	for i := range res.Samples {
 		for _, cr := range att.Attribute(&res.Samples[i]).Credits {
 			if !isMergeTask(cq, cr.Task) {
 				continue
 			}
-			if cq.Pipe.Dict.OperatorOf(cr.Task) == core.NoComponent {
+			if par.Dict.OperatorOf(cr.Task) == core.NoComponent {
 				t.Fatalf("merge task %v has no operator in the Tagging Dictionary", cr.Task)
 			}
 			n++

@@ -119,15 +119,16 @@ func (e *RegionFullError) Error() string {
 
 func (e *RegionFullError) Unwrap() error { return e.Trap }
 
-// regionFull maps an arena-full or result-full trap of cq's code on cpu to
-// a *RegionFullError; every other error passes through. ht_insert traps
-// before it writes r0, so r0 still names the full table's descriptor.
-func regionFull(cq *Compiled, cpu *vm.CPU, err error) error {
+// regionFull maps an arena-full or result-full trap of cq's program prog
+// on cpu to a *RegionFullError; every other error passes through.
+// ht_insert traps before it writes r0, so r0 still names the full table's
+// descriptor.
+func regionFull(cq *Compiled, prog *isa.Program, cpu *vm.CPU, err error) error {
 	var trap *vm.TrapError
-	if !errors.As(err, &trap) || trap.IP < 0 || trap.IP >= len(cq.Code.Program.Code) {
+	if !errors.As(err, &trap) || trap.IP < 0 || trap.IP >= len(prog.Code) {
 		return err
 	}
-	in := cq.Code.Program.Code[trap.IP]
+	in := prog.Code[trap.IP]
 	if in.Op != isa.TRAP {
 		return err
 	}
@@ -153,7 +154,11 @@ func regionFull(cq *Compiled, cpu *vm.CPU, err error) error {
 // one PMU per core (plus the coordinator's), merged into Result.Samples.
 func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu.Config) (*Result, error) {
 	morselSize := int64(x.Opts.MorselRows) // <= 0: PartitionMorsels' default
-	prog := cq.Code.Program
+	par, err := cq.Parallel()
+	if err != nil {
+		return nil, err
+	}
+	prog := par.Code.Program
 	preludeEntry, err := funcEntry(prog, pipeline.PreludeFunc)
 	if err != nil {
 		return nil, err
@@ -163,7 +168,7 @@ func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 	// (directory memsets) serially, then only merges. Its heap binds the
 	// run's storage snapshot and parameters; workers inherit both with
 	// every per-barrier heap refresh.
-	r, err := x.stage(cq, rs, cfg, cq.heapSize)
+	r, err := x.stage(cq, *par, rs, cfg, cq.heapSize)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +265,7 @@ func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 					t0 := w.cpu.TSC()
 					seg, cn, err := runMorsel(cq, w, info, entry, scatterEntry, pi, spans[m], m, stamp, budget)
 					if err != nil {
-						w.err = regionFull(cq, w.cpu, err)
+						w.err = regionFull(cq, prog, w.cpu, err)
 						return
 					}
 					segs[m], cnts[m] = seg, cn

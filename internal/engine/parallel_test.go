@@ -197,7 +197,11 @@ func TestParallelProfileNearSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			att := core.NewAttributor(pcq.Pipe.Dict, pcq.Code.NMap)
+			ppar, err := pcq.Parallel()
+			if err != nil {
+				t.Fatal(err)
+			}
+			att := core.NewAttributor(ppar.Dict, ppar.Code.NMap)
 			sOps, pOps := map[string]float64{}, map[string]float64{}
 			var sTot, pTot float64
 			merged, mergeSampled := 0, false

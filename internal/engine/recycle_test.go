@@ -156,6 +156,7 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 
 // trapping returns p with the entry of its last pipeline's function
 // replaced by a trap: a run does all the work before it and then fails.
+// The copy builds its own parallel program, from the trapping code.
 func trapping(t *testing.T, p *Prepared) *Prepared {
 	t.Helper()
 	cq := *p.Compiled
@@ -170,6 +171,7 @@ func trapping(t *testing.T, p *Prepared) *Prepared {
 	code := *cq.Code
 	code.Program = &prog
 	cq.Code = &code
+	cq.par = new(parallelProgram)
 	return &Prepared{Compiled: &cq, State: p.State}
 }
 

@@ -73,9 +73,16 @@ func (e *Env) Overhead() (string, []OverheadPoint, error) {
 		pmu.RecordBytes(pmu.FormatIPTimeRegs), pmu.RecordBytes(pmu.FormatCallStack))
 	perSec := 0.7e6 * float64(pmu.RecordBytes(pmu.FormatIPTimeRegs)) / 1e6
 	fmt.Fprintf(&sb, "at 0.7 MHz: %.0f MB/s of samples (paper: 77 MB/s)\n", perSec)
+	// The dictionary a parallel run attributes through, over the
+	// statement's whole generated code; a serial run's lacks the merge
+	// kernels (engine.Compiled.Parallel).
+	par, err := cq.Parallel()
+	if err != nil {
+		return "", nil, err
+	}
 	fmt.Fprintf(&sb, "Tagging Dictionary: %d entries, %d B (paper: ~1320 IR instructions, ~30 kB)\n",
-		cq.Pipe.Dict.Entries(), cq.Pipe.Dict.StorageBytes())
-	fmt.Fprintf(&sb, "IR instructions in module: %d\n", cq.Pipe.Module.InstrCount())
+		par.Dict.Entries(), par.Dict.StorageBytes())
+	fmt.Fprintf(&sb, "IR instructions in module: %d\n", par.Module.InstrCount())
 	return sb.String(), points, nil
 }
 

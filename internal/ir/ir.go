@@ -282,6 +282,22 @@ func carve[T any](slab *[]T, xs []T) []T {
 // NewModule returns an empty module.
 func NewModule() *Module { return &Module{} }
 
+// Extension returns an empty module for functions generated after m is
+// finished. Its instruction IDs continue after m's, so the two never
+// collide, and m itself is left as it is.
+func (m *Module) Extension() *Module {
+	return &Module{nextID: m.nextID, TagEverything: m.TagEverything}
+}
+
+// Joined returns the module holding m's functions and then ext's, whose
+// IDs run up to ext's highest: the whole program, for readers such as the
+// verifier and the printer. The functions are shared, not copied.
+func (m *Module) Joined(ext *Module) *Module {
+	funcs := make([]*Func, 0, len(m.Funcs)+len(ext.Funcs))
+	funcs = append(append(funcs, m.Funcs...), ext.Funcs...)
+	return &Module{Funcs: funcs, nextID: ext.nextID, TagEverything: m.TagEverything}
+}
+
 // NewFunc appends a new function with a single entry block.
 func (m *Module) NewFunc(name string, numParams int) *Func {
 	f := &Func{Name: name, NumParams: numParams, Module: m}

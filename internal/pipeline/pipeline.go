@@ -216,11 +216,12 @@ type SinkInfo struct {
 	Slots  []StateSlot // group-by and group-join sinks: the state slots
 }
 
-// MergeInfo describes a sink pipeline's generated merge kernels (nil when
-// the sink is not partitioned). ScatterFunc runs per morsel on the worker
-// that produced the segment; MergeFunc runs once per partition, fanned out
-// across the workers; PlaceFunc (group-by sinks only) runs once on the
-// coordinator to lay groups out in global first-occurrence order.
+// MergeInfo describes a sink pipeline's merge kernels (nil when the sink
+// is not partitioned): Compile registers their tasks, Kernels generates
+// their functions. ScatterFunc runs per morsel on the worker that produced
+// the segment; MergeFunc runs once per partition, fanned out across the
+// workers; PlaceFunc (group-by sinks only) runs once per partition too,
+// laying groups out in global first-occurrence order.
 type MergeInfo struct {
 	Partitions  int64
 	ScatterFunc string
@@ -255,6 +256,8 @@ type Compiled struct {
 	FilterOpIDs map[plan.Node]core.ComponentID
 
 	OutputCols []plan.ColMeta
+
+	kernels []kernelSpec // the partitioned sinks, in pipeline order
 }
 
 // task roles within a pipeline.
@@ -329,6 +332,7 @@ type Compiler struct {
 	tasks   map[taskKey]core.ComponentID
 	pipes   []*pipe
 	htOrder []plan.Node // materializing nodes in build order (for memsets)
+	kernels []kernelSpec
 
 	skipBlock *ir.Block // current "abandon tuple" target
 }
@@ -365,11 +369,12 @@ func Compile(out *plan.Output, lay *Layout, opts Options) (*Compiled, error) {
 			return nil, err
 		}
 	}
-	// Merge kernels for partitioned sinks: first-class tasks lowered
-	// through the same IR path, so merge cycles are profiled code.
+	// Merge tasks for partitioned sinks: first-class tasks, registered
+	// here and lowered through the same IR path by Kernels, so merge
+	// cycles are profiled code.
 	merges := map[*pipe]*MergeInfo{}
 	for _, p := range c.pipes {
-		if mi := c.genMergeKernels(p); mi != nil {
+		if mi := c.registerMerge(p); mi != nil {
 			merges[p] = mi
 		}
 	}
@@ -389,6 +394,7 @@ func Compile(out *plan.Output, lay *Layout, opts Options) (*Compiled, error) {
 		OpIDs:       c.ops,
 		FilterOpIDs: c.filts,
 		OutputCols:  out.Out(),
+		kernels:     c.kernels,
 	}
 	for _, p := range c.pipes {
 		cd.Pipelines = append(cd.Pipelines, PipelineInfo{

@@ -32,11 +32,10 @@ func irWellFormed(a *Artifact) []Diag {
 			locus += fmt.Sprintf(" %%%d", p.Instr)
 		}
 		out = append(out, Diag{
-			Check:    "ir/" + p.Code,
-			Severity: Error,
-			Level:    core.LevelIR,
-			Locus:    locus,
-			Msg:      p.Msg,
+			Check: "ir/" + p.Code,
+			Level: core.LevelIR,
+			Locus: locus,
+			Msg:   p.Msg,
 		})
 	}
 	return out
@@ -77,11 +76,10 @@ func invariantLoads(a *Artifact) []Diag {
 				}
 				if msg != "" {
 					out = append(out, Diag{
-						Check:    "ir/invariant-load",
-						Severity: Error,
-						Level:    core.LevelIR,
-						Locus:    fmt.Sprintf("%s.%s %%%d", f.Name, b.Name, in.ID),
-						Msg:      "load marked invariant: " + msg,
+						Check: "ir/invariant-load",
+						Level: core.LevelIR,
+						Locus: fmt.Sprintf("%s.%s %%%d", f.Name, b.Name, in.ID),
+						Msg:   "load marked invariant: " + msg,
 					})
 				}
 			}
@@ -131,7 +129,7 @@ func dictSoundness(a *Artifact) []Diag {
 	var out []Diag
 	bad := func(rule, locus, format string, args ...interface{}) {
 		out = append(out, Diag{
-			Check: "dict/" + rule, Severity: Error, Level: core.LevelTask,
+			Check: "dict/" + rule, Level: core.LevelTask,
 			Locus: locus, Msg: fmt.Sprintf(format, args...),
 		})
 	}
@@ -180,7 +178,7 @@ func checkJournal(events []core.LineageEvent) []Diag {
 	var out []Diag
 	bad := func(rule, locus, format string, args ...interface{}) {
 		out = append(out, Diag{
-			Check: "dict/" + rule, Severity: Error, Level: core.LevelIR,
+			Check: "dict/" + rule, Level: core.LevelIR,
 			Locus: locus, Msg: fmt.Sprintf(format, args...),
 		})
 	}
@@ -280,7 +278,7 @@ func nativeInvariants(a *Artifact) []Diag {
 	var out []Diag
 	bad := func(rule string, pos int, format string, args ...interface{}) {
 		out = append(out, Diag{
-			Check: "native/" + rule, Severity: Error, Level: core.LevelNative,
+			Check: "native/" + rule, Level: core.LevelNative,
 			Locus: fmt.Sprintf("native@%d", pos), Msg: fmt.Sprintf(format, args...),
 		})
 	}

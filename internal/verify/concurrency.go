@@ -70,7 +70,7 @@ type concChecker struct {
 }
 
 func (c *concChecker) diag(p token.Pos, rule, format string, args ...interface{}) {
-	c.out = append(c.out, lintDiag(rule, c.l.pos(p), Error, format, args...))
+	c.out = append(c.out, lintDiag(rule, c.l.pos(p), format, args...))
 }
 
 // syncMethod resolves a call like x.Lock() to (receiver expr, sync type

@@ -36,8 +36,8 @@ type EpochSnapshot struct {
 	Tables map[string]EpochTableState
 }
 
-func epochDiag(check string, sev Severity, locus, format string, args ...interface{}) Diag {
-	return Diag{Check: check, Severity: sev, Level: core.LevelTask,
+func epochDiag(check, locus, format string, args ...interface{}) Diag {
+	return Diag{Check: check, Level: core.LevelTask,
 		Locus: locus, Msg: fmt.Sprintf(format, args...)}
 }
 
@@ -59,24 +59,24 @@ func CheckEpochs(base map[string]int64, journal []core.EpochEvent, snaps []Epoch
 	for i, ev := range journal {
 		locus := fmt.Sprintf("journal[%d] %s", i, ev.Table)
 		if ev.Epoch <= prevEpoch {
-			out = append(out, epochDiag("epoch/non-monotonic", Error, locus,
+			out = append(out, epochDiag("epoch/non-monotonic", locus,
 				"epoch %d follows %d", ev.Epoch, prevEpoch))
 		}
 		prevEpoch = ev.Epoch
 		if ev.Hi <= ev.Lo {
-			out = append(out, epochDiag("epoch/window-empty", Error, locus,
+			out = append(out, epochDiag("epoch/window-empty", locus,
 				"append window [%d,%d) holds no rows", ev.Lo, ev.Hi))
 			continue
 		}
 		at, known := rows[ev.Table]
 		if !known {
-			out = append(out, epochDiag("epoch/unknown-table", Error, locus,
+			out = append(out, epochDiag("epoch/unknown-table", locus,
 				"append to table with no load-time row count"))
 			rows[ev.Table] = ev.Hi
 			continue
 		}
 		if ev.Lo != at {
-			out = append(out, epochDiag("epoch/window-gap", Error, locus,
+			out = append(out, epochDiag("epoch/window-gap", locus,
 				"append window starts at %d, table tail is at %d", ev.Lo, at))
 		}
 		rows[ev.Table] = ev.Hi
@@ -93,7 +93,7 @@ func CheckEpochs(base map[string]int64, journal []core.EpochEvent, snaps []Epoch
 		if si > 0 && snap.Epoch == ordered[si-1].Epoch {
 			// Two observations of one epoch must agree exactly.
 			if !epochSnapshotsEqual(snap, ordered[si-1]) {
-				out = append(out, epochDiag("epoch/snap-order", Error,
+				out = append(out, epochDiag("epoch/snap-order",
 					fmt.Sprintf("epoch %d", snap.Epoch),
 					"two snapshots of the same epoch disagree"))
 			}
@@ -116,12 +116,12 @@ func CheckEpochs(base map[string]int64, journal []core.EpochEvent, snaps []Epoch
 			locus := fmt.Sprintf("epoch %d %s", snap.Epoch, table)
 			want, known := visible[table]
 			if !known {
-				out = append(out, epochDiag("epoch/unknown-table", Error, locus,
+				out = append(out, epochDiag("epoch/unknown-table", locus,
 					"snapshot covers table absent from the load state"))
 				continue
 			}
 			if st.Rows != want {
-				out = append(out, epochDiag("epoch/rows-mismatch", Error, locus,
+				out = append(out, epochDiag("epoch/rows-mismatch", locus,
 					"snapshot sees %d rows, journal prefix yields %d", st.Rows, want))
 			}
 			wantZ := catalog.ZoneRowsFor(int(st.Rows))
@@ -129,7 +129,7 @@ func CheckEpochs(base map[string]int64, journal []core.EpochEvent, snaps []Epoch
 				wantZ = st.Rows // single short zone on tiny tables
 			}
 			if st.ZoneRows != wantZ {
-				out = append(out, epochDiag("epoch/zone-granularity", Error, locus,
+				out = append(out, epochDiag("epoch/zone-granularity", locus,
 					"zone granularity %d, want %d for %d rows (pure function of the table)",
 					st.ZoneRows, wantZ, st.Rows))
 			}
@@ -139,7 +139,7 @@ func CheckEpochs(base map[string]int64, journal []core.EpochEvent, snaps []Epoch
 						continue
 					}
 					if st.Bounds[ci].Min > prev[ci].Min || st.Bounds[ci].Max < prev[ci].Max {
-						out = append(out, epochDiag("epoch/zone-regression", Error, locus,
+						out = append(out, epochDiag("epoch/zone-regression", locus,
 							"col %d bounds [%d,%d] shrank from [%d,%d] — append-only bounds may only widen",
 							ci, st.Bounds[ci].Min, st.Bounds[ci].Max, prev[ci].Min, prev[ci].Max))
 					}

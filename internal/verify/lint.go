@@ -222,7 +222,7 @@ func (l *linter) lintDir(dir string) []Diag {
 
 	all, err := l.parseDir(dir, func(string) bool { return true })
 	if err != nil {
-		return []Diag{lintDiag("typecheck", dir, Error, "%v", err)}
+		return []Diag{lintDiag("typecheck", dir, "%v", err)}
 	}
 	if len(all) == 0 {
 		return nil
@@ -261,7 +261,7 @@ func (l *linter) lintDir(dir string) []Diag {
 		cfg := types.Config{Importer: imp}
 		pkg, err := cfg.Check(path, l.fset, unit, info)
 		if err != nil {
-			out = append(out, lintDiag("typecheck", dir, Error, "%v", err))
+			out = append(out, lintDiag("typecheck", dir, "%v", err))
 			continue
 		}
 		if len(unitXTest) > 0 && imp == l {
@@ -322,9 +322,9 @@ func (l *linter) pos(p token.Pos) string {
 	return rel + ":" + strconv.Itoa(position.Line)
 }
 
-func lintDiag(rule, locus string, sev Severity, format string, args ...interface{}) Diag {
+func lintDiag(rule, locus string, format string, args ...interface{}) Diag {
 	return Diag{
-		Check: "lint/" + rule, Severity: sev, Level: core.LevelOperator,
+		Check: "lint/" + rule, Level: core.LevelOperator,
 		Locus: locus, Msg: fmt.Sprintf(format, args...),
 	}
 }
@@ -341,7 +341,7 @@ func (l *linter) lintFile(pkgPath string, f *ast.File, info *types.Info) []Diag 
 		for _, imp := range f.Imports {
 			p, _ := strconv.Unquote(imp.Path.Value)
 			if p == "math/rand" || p == "math/rand/v2" {
-				out = append(out, lintDiag("norand", pos(imp.Pos()), Error,
+				out = append(out, lintDiag("norand", pos(imp.Pos()),
 					"import of %s outside %s: use internal/xrand for deterministic randomness", p, randExemptPath))
 			}
 		}
@@ -365,7 +365,7 @@ func (l *linter) lintFile(pkgPath string, f *ast.File, info *types.Info) []Diag 
 				}
 				if id, isID := call.Fun.(*ast.Ident); isID && id.Name == "panic" {
 					if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-						out = append(out, lintDiag("nopanic", pos(call.Pos()), Error,
+						out = append(out, lintDiag("nopanic", pos(call.Pos()),
 							"panic in a library package: report invariant violations through the package's bug/bugf helper, and turn input validation into errors"))
 					}
 				}
@@ -381,7 +381,7 @@ func (l *linter) lintFile(pkgPath string, f *ast.File, info *types.Info) []Diag 
 			// paths — a call whose error result is not consumed.
 			if errStrictPaths[pkgPath] && !isTest {
 				if call, isCall := x.X.(*ast.CallExpr); isCall && returnsError(call, info) {
-					out = append(out, lintDiag("noerrdrop", pos(x.Pos()), Error,
+					out = append(out, lintDiag("noerrdrop", pos(x.Pos()),
 						"call discards its error result on an engine/service path; handle or explicitly propagate it"))
 				}
 			}
@@ -393,12 +393,12 @@ func (l *linter) lintFile(pkgPath string, f *ast.File, info *types.Info) []Diag 
 		case *ast.CallExpr:
 			// Rule: no fmt.Sprintf on the compile hot path (non-test code).
 			if hotCompilePaths[pkgPath] && !isTest && isPkgFunc(x.Fun, info, "fmt", "Sprintf") {
-				out = append(out, lintDiag("nosprintf", pos(x.Pos()), Error,
+				out = append(out, lintDiag("nosprintf", pos(x.Pos()),
 					"fmt.Sprintf on the compile hot path (BenchmarkCompileSQL): build the string without formatting"))
 			}
 			// Rule: no time.Now in the deterministic VM/PMU packages.
 			if deterministicPaths[pkgPath] && !isTest && isPkgFunc(x.Fun, info, "time", "Now") {
-				out = append(out, lintDiag("notimenow", pos(x.Pos()), Error,
+				out = append(out, lintDiag("notimenow", pos(x.Pos()),
 					"time.Now in a deterministic simulation package: use the simulated TSC"))
 			}
 		case *ast.MapType:
@@ -407,7 +407,7 @@ func (l *linter) lintFile(pkgPath string, f *ast.File, info *types.Info) []Diag 
 			if denseIndexPaths[pkgPath] && !isTest {
 				if t := info.TypeOf(x.Key); t != nil {
 					if key := denseKey(t); key != "" {
-						out = append(out, lintDiag("nodensemap", pos(x.Pos()), Error,
+						out = append(out, lintDiag("nodensemap", pos(x.Pos()),
 							"map keyed by %s in the lowering stack: index a slice or ir.Bitset by the key's dense index instead", key))
 					}
 				}
@@ -443,7 +443,7 @@ func returnsError(call *ast.CallExpr, info *types.Info) bool {
 func checkErrBlank(as *ast.AssignStmt, info *types.Info, pos func(token.Pos) string) []Diag {
 	var out []Diag
 	flag := func(p token.Pos) {
-		out = append(out, lintDiag("noerrdrop", pos(p), Error,
+		out = append(out, lintDiag("noerrdrop", pos(p),
 			"error result assigned to _ on an engine/service path; handle or explicitly propagate it"))
 	}
 	isBlank := func(e ast.Expr) bool {

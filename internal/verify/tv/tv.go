@@ -662,10 +662,9 @@ func Diags(pass, prevPhase string, ms []Mismatch) []verify.Diag {
 			locus += fmt.Sprintf(" %%%d", m.Phi)
 		}
 		out = append(out, verify.Diag{
-			Check:    "tv/" + m.Kind,
-			Severity: verify.Error,
-			Level:    core.LevelIR,
-			Locus:    locus,
+			Check: "tv/" + m.Kind,
+			Level: core.LevelIR,
+			Locus: locus,
 			Msg: fmt.Sprintf("pass %q broke observational equivalence (baseline %q): pre=%s post=%s",
 				pass, prevPhase, m.Pre, m.Post),
 		})

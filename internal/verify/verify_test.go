@@ -347,7 +347,8 @@ func TestProvenanceStripped(t *testing.T) {
 // invariant reads a read-only region of fig10-opt's memory model, and a
 // mark on a hash-directory load — writable memory the build fills — is
 // refused, as is one on an address that is not a layout constant plus an
-// index.
+// index (a merge kernel's load through a pointer its loop advances; the
+// parallel program has the kernels).
 func TestInvariantLoadsReadOnlyRegions(t *testing.T) {
 	w, _ := queries.ByName("fig10-opt")
 	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.01, Seed: 42})
@@ -355,13 +356,17 @@ func TestInvariantLoadsReadOnlyRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &verify.Artifact{Module: cq.Pipe.Module, Mem: cq.Mem}
+	par, err := cq.Parallel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &verify.Artifact{Module: par.Module, Mem: cq.Mem}
 	if ds := verify.Check(a); len(ds) != 0 {
 		t.Fatalf("clean artifact flagged:\n%s", renderDiags(ds))
 	}
 	marked := 0
 	var dirLoad, chainLoad *ir.Instr
-	cq.Pipe.Module.ForEachInstr(func(_ *ir.Func, _ *ir.Block, in *ir.Instr) {
+	par.Module.ForEachInstr(func(_ *ir.Func, _ *ir.Block, in *ir.Instr) {
 		switch {
 		case in.Invariant:
 			marked++

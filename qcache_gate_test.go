@@ -58,22 +58,40 @@ func TestServiceCacheHitSpeedup(t *testing.T) {
 // 6945 allocations before the lowering stack (IR builder and verifier,
 // CSE/DCE, LIR lowering, liveness and linear scan) moved from
 // pointer-keyed maps to dense indices and slabs, and 1049 once the
-// Tagging Dictionary's Log B became a table too; the gate is that count
-// plus a quarter. Counts, unlike times, repeat exactly, so this fails on
-// the first map or per-instruction allocation that grows back.
+// Tagging Dictionary's Log B became a table too. A compile now builds the
+// serial program only, 604 allocations, and the first parallel run builds
+// the merge kernels (engine.Compiled.Parallel); each count is gated, so
+// neither half can grow back: the compile at its count plus a quarter, the
+// compile with its kernels at the gate of the compile that built them
+// both, 1049 plus a quarter. Counts, unlike times, repeat exactly, so this
+// fails on the first map or per-instruction allocation that grows back.
 func TestCompileFootprint(t *testing.T) {
 	env := experiments.NewEnv(0.05, 42)
 	const sql = "select l_orderkey, sum(l_quantity), sum(l_extendedprice) " +
 		"from lineitem where l_quantity < 24 group by l_orderkey"
 	comp := engine.NewCompiler(env.Cat, engine.DefaultOptions())
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := comp.CompileSQL(sql); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name    string
+		kernels bool
+		limit   float64
+	}{
+		{"a compile", false, 604 * 5 / 4},
+		{"a compile and its merge kernels", true, 1049 * 5 / 4},
+	} {
+		allocs := testing.AllocsPerRun(5, func() {
+			cq, err := comp.CompileSQL(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.kernels {
+				if _, err := cq.Parallel(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		t.Logf("%s: %.0f allocations", c.name, allocs)
+		if allocs > c.limit {
+			t.Errorf("%s makes %.0f allocations, above the gate of %.0f", c.name, allocs, c.limit)
 		}
-	})
-	t.Logf("%.0f allocations per compile", allocs)
-	const limit = 1049 * 5 / 4
-	if allocs > limit {
-		t.Fatalf("a compile makes %.0f allocations, above the gate of %d", allocs, limit)
 	}
 }
