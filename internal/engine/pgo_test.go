@@ -70,7 +70,8 @@ func TestPGOLineagePreservation(t *testing.T) {
 }
 
 // compileUnoptimized rebuilds the pipeline IR for a plan without running
-// any optimization pass: the raw module the fuzzed pass orders start from.
+// any optimization pass: the raw module the fuzzed pass orders start from,
+// the merge kernels joined in as a parallel run receives them.
 func compileUnoptimized(t *testing.T, e *Engine, pl *plan.Output) *pipeline.Compiled {
 	t.Helper()
 	cq := &Compiled{Plan: pl}
@@ -87,6 +88,7 @@ func compileUnoptimized(t *testing.T, e *Engine, pl *plan.Output) *pipeline.Comp
 	if err != nil {
 		t.Fatalf("pipeline: %v", err)
 	}
+	pc.JoinKernels()
 	return pc
 }
 

@@ -27,8 +27,9 @@ import (
 var verifiedWorkloads = []string{"q6", "fig9"}
 
 // TestVerifyArtifactsOption compiles with the in-engine verification
-// gate enabled: pipeline, every optimizer pass, and emit each run the
-// artifact gate.
+// gate enabled and builds the merge kernels: pipeline, every optimizer
+// pass, and emit each run the artifact gate, for the serial program and
+// again, as kernels/*, for the parallel one.
 func TestVerifyArtifactsOption(t *testing.T) {
 	cat := testCatalog(t)
 	for _, name := range verifiedWorkloads {
@@ -40,8 +41,12 @@ func TestVerifyArtifactsOption(t *testing.T) {
 			opts := DefaultOptions()
 			opts.VerifyArtifacts = true
 			e := New(cat, opts)
-			if _, err := e.CompileQuery(w.Query); err != nil {
+			cq, err := e.CompileQuery(w.Query)
+			if err != nil {
 				t.Fatalf("verified compile: %v", err)
+			}
+			if _, err := cq.Parallel(); err != nil {
+				t.Fatalf("verified merge kernels: %v", err)
 			}
 		})
 	}

@@ -134,15 +134,20 @@ func TestMutantsAreDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	par, err := cq.Parallel()
+	if err != nil {
+		t.Fatal(err)
+	}
 	sig := func() string {
 		s := ""
-		for _, mu := range Native(CloneResult(cq.Code), cq.Mem) {
+		for _, mu := range Native(CloneResult(par.Code), cq.Mem) {
 			s += fmt.Sprintf("%s@%s\n", mu.Class, mu.Site)
 		}
 		pc, err := pipeline.Compile(cq.Plan, cq.Layout, pipeline.Options{RegisterTagging: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		pc.JoinKernels()
 		for _, mu := range IR(pc) {
 			s += fmt.Sprintf("%s@%s\n", mu.Class, mu.Site)
 		}
@@ -170,6 +175,7 @@ func TestHoistedLoadMutantsStayWellFormed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			pc.JoinKernels()
 			return pc
 		}
 		for i, mu := range IR(fresh()) {

@@ -69,7 +69,7 @@ func TestPublicZoom(t *testing.T) {
 		t.Fatal(err)
 	}
 	mid := (res.Profile.MinTSC + res.Profile.MaxTSC) / 2
-	sub := Zoom(cq, res, res.Profile.MinTSC, mid)
+	sub := Zoom(res, res.Profile.MinTSC, mid)
 	if sub.TotalSamples == 0 || sub.TotalSamples >= res.Profile.TotalSamples {
 		t.Fatalf("zoom samples = %d of %d", sub.TotalSamples, res.Profile.TotalSamples)
 	}
