@@ -143,9 +143,15 @@ type executor struct {
 	pool *cpuPool // nil: machines are built per run and owned by the Result
 }
 
-// cpuPool is the simulated machines a Session keeps between calls: free
-// ones, and the ones lent to the results of the call in progress.
-type cpuPool struct{ free, lent []*vm.CPU }
+// cpuPool is what a Session keeps between calls: its simulated machines,
+// free ones and the ones lent to the results of the call in progress, and
+// the parStage its parallel runs stage morsel output and merges in. The
+// stage is only used during a run and no Result refers to it, so there is
+// one, reused by every parallel run of the session.
+type cpuPool struct {
+	free, lent []*vm.CPU
+	stage      *parStage
+}
 
 // reclaim takes back every machine lent since the last reclaim.
 func (p *cpuPool) reclaim() {
@@ -959,7 +965,7 @@ func (r *stagedRun) finish(res *Result) *Result {
 	cq := r.cq
 	res.Cols, res.CPU, res.PMU, res.Epoch, res.prog = cq.Plan.Out(), r.cpu, r.pmu, r.snap.Epoch, r.prog
 	res.Rows = readRows(cq, r.cpu)
-	sortRows(res.Rows, cq.Plan)
+	sortRows(res.Rows, cq.Plan, res.Cols)
 	if cq.Plan.Limit >= 0 && len(res.Rows) > cq.Plan.Limit {
 		res.Rows = res.Rows[:cq.Plan.Limit]
 	}
@@ -1031,21 +1037,11 @@ func readRows(cq *Compiled, cpu *vm.CPU) [][]int64 {
 // sortRows applies the plan's host-side ORDER BY (see DESIGN.md §6).
 // Dictionary-encoded string columns sort by their decoded strings, so the
 // SQL collation matches what a user expects rather than insertion order.
-func sortRows(rows [][]int64, pl *plan.Output) {
+func sortRows(rows [][]int64, pl *plan.Output, metas []plan.ColMeta) {
 	if len(pl.OrderBy) == 0 {
 		return
 	}
-	metas := pl.Out()
-	less := plan.RowLess(pl.OrderBy, pl.Desc, metas)
-	slices.SortStableFunc(rows, func(a, b []int64) int {
-		switch {
-		case less(a, b):
-			return -1
-		case less(b, a):
-			return 1
-		}
-		return 0
-	})
+	slices.SortStableFunc(rows, plan.RowCompare(pl.OrderBy, pl.Desc, metas))
 }
 
 // FormatValue renders a result value using column metadata (decoding

@@ -215,7 +215,7 @@ func isMergeTask(cq *Compiled, task core.ComponentID) bool {
 // TestLPTBeatsGreedy: the scheduling model. On skewed costs, in-order
 // least-loaded greedy commits small items before seeing the big one; LPT
 // sorts first and lands within 4/3 of optimal. The merge phase assigns
-// partitions with the same lptAssign, so this bound is what the gate
+// partitions with the same lpt schedule, so this bound is what the gate
 // above leans on when partition sizes are skewed.
 func TestLPTBeatsGreedy(t *testing.T) {
 	costs := []uint64{1, 1, 1, 1, 9}
@@ -239,35 +239,32 @@ func TestLPTBeatsGreedy(t *testing.T) {
 		return max
 	}
 	g := greedy(costs, 2)
-	l := makespan(costs, 2)
+	var s lpt
+	l := s.assign(costs, 2)
 	if g != 11 || l != 9 {
 		t.Fatalf("greedy=%d (want 11), LPT=%d (want 9)", g, l)
 	}
 
-	// lptAssign's partition lists must cover every index exactly once.
-	assign, ms := lptAssign(costs, 2)
-	if ms != l {
-		t.Fatalf("lptAssign makespan %d != makespan() %d", ms, l)
+	// Every task has one worker, and the workers' loads make the makespan.
+	load := make([]uint64, 2)
+	for _, p := range s.order {
+		load[s.owner[p]] += costs[p]
 	}
-	seen := map[int]bool{}
-	for _, parts := range assign {
-		for _, p := range parts {
-			if seen[p] {
-				t.Fatalf("partition %d assigned twice", p)
-			}
-			seen[p] = true
-		}
-	}
-	if len(seen) != len(costs) {
-		t.Fatalf("assigned %d of %d partitions", len(seen), len(costs))
+	if len(s.order) != len(costs) || max(load[0], load[1]) != l || load[0]+load[1] != 13 {
+		t.Fatalf("order %v, owners %v: loads %v", s.order, s.owner, load)
 	}
 
 	// Degenerate shapes.
-	if makespan(nil, 4) != 0 {
+	if s.assign(nil, 4) != 0 {
 		t.Fatal("empty cost list must have zero makespan")
 	}
-	if makespan([]uint64{5}, 8) != 5 {
+	if s.assign([]uint64{5}, 8) != 5 {
 		t.Fatal("one item: makespan is its cost")
+	}
+
+	// The scheduler reuses its slices: a warm call allocates nothing.
+	if n := testing.AllocsPerRun(10, func() { s.assign(costs, 2) }); n != 0 {
+		t.Fatalf("lpt.assign allocates %.0f times per warm call", n)
 	}
 }
 

@@ -1,9 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/codegen"
@@ -56,6 +57,74 @@ type parWorker struct {
 	// kernelPeak is the most instructions one scatter, merge or place
 	// kernel call retired on this core (Result.MergePeakInstrs).
 	kernelPeak uint64
+	// slab holds what this core's morsels of the current phase produced,
+	// one morsel after the other: scatter segments or result rows (see
+	// parStage.bounds). It is emptied at every barrier and keeps its
+	// capacity, across runs too when the parStage is a session's.
+	slab []byte
+}
+
+// parStage is the host side of a parallel run: the workers with their
+// morsel slabs, and the scratch the merges stage through. A Session keeps
+// one in its cpuPool and every parallel run of the session reuses it, so
+// once its slices have grown to a statement's sizes a run allocates none
+// of them; an Engine run builds its own. No Result refers to it.
+type parStage struct {
+	all []*parWorker // every worker the stage has held; a run uses a prefix
+	ws  []*parWorker // this run's workers: morsel m runs on ws[m%len(ws)]
+
+	// bounds locates the current phase's morsel output: morsel m produced
+	// blocks j = 0..stride-2, block j being its worker's
+	// slab[bounds[m*stride+j] : bounds[m*stride+j+1]] — partition j of its
+	// scatter segment, or (stride 2) its result rows.
+	bounds []int64
+	stride int
+
+	costs  []uint64 // per morsel: its simulated cycles
+	sched  lpt
+	clocks []uint64 // per worker: one merge round's kernel cycles
+
+	// The partitioned merge: per partition, its staged entries, their
+	// offset among all staged entries, and (group-by) its groups. A
+	// group-by's round-1 output is kept at the partition's staged offset,
+	// which bounds its groups: outs holds the group entries, seqs their
+	// first-occurrence sequence numbers, dsts their arena addresses; refs
+	// indexes seqs in global rank order.
+	staged, groups   []uint64
+	first            []int64
+	outs             []byte
+	seqs, dsts, refs []int64
+}
+
+// staging returns the run's parStage with its first workers entries
+// ready for reuse: the session's, or a new one for an Engine run.
+func (x *executor) staging(workers int) *parStage {
+	var st *parStage
+	if p := x.pool; p == nil {
+		st = new(parStage)
+	} else {
+		if p.stage == nil {
+			p.stage = new(parStage)
+		}
+		st = p.stage
+	}
+	for len(st.all) < workers {
+		st.all = append(st.all, new(parWorker))
+	}
+	st.ws = st.all[:workers]
+	return st
+}
+
+// block returns block j of morsel m's output.
+func (st *parStage) block(m, j int) []byte {
+	b := st.bounds[m*st.stride+j:]
+	return st.ws[m%len(st.ws)].slab[b[0]:b[1]]
+}
+
+// resize returns s with length n, reusing its array when it is big
+// enough. The elements are not cleared.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // callKernel calls a merge-phase kernel (re-armed by the caller) and
@@ -178,11 +247,12 @@ func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 		return nil, fmt.Errorf("engine: prelude failed: %w", err)
 	}
 
-	ws := make([]*parWorker, workers)
-	for i := range ws {
+	st := x.staging(workers)
+	ws := st.ws
+	for i, w := range ws {
 		cpu := x.machine(cq.heapSize)
 		cpu.Load(prog)
-		ws[i] = &parWorker{id: i + 1, cpu: cpu, pmu: attachPMU(cpu, cfg, i+1)}
+		*w = parWorker{id: i + 1, cpu: cpu, pmu: attachPMU(cpu, cfg, i+1), slab: w.slab}
 	}
 
 	wall := coord.TSC() // the prelude is serial coordinator work
@@ -230,9 +300,12 @@ func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 		if len(spans) == 0 {
 			continue
 		}
-		segs := make([][]byte, len(spans))
-		cnts := make([][]int64, len(spans))
-		costs := make([]uint64, len(spans))
+		st.stride = 2 // result rows
+		if info.Merge != nil {
+			st.stride = int(info.Sink.HT.Partitions) + 1
+		}
+		st.bounds = resize(st.bounds, len(spans)*st.stride)
+		st.costs = resize(st.costs, len(spans))
 
 		// Barrier entry: refresh every worker's private heap from the
 		// canonical one (build sides become visible; sinks start clean).
@@ -240,13 +313,14 @@ func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 		// place kernel writes its merge-area bytes before reading them.
 		for _, w := range ws {
 			copy(w.cpu.Heap, coord.Heap[:cq.mergeBase])
+			w.slab = w.slab[:0]
 		}
 
 		// Morsels are striped round-robin over the workers: morsel m runs
 		// on core m mod N. A deterministic assignment keeps each worker's
 		// microarchitectural history — and therefore its sample stream —
 		// reproducible on any host; the scheduling discipline is modeled
-		// in simulated time by makespan() below.
+		// in simulated time by the lpt schedule below.
 		var wg sync.WaitGroup
 		for wi, w := range ws {
 			wg.Add(1)
@@ -263,13 +337,12 @@ func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 						stamp = shardOf[m] + 1
 					}
 					t0 := w.cpu.TSC()
-					seg, cn, err := runMorsel(cq, w, info, entry, scatterEntry, pi, spans[m], m, stamp, budget)
-					if err != nil {
+					bounds := st.bounds[m*st.stride : (m+1)*st.stride]
+					if err := runMorsel(cq, w, info, entry, scatterEntry, pi, spans[m], m, stamp, budget, bounds); err != nil {
 						w.err = regionFull(cq, prog, w.cpu, err)
 						return
 					}
-					segs[m], cnts[m] = seg, cn
-					costs[m] = w.cpu.TSC() - t0
+					st.costs[m] = w.cpu.TSC() - t0
 				}
 			}(wi, w)
 		}
@@ -282,16 +355,16 @@ func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 
 		// Wall clock: the phase takes as long as the schedule's makespan
 		// in simulated time.
-		wall += makespan(costs, workers)
+		wall += st.sched.assign(st.costs, workers)
 
 		if info.Merge != nil {
-			mw, err := mergePartitioned(cq, coord, info, mergeEntry, placeEntry, segs, cnts, ws, budget)
+			mw, err := mergePartitioned(cq, coord, info, mergeEntry, placeEntry, st, budget)
 			if err != nil {
 				return nil, err
 			}
 			wall += mw
 			mergeCycles += mw
-		} else if err := mergePhase(cq, coord, info, segs, ws); err != nil {
+		} else if err := mergePhase(cq, coord, info, st); err != nil {
 			return nil, err
 		}
 
@@ -316,48 +389,48 @@ func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 	return r.finish(res), nil
 }
 
-// lptAssign distributes task costs over workers with the LPT heuristic
-// (longest processing time first): tasks are sorted by cost descending —
-// stably, so equal costs keep index order and the assignment is
-// deterministic — and each goes to the least-loaded worker. LPT's
-// makespan is within 4/3 of optimal, versus 2 for arbitrary-order greedy,
-// which matters exactly when costs are skewed (a giant morsel arriving
-// last lands on the least-loaded worker instead of stacking onto a busy
-// one). Returns the per-worker task index lists and the makespan.
-func lptAssign(costs []uint64, workers int) ([][]int, uint64) {
-	order := make([]int, len(costs))
-	for i := range order {
-		order[i] = i
+// lpt is the scheduling model: it distributes task costs over workers
+// with the LPT heuristic (longest processing time first). Tasks are
+// sorted by cost descending — stably, so equal costs keep index order and
+// the assignment is deterministic — and each goes to the least-loaded
+// worker. LPT's makespan is within 4/3 of optimal, versus 2 for
+// arbitrary-order greedy, which matters exactly when costs are skewed (a
+// giant morsel arriving last lands on the least-loaded worker instead of
+// stacking onto a busy one). Its slices are reused from call to call.
+//
+// The morsel scheduler's wall clock is the makespan of the per-morsel
+// costs: the phase ends when the busiest worker finishes. Deriving it
+// from simulated costs instead of host scheduling keeps it meaningful on
+// any host core count. The merge rounds assign partitions the same way.
+type lpt struct {
+	order  []int    // task indices, costliest first
+	owner  []int    // the worker of each task
+	clocks []uint64 // per worker: the costs assigned to it
+}
+
+// assign schedules costs on workers (at least 1) and returns the
+// makespan. Worker w runs the tasks t of s.order with s.owner[t] == w, in
+// that order.
+func (s *lpt) assign(costs []uint64, workers int) uint64 {
+	s.order = resize(s.order, len(costs))
+	for i := range s.order {
+		s.order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return costs[order[a]] > costs[order[b]] })
-	assign := make([][]int, workers)
-	clocks := make([]uint64, workers)
-	for _, t := range order {
+	slices.SortStableFunc(s.order, func(a, b int) int { return cmp.Compare(costs[b], costs[a]) })
+	s.owner = resize(s.owner, len(costs))
+	s.clocks = resize(s.clocks, workers)
+	clear(s.clocks)
+	for _, t := range s.order {
 		lo := 0
 		for i := 1; i < workers; i++ {
-			if clocks[i] < clocks[lo] {
+			if s.clocks[i] < s.clocks[lo] {
 				lo = i
 			}
 		}
-		assign[lo] = append(assign[lo], t)
-		clocks[lo] += costs[t]
+		s.owner[t] = lo
+		s.clocks[lo] += costs[t]
 	}
-	var max uint64
-	for _, c := range clocks {
-		if c > max {
-			max = c
-		}
-	}
-	return assign, max
-}
-
-// makespan models the morsel scheduler in simulated time: per-morsel
-// costs are packed onto the workers with LPT and the phase ends when the
-// busiest worker finishes. Deriving the wall clock from per-morsel costs
-// instead of host scheduling keeps it meaningful on any host core count.
-func makespan(costs []uint64, workers int) uint64 {
-	_, m := lptAssign(costs, workers)
-	return m
+	return slices.Max(s.clocks)
 }
 
 // pipeDomain returns the size of a pipeline's input domain: the staged
@@ -377,11 +450,11 @@ func pipeDomain(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo) int64 
 
 // runMorsel executes one morsel on a worker: stage the bounds, reset the
 // sink partition, re-arm sampling deterministically, call the pipeline
-// function, and snapshot what the morsel produced: its result rows, or —
-// for a materializing sink, after running the generated scatter kernel on
-// the same worker — the radix-scattered segment plus the per-partition
-// entry counts.
-func runMorsel(cq *Compiled, w *parWorker, info *pipeline.PipelineInfo, entry, scatterEntry, pipeIdx int, sp Span, morsel, shardStamp int, budget uint64) ([]byte, []int64, error) {
+// function, and append what the morsel produced to the worker's slab: its
+// result rows, or — for a materializing sink, after running the generated
+// scatter kernel on the same worker — the radix-scattered segment, whose
+// partitions' blocks it records in bounds (see parStage.bounds).
+func runMorsel(cq *Compiled, w *parWorker, info *pipeline.PipelineInfo, entry, scatterEntry, pipeIdx int, sp Span, morsel, shardStamp int, budget uint64, bounds []int64) error {
 	lay := cq.Layout
 	heap := w.cpu.Heap
 	if w.pmu != nil {
@@ -419,7 +492,7 @@ func runMorsel(cq *Compiled, w *parWorker, info *pipeline.PipelineInfo, entry, s
 	w.cpu.ReArm(epochSeed(pipeIdx, morsel, phaseRun))
 
 	if _, err := w.cpu.CallFunction(entry, budget); err != nil {
-		return nil, nil, fmt.Errorf("pipeline %d morsel %d (worker %d): %w", pipeIdx, morsel, w.id, err)
+		return fmt.Errorf("pipeline %d morsel %d (worker %d): %w", pipeIdx, morsel, w.id, err)
 	}
 
 	if info.Merge != nil {
@@ -429,22 +502,26 @@ func runMorsel(cq *Compiled, w *parWorker, info *pipeline.PipelineInfo, entry, s
 		ht := sink.HT
 		w.cpu.ReArm(epochSeed(pipeIdx, morsel, phaseScatter))
 		if err := w.callKernel(scatterEntry, budget); err != nil {
-			return nil, nil, fmt.Errorf("pipeline %d morsel %d scatter (worker %d): %w", pipeIdx, morsel, w.id, err)
+			return fmt.Errorf("pipeline %d morsel %d scatter (worker %d): %w", pipeIdx, morsel, w.id, err)
+		}
+		off := int64(len(w.slab))
+		bounds[0] = off
+		for p := int64(0); p < ht.Partitions; p++ {
+			off += codegen.HeapI64(heap, ht.MergeCnt+p*8) * ht.EntrySize
+			bounds[p+1] = off
 		}
 		cur := codegen.HeapI64(heap, ht.Desc+codegen.HTDescCursor)
-		cn := make([]int64, ht.Partitions)
-		for p := int64(0); p < ht.Partitions; p++ {
-			cn[p] = codegen.HeapI64(heap, ht.MergeCnt+p*8)
-		}
-		seg := append([]byte(nil), heap[ht.ScatterOut:ht.ScatterOut+(cur-ht.Arena)]...)
-		return seg, cn, nil
+		w.slab = append(w.slab, heap[ht.ScatterOut:ht.ScatterOut+(cur-ht.Arena)]...)
+		return nil
 	}
 
+	bounds[0] = int64(len(w.slab))
 	if sink.Kind == pipeline.SinkOutput {
 		cur := codegen.HeapI64(heap, lay.ResultDesc+codegen.AllocDescCursor)
-		return append([]byte(nil), heap[cq.resultBase:cur]...), nil, nil
-	}
-	return nil, nil, nil // SinkGJProbe: in-place updates, merged from the heap
+		w.slab = append(w.slab, heap[cq.resultBase:cur]...)
+	} // SinkGJProbe: in-place updates, merged from the heap
+	bounds[1] = int64(len(w.slab))
+	return nil
 }
 
 // mergePartitioned fans the merge of a partitioned sink out across the
@@ -452,22 +529,32 @@ func runMorsel(cq *Compiled, w *parWorker, info *pipeline.PipelineInfo, entry, s
 // partition owns a disjoint directory slot range and a disjoint set of
 // destination entries, so kernels run lock-free and their writes copy
 // back to the canonical heap without coordination. Returns the merge
-// phase's simulated makespan: the slowest worker's kernel cycles plus the
-// coordinator's placement kernel (group-by sinks).
-func mergePartitioned(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, mergeEntry, placeEntry int, segs [][]byte, cnts [][]int64, ws []*parWorker, budget uint64) (uint64, error) {
+// phase's simulated makespan: the slowest worker's kernel cycles per
+// round, summed over the rounds (a group-by's upsert and placement).
+func mergePartitioned(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, mergeEntry, placeEntry int, st *parStage, budget uint64) (uint64, error) {
 	sink := &info.Sink
 	ht := sink.HT
 	es := ht.EntrySize
 	P := int(ht.Partitions)
+	M := len(st.bounds) / st.stride
 	pipeIdx := info.Index
 	upsert := sink.Kind == pipeline.SinkGroupAgg
 
-	// Global sequence base per morsel (prefix sums of entry counts).
+	// Staged entries per partition, and each partition's offset among all
+	// of them (prefix sums over the morsels' per-partition counts).
+	st.staged = resize(st.staged, P)
+	clear(st.staged)
+	for m := 0; m < M; m++ {
+		b := st.bounds[m*st.stride:]
+		for p := 0; p < P; p++ {
+			st.staged[p] += uint64((b[p+1] - b[p]) / es)
+		}
+	}
+	st.first = resize(st.first, P)
 	total := int64(0)
-	segBase := make([]int64, len(segs))
-	for m, seg := range segs {
-		segBase[m] = total
-		total += int64(len(seg)) / es
+	for p, n := range st.staged {
+		st.first[p] = total
+		total += int64(n)
 	}
 
 	// Pre-validate headroom before staging anything, mirroring the
@@ -484,64 +571,34 @@ func mergePartitioned(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, 
 		return 0, &SinkOverflowError{Sink: info.Name, Region: region, Needed: need, Capacity: capacity}
 	}
 
-	// Stage each partition's entries in global sequence order (morsels are
-	// already seq-ascending internally: the scatter is a stable counting
-	// sort), with the side vector the kernel consumes: destination
-	// addresses (insert sinks) or global sequence numbers (upsert sinks).
-	staged := make([][]byte, P)
-	vecs := make([][]int64, P)
-	for m, seg := range segs {
-		off := int64(0)
-		for p := 0; p < P; p++ {
-			for k := int64(0); k < cnts[m][p]; k++ {
-				seq := segBase[m] + codegen.HeapI64(seg, off+codegen.HTEntryNext)
-				if upsert {
-					vecs[p] = append(vecs[p], seq)
-				} else {
-					vecs[p] = append(vecs[p], ht.Arena+seq*es)
-				}
-				staged[p] = append(staged[p], seg[off:off+es]...)
-				off += es
-			}
-		}
-	}
-
 	// runRound fans one kernel round out across the workers: partitions
-	// are LPT-assigned by staged entry count (empty ones cost nothing and
-	// are skipped), each kernel call gets its own deterministic sampling
-	// epoch, and collect reads the kernel's output off the worker heap.
-	// Returns the round's simulated makespan (slowest worker).
+	// are LPT-assigned by cost (their entry count; empty ones cost nothing
+	// and are skipped), stage writes a partition's input at MergeSrc and
+	// MergeVec of the worker's heap and returns its bytes, each kernel
+	// call gets its own deterministic sampling epoch, and collect reads
+	// the kernel's output off the worker heap. Returns the round's
+	// simulated makespan (slowest worker).
 	spp := int64(1) << ht.SlotShift // directory slots per partition
-	runRound := func(entry int, phase uint64, staged [][]byte, vecs [][]int64, collect func(p int, heap []byte)) (uint64, error) {
-		pcosts := make([]uint64, P)
-		for p := range pcosts {
-			pcosts[p] = uint64(len(vecs[p]))
-		}
-		assign, _ := lptAssign(pcosts, len(ws))
-		clocks := make([]uint64, len(ws))
-		errs := make([]error, len(ws))
+	ws := st.ws
+	runRound := func(entry int, phase uint64, costs []uint64, stage func(p int, heap []byte) int64, collect func(p int, heap []byte)) (uint64, error) {
+		st.sched.assign(costs, len(ws))
+		st.clocks = resize(st.clocks, len(ws))
+		clear(st.clocks)
 		var wg sync.WaitGroup
 		for wi, w := range ws {
-			if len(assign[wi]) == 0 {
-				continue
-			}
 			wg.Add(1)
-			go func(wi int, w *parWorker, parts []int) {
+			go func(wi int, w *parWorker) {
 				defer wg.Done()
 				heap := w.cpu.Heap
 				if w.pmu != nil {
 					// The cross-shard combine is unsharded work.
 					w.pmu.SetShard(0)
 				}
-				for _, p := range parts {
-					if len(vecs[p]) == 0 {
+				for _, p := range st.sched.order {
+					if st.sched.owner[p] != wi || costs[p] == 0 {
 						continue
 					}
-					nb := int64(len(staged[p]))
-					copy(heap[ht.MergeSrc:], staged[p])
-					for k, v := range vecs[p] {
-						codegen.PutHeapI64(heap, ht.MergeVec+int64(k)*8, v)
-					}
+					nb := stage(p, heap)
 					codegen.PutHeapI64(heap, ht.MergeParam+pipeline.MPSrc, ht.MergeSrc)
 					codegen.PutHeapI64(heap, ht.MergeParam+pipeline.MPEnd, ht.MergeSrc+nb)
 					codegen.PutHeapI64(heap, ht.MergeParam+pipeline.MPVec, ht.MergeVec)
@@ -549,43 +606,64 @@ func mergePartitioned(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, 
 					w.cpu.ReArm(epochSeed(pipeIdx, p, phase))
 					t0 := w.cpu.TSC()
 					if err := w.callKernel(entry, budget); err != nil {
-						errs[wi] = fmt.Errorf("pipeline %d partition %d merge (worker %d): %w", pipeIdx, p, w.id, err)
+						w.err = fmt.Errorf("pipeline %d partition %d merge (worker %d): %w", pipeIdx, p, w.id, err)
 						return
 					}
-					clocks[wi] += w.cpu.TSC() - t0
+					st.clocks[wi] += w.cpu.TSC() - t0
 					collect(p, heap)
 				}
-			}(wi, w, assign[wi])
+			}(wi, w)
 		}
 		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				return 0, e
+		for _, w := range ws {
+			if w.err != nil {
+				return 0, w.err
 			}
 		}
-		var max uint64
-		for _, c := range clocks {
-			if c > max {
-				max = c
-			}
-		}
-		return max, nil
+		return slices.Max(st.clocks), nil
 	}
 	// copyBack moves a finished partition from a worker heap to the
-	// canonical one: the entries at their destination addresses plus the
-	// partition's directory slot range. Partitions are disjoint in both,
-	// so concurrent copy-backs never collide.
-	copyBack := func(p int, heap []byte, dsts []int64) {
-		for _, dst := range dsts {
+	// canonical one: the entries at their destination addresses, which
+	// the kernel read from MergeVec and left there, plus the partition's
+	// directory slot range. Partitions are disjoint in both, so
+	// concurrent copy-backs never collide.
+	copyBack := func(p int, heap []byte, n int64) {
+		for k := int64(0); k < n; k++ {
+			dst := codegen.HeapI64(heap, ht.MergeVec+k*8)
 			copy(coord.Heap[dst:dst+es], heap[dst:dst+es])
 		}
 		dlo := ht.Dir + int64(p)*spp*8
 		copy(coord.Heap[dlo:dlo+spp*8], heap[dlo:dlo+spp*8])
 	}
 
+	// Round 1 stages partition p's block of every morsel's segment, in
+	// global morsel order, straight from the slabs: morsels are already
+	// seq-ascending internally (the scatter is a stable counting sort).
+	// Beside each entry goes the side vector the kernel consumes: the
+	// global sequence number (upsert sinks) or the destination address
+	// Arena + seq·EntrySize (insert sinks).
+	gather := func(p int, heap []byte) int64 {
+		src, vec, base := ht.MergeSrc, ht.MergeVec, int64(0)
+		for m := 0; m < M; m++ {
+			b, blk := st.bounds[m*st.stride:], st.block(m, p)
+			copy(heap[src:], blk)
+			for off := int64(0); off < int64(len(blk)); off += es {
+				v := base + codegen.HeapI64(blk, off+codegen.HTEntryNext)
+				if !upsert {
+					v = ht.Arena + v*es
+				}
+				codegen.PutHeapI64(heap, vec, v)
+				vec += 8
+			}
+			src += int64(len(blk))
+			base += (b[P] - b[0]) / es // the morsel's whole segment
+		}
+		return src - ht.MergeSrc
+	}
+
 	if !upsert {
-		mergeWall, err := runRound(mergeEntry, phaseMerge, staged, vecs, func(p int, heap []byte) {
-			copyBack(p, heap, vecs[p])
+		mergeWall, err := runRound(mergeEntry, phaseMerge, st.staged, gather, func(p int, heap []byte) {
+			copyBack(p, heap, int64(st.staged[p]))
 		})
 		if err != nil {
 			return 0, err
@@ -596,65 +674,65 @@ func mergePartitioned(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, 
 
 	// Group-by round 1: partition-local upsert. Kernels deduplicate their
 	// staged entries into per-partition group lists (first-occurrence
-	// order) and report each group's global sequence number.
-	var mu sync.Mutex
-	outs := make([][]byte, P)  // deduplicated groups per partition
-	seqs := make([][]int64, P) // first-occurrence seq per group
-	mergeWall, err := runRound(mergeEntry, phaseMerge, staged, vecs, func(p int, heap []byte) {
+	// order) and report each group's global sequence number; collect
+	// keeps both at the partition's staged offset.
+	st.groups = resize(st.groups, P)
+	clear(st.groups) // an empty partition runs no kernel
+	st.outs = resize(st.outs, int(total*es))
+	st.seqs = resize(st.seqs, int(total))
+	mergeWall, err := runRound(mergeEntry, phaseMerge, st.staged, gather, func(p int, heap []byte) {
 		outEnd := codegen.HeapI64(heap, ht.MergeParam+pipeline.MPOut)
 		ng := (outEnd - ht.MergeOut) / es
-		sq := make([]int64, ng)
+		f := st.first[p]
+		copy(st.outs[f*es:], heap[ht.MergeOut:outEnd])
 		for k := int64(0); k < ng; k++ {
-			sq[k] = codegen.HeapI64(heap, ht.MergeSeq+k*8)
+			st.seqs[f+k] = codegen.HeapI64(heap, ht.MergeSeq+k*8)
 		}
-		mu.Lock()
-		outs[p] = append([]byte(nil), heap[ht.MergeOut:outEnd]...)
-		seqs[p] = sq
-		mu.Unlock()
+		st.groups[p] = uint64(ng)
 	})
 	if err != nil {
 		return 0, err
 	}
 
 	// Group-by round 2: parallel placement. Sequence numbers are unique,
-	// so sorting the (partition, index) references by seq reproduces the
-	// serial insertion order exactly — the group with global rank i lives
-	// at Arena + i*es, just as in the serial run. A group's directory
-	// slot determines its partition, so chains are partition-local and
-	// the placement is another run of the insert kernel: partitions in
-	// parallel on the workers, each re-linking its own slot range.
-	type gref struct {
-		seq int64
-		p   int
-		k   int64
-	}
-	var refs []gref
-	for p := 0; p < P; p++ {
-		for k, s := range seqs[p] {
-			refs = append(refs, gref{s, p, int64(k)})
+	// so sorting the groups by seq reproduces the serial insertion order
+	// exactly — the group with global rank i lives at Arena + i*es, just
+	// as in the serial run. A group's directory slot determines its
+	// partition, so chains are partition-local and the placement is
+	// another run of the insert kernel: partitions in parallel on the
+	// workers, each re-linking its own slot range.
+	st.refs = st.refs[:0]
+	for p, ng := range st.groups {
+		for k := st.first[p]; k < st.first[p]+int64(ng); k++ {
+			st.refs = append(st.refs, k)
 		}
 	}
-	if need := int64(len(refs)) * es; need > ht.ArenaEnd-ht.Arena {
+	if need := int64(len(st.refs)) * es; need > ht.ArenaEnd-ht.Arena {
 		return 0, &SinkOverflowError{
 			Sink: info.Name, Region: "hash-table arena",
 			Needed: need, Capacity: ht.ArenaEnd - ht.Arena,
 		}
 	}
-	sort.Slice(refs, func(a, b int) bool { return refs[a].seq < refs[b].seq })
-	dsts := make([][]int64, P)
-	for p := 0; p < P; p++ {
-		dsts[p] = make([]int64, len(seqs[p]))
+	slices.SortFunc(st.refs, func(a, b int64) int { return cmp.Compare(st.seqs[a], st.seqs[b]) })
+	st.dsts = resize(st.dsts, int(total))
+	for i, r := range st.refs {
+		st.dsts[r] = ht.Arena + int64(i)*es
 	}
-	for i, rf := range refs {
-		dsts[rf.p][rf.k] = ht.Arena + int64(i)*es
+	place := func(p int, heap []byte) int64 {
+		f, ng := st.first[p], int64(st.groups[p])
+		copy(heap[ht.MergeSrc:], st.outs[f*es:(f+ng)*es])
+		for k := int64(0); k < ng; k++ {
+			codegen.PutHeapI64(heap, ht.MergeVec+k*8, st.dsts[f+k])
+		}
+		return ng * es
 	}
-	placeWall, err := runRound(placeEntry, phasePlace, outs, dsts, func(p int, heap []byte) {
-		copyBack(p, heap, dsts[p])
+	placeWall, err := runRound(placeEntry, phasePlace, st.groups, place, func(p int, heap []byte) {
+		copyBack(p, heap, int64(st.groups[p]))
 	})
 	if err != nil {
 		return 0, err
 	}
-	coord.WriteI64(ht.Desc+codegen.HTDescCursor, ht.Arena+int64(len(refs))*es)
+	coord.WriteI64(ht.Desc+codegen.HTDescCursor, ht.Arena+int64(len(st.refs))*es)
 	return mergeWall + placeWall, nil
 }
 
@@ -662,15 +740,16 @@ func mergePartitioned(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, 
 // two sinks that have no merge kernel: result rows append in global morsel
 // order, group-join probe updates fold commutatively. Materializing sinks
 // go through mergePartitioned.
-func mergePhase(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, segs [][]byte, ws []*parWorker) error {
+func mergePhase(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, st *parStage) error {
 	sink := &info.Sink
 	switch sink.Kind {
 	case pipeline.SinkOutput:
 		cursorAddr := cq.Layout.ResultDesc + codegen.AllocDescCursor
 		cur := coord.ReadI64(cursorAddr)
+		M := len(st.bounds) / st.stride
 		staged := int64(0)
-		for _, seg := range segs {
-			staged += int64(len(seg))
+		for m := 0; m < M; m++ {
+			staged += int64(len(st.block(m, 0)))
 		}
 		if cur+staged > cq.resultEnd {
 			return &SinkOverflowError{
@@ -678,9 +757,8 @@ func mergePhase(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, segs [
 				Needed: cur + staged - cq.resultBase, Capacity: cq.resultEnd - cq.resultBase,
 			}
 		}
-		for _, seg := range segs {
-			copy(coord.Heap[cur:], seg)
-			cur += int64(len(seg))
+		for m := 0; m < M; m++ {
+			cur += int64(copy(coord.Heap[cur:], st.block(m, 0)))
 		}
 		coord.WriteI64(cursorAddr, cur)
 
@@ -693,7 +771,7 @@ func mergePhase(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, segs [
 		cursor := coord.ReadI64(ht.Desc + codegen.HTDescCursor)
 		n := cursor - ht.Arena
 		base := append([]byte(nil), coord.Heap[ht.Arena:cursor]...)
-		for _, w := range ws {
+		for _, w := range st.ws {
 			for off := int64(0); off < n; off += ht.EntrySize {
 				addr := ht.Arena + off
 				for _, s := range sink.Slots {

@@ -232,7 +232,10 @@ type SessionStats struct {
 // Result stays valid forever except Result.CPU, which is valid until then.
 // A session therefore retains at most the machines its largest single call
 // used (one serially, 1+Workers in parallel; for Adapt, its sampled run's
-// and one more for a counter run).
+// and one more for a counter run). Besides the machines it keeps the host
+// side of its parallel runs (parStage: each worker's morsel slab and the
+// merge's scratch), which every parallel run of the session reuses: a
+// slab is emptied at each pipeline barrier and keeps its capacity.
 type Session struct {
 	ID    int64
 	svc   *Service

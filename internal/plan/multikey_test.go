@@ -72,36 +72,39 @@ func TestNoGroupJoinFusionWithTwoKeys(t *testing.T) {
 	}
 }
 
-func TestRowLessDictCollation(t *testing.T) {
+func TestRowCompareDictCollation(t *testing.T) {
 	d := catalog.NewDict()
 	// Insertion order deliberately differs from lexicographic order.
 	z := d.ID("zebra")
 	a := d.ID("apple")
 	metas := []ColMeta{{Type: catalog.TStr, Dict: d}}
-	less := RowLess([]int{0}, []bool{false}, metas)
-	if !less([]int64{a}, []int64{z}) {
+	compare := RowCompare([]int{0}, []bool{false}, metas)
+	if compare([]int64{a}, []int64{z}) >= 0 {
 		t.Fatal("apple should sort before zebra despite larger dict id")
 	}
-	if less([]int64{z}, []int64{a}) {
+	if compare([]int64{z}, []int64{a}) <= 0 {
 		t.Fatal("zebra before apple?")
 	}
 	// Descending flips it.
-	desc := RowLess([]int{0}, []bool{true}, metas)
-	if !desc([]int64{z}, []int64{a}) {
+	desc := RowCompare([]int{0}, []bool{true}, metas)
+	if desc([]int64{z}, []int64{a}) >= 0 {
 		t.Fatal("descending collation broken")
+	}
+	if compare([]int64{a}, []int64{a}) != 0 {
+		t.Fatal("a row must compare equal to itself")
 	}
 }
 
-func TestRowLessNumericTieBreak(t *testing.T) {
+func TestRowCompareNumericTieBreak(t *testing.T) {
 	metas := []ColMeta{{Type: catalog.TInt}, {Type: catalog.TInt}}
-	less := RowLess([]int{0, 1}, []bool{false, true}, metas)
-	if !less([]int64{1, 5}, []int64{2, 5}) {
+	compare := RowCompare([]int{0, 1}, []bool{false, true}, metas)
+	if compare([]int64{1, 5}, []int64{2, 5}) >= 0 || compare([]int64{2, 5}, []int64{1, 5}) <= 0 {
 		t.Fatal("primary ascending broken")
 	}
-	if !less([]int64{1, 9}, []int64{1, 5}) {
+	if compare([]int64{1, 9}, []int64{1, 5}) >= 0 || compare([]int64{1, 5}, []int64{1, 9}) <= 0 {
 		t.Fatal("secondary descending broken")
 	}
-	if less([]int64{1, 5}, []int64{1, 5}) {
-		t.Fatal("equal rows must not be less")
+	if compare([]int64{1, 5}, []int64{1, 5}) != 0 {
+		t.Fatal("equal rows must compare equal")
 	}
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -313,29 +314,29 @@ func (o *Output) BoundRows() int   { return o.Input.BoundRows() }
 func (o *Output) Kind() string     { return "output" }
 func (o *Output) Describe() string { return "output " + strings.Join(o.Names, ", ") }
 
-// RowLess builds the ORDER BY comparator over result rows: column indices
-// with descending flags, comparing dictionary-encoded strings by their
-// decoded text (SQL collation) and everything else numerically.
-func RowLess(orderBy []int, desc []bool, metas []ColMeta) func(a, b []int64) bool {
-	return func(x, y []int64) bool {
+// RowCompare builds the three-way ORDER BY comparator over result rows
+// (negative, zero or positive, like cmp.Compare): column indices with
+// descending flags, comparing dictionary-encoded strings by their decoded
+// text (SQL collation) and everything else numerically.
+func RowCompare(orderBy []int, desc []bool, metas []ColMeta) func(a, b []int64) int {
+	return func(x, y []int64) int {
 		for k, col := range orderBy {
 			a, b := x[col], y[col]
 			if a == b {
 				continue
 			}
-			lt := a < b
+			c := cmp.Compare(a, b)
 			if col < len(metas) && metas[col].Type == catalog.TStr && metas[col].Dict != nil {
-				lt = metas[col].Dict.String(a) < metas[col].Dict.String(b)
-				if metas[col].Dict.String(a) == metas[col].Dict.String(b) {
+				if c = strings.Compare(metas[col].Dict.String(a), metas[col].Dict.String(b)); c == 0 {
 					continue
 				}
 			}
 			if desc[k] {
-				return !lt
+				return -c
 			}
-			return lt
+			return c
 		}
-		return false
+		return 0
 	}
 }
 

@@ -8,7 +8,6 @@ package ref
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/plan"
@@ -76,8 +75,7 @@ func (ex *executor) run(pl *plan.Output) ([][]int64, error) {
 		}
 		rows = append(rows, out)
 	}
-	less := plan.RowLess(pl.OrderBy, pl.Desc, pl.Out())
-	sort.SliceStable(rows, func(i, j int) bool { return less(rows[i], rows[j]) })
+	slices.SortStableFunc(rows, plan.RowCompare(pl.OrderBy, pl.Desc, pl.Out()))
 	if pl.Limit >= 0 && len(rows) > pl.Limit {
 		rows = rows[:pl.Limit]
 	}
