@@ -175,6 +175,8 @@ func mutantsCheck(env *env) (*run, error) {
 		return "", err
 	}
 	finish := func(int) (string, []error) {
+		vs, ingestErr := mutate.JudgeIngest()
+		rep.Add("ingest", vs)
 		for _, line := range rep.Lines() {
 			fmt.Fprintln(env.text, line)
 		}
@@ -195,7 +197,7 @@ func mutantsCheck(env *env) (*run, error) {
 			idleErr = fmt.Errorf("gate: rules that caught no mutant alone: %s", strings.Join(idle, ", "))
 		}
 		return fmt.Sprintf("%d/%d caught = %.1f%%, every rule the sole catcher of some mutant", rep.Caught, rep.Total, 100*rep.Rate),
-			[]error{rateErr, idleErr}
+			[]error{ingestErr, rateErr, idleErr}
 	}
 	return &run{each: each, finish: finish, report: func(int) any { return rep }}, nil
 }
@@ -354,18 +356,12 @@ func shardCheck(env *env) (*run, error) {
 			} else if string(canon) != string(baseCanon) {
 				return errors.New("canonical profile differs across the grid")
 			}
-			// Lineage replay: journals vs table row counts vs skips.
-			tableRows := map[string]int64{}
-			plan.Walk(cq.Plan, func(n plan.Node) {
-				if s, isScan := n.(*plan.Scan); isScan {
-					tableRows[s.Alias] = int64(s.Table.Rows())
-				}
-			})
-			zones, pruned = 0, len(res.Skips)
+			// Lineage replay: journals vs table row counts.
+			zones, pruned = 0, len(res.Profile.Skips)
 			for _, st := range res.ShardStates {
 				zones += len(st.Zones)
 			}
-			return diagErr("journal", verify.CheckShards(tableRows, res.ShardStates, res.Skips))
+			return diagErr("journal", verify.CheckShards(verify.ScanRows(cq.Plan), res.ShardStates))
 		}
 		for _, nw := range env.workers {
 			for _, ns := range shardCounts {
@@ -470,10 +466,7 @@ func viewsCheck(env *env) (*run, error) {
 	cat := env.cat
 	svc := engine.NewService(cat, verifying(), 0)
 	oracle := engine.NewService(cat, verifying(), 0) // view-free: always executes base text
-	for _, v := range [][2]string{
-		{"rev_by_prod", "select id, sum(price), count(*) from sales group by id"},
-		{"flag_totals", "select l_returnflag, sum(l_extendedprice), count(*), min(l_quantity), max(l_quantity) from lineitem group by l_returnflag"},
-	} {
+	for _, v := range mutate.Views {
 		if _, err := svc.CreateView(v[0], v[1], mview.RefreshIncremental); err != nil {
 			return nil, fmt.Errorf("create view %s: %w", v[0], err)
 		}

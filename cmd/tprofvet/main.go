@@ -104,8 +104,10 @@ at workers >= 1 also over the merge kernels the parallel program appends.`,
 		}},
 	{flag: "mutants", noun: "workloads", json: true, suite: planUnits, setup: mutantsCheck,
 		help: `mode: seed miscompilation mutants into every plan's IR, lineage, merge metadata
-and native code; clean compiles must verify silently, every mutant must be caught,
-and every rule of the artifact gate must be the sole catcher of some mutant`},
+and native code, and state mutants into its shard journals and a scripted ingest's
+epoch journal and view ledgers; clean compiles and journals must verify silently,
+every mutant must be caught, and every rule of the artifact gate and the shard,
+epoch and view checkers must be the sole catcher of some mutant`},
 	{flag: "cache", noun: "workloads", suite: sqlUnits, setup: cacheCheck,
 		help: `mode: the SQL suite through the query service; the cold compile, the re-prepare
 (which must hit) and every -workers count must return the reference executor's rows`},
@@ -118,7 +120,7 @@ true row counts that map to live dictionary tasks (cost.CheckObserved)`},
 	{flag: "shard", noun: "workloads", suite: planUnits, setup: shardCheck,
 		help: `mode: sharded execution (DESIGN.md §13) at Shards 1,2,4,8 x -workers, pruning on:
 serial rows in order, one canonical profile across the grid, and per-shard
-journals that replay against row counts and skip events (verify.CheckShards)`},
+journals that tile the tables without zone collisions (verify.CheckShards)`},
 	{flag: "epoch", noun: "workloads", suite: sqlUnits, setup: epochCheck,
 		help: `mode: epoch-versioned storage (DESIGN.md §15): a scripted append between each
 statement's cold and warm run must cause zero recompiles, evictions or version

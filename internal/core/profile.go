@@ -82,9 +82,10 @@ type Profile struct {
 	// lens, not part of the invariant attribution (see Canonical).
 	ByShard map[int]float64
 
-	// Skips are the zero-cost skip events of pruned scan zones, attached
-	// by the engine after the sample merge so attribution stays complete
-	// when sharded execution proves work unnecessary and never runs it.
+	// Skips are the zero-cost skip events of pruned scan zones, derived
+	// from the run's shard journals (Skips: by pipeline, then zone) after
+	// the sample merge, so attribution stays complete when sharded
+	// execution proves work unnecessary and never runs it.
 	Skips []SkipEvent
 
 	MemByOp map[ComponentID][]MemPoint

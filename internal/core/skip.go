@@ -11,7 +11,8 @@ import (
 // never executed. Skips keep the attribution complete — every row of every
 // table is accounted for either by executed-task samples or by an explicit
 // zero-cost skip — which is what lets the merged profile stay byte-identical
-// across shard counts even though pruned shards never run.
+// across shard counts even though pruned shards never run. Skips derives
+// them from the shard journals, which record each zone verdict once.
 type SkipEvent struct {
 	Pipeline int    // pipeline index of the pruned scan
 	Alias    string // driving scan alias
@@ -19,7 +20,6 @@ type SkipEvent struct {
 	// the shard count, so Canonical excludes it, like Sample.Worker)
 	Zone   int   // zone index in the table's zone map
 	Lo, Hi int64 // pruned row range [Lo, Hi)
-	Rows   int64 // rows skipped
 	Cause  string
 }
 
@@ -30,41 +30,61 @@ const (
 	SkipAbsent   = "absent"   // no candidate key is in the build's hash table
 )
 
-// ZoneDecision journals the coordinator's verdict on one zone.
+// ZoneDecision journals the coordinator's verdict on one zone: pruned iff
+// it carries a cause.
 type ZoneDecision struct {
-	Zone   int   // zone index in the table's zone map
-	Lo, Hi int64 // row range [Lo, Hi)
-	Pruned bool
+	Zone   int    // zone index in the table's zone map
+	Lo, Hi int64  // row range [Lo, Hi)
 	Cause  string // SkipFilter / SkipSemiJoin / SkipAbsent; "" if surviving
 }
 
 // ShardState is the per-shard run state of one scan pipeline: which zones
-// the shard owns, which were pruned and why, and how much of it actually
-// ran. The states of one run are the lineage journal `tprofvet check
-// -shard` replays: shards must tile the table, zone verdicts must match
-// the skip events in the merged profile, and no two shards may claim the
-// same zone (tag collision).
+// the shard owns, which were pruned and why, and how many morsels carried
+// its rows. The states of one run are the lineage journal `tprofvet check
+// -shard` replays: shards must tile the table, zones must tile each shard,
+// and no two shards may claim the same zone (tag collision).
 type ShardState struct {
 	Pipeline int    // pipeline index
 	Alias    string // driving scan alias
 	Shard    int    // shard ID (position in the n-way split)
 	Lo, Hi   int64  // row range [Lo, Hi)
 	Zones    []ZoneDecision
-	Rows     int64 // total rows the shard owns
-	Scanned  int64 // rows that survived pruning and were executed
-	Morsels  int   // morsels of this run that carried the shard's rows
-	Pruned   bool  // whole shard skipped (every zone pruned)
+	Morsels  int // morsels of this run that carried the shard's rows
 }
 
-// sortSkips orders skip events canonically: by pipeline, then zone.
-func sortSkips(skips []SkipEvent) []SkipEvent {
-	out := append([]SkipEvent(nil), skips...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pipeline != out[j].Pipeline {
-			return out[i].Pipeline < out[j].Pipeline
+// Rows returns the rows the shard owns.
+func (s ShardState) Rows() int64 { return s.Hi - s.Lo }
+
+// Scanned returns the rows of the shard's surviving zones: the rows that
+// were executed.
+func (s ShardState) Scanned() int64 {
+	var n int64
+	for _, z := range s.Zones {
+		if z.Cause == "" {
+			n += z.Hi - z.Lo
 		}
-		return out[i].Zone < out[j].Zone
-	})
+	}
+	return n
+}
+
+// Pruned reports whether every zone of the shard was pruned.
+func (s ShardState) Pruned() bool {
+	return len(s.Zones) > 0 && s.Scanned() == 0
+}
+
+// Skips derives the skip events of a run's shard journals, one per pruned
+// zone in journal order (by pipeline, then zone); nil when no zone was
+// pruned.
+func Skips(journals []ShardState) []SkipEvent {
+	var out []SkipEvent
+	for _, j := range journals {
+		for _, z := range j.Zones {
+			if z.Cause != "" {
+				out = append(out, SkipEvent{Pipeline: j.Pipeline, Alias: j.Alias, Shard: j.Shard,
+					Zone: z.Zone, Lo: z.Lo, Hi: z.Hi, Cause: z.Cause})
+			}
+		}
+	}
 	return out
 }
 
@@ -126,10 +146,10 @@ func (p *Profile) Canonical() []byte {
 	for _, name := range routines {
 		w("routine", name, f(p.RoutineCount[name]))
 	}
-	for _, s := range sortSkips(p.Skips) {
+	for _, s := range p.Skips {
 		w("skip", strconv.Itoa(s.Pipeline), s.Alias, strconv.Itoa(s.Zone),
 			strconv.FormatInt(s.Lo, 10), strconv.FormatInt(s.Hi, 10),
-			strconv.FormatInt(s.Rows, 10), s.Cause)
+			strconv.FormatInt(s.Hi-s.Lo, 10), s.Cause)
 	}
 	return []byte(sb.String())
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/mview"
 	"repro/internal/plan"
@@ -256,7 +257,7 @@ func TestAdaptObservesUnprunedRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ar.Baseline.Skips) == 0 {
+		if len(core.Skips(ar.Baseline.ShardStates)) == 0 {
 			t.Fatalf("counters=%v: the baseline pruned no zone; pick a statement that prunes", counters)
 		}
 		p, err := se.Prepare(sql)
@@ -314,7 +315,7 @@ func TestAdaptRunsOnceSampled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ar.ProfileRun.Skips) == 0 {
+		if len(core.Skips(ar.ProfileRun.ShardStates)) == 0 {
 			t.Fatalf("counters=%v: the sampled run pruned no zone; pick a statement that prunes", counters)
 		}
 		adapted := len(se.exec.pool.lent)

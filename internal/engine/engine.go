@@ -817,13 +817,10 @@ type Result struct {
 	// shard per zone (ShardStates).
 	Shards int
 	// ShardStates are the per-shard run-state journals of every scan
-	// pipeline (sharded runs only): zone verdicts, scanned rows, morsel
-	// counts. `tprofvet check -shard` replays them against the table's
-	// zone map and the profile's skip events.
+	// pipeline (sharded runs only): zone verdicts and morsel counts.
+	// core.Skips derives the pruned zones' skip events from them, and
+	// `tprofvet check -shard` replays them against the tables' row counts.
 	ShardStates []ShardState
-	// Skips are the zero-cost skip events of pruned zones (also attached
-	// to Profile.Skips when sampling is on).
-	Skips []core.SkipEvent
 
 	// TupleCounts holds EXPLAIN ANALYZE row counters per task component
 	// (only with Options.TupleCounters).
@@ -974,7 +971,7 @@ func (r *stagedRun) finish(res *Result) *Result {
 		res.Profile = core.BuildProfile(att, res.Samples)
 		// Pruned zones enter the profile as explicit zero-cost skip
 		// events, keeping attribution complete over every table row.
-		res.Profile.Skips = res.Skips
+		res.Profile.Skips = core.Skips(res.ShardStates)
 	}
 	if cq.Layout.CounterBase != 0 {
 		res.TupleCounts = map[core.ComponentID]int64{}

@@ -94,6 +94,11 @@ type parStage struct {
 	first            []int64
 	outs             []byte
 	seqs, dsts, refs []int64
+
+	// probeBase holds a group-join probe phase's build entries as the
+	// phase found them: the state mergePhase folds the workers' deltas
+	// against.
+	probeBase []byte
 }
 
 // staging returns the run's parStage with its first workers entries
@@ -260,9 +265,8 @@ func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 
 	// Cross-shard coordination (DESIGN.md §13): scan pipelines execute
 	// the canonical surviving-morsel list of their table's zone map, with
-	// per-shard journals and zero-cost skip events for pruned zones.
+	// per-shard journals recording each zone's verdict.
 	var shardStates []ShardState
-	var skips []core.SkipEvent
 
 	for pi := range cq.Pipe.Pipelines {
 		info := &cq.Pipe.Pipelines[pi]
@@ -293,7 +297,6 @@ func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 			}
 			spans, shardOf = se.spans, se.shardOf
 			shardStates = append(shardStates, se.states...)
-			skips = append(skips, se.skips...)
 		} else {
 			spans = PartitionMorsels(pipeDomain(cq, coord, info), morselSize)
 		}
@@ -373,7 +376,7 @@ func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 
 	res := &Result{
 		Stats: coord.Stats, Workers: workers, WallCycles: wall, MergeCycles: mergeCycles,
-		Shards: x.Opts.Shards, ShardStates: shardStates, Skips: skips,
+		Shards: x.Opts.Shards, ShardStates: shardStates,
 	}
 	for _, w := range ws {
 		addStats(&res.Stats, &w.cpu.Stats)
@@ -770,7 +773,8 @@ func mergePhase(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, st *pa
 		ht := sink.HT
 		cursor := coord.ReadI64(ht.Desc + codegen.HTDescCursor)
 		n := cursor - ht.Arena
-		base := append([]byte(nil), coord.Heap[ht.Arena:cursor]...)
+		st.probeBase = append(st.probeBase[:0], coord.Heap[ht.Arena:cursor]...)
+		base := st.probeBase
 		for _, w := range st.ws {
 			for off := int64(0); off < n; off += ht.EntrySize {
 				addr := ht.Arena + off

@@ -663,7 +663,7 @@ func (s *Service) replanChanges(p *Prepared) bool {
 // row count must be what the planner should estimate for it.
 func (se *Session) observeTrue(p *Prepared, rs *RunState, run *Result) (bool, error) {
 	cq, counts := p.Compiled, run.TupleCounts
-	if len(counts) == 0 || len(run.Skips) > 0 {
+	if len(counts) == 0 || len(run.Profile.Skips) > 0 {
 		if len(counts) == 0 {
 			opts := se.svc.opts
 			opts.TupleCounters = true

@@ -36,10 +36,11 @@ import (
 //     pruned vs unpruned rows.
 //   - Every pruned zone becomes an explicit zero-cost skip event attached to
 //     the merged profile, so attribution stays complete: each table row is
-//     covered either by executed-task samples or by a skip.
+//     covered either by executed-task samples or by a skip. The journals
+//     record each verdict once; core.Skips derives the events from them.
 
 // ShardState and ZoneDecision are the shard lineage journal; the types
-// live in core beside SkipEvent, the other half of that lineage, so the
+// live in core beside SkipEvent, which is derived from them, so the
 // verifier reads them without importing the engine.
 type (
 	ShardState   = core.ShardState
@@ -48,13 +49,11 @@ type (
 
 // shardExec is one scan pipeline's sharded execution plan: the canonical
 // surviving-morsel list (identical for every shard count), the shard
-// owning each morsel (the attribution stamp), the per-shard journals, and
-// the skip events for the pruned zones.
+// owning each morsel (the attribution stamp) and the per-shard journals.
 type shardExec struct {
 	spans   []Span
 	shardOf []int
 	states  []ShardState
-	skips   []core.SkipEvent
 }
 
 // semiProbe is one join this scan's pipeline probes with a bare column of
@@ -95,12 +94,15 @@ func buildShardExec(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, sn
 	cause := make([]string, len(zones))
 	if pruning {
 		probes := collectSemiProbes(cq, coord, scan)
+		// Scan.Filter's column positions index the scan's output row (see
+		// pipeline.evalExpr and ref.scan), so each zone's table-space
+		// bounds are projected through the scan's column selection.
+		var outBounds []catalog.Bound
+		if scan.Filter != nil {
+			outBounds = make([]catalog.Bound, len(scan.Cols))
+		}
 		for zi, z := range zones {
-			// Scan.Filter's column positions index the scan's output row
-			// (see pipeline.evalExpr and ref.scan), so project the zone's
-			// table-space bounds through the scan's column selection.
 			if scan.Filter != nil {
-				outBounds := make([]catalog.Bound, len(scan.Cols))
 				for i, ci := range scan.Cols {
 					outBounds[i] = z.Bounds[ci]
 				}
@@ -173,24 +175,12 @@ func buildShardExec(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, sn
 		se.shardOf[m] = shardList[si].ID
 	}
 
-	// Per-shard journals + skip events.
+	// Per-shard journals: each zone verdict, once.
 	for _, sh := range shardList {
-		st := ShardState{
-			Pipeline: info.Index, Alias: scan.Alias, Shard: sh.ID,
-			Lo: sh.Lo, Hi: sh.Hi, Rows: sh.Rows(), Pruned: len(sh.Zones) > 0,
-		}
+		st := ShardState{Pipeline: info.Index, Alias: scan.Alias, Shard: sh.ID, Lo: sh.Lo, Hi: sh.Hi}
+		st.Zones = make([]ZoneDecision, 0, len(sh.Zones))
 		for _, z := range sh.Zones {
-			zd := ZoneDecision{Zone: z.Index, Lo: z.Lo, Hi: z.Hi, Pruned: cause[z.Index] != "", Cause: cause[z.Index]}
-			st.Zones = append(st.Zones, zd)
-			if zd.Pruned {
-				se.skips = append(se.skips, core.SkipEvent{
-					Pipeline: info.Index, Alias: scan.Alias, Shard: sh.ID,
-					Zone: z.Index, Lo: z.Lo, Hi: z.Hi, Rows: z.Rows(), Cause: zd.Cause,
-				})
-			} else {
-				st.Scanned += z.Rows()
-				st.Pruned = false
-			}
+			st.Zones = append(st.Zones, ZoneDecision{Zone: z.Index, Lo: z.Lo, Hi: z.Hi, Cause: cause[z.Index]})
 		}
 		for m := range se.spans {
 			if se.shardOf[m] == sh.ID {

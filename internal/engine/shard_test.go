@@ -115,14 +115,12 @@ func TestShardMatchesUnshardedParallel(t *testing.T) {
 	}
 }
 
-// TestShardSkipCompleteness replays fig9's shard journals: shards tile
-// each scanned table with no zone claimed twice, every pruned zone has
-// exactly one matching skip event in the merged profile (and vice versa),
-// scanned + skipped rows account for every table row, and the per-shard
-// sample lanes are populated. fig9 exercises both pruning rules: the
-// orders scan prunes on its date filter (the column is correlated with
-// position), and the lineitem scan prunes via the shipped build-side
-// bounds or hash table of the join (clustered l_orderkey).
+// TestShardSkipCompleteness replays fig9's shard journals: zones tile
+// each shard, shards tile each scanned table with no zone claimed twice,
+// and the per-shard sample lanes are populated. fig9 exercises both
+// pruning rules: the orders scan prunes on its date filter (the column is
+// correlated with position), and the lineitem scan prunes via the shipped
+// build-side bounds or hash table of the join (clustered l_orderkey).
 func TestShardSkipCompleteness(t *testing.T) {
 	cat := testCatalog(t)
 	w, _ := queries.ByName("fig9")
@@ -131,14 +129,13 @@ func TestShardSkipCompleteness(t *testing.T) {
 	if len(res.ShardStates) == 0 {
 		t.Fatal("no shard states")
 	}
-	// Journal-side view of pruned zones, keyed by (pipeline, zone).
 	type zkey struct{ pipe, zone int }
-	pruned := map[zkey]ZoneDecision{}
 	owner := map[zkey]int{}
 	byScan := map[string][]ShardState{}
+	causes := map[string]int{}
 	for _, st := range res.ShardStates {
 		byScan[st.Alias] = append(byScan[st.Alias], st)
-		var rows, scanned, prunedRows int64
+		next := st.Lo
 		for _, z := range st.Zones {
 			k := zkey{st.Pipeline, z.Zone}
 			if prev, dup := owner[k]; dup {
@@ -146,81 +143,42 @@ func TestShardSkipCompleteness(t *testing.T) {
 					z.Zone, st.Pipeline, prev, st.Shard)
 			}
 			owner[k] = st.Shard
-			rows += z.Hi - z.Lo
-			if z.Pruned {
-				pruned[k] = z
-				prunedRows += z.Hi - z.Lo
-				if z.Cause == "" {
-					t.Errorf("pruned zone %d has no cause", z.Zone)
-				}
-			} else {
-				scanned += z.Hi - z.Lo
-				if z.Cause != "" {
-					t.Errorf("surviving zone %d has cause %q", z.Zone, z.Cause)
-				}
+			if z.Lo != next {
+				t.Errorf("shard %d of %s: zone %d starts at %d, want %d", st.Shard, st.Alias, z.Zone, z.Lo, next)
 			}
+			next = z.Hi
+			causes[z.Cause]++
 		}
-		if rows != st.Rows {
-			t.Errorf("shard %d of %s: zones cover %d rows, journal says %d", st.Shard, st.Alias, rows, st.Rows)
-		}
-		if scanned != st.Scanned {
-			t.Errorf("shard %d of %s: %d surviving rows, journal says scanned %d", st.Shard, st.Alias, scanned, st.Scanned)
-		}
-		if st.Scanned+prunedRows != st.Rows {
-			t.Errorf("shard %d of %s: scanned %d + pruned %d != rows %d",
-				st.Shard, st.Alias, st.Scanned, prunedRows, st.Rows)
-		}
-		if st.Pruned != (scanned == 0 && len(st.Zones) > 0) {
-			t.Errorf("shard %d of %s: Pruned=%v with %d surviving rows", st.Shard, st.Alias, st.Pruned, scanned)
+		if next != st.Hi {
+			t.Errorf("shard %d of %s: zones end at %d, shard owns [%d,%d)", st.Shard, st.Alias, next, st.Lo, st.Hi)
 		}
 	}
 	// Shards tile each table.
 	for alias, states := range byScan {
-		var total int64
 		var next int64
 		for _, st := range states {
 			if st.Lo != next {
 				t.Errorf("%s: shard %d starts at %d, want %d", alias, st.Shard, st.Lo, next)
 			}
 			next = st.Hi
-			total += st.Rows
 		}
 		tb, err := cat.Table(trimAlias(alias))
 		if err != nil {
 			t.Fatalf("%s: %v", alias, err)
 		}
-		if total != int64(tb.Rows()) {
-			t.Errorf("%s: shards own %d rows, table has %d", alias, total, tb.Rows())
+		if next != int64(tb.Rows()) {
+			t.Errorf("%s: shards own %d rows, table has %d", alias, next, tb.Rows())
 		}
 	}
-	// Every pruned zone has exactly one skip event, and no skip event
-	// lacks a pruned zone.
-	if len(res.Skips) != len(pruned) {
-		t.Fatalf("%d skip events for %d pruned zones", len(res.Skips), len(pruned))
-	}
-	causes := map[string]int{}
-	for _, sk := range res.Skips {
-		z, ok := pruned[zkey{sk.Pipeline, sk.Zone}]
-		if !ok {
-			t.Fatalf("skip event for zone %d of pipeline %d: no pruned journal entry", sk.Zone, sk.Pipeline)
-		}
-		if sk.Lo != z.Lo || sk.Hi != z.Hi || sk.Rows != z.Hi-z.Lo || sk.Cause != z.Cause {
-			t.Errorf("skip event for zone %d disagrees with journal: %+v vs %+v", sk.Zone, sk, z)
-		}
-		if want := owner[zkey{sk.Pipeline, sk.Zone}]; sk.Shard != want {
-			t.Errorf("skip event for zone %d stamped shard %d, journal owner %d", sk.Zone, sk.Shard, want)
-		}
-		causes[sk.Cause]++
-	}
-	if causes["filter"] == 0 {
+	if causes[core.SkipFilter] == 0 {
 		t.Error("fig9 pruned no zone on the orders date filter — battery is vacuous")
 	}
-	if causes["semijoin"]+causes["absent"] == 0 {
+	if causes[core.SkipSemiJoin]+causes[core.SkipAbsent] == 0 {
 		t.Error("fig9 pruned no lineitem zone via the shipped build side — battery is vacuous")
 	}
-	// The profile carries the same skips, and per-shard sample lanes exist.
-	if res.Profile == nil || len(res.Profile.Skips) != len(res.Skips) {
-		t.Fatal("profile does not carry the run's skip events")
+	// The profile carries the skips, and per-shard sample lanes exist.
+	if res.Profile == nil || len(res.Profile.Skips) == 0 {
+		t.Fatal("profile carries no skip events")
 	}
 	lanes := 0
 	for shard, w := range res.Profile.ByShard {
@@ -339,7 +297,7 @@ func TestShardPruningProperty(t *testing.T) {
 		for _, st := range res.ShardStates {
 			for _, z := range st.Zones {
 				totalZones++
-				if z.Pruned {
+				if z.Cause != "" {
 					prunedZones++
 				}
 			}
@@ -425,8 +383,8 @@ func TestShardScalingGate(t *testing.T) {
 	}
 	var owned, scanned int64
 	for _, st := range pruned.ShardStates {
-		owned += st.Rows
-		scanned += st.Scanned
+		owned += st.Rows()
+		scanned += st.Scanned()
 	}
 	if frac := float64(scanned) / float64(owned); frac > 0.15 {
 		t.Errorf("gate scan executed %.0f%% of the table, want <= 15%% (90%%-prunable workload)", 100*frac)
@@ -490,8 +448,8 @@ func TestShardSessionKnobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Shards != opts.Shards || len(res.Skips) == 0 {
-		t.Fatalf("first run: %d shards, %d skips; want %d shards and a pruned zone", res.Shards, len(res.Skips), opts.Shards)
+	if res.Shards != opts.Shards || len(core.Skips(res.ShardStates)) == 0 {
+		t.Fatalf("first run: %d shards, %d skips; want %d shards and a pruned zone", res.Shards, len(core.Skips(res.ShardStates)), opts.Shards)
 	}
 	rowsEqual(t, res.Rows, refRows(t, p), false)
 
@@ -504,8 +462,8 @@ func TestShardSessionKnobs(t *testing.T) {
 	if !p2.CacheHit || p2.Compiled != p.Compiled {
 		t.Fatal("session shard knobs must not invalidate the cache")
 	}
-	if res2.Shards != 8 || len(res2.Skips) != 0 {
-		t.Fatalf("after SetShards(8), SetShardPruning(false): %d shards, %d skips; want 8 shards and none", res2.Shards, len(res2.Skips))
+	if res2.Shards != 8 || len(core.Skips(res2.ShardStates)) != 0 {
+		t.Fatalf("after SetShards(8), SetShardPruning(false): %d shards, %d skips; want 8 shards and none", res2.Shards, len(core.Skips(res2.ShardStates)))
 	}
 	rowsEqual(t, res2.Rows, res.Rows, false)
 }
@@ -714,7 +672,7 @@ func TestSemiJoinExtremeKeyZones(t *testing.T) {
 	}
 	for _, st := range pruned.ShardStates {
 		for _, z := range st.Zones {
-			if st.Alias == "p" && z.Zone < 3 && z.Pruned {
+			if st.Alias == "p" && z.Zone < 3 && z.Cause != "" {
 				t.Errorf("zone %d pruned as %q, but it holds a build key or spans too many candidates", z.Zone, z.Cause)
 			}
 		}

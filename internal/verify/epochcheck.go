@@ -2,6 +2,8 @@ package verify
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/catalog"
@@ -36,11 +38,6 @@ type EpochSnapshot struct {
 	Tables map[string]EpochTableState
 }
 
-func epochDiag(check, locus, format string, args ...interface{}) Diag {
-	return Diag{Check: check, Level: core.LevelTask,
-		Locus: locus, Msg: fmt.Sprintf(format, args...)}
-}
-
 // CheckEpochs replays an epoch journal from the load-time row counts
 // (base) and verifies the given snapshots against the replayed state.
 // Snapshots may be supplied in any order; each is checked against the
@@ -49,66 +46,48 @@ func CheckEpochs(base map[string]int64, journal []core.EpochEvent, snaps []Epoch
 	var out []Diag
 
 	// Pass 1: the journal itself. Epochs strictly increase; each event's
-	// window starts exactly at the table's replayed row count and is
-	// non-empty.
+	// window is non-empty and starts exactly at the table's replayed row
+	// count.
 	rows := make(map[string]int64, len(base))
-	for t, n := range base {
-		rows[t] = n
-	}
+	maps.Copy(rows, base)
 	var prevEpoch uint64
 	for i, ev := range journal {
 		locus := fmt.Sprintf("journal[%d] %s", i, ev.Table)
 		if ev.Epoch <= prevEpoch {
-			out = append(out, epochDiag("epoch/non-monotonic", locus,
+			out = append(out, stateDiag("epoch/non-monotonic", locus,
 				"epoch %d follows %d", ev.Epoch, prevEpoch))
 		}
 		prevEpoch = ev.Epoch
-		if ev.Hi <= ev.Lo {
-			out = append(out, epochDiag("epoch/window-empty", locus,
-				"append window [%d,%d) holds no rows", ev.Lo, ev.Hi))
-			continue
-		}
 		at, known := rows[ev.Table]
-		if !known {
-			out = append(out, epochDiag("epoch/unknown-table", locus,
+		rows[ev.Table] = ev.Hi
+		switch {
+		case ev.Hi <= ev.Lo:
+			out = append(out, stateDiag("epoch/window-empty", locus,
+				"append window [%d,%d) holds no rows", ev.Lo, ev.Hi))
+		case !known:
+			out = append(out, stateDiag("epoch/unknown-table", locus,
 				"append to table with no load-time row count"))
-			rows[ev.Table] = ev.Hi
-			continue
-		}
-		if ev.Lo != at {
-			out = append(out, epochDiag("epoch/window-gap", locus,
+		case ev.Lo != at:
+			out = append(out, stateDiag("epoch/window-gap", locus,
 				"append window starts at %d, table tail is at %d", ev.Lo, at))
 		}
-		rows[ev.Table] = ev.Hi
 	}
 
-	// Pass 2: snapshots against the replayed prefix. Work in epoch order
-	// so bound-regression compares consecutive observations.
-	ordered := make([]EpochSnapshot, len(snaps))
-	copy(ordered, snaps)
+	// Pass 2: snapshots against the journaled state at their epoch. Work
+	// in epoch order so bound-regression compares consecutive
+	// observations.
+	ordered := slices.Clone(snaps)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Epoch < ordered[j].Epoch })
 
 	prevBounds := map[string][]catalog.Bound{}
-	for si, snap := range ordered {
-		if si > 0 && snap.Epoch == ordered[si-1].Epoch {
-			// Two observations of one epoch must agree exactly.
-			if !epochSnapshotsEqual(snap, ordered[si-1]) {
-				out = append(out, epochDiag("epoch/snap-order",
-					fmt.Sprintf("epoch %d", snap.Epoch),
-					"two snapshots of the same epoch disagree"))
-			}
-		}
-		// Replay the journal prefix visible to this snapshot.
+	for _, snap := range ordered {
+		// Replay the journal events visible to this snapshot: a table
+		// holds rows up to its furthest window.
 		visible := make(map[string]int64, len(base))
-		for t, n := range base {
-			visible[t] = n
-		}
+		maps.Copy(visible, base)
 		for _, ev := range journal {
-			if ev.Epoch > snap.Epoch {
-				break
-			}
-			if ev.Hi > ev.Lo {
-				visible[ev.Table] = ev.Hi
+			if ev.Epoch <= snap.Epoch {
+				visible[ev.Table] = max(visible[ev.Table], ev.Hi)
 			}
 		}
 		for _, table := range sortedTables(snap.Tables) {
@@ -116,22 +95,19 @@ func CheckEpochs(base map[string]int64, journal []core.EpochEvent, snaps []Epoch
 			locus := fmt.Sprintf("epoch %d %s", snap.Epoch, table)
 			want, known := visible[table]
 			if !known {
-				out = append(out, epochDiag("epoch/unknown-table", locus,
+				out = append(out, stateDiag("epoch/unknown-table", locus,
 					"snapshot covers table absent from the load state"))
 				continue
 			}
 			if st.Rows != want {
-				out = append(out, epochDiag("epoch/rows-mismatch", locus,
+				out = append(out, stateDiag("epoch/rows-mismatch", locus,
 					"snapshot sees %d rows, journal prefix yields %d", st.Rows, want))
 			}
-			wantZ := catalog.ZoneRowsFor(int(st.Rows))
-			if st.Rows < wantZ {
-				wantZ = st.Rows // single short zone on tiny tables
-			}
+			wantZ := min(catalog.ZoneRowsFor(int(want)), want) // one short zone on tiny tables
 			if st.ZoneRows != wantZ {
-				out = append(out, epochDiag("epoch/zone-granularity", locus,
+				out = append(out, stateDiag("epoch/zone-granularity", locus,
 					"zone granularity %d, want %d for %d rows (pure function of the table)",
-					st.ZoneRows, wantZ, st.Rows))
+					st.ZoneRows, wantZ, want))
 			}
 			if prev, ok := prevBounds[table]; ok && len(prev) == len(st.Bounds) {
 				for ci := range prev {
@@ -139,7 +115,7 @@ func CheckEpochs(base map[string]int64, journal []core.EpochEvent, snaps []Epoch
 						continue
 					}
 					if st.Bounds[ci].Min > prev[ci].Min || st.Bounds[ci].Max < prev[ci].Max {
-						out = append(out, epochDiag("epoch/zone-regression", locus,
+						out = append(out, stateDiag("epoch/zone-regression", locus,
 							"col %d bounds [%d,%d] shrank from [%d,%d] — append-only bounds may only widen",
 							ci, st.Bounds[ci].Min, st.Bounds[ci].Max, prev[ci].Min, prev[ci].Max))
 					}
@@ -160,24 +136,6 @@ func sortedTables(m map[string]EpochTableState) []string {
 	return names
 }
 
-func epochSnapshotsEqual(a, b EpochSnapshot) bool {
-	if len(a.Tables) != len(b.Tables) {
-		return false
-	}
-	for t, sa := range a.Tables {
-		sb, ok := b.Tables[t]
-		if !ok || sa.Rows != sb.Rows || sa.ZoneRows != sb.ZoneRows || len(sa.Bounds) != len(sb.Bounds) {
-			return false
-		}
-		for i := range sa.Bounds {
-			if sa.Bounds[i] != sb.Bounds[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // SnapshotEpochState reduces a live catalog snapshot to the checker's
 // input form: per table, the visible rows, the zone granularity the view
 // exposes, and the folded per-column bounds of its zone map.
@@ -191,27 +149,12 @@ func SnapshotEpochState(snap *catalog.Snapshot, tables []string) EpochSnapshot {
 		zones := v.Zones()
 		st := EpochTableState{Rows: int64(v.Rows)}
 		if len(zones) > 0 {
+			// A zone holds at least one row, so none of its bounds is empty.
 			st.ZoneRows = zones[0].Hi - zones[0].Lo
-			ncols := len(zones[0].Bounds)
-			st.Bounds = make([]catalog.Bound, ncols)
-			for ci := range st.Bounds {
-				st.Bounds[ci] = catalog.Bound{Min: 1, Max: 0} // empty
-			}
-			for _, z := range zones {
+			st.Bounds = slices.Clone(zones[0].Bounds)
+			for _, z := range zones[1:] {
 				for ci, b := range z.Bounds {
-					if b.Empty() {
-						continue
-					}
-					if st.Bounds[ci].Empty() {
-						st.Bounds[ci] = b
-						continue
-					}
-					if b.Min < st.Bounds[ci].Min {
-						st.Bounds[ci].Min = b.Min
-					}
-					if b.Max > st.Bounds[ci].Max {
-						st.Bounds[ci].Max = b.Max
-					}
+					st.Bounds[ci] = catalog.Bound{Min: min(st.Bounds[ci].Min, b.Min), Max: max(st.Bounds[ci].Max, b.Max)}
 				}
 			}
 		}

@@ -18,13 +18,18 @@
 //     at the wrong width, a stale Inverted bit, a lost debug-map entry);
 //     the artifact gate over the emitted program judges them.
 //
+// State mutants (state.go) corrupt a run's shard journals, and the epoch
+// journal, snapshots and view ledgers of a scripted ingest, judged by the
+// shard, epoch and view replay checkers.
+//
 // The harness enumerates candidate sites deterministically (module and
 // program iteration order is deterministic) and caps each class at a few
-// spread-out sites so the gate stays fast. Judge applies every mutant to a
-// fresh artifact and returns the rules that fired on it; the gate —
-// TestMutantGate and `tprofvet check -mutants` — requires every mutant
-// caught, zero diagnostics on the clean compiles, and every rule of the
-// artifact gate the sole catcher of some mutant.
+// spread-out sites so the gate stays fast. Judge and JudgeIngest apply
+// every mutant to a fresh artifact and return the rules that fired on it;
+// the gate — TestMutantGate and `tprofvet check -mutants` — requires every
+// mutant caught, zero diagnostics on the clean compiles and journals, and
+// every rule of the artifact gate and the state checkers the sole catcher
+// of some mutant.
 package mutate
 
 import (
@@ -74,6 +79,22 @@ func spread(n int) []int {
 	return []int{0, n / 2, n - 1}
 }
 
+// addClass appends the mutants of one class to muts: up to sitesPerClass
+// sites spread across the candidates among 0..n-1 (all when keep is nil).
+// site describes one, apply corrupts it.
+func addClass(muts *[]Mutant, name string, n int, keep func(int) bool, site func(int) string, apply func(int)) {
+	var cands []int
+	for k := 0; k < n; k++ {
+		if keep == nil || keep(k) {
+			cands = append(cands, k)
+		}
+	}
+	for _, i := range spread(len(cands)) {
+		k := cands[i]
+		*muts = append(*muts, Mutant{Class: name, Site: site(k), Apply: func() { apply(k) }})
+	}
+}
+
 // IR enumerates mutants over a pipeline compile: its module, its
 // dictionary and its pipeline metadata. The compile must be fresh; every
 // returned Apply closure corrupts it in place.
@@ -100,14 +121,10 @@ func IR(pc *pipeline.Compiled) []Mutant {
 	}
 	var muts []Mutant
 	class := func(name string, sites []site, apply func(site)) {
-		for _, i := range spread(len(sites)) {
-			s := sites[i]
-			muts = append(muts, Mutant{
-				Class: name,
-				Site:  fmt.Sprintf("%s/%s %%%d (%s)", s.fn, s.blk.Name, s.in.ID, s.in.Op),
-				Apply: func() { apply(s) },
-			})
-		}
+		addClass(&muts, name, len(sites), nil, func(k int) string {
+			s := sites[k]
+			return fmt.Sprintf("%s/%s %%%d (%s)", s.fn, s.blk.Name, s.in.ID, s.in.Op)
+		}, func(k int) { apply(sites[k]) })
 	}
 
 	nonCommutative := func(in *ir.Instr) bool {
@@ -230,14 +247,13 @@ func IR(pc *pipeline.Compiled) []Mutant {
 		}
 	}
 	meta := func(name string, sites []int, apply func(p *pipeline.PipelineInfo, ht *pipeline.HTLayout)) {
-		for _, i := range spread(len(sites)) {
-			p := &pc.Pipelines[sites[i]]
-			muts = append(muts, Mutant{Class: name, Site: "pipeline " + p.Name, Apply: func() {
-				ht := *p.Sink.HT
-				p.Sink.HT = &ht
-				apply(p, &ht)
-			}})
-		}
+		pipe := func(k int) *pipeline.PipelineInfo { return &pc.Pipelines[sites[k]] }
+		addClass(&muts, name, len(sites), nil, func(k int) string { return "pipeline " + pipe(k).Name }, func(k int) {
+			p := pipe(k)
+			ht := *p.Sink.HT
+			p.Sink.HT = &ht
+			apply(p, &ht)
+		})
 	}
 	meta("gen/slot-shift", merged, func(_ *pipeline.PipelineInfo, ht *pipeline.HTLayout) { ht.SlotShift++ })
 	meta("gen/staging-overlap", merged, func(_ *pipeline.PipelineInfo, ht *pipeline.HTLayout) { ht.MergeSrc = ht.Arena })
@@ -323,14 +339,9 @@ func Native(res *codegen.Result, mem *absint.MemModel) []Mutant {
 	}
 	var muts []Mutant
 	class := func(name string, sites []int, apply func(int)) {
-		for _, i := range spread(len(sites)) {
-			pos := sites[i]
-			muts = append(muts, Mutant{
-				Class: name,
-				Site:  fmt.Sprintf("native@%d (%s)", pos, prog.Code[pos].String()),
-				Apply: func() { apply(pos) },
-			})
-		}
+		addClass(&muts, name, len(sites), nil, func(k int) string {
+			return fmt.Sprintf("native@%d (%s)", sites[k], prog.Code[sites[k]].String())
+		}, func(k int) { apply(sites[k]) })
 	}
 
 	// An off-by-one on a spill/staging store address: breaks alignment.
@@ -465,7 +476,9 @@ type Verdict struct {
 // clean compile must pass the artifact gate at every phase and translation
 // validation at every optimizer pass — then applies every mutant of the
 // parallel program, the serial one with the kernels, to a fresh artifact
-// and judges it.
+// and judges it. It then runs q at Workers 2 × Shards 2 with pruning —
+// the clean shard journals must replay silently through
+// verify.CheckShards — and judges every journal mutant on a fresh copy.
 func Judge(cat *catalog.Catalog, q *plan.Query) ([]Verdict, error) {
 	opts := engine.DefaultOptions()
 	opts.VerifyArtifacts = true
@@ -481,7 +494,7 @@ func Judge(cat *catalog.Catalog, q *plan.Query) ([]Verdict, error) {
 	fresh := func() (*pipeline.Compiled, error) {
 		pc, err := pipeline.Compile(cq.Plan, cq.Layout, pipeline.Options{RegisterTagging: opts.RegisterTagging})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("pipeline recompile: %w", err)
 		}
 		pc.JoinKernels()
 		return pc, nil
@@ -492,40 +505,67 @@ func Judge(cat *catalog.Catalog, q *plan.Query) ([]Verdict, error) {
 	}
 	clean, err := fresh()
 	if err != nil {
-		return nil, fmt.Errorf("pipeline recompile: %w", err)
+		return nil, err
 	}
 	it := tv.NewInterner()
 	pre := tv.Summarize(clean.Module, it)
-
-	var out []Verdict
-	judge := func(m Mutant, art *verify.Artifact) {
-		m.Apply()
-		ds := verify.Check(art)
-		if art.Code == nil && !strings.HasPrefix(m.Class, "gen/") {
-			ds = append(ds, tv.Diags("mutant", "pipeline", tv.Compare(pre, tv.Summarize(art.Module, it), it))...)
+	out, err := judgeAll(fresh, IR, func(pc *pipeline.Compiled, m Mutant) []verify.Diag {
+		ds := verify.Check(&verify.Artifact{Module: pc.Module, Dict: pc.Dict,
+			RegisterTagging: opts.RegisterTagging, Pipelines: pc.Pipelines, Mem: cq.Mem})
+		if !strings.HasPrefix(m.Class, "gen/") {
+			ds = append(ds, tv.Diags("mutant", "pipeline", tv.Compare(pre, tv.Summarize(pc.Module, it), it))...)
 		}
+		return ds
+	})
+	if err != nil {
+		return nil, err
+	}
+	native, nerr := judgeAll(func() (*codegen.Result, error) { return CloneResult(par.Code), nil },
+		func(code *codegen.Result) []Mutant { return Native(code, cq.Mem) },
+		func(code *codegen.Result, _ Mutant) []verify.Diag {
+			return verify.Check(&verify.Artifact{Module: par.Module, Dict: par.Dict, Code: code,
+				RegisterTagging: opts.RegisterTagging, Pipelines: cq.Pipe.Pipelines, Mem: cq.Mem})
+		})
+
+	opts.Workers, opts.Shards, opts.ShardPruning = 2, 2, true
+	res, err := engine.New(cat, opts).Run(cq, nil)
+	if err != nil {
+		return nil, fmt.Errorf("sharded run: %w", err)
+	}
+	rows := verify.ScanRows(cq.Plan)
+	if err := verify.AsError(verify.CheckShards(rows, res.ShardStates)); err != nil {
+		return nil, fmt.Errorf("clean shard journals flagged: %w", err)
+	}
+	journals, jerr := judgeAll(func() (*[]core.ShardState, error) {
+		js := CloneJournals(res.ShardStates)
+		return &js, nil
+	}, Journal, func(js *[]core.ShardState, _ Mutant) []verify.Diag { return verify.CheckShards(rows, *js) })
+	return slices.Concat(out, native, journals), errors.Join(nerr, jerr)
+}
+
+// judgeAll applies every mutant enumerate finds, each to a fresh
+// artifact, and records the rules check fires on it.
+func judgeAll[A any](fresh func() (A, error), enumerate func(A) []Mutant, check func(A, Mutant) []verify.Diag) ([]Verdict, error) {
+	var out []Verdict
+	for i := 0; ; i++ {
+		art, err := fresh()
+		if err != nil {
+			return nil, err
+		}
+		muts := enumerate(art)
+		if i == len(muts) {
+			return out, nil
+		}
+		m := muts[i]
+		m.Apply()
 		v := Verdict{Class: m.Class, Site: m.Site}
-		for _, d := range ds {
+		for _, d := range check(art, m) {
 			v.Rules = append(v.Rules, d.Check)
 		}
 		slices.Sort(v.Rules)
 		v.Rules = slices.Compact(v.Rules)
 		out = append(out, v)
 	}
-	for i, n := 0, len(IR(clean)); i < n; i++ {
-		pc, err := fresh()
-		if err != nil {
-			return nil, fmt.Errorf("pipeline recompile: %w", err)
-		}
-		judge(IR(pc)[i], &verify.Artifact{Module: pc.Module, Dict: pc.Dict,
-			RegisterTagging: opts.RegisterTagging, Pipelines: pc.Pipelines, Mem: cq.Mem})
-	}
-	for i, n := 0, len(Native(CloneResult(par.Code), cq.Mem)); i < n; i++ {
-		code := CloneResult(par.Code)
-		judge(Native(code, cq.Mem)[i], &verify.Artifact{Module: par.Module, Dict: par.Dict, Code: code,
-			RegisterTagging: opts.RegisterTagging, Pipelines: cq.Pipe.Pipelines, Mem: cq.Mem})
-	}
-	return out, nil
 }
 
 // exempt reports whether a rule need not be the sole catcher of any

@@ -16,8 +16,8 @@ type judgement struct {
 	err error
 }
 
-// judged holds every workload's verdicts, computed once for the gate tests
-// below.
+// judged holds every workload's verdicts, and under "ingest" the
+// scripted ingest's, computed once for the gate tests below.
 var judged = sync.OnceValue(func() map[string]judgement {
 	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.01, Seed: 42})
 	out := map[string]judgement{}
@@ -25,26 +25,38 @@ var judged = sync.OnceValue(func() map[string]judgement {
 		vs, err := Judge(cat, w.Query)
 		out[w.Name] = judgement{vs, err}
 	}
+	vs, err := JudgeIngest()
+	out["ingest"] = judgement{vs, err}
 	return out
 })
 
-// TestMutantGate runs the full harness over the query corpus: every clean
-// compile must verify silently (false-positive gate), every mutant must be
-// caught, and every rule of the artifact gate that fires must be the sole
-// catcher of some mutant. Per-class and per-rule scores are logged so a
+// judgedNames lists the keys of judged: the suite's workloads, then the
+// ingest.
+func judgedNames() []string {
+	var names []string
+	for _, w := range queries.Suite() {
+		names = append(names, w.Name)
+	}
+	return append(names, "ingest")
+}
+
+// TestMutantGate runs the full harness over the query corpus and the
+// scripted ingest: every clean compile and journal must verify silently
+// (false-positive gate), every mutant must be caught, and every rule that
+// fires must be the sole catcher of some mutant. Per-class and per-rule scores are logged so a
 // regression names the weakened validator.
 func TestMutantGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mutant corpus gate is not a -short test")
 	}
 	score := NewScore()
-	for _, w := range queries.Suite() {
-		t.Run(w.Name, func(t *testing.T) {
-			j := judged()[w.Name]
+	for _, name := range judgedNames() {
+		t.Run(name, func(t *testing.T) {
+			j := judged()[name]
 			if j.err != nil {
 				t.Fatal(j.err)
 			}
-			score.Add(w.Name, j.vs)
+			score.Add(name, j.vs)
 			for _, v := range j.vs {
 				if len(v.Rules) == 0 {
 					t.Errorf("missed %s at %s", v.Class, v.Site)
@@ -64,9 +76,10 @@ func TestMutantGate(t *testing.T) {
 	}
 }
 
-// soleClass pins, for every rule of the artifact gate, a mutant class some
-// mutant of which that rule alone catches. Translation validation and the
-// structural IR codes are exempt (exempt).
+// soleClass pins, for every rule of the artifact gate and of the shard,
+// epoch and view checkers, a mutant class some mutant of which that rule
+// alone catches. Translation validation and the structural IR codes are
+// exempt (exempt).
 var soleClass = map[string]string{
 	"ir/invariant-load":             "gen/mark-invariant",
 	"dict/orphan-instr":             "dict/drop-link",
@@ -91,6 +104,31 @@ var soleClass = map[string]string{
 	"absint/oob":                    "native/load-oob",
 	"absint/readonly-store":         "native/readonly-store",
 	"absint/access-width":           "native/load-width",
+
+	"shard/zone-gap":       "shard/shift-zone",
+	"shard/zone-short":     "shard/drop-zone",
+	"shard/tile-gap":       "shard/drop-shard",
+	"shard/tile-short":     "shard/drop-shard",
+	"shard/zone-collision": "shard/retag-zone",
+	"shard/cause-unknown":  "shard/garble-cause",
+	"shard/unknown-alias":  "shard/rename-alias",
+
+	"epoch/non-monotonic":    "epoch/swap-events",
+	"epoch/window-gap":       "epoch/shift-window",
+	"epoch/window-empty":     "epoch/empty-window",
+	"epoch/unknown-table":    "epoch/drop-base",
+	"epoch/rows-mismatch":    "epoch/snap-rows",
+	"epoch/zone-granularity": "epoch/snap-granularity",
+	"epoch/zone-regression":  "epoch/snap-bounds",
+
+	"views/no-ledger":        "views/drop-ledger",
+	"views/ledger-order":     "views/regress-ledger",
+	"views/table-missing":    "views/rename-table",
+	"views/coverage-overrun": "views/overrun-coverage",
+	"views/rows-mismatch":    "views/truncate-ledger",
+	"views/epoch-ahead":      "views/epoch-ahead",
+	"views/journal-missing":  "views/drop-journal",
+	"views/content-mismatch": "views/corrupt-partial",
 }
 
 // TestEveryRuleCatchesAClassAlone: each rule of soleClass is the only rule

@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"errors"
+
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/mview"
@@ -20,34 +22,30 @@ import (
 // epoch journal: every window that added partial rows must be backed by
 // a journaled append to the view table with exactly that row window.
 
-func viewDiag(check, locus, format string, args ...interface{}) Diag {
-	return epochDiag(check, locus, format, args...)
-}
-
 // CheckViews verifies every registered view of a manager against its
-// catalog: ledger monotonicity, coverage bounds, backing-table row
-// counts, journal backing for refresh appends, and byte-exact partial
-// contents under windowed replay.
+// catalog (CheckView).
 func CheckViews(cat *catalog.Catalog, m *mview.Manager) []Diag {
 	var out []Diag
 	journal := cat.EpochJournal()
 	for _, name := range m.Names() {
-		v, ok := m.Get(name)
-		if !ok {
-			continue
+		if v, ok := m.Get(name); ok {
+			out = append(out, CheckView(cat, v, v.States(), journal)...)
 		}
-		out = append(out, checkView(cat, v, journal)...)
 	}
 	return out
 }
 
-func checkView(cat *catalog.Catalog, v *mview.View, journal []core.EpochEvent) []Diag {
+// CheckView verifies one view's refresh ledger (states, oldest first)
+// against the catalog and its epoch journal: ledger monotonicity, the
+// base and backing tables, coverage bounds, backing-table row counts,
+// journal backing for refresh appends, and byte-exact partial contents
+// under windowed replay.
+func CheckView(cat *catalog.Catalog, v *mview.View, states []mview.RefreshState, journal []core.EpochEvent) []Diag {
 	var out []Diag
 	locus := "view " + v.Name
 
-	states := v.States()
 	if len(states) == 0 {
-		return []Diag{viewDiag("views/no-ledger", locus, "view has no refresh ledger")}
+		return []Diag{stateDiag("views/no-ledger", locus, "view has no refresh ledger")}
 	}
 
 	// The ledger is an append-only history: coverage, view rows and
@@ -55,34 +53,29 @@ func checkView(cat *catalog.Catalog, v *mview.View, journal []core.EpochEvent) [
 	for i := 1; i < len(states); i++ {
 		p, s := states[i-1], states[i]
 		if s.Covered < p.Covered || s.ViewRows < p.ViewRows || s.Epoch < p.Epoch {
-			out = append(out, viewDiag("views/ledger-order", locus,
+			out = append(out, stateDiag("views/ledger-order", locus,
 				"ledger entry %d (%+v) regresses from %d (%+v)", i, s, i-1, p))
 			return out // later checks would chase corrupted indices
 		}
 	}
 
 	vt, err := cat.Table(v.TableName)
-	if err != nil {
-		return append(out, viewDiag("views/table-missing", locus,
-			"backing table %s not in catalog", v.TableName))
-	}
-	bt, err := cat.Table(v.Def().Table)
-	if err != nil {
-		return append(out, viewDiag("views/base-missing", locus,
-			"base table %s not in catalog", v.Def().Table))
+	bt, baseErr := cat.Table(v.Def().Table)
+	if err = errors.Join(err, baseErr); err != nil {
+		return append(out, stateDiag("views/table-missing", locus, "%v", err))
 	}
 
 	last := states[len(states)-1]
 	if last.Covered > int64(bt.Rows()) {
-		out = append(out, viewDiag("views/coverage-overrun", locus,
+		out = append(out, stateDiag("views/coverage-overrun", locus,
 			"ledger covers %d base rows, base table has %d", last.Covered, bt.Rows()))
 	}
 	if last.ViewRows != int64(vt.Rows()) {
-		out = append(out, viewDiag("views/rows-mismatch", locus,
+		out = append(out, stateDiag("views/rows-mismatch", locus,
 			"ledger claims %d partial rows, backing table has %d", last.ViewRows, vt.Rows()))
 	}
 	if epoch := cat.Epoch(); last.Epoch > epoch {
-		out = append(out, viewDiag("views/epoch-ahead", locus,
+		out = append(out, stateDiag("views/epoch-ahead", locus,
 			"ledger epoch %d is ahead of the catalog epoch %d", last.Epoch, epoch))
 	}
 
@@ -101,7 +94,7 @@ func checkView(cat *catalog.Catalog, v *mview.View, journal []core.EpochEvent) [
 			}
 		}
 		if !backed {
-			out = append(out, viewDiag("views/journal-missing", locus,
+			out = append(out, stateDiag("views/journal-missing", locus,
 				"refresh window [%d,%d) of %s has no matching epoch-journal append",
 				p.ViewRows, s.ViewRows, v.TableName))
 		}
@@ -126,7 +119,7 @@ func checkView(cat *catalog.Catalog, v *mview.View, journal []core.EpochEvent) [
 		}
 		cols, groups := v.ComputePartials(bv, prevCovered, s.Covered)
 		if groups != s.ViewRows-prevRows {
-			out = append(out, viewDiag("views/content-mismatch", locus,
+			out = append(out, stateDiag("views/content-mismatch", locus,
 				"ledger entry %d: window [%d,%d) re-aggregates to %d partial rows, ledger claims %d",
 				i, prevCovered, s.Covered, groups, s.ViewRows-prevRows))
 			break
@@ -135,7 +128,7 @@ func checkView(cat *catalog.Catalog, v *mview.View, journal []core.EpochEvent) [
 			stored := mvView.Col(ci)[prevRows:s.ViewRows]
 			for ri := range cols[ci] {
 				if stored[ri] != cols[ci][ri] {
-					out = append(out, viewDiag("views/content-mismatch", locus,
+					out = append(out, stateDiag("views/content-mismatch", locus,
 						"partial row %d col %d holds %d, replay of base window [%d,%d) yields %d",
 						prevRows+int64(ri), ci, stored[ri], prevCovered, s.Covered, cols[ci][ri]))
 					return out

@@ -22,7 +22,7 @@ func ShardSummary(res *engine.Result) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "shard pruning (%d shards):\n", res.Shards)
 
-	// Group journals and skip causes by pipeline, in pipeline order.
+	// Group journals by pipeline, in pipeline order.
 	byPipe := map[int][]engine.ShardState{}
 	var pipes []int
 	for _, st := range res.ShardStates {
@@ -32,43 +32,38 @@ func ShardSummary(res *engine.Result) string {
 		byPipe[st.Pipeline] = append(byPipe[st.Pipeline], st)
 	}
 	sort.Ints(pipes)
-	causes := map[int]map[string]int{}
-	for _, sk := range res.Skips {
-		if causes[sk.Pipeline] == nil {
-			causes[sk.Pipeline] = map[string]int{}
-		}
-		causes[sk.Pipeline][sk.Cause]++
-	}
 
 	for _, pi := range pipes {
 		states := byPipe[pi]
 		var zones, pruned int
 		var rows, scanned int64
+		causes := map[string]int{}
 		for _, st := range states {
 			zones += len(st.Zones)
-			rows += st.Rows
-			scanned += st.Scanned
+			rows += st.Rows()
+			scanned += st.Scanned()
 			for _, z := range st.Zones {
-				if z.Pruned {
+				if z.Cause != "" {
 					pruned++
+					causes[z.Cause]++
 				}
 			}
 		}
 		fmt.Fprintf(&sb, "  pipeline %d scan %s: %d/%d zones pruned%s; %d/%d rows scanned\n",
-			pi, states[0].Alias, pruned, zones, causeList(causes[pi]), scanned, rows)
+			pi, states[0].Alias, pruned, zones, causeList(causes), scanned, rows)
 		for _, st := range states {
 			zp := 0
 			for _, z := range st.Zones {
-				if z.Pruned {
+				if z.Cause != "" {
 					zp++
 				}
 			}
 			mark := ""
-			if st.Pruned {
+			if st.Pruned() {
 				mark = "  [whole shard skipped]"
 			}
 			fmt.Fprintf(&sb, "    shard %d [%d,%d): %d/%d zones pruned, %d rows scanned, %d morsels%s\n",
-				st.Shard, st.Lo, st.Hi, zp, len(st.Zones), st.Scanned, st.Morsels, mark)
+				st.Shard, st.Lo, st.Hi, zp, len(st.Zones), st.Scanned(), st.Morsels, mark)
 		}
 	}
 	return sb.String()

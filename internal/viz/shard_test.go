@@ -16,21 +16,16 @@ func TestShardSummary(t *testing.T) {
 	res := &engine.Result{
 		Shards: 2,
 		ShardStates: []engine.ShardState{
-			{Pipeline: 0, Alias: "l", Shard: 0, Lo: 0, Hi: 200, Rows: 200, Scanned: 100, Morsels: 1,
+			{Pipeline: 0, Alias: "l", Shard: 0, Lo: 0, Hi: 200, Morsels: 1,
 				Zones: []engine.ZoneDecision{
 					{Zone: 0, Lo: 0, Hi: 100},
-					{Zone: 1, Lo: 100, Hi: 200, Pruned: true, Cause: core.SkipFilter},
+					{Zone: 1, Lo: 100, Hi: 200, Cause: core.SkipFilter},
 				}},
-			{Pipeline: 0, Alias: "l", Shard: 1, Lo: 200, Hi: 400, Rows: 200, Scanned: 0, Pruned: true,
+			{Pipeline: 0, Alias: "l", Shard: 1, Lo: 200, Hi: 400,
 				Zones: []engine.ZoneDecision{
-					{Zone: 2, Lo: 200, Hi: 300, Pruned: true, Cause: core.SkipAbsent},
-					{Zone: 3, Lo: 300, Hi: 400, Pruned: true, Cause: core.SkipFilter},
+					{Zone: 2, Lo: 200, Hi: 300, Cause: core.SkipAbsent},
+					{Zone: 3, Lo: 300, Hi: 400, Cause: core.SkipFilter},
 				}},
-		},
-		Skips: []core.SkipEvent{
-			{Pipeline: 0, Alias: "l", Zone: 1, Cause: core.SkipFilter},
-			{Pipeline: 0, Alias: "l", Zone: 2, Cause: core.SkipAbsent},
-			{Pipeline: 0, Alias: "l", Zone: 3, Cause: core.SkipFilter},
 		},
 	}
 	got := ShardSummary(res)
