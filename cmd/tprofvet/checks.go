@@ -361,7 +361,7 @@ func shardCheck(env *env) (*run, error) {
 			for _, st := range res.ShardStates {
 				zones += len(st.Zones)
 			}
-			return diagErr("journal", verify.CheckShards(verify.ScanRows(cq.Plan), res.ShardStates))
+			return verify.AsError(verify.CheckShards(verify.ScanRows(cq.Plan), res.ShardStates))
 		}
 		for _, nw := range env.workers {
 			for _, ns := range shardCounts {
@@ -442,7 +442,7 @@ func epochCheck(env *env) (*run, error) {
 		}
 		return fmt.Sprintf("%d workloads verified over %d epochs (+%d rows, %d hits, %d misses, 0 recompiles)",
 				n, cat.Epoch(), appended, cs.Hits, cs.Misses),
-			[]error{versionErr, cacheErr, diagErr("epoch-replay", verify.CheckEpochs(base, cat.EpochJournal(), snaps))}
+			[]error{versionErr, cacheErr, verify.AsError(verify.CheckEpochs(base, cat.EpochJournal(), snaps))}
 	}
 	return &run{each: each, finish: finish}, nil
 }
@@ -535,7 +535,7 @@ func viewsCheck(env *env) (*run, error) {
 		}
 		return fmt.Sprintf("%d probes verified over %d views (+%d rows ingested, 0 fallbacks, ledger replay clean)",
 				n, svc.Views().Len(), appended),
-			[]error{noMatchErr, guardErr, diagErr("view-replay", verify.CheckViews(cat, svc.Views()))}
+			[]error{noMatchErr, guardErr, verify.AsError(verify.CheckViews(cat, svc.Views()))}
 	}
 	return &run{each: each, finish: finish}, nil
 }
@@ -555,7 +555,7 @@ func costCheck(env *env) (*run, error) {
 			return "", fmt.Errorf("run: %w", err)
 		}
 		ds := append(cost.CheckModel(m), cost.CheckObserved(cq.Plan, cq.Pipe, res.TupleCounts)...)
-		if err := diagErr("cost", ds); err != nil {
+		if err := verify.AsError(ds); err != nil {
 			return "", err
 		}
 		return fmt.Sprintf("%d nodes annotated, %d true counts, est %d cycles",

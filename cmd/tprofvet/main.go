@@ -14,7 +14,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -24,6 +23,7 @@ import (
 	"strings"
 
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/plan"
 	"repro/internal/verify"
@@ -258,20 +258,6 @@ func runCheck(table []check, args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// diagErr folds diagnostics into one error — every diagnostic on its own
-// indented line under the FAIL line — or nil when there are none.
-func diagErr(what string, ds []verify.Diag) error {
-	if len(ds) == 0 {
-		return nil
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d %s diagnostic(s)", len(ds), what)
-	for _, d := range ds {
-		sb.WriteString("\n      " + d.String())
-	}
-	return errors.New(sb.String())
-}
-
 type diagJSON struct {
 	Check string `json:"check"`
 	Level string `json:"level"`
@@ -279,7 +265,7 @@ type diagJSON struct {
 	Msg   string `json:"msg"`
 }
 
-func jsonDiag(d verify.Diag) diagJSON {
+func jsonDiag(d core.Diag) diagJSON {
 	return diagJSON{Check: d.Check, Level: d.Level.String(), Locus: d.Locus, Msg: d.Msg}
 }
 

@@ -37,6 +37,29 @@ func (l Level) String() string {
 	return fmt.Sprintf("level(%d)", uint8(l))
 }
 
+// Diag is the one diagnostic every checker reports — the IR verifier, the
+// artifact gate and the analyzers under internal/verify, the state replay
+// checkers, the source linter and the cost checks: which check fired,
+// which abstraction level the offending artifact lives on, and a locus
+// precise enough to find it (an IR ID, a native instruction index, a task
+// component, or a file:line). Every diagnostic is a broken invariant:
+// there is no lesser kind, so no caller can drop one by filtering.
+type Diag struct {
+	Check string // "checker/rule", e.g. "dict/orphan-instr"
+	Level Level  // abstraction level of the offending artifact
+	Locus string // e.g. "%42", "native@137", "task 7", "a.go:12"
+	Msg   string
+}
+
+// Diagf builds a Diag whose message is formatted from format and args.
+func Diagf(check string, level Level, locus, format string, args ...any) Diag {
+	return Diag{Check: check, Level: level, Locus: locus, Msg: fmt.Sprintf(format, args...)}
+}
+
+func (d Diag) String() string {
+	return fmt.Sprintf("%s: [%s] %s: %s", d.Check, d.Level, d.Locus, d.Msg)
+}
+
 // ComponentID identifies a component within the Registry. 0 is "none".
 type ComponentID int32
 

@@ -392,6 +392,10 @@ func TestLevelAndRegionStrings(t *testing.T) {
 			t.Errorf("Level(%d) = %q", l, l.String())
 		}
 	}
+	d := Diagf("dict/orphan-instr", LevelTask, "%42", "surviving %s instruction resolves to no task", "add")
+	if got, want := d.String(), "dict/orphan-instr: [task] %42: surviving add instruction resolves to no task"; got != want {
+		t.Errorf("Diag.String() = %q, want %q", got, want)
+	}
 	regions := map[RegionKind]string{
 		RegionGenerated: "generated", RegionShared: "shared",
 		RegionKernel: "kernel", RegionLibrary: "library",

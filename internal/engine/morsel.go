@@ -28,13 +28,14 @@ func PartitionMorsels(total, size int64) []Span {
 	if total <= 0 {
 		return nil
 	}
-	spans := make([]Span, 0, (total+size-1)/size)
-	for lo := int64(0); lo < total; lo += size {
-		hi := lo + size
-		if hi > total {
-			hi = total
-		}
-		spans = append(spans, Span{Lo: lo, Hi: hi})
+	return appendMorsels(make([]Span, 0, (total+size-1)/size), 0, total, size)
+}
+
+// appendMorsels appends [lo, hi) to spans as consecutive spans of at most
+// size (> 0) units each.
+func appendMorsels(spans []Span, lo, hi, size int64) []Span {
+	for ; lo < hi; lo += size {
+		spans = append(spans, Span{Lo: lo, Hi: min(lo+size, hi)})
 	}
 	return spans
 }

@@ -99,6 +99,13 @@ type parStage struct {
 	// phase found them: the state mergePhase folds the workers' deltas
 	// against.
 	probeBase []byte
+
+	// A sharded scan pipeline's plan (buildShardExec): per zone its
+	// pruning cause ("" survives), the surviving morsels and per morsel
+	// its owning shard.
+	cause   []string
+	spans   []Span
+	shardOf []int
 }
 
 // staging returns the run's parStage with its first workers entries
@@ -291,12 +298,10 @@ func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 		var spans []Span
 		var shardOf []int
 		if x.Opts.Shards >= 1 && info.Driver.Kind == pipeline.DriverScan {
-			se, err := buildShardExec(cq, coord, info, snap, params, x.Opts.Shards, x.Opts.ShardPruning, morselSize)
-			if err != nil {
+			if shardStates, err = buildShardExec(cq, coord, info, snap, params, x.Opts.Shards, x.Opts.ShardPruning, morselSize, st, shardStates); err != nil {
 				return nil, err
 			}
-			spans, shardOf = se.spans, se.shardOf
-			shardStates = append(shardStates, se.states...)
+			spans, shardOf = st.spans, st.shardOf
 		} else {
 			spans = PartitionMorsels(pipeDomain(cq, coord, info), morselSize)
 		}

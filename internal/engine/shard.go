@@ -47,15 +47,6 @@ type (
 	ZoneDecision = core.ZoneDecision
 )
 
-// shardExec is one scan pipeline's sharded execution plan: the canonical
-// surviving-morsel list (identical for every shard count), the shard
-// owning each morsel (the attribution stamp) and the per-shard journals.
-type shardExec struct {
-	spans   []Span
-	shardOf []int
-	states  []ShardState
-}
-
 // semiProbe is one join this scan's pipeline probes with a bare column of
 // the scanned table: build-side key bounds plus the build's finished hash
 // table, "shipped" to the probe-side shard scans for semi-join pruning.
@@ -73,11 +64,14 @@ const semiProbeMaxKeys = 64
 
 // buildShardExec computes one scan pipeline's sharded execution plan
 // against the canonical heap (build sides of already-executed pipelines
-// are final there — the semi-join shipping reads them). Zones and shards
-// come from the run's pinned snapshot view, never the live table, so the
-// verdicts describe exactly the rows this execution sees — concurrent
-// appends land in a tail no zone covers.
-func buildShardExec(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, snap *catalog.Snapshot, params []int64, shards int, pruning bool, morselSize int64) (*shardExec, error) {
+// are final there — the semi-join shipping reads them): the canonical
+// surviving-morsel list in st.spans (identical for every shard count) and
+// the shard owning each morsel in st.shardOf (the attribution stamp). It
+// appends the pipeline's per-shard journals to states and returns them.
+// Zones and shards come from the run's pinned snapshot view, never the
+// live table, so the verdicts describe exactly the rows this execution
+// sees — concurrent appends land in a tail no zone covers.
+func buildShardExec(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, snap *catalog.Snapshot, params []int64, shards int, pruning bool, morselSize int64, st *parStage, states []ShardState) ([]ShardState, error) {
 	scan := findScan(cq.Plan, info.Driver.Alias)
 	if scan == nil {
 		return nil, fmt.Errorf("engine: shard coordinator: no scan %q in plan", info.Driver.Alias)
@@ -91,7 +85,9 @@ func buildShardExec(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, sn
 
 	// Decide every zone. The verdicts depend on (table, filter, params,
 	// canonical build state) only — never on the shard grouping.
-	cause := make([]string, len(zones))
+	cause := resize(st.cause, len(zones))
+	clear(cause)
+	st.cause = cause
 	if pruning {
 		probes := collectSemiProbes(cq, coord, scan)
 		// Scan.Filter's column positions index the scan's output row (see
@@ -134,21 +130,20 @@ func buildShardExec(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, sn
 		}
 	}
 
-	se := &shardExec{}
-
 	// Canonical surviving-morsel list: maximal runs of surviving zones,
 	// morselized independently. Runs ignore shard boundaries — a morsel
 	// may straddle two shards — because the span list must be a pure
 	// function of the zone verdicts for shard-count invariance.
+	if morselSize <= 0 {
+		morselSize = DefaultMorselRows
+	}
+	spans := st.spans[:0]
 	runLo := int64(-1)
 	flush := func(hi int64) {
-		if runLo < 0 {
-			return
+		if runLo >= 0 {
+			spans = appendMorsels(spans, runLo, hi, morselSize)
+			runLo = -1
 		}
-		for _, sp := range PartitionMorsels(hi-runLo, morselSize) {
-			se.spans = append(se.spans, Span{Lo: runLo + sp.Lo, Hi: runLo + sp.Hi})
-		}
-		runLo = -1
 	}
 	for zi, z := range zones {
 		if cause[zi] != "" {
@@ -162,34 +157,37 @@ func buildShardExec(cq *Compiled, coord *vm.CPU, info *pipeline.PipelineInfo, sn
 	if len(zones) > 0 {
 		flush(zones[len(zones)-1].Hi)
 	}
+	st.spans = spans
 
 	// Shard attribution: each morsel belongs to the shard containing its
 	// first row (morsels never cross a run boundary, and shards are
 	// contiguous, so this is unambiguous).
-	se.shardOf = make([]int, len(se.spans))
+	shardOf := resize(st.shardOf, len(spans))
+	st.shardOf = shardOf
 	si := 0
-	for m, sp := range se.spans {
+	for m, sp := range spans {
 		for si+1 < len(shardList) && sp.Lo >= shardList[si].Hi {
 			si++
 		}
-		se.shardOf[m] = shardList[si].ID
+		shardOf[m] = shardList[si].ID
 	}
 
-	// Per-shard journals: each zone verdict, once.
+	// Per-shard journals: each zone verdict, once. They are the Result's,
+	// so they are allocated per run.
 	for _, sh := range shardList {
-		st := ShardState{Pipeline: info.Index, Alias: scan.Alias, Shard: sh.ID, Lo: sh.Lo, Hi: sh.Hi}
-		st.Zones = make([]ZoneDecision, 0, len(sh.Zones))
+		j := ShardState{Pipeline: info.Index, Alias: scan.Alias, Shard: sh.ID, Lo: sh.Lo, Hi: sh.Hi}
+		j.Zones = make([]ZoneDecision, 0, len(sh.Zones))
 		for _, z := range sh.Zones {
-			st.Zones = append(st.Zones, ZoneDecision{Zone: z.Index, Lo: z.Lo, Hi: z.Hi, Cause: cause[z.Index]})
+			j.Zones = append(j.Zones, ZoneDecision{Zone: z.Index, Lo: z.Lo, Hi: z.Hi, Cause: cause[z.Index]})
 		}
-		for m := range se.spans {
-			if se.shardOf[m] == sh.ID {
-				st.Morsels++
+		for _, s := range shardOf {
+			if s == sh.ID {
+				j.Morsels++
 			}
 		}
-		se.states = append(se.states, st)
+		states = append(states, j)
 	}
-	return se, nil
+	return states, nil
 }
 
 // findScan locates the plan's scan node for a pipeline's driving alias.

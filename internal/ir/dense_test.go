@@ -119,7 +119,7 @@ func TestDominatorsMatchReference(t *testing.T) {
 // damage.
 var corruptions = []struct {
 	name string
-	code string // a Problem code the damage must produce ("" = any or none)
+	code string // a check the damage must produce ("" = any or none)
 	do   func(m *Module, f *Func) bool
 }{
 	{"drop-terminator", "no-terminator", func(m *Module, f *Func) bool {
@@ -321,7 +321,7 @@ var corruptionFixtures = map[string]func(*testing.T) (*Module, *Func){
 }
 
 // TestCheckMatchesReferenceOnCorruptions: on every corrupted fixture the
-// dense verifier reports exactly the oracle's Problems, in its order, and
+// dense verifier reports exactly the oracle's diagnostics, in its order, and
 // the damage is caught at all.
 func TestCheckMatchesReferenceOnCorruptions(t *testing.T) {
 	for fname, build := range corruptionFixtures {
@@ -342,7 +342,7 @@ func TestCheckMatchesReferenceOnCorruptions(t *testing.T) {
 			}
 			found := false
 			for _, p := range m.Check() {
-				found = found || p.Code == c.code
+				found = found || p.Check == "ir/"+c.code
 			}
 			if !found {
 				t.Errorf("%s/%s: no %q problem in %v", fname, c.name, c.code, m.Check())
@@ -357,14 +357,14 @@ func TestCheckMatchesReferenceOnCorruptions(t *testing.T) {
 func TestCheckRejectsUnindexedModules(t *testing.T) {
 	m, f := buildLoop(t)
 	f.Blocks[1], f.Blocks[2] = f.Blocks[2], f.Blocks[1]
-	if ps := m.Check(); len(ps) != 1 || ps[0].Code != "block-index" {
+	if ps := m.Check(); len(ps) != 1 || ps[0].Check != "ir/block-index" {
 		t.Fatalf("swapped blocks: %v", ps)
 	}
 	m, f = buildLoop(t)
 	f.Blocks[0].Instrs[0].ID = m.MaxID() + 5
 	found := false
 	for _, p := range m.Check() {
-		found = found || p.Code == "id-range"
+		found = found || p.Check == "ir/id-range"
 	}
 	if !found {
 		t.Fatalf("out-of-range ID not reported: %v", m.Check())

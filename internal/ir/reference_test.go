@@ -4,15 +4,30 @@ package ir
 // indices, kept verbatim as the oracle: pointer-keyed block sets, a
 // map-of-sets dominator fixpoint, a recursive reachability walk. The
 // differential tests and FuzzDominators below hold Check, Reachable and
-// Dominators to it — same Problems in the same order, same sets.
+// Dominators to it — same diagnostics in the same order, same sets.
 
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/core"
 )
 
-func refCheck(m *Module) []Problem {
-	var ps []Problem
+// refDiag is the oracle's diagnostic for a defect of f at b and in (nil
+// when the defect is block- or function-level).
+func refDiag(code string, f *Func, b *Block, in *Instr, format string, args ...interface{}) core.Diag {
+	locus := f.Name
+	if b != nil {
+		locus += "." + b.Name
+	}
+	if in != nil && in.ID != 0 {
+		locus += fmt.Sprintf(" %%%d", in.ID)
+	}
+	return core.Diagf("ir/"+code, core.LevelIR, locus, format, args...)
+}
+
+func refCheck(m *Module) []core.Diag {
+	var ps []core.Diag
 	seen := make(map[int]*Instr, m.InstrCount())
 	for _, f := range m.Funcs {
 		ps = append(ps, refCheckFunc(f, seen)...)
@@ -20,17 +35,10 @@ func refCheck(m *Module) []Problem {
 	return ps
 }
 
-func refCheckFunc(f *Func, seen map[int]*Instr) []Problem {
-	var ps []Problem
+func refCheckFunc(f *Func, seen map[int]*Instr) []core.Diag {
+	var ps []core.Diag
 	add := func(code string, b *Block, in *Instr, format string, args ...interface{}) {
-		p := Problem{Code: code, Func: f.Name, Msg: fmt.Sprintf(format, args...)}
-		if b != nil {
-			p.Block = b.Name
-		}
-		if in != nil {
-			p.Instr = in.ID
-		}
-		ps = append(ps, p)
+		ps = append(ps, refDiag(code, f, b, in, format, args...))
 	}
 
 	if len(f.Blocks) == 0 {
@@ -128,8 +136,8 @@ func refCheckFunc(f *Func, seen map[int]*Instr) []Problem {
 // definition. Non-phi uses in the same block must come after the
 // definition; phi incoming values must be defined in a block dominating
 // the corresponding predecessor (the value flows along that edge).
-func refCheckDominance(f *Func) []Problem {
-	var ps []Problem
+func refCheckDominance(f *Func) []core.Diag {
+	var ps []core.Diag
 	reach := refReachable(f)
 	dom := refDominators(f)
 	pos := map[*Instr]int{}
@@ -158,27 +166,18 @@ func refCheckDominance(f *Func) []Problem {
 						continue
 					}
 					if a.Block != pred && !dominates(a.Block, pred) {
-						ps = append(ps, Problem{
-							Code: "dominance", Func: f.Name, Block: b.Name, Instr: in.ID,
-							Msg: fmt.Sprintf("phi incoming %%%d (block %s) does not dominate pred %s",
-								a.ID, a.Block.Name, pred.Name),
-						})
+						ps = append(ps, refDiag("dominance", f, b, in, "phi incoming %%%d (block %s) does not dominate pred %s",
+							a.ID, a.Block.Name, pred.Name))
 					}
 					continue
 				}
 				if a.Block == b {
 					if pos[a] >= i {
-						ps = append(ps, Problem{
-							Code: "use-before-def", Func: f.Name, Block: b.Name, Instr: in.ID,
-							Msg: fmt.Sprintf("uses %%%d before its definition", a.ID),
-						})
+						ps = append(ps, refDiag("use-before-def", f, b, in, "uses %%%d before its definition", a.ID))
 					}
 				} else if !dominates(a.Block, b) {
-					ps = append(ps, Problem{
-						Code: "dominance", Func: f.Name, Block: b.Name, Instr: in.ID,
-						Msg: fmt.Sprintf("definition %%%d in %s does not dominate use",
-							a.ID, a.Block.Name),
-					})
+					ps = append(ps, refDiag("dominance", f, b, in, "definition %%%d in %s does not dominate use",
+						a.ID, a.Block.Name))
 				}
 			}
 		}
@@ -277,7 +276,7 @@ func DiffDominators(f *Func) error {
 	return nil
 }
 
-// DiffCheck holds Check to the oracle: the same Problems in the same order.
+// DiffCheck holds Check to the oracle: the same diagnostics in the same order.
 func DiffCheck(m *Module) error {
 	got, want := m.Check(), refCheck(m)
 	for i := 0; i < len(got) || i < len(want); i++ {

@@ -1,40 +1,21 @@
 package ir
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
+
+	"repro/internal/core"
 )
 
-// Problem is one structural defect found by (*Module).Check. The Code is a
-// stable identifier the verification framework (internal/verify) keys its
-// diagnostics and golden tests on; Msg is the human-readable rendering.
-type Problem struct {
-	Code  string // stable check identifier, e.g. "no-terminator"
-	Func  string
-	Block string
-	Instr int // offending instruction ID, 0 for block-level problems
-	Msg   string
-}
-
-func (p Problem) String() string {
-	loc := p.Func
-	if p.Block != "" {
-		loc += "." + p.Block
-	}
-	if p.Instr != 0 {
-		loc += fmt.Sprintf(" %%%d", p.Instr)
-	}
-	return fmt.Sprintf("ir[%s] %s: %s", p.Code, loc, p.Msg)
-}
-
 // Verify checks the module's structural invariants and returns the first
-// problem as an error, or nil. It is a thin wrapper over Check, kept so
+// defect as an error, or nil. It is a thin wrapper over Check, kept so
 // the many existing call sites (engine, pipeline, tests) stay one-line;
-// the full battery — and the per-problem structured form the verification
-// framework consumes — lives in Check.
+// the full battery — and the per-defect diagnostics the verification
+// framework (internal/verify) consumes — lives in Check.
 func (m *Module) Verify() error {
-	if ps := m.Check(); len(ps) > 0 {
-		return fmt.Errorf("ir: %s", ps[0].String())
+	if ds := m.Check(); len(ds) > 0 {
+		return errors.New(ds[0].String())
 	}
 	return nil
 }
@@ -53,39 +34,42 @@ func (m *Module) Verify() error {
 //   - types: per-opcode operand counts and result types (comparisons
 //     produce i1, loads i64, stores/branches void, ...).
 //
-// Problems are reported in deterministic order (function, block,
-// instruction position). Unreachable blocks are exempt from dominance
-// checking — dominator sets are only meaningful on reachable code.
+// Each defect is an IR-level diagnostic: its check is "ir/" and a stable
+// code (e.g. "ir/no-terminator"), its locus the function, the block and
+// the instruction ID. Diagnostics are reported in deterministic order
+// (function, block, instruction position). Unreachable blocks are exempt
+// from dominance checking — dominator sets are only meaningful on
+// reachable code.
 //
 // Check writes nothing into the module: its scratch is two ID-indexed
 // tables local to the call, so a finished module may be checked from
 // several goroutines at once.
-func (m *Module) Check() []Problem {
+func (m *Module) Check() []core.Diag {
 	c := checker{seen: make([]*Instr, m.nextID+1), pos: make([]int32, m.nextID+1)}
 	for _, f := range m.Funcs {
 		c.checkFunc(f)
 	}
-	return c.ps
+	return c.ds
 }
 
 // checker is one Check call's state. seen[id] is the last instruction
 // visited carrying that ID and pos[id] its position in the block that
 // lists it — module-wide tables because IDs are module-unique.
 type checker struct {
-	ps   []Problem
+	ds   []core.Diag
 	seen []*Instr
 	pos  []int32
 }
 
 func (c *checker) add(f *Func, code string, b *Block, in *Instr, format string, args ...interface{}) {
-	p := Problem{Code: code, Func: f.Name, Msg: fmt.Sprintf(format, args...)}
+	locus := f.Name
 	if b != nil {
-		p.Block = b.Name
+		locus += "." + b.Name
 	}
-	if in != nil {
-		p.Instr = in.ID
+	if in != nil && in.ID != 0 {
+		locus += fmt.Sprintf(" %%%d", in.ID)
 	}
-	c.ps = append(c.ps, p)
+	c.ds = append(c.ds, core.Diagf("ir/"+code, core.LevelIR, locus, format, args...))
 }
 
 func (c *checker) checkFunc(f *Func) {

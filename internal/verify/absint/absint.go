@@ -258,19 +258,10 @@ func widenState(old, new state) state {
 // Report summarizes one analysis run.
 type Report struct {
 	Funcs    int
-	Accesses int // memory operands inspected in generated + routine code
-	Proved   int // provably in-bounds, in-region and aligned
-	Unproven int // too abstract to decide (guarded by the VM at runtime)
-	Diags    []Diag
-}
-
-// Diag is one definite violation: the rule it breaks (e.g. "absint/oob"),
-// the native position, and what is wrong there. The artifact gate
-// (verify.Check) reports it at the native level.
-type Diag struct {
-	Check string
-	Pos   int
-	Msg   string
+	Accesses int         // memory operands inspected in generated + routine code
+	Proved   int         // provably in-bounds, in-region and aligned
+	Unproven int         // too abstract to decide (guarded by the VM at runtime)
+	Diags    []core.Diag // definite violations, at native@pos loci
 }
 
 type analyzer struct {
@@ -298,10 +289,6 @@ func Analyze(code *codegen.Result, mem *MemModel, registerTagging bool) *Report 
 		rep.Funcs++
 	}
 	return rep
-}
-
-func (a *analyzer) bad(rule string, pos int, format string, args ...interface{}) {
-	a.rep.Diags = append(a.rep.Diags, Diag{Check: "absint/" + rule, Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
 // blockOf maps instruction positions to block leader positions.
@@ -584,9 +571,8 @@ func (a *analyzer) transfer(st state, pos int, record bool) state {
 			tgt := in.Imm
 			if tgt >= 0 && tgt < int64(len(a.nmap.Region)) &&
 				a.nmap.Region[tgt] == core.RegionShared && !st.tagged {
-				a.bad("untagged-shared-call", pos,
-					"call into shared routine %q reachable without a live tag write",
-					a.nmap.Routine[tgt])
+				a.rep.Diags = append(a.rep.Diags, core.Diagf("absint/untagged-shared-call", core.LevelNative, fmt.Sprintf("native@%d", pos),
+					"call into shared routine %q reachable without a live tag write", a.nmap.Routine[tgt]))
 			}
 		}
 		callee := in.Imm
@@ -617,7 +603,8 @@ func (a *analyzer) transfer(st state, pos int, record bool) state {
 			y = reg(in.Src2)
 		}
 		if record && (in.Op == isa.DIV || in.Op == isa.MOD) && y.exact() && y.lo == 0 {
-			a.bad("div-zero", pos, "%s by a provably zero divisor", in.Op)
+			a.rep.Diags = append(a.rep.Diags, core.Diagf("absint/div-zero", core.LevelNative, fmt.Sprintf("native@%d", pos),
+				"%s by a provably zero divisor", in.Op))
 		}
 		setReg(in.Dst, alu(in.Op, x, y))
 	}
@@ -747,8 +734,8 @@ func (a *analyzer) checkAccess(pos int, in *isa.Instr, addr aval, isStore bool) 
 
 	// Alignment: a congruence covering the width decides definitively.
 	if w > 1 && addr.bits > 0 && int64(1)<<addr.bits >= w && addr.res%w != 0 {
-		a.bad("misaligned", pos, "%s address ≡ %d (mod %d), not %d-byte aligned",
-			in.Op, addr.res, int64(1)<<addr.bits, w)
+		a.rep.Diags = append(a.rep.Diags, core.Diagf("absint/misaligned", core.LevelNative, fmt.Sprintf("native@%d", pos),
+			"%s address ≡ %d (mod %d), not %d-byte aligned", in.Op, addr.res, int64(1)<<addr.bits, w))
 		return
 	}
 
@@ -756,8 +743,8 @@ func (a *analyzer) checkAccess(pos int, in *isa.Instr, addr aval, isStore bool) 
 	// another reads half a value or a neighbour's bytes whatever its index.
 	// (A store into one is a readonly-store, below.)
 	if r := a.colRegion(in, addr); !isStore && r != nil && r.Width != w {
-		a.bad("access-width", pos, "%s reads %d bytes from column region [%d,%d), staged at %d bytes per value",
-			in.Op, w, r.Lo, r.Hi, r.Width)
+		a.rep.Diags = append(a.rep.Diags, core.Diagf("absint/access-width", core.LevelNative, fmt.Sprintf("native@%d", pos),
+			"%s reads %d bytes from column region [%d,%d), staged at %d bytes per value", in.Op, w, r.Lo, r.Hi, r.Width))
 		return
 	}
 
@@ -767,8 +754,8 @@ func (a *analyzer) checkAccess(pos int, in *isa.Instr, addr aval, isStore bool) 
 	// whatever its index, even one too abstract to bound the address.
 	if isStore && in.Abs && in.Scaled {
 		if r := a.mem.RegionAt(in.Imm, w); r != nil && !r.Writable {
-			a.bad("readonly-store", pos, "%s indexes from %d inside read-only region %q",
-				in.Op, in.Imm, r.Name)
+			a.rep.Diags = append(a.rep.Diags, core.Diagf("absint/readonly-store", core.LevelNative, fmt.Sprintf("native@%d", pos),
+				"%s indexes from %d inside read-only region %q", in.Op, in.Imm, r.Name))
 			return
 		}
 	}
@@ -776,17 +763,18 @@ func (a *analyzer) checkAccess(pos int, in *isa.Instr, addr aval, isStore bool) 
 	if addr.exact() {
 		r := a.mem.RegionAt(addr.lo, w)
 		if r == nil {
-			a.bad("oob", pos, "%s targets address %d, inside no declared region (heap %d)",
-				in.Op, addr.lo, a.mem.HeapSize)
+			a.rep.Diags = append(a.rep.Diags, core.Diagf("absint/oob", core.LevelNative, fmt.Sprintf("native@%d", pos),
+				"%s targets address %d, inside no declared region (heap %d)", in.Op, addr.lo, a.mem.HeapSize))
 			return
 		}
 		if isStore && !r.Writable {
-			a.bad("readonly-store", pos, "%s writes address %d inside read-only region %q",
-				in.Op, addr.lo, r.Name)
+			a.rep.Diags = append(a.rep.Diags, core.Diagf("absint/readonly-store", core.LevelNative, fmt.Sprintf("native@%d", pos),
+				"%s writes address %d inside read-only region %q", in.Op, addr.lo, r.Name))
 			return
 		}
 		if addr.lo%w != 0 {
-			a.bad("misaligned", pos, "%s targets %d, not %d-byte aligned", in.Op, addr.lo, w)
+			a.rep.Diags = append(a.rep.Diags, core.Diagf("absint/misaligned", core.LevelNative, fmt.Sprintf("native@%d", pos),
+				"%s targets %d, not %d-byte aligned", in.Op, addr.lo, w))
 			return
 		}
 		a.rep.Proved++
@@ -795,14 +783,14 @@ func (a *analyzer) checkAccess(pos int, in *isa.Instr, addr aval, isStore bool) 
 
 	if addr.bounded() {
 		if addr.hi < 0 || addr.lo >= a.mem.HeapSize {
-			a.bad("oob", pos, "%s address range [%d,%d] lies entirely outside the heap (%d)",
-				in.Op, addr.lo, addr.hi, a.mem.HeapSize)
+			a.rep.Diags = append(a.rep.Diags, core.Diagf("absint/oob", core.LevelNative, fmt.Sprintf("native@%d", pos),
+				"%s address range [%d,%d] lies entirely outside the heap (%d)", in.Op, addr.lo, addr.hi, a.mem.HeapSize))
 			return
 		}
 		if r := a.mem.RegionAt(addr.lo, w); r != nil && r.Contains(addr.hi, w) {
 			if isStore && !r.Writable {
-				a.bad("readonly-store", pos, "%s writes [%d,%d] inside read-only region %q",
-					in.Op, addr.lo, addr.hi, r.Name)
+				a.rep.Diags = append(a.rep.Diags, core.Diagf("absint/readonly-store", core.LevelNative, fmt.Sprintf("native@%d", pos),
+					"%s writes [%d,%d] inside read-only region %q", in.Op, addr.lo, addr.hi, r.Name))
 				return
 			}
 			aligned := addr.lo%w == 0 && addr.hi%w == 0 &&

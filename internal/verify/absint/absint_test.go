@@ -17,7 +17,7 @@ func makeRes(code []isa.Instr, funcs []isa.FuncSym) *codegen.Result {
 	}
 }
 
-func diagChecks(ds []Diag) string {
+func diagChecks(ds []core.Diag) string {
 	var out []string
 	for _, d := range ds {
 		out = append(out, d.Check)
@@ -117,7 +117,7 @@ func TestDefiniteViolations(t *testing.T) {
 	cases := []struct {
 		name string
 		code []isa.Instr
-		want string // Diag.Check
+		want string // core.Diag.Check
 	}{
 		{"misaligned store", []isa.Instr{
 			{Op: isa.STORE64, Dst: 0, Abs: true, Imm: 513},

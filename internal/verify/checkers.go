@@ -13,32 +13,16 @@ import (
 // IR well-formedness
 // ---------------------------------------------------------------------------
 
-// irWellFormed adapts the structural IR battery (ir.(*Module).Check: SSA
+// irWellFormed is the structural IR battery (ir.(*Module).Check: SSA
 // dominance, use-before-def, type consistency, phi/pred agreement, CFG
-// shape) into gate diagnostics. The implementation lives in package ir so
-// that (*Module).Verify — which engine and pipeline call on every compile —
-// is the same code with an error-shaped return.
-func irWellFormed(a *Artifact) []Diag {
+// shape). It lives in package ir so that (*Module).Verify — which engine
+// and pipeline call on every compile — is the same code with an
+// error-shaped return.
+func irWellFormed(a *Artifact) []core.Diag {
 	if a.Module == nil {
 		return nil
 	}
-	var out []Diag
-	for _, p := range a.Module.Check() {
-		locus := p.Func
-		if p.Block != "" {
-			locus += "." + p.Block
-		}
-		if p.Instr != 0 {
-			locus += fmt.Sprintf(" %%%d", p.Instr)
-		}
-		out = append(out, Diag{
-			Check: "ir/" + p.Code,
-			Level: core.LevelIR,
-			Locus: locus,
-			Msg:   p.Msg,
-		})
-	}
-	return out
+	return a.Module.Check()
 }
 
 // invariantLoads proves every load the pipeline generator marked
@@ -50,11 +34,11 @@ func irWellFormed(a *Artifact) []Diag {
 // miscompiled move through both; this check refuses the mark itself.
 // That the index stays inside the region is the abstract interpreter's
 // proof (absint, on the emitted access). Needs the memory model.
-func invariantLoads(a *Artifact) []Diag {
+func invariantLoads(a *Artifact) []core.Diag {
 	if a.Module == nil || a.Mem == nil {
 		return nil
 	}
-	var out []Diag
+	var out []core.Diag
 	for _, f := range a.Module.Funcs {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
@@ -75,12 +59,8 @@ func invariantLoads(a *Artifact) []Diag {
 					}
 				}
 				if msg != "" {
-					out = append(out, Diag{
-						Check: "ir/invariant-load",
-						Level: core.LevelIR,
-						Locus: fmt.Sprintf("%s.%s %%%d", f.Name, b.Name, in.ID),
-						Msg:   "load marked invariant: " + msg,
-					})
+					out = append(out, core.Diagf("ir/invariant-load", core.LevelIR, fmt.Sprintf("%s.%s %%%d", f.Name, b.Name, in.ID),
+						"load marked invariant: %s", msg))
 				}
 			}
 		}
@@ -120,19 +100,13 @@ func constBase(addr *ir.Instr) (int64, bool) {
 //
 // A shared marking on a live instruction without a Log B entry is an
 // orphan; on a deleted one, a dangling tag.
-func dictSoundness(a *Artifact) []Diag {
+func dictSoundness(a *Artifact) []core.Diag {
 	if a.Dict == nil || a.Module == nil {
 		return nil
 	}
 	d := a.Dict
 	reg := d.Registry
-	var out []Diag
-	bad := func(rule, locus, format string, args ...interface{}) {
-		out = append(out, Diag{
-			Check: "dict/" + rule, Level: core.LevelTask,
-			Locus: locus, Msg: fmt.Sprintf(format, args...),
-		})
-	}
+	var out []core.Diag
 
 	// Live instruction set, for both directions of the orphan check.
 	live := make(map[int]ir.Op, a.Module.InstrCount())
@@ -142,22 +116,22 @@ func dictSoundness(a *Artifact) []Diag {
 
 	for id, op := range live {
 		if len(d.TasksOf(id)) == 0 {
-			bad("orphan-instr", fmt.Sprintf("%%%d", id),
-				"surviving %s instruction resolves to no task", op)
+			out = append(out, core.Diagf("dict/orphan-instr", core.LevelTask, fmt.Sprintf("%%%d", id),
+				"surviving %s instruction resolves to no task", op))
 		}
 	}
 	for _, id := range d.IRIDs() {
 		if _, ok := live[id]; !ok {
-			bad("dangling-tag", fmt.Sprintf("%%%d", id),
-				"Log B entry for deleted instruction (pass forgot Removed)")
+			out = append(out, core.Diagf("dict/dangling-tag", core.LevelTask, fmt.Sprintf("%%%d", id),
+				"Log B entry for deleted instruction (pass forgot Removed)"))
 		}
 		for _, task := range d.TasksOf(id) {
 			c, ok := reg.Lookup(task)
 			op := d.OperatorOf(task)
 			oc, opOK := reg.Lookup(op)
 			if !ok || c.Level != core.LevelTask || !opOK || oc.Level != core.LevelOperator {
-				bad("no-operator", fmt.Sprintf("task %d", task),
-					"Log B names component %d, which Log A does not resolve to a registered operator: attribution dead-ends", task)
+				out = append(out, core.Diagf("dict/no-operator", core.LevelTask, fmt.Sprintf("task %d", task),
+					"Log B names component %d, which Log A does not resolve to a registered operator: attribution dead-ends", task))
 			}
 		}
 	}
@@ -174,26 +148,20 @@ func dictSoundness(a *Artifact) []Diag {
 // graph over all events must be acyclic (derive-cycle, a self-derivation
 // included: two instructions each claiming to inherit the other's owners
 // leave bottom-up resolution no ground truth to start from).
-func checkJournal(events []core.LineageEvent) []Diag {
-	var out []Diag
-	bad := func(rule, locus, format string, args ...interface{}) {
-		out = append(out, Diag{
-			Check: "dict/" + rule, Level: core.LevelIR,
-			Locus: locus, Msg: fmt.Sprintf(format, args...),
-		})
-	}
+func checkJournal(events []core.LineageEvent) []core.Diag {
+	var out []core.Diag
 
 	removed := map[int]bool{}
 	edges := map[int][]int{} // derived ID → source IDs
 	for _, ev := range events {
 		if removed[ev.ID] {
-			bad("use-after-remove", fmt.Sprintf("%%%d", ev.ID),
-				"%s event names an instruction that was already removed", ev.Kind)
+			out = append(out, core.Diagf("dict/use-after-remove", core.LevelIR, fmt.Sprintf("%%%d", ev.ID),
+				"%s event names an instruction that was already removed", ev.Kind))
 		}
 		for _, src := range ev.Srcs {
 			if removed[src] {
-				bad("use-after-remove", fmt.Sprintf("%%%d", ev.ID),
-					"%s from %%%d, which was already removed", ev.Kind, src)
+				out = append(out, core.Diagf("dict/use-after-remove", core.LevelIR, fmt.Sprintf("%%%d", ev.ID),
+					"%s from %%%d, which was already removed", ev.Kind, src))
 			}
 			edges[ev.ID] = append(edges[ev.ID], src)
 		}
@@ -230,8 +198,8 @@ func checkJournal(events []core.LineageEvent) []Diag {
 					case white:
 						stack = append(stack, s)
 					case gray:
-						bad("derive-cycle", fmt.Sprintf("%%%d", n),
-							"derivation cycle through %%%d: lineage has no ground truth", s)
+						out = append(out, core.Diagf("dict/derive-cycle", core.LevelIR, fmt.Sprintf("%%%d", n),
+							"derivation cycle through %%%d: lineage has no ground truth", s))
 					}
 				}
 			} else {
@@ -270,24 +238,19 @@ func checkJournal(events []core.LineageEvent) []Diag {
 //     function symbol and CALL targets on function entries (branch-escape),
 //     and every function symbol spans code ending in an instruction that
 //     cannot fall through into the next function (fallthrough).
-func nativeInvariants(a *Artifact) []Diag {
+func nativeInvariants(a *Artifact) []core.Diag {
 	if a.Code == nil || a.Code.Program == nil || a.Code.NMap == nil {
 		return nil
 	}
 	prog, nmap := a.Code.Program, a.Code.NMap
-	var out []Diag
-	bad := func(rule string, pos int, format string, args ...interface{}) {
-		out = append(out, Diag{
-			Check: "native/" + rule, Level: core.LevelNative,
-			Locus: fmt.Sprintf("native@%d", pos), Msg: fmt.Sprintf(format, args...),
-		})
-	}
+	var out []core.Diag
+	at := func(pos int) string { return fmt.Sprintf("native@%d", pos) }
 
 	n := len(prog.Code)
 	if len(nmap.IRs) != n || len(nmap.Region) != n || len(nmap.Routine) != n || len(nmap.Inverted) != n {
-		bad("nmap-misaligned", 0,
+		out = append(out, core.Diagf("native/nmap-misaligned", core.LevelNative, at(0),
 			"NativeMap arrays (%d/%d/%d/%d) do not cover the %d-instruction program",
-			len(nmap.IRs), len(nmap.Region), len(nmap.Routine), len(nmap.Inverted), n)
+			len(nmap.IRs), len(nmap.Region), len(nmap.Routine), len(nmap.Inverted), n))
 		return out // positional checks below would index out of range
 	}
 
@@ -307,27 +270,28 @@ func nativeInvariants(a *Artifact) []Diag {
 		// Provenance: every instruction must be attributable.
 		switch {
 		case gen && len(nmap.IRs[pos]) == 0 && in.Op != isa.JMP:
-			bad("no-provenance", pos,
-				"generated %s carries no IR IDs: samples here are unattributable", in.Op)
+			out = append(out, core.Diagf("native/no-provenance", core.LevelNative, at(pos),
+				"generated %s carries no IR IDs: samples here are unattributable", in.Op))
 		case gen && a.Dict != nil:
 			for _, irID := range nmap.IRs[pos] {
 				if len(a.Dict.TasksOf(irID)) == 0 {
-					bad("no-provenance", pos,
-						"IR %%%d resolves to no task through Log B", irID)
+					out = append(out, core.Diagf("native/no-provenance", core.LevelNative, at(pos),
+						"IR %%%d resolves to no task through Log B", irID))
 				}
 			}
 		case !gen && nmap.Routine[pos] == "":
-			bad("no-provenance", pos, "non-generated instruction has no routine name")
+			out = append(out, core.Diagf("native/no-provenance", core.LevelNative, at(pos),
+				"non-generated instruction has no routine name"))
 		}
 
 		// Tag-register discipline.
 		if r, writes := defReg(in); a.RegisterTagging && writes && r == isa.TagReg {
 			if !gen {
-				bad("tagreg-clobber", pos,
-					"runtime routine %q writes the reserved tag register", nmap.Routine[pos])
+				out = append(out, core.Diagf("native/tagreg-clobber", core.LevelNative, at(pos),
+					"runtime routine %q writes the reserved tag register", nmap.Routine[pos]))
 			} else if a.Module != nil && !slices.ContainsFunc(nmap.IRs[pos], setsTag) {
-				bad("tagreg-clobber", pos,
-					"%s writes the tag register without OpSetTag provenance", in.Op)
+				out = append(out, core.Diagf("native/tagreg-clobber", core.LevelNative, at(pos),
+					"%s writes the tag register without OpSetTag provenance", in.Op))
 			}
 		}
 
@@ -337,21 +301,22 @@ func nativeInvariants(a *Artifact) []Diag {
 		cond := in.IsBranch() && in.Op != isa.JMP
 		if nmap.Inverted[pos] {
 			if !cond {
-				bad("stale-inverted", pos,
-					"Inverted bit on %s, which is not a conditional branch", in.Op)
+				out = append(out, core.Diagf("native/stale-inverted", core.LevelNative, at(pos),
+					"Inverted bit on %s, which is not a conditional branch", in.Op))
 			}
 			if !gen {
-				bad("stale-inverted", pos, "Inverted bit outside generated code")
+				out = append(out, core.Diagf("native/stale-inverted", core.LevelNative, at(pos),
+					"Inverted bit outside generated code"))
 			}
 		}
 		if cond && gen {
 			if br, want, known := branchSense(prog, nmap, byID, pos); known && want != nmap.Inverted[pos] {
 				if want {
-					bad("stale-inverted", pos,
-						"Inverted bit missing: %s is taken towards %%%d's else successor %s", in.Op, br.ID, br.Targets[1].Name)
+					out = append(out, core.Diagf("native/stale-inverted", core.LevelNative, at(pos),
+						"Inverted bit missing: %s is taken towards %%%d's else successor %s", in.Op, br.ID, br.Targets[1].Name))
 				} else {
-					bad("stale-inverted", pos,
-						"Inverted bit set, but %s is taken towards %%%d's then successor %s", in.Op, br.ID, br.Targets[0].Name)
+					out = append(out, core.Diagf("native/stale-inverted", core.LevelNative, at(pos),
+						"Inverted bit set, but %s is taken towards %%%d's then successor %s", in.Op, br.ID, br.Targets[0].Name))
 				}
 			}
 		}
@@ -364,23 +329,24 @@ func nativeInvariants(a *Artifact) []Diag {
 			}
 			sym := prog.FuncAt(pos)
 			if sym == nil {
-				bad("branch-escape", pos, "branch outside any function symbol")
+				out = append(out, core.Diagf("native/branch-escape", core.LevelNative, at(pos),
+					"branch outside any function symbol"))
 			} else if tgt < int64(sym.Entry) || tgt >= int64(sym.End) {
-				bad("branch-escape", pos,
-					"%s targets %d, outside %s [%d,%d)", in.Op, tgt, sym.Name, sym.Entry, sym.End)
+				out = append(out, core.Diagf("native/branch-escape", core.LevelNative, at(pos),
+					"%s targets %d, outside %s [%d,%d)", in.Op, tgt, sym.Name, sym.Entry, sym.End))
 			}
 		}
 		if in.Op == isa.CALL {
 			if !slices.ContainsFunc(prog.Funcs, func(f isa.FuncSym) bool { return int64(f.Entry) == in.Imm }) {
-				bad("branch-escape", pos, "call targets %d, not a function entry", in.Imm)
+				out = append(out, core.Diagf("native/branch-escape", core.LevelNative, at(pos),
+					"call targets %d, not a function entry", in.Imm))
 			}
 			// A shared-region call restores the previous tag after it
 			// (§4.2.5, Listing 2).
 			if a.RegisterTagging && gen && in.Imm >= 0 && in.Imm < int64(n) &&
 				nmap.Region[in.Imm] == core.RegionShared && !tagRestoredAfter(prog, pos) {
-				bad("shared-call-unrestored", pos,
-					"tag register not restored after call into shared routine %q",
-					nmap.Routine[in.Imm])
+				out = append(out, core.Diagf("native/shared-call-unrestored", core.LevelNative, at(pos),
+					"tag register not restored after call into shared routine %q", nmap.Routine[in.Imm]))
 			}
 		}
 	}
@@ -390,15 +356,16 @@ func nativeInvariants(a *Artifact) []Diag {
 	for i := range prog.Funcs {
 		sym := &prog.Funcs[i]
 		if sym.End <= sym.Entry || sym.End > n {
-			bad("fallthrough", sym.Entry, "function %q has extent [%d,%d)", sym.Name, sym.Entry, sym.End)
+			out = append(out, core.Diagf("native/fallthrough", core.LevelNative, at(sym.Entry),
+				"function %q has extent [%d,%d)", sym.Name, sym.Entry, sym.End))
 			continue
 		}
 		last := &prog.Code[sym.End-1]
 		switch last.Op {
 		case isa.RET, isa.HALT, isa.TRAP, isa.JMP:
 		default:
-			bad("fallthrough", sym.End-1,
-				"function %q ends in %s and falls through", sym.Name, last.Op)
+			out = append(out, core.Diagf("native/fallthrough", core.LevelNative, at(sym.End-1),
+				"function %q ends in %s and falls through", sym.Name, last.Op))
 		}
 	}
 	return out

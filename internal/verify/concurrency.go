@@ -24,10 +24,12 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // lintConcurrency applies the concurrency rules to one type-checked unit.
-func (l *linter) lintConcurrency(pkgPath string, unit []*ast.File, info *types.Info) []Diag {
+func (l *linter) lintConcurrency(pkgPath string, unit []*ast.File, info *types.Info) []core.Diag {
 	c := &concChecker{l: l, pkgPath: pkgPath, info: info,
 		lockPairs: map[[2]string]token.Pos{}, atomicFields: map[types.Object]token.Pos{}}
 	for _, f := range unit {
@@ -48,7 +50,7 @@ func (l *linter) lintConcurrency(pkgPath string, unit []*ast.File, info *types.I
 	for pair, pos := range c.lockPairs {
 		inv := [2]string{pair[1], pair[0]}
 		if ipos, ok := c.lockPairs[inv]; ok && pair[0] < pair[1] {
-			c.diag(pos, "lockorder", "%s acquired while holding %s, but %s is also acquired while holding %s (at %s): inconsistent lock order is a latent deadlock",
+			c.diag(pos, "lint/lockorder", "%s acquired while holding %s, but %s is also acquired while holding %s (at %s): inconsistent lock order is a latent deadlock",
 				pair[1], pair[0], pair[0], pair[1], c.l.pos(ipos))
 		}
 	}
@@ -59,7 +61,7 @@ type concChecker struct {
 	l       *linter
 	pkgPath string
 	info    *types.Info
-	out     []Diag
+	out     []core.Diag
 
 	// lockPairs records "inner acquired while outer held": [outer, inner]
 	// keyed by lock identity, valued by the inner acquisition site.
@@ -69,8 +71,8 @@ type concChecker struct {
 	atomicFields map[types.Object]token.Pos
 }
 
-func (c *concChecker) diag(p token.Pos, rule, format string, args ...interface{}) {
-	c.out = append(c.out, lintDiag(rule, c.l.pos(p), format, args...))
+func (c *concChecker) diag(p token.Pos, check, format string, args ...interface{}) {
+	c.out = append(c.out, core.Diagf(check, core.LevelOperator, c.l.pos(p), format, args...))
 }
 
 // syncMethod resolves a call like x.Lock() to (receiver expr, sync type
@@ -242,7 +244,7 @@ func (c *concChecker) walkFn(body *ast.BlockStmt, ctx *fnCtx, fd *ast.FuncDecl) 
 		case *ast.SendStmt:
 			if obj := c.chanObj(x.Chan); obj != nil {
 				if cpos, closed := ctx.closed[obj]; closed {
-					c.diag(x.Pos(), "chanclose",
+					c.diag(x.Pos(), "lint/chanclose",
 						"send on %s after it was closed at %s", obj.Name(), c.l.pos(cpos))
 				}
 			}
@@ -264,7 +266,7 @@ func (c *concChecker) checkCall(call *ast.CallExpr, ctx *fnCtx, fd *ast.FuncDecl
 				return
 			}
 			if prev, closed := ctx.closed[obj]; closed {
-				c.diag(call.Pos(), "chanclose",
+				c.diag(call.Pos(), "lint/chanclose",
 					"%s closed twice (first at %s)", obj.Name(), c.l.pos(prev))
 			}
 			ctx.closed[obj] = call.Pos()
@@ -272,7 +274,7 @@ func (c *concChecker) checkCall(call *ast.CallExpr, ctx *fnCtx, fd *ast.FuncDecl
 				for _, p := range fd.Type.Params.List {
 					for _, name := range p.Names {
 						if c.info.Defs[name] == obj {
-							c.diag(call.Pos(), "chanclose",
+							c.diag(call.Pos(), "lint/chanclose",
 								"close of parameter channel %s: the sender that owns the channel should close it", obj.Name())
 						}
 					}
@@ -313,7 +315,7 @@ func (c *concChecker) checkCall(call *ast.CallExpr, ctx *fnCtx, fd *ast.FuncDecl
 			// unless the WaitGroup was created inside this goroutine.
 			if obj := c.chanObj(recv); obj != nil &&
 				!(obj.Pos() >= ctx.bodyLo && obj.Pos() <= ctx.bodyHi) {
-				c.diag(call.Pos(), "waitgroup",
+				c.diag(call.Pos(), "lint/waitgroup",
 					"WaitGroup.Add on captured %s inside a goroutine races with Wait: call Add before the go statement", obj.Name())
 			}
 		}
@@ -341,7 +343,7 @@ func (c *concChecker) checkAtomicStores(f *ast.File) {
 				continue
 			}
 			if apos, mixed := c.atomicFields[s.Obj()]; mixed {
-				c.diag(as.Pos(), "atomicmix",
+				c.diag(as.Pos(), "lint/atomicmix",
 					"plain store to %s, which is accessed atomically at %s: mixing atomic and plain access has no happens-before edge", sel.Sel.Name, c.l.pos(apos))
 			}
 		}

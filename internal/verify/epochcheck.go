@@ -42,8 +42,8 @@ type EpochSnapshot struct {
 // (base) and verifies the given snapshots against the replayed state.
 // Snapshots may be supplied in any order; each is checked against the
 // journal prefix with Epoch <= snapshot epoch.
-func CheckEpochs(base map[string]int64, journal []core.EpochEvent, snaps []EpochSnapshot) []Diag {
-	var out []Diag
+func CheckEpochs(base map[string]int64, journal []core.EpochEvent, snaps []EpochSnapshot) []core.Diag {
+	var out []core.Diag
 
 	// Pass 1: the journal itself. Epochs strictly increase; each event's
 	// window is non-empty and starts exactly at the table's replayed row
@@ -54,7 +54,7 @@ func CheckEpochs(base map[string]int64, journal []core.EpochEvent, snaps []Epoch
 	for i, ev := range journal {
 		locus := fmt.Sprintf("journal[%d] %s", i, ev.Table)
 		if ev.Epoch <= prevEpoch {
-			out = append(out, stateDiag("epoch/non-monotonic", locus,
+			out = append(out, core.Diagf("epoch/non-monotonic", core.LevelTask, locus,
 				"epoch %d follows %d", ev.Epoch, prevEpoch))
 		}
 		prevEpoch = ev.Epoch
@@ -62,13 +62,13 @@ func CheckEpochs(base map[string]int64, journal []core.EpochEvent, snaps []Epoch
 		rows[ev.Table] = ev.Hi
 		switch {
 		case ev.Hi <= ev.Lo:
-			out = append(out, stateDiag("epoch/window-empty", locus,
+			out = append(out, core.Diagf("epoch/window-empty", core.LevelTask, locus,
 				"append window [%d,%d) holds no rows", ev.Lo, ev.Hi))
 		case !known:
-			out = append(out, stateDiag("epoch/unknown-table", locus,
+			out = append(out, core.Diagf("epoch/unknown-table", core.LevelTask, locus,
 				"append to table with no load-time row count"))
 		case ev.Lo != at:
-			out = append(out, stateDiag("epoch/window-gap", locus,
+			out = append(out, core.Diagf("epoch/window-gap", core.LevelTask, locus,
 				"append window starts at %d, table tail is at %d", ev.Lo, at))
 		}
 	}
@@ -95,17 +95,17 @@ func CheckEpochs(base map[string]int64, journal []core.EpochEvent, snaps []Epoch
 			locus := fmt.Sprintf("epoch %d %s", snap.Epoch, table)
 			want, known := visible[table]
 			if !known {
-				out = append(out, stateDiag("epoch/unknown-table", locus,
+				out = append(out, core.Diagf("epoch/unknown-table", core.LevelTask, locus,
 					"snapshot covers table absent from the load state"))
 				continue
 			}
 			if st.Rows != want {
-				out = append(out, stateDiag("epoch/rows-mismatch", locus,
+				out = append(out, core.Diagf("epoch/rows-mismatch", core.LevelTask, locus,
 					"snapshot sees %d rows, journal prefix yields %d", st.Rows, want))
 			}
 			wantZ := min(catalog.ZoneRowsFor(int(want)), want) // one short zone on tiny tables
 			if st.ZoneRows != wantZ {
-				out = append(out, stateDiag("epoch/zone-granularity", locus,
+				out = append(out, core.Diagf("epoch/zone-granularity", core.LevelTask, locus,
 					"zone granularity %d, want %d for %d rows (pure function of the table)",
 					st.ZoneRows, wantZ, want))
 			}
@@ -115,7 +115,7 @@ func CheckEpochs(base map[string]int64, journal []core.EpochEvent, snaps []Epoch
 						continue
 					}
 					if st.Bounds[ci].Min > prev[ci].Min || st.Bounds[ci].Max < prev[ci].Max {
-						out = append(out, stateDiag("epoch/zone-regression", locus,
+						out = append(out, core.Diagf("epoch/zone-regression", core.LevelTask, locus,
 							"col %d bounds [%d,%d] shrank from [%d,%d] — append-only bounds may only widen",
 							ci, st.Bounds[ci].Min, st.Bounds[ci].Max, prev[ci].Min, prev[ci].Max))
 					}

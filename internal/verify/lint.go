@@ -22,7 +22,6 @@ package verify
 // concurrency rules of concurrency.go cover what vet does not.
 
 import (
-	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
@@ -107,7 +106,7 @@ var errStrictPaths = map[string]bool{
 // rules. The returned diagnostics use file:line loci. A non-nil error
 // means the linter itself could not run (unreadable tree); broken Go code
 // surfaces as lint/typecheck diagnostics, not an error.
-func Lint(root string) ([]Diag, error) {
+func Lint(root string) ([]core.Diag, error) {
 	dirs, err := goDirs(root)
 	if err != nil {
 		return nil, err
@@ -119,7 +118,7 @@ func Lint(root string) ([]Diag, error) {
 	}
 	l.std = importer.ForCompiler(l.fset, "source", nil)
 
-	var out []Diag
+	var out []core.Diag
 	for _, dir := range dirs {
 		out = append(out, l.lintDir(dir)...)
 	}
@@ -217,12 +216,12 @@ func (l *linter) importPath(dir string) string {
 // lintDir applies every rule to one package directory. The directory is
 // checked as up to two type-checking units: the package including its
 // in-package tests, and the external _test package if present.
-func (l *linter) lintDir(dir string) []Diag {
+func (l *linter) lintDir(dir string) []core.Diag {
 	path := l.importPath(dir)
 
 	all, err := l.parseDir(dir, func(string) bool { return true })
 	if err != nil {
-		return []Diag{lintDiag("typecheck", dir, "%v", err)}
+		return []core.Diag{core.Diagf("lint/typecheck", core.LevelOperator, dir, "%v", err)}
 	}
 	if len(all) == 0 {
 		return nil
@@ -246,7 +245,7 @@ func (l *linter) lintDir(dir string) []Diag {
 		}
 	}
 
-	var out []Diag
+	var out []core.Diag
 	imp := l
 	for _, unit := range [][]*ast.File{unitMain, unitXTest} {
 		if len(unit) == 0 {
@@ -261,7 +260,7 @@ func (l *linter) lintDir(dir string) []Diag {
 		cfg := types.Config{Importer: imp}
 		pkg, err := cfg.Check(path, l.fset, unit, info)
 		if err != nil {
-			out = append(out, lintDiag("typecheck", dir, "%v", err))
+			out = append(out, core.Diagf("lint/typecheck", core.LevelOperator, dir, "%v", err))
 			continue
 		}
 		if len(unitXTest) > 0 && imp == l {
@@ -322,15 +321,8 @@ func (l *linter) pos(p token.Pos) string {
 	return rel + ":" + strconv.Itoa(position.Line)
 }
 
-func lintDiag(rule, locus string, format string, args ...interface{}) Diag {
-	return Diag{
-		Check: "lint/" + rule, Level: core.LevelOperator,
-		Locus: locus, Msg: fmt.Sprintf(format, args...),
-	}
-}
-
-func (l *linter) lintFile(pkgPath string, f *ast.File, info *types.Info) []Diag {
-	var out []Diag
+func (l *linter) lintFile(pkgPath string, f *ast.File, info *types.Info) []core.Diag {
+	var out []core.Diag
 	pos := l.pos
 	fileName := l.fset.Position(f.Pos()).Filename
 	isTest := strings.HasSuffix(fileName, "_test.go")
@@ -341,7 +333,7 @@ func (l *linter) lintFile(pkgPath string, f *ast.File, info *types.Info) []Diag 
 		for _, imp := range f.Imports {
 			p, _ := strconv.Unquote(imp.Path.Value)
 			if p == "math/rand" || p == "math/rand/v2" {
-				out = append(out, lintDiag("norand", pos(imp.Pos()),
+				out = append(out, core.Diagf("lint/norand", core.LevelOperator, pos(imp.Pos()),
 					"import of %s outside %s: use internal/xrand for deterministic randomness", p, randExemptPath))
 			}
 		}
@@ -365,7 +357,7 @@ func (l *linter) lintFile(pkgPath string, f *ast.File, info *types.Info) []Diag 
 				}
 				if id, isID := call.Fun.(*ast.Ident); isID && id.Name == "panic" {
 					if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-						out = append(out, lintDiag("nopanic", pos(call.Pos()),
+						out = append(out, core.Diagf("lint/nopanic", core.LevelOperator, pos(call.Pos()),
 							"panic in a library package: report invariant violations through the package's bug/bugf helper, and turn input validation into errors"))
 					}
 				}
@@ -381,7 +373,7 @@ func (l *linter) lintFile(pkgPath string, f *ast.File, info *types.Info) []Diag 
 			// paths — a call whose error result is not consumed.
 			if errStrictPaths[pkgPath] && !isTest {
 				if call, isCall := x.X.(*ast.CallExpr); isCall && returnsError(call, info) {
-					out = append(out, lintDiag("noerrdrop", pos(x.Pos()),
+					out = append(out, core.Diagf("lint/noerrdrop", core.LevelOperator, pos(x.Pos()),
 						"call discards its error result on an engine/service path; handle or explicitly propagate it"))
 				}
 			}
@@ -393,12 +385,12 @@ func (l *linter) lintFile(pkgPath string, f *ast.File, info *types.Info) []Diag 
 		case *ast.CallExpr:
 			// Rule: no fmt.Sprintf on the compile hot path (non-test code).
 			if hotCompilePaths[pkgPath] && !isTest && isPkgFunc(x.Fun, info, "fmt", "Sprintf") {
-				out = append(out, lintDiag("nosprintf", pos(x.Pos()),
+				out = append(out, core.Diagf("lint/nosprintf", core.LevelOperator, pos(x.Pos()),
 					"fmt.Sprintf on the compile hot path (BenchmarkCompileSQL): build the string without formatting"))
 			}
 			// Rule: no time.Now in the deterministic VM/PMU packages.
 			if deterministicPaths[pkgPath] && !isTest && isPkgFunc(x.Fun, info, "time", "Now") {
-				out = append(out, lintDiag("notimenow", pos(x.Pos()),
+				out = append(out, core.Diagf("lint/notimenow", core.LevelOperator, pos(x.Pos()),
 					"time.Now in a deterministic simulation package: use the simulated TSC"))
 			}
 		case *ast.MapType:
@@ -407,7 +399,7 @@ func (l *linter) lintFile(pkgPath string, f *ast.File, info *types.Info) []Diag 
 			if denseIndexPaths[pkgPath] && !isTest {
 				if t := info.TypeOf(x.Key); t != nil {
 					if key := denseKey(t); key != "" {
-						out = append(out, lintDiag("nodensemap", pos(x.Pos()),
+						out = append(out, core.Diagf("lint/nodensemap", core.LevelOperator, pos(x.Pos()),
 							"map keyed by %s in the lowering stack: index a slice or ir.Bitset by the key's dense index instead", key))
 					}
 				}
@@ -440,10 +432,10 @@ func returnsError(call *ast.CallExpr, info *types.Info) bool {
 
 // checkErrBlank flags blank identifiers bound to error-typed results in an
 // assignment (x, _ := f() where f's second result is an error).
-func checkErrBlank(as *ast.AssignStmt, info *types.Info, pos func(token.Pos) string) []Diag {
-	var out []Diag
+func checkErrBlank(as *ast.AssignStmt, info *types.Info, pos func(token.Pos) string) []core.Diag {
+	var out []core.Diag
 	flag := func(p token.Pos) {
-		out = append(out, lintDiag("noerrdrop", pos(p),
+		out = append(out, core.Diagf("lint/noerrdrop", core.LevelOperator, pos(p),
 			"error result assigned to _ on an engine/service path; handle or explicitly propagate it"))
 	}
 	isBlank := func(e ast.Expr) bool {

@@ -1,20 +1,27 @@
 package verify_test
 
 import (
+	"maps"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/verify"
 )
 
-// lintFixture lints a synthetic module rooted in a temp dir. File names
-// are root-relative, so "internal/engine/x.go" lands in the path-scoped
-// rules exactly like the real package would.
-func lintFixture(t *testing.T, files map[string]string) []verify.Diag {
+// writeFixture writes a synthetic module ("module repro", no
+// dependencies) into a temp dir and returns its root. File names are
+// root-relative, so "internal/engine/x.go" lands in the path-scoped rules
+// exactly like the real package would.
+func writeFixture(t *testing.T, files map[string]string) string {
 	t.Helper()
 	root := t.TempDir()
+	files = maps.Clone(files)
+	files["go.mod"] = "module repro\n\ngo 1.22\n"
 	for name, src := range files {
 		path := filepath.Join(root, name)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -24,7 +31,13 @@ func lintFixture(t *testing.T, files map[string]string) []verify.Diag {
 			t.Fatal(err)
 		}
 	}
-	ds, err := verify.Lint(root)
+	return root
+}
+
+// lintFixture lints a synthetic module (writeFixture).
+func lintFixture(t *testing.T, files map[string]string) []core.Diag {
+	t.Helper()
+	ds, err := verify.Lint(writeFixture(t, files))
 	if err != nil {
 		t.Fatalf("lint: %v", err)
 	}
@@ -32,7 +45,7 @@ func lintFixture(t *testing.T, files map[string]string) []verify.Diag {
 }
 
 // wantChecks asserts exactly the given lint checks fired (by count).
-func wantChecks(t *testing.T, ds []verify.Diag, want map[string]int) {
+func wantChecks(t *testing.T, ds []core.Diag, want map[string]int) {
 	t.Helper()
 	got := map[string]int{}
 	for _, d := range ds {
@@ -50,7 +63,7 @@ func wantChecks(t *testing.T, ds []verify.Diag, want map[string]int) {
 	}
 }
 
-func diagsFor(ds []verify.Diag, check string) []string {
+func diagsFor(ds []core.Diag, check string) []string {
 	var out []string
 	for _, d := range ds {
 		if d.Check == check {
@@ -60,14 +73,37 @@ func diagsFor(ds []verify.Diag, check string) []string {
 	return out
 }
 
-func TestLintNoPanic(t *testing.T) {
-	ds := lintFixture(t, map[string]string{
+// lintFixtures holds one fixture per rule of verify.Lint, on which that
+// rule fires alone (want), and the negative rows: code the rules must let
+// through.
+var lintFixtures = []struct {
+	name  string
+	files map[string]string
+	want  map[string]int
+}{
+	{"norand", map[string]string{
 		"internal/fix/fix.go": `package fix
 
-// bug is the blessed invariant helper.
-func bug(msg string) {
-	panic("fix: " + msg)
-}
+import "math/rand"
+
+func Roll() int { return rand.Intn(6) }
+`,
+		"internal/fix/v2.go": `package fix
+
+import "math/rand/v2"
+
+func Flip() bool { return rand.IntN(2) == 0 }
+`,
+		"internal/xrand/xrand.go": `package xrand
+
+import "math/rand"
+
+func New(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+`,
+	}, map[string]int{"lint/norand": 2}},
+
+	{"nopanic", map[string]string{
+		"internal/fix/fix.go": `package fix
 
 func bad() {
 	panic("boom")
@@ -80,12 +116,13 @@ func alsoBad(x int) int {
 	return x
 }
 `,
-	})
-	wantChecks(t, ds, map[string]int{"lint/nopanic": 2})
-}
+		"cmd/tool/main.go": `package main
 
-func TestLintNoErrDrop(t *testing.T) {
-	ds := lintFixture(t, map[string]string{
+func main() { panic("a command may panic") }
+`,
+	}, map[string]int{"lint/nopanic": 2}},
+
+	{"noerrdrop", map[string]string{
 		"internal/engine/x.go": `package engine
 
 import "errors"
@@ -103,15 +140,44 @@ func use() int {
 	return w
 }
 `,
-	})
-	wantChecks(t, ds, map[string]int{"lint/noerrdrop": 3})
-}
+	}, map[string]int{"lint/noerrdrop": 3}},
 
-// TestLintNoDenseMap: in the lowering stack a map keyed by an
-// instruction, a block, a vreg or a machine register is an error — the
-// key carries a dense index — while other maps, and test files, pass.
-func TestLintNoDenseMap(t *testing.T) {
-	ds := lintFixture(t, map[string]string{
+	{"nosprintf", map[string]string{
+		"internal/codegen/x.go": `package codegen
+
+import "fmt"
+
+func name(i int) string { return fmt.Sprintf("v%d", i) }
+
+func plain(i int) string { return fmt.Sprint(i) }
+`,
+		"internal/engine/x.go": `package engine
+
+import "fmt"
+
+func name(i int) string { return fmt.Sprintf("v%d", i) }
+`,
+	}, map[string]int{"lint/nosprintf": 1}},
+
+	{"notimenow", map[string]string{
+		"internal/vm/x.go": `package vm
+
+import "time"
+
+func stamp() int64 { return time.Now().UnixNano() }
+`,
+		"internal/engine/x.go": `package engine
+
+import "time"
+
+func stamp() int64 { return time.Now().UnixNano() }
+`,
+	}, map[string]int{"lint/notimenow": 1}},
+
+	// In the lowering stack a map keyed by an instruction, a block, a
+	// vreg or a machine register fires; other maps, test files and other
+	// packages do not.
+	{"nodensemap", map[string]string{
 		"internal/isa/isa.go": `package isa
 
 type Reg uint8
@@ -155,12 +221,9 @@ import "repro/internal/ir"
 
 var elsewhere = map[*ir.Instr]int{}
 `,
-	})
-	wantChecks(t, ds, map[string]int{"lint/nodensemap": 6})
-}
+	}, map[string]int{"lint/nodensemap": 6}},
 
-func TestLintLockOrder(t *testing.T) {
-	inverted := map[string]string{
+	{"lockorder", map[string]string{
 		"internal/fix/fix.go": `package fix
 
 import "sync"
@@ -183,39 +246,9 @@ func g(s *S) {
 	s.b.Unlock()
 }
 `,
-	}
-	ds := lintFixture(t, inverted)
-	wantChecks(t, ds, map[string]int{"lint/lockorder": 1})
+	}, map[string]int{"lint/lockorder": 1}},
 
-	consistent := map[string]string{
-		"internal/fix/fix.go": `package fix
-
-import "sync"
-
-type S struct {
-	a, b sync.Mutex
-}
-
-func f(s *S) {
-	s.a.Lock()
-	s.b.Lock()
-	s.b.Unlock()
-	s.a.Unlock()
-}
-
-func g(s *S) {
-	s.a.Lock()
-	defer s.a.Unlock()
-	s.b.Lock()
-	defer s.b.Unlock()
-}
-`,
-	}
-	wantChecks(t, lintFixture(t, consistent), map[string]int{})
-}
-
-func TestLintWaitGroup(t *testing.T) {
-	ds := lintFixture(t, map[string]string{
+	{"waitgroup", map[string]string{
 		"internal/fix/fix.go": `package fix
 
 import "sync"
@@ -242,12 +275,10 @@ func sound() {
 	wg.Wait()
 }
 `,
-	})
-	wantChecks(t, ds, map[string]int{"lint/waitgroup": 1})
-}
+	}, map[string]int{"lint/waitgroup": 1}},
 
-func TestLintChanClose(t *testing.T) {
-	ds := lintFixture(t, map[string]string{
+	// Send-after-close, double-close, close-of-parameter.
+	{"chanclose", map[string]string{
 		"internal/fix/fix.go": `package fix
 
 func sendAfterClose() {
@@ -268,13 +299,9 @@ func fine() chan int {
 	return ch
 }
 `,
-	})
-	// send-after-close, double-close, close-of-parameter.
-	wantChecks(t, ds, map[string]int{"lint/chanclose": 3})
-}
+	}, map[string]int{"lint/chanclose": 3}},
 
-func TestLintAtomicMix(t *testing.T) {
-	ds := lintFixture(t, map[string]string{
+	{"atomicmix", map[string]string{
 		"internal/fix/fix.go": `package fix
 
 import "sync/atomic"
@@ -293,8 +320,151 @@ func reset(c *C) {
 	c.m = 0 // plain-only field: fine
 }
 `,
-	})
-	wantChecks(t, ds, map[string]int{"lint/atomicmix": 1})
+	}, map[string]int{"lint/atomicmix": 1}},
+
+	// Negative rows.
+	{"bug/bugf exemption", map[string]string{
+		"internal/fix/fix.go": `package fix
+
+import "fmt"
+
+// bug and bugf are the blessed invariant helpers.
+func bug(msg string) {
+	panic("fix: " + msg)
+}
+
+func bugf(format string, args ...any) {
+	panic("fix: " + fmt.Sprintf(format, args...))
+}
+
+func check(x int) {
+	if x < 0 {
+		bug("negative")
+	}
+	if x > 9 {
+		bugf("%d too large", x)
+	}
+}
+`,
+	}, map[string]int{}},
+
+	{"test files", map[string]string{
+		"internal/engine/x.go": `package engine
+
+import "errors"
+
+func fail() error { return errors.New("x") }
+`,
+		"internal/engine/x_test.go": `package engine
+
+func drop() {
+	fail()
+	_ = fail()
+	panic("a test may panic")
+}
+`,
+		"internal/codegen/x.go": "package codegen\n",
+		"internal/codegen/x_test.go": `package codegen
+
+import "fmt"
+
+func name(i int) string { return fmt.Sprintf("v%d", i) }
+`,
+		"internal/vm/x.go": "package vm\n",
+		"internal/vm/x_test.go": `package vm
+
+import "time"
+
+func stamp() int64 { return time.Now().UnixNano() }
+`,
+	}, map[string]int{}},
+
+	// The one legitimate error sink on an engine path, handled as
+	// engine.hwrite does.
+	{"hash.Hash.Write", map[string]string{
+		"internal/engine/x.go": `package engine
+
+import "hash/fnv"
+
+func bugf(format string, args ...any) { panic(format) }
+
+func digest(p []byte) uint64 {
+	h := fnv.New64a()
+	if _, err := h.Write(p); err != nil {
+		bugf("digest write failed: %v", err)
+	}
+	return h.Sum64()
+}
+`,
+	}, map[string]int{}},
+
+	{"consistent lock order", map[string]string{
+		"internal/fix/fix.go": `package fix
+
+import "sync"
+
+type S struct {
+	a, b sync.Mutex
+}
+
+func f(s *S) {
+	s.a.Lock()
+	s.b.Lock()
+	s.b.Unlock()
+	s.a.Unlock()
+}
+
+func g(s *S) {
+	s.a.Lock()
+	defer s.a.Unlock()
+	s.b.Lock()
+	defer s.b.Unlock()
+}
+`,
+	}, map[string]int{}},
+}
+
+// TestLintEveryRuleCatchesAFixtureAlone: every rule verify.Lint can emit
+// (but lint/typecheck, the linter's own failure to type-check) fires
+// alone on a fixture of its own, and the negative rows fire nothing. go
+// vet passes every fixture: a rule vet also caught would only repeat vet,
+// which CI runs, and is deleted instead.
+func TestLintEveryRuleCatchesAFixtureAlone(t *testing.T) {
+	fixtures := map[string]bool{}
+	for _, fx := range lintFixtures {
+		fixtures["lint/"+fx.name] = true
+	}
+	for _, file := range []string{"lint.go", "concurrency.go"} {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range regexp.MustCompile(`"(lint/[a-z]+)"`).FindAllStringSubmatch(string(src), -1) {
+			if rule := m[1]; rule != "lint/typecheck" && !fixtures[rule] {
+				t.Errorf("%s (%s) has no fixture", rule, file)
+			}
+		}
+	}
+
+	for _, fx := range lintFixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			root := writeFixture(t, fx.files)
+			ds, err := verify.Lint(root)
+			if err != nil {
+				t.Fatalf("lint: %v", err)
+			}
+			wantChecks(t, ds, fx.want)
+			if testing.Short() {
+				return
+			}
+			vet := exec.Command("go", "vet", "./...")
+			vet.Dir = root
+			vet.Env = append(os.Environ(), "GOFLAGS=-mod=mod", "GOWORK=off", "GOPROXY=off", "GOTOOLCHAIN=local")
+			if out, err := vet.CombinedOutput(); err != nil || len(out) > 0 {
+				t.Errorf("go vet reports the fixture (%v):\n%s", err, out)
+			}
+		})
+	}
 }
 
 // TestLintConcurrencyDiagsAreErrors: the concurrency rules report their

@@ -28,10 +28,10 @@ func repoRoot(t *testing.T) string {
 }
 
 // TestLintRepoClean runs the source linter over the whole repository —
-// the same gate CI enforces via tprofvet lint. A violation anywhere
-// (a stray math/rand import, a Sprintf on the compile hot path, a
-// copied mutex, a wall-clock read in the VM) fails this test with the
-// offending file:line.
+// the same gate CI enforces via tprofvet lint. A violation of any rule
+// anywhere (a stray math/rand import, a Sprintf on the compile hot path,
+// a wall-clock read in the VM, a discarded error on an engine path)
+// fails this test with the offending file:line.
 func TestLintRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole repository; skipped in -short")

@@ -33,17 +33,11 @@ import (
 //     partitioned sink or of none — the parallel program all, the serial
 //     one none — and every instruction of one resolves through Log B to
 //     its merge task.
-func mergeInvariants(a *Artifact) []Diag {
+func mergeInvariants(a *Artifact) []core.Diag {
 	if a.Pipelines == nil {
 		return nil
 	}
-	var out []Diag
-	diag := func(rule string, level core.Level, locus, format string, args ...any) {
-		out = append(out, Diag{
-			Check: "merge/" + rule, Level: level,
-			Locus: locus, Msg: fmt.Sprintf(format, args...),
-		})
-	}
+	var out []core.Diag
 
 	// Whether the module is a parallel program: one kernel function
 	// present means all of them must be.
@@ -71,18 +65,18 @@ func mergeInvariants(a *Artifact) []Diag {
 		// P * 2^shift == DirSlots.
 		p := ht.Partitions
 		if p <= 0 || p&(p-1) != 0 {
-			diag("partitions", core.LevelTask, locus,
-				"partition count %d is not a positive power of two", p)
+			out = append(out, core.Diagf("merge/partitions", core.LevelTask, locus,
+				"partition count %d is not a positive power of two", p))
 			continue
 		}
 		if p != mi.Partitions {
-			diag("partitions", core.LevelTask, locus,
-				"layout has %d partitions but merge info says %d", p, mi.Partitions)
+			out = append(out, core.Diagf("merge/partitions", core.LevelTask, locus,
+				"layout has %d partitions but merge info says %d", p, mi.Partitions))
 		}
 		if got := p << ht.SlotShift; got != ht.DirSlots {
-			diag("partitions", core.LevelTask, locus,
+			out = append(out, core.Diagf("merge/partitions", core.LevelTask, locus,
 				"partition slot ranges do not tile the directory: %d partitions × 2^%d slots = %d, directory has %d",
-				p, ht.SlotShift, got, ht.DirSlots)
+				p, ht.SlotShift, got, ht.DirSlots))
 		}
 
 		// Staging regions: allocated and pairwise disjoint.
@@ -110,16 +104,16 @@ func mergeInvariants(a *Artifact) []Diag {
 		}
 		for _, r := range regions[2:] { // dir and arena are always allocated
 			if r.base == 0 {
-				diag("region", core.LevelTask, locus, "%s region not allocated", r.name)
+				out = append(out, core.Diagf("merge/region", core.LevelTask, locus, "%s region not allocated", r.name))
 			}
 		}
 		for i := range regions {
 			for j := i + 1; j < len(regions); j++ {
 				ri, rj := regions[i], regions[j]
 				if ri.base < rj.base+rj.size && rj.base < ri.base+ri.size {
-					diag("region", core.LevelTask, locus,
+					out = append(out, core.Diagf("merge/region", core.LevelTask, locus,
 						"%s region [%d,%d) overlaps %s region [%d,%d)",
-						ri.name, ri.base, ri.base+ri.size, rj.name, rj.base, rj.base+rj.size)
+						ri.name, ri.base, ri.base+ri.size, rj.name, rj.base, rj.base+rj.size))
 				}
 			}
 		}
@@ -130,20 +124,20 @@ func mergeInvariants(a *Artifact) []Diag {
 			off := info.Sink.KeyOff + 8*int64(info.Sink.NKeys)
 			for k, s := range info.Sink.Slots {
 				if s.Off != off {
-					diag("state-slots", core.LevelTask, locus,
-						"state slot %d at entry offset %d, want %d", k, s.Off, off)
+					out = append(out, core.Diagf("merge/state-slots", core.LevelTask, locus,
+						"state slot %d at entry offset %d, want %d", k, s.Off, off))
 				}
 				switch s.Fn {
 				case plan.AggSum, plan.AggCount, plan.AggMin, plan.AggMax:
 				default:
-					diag("state-slots", core.LevelTask, locus,
-						"state slot %d holds %s, not a sum, count, min or max", k, s.Fn)
+					out = append(out, core.Diagf("merge/state-slots", core.LevelTask, locus,
+						"state slot %d holds %s, not a sum, count, min or max", k, s.Fn))
 				}
 				off = s.Off + 8
 			}
 			if off != ht.EntrySize {
-				diag("state-slots", core.LevelTask, locus,
-					"state slots end at entry offset %d, entry is %d bytes", off, ht.EntrySize)
+				out = append(out, core.Diagf("merge/state-slots", core.LevelTask, locus,
+					"state slots end at entry offset %d, entry is %d bytes", off, ht.EntrySize))
 			}
 		}
 
@@ -160,16 +154,16 @@ func mergeInvariants(a *Artifact) []Diag {
 			klocus := locus + " func " + k.fn
 			comp, ok := a.Dict.Registry.Lookup(k.task)
 			if !ok {
-				diag("kernel", core.LevelTask, klocus, "merge task %d not registered", k.task)
+				out = append(out, core.Diagf("merge/kernel", core.LevelTask, klocus, "merge task %d not registered", k.task))
 				continue
 			}
 			if !pipeline.MergeRole(comp.Kind) {
-				diag("kernel", core.LevelTask, klocus,
-					"task %q has kind %q, not a merge role", comp.Name, comp.Kind)
+				out = append(out, core.Diagf("merge/kernel", core.LevelTask, klocus,
+					"task %q has kind %q, not a merge role", comp.Name, comp.Kind))
 			}
 			if a.Dict.OperatorOf(k.task) == core.NoComponent {
-				diag("kernel", core.LevelTask, klocus,
-					"merge task %q has no Log A operator link", comp.Name)
+				out = append(out, core.Diagf("merge/kernel", core.LevelTask, klocus,
+					"merge task %q has no Log A operator link", comp.Name))
 			}
 			if a.Module == nil {
 				continue
@@ -177,16 +171,16 @@ func mergeInvariants(a *Artifact) []Diag {
 			f := a.Module.FuncByName(k.fn)
 			if f == nil {
 				if parallel {
-					diag("kernel", core.LevelIR, klocus, "generated merge function missing from module")
+					out = append(out, core.Diagf("merge/kernel", core.LevelIR, klocus, "generated merge function missing from module"))
 				}
 				continue
 			}
 			for _, b := range f.Blocks {
 				for _, in := range b.Instrs {
 					if !slices.Contains(a.Dict.TasksOf(in.ID), k.task) {
-						diag("kernel", core.LevelIR,
+						out = append(out, core.Diagf("merge/kernel", core.LevelIR,
 							fmt.Sprintf("%s.%s %%%d", k.fn, b.Name, in.ID),
-							"merge-kernel instruction not linked to task %q", comp.Name)
+							"merge-kernel instruction not linked to task %q", comp.Name))
 					}
 				}
 			}

@@ -3,6 +3,7 @@ package verify_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/pipeline"
@@ -58,7 +59,7 @@ func pickMerge(t *testing.T, a *verify.Artifact, kind pipeline.SinkKind) *pipeli
 	return nil
 }
 
-func mergeHasCheck(ds []verify.Diag, check string) bool {
+func mergeHasCheck(ds []core.Diag, check string) bool {
 	for _, d := range ds {
 		if d.Check == check {
 			return true

@@ -464,7 +464,7 @@ func Native(res *codegen.Result, mem *absint.MemModel) []Mutant {
 	return muts
 }
 
-// Verdict is one mutant's judgement: the distinct rules (Diag.Check) that
+// Verdict is one mutant's judgement: the distinct rules (core.Diag.Check) that
 // fired on it, sorted. A verdict with no rules is a mutant that got
 // through.
 type Verdict struct {
@@ -509,11 +509,11 @@ func Judge(cat *catalog.Catalog, q *plan.Query) ([]Verdict, error) {
 	}
 	it := tv.NewInterner()
 	pre := tv.Summarize(clean.Module, it)
-	out, err := judgeAll(fresh, IR, func(pc *pipeline.Compiled, m Mutant) []verify.Diag {
+	out, err := judgeAll(fresh, IR, func(pc *pipeline.Compiled, m Mutant) []core.Diag {
 		ds := verify.Check(&verify.Artifact{Module: pc.Module, Dict: pc.Dict,
 			RegisterTagging: opts.RegisterTagging, Pipelines: pc.Pipelines, Mem: cq.Mem})
 		if !strings.HasPrefix(m.Class, "gen/") {
-			ds = append(ds, tv.Diags("mutant", "pipeline", tv.Compare(pre, tv.Summarize(pc.Module, it), it))...)
+			ds = append(ds, tv.Compare(pre, tv.Summarize(pc.Module, it), it)...)
 		}
 		return ds
 	})
@@ -522,7 +522,7 @@ func Judge(cat *catalog.Catalog, q *plan.Query) ([]Verdict, error) {
 	}
 	native, nerr := judgeAll(func() (*codegen.Result, error) { return CloneResult(par.Code), nil },
 		func(code *codegen.Result) []Mutant { return Native(code, cq.Mem) },
-		func(code *codegen.Result, _ Mutant) []verify.Diag {
+		func(code *codegen.Result, _ Mutant) []core.Diag {
 			return verify.Check(&verify.Artifact{Module: par.Module, Dict: par.Dict, Code: code,
 				RegisterTagging: opts.RegisterTagging, Pipelines: cq.Pipe.Pipelines, Mem: cq.Mem})
 		})
@@ -539,13 +539,13 @@ func Judge(cat *catalog.Catalog, q *plan.Query) ([]Verdict, error) {
 	journals, jerr := judgeAll(func() (*[]core.ShardState, error) {
 		js := CloneJournals(res.ShardStates)
 		return &js, nil
-	}, Journal, func(js *[]core.ShardState, _ Mutant) []verify.Diag { return verify.CheckShards(rows, *js) })
+	}, Journal, func(js *[]core.ShardState, _ Mutant) []core.Diag { return verify.CheckShards(rows, *js) })
 	return slices.Concat(out, native, journals), errors.Join(nerr, jerr)
 }
 
 // judgeAll applies every mutant enumerate finds, each to a fresh
 // artifact, and records the rules check fires on it.
-func judgeAll[A any](fresh func() (A, error), enumerate func(A) []Mutant, check func(A, Mutant) []verify.Diag) ([]Verdict, error) {
+func judgeAll[A any](fresh func() (A, error), enumerate func(A) []Mutant, check func(A, Mutant) []core.Diag) ([]Verdict, error) {
 	var out []Verdict
 	for i := 0; ; i++ {
 		art, err := fresh()

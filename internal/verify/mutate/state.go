@@ -48,17 +48,21 @@ func Journal(js *[]core.ShardState) []Mutant {
 	// A shard's last zone never journaled.
 	addClass(&muts, "shard/drop-zone", len(zs), func(k int) bool { return zs[k].z == len(zs[k].j.Zones)-1 }, zsite,
 		func(k int) { zs[k].j.Zones = zs[k].j.Zones[:zs[k].z] })
-	// One shard of a split table never journaled.
-	addClass(&muts, "shard/drop-shard", len(*js), func(s int) bool { return pipe(s-1) == pipe(s) || pipe(s+1) == pipe(s) }, ssite,
-		func(s int) { *js = slices.Delete(*js, s, s+1) })
+	// One shard never journaled: of a split table, or an unsplit table's only one.
+	addClass(&muts, "shard/drop-shard", len(*js), nil, ssite, func(s int) { *js = slices.Delete(*js, s, s+1) })
 	// A zone stamped with its predecessor's tag.
 	addClass(&muts, "shard/retag-zone", len(zs), func(k int) bool { return zone(k).Zone > 0 }, zsite, func(k int) { zone(k).Zone-- })
 	// A verdict recorded under a cause the coordinator has no rule for.
 	addClass(&muts, "shard/garble-cause", len(zs), nil, zsite, func(k int) { zone(k).Cause += "?" })
-	// A pipeline journaled under a scan alias the plan does not have.
+	// A pipeline journaled a second time, as a pipeline of its own under a
+	// scan alias the plan does not have. (Renaming the only journals of an
+	// alias would also leave the plan's alias unjournaled: tile-short.)
 	addClass(&muts, "shard/rename-alias", len(*js), func(s int) bool { return pipe(s-1) != pipe(s) }, ssite, func(s int) {
+		stray := slices.MaxFunc(*js, func(a, b core.ShardState) int { return a.Pipeline - b.Pipeline }).Pipeline + 1
 		for i := s; pipe(i) == pipe(s); i++ {
-			(*js)[i].Alias += "'"
+			j := (*js)[i]
+			j.Pipeline, j.Alias = stray, j.Alias+"'"
+			*js = append(*js, j)
 		}
 	})
 	return muts
@@ -134,12 +138,12 @@ func runIngest() (*ingest, error) {
 
 // checkEpochs and checkViews judge an ingest as `tprofvet check -epoch`
 // and `-views` judge theirs, each view against its ledger copy.
-func (in *ingest) checkEpochs() []verify.Diag {
+func (in *ingest) checkEpochs() []core.Diag {
 	return verify.CheckEpochs(in.base, in.journal, in.snaps)
 }
 
-func (in *ingest) checkViews() []verify.Diag {
-	var ds []verify.Diag
+func (in *ingest) checkViews() []core.Diag {
+	var ds []core.Diag
 	for i, v := range in.views {
 		ds = append(ds, verify.CheckView(in.cat, v, in.ledgers[i], in.journal)...)
 	}
@@ -242,7 +246,7 @@ func JudgeIngest() ([]Verdict, error) {
 	if err := verify.AsError(append(clean.checkEpochs(), clean.checkViews()...)); err != nil {
 		return nil, fmt.Errorf("clean ingest flagged: %w", err)
 	}
-	epochs, err := judgeAll(runIngest, (*ingest).epochMutants, func(in *ingest, _ Mutant) []verify.Diag { return in.checkEpochs() })
-	views, verr := judgeAll(runIngest, (*ingest).viewMutants, func(in *ingest, _ Mutant) []verify.Diag { return in.checkViews() })
+	epochs, err := judgeAll(runIngest, (*ingest).epochMutants, func(in *ingest, _ Mutant) []core.Diag { return in.checkEpochs() })
+	views, verr := judgeAll(runIngest, (*ingest).viewMutants, func(in *ingest, _ Mutant) []core.Diag { return in.checkViews() })
 	return append(epochs, views...), errors.Join(err, verr)
 }

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/plan"
@@ -18,13 +19,6 @@ import (
 // journals structurally; they are core types, so the package needs no
 // engine import (the engine depends on verify, not the other way around).
 
-// stateDiag is the diagnostic of the state replay checkers: shard, epoch
-// and view journals.
-func stateDiag(check, locus, format string, args ...interface{}) Diag {
-	return Diag{Check: check, Level: core.LevelTask,
-		Locus: locus, Msg: fmt.Sprintf(format, args...)}
-}
-
 // ScanRows maps each scan alias of a plan to its table's row count: the
 // tableRows CheckShards replays a run of the plan against.
 func ScanRows(root *plan.Output) map[string]int64 {
@@ -38,10 +32,11 @@ func ScanRows(root *plan.Output) map[string]int64 {
 }
 
 // CheckShards verifies one run's shard journals against the scanned
-// tables' row counts. tableRows maps each journaled scan alias to its
-// table's row count.
-func CheckShards(tableRows map[string]int64, journals []core.ShardState) []Diag {
-	var out []Diag
+// tables' row counts. tableRows maps each scan alias of the run's plan to
+// its table's row count (ScanRows); every alias with rows must be
+// journaled, since the coordinator journals every scan it runs.
+func CheckShards(tableRows map[string]int64, journals []core.ShardState) []core.Diag {
+	var out []core.Diag
 
 	type zkey struct {
 		pipe, zone int
@@ -57,48 +52,62 @@ func CheckShards(tableRows map[string]int64, journals []core.ShardState) []Diag 
 		for _, z := range j.Zones {
 			k := zkey{j.Pipeline, z.Zone}
 			if prev, dup := zoneOwner[k]; dup {
-				out = append(out, stateDiag("shard/zone-collision", locus,
+				out = append(out, core.Diagf("shard/zone-collision", core.LevelTask, locus,
 					"zone %d already claimed by shard %d (tag collision)", z.Zone, prev))
 			}
 			zoneOwner[k] = j.Shard
 			if z.Lo != next {
-				out = append(out, stateDiag("shard/zone-gap", locus,
+				out = append(out, core.Diagf("shard/zone-gap", core.LevelTask, locus,
 					"zone %d covers [%d,%d), expected to start at %d", z.Zone, z.Lo, z.Hi, next))
 			}
 			next = z.Hi
 			if z.Cause != "" && z.Cause != core.SkipFilter && z.Cause != core.SkipSemiJoin && z.Cause != core.SkipAbsent {
-				out = append(out, stateDiag("shard/cause-unknown", locus,
+				out = append(out, core.Diagf("shard/cause-unknown", core.LevelTask, locus,
 					"pruned zone %d has unknown cause %q", z.Zone, z.Cause))
 			}
 		}
 		if next != j.Hi {
-			out = append(out, stateDiag("shard/zone-short", locus,
+			out = append(out, core.Diagf("shard/zone-short", core.LevelTask, locus,
 				"zones end at %d, shard owns [%d,%d)", next, j.Lo, j.Hi))
 		}
 	}
 
 	// Per pipeline: shards tile the scanned table [0, rows) contiguously.
+	journaled := map[string]bool{}
 	for pipe, js := range byPipe {
 		alias := js[0].Alias
+		journaled[alias] = true
 		locus := fmt.Sprintf("%s pipeline %d", alias, pipe)
 		next := int64(0)
 		for _, j := range js {
 			if j.Lo != next {
-				out = append(out, stateDiag("shard/tile-gap", locus,
+				out = append(out, core.Diagf("shard/tile-gap", core.LevelTask, locus,
 					"shard %d starts at %d, expected %d", j.Shard, j.Lo, next))
 			}
 			next = j.Hi
 		}
 		want, ok := tableRows[alias]
 		if !ok {
-			out = append(out, stateDiag("shard/unknown-alias", locus,
+			out = append(out, core.Diagf("shard/unknown-alias", core.LevelTask, locus,
 				"no table row count supplied for journaled scan"))
 			continue
 		}
 		if next != want {
-			out = append(out, stateDiag("shard/tile-short", locus,
+			out = append(out, core.Diagf("shard/tile-short", core.LevelTask, locus,
 				"shards cover [0,%d), table has %d rows", next, want))
 		}
+	}
+	// A scanned table with rows and no journal at all: nothing tiles it.
+	var unjournaled []string
+	for alias, rows := range tableRows {
+		if rows > 0 && !journaled[alias] {
+			unjournaled = append(unjournaled, alias)
+		}
+	}
+	slices.Sort(unjournaled)
+	for _, alias := range unjournaled {
+		out = append(out, core.Diagf("shard/tile-short", core.LevelTask, alias,
+			"no shard journal covers the scan, table has %d rows", tableRows[alias]))
 	}
 	return out
 }

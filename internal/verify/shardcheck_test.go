@@ -6,10 +6,11 @@ import (
 	"repro/internal/core"
 )
 
-// cleanShardRun builds a consistent two-shard fixture over one pipeline:
-// four zones of 100 rows, zone 1 filter-pruned and zone 2 pruned as absent.
+// cleanShardRun builds a consistent fixture of two pipelines: a two-shard
+// scan of l over four zones of 100 rows, zone 1 filter-pruned and zone 2
+// pruned as absent, and an unsplit scan of o, one zone of 100 rows.
 func cleanShardRun() (map[string]int64, []core.ShardState) {
-	rows := map[string]int64{"l": 400}
+	rows := map[string]int64{"l": 400, "o": 100}
 	journals := []core.ShardState{
 		{Pipeline: 2, Alias: "l", Shard: 0, Lo: 0, Hi: 200,
 			Zones: []core.ZoneDecision{
@@ -21,11 +22,13 @@ func cleanShardRun() (map[string]int64, []core.ShardState) {
 				{Zone: 2, Lo: 200, Hi: 300, Cause: core.SkipAbsent},
 				{Zone: 3, Lo: 300, Hi: 400},
 			}},
+		{Pipeline: 3, Alias: "o", Shard: 0, Lo: 0, Hi: 100,
+			Zones: []core.ZoneDecision{{Zone: 0, Lo: 0, Hi: 100}}},
 	}
 	return rows, journals
 }
 
-func hasCheck(ds []Diag, check string) bool {
+func hasCheck(ds []core.Diag, check string) bool {
 	for _, d := range ds {
 		if d.Check == check {
 			return true
@@ -54,6 +57,9 @@ func TestCheckShardsCorruptions(t *testing.T) {
 		{"tile short", func(rows map[string]int64, js []core.ShardState) (map[string]int64, []core.ShardState) {
 			rows["l"] = 500 // table larger than the journaled shards cover
 			return rows, js
+		}, "shard/tile-short"},
+		{"unsplit scan journal dropped", func(rows map[string]int64, js []core.ShardState) (map[string]int64, []core.ShardState) {
+			return rows, js[:2]
 		}, "shard/tile-short"},
 		{"unknown alias", func(rows map[string]int64, js []core.ShardState) (map[string]int64, []core.ShardState) {
 			delete(rows, "l")

@@ -53,7 +53,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/iropt"
-	"repro/internal/verify"
 )
 
 // ---------------------------------------------------------------------------
@@ -154,7 +153,6 @@ func (it *Interner) Render(id, depth int) string {
 // write, or the terminator, in program order.
 type Event struct {
 	Expr int // interned canonical form
-	IRID int // the instruction that performs it, for diagnostics
 }
 
 type blockSummary struct {
@@ -242,7 +240,7 @@ func Summarize(m *ir.Module, it *Interner) *Summary {
 			bs := &blockSummary{}
 			for _, in := range b.Instrs {
 				if id, ok := sz.event(b, in); ok {
-					bs.events = append(bs.events, Event{Expr: id, IRID: in.ID})
+					bs.events = append(bs.events, Event{Expr: id})
 					frontier = append(frontier, it.deps[id]...)
 				}
 			}
@@ -465,41 +463,29 @@ func (s *summarizer) binop(op ir.Op, a, b int) int {
 // Comparison and counterexamples
 // ---------------------------------------------------------------------------
 
-// Mismatch is one structured counterexample: the smallest observable unit
-// on which the pre- and post-pass summaries diverge.
-type Mismatch struct {
-	Kind   string // "func-set", "block-set", "event-count", "event", "phi-set", "phi"
-	Func   string
-	Block  string
-	Index  int // event index, or -1
-	Phi    int // phi instruction ID, or 0
-	Pre    string
-	Post   string
-	PreID  int // IR ID of the pre event, or 0
-	PostID int
-}
-
-func (m Mismatch) String() string {
-	loc := m.Func
-	if m.Block != "" {
-		loc += "." + m.Block
-	}
-	if m.Index >= 0 {
-		loc += fmt.Sprintf(" event#%d", m.Index)
-	}
-	if m.Phi != 0 {
-		loc += fmt.Sprintf(" phi %%%d", m.Phi)
-	}
-	return fmt.Sprintf("%s at %s: pre=%s post=%s", m.Kind, loc, m.Pre, m.Post)
-}
-
 const renderDepth = 4
 
 // Compare proves pre and post observationally equal, returning the
-// counterexamples where the proof fails. Both summaries must come from
-// the same Interner.
-func Compare(pre, post *Summary, it *Interner) []Mismatch {
-	var out []Mismatch
+// counterexamples where the proof fails: one IR-level diagnostic for each
+// smallest observable unit on which the summaries diverge, its check
+// "tv/" and the unit's kind — "func-set", "block-set", "event-count",
+// "event", "phi-set" or "phi". Both summaries must come from the same
+// Interner.
+func Compare(pre, post *Summary, it *Interner) []core.Diag {
+	var out []core.Diag
+	add := func(kind, fn, block string, event, phi int, pre, post string) {
+		locus := fn
+		if block != "" {
+			locus += "." + block
+		}
+		if event >= 0 {
+			locus += fmt.Sprintf(" event#%d", event)
+		}
+		if phi != 0 {
+			locus += fmt.Sprintf(" %%%d", phi)
+		}
+		out = append(out, core.Diagf("tv/"+kind, core.LevelIR, locus, "pre=%s post=%s", pre, post))
+	}
 	var fnames []string
 	for name := range pre.funcs {
 		fnames = append(fnames, name)
@@ -509,7 +495,7 @@ func Compare(pre, post *Summary, it *Interner) []Mismatch {
 		pf := pre.funcs[name]
 		qf, ok := post.funcs[name]
 		if !ok {
-			out = append(out, Mismatch{Kind: "func-set", Func: name, Index: -1, Pre: "present", Post: "missing"})
+			add("func-set", name, "", -1, 0, "present", "missing")
 			continue
 		}
 		var bnames []string
@@ -521,7 +507,7 @@ func Compare(pre, post *Summary, it *Interner) []Mismatch {
 			pb := pf.blocks[bn]
 			qb, ok := qf.blocks[bn]
 			if !ok {
-				out = append(out, Mismatch{Kind: "block-set", Func: name, Block: bn, Index: -1, Pre: "present", Post: "missing"})
+				add("block-set", name, bn, -1, 0, "present", "missing")
 				continue
 			}
 			n := len(pb.events)
@@ -531,30 +517,22 @@ func Compare(pre, post *Summary, it *Interner) []Mismatch {
 			for i := 0; i < n; i++ {
 				pe, qe := pb.events[i], qb.events[i]
 				if pe.Expr != qe.Expr {
-					out = append(out, Mismatch{
-						Kind: "event", Func: name, Block: bn, Index: i,
-						Pre: it.Render(pe.Expr, renderDepth), Post: it.Render(qe.Expr, renderDepth),
-						PreID: pe.IRID, PostID: qe.IRID,
-					})
+					add("event", name, bn, i, 0, it.Render(pe.Expr, renderDepth), it.Render(qe.Expr, renderDepth))
 				}
 			}
 			if len(pb.events) != len(qb.events) {
-				out = append(out, Mismatch{
-					Kind: "event-count", Func: name, Block: bn, Index: n,
-					Pre:  strconv.Itoa(len(pb.events)) + " events",
-					Post: strconv.Itoa(len(qb.events)) + " events",
-				})
+				add("event-count", name, bn, n, 0, strconv.Itoa(len(pb.events))+" events", strconv.Itoa(len(qb.events))+" events")
 			}
 		}
 		for bn := range qf.blocks {
 			if _, ok := pf.blocks[bn]; !ok {
-				out = append(out, Mismatch{Kind: "block-set", Func: name, Block: bn, Index: -1, Pre: "missing", Post: "present"})
+				add("block-set", name, bn, -1, 0, "missing", "present")
 			}
 		}
 	}
 	for name := range post.funcs {
 		if _, ok := pre.funcs[name]; !ok {
-			out = append(out, Mismatch{Kind: "func-set", Func: name, Index: -1, Pre: "missing", Post: "present"})
+			add("func-set", name, "", -1, 0, "missing", "present")
 		}
 	}
 
@@ -567,19 +545,16 @@ func Compare(pre, post *Summary, it *Interner) []Mismatch {
 		pp := pre.phis[id]
 		qp, ok := post.phis[id]
 		if !ok {
-			out = append(out, Mismatch{Kind: "phi-set", Func: pp.fn, Block: pp.block, Index: -1, Phi: id,
-				Pre: renderPhi(pp, it), Post: "missing"})
+			add("phi-set", pp.fn, pp.block, -1, id, renderPhi(pp, it), "missing")
 			continue
 		}
 		if !phiEqual(pp, qp) {
-			out = append(out, Mismatch{Kind: "phi", Func: pp.fn, Block: pp.block, Index: -1, Phi: id,
-				Pre: renderPhi(pp, it), Post: renderPhi(qp, it)})
+			add("phi", pp.fn, pp.block, -1, id, renderPhi(pp, it), renderPhi(qp, it))
 		}
 	}
 	for id, qp := range post.phis {
 		if _, ok := pre.phis[id]; !ok {
-			out = append(out, Mismatch{Kind: "phi-set", Func: qp.fn, Block: qp.block, Index: -1, Phi: id,
-				Pre: "missing", Post: renderPhi(qp, it)})
+			add("phi-set", qp.fn, qp.block, -1, id, "missing", renderPhi(qp, it))
 		}
 	}
 	return out
@@ -636,38 +611,15 @@ func NewValidator(m *ir.Module) *Validator {
 func (v *Validator) Steps() int { return v.steps }
 
 // Step validates the module state after the named pass against the
-// previous checkpoint and advances the checkpoint. Returned diagnostics
-// (all errors) embed the counterexamples.
-func (v *Validator) Step(m *ir.Module, pass string) []verify.Diag {
+// previous checkpoint and advances the checkpoint. Each returned
+// diagnostic is a counterexample of Compare, its message naming the pass.
+func (v *Validator) Step(m *ir.Module, pass string) []core.Diag {
 	cur := Summarize(m, v.it)
-	ms := Compare(v.prev, cur, v.it)
-	ds := Diags(pass, v.prevPhase, ms)
+	ds := Compare(v.prev, cur, v.it)
+	for i := range ds {
+		ds[i].Msg = fmt.Sprintf("pass %q broke observational equivalence (baseline %q): %s", pass, v.prevPhase, ds[i].Msg)
+	}
 	v.prev, v.prevPhase = cur, pass
 	v.steps++
 	return ds
-}
-
-// Diags renders mismatches as suite diagnostics attributed to pass.
-func Diags(pass, prevPhase string, ms []Mismatch) []verify.Diag {
-	var out []verify.Diag
-	for _, m := range ms {
-		locus := m.Func
-		if m.Block != "" {
-			locus += "." + m.Block
-		}
-		if m.Index >= 0 {
-			locus += fmt.Sprintf(" event#%d", m.Index)
-		}
-		if m.Phi != 0 {
-			locus += fmt.Sprintf(" %%%d", m.Phi)
-		}
-		out = append(out, verify.Diag{
-			Check: "tv/" + m.Kind,
-			Level: core.LevelIR,
-			Locus: locus,
-			Msg: fmt.Sprintf("pass %q broke observational equivalence (baseline %q): pre=%s post=%s",
-				pass, prevPhase, m.Pre, m.Post),
-		})
-	}
-	return out
 }

@@ -125,10 +125,10 @@ func TestCommutativeSortAndFold(t *testing.T) {
 	}
 }
 
-func mismatchKinds(ms []Mismatch) string {
+func mismatchKinds(ds []core.Diag) string {
 	var ks []string
-	for _, m := range ms {
-		ks = append(ks, m.Kind)
+	for _, d := range ds {
+		ks = append(ks, strings.TrimPrefix(d.Check, "tv/"))
 	}
 	return strings.Join(ks, ",")
 }
@@ -196,9 +196,9 @@ func TestMutantsAreCaught(t *testing.T) {
 				t.Fatalf("want kind %s, got %s (%v)", tc.want, mismatchKinds(ms), ms)
 			}
 			// Counterexamples render without placeholder garbage.
-			for _, mm := range ms {
-				if mm.Pre == "" || mm.Post == "" {
-					t.Fatalf("unrendered counterexample: %+v", mm)
+			for _, d := range ms {
+				if strings.Contains(d.Msg, "pre= ") || strings.HasSuffix(d.Msg, "post=") {
+					t.Fatalf("unrendered counterexample: %v", d)
 				}
 			}
 		})

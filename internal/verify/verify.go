@@ -41,22 +41,6 @@ import (
 	"repro/internal/verify/absint"
 )
 
-// Diag is one structured diagnostic: which check fired, which abstraction
-// level the offending artifact lives on, and a locus precise enough to find
-// it (an IR ID, a native instruction index, a task component, or a
-// file:line). Every diagnostic is a broken invariant: there is no lesser
-// kind, so no caller can drop one by filtering.
-type Diag struct {
-	Check string     // "checker/rule", e.g. "dict/orphan-instr"
-	Level core.Level // abstraction level of the offending artifact
-	Locus string     // e.g. "%42", "native@137", "task 7", "a.go:12"
-	Msg   string
-}
-
-func (d Diag) String() string {
-	return fmt.Sprintf("%s: [%s] %s: %s", d.Check, d.Level, d.Locus, d.Msg)
-}
-
 // Artifact is one compilation state snapshot handed to the gate. The
 // engine builds these after pipeline construction (Code nil), after each
 // optimizer pass (Code nil), and after emit (Code set); nil fields simply
@@ -91,9 +75,9 @@ type Artifact struct {
 // emitted code. Each diagnostic is tagged with the artifact's phase. Rules
 // whose inputs the artifact lacks (native code before emit, the memory
 // model, the pipeline metadata) report nothing.
-func Check(a *Artifact) []Diag {
-	var out []Diag
-	for _, rules := range [...]func(*Artifact) []Diag{irWellFormed, invariantLoads, dictSoundness, nativeInvariants, mergeInvariants, absintViolations} {
+func Check(a *Artifact) []core.Diag {
+	var out []core.Diag
+	for _, rules := range [...]func(*Artifact) []core.Diag{irWellFormed, invariantLoads, dictSoundness, nativeInvariants, mergeInvariants, absintViolations} {
 		for _, d := range rules(a) {
 			if a.Phase != "" {
 				d.Msg = d.Msg + " (after " + a.Phase + ")"
@@ -104,23 +88,16 @@ func Check(a *Artifact) []Diag {
 	return out
 }
 
-// absintViolations reports the abstract interpreter's definite violations
-// as native-level diagnostics.
-func absintViolations(a *Artifact) []Diag {
-	var out []Diag
-	for _, v := range absint.Analyze(a.Code, a.Mem, a.RegisterTagging).Diags {
-		out = append(out, Diag{
-			Check: v.Check, Level: core.LevelNative,
-			Locus: fmt.Sprintf("native@%d", v.Pos), Msg: v.Msg,
-		})
-	}
-	return out
+// absintViolations is the abstract interpreter's definite violations over
+// the emitted code.
+func absintViolations(a *Artifact) []core.Diag {
+	return absint.Analyze(a.Code, a.Mem, a.RegisterTagging).Diags
 }
 
 // AsError folds diagnostics into a single error (nil when there are
-// none), for callers that gate on Check — like the engine's
-// VerifyArtifacts mode.
-func AsError(ds []Diag) error {
+// none), for callers that gate on a checker — the engine's
+// VerifyArtifacts mode, tprofvet's checks.
+func AsError(ds []core.Diag) error {
 	if len(ds) == 0 {
 		return nil
 	}

@@ -45,7 +45,7 @@ func fixture(t *testing.T, name string) *verify.Artifact {
 
 // wantDiag asserts that running the gate yields at least one diagnostic
 // with the given check code, and returns it.
-func wantDiag(t *testing.T, a *verify.Artifact, check string) verify.Diag {
+func wantDiag(t *testing.T, a *verify.Artifact, check string) core.Diag {
 	t.Helper()
 	ds := verify.Check(a)
 	for _, d := range ds {
@@ -54,10 +54,10 @@ func wantDiag(t *testing.T, a *verify.Artifact, check string) verify.Diag {
 		}
 	}
 	t.Fatalf("expected diagnostic %s, got %d others:\n%s", check, len(ds), renderDiags(ds))
-	return verify.Diag{}
+	return core.Diag{}
 }
 
-func renderDiags(ds []verify.Diag) string {
+func renderDiags(ds []core.Diag) string {
 	var sb strings.Builder
 	for _, d := range ds {
 		sb.WriteString("  " + d.String() + "\n")

@@ -24,8 +24,8 @@ import (
 
 // CheckViews verifies every registered view of a manager against its
 // catalog (CheckView).
-func CheckViews(cat *catalog.Catalog, m *mview.Manager) []Diag {
-	var out []Diag
+func CheckViews(cat *catalog.Catalog, m *mview.Manager) []core.Diag {
+	var out []core.Diag
 	journal := cat.EpochJournal()
 	for _, name := range m.Names() {
 		if v, ok := m.Get(name); ok {
@@ -40,12 +40,12 @@ func CheckViews(cat *catalog.Catalog, m *mview.Manager) []Diag {
 // base and backing tables, coverage bounds, backing-table row counts,
 // journal backing for refresh appends, and byte-exact partial contents
 // under windowed replay.
-func CheckView(cat *catalog.Catalog, v *mview.View, states []mview.RefreshState, journal []core.EpochEvent) []Diag {
-	var out []Diag
+func CheckView(cat *catalog.Catalog, v *mview.View, states []mview.RefreshState, journal []core.EpochEvent) []core.Diag {
+	var out []core.Diag
 	locus := "view " + v.Name
 
 	if len(states) == 0 {
-		return []Diag{stateDiag("views/no-ledger", locus, "view has no refresh ledger")}
+		return []core.Diag{core.Diagf("views/no-ledger", core.LevelTask, locus, "view has no refresh ledger")}
 	}
 
 	// The ledger is an append-only history: coverage, view rows and
@@ -53,7 +53,7 @@ func CheckView(cat *catalog.Catalog, v *mview.View, states []mview.RefreshState,
 	for i := 1; i < len(states); i++ {
 		p, s := states[i-1], states[i]
 		if s.Covered < p.Covered || s.ViewRows < p.ViewRows || s.Epoch < p.Epoch {
-			out = append(out, stateDiag("views/ledger-order", locus,
+			out = append(out, core.Diagf("views/ledger-order", core.LevelTask, locus,
 				"ledger entry %d (%+v) regresses from %d (%+v)", i, s, i-1, p))
 			return out // later checks would chase corrupted indices
 		}
@@ -62,20 +62,20 @@ func CheckView(cat *catalog.Catalog, v *mview.View, states []mview.RefreshState,
 	vt, err := cat.Table(v.TableName)
 	bt, baseErr := cat.Table(v.Def().Table)
 	if err = errors.Join(err, baseErr); err != nil {
-		return append(out, stateDiag("views/table-missing", locus, "%v", err))
+		return append(out, core.Diagf("views/table-missing", core.LevelTask, locus, "%v", err))
 	}
 
 	last := states[len(states)-1]
 	if last.Covered > int64(bt.Rows()) {
-		out = append(out, stateDiag("views/coverage-overrun", locus,
+		out = append(out, core.Diagf("views/coverage-overrun", core.LevelTask, locus,
 			"ledger covers %d base rows, base table has %d", last.Covered, bt.Rows()))
 	}
 	if last.ViewRows != int64(vt.Rows()) {
-		out = append(out, stateDiag("views/rows-mismatch", locus,
+		out = append(out, core.Diagf("views/rows-mismatch", core.LevelTask, locus,
 			"ledger claims %d partial rows, backing table has %d", last.ViewRows, vt.Rows()))
 	}
 	if epoch := cat.Epoch(); last.Epoch > epoch {
-		out = append(out, stateDiag("views/epoch-ahead", locus,
+		out = append(out, core.Diagf("views/epoch-ahead", core.LevelTask, locus,
 			"ledger epoch %d is ahead of the catalog epoch %d", last.Epoch, epoch))
 	}
 
@@ -94,7 +94,7 @@ func CheckView(cat *catalog.Catalog, v *mview.View, states []mview.RefreshState,
 			}
 		}
 		if !backed {
-			out = append(out, stateDiag("views/journal-missing", locus,
+			out = append(out, core.Diagf("views/journal-missing", core.LevelTask, locus,
 				"refresh window [%d,%d) of %s has no matching epoch-journal append",
 				p.ViewRows, s.ViewRows, v.TableName))
 		}
@@ -119,7 +119,7 @@ func CheckView(cat *catalog.Catalog, v *mview.View, states []mview.RefreshState,
 		}
 		cols, groups := v.ComputePartials(bv, prevCovered, s.Covered)
 		if groups != s.ViewRows-prevRows {
-			out = append(out, stateDiag("views/content-mismatch", locus,
+			out = append(out, core.Diagf("views/content-mismatch", core.LevelTask, locus,
 				"ledger entry %d: window [%d,%d) re-aggregates to %d partial rows, ledger claims %d",
 				i, prevCovered, s.Covered, groups, s.ViewRows-prevRows))
 			break
@@ -128,7 +128,7 @@ func CheckView(cat *catalog.Catalog, v *mview.View, states []mview.RefreshState,
 			stored := mvView.Col(ci)[prevRows:s.ViewRows]
 			for ri := range cols[ci] {
 				if stored[ri] != cols[ci][ri] {
-					out = append(out, stateDiag("views/content-mismatch", locus,
+					out = append(out, core.Diagf("views/content-mismatch", core.LevelTask, locus,
 						"partial row %d col %d holds %d, replay of base window [%d,%d) yields %d",
 						prevRows+int64(ri), ci, stored[ri], prevCovered, s.Covered, cols[ci][ri]))
 					return out

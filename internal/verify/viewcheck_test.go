@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/core"
 	"repro/internal/mview"
 )
 
@@ -40,7 +41,7 @@ func viewFixture(t *testing.T) (*catalog.Catalog, *mview.Manager) {
 	return c, m
 }
 
-func diagChecks(diags []Diag) string {
+func diagChecks(diags []core.Diag) string {
 	var names []string
 	for _, d := range diags {
 		names = append(names, d.Check)
