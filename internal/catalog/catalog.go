@@ -11,6 +11,8 @@ package catalog
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -183,25 +185,78 @@ type Table struct {
 	Name string
 	Cols []*Column
 
-	mu     sync.RWMutex
-	rowCap int // frozen row capacity of the column backing arrays
-	// widths holds each column's bytes per value (WidthFor), and keyMax
-	// each Unique column's largest value (math.MinInt64 when empty or not
-	// Unique), both computed over the first widthRows rows. The widths slice
-	// is replaced on change, never written in place: views hold it.
-	widths    []int
-	keyMax    []int64
-	widthRows int
+	mu     sync.Mutex
+	rowCap int     // frozen row capacity of the column backing arrays
+	rec    *record // what the catalog derives from the current rows
+}
 
-	stats     map[string]Stats
-	statsRows map[string]int // row count each cached stat was computed over
-	zc        zoneCache
+// record is what the catalog derives from a table's first rows rows. Under
+// append-only growth that prefix never changes, so neither does the record:
+// widths and Unique maxima are fixed when it is made, and each column's
+// statistics and the zone map are computed once, on first read. A
+// TableView holds the record of its rows; Add and Bump drop the table's,
+// and AppendCols makes the next one from the previous one.
+type record struct {
+	rows   int
+	cols   [][]int64 // each column's prefix [:rows:rows]
+	widths []int     // WidthFor of each prefix
+	keyMax []int64   // each Unique column's largest value, else math.MinInt64
+
+	stats     []lazyStats
+	zonesOnce sync.Once
+	zones     []Zone
+}
+
+type lazyStats struct {
+	once sync.Once
+	s    Stats
+}
+
+// newRecord records the first rows rows of t's columns. Caller holds t.mu.
+func (t *Table) newRecord(rows int, widths []int, keyMax []int64) *record {
+	r := &record{rows: rows, cols: make([][]int64, len(t.Cols)), widths: widths, keyMax: keyMax,
+		stats: make([]lazyStats, len(t.Cols))}
+	for i, c := range t.Cols {
+		r.cols[i] = c.Data[:rows:rows]
+	}
+	return r
+}
+
+// recordLocked returns the record of the table's current rows, making it
+// afresh when there is none or when direct Data writes (loaders, tests)
+// changed the row or column count since. Caller holds t.mu.
+func (t *Table) recordLocked() *record {
+	rows := t.rowsLocked()
+	if r := t.rec; r != nil && r.rows == rows && len(r.cols) == len(t.Cols) {
+		return r
+	}
+	ws, ks := make([]int, len(t.Cols)), make([]int64, len(t.Cols))
+	for i, c := range t.Cols {
+		ws[i], ks[i] = WidthFor(c.Data[:rows]), math.MinInt64
+		if c.Unique && rows > 0 {
+			ks[i] = slices.Max(c.Data[:rows])
+		}
+	}
+	t.rec = t.newRecord(rows, ws, ks)
+	return t.rec
+}
+
+// stat returns column i's statistics, computed on first read.
+func (r *record) stat(i int, unique bool) Stats {
+	s := &r.stats[i]
+	s.once.Do(func() { s.s = computeStats(r.cols[i], unique) })
+	return s.s
+}
+
+// zoneMap returns the record's zone map, built on first read. The result
+// is shared — callers must not mutate it.
+func (r *record) zoneMap() []Zone {
+	r.zonesOnce.Do(func() { r.zones = buildZones(r.cols, int64(r.rows)) })
+	return r.zones
 }
 
 // NewTable creates an empty table.
-func NewTable(name string) *Table {
-	return &Table{Name: name, stats: make(map[string]Stats), statsRows: make(map[string]int)}
-}
+func NewTable(name string) *Table { return &Table{Name: name} }
 
 // AddCol appends a column and returns it.
 func (t *Table) AddCol(name string, typ Type) *Column {
@@ -235,8 +290,8 @@ func (t *Table) ColIndex(name string) int {
 
 // Rows returns the row count.
 func (t *Table) Rows() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.rowsLocked()
 }
 
@@ -269,45 +324,22 @@ func (t *Table) rowCapLocked() int {
 	return t.rowCap
 }
 
-// ColStats returns statistics for a column, cached per visible row count:
-// an append invalidates the entry, so the optimizer always estimates
+// ColStats returns statistics for a column over the table's current rows:
+// an append makes the next record, so the optimizer always estimates
 // against the current epoch's data while repeated plans at one epoch pay
 // for the scan once.
 func (t *Table) ColStats(name string) Stats {
 	t.mu.Lock()
-	rows := t.rowsLocked()
-	if s, ok := t.stats[name]; ok && t.statsRows[name] == rows {
-		t.mu.Unlock()
-		return s
-	}
-	c := t.Col(name)
-	if c == nil {
+	i := t.ColIndex(name)
+	if i < 0 {
 		t.mu.Unlock()
 		return Stats{}
 	}
-	data := c.Data[:rows:rows]
-	unique := c.Unique
+	r, unique := t.recordLocked(), t.Cols[i].Unique
 	t.mu.Unlock()
-	// Compute outside the lock: the prefix is immutable under append-only
+	// Computed outside the lock: the prefix is immutable under append-only
 	// growth, and concurrent appends must not stall on a stats scan.
-	s := computeStats(data, unique)
-	t.mu.Lock()
-	t.stats[name] = s
-	t.statsRows[name] = rows
-	t.mu.Unlock()
-	return s
-}
-
-// flushDerived drops the cached statistics and zone maps and recomputes
-// the column widths (Catalog.Bump — an in-place data mutation invalidates
-// all three).
-func (t *Table) flushDerived() {
-	t.mu.Lock()
-	t.stats = make(map[string]Stats)
-	t.statsRows = make(map[string]int)
-	t.resetWidthsLocked()
-	t.mu.Unlock()
-	t.zc.flush()
+	return r.stat(i, unique)
 }
 
 // Validate checks that all columns have equal length.
@@ -383,16 +415,20 @@ func (c *Catalog) Version() uint64 {
 
 // Bump invalidates the current version without a schema change — for
 // callers that mutate table data *in place* (compiled artifacts bake
-// column base addresses into their memory layout, and zone maps /
-// statistics describe the old values). It also flushes every table's
-// derived caches and recomputes its column widths. Appends never need it:
-// they go through Append/AppendCols, which advance the epoch instead.
+// column base addresses into their memory layout, and a table's record
+// describes the old values). It drops every table's record, so the next
+// read derives widths, statistics and zone maps from the new values. A
+// view taken before the mutation keeps its old record: direct mutation is
+// legal only while the table is not served. Appends never need it: they go
+// through Append/AppendCols, which advance the epoch instead.
 func (c *Catalog) Bump() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.version++
 	for _, t := range c.tables {
-		t.flushDerived()
+		t.mu.Lock()
+		t.rec = nil
+		t.mu.Unlock()
 	}
 }
 

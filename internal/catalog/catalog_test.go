@@ -120,6 +120,18 @@ func TestStatsCachedPerEpoch(t *testing.T) {
 	if second.Max != 100 || second.Distinct != 3 {
 		t.Fatalf("post-append stats = %+v", second)
 	}
+	// Through the catalog: after every append the statistics are those of
+	// the visible prefix.
+	cat := New()
+	cat.Add(tb)
+	for i := range 5 {
+		if _, err := cat.AppendCols("t", [][]int64{{int64(-i), 7, int64(200 * i)}}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := tb.ColStats("v"), computeStats(tb.View().Col(0), false); got != want {
+			t.Fatalf("after append %d: stats %+v, want %+v", i, got, want)
+		}
+	}
 }
 
 func TestCatalogLookup(t *testing.T) {

@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/core"
@@ -67,9 +66,9 @@ func WidthFor(vals []int64) int {
 	return w
 }
 
-// reserveTail freezes the table's row capacity and column widths and
-// reallocates each column's backing array to the capacity (called under the
-// catalog lock at Add).
+// reserveTail freezes the table's row capacity, reallocates each column's
+// backing array to it and drops the table's record, so the next read fixes
+// the widths (called under the catalog lock at Add).
 func (t *Table) reserveTail() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -84,46 +83,7 @@ func (t *Table) reserveTail() {
 			c.Data = nd
 		}
 	}
-	t.resetWidthsLocked()
-}
-
-// resetWidthsLocked recomputes every column's width from its contents. The
-// slice is replaced, never written in place: views hold the old one.
-func (t *Table) resetWidthsLocked() {
-	t.widths, t.keyMax, t.widthRows = widthsOf(t.Cols), keyMaxOf(t.Cols), t.rowsLocked()
-}
-
-// keyMaxOf returns each Unique column's largest value, math.MinInt64 for
-// an empty or non-Unique column.
-func keyMaxOf(cols []*Column) []int64 {
-	ms := make([]int64, len(cols))
-	for i, c := range cols {
-		ms[i] = math.MinInt64
-		if c.Unique {
-			for _, v := range c.Data {
-				ms[i] = max(ms[i], v)
-			}
-		}
-	}
-	return ms
-}
-
-func widthsOf(cols []*Column) []int {
-	ws := make([]int, len(cols))
-	for i, c := range cols {
-		ws[i] = WidthFor(c.Data)
-	}
-	return ws
-}
-
-// widthsLocked returns the column widths of the table's current rows,
-// recomputing them after direct Data mutation (loaders, tests); Add,
-// AppendCols and Bump maintain them themselves. Caller holds t.mu.Lock.
-func (t *Table) widthsLocked() []int {
-	if t.widthRows != t.rowsLocked() || len(t.widths) != len(t.Cols) {
-		t.resetWidthsLocked()
-	}
-	return t.widths
+	t.rec = nil
 }
 
 // ColWidth returns the bytes per value (1, 2, 4 or 8) that table column i
@@ -135,7 +95,7 @@ func (t *Table) widthsLocked() []int {
 func (t *Table) ColWidth(i int) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.widthsLocked()[i]
+	return t.recordLocked().widths[i]
 }
 
 // AppendResult reports one append batch.
@@ -224,17 +184,17 @@ func (c *Catalog) AppendCols(table string, cols [][]int64) (AppendResult, error)
 		t.mu.Unlock()
 		return AppendResult{}, err
 	}
-	lo := int64(t.rowsLocked())
+	prev := t.recordLocked()
+	lo := int64(prev.rows)
 	hi := lo + int64(k)
 	grew := false
 	if int(hi) > t.rowCapLocked() {
 		t.rowCap = CapRowsFor(int(hi))
 		grew = true
 	}
-	if ws, wider := widened(t.widthsLocked(), cols); wider {
-		t.widths = ws
-		grew = true
-	}
+	ws, wider := widened(prev.widths, cols)
+	grew = grew || wider
+	keyMax := slices.Clone(prev.keyMax)
 	for i, col := range t.Cols {
 		if cap(col.Data) < t.rowCap {
 			nd := make([]int64, len(col.Data), t.rowCap)
@@ -243,10 +203,10 @@ func (c *Catalog) AppendCols(table string, cols [][]int64) (AppendResult, error)
 		}
 		col.Data = append(col.Data, cols[i]...)
 		if col.Unique {
-			t.keyMax[i] = max(t.keyMax[i], slices.Max(cols[i]))
+			keyMax[i] = max(keyMax[i], slices.Max(cols[i]))
 		}
 	}
-	t.widthRows = int(hi)
+	t.rec = t.newRecord(int(hi), ws, keyMax)
 	t.mu.Unlock()
 
 	c.epoch++
@@ -263,12 +223,12 @@ func (c *Catalog) AppendCols(table string, cols [][]int64) (AppendResult, error)
 // is accepted without allocating; any other batch is checked against a
 // set of the column's keys. Caller holds t.mu.Lock.
 func (t *Table) checkKeysLocked(cols [][]int64) error {
-	t.widthsLocked() // refreshes keyMax after direct Data mutation
+	keyMax := t.recordLocked().keyMax
 	for i, c := range t.Cols {
 		if !c.Unique {
 			continue
 		}
-		prev, rising := t.keyMax[i], true
+		prev, rising := keyMax[i], true
 		for _, v := range cols[i] {
 			if v <= prev {
 				rising = false
@@ -294,73 +254,67 @@ func (t *Table) checkKeysLocked(cols [][]int64) error {
 }
 
 // widened returns ws with each column widened to hold its new values, and
-// whether any column widened; ws itself is never written.
+// whether any column widened; ws itself is never written, and is returned
+// when none widens.
 func widened(ws []int, cols [][]int64) ([]int, bool) {
 	var out []int
 	for i, vals := range cols {
 		if w := WidthFor(vals); w > ws[i] {
 			if out == nil {
-				out = append([]int(nil), ws...)
+				out = slices.Clone(ws)
 			}
 			out[i] = w
 		}
 	}
-	return out, out != nil
+	if out == nil {
+		return ws, false
+	}
+	return out, true
 }
 
 // TableView is the immutable per-table face of a snapshot: the first Rows
 // rows of every column, captured as slice-header prefixes (zero-copy),
-// and the width of every column at that moment.
-// Its zone map and shards are pure functions of (table contents, Rows) —
-// never of the snapshot, session, worker count, or shard count.
+// with the record of those rows (the widths at that moment, statistics and
+// zone map). Its zone map and shards are pure functions of (table
+// contents, Rows) — never of the snapshot, session, worker count, or shard
+// count.
 type TableView struct {
-	Table  *Table
-	Rows   int
-	cols   [][]int64
-	widths []int
+	Table *Table
+	Rows  int
+	rec   *record
 }
 
 // View captures an immutable view of the table's current rows.
 func (t *Table) View() *TableView {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.viewLocked()
 }
 
 func (t *Table) viewLocked() *TableView {
-	rows := t.rowsLocked()
-	v := &TableView{Table: t, Rows: rows, cols: make([][]int64, len(t.Cols))}
-	for i, c := range t.Cols {
-		v.cols[i] = c.Data[:rows:rows]
-	}
-	v.widths = t.widths
-	if t.widthRows != rows || len(t.widths) != len(t.Cols) {
-		// Direct Data mutation since the last Add/Append/Bump: the view's
-		// own widths, left unrecorded (readers hold only t.mu.RLock).
-		v.widths = widthsOf(t.Cols)
-	}
-	return v
+	r := t.recordLocked()
+	return &TableView{Table: t, Rows: r.rows, rec: r}
 }
 
 // Col returns the view's data prefix for table column i.
-func (v *TableView) Col(i int) []int64 { return v.cols[i] }
+func (v *TableView) Col(i int) []int64 { return v.rec.cols[i] }
 
 // ColWidth returns the width of table column i when the view was taken:
 // every value of Col(i) fits it.
-func (v *TableView) ColWidth(i int) int { return v.widths[i] }
+func (v *TableView) ColWidth(i int) int { return v.rec.widths[i] }
 
 // ColByName returns the view's data prefix for a named column, or nil.
 func (v *TableView) ColByName(name string) []int64 {
 	if i := v.Table.ColIndex(name); i >= 0 {
-		return v.cols[i]
+		return v.rec.cols[i]
 	}
 	return nil
 }
 
-// Zones returns the view's zone map (cached per row count on the table —
-// sound under append-only growth, since zones over [0, Rows) only read
-// the immutable prefix).
-func (v *TableView) Zones() []Zone { return v.Table.zc.zonesFor(v) }
+// Zones returns the view's zone map, built once per record on first read
+// and held by every view of the same rows; a pinned view's map lives as
+// long as the view.
+func (v *TableView) Zones() []Zone { return v.rec.zoneMap() }
 
 // Shards partitions the view's rows into n contiguous zone-aligned shards
 // (see shardsOf).
@@ -381,9 +335,9 @@ func (c *Catalog) Snapshot() *Snapshot {
 	defer c.mu.Unlock()
 	s := &Snapshot{Epoch: c.epoch, Version: c.version, views: make(map[string]*TableView, len(c.tables))}
 	for name, t := range c.tables {
-		t.mu.RLock()
+		t.mu.Lock()
 		s.views[name] = t.viewLocked()
-		t.mu.RUnlock()
+		t.mu.Unlock()
 	}
 	return s
 }

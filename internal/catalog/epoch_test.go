@@ -2,6 +2,8 @@ package catalog
 
 import (
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -199,7 +201,7 @@ func TestViewZonesPerEpoch(t *testing.T) {
 	if z2[len(z2)-1].Hi != int64(v2.Rows) {
 		t.Fatal("new view's zones must cover the appended tail")
 	}
-	// The old view's zone map is unchanged (cached per row count).
+	// The old view's zone map is unchanged (held by the view's record).
 	if again := v1.Zones(); len(again) != len(z1) || again[len(again)-1].Hi != z1[len(z1)-1].Hi {
 		t.Fatal("old view's zone map changed after append")
 	}
@@ -218,6 +220,65 @@ func TestViewZonesPerEpoch(t *testing.T) {
 		if b2[ci].Min > b1[ci].Min || b2[ci].Max < b1[ci].Max {
 			t.Fatalf("col %d bounds regressed: %+v -> %+v", ci, b1[ci], b2[ci])
 		}
+	}
+	// However many epochs follow, the first view keeps the very zone map
+	// it built: no later row count evicts it, and nothing rebuilds it.
+	for range 9 {
+		if _, err := c.AppendCols("t", [][]int64{{1, 2}, {3, 4}}); err != nil {
+			t.Fatal(err)
+		}
+		tb.View().Zones()
+	}
+	again := v1.Zones()
+	if &again[0] != &z1[0] {
+		t.Fatal("the first view's zone map was rebuilt after later epochs")
+	}
+	if want := buildZones([][]int64{v1.Col(0), v1.Col(1)}, int64(v1.Rows)); !reflect.DeepEqual(again, want) {
+		t.Fatal("the first view's zone map differs from its prefix's")
+	}
+}
+
+// TestRecordReadsRaceAppends: goroutines make the first reads of one
+// record's statistics and zone map while another goroutine appends; every
+// reader sees the one zone map and the statistics of the record's prefix.
+// Run under -race.
+func TestRecordReadsRaceAppends(t *testing.T) {
+	c := epochTestCatalog(t, 3000)
+	tb, _ := c.Table("t")
+	v := tb.View()
+	want := []Stats{computeStats(v.Col(0), false), computeStats(v.Col(1), false)}
+	zones := make([][]Zone, 4)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := range 20 {
+			if _, err := c.AppendCols("t", [][]int64{{int64(5000 + i)}, {9}}); err != nil {
+				t.Error(err)
+			}
+			tb.ColStats("a")
+		}
+	}()
+	for g := range zones {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, w := range want {
+				if got := v.rec.stat(i, false); got != w {
+					t.Errorf("column %d statistics %+v, want %+v", i, got, w)
+				}
+			}
+			zones[g] = v.Zones()
+		}()
+	}
+	wg.Wait()
+	for _, z := range zones[1:] {
+		if &z[0] != &zones[0][0] {
+			t.Fatal("readers of one record saw different zone maps")
+		}
+	}
+	if !reflect.DeepEqual(zones[0], buildZones([][]int64{v.Col(0), v.Col(1)}, int64(v.Rows))) {
+		t.Fatal("the record's zone map differs from its prefix's")
 	}
 }
 

@@ -1,7 +1,5 @@
 package catalog
 
-import "sync"
-
 // Zone maps and shards.
 //
 // A zone is a fixed-granularity horizontal block of a table carrying
@@ -66,60 +64,6 @@ type Shard struct {
 
 // Rows returns the shard's row count.
 func (s Shard) Rows() int64 { return s.Hi - s.Lo }
-
-// zoneCache holds the lazily built zone maps of one table, keyed by the
-// visible row count: each epoch's view gets an immutable zone map, and the
-// maps stay sound under append-only growth because a map over [0, n) only
-// ever read the immutable data prefix. Concurrent sessions may fault views
-// in simultaneously; the cache keeps a bounded number of row counts
-// (epochs churn, but executions cluster on recent ones).
-type zoneCache struct {
-	mu     sync.Mutex
-	byRows map[int][]Zone
-}
-
-// zoneCacheViews bounds how many row counts' zone maps are retained.
-const zoneCacheViews = 8
-
-// zonesFor returns the zone map for a view's row count, computing and
-// caching it on first use. The result is shared — callers must not mutate.
-func (zc *zoneCache) zonesFor(v *TableView) []Zone {
-	zc.mu.Lock()
-	if zc.byRows == nil {
-		zc.byRows = make(map[int][]Zone)
-	}
-	if z, ok := zc.byRows[v.Rows]; ok {
-		zc.mu.Unlock()
-		return z
-	}
-	zc.mu.Unlock()
-
-	// Build outside the lock (the view's prefixes are immutable); publish
-	// under it. Concurrent builders of the same row count produce
-	// identical maps, so last-publish-wins is harmless.
-	z := buildZones(v.cols, int64(v.Rows))
-	zc.mu.Lock()
-	defer zc.mu.Unlock()
-	zc.byRows[v.Rows] = z
-	for len(zc.byRows) > zoneCacheViews {
-		min := -1
-		for rows := range zc.byRows {
-			if min < 0 || rows < min {
-				min = rows
-			}
-		}
-		delete(zc.byRows, min)
-	}
-	return z
-}
-
-// flush drops every cached zone map (Catalog.Bump after in-place data
-// mutation).
-func (zc *zoneCache) flush() {
-	zc.mu.Lock()
-	defer zc.mu.Unlock()
-	zc.byRows = nil
-}
 
 func buildZones(cols [][]int64, n int64) []Zone {
 	if n == 0 {

@@ -60,11 +60,6 @@ type Config struct {
 	Period int64
 	Format Format
 
-	// TagReg is the general-purpose register Register Tagging reserves;
-	// its captured value disambiguates shared code locations. Defaults to
-	// isa.TagReg.
-	TagReg isa.Reg
-
 	// BufferSamples is the PEBS buffer capacity; a flush (kernel
 	// involvement) happens when it fills. Zero selects the default.
 	BufferSamples int
@@ -85,14 +80,10 @@ const DefaultBufferSamples = 1024
 
 // Validate statically checks a sampling configuration before it arms a
 // PMU. Misconfigurations otherwise surface as silent weirdness at run
-// time (a zero period never samples; an out-of-range tag register reads
-// garbage from the captured file), so the engine rejects them up front.
+// time (a zero period never samples), so the engine rejects them up front.
 func (c Config) Validate() error {
 	if c.Period <= 0 {
 		return fmt.Errorf("pmu: sampling period must be positive, got %d", c.Period)
-	}
-	if c.TagReg >= isa.NumRegs {
-		return fmt.Errorf("pmu: tag register %s outside the sampled register file", c.TagReg)
 	}
 	if c.BufferSamples < 0 {
 		return fmt.Errorf("pmu: negative PEBS buffer capacity %d", c.BufferSamples)
@@ -115,9 +106,6 @@ type PMU struct {
 func New(cfg Config) *PMU {
 	if cfg.BufferSamples <= 0 {
 		cfg.BufferSamples = DefaultBufferSamples
-	}
-	if cfg.TagReg == 0 {
-		cfg.TagReg = isa.TagReg
 	}
 	return &PMU{cfg: cfg}
 }
@@ -169,7 +157,7 @@ func (p *PMU) Sample(c *vm.CPU, ev vm.Event, addr int64) uint64 {
 	} else {
 		cost = CostPEBSRecord
 		if p.cfg.Format.Registers {
-			s.Tag = c.Regs[p.cfg.TagReg] // captured with the register file
+			s.Tag = c.Regs[isa.TagReg] // captured with the register file
 			s.HasRegs = true
 			cost += CostRegisterCapture
 		}

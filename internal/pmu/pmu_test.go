@@ -44,10 +44,9 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	bad := []Config{
-		{Event: vm.EvInstRetired},                                   // zero period
-		{Event: vm.EvInstRetired, Period: -5},                       // negative period
-		{Event: vm.EvInstRetired, Period: 100, TagReg: isa.NumRegs}, // outside register file
-		{Event: vm.EvInstRetired, Period: 100, BufferSamples: -1},   // negative buffer
+		{Event: vm.EvInstRetired},                                 // zero period
+		{Event: vm.EvInstRetired, Period: -5},                     // negative period
+		{Event: vm.EvInstRetired, Period: 100, BufferSamples: -1}, // negative buffer
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
