@@ -146,7 +146,7 @@ func TestAdaptCompilesNothing(t *testing.T) {
 			if gen := svc.gens.Current(p.Fingerprint); gen != 0 {
 				t.Errorf("counters=%v shards=%d: Adapt bumped the generation to %d", counters, shards, gen)
 			}
-			rowsEqual(t, ar.Baseline.Rows, refRows(t, p), false)
+			matchesReference(t, ar.Baseline.Rows, p)
 		}
 	}
 }

@@ -15,29 +15,34 @@ import (
 	"repro/internal/xrand"
 )
 
-// sharedStateStatements mix sum, avg, count, min and max over shared and
-// distinct arguments. The first four plan a group-by (one over a join, one
-// scalar), the last two a group join.
-var sharedStateStatements = []struct {
-	sql       string
-	groupJoin bool
-}{
-	{"select l_returnflag, sum(l_quantity) as a, avg(l_quantity) as b, count(*) as c, min(l_quantity) as d, " +
-		"max(l_quantity) as e, avg(l_extendedprice) as f, count(l_tax) as g, max(l_quantity) as h, " +
-		"sum(l_extendedprice * l_discount) as i, min(l_extendedprice * l_discount) as j " +
-		"from lineitem group by l_returnflag", false},
-	{"select l_returnflag, l_linestatus, avg(l_discount) as a, min(l_discount) as b, sum(l_discount) as c, " +
-		"avg(l_discount + 1) as d, max(l_quantity) as e, min(l_quantity) as f " +
-		"from lineitem where l_shipdate <= '1998-09-02' group by l_returnflag, l_linestatus", false},
-	{"select s_nationkey, avg(l_quantity) as a, sum(l_quantity) as b, count(*) as c, max(l_extendedprice) as d " +
-		"from supplier, lineitem where s_suppkey = l_suppkey group by s_nationkey", false},
-	{"select sum(l_quantity) as a, avg(l_quantity) as b, count(*) as c, min(l_quantity) as d, min(l_quantity) as e " +
-		"from lineitem where l_quantity < 10", false},
-	{"select s.id, count(*) as a, avg(s.price) as b, sum(s.price) as c, max(s.price) as d, " +
-		"min(s.price) as e, avg(s.prod_costs) as f, sum(s.price / s.vat_factor) as g " +
-		"from sales s, products p where s.id = p.id group by s.id", true},
-	{"select o_custkey, avg(o_totalprice) as a, count(*) as b, max(o_totalprice) as c, sum(o_totalprice) as d " +
-		"from customer, orders where c_custkey = o_custkey group by o_custkey", true},
+// sharedAggState runs statements that mix sum, avg, count, min and max
+// over shared and distinct arguments at every combination of Workers
+// {0,4} x morsel {default,7} x Shards {0,3}. The first four plan a
+// group-by (one over a join, one scalar), the last two a group join.
+func sharedAggState() *lattice {
+	src := testSource()
+	src.opts.MorselRows = 0
+	for i, sql := range []string{
+		"select l_returnflag, sum(l_quantity) as a, avg(l_quantity) as b, count(*) as c, min(l_quantity) as d, " +
+			"max(l_quantity) as e, avg(l_extendedprice) as f, count(l_tax) as g, max(l_quantity) as h, " +
+			"sum(l_extendedprice * l_discount) as i, min(l_extendedprice * l_discount) as j " +
+			"from lineitem group by l_returnflag",
+		"select l_returnflag, l_linestatus, avg(l_discount) as a, min(l_discount) as b, sum(l_discount) as c, " +
+			"avg(l_discount + 1) as d, max(l_quantity) as e, min(l_quantity) as f " +
+			"from lineitem where l_shipdate <= '1998-09-02' group by l_returnflag, l_linestatus",
+		"select s_nationkey, avg(l_quantity) as a, sum(l_quantity) as b, count(*) as c, max(l_extendedprice) as d " +
+			"from supplier, lineitem where s_suppkey = l_suppkey group by s_nationkey",
+		"select sum(l_quantity) as a, avg(l_quantity) as b, count(*) as c, min(l_quantity) as d, min(l_quantity) as e " +
+			"from lineitem where l_quantity < 10",
+		"select s.id, count(*) as a, avg(s.price) as b, sum(s.price) as c, max(s.price) as d, " +
+			"min(s.price) as e, avg(s.prod_costs) as f, sum(s.price / s.vat_factor) as g " +
+			"from sales s, products p where s.id = p.id group by s.id",
+		"select o_custkey, avg(o_totalprice) as a, count(*) as b, max(o_totalprice) as c, sum(o_totalprice) as d " +
+			"from customer, orders where c_custkey = o_custkey group by o_custkey",
+	} {
+		src.stmts = append(src.stmts, sqlStmt(fmt.Sprint("stmt", i), sql))
+	}
+	return &lattice{src: src, axes: []axis{workersAxis(0, 4), morselAxis(0, 7), shardsAxis(0, 3), pruningAxis, partitionsAxis(8, 1)}, full: 3, name: byKnobs}
 }
 
 // TestSharedAggStateMatchesReference: aggregates that share state return
@@ -45,43 +50,20 @@ var sharedStateStatements = []struct {
 // joins included, and q1's group entry holds three state slots: the sums
 // of l_quantity and l_extendedprice, and one count.
 func TestSharedAggStateMatchesReference(t *testing.T) {
-	cat := testCatalog(t)
-	for _, workers := range []int{0, 4} {
-		for _, morsel := range []int{0, 7} {
-			for _, shards := range []int{0, 3} {
-				opts := DefaultOptions()
-				opts.Workers, opts.MorselRows, opts.Shards = workers, morsel, shards
-				c := NewCompiler(cat, opts)
-				e := New(cat, opts)
-				for i, st := range sharedStateStatements {
-					t.Run(fmt.Sprintf("stmt%d/workers=%d/morsel=%d/shards=%d", i, workers, morsel, shards), func(t *testing.T) {
-						cq, err := c.CompileSQL(st.sql)
-						if err != nil {
-							t.Fatal(err)
-						}
-						gj := false
-						plan.Walk(cq.Plan, func(n plan.Node) {
-							_, ok := n.(*plan.GroupJoin)
-							gj = gj || ok
-						})
-						if gj != st.groupJoin {
-							t.Fatalf("plan has a group join: %v, want %v", gj, st.groupJoin)
-						}
-						want, err := ref.Execute(cq.Plan)
-						if err != nil {
-							t.Fatal(err)
-						}
-						res, err := e.Run(cq, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						rowsEqual(t, res.Rows, want, len(cq.Plan.OrderBy) > 0)
-					})
-				}
-			}
+	l := sharedAggState()
+	l.each = func(t *testing.T, r latticeRun) {
+		gj := false
+		plan.Walk(r.p.Compiled.Plan, func(n plan.Node) {
+			_, ok := n.(*plan.GroupJoin)
+			gj = gj || ok
+		})
+		if want := r.st.name >= "stmt4"; gj != want {
+			t.Fatalf("plan has a group join: %v, want %v", gj, want)
 		}
 	}
+	l.run(t)
 
+	cat := testCatalog(t)
 	w, _ := queries.ByName("q1")
 	cq, err := New(cat, DefaultOptions()).CompileQuery(w.Query)
 	if err != nil {
@@ -261,15 +243,7 @@ func TestRegionFullTrapsAreTyped(t *testing.T) {
 		for _, h := range cq.Layout.HT {
 			ht = h
 		}
-		// Let the arena hold one entry.
-		small := *cq
-		small.writes = append([]slotWrite(nil), cq.writes...)
-		for i := range small.writes {
-			if small.writes[i].addr == ht.Desc+codegen.HTDescEnd {
-				small.writes[i].val = ht.Arena + ht.EntrySize
-			}
-		}
-		_, err = New(cat, opts).Run(&small, nil)
+		_, err = New(cat, opts).Run(oneEntryArenas(cq), nil)
 		var full *RegionFullError
 		if !errors.As(err, &full) || full.Region != "hash-table arena" || full.Capacity != ht.EntrySize {
 			t.Errorf("workers=%d: %v, want a full hash-table arena of %d bytes", workers, err, ht.EntrySize)

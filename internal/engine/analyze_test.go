@@ -14,17 +14,7 @@ func TestTupleCountersMatchGroundTruth(t *testing.T) {
 	cat := testCatalog(t)
 	opts := DefaultOptions()
 	opts.TupleCounters = true
-	e := New(cat, opts)
-
-	w := queries.Fig9()
-	cq, err := e.CompileQuery(w.Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(cq, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cq, res := runOnce(t, cat, queries.Fig9().Query, opts, nil)
 	if len(res.TupleCounts) == 0 {
 		t.Fatal("no counters collected")
 	}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/plan"
 	"repro/internal/queries"
+	"repro/internal/ref"
 	"repro/internal/sqlparse"
 )
 
@@ -34,30 +35,6 @@ func planSQLWith(t testing.TB, cat *catalog.Catalog, sql string, est plan.Estima
 		t.Fatal(err)
 	}
 	return pl
-}
-
-// sortedRows renders a result set order-independently (different physical
-// shapes of one query may emit rows in different orders).
-func sortedRows(rows [][]int64) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = fmt.Sprint(r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func equalSorted(a, b [][]int64) bool {
-	as, bs := sortedRows(a), sortedRows(b)
-	if len(as) != len(bs) {
-		return false
-	}
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestCostModelNoRegression: plan the whole SQL suite twice — once with
@@ -110,7 +87,7 @@ func TestCostModelNoRegression(t *testing.T) {
 		plC := planSQLWith(t, cat, w.SQL, est)
 		cyB, rowsB := run(w.Name+"/heuristic", plB)
 		cyC, rowsC := run(w.Name+"/history", plC)
-		if !equalSorted(rowsB, rowsC) {
+		if !ref.SameRows(rowsB, rowsC, false) {
 			t.Fatalf("%s: history-corrected plan changed the result (%d vs %d rows)",
 				w.Name, len(rowsB), len(rowsC))
 		}
@@ -134,11 +111,10 @@ func TestCostModelNoRegression(t *testing.T) {
 }
 
 // TestReplanDeterminism: every re-planned (history-corrected) shape
-// produces a byte-identical result heap at every worker count and both
-// partition settings — the serial run of the same artifact is the
-// oracle, and even unordered results may not move (the partitioned merge
-// reconstructs the serial heap exactly). Across partition settings and
-// against the heuristic plan, rows must agree modulo order.
+// returns the reference rows at every worker count and both partition
+// settings, in the serial run's order and with its hash-table bytes (the
+// partitioned merge reconstructs the serial heap exactly), and computes
+// the heuristic plan's rows modulo order.
 func TestReplanDeterminism(t *testing.T) {
 	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.05, Seed: 42})
 	suite := []string{"join-opaque", "join-3way", "join-groupjoin"}
@@ -160,55 +136,27 @@ func TestReplanDeterminism(t *testing.T) {
 	}
 	est := &cost.HistoryCorrected{Base: &cost.Naive{Stats: cost.FreshStats{}}, H: h}
 
+	src := source{build: func() *catalog.Catalog { return datagen.Generate(datagen.Config{ScaleFactor: 0.05, Seed: 42}) }, opts: DefaultOptions()}
 	for _, name := range suite {
 		w, _ := queries.SQLByName(name)
-		plB := planSQLWith(t, cat, w.SQL, nil)
-		plC := planSQLWith(t, cat, w.SQL, est)
-		var crossPartition [][]int64
-		for _, parts := range []int{1, 8} {
-			opts := DefaultOptions()
-			opts.Partitions = parts
-			cq, err := (&Compiler{Cat: cat, Opts: opts}).CompilePlanGuided(plC, nil)
-			if err != nil {
-				t.Fatalf("%s parts=%d: %v", name, parts, err)
-			}
-			var oracle [][]int64
-			for _, workers := range []int{0, 1, 2, 4, 8} {
-				ro := opts
-				ro.Workers = workers
-				res, err := (&executor{Opts: ro}).run(cq, nil, 1, nil)
-				if err != nil {
-					t.Fatalf("%s parts=%d workers=%d: %v", name, parts, workers, err)
-				}
-				if workers == 0 {
-					oracle = res.Rows
-					continue
-				}
-				if !RowsEqual(res.Rows, oracle) {
-					t.Errorf("%s parts=%d workers=%d: rows differ from the serial oracle byte-for-byte",
-						name, parts, workers)
-				}
-			}
-			if crossPartition == nil {
-				crossPartition = oracle
-			} else if !equalSorted(oracle, crossPartition) {
-				t.Errorf("%s: partition settings disagree on the result set", name)
-			}
-		}
+		src.stmts = append(src.stmts, stmt{name: name, compile: func(c *Compiler) (*Compiled, error) {
+			return c.CompilePlanGuided(planSQLWith(t, c.Cat, w.SQL, est), nil)
+		}})
 		// Cross-plan: the re-planned shape computes the heuristic shape's
 		// rows (emission order may legitimately differ between shapes).
-		bq, err := (&Compiler{Cat: cat, Opts: DefaultOptions()}).CompilePlanGuided(plB, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bres, err := (&executor{Opts: DefaultOptions()}).run(bq, nil, 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !equalSorted(bres.Rows, crossPartition) {
+		heuristic, _ := reference(t, &Prepared{Compiled: &Compiled{Plan: planSQLWith(t, cat, w.SQL, nil)}})
+		replanned, _ := reference(t, &Prepared{Compiled: &Compiled{Plan: planSQLWith(t, cat, w.SQL, est)}})
+		if !ref.SameRows(heuristic, replanned, false) {
 			t.Errorf("%s: heuristic and re-planned shapes disagree on the result set", name)
 		}
 	}
+	(&lattice{src: src, axes: replanAxes()}).run(t)
+}
+
+// replanAxes are TestReplanDeterminism's: every worker count at both
+// partition settings.
+func replanAxes() []axis {
+	return []axis{partitionsAxis(1, 8), workersAxis(0, 1, 2, 4, 8)}
 }
 
 // TestTrueCardinalityWorkerInvariance: the collected true row counts —
@@ -216,40 +164,28 @@ func TestReplanDeterminism(t *testing.T) {
 // Dictionary — are identical for serial and parallel runs of one
 // artifact.
 func TestTrueCardinalityWorkerInvariance(t *testing.T) {
-	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.05, Seed: 42})
 	w, _ := queries.SQLByName("join-3way")
-	pl := planSQLWith(t, cat, w.SQL, nil)
-	opts := DefaultOptions()
-	opts.TupleCounters = true
-	cq, err := (&Compiler{Cat: cat, Opts: opts}).CompilePlanGuided(pl, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := source{build: func() *catalog.Catalog { return datagen.Generate(datagen.Config{ScaleFactor: 0.05, Seed: 42}) },
+		stmts: []stmt{sqlStmt(w.Name, w.SQL)}, opts: DefaultOptions()}
+	src.opts.TupleCounters = true
 	var serial map[plan.Node]int64
-	for _, workers := range []int{0, 1, 4} {
-		ro := opts
-		ro.Workers = workers
-		res, err := (&executor{Opts: ro}).run(cq, nil, 1, nil)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	l := &lattice{src: src, axes: []axis{workersAxis(0, 1, 4)}, name: noSubtest, each: func(t *testing.T, r latticeRun) {
+		if len(r.res.PlanRows) == 0 {
+			t.Fatalf("workers=%d: no true cardinalities collected", r.c.opts.Workers)
 		}
-		if len(res.PlanRows) == 0 {
-			t.Fatalf("workers=%d: no true cardinalities collected", workers)
+		if serial == nil {
+			serial = r.res.PlanRows
 		}
-		if workers == 0 {
-			serial = res.PlanRows
-			continue
+		if len(r.res.PlanRows) != len(serial) {
+			t.Fatalf("workers=%d: %d counted nodes vs %d serial", r.c.opts.Workers, len(r.res.PlanRows), len(serial))
 		}
-		if len(res.PlanRows) != len(serial) {
-			t.Fatalf("workers=%d: %d counted nodes vs %d serial", workers, len(res.PlanRows), len(serial))
-		}
-		for n, r := range res.PlanRows {
-			if serial[n] != r {
-				t.Errorf("workers=%d: node %s counted %d rows, serial counted %d",
-					workers, n.Kind(), r, serial[n])
+		for n, rows := range r.res.PlanRows {
+			if serial[n] != rows {
+				t.Errorf("workers=%d: node %s counted %d rows, serial counted %d", r.c.opts.Workers, n.Kind(), rows, serial[n])
 			}
 		}
-	}
+	}}
+	l.run(t)
 }
 
 // TestServiceHistoryReplan: the production loop end to end. The opaque-
@@ -299,7 +235,7 @@ func TestServiceHistoryReplan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalSorted(r1.Rows, r2.Rows) {
+	if !ref.SameRows(r1.Rows, r2.Rows, false) {
 		t.Fatalf("re-planned query changed the result set (%d vs %d rows)", len(r1.Rows), len(r2.Rows))
 	}
 	if r2.Stats.Cycles >= r1.Stats.Cycles {

@@ -1,18 +1,17 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
-	"repro/internal/plan"
 	"repro/internal/pmu"
-	"repro/internal/ref"
 	"repro/internal/vm"
 )
 
-// edgeCatalog builds tables with degenerate shapes.
-func edgeCatalog(t *testing.T) *catalog.Catalog {
-	t.Helper()
+// edgeCatalog builds tables with degenerate shapes: empty, one row,
+// duplicate keys, and negative keys (a and b).
+func edgeCatalog() *catalog.Catalog {
 	c := catalog.New()
 
 	empty := catalog.NewTable("empty")
@@ -32,48 +31,87 @@ func edgeCatalog(t *testing.T) *catalog.Catalog {
 	dup.AddCol("k", catalog.TInt).Data = []int64{1, 1, 1, 2}
 	dup.AddCol("v", catalog.TInt).Data = []int64{10, 20, 30, 40}
 	c.Add(dup)
+
+	a := catalog.NewTable("a")
+	a.AddCol("k", catalog.TInt).Data = []int64{-5, -1, 0, 3}
+	a.AddCol("v", catalog.TInt).Data = []int64{1, 2, 3, 4}
+	c.Add(a)
+	b := catalog.NewTable("b")
+	kb := b.AddCol("k", catalog.TInt)
+	kb.Unique = true
+	kb.Data = []int64{-5, 3}
+	b.AddCol("w", catalog.TInt).Data = []int64{100, 200}
+	c.Add(b)
 	return c
 }
 
-func runEdge(t *testing.T, sql string) *Result {
+// edgeStmts are the degenerate statements, by name.
+var edgeStmts = []stmt{
+	sqlStmt("empty-scan", "select k, v from empty"),
+	sqlStmt("empty-build", "select d.v from dup d, empty e where d.k = e.k"),
+	sqlStmt("empty-probe", "select e.v from empty e, one o where e.k = o.k"),
+	sqlStmt("empty-group", "select k, count(*) from empty group by k"),
+	sqlStmt("empty-agg", "select count(*) from empty"),
+	sqlStmt("one-row-join", "select o.v from one o, dup d where d.k = o.k"),
+	sqlStmt("dup-keys", "select d.v, o.v from dup d, one o where d.k = o.k"),
+	sqlStmt("self-join", "select a.v, b.v from dup a, dup b where a.k = b.k"),
+	sqlStmt("filter-none", "select v from dup where k > 100"),
+	sqlStmt("arithmetic", "select v * 2 + k from dup where k = 2"),
+	sqlStmt("min-max", "select k, min(v), max(v), avg(v) from dup group by k order by k"),
+	sqlStmt("limit", "select v from dup order by v limit 2"),
+	sqlStmt("limit-past", "select v from dup order by v limit 9"),
+	sqlStmt("negative-keys", "select v, w from a, b where a.k = b.k"),
+}
+
+// TestEdgeShapesLattice runs the degenerate statements where their tables
+// meet Workers, morsels of one and seven rows, Shards, pruning, appends
+// and a pinned snapshot: an empty build or probe side, one-row and
+// duplicate keys, a LIMIT past the rows and negative keys through the
+// hash.
+func TestEdgeShapesLattice(t *testing.T) { edgeShapes().run(t) }
+
+func edgeShapes() *lattice {
+	return &lattice{src: source{build: edgeCatalog, stmts: edgeStmts, opts: DefaultOptions()},
+		axes: []axis{workersAxis(0, 1, 4), morselAxis(0, 1, 7), shardsAxis(0, 1, 3), pruningAxis, ingestAxis, pinnedAxis, eventAxis(evNone, evPGO)}}
+}
+
+// runEdge runs the named degenerate statement on the one-core path,
+// sampled, and checks its rows against the reference.
+func runEdge(t *testing.T, name string) *Result {
 	t.Helper()
-	e := New(edgeCatalog(t), DefaultOptions())
-	cq, err := e.CompileSQL(sql)
+	e := New(edgeCatalog(), DefaultOptions())
+	cq, err := edgeStmts[slices.IndexFunc(edgeStmts, func(s stmt) bool { return s.name == name })].compile(&e.Compiler)
 	if err != nil {
-		t.Fatalf("%s: compile: %v", sql, err)
-	}
-	want, err := ref.Execute(cq.Plan)
-	if err != nil {
-		t.Fatalf("%s: ref: %v", sql, err)
+		t.Fatal(err)
 	}
 	res, err := e.Run(cq, &pmu.Config{Event: vm.EvCycles, Period: 100, Format: pmu.FormatIPTimeRegs})
 	if err != nil {
-		t.Fatalf("%s: run: %v", sql, err)
+		t.Fatal(err)
 	}
-	rowsEqual(t, res.Rows, want, len(cq.Plan.OrderBy) > 0)
+	matchesReference(t, res.Rows, &Prepared{Compiled: cq})
 	return res
 }
 
 func TestEmptyTableScan(t *testing.T) {
-	res := runEdge(t, "select k, v from empty")
+	res := runEdge(t, "empty-scan")
 	if len(res.Rows) != 0 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 }
 
 func TestEmptyBuildSide(t *testing.T) {
-	res := runEdge(t, "select d.v from dup d, empty e where d.k = e.k")
+	res := runEdge(t, "empty-build")
 	if len(res.Rows) != 0 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 }
 
 func TestEmptyProbeSide(t *testing.T) {
-	runEdge(t, "select e.v from empty e, one o where e.k = o.k")
+	runEdge(t, "empty-probe")
 }
 
 func TestGroupByEmptyInput(t *testing.T) {
-	res := runEdge(t, "select k, count(*) from empty group by k")
+	res := runEdge(t, "empty-group")
 	if len(res.Rows) != 0 {
 		t.Fatalf("groups = %d", len(res.Rows))
 	}
@@ -83,23 +121,22 @@ func TestGlobalAggOverEmpty(t *testing.T) {
 	// SQL semantics would return one row (count 0); our engine follows
 	// group-by-with-no-groups semantics and returns none — the reference
 	// executor agrees, which is what this pins down.
-	runEdge(t, "select count(*) from empty")
+	runEdge(t, "empty-agg")
 }
 
 func TestSingleRowJoin(t *testing.T) {
-	res := runEdge(t, "select o.v from one o, dup d where d.k = o.k")
+	res := runEdge(t, "one-row-join")
 	if len(res.Rows) != 0 {
 		t.Fatalf("42 should not match dup keys: %v", res.Rows)
 	}
 }
 
 func TestDuplicateKeysAllMatch(t *testing.T) {
-	res := runEdge(t, "select d.v, o.v from dup d, one o where d.k = o.k")
-	_ = res
+	runEdge(t, "dup-keys")
 }
 
 func TestSelfJoinViaAliases(t *testing.T) {
-	res := runEdge(t, "select a.v, b.v from dup a, dup b where a.k = b.k")
+	res := runEdge(t, "self-join")
 	// 3×3 for key 1 plus 1×1 for key 2.
 	if len(res.Rows) != 10 {
 		t.Fatalf("self join rows = %d, want 10", len(res.Rows))
@@ -107,21 +144,21 @@ func TestSelfJoinViaAliases(t *testing.T) {
 }
 
 func TestFilterSelectsNothing(t *testing.T) {
-	res := runEdge(t, "select v from dup where k > 100")
+	res := runEdge(t, "filter-none")
 	if len(res.Rows) != 0 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 }
 
 func TestArithmeticInProjection(t *testing.T) {
-	res := runEdge(t, "select v * 2 + k from dup where k = 2")
+	res := runEdge(t, "arithmetic")
 	if len(res.Rows) != 1 || res.Rows[0][0] != 82 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
 }
 
 func TestMinMaxSingleGroup(t *testing.T) {
-	res := runEdge(t, "select k, min(v), max(v), avg(v) from dup group by k order by k")
+	res := runEdge(t, "min-max")
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
@@ -131,15 +168,7 @@ func TestMinMaxSingleGroup(t *testing.T) {
 }
 
 func TestLimitZeroRowsRemaining(t *testing.T) {
-	e := New(edgeCatalog(t), DefaultOptions())
-	cq, err := e.CompileSQL("select v from dup order by v limit 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(cq, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runEdge(t, "limit")
 	if len(res.Rows) != 2 || res.Rows[0][0] != 10 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
@@ -148,37 +177,7 @@ func TestLimitZeroRowsRemaining(t *testing.T) {
 // TestNegativeValuesThroughHash: negative keys must hash and compare
 // correctly end to end.
 func TestNegativeValuesThroughHash(t *testing.T) {
-	c := catalog.New()
-	a := catalog.NewTable("a")
-	a.AddCol("k", catalog.TInt).Data = []int64{-5, -1, 0, 3}
-	a.AddCol("v", catalog.TInt).Data = []int64{1, 2, 3, 4}
-	b := catalog.NewTable("b")
-	kb := b.AddCol("k", catalog.TInt)
-	kb.Unique = true
-	kb.Data = []int64{-5, 3}
-	b.AddCol("w", catalog.TInt).Data = []int64{100, 200}
-	c.Add(a)
-	c.Add(b)
-
-	e := New(c, DefaultOptions())
-	cq, err := e.CompileQuery(&plan.Query{
-		Tables: []plan.TableRef{{Name: "a"}, {Name: "b"}},
-		Where:  []plan.Expr{plan.Eq(plan.Col("a.k"), plan.Col("b.k"))},
-		Select: []plan.SelectItem{{Expr: plan.Col("v")}, {Expr: plan.Col("w")}},
-		Limit:  -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.Execute(cq.Plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(cq, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowsEqual(t, res.Rows, want, false)
+	res := runEdge(t, "negative-keys")
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %v", res.Rows)
 	}

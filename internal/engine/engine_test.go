@@ -88,34 +88,18 @@ func checkIntroResult(t *testing.T, res *Result, want map[int64][2]int64) {
 
 func TestIntroQueryGroupBy(t *testing.T) {
 	cat := testCatalog(t)
-	e := New(cat, DefaultOptions())
-	cq, err := e.CompileQuery(introQuery(true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cq, res := runOnce(t, cat, introQuery(true), DefaultOptions(), nil)
 	if _, isGJ := cq.Plan.Input.(*plan.GroupJoin); isGJ {
 		t.Fatal("NoGroupJoin hint ignored")
-	}
-	res, err := e.Run(cq, nil)
-	if err != nil {
-		t.Fatal(err)
 	}
 	checkIntroResult(t, res, refIntro(cat))
 }
 
 func TestIntroQueryGroupJoin(t *testing.T) {
 	cat := testCatalog(t)
-	e := New(cat, DefaultOptions())
-	cq, err := e.CompileQuery(introQuery(false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cq, res := runOnce(t, cat, introQuery(false), DefaultOptions(), nil)
 	if _, isGJ := cq.Plan.Input.(*plan.GroupJoin); !isGJ {
 		t.Fatalf("expected group-join fusion, got %T", cq.Plan.Input)
-	}
-	res, err := e.Run(cq, nil)
-	if err != nil {
-		t.Fatal(err)
 	}
 	checkIntroResult(t, res, refIntro(cat))
 }
@@ -125,19 +109,7 @@ func TestIntroQueryGroupJoin(t *testing.T) {
 // the aggregation must dominate the join (the paper's headline example).
 func TestIntroQueryProfiled(t *testing.T) {
 	cat := testCatalog(t)
-	e := New(cat, DefaultOptions())
-	cq, err := e.CompileQuery(introQuery(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(cq, &pmu.Config{
-		Event:  vm.EvCycles,
-		Period: 500,
-		Format: pmu.FormatIPTimeRegs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := runOnce(t, cat, introQuery(true), DefaultOptions(), &pmu.Config{Event: vm.EvCycles, Period: 500, Format: pmu.FormatIPTimeRegs})
 	checkIntroResult(t, res, refIntro(cat))
 
 	p := res.Profile
@@ -170,7 +142,6 @@ func TestIntroQueryProfiled(t *testing.T) {
 // TestOrderByLimit exercises host-side sorting.
 func TestOrderByLimit(t *testing.T) {
 	cat := testCatalog(t)
-	e := New(cat, DefaultOptions())
 	q := &plan.Query{
 		Tables: []plan.TableRef{{Name: "orders", Alias: "o"}},
 		Select: []plan.SelectItem{
@@ -180,14 +151,7 @@ func TestOrderByLimit(t *testing.T) {
 		OrderBy: []plan.OrderItem{{Expr: plan.Col("o.o_totalprice"), Desc: true}},
 		Limit:   10,
 	}
-	cq, err := e.CompileQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(cq, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := runOnce(t, cat, q, DefaultOptions(), nil)
 	if len(res.Rows) != 10 {
 		t.Fatalf("limit: got %d rows", len(res.Rows))
 	}

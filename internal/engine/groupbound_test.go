@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/catalog"
@@ -10,7 +8,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/plan"
 	"repro/internal/queries"
-	"repro/internal/ref"
 )
 
 // TestGroupBoundSafe: a group-by's hash table is sized for the groups it
@@ -18,7 +15,8 @@ import (
 // key has one group, a key that is an inner join's probe key has at most
 // the build's rows, any other key the input's rows — and every suite
 // statement returns the reference rows, with no sink overflow, across
-// Workers {0, 4} × morsel {default, 7} × Shards {0, 3}. Morsels of 7 rows
+// Workers {0, 4} × morsel {default, 7} × Shards {0, 3}, with pruning and
+// partitions {8, 2} paired with each. Morsels of 7 rows
 // give a one-group sink hundreds of partial entries to merge.
 func TestGroupBoundSafe(t *testing.T) {
 	cat := datagen.Generate(datagen.Config{ScaleFactor: 0.002, Seed: 7})
@@ -48,37 +46,17 @@ func TestGroupBoundSafe(t *testing.T) {
 		}
 	}
 
-	for _, workers := range []int{0, 4} {
-		for _, morsel := range []int{0, 7} {
-			for _, shards := range []int{0, 3} {
-				opts := DefaultOptions()
-				opts.Workers, opts.MorselRows, opts.Shards = workers, morsel, shards
-				e := New(cat, opts)
-				// Planning writes into a query's parameters: parse afresh.
-				for _, w := range append(queries.Suite(), queries.SQLSuite()...) {
-					name := fmt.Sprintf("%s/workers=%d/morsel=%d/shards=%d", w.Name, workers, morsel, shards)
-					t.Run(name, func(t *testing.T) {
-						cq, err := e.CompileQuery(w.Query)
-						if err != nil {
-							t.Fatalf("compile: %v", err)
-						}
-						want, err := ref.Execute(cq.Plan)
-						if err != nil {
-							t.Fatalf("reference: %v", err)
-						}
-						res, err := e.Run(cq, nil)
-						if overflow := (*SinkOverflowError)(nil); errors.As(err, &overflow) {
-							t.Fatalf("sink overflow: %v", err)
-						}
-						if err != nil {
-							t.Fatalf("run: %v", err)
-						}
-						rowsEqual(t, res.Rows, want, len(cq.Plan.OrderBy) > 0)
-					})
-				}
-			}
-		}
+	groupBoundSafe().run(t)
+}
+
+// groupBoundSafe runs every suite statement over a catalog at scale 0.002.
+func groupBoundSafe() *lattice {
+	src := source{build: func() *catalog.Catalog { return datagen.Generate(datagen.Config{ScaleFactor: 0.002, Seed: 7}) }, opts: DefaultOptions()}
+	src.stmts = suiteStmts()
+	for _, w := range queries.SQLSuite() {
+		src.stmts = append(src.stmts, sqlStmt(w.Name, w.SQL))
 	}
+	return &lattice{src: src, axes: []axis{workersAxis(0, 4), morselAxis(0, 7), shardsAxis(0, 3), pruningAxis, partitionsAxis(8, 2)}, full: 3, name: byKnobs}
 }
 
 // groupBound plans q and returns the hash-table bound of its one group-by.

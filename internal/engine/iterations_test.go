@@ -89,16 +89,8 @@ func TestRunIterationsCountersReset(t *testing.T) {
 	cat := testCatalog(t)
 	opts := DefaultOptions()
 	opts.TupleCounters = true
-	e := New(cat, opts)
-	cq, err := e.CompileQuery(queries.Fig9().Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := e.Run(cq, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	three, err := e.RunIterations(cq, 3, nil)
+	cq, one := runOnce(t, cat, queries.Fig9().Query, opts, nil)
+	three, err := New(cat, opts).RunIterations(cq, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

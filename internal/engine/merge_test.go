@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
 	"testing"
 
-	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/pmu"
@@ -13,99 +11,36 @@ import (
 	"repro/internal/vm"
 )
 
-// mergeQueries are the workloads the partitioned-merge battery sweeps: a
+// mergeSource is the partitioned-merge battery's workloads: a
 // join-build-heavy plan (fig9), a plain group-by (q1), a selective
 // group-by (q6), and a group-join (intro) — one per partitioned sink kind.
-var mergeQueries = []string{"fig9", "q1", "q6", "intro"}
-
-func mergeRun(t *testing.T, name string, workers, partitions int) (*Compiled, *Result) {
-	t.Helper()
-	return mergeRunSampled(t, name, workers, partitions, nil)
-}
-
-func mergeRunSampled(t *testing.T, name string, workers, partitions int, cfg *pmu.Config) (*Compiled, *Result) {
-	t.Helper()
-	w, ok := queries.ByName(name)
-	if !ok {
-		t.Fatalf("no workload %s", name)
-	}
-	opts := DefaultOptions()
-	opts.Workers = workers
-	opts.MorselRows = 256
-	opts.Partitions = partitions
-	e := New(testCatalog(t), opts)
-	cq, err := e.CompileQuery(w.Query)
-	if err != nil {
-		t.Fatalf("%s compile: %v", name, err)
-	}
-	res, err := e.Run(cq, cfg)
-	if err != nil {
-		t.Fatalf("%s workers=%d: %v", name, workers, err)
-	}
-	return cq, res
-}
+func mergeSource() source { return testSource(suiteStmts("fig9", "q1", "q6", "intro")...) }
 
 // TestMergeDeterminism is the partitioned merge's property test: for every
 // partition and worker count, the result rows are identical to the serial
-// oracle *in order*, and every hash table — directory, arena, cursor — is
+// run's *in order*, and every hash table — directory, arena, cursor — is
 // byte-identical on the canonical heap. The merge does not merely produce
 // equivalent tables; it reconstructs the serial run's bytes.
 func TestMergeDeterminism(t *testing.T) {
-	for _, name := range mergeQueries {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			for _, parts := range []int{1, DefaultOptions().Partitions} {
-				ocq, oracle := mergeRun(t, name, 0, parts)
-				for _, workers := range []int{1, 2, 4, 8} {
-					cq, res := mergeRun(t, name, workers, parts)
-					sameAsSerial(t, fmt.Sprintf("partitions=%d workers=%d", parts, workers), cq, res, ocq, oracle)
-				}
-			}
-		})
-	}
+	l := mergeDeterminism()
+	l.each = merged
+	l.run(t)
 }
 
-// sameAsSerial fails unless a parallel run's rows, in order, and every
-// hash table's cursor, directory and arena bytes equal the serial run's,
-// and the merge phase was measured.
-func sameAsSerial(t *testing.T, label string, cq *Compiled, res *Result, ocq *Compiled, oracle *Result) {
+func mergeDeterminism() *lattice {
+	return &lattice{src: mergeSource(), axes: []axis{workersAxis(0, 1, 2, 4, 8), partitionsAxis(1, 8)}}
+}
+
+// merged fails unless a parallel run measured its merge phase over at
+// least one materializing sink.
+func merged(t *testing.T, r latticeRun) {
 	t.Helper()
-	rowsEqual(t, res.Rows, oracle.Rows, true)
-	if res.MergeCycles == 0 {
-		t.Fatalf("%s: merge phase unmeasured", label)
+	if len(hashTables(r.p.Compiled)) == 0 {
+		t.Fatalf("%s: no materializing sink — battery is vacuous", r.st.name)
 	}
-
-	// The layout is a pure function of catalog + options, so both
-	// compiles place every hash table at the same addresses; pair them
-	// by descriptor address.
-	hts, ohts := hashTables(cq), hashTables(ocq)
-	if len(hts) == 0 {
-		t.Fatalf("%s: no materializing sink — battery is vacuous", label)
+	if !r.c.serial() && r.res.MergeCycles == 0 {
+		t.Fatalf("%s at %v: merge phase unmeasured", r.st.name, r.c)
 	}
-	if len(hts) != len(ohts) {
-		t.Fatalf("%s: %d hash tables, oracle has %d", label, len(hts), len(ohts))
-	}
-	for i, ht := range hts {
-		if *ohts[i] != *ht {
-			t.Fatalf("%s: hash-table layout %d differs from oracle", label, i)
-		}
-		got, want := res.CPU.Heap, oracle.CPU.Heap
-		gc := codegen.HeapI64(got, ht.Desc+codegen.HTDescCursor)
-		wc := codegen.HeapI64(want, ht.Desc+codegen.HTDescCursor)
-		if gc != wc {
-			t.Fatalf("%s ht %d: cursor %d, oracle %d", label, i, gc, wc)
-		}
-		if !bytesEq(got, want, ht.Dir, ht.Dir+ht.DirSlots*8) {
-			t.Fatalf("%s ht %d: directory differs from oracle", label, i)
-		}
-		if !bytesEq(got, want, ht.Arena, gc) {
-			t.Fatalf("%s ht %d: arena differs from oracle", label, i)
-		}
-	}
-}
-
-func bytesEq(a, b []byte, lo, hi int64) bool {
-	return string(a[lo:hi]) == string(b[lo:hi])
 }
 
 // hashTables returns the compiled query's hash-table layouts in ascending
@@ -125,8 +60,9 @@ func hashTables(cq *Compiled) []*pipeline.HTLayout {
 // this is simulated time — the gate catches any serial coordinator work
 // creeping back into the merge path.
 func TestMergeScalingGate(t *testing.T) {
-	_, r1 := mergeRun(t, "fig9", 1, DefaultOptions().Partitions)
-	_, r4 := mergeRun(t, "fig9", 4, DefaultOptions().Partitions)
+	cat := testCatalog(t)
+	_, r1 := runOnce(t, cat, queries.Fig9().Query, knobs(1, 256, 0, false), nil)
+	_, r4 := runOnce(t, cat, queries.Fig9().Query, knobs(4, 256, 0, false), nil)
 	if r1.MergeCycles == 0 || r4.MergeCycles == 0 {
 		t.Fatalf("merge cycles unmeasured: 1w=%d 4w=%d", r1.MergeCycles, r4.MergeCycles)
 	}
@@ -143,14 +79,13 @@ func TestMergeScalingGate(t *testing.T) {
 // generated kernels, the merge phase is measured, its samples attribute to
 // merge-role tasks, and rows and hash-table bytes equal the serial run's.
 func TestMergeZeroPartitions(t *testing.T) {
-	cfg := &pmu.Config{Event: vm.EvInstRetired, Period: 97, Format: pmu.FormatIPTimeRegs}
-	for _, name := range mergeQueries {
-		ocq, oracle := mergeRun(t, name, 0, 0)
-		cq, res := mergeRunSampled(t, name, 4, 0, cfg)
-		sameAsSerial(t, name+" partitions=0 workers=4", cq, res, ocq, oracle)
+	l := mergeZeroPartitions()
+	l.each = func(t *testing.T, r latticeRun) {
+		merged(t, r)
+		cq := r.p.Compiled
 		for _, ht := range hashTables(cq) {
 			if ht.Partitions != 1 {
-				t.Fatalf("%s: hash table has %d partitions, want 1", name, ht.Partitions)
+				t.Fatalf("%s: hash table has %d partitions, want 1", r.st.name, ht.Partitions)
 			}
 		}
 		for i := range cq.Pipe.Pipelines {
@@ -158,14 +93,19 @@ func TestMergeZeroPartitions(t *testing.T) {
 			switch info.Sink.Kind {
 			case pipeline.SinkJoinBuild, pipeline.SinkGJBuild, pipeline.SinkGroupAgg:
 				if info.Merge == nil {
-					t.Fatalf("%s: materializing sink of pipeline %q has no merge kernels", name, info.Name)
+					t.Fatalf("%s: materializing sink of pipeline %q has no merge kernels", r.st.name, info.Name)
 				}
 			}
 		}
-		if mergeSamples(t, cq, res) == 0 {
-			t.Fatalf("%s: no PMU samples attributed to merge kernels", name)
+		if !r.c.serial() && mergeSamples(t, cq, r.res) == 0 {
+			t.Fatalf("%s: no PMU samples attributed to merge kernels", r.st.name)
 		}
 	}
+	l.run(t)
+}
+
+func mergeZeroPartitions() *lattice {
+	return &lattice{src: mergeSource(), axes: []axis{workersAxis(0, 4), partitionsAxis(0), eventAxis(evMergeRegs)}}
 }
 
 // TestMergeSampleAttribution: merge kernels are profiled code. A sampled
@@ -174,7 +114,7 @@ func TestMergeZeroPartitions(t *testing.T) {
 // Dictionary. (The worker-lanes overlay built on this predicate is
 // rendered by viz.WorkerLanesTagged, tested in internal/viz.)
 func TestMergeSampleAttribution(t *testing.T) {
-	cq, res := mergeRunSampled(t, "fig9", 4, DefaultOptions().Partitions,
+	cq, res := runOnce(t, testCatalog(t), queries.Fig9().Query, knobs(4, 256, 0, false),
 		&pmu.Config{Event: vm.EvInstRetired, Period: 97, Format: pmu.FormatIPTimeRegs})
 	if mergeSamples(t, cq, res) == 0 {
 		t.Fatal("no PMU samples attributed to merge kernels — merge is invisible to the profiler")

@@ -39,20 +39,13 @@ func mixOrigin(byID []*ir.Instr, ids []int) string {
 // the executed register copies, JMPs and MOVIs of generated code by IR
 // origin. It gates executed phi copies and JMPs against their ceilings.
 func TestSuiteInstructionMix(t *testing.T) {
-	e := New(testCatalog(t), DefaultOptions())
+	cat := testCatalog(t)
 	type key struct{ op, origin string }
 	total := map[key]int{}
 	var retired, phiCopies, jumps int
 	t.Logf("%-12s %9s %8s %8s %8s %8s", "plan", "retired", "phi mov", "mov", "jmp", "movi")
 	for _, w := range queries.Suite() {
-		cq, err := e.CompileQuery(w.Query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.Run(cq, &pmu.Config{Event: vm.EvInstRetired, Period: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cq, res := runOnce(t, cat, w.Query, DefaultOptions(), &pmu.Config{Event: vm.EvInstRetired, Period: 1})
 		byID := make([]*ir.Instr, cq.Pipe.Module.MaxID()+1)
 		cq.Pipe.Module.ForEachInstr(func(_ *ir.Func, _ *ir.Block, in *ir.Instr) { byID[in.ID] = in })
 		plan := map[key]int{}

@@ -5,11 +5,11 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/pmu"
 	"repro/internal/queries"
-	"repro/internal/ref"
 	"repro/internal/vm"
 )
 
@@ -18,15 +18,7 @@ import (
 // reload both, and verify the offline profile matches the in-process one.
 func TestOfflinePostProcessing(t *testing.T) {
 	cat := testCatalog(t)
-	e := New(cat, DefaultOptions())
-	cq, err := e.CompileQuery(queries.Intro(true).Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(cq, &pmu.Config{Event: vm.EvCycles, Period: 499, Format: pmu.FormatIPTimeRegs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cq, res := runOnce(t, cat, queries.Intro(true).Query, DefaultOptions(), &pmu.Config{Event: vm.EvCycles, Period: 499, Format: pmu.FormatIPTimeRegs})
 
 	var meta, slog bytes.Buffer
 	if err := core.WriteMetadata(&meta, cq.Pipe.Dict, cq.Code.NMap); err != nil {
@@ -72,24 +64,6 @@ func TestSuiteAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
-	cat := datagen.Generate(datagen.Config{ScaleFactor: 1.0, Seed: 99})
-	e := New(cat, DefaultOptions())
-	for _, w := range queries.Suite() {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			cq, err := e.CompileQuery(w.Query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.Run(cq, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := ref.Execute(cq.Plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rowsEqual(t, res.Rows, want, len(cq.Plan.OrderBy) > 0)
-		})
-	}
+	(&lattice{src: source{build: func() *catalog.Catalog { return datagen.Generate(datagen.Config{ScaleFactor: 1.0, Seed: 99}) },
+		stmts: suiteStmts(), opts: DefaultOptions()}}).run(t)
 }

@@ -9,59 +9,19 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/plan"
 	"repro/internal/pmu"
 	"repro/internal/queries"
-	"repro/internal/ref"
 	"repro/internal/vm"
 )
-
-// workerCounts is the battery's sweep; 1 is the morsel scheduler on a
-// single core (the baseline every other count must match exactly).
-var workerCounts = []int{1, 2, 4, 8}
-
-func parallelEngine(t *testing.T, workers int) *Engine {
-	t.Helper()
-	opts := DefaultOptions()
-	opts.Workers = workers
-	opts.MorselRows = 256 // several morsels per pipeline even at test scale
-	return New(testCatalog(t), opts)
-}
 
 // TestParallelMatchesReference runs every suite query on 1, 2, 4, and 8
 // workers and compares the rows against the interpreted reference
 // executor: the morsel scheduler must be invisible in the results.
-func TestParallelMatchesReference(t *testing.T) {
-	cat := testCatalog(t)
-	for _, w := range queries.Suite() {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			var want [][]int64
-			for _, workers := range workerCounts {
-				opts := DefaultOptions()
-				opts.Workers = workers
-				opts.MorselRows = 256
-				e := New(cat, opts)
-				cq, err := e.CompileQuery(w.Query)
-				if err != nil {
-					t.Fatalf("compile: %v", err)
-				}
-				if want == nil {
-					want, err = ref.Execute(cq.Plan)
-					if err != nil {
-						t.Fatalf("reference: %v", err)
-					}
-				}
-				res, err := e.Run(cq, nil)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if res.Workers != workers {
-					t.Fatalf("Result.Workers = %d, want %d", res.Workers, workers)
-				}
-				rowsEqual(t, res.Rows, want, len(cq.Plan.OrderBy) > 0)
-			}
-		})
-	}
+func TestParallelMatchesReference(t *testing.T) { parallelMatchesReference().run(t) }
+
+func parallelMatchesReference() *lattice {
+	return &lattice{src: testSource(suiteStmts()...), axes: []axis{workersAxis(1, 2, 4, 8)}}
 }
 
 // opWeights keys a profile's per-operator sample weights by component
@@ -75,89 +35,24 @@ func opWeights(p *core.Profile) map[string]float64 {
 }
 
 // TestParallelSampleDeterminism: for deterministic count events, the
-// merged sample stream is independent of the worker count — the total
-// sample count and every per-operator weight are *exactly* equal across
-// 1, 2, 4, and 8 workers. This is the payoff of arming the PMU per morsel
-// with a seed derived from the global morsel index: sample positions are
-// a function of the morsel, not of which core runs it.
+// merged sample stream is independent of the worker count — the canonical
+// profile (sample total, every per-operator, task and IR weight) is
+// byte-identical across 1, 2, 4, and 8 workers. This is the payoff of
+// arming the PMU per morsel with a seed derived from the global morsel
+// index: sample positions are a function of the morsel, not of which core
+// runs it.
 func TestParallelSampleDeterminism(t *testing.T) {
-	cat := testCatalog(t)
-	events := []struct {
-		name string
-		ev   vm.Event
-	}{
-		{"inst-retired", vm.EvInstRetired},
-		{"mem-loads", vm.EvMemLoads},
+	l := parallelSampleDeterminism()
+	l.each = func(t *testing.T, r latticeRun) {
+		if r.res.Profile == nil || r.res.Profile.TotalSamples == 0 {
+			t.Fatalf("%s at %v: no samples at all", r.st.name, r.c)
+		}
 	}
-	for _, w := range queries.Suite() {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			// The countdown restarts with every morsel, so a period longer
-			// than a morsel's loads samples nothing: the load period is a
-			// share of the run's own loads, and never longer than 487.
-			opts := DefaultOptions()
-			opts.Workers = 1
-			opts.MorselRows = 256
-			e := New(cat, opts)
-			cq, err := e.CompileQuery(w.Query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			unarmed, err := e.Run(cq, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			loadPeriod := min(487, max(1, int64(unarmed.Stats.Loads/256)))
-			for _, evt := range events {
-				period := int64(487)
-				if evt.ev == vm.EvMemLoads {
-					period = loadPeriod
-				}
-				var baseTotal int
-				var baseOps map[string]float64
-				for _, workers := range workerCounts {
-					opts := DefaultOptions()
-					opts.Workers = workers
-					opts.MorselRows = 256
-					e := New(cat, opts)
-					cq, err := e.CompileQuery(w.Query)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := e.Run(cq, &pmu.Config{Event: evt.ev, Period: period})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Profile == nil {
-						t.Fatal("no profile")
-					}
-					if workers == workerCounts[0] {
-						baseTotal = res.Profile.TotalSamples
-						baseOps = opWeights(res.Profile)
-						if baseTotal == 0 {
-							t.Fatalf("%s: no samples at all", evt.name)
-						}
-						continue
-					}
-					if res.Profile.TotalSamples != baseTotal {
-						t.Errorf("%s workers=%d: %d samples, want %d",
-							evt.name, workers, res.Profile.TotalSamples, baseTotal)
-					}
-					ops := opWeights(res.Profile)
-					for name, want := range baseOps {
-						if got := ops[name]; math.Abs(got-want) > 1e-6 {
-							t.Errorf("%s workers=%d operator %q: weight %.3f, want %.3f",
-								evt.name, workers, name, got, want)
-						}
-					}
-					if len(ops) != len(baseOps) {
-						t.Errorf("%s workers=%d: %d operators, want %d",
-							evt.name, workers, len(ops), len(baseOps))
-					}
-				}
-			}
-		})
-	}
+	l.run(t)
+}
+
+func parallelSampleDeterminism() *lattice {
+	return &lattice{src: testSource(suiteStmts()...), axes: []axis{workersAxis(1, 2, 4, 8), eventAxis(evInstRetired, evMemLoads)}}
 }
 
 // nearSerialPeriods are the sampling periods TestParallelProfileNearSerial
@@ -192,7 +87,7 @@ func TestParallelProfileNearSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par := parallelEngine(t, 4)
+			par := New(cat, knobs(4, 256, 0, false))
 			pcq, err := par.CompileQuery(w.Query)
 			if err != nil {
 				t.Fatal(err)
@@ -285,16 +180,7 @@ func shareDiffs(sOps, pOps map[string]float64, sTot, pTot float64) string {
 // (coordinator 0, workers 1..4), and the per-worker counts are the
 // profile's per-worker breakdown.
 func TestParallelWorkerStamping(t *testing.T) {
-	e := parallelEngine(t, 4)
-	w, _ := queries.ByName("fig9")
-	cq, err := e.CompileQuery(w.Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(cq, &pmu.Config{Event: vm.EvInstRetired, Period: 487})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := runOnce(t, testCatalog(t), queries.Fig9().Query, knobs(4, 256, 0, false), &pmu.Config{Event: vm.EvInstRetired, Period: 487})
 	counts := map[int]float64{}
 	for _, s := range res.Samples {
 		if s.Worker < 0 || s.Worker > 4 {
@@ -320,17 +206,10 @@ func TestParallelWorkerStamping(t *testing.T) {
 // finish in less than half the simulated wall-clock cycles of one.
 func TestParallelSpeedup(t *testing.T) {
 	var walls [2]uint64
+	cat := testCatalog(t)
 	for i, workers := range []int{1, 4} {
-		e := parallelEngine(t, workers)
 		w, _ := queries.ByName("q6")
-		cq, err := e.CompileQuery(w.Query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.Run(cq, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, res := runOnce(t, cat, w.Query, knobs(workers, 256, 0, false), nil)
 		if res.WallCycles == 0 {
 			t.Fatal("no wall clock")
 		}
@@ -349,25 +228,9 @@ func TestParallelSpeedup(t *testing.T) {
 // spent (work conservation).
 func TestParallelStatsAccount(t *testing.T) {
 	cat := testCatalog(t)
-	w, _ := queries.ByName("q3")
-	serial := New(cat, DefaultOptions())
-	cq, err := serial.CompileQuery(w.Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sres, err := serial.RunIterations(cq, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := parallelEngine(t, 4)
-	pcq, err := par.CompileQuery(w.Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pres, err := par.Run(pcq, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q3 := func() *plan.Query { w, _ := queries.ByName("q3"); return w.Query }
+	_, sres := runOnce(t, cat, q3(), DefaultOptions(), nil)
+	_, pres := runOnce(t, cat, q3(), knobs(4, 256, 0, false), nil)
 	if pres.Stats.Instructions < sres.Stats.Instructions {
 		t.Fatalf("parallel executed %d instructions, serial %d",
 			pres.Stats.Instructions, sres.Stats.Instructions)

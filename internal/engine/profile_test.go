@@ -19,17 +19,7 @@ func TestCallStackSamplingResolvesSharedCode(t *testing.T) {
 	cat := testCatalog(t)
 	opts := DefaultOptions()
 	opts.RegisterTagging = false
-	e := New(cat, opts)
-	cq, err := e.CompileQuery(queries.Intro(true).Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(cq, &pmu.Config{
-		Event: vm.EvCycles, Period: 199, Format: pmu.FormatCallStack,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cq, res := runOnce(t, cat, queries.Intro(true).Query, opts, &pmu.Config{Event: vm.EvCycles, Period: 199, Format: pmu.FormatCallStack})
 	// Some samples must land inside ht_insert and be resolved.
 	att := core.NewAttributor(cq.Pipe.Dict, cq.Code.NMap)
 	inShared, resolved := 0, 0
@@ -61,17 +51,8 @@ func TestRegisterTaggingDisabledLosesSharedSamples(t *testing.T) {
 	cat := testCatalog(t)
 	opts := DefaultOptions()
 	opts.RegisterTagging = false
-	e := New(cat, opts)
-	cq, err := e.CompileQuery(queries.Intro(true).Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(cq, &pmu.Config{
-		Event: vm.EvCycles, Period: 97, Format: pmu.FormatIPTime, // no regs, no stack
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// No registers and no call stack.
+	cq, res := runOnce(t, cat, queries.Intro(true).Query, opts, &pmu.Config{Event: vm.EvCycles, Period: 97, Format: pmu.FormatIPTime})
 	att := core.NewAttributor(cq.Pipe.Dict, cq.Code.NMap)
 	lost := 0
 	for i := range res.Samples {
@@ -123,15 +104,7 @@ func TestSampledRunsAreDeterministic(t *testing.T) {
 // (uniform per instruction rather than cost-weighted).
 func TestInstructionsEventProfile(t *testing.T) {
 	cat := testCatalog(t)
-	e := New(cat, DefaultOptions())
-	cq, err := e.CompileQuery(queries.Intro(true).Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(cq, &pmu.Config{Event: vm.EvInstRetired, Period: 503, Format: pmu.FormatIPTimeRegs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := runOnce(t, cat, queries.Intro(true).Query, DefaultOptions(), &pmu.Config{Event: vm.EvInstRetired, Period: 503, Format: pmu.FormatIPTimeRegs})
 	if res.Profile.TotalSamples < 50 {
 		t.Fatalf("samples = %d", res.Profile.TotalSamples)
 	}
@@ -234,15 +207,7 @@ func TestCompileSQLSyntaxError(t *testing.T) {
 // developer's "which data structure hurts" workflow (§6.1).
 func TestCacheMissAttribution(t *testing.T) {
 	cat := datagen.Generate(datagen.Config{ScaleFactor: 1.0, Seed: 5})
-	e := New(cat, DefaultOptions())
-	cq, err := e.CompileQuery(queries.Fig9().Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(cq, &pmu.Config{Event: vm.EvL3Miss, Period: 13, Format: pmu.FormatIPTimeRegs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := runOnce(t, cat, queries.Fig9().Query, DefaultOptions(), &pmu.Config{Event: vm.EvL3Miss, Period: 13, Format: pmu.FormatIPTimeRegs})
 	if res.Profile.TotalSamples < 30 {
 		t.Skipf("only %d L3-miss samples", res.Profile.TotalSamples)
 	}

@@ -7,30 +7,13 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/plan"
-	"repro/internal/pmu"
 	"repro/internal/ref"
 	"repro/internal/sqlparse"
-	"repro/internal/vm"
 )
 
 func testService(t *testing.T) *Service {
 	t.Helper()
 	return NewService(testCatalog(t), DefaultOptions(), 0)
-}
-
-// refRows cross-checks a prepared statement's plan on the interpreted
-// reference executor with the statement's own bound parameters.
-func refRows(t *testing.T, p *Prepared) [][]int64 {
-	t.Helper()
-	var params []int64
-	if p.State != nil {
-		params = p.State.Params
-	}
-	want, err := ref.ExecuteWith(p.Compiled.Plan, params)
-	if err != nil {
-		t.Fatalf("reference executor: %v", err)
-	}
-	return want
 }
 
 // TestServiceSameEntryDifferentLiterals is the headline acceptance
@@ -74,8 +57,8 @@ func TestServiceSameEntryDifferentLiterals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowsEqual(t, ra.Rows, refRows(t, a), false)
-	rowsEqual(t, rb.Rows, refRows(t, b), false)
+	matchesReference(t, ra.Rows, a)
+	matchesReference(t, rb.Rows, b)
 	if ra.Rows[0][0] >= rb.Rows[0][0] {
 		t.Fatalf("count(<10)=%d should be smaller than count(<42)=%d — parameters not applied?",
 			ra.Rows[0][0], rb.Rows[0][0])
@@ -89,60 +72,28 @@ func TestServiceSameEntryDifferentLiterals(t *testing.T) {
 
 // TestServiceCacheHitByteIdentical: a cache-hit execution must return
 // byte-identical rows to the cold compile, and — because count-event PMU
-// sampling is worker-count-invariant — the hit run's sample stream on 4
-// workers must exactly match the cold run's on 1 worker.
+// sampling is worker-count-invariant — the hit run's heap and canonical
+// profile on 4 workers must exactly match the cold run's on 1 worker.
 func TestServiceCacheHitByteIdentical(t *testing.T) {
-	svc := testService(t)
-	cfg := &pmu.Config{Event: vm.EvInstRetired, Period: 487}
-
-	cold := svc.NewSession()
-	cold.SetWorkers(1)
-	cold.SetMorselRows(256)
-	p1, r1, err := cold.Execute("select l_orderkey, sum(l_quantity), sum(l_extendedprice) from lineitem where l_quantity < 24 group by l_orderkey", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1.CacheHit {
-		t.Fatal("cold execute reported a cache hit")
-	}
-
-	hot := svc.NewSession()
-	hot.SetWorkers(4)
-	hot.SetMorselRows(256)
-	p2, r2, err := hot.Execute("select l_orderkey, sum(l_quantity), sum(l_extendedprice) from lineitem where l_quantity < 24 group by l_orderkey", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p2.CacheHit {
-		t.Fatal("second execute must hit the cache")
-	}
-	if p1.Compiled != p2.Compiled {
-		t.Fatal("hit must serve the identical artifact")
-	}
-
-	// Byte-identical rows (the query has no ORDER BY; compare as sets —
-	// then strictly: the engine's group order is deterministic, so the
-	// ordered comparison must hold too).
-	rowsEqual(t, r2.Rows, r1.Rows, true)
-
-	// Worker-count-invariant count-event profile: same total, same
-	// per-operator weights, cold-1-worker vs hit-4-workers.
-	if r1.Profile == nil || r2.Profile == nil {
-		t.Fatal("missing profiles")
-	}
-	if r1.Profile.TotalSamples != r2.Profile.TotalSamples {
-		t.Fatalf("sample totals differ: cold %d vs hit %d",
-			r1.Profile.TotalSamples, r2.Profile.TotalSamples)
-	}
-	w1, w2 := opWeights(r1.Profile), opWeights(r2.Profile)
-	if len(w1) != len(w2) {
-		t.Fatalf("operator sets differ: %v vs %v", w1, w2)
-	}
-	for name, want := range w1 {
-		if got := w2[name]; got != want {
-			t.Errorf("operator %q: cold weight %.3f, hit weight %.3f", name, want, got)
+	var first *Prepared
+	l := serviceCacheHit()
+	l.each = func(t *testing.T, r latticeRun) {
+		if first == nil && r.p.CacheHit {
+			t.Fatal("cold execute reported a cache hit")
+		}
+		if first != nil && (!r.p.CacheHit || r.p.Compiled != first.Compiled) {
+			t.Fatal("a later execute must hit the cache and serve the identical artifact")
+		}
+		if first == nil {
+			first = r.p
 		}
 	}
+	l.run(t)
+}
+
+func serviceCacheHit() *lattice {
+	src := testSource(stmt{name: "agg", sql: "select l_orderkey, sum(l_quantity), sum(l_extendedprice) from lineitem where l_quantity < 24 group by l_orderkey"})
+	return &lattice{src: src, axes: []axis{workersAxis(1, 4), eventAxis(evInstRetired)}, name: noSubtest}
 }
 
 // TestServiceEncodedLiterals drives the per-type argument encodings end
@@ -165,7 +116,7 @@ func TestServiceEncodedLiterals(t *testing.T) {
 		if p.Fallback {
 			t.Fatalf("%s: unexpected fallback", sql)
 		}
-		rowsEqual(t, res.Rows, refRows(t, p), false)
+		matchesReference(t, res.Rows, p)
 	}
 	// The date must have been encoded, not passed as 0.
 	p, err := se.Prepare(stmts[0])
@@ -269,7 +220,7 @@ func TestServicePGOGenerationInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowsEqual(t, res.Rows, refRows(t, p2), false)
+	matchesReference(t, res.Rows, p2)
 }
 
 // TestServiceConcurrentSessions is the -race gate for the shared-artifact
@@ -296,7 +247,7 @@ func TestServiceConcurrentSessions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		variants[i].want = refRows(t, p)
+		variants[i].want, _ = reference(t, p)
 	}
 
 	const G = 12

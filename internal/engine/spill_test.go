@@ -41,18 +41,11 @@ func spillDefClass(def *ir.Instr) string {
 // counts the samples that land on a spill reload, split by what defined
 // the reloaded value and by why it lives in a slot.
 func TestSpillReloadShare(t *testing.T) {
-	e := New(testCatalog(t), DefaultOptions())
+	cat := testCatalog(t)
 	var total, reloads int
 	byDef, byCause := map[string]int{}, map[string]int{}
 	for _, w := range queries.Suite() {
-		cq, err := e.CompileQuery(w.Query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.Run(cq, &pmu.Config{Event: vm.EvInstRetired, Period: 31})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cq, res := runOnce(t, cat, w.Query, DefaultOptions(), &pmu.Config{Event: vm.EvInstRetired, Period: 31})
 		byID := make([]*ir.Instr, cq.Pipe.Module.MaxID()+1)
 		cq.Pipe.Module.ForEachInstr(func(_ *ir.Func, _ *ir.Block, in *ir.Instr) { byID[in.ID] = in })
 		defs := make([]string, cq.Code.SpillSlots)

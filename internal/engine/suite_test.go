@@ -8,7 +8,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/pmu"
 	"repro/internal/queries"
-	"repro/internal/ref"
 	"repro/internal/vm"
 )
 
@@ -45,90 +44,38 @@ func rowsEqual(t *testing.T, got, want [][]int64, ordered bool) {
 // TestSuiteMatchesReference compiles and runs every workload of the
 // evaluation suite and compares against the interpreted reference
 // executor — the end-to-end conformance test of the whole stack.
-func TestSuiteMatchesReference(t *testing.T) {
-	cat := testCatalog(t)
-	e := New(cat, DefaultOptions())
-	for _, w := range queries.Suite() {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			cq, err := e.CompileQuery(w.Query)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			want, err := ref.Execute(cq.Plan)
-			if err != nil {
-				t.Fatalf("reference: %v", err)
-			}
-			res, err := e.Run(cq, nil)
-			if err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			rowsEqual(t, res.Rows, want, len(cq.Plan.OrderBy) > 0)
-		})
-	}
+func TestSuiteMatchesReference(t *testing.T) { suiteMatchesReference().run(t) }
+
+func suiteMatchesReference() *lattice {
+	src := testSource(suiteStmts()...)
+	src.opts.MorselRows = 0
+	return &lattice{src: src}
 }
 
 // TestSuiteOptimizationsPreserveResults re-runs the suite with IR
 // optimizations and instruction fusing disabled; results must not change
 // (Table 1 transformations are semantics-preserving).
-func TestSuiteOptimizationsPreserveResults(t *testing.T) {
-	cat := testCatalog(t)
-	opts := DefaultOptions()
-	ref := New(cat, opts)
+func TestSuiteOptimizationsPreserveResults(t *testing.T) { suiteOptimizations().run(t) }
 
-	plainOpts := opts
-	plainOpts.Optimize.CSE = false
-	plainOpts.Optimize.ConstFold = false
-	plainOpts.Optimize.DCE = false
-	plainOpts.FuseCmpBranch = false
-	plain := New(cat, plainOpts)
+// plainOptions are DefaultOptions with the IR optimizations and
+// instruction fusing off.
+func plainOptions() Options {
+	o := DefaultOptions()
+	o.Optimize.CSE, o.Optimize.ConstFold, o.Optimize.DCE, o.FuseCmpBranch = false, false, false, false
+	return o
+}
 
-	for _, w := range queries.Suite() {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			c1, err := ref.CompileQuery(w.Query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c2, err := plain.CompileQuery(w.Query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r1, err := ref.Run(c1, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r2, err := plain.Run(c2, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rowsEqual(t, r1.Rows, r2.Rows, len(c1.Plan.OrderBy) > 0)
-			if r2.Stats.Instructions <= r1.Stats.Instructions {
-				t.Logf("note: unoptimized not slower (%d vs %d instructions)",
-					r2.Stats.Instructions, r1.Stats.Instructions)
-			}
-		})
-	}
+func suiteOptimizations() *lattice {
+	return &lattice{src: suiteMatchesReference().src, axes: []axis{optionsAxis(DefaultOptions(), plainOptions())}}
 }
 
 // TestSuiteProfiledAttribution runs every workload under sampling and
 // requires high attribution — the per-query backbone of Table 2.
 func TestSuiteProfiledAttribution(t *testing.T) {
 	cat := testCatalog(t)
-	e := New(cat, DefaultOptions())
 	for _, w := range queries.Suite() {
-		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			cq, err := e.CompileQuery(w.Query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := e.Run(cq, &pmu.Config{
-				Event: vm.EvCycles, Period: 997, Format: pmu.FormatIPTimeRegs,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, res := runOnce(t, cat, w.Query, DefaultOptions(), &pmu.Config{Event: vm.EvCycles, Period: 997, Format: pmu.FormatIPTimeRegs})
 			if res.Profile.TotalSamples < 20 {
 				t.Skipf("only %d samples", res.Profile.TotalSamples)
 			}
