@@ -181,3 +181,96 @@ func testFuncs(t *testing.T, pkgs []string) []string {
 	}
 	return names
 }
+
+// TestDocPointersResolve: what the documents point at exists.
+//   - Every Test, Benchmark or Fuzz name DESIGN.md, EXPERIMENTS.md,
+//     README.md or the verify skill cites names a function; a name standing
+//     in a -run, -bench or -fuzz pattern need only select one, as go test
+//     would.
+//   - Every "DESIGN.md §N" in those documents, the Go sources and the
+//     workflow (which writes "DESIGN.md N") names a "## N." heading.
+//   - Every repository path the documents cite exists; a bare file name
+//     must exist somewhere in the tree.
+func TestDocPointersResolve(t *testing.T) {
+	docs := []string{"DESIGN.md", "EXPERIMENTS.md", "README.md", ".claude/skills/verify/SKILL.md"}
+	funcs := testFuncs(t, []string{"./..."})
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^## (\d+)\. `).FindAllSubmatch(design, -1) {
+		sections[string(m[1])] = true
+	}
+	exists, names := map[string]bool{}, map[string]bool{} // every path but .git's; its base names
+	var goSources []string
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && d.Name() == ".git":
+			return filepath.SkipDir
+		case strings.HasSuffix(path, ".go") && !strings.Contains(path, "testdata/"):
+			goSources = append(goSources, path)
+		}
+		exists[path], names[d.Name()] = true, true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	name := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	inPattern := regexp.MustCompile(`(?:-run|-bench|-fuzz)[ =]'?$|['|]$`)
+	section := regexp.MustCompile(`DESIGN\.md[\s/#]*§\s*(\d+)(?:\s*[–-]\s*§?(\d+))?`)
+	bareSection := regexp.MustCompile(`DESIGN\.md (\d+)`)
+	token := regexp.MustCompile(`[\w./-]+`)
+	repoPath := regexp.MustCompile(`^(?:internal|cmd|examples|bench|\.github|\.claude)/|\.(?:go|md|json|txt|yml)$`)
+
+	checkSections := func(file string, src []byte, re *regexp.Regexp) {
+		for _, m := range re.FindAllSubmatch(src, -1) {
+			for _, n := range m[1:] {
+				if len(n) > 0 && !sections[string(n)] {
+					t.Errorf("%s: %q names no section of DESIGN.md", file, m[0])
+				}
+			}
+		}
+	}
+	for _, file := range append(goSources, ".github/workflows/ci.yml") {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSections(file, src, section)
+		if strings.HasSuffix(file, ".yml") {
+			checkSections(file, src, bareSection)
+		}
+	}
+	for _, doc := range docs {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSections(doc, src, section)
+		for _, at := range name.FindAllIndex(src, -1) {
+			cited := string(src[at[0]:at[1]])
+			pattern := inPattern.Match(src[max(0, at[0]-7):at[0]])
+			found := false
+			for _, f := range funcs {
+				found = found || f == cited || pattern && strings.HasPrefix(f, cited)
+			}
+			if !found {
+				t.Errorf("%s cites %s, which names no test function", doc, cited)
+			}
+		}
+		for _, tok := range token.FindAll(src, -1) {
+			p := strings.TrimRight(strings.TrimSuffix(strings.TrimPrefix(string(tok), "./"), "/..."), ".,/")
+			if !repoPath.MatchString(p) || strings.HasPrefix(p, "/") {
+				continue
+			}
+			if strings.Contains(p, "/") && !exists[p] || !strings.Contains(p, "/") && !names[p] {
+				t.Errorf("%s cites %s, which does not exist", doc, p)
+			}
+		}
+	}
+}

@@ -18,7 +18,7 @@
 //
 // The gates of the features beyond the paper (cardinality estimation,
 // merge, shards, ingest, views) are asserted by one test each
-// next to the feature; see DESIGN.md.
+// next to the feature; EXPERIMENTS.md lists them.
 package main
 
 import (

@@ -31,7 +31,7 @@
 // 64-row batches at ~500 rows/sec while the sessions execute — so cache
 // hit rates and result epochs can be observed under live ingest.
 //
-// Materialized views (DESIGN.md §16) are managed with statements of the
+// Materialized views (DESIGN.md §6) are managed with statements of the
 // form
 //
 //	create [lazy] view name as select ...

@@ -37,7 +37,7 @@ func main() {
 	noTagging := flag.Bool("no-register-tagging", false, "disable Register Tagging (shared-code samples resolve via call stacks only)")
 	analyze := flag.Bool("analyze", false, "instrument EXPLAIN ANALYZE tuple counters")
 	bins := flag.Int("bins", 60, "timeline bins")
-	save := flag.String("save", "", "write the meta-data file <prefix>.meta.bin and the sample log <prefix>.samples.bin (binary, DESIGN.md §3) for offline post-processing: tpostproc -prefix <prefix>; -report samples there prints a log as text")
+	save := flag.String("save", "", "write the meta-data file <prefix>.meta.bin and the sample log <prefix>.samples.bin (binary, DESIGN.md §4) for offline post-processing: tpostproc -prefix <prefix>; -report samples there prints a log as text")
 	zoomFrom := flag.Float64("zoom-from-ms", -1, "restrict reports to samples after this time")
 	zoomTo := flag.Float64("zoom-to-ms", -1, "restrict reports to samples before this time")
 	flag.Parse()

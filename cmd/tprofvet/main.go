@@ -5,7 +5,7 @@
 //	tprofvet lint [-json] [root]
 //
 // check runs one row of the checks table below over its workload suite;
-// `tprofvet check -h` describes every mode, and DESIGN.md §9 says how to add
+// `tprofvet check -h` describes every mode, and DESIGN.md §8 says how to add
 // one. lint type-checks the repository and applies the source rules of
 // verify.Lint.
 //
@@ -112,22 +112,22 @@ epoch and view checkers must be the sole catcher of some mutant`},
 		help: `mode: the SQL suite through the query service; the cold compile, the re-prepare
 (which must hit) and every -workers count must return the reference executor's rows`},
 	{flag: "merge", noun: "workloads", suite: planUnits, setup: mergeCheck,
-		help: `mode: the partitioned merge (DESIGN.md §11): static MergeInvariants at compile,
+		help: `mode: the partitioned merge (DESIGN.md §5): static MergeInvariants at compile,
 serial rows in order at every -workers count, PMU samples on the merge kernels`},
 	{flag: "cost", noun: "workloads", suite: sqlUnits, setup: costCheck,
 		help: `mode: the cost layer: consistent estimates on every plan node (cost.CheckModel),
 true row counts that map to live dictionary tasks (cost.CheckObserved)`},
 	{flag: "shard", noun: "workloads", suite: planUnits, setup: shardCheck,
-		help: `mode: sharded execution (DESIGN.md §13) at Shards 1,2,4,8 x -workers, pruning on:
+		help: `mode: sharded execution (DESIGN.md §5) at Shards 1,2,4,8 x -workers, pruning on:
 serial rows in order, one canonical profile across the grid, and per-shard
 journals that tile the tables without zone collisions (verify.CheckShards)`},
 	{flag: "epoch", noun: "workloads", suite: sqlUnits, setup: epochCheck,
-		help: `mode: epoch-versioned storage (DESIGN.md §15): a scripted append between each
+		help: `mode: epoch-versioned storage (DESIGN.md §6): a scripted append between each
 statement's cold and warm run must cause zero recompiles, evictions or version
 bumps, and the append journal must replay (verify.CheckEpochs)`},
 	{flag: "views", noun: "probes", setup: viewsCheck,
 		suite: func([]int) []unit { return viewProbes },
-		help: `mode: materialized views (DESIGN.md §16): probes must rewrite onto views and match
+		help: `mode: materialized views (DESIGN.md §6): probes must rewrite onto views and match
 a view-free service byte for byte across a scripted append, on one artifact with
 zero fallbacks; no-match statements pass through; the refresh ledger must
 replay against the base tables (verify.CheckViews)`},

@@ -1,6 +1,6 @@
 // Package catalog holds schemas and in-memory columnar tables. All values
 // are int64: dates are day numbers, strings are dictionary-encoded at load
-// time (see DESIGN.md §6) — keeping the generated code and the simulated
+// time (see DESIGN.md §1) — keeping the generated code and the simulated
 // machine purely integer, like the paper's examples. A column is stored at
 // the narrowest width that holds all of its values — 1 byte (every value in
 // [0, 255]), 2 (every value in [0, 65535]), 4 (int32) or 8 — a pure

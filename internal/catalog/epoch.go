@@ -7,7 +7,7 @@ import (
 	"repro/internal/core"
 )
 
-// Epoch-versioned storage (DESIGN.md §15).
+// Epoch-versioned storage (DESIGN.md §6).
 //
 // The catalog separates two axes of change that used to share one version
 // counter:

@@ -49,7 +49,7 @@ type Attribution struct {
 // so NewAttributor performs it once per instruction and keeps the answers
 // as windows of one pooled credit array; only shared code and CSE'd
 // instructions, whose owner the sample names, repeat it per sample
-// (DESIGN.md §3, "Attribution table"). The Attributor is immutable once
+// (DESIGN.md §4, "The attribution table"). The Attributor is immutable once
 // built, and the Dictionary and NativeMap must not change while it is in
 // use.
 type Attributor struct {

@@ -13,7 +13,7 @@ import (
 // phase we write all logs into a meta-data file, which is read by the
 // post-processing phase" (§5.2.2), and samples arrive separately via perf
 // script. This file is that split: two versioned little-endian binary
-// files with one writer and one reader each (layouts: DESIGN.md §3,
+// files with one writer and one reader each (layouts: DESIGN.md §4,
 // "Offline post-processing"). The meta-data file holds what attribution
 // needs — registry, Logs A and B, shared flags, native debug info; the
 // sample log holds the raw samples. Both are fixed-width sections whose

@@ -3,7 +3,7 @@ package cost
 // The cycle cost model: per-node estimated cardinality and cycle cost
 // for a whole plan. The per-row constants are calibrated against the
 // simulated CPU's instruction costs for the generated kernels (compare
-// DESIGN.md §5): they are not meant to predict absolute wall cycles, but
+// DESIGN.md §3): they are not meant to predict absolute wall cycles, but
 // to *rank* alternative physical shapes and to drive the one physical
 // knob decision (Decide): partition counts down when hash tables are
 // small.

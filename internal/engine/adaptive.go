@@ -5,7 +5,7 @@ package engine
 // from one counter run — into the service's history (see service.go). No
 // profile steers a compile: a guided recompile must beat the
 // estimate-driven one it refines, and the last one (spill priority) ran
-// the same cycles on every suite plan (DESIGN.md §8).
+// the same cycles on every suite plan (DESIGN.md §2).
 
 import (
 	"repro/internal/pmu"

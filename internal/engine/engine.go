@@ -65,7 +65,7 @@ type Options struct {
 	// Partitions radix-partitions every materializing sink's merge into
 	// this many directory-disjoint partition-merge tasks, executed by
 	// generated merge kernels fanned out across the workers (DESIGN.md
-	// §11). Rounded down to a power of two and clamped to each table's
+	// §5). Rounded down to a power of two and clamped to each table's
 	// directory size; anything below 1 is one partition, so every
 	// materializing sink has merge kernels, which an artifact's first
 	// parallel run compiles (Compiled.Parallel). Like
@@ -73,13 +73,13 @@ type Options struct {
 	// and count-event sample streams stay worker-count invariant.
 	Partitions int
 	// BloomFilters is read by nothing: joins probe their directory
-	// directly (DESIGN.md §11). It stays only so that existing callers
+	// directly (DESIGN.md §5). It stays only so that existing callers
 	// keep compiling.
 	BloomFilters bool
 	// Shards >= 1 executes every table scan through the cross-shard
 	// coordinator: the table's zone map is grouped into that many
 	// contiguous shards (at most one per zone), and pruned/surviving zones
-	// are journaled per shard (DESIGN.md §13). Zone granularity is a
+	// are journaled per shard (DESIGN.md §5). Zone granularity is a
 	// function of the table alone, so results, count-event sample streams,
 	// and the merged profile are identical for every shard count — only
 	// the per-shard attribution lens changes. 0 keeps the unsharded path.
@@ -244,7 +244,7 @@ type Compiled struct {
 	resultEnd  int64
 	rowBytes   int64
 
-	// Epoch-resolved data binding (DESIGN.md §15). The artifact bakes only
+	// Epoch-resolved data binding (DESIGN.md §6). The artifact bakes only
 	// schema-derived facts: region addresses sized by each table's frozen
 	// row capacity and column widths, plus which (table, column) fills each
 	// region and which state slot holds each scan's row count. The data
@@ -561,7 +561,7 @@ type parallelProgram struct {
 
 // Parallel returns the program parallel and sharded runs execute: the
 // serial program with the scatter, merge and place kernels of every
-// partitioned sink (DESIGN.md §11) appended after its runtime routines.
+// partitioned sink (DESIGN.md §5) appended after its runtime routines.
 // Every reader of a parallel run — its attribution, the metadata of a
 // saved profile, the artifact gate — reads this program.
 //
@@ -1031,7 +1031,7 @@ func readRows(cq *Compiled, cpu *vm.CPU) [][]int64 {
 	return rows
 }
 
-// sortRows applies the plan's host-side ORDER BY (see DESIGN.md §6).
+// sortRows applies the plan's host-side ORDER BY (see DESIGN.md §1).
 // Dictionary-encoded string columns sort by their decoded strings, so the
 // SQL collation matches what a user expects rather than insertion order.
 func sortRows(rows [][]int64, pl *plan.Output, metas []plan.ColMeta) {

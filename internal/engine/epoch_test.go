@@ -333,7 +333,7 @@ func TestAdaptStalenessBumpsGeneration(t *testing.T) {
 	}
 }
 
-// TestIngestGate is the streaming-ingest gate (DESIGN.md §15). A catalog
+// TestIngestGate is the streaming-ingest gate (DESIGN.md §6). A catalog
 // grown to its rows by appends runs q1 and fig9, serial and on 4 workers
 // × 2 shards, in exactly the bulk-loaded catalog's simulated cycles (0 %
 // tax) with identical rows and an identical canonical profile. Once the

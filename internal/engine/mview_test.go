@@ -279,6 +279,49 @@ func TestMViewPinnedSnapshotsNeverReadStale(t *testing.T) {
 	}
 }
 
+// TestMViewPinnedRunRepeatsRowsNotPath: the guard is evaluated at every
+// run, so one rewritten Prepared under one pinned snapshot may first fall
+// back to the base tables and then, once a refresh in another session
+// adds a ledger entry that pairs with the snapshot, be served by the view.
+// Both decisions are correct; what a pin repeats is the rows.
+func TestMViewPinnedRunRepeatsRowsNotPath(t *testing.T) {
+	svc := NewService(mviewCatalog(xrand.New(7), 6000), Options{}, 0)
+	if _, err := svc.CreateView("mv", "select a, sum(v) from m where a < 4 group by a", mview.RefreshLazy); err != nil {
+		t.Fatal(err)
+	}
+	q := "select a, sum(v) as s from m where a < 4 group by a order by a"
+	se := svc.NewSession()
+	p, err := se.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rows the view's filter drops: the refresh below adds no group.
+	if _, err := svc.Append("m", [][]int64{{4, 0, 1}, {5, 0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	se.PinSnapshot()
+	base, err := svc.prepare(q, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(fallbacks int) {
+		t.Helper()
+		res, err := se.Run(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matchesReference(t, res.Rows, base)
+		if p.Rewrite == nil || se.Stats().RewriteFallbacks != fallbacks {
+			t.Fatalf("rewrite %v, stats %+v, want %d fallbacks", p.Rewrite, se.Stats(), fallbacks)
+		}
+	}
+	run(1) // the ledger holds no pair for the grown base: base tables
+	if err := svc.RefreshView("mv"); err != nil {
+		t.Fatal(err)
+	}
+	run(1) // the refresh's entry pairs with the pinned snapshot: the view
+}
+
 // TestMViewQCacheKeyContract pins the cache-key contract on the view
 // axis: (1) all textual variants of a query family collapse onto ONE
 // rewritten artifact; (2) an in-capacity append plus incremental
@@ -410,7 +453,7 @@ func TestMViewRefreshAcrossCapacityClass(t *testing.T) {
 	}
 }
 
-// TestMViewDashboardGate is the materialized-view gate (DESIGN.md §16).
+// TestMViewDashboardGate is the materialized-view gate (DESIGN.md §6).
 // A dashboard of 1000 per-product revenue statements with shifting
 // literals is served by one registered view: every statement is
 // rewritten onto one artifact with rows identical to a view-free

@@ -34,7 +34,7 @@ import (
 //   - join/group-join build entries and group-by partial groups are radix-
 //     scattered by the hash stored in each entry header and merged by
 //     generated, profiled kernels fanned out across the workers
-//     (mergePartitioned, DESIGN.md §11): builds replay in morsel order,
+//     (mergePartitioned, DESIGN.md §5): builds replay in morsel order,
 //     groups upsert (sum/count add, min/max fold — all integer, so
 //     order-exact) and are placed in first-occurrence order;
 //   - result rows append in morsel order;
@@ -270,7 +270,7 @@ func (x *executor) runParallel(cq *Compiled, rs *RunState, workers int, cfg *pmu
 	wall := coord.TSC() // the prelude is serial coordinator work
 	var mergeCycles uint64
 
-	// Cross-shard coordination (DESIGN.md §13): scan pipelines execute
+	// Cross-shard coordination (DESIGN.md §5): scan pipelines execute
 	// the canonical surviving-morsel list of their table's zone map, with
 	// per-shard journals recording each zone's verdict.
 	var shardStates []ShardState
@@ -533,7 +533,7 @@ func runMorsel(cq *Compiled, w *parWorker, info *pipeline.PipelineInfo, entry, s
 }
 
 // mergePartitioned fans the merge of a partitioned sink out across the
-// workers as generated partition-merge kernels (DESIGN.md §11). Each
+// workers as generated partition-merge kernels (DESIGN.md §5). Each
 // partition owns a disjoint directory slot range and a disjoint set of
 // destination entries, so kernels run lock-free and their writes copy
 // back to the canonical heap without coordination. Returns the merge

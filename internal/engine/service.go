@@ -361,6 +361,11 @@ func (se *Session) Prepare(sql string) (*Prepared, error) {
 // same snapshot. A refreshed view can therefore never serve rows a
 // snapshot should not see, and a snapshot taken mid-append can never
 // read half-covered partials.
+//
+// The guard reads the view's ledger at every run, so a pinned snapshot
+// repeats rows, not paths or heaps: a run that fell back may be followed,
+// once another session's refresh adds a ledger entry pairing with the
+// snapshot, by one the view serves (DESIGN.md §6).
 func (se *Session) Run(p *Prepared, cfg *pmu.Config) (*Result, error) {
 	t0 := time.Now()
 	defer func() { se.stats.Execute += time.Since(t0) }()

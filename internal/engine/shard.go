@@ -11,7 +11,7 @@ import (
 	"repro/internal/vm"
 )
 
-// Cross-shard coordination (DESIGN.md §13).
+// Cross-shard coordination (DESIGN.md §5).
 //
 // With Options.Shards >= 1 every table-scan pipeline executes through the
 // cross-shard coordinator: the table's zone map (internal/catalog) is

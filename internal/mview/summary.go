@@ -1,5 +1,5 @@
 // Package mview is the materialized-view manager and semantic rewriter
-// on the fingerprint layer (DESIGN.md §16).
+// on the fingerprint layer (DESIGN.md §6).
 //
 // A view registers the result of a single-table aggregate query as a
 // columnar in-catalog table of *partial aggregates*: one row per group,

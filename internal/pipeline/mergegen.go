@@ -9,7 +9,7 @@ import (
 	"repro/internal/plan"
 )
 
-// Partitioned-merge kernel generation (DESIGN.md §11). Every sink that
+// Partitioned-merge kernel generation (DESIGN.md §5). Every sink that
 // materializes a hash table gets up to three extra generated functions,
 // lowered through the exact same builder + Tagging Dictionary path as the
 // pipelines themselves, so merge cycles are profiled code. Compile

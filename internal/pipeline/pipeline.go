@@ -74,7 +74,7 @@ type HTLayout struct {
 	ArenaEnd  int64
 	EntrySize int64
 
-	// Partitioned-merge regions (DESIGN.md §11). The engine's layouts
+	// Partitioned-merge regions (DESIGN.md §5). The engine's layouts
 	// always have Partitions >= 1; Partitions == 0 — a layout built by
 	// hand, as this package's tests do — generates no merge kernels.
 	// Otherwise Partitions is a power of two <= DirSlots and partition p
@@ -274,7 +274,7 @@ const (
 	roleGJJoin role = "gj-join"
 	roleGJAgg  role = "gj-agg"
 
-	// Merge-kernel roles: the partition-merge tasks of DESIGN.md §11.
+	// Merge-kernel roles: the partition-merge tasks of DESIGN.md §5.
 	roleMergeScatter role = "merge-scatter"
 	roleMergeInsert  role = "merge-insert"
 	roleMergeUpsert  role = "merge-upsert"

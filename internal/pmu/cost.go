@@ -13,7 +13,7 @@ package pmu
 // 3.5 GHz clock, so the calibration is direct: 35% overhead ⇒ ~1750
 // cycles per PEBS record, +3% ⇒ ~150 cycles for the register file, and
 // 529% ⇒ ~26.5k cycles per interrupt-based call-stack sample. See
-// DESIGN.md §5.
+// DESIGN.md §3.
 const (
 	// CostPEBSRecord is the cost of the hardware writing one PEBS record.
 	CostPEBSRecord = 1750

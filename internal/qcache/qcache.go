@@ -1,7 +1,7 @@
 // Package qcache is a content-addressed LRU cache for compiled-query
 // artifacts, with single-flight deduplication of concurrent compiles.
 //
-// Keys are the full identity of a compilation (DESIGN.md §10): the query
+// Keys are the full identity of a compilation (DESIGN.md §7): the query
 // fingerprint (hash + canonical text, so hash collisions cannot alias
 // artifacts), a digest of the compiler options, the catalog version the
 // plan was bound against, the staleness generation, and the
@@ -42,7 +42,7 @@ type Key struct {
 	// refreshes do NOT bump it: refreshes are epoch appends, freshness
 	// is decided per execution against the bound snapshot, and keeping
 	// the generation stable is what keeps artifacts warm across
-	// incremental refresh (the qcache key contract of DESIGN.md §16).
+	// incremental refresh (the qcache key contract of DESIGN.md §6).
 	View uint64
 }
 

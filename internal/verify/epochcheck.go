@@ -10,7 +10,7 @@ import (
 	"repro/internal/core"
 )
 
-// Epoch-journal verification (`tprofvet check -epoch`, DESIGN.md §15).
+// Epoch-journal verification (`tprofvet check -epoch`, DESIGN.md §6).
 //
 // Streaming ingest leaves its own lineage trail: the catalog's epoch
 // journal (one EpochEvent per append batch) plus epoch snapshots taken

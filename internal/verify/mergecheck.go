@@ -14,7 +14,7 @@ import (
 // ---------------------------------------------------------------------------
 
 // mergeInvariants checks every partitioned sink's merge artifacts
-// (DESIGN.md §11) before any kernel runs:
+// (DESIGN.md §5) before any kernel runs:
 //
 //   - partition arithmetic (partitions): the partition count is a power of
 //     two, agrees with the merge info, and the per-partition directory slot

@@ -8,7 +8,7 @@ import (
 	"repro/internal/plan"
 )
 
-// Shard-journal verification (`tprofvet check -shard`, DESIGN.md §13).
+// Shard-journal verification (`tprofvet check -shard`, DESIGN.md §5).
 //
 // A sharded run leaves one trail: per-shard lineage journals recording
 // which zones each shard owned and the coordinator's verdict on each. The

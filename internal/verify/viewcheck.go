@@ -8,7 +8,7 @@ import (
 	"repro/internal/mview"
 )
 
-// Materialized-view verification (`tprofvet check -views`, DESIGN.md §16).
+// Materialized-view verification (`tprofvet check -views`, DESIGN.md §6).
 //
 // A view's refresh ledger claims that view-table prefix [0, ViewRows)
 // holds exactly the partial aggregates of base-table prefix [0, Covered),

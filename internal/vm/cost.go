@@ -4,7 +4,7 @@ package vm
 // approximation (the paper's phenomena are about *relative* costs: division
 // chains dominating aggregation, directory loads missing caches, branch
 // mispredictions separating plans). All constants are documented in
-// DESIGN.md §5.
+// DESIGN.md §3.
 const (
 	CostALU        = 1
 	CostMul        = 3

@@ -19,8 +19,8 @@
 //	fmt.Println(tprof.AnnotatedPlan(cq.Plan, cq.Pipe, res.Profile))
 //
 // The subsystems live in internal packages; this package re-exports the
-// stable surface. See README.md for the architecture and DESIGN.md for the
-// paper-experiment mapping.
+// stable surface. See README.md for the architecture, DESIGN.md for the
+// mechanisms and EXPERIMENTS.md for the paper-experiment mapping.
 package tprof
 
 import (
