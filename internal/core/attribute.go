@@ -48,10 +48,10 @@ type Attribution struct {
 // every native instruction that walk has one answer whatever the sample,
 // so NewAttributor performs it once per instruction and keeps the answers
 // as windows of one pooled credit array; only shared code and CSE'd
-// instructions, whose owner the sample names, repeat it per sample
-// (DESIGN.md §4, "The attribution table"). The Attributor is immutable once
-// built, and the Dictionary and NativeMap must not change while it is in
-// use.
+// instructions, whose owner the sample names, repeat it, once per (IP,
+// active task) a profile meets (DESIGN.md §4, "The attribution table"). The
+// Attributor is immutable once built, and the Dictionary and NativeMap must
+// not change while it is in use.
 type Attributor struct {
 	Dict *Dictionary
 	NMap *NativeMap
@@ -65,6 +65,10 @@ type Attributor struct {
 	// irSpan sums; ids too sparse for that (a file may name any) leave
 	// irSpan zero and go through the map.
 	irLo, irSpan int
+	// walks counts the instructions whose samples decide their own list
+	// (shared routines and CSE'd code); walkCredits sums the bounds of
+	// their lists. BuildProfile sizes its walk memo by them.
+	walks, walkCredits int
 }
 
 // ipEntry is one native instruction's precomputed attribution: its class
@@ -72,7 +76,7 @@ type Attributor struct {
 type ipEntry struct {
 	class      Class
 	routine    bool   // runtime-routine code: NMap.Routine names it, no IR does
-	cred, nCre uint32 // credits[cred : cred+nCre]; a walk: nCre bounds its list
+	cred, nCre uint32 // credits[cred : cred+nCre]; a walk: its slot, and the bound of its list
 }
 
 const (
@@ -113,7 +117,7 @@ func NewAttributor(dict *Dictionary, nmap *NativeMap) *Attributor {
 		case RegionLibrary:
 			e.class, e.routine = ClassUnattributed, true
 		case RegionShared:
-			e.class, e.routine = classShared, true
+			e.class, e.routine, e.nCre = classShared, true, 1
 		default: // generated code: resolve through debug info and Log B
 			irIDs := nmap.IRs[ip]
 			for _, irID := range irIDs {
@@ -122,22 +126,28 @@ func NewAttributor(dict *Dictionary, nmap *NativeMap) *Attributor {
 				}
 			}
 			if e.class == classWalk {
-				// A walk's list names each owner at most once: nCre bounds
-				// it, and BuildProfile sizes its arena by the bound.
+				// A walk's list names each owner at most once: nCre bounds it.
 				for _, irID := range irIDs {
 					e.nCre += uint32(len(dict.TasksOf(irID)))
 				}
-				continue
+				break
 			}
 			var owned bool
 			e.cred = uint32(len(a.credits))
-			if a.credits, owned = a.creditsOf(a.credits, irIDs, nil); !owned {
+			if a.credits, owned = a.creditsOf(a.credits, irIDs, NoComponent); !owned {
 				e.class = ClassUnattributed
 			} else if e.nCre = uint32(len(a.credits)) - e.cred; e.nCre == 1 {
 				// One owner has weight exactly 1: the task's own list.
 				e.cred = uint32(a.credits[e.cred].Task)
 				a.credits = a.credits[:len(a.credits)-1]
 			}
+		}
+		if e.class == classShared || e.class == classWalk {
+			// A sample decides the list: cred numbers the instruction's
+			// slot in BuildProfile's walk memo instead.
+			e.cred = uint32(a.walks)
+			a.walks++
+			a.walkCredits += int(e.nCre)
 		}
 	}
 	return a
@@ -150,9 +160,17 @@ func (a *Attributor) Attribute(s *Sample) Attribution {
 	if uint(s.IP) >= uint(len(a.table)) {
 		return Attribution{Class: ClassUnattributed}
 	}
-	e, att := &a.table[s.IP], Attribution{}
-	var own []Credit
-	att.Class, att.Credits = a.lookup(e, s, &own)
+	e, att := &a.table[s.IP], Attribution{Class: ClassUnattributed}
+	switch e.class {
+	case ClassOperator, ClassKernel:
+		att.Class, att.Credits = e.class, window(a.credits, nil, e.cred, e.nCre)
+	case classShared, classWalk:
+		var own []Credit
+		class, off, n := a.decide(e, s.IP, a.resolveShared(s), &own)
+		if att.Class = class; class != ClassUnattributed {
+			att.Credits = window(a.credits, own, off, n)
+		}
+	}
 	if e.routine {
 		att.Routine = a.NMap.Routine[s.IP]
 	} else if att.Class == ClassOperator {
@@ -165,35 +183,85 @@ func (a *Attributor) Attribute(s *Sample) Attribution {
 	return att
 }
 
-// lookup returns the class and the credit list of a sample on table entry e.
-// A list the sample decides (a walk, or a task outside the registry) is
-// appended to *arena — BuildProfile keeps one per profile, so such samples
-// cost no allocation each. The returned list is capped: later appends
-// never reach it.
-func (a *Attributor) lookup(e *ipEntry, s *Sample, arena *[]Credit) (Class, []Credit) {
-	dst := *arena
-	base := len(dst)
-	switch e.class {
-	case ClassOperator, ClassKernel:
-		return e.class, a.credits[e.cred : e.cred+e.nCre : e.cred+e.nCre]
-	case classShared:
-		if task := a.resolveShared(s); task > 0 && int(task) <= a.Dict.Registry.Len() {
-			return ClassOperator, a.credits[task : task+1 : task+1]
-		} else if task != NoComponent {
-			dst = append(dst, Credit{Task: task, Operator: a.Dict.OperatorOf(task), Weight: 1})
-		} else {
-			return ClassUnattributed, nil
-		}
-	case classWalk:
-		var owned bool
-		if dst, owned = a.creditsOf(dst, a.NMap.IRs[s.IP], s); !owned {
-			return ClassUnattributed, nil
-		}
-	default:
-		return ClassUnattributed, nil
+// window returns the credit list n long at off in the space the pool and an
+// arena make together: offsets below len(pool) lie in the pool, the rest in
+// the arena after it. The list is capped: later appends never reach past it.
+func window(pool, arena []Credit, off, n uint32) []Credit {
+	if i := int(off) - len(pool); i >= 0 {
+		return arena[i : i+int(n) : i+int(n)]
 	}
-	*arena = dst
-	return ClassOperator, dst[base:len(dst):len(dst)]
+	return pool[off : off+n : off+n]
+}
+
+// decide builds the credit list of a sample on entry e — a shared routine or
+// CSE'd code at ip — whose active task (resolveShared) is task: nothing else
+// of the sample goes into it. A list the pool does not hold is appended to
+// *arena. It returns the class and the list as a window (see window).
+func (a *Attributor) decide(e *ipEntry, ip int, task ComponentID, arena *[]Credit) (class Class, off, n uint32) {
+	base := len(*arena)
+	if e.class == classShared {
+		switch {
+		case task > 0 && int(task) <= a.Dict.Registry.Len():
+			return ClassOperator, uint32(task), 1
+		case task == NoComponent:
+			return ClassUnattributed, 0, 0
+		}
+		*arena = append(*arena, Credit{Task: task, Operator: a.Dict.OperatorOf(task), Weight: 1})
+	} else {
+		var owned bool
+		if *arena, owned = a.creditsOf(*arena, a.NMap.IRs[ip], task); !owned {
+			return ClassUnattributed, 0, 0
+		}
+	}
+	return ClassOperator, uint32(len(a.credits) + base), uint32(len(*arena) - base)
+}
+
+// walkMemo groups one profile's samples on shared routines and CSE'd code by
+// (IP, active task), which decides their credit list, and builds each
+// group's list once, into one arena: a group's samples share its window, and
+// BuildProfile credits the group once, by its count. groups[slot] is the
+// first group of the instruction in that slot (ipEntry.cred), and each
+// group links the next group of its instruction.
+type walkMemo struct {
+	groups []walkGroup
+	arena  []Credit
+}
+
+// walkGroup is one (IP, task) group: its class, its list's window and the
+// number of its samples (0 marks an unused slot).
+type walkGroup struct {
+	ip     int
+	task   ComponentID
+	class  Class
+	off, n uint32
+	count  float64
+	next   int32 // index of the instruction's next group, 0 for none
+}
+
+// add counts s, a sample on entry e, into its group and returns the group.
+func (m *walkMemo) add(a *Attributor, e *ipEntry, s *Sample) *walkGroup {
+	if m.groups == nil {
+		// One group and one list per instruction first; an instruction
+		// several tasks reach appends more.
+		m.groups = make([]walkGroup, a.walks, 2*a.walks)
+		m.arena = make([]Credit, 0, a.walkCredits)
+	}
+	task, g := a.resolveShared(s), &m.groups[e.cred]
+	for g.count > 0 && g.task != task {
+		if g.next == 0 {
+			g.next = int32(len(m.groups))
+			m.groups = append(m.groups, walkGroup{})
+			g = &m.groups[len(m.groups)-1]
+			break
+		}
+		g = &m.groups[g.next]
+	}
+	if g.count == 0 {
+		g.ip, g.task = s.IP, task
+		g.class, g.off, g.n = a.decide(e, s.IP, task, &m.arena)
+	}
+	g.count++
+	return g
 }
 
 // creditsOf appends to dst the credit list of a native instruction lowered
@@ -202,19 +270,17 @@ func (a *Attributor) lookup(e *ipEntry, s *Sample, arena *[]Credit) (Class, []Cr
 // its owning tasks; the list names registered tasks in ascending id order,
 // normalized so the sample contributes weight 1 in aggregate even if some
 // IR instructions had no links. A CSE'd instruction owned by several tasks
-// prefers runtime disambiguation through s when it names one of the
-// owners, and falls back to the split: a pipeline's caller frame (main's
-// call, tagged kernel, in a one-core run) owns none of its instructions.
-// The table build passes a nil s for instructions that have none.
-func (a *Attributor) creditsOf(dst []Credit, irIDs []int, s *Sample) ([]Credit, bool) {
+// is credited to the sample's active task when that is one of the owners,
+// and falls back to the split: a pipeline's caller frame (main's call,
+// tagged kernel, in a one-core run) owns none of its instructions. The
+// table build passes NoComponent, which owns no IR instruction.
+func (a *Attributor) creditsOf(dst []Credit, irIDs []int, task ComponentID) ([]Credit, bool) {
 	base := len(dst)
 	irW := 1.0 / float64(len(irIDs))
 	for _, irID := range irIDs {
 		tasks := a.Dict.TasksOf(irID)
-		if s != nil && a.Dict.IsShared(irID) {
-			if t := a.resolveShared(s); slices.Contains(tasks, t) {
-				tasks = []ComponentID{t}
-			}
+		if task != NoComponent && a.Dict.IsShared(irID) && slices.Contains(tasks, task) {
+			tasks = []ComponentID{task}
 		}
 		w := irW / float64(len(tasks))
 	owners:

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -104,9 +105,11 @@ func BenchmarkNewAttributor(b *testing.B) {
 }
 
 // BenchmarkBuildProfile: dense20k is an offline log at ten times the
-// paper's rate, where the per-sample cost decides; sparse500 is one armed
-// run's worth of samples, where building the table must not dominate —
-// its timed region includes NewAttributor, as every engine run pays it.
+// paper's rate, where the one pass over the samples (count, time record)
+// decides; sparse500 is one armed run's worth of samples, where the
+// per-instruction work — building the table, crediting each instruction
+// once — must not dominate: its timed region includes NewAttributor, as
+// every engine run pays it.
 func BenchmarkBuildProfile(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -161,11 +164,65 @@ func TestNewAttributorFootprint(t *testing.T) {
 	}
 }
 
+// TestBuildProfileFootprint gates what one profile of a dense log (q5 at
+// the offline benchmark's period) costs: a 16-byte time record per sample,
+// the dense per-instruction, per-component and per-IR sums, 64 bytes per
+// entry of the exported maps, and 12 KiB for the rest (the walk memo, the
+// struct, and the page the time records round up to) — nothing else per
+// sample. A Sample is 80 bytes. The bytes are the least TotalAlloc delta of
+// five calls, as in TestNewAttributorFootprint.
+func TestBuildProfileFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(core.Sample{}); size != 80 {
+		t.Errorf("core.Sample is %d bytes, want 80: its one-byte fields belong together at the end", size)
+	}
+	r := recordQ5(t, 500)
+	att := core.NewAttributor(r.dict, r.nmap)
+	got, entries := math.MaxInt, 0
+	for range 5 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		p := core.BuildProfile(att, r.samples)
+		runtime.ReadMemStats(&after)
+		got = min(got, int(after.TotalAlloc-before.TotalAlloc))
+		entries = len(p.OpWeight) + len(p.TaskWeight) + len(p.IRWeight) + len(p.RoutineCount) + len(p.ByWorker) + len(p.ByShard)
+	}
+	lo, hi := 0, 0
+	for _, irs := range r.nmap.IRs {
+		for _, id := range irs {
+			lo, hi = min(lo, id), max(hi, id)
+		}
+	}
+	dense := 8 * (len(r.nmap.Region) + 2*(r.dict.Registry.Len()+1) + hi - lo + 1)
+	budget := 16*len(r.samples) + dense + 64*entries + 12<<10
+	t.Logf("BuildProfile: %d bytes for %d samples (%d B dense sums, %d map entries)", got, len(r.samples), dense, entries)
+	if got > budget {
+		t.Errorf("BuildProfile allocated %d bytes, budget %d (16 B per sample + %d B of dense sums + 64 B per map entry + 12 KiB)", got, budget, dense)
+	}
+}
+
+// TestCanonicalAllocs: Canonical writes a profile's bytes into one buffer,
+// so a profile costs it a handful of allocations (the buffer and one sorted
+// key list per map), not one string per field.
+func TestCanonicalAllocs(t *testing.T) {
+	r := recordQ5(t, 500)
+	p := core.BuildProfile(core.NewAttributor(r.dict, r.nmap), r.samples)
+	if !bytes.Equal(p.Canonical(), core.RefCanonical(p)) {
+		t.Fatalf("Canonical():\n%s\nreference form:\n%s", p.Canonical(), core.RefCanonical(p))
+	}
+	allocs := testing.AllocsPerRun(20, func() { sink = p.Canonical() })
+	t.Logf("Canonical: %.0f allocations for %d lines", allocs, bytes.Count(p.Canonical(), []byte("\n")))
+	if allocs > 8 {
+		t.Errorf("Canonical made %.0f allocations, want <= 8", allocs)
+	}
+}
+
 // TestBuildProfileAllocs: a sample on CSE'd code decides its own credit
-// list, and BuildProfile appends every such list to one arena per profile
-// instead of allocating it. A dense log of q14 has hundreds of such
-// samples; the profile's allocations must not grow with them (a list
-// allocated per such sample would make about 590 here).
+// list by its active task, and BuildProfile builds each (IP, task) list once,
+// into one arena per profile, instead of allocating it per sample. A dense
+// log of q14 has hundreds of such samples; the profile's allocations must
+// not grow with them (a list allocated per such sample would make about
+// 590 here), and its arena holds one list per distinct (IP, task).
 func TestBuildProfileAllocs(t *testing.T) {
 	eng := engine.New(datagen.Generate(datagen.Config{ScaleFactor: 0.2, Seed: 1}), engine.DefaultOptions())
 	w, ok := queries.ByName("q14")
@@ -181,25 +238,43 @@ func TestBuildProfileAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	dict, nmap := cq.Pipe.Dict, cq.Code.NMap
-	walks := 0
-	for _, s := range res.Samples {
+	att := core.NewAttributor(dict, nmap)
+	type group struct {
+		ip   int
+		task core.ComponentID
+	}
+	walks, lists := 0, map[group]int{}
+	for i, s := range res.Samples {
 		if s.IP < 0 || s.IP >= len(nmap.Region) || nmap.Region[s.IP] != core.RegionGenerated {
 			continue
 		}
 		for _, id := range nmap.IRs[s.IP] {
 			if dict.IsShared(id) {
+				// A register-tagged sample's active task is its tag, when
+				// that names a task.
+				g := group{ip: s.IP}
+				if tag := core.ComponentID(s.Tag); s.HasRegs && tag > 0 && int(tag) <= dict.Registry.Len() && dict.Registry.Get(tag).Level == core.LevelTask {
+					g.task = tag
+				}
 				walks++
+				lists[g] = len(att.Attribute(&res.Samples[i]).Credits)
 				break
 			}
 		}
 	}
-	att := core.NewAttributor(dict, nmap)
+	want := 0
+	for _, n := range lists {
+		want += n
+	}
+	if got := len(core.WalkArena(core.BuildProfile(att, res.Samples))); got != want {
+		t.Errorf("walk arena holds %d credits, want %d: one list for each of %d (IP, task) groups of %d samples", got, want, len(lists), walks)
+	}
 	allocs := testing.AllocsPerRun(5, func() { sink = core.BuildProfile(att, res.Samples) })
 	t.Logf("BuildProfile: %.0f allocations for %d samples, %d on CSE'd code", allocs, len(res.Samples), walks)
 	if walks < 200 {
 		t.Fatalf("only %d of %d samples on CSE'd code; the test needs a walk-heavy log", walks, len(res.Samples))
 	}
-	if allocs > 64 {
-		t.Errorf("BuildProfile made %.0f allocations, want <= 64", allocs)
+	if allocs > 32 {
+		t.Errorf("BuildProfile made %.0f allocations, want <= 32", allocs)
 	}
 }

@@ -90,6 +90,9 @@ func diffProfiles(got, want *core.Profile) string {
 	if !bytes.Equal(got.Canonical(), want.Canonical()) {
 		return fmt.Sprintf("Canonical():\n%s\nwant:\n%s", got.Canonical(), want.Canonical())
 	}
+	if !bytes.Equal(got.Canonical(), core.RefCanonical(got)) {
+		return fmt.Sprintf("Canonical():\n%s\nreference form:\n%s", got.Canonical(), core.RefCanonical(got))
+	}
 	for _, f := range []struct {
 		name      string
 		got, want interface{}

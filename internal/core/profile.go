@@ -48,10 +48,12 @@ type MemPoint struct {
 
 // timedCredit retains the time dimension per attributed sample so the
 // profile can be re-aggregated into operator-activity timelines (Fig. 7/11)
-// and restricted to time intervals, as §4.3 describes.
+// and restricted to time intervals, as §4.3 describes. Its credit list is a
+// window of the profile's credit space (Profile.creditsOf): 16 bytes and no
+// pointer, so a profile's time records cost the collector nothing to scan.
 type timedCredit struct {
-	tsc     uint64
-	credits []Credit
+	tsc    uint64
+	off, n uint32
 }
 
 // Profile is the aggregated result of attributing all samples of one run.
@@ -93,7 +95,14 @@ type Profile struct {
 	MinTSC, MaxTSC uint64
 
 	timed []timedCredit
+	// pool and arena hold the credit lists timed's windows name: the
+	// attributor's pooled lists, then the lists samples on shared routines
+	// and CSE'd code decided.
+	pool, arena []Credit
 }
+
+// creditsOf returns the credit list of a time record.
+func (p *Profile) creditsOf(tc timedCredit) []Credit { return window(p.pool, p.arena, tc.off, tc.n) }
 
 // Weights sum in fixed point: whole units of 1/weightScale of a sample,
 // held in float64s, which add whole numbers below 2^53 — 1.2e10 samples
@@ -108,8 +117,16 @@ const weightScale = 720720
 // units converts a credit weight to fixed point.
 func units(w float64) float64 { return math.Round(w * weightScale) }
 
-// BuildProfile attributes samples and aggregates them. Weights accumulate
-// in fixed point (units), in arrays indexed by component id and IR id, and
+// BuildProfile attributes samples and aggregates them. One pass over the
+// samples counts them per instruction (NativeCount) and records what only a
+// sample knows: its time, worker, shard and memory point. Credits then go
+// to each instruction once, by its count: an instruction the table
+// resolves fixes its credit list, and a sample on a shared routine or CSE'd
+// code decides its list by its active task alone, so those samples are
+// counted per (IP, task) group, each list built once (walkMemo). Weights
+// accumulate in fixed point (units): a count times whole units is a whole
+// number, so crediting by count sums exactly what crediting each sample
+// would. They collect in arrays indexed by component id and IR id, and
 // move to the exported maps as weights at the end. Every credit weight is
 // positive, so a non-zero sum marks a touched key.
 func BuildProfile(att *Attributor, samples []Sample) *Profile {
@@ -129,21 +146,9 @@ func BuildProfile(att *Attributor, samples []Sample) *Profile {
 		MemByOp:      make(map[ComponentID][]MemPoint),
 		MinTSC:       ^uint64(0),
 		timed:        make([]timedCredit, 0, len(samples)),
+		pool:         att.credits,
 	}
-	taskW, opW, irW := acc[nIP:][:nComp], acc[nIP+nComp:][:nComp], acc[nIP+2*nComp:]
-	// Credit lists a sample decides (CSE'd code walks) live here; p.timed
-	// keeps windows of it. It is sized for every walk's bound up front, so
-	// it is allocated once, if at all.
-	walks := 0
-	for i := range samples {
-		if ip := samples[i].IP; uint(ip) < uint(nIP) && att.table[ip].class == classWalk {
-			walks += int(att.table[ip].nCre)
-		}
-	}
-	var arena []Credit
-	if walks > 0 {
-		arena = make([]Credit, 0, walks)
-	}
+	var memo walkMemo
 	workers, shards := runCount{m: p.ByWorker}, runCount{m: p.ByShard}
 	for i := range samples {
 		s := &samples[i]
@@ -162,16 +167,43 @@ func BuildProfile(att *Attributor, samples []Sample) *Profile {
 		}
 		p.NativeCount[s.IP]++
 		e := &att.table[s.IP]
-		class, credits := att.lookup(e, s, &arena)
-		if class == ClassUnattributed {
+		tc := timedCredit{tsc: s.TSC, off: e.cred, n: e.nCre}
+		switch e.class {
+		case ClassOperator, ClassKernel:
+		case classShared, classWalk:
+			g := memo.add(att, e, s)
+			if g.class == ClassUnattributed {
+				p.Unattributed++
+				continue
+			}
+			tc.off, tc.n = g.off, g.n
+		default:
 			p.Unattributed++
 			continue
 		}
+		p.timed = append(p.timed, tc)
+		if s.Event == vm.EvMemLoads || s.Event == vm.EvL3Miss {
+			for _, c := range window(p.pool, memo.arena, tc.off, tc.n) {
+				if c.Weight >= 0.5 { // assign the point to the dominant owner
+					p.MemByOp[c.Operator] = append(p.MemByOp[c.Operator], MemPoint{TSC: s.TSC, Addr: s.Addr})
+				}
+			}
+		}
+	}
+	workers.flush()
+	shards.flush()
+	p.arena = memo.arena
+	if p.TotalSamples == 0 {
+		p.MinTSC = 0
+	}
+
+	taskW, opW, irW := acc[nIP:][:nComp], acc[nIP+nComp:][:nComp], acc[nIP+2*nComp:]
+	credit := func(ip int, credits []Credit, count float64) {
 		for _, c := range credits {
 			// An id outside the registry (only a sample-dependent walk can
 			// name one) never meets the arrays: it goes to its map directly,
 			// as every IR id does when the ids are too sparse for an array.
-			u := units(c.Weight)
+			u := count * units(c.Weight)
 			if uint(c.Task) < uint(nComp) {
 				taskW[c.Task] += u
 			} else {
@@ -186,9 +218,9 @@ func BuildProfile(att *Attributor, samples []Sample) *Profile {
 				p.KernelWeight += u
 			}
 		}
-		if !e.routine { // generated code: an equal share to each IR instruction
-			irIDs := att.NMap.IRs[s.IP]
-			u := units(1 / float64(len(irIDs)))
+		if !att.table[ip].routine { // generated code: an equal share to each IR instruction
+			irIDs := att.NMap.IRs[ip]
+			u := count * units(1/float64(len(irIDs)))
 			for _, irID := range irIDs {
 				if len(irW) > 0 {
 					irW[irID-att.irLo] += u
@@ -197,28 +229,21 @@ func BuildProfile(att *Attributor, samples []Sample) *Profile {
 				}
 			}
 		}
-		p.timed = append(p.timed, timedCredit{tsc: s.TSC, credits: credits})
-		if s.Event == vm.EvMemLoads || s.Event == vm.EvL3Miss {
-			for _, c := range credits {
-				if c.Weight >= 0.5 { // assign the point to the dominant owner
-					p.MemByOp[c.Operator] = append(p.MemByOp[c.Operator], MemPoint{TSC: s.TSC, Addr: s.Addr})
-				}
-			}
+	}
+	for ip, n := range p.NativeCount {
+		if e := &att.table[ip]; n != 0 && (e.class == ClassOperator || e.class == ClassKernel) {
+			credit(ip, window(p.pool, nil, e.cred, e.nCre), n)
 		}
 	}
-	workers.flush()
-	shards.flush()
-	if p.TotalSamples == 0 {
-		p.MinTSC = 0
+	for _, g := range memo.groups {
+		if g.count > 0 && g.class != ClassUnattributed {
+			credit(g.ip, window(p.pool, p.arena, g.off, g.n), g.count)
+		}
 	}
-	// The maps hold units so far (the ids the arrays do not reach).
 	p.KernelWeight /= weightScale
-	weighUnits(p.TaskWeight)
-	weighUnits(p.OpWeight)
-	weighUnits(p.IRWeight)
-	touched(p.TaskWeight, taskW, func(id int) ComponentID { return ComponentID(id) })
-	touched(p.OpWeight, opW, func(id int) ComponentID { return ComponentID(id) })
-	touched(p.IRWeight, irW, func(i int) int { return i + att.irLo })
+	p.TaskWeight = weights(p.TaskWeight, taskW, func(id int) ComponentID { return ComponentID(id) })
+	p.OpWeight = weights(p.OpWeight, opW, func(id int) ComponentID { return ComponentID(id) })
+	p.IRWeight = weights(p.IRWeight, irW, func(i int) int { return i + att.irLo })
 	for ip, n := range p.NativeCount { // whole-number counts: regrouping by routine is exact
 		if name := att.NMap.Routine[ip]; n != 0 && att.table[ip].routine && name != "" {
 			p.RoutineCount[name] += n
@@ -227,21 +252,26 @@ func BuildProfile(att *Attributor, samples []Sample) *Profile {
 	return p
 }
 
-// touched moves the non-zero fixed-point sums of a dense accumulator into
-// m as weights.
-func touched[K comparable](m map[K]float64, acc []float64, key func(int) K) {
-	for i, u := range acc {
+// weights returns the map of weights that m's fixed-point sums (the ids the
+// arrays do not reach) and the non-zero sums of a dense accumulator hold,
+// sized for them at once.
+func weights[K comparable](m map[K]float64, acc []float64, key func(int) K) map[K]float64 {
+	n := len(m)
+	for _, u := range acc {
 		if u != 0 {
-			m[key(i)] = u / weightScale
+			n++
 		}
 	}
-}
-
-// weighUnits converts m's fixed-point sums to weights in place.
-func weighUnits[K comparable](m map[K]float64) {
+	out := make(map[K]float64, n)
 	for k, u := range m {
-		m[k] = u / weightScale
+		out[k] = u / weightScale
 	}
+	for i, u := range acc {
+		if u != 0 {
+			out[key(i)] = u / weightScale
+		}
+	}
+	return out
 }
 
 // runCount counts samples per worker or shard one run of equal keys at a
@@ -394,7 +424,7 @@ func (p *Profile) BuildTimelineRange(nBins int, fromTSC, toTSC uint64) *Timeline
 		if bin >= nBins {
 			bin = nBins - 1
 		}
-		for _, c := range tc.credits {
+		for _, c := range p.creditsOf(tc) {
 			if j, ok := idx[c.Operator]; ok {
 				tl.Activity[bin][j] += c.Weight
 				tl.BinTotal[bin] += c.Weight
@@ -426,7 +456,7 @@ type Interval struct {
 func (p *Profile) DetectIterations(op ComponentID, gap uint64) []Interval {
 	var times []uint64
 	for _, tc := range p.timed {
-		for _, c := range tc.credits {
+		for _, c := range p.creditsOf(tc) {
 			if c.Operator == op && c.Weight > 0 {
 				times = append(times, tc.tsc)
 				break

@@ -3,26 +3,30 @@ package core
 // The previous implementation of attribution, kept as the differential
 // oracle with only its names changed (ref*): Attribute walks NativeMap →
 // Log B → Log A for every sample through a per-sample map, and
-// BuildProfile updates a map per key once per credit — in fixed-point
-// units since weights became order-independent sums, its one change. The
-// table in attribute.go and the dense accumulators in profile.go must
-// reproduce it field for field and bit for bit (TestTableMatchesReference,
-// TestProfileMatchesReference); nothing outside the tests uses it.
+// BuildProfile updates a map per key once per credit of every sample — in
+// fixed-point units since weights became order-independent sums, its one
+// change — and keeps each sample's own credit list in its time record. The
+// table in attribute.go and the per-instruction crediting in profile.go
+// must reproduce it field for field and bit for bit
+// (TestTableMatchesReference, TestTableMatchesReferenceOnRandomMetadata);
+// nothing outside the tests uses it.
 
 import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/vm"
 )
 
-// RefAttribute and RefBuildProfile hand the oracle to the external test
-// package, which can import the engine to record real logs.
+// RefAttribute, RefBuildProfile and RefCanonical hand the oracle to the
+// external test package, which can import the engine to record real logs.
 var (
 	RefAttribute    = refAttribute
 	RefBuildProfile = refBuildProfile
+	RefCanonical    = refCanonical
 )
 
 func refAttribute(a *Attributor, s *Sample) Attribution {
@@ -185,7 +189,8 @@ func refBuildProfile(att *Attributor, samples []Sample) *Profile {
 		for _, ic := range a.IRCredits {
 			irU[ic.IRID] += units(ic.Weight)
 		}
-		p.timed = append(p.timed, timedCredit{tsc: s.TSC, credits: a.Credits})
+		p.timed = append(p.timed, timedCredit{tsc: s.TSC, off: uint32(len(p.arena)), n: uint32(len(a.Credits))})
+		p.arena = append(p.arena, a.Credits...)
 		if s.Event == vm.EvMemLoads || s.Event == vm.EvL3Miss {
 			for _, c := range a.Credits {
 				if c.Weight >= 0.5 { // assign the point to the dominant owner
@@ -208,6 +213,64 @@ func refBuildProfile(att *Attributor, samples []Sample) *Profile {
 	}
 	p.KernelWeight = kernelU / weightScale
 	return p
+}
+
+// refCanonical is Profile.Canonical as it was, a string per field joined
+// in a strings.Builder: Canonical must write the same bytes.
+func refCanonical(p *Profile) []byte {
+	var sb strings.Builder
+	w := func(parts ...string) {
+		for i, s := range parts {
+			if i > 0 {
+				sb.WriteByte(' ')
+			}
+			sb.WriteString(s)
+		}
+		sb.WriteByte('\n')
+	}
+	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	w("samples", strconv.Itoa(p.TotalSamples))
+	w("kernel", f(p.KernelWeight))
+	w("unattributed", f(p.Unattributed))
+
+	ops := make([]int, 0, len(p.OpWeight))
+	for id := range p.OpWeight {
+		ops = append(ops, int(id))
+	}
+	sort.Ints(ops)
+	for _, id := range ops {
+		w("op", strconv.Itoa(id), f(p.OpWeight[ComponentID(id)]))
+	}
+	tasks := make([]int, 0, len(p.TaskWeight))
+	for id := range p.TaskWeight {
+		tasks = append(tasks, int(id))
+	}
+	sort.Ints(tasks)
+	for _, id := range tasks {
+		w("task", strconv.Itoa(id), f(p.TaskWeight[ComponentID(id)]))
+	}
+	irs := make([]int, 0, len(p.IRWeight))
+	for id := range p.IRWeight {
+		irs = append(irs, id)
+	}
+	sort.Ints(irs)
+	for _, id := range irs {
+		w("ir", strconv.Itoa(id), f(p.IRWeight[id]))
+	}
+	routines := make([]string, 0, len(p.RoutineCount))
+	for name := range p.RoutineCount {
+		routines = append(routines, name)
+	}
+	sort.Strings(routines)
+	for _, name := range routines {
+		w("routine", name, f(p.RoutineCount[name]))
+	}
+	for _, s := range p.Skips {
+		w("skip", strconv.Itoa(s.Pipeline), s.Alias, strconv.Itoa(s.Zone),
+			strconv.FormatInt(s.Lo, 10), strconv.FormatInt(s.Hi, 10),
+			strconv.FormatInt(s.Hi-s.Lo, 10), s.Cause)
+	}
+	return []byte(sb.String())
 }
 
 // refDictionary is the Tagging Dictionary as it stood before its logs

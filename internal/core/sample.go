@@ -7,21 +7,18 @@ import "repro/internal/vm"
 // pointer only, IP+TSC, IP+TSC+registers (the Register Tagging
 // configuration), or IP+call-stack (the call-stack sampling alternative).
 type Sample struct {
-	IP    int      // native instruction index at sampling time
-	TSC   uint64   // timestamp counter, cycle resolution (§5.5)
-	Event vm.Event // the armed hardware event
+	IP  int    // native instruction index at sampling time
+	TSC uint64 // timestamp counter, cycle resolution (§5.5)
 
 	Addr int64 // accessed memory address (meaningful for load events)
 
 	// Tag is the captured tag register (valid when HasRegs). Register
 	// Tagging stores the active task's ComponentID there (§4.2.5).
-	Tag     int64
-	HasRegs bool
+	Tag int64
 
 	// Stack is the captured call stack: return addresses, innermost last
 	// (valid when HasStack; the expensive call-stack sampling mode).
-	Stack    []int
-	HasStack bool
+	Stack []int
 
 	// Worker identifies the simulated core whose PMU recorded the sample
 	// (the paper keeps one PEBS buffer per hardware thread and merges
@@ -36,6 +33,12 @@ type Sample struct {
 	// aggregates are identical for every shard count (Profile.Canonical
 	// excludes the stamp, like Worker).
 	Shard int
+
+	// The one-byte fields come last, where they share one word: a Sample
+	// is 80 bytes, not the 104 that padding each of them to a word costs.
+	Event    vm.Event // the armed hardware event
+	HasRegs  bool
+	HasStack bool
 }
 
 // RegionKind classifies native code regions for attribution.

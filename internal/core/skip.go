@@ -1,9 +1,9 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
-	"strings"
 )
 
 // SkipEvent records one pruned zone of a sharded scan: work the engine
@@ -99,57 +99,65 @@ func Skips(journals []ShardState) []SkipEvent {
 // MemByOp points) describe *where and when* samples were recorded, not
 // what they attribute to, so they are excluded by design.
 func (p *Profile) Canonical() []byte {
-	var sb strings.Builder
-	w := func(parts ...string) {
-		for i, s := range parts {
-			if i > 0 {
-				sb.WriteByte(' ')
-			}
-			sb.WriteString(s)
-		}
-		sb.WriteByte('\n')
+	// One buffer, sized for every line at about 24 bytes and appended to
+	// field by field, so the form costs a handful of allocations whatever
+	// the profile's size.
+	lines := 3 + len(p.OpWeight) + len(p.TaskWeight) + len(p.IRWeight) + len(p.RoutineCount) + len(p.Skips)
+	b := make([]byte, 0, 24*lines+64*len(p.Skips))
+	line := func(label string, id int) {
+		b = append(b, label...)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(id), 10)
 	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	w("samples", strconv.Itoa(p.TotalSamples))
-	w("kernel", f(p.KernelWeight))
-	w("unattributed", f(p.Unattributed))
-
-	ops := make([]int, 0, len(p.OpWeight))
-	for id := range p.OpWeight {
-		ops = append(ops, int(id))
+	weight := func(v float64) {
+		b = append(b, ' ')
+		b = strconv.AppendFloat(b, v, 'g', -1, 64)
+		b = append(b, '\n')
 	}
-	sort.Ints(ops)
-	for _, id := range ops {
-		w("op", strconv.Itoa(id), f(p.OpWeight[ComponentID(id)]))
+	line("samples", p.TotalSamples)
+	b = append(b, '\n')
+	b = append(b, "kernel"...)
+	weight(p.KernelWeight)
+	b = append(b, "unattributed"...)
+	weight(p.Unattributed)
+	for _, id := range sortedKeys(p.OpWeight) {
+		line("op", int(id))
+		weight(p.OpWeight[id])
 	}
-	tasks := make([]int, 0, len(p.TaskWeight))
-	for id := range p.TaskWeight {
-		tasks = append(tasks, int(id))
+	for _, id := range sortedKeys(p.TaskWeight) {
+		line("task", int(id))
+		weight(p.TaskWeight[id])
 	}
-	sort.Ints(tasks)
-	for _, id := range tasks {
-		w("task", strconv.Itoa(id), f(p.TaskWeight[ComponentID(id)]))
+	for _, id := range sortedKeys(p.IRWeight) {
+		line("ir", id)
+		weight(p.IRWeight[id])
 	}
-	irs := make([]int, 0, len(p.IRWeight))
-	for id := range p.IRWeight {
-		irs = append(irs, id)
-	}
-	sort.Ints(irs)
-	for _, id := range irs {
-		w("ir", strconv.Itoa(id), f(p.IRWeight[id]))
-	}
-	routines := make([]string, 0, len(p.RoutineCount))
-	for name := range p.RoutineCount {
-		routines = append(routines, name)
-	}
-	sort.Strings(routines)
-	for _, name := range routines {
-		w("routine", name, f(p.RoutineCount[name]))
+	for _, name := range sortedKeys(p.RoutineCount) {
+		b = append(b, "routine "...)
+		b = append(b, name...)
+		weight(p.RoutineCount[name])
 	}
 	for _, s := range p.Skips {
-		w("skip", strconv.Itoa(s.Pipeline), s.Alias, strconv.Itoa(s.Zone),
-			strconv.FormatInt(s.Lo, 10), strconv.FormatInt(s.Hi, 10),
-			strconv.FormatInt(s.Hi-s.Lo, 10), s.Cause)
+		line("skip", s.Pipeline)
+		b = append(b, ' ')
+		b = append(b, s.Alias...)
+		for _, v := range []int64{int64(s.Zone), s.Lo, s.Hi, s.Hi - s.Lo} {
+			b = append(b, ' ')
+			b = strconv.AppendInt(b, v, 10)
+		}
+		b = append(b, ' ')
+		b = append(b, s.Cause...)
+		b = append(b, '\n')
 	}
-	return []byte(sb.String())
+	return b
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

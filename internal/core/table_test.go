@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -169,23 +170,108 @@ func TestTableMatchesReferenceOnRandomMetadata(t *testing.T) {
 		}
 		for _, log := range [][]Sample{samples, SliceSamples(samples, 900, 2500), nil} {
 			got, want := BuildProfile(att, log), refBuildProfile(att, log)
-			if !bytes.Equal(got.Canonical(), want.Canonical()) {
-				t.Fatalf("seed %d: Canonical():\n%s\nwant:\n%s", seed, got.Canonical(), want.Canonical())
-			}
-			for i := range got.timed {
-				if len(got.timed[i].credits) == 0 {
-					got.timed[i].credits = nil
-				}
-			}
-			if len(got.timed) == 0 {
-				got.timed = nil // presized, where the reference appends to nil
-			}
-			got.Registry, got.Dict, want.Registry, want.Dict = nil, nil, nil, nil
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d: profiles differ beyond Canonical():\n got %+v\nwant %+v", seed, got, want)
+			if d := diffReference(got, want); d != "" {
+				t.Fatalf("seed %d: %s", seed, d)
 			}
 		}
 	}
+}
+
+// diffReference reports how a profile differs from the reference's profile
+// of the same log, if it does: in Canonical(), which must also be the bytes
+// the reference form writes (with random skip events on both), in its time
+// records expanded to (TSC, credits), or in any other field.
+func diffReference(got, want *Profile) string {
+	rng := xrand.New(uint64(got.TotalSamples))
+	for k := rng.Intn(3); k > 0; k-- {
+		lo := int64(rng.Intn(1000))
+		s := SkipEvent{Pipeline: rng.Intn(4), Alias: "t", Shard: rng.Intn(3), Zone: rng.Intn(9), Lo: lo, Hi: lo + int64(rng.Intn(100)), Cause: SkipFilter}
+		got.Skips, want.Skips = append(got.Skips, s), append(want.Skips, s)
+	}
+	if !bytes.Equal(got.Canonical(), want.Canonical()) {
+		return fmt.Sprintf("Canonical():\n%s\nwant:\n%s", got.Canonical(), want.Canonical())
+	}
+	if !bytes.Equal(got.Canonical(), refCanonical(got)) {
+		return fmt.Sprintf("Canonical():\n%s\nreference form:\n%s", got.Canonical(), refCanonical(got))
+	}
+	if g, w := timeline(got), timeline(want); !reflect.DeepEqual(g, w) {
+		return fmt.Sprintf("time records differ:\n got %+v\nwant %+v", g, w)
+	}
+	g, w := *got, *want
+	for _, p := range []*Profile{&g, &w} {
+		p.Registry, p.Dict, p.timed, p.pool, p.arena = nil, nil, nil, nil, nil
+	}
+	if !reflect.DeepEqual(g, w) {
+		return fmt.Sprintf("profiles differ beyond Canonical():\n got %+v\nwant %+v", g, w)
+	}
+	return ""
+}
+
+// TestWalkGroupsByInstructionAndTask: samples on a shared routine and on
+// CSE'd code take their credit list from their active task, so BuildProfile
+// groups them by (IP, task), never by IP alone. One CSE'd instruction is
+// sampled under two tags and under none, and one shared routine under two
+// call stacks, interleaved; the profile is the reference's, and its arena
+// holds one list per (IP, task) that lists outside the pool, however many
+// samples share it.
+func TestWalkGroupsByInstructionAndTask(t *testing.T) {
+	_, d, nm, _, _, t1, t2 := testSetup()
+	d.LinkIR(4, t1)
+	d.LinkIR(4, t2)
+	d.MarkShared(4)
+	nm.IRs[7] = []int{4, 1} // CSE'd IR 4 fused with t1's IR 1
+	att := NewAttributor(d, nm)
+	var log []Sample
+	for k := 0; k < 6; k++ {
+		for _, s := range []Sample{
+			{IP: 7, Tag: int64(t1), HasRegs: true},
+			{IP: 7, Tag: int64(t2), HasRegs: true},
+			{IP: 7},
+			{IP: 4, Stack: []int{1}, HasStack: true}, // called from ip 0: t1
+			{IP: 4, Stack: []int{3}, HasStack: true}, // called from ip 2: t2
+		} {
+			s.TSC, s.Event = uint64(10*len(log)), vm.Event(len(log)%int(vm.NumEvents))
+			log = append(log, s)
+		}
+	}
+	for _, l := range [][]Sample{log, log[5:11]} {
+		got, want := BuildProfile(att, l), refBuildProfile(att, l)
+		if d := diffReference(got, want); d != "" {
+			t.Fatal(d)
+		}
+		if got.TaskWeight[t1] == got.TaskWeight[t2] {
+			t.Fatalf("task weights %v: the log credits t1 more than t2", got.TaskWeight)
+		}
+	}
+	// Lists for IP 7 under t1 ([t1]), t2 ([t1 t2]) and none ([t1 t2]);
+	// the shared routine's tasks are registered, so the pool holds theirs.
+	if p := BuildProfile(att, log); len(p.arena) != 5 {
+		t.Errorf("walk arena holds %d credits for 30 walk samples, want 5: one list per (IP, task)", len(p.arena))
+	}
+}
+
+// WalkArena hands the external tests a profile's arena of sample-decided
+// credit lists.
+var WalkArena = func(p *Profile) []Credit { return p.arena }
+
+// timedSample is one time record expanded: the sample's TSC and its credits.
+type timedSample struct {
+	tsc     uint64
+	credits []Credit
+}
+
+// timeline expands a profile's time records, whichever credit space their
+// windows name; an empty list reads as none.
+func timeline(p *Profile) []timedSample {
+	var out []timedSample
+	for _, tc := range p.timed {
+		ts := timedSample{tsc: tc.tsc}
+		if cs := p.creditsOf(tc); len(cs) > 0 {
+			ts.credits = cs
+		}
+		out = append(out, ts)
+	}
+	return out
 }
 
 // TestAttributionIsNotAliasedAcrossSamples: the lists Attribute hands out

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -36,13 +37,26 @@ func TestPlanCostsReport(t *testing.T) {
 	}
 }
 
+// TestOptimizerReportShowsSpeedup: Fig. 10's alternative plan is at least
+// 1.3x faster than the optimizer's (ROADMAP item 1(b)'s bound), read from
+// the report's speedup line.
 func TestOptimizerReportShowsSpeedup(t *testing.T) {
 	out, err := smallEnv(t).Optimizer()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "speedup of alternative plan") {
+	const label = "speedup of alternative plan: "
+	i := strings.Index(out, label)
+	if i < 0 {
 		t.Fatalf("no speedup line:\n%s", out)
+	}
+	var speedup float64
+	if _, err := fmt.Sscanf(out[i+len(label):], "%fx", &speedup); err != nil {
+		t.Fatalf("speedup line does not parse: %v\n%s", err, out[i:])
+	}
+	t.Logf("Fig. 10 speedup of the alternative plan: %.2fx", speedup)
+	if speedup < 1.3 {
+		t.Errorf("alternative plan is %.2fx faster than the optimizer's, want >= 1.3x", speedup)
 	}
 	if !strings.Contains(out, "mispredictions") {
 		t.Fatal("no branch statistics")
