@@ -1,12 +1,10 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (§6). Each benchmark prints/reports the series the paper
-// reports; run them all with
+// Benchmarks of the paper's evaluation (§6) and of the engine itself.
+// Each paper benchmark times the one internal/experiments method that
+// produces its figure or table (cmd/experiments prints the same method's
+// text report) and reports that figure's headline numbers, read from the
+// values the method returns, as benchmark metrics. Run them all with
 //
 //	go test -bench=. -benchmem
-//
-// The cmd/experiments tool produces the full text reports; these
-// benchmarks measure the same pipelines under the testing.B harness and
-// expose the headline numbers as benchmark metrics.
 package tprof
 
 import (
@@ -18,9 +16,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/mview"
-	"repro/internal/pmu"
 	"repro/internal/queries"
-	"repro/internal/vm"
 )
 
 const benchSF = 0.5
@@ -30,13 +26,12 @@ func benchEnv(b *testing.B) *experiments.Env {
 	return experiments.NewEnv(benchSF, 42)
 }
 
-func benchEngine(b *testing.B) (*engine.Engine, *experiments.Env) {
-	env := benchEnv(b)
-	return engine.New(env.Cat, engine.DefaultOptions()), env
+func benchEngine(b *testing.B) *engine.Engine {
+	return engine.New(benchEnv(b).Cat, engine.DefaultOptions())
 }
 
-// BenchmarkAnnotatedIRProfile regenerates Listing 1 / Fig. 6b: the intro
-// query profiled at IR granularity.
+// BenchmarkAnnotatedIRProfile times Env.Listing1 (Listing 1 / Fig. 6b):
+// the intro query profiled at IR granularity.
 func BenchmarkAnnotatedIRProfile(b *testing.B) {
 	env := benchEnv(b)
 	for i := 0; i < b.N; i++ {
@@ -46,213 +41,112 @@ func BenchmarkAnnotatedIRProfile(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanCostProfile regenerates Fig. 6a / Fig. 9: per-operator plan
-// costs. The group-by and join shares are reported as metrics.
-func BenchmarkPlanCostProfile(b *testing.B) {
-	eng, _ := benchEngine(b)
-	w := queries.Intro(true)
-	cq, err := eng.CompileQuery(w.Query)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var gb, join float64
-	for i := 0; i < b.N; i++ {
-		res, err := eng.Run(cq, &pmu.Config{Event: vm.EvCycles, Period: 5000, Format: pmu.FormatIPTimeRegs})
-		if err != nil {
-			b.Fatal(err)
-		}
-		gb, join = 0, 0
-		for _, c := range res.Profile.OperatorCosts() {
-			switch c.Kind {
-			case "group by":
-				gb += c.Pct
-			case "hash join":
-				join += c.Pct
-			}
-		}
-	}
-	b.ReportMetric(gb, "groupby_pct")
-	b.ReportMetric(join, "join_pct")
-}
-
-// BenchmarkOperatorActivity regenerates Fig. 7: the activity timeline.
-func BenchmarkOperatorActivity(b *testing.B) {
-	eng, _ := benchEngine(b)
-	cq, err := eng.CompileQuery(queries.Fig9().Query)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := eng.Run(cq, &pmu.Config{Event: vm.EvCycles, Period: 1000, Format: pmu.FormatIPTimeRegs})
-		if err != nil {
-			b.Fatal(err)
-		}
-		tl := res.Profile.BuildTimeline(60)
-		if len(tl.Activity) != 60 {
-			b.Fatal("timeline bins missing")
-		}
-	}
-}
-
-// BenchmarkOptimizerPlans regenerates Fig. 10/11: both plans of the 3-way
-// join; the speedup of the alternative plan is reported as a metric.
-func BenchmarkOptimizerPlans(b *testing.B) {
-	eng, _ := benchEngine(b)
-	cqOpt, err := eng.CompileQuery(queries.Fig10(false).Query)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cqAlt, err := eng.CompileQuery(queries.Fig10(true).Query)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		rOpt, err := eng.Run(cqOpt, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rAlt, err := eng.Run(cqAlt, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		speedup = float64(rOpt.Stats.Cycles) / float64(rAlt.Stats.Cycles)
-	}
-	b.ReportMetric(speedup, "alt_speedup")
-}
-
-// BenchmarkMemoryProfile regenerates Fig. 12: load sampling with address
-// capture and per-operator access maps.
-func BenchmarkMemoryProfile(b *testing.B) {
-	env := benchEnv(b)
-	eng := engine.New(env.Cat, engine.DefaultOptions())
-	eng.Opts.EagerColumnLoads = true
-	cq, err := eng.CompileQuery(queries.Fig9().Query)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var pts int
-	for i := 0; i < b.N; i++ {
-		res, err := eng.Run(cq, &pmu.Config{Event: vm.EvMemLoads, Period: 1000, Format: pmu.FormatIPTimeRegs})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pts = 0
-		for _, m := range res.Profile.MemByOp {
-			pts += len(m)
-		}
-	}
-	b.ReportMetric(float64(pts), "mem_points")
-}
-
-// BenchmarkSamplingOverhead regenerates Fig. 13: one sub-benchmark per
-// record format at the paper's default 0.7 MHz equivalent; the measured
-// overhead is the reported metric (paper: 35% / 38% / 529%).
-func BenchmarkSamplingOverhead(b *testing.B) {
-	eng, _ := benchEngine(b)
-	cq, err := eng.CompileQuery(queries.Q16().Query)
-	if err != nil {
-		b.Fatal(err)
-	}
-	base, err := eng.Run(cq, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, f := range []struct {
-		name   string
-		format pmu.Format
-	}{
-		{"IP_Time", pmu.FormatIPTime},
-		{"IP_Time_Registers", pmu.FormatIPTimeRegs},
-		{"IP_Callstack", pmu.FormatCallStack},
-	} {
-		b.Run(f.name, func(b *testing.B) {
-			var ov float64
-			for i := 0; i < b.N; i++ {
-				res, err := eng.Run(cq, &pmu.Config{Event: vm.EvCycles, Period: 5000, Format: f.format})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ov = float64(res.Stats.TotalCycles())/float64(base.Stats.Cycles) - 1
-			}
-			b.ReportMetric(100*ov, "overhead_pct")
-		})
-	}
-}
-
-// BenchmarkSamplingFrequencySweep regenerates the Fig. 13 x-axis: the
-// IP+Time+Registers overhead at 100 kHz, 350 kHz, 700 kHz and 1 MHz.
-func BenchmarkSamplingFrequencySweep(b *testing.B) {
-	eng, _ := benchEngine(b)
-	cq, err := eng.CompileQuery(queries.Q16().Query)
-	if err != nil {
-		b.Fatal(err)
-	}
-	base, err := eng.Run(cq, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, period := range []int64{35000, 10000, 5000, 3500} {
-		b.Run(fmt.Sprintf("%dkHz", 3_500_000/period), func(b *testing.B) {
-			var ov float64
-			for i := 0; i < b.N; i++ {
-				res, err := eng.Run(cq, &pmu.Config{Event: vm.EvCycles, Period: period, Format: pmu.FormatIPTimeRegs})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ov = float64(res.Stats.TotalCycles())/float64(base.Stats.Cycles) - 1
-			}
-			b.ReportMetric(100*ov, "overhead_pct")
-		})
-	}
-}
-
-// BenchmarkRegisterReservation regenerates the §6.2 measurement: the
-// slowdown from reserving the tag register (paper: 2.8% average).
-func BenchmarkRegisterReservation(b *testing.B) {
-	env := benchEnv(b)
-	var avg float64
-	for i := 0; i < b.N; i++ {
-		_, v, err := env.RegReserve()
-		if err != nil {
-			b.Fatal(err)
-		}
-		avg = v
-	}
-	b.ReportMetric(100*avg, "overhead_pct")
-}
-
-// BenchmarkAttribution regenerates Table 2: the attribution shares across
-// the whole query suite (paper: 95.4% operators / 2.6% kernel / 2.0% none).
-func BenchmarkAttribution(b *testing.B) {
-	env := benchEnv(b)
-	var rows []experiments.AttributionRow
-	b.ReportAllocs()
+// timeEnv times b.N calls of an Env method and returns the values its
+// last call returned.
+func timeEnv[T any](b *testing.B, method func() (string, T, error)) T {
+	var v T
 	for i := 0; i < b.N; i++ {
 		var err error
-		_, rows, err = env.Attribution()
-		if err != nil {
+		if _, v, err = method(); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return v
+}
+
+// BenchmarkPlanCostProfile times Env.PlanCosts (Fig. 6a / Fig. 9) and
+// reports the intro query's group-by and join shares.
+func BenchmarkPlanCostProfile(b *testing.B) {
+	for _, c := range timeEnv(b, benchEnv(b).PlanCosts) {
+		if c.Query == queries.Intro(true).Name {
+			b.ReportMetric(c.GroupByPct, "groupby_pct")
+			b.ReportMetric(c.JoinPct, "join_pct")
+		}
+	}
+}
+
+// BenchmarkOperatorActivity times Env.Activity (Fig. 7) and reports the
+// simulated cycles one of its 60 time bins spans.
+func BenchmarkOperatorActivity(b *testing.B) {
+	tl := timeEnv(b, benchEnv(b).Activity)
+	if len(tl.Activity) != 60 {
+		b.Fatal("timeline bins missing")
+	}
+	b.ReportMetric(float64(tl.BinCycles), "bin_cycles")
+}
+
+// BenchmarkOptimizerPlans times Env.Optimizer (Fig. 10/11) and reports the
+// alternative plan's speedup.
+func BenchmarkOptimizerPlans(b *testing.B) {
+	b.ReportMetric(timeEnv(b, benchEnv(b).Optimizer), "alt_speedup")
+}
+
+// BenchmarkMemoryProfile times Env.Memory (Fig. 12) and reports the number
+// of captured load addresses.
+func BenchmarkMemoryProfile(b *testing.B) {
+	b.ReportMetric(float64(timeEnv(b, benchEnv(b).Memory)), "mem_points")
+}
+
+// benchOverhead times Env.Overhead (Fig. 13) and reports the overhead, in
+// %, of every point unit names; unit returns "" for a point to leave out.
+func benchOverhead(b *testing.B, unit func(experiments.OverheadPoint) string) {
+	for _, p := range timeEnv(b, benchEnv(b).Overhead) {
+		if u := unit(p); u != "" {
+			b.ReportMetric(100*p.Overhead, u)
+		}
+	}
+}
+
+// BenchmarkSamplingOverhead reports each record format's overhead at the
+// paper's default 0.7 MHz (paper: 35% / 38% / 529%).
+func BenchmarkSamplingOverhead(b *testing.B) {
+	units := map[string]string{
+		"IP, Time":            "ip_time_pct",
+		"IP, Time, Registers": "ip_time_regs_pct",
+		"IP, Callstack":       "ip_callstack_pct",
+	}
+	benchOverhead(b, func(p experiments.OverheadPoint) string {
+		if p.FreqKHz != 700 {
+			return ""
+		}
+		return units[p.Label]
+	})
+}
+
+// BenchmarkSamplingFrequencySweep reports the IP+Time+Registers overhead
+// along Fig. 13's x-axis, 10 kHz to 1 MHz.
+func BenchmarkSamplingFrequencySweep(b *testing.B) {
+	benchOverhead(b, func(p experiments.OverheadPoint) string {
+		if p.Label != "IP, Time, Registers" {
+			return ""
+		}
+		return fmt.Sprintf("%.0fkHz_pct", p.FreqKHz)
+	})
+}
+
+// BenchmarkRegisterReservation times Env.RegReserve (§6.2) and reports the
+// slowdown from reserving the tag register (paper: 2.8% average).
+func BenchmarkRegisterReservation(b *testing.B) {
+	b.ReportMetric(100*timeEnv(b, benchEnv(b).RegReserve), "overhead_pct")
+}
+
+// BenchmarkAttribution times Env.Attribution (Table 2) and reports the
+// attribution shares across the whole query suite (paper: 95.4% operators
+// / 2.6% kernel / 2.0% none).
+func BenchmarkAttribution(b *testing.B) {
+	env := benchEnv(b)
+	b.ReportAllocs()
+	rows := timeEnv(b, env.Attribution)
 	total := rows[len(rows)-1]
 	b.ReportMetric(total.OperatorPct, "operators_pct")
 	b.ReportMetric(total.KernelPct, "kernel_pct")
 	b.ReportMetric(total.NoAttrib, "unattributed_pct")
 }
 
-// BenchmarkAccuracy regenerates the §6.3 validation; the tag-mismatch
-// count must stay zero (paper: no mismatches).
+// BenchmarkAccuracy times Env.Accuracy (§6.3); the tag-mismatch count must
+// stay zero (paper: no mismatches).
 func BenchmarkAccuracy(b *testing.B) {
-	env := benchEnv(b)
-	var st *experiments.AccuracyStats
-	for i := 0; i < b.N; i++ {
-		var err error
-		_, st, err = env.Accuracy()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	st := timeEnv(b, benchEnv(b).Accuracy)
 	b.ReportMetric(float64(st.TagMismatches), "tag_mismatches")
 	b.ReportMetric(st.TSCDeltaDev, "tsc_dev_cycles")
 }
@@ -261,7 +155,7 @@ func BenchmarkAccuracy(b *testing.B) {
 // pipelines → IR optimization → register allocation → native code),
 // including Tagging Dictionary population.
 func BenchmarkCompileQuery(b *testing.B) {
-	eng, _ := benchEngine(b)
+	eng := benchEngine(b)
 	w := queries.Fig9()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -274,7 +168,7 @@ func BenchmarkCompileQuery(b *testing.B) {
 // BenchmarkExecuteUnprofiled measures raw simulated execution, the
 // baseline all overhead numbers are relative to.
 func BenchmarkExecuteUnprofiled(b *testing.B) {
-	eng, _ := benchEngine(b)
+	eng := benchEngine(b)
 	cq, err := eng.CompileQuery(queries.Q16().Query)
 	if err != nil {
 		b.Fatal(err)
@@ -293,45 +187,12 @@ func BenchmarkExecuteUnprofiled(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/inst")
 }
 
-// benchParallel runs one workload at Workers=1 and Workers=4 and reports
-// the simulated-cycle speedup of the parallel run as a metric. Host wall
-// time is meaningless here (all simulated cores share one OS thread in
-// CI), so the morsel scheduler's makespan over per-morsel cycle costs is
-// the honest scaling number.
-func benchParallel(b *testing.B, workload string) {
-	env := benchEnv(b)
-	wl, ok := queries.ByName(workload)
-	if !ok {
-		b.Fatalf("no workload %s", workload)
-	}
-	walls := map[int]uint64{}
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		for _, workers := range []int{1, 4} {
-			opts := engine.DefaultOptions()
-			opts.Workers = workers
-			eng := engine.New(env.Cat, opts)
-			cq, err := eng.CompileQuery(wl.Query)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := eng.Run(cq, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			walls[workers] = res.WallCycles
-		}
-		speedup = float64(walls[1]) / float64(walls[4])
-	}
-	b.ReportMetric(speedup, "speedup")
-}
-
 // BenchmarkCompileSQL measures the full SQL front door (parse → plan →
 // compile) with allocation reporting: the CSE value-numbering key is the
 // optimizer's hottest allocation site, so allocs/op here guards its
 // allocation-free encoding.
 func BenchmarkCompileSQL(b *testing.B) {
-	eng, _ := benchEngine(b)
+	eng := benchEngine(b)
 	const sql = "select l_orderkey, sum(l_quantity), sum(l_extendedprice) " +
 		"from lineitem where l_quantity < 24 group by l_orderkey"
 	b.ReportAllocs()
@@ -527,13 +388,28 @@ func TestEngineRunFootprint(t *testing.T) {
 	}
 }
 
-// BenchmarkParallelScanAgg measures morsel-driven scaling on a scan-heavy
+// benchParallel times Env.Parallel (the morsel scaling table) and reports
+// workload's simulated-wall-cycle speedup on 4 workers over 1. Host wall
+// time is meaningless here (all simulated cores share one OS thread in
+// CI), so the morsel scheduler's makespan over per-morsel cycle costs is
+// the honest scaling number.
+func benchParallel(b *testing.B, workload string) {
+	for _, p := range timeEnv(b, benchEnv(b).Parallel) {
+		if p.Query == workload && p.Workers == 4 {
+			b.ReportMetric(p.Speedup, "speedup")
+			return
+		}
+	}
+	b.Fatalf("no 4-worker run of %s", workload)
+}
+
+// BenchmarkParallelScanAgg reports morsel-driven scaling on a scan-heavy
 // aggregation (TPC-H Q6): one scan pipeline, near-perfect morsel balance.
 func BenchmarkParallelScanAgg(b *testing.B) {
 	benchParallel(b, "q6")
 }
 
-// BenchmarkParallelJoin measures morsel-driven scaling on the paper's
+// BenchmarkParallelJoin reports morsel-driven scaling on the paper's
 // Fig. 9 join+group-by query: the build pipelines serialize at phase
 // barriers, so the speedup is sublinear but still well above 2x.
 func BenchmarkParallelJoin(b *testing.B) {

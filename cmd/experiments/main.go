@@ -43,17 +43,17 @@ func runners(env *experiments.Env, root string) []runner {
 	first := func(s string, _ any, err error) (string, error) { return s, err }
 	return []runner{
 		{"listing1", env.Listing1},
-		{"plan_costs", env.PlanCosts},
-		{"activity", env.Activity},
-		{"optimizer", env.Optimizer},
-		{"memory", env.Memory},
+		{"plan_costs", func() (string, error) { return first(env.PlanCosts()) }},
+		{"activity", func() (string, error) { return first(env.Activity()) }},
+		{"optimizer", func() (string, error) { return first(env.Optimizer()) }},
+		{"memory", func() (string, error) { return first(env.Memory()) }},
 		{"analyze", env.ExplainAnalyze},
 		{"overhead", func() (string, error) { return first(env.Overhead()) }},
 		{"regreserve", func() (string, error) { return first(env.RegReserve()) }},
 		{"attribution", func() (string, error) { return first(env.Attribution()) }},
 		{"accuracy", func() (string, error) { return first(env.Accuracy()) }},
 		{"table1", func() (string, error) { return first(env.Table1()) }},
-		{"parallel", env.Parallel},
+		{"parallel", func() (string, error) { return first(env.Parallel()) }},
 		{"loc", func() (string, error) { return experiments.LoC(root) }},
 	}
 }

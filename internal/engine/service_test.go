@@ -96,6 +96,34 @@ func serviceCacheHit() *lattice {
 	return &lattice{src: src, axes: []axis{workersAxis(1, 4), eventAxis(evInstRetired)}, name: noSubtest}
 }
 
+// TestServiceFallbackMatchesReference: statements whose parameterized
+// form does not plan take the uncached direct compile (Service.compileText)
+// at every Execute. The normalizer leaves a literal inside ORDER BY in
+// place while it lifts the SELECT copy of the same expression, and lifts a
+// string literal repeated in SELECT and GROUP BY as two parameters, so the
+// planner matches neither copy. Their rows must still be the reference
+// executor's.
+func TestServiceFallbackMatchesReference(t *testing.T) {
+	se := testService(t).NewSession()
+	for _, sql := range []string{
+		"select l_quantity % 3, count(*) from lineitem group by l_quantity % 3 order by l_quantity % 3",
+		"select l_quantity, sum(l_extendedprice * 2) from lineitem group by l_quantity order by sum(l_extendedprice * 2) desc limit 5",
+		"select l_shipdate < '1995-01-01', count(*) from lineitem group by l_shipdate < '1995-01-01'",
+	} {
+		p, res, err := se.Execute(sql, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if !p.Fallback {
+			t.Errorf("%s: served from the cache; the normalizer now parameterizes it, so move it to a cached test", sql)
+		}
+		if len(res.Rows) == 0 {
+			t.Errorf("%s: no rows", sql)
+		}
+		matchesReference(t, res.Rows, p)
+	}
+}
+
 // TestServiceEncodedLiterals drives the per-type argument encodings end
 // to end: date strings through the compared column's date parser,
 // dictionary strings through its dictionary (including a miss, which must

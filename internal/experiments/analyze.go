@@ -34,7 +34,7 @@ func (e *Env) ExplainAnalyze() (string, error) {
 	sb.WriteString("\nper-task row counters:\n")
 	sb.WriteString(viz.TaskRowTable(cq.Pipe, res.TupleCounts))
 
-	rows := viz.OperatorRows(cq.Pipe, res.TupleCounts)
+	rows := cq.Pipe.OperatorRows(res.TupleCounts)
 	var maxRowsOp, maxTimeOp string
 	var maxRows int64
 	var maxTime float64

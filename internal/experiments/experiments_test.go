@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -27,32 +26,33 @@ func TestListing1Report(t *testing.T) {
 	}
 }
 
+// TestPlanCostsReport: fig9's group-by and join operators together hold
+// at least 80 % of its samples (ROADMAP item 1(b)'s bound; Fig. 9b's
+// two workhorses hold 97.5 %).
 func TestPlanCostsReport(t *testing.T) {
-	out, err := smallEnv(t).PlanCosts()
+	out, costs, err := smallEnv(t).PlanCosts()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "fig9") || !strings.Contains(out, "group by") {
 		t.Fatalf("report incomplete:\n%s", out)
 	}
+	fig9 := costs[0]
+	if fig9.Query != "fig9" {
+		t.Fatalf("first plan is %s, want fig9", fig9.Query)
+	}
+	t.Logf("fig9: group by %.1f %%, join %.1f %%", fig9.GroupByPct, fig9.JoinPct)
+	if sum := fig9.GroupByPct + fig9.JoinPct; sum < 80 {
+		t.Errorf("fig9's group by and join hold %.1f %% of its samples, want >= 80 %%", sum)
+	}
 }
 
 // TestOptimizerReportShowsSpeedup: Fig. 10's alternative plan is at least
-// 1.3x faster than the optimizer's (ROADMAP item 1(b)'s bound), read from
-// the report's speedup line.
+// 1.3x faster than the optimizer's (ROADMAP item 1(b)'s bound).
 func TestOptimizerReportShowsSpeedup(t *testing.T) {
-	out, err := smallEnv(t).Optimizer()
+	out, speedup, err := smallEnv(t).Optimizer()
 	if err != nil {
 		t.Fatal(err)
-	}
-	const label = "speedup of alternative plan: "
-	i := strings.Index(out, label)
-	if i < 0 {
-		t.Fatalf("no speedup line:\n%s", out)
-	}
-	var speedup float64
-	if _, err := fmt.Sscanf(out[i+len(label):], "%fx", &speedup); err != nil {
-		t.Fatalf("speedup line does not parse: %v\n%s", err, out[i:])
 	}
 	t.Logf("Fig. 10 speedup of the alternative plan: %.2fx", speedup)
 	if speedup < 1.3 {

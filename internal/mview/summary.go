@@ -238,21 +238,8 @@ func Summarize(fp *sqlparse.Fingerprint, cat *catalog.Catalog) (*Summary, bool) 
 		return nil, false // plain scan: a view of partials cannot answer it
 	}
 
-	// ORDER BY: resolve to select ordinals exactly as the planner does.
 	for _, ob := range q.OrderBy {
-		idx := -1
-		if c, isConst := ob.Expr.(*plan.Const); isConst {
-			if c.Val >= 1 && int(c.Val) <= len(q.Select) {
-				idx = int(c.Val) - 1
-			}
-		} else {
-			for i, it := range q.Select {
-				if it.Expr.String() == ob.Expr.String() || (it.Alias != "" && it.Alias == ob.Expr.String()) {
-					idx = i
-					break
-				}
-			}
-		}
+		idx := q.OrderOrdinal(ob.Expr)
 		if idx < 0 {
 			return nil, false
 		}

@@ -296,6 +296,24 @@ func gjApplicable(j *Join, key PExpr, aggs []AggSpec) bool {
 	return true
 }
 
+// OrderOrdinal resolves an ORDER BY expression to its 0-based select-list
+// position: an ordinal constant, a select item printing the same, or a
+// select alias. It returns -1 when none matches.
+func (q *Query) OrderOrdinal(e Expr) int {
+	if c, isConst := e.(*Const); isConst {
+		if c.Val >= 1 && int(c.Val) <= len(q.Select) {
+			return int(c.Val) - 1
+		}
+		return -1
+	}
+	for i, s := range q.Select {
+		if s.Expr.String() == e.String() || (s.Alias != "" && s.Alias == e.String()) {
+			return i
+		}
+	}
+	return -1
+}
+
 // output binds the final projections and host-side ORDER BY / LIMIT.
 func (p *planner) output(top Node, topSchema *schema) (*Output, error) {
 	o := &Output{Input: top, Limit: -1}
@@ -351,20 +369,7 @@ func (p *planner) output(top Node, topSchema *schema) (*Output, error) {
 	}
 
 	for _, ob := range p.q.OrderBy {
-		idx := -1
-		if c, isConst := ob.Expr.(*Const); isConst {
-			// ORDER BY <ordinal>.
-			if c.Val >= 1 && int(c.Val) <= len(o.Exprs) {
-				idx = int(c.Val) - 1
-			}
-		} else {
-			for i, s := range p.q.Select {
-				if s.Expr.String() == ob.Expr.String() || (s.Alias != "" && s.Alias == ob.Expr.String()) {
-					idx = i
-					break
-				}
-			}
-		}
+		idx := p.q.OrderOrdinal(ob.Expr)
 		if idx < 0 {
 			return nil, fmt.Errorf("plan: ORDER BY item %s not in select list", ob.Expr)
 		}

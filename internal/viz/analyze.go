@@ -9,13 +9,6 @@ import (
 	"repro/internal/plan"
 )
 
-// OperatorRows resolves per-operator output-row counts from per-task
-// counters (moved to pipeline.Compiled.OperatorRows so the cost
-// collector can share it; kept here for display callers).
-func OperatorRows(pc *pipeline.Compiled, counts map[core.ComponentID]int64) map[core.ComponentID]int64 {
-	return pc.OperatorRows(counts)
-}
-
 // AnalyzedPlan renders the plan annotated with EXPLAIN ANALYZE tuple
 // counts, the planner's cardinality estimate with its q-error against
 // the observed truth, and, when a profile is supplied, the sampled time
@@ -23,7 +16,7 @@ func OperatorRows(pc *pipeline.Compiled, counts map[core.ComponentID]int64) map[
 // is a decent approximation, our sampling approach captures the actual
 // time spent in each operator."
 func AnalyzedPlan(pl *plan.Output, pc *pipeline.Compiled, counts map[core.ComponentID]int64, p *core.Profile) string {
-	rows := OperatorRows(pc, counts)
+	rows := pc.OperatorRows(counts)
 	true_ := cost.TrueRows(pc, counts)
 	return plan.Render(pl, func(n plan.Node) string {
 		id, ok := pc.OpIDs[n]
